@@ -1,7 +1,7 @@
 """Shared configuration and helpers for the benchmark harness.
 
 Every benchmark module regenerates one table or figure of the paper's
-evaluation (see DESIGN.md §4 and EXPERIMENTS.md).  Sizes are scaled down from
+evaluation (see README.md, "Repository layout").  Sizes are scaled down from
 the paper's testbed (a 32-core Xeon running a C++/SPIN prototype) to what a
 pure-Python reproduction can explore in seconds, but each benchmark keeps the
 paper's workload structure, sweeps the same parameter, and prints the same
@@ -24,8 +24,7 @@ BENCH_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file
 
 
 def report(figure: str, row: str) -> None:
-    """Print one row of a reproduced table/figure (captured by --capture=no,
-    and summarised in EXPERIMENTS.md)."""
+    """Print one row of a reproduced table/figure (shown with --capture=no)."""
     print(f"[{figure}] {row}")
 
 

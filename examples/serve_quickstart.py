@@ -111,7 +111,7 @@ def main() -> int:
             f"  verdict {job['result']['verdict']}; "
             f"{incremental['pecs_from_cache']}/{incremental['pecs_total']} "
             f"PEC(s) from cache, {incremental['pecs_recomputed']} recomputed "
-            f"({job['result']['delta']})"
+            f"({job['result']['delta'].splitlines()[0]})"  # first line: the summary
         )
 
         info = client.namespace("demo")

@@ -1,7 +1,7 @@
 """Reproduction of *Plankton: Scalable network configuration verification
 through model checking* (NSDI 2020).
 
-The package is organised exactly as the paper's system (see DESIGN.md):
+The package is organised exactly as the paper's system (see README.md):
 
 * :mod:`repro.netaddr`, :mod:`repro.topology`, :mod:`repro.config` — inputs:
   addresses, topologies and device configurations.

@@ -1,7 +1,7 @@
 """Baseline verifiers the paper compares against (reimplemented from scratch).
 
 * :mod:`repro.baselines.sat` — a DPLL SAT solver, the constraint-search
-  substrate standing in for Z3 (see DESIGN.md §2).
+  substrate standing in for Z3.
 * :mod:`repro.baselines.minesweeper` — a Minesweeper-style constraint-based
   converged-state search built on the SAT solver.
 * :mod:`repro.baselines.spt` — the Figure 2 micro-benchmark: single-source

@@ -36,8 +36,9 @@ Subcommands:
     Run the long-lived verification service: warm per-namespace incremental
     sessions behind a JSON-over-HTTP API (:mod:`repro.serve`).  ``verify``,
     ``diff-verify`` and ``transient`` accept ``--server URL`` to run against
-    such a service instead of in-process — same output, same exit codes,
-    plus exit code 3 when the server cannot be reached.
+    such a service instead of in-process — the same request executor and
+    result rendering, hence the same output and exit codes, plus exit code
+    3 when the server cannot be reached.
 
 ``diff-verify``
     Verify an old configuration, then *incrementally* re-verify a new one:
@@ -69,7 +70,7 @@ import json
 import logging
 import sys
 from pathlib import Path as FilePath
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.simulation import SimulationVerifier
 from repro.config.objects import NetworkConfig
@@ -78,21 +79,22 @@ from repro.core.options import PlanktonOptions
 from repro.core.verifier import Plankton
 from repro.dataplane.forwarding import trace_paths
 from repro.engine import BACKEND_CHOICES
-from repro.exceptions import ReproError, ServerProtocolError, ServiceUnavailable, SpecError
-from repro.netaddr import Prefix, ip_to_int
+from repro.exceptions import ReproError, ServerProtocolError, ServiceUnavailable
+from repro.netaddr import ip_to_int
 from repro.pec.classes import compute_pecs
 from repro.pec.dependencies import build_dependency_graph
-from repro.policies import LoopFreedom, Policy
+from repro.policies import LoopFreedom
+# EXIT_HOLDS / EXIT_VIOLATION / EXIT_ERROR are re-exported: callers import them from here.
+from repro.reporting import (
+    EXIT_ERROR,
+    EXIT_HOLDS,
+    EXIT_VIOLATION,
+    report_form,
+    verdict_exit_code,
+    write_rendered_report,
+)
 from repro.topology.io import load_topology
 
-#: Exit codes (documented in ``docs/cli.md``).  A *partial* result — every
-#: completed task holds but some tasks exhausted their retries — exits with
-#: ``EXIT_ERROR``: "we could not prove it holds" must never look like
-#: "it holds" to a CI gate.  A violation wins over partiality (a found
-#: counterexample is definitive regardless of other tasks' fate).
-EXIT_HOLDS = 0
-EXIT_VIOLATION = 1
-EXIT_ERROR = 2
 #: ``--server`` mode only: the verification server could not be reached or
 #: answered unintelligibly.  Distinct from ``EXIT_ERROR`` so CI gates can
 #: tell "the check failed" from "the checking infrastructure failed".
@@ -125,21 +127,27 @@ def _configure_logging(verbosity: int) -> None:
 
 
 # --------------------------------------------------------------------------- input loading
-def _load_network(args: argparse.Namespace) -> NetworkConfig:
+def _config_dir_files(config_dir: str) -> List[FilePath]:
+    """The per-device ``*.cfg`` files of a ``--config-dir``."""
+    directory = FilePath(config_dir)
+    if not directory.is_dir():
+        raise CliError(f"--config-dir {directory} is not a directory")
+    config_files = sorted(directory.glob("*.cfg"))
+    if not config_files:
+        raise CliError(f"no *.cfg files in {directory}")
+    return config_files
+
+
+def _load_network(
+    topology_path: str, config: Optional[str] = None, config_dir: Optional[str] = None
+) -> NetworkConfig:
     """Build the :class:`NetworkConfig` named by ``--topology`` and ``--config``/``--config-dir``."""
-    topology = load_topology(args.topology)
-    if getattr(args, "config", None):
-        text = FilePath(args.config).read_text()
-        return parse_config(topology, text)
-    if getattr(args, "config_dir", None):
-        directory = FilePath(args.config_dir)
-        if not directory.is_dir():
-            raise CliError(f"--config-dir {directory} is not a directory")
+    topology = load_topology(topology_path)
+    if config:
+        return parse_config(topology, FilePath(config).read_text())
+    if config_dir:
         network = NetworkConfig(topology)
-        config_files = sorted(directory.glob("*.cfg"))
-        if not config_files:
-            raise CliError(f"no *.cfg files in {directory}")
-        for config_file in config_files:
+        for config_file in _config_dir_files(config_dir):
             device_name = config_file.stem
             if device_name not in topology:
                 raise CliError(
@@ -151,6 +159,29 @@ def _load_network(args: argparse.Namespace) -> NetworkConfig:
     raise CliError("one of --config or --config-dir is required")
 
 
+def _network_payload(
+    topology_path: str, config: Optional[str] = None, config_dir: Optional[str] = None
+) -> Dict[str, object]:
+    """The same inputs as a full-config push payload (``--server`` mode).
+
+    The topology file may be DSL text or JSON; it is normalised through the
+    regular loader and re-serialised so the server always receives canonical
+    topology text.
+    """
+    from repro.topology.io import format_topology
+
+    topology_text = format_topology(load_topology(topology_path))
+    if config:
+        return {"topology": topology_text, "config": FilePath(config).read_text()}
+    if config_dir:
+        sections = [
+            f"device {config_file.stem}\n{config_file.read_text()}"
+            for config_file in _config_dir_files(config_dir)
+        ]
+        return {"topology": topology_text, "config": "\n".join(sections)}
+    raise CliError("one of --config or --config-dir is required")
+
+
 def _split_list(value: Optional[str]) -> List[str]:
     """Split a comma-separated CLI value, dropping empty entries."""
     if not value:
@@ -158,23 +189,8 @@ def _split_list(value: Optional[str]) -> List[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
-def _parse_destination_prefix(value: Optional[str]) -> Optional[Prefix]:
-    if value is None:
-        return None
-    text = value if "/" in value else value + "/32"
-    try:
-        return Prefix(text)
-    except Exception as exc:
-        raise CliError(f"bad destination prefix {value!r}: {exc}") from exc
-
-
 def _policy_spec(args: argparse.Namespace) -> Dict[str, object]:
-    """The wire-format policy spec of the ``--policy`` flags.
-
-    In local mode the spec is materialised immediately via
-    :func:`repro.serve.specs.policy_from_spec`; in ``--server`` mode it is
-    shipped verbatim, so both paths construct the policy identically.
-    """
+    """The wire-format policy spec of the ``--policy`` flags."""
     spec: Dict[str, object] = {"policy": args.policy}
     if args.sources:
         spec["sources"] = _split_list(args.sources)
@@ -192,16 +208,6 @@ def _policy_spec(args: argparse.Namespace) -> Dict[str, object]:
     return spec
 
 
-def _build_policy(args: argparse.Namespace, network: NetworkConfig) -> Policy:
-    """Instantiate the policy selected by ``--policy`` and its options."""
-    from repro.serve.specs import policy_from_spec
-
-    try:
-        return policy_from_spec(_policy_spec(args), network)
-    except SpecError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def _options_spec(args: argparse.Namespace) -> Dict[str, object]:
     """The wire-format options spec of the engine flags (shared local/remote)."""
     spec: Dict[str, object] = {
@@ -215,311 +221,6 @@ def _options_spec(args: argparse.Namespace) -> Dict[str, object]:
     if getattr(args, "no_optimizations", False):
         spec["no_optimizations"] = True
     return spec
-
-
-def _build_options(args: argparse.Namespace) -> PlanktonOptions:
-    from repro.serve.specs import options_from_spec
-
-    try:
-        return options_from_spec(_options_spec(args))
-    except SpecError as exc:
-        raise CliError(str(exc)) from exc
-
-
-# --------------------------------------------------------------------------- subcommands
-def _verify_document(result, policy) -> Dict[str, object]:
-    """The ``--json`` document of one verification result."""
-    document: Dict[str, object] = {
-        "holds": result.holds,
-        "policy": policy.name,
-        "pecs_analyzed": result.pecs_analyzed,
-        "failure_scenarios": result.failure_scenarios,
-        "converged_states": result.total_converged_states,
-        "states_expanded": result.total_states_expanded,
-        "elapsed_seconds": round(result.elapsed_seconds, 6),
-        "violations": [
-            {
-                "policy": violation.policy,
-                "pec": violation.pec_description,
-                "failures": violation.failure_description,
-                "message": violation.message,
-            }
-            for violation in result.violations
-        ],
-    }
-    if result.incremental is not None:
-        document["incremental"] = result.incremental.as_dict()
-    if result.errors:
-        document["complete"] = False
-        document["errors"] = [failure.as_dict() for failure in result.errors]
-    return document
-
-
-def _print_verify_result(args: argparse.Namespace, result, policy) -> None:
-    if args.json:
-        print(json.dumps(_verify_document(result, policy), indent=2))
-    else:
-        print(result.summary())
-        if result.incremental is not None:
-            print(result.incremental.describe())
-        for violation in result.violations:
-            print()
-            print(violation.render())
-        for failure in result.errors:
-            print()
-            print(failure.render())
-
-
-def _verify_exit_code(result) -> int:
-    """Verdict → exit code: violation beats partial beats holds."""
-    if not result.holds:
-        return EXIT_VIOLATION
-    if getattr(result, "errors", None):
-        return EXIT_ERROR
-    return EXIT_HOLDS
-
-
-# --------------------------------------------------------------------------- server mode
-_VERDICT_EXIT_CODES = {"holds": EXIT_HOLDS, "violated": EXIT_VIOLATION, "partial": EXIT_ERROR}
-
-
-def _remote_client(args: argparse.Namespace):
-    from repro.client import ServiceClient
-
-    return ServiceClient(args.server)
-
-
-def _remote_namespace(args: argparse.Namespace) -> str:
-    return getattr(args, "namespace", None) or "default"
-
-
-def _network_payload(args: argparse.Namespace) -> Dict[str, object]:
-    """The full-config push payload of ``--topology`` + ``--config``/``--config-dir``.
-
-    The topology file may be DSL text or JSON; it is normalised through the
-    regular loader and re-serialised so the server always receives canonical
-    topology text.
-    """
-    from repro.topology.io import format_topology
-
-    topology_text = format_topology(load_topology(args.topology))
-    if getattr(args, "config", None):
-        return {"topology": topology_text, "config": FilePath(args.config).read_text()}
-    if getattr(args, "config_dir", None):
-        directory = FilePath(args.config_dir)
-        if not directory.is_dir():
-            raise CliError(f"--config-dir {directory} is not a directory")
-        config_files = sorted(directory.glob("*.cfg"))
-        if not config_files:
-            raise CliError(f"no *.cfg files in {directory}")
-        sections = [
-            f"device {config_file.stem}\n{config_file.read_text()}"
-            for config_file in config_files
-        ]
-        return {"topology": topology_text, "config": "\n".join(sections)}
-    raise CliError("one of --config or --config-dir is required")
-
-
-def _remote_result(args: argparse.Namespace, payload: Dict[str, object]) -> Dict[str, object]:
-    """Push one job and wait for its result payload; failed jobs raise."""
-    document = _remote_client(args).run(_remote_namespace(args), payload)
-    if document.get("state") == "failed":
-        raise CliError(f"server job {document.get('job')} failed: {document.get('error')}")
-    result = document.get("result")
-    if not isinstance(result, dict):
-        raise ServerProtocolError(
-            f"finished job {document.get('job')} carries no result payload"
-        )
-    return result
-
-
-def _write_remote_report(path: str, result: Dict[str, object]) -> None:
-    """Mirror :func:`repro.reporting.write_report`'s suffix dispatch using the
-    server-rendered report documents."""
-    file_path = FilePath(path)
-    if file_path.suffix.lower() == ".json":
-        file_path.write_text(json.dumps(result["report"], indent=2) + "\n")
-    else:
-        file_path.write_text(str(result["markdown"]))
-
-
-def _print_remote_result(args: argparse.Namespace, result: Dict[str, object]) -> int:
-    if args.report:
-        _write_remote_report(args.report, result)
-    if args.json:
-        print(json.dumps(result["document"], indent=2))
-    else:
-        print(result["text"])
-    return _VERDICT_EXIT_CODES.get(str(result.get("verdict")), EXIT_ERROR)
-
-
-def _remote_verify(args: argparse.Namespace) -> int:
-    payload = dict(_network_payload(args))
-    payload.update(
-        {"kind": "verify", "policies": [_policy_spec(args)], "options": _options_spec(args)}
-    )
-    return _print_remote_result(args, _remote_result(args, payload))
-
-
-def _remote_diff_verify(args: argparse.Namespace) -> int:
-    from repro.topology.io import format_topology
-
-    topology_text = format_topology(load_topology(args.topology))
-    common = {"kind": "verify", "policies": [_policy_spec(args)], "options": _options_spec(args)}
-    old_payload = dict(common, topology=topology_text, config=FilePath(args.old_config).read_text())
-    new_payload = dict(common, topology=topology_text, config=FilePath(args.new_config).read_text())
-
-    old_result = _remote_result(args, old_payload)
-    new_result = _remote_result(args, new_payload)
-    delta_summary = new_result.get("delta", "no configuration changes")
-
-    if args.report:
-        _write_remote_report(args.report, new_result)
-    if args.json:
-        document = {
-            "old": old_result["document"],
-            "new": new_result["document"],
-            "delta": delta_summary,
-        }
-        print(json.dumps(document, indent=2))
-    else:
-        old_lines = str(old_result["text"]).splitlines()
-        print(f"old configuration: {old_lines[0] if old_lines else ''}")
-        print()
-        print(f"config delta: {delta_summary}")
-        print()
-        new_text = str(new_result["text"]).splitlines()
-        if new_text:
-            print(f"new configuration: {new_text[0]}")
-            for line in new_text[1:]:
-                print(line)
-    return _VERDICT_EXIT_CODES.get(str(new_result.get("verdict")), EXIT_ERROR)
-
-
-def _remote_transient(args: argparse.Namespace) -> int:
-    payload = dict(_network_payload(args))
-    payload.update(
-        {
-            "kind": "transient",
-            "options": _options_spec(args),
-            "transient": _transient_spec(args),
-            "property": _transient_property_spec(args),
-        }
-    )
-    if args.fail_session:
-        payload["fail_session"] = args.fail_session
-    if args.scenario:
-        payload["scenarios"] = list(args.scenario)
-    if args.destination_prefix:
-        payload["destination_prefix"] = args.destination_prefix
-    return _print_remote_result(args, _remote_result(args, payload))
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the verification service until SIGTERM/SIGINT/Ctrl-C."""
-    import signal
-
-    from repro.serve import ReproServer
-
-    server = ReproServer(
-        host=args.host,
-        port=args.port,
-        cache_dir=args.cache_dir,
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-    )
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, lambda _signum, _frame: server.request_stop())
-    # Announce the bound address (port 0 binds an ephemeral port) before
-    # blocking, so wrappers can scrape the URL from the first stdout line.
-    print(f"repro serve listening on {server.url}", flush=True)
-    server.serve_forever()
-    return EXIT_HOLDS
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    if getattr(args, "server", None):
-        return _remote_verify(args)
-    network = _load_network(args)
-    policy = _build_policy(args, network)
-    options = _build_options(args)
-    if getattr(args, "cache_dir", None):
-        from repro.incremental import IncrementalVerifier
-
-        result = IncrementalVerifier(network, options, cache_dir=args.cache_dir).verify(
-            policy
-        )
-    else:
-        result = Plankton(network, options).verify(policy)
-
-    if args.report:
-        from repro.reporting import write_report
-
-        write_report(result, args.report, title=f"{policy.name} on {network.topology.name}")
-
-    _print_verify_result(args, result, policy)
-    return _verify_exit_code(result)
-
-
-def _cmd_diff_verify(args: argparse.Namespace) -> int:
-    if getattr(args, "server", None):
-        return _remote_diff_verify(args)
-    from repro.incremental import IncrementalVerifier
-
-    old_network = parse_config(load_topology(args.topology), FilePath(args.old_config).read_text())
-    new_network = parse_config(load_topology(args.topology), FilePath(args.new_config).read_text())
-    policy = _build_policy(args, new_network)
-    options = _build_options(args)
-
-    service = IncrementalVerifier(
-        old_network, options, cache_dir=getattr(args, "cache_dir", None) or None
-    )
-    old_result = service.verify(policy)
-    delta = service.update(new_network)
-    new_result = service.verify(policy)
-
-    if args.report:
-        from repro.reporting import write_report
-
-        write_report(
-            new_result,
-            args.report,
-            title=f"{policy.name} on {new_network.topology.name} (incremental)",
-        )
-
-    if args.json:
-        document = {
-            "old": _verify_document(old_result, policy),
-            "new": _verify_document(new_result, policy),
-            "delta": delta.summary(),
-        }
-        print(json.dumps(document, indent=2))
-    else:
-        print(f"old configuration: {old_result.summary()}")
-        print()
-        print(delta.describe())
-        print()
-        print(f"new configuration: {new_result.summary()}")
-        if new_result.incremental is not None:
-            print(new_result.incremental.describe())
-        for violation in new_result.violations:
-            print()
-            print(violation.render())
-        for failure in new_result.errors:
-            print()
-            print(failure.render())
-    return _verify_exit_code(new_result)
-
-
-def _parse_scenario(spec: str, network):
-    """Parse one ``--scenario`` value into a lifecycle :class:`Scenario`
-    (delegates to the shared wire-format parser in :mod:`repro.serve.specs`)."""
-    from repro.serve.specs import scenario_from_spec
-
-    try:
-        return scenario_from_spec(spec, network)
-    except SpecError as exc:
-        raise CliError(str(exc)) from exc
 
 
 def _transient_spec(args: argparse.Namespace) -> Dict[str, object]:
@@ -549,89 +250,156 @@ def _transient_property_spec(args: argparse.Namespace) -> Dict[str, object]:
     return spec
 
 
-def _cmd_transient(args: argparse.Namespace) -> int:
-    if getattr(args, "server", None):
-        return _remote_transient(args)
+# --------------------------------------------------------------------------- request subcommands
+def _request_payload(args: argparse.Namespace, kind: str) -> Dict[str, object]:
+    """The wire-format request of the parsed flags (:mod:`repro.serve.specs`):
+    shipped as the push body in ``--server`` mode, handed to
+    :func:`repro.serve.jobs.run_request` in-process otherwise."""
+    payload: Dict[str, object] = {"kind": kind, "options": _options_spec(args)}
+    if kind == "verify":
+        payload["policies"] = [_policy_spec(args)]
+        return payload
+    payload["transient"] = _transient_spec(args)
+    payload["property"] = _transient_property_spec(args)
+    if args.fail_session:
+        payload["fail_session"] = args.fail_session
+    if args.scenario:
+        payload["scenarios"] = list(args.scenario)
+    if args.destination_prefix:
+        payload["destination_prefix"] = args.destination_prefix
+    return payload
 
-    from repro.incremental import IncrementalVerifier
-    from repro.serve.specs import (
-        fail_session_events,
-        scenarios_from_specs,
-        transient_options_from_spec,
-        transient_property_from_spec,
-    )
 
-    network = _load_network(args)
-    options = _build_options(args)
-    try:
-        prop = transient_property_from_spec(_transient_property_spec(args), network)
-        initial_events = fail_session_events(args.fail_session, network)
-        scenarios = scenarios_from_specs(args.scenario, network)
-        transient_options = transient_options_from_spec(_transient_spec(args))
-    except SpecError as exc:
-        raise CliError(str(exc)) from exc
-
-    destination = _parse_destination_prefix(args.destination_prefix)
-
-    service = IncrementalVerifier(
-        network, options, cache_dir=getattr(args, "cache_dir", None) or None
-    )
-    bgp_pecs = [pec for pec in service.plankton.pecs if pec.has_bgp()]
-    pecs = bgp_pecs
-    if destination is not None:
-        target = destination.to_range()
-        pecs = [pec for pec in bgp_pecs if pec.address_range.overlaps(target)]
-    if pecs:
-        campaign = service.verify_transients(
-            [prop],
-            transient=transient_options,
-            initial_events=initial_events,
-            scenarios=scenarios,
-            pecs=pecs,
-        )
-    else:
-        # Nothing to analyse still honours --json/--report: emit an empty
-        # (vacuously holding) campaign document instead of bare text.
-        from repro.transient import TransientCampaignResult
-
-        campaign = TransientCampaignResult()
-        if not args.json:
-            if bgp_pecs:
-                print(
-                    f"--destination-prefix {args.destination_prefix} matches no "
-                    "BGP-originated PEC; nothing to analyse"
-                )
-            else:
-                print("no BGP-originated prefixes to analyse")
-
+def _result_forms(args: argparse.Namespace) -> List[str]:
+    """The rendered forms the output flags consume (see :func:`_emit`)."""
+    forms = ["document" if args.json else "text"]
     if args.report:
-        from repro.reporting import write_transient_report
+        forms.append(report_form(args.report))
+    return forms
 
-        write_transient_report(
-            campaign,
-            args.report,
-            title=f"Transient analysis of {network.topology.name}",
-        )
 
-    if args.json:
-        from repro.reporting import transient_campaign_to_dict
+def _run_requests(
+    args: argparse.Namespace,
+    kind: str,
+    requests: Sequence[Tuple[Dict[str, Optional[str]], Sequence[str]]],
+) -> List[Dict[str, object]]:
+    """Run the flags' request once per ``(source, forms)`` in ``requests`` —
+    in order, on one session — and return each run's rendered forms.
 
-        print(json.dumps(transient_campaign_to_dict(campaign), indent=2))
+    A source is the ``config`` / ``config_dir`` beside ``--topology``.  The
+    session is a namespace of the ``--server`` daemon, or in-process a
+    :class:`Plankton` (a cache-less single ``verify``: no fingerprinting, no
+    result store) or an :class:`IncrementalVerifier` that is ``update()``-d
+    from one configuration to the next.
+    """
+    payload = _request_payload(args, kind)
+    if args.server:
+        from repro.client import ServiceClient
+
+        client = ServiceClient(args.server)
+        rendered = []
+        for source, forms in requests:
+            push = dict(payload, forms=list(forms), **_network_payload(args.topology, **source))
+            document = client.run(args.namespace or "default", push)
+            if document.get("state") == "failed":
+                raise CliError(f"server job {document.get('job')} failed: {document.get('error')}")
+            if not isinstance(document.get("result"), dict):
+                raise ServerProtocolError(
+                    f"finished job {document.get('job')} carries no result payload"
+                )
+            rendered.append(document["result"])
+        return rendered
+
+    from repro.serve.jobs import run_request
+    from repro.serve.specs import options_from_spec
+
+    options = options_from_spec(payload["options"])
+    networks = [_load_network(args.topology, **source) for source, _ in requests]
+    if kind == "verify" and len(networks) == 1 and not args.cache_dir:
+        verifier = Plankton(networks[0], options)
     else:
-        print(campaign.summary())
-        if campaign.incremental is not None:
-            print(campaign.incremental.describe())
-        for violation in campaign.violations:
-            print()
-            print(violation.render())
-        for failure in campaign.errors:
-            print()
-            print(failure.render())
-    return _verify_exit_code(campaign)
+        from repro.incremental import IncrementalVerifier
+
+        verifier = IncrementalVerifier(networks[0], options, cache_dir=args.cache_dir or None)
+    rendered = []
+    delta = None
+    for network, (_, forms) in zip(networks, requests):
+        if rendered:
+            delta = verifier.update(network)
+        rendered.append(run_request(verifier, network, kind, payload, delta).render(forms))
+    return rendered
+
+
+def _emit(args: argparse.Namespace, rendered: Dict[str, object]) -> int:
+    """Write ``--report``, print the ``--json`` document or the text, and
+    map the verdict to the exit code."""
+    if args.report:
+        write_rendered_report(rendered, args.report)
+    if args.json:
+        print(json.dumps(rendered["document"], indent=2))
+    else:
+        print(rendered["text"])
+    return verdict_exit_code(rendered["verdict"])
+
+
+def _cmd_single_request(args: argparse.Namespace) -> int:
+    """``verify`` and ``transient``: the subcommand name is the request kind."""
+    source = {"config": args.config, "config_dir": args.config_dir}
+    (rendered,) = _run_requests(args, args.command, [(source, _result_forms(args))])
+    return _emit(args, rendered)
+
+
+def _cmd_diff_verify(args: argparse.Namespace) -> int:
+    shown = "document" if args.json else "text"
+    old, new = _run_requests(
+        args,
+        "verify",
+        [
+            ({"config": args.old_config}, [shown]),
+            ({"config": args.new_config}, _result_forms(args)),
+        ],
+    )
+    # The delta's first line is its one-line summary, as is the text form's.
+    delta = str(new["delta"])
+    if args.json:
+        new["document"] = {
+            "old": old["document"],
+            "new": new["document"],
+            "delta": delta.split("\n", 1)[0],
+        }
+    else:
+        old_summary = str(old["text"]).split("\n", 1)[0]
+        new["text"] = (
+            f"old configuration: {old_summary}\n\n{delta}\n\nnew configuration: {new['text']}"
+        )
+    return _emit(args, new)
+
+
+# --------------------------------------------------------------------------- other subcommands
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """Run the verification service until SIGTERM/SIGINT/Ctrl-C."""
+    import signal
+
+    from repro.serve import ReproServer
+
+    server = ReproServer(
+        host=args.host,
+        port=args.port,
+        cache_dir=args.cache_dir,
+        workers=args.workers,
+        queue_depth=args.queue_depth,
+    )
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda _signum, _frame: server.request_stop())
+    # Announce the bound address (port 0 binds an ephemeral port) before
+    # blocking, so wrappers can scrape the URL from the first stdout line.
+    print(f"repro serve listening on {server.url}", flush=True)
+    server.serve_forever()
+    return EXIT_HOLDS
 
 
 def _cmd_pecs(args: argparse.Namespace) -> int:
-    network = _load_network(args)
+    network = _load_network(args.topology, args.config, args.config_dir)
     pecs = compute_pecs(network)
     graph = build_dependency_graph(network, pecs)
     print(f"{len(pecs)} packet equivalence class(es)")
@@ -656,7 +424,7 @@ def _cmd_pecs(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    network = _load_network(args)
+    network = _load_network(args.topology, args.config, args.config_dir)
     simulator = SimulationVerifier(network, seed=args.seed)
     pecs = compute_pecs(network)
     printed = 0
@@ -694,7 +462,7 @@ def _single_pec_data_plane(network: NetworkConfig, pec, seed: int) -> str:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    network = _load_network(args)
+    network = _load_network(args.topology, args.config, args.config_dir)
     if args.source not in network.topology:
         raise CliError(f"unknown source device {args.source!r}")
     try:
@@ -863,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the §4 optimizations (naive model checking; for ablation only)",
     )
-    verify.set_defaults(handler=_cmd_verify)
+    verify.set_defaults(handler=_cmd_single_request)
 
     diff_verify = subparsers.add_parser(
         "diff-verify",
@@ -967,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_engine_arguments(transient)
-    transient.set_defaults(handler=_cmd_transient)
+    transient.set_defaults(handler=_cmd_single_request)
 
     serve = subparsers.add_parser(
         "serve",

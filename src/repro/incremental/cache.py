@@ -545,6 +545,9 @@ class ResultCache:
         self.misses = 0
         self.stores = 0
         self.path: Optional[Path] = None
+        #: Whether the file at :attr:`path` holds exactly the current entries
+        #: (set by a load from / save to it, cleared by every mutation).
+        self._persisted = False
         if directory is not None:
             directory = Path(directory)
             directory.mkdir(parents=True, exist_ok=True)
@@ -570,6 +573,7 @@ class ResultCache:
         """Insert or replace the entry under ``fingerprint``."""
         self._entries[fingerprint] = entry
         self.stores += 1
+        self._persisted = False
 
     def invalidate(self, fingerprints: Iterable[str]) -> int:
         """Drop the named entries; returns how many existed."""
@@ -577,10 +581,12 @@ class ResultCache:
         for fingerprint in fingerprints:
             if self._entries.pop(fingerprint, None) is not None:
                 dropped += 1
+                self._persisted = False
         return dropped
 
     def clear(self) -> None:
         self._entries.clear()
+        self._persisted = False
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -595,6 +601,8 @@ class ResultCache:
     def save(self, path: Optional[PathLike] = None) -> Optional[Path]:
         """Write the store to ``path`` (default: the directory it was opened
         on); returns the file path, or None when the cache is memory-only.
+        A save to the cache's own file is skipped when that file already
+        holds these entries — an all-hit run neither rewrites nor fsyncs it.
 
         The document header (schema version, payload checksum) precedes the
         entries; the write is temp-file + atomic rename under the advisory
@@ -604,6 +612,8 @@ class ResultCache:
         target = Path(path) if path is not None else self.path
         if target is None:
             return None
+        if path is None and self._persisted:
+            return target
         entries_json = json.dumps(self._entries, sort_keys=True)
         document = (
             '{"schema_version": %d, "checksum": "%s", "entries": %s}'
@@ -629,6 +639,8 @@ class ResultCache:
                 except OSError:
                     pass
                 raise
+        if target == self.path:
+            self._persisted = True
         return target
 
     def load(self, path: PathLike) -> int:
@@ -641,6 +653,7 @@ class ResultCache:
         rename is never observed mid-flight.
         """
         self._entries = {}
+        self._persisted = False
         target = Path(path)
         try:
             with _advisory_lock(target):
@@ -679,4 +692,5 @@ class ResultCache:
             )
             return 0
         self._entries = entries
+        self._persisted = target == self.path
         return len(self._entries)

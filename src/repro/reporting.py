@@ -8,17 +8,19 @@ the configuration change that was checked:
 
 * ``result_to_dict`` / JSON — for machines (dashboards, CI gates),
 * ``render_markdown`` — for humans (change-review comments, runbooks),
-* ``write_report`` — dispatches on the file suffix.
-
-The CLI's ``verify --report FILE`` option uses these helpers.
+* ``write_report`` — dispatches on the file suffix,
+* :class:`ResultView` — one finished request and every form it is shown in;
+  the CLI (local and ``--server``) and the ``repro serve`` daemon all render
+  through it, so the three cannot disagree.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from dataclasses import dataclass
 from pathlib import Path as FilePath
-from typing import Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.core.results import PecRunResult, VerificationResult, Violation
 
@@ -396,18 +398,141 @@ def metrics_to_dict(metrics) -> Dict[str, object]:
     }
 
 
+# --------------------------------------------------------------------------- request views
+#: Process exit codes of the three verdicts.  A *partial* result — every
+#: completed task holds but some tasks exhausted their retries — exits with
+#: ``EXIT_ERROR``: "we could not prove it holds" must never look like
+#: "it holds" to a CI gate.  A violation wins over partiality (a found
+#: counterexample is definitive regardless of other tasks' fate).
+EXIT_HOLDS = 0
+EXIT_VIOLATION = 1
+EXIT_ERROR = 2
+_EXIT_CODES = {"holds": EXIT_HOLDS, "violated": EXIT_VIOLATION, "partial": EXIT_ERROR}
+
+#: The forms a finished request can be rendered into, and the ones a push
+#: that names none gets.
+FORMS = ("document", "text", "report", "markdown")
+DEFAULT_FORMS = ("document", "text")
+
+
+def verdict_exit_code(verdict: object) -> int:
+    """The exit code of a rendered ``verdict`` (an unknown one is an error)."""
+    return _EXIT_CODES.get(str(verdict), EXIT_ERROR)
+
+
+@dataclass
+class ResultView:
+    """One finished ``verify`` or ``transient`` request, ready to be shown.
+
+    Wraps the :class:`VerificationResult` (or
+    :class:`repro.transient.TransientCampaignResult`) with what rendering
+    needs beyond it: the policy names of the ``--json`` document, the
+    Markdown report title, the :class:`~repro.incremental.ConfigDelta` the
+    request was verified against (``None`` for a first configuration) and
+    an optional note that precedes the text form.  Nothing is rendered
+    until :meth:`render` names it.
+    """
+
+    kind: str
+    result: Any
+    policy_names: str = ""
+    title: Optional[str] = None
+    delta: Any = None
+    note: Optional[str] = None
+
+    @property
+    def verdict(self) -> str:
+        """Violation beats partial beats holds."""
+        if not self.result.holds:
+            return "violated"
+        return "partial" if self.result.errors else "holds"
+
+    def signature(self) -> str:
+        """The wall-clock-free digest two equal results share."""
+        from repro.incremental import (
+            result_signature_digest,
+            transient_campaign_signature_digest,
+        )
+
+        if self.kind == "transient":
+            return transient_campaign_signature_digest(self.result)
+        return result_signature_digest(self.result)
+
+    def counts(self) -> Dict[str, int]:
+        """What the request adds to the ``/metrics`` counters of its namespace
+        (keys are :class:`repro.serve.metrics.NamespaceCounters` fields)."""
+        result = self.result
+        if self.kind == "transient":
+            states = sum(run.result.states_explored for run in result.runs)
+        else:
+            states = result.total_states_expanded
+        counts = {"violations": len(result.violations), "states_explored": states}
+        incremental = result.incremental
+        if incremental is not None:
+            counts["pecs_from_cache"] = incremental.pecs_from_cache
+            counts["pecs_recomputed"] = incremental.pecs_recomputed
+            counts["dirty_pecs"] = len(incremental.dirty_pecs)
+        return counts
+
+    def _text(self) -> str:
+        result = self.result
+        lines = [self.note] if self.note else []
+        lines.append(result.summary())
+        if result.incremental is not None:
+            lines.append(result.incremental.describe())
+        for entry in (*result.violations, *result.errors):
+            lines.extend(("", entry.render()))
+        return "\n".join(lines)
+
+    def render(self, forms: Sequence[str]) -> Dict[str, object]:
+        """The ``result`` of a job document: ``kind``, ``verdict``, the
+        multi-line ``delta`` (its first line is the one-line summary) when
+        there is one, and each of ``forms`` (names from :data:`FORMS`)."""
+        transient = self.kind == "transient"
+        rendered: Dict[str, object] = {"kind": self.kind, "verdict": self.verdict}
+        if self.delta is not None:
+            rendered["delta"] = self.delta.describe()
+        campaign_document: Optional[Dict[str, object]] = None
+        for form in forms:
+            if form == "text":
+                rendered[form] = self._text()
+            elif form == "markdown":
+                markdown = render_transient_markdown if transient else render_markdown
+                rendered[form] = markdown(self.result, title=self.title)
+            elif transient:
+                # A campaign's --json document and its JSON report are one
+                # (large) document: build it once.
+                if campaign_document is None:
+                    campaign_document = transient_campaign_to_dict(self.result)
+                rendered[form] = campaign_document
+            elif form == "document":
+                rendered[form] = verify_document(self.result, self.policy_names)
+            else:
+                rendered[form] = result_to_dict(self.result)
+        return rendered
+
+
 # --------------------------------------------------------------------------- files
+def report_form(path: PathLike) -> str:
+    """The form a report file holds: ``report`` for ``.json``, else ``markdown``."""
+    return "report" if FilePath(path).suffix.lower() == ".json" else "markdown"
+
+
+def write_rendered_report(rendered: Dict[str, object], path: PathLike) -> FilePath:
+    """Write the :func:`report_form` of ``path`` out of ``rendered`` forms."""
+    file_path = FilePath(path)
+    if report_form(path) == "report":
+        file_path.write_text(json.dumps(rendered["report"], indent=2) + "\n")
+    else:
+        file_path.write_text(str(rendered["markdown"]))
+    return file_path
+
+
 def write_transient_report(campaign, path: PathLike, title: Optional[str] = None) -> FilePath:
     """Write a transient campaign to ``path``; JSON for ``.json``, Markdown
     otherwise (the same suffix dispatch as :func:`write_report`)."""
-    file_path = FilePath(path)
-    if file_path.suffix.lower() == ".json":
-        file_path.write_text(
-            json.dumps(transient_campaign_to_dict(campaign), indent=2) + "\n"
-        )
-    else:
-        file_path.write_text(render_transient_markdown(campaign, title=title))
-    return file_path
+    view = ResultView("transient", campaign, title=title)
+    return write_rendered_report(view.render([report_form(path)]), path)
 
 
 def write_report(
@@ -416,9 +541,5 @@ def write_report(
     title: Optional[str] = None,
 ) -> FilePath:
     """Write the result to ``path``; JSON for ``.json``, Markdown otherwise."""
-    file_path = FilePath(path)
-    if file_path.suffix.lower() == ".json":
-        file_path.write_text(render_json(result))
-    else:
-        file_path.write_text(render_markdown(result, title=title))
-    return file_path
+    view = ResultView("verify", result, title=title)
+    return write_rendered_report(view.render([report_form(path)]), path)

@@ -17,7 +17,8 @@ Layering:
 * :mod:`repro.serve.registry` — named namespace sessions + per-namespace
   cache directories (the tenancy model);
 * :mod:`repro.serve.jobs` — the job model, the admission-controlled
-  per-namespace-FIFO queue, and job execution;
+  per-namespace-FIFO queue, and request execution (``run_request``, which
+  the CLI's in-process path calls too);
 * :mod:`repro.serve.metrics` — per-namespace counters behind ``/metrics``;
 * :mod:`repro.serve.http` — the :class:`ReproServer` daemon and its JSON API.
 

@@ -26,12 +26,14 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, Mapping, Optional, Set
 
 from repro.exceptions import ReproError, SpecError
+from repro.reporting import ResultView
 from repro.serve.registry import NamespaceSession
 from repro.serve.specs import (
     fail_session_events,
+    forms_from_spec,
     options_from_spec,
     parse_destination_prefix,
     policy_from_spec,
@@ -67,12 +69,12 @@ class Job:
     created_at: float = field(default_factory=time.time)
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
+    #: ``kind``, ``verdict``, ``signature``, ``delta`` and the rendered forms
+    #: the push asked for (:meth:`repro.reporting.ResultView.render`).
     result: Optional[Dict[str, object]] = None
+    #: The finished request's :meth:`~repro.reporting.ResultView.counts`.
+    counts: Optional[Dict[str, int]] = None
     error: Optional[str] = None
-
-    @property
-    def finished(self) -> bool:
-        return self.state in ("done", "partial", "failed")
 
 
 class JobQueue:
@@ -154,99 +156,29 @@ class JobQueue:
 
 
 # --------------------------------------------------------------------------- execution
-def _render_failures(errors) -> List[str]:
-    return [failure.render() for failure in errors]
+def run_request(verifier, network, kind: str, payload: Mapping, delta=None) -> ResultView:
+    """Run one verify/transient request spec against ``verifier``.
 
-
-def _verdict(holds: bool, errors) -> str:
-    """Violation beats partial beats holds — the CLI's exit-code precedence."""
-    if not holds:
-        return "violated"
-    if errors:
-        return "partial"
-    return "holds"
-
-
-def _verify_result_payload(result, policy_names: str, delta_summary) -> Dict[str, object]:
-    from repro.incremental import result_signature_digest
-    from repro.reporting import render_markdown, result_to_dict, verify_document
-
-    lines = [result.summary()]
-    if result.incremental is not None:
-        lines.append(result.incremental.describe())
-    for violation in result.violations:
-        lines.extend(("", violation.render()))
-    lines.extend(line for failure in result.errors for line in ("", failure.render()))
-    payload: Dict[str, object] = {
-        "kind": "verify",
-        "verdict": _verdict(result.holds, result.errors),
-        "document": verify_document(result, policy_names),
-        "report": result_to_dict(result),
-        "markdown": render_markdown(result),
-        "text": "\n".join(lines),
-        "signature": result_signature_digest(result),
-    }
-    if delta_summary is not None:
-        payload["delta"] = delta_summary
-    return payload
-
-
-def _transient_result_payload(campaign, delta_summary, note: Optional[str]) -> Dict[str, object]:
-    from repro.incremental import transient_campaign_signature_digest
-    from repro.reporting import render_transient_markdown, transient_campaign_to_dict
-
-    lines = [note] if note else []
-    lines.append(campaign.summary())
-    if campaign.incremental is not None:
-        lines.append(campaign.incremental.describe())
-    for violation in campaign.violations:
-        lines.extend(("", violation.render()))
-    lines.extend(line for failure in campaign.errors for line in ("", failure.render()))
-    payload: Dict[str, object] = {
-        "kind": "transient",
-        "verdict": _verdict(campaign.holds, campaign.errors),
-        "document": transient_campaign_to_dict(campaign),
-        "report": transient_campaign_to_dict(campaign),
-        "markdown": render_transient_markdown(campaign),
-        "text": "\n".join(lines),
-        "signature": transient_campaign_signature_digest(campaign),
-    }
-    if delta_summary is not None:
-        payload["delta"] = delta_summary
-    return payload
-
-
-def execute_job(session: NamespaceSession, job: Job) -> Dict[str, object]:
-    """Run one job against its namespace's warm session.
-
-    Holds the session lock for the whole execution: the push payload is
-    installed (delta + impact analysis against the current session state —
-    this is why execution order must match push order) and then verified
-    through the warm :class:`~repro.incremental.IncrementalVerifier`.
-    Raises :class:`~repro.exceptions.ReproError` subclasses on bad input;
-    the worker loop turns those into a *failed* job with the message.
+    The one copy of "specs → policies / properties / scenarios → BGP-PEC
+    selection → ``verify`` / ``verify_transients``", shared by the daemon
+    (:func:`execute_job`) and the CLI's in-process path.  ``verifier`` is an
+    :class:`~repro.incremental.IncrementalVerifier` over ``network`` (a bare
+    :class:`~repro.core.verifier.Plankton` also serves ``verify``); ``delta``
+    is the change that led to ``network``, if any.  Raises
+    :class:`~repro.exceptions.SpecError` on a bad spec.
     """
-    payload = job.payload
-    options = options_from_spec(payload.get("options"))
-    with session.lock:
-        network, delta_summary = session.install(payload, options)
-        verifier = session.verifier
-        assert verifier is not None
-        if job.kind == "verify":
-            specs = payload.get("policies")
-            if not specs:
-                raise SpecError("a verify push needs at least one policy spec")
-            policies = [policy_from_spec(spec, network) for spec in specs]
-            result = verifier.verify(policies)
-            names = ", ".join(policy.name for policy in policies)
-            return _verify_result_payload(result, names, delta_summary)
-        if job.kind == "transient":
-            return _execute_transient(verifier, network, payload, delta_summary)
-        raise SpecError(f"unknown job kind {job.kind!r}; choose from {JOB_KINDS}")
+    topology_name = network.topology.name
+    if kind == "verify":
+        specs = payload.get("policies")
+        if not specs:
+            raise SpecError("a verify push needs at least one policy spec")
+        policies = [policy_from_spec(spec, network) for spec in specs]
+        names = ", ".join(policy.name for policy in policies)
+        title = f"{names} on {topology_name}" + (" (incremental)" if delta is not None else "")
+        return ResultView(kind, verifier.verify(policies), names, title, delta)
+    if kind != "transient":
+        raise SpecError(f"unknown job kind {kind!r}; choose from {JOB_KINDS}")
 
-
-def _execute_transient(verifier, network, payload, delta_summary) -> Dict[str, object]:
-    """The transient-campaign job body (mirrors the CLI's local path)."""
     transient_options = transient_options_from_spec(payload.get("transient"))
     prop = transient_property_from_spec(payload.get("property"), network)
     initial_events = fail_session_events(payload.get("fail_session"), network)
@@ -269,13 +201,37 @@ def _execute_transient(verifier, network, payload, delta_summary) -> Dict[str, o
             pecs=pecs,
         )
     else:
+        # Nothing to analyse still renders every form: an empty (vacuously
+        # holding) campaign, with a note saying why.
         from repro.transient import TransientCampaignResult
 
         campaign = TransientCampaignResult()
         note = (
-            f"destination prefix {payload.get('destination_prefix')} matches no "
+            f"--destination-prefix {payload.get('destination_prefix')} matches no "
             "BGP-originated PEC; nothing to analyse"
             if bgp_pecs
             else "no BGP-originated prefixes to analyse"
         )
-    return _transient_result_payload(campaign, delta_summary, note)
+    title = f"Transient analysis of {topology_name}"
+    return ResultView(kind, campaign, title=title, delta=delta, note=note)
+
+
+def execute_job(session: NamespaceSession, job: Job) -> Dict[str, object]:
+    """Run one job against its namespace's warm session.
+
+    Holds the session lock for the whole execution: the push payload is
+    installed (delta + impact analysis against the current session state —
+    this is why execution order must match push order), verified through the
+    warm :class:`~repro.incremental.IncrementalVerifier` and rendered into
+    the forms the push asked for; the result object itself is not kept.
+    Raises :class:`~repro.exceptions.ReproError` subclasses on bad input;
+    the worker loop turns those into a *failed* job with the message.
+    """
+    payload = job.payload
+    options = options_from_spec(payload.get("options"))
+    forms = forms_from_spec(payload.get("forms"))
+    with session.lock:
+        network, delta = session.install(payload, options)
+        view = run_request(session.verifier, network, job.kind, payload, delta)
+        job.counts = view.counts()
+        return dict(view.render(forms), signature=view.signature())

@@ -26,7 +26,7 @@ class NamespaceCounters:
     jobs_failed: int = 0
     violations: int = 0
     #: PEC-granular cache accounting, summed over jobs (from each result's
-    #: ``incremental`` section): warm hits vs dirty recomputes.
+    #: incremental run stats): warm hits vs dirty recomputes.
     pecs_from_cache: int = 0
     pecs_recomputed: int = 0
     dirty_pecs: int = 0
@@ -84,25 +84,8 @@ class ServerMetrics:
                 bucket.jobs_done += 1
             if job.started_at is not None and job.finished_at is not None:
                 bucket.wall_clock_seconds += job.finished_at - job.started_at
-            document = (job.result or {}).get("document")
-            if not isinstance(document, dict):
-                return
-            violations = len(document.get("violations", []))
-            states = document.get("states_expanded")
-            if states is None:
-                # Transient documents carry per-run statistics instead.
-                runs = document.get("runs", [])
-                states = sum(run.get("result", {}).get("states_explored", 0) for run in runs)
-                violations += sum(
-                    len(run.get("result", {}).get("violations", [])) for run in runs
-                )
-            bucket.violations += violations
-            bucket.states_explored += int(states or 0)
-            incremental = document.get("incremental")
-            if isinstance(incremental, dict):
-                bucket.pecs_from_cache += incremental.get("pecs_from_cache", 0)
-                bucket.pecs_recomputed += incremental.get("pecs_recomputed", 0)
-                bucket.dirty_pecs += len(incremental.get("dirty_pecs", []))
+            for name, value in (job.counts or {}).items():
+                setattr(bucket, name, getattr(bucket, name) + value)
 
     # ------------------------------------------------------------------ snapshot
     def uptime_seconds(self) -> float:

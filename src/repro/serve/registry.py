@@ -30,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.config.objects import NetworkConfig
 from repro.core.options import PlanktonOptions
 from repro.exceptions import SpecError
-from repro.incremental import IncrementalVerifier
+from repro.incremental import ConfigDelta, IncrementalVerifier
 from repro.serve.specs import network_from_payload
 
 #: Namespace names become cache subdirectory names; keep them filesystem- and
@@ -60,8 +60,9 @@ class NamespaceSession:
     # ------------------------------------------------------------------ pushes
     def install(
         self, payload: Mapping, options: PlanktonOptions
-    ) -> Tuple[NetworkConfig, Optional[str]]:
-        """Apply one push payload; returns ``(network, delta summary)``.
+    ) -> Tuple[NetworkConfig, Optional[ConfigDelta]]:
+        """Apply one push payload; returns ``(network, delta)`` — no delta
+        on the push that creates the session.
 
         The first push creates the :class:`IncrementalVerifier`; later
         pushes route through :meth:`IncrementalVerifier.update` so the
@@ -74,7 +75,7 @@ class NamespaceSession:
         with self.lock:
             current = self.verifier.network if self.verifier is not None else None
             network = network_from_payload(payload, current)
-            delta_summary: Optional[str] = None
+            delta: Optional[ConfigDelta] = None
             if self.verifier is None:
                 self.verifier = IncrementalVerifier(
                     network, options, cache_dir=self.cache_dir
@@ -83,14 +84,13 @@ class NamespaceSession:
                 if repr(options) != self._options_token:
                     self.verifier = self.verifier.with_options(options)
                 delta = self.verifier.update(network)
-                delta_summary = delta.summary()
             self._options_token = repr(options)
             self.pushes += 1
             self.last_push_at = time.time()
             self.delta_history.append(
                 {
                     "push": self.pushes,
-                    "delta": delta_summary if delta_summary is not None else "initial configuration",
+                    "delta": delta.summary() if delta is not None else "initial configuration",
                     "devices": sorted(payload.get("devices", {}))
                     if payload.get("devices")
                     else None,
@@ -98,7 +98,7 @@ class NamespaceSession:
                 }
             )
             del self.delta_history[:-HISTORY_LIMIT]
-            return network, delta_summary
+            return network, delta
 
     # ------------------------------------------------------------------ info
     def describe(self) -> Dict[str, object]:

@@ -4,9 +4,10 @@ A verification request travelling over the service API is a plain JSON
 document: a *policy spec* (``{"policy": "loop", ...}``), an *options spec*
 (the :class:`~repro.core.options.PlanktonOptions` knobs that are meaningful
 per request), a *transient spec* and *scenario specs* for transient
-campaigns.  The CLI builds the same spec dicts from its argparse namespace —
-in local mode it materialises them immediately, in ``--server`` mode it
-ships them — so the two execution paths cannot drift: there is exactly one
+campaigns, and the *forms* the result is to be rendered into.  The CLI
+builds the same request from its argparse namespace — in local mode it hands
+it to :func:`repro.serve.jobs.run_request` in-process, in ``--server`` mode
+it ships it — so the two execution paths cannot drift: there is exactly one
 construction routine per object kind, and it lives here.
 
 Every validation failure raises :class:`~repro.exceptions.SpecError`, which
@@ -17,7 +18,7 @@ error (exit code 2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.config.objects import NetworkConfig
 from repro.core.options import OptimizationFlags, PlanktonOptions
@@ -34,6 +35,7 @@ from repro.policies import (
     Segmentation,
     Waypoint,
 )
+from repro.reporting import DEFAULT_FORMS, FORMS
 
 POLICY_KINDS = (
     "reachability",
@@ -154,6 +156,21 @@ def options_from_spec(spec: Optional[Mapping]) -> PlanktonOptions:
         return PlanktonOptions(optimizations=flags, **spec)
     except (TypeError, ValueError) as exc:
         raise SpecError(f"bad options spec: {exc}") from exc
+
+
+def forms_from_spec(value: object) -> Tuple[str, ...]:
+    """The ``forms`` list of a push → the result forms its job renders and
+    keeps (:data:`repro.reporting.FORMS`; ``None`` → ``document`` + ``text``)."""
+    if value is None:
+        return DEFAULT_FORMS
+    if not isinstance(value, (list, tuple)):
+        raise SpecError(f"forms must be a list of form names (got {type(value).__name__})")
+    unknown = [str(form) for form in value if form not in FORMS]
+    if unknown:
+        raise SpecError(
+            f"unknown result form(s): {', '.join(unknown)}; choose from {', '.join(FORMS)}"
+        )
+    return tuple(dict.fromkeys(value))
 
 
 def transient_options_from_spec(spec: Optional[Mapping]):

@@ -7,7 +7,7 @@ The paper evaluates on:
 * ring topologies for the ablation study (Figure 8) — :func:`ring`,
 * RocketFuel AS topologies (Figures 7d/e/g) — substituted by
   :func:`rocketfuel_like`, a synthetic ISP-like generator producing graphs of
-  the same published sizes (see DESIGN.md §2),
+  the same published sizes,
 * real-world enterprise configurations I-IX and the Stanford dataset
   (Figures 7h/i) — substituted by :func:`enterprise_like`.
 

@@ -139,6 +139,55 @@ class TestRecoveryEndToEnd:
         assert result.incremental.pecs_recomputed == 0
 
 
+class TestUnchangedStoreIsNotRewritten:
+    @staticmethod
+    def _identity(cache_file):
+        status = os.stat(cache_file)
+        return status.st_ino, status.st_mtime_ns
+
+    def test_all_hit_verify_leaves_the_file_alone(self, tmp_path):
+        cache_file, _, oracle = _warm_cache(tmp_path)
+        before = self._identity(cache_file)
+        service = IncrementalVerifier(_network(), PlanktonOptions(), cache_dir=tmp_path)
+        result = service.verify(LoopFreedom())
+        assert result.incremental.tasks_recomputed == 0
+        assert result_signature(result) == oracle
+        assert service.save() == cache_file
+        assert self._identity(cache_file) == before
+
+    def test_verify_that_stores_an_entry_replaces_the_file(self, tmp_path):
+        cache_file, entry_count, _ = _warm_cache(tmp_path)
+        before = self._identity(cache_file)
+        service = IncrementalVerifier(
+            _network(), PlanktonOptions(max_failures=1), cache_dir=tmp_path
+        )
+        assert service.verify(LoopFreedom()).incremental.tasks_recomputed > 0
+        assert self._identity(cache_file)[0] != before[0]  # temp file renamed over it
+        assert len(_reload(cache_file)) > entry_count
+
+    def test_explicit_path_and_new_directory_still_write(self, tmp_path):
+        cache = ResultCache(tmp_path / "fresh")
+        assert cache.save() == tmp_path / "fresh" / "plankton_cache.json"
+        assert len(_reload(cache.path)) == 0  # an empty store is still a loadable file
+        before = self._identity(cache.path)
+        assert cache.save() == cache.path and self._identity(cache.path) == before
+        copy = cache.save(tmp_path / "copy.json")
+        assert copy.exists() and len(_reload(copy)) == 0
+        cache.save(cache.path)  # naming the path asks for a write
+        assert self._identity(cache.path)[0] != before[0]
+
+    def test_invalidate_and_clear_make_the_next_save_write(self, tmp_path):
+        cache_file, _, _ = _warm_cache(tmp_path)
+        cache = ResultCache(tmp_path)
+        assert cache.invalidate(["no-such-fingerprint"]) == 0
+        before = self._identity(cache_file)
+        cache.save()
+        assert self._identity(cache_file) == before  # nothing was dropped
+        cache.clear()
+        cache.save()
+        assert len(_reload(cache_file)) == 0
+
+
 class TestConcurrentWriters:
     def test_two_processes_saving_leave_a_loadable_file(self, tmp_path):
         """Many writers, one file: whatever save wins the last rename, the

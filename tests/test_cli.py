@@ -1,6 +1,7 @@
 """Tests for the command-line interface (``python -m repro``)."""
 
 import json
+import re
 
 import pytest
 
@@ -617,36 +618,67 @@ class TestServerMode:
             "--policy", "loop", *extra,
         ]
 
-    def test_remote_json_document_matches_local(self, workspace, server, capsys):
-        assert _run(self._verify_args(workspace, "good.cfg", ["--json"])) == EXIT_HOLDS
-        local = json.loads(capsys.readouterr().out)
-        code = _run(self._verify_args(
-            workspace, "good.cfg",
-            ["--json", "--server", server.url, "--namespace", "cli-parity"],
-        ))
-        remote = json.loads(capsys.readouterr().out)
-        assert code == EXIT_HOLDS
-        for key in ("holds", "policy", "pecs_analyzed", "failure_scenarios",
-                    "converged_states", "states_expanded", "violations"):
-            assert remote[key] == local[key], key
+    #: name → (argv with workspace-relative file names, expected exit code).
+    PARITY_COMMANDS = {
+        # Local ``verify`` runs with ``--cache-dir`` so that, like every
+        # server session, it goes through the incremental verifier.
+        "verify": (
+            ["verify", "--topology", "net.topo", "--config", "good.cfg", "--policy", "loop",
+             "--cache-dir", "cache"],
+            EXIT_HOLDS,
+        ),
+        "diff-verify": (
+            ["diff-verify", "good.cfg", "looping.cfg", "--topology", "net.topo",
+             "--policy", "loop"],
+            EXIT_VIOLATION,
+        ),
+        "transient": (
+            ["transient", "--topology", "bgp.topo", "--config", "bgp.cfg",
+             "--fail-session", "o,m"],
+            EXIT_VIOLATION,
+        ),
+        # Nothing to analyse: the explanatory note must read the same.
+        "transient-no-match": (
+            ["transient", "--topology", "bgp.topo", "--config", "bgp.cfg",
+             "--destination-prefix", "99.0.0.0/8"],
+            EXIT_HOLDS,
+        ),
+    }
+    PARITY_MODES = {
+        "text": [],
+        "json": ["--json"],
+        "report-json": ["--report", "report.json"],
+        "report-md": ["--report", "report.md"],
+    }
 
-    def test_remote_violation_maps_to_exit_1(self, workspace, server, capsys):
-        code = _run(self._verify_args(
-            workspace, "looping.cfg", ["--server", server.url, "--namespace", "cli-loop"],
-        ))
-        out = capsys.readouterr().out
-        assert code == EXIT_VIOLATION
-        assert "VIOLATED" in out
-        assert "forwarding loop" in out
+    @staticmethod
+    def _without_timings(text):
+        text = re.sub(r'"elapsed_seconds": [-+.e0-9]+', '"elapsed_seconds": 0', text)
+        text = re.sub(r"\| elapsed \| [.0-9]+ s \|", "| elapsed | 0 s |", text)
+        return re.sub(r"\b[0-9]+\.[0-9]{3}s\b", "0s", text)
 
-    def test_remote_report_file_is_written(self, workspace, server, tmp_path):
-        report = tmp_path / "remote.json"
-        code = _run(self._verify_args(
-            workspace, "good.cfg",
-            ["--server", server.url, "--namespace", "cli-report", "--report", report],
-        ))
-        assert code == EXIT_HOLDS
-        assert json.loads(report.read_text())["holds"] is True
+    @pytest.mark.parametrize("mode", PARITY_MODES)
+    @pytest.mark.parametrize("command", PARITY_COMMANDS)
+    def test_server_mode_output_equals_local(
+        self, command, mode, workspace, bgp_workspace, server, capsys
+    ):
+        """Exit code, stdout and the report file of a ``--server`` run are
+        those of the in-process run, wall-clock fields aside."""
+        files = {"net.topo", "good.cfg", "looping.cfg", "bgp.topo", "bgp.cfg", "cache",
+                 "report.json", "report.md"}
+        argv, expected_code = self.PARITY_COMMANDS[command]
+        argv = [workspace / a if a in files else a for a in argv + self.PARITY_MODES[mode]]
+        observed = []
+        for where in ([], ["--server", server.url, "--namespace", f"parity-{command}-{mode}"]):
+            code = _run(argv + where)
+            report = None
+            if mode.startswith("report"):
+                report = self._without_timings(argv[-1].read_text())
+                argv[-1].unlink()
+            observed.append((code, self._without_timings(capsys.readouterr().out), report))
+        local, remote = observed
+        assert local[0] == expected_code
+        assert remote == local
 
     def test_unreachable_server_exits_3(self, workspace, capsys):
         # A closed port on localhost: connection refused, never a real server.

@@ -224,6 +224,49 @@ class TestEndToEnd:
         assert incremental["pecs_recomputed"] == 0
 
 
+class TestResultForms:
+    """A job renders and keeps only the forms its push names."""
+
+    BASE_FIELDS = {"kind", "verdict", "signature"}
+
+    def test_default_forms_are_document_and_text(self, client):
+        result = client.run("forms-default", VERIFY_PAYLOAD, timeout=120)["result"]
+        assert set(result) == self.BASE_FIELDS | {"document", "text"}
+        assert result["text"].startswith("policies loop-freedom: HOLDS")
+
+    def test_named_forms_replace_the_default(self, client):
+        payload = dict(VERIFY_PAYLOAD, forms=["report"])
+        result = client.run("forms-report", payload, timeout=120)["result"]
+        assert set(result) == self.BASE_FIELDS | {"report"}
+        assert result["report"]["policies"] == ["loop-freedom"]
+        assert len(result["report"]["pec_runs"]) > 0
+
+    def test_markdown_form_is_titled_and_a_later_push_carries_its_delta(self, client):
+        client.run("forms-md", dict(VERIFY_PAYLOAD, forms=[]), timeout=120)
+        rerun = {"kind": "verify", "policies": [POLICY_SPEC], "options": OPTIONS_SPEC,
+                 "devices": {"m": EDIT_M_OVERLAY}, "forms": ["markdown"]}
+        result = client.run("forms-md", rerun, timeout=120)["result"]
+        assert set(result) == self.BASE_FIELDS | {"delta", "markdown"}
+        assert result["markdown"].startswith("# loop-freedom on square (incremental)")
+        summary, *detail = result["delta"].splitlines()
+        assert summary == "1 filter change(s)"
+        assert detail and all(line.startswith("  filter m:") for line in detail)
+
+    def test_transient_document_and_report_are_one_document(self, client):
+        payload = {"kind": "transient", "topology": TOPOLOGY_TEXT, "config": CONFIG_TEXT,
+                   "transient": {"max_states": 500}, "forms": ["document", "report"]}
+        result = client.run("forms-transient", payload, timeout=240)["result"]
+        assert set(result) == self.BASE_FIELDS | {"document", "report"}
+        assert result["report"] == result["document"]
+
+    @pytest.mark.parametrize("forms", [["text", "pdf"], "text", [{"form": "text"}]])
+    def test_bad_forms_fail_the_job_with_a_spec_error(self, client, forms):
+        document = client.run("forms-bad", dict(VERIFY_PAYLOAD, forms=forms), timeout=120)
+        assert document["state"] == "failed"
+        assert "form" in document["error"]
+        assert "result" not in document
+
+
 class TestConcurrentPushes:
     def test_two_clients_one_namespace_serialise_in_push_order(self, server):
         """Two clients race different single-device deltas into one

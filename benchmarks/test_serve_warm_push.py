@@ -149,7 +149,7 @@ def test_bench_serve_json(reporter, bench_json):
         f"{measured['warm_wall']:.3f}s ({measured['speedup']:.1f}x), "
         f"{measured['pecs_from_cache']}/{measured['pecs_total']} PECs from cache",
     )
-    # The warm push must do structurally less work; the wall floor is kept
-    # modest because this emitter is non-gating but still trend-recorded.
+    # The warm push must do structurally less work (7/8 PECs from cache is
+    # asserted while measuring); the wall-clock ratio is recorded in the row
+    # and never asserted — a loaded runner must not fail the build.
     assert measured["warm_tasks"] < measured["cold_tasks"]
-    assert measured["speedup"] >= 2.0

@@ -138,11 +138,21 @@ class VerificationResult:
             self.total_unique_states += run.statistics.unique_states
             self.approximate_memory_bytes += run.statistics.approximate_memory_bytes
 
+    def absorb(self, prefix) -> None:
+        """Fold a ledger's ordered prefix in
+        (:meth:`repro.engine.aggregator.ResultAggregator.finalize`): runs
+        are recorded in task-graph order, exhausted tasks become ``errors``."""
+        for _spec, outcome in prefix:
+            if isinstance(outcome, TaskFailure):
+                self.errors.append(outcome)
+            else:
+                for run in outcome.runs:
+                    self.record(run)
+
     def merge(self, other: "VerificationResult") -> None:
         """Fold another (partial) result into this one.
 
-        Used by the execution engine to combine per-task partial results:
-        run lists and violations are concatenated in the order given, state
+        Run lists and violations are concatenated in the order given, state
         counters are summed, and the verdict holds only if both hold.
         Wall-clock fields are *not* summed — partials produced by concurrent
         workers overlap in time, so the longer of the two is kept and the

@@ -89,22 +89,17 @@ class Plankton:
         the execution engine's task graph and run on the backend selected by
         :attr:`PlanktonOptions.backend` / :attr:`PlanktonOptions.cores`.
         """
-        from repro.engine import EngineContext, ResultAggregator, select_backend
+        from repro.engine import EngineContext, run_graph
 
         started = time.perf_counter()
         policy_list, relevant, graph = self.expand_request(policies)
-        result = VerificationResult(policy_names=[p.name for p in policy_list])
-        result.pecs_analyzed = len(relevant)
-        if not relevant:
-            result.elapsed_seconds = time.perf_counter() - started
-            return result
-        result.failure_scenarios = graph.failure_scenarios
-
-        aggregator = ResultAggregator(graph, self.options, result.policy_names)
-        backend = select_backend(self.options, graph)
-        backend.execute(graph, EngineContext(plankton=self, policies=policy_list), aggregator)
-        aggregator.finalize(result)
-
+        result = VerificationResult(
+            policy_names=[p.name for p in policy_list],
+            pecs_analyzed=len(relevant),
+            failure_scenarios=graph.failure_scenarios,
+        )
+        ledger = run_graph(graph, EngineContext(plankton=self, policies=policy_list))
+        result.absorb(ledger.finalize())
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -227,9 +222,6 @@ class Plankton:
         outcomes = explorer.explore(on_outcome=check_outcome, keep_outcomes=False)
         run.statistics = explorer.statistics
         return run, outcomes
-
-    # Backwards-compatible alias (pre-engine internal name).
-    _run_pec = run_pec
 
 
 def verify(

@@ -1,80 +1,129 @@
-"""Streaming aggregation of task results into one verification verdict.
+"""The ledger of one task graph: who has finished, with what, and what is left.
 
-The aggregator consumes :class:`~repro.engine.graph.TaskResult`s in whatever
-order a backend completes them, keeps the converged data planes that
-downstream tasks consume, and raises a stop flag as soon as a violation
-arrives while ``stop_at_first_violation`` is set — backends poll that flag to
-cancel queued tasks and signal in-flight workers.
+:class:`ResultAggregator` holds one outcome per task id — the task's
+:class:`~repro.engine.graph.TaskResult`, or the
+:class:`~repro.core.results.TaskFailure` of a task that exhausted its
+retries — and is the single owner of three decisions every request shares,
+whatever the task kind:
 
-Because completion order is backend- and timing-dependent, each task's runs
-are folded into a per-task partial :class:`~repro.core.results.VerificationResult`
-and merged in **task-graph order** at :meth:`finalize` time, so serial and
-parallel backends produce identical results (same run order, same violation
-order) whenever they execute the same task set.
+* **what still has to run** (:meth:`pending`): every task without an
+  outcome, in graph order, up to the first task whose result carries a
+  violation while the request stops at the first violation.  A result
+  served from the incremental cache is simply a task that finished before
+  the run started: it enters through ``known``, is never executed again,
+  and a *known* violation ends the walk exactly as a fresh one does;
+* **what dependents read** (:meth:`upstream_planes`): the converged data
+  planes of a task's dependencies, from known and freshly recorded results
+  alike;
+* **what the verdict is built from** (:meth:`finalize`): the *ordered
+  prefix* — the outcomes in graph order up to and including the first
+  violating task.  It does not depend on completion order, so the serial
+  walk and the process pool fold to the same result under early stop too.
+
+``stop_requested`` is the cross-worker cancellation flag: it rises when a
+violation is recorded under stop-at-first, and the pool backend polls it to
+cancel queued and in-flight work.  A racing stop can leave gaps *before*
+the first violating task; the pool closes them by finishing on the serial
+walk, which is :meth:`pending` consumed one task at a time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.core.options import PlanktonOptions
-from repro.core.results import TaskFailure, VerificationResult
+from repro.core.results import TaskFailure
 from repro.engine.graph import TaskError, TaskGraph, TaskResult, TaskSpec
+
+Outcome = Union[TaskResult, TaskFailure]
 
 
 class ResultAggregator:
-    """Collects task results and folds them into a :class:`VerificationResult`."""
+    """One outcome per task of a graph; see the module docstring."""
 
-    def __init__(self, graph: TaskGraph, options: PlanktonOptions, policy_names: List[str]) -> None:
+    def __init__(
+        self,
+        graph: TaskGraph,
+        options: PlanktonOptions,
+        known: Optional[Dict[int, TaskResult]] = None,
+        keep_planes: bool = False,
+    ) -> None:
         self._graph = graph
         self._options = options
-        self._policy_names = list(policy_names)
-        self._partials: Dict[int, VerificationResult] = {}
-        self._planes_by_task: Dict[int, List] = {}
-        self._spec_by_id: Dict[int, TaskSpec] = {task.task_id: task for task in graph.tasks}
-        # Converged data planes are only needed until every dependent task has
-        # consumed them (the pre-engine path scoped them per failure scenario);
-        # count down and free so a large scenario enumeration doesn't pin
-        # every upstream data plane for the whole run.
-        self._pending_dependents: Dict[int, int] = {}
+        self._outcomes: Dict[int, Outcome] = dict(known or {})
+        self._failed: Set[int] = set()
+        #: Converged data planes are only needed until every dependent task
+        #: has consumed them; without ``keep_planes`` (the incremental
+        #: service still has to encode them into its cache) they are dropped
+        #: then, so a large scenario enumeration doesn't pin every upstream
+        #: data plane for the whole run.
+        self._keep_planes = keep_planes
+        self._unrecorded_dependents: Dict[int, int] = {}
         for task in graph.tasks:
-            for dependency_id in task.depends_on:
-                self._pending_dependents[dependency_id] = (
-                    self._pending_dependents.get(dependency_id, 0) + 1
-                )
-        self._failures: Dict[int, TaskFailure] = {}
+            if task.task_id not in self._outcomes:
+                for dependency_id in task.depends_on:
+                    self._unrecorded_dependents[dependency_id] = (
+                        self._unrecorded_dependents.get(dependency_id, 0) + 1
+                    )
         self.stop_requested = False
+        #: The tasks a run has to schedule, fixed before anything ran: the
+        #: tasks not in ``known`` that precede the first known violation.
+        self.planned: List[TaskSpec] = list(self.pending())
 
     # ------------------------------------------------------------------ intake
     def record(self, result: TaskResult) -> None:
-        """Fold one completed task in (any order; thread-safe use is the
-        backend's responsibility — backends record from a single thread)."""
-        partial = VerificationResult(policy_names=self._policy_names)
-        for run in result.runs:
-            partial.record(run)
-        self._partials[result.task_id] = partial
-        spec = self._spec_by_id[result.task_id]
-        if spec.collect_outcomes and self._pending_dependents.get(result.task_id):
-            self._planes_by_task[result.task_id] = list(result.data_planes)
+        """Enter one completed task (any order; backends record from a
+        single thread)."""
+        self._outcomes[result.task_id] = result
+        spec = self._graph.tasks[result.task_id]
+        self._drop_consumed_planes(result.task_id)
         self._release_consumed_planes(spec)
-        if result.has_violation and self._options.stop_at_first_violation:
+        if self._ends_request(spec, result):
             self.stop_requested = True
 
     def record_failure(self, spec: TaskSpec, error: TaskError, attempts: int) -> None:
-        """Record one task that exhausted its retries (supervision layer).
+        """Enter one task that exhausted its retries (supervision layer).
 
         The failure becomes an entry of the final result's ``errors``
         section; the run degrades to a partial result instead of raising.
         """
         from repro.engine.supervision import task_failure_from
 
-        self._failures[spec.task_id] = task_failure_from(spec, error, attempts)
+        self._outcomes[spec.task_id] = task_failure_from(spec, error, attempts)
+        self._failed.add(spec.task_id)
         self._release_consumed_planes(spec)
 
+    def _release_consumed_planes(self, spec: TaskSpec) -> None:
+        """``spec`` has recorded: its upstreams have one dependent fewer to serve."""
+        for dependency_id in spec.depends_on:
+            self._unrecorded_dependents[dependency_id] = (
+                self._unrecorded_dependents.get(dependency_id, 0) - 1
+            )
+            self._drop_consumed_planes(dependency_id)
+
+    def _drop_consumed_planes(self, task_id: int) -> None:
+        """Free a task's data planes once no unrecorded dependent is left."""
+        outcome = self._outcomes.get(task_id)
+        if (
+            not self._keep_planes
+            and isinstance(outcome, TaskResult)
+            and self._unrecorded_dependents.get(task_id, 0) <= 0
+        ):
+            outcome.data_planes = []
+
+    # ------------------------------------------------------------------ queries
     @property
     def failed_tasks(self) -> Set[int]:
         """Ids of tasks recorded as failed (drives upstream cascades)."""
-        return set(self._failures)
+        return self._failed
+
+    def has_result(self, task_id: int) -> bool:
+        """Whether the task has an outcome (a result or a structured failure)."""
+        return task_id in self._outcomes
+
+    def result(self, task_id: int) -> Optional[Outcome]:
+        """The task's outcome, or None while it has none."""
+        return self._outcomes.get(task_id)
 
     def upstream_planes(self, spec: TaskSpec) -> Dict[int, List]:
         """The converged data planes ``spec`` consumes, keyed by PEC index.
@@ -85,35 +134,43 @@ class ResultAggregator:
         """
         planes: Dict[int, List] = {}
         for dependency_id in spec.depends_on:
-            upstream = self._spec_by_id[dependency_id]
-            planes.setdefault(upstream.pec_index, []).extend(
-                self._planes_by_task.get(dependency_id, [])
+            upstream = self._outcomes.get(dependency_id)
+            planes.setdefault(self._graph.tasks[dependency_id].pec_index, []).extend(
+                upstream.data_planes if isinstance(upstream, TaskResult) else []
             )
         return planes
 
-    def _release_consumed_planes(self, spec: TaskSpec) -> None:
-        """Free upstream data planes once their last dependent has recorded."""
-        for dependency_id in spec.depends_on:
-            remaining = self._pending_dependents.get(dependency_id, 0) - 1
-            if remaining <= 0:
-                self._pending_dependents.pop(dependency_id, None)
-                self._planes_by_task.pop(dependency_id, None)
-            else:
-                self._pending_dependents[dependency_id] = remaining
+    def _ends_request(self, spec: TaskSpec, outcome: Optional[Outcome]) -> bool:
+        return (
+            isinstance(outcome, TaskResult)
+            and outcome.has_violation
+            and spec.stops_at_first_violation(self._options)
+        )
 
-    # ------------------------------------------------------------------ verdict
-    def has_result(self, task_id: int) -> bool:
-        """Whether a task's result (or structured failure) has been recorded."""
-        return task_id in self._partials or task_id in self._failures
+    # ------------------------------------------------------------------ the ordered walk
+    def pending(self) -> Iterator[TaskSpec]:
+        """The tasks still to run, in graph order, against the live ledger.
 
-    def finalize(self, result: VerificationResult) -> VerificationResult:
-        """Merge all partial results into ``result`` in task-graph order;
-        structured task failures become the result's ``errors`` section."""
-        for task in self._graph.tasks:
-            partial = self._partials.get(task.task_id)
-            if partial is not None:
-                result.merge(partial)
-            failure = self._failures.get(task.task_id)
-            if failure is not None:
-                result.errors.append(failure)
-        return result
+        Yields every task without an outcome and returns after the first
+        task whose result ends the request — consumed lazily (the serial
+        backend runs each yielded task before asking for the next) it *is*
+        the serial walk; consumed at once it is the set a pool may dispatch.
+        """
+        for spec in self._graph.tasks:
+            if spec.task_id not in self._outcomes:
+                yield spec
+            if self._ends_request(spec, self._outcomes.get(spec.task_id)):
+                return
+
+    def finalize(self) -> List[Tuple[TaskSpec, Outcome]]:
+        """The ordered prefix: ``(spec, outcome)`` in graph order, up to and
+        including the first task whose result ends the request.  Result
+        classes fold it with their ``absorb``."""
+        prefix: List[Tuple[TaskSpec, Outcome]] = []
+        for spec in self._graph.tasks:
+            outcome = self._outcomes.get(spec.task_id)
+            if outcome is not None:
+                prefix.append((spec, outcome))
+            if self._ends_request(spec, outcome):
+                break
+        return prefix

@@ -1,14 +1,19 @@
 """Execution backends: one interface, serial and supervised process-pool.
 
-A backend executes a :class:`~repro.engine.graph.TaskGraph` against a
-:class:`ResultAggregator`, honouring dependency edges and the aggregator's
-stop flag.  The serial backend walks the graph's topological order in the
-calling process; the process-pool backend keeps a pool of **persistent**
-workers (state built once per process, see :mod:`repro.engine.worker`),
-dispatches every task whose dependencies are satisfied, and broadcasts a
-cancellation event the moment the aggregator requests a stop — which is how
-``stop_at_first_violation`` composes with multiprocessing instead of forcing
-serial execution.
+A backend executes the tasks a :class:`ResultAggregator` ledger still
+:meth:`~ResultAggregator.pending`, honouring dependency edges; tasks the
+ledger already holds an outcome for (results served from the incremental
+cache) are never run, and nothing runs past a known violation.
+:func:`run_graph` is the one entry point: graph, context, known results in,
+ledger out.  The serial backend walks the pending tasks in the graph's
+topological order in the calling process; the process-pool backend keeps a
+pool of **persistent** workers (state built once per process, see
+:mod:`repro.engine.worker`), dispatches every task whose dependencies are
+satisfied, broadcasts a cancellation event the moment the ledger requests a
+stop — which is how ``stop_at_first_violation`` composes with
+multiprocessing — and then finishes on the serial walk, which closes
+whatever gaps the racing stop left before the first violation: both
+backends leave the same ordered prefix behind.
 
 Both backends run under **supervision** (:mod:`repro.engine.supervision`):
 
@@ -44,11 +49,11 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import BrokenExecutor, TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Sized
 
 from repro.core.options import PlanktonOptions
 from repro.engine.aggregator import ResultAggregator
-from repro.engine.graph import TaskError, TaskGraph, TaskSpec
+from repro.engine.graph import TaskError, TaskGraph, TaskResult, TaskSpec
 from repro.engine.supervision import (
     LOG,
     SupervisionPolicy,
@@ -86,14 +91,9 @@ class EngineContext:
         return self.plankton.options
 
 
-def _failed_tasks(aggregator) -> Set[int]:
-    """The aggregator's failed-task ids (duck-typed aggregators may predate
-    supervision; treat a missing attribute as no failures)."""
-    return getattr(aggregator, "failed_tasks", set())
-
-
 class ExecutionBackend:
-    """Interface: run every task of ``graph``, feeding ``aggregator``."""
+    """Interface: run the ledger's pending tasks of ``graph``, recording
+    every outcome into ``aggregator``."""
 
     name = "abstract"
 
@@ -106,14 +106,19 @@ class ExecutionBackend:
 class SerialBackend(ExecutionBackend):
     """In-process execution in topological (graph) order, supervised.
 
-    Reproduces the pre-engine serial verifier exactly on healthy tasks:
-    tasks run front to back, and the first violation (under
-    ``stop_at_first_violation``) stops the walk immediately.  A failing task
-    is retried with backoff and, on exhaustion, recorded as a structured
-    failure (its dependents cascade) instead of raising.  Deadlines are
-    cooperative here — they are polled between exploration steps, so a task
-    hung inside non-cooperative code needs the process backend's preemptive
-    enforcement.
+    Runs :meth:`ResultAggregator.pending` one task at a time: tasks run
+    front to back, tasks the ledger already has are passed over, and the
+    first violation (under ``stop_at_first_violation``) — fresh or already
+    in the ledger — ends the walk.  A failing task is retried with backoff
+    and, on exhaustion, recorded as a structured failure (its dependents
+    cascade) instead of raising.  Deadlines are cooperative here — they are
+    polled between exploration steps, so a task hung inside non-cooperative
+    code needs the process backend's preemptive enforcement.
+
+    Because the walk only ever looks at the ledger, it is also how the
+    process backend finishes: after a crash-budget or pickling fallback,
+    and after an early stop whose cancellation raced tasks *before* the
+    first violation.
     """
 
     name = "serial"
@@ -121,25 +126,10 @@ class SerialBackend(ExecutionBackend):
     def execute(
         self, graph: TaskGraph, context: EngineContext, aggregator: ResultAggregator
     ) -> None:
-        self.execute_remaining(graph, context, aggregator, skip=set())
-
-    def execute_remaining(
-        self,
-        graph: TaskGraph,
-        context: EngineContext,
-        aggregator: ResultAggregator,
-        skip: Set[int],
-    ) -> None:
-        """Run every task not in ``skip`` (the process backend's fallback
-        entry point after a partial parallel run)."""
         policy = SupervisionPolicy.from_options(context.options)
-        for spec in graph.tasks:
-            if aggregator.stop_requested:
-                return
-            if spec.task_id in skip:
-                continue
+        for spec in aggregator.pending():
             failed_dependency = next(
-                (d for d in spec.depends_on if d in _failed_tasks(aggregator)), None
+                (d for d in spec.depends_on if d in aggregator.failed_tasks), None
             )
             if failed_dependency is not None:
                 LOG.error(
@@ -170,7 +160,6 @@ class SerialBackend(ExecutionBackend):
                 context.policies,
                 spec,
                 aggregator.upstream_planes(spec),
-                should_cancel=lambda: aggregator.stop_requested,
                 deadline=deadline,
                 attempt=attempt,
             )
@@ -244,22 +233,23 @@ class ProcessPoolBackend(ExecutionBackend):
                 "'%s' start method; falling back to the serial backend",
                 mp_context.get_start_method(),
             )
+        else:
+            try:
+                self._execute_pool(graph, context, aggregator, mp_context, use_fork)
+            except pickle.PicklingError as exc:
+                # A task payload or result refused to pickle: degrade
+                # gracefully, but say so — and let every other exception
+                # propagate.
+                LOG.warning(
+                    "engine: parallel execution failed to pickle (%s); "
+                    "completing remaining tasks on the serial backend",
+                    exc,
+                )
+        # Whatever the pool left pending — everything after a fallback, tasks
+        # cancelled ahead of the first violation by an early stop — finishes
+        # on the serial walk; after a clean run there is nothing.
+        if next(aggregator.pending(), None) is not None:
             SerialBackend().execute(graph, context, aggregator)
-            return
-        try:
-            self._execute_pool(graph, context, aggregator, mp_context, use_fork)
-        except pickle.PicklingError as exc:
-            # A task payload or result refused to pickle: degrade gracefully,
-            # but say so — and let every other exception propagate.
-            LOG.warning(
-                "engine: parallel execution failed to pickle (%s); "
-                "completing remaining tasks on the serial backend",
-                exc,
-            )
-            done = {
-                task.task_id for task in graph.tasks if aggregator.has_result(task.task_id)
-            }
-            SerialBackend().execute_remaining(graph, context, aggregator, skip=done)
 
     # ------------------------------------------------------------------ helpers
     @staticmethod
@@ -377,19 +367,20 @@ class ProcessPoolBackend(ExecutionBackend):
                 context.policies,
             )
 
-        workers = max(1, min(self.cores, len(graph.tasks)))
+        pending = [spec.task_id for spec in aggregator.pending()]
+        workers = max(1, min(self.cores, len(pending)))
+        # Recorded or failed — seeded from the ledger with everything that is
+        # not this run's to do: tasks it already holds an outcome for and
+        # tasks past a known violation.
+        resolved: Set[int] = {task.task_id for task in graph.tasks} - set(pending)
         remaining_deps: Dict[int, Set[int]] = {
-            task.task_id: set(task.depends_on) for task in graph.tasks
+            task_id: set(graph.tasks[task_id].depends_on) - resolved for task_id in pending
         }
         dependents = graph.dependents()
-        spec_by_id: Dict[int, TaskSpec] = {task.task_id: task for task in graph.tasks}
-        ready: List[int] = sorted(
-            task_id for task_id, deps in remaining_deps.items() if not deps
-        )
+        ready: List[int] = [task_id for task_id in pending if not remaining_deps[task_id]]
         attempts: Dict[int, int] = {}
         retry_heap: List = []  # (release time, task id)
         inflight: Dict = {}  # future -> _Batch
-        resolved: Set[int] = set()  # recorded or failed
         crash_rebuilds = 0
         pool_is_clean = True
 
@@ -398,13 +389,15 @@ class ProcessPoolBackend(ExecutionBackend):
         # -------------------------------------------------------- bookkeeping
         def release_dependents(task_id: int) -> None:
             for dependent_id in dependents.get(task_id, ()):
+                if dependent_id in resolved:
+                    continue
                 deps = remaining_deps[dependent_id]
                 deps.discard(task_id)
-                if not deps and dependent_id not in resolved and not aggregator.stop_requested:
+                if not deps and not aggregator.stop_requested:
                     ready.append(dependent_id)
 
         def fail_task(task_id: int, error: TaskError) -> None:
-            spec = spec_by_id[task_id]
+            spec = graph.tasks[task_id]
             charged = max(1, attempts.get(task_id, 0))
             LOG.error(
                 "engine: task %d failed permanently after %d attempt(s): %s: %s",
@@ -427,7 +420,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     task_id,
                 )
                 aggregator.record_failure(
-                    spec_by_id[dependent_id], upstream_failure(task_id), 0
+                    graph.tasks[dependent_id], upstream_failure(task_id), 0
                 )
                 resolved.add(dependent_id)
                 stack.extend(dependents.get(dependent_id, ()))
@@ -475,7 +468,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 chunk_size = max(1, -(-len(batch) // (workers * 4)))
             for start in range(0, len(batch), chunk_size):
                 chunk_ids = batch[start : start + chunk_size]
-                chunk = [spec_by_id[tid] for tid in chunk_ids]
+                chunk = [graph.tasks[tid] for tid in chunk_ids]
                 upstream = {
                     spec.task_id: aggregator.upstream_planes(spec)
                     for spec in chunk
@@ -594,12 +587,6 @@ class ProcessPoolBackend(ExecutionBackend):
                             crash_rebuilds,
                             policy.max_pool_rebuilds,
                         )
-                        skip = {
-                            tid for tid in spec_by_id if aggregator.has_result(tid)
-                        }
-                        SerialBackend().execute_remaining(
-                            graph, context, aggregator, skip=skip
-                        )
                         return
                     rebuild_pool(
                         lost,
@@ -642,9 +629,10 @@ class ProcessPoolBackend(ExecutionBackend):
 
 
 # --------------------------------------------------------------------------- selection
-def select_backend(options: PlanktonOptions, graph: TaskGraph) -> ExecutionBackend:
-    """Pick the backend named by the options ('auto' resolves by core count)."""
-    name = getattr(options, "backend", "auto") or "auto"
+def select_backend(options: PlanktonOptions, graph: Sized) -> ExecutionBackend:
+    """Pick the backend named by the options ('auto' resolves by core count
+    and by how many tasks ``graph`` — anything sized — holds)."""
+    name = options.backend or "auto"
     if name not in BACKEND_CHOICES:
         raise ValueError(f"unknown execution backend {name!r}; choose from {BACKEND_CHOICES}")
     if name == "serial":
@@ -656,3 +644,22 @@ def select_backend(options: PlanktonOptions, graph: TaskGraph) -> ExecutionBacke
     if options.cores > 1 and len(graph) > 1:
         return ProcessPoolBackend(cores=options.cores)
     return SerialBackend()
+
+
+def run_graph(
+    graph: TaskGraph,
+    context: EngineContext,
+    known: Optional[Dict[int, TaskResult]] = None,
+    keep_planes: bool = False,
+) -> ResultAggregator:
+    """Run ``graph`` and return its ledger — the engine's one entry point.
+
+    ``known`` maps task ids to results that already exist (decoded cache
+    entries): those tasks are finished before the run starts.  When nothing
+    is left to run — an all-hit request — no backend or pool is constructed
+    at all; ``'auto'`` sizes its choice by what is left, not by the graph.
+    """
+    ledger = ResultAggregator(graph, context.options, known, keep_planes)
+    if ledger.planned:
+        select_backend(context.options, ledger.planned).execute(graph, context, ledger)
+    return ledger

@@ -72,6 +72,17 @@ class TaskSpec:
     kind: str = "verify"
     transient: Optional[object] = None
 
+    def stops_at_first_violation(self, options: PlanktonOptions) -> bool:
+        """Whether a violation found by this task ends the request early.
+
+        The flag belongs to the request: a transient task carries its
+        campaign's :class:`~repro.transient.explorer.TransientOptions`, a
+        verify task answers to the engine options.
+        """
+        if self.transient is not None:
+            return self.transient.options.stop_at_first_violation
+        return options.stop_at_first_violation
+
 
 @dataclass
 class TaskError:
@@ -137,10 +148,10 @@ class TaskGraph:
     #: scenario count in the independent case, total enumeration otherwise —
     #: matching the pre-engine verifier's reporting).
     failure_scenarios: int = 0
-    #: Lifecycle event scenarios crossed into a transient campaign graph
-    #: (0 = no event-scenario cross-product; see
-    #: :func:`build_transient_task_graph`).
-    event_scenarios: int = 0
+    #: Campaign graphs only (:func:`build_transient_task_graph`): per PEC
+    #: index, how many failure scenarios and how many lifecycle event
+    #: scenarios (0 = no event cross-product) its tasks cross.
+    campaign_scenarios: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -158,45 +169,16 @@ class TaskGraph:
         return reverse
 
     def validate(self) -> None:
-        """Check the topological-order invariant (used by tests)."""
-        for task in self.tasks:
+        """Check that ids are positions and edges point backwards (the
+        invariants the ledger and the backends index by; used by tests)."""
+        for position, task in enumerate(self.tasks):
+            if task.task_id != position:
+                raise ValueError(f"task at position {position} has id {task.task_id}")
             for dependency in task.depends_on:
                 if dependency >= task.task_id:
                     raise ValueError(
                         f"task {task.task_id} depends on non-earlier task {dependency}"
                     )
-
-    def restricted(self, keep) -> Tuple["TaskGraph", Dict[int, int]]:
-        """The subgraph of the tasks in ``keep``, renumbered contiguously.
-
-        Dependency edges into dropped tasks are omitted (the caller is
-        responsible for supplying whatever those tasks produced — the
-        incremental service injects their cached data planes).  Returns the
-        new graph and the old-id → new-id mapping; relative task order (and
-        therefore the topological invariant) is preserved.
-        """
-        import dataclasses
-
-        keep = set(keep)
-        subgraph = TaskGraph(
-            failure_scenarios=self.failure_scenarios,
-            event_scenarios=self.event_scenarios,
-        )
-        id_map: Dict[int, int] = {}
-        for task in self.tasks:
-            if task.task_id not in keep:
-                continue
-            new_id = len(subgraph.tasks)
-            depends_on = tuple(
-                id_map[dependency]
-                for dependency in task.depends_on
-                if dependency in id_map
-            )
-            subgraph.tasks.append(
-                dataclasses.replace(task, task_id=new_id, depends_on=depends_on)
-            )
-            id_map[task.task_id] = new_id
-        return subgraph, id_map
 
 
 # --------------------------------------------------------------------------- scenarios
@@ -374,14 +356,15 @@ def event_scenarios_for_pec(
 
 def build_transient_task_graph(
     network,
-    pec: PacketEquivalenceClass,
+    pecs: Sequence[PacketEquivalenceClass],
     options: PlanktonOptions,
     transient,
     failures: Optional[Sequence[FailureScenario]] = None,
     scenarios: Optional[Sequence[object]] = None,
 ) -> TaskGraph:
-    """Expand a transient campaign into one task per (PEC, failure scenario).
+    """Expand a transient campaign over ``pecs`` into one task graph.
 
+    One task per (PEC, failure scenario), PEC-major in the order given.
     ``transient`` is the picklable per-task payload
     (:class:`repro.transient.explorer.TransientTaskConfig`).  Scenarios come
     from ``failures`` when given, otherwise from the same §4.1.4/§4.3
@@ -396,41 +379,39 @@ def build_transient_task_graph(
     events appended to the base ``initial_events`` plus its description for
     run labelling.  When ``scenarios`` is None and
     ``transient.options.scenario_events > 0`` the scenario list is derived
-    with :func:`event_scenarios_for_pec` (deterministic, so warm-cache
-    re-verification re-derives the identical task list).
+    per PEC with :func:`event_scenarios_for_pec` (deterministic, so
+    warm-cache re-verification re-derives the identical task list).
     """
     import dataclasses
 
     graph = TaskGraph()
-    failure_list = (
-        list(failures)
-        if failures is not None
-        else failure_scenarios_for_pec(network, pec, (), options)
-    )
-    graph.failure_scenarios = len(failure_list)
-    if scenarios is None and getattr(transient.options, "scenario_events", 0) > 0:
-        scenarios = event_scenarios_for_pec(network, pec, transient.options)
-    if scenarios:
-        graph.event_scenarios = len(scenarios)
+    for pec in pecs:
+        failure_list = (
+            list(failures)
+            if failures is not None
+            else failure_scenarios_for_pec(network, pec, (), options)
+        )
+        pec_scenarios = scenarios
+        if pec_scenarios is None and transient.options.scenario_events > 0:
+            pec_scenarios = event_scenarios_for_pec(network, pec, transient.options)
         payloads = [
             dataclasses.replace(
                 transient,
                 initial_events=transient.initial_events + tuple(scenario.events),
                 scenario=scenario.describe(),
             )
-            for scenario in scenarios
-        ]
-    else:
-        payloads = [transient]
-    for failure in failure_list:
-        for payload in payloads:
-            graph.tasks.append(
-                TaskSpec(
-                    task_id=len(graph.tasks),
-                    pec_index=pec.index,
-                    failure=failure,
-                    kind="transient",
-                    transient=payload,
+            for scenario in pec_scenarios or ()
+        ] or [transient]
+        graph.campaign_scenarios[pec.index] = (len(failure_list), len(pec_scenarios or ()))
+        for failure in failure_list:
+            for payload in payloads:
+                graph.tasks.append(
+                    TaskSpec(
+                        task_id=len(graph.tasks),
+                        pec_index=pec.index,
+                        failure=failure,
+                        kind="transient",
+                        transient=payload,
+                    )
                 )
-            )
     return graph

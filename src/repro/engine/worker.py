@@ -215,8 +215,9 @@ def run_task_batch_in_worker(
     milliseconds — one future each would drown in IPC).  Must stay
     module-level picklable; only the fingerprint, the specs, upstream data
     planes and attempt numbers cross the process boundary.  The cancellation
-    event is checked between tasks, and a violation under
-    ``stop_at_first_violation`` cuts the chunk short.
+    event is checked between tasks, and a violation under the request's
+    stop-at-first flag (:meth:`TaskSpec.stops_at_first_violation`) cuts the
+    chunk short.
 
     Task attempts run guarded: an exception inside one task is captured into
     its result's ``error`` (the coordinating supervisor decides between a
@@ -244,7 +245,7 @@ def run_task_batch_in_worker(
             attempt=attempts_by_task.get(spec.task_id, 0),
         )
         results.append(result)
-        if result.has_violation and runtime.plankton.options.stop_at_first_violation:
+        if result.has_violation and spec.stops_at_first_violation(runtime.plankton.options):
             # Remaining chunk members report as cancelled; the coordinator is
             # about to broadcast the stop anyway.
             for later in specs[len(results):]:

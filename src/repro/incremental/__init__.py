@@ -16,8 +16,8 @@ incremental verifier (:mod:`repro.dpverify`):
   per-PEC fingerprints, with a JSON round trip to disk so a service
   process restarts warm;
 * :mod:`repro.incremental.service` — the :class:`IncrementalVerifier`
-  session API that owns a cache, computes deltas, and routes only dirty
-  PECs through the execution engine, merging clean results from the cache.
+  session API that owns a cache, computes deltas, and hands clean PECs to
+  the execution engine as already-finished tasks, so only dirty ones run.
 """
 
 from repro.incremental.delta import ConfigDelta, diff_networks

@@ -44,6 +44,7 @@ import logging
 import os
 import tempfile
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -72,8 +73,11 @@ from repro.topology.failures import FailureScenario
 #: payload checksum (v1 files start cold — their fingerprints predate the
 #: supervision-era option fields anyway).  v3 added lifecycle scenarios to
 #: transient runs and the (failure, scenario) pairs to the campaign task
-#: shape, so v2 transient entries would be misattributed.
-CACHE_SCHEMA_VERSION = 3
+#: shape, so v2 transient entries would be misattributed.  v4 gave transient
+#: entries the per-task shape verify entries have (:func:`encode_entry`: a
+#: cached PEC of either kind is a list of finished tasks), so v3 transient
+#: entries — one flat run list per PEC — would not decode.
+CACHE_SCHEMA_VERSION = 4
 
 PathLike = Union[str, Path]
 
@@ -241,6 +245,11 @@ def transient_fingerprint(
             tuple((name, repr(value)) for name, value in sorted(vars(event).items())),
         )
         for event in transient_config.initial_events
+    )
+    # A campaign stops by its own flag (part of ``transient_options`` below);
+    # the engine's converged-state flag has no say in what it produces.
+    options = replace(
+        options, stop_at_first_violation=transient_config.options.stop_at_first_violation
     )
     # Supervision knobs (task_timeout/task_retries) shape *how* a campaign
     # runs, never *what* it produces — excluded, like cores/backend.
@@ -524,6 +533,54 @@ def decode_transient_run(payload: Dict):
         result=decode_transient_result(payload["result"]),
         scenario=payload.get("scenario"),
     )
+
+
+# ------------------------------------------------------------------ entry codec
+def encode_entry(kind: str, pec_index: int, tasks: Sequence, results: Sequence) -> Dict:
+    """One PEC's cache entry: its tasks of the graph, each with its result.
+
+    ``kind`` (``"verify"`` / ``"transient"``) only selects the run codec;
+    everything else — failure scenario, run list, converged data planes — is
+    the task's :class:`~repro.engine.graph.TaskResult` as is.
+    """
+    encode = encode_run if kind == "verify" else encode_transient_run
+    return {
+        "kind": kind,
+        "pec_index": pec_index,
+        "tasks": [
+            {
+                "failure": encode_failure(task.failure),
+                "runs": [encode(run) for run in result.runs],
+                "data_planes": [encode_data_plane(plane) for plane in result.data_planes],
+            }
+            for task, result in zip(tasks, results)
+        ],
+    }
+
+
+def decode_entry(entry: Dict, kind: str, tasks: Sequence) -> Optional[Dict[int, object]]:
+    """The finished tasks of one cached PEC entry, keyed by task id.
+
+    Returns None (treat as a miss) when the entry does not line up with the
+    graph's ``tasks`` of that PEC — a schema drift guard; the fingerprint
+    already covers the task shape.
+    """
+    from repro.engine.graph import TaskResult
+
+    stored = entry.get("tasks", [])
+    if entry.get("kind") != kind or len(stored) != len(tasks):
+        return None
+    decode = decode_run if kind == "verify" else decode_transient_run
+    decoded: Dict[int, object] = {}
+    for task, payload in zip(tasks, stored):
+        if tuple(payload["failure"]) != tuple(task.failure.failed_links):
+            return None
+        decoded[task.task_id] = TaskResult(
+            task_id=task.task_id,
+            runs=[decode(run) for run in payload["runs"]],
+            data_planes=[decode_data_plane(plane) for plane in payload["data_planes"]],
+        )
+    return decoded
 
 
 # --------------------------------------------------------------------------- the store

@@ -5,23 +5,30 @@ A service process owns one :class:`IncrementalVerifier`.  The first
 :meth:`~repro.core.verifier.Plankton.verify` and fills the cache; every
 configuration push then goes through :meth:`~IncrementalVerifier.update`
 (which computes the :class:`~repro.incremental.delta.ConfigDelta` and the
-impacted-PEC set) and a re-:meth:`verify` that
+impacted-PEC set) and a re-:meth:`verify`.
 
-1. expands the *same* task graph a cold run would,
-2. fingerprints every PEC in the graph
-   (:func:`~repro.incremental.cache.verification_fingerprints`),
-3. serves clean PECs from the cache and routes only the dirty ones through
-   the execution engine (the task graph filtered to dirty tasks, cached
-   upstream data planes injected for dependency edges), and
-4. merges everything **in task-graph order** with the cold run's
-   stop-at-first-violation semantics, so the produced
-   :class:`~repro.core.results.VerificationResult` is identical (modulo
-   wall-clock fields) to what a cold verify of the new configuration would
-   return.
+**A cache hit is a finished task.**  Converged-state verification and
+transient (SPVP interleaving) campaigns —
+:meth:`~IncrementalVerifier.verify_transients` — share one skeleton:
 
-Transient (SPVP interleaving) campaigns go through
-:meth:`~IncrementalVerifier.verify_transients` with the same
-fingerprint-gated reuse, one cache entry per (PEC, transient payload).
+1. expand the *same* task graph a cold run would (one graph per request,
+   also for a campaign over many PECs);
+2. fingerprint every PEC in the graph
+   (:func:`~repro.incremental.cache.verification_fingerprints` /
+   :func:`~repro.incremental.cache.transient_fingerprint`);
+3. look clean PECs up and decode their entries — one list of per-task
+   results per PEC, the same entry shape for both kinds — into the
+   ``known`` map of the engine's ledger
+   (:class:`~repro.engine.aggregator.ResultAggregator`);
+4. :func:`~repro.engine.run_graph` the unchanged graph: the backend runs
+   only the tasks the ledger does not already hold, dependents read cached
+   and fresh upstream data planes alike, nothing runs past a cached
+   violation, and an all-hit request constructs no backend at all;
+5. fold the ledger's ordered prefix into the result — identical (modulo
+   wall-clock fields) to what a cold run of the new configuration would
+   return, on either backend;
+6. store every dirty PEC whose tasks all finished, clear its
+   impact-pending mark, and save.
 
 Correctness layering: a cache entry is used only when its fingerprint
 matches, *and* the PECs named dirty by the impact analysis of the latest
@@ -32,7 +39,6 @@ to coincide with an impact-analysis miss to go unnoticed.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -43,13 +49,8 @@ from repro.core.results import VerificationResult
 from repro.core.verifier import Plankton
 from repro.incremental.cache import (
     ResultCache,
-    decode_data_plane,
-    decode_run,
-    decode_transient_run,
-    encode_data_plane,
-    encode_failure,
-    encode_run,
-    encode_transient_run,
+    decode_entry,
+    encode_entry,
     pec_base_fingerprints,
     transient_fingerprint,
     verification_fingerprints,
@@ -100,53 +101,6 @@ class IncrementalRunStats:
             f"({self.tasks_from_cache}/{self.tasks_total} task(s) cached); "
             f"{self.cache_entries} cache entr(ies){delta}"
         )
-
-
-# --------------------------------------------------------------------------- engine glue
-class _CacheAwareAggregator:
-    """Engine aggregator for the dirty-task subgraph.
-
-    Implements the surface the backends drive; upstream data planes combine
-    the dirty results produced so far with the cached planes of clean
-    upstream PECs (injected per task at construction).
-    """
-
-    def __init__(self, options, cached_planes: Dict[int, Dict[int, List]], spec_by_id) -> None:
-        self._options = options
-        self._cached_planes = cached_planes
-        self._spec_by_id = spec_by_id
-        self.results: Dict[int, object] = {}
-        self.failures: Dict[int, object] = {}  # task id -> TaskFailure
-        self.stop_requested = False
-
-    def record(self, result) -> None:
-        self.results[result.task_id] = result
-        if result.has_violation and self._options.stop_at_first_violation:
-            self.stop_requested = True
-
-    def record_failure(self, spec, error, attempts: int) -> None:
-        from repro.engine.supervision import task_failure_from
-
-        self.failures[spec.task_id] = task_failure_from(spec, error, attempts)
-
-    @property
-    def failed_tasks(self) -> Set[int]:
-        return set(self.failures)
-
-    def upstream_planes(self, spec) -> Dict[int, List]:
-        planes: Dict[int, List] = {}
-        for pec_index, cached in self._cached_planes.get(spec.task_id, {}).items():
-            planes.setdefault(pec_index, []).extend(cached)
-        for dependency_id in spec.depends_on:
-            upstream = self._spec_by_id[dependency_id]
-            result = self.results.get(dependency_id)
-            planes.setdefault(upstream.pec_index, []).extend(
-                result.data_planes if result is not None else []
-            )
-        return planes
-
-    def has_result(self, task_id: int) -> bool:
-        return task_id in self.results or task_id in self.failures
 
 
 # --------------------------------------------------------------------------- signatures
@@ -367,6 +321,70 @@ class IncrementalVerifier:
         return fresh
 
     # ------------------------------------------------------------------ verification
+    def _reverify(self, kind: str, graph, fingerprints: Dict[int, str], context, cacheable=True):
+        """The one skeleton behind :meth:`verify` and :meth:`verify_transients`.
+
+        Looks every PEC of ``graph`` up (``fingerprints`` maps PEC index to
+        cache key), decodes the hits into the ledger's ``known`` tasks, runs
+        what is left, stores every dirty PEC whose tasks all finished and
+        saves.  Returns the ledger's ordered prefix and the run's
+        accounting; ``kind`` selects the entry codec and the pending set.
+        """
+        from repro.engine import run_graph
+        from repro.engine.graph import TaskResult
+
+        impact_dirty = self._impact_pending[kind]
+        stats = IncrementalRunStats(
+            impacted_pecs=sorted(impact_dirty),
+            delta_summary=self.last_delta.summary() if self.last_delta else "",
+        )
+        tasks_by_pec: Dict[int, List] = {}
+        for task in graph.tasks:
+            tasks_by_pec.setdefault(task.pec_index, []).append(task)
+        known: Dict[int, TaskResult] = {}
+        dirty: List[int] = []
+        for pec_index, tasks in tasks_by_pec.items():
+            entry = None
+            if cacheable and pec_index not in impact_dirty:
+                entry = self.cache.lookup(fingerprints[pec_index])
+            decoded = decode_entry(entry, kind, tasks) if entry is not None else None
+            if decoded is None:
+                dirty.append(pec_index)
+            else:
+                known.update(decoded)
+
+        ledger = run_graph(graph, context, known, keep_planes=True)
+        prefix = ledger.finalize()
+
+        # Early-stopped PECs (a task without a result) are not cacheable and
+        # stay impact-pending: exactly what a cold run would have left behind.
+        for pec_index in dirty if cacheable else ():
+            tasks = tasks_by_pec[pec_index]
+            results = [ledger.result(task.task_id) for task in tasks]
+            if all(isinstance(result, TaskResult) for result in results):
+                self.cache.store(
+                    fingerprints[pec_index], encode_entry(kind, pec_index, tasks, results)
+                )
+                impact_dirty.discard(pec_index)
+
+        # A campaign reports the PECs its ordered walk reached (its first
+        # violation ends it there); a verify reports every PEC of the graph.
+        reached = (
+            {spec.pec_index for spec, _ in prefix} if kind == "transient" else set(tasks_by_pec)
+        )
+        stats.dirty_pecs = sorted(index for index in dirty if index in reached)
+        stats.pecs_total = len(reached)
+        stats.pecs_recomputed = len(stats.dirty_pecs)
+        stats.pecs_from_cache = stats.pecs_total - stats.pecs_recomputed
+        stats.tasks_total = sum(len(tasks_by_pec[index]) for index in reached)
+        stats.tasks_recomputed = sum(1 for spec in ledger.planned if spec.pec_index in reached)
+        stats.tasks_from_cache = sum(
+            len(tasks_by_pec[index]) for index in reached if index not in dirty
+        )
+        stats.cache_entries = len(self.cache)
+        self.cache.save()
+        return prefix, stats
+
     def verify(self, policies: Union[Policy, Sequence[Policy]]) -> VerificationResult:
         """Verify the current configuration, reusing every clean PEC.
 
@@ -374,27 +392,17 @@ class IncrementalVerifier:
         cold ``Plankton(network, options).verify(policies)`` of the same
         configuration; ``result.incremental`` carries the cache accounting.
         """
-        from repro.engine import EngineContext, select_backend
-        from repro.engine.graph import TaskResult
-        from repro.engine.worker import execute_task
+        from repro.engine import EngineContext
 
         plankton = self.plankton
         self.cache.reset_counters()
-        impact_dirty = self._impact_pending["verify"]
         started = time.perf_counter()
         policy_list, relevant, graph = plankton.expand_request(policies)
-        result = VerificationResult(policy_names=[p.name for p in policy_list])
-        stats = IncrementalRunStats(
-            impacted_pecs=sorted(impact_dirty),
-            delta_summary=self.last_delta.summary() if self.last_delta else "",
+        result = VerificationResult(
+            policy_names=[p.name for p in policy_list],
+            pecs_analyzed=len(relevant),
+            failure_scenarios=graph.failure_scenarios,
         )
-        result.incremental = stats
-        result.pecs_analyzed = len(relevant)
-        if not relevant:
-            stats.cache_entries = len(self.cache)
-            result.elapsed_seconds = time.perf_counter() - started
-            return result
-        result.failure_scenarios = graph.failure_scenarios
         fingerprints = verification_fingerprints(
             plankton.network,
             plankton.pecs,
@@ -403,217 +411,12 @@ class IncrementalVerifier:
             self.options,
             graph,
         )
-
-        tasks_by_pec: Dict[int, List] = {}
-        for task in graph.tasks:
-            tasks_by_pec.setdefault(task.pec_index, []).append(task)
-        stats.pecs_total = len(tasks_by_pec)
-        stats.tasks_total = len(graph.tasks)
-
-        # ---------------------------------------------------------- cache triage
-        cached_results: Dict[int, TaskResult] = {}  # original task id -> result
-        dirty: Set[int] = set()
-        for pec_index, tasks in tasks_by_pec.items():
-            entry = None
-            if pec_index not in impact_dirty:
-                entry = self.cache.lookup(fingerprints[pec_index])
-            if entry is not None:
-                decoded = self._decode_verify_entry(entry, tasks)
-                if decoded is not None:
-                    cached_results.update(decoded)
-                    stats.pecs_from_cache += 1
-                    stats.tasks_from_cache += len(tasks)
-                    continue
-            dirty.add(pec_index)
-            stats.pecs_recomputed += 1
-        stats.dirty_pecs = sorted(dirty)
-
-        # ---------------------------------------------------------- dirty subgraph
-        spec_by_id = {task.task_id: task for task in graph.tasks}
-        # Early-stop parity with a cold run: a violation sitting in a
-        # *cached* task stops the ordered merge there, so dirty tasks after
-        # it would be computed only to be discarded.  Trim them up front
-        # (they stay dirty/uncached for the next verify — exactly what a
-        # cold run would have left behind).
-        stop_boundary: Optional[int] = None
-        if self.options.stop_at_first_violation:
-            for task in graph.tasks:
-                cached = cached_results.get(task.task_id)
-                if cached is not None and cached.has_violation:
-                    stop_boundary = task.task_id
-                    break
-        dirty_task_ids = [
-            task.task_id
-            for task in graph.tasks
-            if task.pec_index in dirty
-            and (stop_boundary is None or task.task_id < stop_boundary)
-        ]
-        stats.tasks_recomputed = len(dirty_task_ids)
-
-        if dirty_task_ids:
-            filtered, id_map = graph.restricted(dirty_task_ids)
-            # Dependency edges into clean tasks were dropped by the
-            # restriction; inject their cached data planes per dirty task.
-            cached_planes: Dict[int, Dict[int, List]] = {}
-            for task in graph.tasks:
-                if task.task_id not in id_map:
-                    continue
-                clean_upstream: Dict[int, List] = {}
-                for dependency_id in task.depends_on:
-                    upstream = spec_by_id[dependency_id]
-                    if upstream.pec_index in dirty:
-                        continue
-                    cached = cached_results.get(dependency_id)
-                    clean_upstream.setdefault(upstream.pec_index, []).extend(
-                        cached.data_planes if cached is not None else []
-                    )
-                if clean_upstream:
-                    cached_planes[id_map[task.task_id]] = clean_upstream
-
-            filtered_spec_by_id = {task.task_id: task for task in filtered.tasks}
-            aggregator = _CacheAwareAggregator(
-                self.options, cached_planes, filtered_spec_by_id
-            )
-            backend = select_backend(self.options, filtered)
-            if cached_planes and backend.name == "process":
-                # The process backend ships upstream planes only for tasks
-                # with dependency edges; tasks whose upstreams are all
-                # cached have none, so their injected planes would never
-                # reach a worker.  Dependent graphs are the rare case —
-                # run the dirty subgraph serially there.
-                from repro.engine.backends import SerialBackend
-
-                backend = SerialBackend()
-            backend.execute(
-                filtered,
-                EngineContext(plankton=plankton, policies=policy_list),
-                aggregator,
-            )
-            dirty_results = {
-                original: aggregator.results[new_id]
-                for original, new_id in id_map.items()
-                if new_id in aggregator.results
-                and not aggregator.results[new_id].cancelled
-            }
-            # Exhausted tasks (supervision layer): carry the structured
-            # failures over with their *original* task ids; the merge loop
-            # records them into the result's errors section instead of
-            # silently recomputing them in-process.
-            failed_results = {
-                original: dataclasses.replace(
-                    aggregator.failures[new_id], task_id=original
-                )
-                for original, new_id in id_map.items()
-                if new_id in aggregator.failures
-            }
-        else:
-            dirty_results = {}
-            failed_results = {}
-
-        # ---------------------------------------------------------- ordered merge
-        # Walk the full graph in task order, exactly like a cold serial run:
-        # merge each task's result and stop at the first violating task.  A
-        # dirty task the engine cancelled before the stop point (possible
-        # with the process backend's racy early stop) is recomputed on
-        # demand so the merged prefix is always complete.
-        final_results: Dict[int, TaskResult] = {}
-        for task in graph.tasks:
-            failure = failed_results.get(task.task_id)
-            if failure is not None:
-                result.errors.append(failure)
-                continue
-            task_result = cached_results.get(task.task_id)
-            if task_result is None:
-                task_result = dirty_results.get(task.task_id)
-            if task_result is None:
-                upstream: Dict[int, List] = {}
-                for dependency_id in task.depends_on:
-                    upstream_spec = spec_by_id[dependency_id]
-                    produced = final_results.get(dependency_id)
-                    upstream.setdefault(upstream_spec.pec_index, []).extend(
-                        produced.data_planes if produced is not None else []
-                    )
-                # A dirty task the engine cancelled (already counted as a
-                # recompute at triage time) — run it in-process now.
-                task_result = execute_task(
-                    plankton, policy_list, task, upstream, should_cancel=None
-                )
-            final_results[task.task_id] = task_result
-            partial = VerificationResult(policy_names=result.policy_names)
-            for run in task_result.runs:
-                partial.record(run)
-            result.merge(partial)
-            if task_result.has_violation and self.options.stop_at_first_violation:
-                break
-
-        # ---------------------------------------------------------- cache refill
-        # Results can come from the ordered merge *or* from engine tasks
-        # completed after the merge's early-stop break — both are valid and
-        # cacheable; only genuinely missing/cancelled tasks block an entry.
-        for pec_index, tasks in tasks_by_pec.items():
-            if pec_index not in dirty:
-                continue
-            results = [
-                final_results.get(task.task_id) or dirty_results.get(task.task_id)
-                for task in tasks
-            ]
-            if any(r is None or r.cancelled for r in results):
-                continue  # incomplete PECs (early stop) are not cacheable
-            self.cache.store(
-                fingerprints[pec_index],
-                {
-                    "kind": "verify",
-                    "pec_index": pec_index,
-                    "tasks": [
-                        {
-                            "failure": encode_failure(task.failure),
-                            "runs": [encode_run(run) for run in task_result.runs],
-                            "data_planes": [
-                                encode_data_plane(plane)
-                                for plane in task_result.data_planes
-                            ],
-                        }
-                        for task, task_result in zip(tasks, results)
-                    ],
-                },
-            )
-            # The impact-invalidation layer has done its job for this PEC:
-            # a fresh result is in the cache.  PECs whose recompute was cut
-            # short (or that this request never expanded) stay pending.
-            self._impact_pending["verify"].discard(pec_index)
-        stats.cache_entries = len(self.cache)
-        self.cache.save()
-
+        prefix, result.incremental = self._reverify(
+            "verify", graph, fingerprints, EngineContext(plankton=plankton, policies=policy_list)
+        )
+        result.absorb(prefix)
         result.elapsed_seconds = time.perf_counter() - started
         return result
-
-    @staticmethod
-    def _decode_verify_entry(entry: Dict, tasks) -> Optional[Dict[int, object]]:
-        """Rebuild the per-task results of one cached PEC entry.
-
-        Returns None (treat as a miss) when the entry does not line up with
-        the graph's tasks — a schema drift guard; the fingerprint already
-        covers the task shape.
-        """
-        from repro.engine.graph import TaskResult
-
-        if entry.get("kind") != "verify":
-            return None
-        stored = entry.get("tasks", [])
-        if len(stored) != len(tasks):
-            return None
-        decoded: Dict[int, object] = {}
-        for task, payload in zip(tasks, stored):
-            if tuple(payload["failure"]) != tuple(task.failure.failed_links):
-                return None
-            decoded[task.task_id] = TaskResult(
-                task_id=task.task_id,
-                runs=[decode_run(run) for run in payload["runs"]],
-                data_planes=[
-                    decode_data_plane(plane) for plane in payload["data_planes"]
-                ],
-            )
-        return decoded
 
     # ------------------------------------------------------------------ transients
     def verify_transients(
@@ -627,10 +430,11 @@ class IncrementalVerifier:
     ):
         """Run (or re-run) transient campaigns for every BGP-bearing PEC.
 
-        Clean PECs are served from the cache (one entry per PEC and
-        transient payload); dirty ones route through the engine exactly as
+        One task graph and one engine run for the whole campaign: clean PECs
+        are served from the cache (one entry per PEC and transient payload),
+        the tasks of the dirty ones run together on one backend, exactly as
         :func:`repro.transient.explorer.analyze_pec_transients_over_failures`
-        would run them.  Results with ``collect_converged=True`` carry
+        would run each.  Results with ``collect_converged=True`` carry
         non-JSON state and are never cached.
 
         ``scenarios`` (lifecycle event scenarios, :class:`repro.scenarios.
@@ -642,134 +446,35 @@ class IncrementalVerifier:
         never collide on a warm cache — "what breaks during next week's
         maintenance?" is one warm query.
         """
-        from repro.engine.graph import (
-            build_transient_task_graph,
-            event_scenarios_for_pec,
-        )
         from repro.transient.explorer import (
             TransientCampaignResult,
             TransientOptions,
-            TransientTaskConfig,
-            analyze_pec_transients_over_failures,
+            campaign_request,
         )
 
         plankton = self.plankton
         transient = transient or TransientOptions()
-        config = TransientTaskConfig(
-            properties=tuple(properties),
-            options=transient,
-            initial_events=tuple(initial_events),
-        )
-        cacheable = not transient.collect_converged
-        options = self.options
-        if options.stop_at_first_violation != transient.stop_at_first_violation:
-            options = dataclasses.replace(
-                options, stop_at_first_violation=transient.stop_at_first_violation
-            )
-        run_plankton = (
-            plankton if options is self.options else Plankton(plankton.network, options)
-        )
-        base = pec_base_fingerprints(
-            plankton.network, plankton.pecs, plankton.dependency_graph
-        )
-        impact_dirty = self._impact_pending["transient"]
-
         started = time.perf_counter()
-        campaign = TransientCampaignResult()
-        stats = IncrementalRunStats(
-            impacted_pecs=sorted(impact_dirty),
-            delta_summary=self.last_delta.summary() if self.last_delta else "",
-        )
         target = [pec for pec in (pecs if pecs is not None else plankton.pecs) if pec.has_bgp()]
-        for pec in target:
-            pec_scenarios = (
-                list(scenarios)
-                if scenarios is not None
-                else event_scenarios_for_pec(
-                    plankton.network, plankton.pec_by_index(pec.index), transient
-                )
-                or None
-            )
-            graph = build_transient_task_graph(
-                plankton.network,
-                plankton.pec_by_index(pec.index),
-                options,
-                config,
-                failures=failures,
-                scenarios=pec_scenarios,
-            )
-            campaign.failure_scenarios = max(
-                campaign.failure_scenarios, graph.failure_scenarios
-            )
-            campaign.event_scenarios = max(
-                campaign.event_scenarios, graph.event_scenarios
-            )
-            # The cached-entry key must distinguish *both* axes of the task
-            # cross-product: failure links AND the lifecycle scenario baked
-            # into each task's payload (two campaigns over the same failures
-            # but different scenarios previously collided on a warm cache).
-            shape = tuple(
+        config, graph, context = campaign_request(
+            plankton, target, properties, transient, failures, initial_events, scenarios
+        )
+        base = pec_base_fingerprints(plankton.network, plankton.pecs, plankton.dependency_graph)
+        # The key must distinguish *both* axes of the task cross-product:
+        # failure links AND the lifecycle scenario baked into each payload.
+        shapes: Dict[int, List[Tuple]] = {}
+        for task in graph.tasks:
+            shapes.setdefault(task.pec_index, []).append(
                 (tuple(task.failure.failed_links), task.transient.scenario or "")
-                for task in graph.tasks
             )
-            fingerprint = transient_fingerprint(base[pec.index], config, options, shape)
-            stats.pecs_total += 1
-            stats.tasks_total += len(graph.tasks)
-            entry = None
-            if cacheable and pec.index not in impact_dirty:
-                entry = self.cache.lookup(fingerprint)
-            if entry is not None and entry.get("kind") == "transient":
-                runs = [decode_transient_run(payload) for payload in entry["runs"]]
-                stats.pecs_from_cache += 1
-                stats.tasks_from_cache += len(graph.tasks)
-            else:
-                # The failure scenarios were already enumerated (and
-                # LEC-reduced) for the fingerprint's task shape; reuse them —
-                # deduplicated back to the failure axis, since graph.tasks is
-                # the (failure x scenario) cross-product — instead of
-                # re-deriving the graph inside the campaign runner.
-                unique_failures: List = []
-                seen_failures = set()
-                for task in graph.tasks:
-                    key = tuple(task.failure.failed_links)
-                    if key not in seen_failures:
-                        seen_failures.add(key)
-                        unique_failures.append(task.failure)
-                sub = analyze_pec_transients_over_failures(
-                    plankton.network,
-                    pec,
-                    properties,
-                    transient=transient,
-                    failures=unique_failures,
-                    initial_events=initial_events,
-                    scenarios=pec_scenarios,
-                    plankton=run_plankton,
-                )
-                runs = sub.runs
-                campaign.errors.extend(sub.errors)
-                stats.pecs_recomputed += 1
-                stats.tasks_recomputed += len(graph.tasks)
-                stats.dirty_pecs.append(pec.index)
-                prefixes = sum(1 for _prefix, devices in pec.bgp_origins if devices)
-                complete = len(runs) == len(graph.tasks) * prefixes
-                if cacheable and complete:
-                    self.cache.store(
-                        fingerprint,
-                        {
-                            "kind": "transient",
-                            "pec_index": pec.index,
-                            "runs": [encode_transient_run(run) for run in runs],
-                        },
-                    )
-                    # As in verify(): the impact layer is satisfied for this
-                    # PEC only once a fresh result is actually cached.
-                    self._impact_pending["transient"].discard(pec.index)
-            campaign.runs.extend(runs)
-            if transient.stop_at_first_violation and any(run.violations for run in runs):
-                break
-        stats.dirty_pecs.sort()
-        stats.cache_entries = len(self.cache)
-        self.cache.save()
+        fingerprints = {
+            index: transient_fingerprint(base[index], config, self.options, tuple(shape))
+            for index, shape in shapes.items()
+        }
+        campaign = TransientCampaignResult()
+        prefix, campaign.incremental = self._reverify(
+            "transient", graph, fingerprints, context, not transient.collect_converged
+        )
+        campaign.absorb(prefix, graph)
         campaign.elapsed_seconds = time.perf_counter() - started
-        campaign.incremental = stats
         return campaign

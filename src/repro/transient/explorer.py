@@ -66,6 +66,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.config.objects import NetworkConfig
+from repro.core.results import TaskFailure
 from repro.exceptions import ProtocolError
 from repro.modelcheck.hashing import ZobristFingerprinter
 from repro.modelcheck.por import (
@@ -846,6 +847,23 @@ class TransientCampaignResult:
             grouped.setdefault(key, {})[run.prefix] = run.result
         return grouped
 
+    def absorb(self, prefix, graph) -> None:
+        """Fold a ledger's ordered prefix in
+        (:meth:`repro.engine.aggregator.ResultAggregator.finalize`): runs in
+        task-graph order, exhausted tasks as ``errors``.  The scenario
+        counts cover the PECs the prefix reached — a campaign ended by its
+        first violation reports what it walked, not what it was asked."""
+        for _spec, outcome in prefix:
+            if isinstance(outcome, TaskFailure):
+                self.errors.append(outcome)
+            else:
+                self.runs.extend(outcome.runs)
+        reached = [
+            graph.campaign_scenarios[index] for index in {spec.pec_index for spec, _ in prefix}
+        ]
+        self.failure_scenarios = max((failures for failures, _ in reached), default=0)
+        self.event_scenarios = max((events for _, events in reached), default=0)
+
     def summary(self) -> str:
         verdict = (
             "HOLDS" if self.holds else f"VIOLATED ({len(self.violations)} violation(s))"
@@ -864,54 +882,6 @@ class TransientCampaignResult:
             f"{self.failure_scenarios} failure scenario(s){scenarios}, {states} state(s), "
             f"{truncated} truncated, {self.elapsed_seconds:.3f}s"
         )
-
-
-class _TransientAggregator:
-    """Duck-typed engine aggregator for transient campaigns.
-
-    Implements the surface the execution backends drive (``record``,
-    ``upstream_planes``, ``has_result``, ``stop_requested``); transient
-    tasks have no dependency edges, so upstream data planes are empty.
-    """
-
-    def __init__(self, graph, options) -> None:
-        self._graph = graph
-        self._options = options
-        self._runs_by_task: Dict[int, List[TransientCampaignRun]] = {}
-        self._failures: Dict[int, object] = {}  # task id -> TaskFailure
-        self.stop_requested = False
-
-    def record(self, result) -> None:
-        self._runs_by_task[result.task_id] = list(result.runs)
-        if result.has_violation and self._options.stop_at_first_violation:
-            self.stop_requested = True
-
-    def record_failure(self, spec, error, attempts: int) -> None:
-        from repro.engine.supervision import task_failure_from
-
-        self._failures[spec.task_id] = task_failure_from(spec, error, attempts)
-
-    @property
-    def failed_tasks(self):
-        return set(self._failures)
-
-    def upstream_planes(self, spec) -> Dict[int, List]:
-        return {}
-
-    def has_result(self, task_id: int) -> bool:
-        return task_id in self._runs_by_task or task_id in self._failures
-
-    def finalize(self) -> TransientCampaignResult:
-        campaign = TransientCampaignResult(
-            failure_scenarios=self._graph.failure_scenarios,
-            event_scenarios=getattr(self._graph, "event_scenarios", 0),
-        )
-        for task in self._graph.tasks:
-            campaign.runs.extend(self._runs_by_task.get(task.task_id, []))
-            failure = self._failures.get(task.task_id)
-            if failure is not None:
-                campaign.errors.append(failure)
-        return campaign
 
 
 def execute_transient_task(plankton, spec, should_cancel=None):
@@ -962,6 +932,59 @@ def execute_transient_task(plankton, spec, should_cancel=None):
     return result
 
 
+def campaign_request(
+    plankton,
+    pecs: Sequence[PacketEquivalenceClass],
+    properties: Sequence[TransientProperty],
+    transient: TransientOptions,
+    failures: Optional[Sequence[FailureScenario]] = None,
+    initial_events: Sequence[object] = (),
+    scenarios: Optional[Sequence[object]] = None,
+):
+    """One campaign over ``pecs`` as the engine sees it: the task payload,
+    the task graph (one graph, PEC-major) and the engine context.
+
+    ``transient.stop_at_first_violation`` governs *all* transient stopping —
+    each per-prefix analysis, and the campaign-level cancellation of
+    still-queued tasks: every task carries the flag in its payload, so
+    ``PlanktonOptions.stop_at_first_violation`` (a converged-state
+    verification knob) cannot cut an exhaustive campaign short.
+    Campaign-specific supervision knobs (a transient exploration's natural
+    deadline differs from a converged-state check's) override the
+    verifier's without rebuilding it.
+    """
+    import dataclasses
+
+    from repro.engine import EngineContext, build_transient_task_graph
+
+    config = TransientTaskConfig(
+        properties=tuple(properties),
+        options=transient,
+        initial_events=tuple(initial_events),
+    )
+    graph = build_transient_task_graph(
+        plankton.network,
+        [plankton.pec_by_index(pec.index) for pec in pecs],
+        plankton.options,
+        config,
+        failures=failures,
+        scenarios=scenarios,
+    )
+    supervision = {}
+    if transient.task_timeout is not None:
+        supervision["task_timeout"] = transient.task_timeout
+    if transient.task_retries is not None:
+        supervision["task_retries"] = transient.task_retries
+    context = EngineContext(
+        plankton=plankton,
+        policies=[],
+        options_override=(
+            dataclasses.replace(plankton.options, **supervision) if supervision else None
+        ),
+    )
+    return config, graph, context
+
+
 def analyze_pec_transients_over_failures(
     network: NetworkConfig,
     pec: PacketEquivalenceClass,
@@ -988,75 +1011,32 @@ def analyze_pec_transients_over_failures(
     the graph builder derives the scenario list with the symmetry-reduced
     k-event enumerator (:func:`repro.scenarios.enumerate_event_scenarios`).
 
-    ``transient.stop_at_first_violation`` governs *all* transient stopping:
-    each per-prefix analysis, and the campaign-level cancellation of
-    still-queued failure-scenario tasks (the engine's stop flag is aligned
-    to it, so ``PlanktonOptions.stop_at_first_violation`` — a converged-state
-    verification knob — cannot silently cut an exhaustive campaign short).
-
-    Callers looping over many PECs of one network should pass their own
-    ``plankton`` (a :class:`~repro.core.verifier.Plankton` built for
-    ``network``) so the PEC partition, dependency graph and OSPF computation
-    are built once instead of per call; its options then serve as the
-    campaign options and must already carry the transient stop flag.
+    Early stopping follows ``transient.stop_at_first_violation`` alone (see
+    :func:`campaign_request`).  Callers looping over many PECs of one
+    network should pass their own ``plankton`` (a
+    :class:`~repro.core.verifier.Plankton` built for ``network``) so the PEC
+    partition, dependency graph and OSPF computation are built once instead
+    of per call; its options then serve as the campaign options.
     """
-    import dataclasses
-
-    from repro.core.options import PlanktonOptions
     from repro.core.verifier import Plankton
-    from repro.engine import EngineContext, select_backend
-    from repro.engine.graph import build_transient_task_graph
+    from repro.engine import run_graph
 
     started = time.perf_counter()
-    transient = transient or TransientOptions()
-    if plankton is not None:
-        if options is not None and options is not plankton.options:
-            raise ValueError("pass either plankton= or options=, not both")
-        options = plankton.options
-        if options.stop_at_first_violation != transient.stop_at_first_violation:
-            # A mismatched flag would let the worker-side chunk early-stop
-            # silently drop scenario runs the caller asked for.
-            raise ValueError(
-                "plankton.options.stop_at_first_violation must match "
-                "transient.stop_at_first_violation for a campaign"
-            )
-    else:
-        options = options or PlanktonOptions()
-        if options.stop_at_first_violation != transient.stop_at_first_violation:
-            options = dataclasses.replace(
-                options, stop_at_first_violation=transient.stop_at_first_violation
-            )
+    if plankton is None:
         plankton = Plankton(network, options)
-    config = TransientTaskConfig(
-        properties=tuple(properties),
-        options=transient,
-        initial_events=tuple(initial_events),
-    )
-    graph = build_transient_task_graph(
-        network,
-        plankton.pec_by_index(pec.index),
-        options,
-        config,
+    elif options is not None and options is not plankton.options:
+        raise ValueError("pass either plankton= or options=, not both")
+    _config, graph, context = campaign_request(
+        plankton,
+        [pec],
+        properties,
+        transient or TransientOptions(),
         failures=failures,
+        initial_events=initial_events,
         scenarios=scenarios,
     )
-    aggregator = _TransientAggregator(graph, options)
-    backend = select_backend(options, graph)
-    # Campaign-specific supervision knobs (a transient exploration's natural
-    # deadline differs from a converged-state check's) override the
-    # verifier's without rebuilding it.
-    supervision = {}
-    if transient.task_timeout is not None:
-        supervision["task_timeout"] = transient.task_timeout
-    if transient.task_retries is not None:
-        supervision["task_retries"] = transient.task_retries
-    context = EngineContext(
-        plankton=plankton,
-        policies=[],
-        options_override=dataclasses.replace(options, **supervision) if supervision else None,
-    )
-    backend.execute(graph, context, aggregator)
-    campaign = aggregator.finalize()
+    campaign = TransientCampaignResult()
+    campaign.absorb(run_graph(graph, context).finalize(), graph)
     campaign.elapsed_seconds = time.perf_counter() - started
     return campaign
 

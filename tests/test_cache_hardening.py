@@ -82,10 +82,11 @@ class TestCorruptionDetection:
         assert len(cache) == 0
         assert any("unreadable" in record.message for record in caplog.records)
 
-    def test_future_schema_version_loads_empty_with_warning(self, tmp_path, caplog):
+    @pytest.mark.parametrize("skew", [+1, -1])  # a newer build's file, an older build's
+    def test_skewed_schema_version_loads_empty_with_warning(self, skew, tmp_path, caplog):
         cache_file, _, _ = _warm_cache(tmp_path)
         document = json.loads(cache_file.read_text())
-        document["schema_version"] = CACHE_SCHEMA_VERSION + 1
+        document["schema_version"] = CACHE_SCHEMA_VERSION + skew
         cache_file.write_text(json.dumps(document))
         with caplog.at_level("WARNING", logger="repro.cache"):
             cache = _reload(cache_file)

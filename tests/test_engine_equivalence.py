@@ -2,11 +2,11 @@
 
 The execution engine's contract is that backend choice is invisible in the
 verdict: on the same task graph, the serial walk and the process pool must
-report the same violations (same order — the aggregator merges partial
-results in task-graph order), the same per-PEC runs and the same state
-counters, on both independent and dependent PEC topologies.  Early-stop
-equivalence is weaker by design — which tasks complete is timing-dependent —
-so there the assertion is on the verdict and on the first violation found.
+report the same violations (same order — the verdict is folded from the
+ledger's ordered prefix, in task-graph order), the same per-PEC runs and the
+same state counters, on both independent and dependent PEC topologies.  That
+holds under early stop too: which tasks *complete* on the pool is
+timing-dependent, but the prefix up to the first violating task is not.
 """
 
 import multiprocessing
@@ -18,12 +18,15 @@ from repro.config import ibgp_over_ospf, ospf_everywhere
 from repro.config.builder import ConfigBuilder, edge_prefix, install_loop_inducing_statics
 from repro.core.results import PecRunResult
 from repro.engine import (
+    EngineContext,
     ProcessPoolBackend,
     SerialBackend,
     build_task_graph,
     network_fingerprint,
+    run_graph,
     select_backend,
 )
+from repro.incremental.service import result_signature
 from repro.netaddr import Prefix
 from repro.policies import LoopFreedom, Reachability
 from repro.policies.base import Policy
@@ -192,6 +195,21 @@ class TestBackendEquivalence:
         assert serial.violations and parallel.violations
         assert {v.policy for v in parallel.violations} == {"loop-freedom"}
 
+    def test_early_stop_returns_the_serial_ordered_prefix(self):
+        """parallel == serial also under stop-at-first: the pool's racing
+        stop decides which tasks completed, never what the result is."""
+        network = _violating_network()
+        serial = result_signature(
+            Plankton(network, PlanktonOptions(stop_at_first_violation=True)).verify(
+                LoopFreedom()
+            )
+        )
+        for _ in range(4):
+            parallel = Plankton(
+                network, PlanktonOptions(cores=2, stop_at_first_violation=True)
+            ).verify(LoopFreedom())
+            assert result_signature(parallel) == serial
+
     def test_early_stop_on_clean_network_checks_everything(self):
         network = _clean_network()
         serial = Plankton(network, PlanktonOptions(stop_at_first_violation=True)).verify(
@@ -252,6 +270,28 @@ class TestEnginePlumbing:
         )
         with pytest.raises(ValueError):
             select_backend(PlanktonOptions(backend="quantum"), graph)
+
+    def test_cold_ledger_drops_planes_after_the_last_dependent(self):
+        """Plane lifetime on the cold path: once every dependent of a task
+        has recorded, the ledger holds none of that task's data planes (the
+        incremental service, which still has to encode them, keeps them)."""
+        plankton = Plankton(_dependent_network(), PlanktonOptions(max_failures=1))
+        policy = Reachability(destination_prefix=Prefix("200.0.0.0/16"), require_all_branches=False)
+        policies, _relevant, graph = plankton.expand_request(policy)
+        upstream_ids = [task_id for task_id, deps in graph.dependents().items() if deps]
+        assert upstream_ids
+        context = EngineContext(plankton=plankton, policies=policies)
+        ledger = run_graph(graph, context)
+        assert all(ledger.has_result(task.task_id) for task in graph.tasks)
+        assert all(ledger.result(task_id).data_planes == [] for task_id in upstream_ids)
+        kept = run_graph(graph, context, keep_planes=True)
+        assert all(kept.result(task_id).data_planes for task_id in upstream_ids)
+        # Same verdict either way: the dependents read the planes in time.
+        folded = [VerificationResult(policy_names=[policy.name]) for _ in range(2)]
+        folded[0].absorb(ledger.finalize())
+        folded[1].absorb(kept.finalize())
+        assert result_signature(folded[0]) == result_signature(folded[1])
+        assert folded[0].pec_runs and folded[0].holds
 
     def test_explicit_process_backend_with_one_core(self):
         network = _clean_network()

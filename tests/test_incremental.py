@@ -316,10 +316,15 @@ class TestResultCache:
 
 # --------------------------------------------------------------------------- service
 class TestIncrementalVerifier:
-    def test_warm_reverify_hits_every_pec(self):
+    def test_warm_reverify_hits_every_pec(self, monkeypatch):
         network = fat_tree_network()
         service = IncrementalVerifier(network, PlanktonOptions())
         cold = service.verify(LoopFreedom())
+        # An all-hit request never constructs a backend (or a pool).
+        monkeypatch.setattr(
+            "repro.engine.backends.select_backend",
+            lambda *args: pytest.fail("an all-hit verify selected a backend"),
+        )
         warm = service.verify(LoopFreedom())
         assert result_signature(cold) == result_signature(warm)
         assert warm.incremental.pecs_from_cache == warm.incremental.pecs_total
@@ -362,13 +367,11 @@ class TestIncrementalVerifier:
         cold = Plankton(network, PlanktonOptions()).verify(Reachability())
         assert result_signature(result) == result_signature(cold)
 
-    def test_dependent_pecs_reuse_cached_upstream_planes(self):
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_dependent_pecs_reuse_cached_upstream_planes(self, backend, monkeypatch):
         topology = ring(5)
         network = ibgp_over_ospf(topology, {"r0": Prefix("200.0.0.0/24")})
-        options = PlanktonOptions(max_failures=1)
-        service = IncrementalVerifier(network, options)
         policy = Reachability(sources=["r2"], destination_prefix=Prefix("200.0.0.0/24"))
-        service.verify(policy)
         # Edit a static route covering only the external prefix: the
         # loopback PECs stay clean, so the dirty external PEC must consume
         # the *cached* loopback data planes.
@@ -376,12 +379,67 @@ class TestIncrementalVerifier:
         edited.device("r2").static_routes.append(
             StaticRoute(prefix=Prefix("200.0.0.0/24"), next_hop_node="r1", distance=250)
         )
+        cold = Plankton(edited, PlanktonOptions(max_failures=1)).verify(policy)
+        if backend == "process":
+            # The pool ships cached upstream planes like fresh ones: no
+            # part of the run may be handed to the serial backend.
+            from repro.engine import SerialBackend
+
+            monkeypatch.setattr(
+                SerialBackend,
+                "execute",
+                lambda *args: pytest.fail("a process-backend run executed serially"),
+            )
+        service = IncrementalVerifier(network, PlanktonOptions(max_failures=1, backend=backend))
+        service.verify(policy)
         service.update(edited)
         result = service.verify(policy)
         assert result.incremental.pecs_from_cache > 0
         assert result.incremental.pecs_recomputed > 0
-        cold = Plankton(edited, PlanktonOptions(max_failures=1)).verify(policy)
         assert result_signature(result) == result_signature(cold)
+
+    def test_campaign_over_many_pecs_is_one_engine_run(self, monkeypatch):
+        """One graph, one backend execution for all dirty PECs of a campaign
+        — and the result is the per-PEC serial campaigns, concatenated."""
+        from repro.engine import SerialBackend
+        from repro.transient import analyze_pec_transients_over_failures
+
+        network = ebgp_rfc7938(bgp_fat_tree(4))
+        service = IncrementalVerifier(network, PlanktonOptions(max_failures=1))
+        options = TransientOptions(max_states=40, max_depth=3, stop_at_first_violation=False)
+        prop = [TransientLoopFreedom(ignore_converged=True)]
+        bgp_pecs = [pec for pec in service.plankton.pecs if pec.has_bgp()]
+        assert len(bgp_pecs) >= 3
+        service.verify_transients(prop, transient=options, pecs=bgp_pecs[:1])
+
+        executions = []
+        execute = SerialBackend.execute
+        monkeypatch.setattr(
+            SerialBackend,
+            "execute",
+            lambda self, *args: (executions.append(self), execute(self, *args))[1],
+        )
+        campaign = service.verify_transients(prop, transient=options)
+        assert len(executions) == 1
+        assert campaign.incremental.pecs_from_cache == 1
+        assert campaign.incremental.pecs_recomputed == len(bgp_pecs) - 1
+        monkeypatch.undo()
+
+        per_pec = [
+            analyze_pec_transients_over_failures(
+                network, pec, prop, options=PlanktonOptions(max_failures=1), transient=options
+            )
+            for pec in bgp_pecs
+        ]
+        assert [
+            (run.pec_index, run.failure, run.prefix, run.result.stats_signature())
+            for run in campaign.runs
+        ] == [
+            (run.pec_index, run.failure, run.prefix, run.result.stats_signature())
+            for sub in per_pec
+            for run in sub.runs
+        ]
+        assert campaign.failure_scenarios == max(sub.failure_scenarios for sub in per_pec)
 
     def test_transient_campaigns_cache_and_match(self):
         network = fat_tree_network()

@@ -598,15 +598,29 @@ class TestTransientFailureCampaigns:
         assert [run.result.stats_signature() for run in reused.runs] == [
             run.result.stats_signature() for run in fresh.runs
         ]
-        # A supplied verifier whose stop flag disagrees with the transient
-        # options would silently drop runs; it is rejected instead.
+        # The campaign's stop flag belongs to the request: a supplied
+        # verifier whose engine flag disagrees with the transient options
+        # (it used to be rejected, lest it silently drop runs) runs the very
+        # same campaign.
+        mismatched = analyze_pec_transients_over_failures(
+            network,
+            pec,
+            [TransientLoopFreedom(ignore_converged=True)],
+            transient=transient,
+            plankton=Plankton(network, PlanktonOptions()),
+        )
+        assert [run.result.stats_signature() for run in mismatched.runs] == [
+            run.result.stats_signature() for run in fresh.runs
+        ]
+        # Two sources of engine options are still one too many.
         with pytest.raises(ValueError):
             analyze_pec_transients_over_failures(
                 network,
                 pec,
                 [TransientLoopFreedom(ignore_converged=True)],
+                options=PlanktonOptions(),
                 transient=transient,
-                plankton=Plankton(network, PlanktonOptions()),
+                plankton=plankton,
             )
 
     def test_campaign_report_rendering(self):

@@ -658,7 +658,9 @@ class PecExplorer:
 
     def _ospf_origins_for(self, prefix: Prefix) -> List[str]:
         origins = set(self.pec.origins_for(prefix, "ospf"))
-        for name, config in self.network.devices.items():
+        # Redistribution needs a static route, so only those devices are asked.
+        for name in self.ospf.static_route_devices():
+            config = self.network.device(name)
             if config.ospf is not None and config.ospf.redistribute_static:
                 if any(route.prefix == prefix for route in config.static_routes):
                     origins.add(name)
@@ -745,7 +747,7 @@ class PecExplorer:
         return table.next_hops.get(node, ())
 
     def _install_static_entries(self, data_plane: DataPlane, prefix: Prefix, failed: Set[int]) -> None:
-        for device in self.network.topology.nodes:
+        for device in self.ospf.static_route_devices():
             resolution = resolve_static_routes(self.network, device, prefix, failed)
             if resolution is None:
                 continue

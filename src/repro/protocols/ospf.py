@@ -1,30 +1,54 @@
-"""OSPF shortest-path computation.
+"""OSPF shortest-path computation on a compiled graph.
 
 OSPF is deterministic: given a topology, link costs and the set of origins of
 a prefix, the converged state is a shortest-path DAG toward the closest
 origin, with ECMP when several neighbours lie on equal-cost shortest paths.
 
-Two consumers use this module:
+Three pieces live here, all behind :class:`OspfComputation`:
 
-* the OSPF :class:`~repro.protocols.ospf_instance.OspfInstance` path-vector
-  model, whose deterministic-node detection heuristic (paper §4.1.2: "picks
-  each node only after all nodes with shorter paths have executed") needs the
-  network-wide distance computation, cached per (topology, failures, origins);
-* the FIB builder, which needs per-node next hops for redistributed and
-  directly computed OSPF routes.
+* the **compiled graph** — built once, on the first computation, from the
+  topology's integer adjacency and the device configs: which ordered pairs of
+  devices are OSPF-adjacent over which link at what cost
+  (:func:`_adjacency_cost` is the only place that rule is written).  The SPF
+  kernel, the failure-delta path and :class:`~repro.protocols.ospf_instance.
+  OspfInstance` (``peers`` and edge costs) all read it;
+* the **SPF kernel** — a multi-source Dijkstra over the compiled integer
+  lists, converted to the name-keyed :class:`OspfRoutingTable` only on the
+  way out;
+* the **failure-delta path** — the table for a non-empty failure set is
+  derived from the same origins' failure-free run: a failed link that is not
+  on a shortest path changes nothing (the failure-free table itself is
+  returned); one whose tail keeps another equal-cost next hop changes only
+  that node's ``next_hops`` (every other field is shared with the
+  failure-free table); where a node loses its last shortest-path next hop,
+  only the region cut off with it is settled again from its neighbours.  The
+  whole kernel runs under failures only for what that reasoning does not
+  cover: anycast origin sets whose lowest-name tie-break would have to be
+  propagated again, and graphs with a non-positive cost.
+
+Two consumers use the results: the OSPF path-vector model, whose
+deterministic-node detection heuristic (paper §4.1.2: "picks each node only
+after all nodes with shorter paths have executed") needs the network-wide
+distances, and the FIB builder, which needs per-node next hops.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.config.objects import NetworkConfig, DEFAULT_OSPF_COST
-from repro.netaddr import Prefix
+from repro.config.objects import NetworkConfig, OspfConfig
+from repro.exceptions import ConfigError
 from repro.topology import Topology
+from repro.topology.graph import CompiledTopology
 
 INFINITY = float("inf")
+
+#: One directed OSPF adjacency as seen from a node: (neighbour index, cost,
+#: link id).
+_Edge = Tuple[int, float, int]
+_NO_FAILURES: FrozenSet[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -39,6 +63,9 @@ class OspfRoutingTable:
         chosen_origin: The origin each node routes towards.
         deterministic_order: Nodes sorted by increasing distance — the order
             in which the deterministic-node POR heuristic lets them execute.
+
+    Tables of one :class:`OspfComputation` may share field objects (see the
+    module docstring); treat them as read-only.
     """
 
     distances: Dict[str, float]
@@ -51,19 +78,341 @@ class OspfRoutingTable:
         return self.distances.get(node, INFINITY) < INFINITY
 
 
-class OspfComputation:
-    """Cached OSPF shortest-path computations.
+def _adjacency_cost(
+    config: Optional[OspfConfig],
+    peer_config: Optional[OspfConfig],
+    node: str,
+    peer: str,
+    link_weight: int,
+) -> float:
+    """The OSPF cost of the edge ``node -> peer``; infinite when not adjacent.
 
-    The cache key is (origins, failed links), matching the paper: "We cache
-    this computation so it is only run once for a given topology, set of
-    failures, and set of sources."
+    An adjacency needs both ends to speak OSPF and neither interface to be
+    passive.  The interface cost override of ``node`` wins over the topology
+    weight of the link in that direction.
+    """
+    if config is None or peer_config is None:
+        return INFINITY
+    if config.is_passive(peer) or peer_config.is_passive(node):
+        return INFINITY
+    return config.cost_to(peer, link_weight)
+
+
+class _CompiledGraph:
+    """Who is OSPF-adjacent to whom, over which link, at what cost — as ints.
+
+    Dense indexes follow *name order*, so comparing two indexes compares the
+    names: the kernel's heap and the origin tie-break order exactly as the
+    name-keyed formulation does.
+
+    Attributes:
+        topology: The :class:`CompiledTopology` this was built from.
+        names / index: Dense index <-> device name.
+        speaks: Whether the device runs OSPF.
+        out: Per node, its adjacencies ``(neighbour, cost node -> neighbour,
+            link id)`` — the candidates for the node's next hops.
+        into: Per node, ``(neighbour, cost neighbour -> node, link id)`` —
+            what settling the node relaxes.  Both in ``Topology.edges`` order.
+        links: Link id -> ``(a, b, cost a -> b, cost b -> a)`` for every link
+            carrying an adjacency in at least one direction.
+        positive_costs: Every cost is > 0 (what the delta path relies on).
+    """
+
+    def __init__(self, network: NetworkConfig, topology: CompiledTopology) -> None:
+        self.topology = topology
+        self.names: List[str] = sorted(topology.names)
+        self.index: Dict[str, int] = {name: i for i, name in enumerate(self.names)}
+        dense = [self.index[name] for name in topology.names]
+        configs = [network.device(name).ospf for name in self.names]
+        self.speaks: List[bool] = [config is not None for config in configs]
+        self.out: List[List[_Edge]] = [[] for _ in self.names]
+        self.into: List[List[_Edge]] = [[] for _ in self.names]
+        self.links: Dict[int, Tuple[int, int, float, float]] = {}
+        names = self.names
+        for link_id, a, b, weight_ab, weight_ba in topology.links:
+            a, b = dense[a], dense[b]
+            cost_ab = _adjacency_cost(configs[a], configs[b], names[a], names[b], weight_ab)
+            cost_ba = _adjacency_cost(configs[b], configs[a], names[b], names[a], weight_ba)
+            if cost_ab != INFINITY or cost_ba != INFINITY:
+                self.links[link_id] = (a, b, cost_ab, cost_ba)
+        for position, row in enumerate(topology.edges):
+            node = dense[position]
+            out, into = self.out[node], self.into[node]
+            for neighbor, _, _, link_id in row:
+                link = self.links.get(link_id)
+                if link is None:
+                    continue
+                leaving, entering = link[2:] if link[0] == node else (link[3], link[2])
+                if leaving != INFINITY:
+                    out.append((dense[neighbor], leaving, link_id))
+                if entering != INFINITY:
+                    into.append((dense[neighbor], entering, link_id))
+        self.positive_costs = all(
+            cost > 0 for link in self.links.values() for cost in link[2:]
+        )
+
+    def node(self, name: str) -> int:
+        """The dense index of device ``name``."""
+        try:
+            return self.index[name]
+        except KeyError:
+            raise ConfigError(f"unknown device {name!r}") from None
+
+    def without(self, failed: FrozenSet[int]) -> Tuple[List[List[_Edge]], List[List[_Edge]]]:
+        """``(out, into)`` with the failed links' entries removed.
+
+        Only the rows of the failed links' endpoints are rebuilt; every other
+        row is the compiled one.
+        """
+        out, into = self.out, self.into
+        touched: Set[int] = set()
+        for link_id in failed:
+            if link_id in self.links:
+                touched.update(self.links[link_id][:2])
+        if touched:
+            out, into = list(out), list(into)
+            for node in touched:
+                out[node] = [edge for edge in out[node] if edge[2] not in failed]
+                into[node] = [edge for edge in into[node] if edge[2] not in failed]
+        return out, into
+
+
+class _ShortestPaths(NamedTuple):
+    """One kernel run: the public table plus the arrays the delta path reads."""
+
+    table: OspfRoutingTable
+    dist: List[float]
+    origin_of: List[int]
+    sources: Set[int]
+
+
+def _shortest_paths(
+    graph: _CompiledGraph, origins: Iterable[str], failed: FrozenSet[int]
+) -> _ShortestPaths:
+    """Multi-source Dijkstra from ``origins`` over the live OSPF adjacencies.
+
+    The computation follows reverse link costs (cost of the edge leaving the
+    node towards the origin side), so ``dist[n]`` is the cost of the best
+    n -> origin path, exactly what each router's SPF run yields.  Between
+    equally distant origins the lowest name wins.
+    """
+    out, into = graph.without(failed)
+    size = len(graph.names)
+    dist = [INFINITY] * size
+    origin_of = [-1] * size
+    reached: List[int] = []  # in order of first discovery
+    heap: List[Tuple[float, int, int]] = []
+    sources: Set[int] = set()
+    for name in origins:
+        origin = graph.node(name)
+        if not graph.speaks[origin]:
+            continue
+        if origin not in sources:
+            sources.add(origin)
+            reached.append(origin)
+        dist[origin] = 0.0
+        origin_of[origin] = origin
+        heap.append((0.0, origin, origin))
+    heapq.heapify(heap)
+
+    push, pop = heapq.heappush, heapq.heappop
+    settled = [False] * size
+    while heap:
+        distance, node, origin = pop(heap)
+        if settled[node]:
+            continue
+        settled[node] = True
+        for neighbor, cost, _ in into[node]:
+            candidate = distance + cost
+            best = dist[neighbor]
+            if candidate < best:
+                if best == INFINITY:
+                    reached.append(neighbor)
+                dist[neighbor] = candidate
+                origin_of[neighbor] = origin
+                push(heap, (candidate, neighbor, origin))
+            elif candidate == best and origin < origin_of[neighbor]:
+                origin_of[neighbor] = origin
+                push(heap, (candidate, neighbor, origin))
+
+    names = graph.names
+    distances: Dict[str, float] = {}
+    next_hops: Dict[str, Tuple[str, ...]] = {}
+    chosen_origin: Dict[str, str] = {}
+    for node in reached:
+        name = names[node]
+        distance = distances[name] = dist[node]
+        chosen_origin[name] = names[origin_of[node]]
+        if node in sources:
+            next_hops[name] = ()
+        else:
+            next_hops[name] = _hop_names(names, _tight_next_hops(out[node], dist, distance))
+    order = tuple([names[node] for _, node in sorted([(dist[node], node) for node in reached])])
+    return _ShortestPaths(
+        OspfRoutingTable(distances, next_hops, chosen_origin, order), dist, origin_of, sources
+    )
+
+
+def _tight_next_hops(edges: List[_Edge], dist: List[float], distance: float) -> Set[int]:
+    """The neighbours among ``edges`` lying on a shortest path of a node at ``distance``."""
+    return {neighbor for neighbor, cost, _ in edges if dist[neighbor] + cost == distance}
+
+
+def _hop_names(names: List[str], hops: Set[int]) -> Tuple[str, ...]:
+    """``hops`` as the sorted name tuple a table carries (index order is name order)."""
+    return tuple([names[hop] for hop in sorted(hops)])
+
+
+def _derive(
+    graph: _CompiledGraph, base: _ShortestPaths, failed: FrozenSet[int]
+) -> Optional[OspfRoutingTable]:
+    """The table under ``failed``, worked out of the failure-free ``base``.
+
+    Relies on positive integer costs: distances survive a failure wherever a
+    node keeps one of its shortest-path next hops (and are the same float
+    whichever path they were summed along), and a node's chosen origin is the
+    lowest among its next hops'.  So only the tails of failed shortest-path
+    edges are looked at; where one of them is left without a shortest path,
+    the nodes cut off with it are settled again from their neighbours.
+    Returns None where the chosen origins of an anycast origin set would have
+    to be propagated again: the caller re-runs the kernel.
+    """
+    dist, table, names = base.dist, base.table, graph.names
+    out, into = graph.without(failed)
+    recheck: Set[int] = set()  # nodes whose next hops may have changed
+    for link_id in failed:
+        if link_id not in graph.links:
+            continue
+        a, b, cost_ab, cost_ba = graph.links[link_id]
+        for tail, head, cost in ((a, b, cost_ab), (b, a, cost_ba)):
+            if dist[tail] != INFINITY and dist[head] + cost == dist[tail]:
+                recheck.add(tail)
+    if not recheck:
+        return table
+
+    cut_off = _cut_off(out, into, dist, recheck)
+    if cut_off:
+        if len(base.sources) > 1:
+            return None
+        # Besides the cut-off nodes, only those that had one as a next hop
+        # change (they lose it): nobody gains a next hop from a failure.
+        recheck |= cut_off
+        recheck.update(
+            child
+            for node in cut_off
+            for child, cost, _ in into[node]
+            if dist[node] + cost == dist[child]
+        )
+        dist = _resettle(out, into, dist, cut_off)
+    patched: Dict[str, Tuple[str, ...]] = {}
+    for node in recheck:
+        distance = dist[node]
+        if distance == INFINITY:
+            continue
+        hops = _tight_next_hops(out[node], dist, distance)
+        if not cut_off and min(base.origin_of[hop] for hop in hops) != base.origin_of[node]:
+            return None
+        hop_names = _hop_names(names, hops)
+        if hop_names != table.next_hops[names[node]]:
+            patched[names[node]] = hop_names
+    if not cut_off and not patched:
+        return table
+
+    distances, chosen_origin = table.distances, table.chosen_origin
+    order = table.deterministic_order
+    next_hops = {**table.next_hops, **patched}
+    if cut_off:
+        distances = dict(distances)
+        for node in cut_off:
+            if dist[node] != INFINITY:
+                distances[names[node]] = dist[node]
+            else:
+                if chosen_origin is table.chosen_origin:
+                    chosen_origin = dict(chosen_origin)
+                for field in (distances, next_hops, chosen_origin):
+                    del field[names[node]]
+        order = tuple([name for _, name in sorted(zip(distances.values(), distances))])
+    return OspfRoutingTable(distances, next_hops, chosen_origin, order)
+
+
+def _cut_off(
+    out: List[List[_Edge]], into: List[List[_Edge]], dist: List[float], tails: Iterable[int]
+) -> Set[int]:
+    """The nodes no shortest path of the old length is left for.
+
+    Starting from the tails of failed shortest-path edges: a node is cut off
+    when every live next hop it had is, and then its shortest-path children
+    are asked the same question.
+    """
+    cut_off: Set[int] = set()
+    pending = list(tails)
+    while pending:
+        node = pending.pop()
+        distance = dist[node]
+        if node in cut_off or _tight_next_hops(out[node], dist, distance) - cut_off:
+            continue
+        cut_off.add(node)
+        pending.extend(child for child, cost, _ in into[node] if distance + cost == dist[child])
+    return cut_off
+
+
+def _resettle(
+    out: List[List[_Edge]], into: List[List[_Edge]], dist: List[float], cut_off: Set[int]
+) -> List[float]:
+    """``dist`` with the ``cut_off`` nodes settled again (infinite: unreachable).
+
+    A Dijkstra over the cut-off region only, seeded from its neighbours
+    outside: those already sit at their shortest distance, so no relaxation
+    can move them.
+    """
+    dist = list(dist)
+    for node in cut_off:
+        dist[node] = INFINITY
+    heap = []
+    for node in cut_off:
+        nearest = min([dist[hop] + cost for hop, cost, _ in out[node]], default=INFINITY)
+        if nearest != INFINITY:
+            dist[node] = nearest
+            heap.append((nearest, node))
+    heapq.heapify(heap)
+    while heap:
+        distance, node = heapq.heappop(heap)
+        if distance > dist[node]:
+            continue
+        for child, cost, _ in into[node]:
+            if distance + cost < dist[child]:
+                dist[child] = distance + cost
+                heapq.heappush(heap, (distance + cost, child))
+    return dist
+
+
+class OspfComputation:
+    """The per-network OSPF precompute every task of one verifier shares.
+
+    Everything here is derived from the network's configuration and dropped
+    together by :meth:`clear_cache`:
+
+    * the compiled graph, built on the first :meth:`compute` (constructing an
+      :class:`OspfComputation` costs nothing) and rebuilt when the topology
+      has gained a node or link since;
+    * SPF tables keyed by (origins, failed links), matching the paper: "We
+      cache this computation so it is only run once for a given topology, set
+      of failures, and set of sources" — plus the failure-free kernel run per
+      origin set, from which tables under failures are derived and with which
+      they share their unchanged fields;
+    * the filter/rank memos the per-prefix OSPF instances of one failure set
+      share (:meth:`shared_filter_caches`);
+    * the list of devices with static routes the FIB builder walks.
     """
 
     def __init__(self, network: NetworkConfig) -> None:
         self.network = network
-        self.topology = network.topology
+        self.topology: Topology = network.topology
+        self._graph: Optional[_CompiledGraph] = None
         self._cache: Dict[Tuple[FrozenSet[str], FrozenSet[int]], OspfRoutingTable] = {}
+        self._failure_free: Dict[FrozenSet[str], _ShortestPaths] = {}
         self._filter_caches: Dict[FrozenSet[int], Dict[str, Dict]] = {}
+        self._static_route_devices: Optional[Tuple[str, ...]] = None
 
     def shared_filter_caches(self, failure_key: FrozenSet[int]) -> Dict[str, Dict]:
         """Filter/rank memo dicts shared by all instances of one failure set.
@@ -91,22 +440,39 @@ class OspfComputation:
             self._filter_caches[failure_key] = caches
         return caches
 
-    # ------------------------------------------------------------------ costs
-    def link_cost(self, node: str, neighbor: str, link_weight: int) -> float:
-        """The OSPF cost of the edge ``node -> neighbor``.
+    # ------------------------------------------------------------------ graph
+    def _compiled_graph(self) -> _CompiledGraph:
+        topology = self.topology.compiled()
+        if self._graph is not None and self._graph.topology is not topology:
+            self.clear_cache()  # the topology gained a node or link since
+        if self._graph is None:
+            self._graph = _CompiledGraph(self.network, topology)
+        return self._graph
 
-        Interface cost overrides in the device config win over the topology
-        weight; a passive interface means no adjacency (infinite cost).
+    def adjacencies(
+        self, node: str, failed_links: Iterable[int] = ()
+    ) -> List[Tuple[str, float]]:
+        """The live OSPF adjacencies of ``node``.
+
+        One ``(neighbour, cost of node -> neighbour)`` per link carrying an
+        adjacency, so parallel links list their neighbour more than once.
         """
-        config = self.network.device(node).ospf
-        if config is None:
-            return INFINITY
-        if config.is_passive(neighbor):
-            return INFINITY
-        return config.cost_to(neighbor, link_weight)
+        graph = self._compiled_graph()
+        names = graph.names
+        return [
+            (names[neighbor], cost)
+            for neighbor, cost, link_id in graph.out[graph.node(node)]
+            if link_id not in failed_links
+        ]
 
-    def _runs_ospf(self, node: str) -> bool:
-        return self.network.device(node).ospf is not None
+    def static_route_devices(self) -> Tuple[str, ...]:
+        """Devices configured with at least one static route, in topology order."""
+        devices = self._static_route_devices
+        if devices is None:
+            devices = self._static_route_devices = tuple(
+                name for name in self.topology.nodes if self.network.device(name).static_routes
+            )
+        return devices
 
     # ------------------------------------------------------------------ SPF
     def compute(
@@ -114,83 +480,28 @@ class OspfComputation:
         origins: Sequence[str],
         failed_links: Optional[Set[int]] = None,
     ) -> OspfRoutingTable:
-        """Multi-source Dijkstra from ``origins`` over the OSPF-speaking subgraph.
+        """The routing table toward ``origins`` with ``failed_links`` down.
 
-        The computation follows reverse link costs (cost of the edge leaving
-        the node towards the origin side), so ``distances[n]`` is the cost of
-        the best n -> origin path, exactly what each router's SPF run yields.
+        Origins that do not speak OSPF are ignored.  Results are cached per
+        (origins, failed links); a table under failures comes out of the
+        failure-free run of the same origins wherever the failure leaves
+        every node a shortest-path next hop (see the module docstring).
         """
-        key = (frozenset(origins), frozenset(failed_links or ()))
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-
-        distances: Dict[str, float] = {}
-        chosen_origin: Dict[str, str] = {}
-        heap: List[Tuple[float, str, str]] = []
-        for origin in origins:
-            if not self._runs_ospf(origin):
-                continue
-            distances[origin] = 0.0
-            chosen_origin[origin] = origin
-            heapq.heappush(heap, (0.0, origin, origin))
-
-        settled: Set[str] = set()
-        while heap:
-            dist, node, origin = heapq.heappop(heap)
-            if node in settled:
-                continue
-            settled.add(node)
-            for link in self.topology.edges(node, failed_links):
-                neighbor = link.other(node)
-                if not self._runs_ospf(neighbor):
-                    continue
-                # An adjacency requires neither side to be passive.
-                if self.network.device(node).ospf.is_passive(neighbor):
-                    continue
-                # Cost of neighbor -> node edge, as seen by the neighbour.
-                cost = self.link_cost(neighbor, node, link.weight_from(neighbor))
-                if cost == INFINITY:
-                    continue
-                candidate = dist + cost
-                best = distances.get(neighbor, INFINITY)
-                if candidate < best:
-                    distances[neighbor] = candidate
-                    chosen_origin[neighbor] = origin
-                    heapq.heappush(heap, (candidate, neighbor, origin))
-                elif candidate == best and origin < chosen_origin.get(neighbor, origin):
-                    # Deterministic tie-break between equally distant origins.
-                    chosen_origin[neighbor] = origin
-                    heapq.heappush(heap, (candidate, neighbor, origin))
-
-        next_hops: Dict[str, Tuple[str, ...]] = {}
-        origin_set = {o for o in origins if self._runs_ospf(o)}
-        for node, dist in distances.items():
-            if node in origin_set:
-                next_hops[node] = ()
-                continue
-            hops = []
-            for link in self.topology.edges(node, failed_links):
-                neighbor = link.other(node)
-                if neighbor not in distances or not self._runs_ospf(neighbor):
-                    continue
-                if self.network.device(neighbor).ospf.is_passive(node):
-                    continue
-                cost = self.link_cost(node, neighbor, link.weight_from(node))
-                if cost == INFINITY:
-                    continue
-                if distances[neighbor] + cost == dist:
-                    hops.append(neighbor)
-            next_hops[node] = tuple(sorted(set(hops)))
-
-        order = tuple(sorted(distances, key=lambda n: (distances[n], n)))
-        table = OspfRoutingTable(
-            distances=distances,
-            next_hops=next_hops,
-            chosen_origin=chosen_origin,
-            deterministic_order=order,
-        )
-        self._cache[key] = table
+        graph = self._compiled_graph()
+        origin_key = frozenset(origins)
+        failed = frozenset(failed_links) if failed_links else _NO_FAILURES
+        table = self._cache.get((origin_key, failed))
+        if table is None:
+            if not failed or graph.positive_costs:
+                base = self._failure_free.get(origin_key)
+                if base is None:
+                    base = self._failure_free[origin_key] = _shortest_paths(
+                        graph, origins, _NO_FAILURES
+                    )
+                table = _derive(graph, base, failed) if failed else base.table
+            if table is None:
+                table = _shortest_paths(graph, origins, failed).table
+            self._cache[(origin_key, failed)] = table
         return table
 
     def igp_cost_between(
@@ -225,5 +536,14 @@ class OspfComputation:
         return path
 
     def clear_cache(self) -> None:
-        """Drop all cached SPF results (used when configs are mutated)."""
+        """Drop everything derived from the configuration.
+
+        Call it after mutating device configs: the compiled graph, every SPF
+        table, the filter memos handed to OSPF instances and the static-route
+        device list are rebuilt on next use.
+        """
+        self._graph = None
         self._cache.clear()
+        self._failure_free.clear()
+        self._filter_caches.clear()
+        self._static_route_devices = None

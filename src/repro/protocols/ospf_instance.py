@@ -6,7 +6,9 @@ the filters to be "accept everything inside the OSPF domain".  OSPF's outcome
 is deterministic (the paper notes "OSPF by its nature has deterministic
 outcomes"), which the deterministic-node detection heuristic (§4.1.2) exploits
 via the cached network-wide shortest-path computation in
-:class:`repro.protocols.ospf.OspfComputation`.
+:class:`repro.protocols.ospf.OspfComputation`.  Peers and edge costs are read
+from that computation's compiled adjacency graph, so the instance and the SPF
+kernel agree on who is adjacent to whom by construction.
 
 OSPF is the one protocol where the implementation permits multipath: a node
 may keep several equal-cost best paths (ECMP), matching the special-case
@@ -15,7 +17,7 @@ deviation described at the end of §3.4.2.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.config.objects import NetworkConfig
 from repro.exceptions import ProtocolError
@@ -104,19 +106,8 @@ class OspfInstance(PathVectorInstance):
         cached = self._peers_cache.get(node)
         if cached is not None:
             return cached
-        result: List[str] = []
-        config = self.network.device(node).ospf
-        if config is not None:
-            for link in self.network.topology.edges(node, self.failed_links):
-                neighbor = link.other(node)
-                if neighbor not in self._speaker_set:
-                    continue
-                if config.is_passive(neighbor):
-                    continue
-                if self.network.device(neighbor).ospf.is_passive(node):
-                    continue
-                result.append(neighbor)
-        peers = tuple(sorted(set(result)))
+        adjacencies = self.computation.adjacencies(node, self.failed_links)
+        peers = tuple(sorted({neighbor for neighbor, _ in adjacencies}))
         self._peers_cache[node] = peers
         return peers
 
@@ -150,12 +141,14 @@ class OspfInstance(PathVectorInstance):
         cached = self._edge_cost_cache.get((node, neighbor))
         if cached is not None:
             return cached
-        best = INFINITY
-        for link in self.network.topology.links_between(node, neighbor):
-            if link.link_id in self.failed_links:
-                continue
-            cost = self.computation.link_cost(node, neighbor, link.weight_from(node))
-            best = min(best, cost)
+        best = min(
+            (
+                cost
+                for peer, cost in self.computation.adjacencies(node, self.failed_links)
+                if peer == neighbor
+            ),
+            default=INFINITY,
+        )
         self._edge_cost_cache[(node, neighbor)] = best
         return best
 

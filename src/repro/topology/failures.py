@@ -105,39 +105,47 @@ class DeviceEquivalence:
     ) -> None:
         self.topology = topology
         self.failed_links = set(failed_links or ())
-        initial: Dict[str, object] = {}
-        for name in topology.nodes:
-            initial[name] = colors.get(name) if colors else None
-        self.device_classes = self._refine(initial)
+        self._compiled = topology.compiled()
+        names = self._compiled.names
+        #: DEC index per dense node index (``device_classes`` by position).
+        self._coloring = self._refine([colors.get(name) if colors else None for name in names])
+        self.device_classes: Dict[str, int] = dict(zip(names, self._coloring))
 
-    def _refine(self, initial: Dict[str, object]) -> Dict[str, int]:
-        # Map arbitrary initial colours to small integers.
+    def _refine(self, initial: List[object]) -> List[int]:
+        """Colour refinement over the compiled adjacency, to a fixed point.
+
+        Colours are numbered by first appearance in node order, every round.
+        A neighbour contributes one integer, ``colour * pairs + weight-pair
+        id``; the sorted tuple of those is a canonical form of the multiset
+        of (neighbour class, weight out, weight back) triples.
+        """
+        failed = self.failed_links
+        pair_ids: Dict[Tuple[int, int], int] = {}
+        live = [
+            [
+                (neighbor, pair_ids.setdefault((out, back), len(pair_ids)))
+                for neighbor, out, back, link_id in row
+                if link_id not in failed
+            ]
+            for row in self._compiled.edges
+        ]
+        pairs = max(len(pair_ids), 1)
         palette: Dict[object, int] = {}
-        coloring: Dict[str, int] = {}
-        for name, color in initial.items():
-            key = ("init", color)
-            if key not in palette:
-                palette[key] = len(palette)
-            coloring[name] = palette[key]
+        coloring = [palette.setdefault(color, len(palette)) for color in initial]
         while True:
-            signatures: Dict[str, Tuple] = {}
-            for name in self.topology.nodes:
-                neighbor_sig = []
-                for link in self.topology.edges(name, self.failed_links):
-                    other = link.other(name)
-                    neighbor_sig.append(
-                        (coloring[other], link.weight_from(name), link.weight_from(other))
-                    )
-                signatures[name] = (coloring[name], tuple(sorted(neighbor_sig)))
-            next_palette: Dict[Tuple, int] = {}
-            next_coloring: Dict[str, int] = {}
-            for name, signature in signatures.items():
-                if signature not in next_palette:
-                    next_palette[signature] = len(next_palette)
-                next_coloring[name] = next_palette[signature]
-            if len(set(next_coloring.values())) == len(set(coloring.values())):
-                return next_coloring
-            coloring = next_coloring
+            classes = len(palette)
+            palette = {}
+            scaled = [color * pairs for color in coloring]
+            refined = [
+                palette.setdefault(
+                    (coloring[node], tuple(sorted([scaled[n] + pair for n, pair in row]))),
+                    len(palette),
+                )
+                for node, row in enumerate(live)
+            ]
+            if len(palette) == classes:
+                return refined
+            coloring = refined
 
     def device_class_of(self, name: str) -> int:
         """The DEC index of device ``name``."""
@@ -155,16 +163,18 @@ class DeviceEquivalence:
     def link_classes(self) -> Dict[Tuple, List[int]]:
         """Mapping LEC key -> link ids in that class (live links only)."""
         classes: Dict[Tuple, List[int]] = {}
-        for link in self.topology.links:
-            if link.link_id in self.failed_links:
+        coloring = self._coloring
+        failed = self.failed_links
+        for link_id, a, b, weight_ab, weight_ba in self._compiled.links:
+            if link_id in failed:
                 continue
-            ca = self.device_classes[link.a]
-            cb = self.device_classes[link.b]
+            ca = coloring[a]
+            cb = coloring[b]
             if ca <= cb:
-                key = (ca, cb, link.weight_ab, link.weight_ba)
+                key = (ca, cb, weight_ab, weight_ba)
             else:
-                key = (cb, ca, link.weight_ba, link.weight_ab)
-            classes.setdefault(key, []).append(link.link_id)
+                key = (cb, ca, weight_ba, weight_ab)
+            classes.setdefault(key, []).append(link_id)
         return classes
 
     def representative_links(self) -> List[int]:

@@ -9,7 +9,7 @@ failure scenarios and Link Equivalence Classes (paper §4.3) can refer to it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.exceptions import TopologyError
 from repro.netaddr import Prefix
@@ -86,6 +86,26 @@ class Link:
         return f"Link({self.link_id}: {self.a}--{self.b})"
 
 
+class CompiledTopology(NamedTuple):
+    """The integer form of a :class:`Topology`, for the loops that walk all of it.
+
+    Attributes:
+        names: Node names; a node's position is its dense index (insertion
+            order, the order of :attr:`Topology.nodes`).
+        index: Node name -> dense index.
+        edges: Per node index, one ``(neighbour index, weight leaving the
+            node, weight leaving the neighbour, link id)`` per incident link,
+            in the order of :meth:`Topology.edges`.
+        links: One ``(link id, a index, b index, weight_ab, weight_ba)`` per
+            link, in creation order.
+    """
+
+    names: Tuple[str, ...]
+    index: Dict[str, int]
+    edges: Tuple[Tuple[Tuple[int, int, int, int], ...], ...]
+    links: Tuple[Tuple[int, int, int, int, int], ...]
+
+
 class Topology:
     """An undirected network topology.
 
@@ -99,6 +119,7 @@ class Topology:
         self._links: Dict[int, Link] = {}
         self._adjacency: Dict[str, Dict[str, List[int]]] = {}
         self._next_link_id = 0
+        self._compiled: Optional[CompiledTopology] = None
 
     # ------------------------------------------------------------------ nodes
     def add_node(
@@ -117,6 +138,7 @@ class Topology:
         node = Node(name=name, role=role, loopback=loopback, attributes=dict(attributes))
         self._nodes[name] = node
         self._adjacency[name] = {}
+        self._compiled = None
         return node
 
     def node(self, name: str) -> Node:
@@ -178,6 +200,7 @@ class Topology:
         self._links[link.link_id] = link
         self._adjacency[a].setdefault(b, []).append(link.link_id)
         self._adjacency[b].setdefault(a, []).append(link.link_id)
+        self._compiled = None
         return link
 
     def link(self, link_id: int) -> Link:
@@ -222,6 +245,41 @@ class Topology:
                 if failed_links is None or link_id not in failed_links:
                     result.append(self._links[link_id])
         return result
+
+    def compiled(self) -> CompiledTopology:
+        """The integer form of the graph, built on first use.
+
+        Shared by every caller until the next :meth:`add_node` /
+        :meth:`add_link`, which drop it — a holder that keeps the returned
+        object can tell a mutated topology by ``compiled() is not`` its copy.
+        """
+        compiled = self._compiled
+        if compiled is None:
+            index = {name: position for position, name in enumerate(self._nodes)}
+            edges = []
+            for name in self._nodes:
+                row = []
+                for link in self.edges(name):
+                    neighbor = link.other(name)
+                    row.append(
+                        (
+                            index[neighbor],
+                            link.weight_from(name),
+                            link.weight_from(neighbor),
+                            link.link_id,
+                        )
+                    )
+                edges.append(tuple(row))
+            compiled = self._compiled = CompiledTopology(
+                names=tuple(self._nodes),
+                index=index,
+                edges=tuple(edges),
+                links=tuple(
+                    (link.link_id, index[link.a], index[link.b], link.weight_ab, link.weight_ba)
+                    for link in self.links
+                ),
+            )
+        return compiled
 
     @property
     def link_count(self) -> int:

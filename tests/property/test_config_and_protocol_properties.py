@@ -2,7 +2,9 @@
 
 Prefix lists and route maps implement the "first matching clause decides,
 implicit deny at the end" semantics of real routers; the OSPF computation must
-agree with plain Dijkstra on symmetric-weight topologies.
+agree with plain Dijkstra on symmetric-weight topologies, and — compiled graph,
+integer kernel and failure-delta path together — with the name-keyed reference
+in ``tests/oracles`` on every table field.
 """
 
 import random
@@ -10,11 +12,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config.objects import PrefixList, PrefixListEntry
-from repro.config.builder import ospf_everywhere
+from repro.config.objects import NetworkConfig, OspfInterface, PrefixList, PrefixListEntry
+from repro.config.builder import ConfigBuilder, ospf_everywhere
 from repro.netaddr import MAX_IPV4, Prefix
 from repro.protocols.ospf import OspfComputation
-from repro.topology import Topology, grid, ring
+from repro.topology import Topology, fat_tree, grid, ring
+from tests.oracles.ospf_reference import reference_compute
 
 
 def aligned_prefix(network: int, length: int) -> Prefix:
@@ -143,3 +146,191 @@ class TestOspfProperties:
                 assert failed.b not in table.next_hops[node] or len(
                     topology.links_between(failed.a, failed.b)
                 ) > 1
+
+
+# --------------------------------------------------------------------------- compiled ospf
+def _random_ospf_network(rng: random.Random) -> NetworkConfig:
+    """A small network exercising every input the compiled graph resolves:
+    random and asymmetric weights, parallel links, non-OSPF devices, passive
+    interfaces and interface cost overrides (now and then a zero cost, which
+    takes the delta path out of play)."""
+    shape = rng.choice(["ring", "grid", "fat_tree", "random"])
+    if shape == "ring":
+        skeleton = [(link.a, link.b) for link in ring(rng.randint(3, 8)).links]
+    elif shape == "grid":
+        skeleton = [(link.a, link.b) for link in grid(rng.randint(2, 4), rng.randint(2, 4)).links]
+    elif shape == "fat_tree":
+        skeleton = [(link.a, link.b) for link in fat_tree(4).links]
+    else:
+        size = rng.randint(3, 9)
+        pool = [f"n{i}" for i in range(size)]
+        skeleton = [tuple(rng.sample(pool, 2)) for _ in range(rng.randint(size - 1, 2 * size))]
+    topology = Topology(f"{shape}-{rng.random():.6f}")
+    names = sorted({end for pair in skeleton for end in pair})
+    rng.shuffle(names)  # insertion order is not name order
+    for name in names:
+        topology.add_node(name)
+    for a, b in skeleton:
+        for _ in range(2 if rng.random() < 0.15 else 1):  # parallel links
+            weight = rng.randint(1, 6)
+            topology.add_link(a, b, weight=weight, weight_ba=rng.choice([None, rng.randint(1, 6)]))
+    builder = ConfigBuilder(topology)
+    for name in topology.nodes:
+        if rng.random() < 0.12:
+            continue  # does not speak OSPF
+        builder.enable_ospf(name)
+        interfaces = builder.device(name).ospf.interfaces
+        for neighbor in topology.neighbors(name):
+            roll = rng.random()
+            if roll < 0.06:
+                interfaces[neighbor] = OspfInterface(neighbor=neighbor, passive=True)
+            elif roll < 0.2:
+                cost = 0 if rng.random() < 0.05 else rng.randint(1, 9)
+                interfaces[neighbor] = OspfInterface(neighbor=neighbor, cost=cost)
+    return builder.build(validate=False)
+
+
+def _assert_same_table(table, reference):
+    assert table.distances == reference.distances
+    assert table.next_hops == reference.next_hops
+    assert table.chosen_origin == reference.chosen_origin
+    assert table.deterministic_order == reference.deterministic_order
+
+
+class TestCompiledOspfAgainstReference:
+    @given(st.integers(0, 2 ** 32))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_every_table_field_equals_the_reference(self, seed):
+        rng = random.Random(seed)
+        network = _random_ospf_network(rng)
+        topology = network.topology
+        link_ids = [link.link_id for link in topology.links]
+        computation = OspfComputation(network)
+        # Several requests against one computation, so tables under failures
+        # are derived from (and cached beside) a failure-free run that other
+        # requests also use, in whatever order the draw produces.
+        for _ in range(6):
+            origins = rng.sample(topology.nodes, rng.randint(1, min(3, len(topology.nodes))))
+            failed = set(rng.sample(link_ids, rng.randint(0, min(3, len(link_ids)))))
+            table = computation.compute(origins, failed)
+            _assert_same_table(table, reference_compute(network, origins, failed))
+        # A kernel run also keeps the reference's dict order (discovery order).
+        fresh = OspfComputation(network).compute(origins)
+        assert list(fresh.distances) == list(reference_compute(network, origins).distances)
+
+    def test_every_single_link_failure_of_a_fat_tree(self):
+        network = ospf_everywhere(fat_tree(4))
+        computation = OspfComputation(network)
+        for origins in (["edge0_0"], ["edge0_0", "edge2_1"], ["core0", "agg1_0", "edge3_1"]):
+            for link in network.topology.links:
+                table = computation.compute(origins, {link.link_id})
+                _assert_same_table(table, reference_compute(network, origins, {link.link_id}))
+
+
+def _weighted(name, *links):
+    """A topology from ``(a, b, weight)`` triples."""
+    topology = Topology(name)
+    for a, b, _ in links:
+        for end in (a, b):
+            if end not in topology:
+                topology.add_node(end)
+    ids = [topology.add_link(a, b, weight=weight).link_id for a, b, weight in links]
+    return ospf_everywhere(topology, originate_roles=()), ids
+
+
+class TestFailureDeltaBranches:
+    """One directed case per branch of the failure-delta path, asserting the
+    branch taken (which field objects are shared), not just the result."""
+
+    def test_link_off_the_shortest_paths_returns_the_failure_free_table(self):
+        network, (_, _, detour) = _weighted(
+            "triangle", ("r0", "r1", 1), ("r1", "r2", 1), ("r0", "r2", 5)
+        )
+        computation = OspfComputation(network)
+        base = computation.compute(["r0"])
+        table = computation.compute(["r0"], {detour})
+        assert table is base
+        _assert_same_table(table, reference_compute(network, ["r0"], {detour}))
+
+    def test_one_of_two_parallel_links_returns_the_failure_free_table(self):
+        network, (first, second, _) = _weighted(
+            "parallel", ("r0", "r1", 2), ("r0", "r1", 2), ("r1", "r2", 1)
+        )
+        computation = OspfComputation(network)
+        base = computation.compute(["r0"])
+        assert computation.compute(["r0"], {first}) is base
+        both = computation.compute(["r0"], {first, second})
+        assert both.distances == {"r0": 0.0}
+        _assert_same_table(both, reference_compute(network, ["r0"], {first, second}))
+
+    def test_surviving_ecmp_sibling_patches_one_next_hops_entry(self):
+        network, (_, _, via_r1, _) = _weighted(
+            "square", ("r0", "r1", 1), ("r0", "r2", 1), ("r1", "r3", 1), ("r2", "r3", 1)
+        )
+        computation = OspfComputation(network)
+        base = computation.compute(["r0"])
+        assert base.next_hops["r3"] == ("r1", "r2")
+        table = computation.compute(["r0"], {via_r1})
+        assert table.distances is base.distances
+        assert table.chosen_origin is base.chosen_origin
+        assert table.deterministic_order is base.deterministic_order
+        assert table.next_hops is not base.next_hops
+        assert {n for n in base.next_hops if table.next_hops[n] != base.next_hops[n]} == {"r3"}
+        assert table.next_hops["r3"] == ("r2",)
+        assert base.next_hops["r3"] == ("r1", "r2")  # the shared base is not written to
+        _assert_same_table(table, reference_compute(network, ["r0"], {via_r1}))
+
+    def test_losing_the_last_shortest_path_next_hop_resettles_the_cut_off_region(self):
+        network, (direct, _, _, tail) = _weighted(
+            "kite", ("r0", "r1", 1), ("r1", "r2", 1), ("r0", "r2", 5), ("r2", "r3", 1)
+        )
+        computation = OspfComputation(network)
+        base = computation.compute(["r0"])
+        table = computation.compute(["r0"], {direct})
+        # r1 is cut off from its one-hop path; r2 and r3 behind it move too.
+        assert table.distances is not base.distances
+        assert table.distances == {"r0": 0.0, "r1": 6.0, "r2": 5.0, "r3": 6.0}
+        assert table.next_hops == {"r0": (), "r1": ("r2",), "r2": ("r0",), "r3": ("r2",)}
+        assert table.deterministic_order == ("r0", "r2", "r1", "r3")
+        assert table.chosen_origin is base.chosen_origin  # one origin, nobody unreachable
+        assert base.distances["r1"] == 1.0  # the shared base is not written to
+        _assert_same_table(table, reference_compute(network, ["r0"], {direct}))
+        # Partitioned away, r3 leaves every field.
+        alone = computation.compute(["r0"], {tail})
+        assert "r3" not in alone.distances and "r3" not in alone.next_hops
+        assert "r3" not in alone.chosen_origin and "r3" not in alone.deterministic_order
+        assert "r3" in base.chosen_origin
+        _assert_same_table(alone, reference_compute(network, ["r0"], {tail}))
+
+    def test_cut_off_region_under_anycast_origins_reruns_the_kernel(self):
+        network, (direct, _, _) = _weighted(
+            "chain", ("r0", "r1", 1), ("r1", "r2", 1), ("r2", "r3", 1)
+        )
+        computation = OspfComputation(network)
+        base = computation.compute(["r0", "r3"])
+        assert base.chosen_origin == {"r0": "r0", "r3": "r3", "r1": "r0", "r2": "r3"}
+        table = computation.compute(["r0", "r3"], {direct})
+        assert table.chosen_origin["r1"] == "r3"
+        assert table.distances["r1"] == 2.0
+        _assert_same_table(table, reference_compute(network, ["r0", "r3"], {direct}))
+
+    def test_sibling_towards_another_origin_reruns_the_kernel(self):
+        # r3 is equidistant from the origins r1 and r2 and picks the lower
+        # name; without its link to r1 it keeps a next hop but changes origin.
+        network, (via_r1, _) = _weighted("fork", ("r1", "r3", 1), ("r2", "r3", 1))
+        computation = OspfComputation(network)
+        base = computation.compute(["r1", "r2"])
+        assert base.chosen_origin["r3"] == "r1"
+        table = computation.compute(["r1", "r2"], {via_r1})
+        assert table.chosen_origin is not base.chosen_origin
+        assert table.chosen_origin["r3"] == "r2"
+        _assert_same_table(table, reference_compute(network, ["r1", "r2"], {via_r1}))
+
+    def test_topology_grown_after_compilation_is_recompiled(self):
+        network, _ = _weighted("chain", ("r0", "r1", 1))
+        computation = OspfComputation(network)
+        assert "r2" not in computation.compute(["r0"]).distances
+        network.topology.add_node("r2")
+        network.set_device(ConfigBuilder(network.topology).enable_ospf("r2").device("r2"))
+        network.topology.add_link("r1", "r2", weight=3)
+        assert computation.compute(["r0"]).distances["r2"] == 4.0

@@ -7,16 +7,24 @@ scenarios, never invent ones that full enumeration would not contain.
 """
 
 import itertools
+import os
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.sat import CnfFormula, SatResult, SatSolver
 from repro.topology import (
+    DeviceEquivalence,
     enumerate_failure_scenarios,
     fat_tree,
+    load_topology,
     reduced_failure_scenarios,
     ring,
+)
+from tests.oracles.ospf_reference import (
+    reference_device_classes,
+    reference_reduced_failure_scenarios,
 )
 
 
@@ -148,3 +156,71 @@ class TestFailureScenarioProperties:
         # Marking a node as interesting can only preserve or increase the
         # number of distinguishable link classes.
         assert len(reduced_marked) >= len(reduced_plain)
+
+
+# --------------------------------------------------------------------------- LEC pin
+_CAMPUS = os.path.join(
+    os.path.dirname(__file__), os.pardir, os.pardir, "examples", "configs", "campus.topo"
+)
+
+
+def _coloured_fat_tree():
+    topology = fat_tree(4)
+    colors = {"edge0_0": "origin", "edge1_1": ("rack", 1)}
+    return topology, colors, ["core0", "agg2_1"]
+
+
+_LEC_CASES = {
+    "fat_tree_4": lambda: (fat_tree(4), None, None),
+    "fat_tree_6": lambda: (fat_tree(6), None, None),
+    "ring_6": lambda: (ring(6), None, None),
+    "campus": lambda: (load_topology(_CAMPUS), None, None),
+    "coloured_interesting": _coloured_fat_tree,
+}
+
+
+class TestLecPin:
+    """The compiled-adjacency refinement is pinned to the reference refiner
+    (``tests/oracles``): same DEC numbering, same scenarios in the same order."""
+
+    @pytest.mark.parametrize("case", sorted(_LEC_CASES))
+    def test_device_classes_equal_reference(self, case):
+        topology, colors, _interesting = _LEC_CASES[case]()
+        equivalence = DeviceEquivalence(topology, colors)
+        assert equivalence.device_classes == reference_device_classes(topology, colors)
+        some_link = topology.links[len(topology.links) // 2].link_id
+        failed = DeviceEquivalence(topology, colors, failed_links={some_link})
+        assert failed.device_classes == reference_device_classes(topology, colors, {some_link})
+
+    @pytest.mark.parametrize("max_failures", [1, 2])
+    @pytest.mark.parametrize("case", sorted(_LEC_CASES))
+    def test_reduced_scenarios_equal_reference(self, case, max_failures):
+        topology, colors, interesting = _LEC_CASES[case]()
+        reduced = reduced_failure_scenarios(
+            topology, max_failures, colors=colors, interesting_nodes=interesting
+        )
+        assert [s.failed_links for s in reduced] == reference_reduced_failure_scenarios(
+            topology, max_failures, colors, interesting
+        )
+
+    def test_fat_tree_4_single_failure_literal(self):
+        # Captured on the commit before the compiled refinement.  Uncoloured
+        # k=4 has one LEC per tier pair: the representatives are the first
+        # edge-aggregation link and the first aggregation-core link.
+        topology = fat_tree(4)
+        reduced = reduced_failure_scenarios(topology, 1)
+        assert [s.failed_links for s in reduced] == [(), (0,), (4,)]
+        assert (topology.link(0).a, topology.link(0).b) == ("agg0_0", "edge0_0")
+        assert (topology.link(4).a, topology.link(4).b) == ("agg0_0", "core0")
+        both = reduced_failure_scenarios(ring(6), 2)
+        assert [s.failed_links for s in both] == [(), (0,), (0, 1), (0, 2), (0, 3)]
+
+    def test_mutated_topology_is_recompiled(self):
+        topology = ring(4)
+        before = DeviceEquivalence(topology).device_classes
+        assert len(set(before.values())) == 1
+        topology.add_node("stub")
+        topology.add_link("stub", "r0")
+        after = DeviceEquivalence(topology).device_classes
+        assert after == reference_device_classes(topology)
+        assert len(set(after.values())) > 1

@@ -6,6 +6,7 @@ from repro.config import ConfigBuilder, NetworkConfig, ospf_everywhere
 from repro.config.objects import (
     BgpNeighbor,
     MatchConditions,
+    OspfInterface,
     PrefixList,
     RouteMap,
     RouteMapClause,
@@ -80,6 +81,21 @@ class TestOspfComputation:
         assert first is second
         computation.clear_cache()
         assert computation.compute(["r0"]) is not first
+
+        # clear_cache drops everything derived from the configs: after an
+        # interface-cost change neither the SPF tables nor the edge costs
+        # handed to the next OSPF instance may be the old ones.
+        before = build_ospf_instance(network, Prefix("10.0.0.0/24"), computation=computation)
+        route = before.advertisement("r1", "r0", before.origin_route("r0"))
+        assert route.igp_cost == 1
+        assert computation.compute(["r0"]).distances["r1"] == 1
+        network.device("r1").ospf.interfaces["r0"] = OspfInterface(neighbor="r0", cost=7)
+        computation.clear_cache()
+        after = build_ospf_instance(network, Prefix("10.0.0.0/24"), computation=computation)
+        assert after.advertisement("r1", "r0", after.origin_route("r0")).igp_cost == 7
+        # r1 now reaches r0 the long way round the ring (3 hops of cost 1).
+        assert computation.compute(["r0"]).distances["r1"] == 3
+        assert computation.compute(["r0"]).next_hops["r1"] == ("r2",)
 
     def test_passive_interface_blocks_adjacency(self):
         topo = linear_chain(3)

@@ -9,7 +9,6 @@ kind of rows so the qualitative shape (who wins, how it scales) can be
 compared directly.
 """
 
-import json
 import os
 import sys
 
@@ -19,33 +18,10 @@ if _SRC not in sys.path:
 
 import pytest
 
-#: The PR-over-PR throughput trend file the non-gating CI bench job emits.
-BENCH_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_explorer.json")
-
 
 def report(figure: str, row: str) -> None:
     """Print one row of a reproduced table/figure (shown with --capture=no)."""
     print(f"[{figure}] {row}")
-
-
-def merge_bench_rows(rows: dict) -> None:
-    """Update ``BENCH_explorer.json`` in place, keeping other emitters' rows.
-
-    Several benchmarks contribute rows to the same trend file (explorer
-    throughput, transient-exploration throughput), so each one
-    read-modify-writes instead of clobbering the file.
-    """
-    existing = {}
-    if os.path.exists(BENCH_PATH):
-        try:
-            with open(BENCH_PATH, "r", encoding="utf-8") as handle:
-                existing = json.load(handle)
-        except (OSError, ValueError):
-            existing = {}
-    existing.update(rows)
-    with open(BENCH_PATH, "w", encoding="utf-8") as handle:
-        json.dump(existing, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 @pytest.fixture
@@ -53,8 +29,3 @@ def reporter():
     """Fixture handing benchmarks the row printer."""
     return report
 
-
-@pytest.fixture
-def bench_json():
-    """Fixture handing benchmarks the BENCH_explorer.json row merger."""
-    return merge_bench_rows

@@ -67,59 +67,6 @@ def test_minesweeper_loop_check_smallest(benchmark, reporter, variant):
     assert result.holds == (variant == "pass")
 
 
-def _explorer_bench_row(k, variant):
-    """Run the fig7a workload through the explicit-state explorer (serial).
-
-    ``fast_ospf=False`` forces every PEC through the model checker — the
-    same states the paper's prototype explores — so the row measures raw
-    explorer throughput rather than the cached-SPF shortcut.
-    """
-    network = _network(k, induce_loop=variant == "fail")
-    options = PlanktonOptions(
-        fast_ospf=False, stop_at_first_violation=False, backend="serial"
-    )
-    started = time.perf_counter()
-    result = Plankton(network, options).verify(LoopFreedom())
-    elapsed = time.perf_counter() - started
-    stats = [run.statistics for run in result.pec_runs if run.statistics is not None]
-    return {
-        "workload": f"fat-tree k={k} ({len(network.topology)} devices), loop policy, {variant}",
-        "backend": "serial",
-        "holds": result.holds,
-        "states_expanded": result.total_states_expanded,
-        "unique_states": result.total_unique_states,
-        "unique_terminal_states": sum(s.unique_terminal_states for s in stats),
-        "violations": len(result.violations),
-        "elapsed_seconds": round(elapsed, 4),
-        "states_per_second": round(result.total_states_expanded / max(elapsed, 1e-9), 1),
-        "peak_approximate_memory_bytes": max(
-            (s.approximate_memory_bytes for s in stats), default=0
-        ),
-        "total_approximate_memory_bytes": result.approximate_memory_bytes,
-    }
-
-
-def test_bench_explorer_json(reporter, bench_json):
-    """Emit BENCH_explorer.json so explorer throughput is tracked PR-over-PR."""
-    rows = {
-        "fig7a_k6_pass": _explorer_bench_row(6, "pass"),
-        "fig7a_k4_fail": _explorer_bench_row(4, "fail"),
-    }
-    bench_json(rows)
-    for name, row in rows.items():
-        reporter(
-            "bench",
-            f"{name}: {row['states_per_second']:.0f} states/s "
-            f"({row['states_expanded']} expanded, {row['unique_states']} unique, "
-            f"{row['violations']} violation(s), "
-            f"mem~{row['peak_approximate_memory_bytes'] // 1024}KiB peak)",
-        )
-    assert rows["fig7a_k6_pass"]["holds"]
-    assert not rows["fig7a_k4_fail"]["holds"]
-    # The explorer dedupes states exactly: every expansion is a unique state.
-    assert rows["fig7a_k6_pass"]["unique_states"] == rows["fig7a_k6_pass"]["states_expanded"]
-
-
 def _recorded_k6_updates():
     """Run fig7a k=6 pass and capture the explorer's real ``with_best`` stream.
 
@@ -193,9 +140,8 @@ def test_arraycore_state_core_floor(reporter):
     executes: the array-native core vs the retained naive rebuild oracle
     (dict rebuild + from-scratch path-keyed fingerprint fold), with the two
     replays required to produce bit-identical states and dedup behaviour.
-    Measured ~10x on an idle container; 3x leaves noise headroom.  The
-    absolute end-to-end throughput stays visible (non-gating) in the
-    ``fig7a_k6_arraycore`` row of BENCH_explorer.json.
+    Measured ~10x on an idle container; 3x leaves noise headroom.  Absolute
+    end-to-end time is the repo benchmark's job (``perf/``, ``ospf_mc_k14``).
     """
     result, updates = _recorded_k6_updates()
     assert result.holds and result.total_states_expanded == 810
@@ -221,42 +167,6 @@ def test_arraycore_state_core_floor(reporter):
         f"ratio={ratio:.1f}x (floor 3.0x)",
     )
     assert ratio >= 3.0
-
-
-def test_bench_arraycore_json(reporter, bench_json):
-    """Emit the fig7a_k6_arraycore row: absolute end-to-end throughput next
-    to the seed's committed reference, plus the gated state-core ratio."""
-    result, updates = _recorded_k6_updates()
-    names = sorted({node for node, _route in updates})
-    fast_best = min(_replay_array_core(names, updates)[0] for _ in range(3))
-    naive_best = min(_replay_naive_oracle(names, updates)[0] for _ in range(3))
-    stats = [run.statistics for run in result.pec_runs if run.statistics is not None]
-    elapsed = result.elapsed_seconds
-    row = {
-        "workload": (
-            "fat-tree k=6 (45 devices), loop policy, pass — array-native "
-            "interned state core (flat id arrays + per-PEC RouteInternTable)"
-        ),
-        "holds": result.holds,
-        "states_expanded": result.total_states_expanded,
-        "elapsed_seconds": round(elapsed, 4),
-        "states_per_second": round(result.total_states_expanded / max(elapsed, 1e-9), 1),
-        "seed_states_per_second": 6551.3,
-        "state_core_replay_seconds": round(fast_best, 5),
-        "naive_rebuild_replay_seconds": round(naive_best, 5),
-        "state_core_ratio": round(naive_best / max(fast_best, 1e-9), 1),
-        "peak_approximate_memory_bytes": max(
-            (s.approximate_memory_bytes for s in stats), default=0
-        ),
-    }
-    bench_json({"fig7a_k6_arraycore": row})
-    reporter(
-        "bench",
-        f"fig7a_k6_arraycore: {row['states_per_second']:.0f} states/s end-to-end "
-        f"(seed ref {row['seed_states_per_second']:.0f}), "
-        f"state-core ratio {row['state_core_ratio']:.1f}x vs naive rebuild",
-    )
-    assert result.holds
 
 
 def test_speedup_summary(reporter):

@@ -8,32 +8,24 @@ family scales over:
 
 * the persistent :class:`SpvpState` rebuild (PR 3) replaced the
   per-successor ``copy.deepcopy`` + full-state signature hashing with derived
-  child states and incremental Zobrist fingerprints (``transient_fig7a_k4``
-  row, states/second vs the deepcopy baseline);
+  child states and incremental Zobrist fingerprints;
 * the partial-order reduction (`repro.modelcheck.por`) explores one
-  representative per equivalence class of commuting deliveries
-  (``transient_fig7a_k4_por`` row, states explored vs ``por="full"`` over
-  the *complete* depth-8 interleaving slice — which the reduced search
-  finishes un-truncated at a fraction of the states);
+  representative per equivalence class of commuting deliveries (states
+  explored vs ``por="full"`` over a *complete* interleaving slice — which
+  the reduced search finishes un-truncated at a fraction of the states);
 * the rank-bound session-immunity refinement of the ample selection (PR 6)
   prunes activity-closure edges whose static per-session rank bound proves
-  the receiver's best path cannot be dislodged
-  (``transient_fig7a_k4_rankpor`` row, ample with vs without the refinement
-  on the same depth-8 slice).
+  the receiver's best path cannot be dislodged (ample with vs without the
+  refinement on the same slice).
 
-The gating tests assert *equivalence* (the incremental exploration is
+The tests assert *equivalence* (the incremental exploration is
 bit-identical to the deepcopy baseline in ``por="full"`` mode) and the
-*reduction floors* (the ample/sleep reduction explores >=5x fewer states,
-and rank immunity a further >=2x fewer, at identical verdicts on a smaller
-slice of the same workload).  The throughput rows live in
-``test_bench_transient_json`` / ``test_bench_transient_por_json`` /
-``test_bench_transient_rankpor_json`` /
-``test_bench_transient_scenarios_json`` (the lifecycle-scenario enumerator's
-symmetry reduction and the cost of exploring the reduced k=1 campaign,
-``transient_fig7a_k4_scenarios`` row), which the gating matrix deselects the
-same way it deselects the explorer throughput row; the non-gating CI bench
-job runs them and merges the rows into ``BENCH_explorer.json`` via
-``benchmarks/conftest.py::merge_bench_rows``.
+*reduction floors*, as in-process ratios of state counts (the ample/sleep
+reduction explores >=5x fewer states, rank immunity a further >=2x fewer, the
+lifecycle-scenario enumerator emits at most half the brute-force universe, at
+identical verdicts on a depth-6 slice of the same workload).  Wall-clock
+throughput of the transient model is measured by the repo benchmark
+(``perf/``, workload ``transient_k6_d6``), not here.
 """
 
 from repro.config import ebgp_rfc7938
@@ -92,8 +84,7 @@ def test_transient_explorer_matches_deepcopy_baseline(reporter):
 def test_transient_por_reduction_floor(reporter):
     """Gating: the ample/sleep reduction explores >=5x fewer states than the
     unreduced search over a complete interleaving slice, at identical
-    verdicts (depth 6 keeps this cheap enough for the gating matrix; the
-    bench row measures the full fig7a depth-8 slice)."""
+    verdicts (depth 6 keeps this cheap enough for the gating matrix)."""
     instance = _fig7a_style_instance()
     budget = 500_000  # large enough that neither search truncates
     reduced = _explore(TransientAnalyzer, instance, budget, max_depth=6, por="ample")
@@ -113,7 +104,7 @@ def test_rank_immunity_reduction_floor(reporter):
     """Gating: the rank-bound session-immunity refinement shrinks the ample
     reduction further on the eBGP workload, at identical verdicts — both
     against the unrefined ample mode and against the unreduced oracle
-    (depth 6 keeps this cheap; the bench row measures the depth-8 slice)."""
+    (depth 6 keeps this cheap)."""
     instance = _fig7a_style_instance()
     budget = 500_000  # large enough that no search truncates
     refined = _explore(TransientAnalyzer, instance, budget, max_depth=6, por="ample")
@@ -135,95 +126,6 @@ def test_rank_immunity_reduction_floor(reporter):
         f"immune session skips, identical verdicts",
     )
     assert ratio >= 2.0
-
-
-def test_bench_transient_json(reporter, bench_json):
-    """Emit the transient-exploration throughput row (non-gating bench job).
-
-    ``por="full"`` keeps this row comparable PR-over-PR: it measures the raw
-    per-state cost of the persistent representation against the deepcopy
-    baseline at the historic 500-state budget.
-    """
-    instance = _fig7a_style_instance()
-    budget = 500
-    fast = _explore(TransientAnalyzer, instance, budget)
-    naive = _explore(NaiveTransientAnalyzer, instance, budget)
-    assert fast.stats_signature() == naive.stats_signature()
-
-    fast_rate = fast.states_explored / max(fast.elapsed_seconds, 1e-9)
-    naive_rate = naive.states_explored / max(naive.elapsed_seconds, 1e-9)
-    speedup = fast_rate / max(naive_rate, 1e-9)
-    row = {
-        "workload": (
-            "transient SPVP exploration, fat-tree k=4 eBGP instance "
-            f"(20 devices), loop property, {budget} states / depth 8, por=full"
-        ),
-        "states_explored": fast.states_explored,
-        "converged_states": fast.converged_states,
-        "max_depth_reached": fast.max_depth_reached,
-        "truncated": fast.truncated,
-        "violations": len(fast.violations),
-        "elapsed_seconds": round(fast.elapsed_seconds, 4),
-        "states_per_second": round(fast_rate, 1),
-        "deepcopy_elapsed_seconds": round(naive.elapsed_seconds, 4),
-        "deepcopy_states_per_second": round(naive_rate, 1),
-        "speedup_vs_deepcopy": round(speedup, 1),
-    }
-    bench_json({"transient_fig7a_k4": row})
-    reporter(
-        "bench",
-        f"transient_fig7a_k4: {fast_rate:.0f} states/s incremental vs "
-        f"{naive_rate:.0f} states/s deepcopy ({speedup:.0f}x), "
-        f"{fast.states_explored} states, {fast.converged_states} converged",
-    )
-    # The acceptance floor for the rebuild; actual margin is far larger.
-    assert speedup >= 5.0
-
-
-def test_bench_transient_por_json(reporter, bench_json):
-    """Emit the partial-order-reduction row (non-gating bench job).
-
-    Both searches run the *complete* depth-8 interleaving slice of the fig7a
-    workload — the slice the historic 500-state budget always truncated —
-    and the row records the states-explored reduction ratio of ``por="ample"``
-    against the unreduced ``por="full"`` exploration.
-    """
-    instance = _fig7a_style_instance()
-    budget = 500_000  # large enough that neither search truncates
-    reduced = _explore(TransientAnalyzer, instance, budget, por="ample")
-    full = _explore(TransientAnalyzer, instance, budget, por="full")
-    assert not reduced.truncated and not full.truncated
-    assert reduced.holds == full.holds
-    ratio = full.states_explored / max(reduced.states_explored, 1)
-    rate = reduced.states_explored / max(reduced.elapsed_seconds, 1e-9)
-    stats = reduced.reduction
-    row = {
-        "workload": (
-            "transient SPVP exploration with partial-order reduction, "
-            "fat-tree k=4 eBGP instance (20 devices), loop property, "
-            "complete depth-8 slice, por=ample vs por=full"
-        ),
-        "states_explored": reduced.states_explored,
-        "full_states_explored": full.states_explored,
-        "state_reduction_ratio": round(ratio, 1),
-        "truncated": reduced.truncated,
-        "converged_states": reduced.converged_states,
-        "violations": len(reduced.violations),
-        "elapsed_seconds": round(reduced.elapsed_seconds, 4),
-        "full_elapsed_seconds": round(full.elapsed_seconds, 4),
-        "states_per_second": round(rate, 1),
-        "transitions_slept": stats.transitions_slept,
-        "transition_reduction_ratio": round(stats.transition_reduction_ratio(), 2),
-    }
-    bench_json({"transient_fig7a_k4_por": row})
-    reporter(
-        "bench",
-        f"transient_fig7a_k4_por: {reduced.states_explored} vs "
-        f"{full.states_explored} states ({ratio:.1f}x reduction), "
-        f"complete depth-8 slice un-truncated, identical verdicts",
-    )
-    # The acceptance floor for the reduction; actual margin is ~8x.
-    assert ratio >= 5.0
 
 
 def _fig7a_network_and_pec():
@@ -253,132 +155,4 @@ def test_scenario_enumeration_reduction_floor(reporter):
         f"scenarios: {ledger.emitted} emitted vs {ledger.brute} brute "
         f"({ratio:.1f}x) for k=1 lifecycle events on the fat-tree k=4 fabric",
     )
-    assert ratio >= 2.0
-
-
-def test_bench_transient_scenarios_json(reporter, bench_json):
-    """Emit the lifecycle-scenario campaign row (non-gating bench job).
-
-    Measures the scenario enumerator's symmetry/LEC reduction on the fig7a
-    fabric (k=1 over the full event vocabulary, k=2 over crash/drain) and
-    the cost of actually exploring the reduced k=1 campaign with the ample
-    reduction over the depth-6 slice.
-    """
-    from repro.engine.graph import event_scenarios_for_pec
-    from repro.scenarios import ScenarioLedger, brute_event_scenarios
-    from repro.transient import TransientOptions
-
-    network, pec = _fig7a_network_and_pec()
-    instance = _fig7a_style_instance()
-
-    k1_ledger = ScenarioLedger()
-    k1 = event_scenarios_for_pec(
-        network, pec, TransientOptions(scenario_events=1), ledger=k1_ledger
-    )
-    k1_ratio = k1_ledger.brute / max(k1_ledger.emitted, 1)
-
-    k2_ledger = ScenarioLedger()
-    event_scenarios_for_pec(
-        network,
-        pec,
-        TransientOptions(scenario_events=2, scenario_kinds=("crash", "drain")),
-        ledger=k2_ledger,
-    )
-    k2_ratio = k2_ledger.brute / max(k2_ledger.emitted, 1)
-    assert k2_ledger.brute == len(
-        brute_event_scenarios(network.topology, 2, ("crash", "drain"))
-    )
-
-    states = violations = 0
-    elapsed = 0.0
-    for scenario in k1:
-        result = TransientAnalyzer(
-            instance,
-            max_states=500_000,
-            max_depth=6,
-            stop_at_first_violation=False,
-            por="ample",
-        ).analyze(
-            [TransientLoopFreedom(ignore_converged=True)], initial_events=[scenario]
-        )
-        assert not result.truncated
-        states += result.states_explored
-        violations += len(result.violations)
-        elapsed += result.elapsed_seconds
-
-    row = {
-        "workload": (
-            "lifecycle scenario campaign, fat-tree k=4 eBGP instance "
-            "(20 devices), loop property, k=1 event scenarios explored with "
-            "por=ample over the depth-6 slice"
-        ),
-        "universe": k1_ledger.universe,
-        "brute_scenarios": k1_ledger.brute,
-        "emitted_scenarios": k1_ledger.emitted,
-        "scenario_reduction_ratio": round(k1_ratio, 1),
-        "k2_crash_drain_brute": k2_ledger.brute,
-        "k2_crash_drain_emitted": k2_ledger.emitted,
-        "k2_crash_drain_reduction_ratio": round(k2_ratio, 1),
-        "states_explored_total": states,
-        "violations": violations,
-        "elapsed_seconds": round(elapsed, 4),
-    }
-    bench_json({"transient_fig7a_k4_scenarios": row})
-    reporter(
-        "bench",
-        f"transient_fig7a_k4_scenarios: {k1_ledger.emitted} of "
-        f"{k1_ledger.brute} brute k=1 scenarios explored "
-        f"({k1_ratio:.1f}x reduction; k=2 crash/drain {k2_ratio:.1f}x), "
-        f"{states} states total, {violations} violation(s)",
-    )
-    # The acceptance floor for the scenario reduction on this fabric.
-    assert k1_ratio >= 2.0 and k2_ratio >= 2.0
-
-
-def test_bench_transient_rankpor_json(reporter, bench_json):
-    """Emit the rank-bound session-immunity row (non-gating bench job).
-
-    A/B on the complete depth-8 fig7a slice: the ample reduction *with* the
-    rank-immunity refinement (the default) vs the same reduction with the
-    ``--no-rank-immunity`` escape hatch, at identical verdicts.  The
-    refinement prunes activity-closure edges whose static per-session rank
-    bound proves the receiver's best cannot be dislodged, so the reduced
-    graph collapses further (measured 17,488 -> 295 states on this slice).
-    """
-    instance = _fig7a_style_instance()
-    budget = 500_000  # large enough that neither search truncates
-    refined = _explore(TransientAnalyzer, instance, budget, por="ample")
-    plain = _explore(
-        TransientAnalyzer, instance, budget, por="ample", rank_immunity=False
-    )
-    assert not refined.truncated and not plain.truncated
-    assert refined.holds == plain.holds
-    ratio = plain.states_explored / max(refined.states_explored, 1)
-    rate = refined.states_explored / max(refined.elapsed_seconds, 1e-9)
-    row = {
-        "workload": (
-            "transient SPVP exploration, ample reduction with rank-bound "
-            "session immunity vs without, fat-tree k=4 eBGP instance "
-            "(20 devices), loop property, complete depth-8 slice"
-        ),
-        "states_explored": refined.states_explored,
-        "no_immunity_states_explored": plain.states_explored,
-        "state_reduction_ratio": round(ratio, 1),
-        "rank_immune_sessions": refined.reduction.rank_immune_sessions,
-        "truncated": refined.truncated,
-        "converged_states": refined.converged_states,
-        "violations": len(refined.violations),
-        "elapsed_seconds": round(refined.elapsed_seconds, 4),
-        "no_immunity_elapsed_seconds": round(plain.elapsed_seconds, 4),
-        "states_per_second": round(rate, 1),
-    }
-    bench_json({"transient_fig7a_k4_rankpor": row})
-    reporter(
-        "bench",
-        f"transient_fig7a_k4_rankpor: {refined.states_explored} vs "
-        f"{plain.states_explored} states ({ratio:.1f}x further reduction), "
-        f"{refined.reduction.rank_immune_sessions} immune session skips, "
-        f"identical verdicts",
-    )
-    # The refinement must keep beating the plain ample reduction outright.
     assert ratio >= 2.0

@@ -1,4 +1,10 @@
-"""Verification results: per-PEC run records and the aggregated verdict."""
+"""Verification results: per-PEC run records and the aggregated verdict.
+
+Every class here carries its canonical document
+(:func:`repro.modelcheck.trail.document`): what the incremental cache stores
+and the result signatures hash.  ``as_dict`` / :mod:`repro.reporting` are the
+public projections.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +13,12 @@ from typing import Dict, List, Optional
 
 from repro.dataplane import DataPlane
 from repro.modelcheck.explorer import ExplorationStatistics
-from repro.modelcheck.trail import Trail
+from repro.modelcheck.trail import Trail, document
 from repro.pec.classes import PacketEquivalenceClass
 from repro.topology.failures import FailureScenario
 
 
+@document(trail=Trail)
 @dataclass
 class Violation:
     """One policy violation: which policy, where, and how to reproduce it."""
@@ -35,6 +42,7 @@ class Violation:
         return "\n".join(lines)
 
 
+@document()
 @dataclass
 class TaskFailure:
     """One engine task that exhausted its retries (the ``errors`` section).
@@ -65,17 +73,20 @@ class TaskFailure:
         )
 
     def as_dict(self) -> Dict[str, object]:
+        """The report form: the canonical document, the failure scenario
+        under the key the violation documents use."""
         return {
-            "task_id": self.task_id,
-            "pec_index": self.pec_index,
-            "failures": self.failure_description,
-            "kind": self.kind,
-            "message": self.message,
-            "attempts": self.attempts,
-            "task_kind": self.task_kind,
+            ("failures" if name == "failure_description" else name): value
+            for name, value in self.to_dict().items()
         }
 
 
+@document(
+    failure=FailureScenario,
+    violations=[Violation],
+    statistics=ExplorationStatistics,
+    data_planes=[DataPlane],
+)
 @dataclass
 class PecRunResult:
     """Outcome of analysing one PEC under one failure scenario."""
@@ -94,6 +105,15 @@ class PecRunResult:
         return not self.violations
 
 
+# ``incremental`` is the serving layer's accounting of how the result was
+# obtained (cold and warm runs of one request differ in it by design).
+@document(
+    omit=("incremental",),
+    policy_names=(list, list),
+    violations=[Violation],
+    pec_runs=[PecRunResult],
+    errors=[TaskFailure],
+)
 @dataclass
 class VerificationResult:
     """The aggregated result of a verification task."""

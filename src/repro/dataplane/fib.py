@@ -14,13 +14,20 @@ combination follows router behaviour:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ReproError
+from repro.modelcheck.trail import document
 from repro.netaddr import AddressRange, Prefix
 from repro.protocols.base import RouteSource
 
 
+@document(
+    prefix=(str, Prefix),
+    next_hops=(list, tuple),
+    source=(attrgetter("name"), RouteSource.__getitem__),
+)
 @dataclass(frozen=True)
 class FibEntry:
     """One FIB entry on one device.
@@ -81,6 +88,25 @@ class Fib:
     def __repr__(self) -> str:
         return f"Fib({self.device!r}, entries={len(self._entries)})"
 
+    def to_dict(self, exclude: FrozenSet[str] = frozenset()) -> Dict[str, object]:
+        """The canonical document: the device and its entries in install order."""
+        return {
+            "device": self.device,
+            "entries": [entry.to_dict(exclude) for entry in self._entries.values()],
+        }
+
+    @classmethod
+    def from_dict(cls, document: Dict[str, object]) -> "Fib":
+        def build(device, entries):  # ** rejects a missing or unknown key
+            fib = cls(device)
+            # Not install(): a stored entry already won its administrative-
+            # distance contest, and the install order is reproduced exactly.
+            for entry in map(FibEntry.from_dict, entries):
+                fib._entries[entry.prefix] = entry
+            return fib
+
+        return build(**document)
+
 
 class DataPlane:
     """A network-wide data plane: one :class:`Fib` per device.
@@ -94,6 +120,7 @@ class DataPlane:
         self.pec_range = pec_range
         #: Free-form annotations recorded by the verifier (failure scenario,
         #: non-deterministic choices taken); consumed by trails and tests.
+        #: Values are JSON-ready (strings today) — they are part of the document.
         self.annotations: Dict[str, object] = {}
 
     def fib(self, device: str) -> Fib:
@@ -145,3 +172,24 @@ class DataPlane:
                     target = "<unresolved>"
                 lines.append(f"  {entry.prefix} -> {target} [{entry.source.name}]")
         return "\n".join(lines)
+
+    def to_dict(self, exclude: FrozenSet[str] = frozenset()) -> Dict[str, object]:
+        """The canonical document; ``fibs`` is a list so the device order
+        survives a sorted-key JSON round trip."""
+        pec_range = self.pec_range
+        return {
+            "pec_range": None if pec_range is None else [pec_range.low, pec_range.high],
+            "annotations": dict(self.annotations),
+            "fibs": [fib.to_dict(exclude) for fib in self.fibs.values()],
+        }
+
+    @classmethod
+    def from_dict(cls, document: Dict[str, object]) -> "DataPlane":
+        def build(pec_range, annotations, fibs):  # ** rejects a missing or unknown key
+            plane = cls((), None if pec_range is None else AddressRange(*pec_range))
+            plane.annotations.update(annotations)
+            for fib in map(Fib.from_dict, fibs):
+                plane.fibs[fib.device] = fib
+            return plane
+
+        return build(**document)

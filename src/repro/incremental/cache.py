@@ -22,10 +22,13 @@ are built with :func:`hashlib.sha256` over canonical ``repr`` strings, never
 Python's salted ``hash``, so they are stable across processes — which is
 what lets a restarted service reload the JSON file and hit warm.
 
-Entries round-trip through JSON: per-PEC task results (run records with
-violations, trails and exploration statistics; converged data planes for
-PECs that downstream PECs consume; transient campaign runs) are encoded by
-the codec functions in this module and rebuilt bit-identically on decode.
+Entries round-trip through JSON: an entry is the list of a PEC's finished
+tasks, each holding the *canonical documents* of its results (run records
+with violations, trails and exploration statistics; converged data planes
+for PECs that downstream PECs consume; transient campaign runs).  The schema
+of those documents lives with the result classes — ``to_dict`` /
+``from_dict``, see :func:`repro.modelcheck.trail.document` — and is the same
+document the result signatures hash; this module only frames them per task.
 
 The on-disk file is **crash-safe and corruption-safe**: writes go through a
 temp-file rename under an advisory file lock (two concurrent writers
@@ -55,18 +58,12 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from repro.config.objects import NetworkConfig
 from repro.core.options import PlanktonOptions
-from repro.core.results import PecRunResult, Violation
+from repro.core.results import PecRunResult
 from repro.core.scheduler import dependency_closure
-from repro.dataplane.fib import DataPlane, FibEntry
+from repro.dataplane.fib import DataPlane
 from repro.incremental.impact import config_slice
-from repro.modelcheck.explorer import ExplorationStatistics
-from repro.modelcheck.por import ReductionStatistics
-from repro.modelcheck.trail import Trail, TrailStep
-from repro.netaddr import AddressRange, Prefix
 from repro.pec.classes import PacketEquivalenceClass
 from repro.pec.dependencies import PecDependencyGraph
-from repro.protocols.base import RouteSource
-from repro.topology.failures import FailureScenario
 
 #: Bump when the entry schema or the fingerprint inputs change shape; old
 #: cache files are discarded wholesale rather than misread.  v2 added the
@@ -76,8 +73,10 @@ from repro.topology.failures import FailureScenario
 #: shape, so v2 transient entries would be misattributed.  v4 gave transient
 #: entries the per-task shape verify entries have (:func:`encode_entry`: a
 #: cached PEC of either kind is a list of finished tasks), so v3 transient
-#: entries — one flat run list per PEC — would not decode.
-CACHE_SCHEMA_VERSION = 4
+#: entries — one flat run list per PEC — would not decode.  v5 stores the
+#: result classes' own canonical documents (``to_dict``) in place of this
+#: module's former field-by-field codecs; the key sets differ.
+CACHE_SCHEMA_VERSION = 5
 
 PathLike = Union[str, Path]
 
@@ -153,15 +152,17 @@ def pec_base_fingerprints(
     return composed
 
 
-def _policy_token(policies: Sequence) -> Tuple:
-    """A canonical, process-stable serialisation of the policy list."""
-    tokens: List[Tuple] = []
-    for policy in policies:
-        attributes = tuple(
-            (name, repr(value)) for name, value in sorted(vars(policy).items())
+def _object_tokens(values: Sequence) -> Tuple:
+    """A canonical, process-stable serialisation of a list of policy,
+    transient-property or initial-event objects: class and attributes."""
+    return tuple(
+        (
+            type(value).__module__,
+            type(value).__qualname__,
+            tuple((name, repr(attribute)) for name, attribute in sorted(vars(value).items())),
         )
-        tokens.append((type(policy).__module__, type(policy).__qualname__, attributes))
-    return tuple(tokens)
+        for value in values
+    )
 
 
 def _options_token(options: PlanktonOptions) -> Tuple:
@@ -209,7 +210,7 @@ def verification_fingerprints(
 ) -> Dict[int, str]:
     """The cache keys of one verification request, per PEC index in ``graph``."""
     base = pec_base_fingerprints(network, pecs, dependency_graph)
-    policy_token = _policy_token(policies)
+    policy_token = _object_tokens(policies)
     options_token = _options_token(options)
     shape, has_edges = _graph_shape(graph)
     return {
@@ -230,22 +231,6 @@ def transient_fingerprint(
     :class:`~repro.transient.explorer.TransientTaskConfig`; its properties,
     exploration options and initial events all shape the result.
     """
-    properties = tuple(
-        (
-            type(prop).__module__,
-            type(prop).__qualname__,
-            tuple((name, repr(value)) for name, value in sorted(vars(prop).items())),
-        )
-        for prop in transient_config.properties
-    )
-    events = tuple(
-        (
-            type(event).__module__,
-            type(event).__qualname__,
-            tuple((name, repr(value)) for name, value in sorted(vars(event).items())),
-        )
-        for event in transient_config.initial_events
-    )
     # A campaign stops by its own flag (part of ``transient_options`` below);
     # the engine's converged-state flag has no say in what it produces.
     options = replace(
@@ -264,8 +249,8 @@ def transient_fingerprint(
         (
             "transient",
             base_fingerprint,
-            properties,
-            events,
+            _object_tokens(transient_config.properties),
+            _object_tokens(transient_config.initial_events),
             transient_options,
             _options_token(options),
             task_shape,
@@ -273,273 +258,45 @@ def transient_fingerprint(
     )
 
 
-# --------------------------------------------------------------------------- JSON codecs
-def encode_failure(failure: FailureScenario) -> List[int]:
-    return list(failure.failed_links)
-
-
-def decode_failure(payload: Iterable[int]) -> FailureScenario:
-    return FailureScenario(tuple(payload))
-
-
-def encode_trail(trail: Optional[Trail]) -> Optional[Dict]:
-    if trail is None:
-        return None
-    return {
-        "policy": trail.policy,
-        "pec_description": trail.pec_description,
-        "steps": [[step.kind, step.description] for step in trail.steps],
-        "violation_description": trail.violation_description,
-        "data_plane_dump": trail.data_plane_dump,
-    }
-
-
-def decode_trail(payload: Optional[Dict]) -> Optional[Trail]:
-    if payload is None:
-        return None
-    return Trail(
-        policy=payload["policy"],
-        pec_description=payload["pec_description"],
-        steps=[TrailStep(kind=kind, description=text) for kind, text in payload["steps"]],
-        violation_description=payload["violation_description"],
-        data_plane_dump=payload["data_plane_dump"],
-    )
-
-
-def encode_violation(violation: Violation) -> Dict:
-    return {
-        "policy": violation.policy,
-        "pec_index": violation.pec_index,
-        "pec_description": violation.pec_description,
-        "failure_description": violation.failure_description,
-        "message": violation.message,
-        "trail": encode_trail(violation.trail),
-    }
-
-
-def decode_violation(payload: Dict) -> Violation:
-    return Violation(
-        policy=payload["policy"],
-        pec_index=payload["pec_index"],
-        pec_description=payload["pec_description"],
-        failure_description=payload["failure_description"],
-        message=payload["message"],
-        trail=decode_trail(payload["trail"]),
-    )
-
-
-def encode_reduction(reduction: Optional[ReductionStatistics]) -> Optional[Dict]:
-    if reduction is None:
-        return None
-    return {
-        "mode": reduction.mode,
-        "states_reduced": reduction.states_reduced,
-        "states_full": reduction.states_full,
-        "transitions_enabled": reduction.transitions_enabled,
-        "transitions_expanded": reduction.transitions_expanded,
-        "transitions_slept": reduction.transitions_slept,
-        "sleep_requeues": reduction.sleep_requeues,
-        "sleep_fallbacks": reduction.sleep_fallbacks,
-        "proviso_fallbacks": reduction.proviso_fallbacks,
-        "depth_pruned": reduction.depth_pruned,
-        "rank_immune_sessions": reduction.rank_immune_sessions,
-    }
-
-
-def decode_reduction(payload: Optional[Dict]) -> Optional[ReductionStatistics]:
-    if payload is None:
-        return None
-    return ReductionStatistics(**payload)
-
-
-def encode_statistics(statistics: Optional[ExplorationStatistics]) -> Optional[Dict]:
-    if statistics is None:
-        return None
-    return {
-        "states_expanded": statistics.states_expanded,
-        "unique_states": statistics.unique_states,
-        "transitions": statistics.transitions,
-        "terminal_states": statistics.terminal_states,
-        "unique_terminal_states": statistics.unique_terminal_states,
-        "violations": statistics.violations,
-        "max_depth_reached": statistics.max_depth_reached,
-        "elapsed_seconds": statistics.elapsed_seconds,
-        "visited_bytes": statistics.visited_bytes,
-        "interner_entries": statistics.interner_entries,
-        "interner_bytes": statistics.interner_bytes,
-        "state_bytes": statistics.state_bytes,
-        "truncated": statistics.truncated,
-        "reduction": encode_reduction(statistics.reduction),
-    }
-
-
-def decode_statistics(payload: Optional[Dict]) -> Optional[ExplorationStatistics]:
-    if payload is None:
-        return None
-    payload = dict(payload)
-    payload["reduction"] = decode_reduction(payload.get("reduction"))
-    return ExplorationStatistics(**payload)
-
-
-def encode_data_plane(plane: DataPlane) -> Dict:
-    return {
-        "devices": list(plane.fibs),
-        "pec_range": (
-            [plane.pec_range.low, plane.pec_range.high]
-            if plane.pec_range is not None
-            else None
-        ),
-        "annotations": {key: str(value) for key, value in plane.annotations.items()},
-        "fibs": {
-            device: [
-                {
-                    "prefix": str(entry.prefix),
-                    "next_hops": list(entry.next_hops),
-                    "source": entry.source.name,
-                    "delivers_locally": entry.delivers_locally,
-                    "drop": entry.drop,
-                    "metric": entry.metric,
-                }
-                for entry in fib._entries.values()
-            ]
-            for device, fib in plane.fibs.items()
-        },
-    }
-
-
-def decode_data_plane(payload: Dict) -> DataPlane:
-    pec_range = (
-        AddressRange(payload["pec_range"][0], payload["pec_range"][1])
-        if payload["pec_range"] is not None
-        else None
-    )
-    plane = DataPlane(payload["devices"], pec_range=pec_range)
-    plane.annotations.update(payload["annotations"])
-    for device, entries in payload["fibs"].items():
-        fib = plane.fib(device)
-        for entry in entries:
-            # Bypass Fib.install: cached entries already won their
-            # administrative-distance contest, and install order must be
-            # reproduced exactly.
-            decoded = FibEntry(
-                prefix=Prefix(entry["prefix"]),
-                next_hops=tuple(entry["next_hops"]),
-                source=RouteSource[entry["source"]],
-                delivers_locally=entry["delivers_locally"],
-                drop=entry["drop"],
-                metric=entry["metric"],
-            )
-            fib._entries[decoded.prefix] = decoded
-    return plane
-
-
+# --------------------------------------------------------------------------- entry codec
+# The six run/plane functions below add nothing to the classes' own
+# documents; they are the named call sites of the encode and decode work
+# (the benchmark's tracer wraps them by name).
 def encode_run(run: PecRunResult) -> Dict:
-    return {
-        "pec_index": run.pec_index,
-        "failure": encode_failure(run.failure),
-        "converged_states": run.converged_states,
-        "checked_states": run.checked_states,
-        "suppressed_states": run.suppressed_states,
-        "violations": [encode_violation(violation) for violation in run.violations],
-        "statistics": encode_statistics(run.statistics),
-        "data_planes": [encode_data_plane(plane) for plane in run.data_planes],
-    }
+    return run.to_dict()
 
 
 def decode_run(payload: Dict) -> PecRunResult:
-    return PecRunResult(
-        pec_index=payload["pec_index"],
-        failure=decode_failure(payload["failure"]),
-        converged_states=payload["converged_states"],
-        checked_states=payload["checked_states"],
-        suppressed_states=payload["suppressed_states"],
-        violations=[decode_violation(entry) for entry in payload["violations"]],
-        statistics=decode_statistics(payload["statistics"]),
-        data_planes=[decode_data_plane(entry) for entry in payload["data_planes"]],
-    )
+    return PecRunResult.from_dict(payload)
 
 
-# ------------------------------------------------------------------ transient codecs
-def encode_transient_result(result) -> Dict:
-    """Encode a :class:`~repro.transient.explorer.TransientAnalysisResult`.
-
-    Results carrying converged RPVP states (``collect_converged=True``) are
-    rejected by the service before reaching the cache; plain results are
-    fully JSON-representable.
-    """
-    return {
-        "states_explored": result.states_explored,
-        "converged_states": result.converged_states,
-        "max_depth_reached": result.max_depth_reached,
-        "truncated": result.truncated,
-        "elapsed_seconds": result.elapsed_seconds,
-        "violations": [
-            {
-                "property_name": violation.property_name,
-                "message": violation.message,
-                "depth": violation.depth,
-                "converged": violation.converged,
-                "witness": list(violation.witness),
-            }
-            for violation in result.violations
-        ],
-        "reduction": encode_reduction(result.reduction),
-    }
+def encode_data_plane(plane: DataPlane) -> Dict:
+    return plane.to_dict()
 
 
-def decode_transient_result(payload: Dict):
-    from repro.transient.explorer import TransientAnalysisResult, TransientViolation
-
-    return TransientAnalysisResult(
-        states_explored=payload["states_explored"],
-        converged_states=payload["converged_states"],
-        max_depth_reached=payload["max_depth_reached"],
-        truncated=payload["truncated"],
-        elapsed_seconds=payload["elapsed_seconds"],
-        violations=[
-            TransientViolation(
-                property_name=entry["property_name"],
-                message=entry["message"],
-                depth=entry["depth"],
-                converged=entry["converged"],
-                witness=tuple(entry["witness"]),
-            )
-            for entry in payload["violations"]
-        ],
-        reduction=decode_reduction(payload["reduction"]),
-    )
+def decode_data_plane(payload: Dict) -> DataPlane:
+    return DataPlane.from_dict(payload)
 
 
 def encode_transient_run(run) -> Dict:
-    """Encode a :class:`~repro.transient.explorer.TransientCampaignRun`."""
-    encoded = {
-        "pec_index": run.pec_index,
-        "failure": encode_failure(run.failure),
-        "prefix": run.prefix,
-        "result": encode_transient_result(run.result),
-    }
-    if run.scenario is not None:
-        encoded["scenario"] = run.scenario
-    return encoded
+    """Encode a :class:`~repro.transient.explorer.TransientCampaignRun`.
+
+    Results carrying converged RPVP states (``collect_converged=True``) are
+    rejected by the service before reaching the cache.
+    """
+    return run.to_dict()
 
 
 def decode_transient_run(payload: Dict):
     from repro.transient.explorer import TransientCampaignRun
 
-    return TransientCampaignRun(
-        pec_index=payload["pec_index"],
-        failure=decode_failure(payload["failure"]),
-        prefix=payload["prefix"],
-        result=decode_transient_result(payload["result"]),
-        scenario=payload.get("scenario"),
-    )
+    return TransientCampaignRun.from_dict(payload)
 
 
-# ------------------------------------------------------------------ entry codec
 def encode_entry(kind: str, pec_index: int, tasks: Sequence, results: Sequence) -> Dict:
     """One PEC's cache entry: its tasks of the graph, each with its result.
 
-    ``kind`` (``"verify"`` / ``"transient"``) only selects the run codec;
+    ``kind`` (``"verify"`` / ``"transient"``) only selects the run class;
     everything else — failure scenario, run list, converged data planes — is
     the task's :class:`~repro.engine.graph.TaskResult` as is.
     """
@@ -549,7 +306,7 @@ def encode_entry(kind: str, pec_index: int, tasks: Sequence, results: Sequence) 
         "pec_index": pec_index,
         "tasks": [
             {
-                "failure": encode_failure(task.failure),
+                "failure": task.failure.to_dict(),
                 "runs": [encode(run) for run in result.runs],
                 "data_planes": [encode_data_plane(plane) for plane in result.data_planes],
             }
@@ -558,28 +315,42 @@ def encode_entry(kind: str, pec_index: int, tasks: Sequence, results: Sequence) 
     }
 
 
-def decode_entry(entry: Dict, kind: str, tasks: Sequence) -> Optional[Dict[int, object]]:
+def decode_entry(
+    entry: Dict, kind: str, tasks: Sequence, fingerprint: str = ""
+) -> Optional[Dict[int, object]]:
     """The finished tasks of one cached PEC entry, keyed by task id.
 
     Returns None (treat as a miss) when the entry does not line up with the
-    graph's ``tasks`` of that PEC — a schema drift guard; the fingerprint
-    already covers the task shape.
+    graph's ``tasks`` of that PEC, or does not decode at all: a checksummed,
+    same-version file can still hold an entry with a missing or unknown key
+    (written by a build whose result classes differ), and the documents are
+    strict about both.  The second case logs one warning naming
+    ``fingerprint``; a recomputed PEC is always correct.
     """
     from repro.engine.graph import TaskResult
 
-    stored = entry.get("tasks", [])
-    if entry.get("kind") != kind or len(stored) != len(tasks):
-        return None
     decode = decode_run if kind == "verify" else decode_transient_run
     decoded: Dict[int, object] = {}
-    for task, payload in zip(tasks, stored):
-        if tuple(payload["failure"]) != tuple(task.failure.failed_links):
+    try:
+        stored = entry["tasks"]
+        if entry["kind"] != kind or len(stored) != len(tasks):
             return None
-        decoded[task.task_id] = TaskResult(
-            task_id=task.task_id,
-            runs=[decode(run) for run in payload["runs"]],
-            data_planes=[decode_data_plane(plane) for plane in payload["data_planes"]],
+        for task, payload in zip(tasks, stored):
+            if payload["failure"] != task.failure.to_dict():
+                return None
+            decoded[task.task_id] = TaskResult(
+                task_id=task.task_id,
+                runs=[decode(run) for run in payload["runs"]],
+                data_planes=[decode_data_plane(plane) for plane in payload["data_planes"]],
+            )
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        LOG.warning(
+            "cache: entry %s does not decode (%s: %s); recomputing its PEC",
+            fingerprint[:16],
+            type(exc).__name__,
+            exc,
         )
+        return None
     return decoded
 
 
@@ -587,7 +358,7 @@ def decode_entry(entry: Dict, kind: str, tasks: Sequence) -> Optional[Dict[int, 
 class ResultCache:
     """A fingerprint-keyed store of per-PEC results with a disk round trip.
 
-    Entries are JSON-ready dicts (see the codec functions); the whole store
+    Entries are JSON-ready dicts (see :func:`encode_entry`); the whole store
     serialises to one ``plankton_cache.json`` file inside ``directory``, so
     a service process can :meth:`save` on shutdown (or after every push)
     and restart warm.  Writes go through a temp-file rename so a crash

@@ -39,6 +39,8 @@ to coincide with an impact-analysis miss to go unnoticed.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -57,11 +59,13 @@ from repro.incremental.cache import (
 )
 from repro.incremental.delta import ConfigDelta, diff_networks
 from repro.incremental.impact import impacted_pecs
+from repro.modelcheck.trail import document
 from repro.pec.classes import PacketEquivalenceClass
 from repro.policies.base import Policy
 
 
 # --------------------------------------------------------------------------- run stats
+@document(dirty_pecs=(list, list), impacted_pecs=(list, list))
 @dataclass
 class IncrementalRunStats:
     """Cache-hit / recompute accounting for one incremental run."""
@@ -79,20 +83,6 @@ class IncrementalRunStats:
     delta_summary: str = ""
     cache_entries: int = 0
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "pecs_total": self.pecs_total,
-            "pecs_from_cache": self.pecs_from_cache,
-            "pecs_recomputed": self.pecs_recomputed,
-            "tasks_total": self.tasks_total,
-            "tasks_from_cache": self.tasks_from_cache,
-            "tasks_recomputed": self.tasks_recomputed,
-            "dirty_pecs": list(self.dirty_pecs),
-            "impacted_pecs": list(self.impacted_pecs),
-            "delta_summary": self.delta_summary,
-            "cache_entries": self.cache_entries,
-        }
-
     def describe(self) -> str:
         delta = f" ({self.delta_summary})" if self.delta_summary else ""
         return (
@@ -104,138 +94,46 @@ class IncrementalRunStats:
 
 
 # --------------------------------------------------------------------------- signatures
-def _reduction_signature(reduction) -> Optional[Tuple]:
-    if reduction is None:
-        return None
-    return (
-        reduction.mode,
-        reduction.states_reduced,
-        reduction.states_full,
-        reduction.transitions_enabled,
-        reduction.transitions_expanded,
-        reduction.transitions_slept,
-        reduction.sleep_requeues,
-        reduction.sleep_fallbacks,
-        reduction.proviso_fallbacks,
-        reduction.depth_pruned,
-    )
+#: What a signature leaves out of a result's canonical document (a bare name
+#: applies to every class that has the field): ``elapsed_seconds`` is
+#: wall-clock; a task failure's ``message`` carries worker pids and exception
+#: reprs and its ``attempts`` depend on timing (*which* task failed, and how,
+#: is covered).  Everything else the cache stores and the reports print is
+#: hashed.
+SIGNATURE_EXCLUDED = frozenset({"elapsed_seconds", "TaskFailure.message", "TaskFailure.attempts"})
 
 
-def _statistics_signature(statistics) -> Optional[Tuple]:
-    if statistics is None:
-        return None
-    return (
-        statistics.states_expanded,
-        statistics.unique_states,
-        statistics.transitions,
-        statistics.terminal_states,
-        statistics.unique_terminal_states,
-        statistics.violations,
-        statistics.max_depth_reached,
-        statistics.visited_bytes,
-        statistics.interner_entries,
-        statistics.interner_bytes,
-        statistics.truncated,
-        _reduction_signature(statistics.reduction),
-    )
+def result_signature(result) -> Dict[str, object]:
+    """A result's canonical document (``to_dict``) minus :data:`SIGNATURE_EXCLUDED`.
 
-
-def _trail_signature(trail) -> Optional[Tuple]:
-    if trail is None:
-        return None
-    return (
-        trail.policy,
-        trail.pec_description,
-        tuple((step.kind, step.description) for step in trail.steps),
-        trail.violation_description,
-        trail.data_plane_dump,
-    )
-
-
-def _violation_signature(violation) -> Tuple:
-    return (
-        violation.policy,
-        violation.pec_index,
-        violation.pec_description,
-        violation.failure_description,
-        violation.message,
-        _trail_signature(violation.trail),
-    )
-
-
-def _run_signature(run) -> Tuple:
-    return (
-        run.pec_index,
-        tuple(run.failure.failed_links),
-        run.converged_states,
-        run.checked_states,
-        run.suppressed_states,
-        tuple(_violation_signature(violation) for violation in run.violations),
-        _statistics_signature(run.statistics),
-        tuple(plane.describe() for plane in run.data_planes),
-    )
-
-
-def result_signature(result: VerificationResult) -> Tuple:
-    """Everything observable about a verification result except wall-clock.
-
-    The incremental oracle tests assert this is bit-identical between an
-    incremental re-verification and a cold ``Plankton.verify``.
+    The oracle tests assert this is equal between an incremental
+    re-verification and a cold ``Plankton.verify``, between serial and pool
+    runs, and between a faulted-and-recovered run and a clean one.
     """
-    return (
-        tuple(result.policy_names),
-        result.holds,
-        result.pecs_analyzed,
-        result.failure_scenarios,
-        result.total_states_expanded,
-        result.total_unique_states,
-        result.total_converged_states,
-        result.approximate_memory_bytes,
-        tuple(_violation_signature(violation) for violation in result.violations),
-        tuple(_run_signature(run) for run in result.pec_runs),
-        tuple(
-            (f.task_id, f.pec_index, f.failure_description, f.kind, f.task_kind)
-            for f in result.errors
-        ),
-    )
+    return result.to_dict(SIGNATURE_EXCLUDED)
 
 
-def result_signature_digest(result: VerificationResult) -> str:
-    """A process-stable hex digest of :func:`result_signature`.
+def _digest(signature: Dict[str, object]) -> str:
+    return hashlib.sha256(json.dumps(signature, sort_keys=True).encode("utf-8")).hexdigest()
 
-    The signature tuple itself contains live objects; the digest travels
-    over the service API so a client (or test) can assert bit-identity with
-    an in-process cold verify without shipping the objects.
+
+def result_signature_digest(result) -> str:
+    """SHA-256 of the sorted-key JSON of :func:`result_signature`.
+
+    The digest travels over the service API so a client (or test) can assert
+    bit-identity with an in-process cold verify without shipping the objects.
     """
-    import hashlib
-
-    return hashlib.sha256(repr(result_signature(result)).encode("utf-8")).hexdigest()
+    return _digest(result_signature(result))
 
 
-def transient_campaign_signature(campaign) -> Tuple:
-    """Wall-clock-free signature of a transient campaign (oracle tests)."""
-    return (
-        campaign.failure_scenarios,
-        tuple(
-            (
-                run.pec_index,
-                tuple(run.failure.failed_links),
-                run.prefix,
-                run.result.stats_signature(),
-                _reduction_signature(run.result.reduction),
-            )
-            for run in campaign.runs
-        ),
-    )
+def transient_campaign_signature(campaign) -> Dict[str, object]:
+    """:func:`result_signature` of a transient campaign (oracle tests)."""
+    return result_signature(campaign)
 
 
 def transient_campaign_signature_digest(campaign) -> str:
-    """Hex digest of :func:`transient_campaign_signature` (service API)."""
-    import hashlib
-
-    return hashlib.sha256(
-        repr(transient_campaign_signature(campaign)).encode("utf-8")
-    ).hexdigest()
+    """:func:`result_signature_digest` of a transient campaign (service API)."""
+    return _digest(transient_campaign_signature(campaign))
 
 
 # --------------------------------------------------------------------------- the service
@@ -344,10 +242,11 @@ class IncrementalVerifier:
         known: Dict[int, TaskResult] = {}
         dirty: List[int] = []
         for pec_index, tasks in tasks_by_pec.items():
-            entry = None
+            entry = decoded = None
             if cacheable and pec_index not in impact_dirty:
                 entry = self.cache.lookup(fingerprints[pec_index])
-            decoded = decode_entry(entry, kind, tasks) if entry is not None else None
+            if entry is not None:
+                decoded = decode_entry(entry, kind, tasks, fingerprints[pec_index])
             if decoded is None:
                 dirty.append(pec_index)
             else:

@@ -24,7 +24,7 @@ from typing import Callable, Generic, Hashable, List, Optional, Sequence, Tuple,
 
 from repro.exceptions import SearchBudgetExceeded
 from repro.modelcheck.hashing import BitstateFilter, StateInterner, VisitedSet
-from repro.modelcheck.trail import Trail, TrailStep
+from repro.modelcheck.trail import Trail, TrailStep, document
 
 State = TypeVar("State")
 Label = TypeVar("Label")
@@ -51,6 +51,15 @@ class ExplorerOptions:
     dedupe_terminal_states: bool = True
 
 
+def _reduction_class() -> type:
+    # Late-bound: the ledger lives with the reductions, whose package imports
+    # the protocol models this generic explorer knows nothing about.
+    from repro.modelcheck.por.stats import ReductionStatistics
+
+    return ReductionStatistics
+
+
+@document(reduction=_reduction_class)
 @dataclass
 class ExplorationStatistics:
     """Counters reported after a search (rendered by the benchmark harness)."""

@@ -16,7 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.modelcheck.trail import document
 
+
+@document()
 @dataclass
 class ReductionStatistics:
     """What a partial-order-reduced search did beyond exploring states.
@@ -72,19 +75,6 @@ class ReductionStatistics:
         self.transitions_enabled += enabled
         self.transitions_expanded += expanded
 
-    def merge(self, other: "ReductionStatistics") -> None:
-        """Fold another ledger in (per-prefix searches of one PEC run)."""
-        self.states_reduced += other.states_reduced
-        self.states_full += other.states_full
-        self.transitions_enabled += other.transitions_enabled
-        self.transitions_expanded += other.transitions_expanded
-        self.transitions_slept += other.transitions_slept
-        self.sleep_requeues += other.sleep_requeues
-        self.sleep_fallbacks += other.sleep_fallbacks
-        self.proviso_fallbacks += other.proviso_fallbacks
-        self.depth_pruned += other.depth_pruned
-        self.rank_immune_sessions += other.rank_immune_sessions
-
     # ------------------------------------------------------------------ readout
     def transition_reduction_ratio(self) -> float:
         """Enabled-to-expanded transition ratio (1.0 = no reduction)."""
@@ -93,21 +83,11 @@ class ReductionStatistics:
         return self.transitions_enabled / self.transitions_expanded
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form (bench rows, reports)."""
-        return {
-            "mode": self.mode,
-            "states_reduced": self.states_reduced,
-            "states_full": self.states_full,
-            "transitions_enabled": self.transitions_enabled,
-            "transitions_expanded": self.transitions_expanded,
-            "transitions_slept": self.transitions_slept,
-            "sleep_requeues": self.sleep_requeues,
-            "sleep_fallbacks": self.sleep_fallbacks,
-            "proviso_fallbacks": self.proviso_fallbacks,
-            "depth_pruned": self.depth_pruned,
-            "rank_immune_sessions": self.rank_immune_sessions,
-            "transition_reduction_ratio": round(self.transition_reduction_ratio(), 2),
-        }
+        """The report form: the canonical document plus the derived ratio."""
+        return dict(
+            self.to_dict(),
+            transition_reduction_ratio=round(self.transition_reduction_ratio(), 2),
+        )
 
     def describe(self) -> str:
         """One human-readable line for summaries and reports."""

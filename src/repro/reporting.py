@@ -38,10 +38,7 @@ def violation_to_dict(violation: Violation, include_trail: bool = True) -> Dict[
         "message": violation.message,
     }
     if include_trail and violation.trail is not None:
-        document["trail"] = [
-            {"kind": step.kind, "description": step.description}
-            for step in violation.trail.steps
-        ]
+        document["trail"] = [step.to_dict() for step in violation.trail.steps]
         if violation.trail.data_plane_dump:
             document["data_plane"] = violation.trail.data_plane_dump
     return document
@@ -60,9 +57,8 @@ def pec_run_to_dict(run: PecRunResult) -> Dict[str, object]:
     if run.statistics is not None:
         document["states_expanded"] = run.statistics.states_expanded
         document["unique_states"] = run.statistics.unique_states
-        reduction = getattr(run.statistics, "reduction", None)
-        if reduction is not None:
-            document["reduction"] = reduction.as_dict()
+        if run.statistics.reduction is not None:
+            document["reduction"] = run.statistics.reduction.as_dict()
     return document
 
 
@@ -89,11 +85,17 @@ def result_to_dict(
     }
     if include_pec_runs:
         document["pec_runs"] = [pec_run_to_dict(run) for run in result.pec_runs]
+    return _with_accounting(document, result)
+
+
+def _with_accounting(document: Dict[str, object], result) -> Dict[str, object]:
+    """The shared tail of the three result documents: cache accounting when
+    the run was incremental, ``complete``/``errors`` when it was partial.
+    Both are absent otherwise, so complete cold runs keep their historical
+    document shape byte-for-byte."""
     if result.incremental is not None:
-        document["incremental"] = result.incremental.as_dict()
+        document["incremental"] = result.incremental.to_dict()
     if result.errors:
-        # Present only on partial results, so complete runs keep their
-        # historical document shape byte-for-byte.
         document["complete"] = False
         document["errors"] = [failure.as_dict() for failure in result.errors]
     return document
@@ -220,9 +222,8 @@ def transient_campaign_to_dict(campaign) -> Dict[str, object]:
             "prefix": run.prefix,
             "result": transient_result_to_dict(run.result),
         }
-        scenario = getattr(run, "scenario", None)
-        if scenario is not None:
-            entry["scenario"] = scenario
+        if run.scenario is not None:
+            entry["scenario"] = run.scenario
         runs.append(entry)
     document: Dict[str, object] = {
         "holds": campaign.holds,
@@ -230,17 +231,9 @@ def transient_campaign_to_dict(campaign) -> Dict[str, object]:
         "elapsed_seconds": round(campaign.elapsed_seconds, 6),
         "runs": runs,
     }
-    event_scenarios = getattr(campaign, "event_scenarios", 0)
-    if event_scenarios:
-        document["event_scenarios"] = event_scenarios
-    incremental = getattr(campaign, "incremental", None)
-    if incremental is not None:
-        document["incremental"] = incremental.as_dict()
-    errors = getattr(campaign, "errors", [])
-    if errors:
-        document["complete"] = False
-        document["errors"] = [failure.as_dict() for failure in errors]
-    return document
+    if campaign.event_scenarios:
+        document["event_scenarios"] = campaign.event_scenarios
+    return _with_accounting(document, campaign)
 
 
 def render_transient_markdown(campaign, title: Optional[str] = None) -> str:
@@ -258,15 +251,13 @@ def render_transient_markdown(campaign, title: Optional[str] = None) -> str:
         if campaign.holds
         else f"**VIOLATED** ({len(campaign.violations)} violation(s))"
     )
-    campaign_errors = getattr(campaign, "errors", [])
-    if campaign_errors:
-        verdict += f" — **PARTIAL** ({len(campaign_errors)} task(s) failed)"
+    if campaign.errors:
+        verdict += f" — **PARTIAL** ({len(campaign.errors)} task(s) failed)"
     lines.append(f"Transient properties: {verdict}")
     lines.append(f"Failure scenarios: {campaign.failure_scenarios}")
-    event_scenarios = getattr(campaign, "event_scenarios", 0)
-    if event_scenarios:
-        lines.append(f"Event scenarios: {event_scenarios}")
-    incremental = getattr(campaign, "incremental", None)
+    if campaign.event_scenarios:
+        lines.append(f"Event scenarios: {campaign.event_scenarios}")
+    incremental = campaign.incremental
     if incremental is not None:
         lines.append("")
         lines.append(
@@ -277,9 +268,7 @@ def render_transient_markdown(campaign, title: Optional[str] = None) -> str:
     lines.append("")
     # The scenario column appears only when some run carries one, so plain
     # failure campaigns keep their historical table shape.
-    with_scenarios = any(
-        getattr(run, "scenario", None) is not None for run in campaign.runs
-    )
+    with_scenarios = any(run.scenario is not None for run in campaign.runs)
     scenario_header = " scenario |" if with_scenarios else ""
     lines.append(
         f"| failures | prefix |{scenario_header} verdict | states | converged "
@@ -295,9 +284,7 @@ def render_transient_markdown(campaign, title: Optional[str] = None) -> str:
             if result.reduction is not None
             else "-"
         )
-        scenario_cell = (
-            f" {getattr(run, 'scenario', None) or 'none'} |" if with_scenarios else ""
-        )
+        scenario_cell = f" {run.scenario or 'none'} |" if with_scenarios else ""
         lines.append(
             f"| {failures} | `{run.prefix}` |{scenario_cell} "
             f"{'HOLDS' if result.holds else 'VIOLATED'} | "
@@ -318,7 +305,7 @@ def render_transient_markdown(campaign, title: Optional[str] = None) -> str:
     else:
         lines.append("No transient violations were found in any explored state.")
         lines.append("")
-    _append_task_failures(lines, campaign_errors)
+    _append_task_failures(lines, campaign.errors)
     return "\n".join(lines)
 
 
@@ -347,12 +334,7 @@ def verify_document(result: VerificationResult, policy_name: str) -> Dict[str, o
             for violation in result.violations
         ],
     }
-    if result.incremental is not None:
-        document["incremental"] = result.incremental.as_dict()
-    if result.errors:
-        document["complete"] = False
-        document["errors"] = [failure.as_dict() for failure in result.errors]
-    return document
+    return _with_accounting(document, result)
 
 
 def job_to_dict(job) -> Dict[str, object]:

@@ -49,6 +49,11 @@ LOG = logging.getLogger("repro.serve")
 #: Idle-poll period of worker threads; bounds shutdown latency.
 _WORKER_POLL_SECONDS = 0.2
 
+#: Largest request body the daemon reads; a longer ``Content-Length`` is
+#: refused before a byte is read.  A constant, not an option: it bounds what
+#: a hostile peer can make a handler thread allocate.
+MAX_REQUEST_BYTES = 64 * 1024 * 1024
+
 
 class ReproServer:
     """A long-running verification service instance.
@@ -239,22 +244,37 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         LOG.debug("%s - %s", self.address_string(), format % args)
 
-    def _send(self, status: int, document: Dict[str, object]) -> None:
+    def _send(self, status: int, document: Dict[str, object], close: bool = False) -> None:
         body = json.dumps(document, indent=2).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")  # also ends the keep-alive loop
         self.end_headers()
         self.wfile.write(body)
 
     def _error(self, status: int, message: str) -> None:
         self._send(status, {"error": message})
 
+    def _refuse_body(self, status: int, message: str) -> None:
+        """Answer without reading the body; the unread bytes would otherwise
+        be parsed as the connection's next request, so it is closed."""
+        self._send(status, {"error": message}, close=True)
+
     def _read_json(self) -> Optional[Dict[str, object]]:
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             length = 0
+        if length < 0:  # rfile.read(-1) would block until the peer closes
+            self._refuse_body(400, f"invalid Content-Length: {length}")
+            return None
+        if length > MAX_REQUEST_BYTES:
+            self._refuse_body(
+                413, f"request body of {length} bytes exceeds {MAX_REQUEST_BYTES} bytes"
+            )
+            return None
         raw = self.rfile.read(length) if length else b""
         if not raw:
             self._error(400, "empty request body; expected a JSON object")

@@ -22,9 +22,11 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import TopologyError
+from repro.modelcheck.trail import document
 from repro.topology.graph import Topology
 
 
+@document(failed_links=(list, tuple))
 @dataclass(frozen=True)
 class FailureScenario:
     """A set of failed links, stored as a sorted tuple of link ids."""

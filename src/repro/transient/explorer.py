@@ -77,6 +77,7 @@ from repro.modelcheck.por import (
     merged_sleep_for_requeue,
     successor_sleep,
 )
+from repro.modelcheck.trail import document
 from repro.pec.classes import PacketEquivalenceClass
 from repro.protocols.base import PathVectorInstance
 from repro.protocols.rpvp import RpvpState
@@ -257,6 +258,7 @@ def _apply_initial_event(stepper: SpvpStepper, state: SpvpState, event) -> SpvpS
     raise TypeError(f"initial event {event!r} has no apply(stepper, state) hook")
 
 
+@document(witness=(list, tuple))
 @dataclass(frozen=True)
 class TransientViolation:
     """One transient property violation with the event sequence reaching it.
@@ -287,6 +289,17 @@ class TransientViolation:
         return "\n".join(lines)
 
 
+#: What :meth:`TransientAnalysisResult.stats_signature` leaves out.
+_STATS_SIGNATURE_EXCLUDED = frozenset({"elapsed_seconds", "reduction"})
+
+
+# ``converged_rpvp_states`` are live protocol states (routes, paths): not
+# JSON-representable, and results carrying them are never cached.
+@document(
+    omit=("converged_rpvp_states",),
+    violations=[TransientViolation],
+    reduction=ReductionStatistics,
+)
 @dataclass
 class TransientAnalysisResult:
     """Aggregate result of one transient exploration."""
@@ -333,23 +346,15 @@ class TransientAnalysisResult:
             lines.append(violation.render())
         return "\n".join(lines)
 
-    def stats_signature(self) -> Tuple:
+    def stats_signature(self) -> Dict[str, object]:
         """Everything observable about the exploration except wall-clock time.
 
         Used by the equivalence tests to assert the incremental and the naive
-        explorations are bit-identical.  (The reduction ledger is excluded:
-        it describes *how* the search ran, not what it observed.)
+        explorations are bit-identical: the canonical document without the
+        clock and without the reduction ledger, which describes *how* the
+        search ran, not what it observed.
         """
-        return (
-            self.states_explored,
-            self.converged_states,
-            self.max_depth_reached,
-            self.truncated,
-            tuple(
-                (v.property_name, v.message, v.depth, v.converged, v.witness)
-                for v in self.violations
-            ),
-        )
+        return self.to_dict(_STATS_SIGNATURE_EXCLUDED)
 
     def verdict_signature(self) -> Tuple:
         """What every sound reduction must preserve: the per-property verdict
@@ -789,6 +794,7 @@ class TransientTaskConfig:
     scenario: Optional[str] = None
 
 
+@document(failure=FailureScenario, result=TransientAnalysisResult)
 @dataclass
 class TransientCampaignRun:
     """One analysed (failure scenario, BGP prefix) pair of a campaign."""
@@ -806,6 +812,7 @@ class TransientCampaignRun:
         return self.result.violations
 
 
+@document(omit=("incremental",), runs=[TransientCampaignRun], errors=[TaskFailure])
 @dataclass
 class TransientCampaignResult:
     """All runs of one transient campaign, in task-graph order."""

@@ -39,7 +39,7 @@ from repro.config.objects import (
 from repro.core.options import PlanktonOptions
 from repro.core.verifier import Plankton
 from repro.incremental import IncrementalVerifier, result_signature
-from repro.incremental.service import _run_signature
+from repro.incremental.service import SIGNATURE_EXCLUDED
 from repro.netaddr import Prefix
 from repro.policies import LoopFreedom, Reachability
 from repro.topology import Topology, bgp_fat_tree, fat_tree
@@ -249,7 +249,7 @@ FAMILIES = [OspfStaticFamily, EbgpFamily, IbgpFamily]
 def _runs_by_pec(result):
     grouped = {}
     for run in result.pec_runs:
-        grouped.setdefault(run.pec_index, []).append(_run_signature(run))
+        grouped.setdefault(run.pec_index, []).append(run.to_dict(SIGNATURE_EXCLUDED))
     return grouped
 
 

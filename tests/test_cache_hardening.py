@@ -8,6 +8,7 @@ corruption here comes from :func:`repro.engine.faults.corrupt_cache_file` —
 the same seeded harness the engine fault tests use.
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -49,8 +50,13 @@ def _reload(cache_file):
 
 class TestCorruptionDetection:
     def test_clean_round_trip_restores_every_entry(self, tmp_path):
-        cache_file, entry_count, _ = _warm_cache(tmp_path)
-        assert len(_reload(cache_file)) == entry_count
+        """``encode_entry`` output survives sorted-key JSON, the checksum
+        and ``load`` unchanged: the file holds the in-memory documents."""
+        service = IncrementalVerifier(_network(), PlanktonOptions(), cache_dir=tmp_path)
+        service.verify(LoopFreedom())
+        reloaded = _reload(service.cache.path)
+        assert len(reloaded) == len(service.cache) > 0
+        assert reloaded._entries == service.cache._entries
 
     @pytest.mark.parametrize("seed", range(5))
     def test_bit_flip_loads_empty_with_warning(self, tmp_path, caplog, seed):
@@ -138,6 +144,74 @@ class TestRecoveryEndToEnd:
         result = service.verify(LoopFreedom())
         assert result_signature(result) == oracle
         assert result.incremental.pecs_recomputed == 0
+
+
+class TestUndecodableEntry:
+    """A checksummed, same-version file can still hold an entry this build's
+    result classes do not accept (a field added or removed without a schema
+    bump).  That is a miss with a warning, never a traceback."""
+
+    @staticmethod
+    def _rewrite(cache_file, damage):
+        """Apply ``damage`` to one entry's first run document and re-seal
+        the file with a valid checksum; returns the entry's fingerprint."""
+        document = json.loads(cache_file.read_text())
+        fingerprint = sorted(document["entries"])[0]
+        damage(document["entries"][fingerprint]["tasks"][0]["runs"][0])
+        entries_json = json.dumps(document["entries"], sort_keys=True)
+        document["checksum"] = hashlib.sha256(entries_json.encode("utf-8")).hexdigest()
+        cache_file.write_text(json.dumps(document))
+        return fingerprint
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda run: run.pop("converged_states"),  # has a default: must not be filled in
+            lambda run: run["statistics"].pop("reduction"),
+            lambda run: run.update(verdict="holds"),
+            lambda run: run["statistics"]["reduction"].update(extra=1),
+            lambda run: run.update(failure=[0]),  # the v4 shape of a nested document
+        ],
+        ids=["missing", "missing-nested", "extra", "extra-nested", "wrong-shape"],
+    )
+    def test_entry_with_a_missing_or_unknown_key_is_a_logged_miss(
+        self, tmp_path, caplog, damage
+    ):
+        cache_file, entries, oracle = _warm_cache(tmp_path)
+        fingerprint = self._rewrite(cache_file, damage)
+        service = IncrementalVerifier(_network(), PlanktonOptions(), cache_dir=tmp_path)
+        assert len(service.cache) == entries  # the file itself is sound
+        with caplog.at_level("WARNING", logger="repro.cache"):
+            result = service.verify(LoopFreedom())
+        assert result_signature(result) == oracle
+        assert result.incremental.pecs_recomputed == 1
+        warnings = [r.message for r in caplog.records if "does not decode" in r.message]
+        assert len(warnings) == 1 and fingerprint[:16] in warnings[0]
+        # The recomputed entry replaced the bad one: the next run is all-hit.
+        again = IncrementalVerifier(_network(), PlanktonOptions(), cache_dir=tmp_path)
+        assert again.verify(LoopFreedom()).incremental.pecs_recomputed == 0
+
+    def test_cli_verifies_cold_and_exits_zero_over_a_bad_entry(self, tmp_path, capsys):
+        from repro.cli import main
+
+        inputs = os.path.join(os.path.dirname(__file__), "..", "examples", "configs")
+        argv = [
+            "verify",
+            "--topology", os.path.join(inputs, "campus.topo"),
+            "--config", os.path.join(inputs, "campus.cfg"),
+            "--policy", "loop",
+            "--cache-dir", str(tmp_path),
+            "--json",
+        ]  # fmt: skip
+        assert main(argv) == 0
+        cold = json.loads(capsys.readouterr().out)
+        self._rewrite(tmp_path / "plankton_cache.json", lambda run: run.pop("pec_index"))
+        assert main(argv) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert warm["incremental"]["pecs_recomputed"] == 1
+        for document in (cold, warm):
+            del document["elapsed_seconds"], document["incremental"]
+        assert warm == cold
 
 
 class TestUnchangedStoreIsNotRewritten:

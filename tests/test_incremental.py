@@ -30,13 +30,7 @@ from repro.incremental import (
     result_signature,
     transient_campaign_signature,
 )
-from repro.incremental.cache import (
-    decode_data_plane,
-    decode_run,
-    encode_data_plane,
-    encode_run,
-    verification_fingerprints,
-)
+from repro.incremental.cache import verification_fingerprints
 from repro.netaddr import Prefix
 from repro.policies import LoopFreedom, Reachability
 from repro.topology import bgp_fat_tree
@@ -261,37 +255,9 @@ class TestFingerprints:
         assert base == same
 
 
-# --------------------------------------------------------------------------- cache + codecs
+# --------------------------------------------------------------------------- cache
+# (document round trips: tests/property/test_result_schema.py)
 class TestResultCache:
-    def test_round_trip_run_with_violation_trail_and_planes(self):
-        network = fat_tree_network()
-        options = PlanktonOptions(keep_data_planes=True, stop_at_first_violation=False)
-        result = Plankton(network, options).verify(LoopFreedom())
-        run = result.pec_runs[0]
-        rebuilt = decode_run(json.loads(json.dumps(encode_run(run))))
-        assert rebuilt.pec_index == run.pec_index
-        assert rebuilt.failure == run.failure
-        assert rebuilt.converged_states == run.converged_states
-        assert rebuilt.checked_states == run.checked_states
-        assert rebuilt.suppressed_states == run.suppressed_states
-        assert rebuilt.violations == run.violations
-        assert rebuilt.statistics == run.statistics
-        # DataPlane has no structural __eq__; compare the rendered FIBs.
-        assert [plane.describe() for plane in rebuilt.data_planes] == [
-            plane.describe() for plane in run.data_planes
-        ]
-
-    def test_data_plane_round_trip_preserves_fib_semantics(self):
-        network = fat_tree_network()
-        options = PlanktonOptions(keep_data_planes=True, stop_at_first_violation=False)
-        result = Plankton(network, options).verify(LoopFreedom())
-        plane = result.pec_runs[0].data_planes[0]
-        rebuilt = decode_data_plane(json.loads(json.dumps(encode_data_plane(plane))))
-        assert rebuilt.describe() == plane.describe()
-        assert rebuilt.pec_range == plane.pec_range
-        for device in plane.devices():
-            assert rebuilt.fib(device).entries() == plane.fib(device).entries()
-
     def test_disk_round_trip_and_torn_file_tolerance(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.store("abc", {"kind": "verify", "pec_index": 0, "tasks": []})

@@ -9,9 +9,11 @@ pushes to one namespace serialise in push order, admission control bounds
 the queue, and every HTTP error path answers with a meaningful status.
 """
 
+import http.client
 import json
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -367,6 +369,46 @@ class TestHttpErrors:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
         assert "not valid JSON" in json.loads(excinfo.value.read())["error"]
+
+    @staticmethod
+    def _post_declaring(server, content_length, body=b""):
+        """POST a push whose Content-Length header is ``content_length``,
+        sending only ``body``; a server that tried to read more would hang
+        until the socket timeout."""
+        parsed = urllib.parse.urlsplit(server.url)
+        connection = http.client.HTTPConnection(parsed.hostname, parsed.port, timeout=10)
+        try:
+            connection.putrequest("POST", "/v1/namespaces/limits/push")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", str(content_length))
+            connection.endheaders(body)
+            response = connection.getresponse()
+            return response.status, response.getheader("Connection"), json.loads(response.read())
+        finally:
+            connection.close()
+
+    def test_negative_content_length_is_400_without_reading(self, server):
+        status, connection, document = self._post_declaring(server, -1)
+        assert status == 400
+        assert "Content-Length" in document["error"]
+        assert connection == "close"
+
+    def test_oversized_content_length_is_413_without_reading(self, server):
+        from repro.serve.http import MAX_REQUEST_BYTES
+
+        assert MAX_REQUEST_BYTES == 64 * 1024 * 1024
+        status, connection, document = self._post_declaring(server, MAX_REQUEST_BYTES + 1)
+        assert status == 413
+        assert str(MAX_REQUEST_BYTES) in document["error"]
+        assert connection == "close"
+
+    def test_push_at_the_limit_is_accepted_and_one_byte_more_is_not(self, server, monkeypatch):
+        body = json.dumps(VERIFY_PAYLOAD).encode("utf-8")
+        monkeypatch.setattr("repro.serve.http.MAX_REQUEST_BYTES", len(body))
+        status, _, receipt = self._post_declaring(server, len(body), body)
+        assert status == 202 and receipt["job"]
+        status, _, _ = self._post_declaring(server, len(body) + 1)
+        assert status == 413
 
     def test_bad_spec_fails_the_job_not_the_push(self, client):
         document = client.run(

@@ -17,7 +17,7 @@ from repro import Plankton, PlanktonOptions
 from repro.baselines import MinesweeperVerifier
 from repro.config import ospf_everywhere
 from repro.config.builder import edge_prefix, install_loop_inducing_statics
-from repro.modelcheck.hashing import StateInterner, ZobristFingerprinter
+from repro.modelcheck.hashing import ZobristFingerprinter
 from repro.policies import LoopFreedom
 from repro.protocols.rpvp import RpvpState
 from repro.topology import fat_tree
@@ -111,12 +111,13 @@ def _replay_array_core(names, updates):
 
 
 def _replay_naive_oracle(names, updates):
-    """The retained naive evaluation the core is property-tested against:
-    rebuild the full dict state and fold a path-keyed fingerprint from
-    scratch at every step (``tests/property/test_state_representation.py``)."""
+    """The naive evaluation the core is property-tested against: rebuild
+    the full dict state and fold its fingerprint from scratch (a rebuilt
+    state has no parent to derive from) at every step
+    (``tests/property/test_state_representation.py``)."""
     started = time.perf_counter()
     best = {name: None for name in names}
-    hasher = ZobristFingerprinter(StateInterner())
+    hasher = ZobristFingerprinter(RpvpState.from_dict(best).intern_table)
     seen = set()
     states = []
     for node, route in updates:
@@ -137,9 +138,9 @@ def test_arraycore_state_core_floor(reporter):
     a loaded container, and the k=6 OSPF workload spends most of its time in
     protocol evaluation, which the state core does not touch.  The floor is
     therefore an in-process ratio over the exact update stream the workload
-    executes: the array-native core vs the retained naive rebuild oracle
-    (dict rebuild + from-scratch path-keyed fingerprint fold), with the two
-    replays required to produce bit-identical states and dedup behaviour.
+    executes: the array-native core vs the naive rebuild oracle (dict
+    rebuild + from-scratch fingerprint fold), with the two replays required
+    to produce bit-identical states and dedup behaviour.
     Measured ~10x on an idle container; 3x leaves noise headroom.  Absolute
     end-to-end time is the repo benchmark's job (``perf/``, ``ospf_mc_k14``).
     """

@@ -1,5 +1,6 @@
-"""Transient-exploration throughput: persistent SPVP vs the deepcopy baseline,
-and the partial-order reduction vs the unreduced exploration.
+"""Transient-exploration throughput: persistent SPVP vs the reference
+fork-a-simulator explorer, and the partial-order reduction vs the unreduced
+exploration.
 
 The transient extension explores SPVP message interleavings (see
 `repro/transient/`).  Two generations of speedups are measured here on a
@@ -7,8 +8,9 @@ fig7a-style workload — the fat-tree (k=4) eBGP instance the Figure 7(a)
 family scales over:
 
 * the persistent :class:`SpvpState` rebuild (PR 3) replaced the
-  per-successor ``copy.deepcopy`` + full-state signature hashing with derived
-  child states and incremental Zobrist fingerprints;
+  per-successor simulator copy + full-state signature hashing (kept as
+  ``tests/oracles/transient_reference.py``) with derived child states and
+  incremental Zobrist fingerprints;
 * the partial-order reduction (`repro.modelcheck.por`) explores one
   representative per equivalence class of commuting deliveries (states
   explored vs ``por="full"`` over a *complete* interleaving slice — which
@@ -19,7 +21,7 @@ family scales over:
   refinement on the same slice).
 
 The tests assert *equivalence* (the incremental exploration is
-bit-identical to the deepcopy baseline in ``por="full"`` mode) and the
+bit-identical to the reference explorer in ``por="full"`` mode) and the
 *reduction floors*, as in-process ratios of state counts (the ample/sleep
 reduction explores >=5x fewer states, rank immunity a further >=2x fewer, the
 lifecycle-scenario enumerator emits at most half the brute-force universe, at
@@ -34,11 +36,10 @@ from repro.core.options import PlanktonOptions
 from repro.pec.classes import compute_pecs
 from repro.topology import bgp_fat_tree
 from repro.topology.failures import FailureScenario
-from repro.transient import (
-    NaiveTransientAnalyzer,
-    TransientAnalyzer,
-    TransientLoopFreedom,
-)
+from repro.transient import TransientAnalyzer, TransientLoopFreedom
+
+from tests.oracles.transient_reference import NaiveTransientAnalyzer
+
 
 def _fig7a_style_instance():
     """The eBGP fat-tree (k=4) instance the fig7a benchmark family uses."""
@@ -68,16 +69,19 @@ def _explore(analyzer_cls, instance, max_states, max_depth=8, por="full", **kwar
 
 
 def test_transient_explorer_matches_deepcopy_baseline(reporter):
-    """Gating: incremental (por="full") and deepcopy explorations are
+    """Gating: incremental (por="full") and reference explorations are
     bit-identical."""
     instance = _fig7a_style_instance()
     fast = _explore(TransientAnalyzer, instance, 150)
-    naive = _explore(NaiveTransientAnalyzer, instance, 150)
+    # The reference explorer never reduces: it has no ``por`` to pass.
+    naive = NaiveTransientAnalyzer(
+        instance, max_states=150, max_depth=8, stop_at_first_violation=False
+    ).analyze([TransientLoopFreedom(ignore_converged=True)])
     assert fast.stats_signature() == naive.stats_signature()
     reporter(
         "transient",
         f"equivalence: {fast.states_explored} states, "
-        f"{fast.converged_states} converged, identical to deepcopy baseline",
+        f"{fast.converged_states} converged, identical to the reference explorer",
     )
 
 

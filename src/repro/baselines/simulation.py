@@ -15,15 +15,18 @@ violating convergence.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config.objects import NetworkConfig
 from repro.core.network_model import DependencyContext, PecExplorer
 from repro.core.options import PlanktonOptions
+from repro.dataplane import DataPlane
 from repro.pec.classes import PacketEquivalenceClass, compute_pecs
 from repro.policies.base import Policy, PolicyCheckContext
+from repro.protocols.base import Route
 from repro.protocols.rpvp import RpvpState
 from repro.protocols.spvp import SpvpSimulator
 from repro.topology.failures import FailureScenario
@@ -45,7 +48,36 @@ class SimulationVerifier:
     def __init__(self, network: NetworkConfig, seed: int = 0) -> None:
         self.network = network
         self.seed = seed
-        self.pecs = compute_pecs(network)
+
+    @functools.cached_property
+    def pecs(self) -> List[PacketEquivalenceClass]:
+        """The PEC partition :meth:`check` walks (``trace`` never needs it)."""
+        return compute_pecs(self.network)
+
+    def data_plane(
+        self, pec: PacketEquivalenceClass, failure: Optional[FailureScenario] = None
+    ) -> Tuple[DataPlane, Dict[str, Route]]:
+        """One simulated convergence of ``pec``: ``(data plane, control plane)``.
+
+        One seeded SPVP execution per BGP prefix over the persistent
+        state/stepper core; the RNG consumes the canonical pending-channel
+        order, so seeded runs pick the same interleaving the original
+        dict-based simulator did.
+        """
+        explorer = PecExplorer(
+            self.network,
+            pec,
+            failure or FailureScenario(),
+            PlanktonOptions(),
+            dependency_context=DependencyContext(),
+        )
+        bgp_states: Dict = {}
+        for prefix, devices in pec.bgp_origins:
+            if not devices:
+                continue
+            instance = explorer.bgp_instance(prefix)
+            bgp_states[prefix] = SpvpSimulator(instance, seed=self.seed).run()
+        return explorer.build_data_plane(bgp_states)
 
     def check(
         self,
@@ -56,7 +88,6 @@ class SimulationVerifier:
         started = time.perf_counter()
         policy_list = [policies] if isinstance(policies, Policy) else list(policies)
         failure = failure or FailureScenario()
-        options = PlanktonOptions()
         violations: List[str] = []
         checked = 0
 
@@ -64,20 +95,7 @@ class SimulationVerifier:
             if not any(policy.applies_to(pec) for policy in policy_list):
                 continue
             checked += 1
-            explorer = PecExplorer(
-                self.network, pec, failure, options, dependency_context=DependencyContext()
-            )
-            bgp_states: Dict = {}
-            for prefix, devices in pec.bgp_origins:
-                if not devices:
-                    continue
-                instance = explorer.bgp_instance(prefix)
-                # One seeded SPVP execution over the persistent state/stepper
-                # core; the RNG consumes the canonical pending-channel order,
-                # so seeded runs pick the same interleaving the original
-                # dict-based simulator did.
-                bgp_states[prefix] = SpvpSimulator(instance, seed=self.seed).run()
-            data_plane, control_plane = explorer.build_data_plane(bgp_states)
+            data_plane, control_plane = self.data_plane(pec, failure)
             for policy in policy_list:
                 if not policy.applies_to(pec):
                     continue

@@ -75,7 +75,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.baselines.simulation import SimulationVerifier
 from repro.config.objects import NetworkConfig
 from repro.config.parser import parse_config, parse_device_config
-from repro.core.options import PlanktonOptions
 from repro.core.verifier import Plankton
 from repro.dataplane.forwarding import trace_paths
 from repro.engine import BACKEND_CHOICES
@@ -83,7 +82,6 @@ from repro.exceptions import ReproError, ServerProtocolError, ServiceUnavailable
 from repro.netaddr import ip_to_int
 from repro.pec.classes import compute_pecs
 from repro.pec.dependencies import build_dependency_graph
-from repro.policies import LoopFreedom
 # EXIT_HOLDS / EXIT_VIOLATION / EXIT_ERROR are re-exported: callers import them from here.
 from repro.reporting import (
     EXIT_ERROR,
@@ -426,39 +424,18 @@ def _cmd_pecs(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     network = _load_network(args.topology, args.config, args.config_dir)
     simulator = SimulationVerifier(network, seed=args.seed)
-    pecs = compute_pecs(network)
     printed = 0
-    for pec in pecs:
+    for pec in simulator.pecs:
         if pec.is_empty:
             continue
-        result = simulator.check(LoopFreedom(destination_prefix=pec.most_specific_prefix))
         printed += 1
         print(pec.describe())
-        explorer_result = _single_pec_data_plane(network, pec, args.seed)
-        print(explorer_result)
+        data_plane, _control = simulator.data_plane(pec)
+        print(data_plane.describe())
         print()
     if printed == 0:
         print("no configured prefixes; nothing to simulate")
     return EXIT_HOLDS
-
-
-def _single_pec_data_plane(network: NetworkConfig, pec, seed: int) -> str:
-    """One simulated converged data plane of ``pec``, rendered as text."""
-    from repro.core.network_model import DependencyContext, PecExplorer
-    from repro.protocols.spvp import SpvpSimulator
-    from repro.topology.failures import FailureScenario
-
-    explorer = PecExplorer(
-        network, pec, FailureScenario(), PlanktonOptions(), dependency_context=DependencyContext()
-    )
-    bgp_states: Dict = {}
-    for prefix, devices in pec.bgp_origins:
-        if not devices:
-            continue
-        instance = explorer.bgp_instance(prefix)
-        bgp_states[prefix] = SpvpSimulator(instance, seed=seed).run()
-    data_plane, _control = explorer.build_data_plane(bgp_states)
-    return data_plane.describe()
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -482,26 +459,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     print(f"destination {args.destination} falls into:")
     print(target_pec.describe())
-    data_plane_text = _single_pec_data_plane(network, target_pec, args.seed)
-
-    from repro.core.network_model import DependencyContext, PecExplorer
-    from repro.protocols.spvp import SpvpSimulator
-    from repro.topology.failures import FailureScenario
-
-    explorer = PecExplorer(
-        network,
-        target_pec,
-        FailureScenario(),
-        PlanktonOptions(),
-        dependency_context=DependencyContext(),
-    )
-    bgp_states: Dict = {}
-    for prefix, devices in target_pec.bgp_origins:
-        if not devices:
-            continue
-        instance = explorer.bgp_instance(prefix)
-        bgp_states[prefix] = SpvpSimulator(instance, seed=args.seed).run()
-    data_plane, _control = explorer.build_data_plane(bgp_states)
+    data_plane, _control = SimulationVerifier(network, seed=args.seed).data_plane(target_pec)
 
     print()
     print(f"forwarding branches from {args.source}:")
@@ -509,7 +467,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"  {branch.describe()}")
     if args.show_fibs:
         print()
-        print(data_plane_text)
+        print(data_plane.describe())
     return EXIT_HOLDS
 
 

@@ -43,7 +43,6 @@ from repro.protocols.rpvp import (
     initial_state,
     node_space_for,
     rpvp_successors,
-    updating_peers,
 )
 from repro.protocols.static import resolve_static_routes
 from repro.topology.failures import FailureScenario
@@ -438,46 +437,29 @@ class PecExplorer:
         engine: Optional[CandidateEngine] = None,
     ) -> bool:
         """Keep only terminals that are genuine (or policy-sufficient) converged states."""
-        if self.flags.consistent_execution:
-            if engine is not None:
-                # The exploration already computed (or can compute in O(deg))
-                # this state's candidate sets; reuse them instead of
-                # re-evaluating every (node, peer) advertisement.
-                cache = engine.candidates(state)
-                if cache.decided_pending:
-                    return False
-                if (
-                    self.flags.policy_based_pruning
-                    and self._sources_decided(instance, state)
-                    and (stability is None or stability.decisions_are_stable(state))
-                ):
-                    return True
-                if cache.updates:
-                    return False
-                if stability is not None and not stability.decisions_are_stable(state):
-                    return False
-                return True
-            # A decided node with an improving update from a decided peer means
-            # this execution is not consistent with any converged state.
-            for node in instance.nodes():
-                if state.best(node) is None:
-                    continue
-                if updating_peers(instance, state, node):
-                    return False
-            if (
-                self.flags.policy_based_pruning
-                and self._sources_decided(instance, state)
-                and (stability is None or stability.decisions_are_stable(state))
-            ):
-                return True
-            # Otherwise require full convergence: no undecided node can update.
-            for node in instance.nodes():
-                if state.best(node) is None and updating_peers(instance, state, node):
-                    return False
-            if stability is not None and not stability.decisions_are_stable(state):
-                return False
+        if not self.flags.consistent_execution:
+            return not enabled_nodes(instance, state)
+        # Consistent execution always comes with its engine (see
+        # ``_candidate_engine``).  The exploration already computed (or can
+        # compute in O(deg)) this state's candidate sets; reuse them instead
+        # of re-evaluating every (node, peer) advertisement.
+        cache = engine.candidates(state)
+        # A decided node with an improving update from a decided peer means
+        # this execution is not consistent with any converged state.
+        if cache.decided_pending:
+            return False
+        if (
+            self.flags.policy_based_pruning
+            and self._sources_decided(instance, state)
+            and (stability is None or stability.decisions_are_stable(state))
+        ):
             return True
-        return not enabled_nodes(instance, state)
+        # Otherwise require full convergence: no undecided node can update.
+        if cache.updates:
+            return False
+        if stability is not None and not stability.decisions_are_stable(state):
+            return False
+        return True
 
     def _sources_decided(self, instance: PathVectorInstance, state: RpvpState) -> bool:
         if not self.policy_sources:
@@ -523,8 +505,6 @@ class PecExplorer:
         flags = self.flags
         sources = self.policy_sources
         reduction = self.reduction
-        if flags.consistent_execution and engine is None:
-            engine = CandidateEngine(instance)
         # Sources that participate in this instance, as state-array slots:
         # the sources-decided test runs per state and reduces to "is every
         # source slot a non-zero route id".

@@ -2,7 +2,6 @@
 
 from repro.modelcheck.hashing import (
     BitstateFilter,
-    StateInterner,
     ZobristFingerprinter,
     splitmix64,
 )
@@ -16,7 +15,6 @@ from repro.modelcheck.explorer import (
 
 __all__ = [
     "BitstateFilter",
-    "StateInterner",
     "ZobristFingerprinter",
     "splitmix64",
     "Trail",

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.exceptions import SearchBudgetExceeded
-from repro.modelcheck.hashing import BitstateFilter, StateInterner, VisitedSet
+from repro.modelcheck.hashing import BitstateFilter, VisitedSet, ZobristFingerprinter
 from repro.modelcheck.trail import Trail, TrailStep, document
 
 State = TypeVar("State")
@@ -123,7 +123,10 @@ class Explorer(Generic[State]):
         self.canonicalize = canonicalize or (lambda state: state)
         self.options = options or ExplorerOptions()
         self.trail_factory = trail_factory or (lambda: Trail(policy="", pec_description=""))
-        self.interner = StateInterner()
+        #: The fingerprinter ``canonicalize`` folds states through, set by
+        #: whoever supplies one; its table statistics are reported on the
+        #: search (zeros when the search hashes states some other way).
+        self.interner: Optional[ZobristFingerprinter] = None
         #: Shared reduction ledger: the engine itself only ever sees the
         #: already-reduced successor lists, so the successor function owns
         #: the enabled-vs-expanded accounting; the explorer's job is to
@@ -209,11 +212,13 @@ class Explorer(Generic[State]):
 
         stats.elapsed_seconds = time.perf_counter() - started
         stats.visited_bytes = visited.approximate_bytes()
-        stats.interner_entries = self.interner.unique_entries()
-        stats.interner_bytes = self.interner.approximate_bytes()
-        stats.state_bytes = (stats.max_depth_reached + 1) * getattr(
-            self.interner, "state_bytes_per_state", 0
-        )
+        fingerprinter = self.interner
+        if fingerprinter is not None:
+            stats.interner_entries = fingerprinter.unique_entries()
+            stats.interner_bytes = fingerprinter.approximate_bytes()
+            stats.state_bytes = (
+                (stats.max_depth_reached + 1) * fingerprinter.state_bytes_per_state
+            )
         return outcome
 
     # ------------------------------------------------------------------ helpers

@@ -1,17 +1,18 @@
-"""State hashing: interning, incremental Zobrist fingerprints, bitstate hashing.
+"""State hashing: incremental Zobrist fingerprints, bitstate hashing.
 
-Three memory/speed optimizations from the paper live here:
+Three memory/speed optimizations from the paper meet here:
 
 * **State hashing** (§4.4): a network state is a vector of per-device routing
   entries; a routing decision at one device does not change the entries at
   the others, so entries are stored once in a hash table and states refer to
-  them by small integer ids ("64-bit pointers" in the C++ prototype).
-  :class:`StateInterner` provides that table.
+  them by small integer ids ("64-bit pointers" in the C++ prototype).  That
+  table is the protocol layer's
+  :class:`~repro.protocols.interning.RouteInternTable`; states store its ids.
 
 * **Incremental fingerprints**: a state's visited-set key is the XOR of one
   64-bit Zobrist component per (slot, entry-id) pair.  Because XOR is its own
   inverse, a successor state that changes a single slot derives its
-  fingerprint from the parent's in O(1) instead of re-interning all n
+  fingerprint from the parent's in O(1) instead of re-hashing all n
   entries.  :class:`ZobristFingerprinter` provides the components.
 
 * **Bitstate hashing** (§5, Figure 9): instead of storing every visited state
@@ -22,7 +23,7 @@ Three memory/speed optimizations from the paper live here:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 _MASK64 = (1 << 64) - 1
 #: 2**64 / golden ratio, the usual splitmix64 increment.
@@ -43,31 +44,35 @@ def splitmix64(value: int) -> int:
 
 
 class ZobristFingerprinter:
-    """Per-(slot, entry) Zobrist components over interned state entries.
+    """Per-(slot, entry id) Zobrist components over one intern table's ids.
 
-    The component of slot ``s`` holding entry ``e`` is a pseudo-random 64-bit
-    value derived deterministically from ``s`` and ``e``'s intern id; a state
-    fingerprint is the XOR of its slots' components.  Entries are interned
-    through the supplied interner — either a classic :class:`StateInterner`
-    or a protocol-level
-    :class:`~repro.protocols.interning.RouteInternTable`, in which case
-    states whose slots already hold table ids skip object interning entirely
-    and call :meth:`component_id` directly.  Either way the memory accounting
-    the explorer reports (``unique_entries``/``approximate_bytes``) counts
-    the distinct entry ids this search actually touched, so it keeps meaning
-    exactly what it did when states were interned wholesale.
+    The component of slot ``s`` holding the entry with intern id ``e`` is a
+    pseudo-random 64-bit value derived deterministically from ``s`` and
+    ``e``; a state fingerprint is the XOR of its slots' components.  A
+    fingerprinter is bound to the
+    :class:`~repro.protocols.interning.RouteInternTable` of the state space
+    it hashes — ids of different tables are not comparable — and the states,
+    whose slots already hold that table's ids, call :meth:`component_id`
+    directly: no entry is decoded or hashed.  The memory accounting the
+    explorer reports (``unique_entries``/``approximate_bytes``) counts the
+    distinct entry ids this search actually touched.
     """
 
-    def __init__(self, interner) -> None:
-        self.interner = interner
+    def __init__(self, table) -> None:
+        self.table = table
         self._components: Dict[Tuple[int, int], int] = {}
         self._seen: set = set()
         #: Flat-array bytes one live state costs, set by whoever binds this
-        #: fingerprinter to a protocol state space (0 = unknown/object mode).
+        #: fingerprinter to a protocol state space (0 = unknown).
         self.state_bytes_per_state = 0
 
     def component_id(self, slot: int, entry_id: int) -> int:
-        """The Zobrist component for the interned entry ``entry_id`` in ``slot``."""
+        """The Zobrist component for the interned entry ``entry_id`` in ``slot``.
+
+        A channel queue is one interned entry (its id names the whole tuple
+        of messages): queue contents are order- and multiplicity-sensitive,
+        so a per-message XOR would be unsound — identical messages cancel.
+        """
         key = (slot, entry_id)
         value = self._components.get(key)
         if value is None:
@@ -76,90 +81,15 @@ class ZobristFingerprinter:
             self._seen.add(entry_id)
         return value
 
-    def component(self, slot: int, entry: Hashable) -> int:
-        """The Zobrist component for ``entry`` sitting in ``slot``."""
-        return self.component_id(slot, self.interner.intern(entry))
-
-    def queue_component(self, slot: int, entries: Iterable[Hashable]) -> int:
-        """The component for a whole FIFO queue sitting in ``slot``.
-
-        SPVP buffer contents are order- and multiplicity-sensitive (two queued
-        copies of the same advertisement are a different state from one), so a
-        per-element XOR would be unsound — identical elements cancel.  The
-        queue is therefore interned as one tuple entry: any append/pop swaps
-        the single old component for the new one.
-        """
-        return self.component(slot, tuple(entries))
-
-    def delta(self, fingerprint: int, slot: int, old: Hashable, new: Hashable) -> int:
-        """``fingerprint`` after ``slot`` changed from ``old`` to ``new``.
-
-        XOR is its own inverse, so the update is O(1): XOR out the old
-        component, XOR in the new one.
-        """
-        return fingerprint ^ self.component(slot, old) ^ self.component(slot, new)
-
-    def fingerprint_of(self, entries: Iterable[Hashable]) -> int:
-        """Fingerprint of a full state vector (used for roots and oracles)."""
-        value = 0
-        for slot, entry in enumerate(entries):
-            value ^= self.component(slot, entry)
-        return value
-
-    # -- accounting (duck-compatible with StateInterner, so the explorer can
-    # -- report table statistics when its canonicalizer owns the interning) --
-
     def unique_entries(self) -> int:
         """Distinct entry ids this fingerprinter folded during its search."""
         return len(self._seen)
 
     def approximate_bytes(self) -> int:
         """Intern-table footprint attributable to this search's entries."""
+        # Roughly two machine words for the dict entry plus one for the list
+        # slot, per table entry.
         return len(self._seen) * 24
-
-
-class StateInterner:
-    """Interns hashable objects, handing out stable integer ids.
-
-    Interning the per-node route entries means a network state can be
-    represented as a tuple of small integers; identical entries across
-    millions of states are stored exactly once.
-    """
-
-    def __init__(self) -> None:
-        self._ids: Dict[Hashable, int] = {}
-        self._objects: List[Hashable] = []
-
-    def intern(self, obj: Hashable) -> int:
-        """Return the id of ``obj``, assigning a new one if unseen."""
-        existing = self._ids.get(obj)
-        if existing is not None:
-            return existing
-        new_id = len(self._objects)
-        self._ids[obj] = new_id
-        self._objects.append(obj)
-        return new_id
-
-    def intern_state(self, components: Iterable[Hashable]) -> Tuple[int, ...]:
-        """Intern every component of a state vector and return the id tuple."""
-        return tuple(self.intern(component) for component in components)
-
-    def lookup(self, obj_id: int) -> Hashable:
-        """The object with id ``obj_id``."""
-        return self._objects[obj_id]
-
-    def __len__(self) -> int:
-        return len(self._objects)
-
-    def unique_entries(self) -> int:
-        """Number of distinct interned entries."""
-        return len(self._objects)
-
-    def approximate_bytes(self) -> int:
-        """Rough memory footprint of the intern table (ids + object refs)."""
-        # Each table slot costs roughly two machine words for the dict entry
-        # plus one for the list slot.
-        return len(self._objects) * 24
 
 
 class BitstateFilter:

@@ -21,7 +21,6 @@ from repro.protocols.rpvp import (
     run_to_convergence,
 )
 from repro.protocols.spvp import (
-    ReferenceSpvpSimulator,
     SpvpEvent,
     SpvpSimulator,
     SpvpState,
@@ -50,7 +49,6 @@ __all__ = [
     "is_converged",
     "rpvp_successors",
     "run_to_convergence",
-    "ReferenceSpvpSimulator",
     "SpvpSimulator",
     "SpvpState",
     "SpvpStepper",

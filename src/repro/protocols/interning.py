@@ -108,22 +108,6 @@ class RouteInternTable:
         """The interned queue behind ``qid`` as a tuple of route ids."""
         return self._queues[qid]
 
-    # -- generic entry point (duck-compatible with StateInterner.intern) ---
-
-    def intern(self, entry) -> int:
-        """Intern an arbitrary state-slot value.
-
-        Routes (and ``None``) go to the route-id space; tuples are treated
-        as message queues of routes and go to the queue-id space.  This is
-        the hook :class:`~repro.modelcheck.hashing.ZobristFingerprinter`
-        uses when it is bound to a table but handed an object.
-        """
-        if entry is None or isinstance(entry, Route):
-            return self.route_id(entry)
-        if isinstance(entry, tuple):
-            return self.queue_id(tuple(self.route_id(route) for route in entry))
-        raise TypeError(f"cannot intern {type(entry).__name__} entries")
-
     # -- accounting --------------------------------------------------------
 
     def __len__(self) -> int:
@@ -133,6 +117,5 @@ class RouteInternTable:
         return len(self._routes) + len(self._queues)
 
     def approximate_bytes(self) -> int:
-        # Dict slot + list slot + id box per interned entry, same cost model
-        # as StateInterner.approximate_bytes.
+        # Dict slot + list slot + id box per interned entry.
         return (len(self._routes) + len(self._queues) + len(self._path_ids)) * 24

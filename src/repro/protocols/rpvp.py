@@ -223,21 +223,17 @@ class RpvpState:
     def fingerprint(self, hasher) -> int:
         """This state's Zobrist fingerprint under ``hasher``.
 
-        ``hasher`` provides ``component(slot, entry) -> int`` (see
-        :class:`repro.modelcheck.hashing.ZobristFingerprinter`).  The value is
-        the XOR of all per-slot components, computed incrementally from the
-        parent's cached fingerprint when this state came out of
-        :meth:`with_best` — O(1) amortized during a depth-first search, where
-        parents are always fingerprinted before their children.
+        ``hasher`` is a :class:`repro.modelcheck.hashing.ZobristFingerprinter`
+        bound to this state's own :attr:`intern_table`, so components are
+        keyed directly on the ``(slot, route id)`` pairs the state stores.
+        The value is the XOR of all per-slot components, computed
+        incrementally from the parent's cached fingerprint when this state
+        came out of :meth:`with_best` — O(1) amortized during a depth-first
+        search, where parents are always fingerprinted before their children.
         """
         if self._fp_token is hasher:
             return self._fp
-        table = self._space.table
-        # Hashers bound to this state's own intern table fold ids directly;
-        # foreign hashers (the property-test oracles build their own
-        # StateInterner-backed one) get the materialized routes, reproducing
-        # the pre-interning component keys exactly.
-        fast = getattr(hasher, "interner", None) is table
+        component_id = hasher.component_id
         # Walk up to the nearest ancestor already fingerprinted by ``hasher``.
         chain: List[RpvpState] = []
         state: Optional[RpvpState] = self
@@ -252,32 +248,17 @@ class RpvpState:
         if state is None or state._fp_token is not hasher:
             base = state if state is not None else self
             value = 0
-            if fast:
-                component_id = hasher.component_id
-                for slot, rid in enumerate(base._ids):
-                    value ^= component_id(slot, rid)
-            else:
-                route = table.route
-                for slot, rid in enumerate(base._ids):
-                    value ^= hasher.component(slot, route(rid))
+            for slot, rid in enumerate(base._ids):
+                value ^= component_id(slot, rid)
             base._fp_token = hasher
             base._fp = value
         else:
             value = state._fp
-        if fast:
-            component_id = hasher.component_id
-            for derived in reversed(chain):
-                slot, old, new = derived.delta  # type: ignore[misc]
-                value ^= component_id(slot, old) ^ component_id(slot, new)
-                derived._fp_token = hasher
-                derived._fp = value
-        else:
-            route = table.route
-            for derived in reversed(chain):
-                slot, old, new = derived.delta  # type: ignore[misc]
-                value = hasher.delta(value, slot, route(old), route(new))
-                derived._fp_token = hasher
-                derived._fp = value
+        for derived in reversed(chain):
+            slot, old, new = derived.delta  # type: ignore[misc]
+            value ^= component_id(slot, old) ^ component_id(slot, new)
+            derived._fp_token = hasher
+            derived._fp = value
         return value
 
     # ------------------------------------------------------------------ dunder

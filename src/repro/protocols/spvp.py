@@ -26,18 +26,17 @@ XOR over ``(slot, id)`` components.  :class:`SpvpStepper` is the stateless
 transition function over those states, generating successors through
 id-keyed import/export/rank memos; :class:`SpvpSimulator` is a thin mutable
 wrapper (current state + RNG + history) that keeps the historic simulation
-API.  :class:`ReferenceSpvpSimulator` is the original dict/deque
-implementation, kept verbatim as the oracle for the property tests and as
-the deepcopy baseline the transient-exploration benchmark measures against.
+API.  The dict/deque simulator this core replaced is not shipped: it lives
+in ``tests/oracles/spvp_reference.py`` as the oracle the property tests step
+in lockstep with it.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import ProtocolError
 from repro.protocols.base import EPSILON, Path, PathVectorInstance, Route
@@ -188,10 +187,11 @@ class SpvpState:
     explorers reconstruct witness event sequences from the parent chain
     instead of copying histories.
 
-    Fingerprints key on *paths* (route attributes are a deterministic
-    function of the path for a fixed instance), matching the visited-set
-    signature the pre-refactor explorer used; equality compares full routes
-    (which for one shared intern table is exactly the id compare).
+    Fingerprints key on ``(slot, id)``; route attributes are a deterministic
+    function of the path for a fixed instance, so this identifies exactly
+    the states the reference explorer's path-keyed visited-set signature
+    does.  Equality compares full routes (which for one shared intern table
+    is exactly the id compare).
     """
 
     __slots__ = (
@@ -333,41 +333,21 @@ class SpvpState:
         )
 
     # ------------------------------------------------------------------ hashing
-    def _component_of(self, hasher, slot: int, eid: int) -> int:
-        """The Zobrist component of intern id ``eid`` in ``slot``.
-
-        Fast path: a hasher bound to this space's intern table (the
-        :class:`~repro.modelcheck.hashing.ZobristFingerprinter` the transient
-        explorer constructs) keys components directly on ``(slot, id)`` — no
-        decode, no path hashing.  Any other hasher gets the legacy
-        path-normalised components, so fingerprints stay comparable for
-        callers that bring their own interner.
-        """
-        space = self._space
-        table = space.table
-        if getattr(hasher, "interner", None) is table:
-            return hasher.component_id(slot, eid)
-        if slot >= space.buffer_base:
-            return hasher.queue_component(
-                slot,
-                (
-                    route.path if route is not None else None
-                    for route in (table.route(rid) for rid in table.queue(eid))
-                ),
-            )
-        route = table.route(eid)
-        return hasher.component(slot, route.path if route is not None else None)
-
     def fingerprint(self, hasher) -> int:
         """This state's Zobrist fingerprint under ``hasher``.
 
-        Computed incrementally from the parent's cached fingerprint via the
-        recorded slot deltas — O(changed slots) during a search, where parents
-        are always fingerprinted before their children — falling back to a
-        full fold over all slots for roots (and detached states).
+        ``hasher`` is a :class:`~repro.modelcheck.hashing.ZobristFingerprinter`
+        bound to this space's intern table: slots already hold table ids, so
+        every component is keyed directly on ``(slot, id)`` — no decode, no
+        path hashing.  Computed incrementally from the parent's cached
+        fingerprint via the recorded slot deltas — O(changed slots) during a
+        search, where parents are always fingerprinted before their children
+        — falling back to a full fold over all slots for roots (and detached
+        states).
         """
         if self._fp_token is hasher:
             return self._fp
+        component_id = hasher.component_id
         chain: List[SpvpState] = []
         state: Optional[SpvpState] = self
         while (
@@ -380,18 +360,15 @@ class SpvpState:
         if state is None or state._fp_token is not hasher:
             base = state if state is not None else self
             value = 0
-            component = base._component_of
             for slot, eid in enumerate(base._ids):
-                value ^= component(hasher, slot, eid)
+                value ^= component_id(slot, eid)
             base._fp_token = hasher
             base._fp = value
         else:
             value = state._fp
         for derived in reversed(chain):
-            component = derived._component_of
             for slot, old, new in derived.delta:
-                value ^= component(hasher, slot, old)
-                value ^= component(hasher, slot, new)
+                value ^= component_id(slot, old) ^ component_id(slot, new)
             derived._fp_token = hasher
             derived._fp = value
         return value
@@ -452,8 +429,9 @@ class SpvpStepper:
         # Lifecycle overlays (scenario events, src/repro/scenarios/).  These
         # live on the stepper, not the state: events are applied once, to the
         # root of an exploration, so every state expanded by this stepper is
-        # governed by the same overlay — exactly as the naive oracle's
-        # per-simulator sets survive its deepcopy-per-successor.
+        # governed by the same overlay — exactly as the reference simulator
+        # (tests/oracles/spvp_reference.py) carries its own sets into every
+        # clone.
         #: Drained nodes: keep their RIB and answer nothing — a quiesced node
         #: never re-advertises a changed best path.
         self.quiesced: Set[str] = set()
@@ -916,191 +894,3 @@ class SpvpSimulator:
     def suppress_session(self, exporter: str, importer: str) -> None:
         """Gray-fail ``exporter → importer`` (see :meth:`SpvpStepper.suppress_session`)."""
         self.state = self.stepper.suppress_session(self.state, exporter, importer)
-
-
-class ReferenceSpvpSimulator:
-    """The original mutable dict/deque SPVP simulator, kept as an oracle.
-
-    This is the naive implementation the persistent core replaced: plain
-    dictionaries for best/rib-in, ``deque`` buffers, in-place mutation.  The
-    property tests (`tests/property/test_spvp_state.py`) step it in lockstep
-    with :class:`SpvpState` to pin observational equivalence, and the
-    deepcopy-based :class:`repro.transient.explorer.NaiveTransientAnalyzer`
-    explores over it as the throughput baseline.  It deliberately calls the
-    uncached ``import_``/``export`` instance methods so a memoisation bug
-    cannot hide from the comparison.
-    """
-
-    def __init__(self, instance: PathVectorInstance, seed: int = 0) -> None:
-        self.instance = instance
-        self.rng = random.Random(seed)
-        self.best: Dict[str, Optional[Route]] = {}
-        self.rib_in: Dict[Tuple[str, str], Optional[Route]] = {}
-        self.buffers: Dict[Channel, Deque[Optional[Route]]] = {}
-        self.history: List[SpvpEvent] = []
-        self.steps = 0
-        # Lifecycle overlays, mirroring SpvpStepper's.  deepcopy-based
-        # explorers inherit them per successor, which matches the stepper's
-        # constant-per-exploration overlay because events only fire at roots.
-        self.quiesced: Set[str] = set()
-        self.suppressed: Set[Channel] = set()
-        self._initialise()
-
-    # ------------------------------------------------------------------ setup
-    def _initialise(self) -> None:
-        origin_set = set(self.instance.origins())
-        for node in self.instance.nodes():
-            self.best[node] = (
-                self.instance.origin_route(node)  # type: ignore[attr-defined]
-                if node in origin_set
-                else None
-            )
-            for peer in self.instance.peers(node):
-                self.rib_in[(node, peer)] = None
-                self.buffers[(peer, node)] = deque()
-        for origin in origin_set:
-            self._advertise(origin)
-
-    def _advertise(self, sender: str) -> None:
-        """Queue ``sender``'s current best path to all of its peers."""
-        for peer in self.instance.peers(sender):
-            if (sender, peer) in self.suppressed:
-                continue
-            advertisement = self.instance.export(sender, peer, self.best[sender])
-            self.buffers[(sender, peer)].append(advertisement)
-
-    # ------------------------------------------------------------------ stepping
-    def pending_messages(self) -> List[Channel]:
-        """(sender, receiver) pairs with at least one queued advertisement."""
-        return [key for key, queue in self.buffers.items() if queue]
-
-    def is_converged(self) -> bool:
-        """True when every buffer is empty (the SPVP convergence condition)."""
-        return not self.pending_messages()
-
-    def step(self, channel: Optional[Channel] = None) -> Optional[SpvpEvent]:
-        """Process one queued advertisement; returns the event or None if idle."""
-        pending = self.pending_messages()
-        if not pending:
-            return None
-        if channel is None:
-            channel = self.rng.choice(pending)
-        elif channel not in pending or not self.buffers[channel]:
-            raise ProtocolError(f"channel {channel} has no pending message")
-        sender, receiver = channel
-        advertised = self.buffers[channel].popleft()
-        self.steps += 1
-
-        imported = (
-            None
-            if advertised is None
-            else self.instance.import_(receiver, sender, advertised)
-        )
-        if imported is not None and imported.path.contains(receiver):
-            imported = None
-        self.rib_in[(receiver, sender)] = imported
-
-        new_best = self._select_best(receiver)
-        event = SpvpEvent(node=receiver, peer=sender, advertised=advertised, new_best=new_best)
-        self.history.append(event)
-        if self._paths_differ(self.best[receiver], new_best) and receiver not in self.quiesced:
-            self.best[receiver] = new_best
-            self._advertise(receiver)
-        else:
-            self.best[receiver] = new_best
-        return event
-
-    @staticmethod
-    def _paths_differ(old: Optional[Route], new: Optional[Route]) -> bool:
-        old_path = old.path if old is not None else None
-        new_path = new.path if new is not None else None
-        return old_path != new_path
-
-    def _select_best(self, node: str) -> Optional[Route]:
-        """Recompute ``node``'s best route from its rib-in and local origin."""
-        candidates: List[Route] = []
-        if node in set(self.instance.origins()):
-            candidates.append(self.instance.origin_route(node))  # type: ignore[attr-defined]
-        for peer in self.instance.peers(node):
-            stored = self.rib_in.get((node, peer))
-            if stored is not None:
-                candidates.append(stored)
-        if not candidates:
-            return None
-        current = self.best[node]
-        best = min(candidates, key=lambda route: self.instance.rank(node, route))
-        if current is not None and current in candidates:
-            if self.instance.rank(node, current) == self.instance.rank(node, best):
-                return current
-        return best
-
-    # ------------------------------------------------------------------ running
-    def run(self, max_steps: int = 100_000) -> RpvpState:
-        """Run until convergence (or raise after ``max_steps``); return the state."""
-        while not self.is_converged():
-            if self.steps >= max_steps:
-                raise ProtocolError(
-                    f"SPVP did not converge within {max_steps} steps for "
-                    f"{self.instance.name} (possibly a divergent configuration)"
-                )
-            self.step()
-        return self.converged_state()
-
-    def converged_state(self) -> RpvpState:
-        """The current best-path assignment as an :class:`RpvpState`."""
-        return RpvpState.from_dict(dict(self.best))
-
-    def fail_session(self, a: str, b: str) -> None:
-        """Drop the buffers between ``a`` and ``b`` and deliver ⊥ to both peers."""
-        for sender, receiver in ((a, b), (b, a)):
-            if (sender, receiver) in self.buffers:
-                self.buffers[(sender, receiver)].clear()
-                self.buffers[(sender, receiver)].append(None)
-
-    # ------------------------------------------------------------------ lifecycle
-    def crash_node(self, node: str) -> None:
-        """Crash ``node`` (mirror of :meth:`SpvpStepper.crash_node`)."""
-        self.best[node] = None
-        for peer in self.instance.peers(node):
-            self.rib_in[(node, peer)] = None
-            out = self.buffers[(node, peer)]
-            out.clear()
-            out.append(None)
-            self.buffers[(peer, node)].clear()
-
-    def restart_node(self, node: str) -> None:
-        """Boot ``node`` (mirror of :meth:`SpvpStepper.restart_node`)."""
-        origin = node in set(self.instance.origins())
-        boot = self.instance.origin_route(node) if origin else None  # type: ignore[attr-defined]
-        self.best[node] = boot
-        for peer in self.instance.peers(node):
-            self.rib_in[(node, peer)] = None
-            out = self.buffers[(node, peer)]
-            out.clear()
-            out.append(None)
-            if boot is not None and (node, peer) not in self.suppressed:
-                out.append(self.instance.export(node, peer, boot))
-            inbound = self.buffers[(peer, node)]
-            inbound.clear()
-            if (peer, node) not in self.suppressed and peer not in self.quiesced:
-                inbound.append(self.instance.export(peer, node, self.best[peer]))
-
-    def quiesce_node(self, node: str) -> None:
-        """Drain ``node`` (mirror of :meth:`SpvpStepper.quiesce_node`)."""
-        self.quiesced.add(node)
-        for peer in self.instance.peers(node):
-            if (node, peer) not in self.suppressed:
-                self.buffers[(node, peer)].append(None)
-
-    def return_to_service(self, node: str) -> None:
-        """End ``node``'s drain (mirror of :meth:`SpvpStepper.return_to_service`)."""
-        self.quiesced.discard(node)
-        self._advertise(node)
-
-    def suppress_session(self, exporter: str, importer: str) -> None:
-        """Gray-fail ``exporter → importer`` (mirror of
-        :meth:`SpvpStepper.suppress_session`)."""
-        channel = (exporter, importer)
-        self.suppressed.add(channel)
-        if channel in self.buffers:
-            self.buffers[channel].clear()

@@ -5,12 +5,12 @@ flap.  This package models the fuller operational vocabulary real networks
 see (node crash and restart, maintenance drain and return-to-service, flap
 storms, gray failures, staged multi-event sequences) as first-class
 *initial-event scenarios*: picklable values with the same duck-typed
-``apply(stepper, state)`` / ``apply_to_simulator(simulator)`` hooks as
+``apply(stepper, state)`` hook as
 :class:`~repro.transient.explorer.Converge` and
-:class:`~repro.transient.explorer.FailSession`, so every event is equally
-consumable by the persistent :class:`~repro.protocols.spvp.SpvpStepper`
-exploration and by the retained naive oracles — each new event is born with
-a bit-identical cross-model check.
+:class:`~repro.transient.explorer.FailSession`, consumed by the persistent
+:class:`~repro.protocols.spvp.SpvpStepper` exploration.  Each event's
+second model lives with the tests (``tests/oracles/spvp_reference.py``), so
+every new event is born with a bit-identical cross-model check.
 
 :mod:`repro.scenarios.enumerator` adds the campaign side: k-event scenario
 enumeration with DEC/LEC symmetry reduction (equivalent event sequences
@@ -34,7 +34,6 @@ from repro.scenarios.enumerator import (
     DEFAULT_EVENT_KINDS,
     EVENT_KINDS,
     ScenarioLedger,
-    brute_event_scenarios,
     enumerate_event_scenarios,
     event_universe,
     scenario_from_descriptor,
@@ -55,7 +54,6 @@ __all__ = [
     "DEFAULT_EVENT_KINDS",
     "EVENT_KINDS",
     "ScenarioLedger",
-    "brute_event_scenarios",
     "enumerate_event_scenarios",
     "event_universe",
     "scenario_from_descriptor",

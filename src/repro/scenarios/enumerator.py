@@ -31,9 +31,10 @@ Scenarios are emitted as descriptor tuples turned into
 :class:`~repro.scenarios.events.Scenario` values; non-empty scenarios lead
 with a :class:`~repro.transient.explorer.Converge` so each one perturbs the
 canonical steady state, mirroring the established session-flap workflow.
-:func:`brute_event_scenarios` is the unreduced oracle the property suite
-pins the reduction against, and :class:`ScenarioLedger` records how much the
-reduction pruned.
+:class:`ScenarioLedger` records how much the reduction pruned against the
+unreduced enumeration, which itself lives with the tests
+(``tests/oracles/scenario_reference.py``) as the oracle the suite pins the
+reduction to.
 """
 
 from __future__ import annotations
@@ -226,34 +227,6 @@ def _sequence_count(universe: int, max_events: int) -> int:
         term *= max(universe - (length - 1), 0)
         total += term
     return total
-
-
-def brute_event_scenarios(
-    topology: Topology,
-    max_events: int,
-    kinds: Sequence[str] = DEFAULT_EVENT_KINDS,
-    converge_first: bool = True,
-) -> List[Scenario]:
-    """The unreduced oracle: every ordered sequence of distinct events up to
-    ``max_events`` long, over the full universe.  Exponential — test-sized
-    topologies only."""
-    if max_events < 0:
-        raise TopologyError(f"max_events must be non-negative, got {max_events}")
-    universe = event_universe(topology, kinds)
-    results: List[Tuple[Descriptor, ...]] = [()]
-
-    def extend(prefix: Tuple[Descriptor, ...], remaining: int) -> None:
-        if remaining == 0:
-            return
-        for descriptor in universe:
-            if descriptor in prefix:
-                continue
-            sequence = prefix + (descriptor,)
-            results.append(sequence)
-            extend(sequence, remaining - 1)
-
-    extend((), max_events)
-    return [scenario_from_descriptor(seq, converge_first) for seq in results]
 
 
 def enumerate_event_scenarios(

@@ -3,16 +3,17 @@
 Every event is a frozen, picklable dataclass with the initial-event protocol
 the transient explorer already speaks:
 
-* ``apply(stepper, state) -> SpvpState`` — the persistent-core semantics,
-* ``apply_to_simulator(simulator) -> None`` — the naive-oracle semantics,
+* ``apply(stepper, state) -> SpvpState`` — the semantics, on the persistent
+  core (:class:`~repro.protocols.spvp.SpvpStepper` carries the lifecycle
+  primitives),
 * ``describe() -> str`` — the human/cache-facing description.
 
-The two ``apply`` paths are deliberately implemented on *both* models
-(:class:`~repro.protocols.spvp.SpvpStepper` and
-:class:`~repro.protocols.spvp.ReferenceSpvpSimulator` carry mirrored
-lifecycle primitives) so ``tests/property/test_scenario_events.py`` can pin
-them bit-identical on randomized instances — the same oracle discipline the
-state core itself was built under.
+The package ships this one model of each event.  The second, independent
+one — the same vocabulary on the dict/deque reference simulator — lives
+with the tests (``tests/oracles/spvp_reference.py::apply_reference``), where
+``tests/property/test_scenario_events.py`` pins the two bit-identical on
+randomized instances: the same oracle discipline the state core itself was
+built under.
 
 Event semantics, in SPVP terms:
 
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.protocols.rpvp import RpvpState
-from repro.protocols.spvp import ReferenceSpvpSimulator, SpvpState, SpvpStepper
+from repro.protocols.spvp import SpvpState, SpvpStepper
 
 # Re-exported so the scenario vocabulary is complete in one namespace.
 from repro.transient.explorer import Converge, FailSession
@@ -84,9 +85,6 @@ class NodeCrash:
     def apply(self, stepper: SpvpStepper, state: SpvpState) -> SpvpState:
         return stepper.crash_node(state, self.node)
 
-    def apply_to_simulator(self, simulator: ReferenceSpvpSimulator) -> None:
-        simulator.crash_node(self.node)
-
     def describe(self) -> str:
         return f"crash {self.node}"
 
@@ -99,9 +97,6 @@ class NodeRestart:
 
     def apply(self, stepper: SpvpStepper, state: SpvpState) -> SpvpState:
         return stepper.restart_node(state, self.node)
-
-    def apply_to_simulator(self, simulator: ReferenceSpvpSimulator) -> None:
-        simulator.restart_node(self.node)
 
     def describe(self) -> str:
         return f"restart {self.node}"
@@ -116,9 +111,6 @@ class MaintenanceDrain:
     def apply(self, stepper: SpvpStepper, state: SpvpState) -> SpvpState:
         return stepper.quiesce_node(state, self.node)
 
-    def apply_to_simulator(self, simulator: ReferenceSpvpSimulator) -> None:
-        simulator.quiesce_node(self.node)
-
     def describe(self) -> str:
         return f"drain {self.node}"
 
@@ -131,9 +123,6 @@ class ReturnToService:
 
     def apply(self, stepper: SpvpStepper, state: SpvpState) -> SpvpState:
         return stepper.return_to_service(state, self.node)
-
-    def apply_to_simulator(self, simulator: ReferenceSpvpSimulator) -> None:
-        simulator.return_to_service(self.node)
 
     def describe(self) -> str:
         return f"return {self.node}"
@@ -150,10 +139,6 @@ class FlapStorm:
             state = stepper.fail_session(state, a, b)
         return state
 
-    def apply_to_simulator(self, simulator: ReferenceSpvpSimulator) -> None:
-        for a, b in self.sessions:
-            simulator.fail_session(a, b)
-
     def describe(self) -> str:
         return "flap-storm " + ", ".join(f"{a}<->{b}" for a, b in self.sessions)
 
@@ -168,9 +153,6 @@ class GrayFailure:
 
     def apply(self, stepper: SpvpStepper, state: SpvpState) -> SpvpState:
         return stepper.suppress_session(state, self.exporter, self.importer)
-
-    def apply_to_simulator(self, simulator: ReferenceSpvpSimulator) -> None:
-        simulator.suppress_session(self.exporter, self.importer)
 
     def describe(self) -> str:
         return f"gray {self.exporter}->{self.importer}"
@@ -187,10 +169,6 @@ class Scenario:
         for event in self.events:
             state = event.apply(stepper, state)
         return state
-
-    def apply_to_simulator(self, simulator: ReferenceSpvpSimulator) -> None:
-        for event in self.events:
-            event.apply_to_simulator(simulator)
 
     def describe(self) -> str:
         if self.name:

@@ -12,7 +12,6 @@ from repro.transient.explorer import (
     Converge,
     FailSession,
     FRONTIER_MODES,
-    NaiveTransientAnalyzer,
     POR_MODES,
     TransientAnalysisResult,
     TransientAnalyzer,
@@ -38,7 +37,6 @@ __all__ = [
     "FRONTIER_MODES",
     "minimize_witness",
     "FailSession",
-    "NaiveTransientAnalyzer",
     "POR_MODES",
     "TransientAnalyzer",
     "TransientAnalysisResult",

@@ -32,13 +32,14 @@ sitting exactly at the depth bound can fall just past it under reduction);
 
 The per-state step is incremental, mirroring the RPVP explorer's treatment:
 successors are derived :class:`repro.protocols.spvp.SpvpState` children
-(structural sharing, no ``copy.deepcopy`` of the simulator), the visited-set
+(structural sharing, no copy of a simulator), the visited-set
 key is an O(changed-slots) Zobrist XOR off the parent's fingerprint instead
 of a full (best, rib-in, buffers) tuple hash, pending channels are
 delta-maintained on the state, and witness event sequences are reconstructed
 from the BFS parent chain only when a violation is actually reported.
-:class:`NaiveTransientAnalyzer` keeps the pre-refactor deepcopy/full-signature
-exploration as the equivalence oracle and throughput baseline.
+The fork-a-simulator, full-signature exploration this replaced is not
+shipped: it lives in ``tests/oracles/transient_reference.py`` as the
+equivalence oracle ``por="full"`` runs are pinned to bit for bit.
 
 State-budget accounting is deduplicated: a state counts against
 ``max_states`` exactly once — when it is first admitted to the visited set —
@@ -57,17 +58,15 @@ interleaving.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import itertools
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.config.objects import NetworkConfig
 from repro.core.results import TaskFailure
-from repro.exceptions import ProtocolError
 from repro.modelcheck.hashing import ZobristFingerprinter
 from repro.modelcheck.por import (
     AmpleSelector,
@@ -81,12 +80,7 @@ from repro.modelcheck.trail import document
 from repro.pec.classes import PacketEquivalenceClass
 from repro.protocols.base import PathVectorInstance
 from repro.protocols.rpvp import RpvpState
-from repro.protocols.spvp import (
-    Channel,
-    ReferenceSpvpSimulator,
-    SpvpState,
-    SpvpStepper,
-)
+from repro.protocols.spvp import Channel, SpvpState, SpvpStepper
 from repro.topology.failures import FailureScenario
 from repro.transient.properties import TransientForwarding, TransientProperty
 
@@ -107,7 +101,7 @@ class TransientOptions:
     reduction — the oracle mode the equivalence tests pin against).
 
     ``frontier`` selects the exploration order: ``"fifo"`` (plain BFS, the
-    default and the order the naive oracle pins) or ``"priority"``, a
+    default and the order the reference explorer pins) or ``"priority"``, a
     deepest-first heap with fewest-pending-channels tie-breaking — the
     search commits to the branch closest to convergence and backtracks
     locally.  Forced singleton amples — states where the reduction proved
@@ -207,9 +201,6 @@ class FailSession:
     def apply(self, stepper: SpvpStepper, state: SpvpState) -> SpvpState:
         return stepper.fail_session(state, self.a, self.b)
 
-    def apply_to_simulator(self, simulator: ReferenceSpvpSimulator) -> None:
-        simulator.fail_session(self.a, self.b)
-
     def describe(self) -> str:
         return f"fail-session {self.a}<->{self.b}"
 
@@ -219,8 +210,9 @@ class Converge:
     """Initial event: drain all buffers along one canonical execution.
 
     Always delivers the first pending channel (slot order; see
-    :meth:`SpvpStepper.drain`), so the fast and the naive explorations start
-    their perturbed searches from the same steady state.  Raises
+    :meth:`SpvpStepper.drain`), so every exploration — the test suite's
+    reference explorer included — starts its perturbed search from the same
+    steady state.  Raises
     :class:`ProtocolError` when the instance does not converge within
     ``max_steps`` (divergent configurations).
     """
@@ -229,21 +221,6 @@ class Converge:
 
     def apply(self, stepper: SpvpStepper, state: SpvpState) -> SpvpState:
         return stepper.drain(state, max_steps=self.max_steps)
-
-    def apply_to_simulator(self, simulator: ReferenceSpvpSimulator) -> None:
-        # The reference simulator is deliberately kept independent of the
-        # persistent core, so the drain is mirrored here; the lockstep flap
-        # property test pins the two against each other (including the
-        # divergence ProtocolError).
-        steps = 0
-        while not simulator.is_converged():
-            if steps >= self.max_steps:
-                raise ProtocolError(
-                    f"SPVP did not converge within {self.max_steps} steps for "
-                    f"{simulator.instance.name} (possibly a divergent configuration)"
-                )
-            simulator.step(simulator.pending_messages()[0])
-            steps += 1
 
     def describe(self) -> str:
         return "converge (canonical delivery order)"
@@ -313,7 +290,8 @@ class TransientAnalysisResult:
     #: Converged best-path assignments, populated when the analyzer was built
     #: with ``collect_converged=True`` (the Theorem 1 cross-model check).
     converged_rpvp_states: List[RpvpState] = field(default_factory=list)
-    #: What the partial-order reduction did (None for the naive oracle).
+    #: What the partial-order reduction did (None when the search kept no
+    #: ledger, as the test suite's reference explorer does not).
     reduction: Optional[ReductionStatistics] = None
 
     @property
@@ -349,8 +327,8 @@ class TransientAnalysisResult:
     def stats_signature(self) -> Dict[str, object]:
         """Everything observable about the exploration except wall-clock time.
 
-        Used by the equivalence tests to assert the incremental and the naive
-        explorations are bit-identical: the canonical document without the
+        Used by the equivalence tests to assert this exploration and the
+        reference one are bit-identical: the canonical document without the
         clock and without the reduction ledger, which describes *how* the
         search ran, not what it observed.
         """
@@ -386,57 +364,13 @@ class TransientAnalyzer:
     def __init__(
         self,
         instance: PathVectorInstance,
-        max_states: int = 20_000,
-        max_depth: int = 64,
-        stop_at_first_violation: bool = True,
-        collect_converged: bool = False,
-        por: str = "ample",
-        frontier: str = "fifo",
-        minimize_witnesses: bool = False,
-        rank_immunity: bool = True,
         options: Optional[TransientOptions] = None,
+        **overrides,
     ) -> None:
-        if options is None:
-            options = TransientOptions(
-                max_states=max_states,
-                max_depth=max_depth,
-                stop_at_first_violation=stop_at_first_violation,
-                collect_converged=collect_converged,
-                por=por,
-                frontier=frontier,
-                minimize_witnesses=minimize_witnesses,
-                rank_immunity=rank_immunity,
-            )
-        else:
-            overridden = {
-                name: value
-                for name, value in (
-                    ("max_states", max_states),
-                    ("max_depth", max_depth),
-                    ("stop_at_first_violation", stop_at_first_violation),
-                    ("collect_converged", collect_converged),
-                    ("por", por),
-                    ("frontier", frontier),
-                    ("minimize_witnesses", minimize_witnesses),
-                    ("rank_immunity", rank_immunity),
-                )
-                if value != TransientOptions.__dataclass_fields__[name].default
-            }
-            if overridden:
-                raise ValueError(
-                    "pass either individual keyword arguments or options=, "
-                    f"not both (got options= and {sorted(overridden)})"
-                )
+        """``overrides`` are :class:`TransientOptions` fields by keyword,
+        applied on top of ``options`` (default: a fresh ``TransientOptions``)."""
         self.instance = instance
-        self.options = options
-        self.max_states = options.max_states
-        self.max_depth = options.max_depth
-        self.stop_at_first_violation = options.stop_at_first_violation
-        self.collect_converged = options.collect_converged
-        self.por = options.por
-        self.frontier_mode = options.frontier
-        self.minimize_witnesses = options.minimize_witnesses
-        self.rank_immunity = options.rank_immunity
+        self.options = replace(options or TransientOptions(), **overrides)
         #: Set for the duration of one analyze() call when witnesses are
         #: minimised (the replayer needs the stepper and the search root).
         self._stepper: Optional[SpvpStepper] = None
@@ -457,8 +391,9 @@ class TransientAnalyzer:
         if not properties:
             raise ValueError("at least one transient property is required")
         started = time.perf_counter()
+        options = self.options
         result = TransientAnalysisResult()
-        reduction = ReductionStatistics(mode=self.por)
+        reduction = ReductionStatistics(mode=options.por)
         result.reduction = reduction
 
         stepper = SpvpStepper(self.instance)
@@ -472,18 +407,18 @@ class TransientAnalyzer:
             root = _apply_initial_event(stepper, root, event)
         self._stepper = stepper
         self._root = root
-        use_priority = self.frontier_mode == "priority"
+        use_priority = options.frontier == "priority"
 
-        use_sleep = self.por in ("ample", "sleep")
+        use_sleep = options.por in ("ample", "sleep")
         independence = ChannelIndependence(self.instance) if use_sleep else None
         selector = (
             AmpleSelector(
                 self.instance,
                 independence,
-                rank_immunity=self.rank_immunity,
+                rank_immunity=options.rank_immunity,
                 reduction=reduction,
             )
-            if self.por == "ample"
+            if options.por == "ample"
             else None
         )
 
@@ -518,7 +453,7 @@ class TransientAnalyzer:
                 result.max_depth_reached = max(result.max_depth_reached, depth)
                 if converged:
                     result.converged_states += 1
-                    if self.collect_converged:
+                    if options.collect_converged:
                         result.converged_rpvp_states.append(state.converged_rpvp())
                 stop = self._check_state(state, converged, depth, properties, result)
                 if stop:
@@ -526,7 +461,7 @@ class TransientAnalyzer:
 
             if converged:
                 continue
-            if depth >= self.max_depth:
+            if depth >= options.max_depth:
                 reduction.depth_pruned += 1
                 continue
 
@@ -596,7 +531,7 @@ class TransientAnalyzer:
                 fingerprint = successor.fingerprint(hasher)
                 stored = visited.get(fingerprint)
                 if stored is None:  # values are frozensets, never None
-                    if len(visited) >= self.max_states:
+                    if len(visited) >= options.max_states:
                         result.truncated = True
                         break
                     visited[fingerprint] = succ_sleep
@@ -639,7 +574,7 @@ class TransientAnalyzer:
             if message is None:
                 continue
             witness_state = state
-            if self.minimize_witnesses and self._stepper is not None:
+            if self.options.minimize_witnesses and self._stepper is not None:
                 from repro.transient.witness import minimize_witness
 
                 witness_state = minimize_witness(
@@ -656,123 +591,9 @@ class TransientAnalyzer:
                     ),
                 )
             )
-            if self.stop_at_first_violation:
+            if self.options.stop_at_first_violation:
                 return True
         return False
-
-
-class NaiveTransientAnalyzer(TransientAnalyzer):
-    """The pre-refactor exploration: deepcopy a simulator per successor.
-
-    Kept as the oracle the equivalence tests and the throughput benchmark
-    compare :class:`TransientAnalyzer` against: it explores over the mutable
-    :class:`ReferenceSpvpSimulator`, cloning the whole simulator (best,
-    rib-ins, buffers *and* event history) with ``copy.deepcopy`` for every
-    successor and keying the visited set on a full (best, rib-in, buffers)
-    signature tuple.  It never reduces (``full`` semantics regardless of the
-    ``por`` option); budget accounting matches the incremental analyzer so
-    ``por="full"`` runs produce bit-identical
-    :class:`TransientAnalysisResult`s.
-    """
-
-    def analyze(
-        self,
-        properties: Sequence[TransientProperty],
-        initial_events: Sequence[object] = (),
-    ) -> TransientAnalysisResult:
-        if not properties:
-            raise ValueError("at least one transient property is required")
-        started = time.perf_counter()
-        result = TransientAnalysisResult()
-
-        root = ReferenceSpvpSimulator(self.instance, seed=0)
-        for event in initial_events:
-            if hasattr(event, "apply_to_simulator"):
-                event.apply_to_simulator(root)
-            else:
-                raise TypeError(
-                    f"initial event {event!r} has no apply_to_simulator hook"
-                )
-        visited: Set[Tuple] = {self._signature(root)}
-        frontier: Deque[Tuple[ReferenceSpvpSimulator, int]] = deque([(root, 0)])
-
-        while frontier:
-            simulator, depth = frontier.popleft()
-            result.states_explored += 1
-            result.max_depth_reached = max(result.max_depth_reached, depth)
-            converged = simulator.is_converged()
-            if converged:
-                result.converged_states += 1
-                if self.collect_converged:
-                    result.converged_rpvp_states.append(simulator.converged_state())
-
-            stop = self._check_simulator(simulator, converged, depth, properties, result)
-            if stop:
-                break
-
-            if converged or depth >= self.max_depth:
-                continue
-
-            for channel in simulator.pending_messages():
-                successor = copy.deepcopy(simulator)
-                successor.step(channel)
-                signature = self._signature(successor)
-                if signature in visited:
-                    continue
-                if len(visited) >= self.max_states:
-                    result.truncated = True
-                    break
-                visited.add(signature)
-                frontier.append((successor, depth + 1))
-
-        result.elapsed_seconds = time.perf_counter() - started
-        return result
-
-    def _check_simulator(
-        self,
-        simulator: ReferenceSpvpSimulator,
-        converged: bool,
-        depth: int,
-        properties: Sequence[TransientProperty],
-        result: TransientAnalysisResult,
-    ) -> bool:
-        forwarding = TransientForwarding.from_best_paths(simulator.best)
-        for prop in properties:
-            message = prop.check(forwarding, converged)
-            if message is None:
-                continue
-            result.violations.append(
-                TransientViolation(
-                    property_name=prop.name,
-                    message=message,
-                    depth=depth,
-                    converged=converged,
-                    witness=tuple(event.describe() for event in simulator.history),
-                )
-            )
-            if self.stop_at_first_violation:
-                return True
-        return False
-
-    @staticmethod
-    def _signature(simulator: ReferenceSpvpSimulator) -> Tuple:
-        """A hashable signature of the SPVP state (best, rib-in, buffers)."""
-        best = tuple(sorted(
-            (node, route.path if route is not None else None)
-            for node, route in simulator.best.items()
-        ))
-        rib_in = tuple(sorted(
-            (key, route.path if route is not None else None)
-            for key, route in simulator.rib_in.items()
-        ))
-        buffers = tuple(sorted(
-            (
-                key,
-                tuple(route.path if route is not None else None for route in queue),
-            )
-            for key, queue in simulator.buffers.items()
-        ))
-        return (best, rib_in, buffers)
 
 
 # --------------------------------------------------------------------------- engine routing
@@ -960,8 +781,6 @@ def campaign_request(
     deadline differs from a converged-state check's) override the
     verifier's without rebuilding it.
     """
-    import dataclasses
-
     from repro.engine import EngineContext, build_transient_task_graph
 
     config = TransientTaskConfig(
@@ -986,7 +805,7 @@ def campaign_request(
         plankton=plankton,
         policies=[],
         options_override=(
-            dataclasses.replace(plankton.options, **supervision) if supervision else None
+            replace(plankton.options, **supervision) if supervision else None
         ),
     )
     return config, graph, context

@@ -1,0 +1,136 @@
+"""The unreduced transient exploration ``TransientAnalyzer`` is pinned to.
+
+:class:`NaiveTransientAnalyzer` is a second, independent breadth-first
+search over SPVP interleavings: it explores over the mutable
+:class:`~tests.oracles.spvp_reference.ReferenceSpvpSimulator`, forks one
+simulator per successor (:meth:`ReferenceSpvpSimulator.clone` — best,
+rib-ins, buffers *and* event history), and keys the visited set on a full
+(best, rib-in, buffers) signature tuple.  It never reduces; budget
+accounting matches the product's, so ``TransientAnalyzer(por="full")`` runs
+must produce bit-identical ``stats_signature()``s.  It is exhaustive and
+slow on purpose — test-sized budgets only.
+"""
+
+from __future__ import annotations
+
+import time
+from collections import deque
+from typing import Deque, Sequence, Set, Tuple
+
+from repro.protocols.base import PathVectorInstance
+from repro.transient.explorer import TransientAnalysisResult, TransientViolation
+from repro.transient.properties import TransientForwarding, TransientProperty
+
+from tests.oracles.spvp_reference import ReferenceSpvpSimulator, apply_reference
+
+
+class NaiveTransientAnalyzer:
+    """Breadth-first exploration forking a reference simulator per successor."""
+
+    def __init__(
+        self,
+        instance: PathVectorInstance,
+        max_states: int = 20_000,
+        max_depth: int = 64,
+        stop_at_first_violation: bool = True,
+        collect_converged: bool = False,
+    ) -> None:
+        self.instance = instance
+        self.max_states = max_states
+        self.max_depth = max_depth
+        self.stop_at_first_violation = stop_at_first_violation
+        self.collect_converged = collect_converged
+
+    def analyze(
+        self,
+        properties: Sequence[TransientProperty],
+        initial_events: Sequence[object] = (),
+    ) -> TransientAnalysisResult:
+        if not properties:
+            raise ValueError("at least one transient property is required")
+        started = time.perf_counter()
+        result = TransientAnalysisResult()
+
+        root = ReferenceSpvpSimulator(self.instance, seed=0)
+        for event in initial_events:
+            apply_reference(root, event)
+        visited: Set[Tuple] = {self._signature(root)}
+        frontier: Deque[Tuple[ReferenceSpvpSimulator, int]] = deque([(root, 0)])
+
+        while frontier:
+            simulator, depth = frontier.popleft()
+            result.states_explored += 1
+            result.max_depth_reached = max(result.max_depth_reached, depth)
+            converged = simulator.is_converged()
+            if converged:
+                result.converged_states += 1
+                if self.collect_converged:
+                    result.converged_rpvp_states.append(simulator.converged_state())
+
+            stop = self._check_simulator(simulator, converged, depth, properties, result)
+            if stop:
+                break
+
+            if converged or depth >= self.max_depth:
+                continue
+
+            for channel in simulator.pending_messages():
+                successor = simulator.clone()
+                successor.step(channel)
+                signature = self._signature(successor)
+                if signature in visited:
+                    continue
+                if len(visited) >= self.max_states:
+                    result.truncated = True
+                    break
+                visited.add(signature)
+                frontier.append((successor, depth + 1))
+
+        result.elapsed_seconds = time.perf_counter() - started
+        return result
+
+    def _check_simulator(
+        self,
+        simulator: ReferenceSpvpSimulator,
+        converged: bool,
+        depth: int,
+        properties: Sequence[TransientProperty],
+        result: TransientAnalysisResult,
+    ) -> bool:
+        forwarding = TransientForwarding.from_best_paths(simulator.best)
+        for prop in properties:
+            message = prop.check(forwarding, converged)
+            if message is None:
+                continue
+            result.violations.append(
+                TransientViolation(
+                    property_name=prop.name,
+                    message=message,
+                    depth=depth,
+                    converged=converged,
+                    witness=tuple(event.describe() for event in simulator.history),
+                )
+            )
+            if self.stop_at_first_violation:
+                return True
+        return False
+
+    @staticmethod
+    def _signature(simulator: ReferenceSpvpSimulator) -> Tuple:
+        """A hashable signature of the SPVP state (best, rib-in, buffers)."""
+        best = tuple(sorted(
+            (node, route.path if route is not None else None)
+            for node, route in simulator.best.items()
+        ))
+        rib_in = tuple(sorted(
+            (key, route.path if route is not None else None)
+            for key, route in simulator.rib_in.items()
+        ))
+        buffers = tuple(sorted(
+            (
+                key,
+                tuple(route.path if route is not None else None for route in queue),
+            )
+            for key, queue in simulator.buffers.items()
+        ))
+        return (best, rib_in, buffers)

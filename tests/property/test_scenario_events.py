@@ -1,8 +1,9 @@
 """Cross-model oracle for the lifecycle event vocabulary (`repro.scenarios`).
 
 Every event type (node crash, restart, maintenance drain, return-to-service,
-flap storm, gray failure, staged scenarios) is implemented twice — on the
-persistent :class:`SpvpStepper` and on the deepcopy
+flap storm, gray failure, staged scenarios) is implemented twice — in the
+package on the persistent :class:`SpvpStepper`, and in
+``tests/oracles/spvp_reference.py`` on the dict/deque
 :class:`ReferenceSpvpSimulator` — and these tests pin the two bit-identical
 on random gadget topologies and on the fat-tree eBGP workload: identical
 verdicts, identical converged sets, identical exploration statistics
@@ -27,11 +28,9 @@ from repro.scenarios import (
     maintenance_window,
     steady_state_after,
 )
-from repro.transient import (
-    NaiveTransientAnalyzer,
-    TransientAnalyzer,
-)
+from repro.transient import TransientAnalyzer
 
+from tests.oracles.transient_reference import NaiveTransientAnalyzer
 from tests.property.test_transient_por import (
     BUDGET,
     _complete,
@@ -90,7 +89,7 @@ def _naive(edge_map, preferences, events):
 
 
 class TestEventsAgainstDeepcopyOracle:
-    """Persistent-stepper exploration == deepcopy-simulator exploration,
+    """Persistent-stepper exploration == reference-simulator exploration,
     for every event type, including ProtocolError parity."""
 
     @pytest.mark.parametrize("kind", EVENT_KINDS)

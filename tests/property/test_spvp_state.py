@@ -2,8 +2,9 @@
 
 The persistent :class:`SpvpState` + stateless :class:`SpvpStepper` pair
 promises to be *observationally identical* to the naive dict/deque simulator
-it replaced (`ReferenceSpvpSimulator`, kept verbatim for exactly this
-purpose): same best routes, rib-ins, buffer contents, pending channels and
+it replaced (`ReferenceSpvpSimulator`, kept verbatim in
+``tests/oracles/spvp_reference.py`` for exactly this purpose): same best
+routes, rib-ins, buffer contents, pending channels and
 events for every delivery order, with the incremental multi-slot Zobrist
 fingerprint equal to a from-scratch fold over the full state.  These tests
 pin that promise against the naive oracle across random gadget topologies
@@ -14,9 +15,10 @@ for the RPVP side.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.modelcheck.hashing import StateInterner, ZobristFingerprinter
-from repro.protocols.spvp import ReferenceSpvpSimulator, SpvpSimulator, SpvpStepper
+from repro.modelcheck.hashing import ZobristFingerprinter
+from repro.protocols.spvp import SpvpSimulator, SpvpStepper
 
+from tests.oracles.spvp_reference import ReferenceSpvpSimulator
 from tests.test_rpvp_spvp import GadgetInstance, bad_gadget, disagree_gadget, good_gadget
 
 
@@ -99,7 +101,7 @@ class TestSpvpStateAgainstReference:
         instance = GadgetInstance("o", edge_map, preferences)
         stepper = SpvpStepper(instance)
         reference = ReferenceSpvpSimulator(instance, seed=0)
-        hasher = ZobristFingerprinter(StateInterner())
+        hasher = ZobristFingerprinter(stepper.table)
 
         state = stepper.initial_state()
         _assert_state_matches_reference(stepper, state, reference, hasher)

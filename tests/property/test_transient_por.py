@@ -4,8 +4,9 @@ The ample/sleep reduction (`repro.modelcheck.por`) promises to preserve, on
 any SPVP instance, (a) the violation verdict of every transient property and
 (b) the exact set of converged (deadlocked) states, while exploring fewer
 interleavings.  These tests pin that promise against the unreduced
-``por="full"`` exploration — itself pinned bit-for-bit against the deepcopy
-:class:`ReferenceSpvpSimulator` oracle by ``tests/test_transient.py`` — over
+``por="full"`` exploration — itself pinned bit-for-bit against the reference
+explorer (``tests/oracles/transient_reference.py``) by
+``tests/test_transient.py`` — over
 random gadget topologies, random preference orders, and random session-flap
 perturbations, mirroring ``test_spvp_state.py``'s oracle style.
 
@@ -23,7 +24,6 @@ from repro.exceptions import ProtocolError
 from repro.transient import (
     Converge,
     FailSession,
-    NaiveTransientAnalyzer,
     TransientAnalyzer,
     TransientBlackHoleFreedom,
     TransientLoopFreedom,
@@ -32,6 +32,7 @@ from repro.transient import (
 from repro.modelcheck.por.ample import AmpleSelector
 from repro.protocols.spvp import SpvpStepper
 
+from tests.oracles.transient_reference import NaiveTransientAnalyzer
 from tests.test_rpvp_spvp import GadgetInstance
 
 

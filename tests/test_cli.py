@@ -291,6 +291,59 @@ def bgp_workspace(tmp_path):
     return tmp_path
 
 
+class TestSimulationRunsOncePerPrefix:
+    """``simulate`` and ``trace`` used to simulate every PEC two or three
+    times over (a discarded policy check, then the dump, then the trace)."""
+
+    @pytest.fixture
+    def simulated_prefixes(self, monkeypatch):
+        from repro.protocols.spvp import SpvpSimulator
+
+        prefixes = []
+        run = SpvpSimulator.run
+
+        def counting_run(simulator, *args, **kwargs):
+            prefixes.append(str(simulator.instance.prefix))
+            return run(simulator, *args, **kwargs)
+
+        monkeypatch.setattr(SpvpSimulator, "run", counting_run)
+        return prefixes
+
+    @pytest.fixture
+    def two_prefix_workspace(self, bgp_workspace):
+        (bgp_workspace / "bgp.cfg").write_text(
+            BGP_CONFIG.replace(
+                "network 10.9.0.0/24", "network 10.9.0.0/24\n    network 10.8.0.0/24"
+            )
+        )
+        return bgp_workspace
+
+    def test_simulate_runs_spvp_once_per_pec_and_prefix(
+        self, two_prefix_workspace, simulated_prefixes, capsys
+    ):
+        code = _run([
+            "simulate", "--topology", two_prefix_workspace / "bgp.topo",
+            "--config", two_prefix_workspace / "bgp.cfg",
+        ])
+        out = capsys.readouterr().out
+        assert code == EXIT_HOLDS
+        assert "10.8.0.0/24" in out and "10.9.0.0/24" in out
+        assert sorted(simulated_prefixes) == ["10.8.0.0/24", "10.9.0.0/24"]
+
+    def test_trace_runs_spvp_once_for_the_target_pec(
+        self, two_prefix_workspace, simulated_prefixes, capsys
+    ):
+        code = _run([
+            "trace", "--topology", two_prefix_workspace / "bgp.topo",
+            "--config", two_prefix_workspace / "bgp.cfg",
+            "--source", "a", "--destination", "10.9.0.7", "--show-fibs",
+        ])
+        out = capsys.readouterr().out
+        assert code == EXIT_HOLDS
+        assert "a -> m -> o [delivered]" in out
+        assert simulated_prefixes == ["10.9.0.0/24"]
+
+
 class TestTransientCommand:
     def test_holds_from_cold_start(self, bgp_workspace, capsys):
         code = _run([

@@ -7,7 +7,6 @@ from repro.modelcheck import (
     BitstateFilter,
     Explorer,
     ExplorerOptions,
-    StateInterner,
     Trail,
 )
 from repro.modelcheck.hashing import VisitedSet
@@ -132,30 +131,6 @@ class TestExplorer:
         explorer = Explorer(successors=lambda s: [], check_terminal=lambda s, l: None)
         outcome = explorer.run("only", collect_converged=True)
         assert outcome.converged_states == ["only"]
-
-
-class TestStateInterner:
-    def test_same_object_same_id(self):
-        interner = StateInterner()
-        assert interner.intern(("a", 1)) == interner.intern(("a", 1))
-        assert interner.intern(("b", 1)) != interner.intern(("a", 1))
-
-    def test_lookup_round_trip(self):
-        interner = StateInterner()
-        obj_id = interner.intern("route-entry")
-        assert interner.lookup(obj_id) == "route-entry"
-
-    def test_intern_state_vector(self):
-        interner = StateInterner()
-        ids = interner.intern_state(["x", "y", "x"])
-        assert ids[0] == ids[2] != ids[1]
-        assert interner.unique_entries() == 2
-
-    @given(st.lists(st.text(max_size=5), min_size=1, max_size=50))
-    def test_interning_is_injective_on_distinct_values(self, values):
-        interner = StateInterner()
-        ids = {value: interner.intern(value) for value in values}
-        assert len(set(ids.values())) == len(set(values))
 
 
 class TestBitstate:

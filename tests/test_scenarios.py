@@ -30,7 +30,6 @@ from repro.scenarios import (
     ReturnToService,
     Scenario,
     ScenarioLedger,
-    brute_event_scenarios,
     enumerate_event_scenarios,
     event_universe,
     scenario_from_descriptor,
@@ -44,6 +43,7 @@ from repro.transient import (
     TransientOptions,
 )
 
+from tests.oracles.scenario_reference import brute_event_scenarios
 from tests.test_cli import BGP_CONFIG, BGP_TOPOLOGY_TEXT
 
 

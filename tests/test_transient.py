@@ -11,7 +11,6 @@ from repro.transient import (
     AlwaysReaches,
     Converge,
     FailSession,
-    NaiveTransientAnalyzer,
     TransientAnalyzer,
     TransientBlackHoleFreedom,
     TransientForwarding,
@@ -21,6 +20,7 @@ from repro.transient import (
     analyze_pec_transients_over_failures,
 )
 
+from tests.oracles.transient_reference import NaiveTransientAnalyzer
 from tests.test_rpvp_spvp import (
     GadgetInstance,
     bad_gadget,
@@ -205,7 +205,8 @@ def _converged_signatures(states):
 class TestCrossModelEquivalence:
     """Theorem 1, checked experimentally: the rebuilt SPVP exploration finds
     exactly the converged states the RPVP search finds, and its statistics
-    are bit-identical to the pre-refactor deepcopy exploration."""
+    are bit-identical to the reference fork-a-simulator exploration
+    (``tests/oracles/transient_reference.py``)."""
 
     GADGETS = {
         "good": (good_gadget, dict(max_states=20_000, max_depth=64)),

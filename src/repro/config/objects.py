@@ -364,10 +364,6 @@ class NetworkConfig:
         except KeyError:
             raise ConfigError(f"unknown device {name!r}") from None
 
-    def devices_running_ospf(self) -> List[str]:
-        """Names of devices with an OSPF process."""
-        return [name for name, cfg in self.devices.items() if cfg.ospf is not None]
-
     def devices_running_bgp(self) -> List[str]:
         """Names of devices with a BGP process."""
         return [name for name, cfg in self.devices.items() if cfg.bgp is not None]

@@ -84,6 +84,7 @@ class BgpDeterminism:
     def __init__(self, instance: BgpInstance) -> None:
         self.instance = instance
         self.network = instance.network
+        self._origins = frozenset(instance.origins())
         self._global_max_local_pref = self._compute_global_max_local_pref()
         self._session_max_local_pref = self._compute_session_local_pref_bounds()
         self._min_as_hops = self._compute_min_as_hops()
@@ -168,7 +169,7 @@ class BgpDeterminism:
         loop prevention: iBGP-learned routes are not passed to iBGP peers), so
         it never contributes a "future" update.
         """
-        if peer in set(self.instance.origins()):
+        if peer in self._origins:
             return True
         peer_cfg = self.network.device(peer)
         node_cfg = self.network.device(node)
@@ -195,46 +196,23 @@ class BgpDeterminism:
         """
         best: Optional[Tuple] = None
         for peer in self.instance.peers(node):
-            if state.best(peer) is not None:
-                continue
-            if peer not in self._min_as_hops:
-                # The peer can never obtain a route at all.
-                continue
-            if not self._peer_can_ever_advertise(node, peer):
-                continue
-            config = self.network.device(node)
-            session = config.bgp.neighbor(peer)
-            peer_asn = self.network.device(peer).bgp.asn
-            is_ibgp = peer_asn == config.bgp.asn
-            local_pref_bound = self._session_max_local_pref.get(
-                (node, peer), self._global_max_local_pref
-            )
-            as_path_bound = self._min_as_hops[peer] + (0 if is_ibgp else 1)
-            igp_bound = 0 if not is_ibgp else int(self.instance.igp_cost(node, peer))
-            rank = (
-                -local_pref_bound,
-                as_path_bound,
-                0,  # MED lower bound
-                1 if is_ibgp else 0,
-                igp_bound,
-            )
-            if self.instance.deterministic_tiebreak:
-                rank = rank + ("",)
-            if best is None or rank < best:
-                best = rank
+            if state.best(peer) is None:
+                bound = self.session_rank_bound(node, peer)
+                if bound is not None and (best is None or bound < best):
+                    best = bound
         return best
 
     def session_rank_bound(self, node: str, peer: str) -> Optional[Tuple]:
         """Static lower bound on the rank of any route ``node`` can import from ``peer``.
 
-        The per-peer body of :meth:`_best_future_rank` without the
-        decidedness filter: local-pref upper bound for the session, 0/1
-        AS-hop distance of the peer, IGP cost of the session.  Unlike the
-        future-rank analysis this holds for *every* advertisement the peer
-        could ever send — decided or not — which is what the transient
-        partial-order reduction needs to prove a receiver's best path immune
-        to further deliveries on the session.  Returns None when the peer can
-        never advertise anything at all.
+        Local-pref upper bound for the session, 0/1 AS-hop distance of the
+        peer, IGP cost of the session.  The bound holds for *every*
+        advertisement the peer could ever send — decided or not: the
+        future-rank analysis takes it over the undecided peers, and the
+        transient partial-order reduction uses it to prove a receiver's best
+        path immune to further deliveries on the session.  Returns None when
+        the peer can never advertise anything at all (it can never obtain a
+        route, or iBGP loop prevention keeps it silent towards ``node``).
         """
         if peer not in self._min_as_hops:
             return None

@@ -5,16 +5,21 @@ the RPVP semantics of :mod:`repro.protocols.rpvp` into the generic
 :class:`~repro.modelcheck.explorer.Explorer`, applying the §4 optimizations by
 shrinking the successor relation, and it assembles converged per-prefix
 protocol states into network-wide data planes (the FIB model of §3.3).
+
+There is one road from a converged state to its data plane:
+:meth:`PecExplorer.explore` runs one kind of search (``_search``), accepts
+converged states inside it by the same rule that ends executions
+(``_successor_relation``) and builds each plane as the state is reached.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.config.objects import NetworkConfig
 from repro.dataplane import DataPlane, FibEntry
-from repro.exceptions import VerificationError
 from repro.modelcheck.explorer import (
     ExplorationStatistics,
     Explorer,
@@ -22,14 +27,9 @@ from repro.modelcheck.explorer import (
 )
 from repro.modelcheck.por import ReductionStatistics
 from repro.netaddr import Prefix
-from repro.core.determinism import (
-    BgpDeterminism,
-    NodeDecision,
-    OspfDeterminism,
-    independence_groups,
-)
-from repro.core.options import OptimizationFlags, PlanktonOptions
-from repro.core.successors import CandidateEngine
+from repro.core.determinism import BgpDeterminism, OspfDeterminism, independence_groups
+from repro.core.options import PlanktonOptions
+from repro.core.successors import CandidateEngine, CandidateSets
 from repro.modelcheck.hashing import ZobristFingerprinter
 from repro.pec.classes import PacketEquivalenceClass
 from repro.protocols.base import EPSILON, PathVectorInstance, Route, RouteSource
@@ -109,17 +109,6 @@ class ConvergedOutcome:
     data_plane: DataPlane
     control_plane: Dict[str, Route] = field(default_factory=dict)
     steps: List[object] = field(default_factory=list)
-    bgp_states: Dict[Prefix, RpvpState] = field(default_factory=dict)
-
-
-@dataclass
-class PrefixExplorationResult:
-    """Converged control-plane states for one prefix."""
-
-    prefix: Prefix
-    states: List[RpvpState]
-    step_labels: List[List[object]]
-    statistics: Optional[ExplorationStatistics] = None
 
 
 # --------------------------------------------------------------------------- explorer
@@ -208,130 +197,105 @@ class PecExplorer:
     ) -> List[ConvergedOutcome]:
         """All converged data planes of the PEC under this failure scenario.
 
-        When ``on_outcome`` is given and the PEC has at most one BGP prefix,
-        the exploration streams: the callback is invoked on every converged
-        data plane *as the model checker reaches it*, and a non-None return
-        value (a violation message) stops the search immediately — this is how
-        the paper's prototype reports the first violating event sequence
-        without enumerating the remaining converged states.
-        """
-        bgp_prefixes = [prefix for prefix, devices in self.pec.bgp_origins if devices]
-        if on_outcome is not None and len(bgp_prefixes) <= 1 and self.options.fast_ospf:
-            return self._explore_streaming(
-                bgp_prefixes[0] if bgp_prefixes else None, on_outcome, keep_outcomes
-            )
-        per_prefix_results: List[PrefixExplorationResult] = []
-        for prefix in bgp_prefixes:
-            result = self._explore_bgp_prefix(prefix)
-            per_prefix_results.append(result)
-            if result.statistics is not None:
-                self._accumulate(result.statistics)
+        Every plane is built and handed to ``on_outcome`` *as the model
+        checker reaches the converged state behind it*; a non-None return (a
+        violation message) ends the search there — this is how the paper's
+        prototype reports the first violating event sequence without
+        enumerating the remaining converged states.  The planes are also
+        returned unless ``keep_outcomes`` is False.
 
-        # OSPF-only PECs (optionally) go through the model checker as well,
-        # mainly to support the Figure 8 ablations; with the optimizations on
-        # the result is identical to the cached SPF computation.
+        A PEC without BGP has exactly one plane (OSPF and static routing are
+        deterministic).  A PEC with several BGP prefixes converges per
+        prefix independently: every prefix but the first is enumerated into
+        a list, the first is streamed, and each of its converged states is
+        crossed with the others' (first prefix slowest).  A prefix without
+        any converged state therefore leaves the PEC without a plane.
+        """
+        outcomes: List[ConvergedOutcome] = []
+
+        def emit(bgp_states: Dict[Prefix, RpvpState], steps: List[object]) -> Optional[str]:
+            data_plane, control_plane = self.build_data_plane(bgp_states)
+            outcome = ConvergedOutcome(data_plane, control_plane, steps)
+            if keep_outcomes:
+                outcomes.append(outcome)
+            return on_outcome(outcome) if on_outcome is not None else None
+
         if not self.options.fast_ospf:
+            # Searched for their statistics only (the Figure 8 ablations):
+            # the planes take OSPF entries from the cached SPF computation,
+            # which is what a search under the optimizations converges to.
             for prefix, devices in self.pec.ospf_origins:
                 if devices:
-                    result = self._explore_ospf_prefix(prefix)
-                    if result.statistics is not None:
-                        self._accumulate(result.statistics)
+                    instance = self.ospf_instance(prefix)
+                    analyzer = OspfDeterminism(instance) if self.flags.deterministic_nodes else None
+                    self._search(instance, analyzer, lambda state, labels: None)
 
-        outcomes: List[ConvergedOutcome] = []
-        combinations = self._combinations(per_prefix_results)
-        for combo in combinations:
-            bgp_states = {result.prefix: state for result, (state, _labels) in zip(per_prefix_results, combo)}
-            steps: List[object] = []
-            for _result, (_state, labels) in zip(per_prefix_results, combo):
-                steps.extend(labels)
-            data_plane, control_plane = self.build_data_plane(bgp_states)
-            outcome = ConvergedOutcome(
-                data_plane=data_plane,
-                control_plane=control_plane,
-                steps=steps,
-                bgp_states=bgp_states,
-            )
-            outcomes.append(outcome)
-            if on_outcome is not None:
-                violation = on_outcome(outcome)
-                if violation is not None:
-                    break
-        return outcomes
-
-    def _explore_streaming(
-        self,
-        prefix: Optional[Prefix],
-        on_outcome: Callable[["ConvergedOutcome"], Optional[str]],
-        keep_outcomes: bool,
-    ) -> List[ConvergedOutcome]:
-        """Streamed exploration for PECs with at most one BGP prefix."""
-        outcomes: List[ConvergedOutcome] = []
-
-        if prefix is None:
-            # Purely deterministic PEC (OSPF + static): one converged state.
-            data_plane, control_plane = self.build_data_plane({})
-            outcome = ConvergedOutcome(data_plane=data_plane, control_plane=control_plane)
-            if keep_outcomes:
-                outcomes.append(outcome)
-            on_outcome(outcome)
+        bgp_prefixes = [prefix for prefix, devices in self.pec.bgp_origins if devices]
+        if not bgp_prefixes:
+            emit({}, [])
             return outcomes
 
-        instance = self.bgp_instance(prefix)
-        analyzer = BgpDeterminism(instance)
-        engine = self._candidate_engine(instance)
-        successors = self._optimized_successors(
-            instance, analyzer, use_for_determinism=self.flags.deterministic_nodes, engine=engine
-        )
+        def search(prefix: Prefix, on_converged) -> None:
+            instance = self.bgp_instance(prefix)
+            # The analyzer is always built: even with the deterministic-node
+            # optimization off it provides the stability check that keeps
+            # policy-based pruning sound (see ``_successor_relation``).
+            self._search(instance, BgpDeterminism(instance), on_converged)
+
+        streamed, *listed = bgp_prefixes
+        converged_of: List[List[Tuple[RpvpState, List[object]]]] = []
+        for prefix in listed:
+            found: List[Tuple[RpvpState, List[object]]] = []
+            search(prefix, lambda state, labels: found.append((state, labels)))
+            converged_of.append(found)
+
+        def cross(state: RpvpState, labels: List[object]) -> Optional[str]:
+            for combination in itertools.product(*converged_of):
+                bgp_states = {streamed: state}
+                steps = list(labels)
+                for prefix, (other_state, other_labels) in zip(listed, combination):
+                    bgp_states[prefix] = other_state
+                    steps.extend(other_labels)
+                violation = emit(bgp_states, steps)
+                if violation is not None:
+                    return violation
+            return None
+
+        search(streamed, cross)
+        return outcomes
+
+    def _search(
+        self,
+        instance: PathVectorInstance,
+        analyzer: Union[BgpDeterminism, OspfDeterminism, None],
+        on_converged: Callable[[RpvpState, List[object]], Optional[str]],
+    ) -> None:
+        """Model-check one protocol instance: every accepted converged state
+        goes to ``on_converged(state, path labels)`` as it is reached, and a
+        non-None return ends the search."""
+        successors, accepts = self._successor_relation(instance, analyzer)
 
         def check_terminal(state: RpvpState, labels: List[object]) -> Optional[str]:
-            accepted = self._accept_terminal(instance, state, analyzer, engine=engine)
-            # Terminal states may outlive the search inside outcomes; drop the
-            # DFS ancestor chain and search caches they would otherwise pin.
+            accepted = accepts(state)
+            # Converged states outlive the search inside outcomes; drop the
+            # DFS ancestor chain and search caches they would otherwise pin
+            # (after the acceptance test, which reuses the candidate sets).
             state.detach()
-            if not accepted:
-                return None
-            data_plane, control_plane = self.build_data_plane({prefix: state})
-            outcome = ConvergedOutcome(
-                data_plane=data_plane,
-                control_plane=control_plane,
-                steps=list(labels),
-                bgp_states={prefix: state},
-            )
-            if keep_outcomes:
-                outcomes.append(outcome)
-            return on_outcome(outcome)
+            return on_converged(state, labels) if accepted else None
 
-        explorer_options = self._explorer_options()
-        explorer_options.stop_at_first_violation = self.options_stop_early
         explorer = Explorer(
             successors=successors,
             check_terminal=check_terminal,
-            options=explorer_options,
+            options=ExplorerOptions(
+                max_states=self.options.max_states_per_pec,
+                max_seconds=self.options.max_seconds_per_pec,
+                use_bitstate=self.flags.bitstate_hashing,
+                bitstate_bits=self.options.bitstate_bits,
+            ),
+            reduction=self.reduction,
         )
         explorer.canonicalize = self._make_canonicalizer(explorer, instance)
-        outcome_of_search = explorer.run(initial_state(instance), collect_converged=False)
-        self._accumulate(outcome_of_search.statistics)
-        return outcomes
-
-    @property
-    def options_stop_early(self) -> bool:
-        """Whether the streaming search should stop at the first violation."""
-        return self.options.stop_at_first_violation
-
-    @staticmethod
-    def _combinations(
-        results: Sequence[PrefixExplorationResult],
-    ) -> List[List[Tuple[RpvpState, List[object]]]]:
-        """Cross product of the converged states across prefixes."""
-        combos: List[List[Tuple[RpvpState, List[object]]]] = [[]]
-        for result in results:
-            if not result.states:
-                # A prefix with BGP origins but no converged state (e.g. all
-                # origins partitioned away): keep a placeholder empty state.
-                continue
-            paired = list(zip(result.states, result.step_labels))
-            combos = [combo + [choice] for combo in combos for choice in paired]
-        return combos
+        self._accumulate(explorer.run(initial_state(instance)).statistics)
 
     def _accumulate(self, stats: ExplorationStatistics) -> None:
         self.statistics.states_expanded += stats.states_expanded
@@ -348,16 +312,6 @@ class PecExplorer:
         self.statistics.interner_bytes += stats.interner_bytes
         self.statistics.state_bytes += stats.state_bytes
         self.statistics.truncated = self.statistics.truncated or stats.truncated
-
-    # ------------------------------------------------------------------ per-prefix searches
-    def _explorer_options(self) -> ExplorerOptions:
-        return ExplorerOptions(
-            max_states=self.options.max_states_per_pec,
-            max_seconds=self.options.max_seconds_per_pec,
-            stop_at_first_violation=False,
-            use_bitstate=self.flags.bitstate_hashing,
-            bitstate_bits=self.options.bitstate_bits,
-        )
 
     def _make_canonicalizer(
         self, explorer: Explorer, instance: PathVectorInstance
@@ -382,139 +336,26 @@ class PecExplorer:
         explorer.interner = fingerprinter
         return lambda state: state.fingerprint(fingerprinter)
 
-    def _candidate_engine(self, instance: PathVectorInstance) -> Optional[CandidateEngine]:
-        """The incremental candidate engine for one instance (None when the
-        unoptimized semantics are in effect)."""
-        if not self.flags.consistent_execution:
-            return None
-        return CandidateEngine(instance)
-
-    def _explore_instance(
+    # ------------------------------------------------------------------ successor relation
+    def _successor_relation(
         self,
         instance: PathVectorInstance,
-        successors: Callable[[RpvpState], List[Tuple[object, RpvpState]]],
-        stability: Optional[BgpDeterminism] = None,
-        engine: Optional[CandidateEngine] = None,
-    ) -> PrefixExplorationResult:
-        explorer = Explorer(
-            successors=successors,
-            check_terminal=None,
-            canonicalize=None,
-            options=self._explorer_options(),
-            reduction=self.reduction,
-        )
-        explorer.canonicalize = self._make_canonicalizer(explorer, instance)
-        start = initial_state(instance)
-        outcome = explorer.run(start, collect_converged=True)
-        states: List[RpvpState] = []
-        labels: List[List[object]] = []
-        for state, path in zip(outcome.converged_states, outcome.converged_paths):
-            accepted = self._accept_terminal(instance, state, stability, engine=engine)
-            # Collected states outlive the search; drop the DFS ancestor
-            # chain and search caches they would otherwise pin (after the
-            # acceptance check, which reuses the cached candidate sets).
-            state.detach()
-            if accepted:
-                states.append(state)
-                labels.append(path)
-        if not states and not outcome.converged_states:
-            # Defensive: the initial state itself may already be converged.
-            if self._accept_terminal(instance, start, stability, engine=engine):
-                states.append(start.detach())
-                labels.append([])
-        return PrefixExplorationResult(
-            prefix=Prefix("0.0.0.0/0") if not hasattr(instance, "prefix") else instance.prefix,  # type: ignore[attr-defined]
-            states=states,
-            step_labels=labels,
-            statistics=outcome.statistics,
-        )
+        analyzer: Union[BgpDeterminism, OspfDeterminism, None],
+    ) -> Tuple[
+        Callable[[RpvpState], List[Tuple[object, RpvpState]]], Callable[[RpvpState], bool]
+    ]:
+        """``(successors, accepts)`` of one instance under the §4 flags.
 
-    def _accept_terminal(
-        self,
-        instance: PathVectorInstance,
-        state: RpvpState,
-        stability: Optional[BgpDeterminism] = None,
-        engine: Optional[CandidateEngine] = None,
-    ) -> bool:
-        """Keep only terminals that are genuine (or policy-sufficient) converged states."""
-        if not self.flags.consistent_execution:
-            return not enabled_nodes(instance, state)
-        # Consistent execution always comes with its engine (see
-        # ``_candidate_engine``).  The exploration already computed (or can
-        # compute in O(deg)) this state's candidate sets; reuse them instead
-        # of re-evaluating every (node, peer) advertisement.
-        cache = engine.candidates(state)
-        # A decided node with an improving update from a decided peer means
-        # this execution is not consistent with any converged state.
-        if cache.decided_pending:
-            return False
-        if (
-            self.flags.policy_based_pruning
-            and self._sources_decided(instance, state)
-            and (stability is None or stability.decisions_are_stable(state))
-        ):
-            return True
-        # Otherwise require full convergence: no undecided node can update.
-        if cache.updates:
-            return False
-        if stability is not None and not stability.decisions_are_stable(state):
-            return False
-        return True
-
-    def _sources_decided(self, instance: PathVectorInstance, state: RpvpState) -> bool:
-        if not self.policy_sources:
-            return False
-        participating = [s for s in self.policy_sources if s in set(instance.nodes())]
-        if not participating:
-            return False
-        return all(state.best(source) is not None for source in participating)
-
-    def _explore_bgp_prefix(self, prefix: Prefix) -> PrefixExplorationResult:
-        instance = self.bgp_instance(prefix)
-        # The analyzer is always built: even with the deterministic-node
-        # optimization off it provides the stability check that keeps
-        # policy-based pruning sound (see ``_optimized_successors``).
-        analyzer = BgpDeterminism(instance)
-        engine = self._candidate_engine(instance)
-        successors = self._optimized_successors(
-            instance, analyzer, use_for_determinism=self.flags.deterministic_nodes, engine=engine
-        )
-        result = self._explore_instance(instance, successors, stability=analyzer, engine=engine)
-        result.prefix = prefix
-        return result
-
-    def _explore_ospf_prefix(self, prefix: Prefix) -> PrefixExplorationResult:
-        instance = self.ospf_instance(prefix)
-        analyzer = OspfDeterminism(instance) if self.flags.deterministic_nodes else None
-        engine = self._candidate_engine(instance)
-        successors = self._optimized_successors(
-            instance, analyzer, use_for_determinism=self.flags.deterministic_nodes, engine=engine
-        )
-        result = self._explore_instance(instance, successors, engine=engine)
-        result.prefix = prefix
-        return result
-
-    # ------------------------------------------------------------------ optimized successors
-    def _optimized_successors(
-        self,
-        instance: PathVectorInstance,
-        analyzer,
-        use_for_determinism: bool = True,
-        engine: Optional[CandidateEngine] = None,
-    ) -> Callable[[RpvpState], List[Tuple[object, RpvpState]]]:
+        ``successors`` is the RPVP successor relation shrunk by the enabled
+        optimizations; ``accepts`` says whether a state it ends an execution
+        at is a converged state to report.  Both read one rule, ``halts``.
+        """
         flags = self.flags
-        sources = self.policy_sources
         reduction = self.reduction
-        # Sources that participate in this instance, as state-array slots:
-        # the sources-decided test runs per state and reduces to "is every
-        # source slot a non-zero route id".
-        slot_of = node_space_for(instance).slot_of
-        source_slots = tuple(
-            slot_of[source] for source in (sources or ()) if source in slot_of
-        )
-
-        def successors(state: RpvpState) -> List[Tuple[object, RpvpState]]:
-            if not flags.consistent_execution:
+        if not flags.consistent_execution:
+            # The unoptimised semantics: every enabled node branches, and an
+            # execution ends only where no node is enabled.
+            def every_successor(state: RpvpState) -> List[Tuple[object, RpvpState]]:
                 expansion = rpvp_successors(instance, state)
                 if expansion:
                     reduction.observe_expansion(
@@ -522,93 +363,89 @@ class PecExplorer:
                     )
                 return expansion
 
-            # The candidate sets are maintained incrementally: a state derived
-            # from its parent by one node's decision re-evaluates only that
-            # node and its peers (see repro.core.successors).
-            cache = engine.candidates(state)
+            return every_successor, lambda state: not enabled_nodes(instance, state)
 
+        # The candidate sets are maintained incrementally: a state derived
+        # from its parent by one node's decision re-evaluates only that node
+        # and its peers (see repro.core.successors).
+        engine = CandidateEngine(instance)
+        # Policy sources that participate in this instance, as state-array
+        # slots: "every source has decided" is "every slot holds a non-zero
+        # route id".
+        slot_of = node_space_for(instance).slot_of
+        source_slots = tuple(
+            slot_of[source] for source in (self.policy_sources or ()) if source in slot_of
+        )
+        prunes = flags.policy_based_pruning and bool(source_slots)
+        # Only BGP decisions can be overturned by a later, better update.
+        stable = (
+            analyzer.decisions_are_stable
+            if isinstance(analyzer, BgpDeterminism)
+            else (lambda state: True)
+        )
+        determinism = analyzer if flags.deterministic_nodes else None
+        defer = set(self.policy_sources or ())
+
+        def halts(state: RpvpState, cache: CandidateSets) -> Optional[bool]:
+            """Why the execution ends at ``state``: False — it is inconsistent
+            with every converged state and abandoned; True — it is accepted
+            as converged; None — it goes on."""
+            # Consistent executions only (§4.1.1): a node that has selected a
+            # path never changes it, so a decided node that could still be
+            # improved means this execution leads to no converged state.
+            if cache.decided_pending:
+                return False
+            # Policy-based pruning (§4.2): once every source node has decided,
+            # the forwarding the policy inspects is fixed, so stop here —
+            # provided no decided node could still be forced to change its
+            # selection later.
+            if prunes and all(state._ids[slot] for slot in source_slots) and stable(state):
+                return True
+            if cache.updates:
+                return None
+            # Full convergence: no undecided node can update.
+            return stable(state)
+
+        def successors(state: RpvpState) -> List[Tuple[object, RpvpState]]:
+            cache = engine.candidates(state)
+            candidates_of = cache.updates
             enabled_count = 0
-            for node_updates in cache.updates.values():
+            for node_updates in candidates_of.values():
                 enabled_count += len(node_updates)
 
-            # Consistent executions only: a node that has selected a path never
-            # changes it, so if any decided node could still be improved the
-            # execution cannot lead to a converged state — abandon it.
-            if cache.decided_pending:
+            if halts(state, cache) is not None:
                 if enabled_count:
-                    reduction.observe_expansion(
-                        enabled=enabled_count, expanded=0, reduced=True
-                    )
+                    reduction.observe_expansion(enabled=enabled_count, expanded=0, reduced=True)
                 return []
 
-            # Policy-based pruning: once every source node has decided, the
-            # forwarding the policy inspects is fixed (consistent executions
-            # never revisit decisions), so stop here — provided no decided
-            # node could still be forced to change its selection later.
-            if (
-                flags.policy_based_pruning
-                and source_slots
-                and all(state._ids[slot] for slot in source_slots)
-                and (
-                    not isinstance(analyzer, BgpDeterminism)
-                    or analyzer.decisions_are_stable(state)
-                )
-            ):
-                if enabled_count:
-                    reduction.observe_expansion(
-                        enabled=enabled_count, expanded=0, reduced=True
-                    )
-                return []
-
-            candidates_of = cache.updates
-            if not candidates_of:
-                return []
-
-            if analyzer is not None and use_for_determinism:
-                decision = self._decide(analyzer, state, candidates_of)
-                if decision.kind in ("deterministic", "tied") and decision.node is not None:
-                    reduction.observe_expansion(
-                        enabled=enabled_count,
-                        expanded=len(decision.candidates),
-                        reduced=len(decision.candidates) < enabled_count,
-                    )
-                    return [
-                        (
-                            RpvpTransition(node=decision.node, new_route=route, from_peer=peer),
-                            state.with_best(decision.node, route),
-                        )
-                        for peer, route in decision.candidates
-                    ]
-
-            enabled = sorted(candidates_of)
-            if flags.decision_independence and len(enabled) > 1:
-                groups = independence_groups(instance, state, enabled)
-                if groups:
-                    enabled = groups[0]
-
-            result: List[Tuple[object, RpvpState]] = []
-            for node in enabled:
-                for peer, route in candidates_of[node]:
-                    result.append(
-                        (
-                            RpvpTransition(node=node, new_route=route, from_peer=peer),
-                            state.with_best(node, route),
-                        )
-                    )
+            decision = None
+            if isinstance(determinism, OspfDeterminism):
+                decision = determinism.pick(sorted(candidates_of), candidates_of)
+            elif determinism is not None:
+                decision = determinism.analyze(state, candidates_of, defer=defer)
+            if decision is not None and decision.node is not None:
+                moves = [(decision.node, peer, route) for peer, route in decision.candidates]
+            else:
+                enabled = sorted(candidates_of)
+                if flags.decision_independence and len(enabled) > 1:
+                    groups = independence_groups(instance, state, enabled)
+                    if groups:
+                        enabled = groups[0]
+                moves = [
+                    (node, peer, route) for node in enabled for peer, route in candidates_of[node]
+                ]
             reduction.observe_expansion(
-                enabled=enabled_count,
-                expanded=len(result),
-                reduced=len(result) < enabled_count,
+                enabled=enabled_count, expanded=len(moves), reduced=len(moves) < enabled_count
             )
-            return result
+            return [
+                (
+                    RpvpTransition(node=node, new_route=route, from_peer=peer),
+                    state.with_best(node, route),
+                )
+                for node, peer, route in moves
+            ]
 
-        return successors
-
-    def _decide(self, analyzer, state: RpvpState, candidates_of) -> NodeDecision:
-        if isinstance(analyzer, OspfDeterminism):
-            return analyzer.pick(sorted(candidates_of), candidates_of)
-        defer = set(self.policy_sources or ())
-        return analyzer.analyze(state, candidates_of, defer=defer)
+        return successors, lambda state: halts(state, engine.candidates(state)) is True
 
     # ------------------------------------------------------------------ FIB construction
     def build_data_plane(

@@ -8,12 +8,13 @@
    task graph (:mod:`repro.engine`) — with explicit dependency edges when
    PECs depend on each other — and run it on the configured backend
    (serial, or a persistent process pool),
-4. invoke the policy callback on each converged state; report the first (or
-   all) violations with an event trail.
+4. invoke the policy callback on each converged state as the search reaches
+   it; report the first (or all) violations with an event trail.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -28,6 +29,8 @@ from repro.pec.dependencies import PecDependencyGraph, build_dependency_graph
 from repro.policies.base import Policy, PolicyCheckContext
 from repro.protocols.ospf import OspfComputation
 from repro.topology.failures import FailureScenario
+
+LOG = logging.getLogger("repro.core")
 
 
 class Plankton:
@@ -64,14 +67,11 @@ class Plankton:
         execution engine's task graph (empty when nothing is relevant).
         """
         from repro.engine import build_task_graph
-        from repro.engine.graph import TaskGraph
 
         policy_list = [policies] if isinstance(policies, Policy) else list(policies)
         if not policy_list:
             raise VerificationError("at least one policy is required")
         relevant = [pec for pec in self.pecs if any(p.applies_to(pec) for p in policy_list)]
-        if not relevant:
-            return policy_list, relevant, TaskGraph()
         graph = build_task_graph(
             self.network,
             self.pecs,
@@ -137,8 +137,7 @@ class Plankton:
         once per upstream-outcome combination); it can also be called
         directly for one-off explorations.
         """
-        has_dependents = collect_outcomes
-        sources = self._policy_sources(pec, policies, has_dependents)
+        sources = self._policy_sources(pec, policies, has_dependents=collect_outcomes)
         explorer = PecExplorer(
             self.network,
             pec,
@@ -151,17 +150,20 @@ class Plankton:
         run = PecRunResult(pec_index=pec.index, failure=failure)
         seen_signatures: Dict[str, Set[Tuple]] = {}
         failure_text = failure.describe(self.network.topology)
+        applicable = [policy for policy in policies if policy.applies_to(pec)]
 
         def check_outcome(outcome: ConvergedOutcome) -> Optional[str]:
-            """Check every policy on one converged data plane; returns the first
-            violation message (which also stops a streaming search)."""
+            """Check every policy on one converged data plane, as the search
+            reaches it.  Under stop-at-first the first violation message is
+            returned, which ends the search of an independent PEC; a PEC
+            with dependents is searched to the end (downstream PECs need
+            every outcome) and only stops being checked."""
+            if run.violations and self.options.stop_at_first_violation:
+                return None
             run.converged_states += 1
             if self.options.keep_data_planes:
                 run.data_planes.append(outcome.data_plane)
-            first_message: Optional[str] = None
-            for policy in policies:
-                if not policy.applies_to(pec):
-                    continue
+            for policy in applicable:
                 context = PolicyCheckContext(
                     network=self.network,
                     pec=pec,
@@ -184,9 +186,7 @@ class Plankton:
                     continue
                 trail = Trail(policy=policy.name, pec_description=pec.describe())
                 trail.add("failure", failure_text)
-                for step in outcome.steps:
-                    description = step.describe() if hasattr(step, "describe") else str(step)
-                    trail.add("rpvp-step", description)
+                trail.add_labels("rpvp-step", outcome.steps)
                 trail.violation_description = message
                 trail.data_plane_dump = outcome.data_plane.describe()
                 run.violations.append(
@@ -199,28 +199,21 @@ class Plankton:
                         trail=trail,
                     )
                 )
-                if first_message is None:
-                    first_message = message
                 if self.options.stop_at_first_violation:
-                    return message
-            return first_message if self.options.stop_at_first_violation else None
+                    return None if collect_outcomes else message
+            return None
 
-        if collect_outcomes:
-            # Downstream PECs need every converged outcome of this one, so run
-            # the batch exploration and check the policies afterwards.
-            outcomes = explorer.explore()
-            run.statistics = explorer.statistics
-            run.converged_states = 0
-            for outcome in outcomes:
-                message = check_outcome(outcome)
-                if message is not None and self.options.stop_at_first_violation:
-                    return run, outcomes
-            return run, outcomes
-
-        # Independent PEC: stream the policy check through the model checker so
-        # the search stops at the first violating converged state.
-        outcomes = explorer.explore(on_outcome=check_outcome, keep_outcomes=False)
+        outcomes = explorer.explore(on_outcome=check_outcome, keep_outcomes=collect_outcomes)
         run.statistics = explorer.statistics
+        if not run.converged_states and pec.has_bgp() and not run.statistics.truncated:
+            # Every execution was abandoned as inconsistent: nothing was
+            # checked, so the run holds vacuously — say so.
+            LOG.warning(
+                "PEC %s: no converged state under %s: the configuration may "
+                "not converge; policies were not evaluated",
+                pec.address_range,
+                failure_text,
+            )
         return run, outcomes
 
 

@@ -6,7 +6,6 @@ from repro.dataplane.forwarding import (
     PathResult,
     PathStatus,
     trace_paths,
-    all_paths_from,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "PathResult",
     "PathStatus",
     "trace_paths",
-    "all_paths_from",
 ]

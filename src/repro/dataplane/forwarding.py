@@ -97,16 +97,6 @@ def trace_paths(
     return results
 
 
-def all_paths_from(
-    data_plane: DataPlane,
-    sources: Sequence[str],
-    address: int,
-    max_hops: int = 64,
-) -> Dict[str, List[PathResult]]:
-    """Forwarding branches for every source in ``sources``."""
-    return {source: trace_paths(data_plane, source, address, max_hops) for source in sources}
-
-
 class ForwardingGraph:
     """The next-hop graph of a data plane for one address.
 

@@ -45,10 +45,6 @@ class ExplorerOptions:
     stop_at_first_violation: bool = True
     use_bitstate: bool = False
     bitstate_bits: int = 1 << 22
-    bitstate_hashes: int = 3
-    #: When True, terminal (converged) states reached via different paths are
-    #: deduplicated before invoking the terminal check.
-    dedupe_terminal_states: bool = True
 
 
 def _reduction_class() -> type:
@@ -145,13 +141,8 @@ class Explorer(Generic[State]):
         """
         options = self.options
         stats = ExplorationStatistics(reduction=self.reduction)
-        bitstate = (
-            BitstateFilter(bits=options.bitstate_bits, hash_count=options.bitstate_hashes)
-            if options.use_bitstate
-            else None
-        )
+        bitstate = BitstateFilter(bits=options.bitstate_bits) if options.use_bitstate else None
         visited = VisitedSet(bitstate=bitstate)
-        seen_terminals: set = set()
         outcome: SearchOutcome[State] = SearchOutcome(statistics=stats)
         started = time.perf_counter()
 
@@ -170,9 +161,7 @@ class Explorer(Generic[State]):
         stats.transitions += len(root_successors)
 
         if not root_successors:
-            self._handle_terminal(
-                initial_state, root_key, [], stats, seen_terminals, outcome, collect_converged
-            )
+            self._handle_terminal(initial_state, [], stats, outcome, collect_converged)
 
         while stack:
             if stats.states_expanded >= options.max_states:
@@ -203,7 +192,7 @@ class Explorer(Generic[State]):
                 next_labels = [frame[1] for frame in stack[1:]]
                 next_labels.append(label)
                 violation_found = self._handle_terminal(
-                    next_state, key, next_labels, stats, seen_terminals, outcome, collect_converged
+                    next_state, next_labels, stats, outcome, collect_converged
                 )
                 if violation_found and options.stop_at_first_violation:
                     break
@@ -228,20 +217,15 @@ class Explorer(Generic[State]):
     def _handle_terminal(
         self,
         state: State,
-        key: Hashable,
         labels: List[object],
         stats: ExplorationStatistics,
-        seen_terminals: set,
         outcome: SearchOutcome[State],
         collect_converged: bool,
     ) -> bool:
-        """Process a converged state (``key`` is its already-computed
-        fingerprint); returns True when a violation was recorded."""
+        """Process a converged state; returns True when a violation was
+        recorded.  The visited set admits every state once, so a converged
+        state reached along several paths is handled — and counted — once."""
         stats.terminal_states += 1
-        if self.options.dedupe_terminal_states:
-            if key in seen_terminals:
-                return False
-            seen_terminals.add(key)
         stats.unique_terminal_states += 1
         if collect_converged:
             outcome.converged_states.append(state)

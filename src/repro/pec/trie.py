@@ -31,11 +31,6 @@ class TrieNode:
     prefixes: List[Prefix] = field(default_factory=list)
     payloads: List[object] = field(default_factory=list)
 
-    @property
-    def is_leaf(self) -> bool:
-        """True when the node has no children."""
-        return self.children[0] is None and self.children[1] is None
-
     def range(self) -> AddressRange:
         """The address range this trie node spans."""
         span = 1 << (32 - self.depth) if self.depth < 32 else 1

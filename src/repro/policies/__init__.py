@@ -1,6 +1,6 @@
 """Data-plane policies checked over every converged state (paper §3.5)."""
 
-from repro.policies.base import Policy, PolicyCheckContext, PolicyResult
+from repro.policies.base import Policy, PolicyCheckContext
 from repro.policies.reachability import Reachability
 from repro.policies.waypoint import Waypoint
 from repro.policies.loop import LoopFreedom
@@ -12,7 +12,6 @@ from repro.policies.segmentation import Segmentation
 __all__ = [
     "Policy",
     "PolicyCheckContext",
-    "PolicyResult",
     "Reachability",
     "Waypoint",
     "LoopFreedom",

@@ -46,25 +46,6 @@ class PolicyCheckContext:
         return self.pec.representative_address()
 
 
-@dataclass
-class PolicyResult:
-    """Aggregated verdict of a policy across all PECs and converged states."""
-
-    policy: str
-    holds: bool
-    violations: List[str] = field(default_factory=list)
-    checked_states: int = 0
-
-    def merge(self, other: "PolicyResult") -> "PolicyResult":
-        """Combine with a result from another PEC/run."""
-        return PolicyResult(
-            policy=self.policy,
-            holds=self.holds and other.holds,
-            violations=self.violations + other.violations,
-            checked_states=self.checked_states + other.checked_states,
-        )
-
-
 class Policy(abc.ABC):
     """Base class for data-plane policies."""
 

@@ -30,12 +30,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.config.objects import (
     BgpNeighbor,
     NetworkConfig,
-    DEFAULT_LOCAL_PREF,
 )
 from repro.exceptions import ProtocolError
 from repro.netaddr import Prefix
 from repro.protocols.base import EPSILON, Path, PathVectorInstance, Route, RouteSource
-from repro.protocols.filters import apply_route_map, maximum_local_pref
+from repro.protocols.filters import apply_route_map
 
 #: Type of the callable deciding whether an iBGP session is currently usable.
 SessionPredicate = Callable[[str, str], bool]
@@ -128,10 +127,6 @@ class BgpInstance(PathVectorInstance):
             )
         self._peers_cache[node] = result
         return result
-
-    def invalidate_session_cache(self) -> None:
-        """Drop cached peer sets (after failures or session changes)."""
-        self._peers_cache.clear()
 
     # ------------------------------------------------------------------ filters
     def export(self, exporter: str, importer: str, route: Optional[Route]) -> Optional[Route]:
@@ -246,12 +241,6 @@ class BgpInstance(PathVectorInstance):
             as_path_length=0,
             origin_node=node,
         )
-
-    def highest_possible_local_pref(self, node: str) -> int:
-        """Upper bound on the local preference any import at ``node`` can assign."""
-        config = self.network.device(node)
-        default = config.bgp.default_local_pref if config.bgp else DEFAULT_LOCAL_PREF
-        return maximum_local_pref(config, default)
 
 
 def build_bgp_instance(

@@ -105,53 +105,6 @@ def apply_route_map(
     return RouteMapResult(permitted=False)
 
 
-def route_map_sets_highest_local_pref(
-    device: DeviceConfig,
-    route_map_name: Optional[str],
-    prefix: Prefix,
-    ceiling: int,
-) -> bool:
-    """Whether the route map unconditionally grants local-pref >= ``ceiling``.
-
-    Used by the deterministic-node detection heuristic for BGP (paper
-    §4.1.2): an update is a guaranteed local-pref winner only if it matches an
-    import clause that explicitly gives it the highest local preference among
-    all import filters, independent of attributes we cannot predict
-    (communities assigned upstream, etc.).  The check is conservative: only
-    clauses with an empty match or a pure prefix match count.
-    """
-    if route_map_name is None:
-        return False
-    route_map = device.route_maps.get(route_map_name)
-    if route_map is None:
-        return False
-    for clause in route_map.sorted_clauses():
-        unconditional = clause.match.is_empty() or (
-            not clause.match.communities
-            and clause.match.as_path_contains is None
-            and _prefix_only_match(clause, device, prefix)
-        )
-        if not unconditional:
-            # A conditional clause earlier in the map may or may not fire; we
-            # cannot be sure the unconditional one below is reached.
-            return False
-        if clause.permit and clause.actions.local_preference is not None:
-            return clause.actions.local_preference >= ceiling
-        if clause.permit:
-            return False
-    return False
-
-
-def _prefix_only_match(clause: RouteMapClause, device: DeviceConfig, prefix: Prefix) -> bool:
-    """True if the clause's match depends only on the prefix and matches it."""
-    match = clause.match
-    if match.prefix_list is not None and not device.prefix_list(match.prefix_list).permits(prefix):
-        return False
-    if match.prefixes and not any(p.contains_prefix(prefix) for p in match.prefixes):
-        return False
-    return True
-
-
 def maximum_local_pref(device: DeviceConfig, default_local_pref: int) -> int:
     """The highest local preference any import policy on ``device`` can assign."""
     highest = default_local_pref

@@ -514,27 +514,6 @@ class OspfComputation:
         table = self.compute([target], failed_links)
         return table.distances.get(source, INFINITY)
 
-    def shortest_path(
-        self,
-        source: str,
-        origins: Sequence[str],
-        failed_links: Optional[Set[int]] = None,
-    ) -> Optional[List[str]]:
-        """One shortest path (node list, source first) or None if unreachable."""
-        table = self.compute(origins, failed_links)
-        if not table.is_reachable(source):
-            return None
-        path = [source]
-        current = source
-        visited = {source}
-        while table.next_hops.get(current):
-            current = table.next_hops[current][0]
-            if current in visited:
-                return None
-            visited.add(current)
-            path.append(current)
-        return path
-
     def clear_cache(self) -> None:
         """Drop everything derived from the configuration.
 

@@ -208,10 +208,6 @@ class RpvpState:
             self._space, ids, parent=self, delta=(slot, old, new)
         )
 
-    def nodes_with_routes(self) -> List[str]:
-        """Nodes that currently hold a route."""
-        return [name for name, rid in zip(self._space.names, self._ids) if rid]
-
     def describe(self) -> str:
         """Multi-line human-readable dump used in trails."""
         lines = []

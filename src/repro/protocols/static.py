@@ -102,18 +102,3 @@ def resolve_static_routes(
         drop=drop and not next_hops and not unresolved,
         distance=distance,
     )
-
-
-def recursive_dependencies(network: NetworkConfig) -> List[Tuple[Prefix, Prefix]]:
-    """All (destination prefix, next-hop prefix) pairs from recursive statics.
-
-    The PEC dependency graph (paper §3.2) adds an edge from the PEC holding
-    the destination prefix to the PEC holding the next-hop address for each
-    such pair.
-    """
-    pairs: List[Tuple[Prefix, Prefix]] = []
-    for device in network.devices.values():
-        for route in device.static_routes:
-            if route.next_hop_ip is not None:
-                pairs.append((route.prefix, route.next_hop_ip))
-    return pairs

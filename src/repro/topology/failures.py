@@ -149,10 +149,6 @@ class DeviceEquivalence:
                 return refined
             coloring = refined
 
-    def device_class_of(self, name: str) -> int:
-        """The DEC index of device ``name``."""
-        return self.device_classes[name]
-
     def class_members(self) -> Dict[int, List[str]]:
         """Mapping DEC index -> sorted member device names."""
         members: Dict[int, List[str]] = {}

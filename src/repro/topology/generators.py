@@ -84,14 +84,6 @@ def fat_tree_device_count(k: int) -> int:
     return 5 * k * k // 4
 
 
-def smallest_fat_tree_with(devices: int) -> int:
-    """The smallest even ``k`` whose fat tree has at least ``devices`` nodes."""
-    k = 2
-    while fat_tree_device_count(k) < devices:
-        k += 2
-    return k
-
-
 def ring(n: int, link_weight: int = 1, name: Optional[str] = None) -> Topology:
     """A ring of ``n`` routers ``r0 .. r{n-1}`` (used by the Fig. 8 ablations)."""
     if n < 3:

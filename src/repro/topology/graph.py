@@ -148,10 +148,6 @@ class Topology:
         except KeyError:
             raise TopologyError(f"unknown node {name!r}") from None
 
-    def has_node(self, name: str) -> bool:
-        """Return True if a node with ``name`` exists."""
-        return name in self._nodes
-
     @property
     def nodes(self) -> List[str]:
         """All node names, in insertion order."""

@@ -667,14 +667,6 @@ class TransientCampaignResult:
             collected.extend(run.result.violations)
         return collected
 
-    def by_failure(self) -> Dict[str, Dict[str, TransientAnalysisResult]]:
-        """Results keyed by failure description, then by prefix."""
-        grouped: Dict[str, Dict[str, TransientAnalysisResult]] = {}
-        for run in self.runs:
-            key = ", ".join(str(link) for link in run.failure.failed_links) or "no failures"
-            grouped.setdefault(key, {})[run.prefix] = run.result
-        return grouped
-
     def absorb(self, prefix, graph) -> None:
         """Fold a ledger's ordered prefix in
         (:meth:`repro.engine.aggregator.ResultAggregator.finalize`): runs in

@@ -1,11 +1,17 @@
 """End-to-end verifier tests: the paper's §5 correctness scenarios in miniature."""
 
+import itertools
+import logging
+
 import pytest
 
 from repro import OptimizationFlags, Plankton, PlanktonOptions, verify
 from repro.config import ConfigBuilder, ebgp_rfc7938, ibgp_over_ospf, ospf_everywhere
 from repro.config.builder import edge_prefix, install_loop_inducing_statics
+from repro.config.objects import MatchConditions, RouteMap, RouteMapClause, SetActions
+from repro.core.network_model import DependencyContext
 from repro.exceptions import VerificationError
+from repro.incremental.service import SIGNATURE_EXCLUDED, result_signature_digest
 from repro.netaddr import Prefix
 from repro.policies import (
     BlackHoleFreedom,
@@ -13,10 +19,19 @@ from repro.policies import (
     LoopFreedom,
     MultipathConsistency,
     PathConsistency,
+    Policy,
     Reachability,
     Waypoint,
 )
-from repro.topology import bgp_fat_tree, fat_tree, linear_chain, ring, rocketfuel_like
+from repro.topology import (
+    Topology,
+    bgp_fat_tree,
+    fat_tree,
+    linear_chain,
+    ring,
+    rocketfuel_like,
+)
+from repro.topology.failures import FailureScenario
 
 
 class TestOspfFatTree:
@@ -309,3 +324,194 @@ class TestResultsAndApi:
         ).verify(LoopFreedom())
         assert serial.holds == parallel.holds
         assert len(serial.pec_runs) == len(parallel.pec_runs)
+
+
+# --------------------------------------------------------------------------- one road
+def bad_gadget():
+    """BAD GADGET: origin ``o`` (AS 100) plus a triangle ``n1..n3``.
+
+    Routes learned from ``o`` are tagged ``d``.  Every triangle node prefers
+    (local-pref 200) what its clockwise neighbour advertises, but imports it
+    only while it still carries the tag — i.e. only while that neighbour uses
+    its own direct route — and strips the tag; the other direction is denied.
+    No assignment of best paths is stable.
+    """
+    triangle = ["n1", "n2", "n3"]
+    topology = Topology("bad-gadget")
+    for name in ["o"] + triangle:
+        topology.add_node(name, role="router")
+    for position, name in enumerate(triangle):
+        topology.add_link("o", name)
+        topology.add_link(name, triangle[(position + 1) % 3])
+    builder = ConfigBuilder(topology)
+    builder.enable_bgp("o", 100, [Prefix("10.9.0.0/24")])
+    tagged = MatchConditions(communities=["d"])
+    prefer = SetActions(local_preference=200, remove_communities=["d"])
+    for position, name in enumerate(triangle):
+        builder.enable_bgp(name, position + 1)
+        builder.route_map(
+            "FROM_O", name, RouteMap("FROM_O", [RouteMapClause(10, actions=SetActions(add_communities=["d"]))])
+        )
+        builder.route_map("FROM_CW", name, RouteMap("FROM_CW", [RouteMapClause(10, match=tagged, actions=prefer)]))
+        builder.route_map("DENY", name, RouteMap("DENY", [RouteMapClause(10, permit=False)]))
+    for position, name in enumerate(triangle):
+        builder.bgp_session(name, "o", import_map_a="FROM_O")
+        builder.bgp_session(
+            name, triangle[(position + 1) % 3], import_map_a="FROM_CW", import_map_b="DENY"
+        )
+    return builder.build()
+
+
+class TestNoConvergedState:
+    """A configuration without a stable state checks nothing — on every road
+    — and says so, instead of passing silently or inventing a data plane."""
+
+    @staticmethod
+    def _assert_vacuous(runs, caplog):
+        for run in runs:
+            assert run.converged_states == run.checked_states == 0
+            assert not run.violations
+            assert run.statistics.truncated is False
+        warnings = [r for r in caplog.records if r.name == "repro.core"]
+        assert len(warnings) == len(runs) == 1
+        assert warnings[0].levelno == logging.WARNING
+        message = warnings[0].getMessage()
+        assert "no converged state under no failures" in message
+        assert "policies were not evaluated" in message
+
+    @pytest.mark.parametrize("fast_ospf", [True, False])
+    def test_verify_holds_vacuously_and_warns(self, fast_ospf, caplog):
+        plankton = Plankton(bad_gadget(), PlanktonOptions(fast_ospf=fast_ospf))
+        with caplog.at_level(logging.WARNING, logger="repro.core"):
+            result = plankton.verify(Reachability(sources=["n1"]))
+        assert result.holds and result.total_converged_states == 0
+        self._assert_vacuous(result.pec_runs, caplog)
+
+    def test_run_pec_with_dependents_agrees(self, caplog):
+        plankton = Plankton(bad_gadget())
+        (pec,) = [pec for pec in plankton.pecs if pec.has_bgp()]
+        with caplog.at_level(logging.WARNING, logger="repro.core"):
+            run, outcomes = plankton.run_pec(
+                pec,
+                FailureScenario(),
+                [Reachability(sources=["n1"])],
+                DependencyContext(),
+                collect_outcomes=True,
+            )
+        assert outcomes == []
+        self._assert_vacuous([run], caplog)
+
+    def test_converging_configurations_do_not_warn(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="repro.core"):
+            assert Plankton(ebgp_rfc7938(bgp_fat_tree(4))).verify(
+                Reachability(sources=["edge0_0"], destination_prefix=edge_prefix(3, 1))
+            ).holds
+        assert not caplog.records
+
+
+class TestFastOspfIsNotASecondRoad:
+    """Without an OSPF-originated prefix ``fast_ospf`` has nothing to change:
+    the whole result — counts and exploration statistics included — is the
+    same document."""
+
+    @pytest.mark.parametrize("stop_at_first", [True, False])
+    @pytest.mark.parametrize("violating", [False, True])
+    def test_bgp_fabric_result_is_independent_of_fast_ospf(self, violating, stop_at_first):
+        digests = set()
+        for fast_ospf in (True, False):
+            network = ebgp_rfc7938(bgp_fat_tree(4))
+            if violating:
+                install_loop_inducing_statics(
+                    network, edge_prefix(0, 0), ["agg1_0", "edge1_0", "agg1_1", "edge1_1"]
+                )
+            options = PlanktonOptions(fast_ospf=fast_ospf, stop_at_first_violation=stop_at_first)
+            result = Plankton(network, options).verify(
+                LoopFreedom(destination_prefix=edge_prefix(0, 0))
+            )
+            assert result.holds is not violating
+            digests.add(result_signature_digest(result))
+        assert len(digests) == 1
+
+
+class _EveryPlane(Policy):
+    """Sees every converged data plane (no sources, no signature
+    suppression) and fails the ``fail_at``-th one."""
+
+    name = "every-plane"
+
+    def __init__(self, fail_at=None):
+        self.fail_at = fail_at
+        self.planes = []
+
+    def check(self, context):
+        self.planes.append(context.data_plane)
+        return "the k-th outcome" if len(self.planes) == self.fail_at else None
+
+
+class TestMultiPrefixPec:
+    """A PEC with two BGP prefixes: the first prefix's search is streamed and
+    each of its converged states crossed with the second prefix's list."""
+
+    WIDE = Prefix("10.0.0.0/16")
+
+    def _fabric(self, **options):
+        network = ebgp_rfc7938(bgp_fat_tree(4))
+        edge = network.device("edge1_0")
+        edge.bgp.networks.append(self.WIDE)
+        edge.route_maps["EXPORT_OWN"].clauses[0].match.prefixes.append(self.WIDE)
+        plankton = Plankton(network, PlanktonOptions(**options))
+        pec = next(pec for pec in plankton.pecs if len(pec.bgp_origins) == 2)
+        # Two dead core switches keep the product small (16 x 2 outcomes).
+        dead = {link.link_id for core in ("core2", "core3") for link in network.topology.edges(core)}
+        return plankton, pec, FailureScenario(tuple(sorted(dead)))
+
+    @staticmethod
+    def _run(plankton, pec, failure, policy, collect_outcomes):
+        return plankton.run_pec(
+            pec, failure, [policy], DependencyContext(), collect_outcomes=collect_outcomes
+        )
+
+    def test_outcomes_are_the_product_first_prefix_slowest(self):
+        plankton, pec, failure = self._fabric(stop_at_first_violation=False)
+        first, second = (prefix for prefix, _devices in pec.bgp_origins)
+        streamed, upstream = _EveryPlane(), _EveryPlane()
+        run, kept = self._run(plankton, pec, failure, streamed, collect_outcomes=False)
+        upstream_run, outcomes = self._run(plankton, pec, failure, upstream, collect_outcomes=True)
+
+        # Independent PEC and PEC with dependents: the same planes in the
+        # same order, the same run document.
+        assert kept == []
+        planes = [outcome.data_plane.to_dict() for outcome in outcomes]
+        assert planes == [plane.to_dict() for plane in streamed.planes]
+        assert planes == [plane.to_dict() for plane in upstream.planes]
+        assert run.to_dict(SIGNATURE_EXCLUDED) == upstream_run.to_dict(SIGNATURE_EXCLUDED)
+        assert run.converged_states == run.checked_states == len(planes)
+
+        def forwarding_for(plane, prefix):
+            entries = ((device, plane.fib(device).entry_for(prefix)) for device in plane.devices())
+            return tuple((device, entry and entry.next_hops) for device, entry in entries)
+
+        pairs = [
+            (forwarding_for(outcome.data_plane, first), forwarding_for(outcome.data_plane, second))
+            for outcome in outcomes
+        ]
+        of_first = list(dict.fromkeys(a for a, _b in pairs))
+        of_second = list(dict.fromkeys(b for _a, b in pairs))
+        assert len(of_first) > 1 and len(of_second) > 1
+        assert pairs == list(itertools.product(of_first, of_second))
+
+    @pytest.mark.parametrize("collect_outcomes", [False, True])
+    def test_stop_at_first_counts_through_the_violating_outcome(self, collect_outcomes):
+        plankton, pec, failure = self._fabric()
+        everything, _ = self._run(plankton, pec, failure, _EveryPlane(), collect_outcomes)
+        k = 5
+        run, outcomes = self._run(plankton, pec, failure, _EveryPlane(fail_at=k), collect_outcomes)
+        assert run.converged_states == run.checked_states == k
+        assert [violation.message for violation in run.violations] == ["the k-th outcome"]
+        if collect_outcomes:
+            # Downstream PECs need every outcome: searched to the end.
+            assert len(outcomes) == everything.converged_states
+            assert run.statistics.states_expanded == everything.statistics.states_expanded
+        else:
+            assert outcomes == []
+            assert run.statistics.states_expanded < everything.statistics.states_expanded

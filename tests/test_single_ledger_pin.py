@@ -1,10 +1,12 @@
-"""Tooling pin: one ledger, one run path — found by reading the source.
+"""Tooling pin: one ledger, one run path, one road from a converged state to
+a verdict — found by reading the source.
 
 Scans ``src/repro`` with :mod:`ast` (nothing scanned is imported): the
 aggregator surface lives in exactly one class, exactly one function picks a
-backend, and ``TaskGraph`` cannot be rewritten into a sub-graph again.  A
-change that re-grows a second aggregator or a second run path fails here
-before any behavioural test has to notice.
+backend, ``TaskGraph`` cannot be rewritten into a sub-graph again, and
+``PecExplorer`` has one search and one plane builder that ``run_pec`` enters
+once.  A change that re-grows a second aggregator, a second run path or a
+batch explorer fails here before any behavioural test has to notice.
 """
 
 import ast
@@ -13,12 +15,16 @@ from pathlib import Path
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
-def _calls(function, name):
-    return any(
+def _call_count(tree, name):
+    return sum(
         isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
-        for node in ast.walk(function)
+        for node in ast.walk(tree)
     )
+
+
+def _calls(function, name):
+    return _call_count(function, name) > 0
 
 
 def test_one_ledger_one_run_path():
@@ -40,3 +46,34 @@ def test_one_ledger_one_run_path():
     assert ledgers == ["engine/aggregator.py:ResultAggregator"]
     assert selectors == ["engine/backends.py:run_graph"]
     assert "tasks" in task_graph_members and "restricted" not in task_graph_members
+
+
+def test_one_road_from_a_converged_state_to_a_verdict():
+    model_source = (SOURCE / "core" / "network_model.py").read_text(encoding="utf-8")
+    model = ast.parse(model_source)
+    classes = {node.name: node for node in model.body if isinstance(node, ast.ClassDef)}
+    # One model-checker construction and one data-plane build, both inside
+    # PecExplorer; an outcome carries nothing but the plane, the control
+    # plane and the steps; the batch road's names stay gone.
+    assert _call_count(model, "Explorer") == _call_count(classes["PecExplorer"], "Explorer") == 1
+    assert _call_count(classes["PecExplorer"], "build_data_plane") == 1
+    assert [field.target.id for field in classes["ConvergedOutcome"].body[1:]] == [
+        "data_plane",
+        "control_plane",
+        "steps",
+    ]
+    for retired in (
+        "_explore_streaming",
+        "_explore_instance",
+        "_explore_bgp_prefix",
+        "_explore_ospf_prefix",
+        "_combinations",
+        "PrefixExplorationResult",
+        "options_stop_early",
+        "_accept_terminal",
+        "_sources_decided",
+        "_candidate_engine",
+    ):
+        assert retired not in model_source, retired
+    verifier = ast.parse((SOURCE / "core" / "verifier.py").read_text(encoding="utf-8"))
+    assert _call_count(verifier, "explore") == 1

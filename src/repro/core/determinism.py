@@ -246,12 +246,17 @@ class BgpDeterminism:
         return future is not None and future < self.instance.cached_rank(node, route)
 
     def _scan_unstable(self, state: RpvpState) -> frozenset:
-        """Unstable nodes by the naive all-nodes scan (roots, detached states)."""
-        return frozenset(
-            node
-            for node, route in state.items()
-            if route is not None and self._node_is_unstable(node, state)
-        )
+        """Unstable nodes of a state without a cached ancestor.
+
+        A decided node can only be unstable through an *undecided* peer (see
+        :meth:`_best_future_rank`), so the scan visits the undecided slots
+        and evaluates their readers, not every node.
+        """
+        readers: Set[str] = set()
+        for node, route_id in zip(state.node_names, state._ids):
+            if not route_id:
+                readers.update(self._stability_affected.get(node, ()))
+        return frozenset(node for node in readers if self._node_is_unstable(node, state))
 
     def unstable_nodes(self, state: RpvpState) -> frozenset:
         """The decided nodes whose selection a future update could still beat.
@@ -266,12 +271,26 @@ class BgpDeterminism:
         """
         if state._stability_token is self:
             return state._stability_cache
+        if all(state._ids):
+            # Nobody is undecided, so no update can arrive any more (every
+            # state a search converges in on an un-partitioned fabric).
+            cache: Optional[frozenset] = frozenset()
+        else:
+            cache = self._unstable_from_ancestor(state)
+            if cache is None:
+                cache = self._scan_unstable(state)
+        state._stability_token = self
+        state._stability_cache = cache
+        return cache
+
+    def _unstable_from_ancestor(self, state: RpvpState) -> Optional[frozenset]:
+        """The unstable set re-evaluated off the nearest evaluated ancestor's,
+        or None when there is none close enough to beat a scan."""
         # Walk up to the nearest ancestor this analyzer already evaluated,
         # accumulating the union of affected node sets along the way (the
         # check runs only on policy-pruned states, so the direct parent may
         # not carry a cache while a close ancestor does).  Give up once the
         # union stops being smaller than a full scan.
-        cache: Optional[frozenset] = None
         affected: set = set()
         total = len(state.node_names)
         ancestor: Optional[RpvpState] = state
@@ -284,27 +303,16 @@ class BgpDeterminism:
             slot, _old_route, _new_route = ancestor.delta
             members = self._stability_affected.get(ancestor.node_names[slot])
             if members is None:
-                affected = None  # unknown node: force the full scan below
-                break
+                return None  # unknown node
             affected |= members
             ancestor = ancestor.parent
-        if (
-            affected is not None
-            and len(affected) < total
-            and ancestor._stability_token is self
-        ):
-            unstable = {
-                node for node in ancestor._stability_cache if node not in affected
-            }
-            for node in affected:
-                if self._node_is_unstable(node, state):
-                    unstable.add(node)
-            cache = frozenset(unstable)
-        if cache is None:
-            cache = self._scan_unstable(state)
-        state._stability_token = self
-        state._stability_cache = cache
-        return cache
+        if len(affected) >= total or ancestor._stability_token is not self:
+            return None
+        unstable = {node for node in ancestor._stability_cache if node not in affected}
+        for node in affected:
+            if self._node_is_unstable(node, state):
+                unstable.add(node)
+        return frozenset(unstable)
 
     def decisions_are_stable(self, state: RpvpState) -> bool:
         """Whether every decided node's selection could survive to convergence.

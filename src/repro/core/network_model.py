@@ -10,16 +10,39 @@ There is one road from a converged state to its data plane:
 :meth:`PecExplorer.explore` runs one kind of search (``_search``), accepts
 converged states inside it by the same rule that ends executions
 (``_successor_relation``) and builds each plane as the state is reached.
+
+Sibling converged states differ in a few devices' routes (§4.4), so
+:meth:`PecExplorer.build_data_plane` builds only the first plane of a task
+from scratch — the protocol-major OSPF, BGP and static passes over every
+device — and derives each later plane from it: the first plane's per-device
+:class:`~repro.dataplane.Fib` objects, with only those of the devices that
+hold other routes replaced, by tables interned per (device, route ids) and
+built by the same passes restricted to those devices.  ``Fib`` objects are
+therefore shared between the planes of one task (never across tasks).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable,
+    Container,
+    Dict,
+    Hashable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.config.objects import NetworkConfig
-from repro.dataplane import DataPlane, FibEntry
+from repro.dataplane import DataPlane, Fib, FibEntry
 from repro.modelcheck.explorer import (
     ExplorationStatistics,
     Explorer,
@@ -34,6 +57,7 @@ from repro.modelcheck.hashing import ZobristFingerprinter
 from repro.pec.classes import PacketEquivalenceClass
 from repro.protocols.base import EPSILON, PathVectorInstance, Route, RouteSource
 from repro.protocols.bgp import BgpInstance
+from repro.protocols.interning import RouteInternTable
 from repro.protocols.ospf import OspfComputation
 from repro.protocols.ospf_instance import OspfInstance
 from repro.protocols.rpvp import (
@@ -68,7 +92,7 @@ class DependencyContext:
 
     def add(self, pec: PacketEquivalenceClass, data_plane: DataPlane) -> None:
         """Register the converged data plane of an upstream PEC."""
-        if pec.index not in {p.index for p in self._pecs}:
+        if pec.index not in self._data_planes:
             self._pecs.append(pec)
         self._data_planes[pec.index] = data_plane
 
@@ -111,6 +135,30 @@ class ConvergedOutcome:
     steps: List[object] = field(default_factory=list)
 
 
+class _PlaneInputs(NamedTuple):
+    """The inputs every data plane of one task shares."""
+
+    prefixes: List[Prefix]  # of the PEC, in install order
+    failure_text: str
+    failed: Set[int]
+    ospf_origins: Dict[Prefix, List[str]]
+    bgp_origins: Dict[Prefix, Set[str]]
+
+
+@dataclass
+class _ReferencePlane:
+    """The first data plane of a task, as later planes are derived from it."""
+
+    prefixes: Tuple[Prefix, ...]  # the live BGP prefixes, in install order
+    table: Optional[RouteInternTable]  # the one their states' route ids live in
+    names: Tuple[str, ...]  # slot -> device
+    ids: List[Sequence[int]]  # the reference states' route-id arrays, per live prefix
+    fibs: Dict[str, Fib]
+    #: (slot, route id per live prefix) -> the FIB of that device holding those
+    #: routes; None until a second plane is asked for.
+    interned: Optional[Dict[Tuple[int, ...], Fib]] = None
+
+
 # --------------------------------------------------------------------------- explorer
 class PecExplorer:
     """Explores all converged data planes of one PEC under one failure scenario."""
@@ -137,6 +185,7 @@ class PecExplorer:
         #: PEC run (the successor pipeline records enabled-vs-expanded there).
         self.reduction = ReductionStatistics(mode="rpvp")
         self.statistics = ExplorationStatistics(reduction=self.reduction)
+        self._reference: Optional[_ReferencePlane] = None
 
     # ------------------------------------------------------------------ protocol instances
     def _failed_links(self) -> Set[int]:
@@ -452,26 +501,127 @@ class PecExplorer:
         self,
         bgp_states: Optional[Dict[Prefix, RpvpState]] = None,
     ) -> Tuple[DataPlane, Dict[str, Route]]:
-        """Combine per-prefix protocol results into a network-wide data plane."""
+        """Combine per-prefix protocol results into a network-wide data plane.
+
+        The first plane of a task is built from scratch (``_install_entries``
+        over all devices) and kept, with the route-id arrays of the states
+        behind it, as the task's reference.  Every later plane over the same
+        live BGP prefixes is derived: the reference's ``fibs`` with only the
+        devices whose route ids differ replaced (``_derived_fibs``).  The
+        planes of one task therefore *share* :class:`Fib` objects; see
+        :meth:`DataPlane.install` for what that means to a caller who edits
+        a plane.
+        """
         bgp_states = bgp_states or {}
-        devices = self.network.topology.nodes
-        data_plane = DataPlane(devices, pec_range=self.pec.address_range)
-        data_plane.annotations["failure"] = self.failure.describe(self.network.topology)
+        live = {
+            prefix: bgp_states[prefix]
+            for prefix in self._plane_inputs.prefixes
+            if bgp_states.get(prefix) is not None
+        }
+        states = list(live.values())
+        reference = self._reference
+        if (
+            reference is not None
+            and reference.prefixes == tuple(live)
+            and all(state.intern_table is reference.table for state in states)
+        ):
+            data_plane = DataPlane((), pec_range=self.pec.address_range)
+            data_plane.fibs = self._derived_fibs(reference, live)
+        else:
+            data_plane = DataPlane(self.network.topology.nodes, pec_range=self.pec.address_range)
+            self._install_entries(data_plane, live)
+            # One intern table (one node space) under every live prefix is
+            # what makes a slot one device and its ids comparable across
+            # planes; BGP speakers do not depend on the prefix, so it holds.
+            table = states[0].intern_table if states else None
+            if all(state.intern_table is table for state in states):
+                self._reference = _ReferencePlane(
+                    prefixes=tuple(live),
+                    table=table,
+                    names=states[0].node_names if states else (),
+                    ids=[state._ids for state in states],
+                    fibs=data_plane.fibs,
+                )
+        data_plane.annotations["failure"] = self._plane_inputs.failure_text
         control_plane: Dict[str, Route] = {}
-        failed = self._failed_links()
+        for state in states:
+            route = state.intern_table.route
+            for node, route_id in zip(state.node_names, state._ids):
+                if route_id:
+                    control_plane[node] = route(route_id)
+        return data_plane, control_plane
 
-        # Per-prefix OSPF and BGP entries, most specific prefixes last so that
-        # equal-prefix conflicts are decided purely by administrative distance.
-        for prefix in sorted(self.pec.prefixes, key=lambda p: p.length):
-            self._install_ospf_entries(data_plane, prefix, failed)
-            self._install_bgp_entries(data_plane, prefix, bgp_states.get(prefix), control_plane)
+    def _derived_fibs(
+        self, reference: _ReferencePlane, live: Dict[Prefix, RpvpState]
+    ) -> Dict[str, Fib]:
+        """The reference's FIBs, with those of the devices that hold other
+        routes than in the reference replaced.
 
+        A device's FIB is a function of the task and that device's own BGP
+        routes, so the replacements are interned per (slot, route id per live
+        prefix); a miss is built by the same install passes as a whole plane,
+        restricted to the missing devices.
+        """
+        interned = reference.interned
+        if interned is None:
+            interned = reference.interned = {}
+            for fib in reference.fibs.values():
+                fib.share()
+        arrays = [state._ids for state in live.values()]
+        differing: Set[int] = set()
+        for ids, reference_ids in zip(arrays, reference.ids):
+            if ids != reference_ids:
+                differing.update(
+                    itertools.compress(itertools.count(), map(operator.ne, ids, reference_ids))
+                )
+        changed = list(differing)
+        fibs = dict(reference.fibs)
+        missing: Dict[str, Tuple[int, ...]] = {}
+        # One key per changed slot: (slot, its route id under each live prefix).
+        for key in zip(changed, *([ids[slot] for slot in changed] for ids in arrays)):
+            fib = interned.get(key)
+            if fib is None:
+                missing[reference.names[key[0]]] = key
+            else:
+                fibs[fib.device] = fib
+        if missing:
+            built = DataPlane(missing)
+            self._install_entries(built, live, only=missing)
+            for device, key in missing.items():
+                fib = fibs[device] = interned[key] = built.fibs[device]
+                fib.share()
+        return fibs
+
+    @functools.cached_property
+    def _plane_inputs(self) -> _PlaneInputs:
+        """What every plane of this task is built from, computed once."""
+        # Most specific prefixes last so that equal-prefix conflicts are
+        # decided purely by administrative distance.
+        prefixes = sorted(self.pec.prefixes, key=lambda p: p.length)
+        return _PlaneInputs(
+            prefixes=prefixes,
+            failure_text=self.failure.describe(self.network.topology),
+            failed=self._failed_links(),
+            ospf_origins={prefix: self._ospf_origins_for(prefix) for prefix in prefixes},
+            bgp_origins={prefix: set(self.pec.origins_for(prefix, "bgp")) for prefix in prefixes},
+        )
+
+    def _install_entries(
+        self,
+        data_plane: DataPlane,
+        bgp_states: Dict[Prefix, RpvpState],
+        only: Optional[Container[str]] = None,
+    ) -> None:
+        """The OSPF, BGP and static passes over the devices of ``data_plane``:
+        all of the network's, or the ones ``only`` names."""
+        prefixes = self._plane_inputs.prefixes
+        for prefix in prefixes:
+            self._install_ospf_entries(data_plane, prefix, only)
+            self._install_bgp_entries(data_plane, prefix, bgp_states.get(prefix), only)
         # Static routes last: they may depend on entries installed above (for
         # recursive next hops resolved inside the same PEC).
-        for prefix in sorted(self.pec.prefixes, key=lambda p: p.length):
-            self._install_static_entries(data_plane, prefix, failed)
-
-        return data_plane, control_plane
+        for prefix in prefixes:
+            self._install_static_entries(data_plane, prefix, only)
 
     def _ospf_origins_for(self, prefix: Prefix) -> List[str]:
         origins = set(self.pec.origins_for(prefix, "ospf"))
@@ -483,13 +633,17 @@ class PecExplorer:
                     origins.add(name)
         return sorted(origins)
 
-    def _install_ospf_entries(self, data_plane: DataPlane, prefix: Prefix, failed: Set[int]) -> None:
-        origins = self._ospf_origins_for(prefix)
+    def _install_ospf_entries(
+        self, data_plane: DataPlane, prefix: Prefix, only: Optional[Container[str]]
+    ) -> None:
+        origins = self._plane_inputs.ospf_origins[prefix]
         if not origins:
             return
-        table = self.ospf.compute(origins, failed)
+        table = self.ospf.compute(origins, self._plane_inputs.failed)
         origin_set = set(origins)
         for node, distance in table.distances.items():
+            if only is not None and node not in only:
+                continue
             if node in origin_set:
                 data_plane.install(
                     node,
@@ -513,10 +667,11 @@ class PecExplorer:
         data_plane: DataPlane,
         prefix: Prefix,
         state: Optional[RpvpState],
-        control_plane: Dict[str, Route],
+        only: Optional[Container[str]],
     ) -> None:
-        bgp_origin_devices = set(self.pec.origins_for(prefix, "bgp"))
-        for origin in bgp_origin_devices:
+        for origin in self._plane_inputs.bgp_origins[prefix]:
+            if only is not None and origin not in only:
+                continue
             data_plane.install(
                 origin,
                 FibEntry(prefix=prefix, source=RouteSource.CONNECTED, delivers_locally=True),
@@ -525,10 +680,9 @@ class PecExplorer:
             return
         for node, route in state.items():
             if route is None or route.path == EPSILON:
-                if route is not None:
-                    control_plane[node] = route
                 continue
-            control_plane[node] = route
+            if only is not None and node not in only:
+                continue
             peer = route.path.head
             node_cfg = self.network.device(node)
             peer_cfg = self.network.device(peer)
@@ -560,11 +714,16 @@ class PecExplorer:
             if upstream:
                 return upstream
         # Fall back to the IGP shortest path towards the peer.
-        table = self.ospf.compute([peer], self._failed_links())
+        table = self.ospf.compute([peer], self._plane_inputs.failed)
         return table.next_hops.get(node, ())
 
-    def _install_static_entries(self, data_plane: DataPlane, prefix: Prefix, failed: Set[int]) -> None:
+    def _install_static_entries(
+        self, data_plane: DataPlane, prefix: Prefix, only: Optional[Container[str]]
+    ) -> None:
+        failed = self._plane_inputs.failed
         for device in self.ospf.static_route_devices():
+            if only is not None and device not in only:
+                continue
             resolution = resolve_static_routes(self.network, device, prefix, failed)
             if resolution is None:
                 continue

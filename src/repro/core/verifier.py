@@ -151,6 +151,7 @@ class Plankton:
         seen_signatures: Dict[str, Set[Tuple]] = {}
         failure_text = failure.describe(self.network.topology)
         applicable = [policy for policy in policies if policy.applies_to(pec)]
+        upstream_planes = dependency_context.data_planes()
 
         def check_outcome(outcome: ConvergedOutcome) -> Optional[str]:
             """Check every policy on one converged data plane, as the search
@@ -163,15 +164,15 @@ class Plankton:
             run.converged_states += 1
             if self.options.keep_data_planes:
                 run.data_planes.append(outcome.data_plane)
+            context = PolicyCheckContext(
+                network=self.network,
+                pec=pec,
+                data_plane=outcome.data_plane,
+                failure=failure,
+                dependencies=upstream_planes,
+                control_plane=outcome.control_plane,
+            )
             for policy in applicable:
-                context = PolicyCheckContext(
-                    network=self.network,
-                    pec=pec,
-                    data_plane=outcome.data_plane,
-                    failure=failure,
-                    dependencies=dependency_context.data_planes(),
-                    control_plane=outcome.control_plane,
-                )
                 if self.options.optimizations.policy_based_pruning:
                     signature = policy.state_signature(context)
                     if signature is not None:

@@ -51,17 +51,47 @@ class FibEntry:
 
 
 class Fib:
-    """The forwarding table of a single device."""
+    """The forwarding table of a single device.
+
+    The document (:meth:`to_dict`) is the device and its entries; ``shared``
+    and the lookup memo that comes with it are derived state.
+    """
 
     def __init__(self, device: str) -> None:
         self.device = device
         self._entries: Dict[Prefix, FibEntry] = {}
+        #: True once several :class:`DataPlane` objects may hold this very
+        #: table (see :meth:`share`).
+        self.shared = False
+        self._lookup_memo: Optional[Dict[int, Optional[FibEntry]]] = None
+
+    def share(self) -> None:
+        """Declare this table held by several data planes (the planes of one
+        task share the tables of the devices they agree on).
+
+        From here on :meth:`install` refuses — :meth:`DataPlane.install`
+        copies first — and, the entries being final, :meth:`lookup` answers
+        every plane after the first from a memo.
+        """
+        self.shared = True
+        self._lookup_memo = {}
 
     def install(self, entry: FibEntry) -> None:
         """Install ``entry``; a lower administrative distance wins on conflict."""
+        if self.shared:
+            raise ReproError(
+                f"the FIB of {self.device!r} is shared between data planes; "
+                "install through DataPlane.install, which copies it first"
+            )
         existing = self._entries.get(entry.prefix)
         if existing is None or entry.administrative_distance < existing.administrative_distance:
             self._entries[entry.prefix] = entry
+
+    def copy(self) -> "Fib":
+        """An unshared table with the same entries in the same install order."""
+        fib = Fib(self.device)
+        fib._entries = dict(self._entries)
+        return fib
 
     def entries(self) -> List[FibEntry]:
         """All installed entries, most specific first."""
@@ -71,11 +101,16 @@ class Fib:
 
     def lookup(self, address: int) -> Optional[FibEntry]:
         """Longest-prefix-match lookup of ``address`` (a 32-bit integer)."""
+        memo = self._lookup_memo
+        if memo is not None and address in memo:
+            return memo[address]
         best: Optional[FibEntry] = None
         for entry in self._entries.values():
             if entry.prefix.contains_address(address):
                 if best is None or entry.prefix.length > best.prefix.length:
                     best = entry
+        if memo is not None:
+            memo[address] = best
         return best
 
     def entry_for(self, prefix: Prefix) -> Optional[FibEntry]:
@@ -131,8 +166,16 @@ class DataPlane:
             raise ReproError(f"no FIB for device {device!r}") from None
 
     def install(self, device: str, entry: FibEntry) -> None:
-        """Install ``entry`` into the FIB of ``device``."""
-        self.fib(device).install(entry)
+        """Install ``entry`` into the FIB of ``device``.
+
+        Copy-on-write: the planes of one task share the :class:`Fib` objects
+        of the devices they agree on, so a shared table is first replaced, in
+        this plane only, by a copy — an install never edits a sibling plane.
+        """
+        fib = self.fib(device)
+        if fib.shared:
+            fib = self.fibs[device] = fib.copy()
+        fib.install(entry)
 
     def devices(self) -> List[str]:
         """All device names."""

@@ -110,8 +110,8 @@ class ForwardingGraph:
         self.successors: Dict[str, Tuple[str, ...]] = {}
         self.delivering: Set[str] = set()
         self.dropping: Set[str] = set()
-        for device in data_plane.devices():
-            entry = data_plane.lookup(device, address)
+        for device, fib in data_plane.fibs.items():
+            entry = fib.lookup(address)
             if entry is None:
                 self.successors[device] = ()
             elif entry.delivers_locally:
@@ -124,33 +124,33 @@ class ForwardingGraph:
                 self.successors[device] = entry.next_hops
 
     def has_cycle(self) -> Optional[List[str]]:
-        """A forwarding cycle (as a node list) if one exists, else None."""
+        """A forwarding cycle (as a node list) if one exists, else None.
+
+        A depth-first search in ``successors`` order, on an explicit stack:
+        a forwarding chain can be as long as the network is large.
+        """
         WHITE, GREY, BLACK = 0, 1, 2
-        color: Dict[str, int] = {node: WHITE for node in self.successors}
-        stack_path: List[str] = []
-
-        def visit(node: str) -> Optional[List[str]]:
-            color[node] = GREY
-            stack_path.append(node)
-            for successor in self.successors.get(node, ()):
-                if successor not in color:
-                    continue
-                if color[successor] == GREY:
-                    start = stack_path.index(successor)
-                    return stack_path[start:] + [successor]
-                if color[successor] == WHITE:
-                    found = visit(successor)
-                    if found is not None:
-                        return found
-            stack_path.pop()
-            color[node] = BLACK
-            return None
-
-        for node in self.successors:
-            if color[node] == WHITE:
-                found = visit(node)
-                if found is not None:
-                    return found
+        successors = self.successors
+        color: Dict[str, int] = {node: WHITE for node in successors}
+        for root in successors:
+            if color[root] != WHITE:
+                continue
+            color[root] = GREY
+            path: List[str] = [root]
+            pending = [iter(successors[root])]
+            while pending:
+                for successor in pending[-1]:
+                    seen = color.get(successor)  # None: not a device of the plane
+                    if seen == GREY:
+                        return path[path.index(successor):] + [successor]
+                    if seen == WHITE:
+                        color[successor] = GREY
+                        path.append(successor)
+                        pending.append(iter(successors[successor]))
+                        break
+                else:
+                    pending.pop()
+                    color[path.pop()] = BLACK
         return None
 
     def reaches_delivery(self, source: str) -> bool:

@@ -1,0 +1,257 @@
+"""Derived data planes == planes built from scratch.
+
+``PecExplorer.build_data_plane`` builds the first plane of a task by the
+protocol-major install passes over every device and derives every later one
+from it: the reference's FIBs, with those of the devices that hold other BGP
+routes replaced by FIBs interned per (device, route ids) and built, on a miss,
+by the same passes restricted to the missing devices.  A *fresh* explorer has
+no reference yet, so its first plane is the from-scratch build — the oracle
+here, for every shape the builder has: one BGP prefix under failures, two BGP
+prefixes crossed, iBGP next hops resolved through upstream planes, and static
+routes that read the device's own BGP entry or share its FIB with one.
+"""
+
+import functools
+import itertools
+import pickle
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import Plankton
+from repro.config import ebgp_rfc7938, ibgp_over_ospf
+from repro.config.builder import edge_prefix
+from repro.config.objects import StaticRoute
+from repro.core.network_model import DependencyContext, PecExplorer
+from repro.dataplane import FibEntry
+from repro.exceptions import ReproError
+from repro.netaddr import Prefix
+from repro.topology import bgp_fat_tree, ring
+from repro.topology.failures import FailureScenario
+
+WIDE = Prefix("10.0.0.0/16")
+EXTERNAL = Prefix("200.0.0.0/16")
+
+
+def _explorer(plankton, pec, failure, context=None):
+    return PecExplorer(
+        plankton.network,
+        pec,
+        failure,
+        plankton.options,
+        dependency_context=context or DependencyContext(),
+        ospf_computation=plankton.ospf_computation,
+    )
+
+
+def _streamed(explorer):
+    """``(bgp_states, outcome)`` for every plane of one ``explore()``."""
+    handed_in = []
+    build = explorer.build_data_plane
+
+    def recording(bgp_states=None):
+        handed_in.append(dict(bgp_states or {}))
+        return build(bgp_states)
+
+    explorer.build_data_plane = recording  # shadows the method for ``emit``
+    outcomes = explorer.explore()
+    assert len(handed_in) == len(outcomes)
+    return list(zip(handed_in, outcomes))
+
+
+def _assert_derived_equals_scratch(plankton, pec, failure, context=None):
+    streamed = _streamed(_explorer(plankton, pec, failure, context))
+    for bgp_states, outcome in streamed:
+        plane, control_plane = _explorer(plankton, pec, failure, context).build_data_plane(
+            bgp_states
+        )
+        assert outcome.data_plane.to_dict() == plane.to_dict()
+        assert outcome.control_plane == control_plane
+        # ... which is every device's route, a longer prefix's over a shorter's.
+        routes = {}
+        for prefix in sorted(bgp_states, key=lambda prefix: prefix.length):
+            routes.update((node, route) for node, route in bgp_states[prefix].items() if route)
+        assert list(control_plane.items()) == list(routes.items())
+    return [outcome for _bgp_states, outcome in streamed]
+
+
+def _failures(plankton, extra=()):
+    links = [link.link_id for link in plankton.network.topology.links]
+    return st.lists(st.sampled_from(links), max_size=2, unique=True).map(
+        lambda drawn: FailureScenario.of([*drawn, *extra])
+    )
+
+
+# --------------------------------------------------------------------------- fabrics
+@functools.lru_cache(maxsize=None)
+def _ebgp():
+    return Plankton(ebgp_rfc7938(bgp_fat_tree(4)))
+
+
+@functools.lru_cache(maxsize=None)
+def _two_prefixes():
+    """The covering /16 of ``tests/test_core_verifier.py``: one PEC, two BGP
+    prefixes; two dead core switches keep the product small."""
+    network = ebgp_rfc7938(bgp_fat_tree(4))
+    edge = network.device("edge1_0")
+    edge.bgp.networks.append(WIDE)
+    edge.route_maps["EXPORT_OWN"].clauses[0].match.prefixes.append(WIDE)
+    plankton = Plankton(network)
+    pec = next(pec for pec in plankton.pecs if len(pec.bgp_origins) == 2)
+    dead = [link.link_id for core in ("core2", "core3") for link in network.topology.edges(core)]
+    return plankton, pec, dead
+
+
+@functools.lru_cache(maxsize=None)
+def _ibgp():
+    """Two iBGP origins of one prefix on an OSPF ring: the routers half-way
+    tie, and every iBGP next hop recurses through a loopback PEC's plane."""
+    network = ibgp_over_ospf(ring(6), {"r0": EXTERNAL, "r2": EXTERNAL})
+    plankton = Plankton(network)
+    return plankton, next(pec for pec in plankton.pecs if pec.has_bgp())
+
+
+@functools.lru_cache(maxsize=None)
+def _statics():
+    """A rack prefix of the eBGP fabric under a covering static /16 on two
+    devices: ``edge0_0``'s is recursive and resolves *inside* the PEC, through
+    ``edge0_0``'s own BGP entry (so it moves with the BGP route); ``agg1_0``'s
+    names a neighbour and lands behind the BGP entry for the longer prefix
+    (the install order ``Fib.to_dict`` records)."""
+    network = ebgp_rfc7938(bgp_fat_tree(4))
+    rack = edge_prefix(3, 1)
+    covering = Prefix("10.3.0.0/16")
+    assert covering.contains_prefix(rack)
+    network.device("edge0_0").static_routes.append(StaticRoute(prefix=covering, next_hop_ip=rack))
+    network.device("agg1_0").static_routes.append(
+        StaticRoute(prefix=covering, next_hop_node="core0")
+    )
+    plankton = Plankton(network)
+    pec = next(pec for pec in plankton.pecs if pec.address_range.contains_address(rack.first))
+    assert set(pec.prefixes) == {rack, covering}
+    return plankton, pec, rack, covering
+
+
+# --------------------------------------------------------------------------- the property
+class TestDerivedEqualsFromScratch:
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_ebgp_fabric_under_failures(self, data):
+        plankton = _ebgp()
+        pec = data.draw(st.sampled_from([pec for pec in plankton.pecs if pec.has_bgp()]))
+        failure = data.draw(_failures(plankton))
+        _assert_derived_equals_scratch(plankton, pec, failure)
+
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_two_bgp_prefixes_in_product_order(self, data):
+        plankton, pec, dead = _two_prefixes()
+        failure = data.draw(_failures(plankton, extra=dead))
+        outcomes = _assert_derived_equals_scratch(plankton, pec, failure)
+        first, second = (prefix for prefix, _devices in pec.bgp_origins)
+
+        def forwarding_for(plane, prefix):
+            entries = ((device, plane.fib(device).entry_for(prefix)) for device in plane.devices())
+            return tuple((device, entry and entry.next_hops) for device, entry in entries)
+
+        pairs = [
+            (forwarding_for(outcome.data_plane, first), forwarding_for(outcome.data_plane, second))
+            for outcome in outcomes
+        ]
+        of_first = list(dict.fromkeys(a for a, _b in pairs))
+        of_second = list(dict.fromkeys(b for _a, b in pairs))
+        assert pairs == list(itertools.product(of_first, of_second))
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_ibgp_next_hops_through_upstream_planes(self, data):
+        plankton, pec = _ibgp()
+        failure = data.draw(_failures(plankton))
+        context = DependencyContext()
+        for index in sorted(plankton.dependency_graph.dependencies_of(pec.index)):
+            upstream = plankton.pec_by_index(index)
+            _run, outcomes = plankton.run_pec(
+                upstream, failure, [], DependencyContext(), collect_outcomes=True
+            )
+            context.add(upstream, outcomes[0].data_plane)
+        _assert_derived_equals_scratch(plankton, pec, failure, context)
+
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_statics_over_and_beside_bgp_entries(self, data):
+        plankton, pec, _rack, _covering = _statics()
+        failure = data.draw(_failures(plankton))
+        _assert_derived_equals_scratch(plankton, pec, failure)
+
+    def test_the_shapes_are_the_ones_claimed(self):
+        """The un-failed fabrics do exercise what their docstrings say (a
+        property over single-plane tasks would compare nothing derived)."""
+        plankton, pec = _ibgp()
+        assert len(plankton.dependency_graph.dependencies_of(pec.index)) == 6
+
+        plankton, pec, rack, covering = _statics()
+        outcomes = _explorer(plankton, pec, FailureScenario()).explore()
+        recursive = {
+            tuple((entry.prefix, entry.next_hops) for entry in fib._entries.values())
+            for fib in (outcome.data_plane.fib("edge0_0") for outcome in outcomes)
+        }
+        assert recursive == {
+            ((rack, (agg,)), (covering, (agg,))) for agg in ("agg0_0", "agg0_1")
+        }
+        beside = outcomes[-1].data_plane.fib("agg1_0")
+        assert [entry.prefix for entry in beside._entries.values()] == [rack, covering]
+
+        for plankton, pec, failure in (
+            (_ebgp(), next(pec for pec in _ebgp().pecs if pec.has_bgp()), FailureScenario()),
+            (*_two_prefixes()[:2], FailureScenario.of(_two_prefixes()[2])),
+            (*_ibgp(), FailureScenario()),
+        ):
+            explorer = _explorer(plankton, pec, failure)
+            assert len(explorer.explore()) > 1
+            assert explorer._reference.interned  # later planes were derived, with misses
+
+
+# --------------------------------------------------------------------------- sharing
+class TestSharedFibs:
+    @staticmethod
+    def _outcomes():
+        plankton = _ebgp()
+        pec = next(pec for pec in plankton.pecs if pec.has_bgp())
+        return _explorer(plankton, pec, FailureScenario()).explore()
+
+    def test_install_into_one_plane_leaves_every_sibling_alone(self):
+        outcomes = self._outcomes()
+        before = [outcome.data_plane.to_dict() for outcome in outcomes]
+        entry = FibEntry(prefix=Prefix("192.0.2.0/24"), drop=True)
+        for position in (0, len(outcomes) // 2, len(outcomes) - 1):  # the reference too
+            plane = outcomes[position].data_plane
+            device = plane.devices()[position % len(plane.devices())]
+            shared = plane.fib(device)
+            assert shared.shared
+            with pytest.raises(ReproError):
+                shared.install(entry)
+            plane.install(device, entry)
+            assert plane.fib(device) is not shared and not plane.fib(device).shared
+            assert plane.fib(device).entry_for(entry.prefix) == entry
+            assert plane.lookup(device, entry.prefix.first) == entry
+            after = [outcome.data_plane.to_dict() for outcome in outcomes]
+            assert after[position] != before[position]
+            after[position] = before[position] = None
+            assert after == before
+            before = [outcome.data_plane.to_dict() for outcome in outcomes]
+
+    def test_outcome_list_survives_pickling(self):
+        """What the process backend does with the outcomes of a PEC that has
+        dependents: the planes arrive equal, still sharing their FIBs."""
+        outcomes = self._outcomes()
+        revived = pickle.loads(pickle.dumps(outcomes))
+        assert [outcome.data_plane.to_dict() for outcome in revived] == [
+            outcome.data_plane.to_dict() for outcome in outcomes
+        ]
+        assert [outcome.control_plane for outcome in revived] == [
+            outcome.control_plane for outcome in outcomes
+        ]
+        assert [outcome.steps for outcome in revived] == [outcome.steps for outcome in outcomes]
+        distinct = {id(fib) for outcome in outcomes for fib in outcome.data_plane.fibs.values()}
+        assert len({id(fib) for o in revived for fib in o.data_plane.fibs.values()}) == len(distinct)
+        assert all(fib.shared for o in revived for fib in o.data_plane.fibs.values())

@@ -7,38 +7,53 @@ tests pin that fast path against the naive all-nodes scan — the pre-refactor
 ``decisions_are_stable`` loop — node-for-node, across random RPVP walks over
 a real BGP instance, for every cache situation the explorer produces:
 child-of-cached-parent, sparse calls (cached ancestor several transitions
-up), and fresh states with no parent chain at all.
+up), and fresh states with no parent chain at all.  The scan behind the last
+case visits only the undecided slots' readers; it is pinned to the all-nodes
+loop on fabrics where somebody *stays* undecided (an edge switch cut off by
+failures) and on the converged states of a whole ≤ 1-failure run.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.config import ebgp_rfc7938
+from repro.config import ConfigBuilder, ebgp_rfc7938
 from repro.core.determinism import BgpDeterminism
 from repro.core.network_model import DependencyContext, PecExplorer
 from repro.core.options import PlanktonOptions
 from repro.pec.classes import compute_pecs
 from repro.protocols.rpvp import RpvpState, initial_state, rpvp_successors
-from repro.topology import bgp_fat_tree
-from repro.topology.failures import FailureScenario
+from repro.netaddr import Prefix
+from repro.topology import bgp_fat_tree, grid
+from repro.topology.failures import FailureScenario, enumerate_failure_scenarios
 
 _CACHED = {}
 
 
-def _bgp_instance():
-    """One real BGP instance (fat-tree k=4, RFC 7938 eBGP), built once."""
-    if "instance" not in _CACHED:
+def _fabric():
+    """A real BGP fabric (fat-tree k=4, RFC 7938 eBGP) and its PECs, built once."""
+    if "fabric" not in _CACHED:
         network = ebgp_rfc7938(bgp_fat_tree(4))
-        pec = next(pec for pec in compute_pecs(network) if pec.has_bgp())
-        explorer = PecExplorer(
-            network,
-            pec,
-            FailureScenario(),
-            PlanktonOptions(),
-            dependency_context=DependencyContext(),
-        )
+        _CACHED["fabric"] = network, [pec for pec in compute_pecs(network) if pec.has_bgp()]
+    return _CACHED["fabric"]
+
+
+def _explorer(pec, failure):
+    network, _pecs = _fabric()
+    return PecExplorer(
+        network, pec, failure, PlanktonOptions(), dependency_context=DependencyContext()
+    )
+
+
+def _bgp_instance(cut_off=None):
+    """The first PEC's BGP instance, un-failed or with every link of the edge
+    switch ``cut_off`` down (that switch never hears a route: its slot stays ⊥
+    in every state, so its peers keep a non-empty set of undecided peers)."""
+    if cut_off not in _CACHED:
+        network, pecs = _fabric()
+        failed = [link.link_id for link in network.topology.edges(cut_off)] if cut_off else []
+        pec = pecs[0]
         prefix = next(prefix for prefix, devices in pec.bgp_origins if devices)
-        _CACHED["instance"] = explorer.bgp_instance(prefix)
-    return _CACHED["instance"]
+        _CACHED[cut_off] = _explorer(pec, FailureScenario.of(failed)).bgp_instance(prefix)
+    return _CACHED[cut_off]
 
 
 def _oracle_unstable(analyzer, state):
@@ -109,3 +124,88 @@ class TestIncrementalStabilityAgainstScan:
         assert fresh.parent is None
         assert analyzer.unstable_nodes(fresh) == analyzer.unstable_nodes(final)
         assert analyzer.unstable_nodes(fresh) == _oracle_unstable(analyzer, fresh)
+
+
+class TestUndecidedSlotScan:
+    """``_scan_unstable`` (undecided slots -> their readers) against the
+    all-nodes loop, where the reader sets are not empty."""
+
+    @given(picks=picks, cut_off=st.sampled_from(["edge1_0", "edge2_1", "edge3_1"]))
+    @settings(max_examples=30, deadline=None)
+    def test_walks_with_an_edge_switch_cut_off(self, picks, cut_off):
+        instance = _bgp_instance(cut_off)
+        assert cut_off not in instance.origins()
+        analyzer = BgpDeterminism(instance)
+        states = _walk(instance, picks)
+        for state in states:
+            assert state.best(cut_off) is None
+            oracle = _oracle_unstable(analyzer, state)
+            assert analyzer._scan_unstable(state) == oracle
+            # A state without a parent chain: the scan is all there is.
+            assert analyzer.unstable_nodes(RpvpState.from_dict(state.as_dict())) == oracle
+        # The fast path along the walk, checked last so it did not seed the above.
+        for state in states:
+            assert analyzer.unstable_nodes(state) == _oracle_unstable(analyzer, state)
+
+    def test_one_converged_state_per_task_of_a_single_failure_run(self):
+        """Every (PEC, <= 1 failure) task of the fabric: the first converged
+        state the search accepts, detached as the explorer hands it on."""
+        network, pecs = _fabric()
+        scenarios = enumerate_failure_scenarios(network.topology, 1)
+        somebody_undecided = 0
+        for pec in pecs:
+            prefix = next(prefix for prefix, devices in pec.bgp_origins if devices)
+            for failure in scenarios:
+                explorer = _explorer(pec, failure)
+                instance = explorer.bgp_instance(prefix)
+                found = []
+                explorer._search(
+                    instance,
+                    BgpDeterminism(instance),
+                    lambda state, labels: found.append(state) or "first one",
+                )
+                (state,) = found
+                assert state.parent is None  # detached
+                analyzer = BgpDeterminism(instance)
+                oracle = _oracle_unstable(analyzer, state)
+                assert oracle == frozenset()  # it was accepted
+                assert analyzer._scan_unstable(state) == oracle
+                assert analyzer.unstable_nodes(state) == oracle
+                somebody_undecided += not all(state._ids)
+        assert len(scenarios) == 1 + len(network.topology.links)
+        # An origin's uplink down leaves that whole plane of the fabric (its
+        # aggregation and core switches) without a route: both kinds of state.
+        assert somebody_undecided == 2 * len(pecs)
+
+    def test_every_state_of_a_grid_where_decisions_do_get_overturned(self):
+        """In the fat tree every feasible path is a shortest one, so nothing
+        above is ever unstable.  On a grid of one-router ASes a router can
+        take a long way round while the short way's neighbour is still
+        undecided: every state the raw RPVP semantics reach, failure-free and
+        under each single failure, with the unstable sets really non-empty."""
+        topology = grid(3, 3)
+        builder = ConfigBuilder(topology)
+        for index, name in enumerate(topology.nodes):
+            builder.enable_bgp(name, 65000 + index, [Prefix("10.0.0.0/24")] if index == 0 else [])
+        for link in topology.links:
+            builder.bgp_session(link.a, link.b)
+        network = builder.build()
+        (pec,) = [pec for pec in compute_pecs(network) if pec.has_bgp()]
+        states_seen = unstable_seen = 0
+        for failure in enumerate_failure_scenarios(topology, 1):
+            instance = PecExplorer(
+                network, pec, failure, PlanktonOptions(), dependency_context=DependencyContext()
+            ).bgp_instance(Prefix("10.0.0.0/24"))
+            analyzer = BgpDeterminism(instance)
+            frontier, seen = [initial_state(instance)], set()
+            while frontier:
+                state = frontier.pop()
+                if state in seen:
+                    continue
+                seen.add(state)
+                oracle = _oracle_unstable(analyzer, state)
+                assert analyzer._scan_unstable(state) == oracle
+                unstable_seen += bool(oracle)
+                frontier.extend(child for _step, child in rpvp_successors(instance, state))
+            states_seen += len(seen)
+        assert states_seen > 2000 and unstable_seen > 200

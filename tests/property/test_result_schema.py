@@ -344,6 +344,15 @@ OMITTED = {
     (TransientCampaignResult, "incremental"),
 }
 
+#: Instance attributes of the hand-written classes (Fib, DataPlane: every
+#: attribute counts as a declared field) that are derived state — exactly these.
+DERIVED = {
+    # whether sibling planes hold this very object: about the object graph, not the table
+    (Fib, "shared"),
+    # address -> longest-prefix match of a shared table, recomputable from the entries
+    (Fib, "lookup_memo"),
+}
+
 _FAILURE = TaskFailure(3, 1, "no failures", "crash", "worker 4242 died", 2)
 _REDUCTION = ReductionStatistics(mode="ample", rank_immune_sessions=5)
 _STATISTICS = ExplorationStatistics(states_expanded=9, state_bytes=64, reduction=_REDUCTION)
@@ -351,6 +360,8 @@ _TRAIL = Trail("loop", "pec", [TrailStep("note", "x")], "looped", "dump")
 _VIOLATION = Violation("loop", 1, "pec", "no failures", "a->b->a", _TRAIL)
 _PLANE = DataPlane(["r1"], AddressRange(0, 255))
 _PLANE.install("r1", FibEntry(Prefix("10.0.0.0/8"), ("r2",)))
+_PLANE.fib("r1").share()
+assert _PLANE.lookup("r1", Prefix("10.0.0.0/8").first) is not None  # fills the memo
 _RUN = PecRunResult(1, FailureScenario((2,)), 1, 1, 0, [_VIOLATION], _STATISTICS, [_PLANE])
 _TRANSIENT_VIOLATION = TransientViolation("loop", "micro-loop", 3, False, ("deliver a->b",))
 _TRANSIENT_RESULT = TransientAnalysisResult(
@@ -396,6 +407,9 @@ def test_no_field_escapes_the_document_or_the_signature(sample):
         if (cls, name) in OMITTED:
             assert name not in document
             continue
+        if (cls, name) in DERIVED:
+            assert name not in document and name not in signature
+            continue
         assert name in document, f"{cls.__name__}.{name} is not in the canonical document"
         excluded = bool({name, f"{cls.__name__}.{name}"} & SIGNATURE_EXCLUDED)
         assert (name in signature) != excluded, (
@@ -408,6 +422,8 @@ def test_omissions_and_exclusions_name_real_fields():
     for cls, name in OMITTED:
         assert name in {field.name for field in dataclasses.fields(cls)}
     known = {type(sample).__name__: _declared_fields(sample) for sample in SAMPLES}
+    for cls, name in DERIVED:
+        assert name in known[cls.__name__]
     for entry in SIGNATURE_EXCLUDED:
         owner, _, name = entry.rpartition(".")
         owners = [owner] if owner else list(known)

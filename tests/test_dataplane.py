@@ -109,6 +109,71 @@ class TestForwardingGraph:
         assert graph.has_cycle() is None
         assert graph.reaches_delivery("a")
 
+    @pytest.mark.parametrize("back_to", [None, 600])
+    def test_long_forwarding_chain(self, back_to):
+        """A 1 200-hop line is deeper than the interpreter's recursion limit:
+        loop-free it answers None, and with the last device pointing back at
+        device 600 exactly that 601-node cycle."""
+        names = [f"n{i}" for i in range(1200)]
+        data_plane = DataPlane(names)
+        prefix = Prefix("10.0.0.0/24")
+        for name, next_hop in zip(names, names[1:]):
+            data_plane.install(name, FibEntry(prefix=prefix, next_hops=(next_hop,)))
+        last = (
+            FibEntry(prefix=prefix, delivers_locally=True, source=RouteSource.CONNECTED)
+            if back_to is None
+            else FibEntry(prefix=prefix, next_hops=(names[back_to],))
+        )
+        data_plane.install(names[-1], last)
+        cycle = ForwardingGraph(data_plane, ip_to_int("10.0.0.1")).has_cycle()
+        assert cycle == (None if back_to is None else names[back_to:] + [names[back_to]])
+
+    def test_cycle_search_order_is_the_recursive_one(self):
+        """The reported cycle is embedded in violation messages, so the
+        explicit-stack search must find the one the recursive search found:
+        first root in device order, successors in next-hop order."""
+        import random
+
+        def recursive_cycle(successors):
+            color = dict.fromkeys(successors, 0)
+            path = []
+
+            def visit(node):
+                color[node] = 1
+                path.append(node)
+                for successor in successors[node]:
+                    if color.get(successor) == 1:
+                        return path[path.index(successor):] + [successor]
+                    if color.get(successor) == 0:
+                        found = visit(successor)
+                        if found is not None:
+                            return found
+                path.pop()
+                color[node] = 2
+                return None
+
+            for node in successors:
+                if color[node] == 0:
+                    found = visit(node)
+                    if found is not None:
+                        return found
+            return None
+
+        rng = random.Random(20)
+        prefix = Prefix("10.0.0.0/24")
+        found_cycles = 0
+        for _ in range(300):
+            names = [f"n{i}" for i in range(rng.randint(1, 9))]
+            data_plane = DataPlane(names)
+            for name in names:
+                hops = tuple(rng.sample(names + ["elsewhere"], rng.randint(0, min(3, len(names)))))
+                if hops:
+                    data_plane.install(name, FibEntry(prefix=prefix, next_hops=hops))
+            graph = ForwardingGraph(data_plane, ip_to_int("10.0.0.1"))
+            assert graph.has_cycle() == recursive_cycle(graph.successors)
+            found_cycles += graph.has_cycle() is not None
+        assert 50 < found_cycles < 300
+
     def test_black_holes_listed(self):
         data_plane = DataPlane(["a", "b"])
         data_plane.install("a", FibEntry(prefix=Prefix("10.0.0.0/24"), next_hops=("b",)))

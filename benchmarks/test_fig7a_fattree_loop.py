@@ -17,8 +17,10 @@ from repro import Plankton, PlanktonOptions
 from repro.baselines import MinesweeperVerifier
 from repro.config import ospf_everywhere
 from repro.config.builder import edge_prefix, install_loop_inducing_statics
+from repro.core.successors import CandidateEngine
 from repro.modelcheck.hashing import ZobristFingerprinter
 from repro.policies import LoopFreedom
+from repro.protocols.interning import RouteInternTable
 from repro.protocols.rpvp import RpvpState
 from repro.topology import fat_tree
 
@@ -168,6 +170,97 @@ def test_arraycore_state_core_floor(reporter):
         f"ratio={ratio:.1f}x (floor 3.0x)",
     )
     assert ratio >= 3.0
+
+
+class _CountedMemo(dict):
+    """One ``v <- n`` advertisement memo that counts its look-ups."""
+
+    __slots__ = ("tally",)
+
+    def get(self, key, default=None):
+        self.tally[0] += 1
+        return dict.get(self, key, default)
+
+
+class _CountedMemos(dict):
+    """The engine's memo host, handing out counting memos."""
+
+    def __init__(self, tally):
+        super().__init__()
+        self.tally = tally
+
+    def setdefault(self, edge, _default=None):
+        memo = dict.get(self, edge)
+        if memo is None:
+            memo = self[edge] = _CountedMemo()
+            memo.tally = self.tally
+        return memo
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_edge_delta_count_floor(reporter, monkeypatch, k):
+    """Gating floor for successor generation by edge delta: counts, no clock.
+
+    A derived state pays for the moved node's own sessions and one look-up
+    per session that reads it — ``deg(n) + readers(n) + 1`` memo look-ups at
+    most, where a rescan of the nodes the move affects pays the sum of their
+    degrees and a rescan of the state every directed edge — and the engine
+    interns nothing: a search's intern table grows by the routes its moves
+    adopt, at most one per state, never by the advertisements it weighs.
+    Counted with a counting memo and a counting ``route_id`` through the
+    model checker on the Fig. 7a workload, every state of every PEC.
+    """
+    lookups, interned = [0], [0]
+    per_state, full_scan_per_state, engine_interned = [], [], []
+    derive, route_id = CandidateEngine._derive, RouteInternTable.route_id
+
+    def counted_route_id(table, route):
+        interned[0] += 1
+        return route_id(table, route)
+
+    def counted_derive(engine, state, parent_cache, delta):
+        peers = engine.instance.peers
+        node = state.node_names[delta[0]]
+        readers = sum(1 for other in engine.instance.nodes() if node in peers(other))
+        before, before_interned = lookups[0], interned[0]
+        cache = derive(engine, state, parent_cache, delta)
+        spent = lookups[0] - before
+        assert spent <= len(peers(node)) + readers + 1, (node, spent)
+        per_state.append(spent)
+        CandidateEngine._full_scan(engine, state)
+        full_scan_per_state.append(lookups[0] - before - spent)
+        engine_interned.append(interned[0] - before_interned)
+        return cache
+
+    monkeypatch.setattr(CandidateEngine, "_derive", counted_derive)
+    monkeypatch.setattr(RouteInternTable, "route_id", counted_route_id)
+    network = _network(k, induce_loop=False)
+    options = PlanktonOptions(fast_ospf=False, stop_at_first_violation=False, backend="serial")
+    verifier = Plankton(network, options)
+    shared = verifier.ospf_computation.shared_filter_caches(frozenset())
+    memos = shared["engine"]["adv_edge"] = _CountedMemos(lookups)
+    result = verifier.verify(LoopFreedom())
+    assert result.holds
+
+    states = result.total_states_expanded
+    pecs = result.pecs_analyzed
+    assert len(per_state) == states - pecs  # every state but the roots is derived
+    assert not any(engine_interned)
+    # ``route_id`` runs once per move, and once per device for each root state.
+    assert interned[0] == (states - pecs) + pecs * len(network.devices)
+    offered = sum(
+        1 for memo in memos.values() for advertisement, _rank in memo.values() if advertisement
+    )
+    adopted = len(shared["node_space"].table) - 1  # all PECs share one table; id 0 is "no route"
+    assert adopted <= states + pecs  # one per move plus the origins' own routes
+    reporter(
+        "fig7a",
+        f"edge delta, k={k}: {sum(per_state) / len(per_state):.1f} memo look-ups per derived "
+        f"state (max {max(per_state)}) vs {sum(full_scan_per_state) / len(per_state):.1f} for a "
+        f"rescan = {sum(full_scan_per_state) / sum(per_state):.1f}x fewer; "
+        f"{adopted} routes interned for {states} states vs {offered} advertisements weighed "
+        f"= {offered / adopted:.1f}x fewer",
+    )
 
 
 def test_speedup_summary(reporter):

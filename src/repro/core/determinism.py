@@ -56,26 +56,32 @@ class OspfDeterminism:
 
     def __init__(self, instance: OspfInstance) -> None:
         self.instance = instance
-        table = instance.routing_table()
-        self._distance: Dict[str, float] = dict(table.distances)
+        # The execution order as one total key per node: its place by
+        # (SPF distance, name); the nodes no origin reaches come after the
+        # ``_reachable`` that have one.
+        ordered = instance.deterministic_order()
+        self._reachable = len(ordered)
+        unreachable = sorted(set(instance.nodes()).difference(ordered))
+        self._order: Dict[str, int] = {
+            node: place for place, node in enumerate(ordered + tuple(unreachable))
+        }
 
-    def pick(
-        self,
-        enabled: Sequence[str],
-        candidates_of: Dict[str, List[Tuple[str, Route]]],
-    ) -> NodeDecision:
-        """Pick the enabled node closest to an origin; its best update is final."""
-        reachable = [node for node in enabled if node in self._distance]
-        if not reachable:
-            return NodeDecision(kind="none")
-        chosen = min(reachable, key=lambda node: (self._distance[node], node))
-        candidates = candidates_of.get(chosen, [])
-        if not candidates:
+    def pick(self, candidates_of: Dict[str, List[Tuple[str, Route]]]) -> NodeDecision:
+        """Pick the enabled node closest to an origin; its best update is final.
+
+        ``candidates_of`` maps each enabled node to its (non-empty) best
+        updates; the order of its keys does not matter.
+        """
+        order = self._order
+        chosen = min(candidates_of, key=order.__getitem__, default=None)
+        if chosen is None or order[chosen] >= self._reachable:
             return NodeDecision(kind="none")
         # Equal-cost candidates lead to the same converged cost; the FIB model
         # re-derives the full ECMP next-hop set from the SPF table, so a single
         # representative suffices here.
-        return NodeDecision(kind="deterministic", node=chosen, candidates=(candidates[0],))
+        return NodeDecision(
+            kind="deterministic", node=chosen, candidates=(candidates_of[chosen][0],)
+        )
 
 
 class BgpDeterminism:
@@ -88,6 +94,7 @@ class BgpDeterminism:
         self._global_max_local_pref = self._compute_global_max_local_pref()
         self._session_max_local_pref = self._compute_session_local_pref_bounds()
         self._min_as_hops = self._compute_min_as_hops()
+        self._session_bounds: Dict[Tuple[str, str], Optional[Tuple]] = {}
         # affected(v) = {v} ∪ {n : v ∈ peers(n)} — the nodes whose stability
         # verdict can change when v's entry changes: v itself (its decidedness
         # and current rank) and every node that reads v's decidedness through
@@ -195,8 +202,10 @@ class BgpDeterminism:
         Returns None when no future update is possible.
         """
         best: Optional[Tuple] = None
+        ids = state._ids
+        slot_of = state._space.slot_of
         for peer in self.instance.peers(node):
-            if state.best(peer) is None:
+            if not ids[slot_of[peer]]:
                 bound = self.session_rank_bound(node, peer)
                 if bound is not None and (best is None or bound < best):
                     best = bound
@@ -213,7 +222,16 @@ class BgpDeterminism:
         path immune to further deliveries on the session.  Returns None when
         the peer can never advertise anything at all (it can never obtain a
         route, or iBGP loop prevention keeps it silent towards ``node``).
+        A function of the instance alone, so computed once per session.
         """
+        key = (node, peer)
+        try:
+            return self._session_bounds[key]
+        except KeyError:
+            bound = self._session_bounds[key] = self._compute_session_rank_bound(node, peer)
+            return bound
+
+    def _compute_session_rank_bound(self, node: str, peer: str) -> Optional[Tuple]:
         if peer not in self._min_as_hops:
             return None
         if not self._peer_can_ever_advertise(node, peer):
@@ -390,5 +408,5 @@ def independence_groups(
     """
     from repro.modelcheck.por import node_independence_groups
 
-    undecided = {node for node, route in state.items() if route is None}
+    undecided = {node for node, route_id in zip(state.node_names, state._ids) if not route_id}
     return node_independence_groups(instance.peers, undecided, enabled)

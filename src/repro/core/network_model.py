@@ -416,7 +416,8 @@ class PecExplorer:
 
         # The candidate sets are maintained incrementally: a state derived
         # from its parent by one node's decision re-evaluates only that node
-        # and its peers (see repro.core.successors).
+        # and merges its new advertisement into what the parent knew of the
+        # nodes that read it (see repro.core.successors).
         engine = CandidateEngine(instance)
         # Policy sources that participate in this instance, as state-array
         # slots: "every source has decided" is "every slot holds a non-zero
@@ -433,6 +434,7 @@ class PecExplorer:
             else (lambda state: True)
         )
         determinism = analyzer if flags.deterministic_nodes else None
+        spf_ordered = isinstance(determinism, OspfDeterminism)
         defer = set(self.policy_sources or ())
 
         def halts(state: RpvpState, cache: CandidateSets) -> Optional[bool]:
@@ -458,9 +460,7 @@ class PecExplorer:
         def successors(state: RpvpState) -> List[Tuple[object, RpvpState]]:
             cache = engine.candidates(state)
             candidates_of = cache.updates
-            enabled_count = 0
-            for node_updates in candidates_of.values():
-                enabled_count += len(node_updates)
+            enabled_count = cache.enabled_count
 
             if halts(state, cache) is not None:
                 if enabled_count:
@@ -468,8 +468,8 @@ class PecExplorer:
                 return []
 
             decision = None
-            if isinstance(determinism, OspfDeterminism):
-                decision = determinism.pick(sorted(candidates_of), candidates_of)
+            if spf_ordered:
+                decision = determinism.pick(candidates_of)
             elif determinism is not None:
                 decision = determinism.analyze(state, candidates_of, defer=defer)
             if decision is not None and decision.node is not None:

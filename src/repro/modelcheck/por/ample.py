@@ -106,8 +106,6 @@ class AmpleSelector:
         origins = tuple(instance.origins())
         self._solo_origin = origins[0] if len(origins) == 1 else None
         self._solo_origin_rid: Optional[int] = None
-        #: (receiver, sender) -> static rank bound (memoised; None = unknown).
-        self._session_bounds: Dict[Tuple[str, str], Optional[Tuple]] = {}
         #: (receiver, sender, best route id) -> immunity verdict.  Keyed on
         #: the intern id of the receiver's best route, so across the search
         #: the rank comparison runs once per distinct (session, best) pair.
@@ -133,14 +131,6 @@ class AmpleSelector:
         return frozenset()
 
     # ------------------------------------------------------------------ rank immunity
-    def _session_bound(self, receiver: str, sender: str) -> Optional[Tuple]:
-        key = (receiver, sender)
-        if key in self._session_bounds:
-            return self._session_bounds[key]
-        bound = self.instance.session_rank_bound(receiver, sender)
-        self._session_bounds[key] = bound
-        return bound
-
     def _session_immune(self, state: SpvpState, sender: str, receiver: str) -> bool:
         """Whether deliveries over ``sender -> receiver`` can never change
         ``receiver``'s current best path.
@@ -159,7 +149,7 @@ class AmpleSelector:
         if cached is not None:
             return cached
         result = False
-        bound = self._session_bound(receiver, sender)
+        bound = self.instance.session_rank_bound(receiver, sender)
         if bound is not None:
             best = self.space.table.route(best_rid)
             if best.path.head != sender:

@@ -432,10 +432,10 @@ class OspfComputation:
                 "advertisement": {},
                 "rank": {},
                 "edge_cost": {},
-                # Id-keyed memos adopted by the RPVP CandidateEngine (one
-                # engine per prefix, all over the shared intern table).
-                "adv_edge": {},
-                "rank_at": {},
+                # The RPVP CandidateEngine's (one engine per prefix, all over
+                # the shared intern table): its id-keyed per-edge advertisement
+                # memos and the adjacency rows it compiles over them.
+                "engine": {},
             }
             self._filter_caches[failure_key] = caches
         return caches

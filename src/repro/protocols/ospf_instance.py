@@ -82,18 +82,13 @@ class OspfInstance(PathVectorInstance):
         self._advertisement_cache = shared["advertisement"]
         self._rank_cache = shared["rank"]
         self._edge_cost_cache = shared["edge_cost"]
-        self._engine_adv_edge = shared["adv_edge"]
-        self._engine_rank_at = shared["rank_at"]
+        self._engine_host = shared["engine"]
         # The id-keyed memos are only meaningful against one intern table.
         # The node space is memoised weakly, so without a strong anchor it
         # would be collected between per-PEC explorations and rebuilt with
         # fresh (colliding) ids; pinning it on the shared cache dict keeps
         # one table alive for the lifetime of the computation.
         self._node_space = shared.setdefault("node_space", node_space_for(self))
-        # OSPF ranking is a tuple build over two fields — cheaper to redo
-        # than to hash a Route into the shared rank memo.  The candidate
-        # engine keeps its own id-keyed rank memo on top either way.
-        self._engine_rank_fn = self.rank
 
     # ------------------------------------------------------------------ structure
     def nodes(self) -> Sequence[str]:

@@ -114,7 +114,10 @@ class RpvpState:
         #: states built from scratch).
         self.parent = parent
         #: ``(slot, old_id, new_id)`` of the single changed entry (intern-table
-        #: route ids; consumers outside this module use the slot only).
+        #: route ids).  The fingerprint folds the two ids out and in; the
+        #: candidate engine looks up what the node advertised under the old
+        #: id and advertises under the new one; the stability analysis reads
+        #: the slot only.
         self.delta = delta
         self._fp_token = None
         self._fp = 0

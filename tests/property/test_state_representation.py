@@ -14,12 +14,22 @@ from hypothesis import given, settings, strategies as st
 from repro import OptimizationFlags, Plankton, PlanktonOptions
 from repro.config import ebgp_rfc7938, ospf_everywhere
 from repro.config.builder import edge_prefix
-from repro.core.successors import CandidateEngine
+from repro.core.determinism import BgpDeterminism, OspfDeterminism
+from repro.core.network_model import DependencyContext, PecExplorer
+from repro.core.successors import CandidateEngine, CandidateSets
 from repro.modelcheck.hashing import ZobristFingerprinter
+from repro.netaddr import Prefix
+from repro.pec.classes import compute_pecs
 from repro.policies import LoopFreedom, Reachability
 from repro.protocols.base import Path, Route
-from repro.protocols.rpvp import RpvpState
-from repro.topology import bgp_fat_tree, fat_tree
+from repro.protocols.ospf_instance import OspfInstance
+from repro.protocols.rpvp import RpvpState, initial_state, node_space_for, rpvp_successors
+from repro.topology import Topology, bgp_fat_tree, fat_tree
+from repro.topology.failures import FailureScenario
+
+from tests.property.test_determinism_stability import _explorer, _fabric
+from tests.property.test_transient_por import RankedGadgetInstance, gadget_scenarios
+from tests.test_rpvp_spvp import bad_gadget, disagree_gadget
 
 NODES = tuple(f"n{i}" for i in range(23))  # not a multiple of the chunk size
 
@@ -230,3 +240,226 @@ class TestIncrementalSuccessorEquivalence:
         _force_full_scan(monkeypatch)
         oracle = Plankton(network, options).verify(policy)
         assert _stats_signature(incremental) == _stats_signature(oracle)
+
+
+# --------------------------------------------------------------------------- edge delta
+def _assert_derived_equals_full_scan(engine, state):
+    """``engine.candidates(state)`` against the rescan of every node, field by field."""
+    derived = engine.candidates(state)
+    scanned = CandidateEngine._full_scan(engine, state)
+    assert derived.decided_pending == scanned.decided_pending
+    assert sorted(derived.updates) == sorted(scanned.updates)
+    for node, candidates in scanned.updates.items():
+        assert derived.updates[node] == candidates  # same peers, same routes, same order
+    assert derived.best_rank == scanned.best_rank
+    assert derived.enabled_count == scanned.enabled_count
+    assert derived.enabled_count == sum(len(found) for found in derived.updates.values())
+    return derived
+
+
+def _walk_checking_every_step(instance, picks):
+    """One random execution under the *raw* RPVP semantics, each step one
+    ``with_best`` off a state the engine has seen, so each step is an edge
+    delta: undecided nodes adopt a best update (the moves a search makes —
+    the old advertisement is silent on every edge), decided nodes change
+    their mind and invalid paths are dropped (where it is not).  Returns the
+    engine and the states."""
+    engine = CandidateEngine(instance)
+    state = initial_state(instance)
+    _assert_derived_equals_full_scan(engine, state)
+    states = [state]
+    for pick in picks:
+        moves = [
+            (transition.node, transition.new_route)
+            for transition, _child in rpvp_successors(instance, state)
+        ]
+        if not moves:
+            break
+        node, route = moves[pick % len(moves)]
+        state = state.with_best(node, route)
+        assert state.parent is states[-1] and states[-1]._engine_token is engine
+        _assert_derived_equals_full_scan(engine, state)
+        states.append(state)
+    return engine, states
+
+
+def _check_deltas_no_search_makes(instance, engine, states, pick):
+    """``with_best`` off a walked state in ways only the API allows: a decided
+    node's route replaced by another advertisement and by ⊥ (both not silent
+    towards its readers), and a child whose parent carries *another* engine's
+    cache (nothing to derive from; the cache is poisoned so that deriving from
+    it would show).  Returns the states checked."""
+    parent = states[pick % len(states)]
+    engine.candidates(parent)
+    origins = set(instance.origins())
+    checked = 0
+    for node, held in parent.items():
+        if held is None or node in origins:
+            continue
+        offers = [instance.advertisement(node, peer, parent.best(peer)) for peer in instance.peers(node)]
+        for route in [None] + [offer for offer in offers if offer is not None and offer != held]:
+            _assert_derived_equals_full_scan(engine, parent.with_best(node, route))
+            checked += 1
+    other = CandidateEngine(instance)
+    other.candidates(parent)
+    parent._engine_cache = CandidateSets(frozenset(instance.nodes()), {}, {}, 0)
+    for transition, _child in rpvp_successors(instance, parent)[:2]:
+        child = parent.with_best(transition.node, transition.new_route)
+        assert parent._engine_token is other
+        _assert_derived_equals_full_scan(engine, child)
+        checked += 1
+    return checked
+
+
+picks = st.lists(st.integers(min_value=0, max_value=1_000_000), min_size=12, max_size=40)
+PREFIX = Prefix("10.0.0.0/24")
+
+
+@st.composite
+def ospf_scenarios(draw):
+    """OSPF on a random connected graph: drawn weights (small, so equal-cost
+    paths are common), one or two origins, at most two failed links."""
+    size = draw(st.integers(min_value=4, max_value=9))
+    names = [f"r{index}" for index in range(size)]
+    topology = Topology("drawn")
+    for name in names:
+        topology.add_node(name)
+    weight = st.integers(min_value=1, max_value=3)
+    for index in range(1, size):
+        anchor = names[draw(st.integers(min_value=0, max_value=index - 1))]
+        topology.add_link(anchor, names[index], draw(weight), draw(weight))
+    for i in range(size):
+        for j in range(i + 1, size):
+            if not topology.links_between(names[i], names[j]) and draw(st.integers(0, 2)) == 0:
+                topology.add_link(names[i], names[j], draw(weight), draw(weight))
+    origins = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+    link_ids = [link.link_id for link in topology.links]
+    failed = draw(st.lists(st.sampled_from(link_ids), max_size=2, unique=True))
+    network = ospf_everywhere(topology, prefix_for={name: PREFIX for name in origins})
+    return OspfInstance(network, PREFIX, failed_links=set(failed))
+
+
+@st.composite
+def one_way_gadgets(draw):
+    """A drawn gadget with some sessions read in one direction only."""
+    edge_map, preferences, _flap = draw(gadget_scenarios())
+    one_way = {
+        node: tuple(peer for peer in peers if draw(st.integers(0, 3)))
+        for node, peers in edge_map.items()
+    }
+    return RankedGadgetInstance("o", one_way, preferences)
+
+
+class LastResortGadget(RankedGadgetInstance):
+    """A gadget in which ``n0`` offers a path of last resort while it holds
+    no route itself: its ⊥ is *not* silent, so its first decision retracts an
+    advertisement its readers may have been counting on."""
+
+    def advertisement(self, importer, exporter, route):
+        if route is None and exporter == "n0" and importer != self.origin:
+            return Route(path=Path(("n0",)), local_pref=0)
+        return super().advertisement(importer, exporter, route)
+
+
+def _ebgp_instance(failed):
+    """The first PEC's BGP instance of the eBGP k=4 fabric under ``failed`` links."""
+    _network, pecs = _fabric()
+    prefix = next(prefix for prefix, devices in pecs[0].bgp_origins if devices)
+    return _explorer(pecs[0], FailureScenario.of(failed)).bgp_instance(prefix)
+
+
+class TestEdgeDeltaAgainstFullScan:
+    """The edge delta (``CandidateEngine._derive``) yields, on every state,
+    exactly the sets a rescan of every node does — on instances the fabric
+    tests above do not reach: weights that are not uniform, decided nodes that
+    do go pending, sessions read one way, and deltas no search makes.  The
+    floors on the states each test checks add up to 2 900."""
+
+    def _run(self, strategy, examples, build=lambda drawn: drawn):
+        """Walk ``examples`` drawn instances; returns the states checked."""
+        tally = []
+
+        @given(drawn=strategy, picks=picks, pick=st.integers(min_value=0, max_value=1_000))
+        @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+        def run(drawn, picks, pick):
+            instance = build(drawn)
+            engine, states = _walk_checking_every_step(instance, picks)
+            tally.append(len(states))
+            tally.append(_check_deltas_no_search_makes(instance, engine, states, pick))
+
+        run()
+        return sum(tally)
+
+    def test_ospf_on_random_weighted_graphs_under_failures(self):
+        assert self._run(ospf_scenarios(), 150) >= 1_200
+
+    def test_ranked_gadgets_with_drawn_preferences(self):
+        """Here decided nodes *do* go pending: a node takes a path low on its
+        list while the peer behind a preferred one is still undecided."""
+        build = lambda drawn: RankedGadgetInstance("o", drawn[0], drawn[1])  # noqa: E731
+        assert self._run(gadget_scenarios(), 200, build) >= 500
+        for gadget in (bad_gadget, disagree_gadget):
+            for pick in range(6):
+                engine, states = _walk_checking_every_step(gadget(), [pick, pick + 1, 5, 3, 1, 0] * 3)
+                # BAD GADGET never settles: somebody always wants to move on.
+                went_pending = any(engine.candidates(state).decided_pending for state in states)
+                assert went_pending == (gadget is bad_gadget)
+
+    def test_sessions_read_in_one_direction_only(self):
+        assert self._run(one_way_gadgets(), 100) >= 300
+
+    def test_a_peer_that_speaks_while_it_holds_no_route(self):
+        build = lambda drawn: LastResortGadget("o", drawn[0], drawn[1])  # noqa: E731
+        assert self._run(gadget_scenarios(), 100, build) >= 400
+
+    def test_ebgp_fabric_under_drawn_failures(self):
+        links = st.lists(st.integers(min_value=0, max_value=31), max_size=2, unique=True)
+        assert len(_ebgp_instance(()).network.topology.links) == 32
+        assert self._run(links, 25, _ebgp_instance) >= 500
+
+
+def _ospf_search():
+    network = ospf_everywhere(fat_tree(4))
+    pec = next(pec for pec in compute_pecs(network) if pec.ospf_origins)
+    prefix = next(prefix for prefix, devices in pec.ospf_origins if devices)
+    explorer = PecExplorer(
+        network, pec, FailureScenario.of([]), PlanktonOptions(),
+        dependency_context=DependencyContext(),
+    )
+    instance = explorer.ospf_instance(prefix)
+    return explorer, instance, OspfDeterminism(instance)
+
+
+def _ebgp_search():
+    _network, pecs = _fabric()
+    explorer = _explorer(pecs[0], FailureScenario.of([]))
+    prefix = next(prefix for prefix, devices in pecs[0].bgp_origins if devices)
+    instance = explorer.bgp_instance(prefix)
+    return explorer, instance, BgpDeterminism(instance)
+
+
+class TestInternOnAdoption:
+    """Advertisements are ranked as candidates and interned only when a move
+    adopts one: a search's intern table grows by the routes that entered a
+    state, never by the ones that were merely offered."""
+
+    @pytest.mark.parametrize("search", [_ospf_search, _ebgp_search])
+    def test_table_grows_by_exactly_the_adopted_routes(self, search):
+        explorer, instance, analyzer = search()
+        successors, _accepts = explorer._successor_relation(instance, analyzer)
+        table = node_space_for(instance).table
+        root = initial_state(instance)
+        known = len(table)
+        adopted, offered = set(), 0
+        frontier, seen = [root], {root}
+        while frontier:
+            state = frontier.pop()
+            for _label, child in successors(state):
+                adopted.add(child.delta[2])
+                if child not in seen:
+                    seen.add(child)
+                    frontier.append(child)
+            offered += state._engine_cache.enabled_count
+        assert len(seen) >= len(instance.nodes())
+        assert set(range(known, len(table))) == {rid for rid in adopted if rid >= known}
+        assert len(table) - known < len(seen) < offered

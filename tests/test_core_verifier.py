@@ -137,6 +137,48 @@ class TestFailures:
         assert reduced.holds == full.holds
         assert reduced.failure_scenarios < full.failure_scenarios
 
+    @pytest.mark.parametrize(
+        "links",
+        [
+            pytest.param(
+                [("s", "b"), ("s", "a"), ("b", "d"), ("a", "d")],
+                id="b-links-first",
+                marks=pytest.mark.xfail(
+                    strict=True, reason="ROADMAP 9(a): LEC colour ignores configuration"
+                ),
+            ),
+            pytest.param([("s", "a"), ("s", "b"), ("a", "d"), ("b", "d")], id="a-links-first"),
+        ],
+    )
+    def test_failure_equivalence_tells_a_router_from_a_bystander(self, links):
+        """``a`` and ``b`` sit alike between ``s`` and ``d``, but only ``a``
+        runs OSPF: losing either ``a`` link cuts ``s`` off, losing a ``b``
+        link changes nothing.  The reduction colours devices by topology and
+        originated prefixes only, merges the two, and keeps whichever link it
+        meets first — so the verdict follows the order links were declared in."""
+        topology = Topology("router-and-bystander")
+        for name in ("s", "a", "b", "d"):
+            topology.add_node(name)
+        for one, other in links:
+            topology.add_link(one, other)
+        builder = ConfigBuilder(topology)
+        builder.enable_ospf("s").enable_ospf("a").enable_ospf("d", [Prefix("10.0.0.0/24")])
+        network = builder.build()
+
+        def violating(flags):
+            options = PlanktonOptions(
+                max_failures=1, stop_at_first_violation=False, optimizations=flags
+            )
+            result = Plankton(network, options).verify(Reachability(sources=["s"]))
+            return result.holds, {
+                (violation.pec_index, violation.failure_description)
+                for violation in result.violations
+            }
+
+        unreduced = violating(OptimizationFlags().without(failure_equivalence=True))
+        assert unreduced == (False, {(0, "failed: a--d"), (0, "failed: s--a")})
+        assert violating(OptimizationFlags()) == unreduced
+
 
 class TestBgpDataCenter:
     """The Figure 7(c) scenario: non-deterministic BGP convergence."""

@@ -25,7 +25,9 @@ bit-identical to the reference explorer in ``por="full"`` mode) and the
 *reduction floors*, as in-process ratios of state counts (the ample/sleep
 reduction explores >=5x fewer states, rank immunity a further >=2x fewer, the
 lifecycle-scenario enumerator emits at most half the brute-force universe, at
-identical verdicts on a depth-6 slice of the same workload).  Wall-clock
+identical verdicts on a depth-6 slice of the same workload) and the *memo
+floor* (property checks and danger evaluations are counted: one per distinct
+interned key, fewer than the states and channels walked).  Wall-clock
 throughput of the transient model is measured by the repo benchmark
 (``perf/``, workload ``transient_k6_d6``), not here.
 """
@@ -160,3 +162,72 @@ def test_scenario_enumeration_reduction_floor(reporter):
         f"({ratio:.1f}x) for k=1 lifecycle events on the fat-tree k=4 fabric",
     )
     assert ratio >= 2.0
+
+
+def test_memo_count_floor(reporter, monkeypatch):
+    """Gating floor for the per-state look-ups of the transient search:
+    counts, no clock.
+
+    A property is evaluated once per distinct (best-path assignment,
+    converged) pair and a queued message's danger once per distinct
+    (session, queue, receiver's best, rib-in backs it) tuple — however many
+    states and channels the search walks.  Counted through the analyzer on
+    the fig7a instance re-converging from a session flap (the depth-8 slice,
+    570 states; depth 6 has 57).  The ratios are the share of the work the
+    look-ups answer: what the change relies on is "few distinct id tuples
+    per many states", and this is where that share is reported.
+    """
+    from repro.modelcheck.por.ample import AmpleSelector
+    from repro.transient import Converge, FailSession
+
+    instance = _fig7a_style_instance()
+    check_calls, assignments = [0], set()
+    danger_calls, danger_evaluations, channels = [0], set(), [0]
+
+    class CountedLoopFreedom(TransientLoopFreedom):
+        def check(self, forwarding, converged):
+            check_calls[0] += 1
+            return super().check(forwarding, converged)
+
+    check_state = TransientAnalyzer._check_state
+    active_nodes = AmpleSelector.active_nodes
+    message_is_dangerous = AmpleSelector._message_is_dangerous
+
+    def counted_check_state(analyzer, state, converged, *rest):
+        assignments.add((state.best_key(), converged))
+        return check_state(analyzer, state, converged, *rest)
+
+    def counted_active_nodes(selector, state, pending):
+        channels[0] += len(pending)
+        return active_nodes(selector, state, pending)
+
+    def counted_message_is_dangerous(selector, state, receiver, sender, message, best):
+        danger_calls[0] += 1
+        space = selector.space
+        rib_in = state._ids[space.rib_slot[(receiver, sender)]]
+        best_id = state._ids[space.best_slot[receiver]]
+        queue = state._ids[space.channel_slot[(sender, receiver)]]
+        # A queue of several messages is walked until one is dangerous, so a
+        # key owns up to len(queue) evaluations - each made once.
+        danger_evaluations.add((receiver, sender, queue, best_id, rib_in == best_id, message))
+        return message_is_dangerous(selector, state, receiver, sender, message, best)
+
+    monkeypatch.setattr(TransientAnalyzer, "_check_state", counted_check_state)
+    monkeypatch.setattr(AmpleSelector, "active_nodes", counted_active_nodes)
+    monkeypatch.setattr(AmpleSelector, "_message_is_dangerous", counted_message_is_dangerous)
+    result = TransientAnalyzer(
+        instance, max_states=500_000, max_depth=8, stop_at_first_violation=False, por="ample"
+    ).analyze(
+        [CountedLoopFreedom(ignore_converged=True)],
+        initial_events=[Converge(), FailSession("edge0_0", "agg0_0")],
+    )
+    assert not result.truncated
+    assert check_calls[0] == len(assignments) < result.states_explored
+    assert danger_calls[0] == len(danger_evaluations) < channels[0]
+    reporter(
+        "transient",
+        f"memo floor: {check_calls[0]} property checks for {result.states_explored} states "
+        f"({result.states_explored / check_calls[0]:.1f}x fewer), {danger_calls[0]} danger "
+        f"evaluations for {channels[0]} pending channels "
+        f"({channels[0] / danger_calls[0]:.1f}x fewer) re-converging from a flap, depth 8",
+    )

@@ -51,7 +51,7 @@ or rewrite non-holder slots with routes that do not outrank it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.modelcheck.por.independence import ChannelIndependence
 from repro.protocols.spvp import Channel, SpvpState, space_for
@@ -79,7 +79,26 @@ class AmpleSelector:
     *strictly* outrank ``d``'s current best — and the session is not the one
     backing that best (``best.path.head``), so neither a better route nor a
     dislodging withdrawal can arrive over it.  ``reduction`` receives the
-    ``rank_immune_sessions`` tally when provided.
+    ``rank_immune_sessions`` tally when provided: per state, the sessions
+    leading from an active node to a receiver the closure left inactive —
+    a function of the active set, so no traversal order enters it.
+
+    A search visits many interleavings of few distinct routes, so each
+    analysis is a look-up on the exact interned ids it is a function of,
+    in memos that live and die with the selector (keys are id tuples and id
+    bytes, never fingerprints — a hit cannot be a collision):
+
+    * rank immunity on ``(receiver, sender, receiver's best id)``;
+    * the danger verdict of a pending channel on ``(rib slot, queue id,
+      receiver's best id, rib-in id == best id)`` — everything
+      :meth:`_message_is_dangerous` reads of the state;
+    * the activity closure on ``(best-slot bytes, seed set)`` — immunity and
+      the frozen origin read best slots only — giving the active set and the
+      immune tally.
+
+    A miss runs the analysis itself (:meth:`_message_is_dangerous`, the
+    closure loop), which is therefore also the oracle the memos are pinned
+    to (``tests/property/test_transient_por.py``).
     """
 
     def __init__(
@@ -110,6 +129,25 @@ class AmpleSelector:
         #: the intern id of the receiver's best route, so across the search
         #: the rank comparison runs once per distinct (session, best) pair.
         self._immune_memo: Dict[Tuple[str, str, int], bool] = {}
+        #: channel -> (receiver, its best slot, the rib slot the channel
+        #: writes, the channel's own slot): where the danger test reads.
+        space = self.space
+        self._rows: Dict[Channel, Tuple[str, int, int, int]] = {
+            (sender, receiver): (
+                receiver,
+                space.best_slot[receiver],
+                space.rib_slot[(receiver, sender)],
+                slot,
+            )
+            for (sender, receiver), slot in space.channel_slot.items()
+        }
+        #: (rib slot, queue id, best id, rib-in id == best id) -> whether any
+        #: message queued on the channel is dangerous.
+        self._danger_memo: Dict[Tuple[int, int, int, bool], bool] = {}
+        #: (best-slot bytes, seed set) -> (active set, immune tally).
+        self._closure_memo: Dict[
+            Tuple[bytes, FrozenSet[str]], Tuple[FrozenSet[str], int]
+        ] = {}
 
     # ------------------------------------------------------------------ frozen nodes
     def frozen_nodes_of(self, state: SpvpState) -> frozenset:
@@ -194,31 +232,53 @@ class AmpleSelector:
             return False
         return instance.cached_rank(receiver, imported) < instance.cached_rank(receiver, best)
 
-    def active_nodes(self, state: SpvpState, pending: Sequence[Channel]) -> Set[str]:
+    def active_nodes(
+        self, state: SpvpState, pending: Sequence[Channel]
+    ) -> FrozenSet[str]:
         """Nodes whose best path might still change in this state's future.
 
         Seeds: receivers with a dangerous queued message.  Closure: an active
         node may re-advertise, so everything it can message is active too.
         """
         frozen = self.frozen_nodes_of(state)
+        ids = state._ids
+        rows = self._rows
+        danger_memo = self._danger_memo
         dangerous: Set[str] = set()
-        best_cache: Dict[str, object] = {}
-        for sender, receiver in pending:
+        for channel in pending:
+            receiver, best_slot, rib_slot, channel_slot = rows[channel]
             if receiver in dangerous or receiver in frozen:
                 continue
-            best = best_cache.get(receiver)
-            if receiver not in best_cache:
-                best = state.best_of(receiver)
-                best_cache[receiver] = best
-            for message in state.buffer_of((sender, receiver)):
-                if self._message_is_dangerous(state, receiver, sender, message, best):
-                    dangerous.add(receiver)
-                    break
-        active = set(dangerous)
-        stack = list(dangerous)
+            best_rid = ids[best_slot]
+            key = (rib_slot, ids[channel_slot], best_rid, ids[rib_slot] == best_rid)
+            verdict = danger_memo.get(key)
+            if verdict is None:
+                best = self.space.table.route(best_rid)
+                verdict = any(
+                    self._message_is_dangerous(state, receiver, channel[0], message, best)
+                    for message in state.buffer_of(channel)
+                )
+                danger_memo[key] = verdict
+            if verdict:
+                dangerous.add(receiver)
+        closure_key = (state.best_key(), frozenset(dangerous))
+        closed = self._closure_memo.get(closure_key)
+        if closed is None:
+            closed = self._closure_memo[closure_key] = self._close(state, dangerous, frozen)
+        active, immune = closed
+        if self.reduction is not None:
+            self.reduction.rank_immune_sessions += immune
+        return active
+
+    def _close(
+        self, state: SpvpState, seeds: Set[str], frozen: frozenset
+    ) -> Tuple[FrozenSet[str], int]:
+        """The activity closure of ``seeds`` and its immune-session tally."""
+        active = set(seeds)
+        stack = list(seeds)
         out_peers = self.independence.out_peers
         rank_immunity = self.rank_immunity
-        reduction = self.reduction
+        skipped: List[str] = []
         while stack:
             node = stack.pop()
             for peer in out_peers.get(node, ()):
@@ -228,12 +288,17 @@ class AmpleSelector:
                     # The active node may re-advertise anything over this
                     # session, but nothing importable can dislodge the
                     # receiver's best — the edge does not propagate activity.
-                    if reduction is not None:
-                        reduction.rank_immune_sessions += 1
+                    skipped.append(peer)
                     continue
                 active.add(peer)
                 stack.append(peer)
-        return active
+        # A receiver skipped over one session may still have been activated
+        # over another, sooner or later depending on the order of the walk.
+        # Counting only the skips whose receiver stayed inactive — the
+        # sessions from the active set into the rest, whichever way the walk
+        # went — makes the tally a function of the (unique) closure.
+        immune = sum(1 for peer in skipped if peer not in active)
+        return frozenset(active), immune
 
     # ------------------------------------------------------------------ selection
     def select(self, state: SpvpState, enabled: Sequence[Channel]) -> AmpleChoice:

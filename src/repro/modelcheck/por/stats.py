@@ -48,9 +48,11 @@ class ReductionStatistics:
             member turned out to be visible (changed a best path), widening
             the expansion back to the full enabled set.
         depth_pruned: States whose expansion was skipped by the depth bound.
-        rank_immune_sessions: Sessions the activity closure skipped because
-            the static rank bound proved no importable route can outrank the
-            receiver's current best (rank-bound immunity).
+        rank_immune_sessions: Sessions the activity closure stopped at
+            because the static rank bound proved no importable route can
+            outrank the receiver's current best (rank-bound immunity):
+            summed over the states analysed, those leading from an active
+            node to a receiver the closure left inactive.
     """
 
     mode: str = "full"

@@ -269,6 +269,15 @@ class SpvpState:
             for node, slot in self._space.best_slot.items()
         }
 
+    def best_key(self) -> bytes:
+        """The best-path assignment as the raw bytes of its id slots.
+
+        Equal between two states of one instance iff every node holds the
+        same best route — the memo key of whatever is a function of the
+        best paths alone (the forwarding relation, the activity closure).
+        """
+        return self._ids[: len(self._space.nodes)].tobytes()
+
     def rib_in_map(self) -> Dict[Tuple[str, str], Optional[Route]]:
         """The (node, peer) -> rib-in assignment as a mutable dict."""
         table = self._space.table

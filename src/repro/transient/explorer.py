@@ -37,6 +37,14 @@ key is an O(changed-slots) Zobrist XOR off the parent's fingerprint instead
 of a full (best, rib-in, buffers) tuple hash, pending channels are
 delta-maintained on the state, and witness event sequences are reconstructed
 from the BFS parent chain only when a violation is actually reported.
+The analyses run *on* a state are look-ups too, each keyed on the interned
+ids it is a function of: the properties' messages on ``(best-slot bytes,
+converged)`` in a memo that lives for one ``analyze()`` call (the checks run
+once per distinct best-path assignment, not once per interleaving reaching
+it); the ample selector's danger test and activity closure on id tuples
+(:class:`~repro.modelcheck.por.ample.AmpleSelector`); and a witness is the
+root's lines — described once per call and shared by every violation — plus
+the few deliveries between the root and the violating state.
 The fork-a-simulator, full-signature exploration this replaced is not
 shipped: it lives in ``tests/oracles/transient_reference.py`` as the
 equivalence oracle ``por="full"`` runs are pinned to bit for bit.
@@ -80,7 +88,7 @@ from repro.modelcheck.trail import document
 from repro.pec.classes import PacketEquivalenceClass
 from repro.protocols.base import PathVectorInstance
 from repro.protocols.rpvp import RpvpState
-from repro.protocols.spvp import Channel, SpvpState, SpvpStepper
+from repro.protocols.spvp import Channel, SpvpEvent, SpvpState, SpvpStepper
 from repro.topology.failures import FailureScenario
 from repro.transient.properties import TransientForwarding, TransientProperty
 
@@ -375,6 +383,11 @@ class TransientAnalyzer:
         #: minimised (the replayer needs the stepper and the search root).
         self._stepper: Optional[SpvpStepper] = None
         self._root: Optional[SpvpState] = None
+        #: Per-analyze() memos (the property tuple and the root are fixed for
+        #: the call): (best-slot bytes, converged) -> per-property messages,
+        #: and the root's described witness.
+        self._messages: Dict[Tuple[bytes, bool], Tuple[Optional[str], ...]] = {}
+        self._root_witness: Optional[Tuple[str, ...]] = None
 
     # ------------------------------------------------------------------ exploration
     def analyze(
@@ -407,6 +420,8 @@ class TransientAnalyzer:
             root = _apply_initial_event(stepper, root, event)
         self._stepper = stepper
         self._root = root
+        self._messages = {}
+        self._root_witness = None
         use_priority = options.frontier == "priority"
 
         use_sleep = options.por in ("ample", "sleep")
@@ -555,10 +570,61 @@ class TransientAnalyzer:
 
         self._stepper = None
         self._root = None
+        self._messages = {}
+        self._root_witness = None
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
     # ------------------------------------------------------------------ helpers
+    def _messages_of(
+        self,
+        state: SpvpState,
+        converged: bool,
+        properties: Sequence[TransientProperty],
+    ) -> Tuple[Optional[str], ...]:
+        """What each property says about ``state`` (None = holds).
+
+        A property reads the forwarding relation and ``converged`` and nothing
+        else, so the answer is looked up on exactly that: the best-slot ids
+        and the flag.  Only the first interleaving to reach an assignment
+        builds the relation and runs the checks.
+        """
+        key = (state.best_key(), converged)
+        messages = self._messages.get(key)
+        if messages is None:
+            forwarding = TransientForwarding.of_state(state)
+            messages = tuple(prop.check(forwarding, converged) for prop in properties)
+            self._messages[key] = messages
+        return messages
+
+    def _witness_of(self, state: SpvpState) -> Tuple[str, ...]:
+        """The described delivery sequence from the cold start to ``state``.
+
+        Every state of one search descends from its root, so the root's own
+        sequence (the deliveries of a ``Converge()`` drain, typically the
+        bulk of a witness) is described once per ``analyze()`` and its
+        strings are shared by every violation; only the few deliveries
+        between the root and ``state`` are described here.
+        """
+        root = self._root
+        suffix: List[SpvpEvent] = []
+        node: Optional[SpvpState] = state
+        while node is not None and node is not root:
+            if node.event is not None:
+                suffix.append(node.event)
+            node = node.parent
+        suffix.reverse()
+        prefix: Tuple[str, ...] = ()
+        # A chain that never met the root has been walked to its cold start:
+        # ``suffix`` is then the whole sequence and there is nothing to share.
+        if node is not None:
+            if self._root_witness is None:
+                self._root_witness = tuple(
+                    event.describe() for event in root.witness_events()
+                )
+            prefix = self._root_witness
+        return prefix + tuple(event.describe() for event in suffix)
+
     def _check_state(
         self,
         state: SpvpState,
@@ -568,9 +634,8 @@ class TransientAnalyzer:
         result: TransientAnalysisResult,
     ) -> bool:
         """Check every property on one state; returns True when the search should stop."""
-        forwarding = TransientForwarding.from_best_paths(state.best_map())
-        for prop in properties:
-            message = prop.check(forwarding, converged)
+        messages = self._messages_of(state, converged, properties)
+        for prop, message in zip(properties, messages):
             if message is None:
                 continue
             witness_state = state
@@ -586,9 +651,7 @@ class TransientAnalyzer:
                     message=message,
                     depth=depth,
                     converged=converged,
-                    witness=tuple(
-                        event.describe() for event in witness_state.witness_events()
-                    ),
+                    witness=self._witness_of(witness_state),
                 )
             )
             if self.options.stop_at_first_violation:

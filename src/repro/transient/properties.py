@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.protocols.base import Route
 
@@ -44,19 +44,31 @@ class TransientForwarding:
                 next_hop[node] = route.path.head
         return TransientForwarding(next_hop=next_hop, delivering=frozenset(delivering))
 
+    @staticmethod
+    def of_state(state) -> "TransientForwarding":
+        """The relation implied by an SPVP state's current best paths."""
+        return TransientForwarding.from_best_paths(state.best_map())
+
     def find_cycle(self) -> Optional[List[str]]:
-        """A forwarding cycle, if the instantaneous next hops contain one."""
+        """A forwarding cycle, if the instantaneous next hops contain one.
+
+        The cycle of the first node (in ``next_hop`` order) whose walk closes,
+        starting at the node where that walk re-enters itself.  One pass: a
+        walk that runs into a node already known to reach a dead end stops
+        there, so every node is stepped over once.
+        """
+        terminating: Set[str] = set()
         for start in self.next_hop:
-            seen: Dict[str, int] = {}
+            walk: List[str] = []
+            position: Dict[str, int] = {}
             node: Optional[str] = start
-            position = 0
-            while node is not None and node not in seen:
-                seen[node] = position
-                position += 1
+            while node is not None and node not in terminating:
+                if node in position:
+                    return walk[position[node]:] + [node]
+                position[node] = len(walk)
+                walk.append(node)
                 node = self.next_hop.get(node)
-            if node is not None and node in seen:
-                ordered = sorted(seen, key=seen.get)  # type: ignore[arg-type]
-                return ordered[seen[node]:] + [node]
+            terminating.update(walk)
         return None
 
     def dead_ends(self) -> List[str]:
@@ -78,7 +90,12 @@ class TransientProperty(abc.ABC):
 
     @abc.abstractmethod
     def check(self, forwarding: TransientForwarding, converged: bool) -> Optional[str]:
-        """Return a violation description for this state, or None."""
+        """Return a violation description for this state, or None.
+
+        Must be a pure function of ``(forwarding, converged)``: the explorer
+        evaluates it once per distinct best-path assignment and reuses the
+        answer for every other interleaving that reaches the same one.
+        """
 
 
 class TransientLoopFreedom(TransientProperty):

@@ -53,8 +53,7 @@ def _violates(
     prop: TransientProperty, state: SpvpState, message: str
 ) -> bool:
     """Whether ``state`` exhibits the original violation (same message)."""
-    forwarding = TransientForwarding.from_best_paths(state.best_map())
-    return prop.check(forwarding, state.is_converged()) == message
+    return prop.check(TransientForwarding.of_state(state), state.is_converged()) == message
 
 
 def violation_nodes(state: SpvpState) -> Set[str]:
@@ -64,7 +63,7 @@ def violation_nodes(state: SpvpState) -> Set[str]:
     covering the shipped transient properties.  Callers fall back to all
     nodes when the set comes back empty (an unknown property shape).
     """
-    forwarding = TransientForwarding.from_best_paths(state.best_map())
+    forwarding = TransientForwarding.of_state(state)
     implicated: Set[str] = set(forwarding.find_cycle() or ())
     implicated.update(forwarding.dead_ends())
     return implicated

@@ -22,18 +22,23 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.exceptions import ProtocolError
 from repro.transient import (
+    AlwaysReaches,
     Converge,
     FailSession,
     TransientAnalyzer,
     TransientBlackHoleFreedom,
+    TransientForwarding,
     TransientLoopFreedom,
+    TransientProperty,
 )
 
+from repro.modelcheck.por import ReductionStatistics
 from repro.modelcheck.por.ample import AmpleSelector
 from repro.protocols.spvp import SpvpStepper
 
 from tests.oracles.transient_reference import NaiveTransientAnalyzer
-from tests.test_rpvp_spvp import GadgetInstance
+from tests.test_rpvp_spvp import GadgetInstance, bad_gadget, disagree_gadget, good_gadget
+from tests.test_transient import _fat_tree_bgp_instance
 
 
 def _simple_paths(edge_map, start, limit=12):
@@ -346,3 +351,216 @@ class TestRankImmunityBruteForce:
                 if child not in seen:
                     seen.add(child)
                     frontier.append(child)
+
+
+# --------------------------------------------------------------------------- memoised == recomputed
+class _RelationProbe(TransientProperty):
+    """Reports the whole forwarding relation and the converged flag.
+
+    The shipped properties are blind to most of what a memo key must hold:
+    a converged SPVP state is loop-free, so ``TransientLoopFreedom`` never
+    says "converged" with a message attached, and a route change at one node
+    often leaves every shipped message as it was.  This one differs whenever
+    *anything* ``check`` may read differs, so a key that drops a slot or the
+    flag hands some state another state's answer.
+    """
+
+    name = "relation-probe"
+
+    def check(self, forwarding, converged):
+        return f"{converged} {sorted(forwarding.next_hop.items())} {sorted(forwarding.delivering)}"
+
+
+class _RecomputingAnalyzer(TransientAnalyzer):
+    """Recomputes from scratch, on every state, what the search looked up."""
+
+    states_checked = 0
+
+    def _messages_of(self, state, converged, properties):
+        messages = super()._messages_of(state, converged, properties)
+        forwarding = TransientForwarding.from_best_paths(state.best_map())
+        assert messages == tuple(prop.check(forwarding, converged) for prop in properties)
+        self.states_checked += 1
+        return messages
+
+    def _witness_of(self, state):
+        witness = super()._witness_of(state)
+        assert witness == tuple(event.describe() for event in state.witness_events())
+        return witness
+
+
+def _check_warm_selector_against_a_fresh_one(monkeypatch):
+    """Every ``active_nodes`` answer of a search's (warm) selector is compared
+    with that of a selector built for the occasion, whose memos are empty."""
+    warm_active_nodes = AmpleSelector.active_nodes
+    compared = []
+
+    def checked(selector, state, pending):
+        before = selector.reduction.rank_immune_sessions
+        active = warm_active_nodes(selector, state, pending)
+        ledger = ReductionStatistics()
+        fresh = AmpleSelector(
+            selector.instance,
+            selector.independence,
+            rank_immunity=selector.rank_immunity,
+            reduction=ledger,
+        )
+        assert active == warm_active_nodes(fresh, state, pending)
+        assert selector.reduction.rank_immune_sessions - before == ledger.rank_immune_sessions
+        compared.append(state)
+        return active
+
+    monkeypatch.setattr(AmpleSelector, "active_nodes", checked)
+    return compared
+
+
+def _recomputing_run(instance, por, events, minimize, **budget):
+    """One search under :class:`_RecomputingAnalyzer`; returns its result."""
+    sources = [node for node in instance.nodes() if node not in instance.origins()]
+    properties = [TransientLoopFreedom(), TransientBlackHoleFreedom(), AlwaysReaches(sources)]
+    if not minimize:
+        # The probe's message names the whole state, so no shortened replay
+        # reproduces it: minimising its witnesses is all cost and no cover.
+        properties.append(_RelationProbe())
+    analyzer = _RecomputingAnalyzer(
+        instance,
+        por=por,
+        stop_at_first_violation=False,
+        minimize_witnesses=minimize,
+        **budget,
+    )
+    result = analyzer.analyze(properties, initial_events=events)
+    assert analyzer.states_checked == result.states_explored
+    return result
+
+
+class TestMemoisedEqualsRecomputed:
+    """The per-state look-ups of the transient search — the property messages
+    keyed on (best-slot bytes, converged), the danger verdict and the activity
+    closure keyed on id tuples, the witness prefix shared through the root —
+    return on *every* state what computing from scratch returns."""
+
+    def test_on_drawn_ranked_gadgets_from_drawn_roots(self, monkeypatch):
+        from repro.scenarios import NodeCrash, NodeRestart
+
+        compared = _check_warm_selector_against_a_fresh_one(monkeypatch)
+        checked = []
+
+        @given(
+            scenario=gadget_scenarios(),
+            root=st.sampled_from(["cold", "flap", "crash", "restart"]),
+            por=st.sampled_from(["ample", "full"]),
+            minimize=st.booleans(),
+            data=st.data(),
+        )
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        def run(scenario, root, por, minimize, data):
+            edge_map, preferences, flap = scenario
+            node = data.draw(st.sampled_from(sorted(edge_map)), label="event node")
+            events = {
+                "cold": [],
+                "flap": [Converge(max_steps=3_000), FailSession(*flap)],
+                "crash": [Converge(max_steps=3_000), NodeCrash(node)],
+                "restart": [Converge(max_steps=3_000), NodeRestart(node)],
+            }[root]
+            instance = RankedGadgetInstance("o", edge_map, preferences)
+            try:
+                checked.append(
+                    _recomputing_run(
+                        instance, por, events, minimize,
+                        max_states=60 if minimize else 250, max_depth=10,
+                    )
+                )
+            except ProtocolError:
+                assume(False)  # divergent configuration: no root to start from
+
+        run()
+        assert sum(result.states_explored for result in checked) >= 5_000
+        assert sum(len(result.violations) for result in checked) >= 5_000
+        assert len(compared) >= 1_000
+
+    @pytest.mark.parametrize("gadget", [bad_gadget, disagree_gadget])
+    @pytest.mark.parametrize("por", ["ample", "full"])
+    @pytest.mark.parametrize("minimize", [False, True])
+    def test_on_the_named_gadgets(self, monkeypatch, gadget, por, minimize):
+        _check_warm_selector_against_a_fresh_one(monkeypatch)
+        result = _recomputing_run(
+            gadget(), por, [], minimize, max_states=60 if minimize else 200, max_depth=12
+        )
+        assert result.states_explored >= 25 and result.violations
+
+    @pytest.mark.parametrize("por", ["ample", "full"])
+    @pytest.mark.parametrize("root", ["flap", "crash", "restart"])
+    def test_on_the_ebgp_fabric_from_perturbed_roots(self, monkeypatch, por, root):
+        from repro.scenarios import NodeCrash, NodeRestart
+
+        compared = _check_warm_selector_against_a_fresh_one(monkeypatch)
+        instance = _fat_tree_bgp_instance()
+        perturbation = {
+            "flap": FailSession("edge0_0", "agg0_0"),
+            "crash": NodeCrash("agg0_0"),
+            "restart": NodeRestart("core0"),
+        }[root]
+        result = _recomputing_run(
+            instance, por, [Converge(), perturbation], False, max_states=400, max_depth=8
+        )
+        assert result.states_explored >= 300 and result.violations
+        assert (len(compared) > 0) == (por == "ample")
+
+    def test_a_stale_rib_in_is_not_handed_the_backing_rib_ins_verdict(self):
+        """No delivery leaves a best route behind without the rib-in entry
+        backing it, so no search above tells a danger key with the "rib-in
+        is the best" term from one without.  The memo is keyed on what
+        ``_message_is_dangerous`` *reads*, reachable or not: a withdrawal
+        over the backing session dislodges the incumbent, the same
+        withdrawal over a session whose rib-in went stale does not."""
+        instance = good_gadget()
+        stepper = SpvpStepper(instance)
+        settled = stepper.drain(stepper.initial_state(), max_steps=100)
+        backing = settled.best_of("a").path.head
+        best, rib_in = settled.best_map(), settled.rib_in_map()
+        buffers = {channel: () for channel in settled.buffer_map()}
+        buffers[(backing, "a")] = (None,)
+        backed = stepper.state_from_maps(best, rib_in, buffers)
+        stale = stepper.state_from_maps(best, {**rib_in, ("a", backing): None}, buffers)
+        selector = AmpleSelector(instance)
+        for state, dangerous in ((backed, True), (stale, False), (backed, True)):
+            assert ("a" in selector.active_nodes(state, [(backing, "a")])) == dangerous
+
+
+# --------------------------------------------------------------------------- find_cycle
+def _find_cycle_walking_from_every_node(next_hop):
+    """``TransientForwarding.find_cycle`` as it was before it became one pass:
+    a fresh walk from every node, quadratic on a loop-free relation."""
+    for start in next_hop:
+        seen = {}
+        node = start
+        position = 0
+        while node is not None and node not in seen:
+            seen[node] = position
+            position += 1
+            node = next_hop.get(node)
+        if node is not None and node in seen:
+            ordered = sorted(seen, key=seen.get)
+            return ordered[seen[node]:] + [node]
+    return None
+
+
+@st.composite
+def functional_graphs(draw):
+    """A next-hop map over <= 12 nodes in a drawn key order; a next hop is
+    None, another key, or a node the map does not mention."""
+    names = [f"n{i}" for i in range(draw(st.integers(min_value=0, max_value=12)))]
+    keys = draw(st.permutations(names))
+    targets = st.sampled_from([None, "elsewhere"] + names)
+    return {key: draw(targets) for key in keys}
+
+
+class TestFindCycleIsTheSameCycle:
+    @given(next_hop=functional_graphs())
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_one_pass_returns_what_the_walk_from_every_node_returned(self, next_hop):
+        """Same cycle, same rotation: the first start in dict order whose
+        walk closes, cut at the node where it re-enters itself."""
+        forwarding = TransientForwarding(next_hop=next_hop, delivering=frozenset())
+        assert forwarding.find_cycle() == _find_cycle_walking_from_every_node(next_hop)

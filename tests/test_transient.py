@@ -1,5 +1,10 @@
 """Tests for the transient-state analysis extension (repro.transient)."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.config import ebgp_rfc7938
@@ -395,6 +400,39 @@ class TestPartialOrderReduction:
             good_gadget(), max_states=10, stop_at_first_violation=False, por="full"
         ).analyze(self.PROPERTIES())
         assert "truncated: yes (state budget reached)" in truncated.summary()
+
+    def test_truncated_ample_result_does_not_depend_on_the_hash_seed(self):
+        """The immune-session tally used to count the skips of a walk over a
+        ``set`` of names, so a truncated run's ledger differed from process
+        to process (2 410 - 2 580 on this run); it is now a function of the
+        closure."""
+        script = (
+            "import json\n"
+            "from repro.scenarios import NodeCrash\n"
+            "from repro.transient import Converge, TransientAnalyzer, TransientLoopFreedom\n"
+            "from tests.test_transient import _fat_tree_bgp_instance\n"
+            "result = TransientAnalyzer(\n"
+            "    _fat_tree_bgp_instance(), max_states=300, max_depth=8,\n"
+            "    stop_at_first_violation=False, por='ample',\n"
+            ").analyze([TransientLoopFreedom()], initial_events=[Converge(), NodeCrash('agg0_0')])\n"
+            "print(json.dumps(result.to_dict(frozenset({'elapsed_seconds'}))))\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        documents = []
+        for seed in ("0", "7"):
+            env = dict(
+                os.environ,
+                PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]),
+                PYTHONHASHSEED=seed,
+            )
+            run = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            )
+            assert run.returncode == 0, run.stderr
+            documents.append(json.loads(run.stdout))
+        assert documents[0]["truncated"] and documents[0]["violations"]
+        assert documents[0]["reduction"]["rank_immune_sessions"] > 0
+        assert documents[0] == documents[1]
 
 
 # --------------------------------------------------------------------------- session flaps

@@ -115,3 +115,62 @@ def test_incremental_reverify_speedup_floor(reporter):
     assert measured["pecs_from_cache"] == measured["pecs_total"] - 1
     assert measured["state_speedup"] >= 5.0
     assert measured["wall_speedup"] >= 2.0
+
+
+def test_rerun_of_a_configuration_generation_expands_nothing(reporter, monkeypatch):
+    """Count floor for the run-only re-verify (``serve_rerun``'s operation,
+    in-process): once a configuration generation has answered a request, the
+    same request again is lookup + decode — no PEC partition, no verifier,
+    no LEC refinement, no fingerprinting.  Counts, never a wall-clock gate;
+    the timing is an informational row.
+    """
+    from repro.core import verifier as verifier_module
+    from repro.incremental import service as service_module
+    from repro.topology import failures as failures_module
+
+    calls = {"compute_pecs": 0, "Plankton.__init__": 0, "DeviceEquivalence": 0,
+             "verification_fingerprints": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(verifier_module, "compute_pecs",
+                        counted("compute_pecs", verifier_module.compute_pecs))
+    monkeypatch.setattr(Plankton, "__init__", counted("Plankton.__init__", Plankton.__init__))
+    monkeypatch.setattr(failures_module.DeviceEquivalence, "__init__",
+                        counted("DeviceEquivalence", failures_module.DeviceEquivalence.__init__))
+    monkeypatch.setattr(service_module, "verification_fingerprints",
+                        counted("verification_fingerprints",
+                                service_module.verification_fingerprints))
+
+    network = ebgp_rfc7938(bgp_fat_tree(4))
+    service = IncrementalVerifier(network, PlanktonOptions(max_failures=1))
+    first = service.verify(LoopFreedom())
+    first_push = dict(calls)
+    assert first_push["DeviceEquivalence"] > 0 and first_push["verification_fingerprints"] == 1
+
+    walls = []
+    for _ in range(3):
+        started = time.perf_counter()
+        delta = service.update(service.network)  # what a run-only push installs
+        rerun = service.verify(LoopFreedom())
+        walls.append(time.perf_counter() - started)
+        assert delta.is_empty
+        assert rerun.incremental.tasks_from_cache == rerun.incremental.tasks_total > 0
+        assert result_signature(rerun) == result_signature(first)
+    reporter(
+        "incremental",
+        f"fat-tree k=4 <=1 failure, run-only re-verify: {rerun.incremental.tasks_total} tasks "
+        f"from cache in {min(walls) * 1e3:.1f} ms; first request paid {first_push}, "
+        f"three re-runs paid {({name: calls[name] - first_push[name] for name in calls})}",
+    )
+    assert calls == first_push
+
+    # A new generation pays again, once.
+    service.update(_one_route_map_edit(network, med=7))
+    service.verify(LoopFreedom())
+    assert calls["Plankton.__init__"] == first_push["Plankton.__init__"] + 1
+    assert calls["verification_fingerprints"] == 2

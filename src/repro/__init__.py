@@ -28,18 +28,42 @@ Quickstart::
     assert result.holds
 """
 
-from repro.core.options import OptimizationFlags, PlanktonOptions
-from repro.core.results import VerificationResult, Violation
-from repro.core.verifier import Plankton, verify
+from importlib import import_module
+from typing import Callable, Mapping
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "OptimizationFlags",
-    "PlanktonOptions",
-    "VerificationResult",
-    "Violation",
-    "Plankton",
-    "verify",
-    "__version__",
-]
+
+def _exports(package: str, origins: Mapping[str, str]) -> Callable[[str], object]:
+    """The module ``__getattr__`` (PEP 562) of a package whose public names
+    live in its submodules: ``origins`` maps each name to the module that
+    defines it, and that module is imported when the name is asked for.
+
+    Importing a package therefore costs its ``__init__`` and nothing else: a
+    process pays for the modules its sub-command runs, not for everything
+    the package can do.  The attribute is read off the defining module on
+    every access — nothing is copied into the package, so the two cannot
+    come apart (under a test's monkeypatch, say).
+    """
+
+    def __getattr__(name: str) -> object:
+        origin = origins.get(name)
+        if origin is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        return getattr(import_module(origin), name)
+
+    return __getattr__
+
+
+#: Public name -> the module that defines it (imported on first access).
+_ORIGINS = {
+    "OptimizationFlags": "repro.core.options",
+    "PlanktonOptions": "repro.core.options",
+    "VerificationResult": "repro.core.results",
+    "Violation": "repro.core.results",
+    "Plankton": "repro.core.verifier",
+    "verify": "repro.core.verifier",
+}
+
+__all__ = [*_ORIGINS, "__version__"]
+__getattr__ = _exports(__name__, _ORIGINS)

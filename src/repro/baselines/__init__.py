@@ -13,28 +13,24 @@
 * :mod:`repro.baselines.bonsai` — Bonsai-style control-plane compression.
 """
 
-from repro.baselines.sat import CnfFormula, SatSolver, SatResult
-from repro.baselines.minesweeper import MinesweeperVerifier, MinesweeperResult
-from repro.baselines.arc import ArcVerifier, ArcResult
-from repro.baselines.simulation import SimulationVerifier, SimulationResult
-from repro.baselines.bonsai import BonsaiCompressor, CompressedNetwork
-from repro.baselines.spt import (
-    shortest_paths_by_execution,
-    shortest_paths_by_constraints,
-)
+from repro import _exports
 
-__all__ = [
-    "CnfFormula",
-    "SatSolver",
-    "SatResult",
-    "MinesweeperVerifier",
-    "MinesweeperResult",
-    "ArcVerifier",
-    "ArcResult",
-    "SimulationVerifier",
-    "SimulationResult",
-    "BonsaiCompressor",
-    "CompressedNetwork",
-    "shortest_paths_by_execution",
-    "shortest_paths_by_constraints",
-]
+#: Public name -> the module that defines it (imported on first access).
+_ORIGINS = {
+    "CnfFormula": "repro.baselines.sat",
+    "SatSolver": "repro.baselines.sat",
+    "SatResult": "repro.baselines.sat",
+    "MinesweeperVerifier": "repro.baselines.minesweeper",
+    "MinesweeperResult": "repro.baselines.minesweeper",
+    "ArcVerifier": "repro.baselines.arc",
+    "ArcResult": "repro.baselines.arc",
+    "SimulationVerifier": "repro.baselines.simulation",
+    "SimulationResult": "repro.baselines.simulation",
+    "BonsaiCompressor": "repro.baselines.bonsai",
+    "CompressedNetwork": "repro.baselines.bonsai",
+    "shortest_paths_by_execution": "repro.baselines.spt",
+    "shortest_paths_by_constraints": "repro.baselines.spt",
+}
+
+__all__ = list(_ORIGINS)
+__getattr__ = _exports(__name__, _ORIGINS)

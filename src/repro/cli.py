@@ -70,18 +70,14 @@ import json
 import logging
 import sys
 from pathlib import Path as FilePath
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines.simulation import SimulationVerifier
-from repro.config.objects import NetworkConfig
-from repro.config.parser import parse_config, parse_device_config
-from repro.core.verifier import Plankton
-from repro.dataplane.forwarding import trace_paths
-from repro.engine import BACKEND_CHOICES
+# Only what every invocation needs is imported here; each handler imports
+# what its sub-command runs, so ``pecs`` loads no engine, the ``--server``
+# client no verifier, and ``--version`` nothing at all.
+from repro import __version__
+from repro.core.options import BACKEND_CHOICES
 from repro.exceptions import ReproError, ServerProtocolError, ServiceUnavailable
-from repro.netaddr import ip_to_int
-from repro.pec.classes import compute_pecs
-from repro.pec.dependencies import build_dependency_graph
 # EXIT_HOLDS / EXIT_VIOLATION / EXIT_ERROR are re-exported: callers import them from here.
 from repro.reporting import (
     EXIT_ERROR,
@@ -91,7 +87,9 @@ from repro.reporting import (
     verdict_exit_code,
     write_rendered_report,
 )
-from repro.topology.io import load_topology
+
+if TYPE_CHECKING:
+    from repro.config.objects import NetworkConfig
 
 #: ``--server`` mode only: the verification server could not be reached or
 #: answered unintelligibly.  Distinct from ``EXIT_ERROR`` so CI gates can
@@ -140,6 +138,10 @@ def _load_network(
     topology_path: str, config: Optional[str] = None, config_dir: Optional[str] = None
 ) -> NetworkConfig:
     """Build the :class:`NetworkConfig` named by ``--topology`` and ``--config``/``--config-dir``."""
+    from repro.config.objects import NetworkConfig
+    from repro.config.parser import parse_config, parse_device_config
+    from repro.topology.io import load_topology
+
     topology = load_topology(topology_path)
     if config:
         return parse_config(topology, FilePath(config).read_text())
@@ -166,7 +168,7 @@ def _network_payload(
     regular loader and re-serialised so the server always receives canonical
     topology text.
     """
-    from repro.topology.io import format_topology
+    from repro.topology.io import format_topology, load_topology
 
     topology_text = format_topology(load_topology(topology_path))
     if config:
@@ -314,6 +316,8 @@ def _run_requests(
     options = options_from_spec(payload["options"])
     networks = [_load_network(args.topology, **source) for source, _ in requests]
     if kind == "verify" and len(networks) == 1 and not args.cache_dir:
+        from repro.core.verifier import Plankton
+
         verifier = Plankton(networks[0], options)
     else:
         from repro.incremental import IncrementalVerifier
@@ -397,6 +401,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_pecs(args: argparse.Namespace) -> int:
+    from repro.pec.classes import compute_pecs
+    from repro.pec.dependencies import build_dependency_graph
+
     network = _load_network(args.topology, args.config, args.config_dir)
     pecs = compute_pecs(network)
     graph = build_dependency_graph(network, pecs)
@@ -422,6 +429,8 @@ def _cmd_pecs(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.baselines.simulation import SimulationVerifier
+
     network = _load_network(args.topology, args.config, args.config_dir)
     simulator = SimulationVerifier(network, seed=args.seed)
     printed = 0
@@ -439,6 +448,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.baselines.simulation import SimulationVerifier
+    from repro.dataplane.forwarding import trace_paths
+    from repro.netaddr import ip_to_int
+    from repro.pec.classes import compute_pecs
+
     network = _load_network(args.topology, args.config, args.config_dir)
     if args.source not in network.topology:
         raise CliError(f"unknown source device {args.source!r}")
@@ -567,6 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Plankton-style network configuration verification",
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument(
         "-v",
         "--verbose",

@@ -1,15 +1,17 @@
 """Plankton core: the configuration verifier built on PECs + model checking."""
 
-from repro.core.options import OptimizationFlags, PlanktonOptions
-from repro.core.results import PecRunResult, VerificationResult, Violation
-from repro.core.verifier import Plankton, verify
+from repro import _exports
 
-__all__ = [
-    "OptimizationFlags",
-    "PlanktonOptions",
-    "PecRunResult",
-    "VerificationResult",
-    "Violation",
-    "Plankton",
-    "verify",
-]
+#: Public name -> the module that defines it (imported on first access).
+_ORIGINS = {
+    "OptimizationFlags": "repro.core.options",
+    "PlanktonOptions": "repro.core.options",
+    "PecRunResult": "repro.core.results",
+    "VerificationResult": "repro.core.results",
+    "Violation": "repro.core.results",
+    "Plankton": "repro.core.verifier",
+    "verify": "repro.core.verifier",
+}
+
+__all__ = list(_ORIGINS)
+__getattr__ = _exports(__name__, _ORIGINS)

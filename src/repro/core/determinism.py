@@ -25,6 +25,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.modelcheck.por.independence import node_independence_groups
 from repro.protocols.base import EPSILON, PathVectorInstance, Route, RouteSource
 from repro.protocols.bgp import BgpInstance
 from repro.protocols.filters import maximum_local_pref
@@ -406,7 +407,5 @@ def independence_groups(
     machinery (:func:`repro.modelcheck.por.node_independence_groups`); this
     wrapper binds it to the RPVP notion of "undecided" (best path still ⊥).
     """
-    from repro.modelcheck.por import node_independence_groups
-
     undecided = {node for node, route_id in zip(state.node_names, state._ids) if not route_id}
     return node_independence_groups(instance.peers, undecided, enabled)

@@ -9,6 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+#: Backend names accepted by :attr:`PlanktonOptions.backend` and ``--backend``
+#: (the implementations live in :mod:`repro.engine.backends`).
+BACKEND_CHOICES = ("auto", "serial", "process")
+
 
 @dataclass(frozen=True)
 class OptimizationFlags:
@@ -21,9 +25,6 @@ class OptimizationFlags:
             update, execute it without branching over other enabled nodes.
         decision_independence: §4.1.3 — when groups of undecided nodes cannot
             influence each other, fix an arbitrary order between the groups.
-        failure_ordering: §4.1.4 — apply failures before protocol execution
-            and in one canonical order only (always on in this reproduction;
-            the flag is kept for reporting).
         policy_based_pruning: §4.2 — stop an execution once every policy
             source node has decided, and skip converged states whose
             policy-visible signature was already checked.
@@ -38,7 +39,6 @@ class OptimizationFlags:
     consistent_execution: bool = True
     deterministic_nodes: bool = True
     decision_independence: bool = True
-    failure_ordering: bool = True
     policy_based_pruning: bool = True
     failure_equivalence: bool = True
     state_hashing: bool = True
@@ -51,7 +51,6 @@ class OptimizationFlags:
             consistent_execution=False,
             deterministic_nodes=False,
             decision_independence=False,
-            failure_ordering=True,
             policy_based_pruning=False,
             failure_equivalence=False,
             state_hashing=False,
@@ -130,3 +129,22 @@ class PlanktonOptions:
     #: How many *crash*-triggered pool rebuilds the process backend tolerates
     #: before finishing the remaining tasks on the serial backend.
     max_pool_rebuilds: int = 3
+
+    def __post_init__(self) -> None:
+        """Refuse values no run can honour (``ValueError``): the CLI and the
+        service turn that into an input error instead of verifying something
+        other than what was asked."""
+        if self.max_failures < 0:
+            raise ValueError(f"max_failures must be >= 0 (got {self.max_failures})")
+        if self.cores < 1:
+            raise ValueError(f"cores must be >= 1 (got {self.cores})")
+        if self.backend not in BACKEND_CHOICES:
+            raise ValueError(
+                f"unknown execution backend {self.backend!r}; choose from {BACKEND_CHOICES}"
+            )
+        if self.task_retries < 0:
+            raise ValueError(f"task_retries must be >= 0 (got {self.task_retries})")
+        for name in ("max_states_per_pec", "max_seconds_per_pec", "task_timeout"):
+            budget = getattr(self, name)
+            if budget is not None and budget <= 0:
+                raise ValueError(f"{name} must be positive or None (got {budget})")

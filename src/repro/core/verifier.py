@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Type, Union
 
 from repro.config.objects import NetworkConfig
-from repro.core.network_model import ConvergedOutcome, DependencyContext, PecExplorer
 from repro.core.options import PlanktonOptions
 from repro.core.results import PecRunResult, VerificationResult, Violation
 from repro.exceptions import VerificationError
@@ -29,6 +29,9 @@ from repro.pec.dependencies import PecDependencyGraph, build_dependency_graph
 from repro.policies.base import Policy, PolicyCheckContext
 from repro.protocols.ospf import OspfComputation
 from repro.topology.failures import FailureScenario
+
+if TYPE_CHECKING:
+    from repro.core.network_model import ConvergedOutcome, DependencyContext, PecExplorer
 
 LOG = logging.getLogger("repro.core")
 
@@ -50,6 +53,21 @@ class Plankton:
         self.dependency_graph: PecDependencyGraph = build_dependency_graph(network, self.pecs)
         self.ospf_computation = OspfComputation(network)
         self._pec_by_index = {pec.index: pec for pec in self.pecs}
+        #: What requests against this configuration expand to, kept by the
+        #: incremental service (:meth:`IncrementalVerifier.verify`) under the
+        #: policies' canonical tokens.  Options are fixed per instance and a
+        #: changed configuration is a new instance, so nothing here is ever
+        #: invalidated: it lives and dies with the configuration generation.
+        self.request_memo: Dict[Tuple, Tuple] = {}
+
+    @cached_property
+    def _explorer_class(self) -> Type["PecExplorer"]:
+        """:class:`PecExplorer`, imported when the first PEC is run: the
+        explorer stack is most of the program, and a request answered from
+        the result cache explores nothing."""
+        from repro.core.network_model import PecExplorer
+
+        return PecExplorer
 
     def pec_by_index(self, index: int) -> PacketEquivalenceClass:
         """The PEC with partition index ``index``."""
@@ -138,7 +156,7 @@ class Plankton:
         directly for one-off explorations.
         """
         sources = self._policy_sources(pec, policies, has_dependents=collect_outcomes)
-        explorer = PecExplorer(
+        explorer = self._explorer_class(
             self.network,
             pec,
             failure,

@@ -22,39 +22,26 @@ See the package modules:
 * :mod:`repro.engine.aggregator` — the ledger.
 """
 
-from repro.engine.aggregator import ResultAggregator
-from repro.engine.backends import (
-    BACKEND_CHOICES,
-    EngineContext,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    run_graph,
-    select_backend,
-)
-from repro.engine.graph import (
-    TaskGraph,
-    TaskResult,
-    TaskSpec,
-    build_task_graph,
-    build_transient_task_graph,
-)
-from repro.engine.worker import execute_task, network_fingerprint
+from repro import _exports
 
-__all__ = [
-    "BACKEND_CHOICES",
-    "EngineContext",
-    "ExecutionBackend",
-    "ProcessPoolBackend",
-    "ResultAggregator",
-    "SerialBackend",
-    "TaskGraph",
-    "TaskResult",
-    "TaskSpec",
-    "build_task_graph",
-    "build_transient_task_graph",
-    "execute_task",
-    "network_fingerprint",
-    "run_graph",
-    "select_backend",
-]
+#: Public name -> the module that defines it (imported on first access).
+_ORIGINS = {
+    "BACKEND_CHOICES": "repro.engine.backends",
+    "EngineContext": "repro.engine.backends",
+    "ExecutionBackend": "repro.engine.backends",
+    "ProcessPoolBackend": "repro.engine.backends",
+    "ResultAggregator": "repro.engine.aggregator",
+    "SerialBackend": "repro.engine.backends",
+    "TaskGraph": "repro.engine.graph",
+    "TaskResult": "repro.engine.graph",
+    "TaskSpec": "repro.engine.graph",
+    "build_task_graph": "repro.engine.graph",
+    "build_transient_task_graph": "repro.engine.graph",
+    "execute_task": "repro.engine.worker",
+    "network_fingerprint": "repro.engine.worker",
+    "run_graph": "repro.engine.backends",
+    "select_backend": "repro.engine.backends",
+}
+
+__all__ = list(_ORIGINS)
+__getattr__ = _exports(__name__, _ORIGINS)

@@ -43,15 +43,11 @@ backend.
 from __future__ import annotations
 
 import heapq
-import multiprocessing
-import pickle
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import BrokenExecutor, TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Sized
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Sized
 
-from repro.core.options import PlanktonOptions
+from repro.core.options import BACKEND_CHOICES, PlanktonOptions
 from repro.engine.aggregator import ResultAggregator
 from repro.engine.graph import TaskError, TaskGraph, TaskResult, TaskSpec
 from repro.engine.supervision import (
@@ -60,17 +56,17 @@ from repro.engine.supervision import (
     run_task_guarded,
     upstream_failure,
 )
-from repro.engine.worker import (
-    adopt_parent_runtime,
-    clear_parent_runtime,
-    fresh_pool_nonce,
-    initialize_worker,
-    network_fingerprint,
-    run_task_batch_in_worker,
-)
 
-#: Backend names accepted by :attr:`PlanktonOptions.backend` and ``--backend``.
-BACKEND_CHOICES = ("auto", "serial", "process")
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
+# What only a process pool needs — ``multiprocessing``, ``concurrent.futures``,
+# ``pickle`` and :mod:`repro.engine.worker`, which brings the explorer stack
+# with it — is imported by the :class:`ProcessPoolBackend` methods that run
+# once per pool, never at module level: a request answered from the cache, or
+# run serially, does not load it.  Importing the worker module in the
+# coordinating process, before the pool forks, is also what lets every worker
+# inherit the explorer stack instead of importing it again.
 
 
 @dataclass
@@ -225,6 +221,8 @@ class ProcessPoolBackend(ExecutionBackend):
     def execute(
         self, graph: TaskGraph, context: EngineContext, aggregator: ResultAggregator
     ) -> None:
+        import pickle
+
         mp_context = self._mp_context()
         use_fork = mp_context.get_start_method() == "fork"
         if not use_fork and not self._initargs_picklable(context):
@@ -254,6 +252,8 @@ class ProcessPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------ helpers
     @staticmethod
     def _mp_context():
+        import multiprocessing
+
         try:
             return multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -261,6 +261,8 @@ class ProcessPoolBackend(ExecutionBackend):
 
     @staticmethod
     def _initargs_picklable(context: EngineContext) -> bool:
+        import pickle
+
         try:
             pickle.dumps((context.plankton.network, context.options, context.policies))
             return True
@@ -269,6 +271,10 @@ class ProcessPoolBackend(ExecutionBackend):
 
     @staticmethod
     def _new_pool(workers: int, mp_context, initargs) -> ProcessPoolExecutor:
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.engine.worker import initialize_worker
+
         return ProcessPoolExecutor(
             max_workers=workers,
             mp_context=mp_context,
@@ -308,6 +314,8 @@ class ProcessPoolBackend(ExecutionBackend):
         down gracefully), False when something was left running and the
         caller must kill the pool instead of joining it.
         """
+        from concurrent.futures import TimeoutError as FutureTimeoutError
+
         cancel_event.set()
         for future in list(inflight):
             future.cancel()
@@ -344,6 +352,16 @@ class ProcessPoolBackend(ExecutionBackend):
         mp_context,
         use_fork: bool,
     ) -> None:
+        from concurrent import futures
+
+        from repro.engine.worker import (
+            adopt_parent_runtime,
+            clear_parent_runtime,
+            fresh_pool_nonce,
+            network_fingerprint,
+            run_task_batch_in_worker,
+        )
+
         policy = SupervisionPolicy.from_options(context.options)
         cancel_event = mp_context.Event()
         if use_fork:
@@ -491,15 +509,13 @@ class ProcessPoolBackend(ExecutionBackend):
             """Fold one completed future in; True when the pool crashed."""
             try:
                 results = future.result()
-            except pickle.PicklingError:
-                raise
-            except BrokenExecutor:
+            except futures.BrokenExecutor:
                 lost.extend(batch.task_ids)
                 return True
-            except Exception:
-                # An infrastructure error outside task execution (task-level
-                # errors are captured worker-side) — a genuine bug; propagate.
-                raise
+            # Anything else propagates: a pickling failure to :meth:`execute`
+            # (which falls back to the serial walk), an infrastructure error
+            # outside task execution (task-level errors are captured
+            # worker-side) as the genuine bug it is.
             for result in results:
                 if result.cancelled:
                     continue
@@ -550,7 +566,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 if ready:
                     try:
                         submit_ready()
-                    except BrokenExecutor:
+                    except futures.BrokenExecutor:
                         crashed = True
 
                 if not inflight and not ready and not retry_heap and not crashed:
@@ -565,7 +581,9 @@ class ProcessPoolBackend(ExecutionBackend):
                         timeout = (
                             max(0.005, min(wakeups) - time.monotonic()) if wakeups else None
                         )
-                        wait(set(inflight), timeout=timeout, return_when=FIRST_COMPLETED)
+                        futures.wait(
+                            set(inflight), timeout=timeout, return_when=futures.FIRST_COMPLETED
+                        )
                         for future in [f for f in list(inflight) if f.done()]:
                             batch = inflight.pop(future)
                             if consume(future, batch, lost):

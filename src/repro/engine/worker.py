@@ -29,6 +29,9 @@ import pickle
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+# The explorer stack arrives with this import — which is why nothing imports
+# this module until a task has to run (see :mod:`repro.engine.backends`).
+from repro.core.network_model import DependencyContext
 from repro.core.options import PlanktonOptions
 from repro.engine.graph import TaskResult, TaskSpec
 
@@ -37,7 +40,7 @@ from repro.engine.graph import TaskResult, TaskSpec
 class WorkerRuntime:
     """The per-process verification state: one verifier plus the policies."""
 
-    plankton: "object"  # repro.core.verifier.Plankton (imported lazily)
+    plankton: "object"  # repro.core.verifier.Plankton
     policies: List
 
 
@@ -162,8 +165,6 @@ def execute_task(
     policy check; everything else about scheduling, pooling and cancellation
     is shared.
     """
-    from repro.core.network_model import DependencyContext
-
     if spec.kind == "transient":
         from repro.transient.explorer import execute_transient_task
 

@@ -20,36 +20,25 @@ incremental verifier (:mod:`repro.dpverify`):
   the execution engine as already-finished tasks, so only dirty ones run.
 """
 
-from repro.incremental.delta import ConfigDelta, diff_networks
-from repro.incremental.impact import config_slice, impacted_pecs
-from repro.incremental.cache import (
-    ResultCache,
-    pec_base_fingerprints,
-    transient_fingerprint,
-    verification_fingerprints,
-)
-from repro.incremental.service import (
-    IncrementalRunStats,
-    IncrementalVerifier,
-    result_signature,
-    result_signature_digest,
-    transient_campaign_signature,
-    transient_campaign_signature_digest,
-)
+from repro import _exports
 
-__all__ = [
-    "ConfigDelta",
-    "diff_networks",
-    "config_slice",
-    "impacted_pecs",
-    "ResultCache",
-    "pec_base_fingerprints",
-    "verification_fingerprints",
-    "transient_fingerprint",
-    "IncrementalRunStats",
-    "IncrementalVerifier",
-    "result_signature",
-    "result_signature_digest",
-    "transient_campaign_signature",
-    "transient_campaign_signature_digest",
-]
+#: Public name -> the module that defines it (imported on first access).
+_ORIGINS = {
+    "ConfigDelta": "repro.incremental.delta",
+    "diff_networks": "repro.incremental.delta",
+    "config_slice": "repro.incremental.impact",
+    "impacted_pecs": "repro.incremental.impact",
+    "ResultCache": "repro.incremental.cache",
+    "pec_base_fingerprints": "repro.incremental.cache",
+    "verification_fingerprints": "repro.incremental.cache",
+    "transient_fingerprint": "repro.incremental.cache",
+    "IncrementalRunStats": "repro.incremental.service",
+    "IncrementalVerifier": "repro.incremental.service",
+    "result_signature": "repro.incremental.service",
+    "result_signature_digest": "repro.incremental.service",
+    "transient_campaign_signature": "repro.incremental.service",
+    "transient_campaign_signature_digest": "repro.incremental.service",
+}
+
+__all__ = list(_ORIGINS)
+__getattr__ = _exports(__name__, _ORIGINS)

@@ -33,10 +33,12 @@ document the result signatures hash; this module only frames them per task.
 The on-disk file is **crash-safe and corruption-safe**: writes go through a
 temp-file rename under an advisory file lock (two concurrent writers
 serialise instead of clobbering each other), the document carries a schema
-version and a SHA-256 checksum of its canonical entry payload, and any file
-that is unreadable, truncated, bit-flipped, checksum-less or from a
-different schema version loads as *empty* with a logged warning — a cold
-start is always correct; a misread entry never is.
+version and a SHA-256 checksum of its entries *as the bytes they are stored
+in*, and any file that is unreadable, truncated, bit-flipped, checksum-less
+or from a different schema version loads as *empty* with a logged warning —
+a cold start is always correct; a misread entry never is.  The file is
+verified as written: one hash over the stored bytes, before anything is
+parsed (see :func:`_seal`).
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -61,6 +62,7 @@ from repro.core.options import PlanktonOptions
 from repro.core.results import PecRunResult
 from repro.core.scheduler import dependency_closure
 from repro.dataplane.fib import DataPlane
+from repro.engine.graph import TaskResult
 from repro.incremental.impact import config_slice
 from repro.pec.classes import PacketEquivalenceClass
 from repro.pec.dependencies import PecDependencyGraph
@@ -75,8 +77,12 @@ from repro.pec.dependencies import PecDependencyGraph
 #: cached PEC of either kind is a list of finished tasks), so v3 transient
 #: entries — one flat run list per PEC — would not decode.  v5 stores the
 #: result classes' own canonical documents (``to_dict``) in place of this
-#: module's former field-by-field codecs; the key sets differ.
-CACHE_SCHEMA_VERSION = 5
+#: module's former field-by-field codecs; the key sets differ.  v6 moves the
+#: checksum from the entries' canonical re-serialisation to their bytes on
+#: disk (a v5 file sealed by other means than :meth:`ResultCache.save` need
+#: not verify), and drops the never-read ``failure_ordering`` flag from the
+#: options token, so every v5 fingerprint is unreachable anyway.
+CACHE_SCHEMA_VERSION = 6
 
 PathLike = Union[str, Path]
 
@@ -89,9 +95,25 @@ def _sha(token: object) -> str:
     return hashlib.sha256(repr(token).encode("utf-8")).hexdigest()
 
 
-def _entries_checksum(entries_json: str) -> str:
-    """SHA-256 over the canonical (sorted-key) entries serialisation."""
-    return hashlib.sha256(entries_json.encode("utf-8")).hexdigest()
+#: What separates the header of a cache file from its entries (:func:`_seal`).
+_ENTRIES_MARKER = b', "entries": '
+
+
+def _seal(entries_json: str) -> str:
+    """The cache file holding ``entries_json`` (a JSON object, ASCII).
+
+    One JSON document, header first: the schema version, the SHA-256 of the
+    entries' bytes exactly as they follow, then those bytes.  A reader finds
+    the header without parsing the entries (:data:`_ENTRIES_MARKER` cannot
+    occur in it), so it can refuse a foreign version and verify the checksum
+    with one hash over the stored bytes before it parses any of them.
+    """
+    checksum = hashlib.sha256(entries_json.encode("ascii")).hexdigest()
+    return '{"schema_version": %d, "checksum": "%s", "entries": %s}' % (
+        CACHE_SCHEMA_VERSION,
+        checksum,
+        entries_json,
+    )
 
 
 @contextmanager
@@ -327,8 +349,6 @@ def decode_entry(
     strict about both.  The second case logs one warning naming
     ``fingerprint``; a recomputed PEC is always correct.
     """
-    from repro.engine.graph import TaskResult
-
     decode = decode_run if kind == "verify" else decode_transient_run
     decoded: Dict[int, object] = {}
     try:
@@ -433,24 +453,22 @@ class ResultCache:
         holds these entries — an all-hit run neither rewrites nor fsyncs it.
 
         The document header (schema version, payload checksum) precedes the
-        entries; the write is temp-file + atomic rename under the advisory
-        lock, so a reader never sees a torn file and a second writer never
-        interleaves.
+        entries (:func:`_seal`); the write is temp-file + atomic rename under
+        the advisory lock, so a reader never sees a torn file and a second
+        writer never interleaves.
         """
         target = Path(path) if path is not None else self.path
         if target is None:
             return None
         if path is None and self._persisted:
             return target
-        entries_json = json.dumps(self._entries, sort_keys=True)
-        document = (
-            '{"schema_version": %d, "checksum": "%s", "entries": %s}'
-            % (CACHE_SCHEMA_VERSION, _entries_checksum(entries_json), entries_json)
-        )
+        import tempfile  # shutil, bz2, lzma, ...: only a run that stored something pays
+
+        document = _seal(json.dumps(self._entries, sort_keys=True))
         target.parent.mkdir(parents=True, exist_ok=True)
         with _advisory_lock(target):
             handle = tempfile.NamedTemporaryFile(
-                "w", dir=str(target.parent), suffix=".tmp", delete=False, encoding="utf-8"
+                "w", dir=str(target.parent), suffix=".tmp", delete=False, encoding="ascii"
             )
             try:
                 with handle:
@@ -476,49 +494,50 @@ class ResultCache:
 
         Unreadable, truncated, bit-flipped, checksum-mismatched and
         wrong-schema files all load as *empty* with a logged warning (a
-        cache miss is always safe; a misread entry is not).  The read holds
-        the same advisory lock as :meth:`save`, so a concurrent writer's
-        rename is never observed mid-flight.
+        cache miss is always safe; a misread entry is not).  The entries are
+        parsed only after their stored bytes passed the checksum, and are
+        never serialised again to check it.  The read holds the same
+        advisory lock as :meth:`save`, so a concurrent writer's rename is
+        never observed mid-flight.
         """
         self._entries = {}
         self._persisted = False
         target = Path(path)
+
+        def cold(reason: str, *args: object) -> int:
+            LOG.warning("cache: %s " + reason + "; starting cold", target, *args)
+            return 0
+
         try:
             with _advisory_lock(target):
-                with open(target, "r", encoding="utf-8") as handle:
-                    document = json.load(handle)
+                with open(target, "rb") as handle:
+                    stored = handle.read()
+            head, marker, rest = stored.partition(_ENTRIES_MARKER)
+            # Without the marker this is no file of ours (a pre-versioning
+            # one, say): parse all of it, for the version it does not have.
+            header = json.loads(head + b"}" if marker else stored)
         except (OSError, ValueError) as exc:
-            LOG.warning(
-                "cache: %s is unreadable (%s: %s); starting cold",
-                target,
-                type(exc).__name__,
-                exc,
-            )
-            return 0
-        version = document.get("schema_version") if isinstance(document, dict) else None
+            return cold("is unreadable (%s: %s)", type(exc).__name__, exc)
+        version = header.get("schema_version") if isinstance(header, dict) else None
         if version != CACHE_SCHEMA_VERSION:
-            LOG.warning(
-                "cache: %s has schema version %r (this build reads %d); starting cold",
-                target,
-                version,
-                CACHE_SCHEMA_VERSION,
+            return cold(
+                "has schema version %r (this build reads %d)", version, CACHE_SCHEMA_VERSION
             )
-            return 0
-        entries = document.get("entries")
-        if not isinstance(entries, dict):
-            LOG.warning("cache: %s has a malformed entries section; starting cold", target)
-            return 0
-        expected = document.get("checksum")
-        actual = _entries_checksum(json.dumps(entries, sort_keys=True))
-        if expected != actual:
-            LOG.warning(
-                "cache: %s failed its payload checksum (stored %s, computed %s); "
-                "the file is corrupt — starting cold",
-                target,
-                (expected or "<missing>")[:16],
+        if not rest.startswith(b"{"):
+            return cold("has a malformed entries section")
+        expected = header.get("checksum")
+        body = rest[:-1]  # the document's closing brace follows the entries
+        actual = hashlib.sha256(body).hexdigest()
+        if expected != actual or not rest.endswith(b"}"):
+            return cold(
+                "is unreadable: it failed its payload checksum (stored %s, computed %s) "
+                "- the file is corrupt or truncated",
+                str(expected or "<missing>")[:16],
                 actual[:16],
             )
-            return 0
-        self._entries = entries
+        try:
+            self._entries = json.loads(body)
+        except ValueError as exc:  # sealed by something that does not write JSON
+            return cold("is unreadable (%s: %s)", type(exc).__name__, exc)
         self._persisted = target == self.path
         return len(self._entries)

@@ -49,8 +49,10 @@ from repro.config.objects import NetworkConfig
 from repro.core.options import PlanktonOptions
 from repro.core.results import VerificationResult
 from repro.core.verifier import Plankton
+from repro.engine.graph import TaskResult
 from repro.incremental.cache import (
     ResultCache,
+    _object_tokens,
     decode_entry,
     encode_entry,
     pec_base_fingerprints,
@@ -137,6 +139,11 @@ def transient_campaign_signature_digest(campaign) -> str:
 
 
 # --------------------------------------------------------------------------- the service
+#: Policy sets whose expansion one :class:`Plankton` keeps (oldest dropped
+#: first): a tenant that pushes ever-new policies must not grow the daemon.
+REQUEST_MEMO_LIMIT = 16
+
+
 class IncrementalVerifier:
     """A verification session that re-verifies configuration deltas fast.
 
@@ -180,7 +187,16 @@ class IncrementalVerifier:
         The delta's impacted PECs are recomputed (not served from cache) on
         the next verify even if their fingerprints match — the impact
         analysis acts as a second, independent invalidation layer.
+
+        The session's own network object installed again — what a run-only
+        push is — differs from itself in nothing: the delta is empty by
+        construction, and the :class:`Plankton` of this configuration
+        generation stays, with everything it has worked out about it
+        (:attr:`Plankton.request_memo`).
         """
+        if new_network is self.plankton.network:
+            self.last_delta = ConfigDelta()
+            return self.last_delta
         delta = diff_networks(self.plankton.network, new_network)
         self.plankton = Plankton(new_network, self.options)
         self.last_delta = delta
@@ -229,7 +245,6 @@ class IncrementalVerifier:
         accounting; ``kind`` selects the entry codec and the pending set.
         """
         from repro.engine import run_graph
-        from repro.engine.graph import TaskResult
 
         impact_dirty = self._impact_pending[kind]
         stats = IncrementalRunStats(
@@ -296,19 +311,30 @@ class IncrementalVerifier:
         plankton = self.plankton
         self.cache.reset_counters()
         started = time.perf_counter()
-        policy_list, relevant, graph = plankton.expand_request(policies)
+        policy_list = [policies] if isinstance(policies, Policy) else list(policies)
+        # The expansion and its cache keys are functions of (configuration,
+        # options, policies): the first two are this Plankton, so they are
+        # worked out once per policy set and kept on it.
+        memo = plankton.request_memo
+        key = _object_tokens(policy_list)
+        if key not in memo:
+            _, relevant, graph = plankton.expand_request(policy_list)
+            fingerprints = verification_fingerprints(
+                plankton.network,
+                plankton.pecs,
+                plankton.dependency_graph,
+                policy_list,
+                self.options,
+                graph,
+            )
+            if len(memo) >= REQUEST_MEMO_LIMIT:
+                del memo[next(iter(memo))]
+            memo[key] = (relevant, graph, fingerprints)
+        relevant, graph, fingerprints = memo[key]
         result = VerificationResult(
             policy_names=[p.name for p in policy_list],
             pecs_analyzed=len(relevant),
             failure_scenarios=graph.failure_scenarios,
-        )
-        fingerprints = verification_fingerprints(
-            plankton.network,
-            plankton.pecs,
-            plankton.dependency_graph,
-            policy_list,
-            self.options,
-            graph,
         )
         prefix, result.incremental = self._reverify(
             "verify", graph, fingerprints, EngineContext(plankton=plankton, policies=policy_list)

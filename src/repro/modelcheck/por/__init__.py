@@ -18,25 +18,19 @@ The transient explorer (:mod:`repro.transient.explorer`) wires these behind
 ledger and the independence partition.
 """
 
-from repro.modelcheck.por.ample import AmpleChoice, AmpleSelector
-from repro.modelcheck.por.independence import (
-    ChannelIndependence,
-    node_independence_groups,
-)
-from repro.modelcheck.por.sleep import (
-    EMPTY_SLEEP,
-    merged_sleep_for_requeue,
-    successor_sleep,
-)
-from repro.modelcheck.por.stats import ReductionStatistics
+from repro import _exports
 
-__all__ = [
-    "AmpleChoice",
-    "AmpleSelector",
-    "ChannelIndependence",
-    "node_independence_groups",
-    "EMPTY_SLEEP",
-    "merged_sleep_for_requeue",
-    "successor_sleep",
-    "ReductionStatistics",
-]
+#: Public name -> the module that defines it (imported on first access).
+_ORIGINS = {
+    "AmpleChoice": "repro.modelcheck.por.ample",
+    "AmpleSelector": "repro.modelcheck.por.ample",
+    "ChannelIndependence": "repro.modelcheck.por.independence",
+    "node_independence_groups": "repro.modelcheck.por.independence",
+    "EMPTY_SLEEP": "repro.modelcheck.por.sleep",
+    "merged_sleep_for_requeue": "repro.modelcheck.por.sleep",
+    "successor_sleep": "repro.modelcheck.por.sleep",
+    "ReductionStatistics": "repro.modelcheck.por.stats",
+}
+
+__all__ = list(_ORIGINS)
+__getattr__ = _exports(__name__, _ORIGINS)

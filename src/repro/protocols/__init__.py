@@ -1,56 +1,35 @@
 """Protocol substrate: OSPF, BGP, static routing, SPVP and RPVP models."""
 
-from repro.protocols.base import (
-    EPSILON,
-    NO_PATH,
-    Path,
-    Route,
-    RouteSource,
-    PathVectorInstance,
-)
-from repro.protocols.filters import apply_route_map, RouteMapResult
-from repro.protocols.ospf import OspfComputation, OspfRoutingTable
-from repro.protocols.static import resolve_static_routes, StaticResolution
-from repro.protocols.bgp import BgpInstance, build_bgp_instance
-from repro.protocols.ospf_instance import OspfInstance, build_ospf_instance
-from repro.protocols.rpvp import (
-    RpvpState,
-    enabled_nodes,
-    is_converged,
-    rpvp_successors,
-    run_to_convergence,
-)
-from repro.protocols.spvp import (
-    SpvpEvent,
-    SpvpSimulator,
-    SpvpState,
-    SpvpStepper,
-)
+from repro import _exports
 
-__all__ = [
-    "EPSILON",
-    "NO_PATH",
-    "Path",
-    "Route",
-    "RouteSource",
-    "PathVectorInstance",
-    "apply_route_map",
-    "RouteMapResult",
-    "OspfComputation",
-    "OspfRoutingTable",
-    "resolve_static_routes",
-    "StaticResolution",
-    "BgpInstance",
-    "build_bgp_instance",
-    "OspfInstance",
-    "build_ospf_instance",
-    "RpvpState",
-    "enabled_nodes",
-    "is_converged",
-    "rpvp_successors",
-    "run_to_convergence",
-    "SpvpSimulator",
-    "SpvpState",
-    "SpvpStepper",
-    "SpvpEvent",
-]
+#: Public name -> the module that defines it (imported on first access).
+_ORIGINS = {
+    "EPSILON": "repro.protocols.base",
+    "NO_PATH": "repro.protocols.base",
+    "Path": "repro.protocols.base",
+    "Route": "repro.protocols.base",
+    "RouteSource": "repro.protocols.base",
+    "PathVectorInstance": "repro.protocols.base",
+    "apply_route_map": "repro.protocols.filters",
+    "RouteMapResult": "repro.protocols.filters",
+    "OspfComputation": "repro.protocols.ospf",
+    "OspfRoutingTable": "repro.protocols.ospf",
+    "resolve_static_routes": "repro.protocols.static",
+    "StaticResolution": "repro.protocols.static",
+    "BgpInstance": "repro.protocols.bgp",
+    "build_bgp_instance": "repro.protocols.bgp",
+    "OspfInstance": "repro.protocols.ospf_instance",
+    "build_ospf_instance": "repro.protocols.ospf_instance",
+    "RpvpState": "repro.protocols.rpvp",
+    "enabled_nodes": "repro.protocols.rpvp",
+    "is_converged": "repro.protocols.rpvp",
+    "rpvp_successors": "repro.protocols.rpvp",
+    "run_to_convergence": "repro.protocols.rpvp",
+    "SpvpSimulator": "repro.protocols.spvp",
+    "SpvpState": "repro.protocols.spvp",
+    "SpvpStepper": "repro.protocols.spvp",
+    "SpvpEvent": "repro.protocols.spvp",
+}
+
+__all__ = list(_ORIGINS)
+__getattr__ = _exports(__name__, _ORIGINS)

@@ -20,9 +20,10 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path as FilePath
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
-from repro.core.results import PecRunResult, VerificationResult, Violation
+if TYPE_CHECKING:  # renders results, constructs none: the thin client imports this module
+    from repro.core.results import PecRunResult, VerificationResult, Violation
 
 PathLike = Union[str, FilePath]
 

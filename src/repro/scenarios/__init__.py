@@ -17,44 +17,28 @@ enumeration with DEC/LEC symmetry reduction (equivalent event sequences
 collapse before exploration), mirroring the §4.3 link-failure reduction.
 """
 
-from repro.scenarios.events import (
-    Converge,
-    FailSession,
-    FlapStorm,
-    GrayFailure,
-    MaintenanceDrain,
-    NodeCrash,
-    NodeRestart,
-    ReturnToService,
-    Scenario,
-    maintenance_window,
-    steady_state_after,
-)
-from repro.scenarios.enumerator import (
-    DEFAULT_EVENT_KINDS,
-    EVENT_KINDS,
-    ScenarioLedger,
-    enumerate_event_scenarios,
-    event_universe,
-    scenario_from_descriptor,
-)
+from repro import _exports
 
-__all__ = [
-    "Converge",
-    "FailSession",
-    "FlapStorm",
-    "GrayFailure",
-    "MaintenanceDrain",
-    "NodeCrash",
-    "NodeRestart",
-    "ReturnToService",
-    "Scenario",
-    "maintenance_window",
-    "steady_state_after",
-    "DEFAULT_EVENT_KINDS",
-    "EVENT_KINDS",
-    "ScenarioLedger",
-    "enumerate_event_scenarios",
-    "event_universe",
-    "scenario_from_descriptor",
-]
+#: Public name -> the module that defines it (imported on first access).
+_ORIGINS = {
+    "Converge": "repro.scenarios.events",
+    "FailSession": "repro.scenarios.events",
+    "FlapStorm": "repro.scenarios.events",
+    "GrayFailure": "repro.scenarios.events",
+    "MaintenanceDrain": "repro.scenarios.events",
+    "NodeCrash": "repro.scenarios.events",
+    "NodeRestart": "repro.scenarios.events",
+    "ReturnToService": "repro.scenarios.events",
+    "Scenario": "repro.scenarios.events",
+    "maintenance_window": "repro.scenarios.events",
+    "steady_state_after": "repro.scenarios.events",
+    "DEFAULT_EVENT_KINDS": "repro.scenarios.enumerator",
+    "EVENT_KINDS": "repro.scenarios.enumerator",
+    "ScenarioLedger": "repro.scenarios.enumerator",
+    "enumerate_event_scenarios": "repro.scenarios.enumerator",
+    "event_universe": "repro.scenarios.enumerator",
+    "scenario_from_descriptor": "repro.scenarios.enumerator",
+}
+
+__all__ = list(_ORIGINS)
+__getattr__ = _exports(__name__, _ORIGINS)

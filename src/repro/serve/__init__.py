@@ -26,20 +26,21 @@ The thin client lives outside this package (:mod:`repro.client`) so that
 client-only processes never import the engine.
 """
 
-from repro.serve.http import ReproServer
-from repro.serve.jobs import JOB_KINDS, JOB_STATES, Job, JobQueue, QueueFull
-from repro.serve.metrics import NamespaceCounters, ServerMetrics
-from repro.serve.registry import NamespaceSession, SessionRegistry
+from repro import _exports
 
-__all__ = [
-    "ReproServer",
-    "Job",
-    "JobQueue",
-    "QueueFull",
-    "JOB_KINDS",
-    "JOB_STATES",
-    "NamespaceCounters",
-    "ServerMetrics",
-    "NamespaceSession",
-    "SessionRegistry",
-]
+#: Public name -> the module that defines it (imported on first access).
+_ORIGINS = {
+    "ReproServer": "repro.serve.http",
+    "Job": "repro.serve.jobs",
+    "JobQueue": "repro.serve.jobs",
+    "QueueFull": "repro.serve.jobs",
+    "JOB_KINDS": "repro.serve.jobs",
+    "JOB_STATES": "repro.serve.jobs",
+    "NamespaceCounters": "repro.serve.metrics",
+    "ServerMetrics": "repro.serve.metrics",
+    "NamespaceSession": "repro.serve.registry",
+    "SessionRegistry": "repro.serve.registry",
+}
+
+__all__ = list(_ORIGINS)
+__getattr__ = _exports(__name__, _ORIGINS)

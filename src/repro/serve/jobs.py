@@ -26,11 +26,10 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Mapping, Optional, Set
+from typing import TYPE_CHECKING, Deque, Dict, Mapping, Optional, Set
 
 from repro.exceptions import ReproError, SpecError
 from repro.reporting import ResultView
-from repro.serve.registry import NamespaceSession
 from repro.serve.specs import (
     fail_session_events,
     forms_from_spec,
@@ -41,6 +40,9 @@ from repro.serve.specs import (
     transient_options_from_spec,
     transient_property_from_spec,
 )
+
+if TYPE_CHECKING:  # the CLI's in-process path runs requests without a session registry
+    from repro.serve.registry import NamespaceSession
 
 #: Job lifecycle states (``partial`` mirrors the CLI's exit-code-2 contract:
 #: the job finished but some engine tasks exhausted their retries).

@@ -8,48 +8,30 @@ the SPVP message-passing model: a bounded breadth-first exploration of message
 interleavings, checking transient properties in every reachable state.
 """
 
-from repro.transient.explorer import (
-    Converge,
-    FailSession,
-    FRONTIER_MODES,
-    POR_MODES,
-    TransientAnalysisResult,
-    TransientAnalyzer,
-    TransientCampaignResult,
-    TransientCampaignRun,
-    TransientOptions,
-    TransientTaskConfig,
-    TransientViolation,
-    analyze_pec_transients,
-    analyze_pec_transients_over_failures,
-)
-from repro.transient.witness import minimize_witness
-from repro.transient.properties import (
-    AlwaysReaches,
-    TransientBlackHoleFreedom,
-    TransientForwarding,
-    TransientLoopFreedom,
-    TransientProperty,
-)
+from repro import _exports
 
-__all__ = [
-    "Converge",
-    "FRONTIER_MODES",
-    "minimize_witness",
-    "FailSession",
-    "POR_MODES",
-    "TransientAnalyzer",
-    "TransientAnalysisResult",
-    "TransientCampaignResult",
-    "TransientCampaignRun",
-    "TransientOptions",
-    "TransientTaskConfig",
-    "TransientViolation",
-    "analyze_pec_transients",
-    "analyze_pec_transients_over_failures",
-    "TransientProperty",
-    "TransientForwarding",
-    "TransientLoopFreedom",
-    "TransientBlackHoleFreedom",
-    "AlwaysReaches",
-]
+#: Public name -> the module that defines it (imported on first access).
+_ORIGINS = {
+    "Converge": "repro.transient.explorer",
+    "FRONTIER_MODES": "repro.transient.explorer",
+    "minimize_witness": "repro.transient.witness",
+    "FailSession": "repro.transient.explorer",
+    "POR_MODES": "repro.transient.explorer",
+    "TransientAnalyzer": "repro.transient.explorer",
+    "TransientAnalysisResult": "repro.transient.explorer",
+    "TransientCampaignResult": "repro.transient.explorer",
+    "TransientCampaignRun": "repro.transient.explorer",
+    "TransientOptions": "repro.transient.explorer",
+    "TransientTaskConfig": "repro.transient.explorer",
+    "TransientViolation": "repro.transient.explorer",
+    "analyze_pec_transients": "repro.transient.explorer",
+    "analyze_pec_transients_over_failures": "repro.transient.explorer",
+    "TransientProperty": "repro.transient.properties",
+    "TransientForwarding": "repro.transient.properties",
+    "TransientLoopFreedom": "repro.transient.properties",
+    "TransientBlackHoleFreedom": "repro.transient.properties",
+    "AlwaysReaches": "repro.transient.properties",
+}
+
+__all__ = list(_ORIGINS)
+__getattr__ = _exports(__name__, _ORIGINS)

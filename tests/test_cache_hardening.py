@@ -21,7 +21,7 @@ from repro.config import ebgp_rfc7938
 from repro.core.options import PlanktonOptions
 from repro.engine.faults import corrupt_cache_file
 from repro.incremental import IncrementalVerifier, ResultCache, result_signature
-from repro.incremental.cache import CACHE_SCHEMA_VERSION
+from repro.incremental.cache import CACHE_SCHEMA_VERSION, _seal
 from repro.policies import LoopFreedom
 from repro.topology import bgp_fat_tree
 
@@ -120,6 +120,122 @@ class TestCorruptionDetection:
         assert any("malformed" in record.message for record in caplog.records)
 
 
+class TestVerifiedAsWritten:
+    """Schema v6: the checksum covers the entries' bytes on disk and is
+    checked with one hash before anything is parsed.  Wherever the damage
+    is, the file loads as empty with exactly one warning and never raises."""
+
+    @staticmethod
+    def _damaged(cache_file, region, mode):
+        """Damage the header or the entries bytes of a sound file."""
+        data = bytearray(cache_file.read_bytes())
+        marker = b', "entries": '
+        split = data.index(marker)
+        low, high = (1, split) if region == "header" else (split + len(marker), len(data) - 1)
+        if mode == "truncate":
+            del data[(low + high) // 2 :]
+        else:
+            data[(low + high) // 2] ^= 0x04
+        cache_file.write_bytes(bytes(data))
+
+    @staticmethod
+    def _loads_cold_with_one_warning(cache_file, caplog):
+        with caplog.at_level("WARNING", logger="repro.cache"):
+            cache = _reload(cache_file)
+        assert len(cache) == 0
+        warnings = [r.message for r in caplog.records if r.name == "repro.cache"]
+        assert len(warnings) == 1 and warnings[0].endswith("starting cold")
+        return warnings[0]
+
+    @pytest.mark.parametrize("mode", ["bitflip", "truncate"])
+    @pytest.mark.parametrize("region", ["header", "entries"])
+    def test_damage_anywhere_is_one_warning_and_a_cold_start(
+        self, tmp_path, caplog, region, mode
+    ):
+        cache_file, _, _ = _warm_cache(tmp_path)
+        self._damaged(cache_file, region, mode)
+        self._loads_cold_with_one_warning(cache_file, caplog)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mode", ["bitflip", "truncate"])
+    def test_the_fault_harness_damage_is_one_warning(self, tmp_path, caplog, mode, seed):
+        cache_file, _, _ = _warm_cache(tmp_path)
+        corrupt_cache_file(cache_file, seed=seed, mode=mode)
+        self._loads_cold_with_one_warning(cache_file, caplog)
+
+    def test_entries_are_not_parsed_before_their_bytes_verify(self, tmp_path, monkeypatch, caplog):
+        """A flipped bit that keeps the entries valid JSON (a digit) is
+        caught without the entries ever reaching the JSON parser."""
+        cache_file, _, _ = _warm_cache(tmp_path)
+        data = bytearray(cache_file.read_bytes())
+        entries_start = data.index(b', "entries": ') + len(b', "entries": ')
+        digit = next(i for i in range(entries_start, len(data)) if data[i : i + 1].isdigit())
+        data[digit] = ord("7") if data[digit] != ord("7") else ord("8")
+        cache_file.write_bytes(bytes(data))
+        parsed_sizes = []
+        real_loads = json.loads
+        monkeypatch.setattr(
+            "repro.incremental.cache.json.loads",
+            lambda text, *args, **kwargs: (
+                parsed_sizes.append(len(text)), real_loads(text, *args, **kwargs)
+            )[1],
+        )
+        message = self._loads_cold_with_one_warning(cache_file, caplog)
+        assert "checksum" in message
+        assert parsed_sizes and max(parsed_sizes) < 200  # the header only
+
+    def test_a_v5_file_loads_cold_once(self, tmp_path, caplog):
+        """The previous schema sealed the same layout with a checksum over
+        the re-serialised entries; the version alone turns it away."""
+        entries_json = json.dumps({"abc": {"kind": "verify", "pec_index": 0, "tasks": []}})
+        checksum = hashlib.sha256(entries_json.encode("utf-8")).hexdigest()
+        cache_file = tmp_path / "plankton_cache.json"
+        cache_file.write_text(
+            '{"schema_version": 5, "checksum": "%s", "entries": %s}' % (checksum, entries_json)
+        )
+        message = self._loads_cold_with_one_warning(cache_file, caplog)
+        assert "schema version 5" in message
+        # The next save heals it: one cold start, not two.
+        cache = ResultCache(tmp_path)
+        cache.store("abc", {"kind": "verify", "pec_index": 0, "tasks": []})
+        cache.save()
+        assert len(_reload(cache_file)) == 1
+
+    def test_an_empty_file_loads_cold(self, tmp_path, caplog):
+        cache_file = tmp_path / "plankton_cache.json"
+        cache_file.write_bytes(b"")
+        assert "unreadable" in self._loads_cold_with_one_warning(cache_file, caplog)
+
+    def test_load_does_not_serialise_what_it_parsed(self, tmp_path, monkeypatch):
+        cache_file, entries, _ = _warm_cache(tmp_path)
+        monkeypatch.setattr(
+            "repro.incremental.cache.json.dumps",
+            lambda *args, **kwargs: pytest.fail("load re-serialised the entries"),
+        )
+        assert len(_reload(cache_file)) == entries
+
+    def test_save_load_save_is_byte_identical_beside_a_concurrent_writer(self, tmp_path):
+        """What :meth:`load` hands back is what was stored, byte for byte:
+        saving it again reproduces the file — also while another process
+        keeps replacing that file under the advisory lock."""
+        cache_file, _, _ = _warm_cache(tmp_path)
+        reference = cache_file.read_bytes()
+        writer = multiprocessing.Process(target=_resave_forever, args=(str(cache_file),))
+        writer.start()
+        try:
+            for round_index in range(25):
+                cache = _reload(cache_file)
+                assert len(cache) > 0  # never a torn or half-renamed file
+                copy = tmp_path / f"copy-{round_index % 2}.json"
+                cache.save(copy)
+                assert copy.read_bytes() == reference
+        finally:
+            writer.terminate()
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert cache_file.read_bytes() == reference
+
+
 class TestRecoveryEndToEnd:
     @pytest.mark.parametrize("mode", ["bitflip", "truncate"])
     def test_warm_restart_over_damaged_file_reproduces_cold_result(self, tmp_path, mode):
@@ -158,9 +274,8 @@ class TestUndecodableEntry:
         document = json.loads(cache_file.read_text())
         fingerprint = sorted(document["entries"])[0]
         damage(document["entries"][fingerprint]["tasks"][0]["runs"][0])
-        entries_json = json.dumps(document["entries"], sort_keys=True)
-        document["checksum"] = hashlib.sha256(entries_json.encode("utf-8")).hexdigest()
-        cache_file.write_text(json.dumps(document))
+        # v6: the checksum covers the entries' bytes as they sit in the file.
+        cache_file.write_text(_seal(json.dumps(document["entries"], sort_keys=True)))
         return fingerprint
 
     @pytest.mark.parametrize(
@@ -316,6 +431,15 @@ class TestKillDuringSave:
         # A later clean save still works (no leaked lock, no wedged state).
         seed.save(cache_file)
         assert len(_reload(cache_file)) == 50
+
+
+def _resave_forever(path):
+    """Child body for the round-trip test: load the file and save it back,
+    over and over, until terminated."""
+    while True:
+        cache = ResultCache()
+        cache.load(path)
+        cache.save(path)
 
 
 def _hammer_save(path, worker):

@@ -807,3 +807,227 @@ class TestServerMode:
         args = parser.parse_args(["serve", "--port", "0", "--workers", "3"])
         assert args.port == 0
         assert args.workers == 3
+
+
+class TestRefusedOptions:
+    """Values no run can honour are an input error, not a different run."""
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--max-failures", "-1"], "max_failures"),
+            (["--cores", "0"], "cores"),
+            (["--task-retries", "-1"], "task_retries"),
+            (["--task-timeout", "0"], "task_timeout"),
+        ],
+    )
+    def test_nonsense_engine_options_exit_2(self, workspace, capsys, flags, named):
+        code = _run([
+            "verify", "--topology", workspace / "net.topo", "--config", workspace / "good.cfg",
+            "--policy", "loop", *flags,
+        ])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
+
+    def test_options_refuse_what_the_cli_refuses(self):
+        from repro.core.options import PlanktonOptions
+
+        for bad in (
+            {"max_failures": -1},
+            {"cores": 0},
+            {"backend": "quantum"},
+            {"task_retries": -1},
+            {"task_timeout": 0.0},
+            {"max_states_per_pec": 0},
+            {"max_seconds_per_pec": -1.0},
+        ):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                PlanktonOptions(**bad)
+        # None is "no budget", and the defaults are of course fine.
+        PlanktonOptions(task_timeout=None, max_seconds_per_pec=None)
+
+
+class TestVersion:
+    def test_version_flag_prints_the_package_version(self, capsys):
+        import repro
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--version"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.strip() == f"repro {repro.__version__}"
+
+
+# --------------------------------------------------------------------------- import budget
+def _fresh_python(script, *argv):
+    """Run ``script`` in a new interpreter (same ``repro``, fixed hash seed);
+    returns the JSON document it prints last."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *[str(a) for a in argv]],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+#: Runs ``repro.cli.main(argv)`` and reports the exit code, the stdout and
+#: which of the program's and the interpreter's modules ended up loaded.
+_MAIN_AND_MODULES = """
+import contextlib, io, json, sys
+from repro.cli import main
+out = io.StringIO()
+try:
+    with contextlib.redirect_stdout(out):
+        code = main(sys.argv[1:])
+except SystemExit as stop:
+    code = stop.code
+print(json.dumps({"code": code, "out": out.getvalue(), "modules": sorted(sys.modules)}))
+"""
+
+#: What a request that explores nothing must not have paid for.
+NEVER_ON_A_CACHED_VERIFY = {
+    "repro.baselines", "repro.transient", "repro.scenarios", "repro.dpverify",
+    "repro.modelcheck.por.ample", "repro.modelcheck.por.sleep", "repro.core.network_model",
+    "repro.protocols.rpvp", "repro.protocols.spvp", "repro.serve.http", "http.server",
+    "multiprocessing", "concurrent.futures",
+}
+
+
+class TestImportBudget:
+    """Imports per sub-command, as a set of modules (never as a time)."""
+
+    def test_all_hit_verify_loads_no_explorer_no_server_no_pool(self, workspace):
+        argv = [
+            "verify", "--topology", workspace / "net.topo", "--config", workspace / "good.cfg",
+            "--policy", "loop", "--max-failures", "1", "--json", "--cache-dir", workspace / "warm",
+        ]
+        cold = _fresh_python(_MAIN_AND_MODULES, *argv)
+        assert cold["code"] == EXIT_HOLDS
+        assert "repro.core.network_model" in cold["modules"]  # the cold run did explore
+        warm = _fresh_python(_MAIN_AND_MODULES, *argv)
+        assert warm["code"] == EXIT_HOLDS
+        accounting = json.loads(warm["out"])["incremental"]
+        assert accounting["tasks_from_cache"] == accounting["tasks_total"] > 0
+        assert NEVER_ON_A_CACHED_VERIFY & set(warm["modules"]) == set()
+
+    def test_thin_client_loads_no_verifier(self, workspace):
+        from repro.serve import ReproServer
+
+        server = ReproServer(port=0, workers=1).start()
+        try:
+            remote = _fresh_python(
+                _MAIN_AND_MODULES,
+                "verify", "--topology", workspace / "net.topo", "--config",
+                workspace / "good.cfg", "--policy", "loop",
+                "--server", server.url, "--namespace", "budget",
+            )
+        finally:
+            server.stop()
+        assert remote["code"] == EXIT_HOLDS and "HOLDS" in remote["out"]
+        forbidden = NEVER_ON_A_CACHED_VERIFY | {
+            "repro.core.verifier", "repro.incremental", "repro.engine",
+        }
+        assert forbidden & set(remote["modules"]) == set()
+
+    def test_pecs_loads_no_engine(self, workspace):
+        listed = _fresh_python(
+            _MAIN_AND_MODULES,
+            "pecs", "--topology", workspace / "net.topo", "--config", workspace / "good.cfg",
+        )
+        assert listed["code"] == EXIT_HOLDS and "packet equivalence class" in listed["out"]
+        assert "repro.engine" not in listed["modules"]
+        assert NEVER_ON_A_CACHED_VERIFY & set(listed["modules"]) == set()
+
+    def test_version_loads_the_package_and_argparse(self):
+        shown = _fresh_python(_MAIN_AND_MODULES, "--version")
+        assert shown["code"] == 0
+        loaded = {name for name in shown["modules"] if name.split(".")[0] == "repro"}
+        assert loaded <= {
+            "repro", "repro.cli", "repro.exceptions", "repro.reporting",
+            "repro.core", "repro.core.options",
+        }
+
+    def test_pool_workers_inherit_the_explorer(self, workspace):
+        """``--cores 2 --backend process``: the explorer stack is loaded in
+        the coordinating process before the pool forks (workers inherit it;
+        none imports it again), and the verdict is the serial one."""
+        script = """
+import json, sys
+from repro.config.parser import parse_config
+from repro.core.options import PlanktonOptions
+from repro.core.verifier import Plankton
+from repro.engine.backends import ProcessPoolBackend
+from repro.incremental import result_signature_digest
+from repro.policies import LoopFreedom
+from repro.topology.io import load_topology
+
+network = parse_config(load_topology(sys.argv[1]), open(sys.argv[2]).read())
+before_any_run = "repro.core.network_model" in sys.modules
+at_pool_creation = []
+new_pool = ProcessPoolBackend._new_pool
+def watched(*args):
+    at_pool_creation.append("repro.core.network_model" in sys.modules)
+    return new_pool(*args)
+ProcessPoolBackend._new_pool = staticmethod(watched)
+def digest(**options):
+    options = PlanktonOptions(max_failures=1, stop_at_first_violation=False, **options)
+    return result_signature_digest(Plankton(network, options).verify(LoopFreedom()))
+pooled = digest(cores=2, backend="process")
+print(json.dumps({"before_any_run": before_any_run, "at_pool_creation": at_pool_creation,
+                  "equal": pooled == digest(backend="serial")}))
+"""
+        seen = _fresh_python(script, workspace / "net.topo", workspace / "good.cfg")
+        assert seen == {"before_any_run": False, "at_pool_creation": [True], "equal": True}
+
+
+class TestPackageExports:
+    """The package ``__init__``s resolve their public names on first access:
+    every name still resolves, to the object its defining module holds."""
+
+    PACKAGES = [
+        "repro", "repro.core", "repro.serve", "repro.engine", "repro.incremental",
+        "repro.baselines", "repro.transient", "repro.scenarios", "repro.modelcheck.por",
+        "repro.protocols",
+    ]
+
+    @pytest.mark.parametrize("package_name", PACKAGES)
+    def test_every_public_name_is_the_defining_modules_object(self, package_name):
+        import importlib
+
+        package = importlib.import_module(package_name)
+        assert len(package.__all__) == len(set(package.__all__)) > 0
+        for name in package.__all__:
+            value = getattr(package, name)
+            origin = package._ORIGINS.get(name)
+            if origin is None:  # defined in the package itself (``repro.__version__``)
+                assert name in vars(package)
+                continue
+            assert origin.startswith(package_name + ".")
+            assert value is getattr(importlib.import_module(origin), name), name
+        with pytest.raises(AttributeError):
+            package.no_such_name
+        namespace = {}
+        exec(f"from {package_name} import *", namespace)
+        assert set(package.__all__) <= set(namespace)
+
+    def test_documented_import_forms_keep_working(self):
+        from repro import Plankton, PlanktonOptions, __version__  # noqa: F401
+        from repro.config import parse_config  # noqa: F401
+        from repro.engine import faults, run_graph  # noqa: F401
+        from repro.policies import LoopFreedom  # noqa: F401
+        from repro.serve import ReproServer  # noqa: F401
+
+        import repro.engine
+
+        assert repro.engine.run_graph is run_graph
+        assert Plankton.__module__ == "repro.core.verifier"

@@ -434,6 +434,50 @@ class TestIncrementalVerifier:
         assert "PECs served from cache" in markdown
 
 
+# --------------------------------------------------------------------------- request memo
+class TestRequestMemo:
+    """What a request expands to is kept on the ``Plankton`` it was worked
+    out against, keyed by the policies' canonical tokens."""
+
+    @staticmethod
+    def _sources(network, count=2):
+        return sorted(name for name in network.topology.nodes if name.startswith("edge"))[:count]
+
+    def test_equal_names_with_different_sources_do_not_share_an_expansion(self):
+        network = fat_tree_network()
+        first_source, second_source = self._sources(network)
+        one, other = Reachability(sources=[first_source]), Reachability(sources=[second_source])
+        assert one.name == other.name
+        options = PlanktonOptions(max_failures=1)
+        service = IncrementalVerifier(network, options)
+        for policy in (one, other, one, Reachability(sources=[first_source])):
+            warm = service.verify(policy)
+            cold = Plankton(network, options).verify(policy)
+            assert result_signature(warm) == result_signature(cold)
+        # Two expansions: the third and fourth requests found the first's.
+        assert len(service.plankton.request_memo) == 2
+
+    def test_a_new_configuration_or_new_options_start_with_an_empty_memo(self):
+        network = fat_tree_network()
+        service = IncrementalVerifier(network, PlanktonOptions())
+        service.verify(LoopFreedom())
+        generation = service.plankton
+        assert len(generation.request_memo) == 1
+        service.update(network)  # the session's own object again: same generation
+        assert service.plankton is generation and service.last_delta.is_empty
+        service.update(copy.deepcopy(network))  # an equal copy is a new object: new generation
+        assert service.plankton is not generation and service.plankton.request_memo == {}
+        assert service.with_options(PlanktonOptions(max_failures=1)).plankton.request_memo == {}
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.incremental.service.REQUEST_MEMO_LIMIT", 2)
+        network = fat_tree_network()
+        service = IncrementalVerifier(network, PlanktonOptions())
+        for source in self._sources(network, count=4):
+            service.verify(Reachability(sources=[source]))
+        assert len(service.plankton.request_memo) == 2
+
+
 # --------------------------------------------------------------------------- warm restart
 class TestWarmRestart:
     def test_cache_survives_service_restart_in_process(self, tmp_path):

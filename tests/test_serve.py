@@ -424,6 +424,24 @@ class TestHttpErrors:
         assert document["state"] == "failed"
         assert "unknown policy" in document["error"]
 
+    @pytest.mark.parametrize(
+        "options, named",
+        [
+            ({"max_failures": -1}, "max_failures"),
+            ({"cores": 0}, "cores"),
+            ({"backend": "quantum"}, "backend"),
+            ({"task_retries": -1}, "task_retries"),
+            ({"task_timeout": 0}, "task_timeout"),
+        ],
+    )
+    def test_nonsense_options_fail_the_job_instead_of_running_another(
+        self, client, options, named
+    ):
+        document = client.run("badoptions", dict(VERIFY_PAYLOAD, options=options), timeout=120)
+        assert document["state"] == "failed"
+        assert "bad options spec" in document["error"] and named in document["error"]
+        assert document.get("result") is None
+
     def test_first_push_without_config_fails_clearly(self, client):
         document = client.run(
             "coldstart", {"kind": "verify", "policies": [POLICY_SPEC]}, timeout=120
@@ -490,3 +508,99 @@ class TestSessionOptionsChange:
         assert changed["result"]["signature"] == cold_signature(
             network, options_spec={"max_failures": 0}
         )
+
+
+#: Overlay for device m restoring CONFIG_TEXT's local-preference (the revert).
+REVERT_M_OVERLAY = EDIT_M_OVERLAY.replace("local-preference 150", "local-preference 120")
+
+
+class TestConfigurationGeneration:
+    """A run-only push belongs to the configuration generation before it:
+    the session keeps its ``Plankton`` and what that has worked out about the
+    request, so the push is lookup + decode + render — and every verdict
+    along an edit / revert / options-change session still equals a cold
+    verify of that step's configuration."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Call counts of what only a new generation (or a new request
+        against it) may pay for."""
+        from repro.core import verifier as verifier_module
+        from repro.incremental import service as service_module
+        from repro.topology.failures import DeviceEquivalence
+
+        counts = {}
+
+        def counted(name, function):
+            counts[name] = 0
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            verifier_module, "compute_pecs", counted("compute_pecs", verifier_module.compute_pecs)
+        )
+        monkeypatch.setattr(Plankton, "__init__", counted("Plankton.__init__", Plankton.__init__))
+        monkeypatch.setattr(
+            DeviceEquivalence, "__init__", counted("DeviceEquivalence", DeviceEquivalence.__init__)
+        )
+        monkeypatch.setattr(
+            service_module,
+            "verification_fingerprints",
+            counted("verification_fingerprints", service_module.verification_fingerprints),
+        )
+        return counts
+
+    def test_session_of_edits_reruns_and_an_options_change(self, calls):
+        # Its own server: the counted functions must see no other test's jobs.
+        server = ReproServer(port=0, workers=1).start()
+        try:
+            client = ServiceClient(server.url)
+
+            def push(expected_network, options=OPTIONS_SPEC, **payload):
+                """One push; returns what the counted functions were called
+                during it.  The verdict is held to the cold oracle."""
+                request = dict(kind="verify", policies=[POLICY_SPEC], options=options, **payload)
+                before = dict(calls)
+                document = client.run("generation", request, timeout=120)
+                paid = {name: calls[name] - before[name] for name in calls}
+                assert document["state"] == "done"
+                assert document["result"]["signature"] == cold_signature(
+                    expected_network, options_spec=options
+                )
+                return paid, document["result"]["document"]["incremental"]
+
+            nothing = dict.fromkeys(calls, 0)
+            base = base_network()
+            edited = network_from_payload({"devices": {"m": EDIT_M_OVERLAY}}, base)
+
+            paid, accounting = push(base, topology=TOPOLOGY_TEXT, config=CONFIG_TEXT)
+            assert paid["Plankton.__init__"] == 1 and paid["verification_fingerprints"] == 1
+            assert accounting["pecs_recomputed"] == 2
+            for _ in range(3):  # run-only: the same generation, the same request
+                paid, accounting = push(base)
+                assert paid == nothing
+                assert accounting["pecs_from_cache"] == 2
+                assert accounting["delta_summary"] == "no configuration changes"
+
+            paid, accounting = push(edited, devices={"m": EDIT_M_OVERLAY})
+            assert paid["Plankton.__init__"] == 1 and paid["verification_fingerprints"] == 1
+            assert accounting["pecs_recomputed"] == 1
+            paid, accounting = push(edited)
+            assert paid == nothing and accounting["pecs_from_cache"] == 2
+
+            paid, accounting = push(base, devices={"m": REVERT_M_OVERLAY})
+            assert paid["Plankton.__init__"] == 1
+            paid, accounting = push(base)
+            assert paid == nothing and accounting["pecs_from_cache"] == 2
+
+            # New options are a new verifier: a new generation of the same text.
+            paid, accounting = push(base, options={"max_failures": 0})
+            assert paid["Plankton.__init__"] == 1 and paid["verification_fingerprints"] == 1
+            paid, accounting = push(base, options={"max_failures": 0})
+            assert paid == nothing and accounting["pecs_from_cache"] == 2
+        finally:
+            server.stop()

@@ -32,9 +32,13 @@ HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 class TestSupervisionPolicy:
     def test_from_options_clamps_negatives(self):
         options = PlanktonOptions(
-            task_retries=-3, retry_backoff=-1.0, retry_backoff_cap=-1.0,
-            max_pool_rebuilds=-1,
+            retry_backoff=-1.0, retry_backoff_cap=-1.0, max_pool_rebuilds=-1
         )
+        # Construction refuses a negative retry count; the clamp still stands
+        # behind it for an options object mutated afterwards.
+        with pytest.raises(ValueError, match="task_retries"):
+            PlanktonOptions(task_retries=-3)
+        options.task_retries = -3
         policy = SupervisionPolicy.from_options(options)
         assert policy.task_retries == 0
         assert policy.retry_backoff == 0.0

@@ -20,6 +20,7 @@ from repro.config.builder import edge_prefix, install_loop_inducing_statics
 from repro.core.successors import CandidateEngine
 from repro.modelcheck.hashing import ZobristFingerprinter
 from repro.policies import LoopFreedom
+from repro.protocols import ospf_instance
 from repro.protocols.interning import RouteInternTable
 from repro.protocols.rpvp import RpvpState
 from repro.topology import fat_tree
@@ -173,13 +174,20 @@ def test_arraycore_state_core_floor(reporter):
 
 
 class _CountedMemo(dict):
-    """One ``v <- n`` advertisement memo that counts its look-ups."""
+    """One ``v <- n`` advertisement memo that counts its look-ups and, where
+    they are filled in, the advertisements that say something (what the memo
+    *retains* is one search's worth: the engine empties it between PECs)."""
 
     __slots__ = ("tally",)
 
     def get(self, key, default=None):
-        self.tally[0] += 1
+        self.tally["lookups"] += 1
         return dict.get(self, key, default)
+
+    def __setitem__(self, key, entry):
+        if entry[0] is not None:
+            self.tally["offered"] += 1
+        dict.__setitem__(self, key, entry)
 
 
 class _CountedMemos(dict):
@@ -207,38 +215,51 @@ def test_edge_delta_count_floor(reporter, monkeypatch, k):
     degrees and a rescan of the state every directed edge — and the engine
     interns nothing: a search's intern table grows by the routes its moves
     adopt, at most one per state, never by the advertisements it weighs.
-    Counted with a counting memo and a counting ``route_id`` through the
-    model checker on the Fig. 7a workload, every state of every PEC.
+    Nor does it build an advertisement per reader: the moved node's readers
+    share one ``Route`` per distinct edge cost among their sessions — exactly
+    one on this uniform fabric.  Counted with a counting memo, a counting
+    ``route_id`` and a counting route builder through the model checker on
+    the Fig. 7a workload, every state of every PEC.
     """
-    lookups, interned = [0], [0]
-    per_state, full_scan_per_state, engine_interned = [], [], []
+    tally = {"lookups": 0, "offered": 0, "interned": 0, "built": 0}
+    per_state, full_scan_per_state, engine_interned, built_per_state = [], [], [], []
     derive, route_id = CandidateEngine._derive, RouteInternTable.route_id
+    advertised = ospf_instance._advertised
 
     def counted_route_id(table, route):
-        interned[0] += 1
+        tally["interned"] += 1
         return route_id(table, route)
 
+    def counted_advertised(exporter, route, cost):
+        tally["built"] += 1
+        return advertised(exporter, route, cost)
+
     def counted_derive(engine, state, parent_cache, delta):
-        peers = engine.instance.peers
+        instance = engine.instance
+        peers = instance.peers
         node = state.node_names[delta[0]]
-        readers = sum(1 for other in engine.instance.nodes() if node in peers(other))
-        before, before_interned = lookups[0], interned[0]
+        readers = [other for other in instance.nodes() if node in peers(other)]
+        before = dict(tally)
         cache = derive(engine, state, parent_cache, delta)
-        spent = lookups[0] - before
-        assert spent <= len(peers(node)) + readers + 1, (node, spent)
+        spent = tally["lookups"] - before["lookups"]
+        assert spent <= len(peers(node)) + len(readers) + 1, (node, spent)
         per_state.append(spent)
+        built = tally["built"] - before["built"]
+        assert built <= len({instance._edge_cost(reader, node) for reader in readers}), (node, built)
+        built_per_state.append(built)
         CandidateEngine._full_scan(engine, state)
-        full_scan_per_state.append(lookups[0] - before - spent)
-        engine_interned.append(interned[0] - before_interned)
+        full_scan_per_state.append(tally["lookups"] - before["lookups"] - spent)
+        engine_interned.append(tally["interned"] - before["interned"])
         return cache
 
     monkeypatch.setattr(CandidateEngine, "_derive", counted_derive)
     monkeypatch.setattr(RouteInternTable, "route_id", counted_route_id)
+    monkeypatch.setattr(ospf_instance, "_advertised", counted_advertised)
     network = _network(k, induce_loop=False)
     options = PlanktonOptions(fast_ospf=False, stop_at_first_violation=False, backend="serial")
     verifier = Plankton(network, options)
     shared = verifier.ospf_computation.shared_filter_caches(frozenset())
-    memos = shared["engine"]["adv_edge"] = _CountedMemos(lookups)
+    shared["engine"]["adv_edge"] = _CountedMemos(tally)
     result = verifier.verify(LoopFreedom())
     assert result.holds
 
@@ -247,10 +268,9 @@ def test_edge_delta_count_floor(reporter, monkeypatch, k):
     assert len(per_state) == states - pecs  # every state but the roots is derived
     assert not any(engine_interned)
     # ``route_id`` runs once per move, and once per device for each root state.
-    assert interned[0] == (states - pecs) + pecs * len(network.devices)
-    offered = sum(
-        1 for memo in memos.values() for advertisement, _rank in memo.values() if advertisement
-    )
+    assert tally["interned"] == (states - pecs) + pecs * len(network.devices)
+    assert max(built_per_state) == 1  # uniform weights: one cost, one route for all readers
+    offered = tally["offered"]
     adopted = len(shared["node_space"].table) - 1  # all PECs share one table; id 0 is "no route"
     assert adopted <= states + pecs  # one per move plus the origins' own routes
     reporter(
@@ -259,7 +279,8 @@ def test_edge_delta_count_floor(reporter, monkeypatch, k):
         f"state (max {max(per_state)}) vs {sum(full_scan_per_state) / len(per_state):.1f} for a "
         f"rescan = {sum(full_scan_per_state) / sum(per_state):.1f}x fewer; "
         f"{adopted} routes interned for {states} states vs {offered} advertisements weighed "
-        f"= {offered / adopted:.1f}x fewer",
+        f"= {offered / adopted:.1f}x fewer; {tally['built']} routes built for them "
+        f"= {offered / tally['built']:.1f}x fewer",
     )
 
 

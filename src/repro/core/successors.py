@@ -41,7 +41,7 @@ that of the full rescan.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.protocols.base import PathVectorInstance, Route
 from repro.protocols.rpvp import RpvpState, node_space_for
@@ -100,6 +100,9 @@ class _Rows:
     :class:`Route` hashing — and starts out with the entry of id 0, what the
     peer advertises while it holds no route.  ``quiet[slot]`` says that this
     is nothing on every session that reads the node.
+
+    Nothing here depends on the origins: the rows, the id-0 entries and
+    ``quiet`` are what a shared host keeps from one search to the next.
     """
 
     __slots__ = ("sessions", "readers", "positions", "quiet")
@@ -110,7 +113,7 @@ class _Rows:
         names: Tuple[str, ...],
         slot_of: Dict[str, int],
         memos: Dict[Tuple[str, str], Dict[int, _Entry]],
-        entry_of: Callable[[str, str, Optional[Route]], _Entry],
+        fill: Callable[[str, str, int, Dict[int, _Entry]], _Entry],
     ) -> None:
         self.sessions: List[List[Tuple[str, int, Dict[int, _Entry]]]] = []
         self.readers: List[List[Tuple[str, int, Dict[int, _Entry], int]]] = [[] for _ in names]
@@ -123,7 +126,7 @@ class _Rows:
             for position, peer in enumerate(instance.peers(node)):
                 memo = memos.setdefault((node, peer), {})
                 if 0 not in memo:
-                    memo[0] = entry_of(node, peer, None)
+                    fill(node, peer, 0, memo)
                 row.append((peer, slot_of[peer], memo))
                 positions.setdefault(peer, position)
                 self.readers[slot_of[peer]].append((node, slot, memo, position))
@@ -135,12 +138,39 @@ class _Rows:
         ]
 
 
+def _forget_fill(host: Dict[str, Any]) -> None:
+    """Empty what a search filled into a shared host: every per-edge memo
+    down to its id-0 entry, and the instance's own id-keyed by-products
+    (``adv_route``, where it publishes one).
+
+    In place and never while a memo is being read, so an engine that is
+    still alive only misses and evaluates again.
+    """
+    for memo in host["adv_edge"].values():
+        silent = memo[0]
+        memo.clear()
+        memo[0] = silent
+    by_products = host.get("adv_route")
+    if by_products:
+        by_products.clear()
+
+
 class CandidateEngine:
     """Computes and incrementally maintains :class:`CandidateSets`.
 
     One engine serves one protocol instance (one prefix under one failure
     scenario); caches are stamped with the engine identity so a state object
     can never be served a cache computed against a different instance.
+
+    The per-edge memos live as long as a search can read them.  An instance
+    without a shared host gets private ones, gone with the engine.  A shared
+    host (OSPF: every prefix of one failure scenario) keeps the compiled rows
+    for good, and what searches fill in until an engine over *another origin
+    set* attaches: routes carry their path, so a search over other origins
+    meets none of the ids a finished one left behind — keeping them only
+    grows the heap — whereas a search over the same origins (one device
+    originating several prefixes) meets exactly the same ids and finds every
+    entry filled.
     """
 
     def __init__(self, instance: PathVectorInstance) -> None:
@@ -152,13 +182,14 @@ class CandidateEngine:
         self._table = self._space.table
         self._names = self._space.names
         # The memos already guarantee one evaluation per (edge, route id), so
-        # prefer uncached instance hooks when offered — the route-keyed memo
-        # layers underneath would only hash routes.
-        self._advertise = getattr(instance, "advertisement_direct", None) or instance.advertisement
+        # prefer an instance hook that takes the id — the route-keyed memo
+        # underneath ``advertisement`` would only hash routes.
+        self._advertise_id = getattr(instance, "advertisement_by_id", None)
+        self._advertise = instance.advertisement
         self._rank_fn = instance.rank
         # Prefix-independent instances (OSPF) publish a shared host, so the
-        # per-PEC engines of one failure scenario compile the adjacency once
-        # and warm each other's memos up; anyone else gets a private one.
+        # per-PEC engines of one failure scenario compile the adjacency once;
+        # anyone else gets a private one.
         host = getattr(instance, "_engine_host", None)
         if host is None:
             host = {}
@@ -169,8 +200,12 @@ class CandidateEngine:
                 self._names,
                 self._space.slot_of,
                 host.setdefault("adv_edge", {}),
-                self._entry,
+                self._miss,
             )
+        origins = frozenset(instance.origins())
+        if host.setdefault("origins", origins) != origins:
+            _forget_fill(host)
+            host["origins"] = origins
         self._sessions = rows.sessions
         self._readers = rows.readers
         self._positions = rows.positions
@@ -231,16 +266,19 @@ class CandidateEngine:
             best_rank[node] = lowest
         return len(best)
 
-    def _entry(self, node: str, peer: str, route: Optional[Route]) -> _Entry:
-        """What ``peer`` advertises to ``node`` while its best route is ``route``."""
-        advertisement = self._advertise(node, peer, route)
-        if advertisement is None:
-            return _SILENT
-        return (advertisement, self._rank_fn(node, advertisement))
-
     def _miss(self, node: str, peer: str, peer_best_id: int, memo: Dict[int, _Entry]) -> _Entry:
-        """Fill one per-edge memo entry (the only cold path of the engine)."""
-        entry = memo[peer_best_id] = self._entry(node, peer, self._table.route(peer_best_id))
+        """Fill one per-edge memo entry (the only cold path of the engine):
+        what ``peer`` advertises to ``node`` while its best route is the one
+        interned as ``peer_best_id``, and its rank there."""
+        if self._advertise_id is not None:
+            advertisement = self._advertise_id(node, peer, peer_best_id)
+        else:
+            advertisement = self._advertise(node, peer, self._table.route(peer_best_id))
+        if advertisement is None:
+            entry = _SILENT
+        else:
+            entry = (advertisement, self._rank_fn(node, advertisement))
+        memo[peer_best_id] = entry
         return entry
 
     def _held_rank(self, slot: int, route_id: int) -> Tuple:

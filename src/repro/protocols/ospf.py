@@ -176,6 +176,26 @@ class _CompiledGraph:
                 into[node] = [edge for edge in into[node] if edge[2] not in failed]
         return out, into
 
+    def adjacency(
+        self, failed: FrozenSet[int]
+    ) -> Tuple[Dict[str, Tuple[str, ...]], Dict[Tuple[str, str], float]]:
+        """The live adjacency by name: ``(peers, edge_cost)``.
+
+        ``peers[node]`` is the sorted tuple of the node's live neighbours and
+        ``edge_cost[node, neighbour]`` the cost of its cheapest live link in
+        that direction (parallel links collapse; absent when not adjacent).
+        """
+        names = self.names
+        peers: Dict[str, Tuple[str, ...]] = {}
+        edge_cost: Dict[Tuple[str, str], float] = {}
+        for name, row in zip(names, self.without(failed)[0]):
+            for neighbor, cost, _link_id in row:
+                edge = (name, names[neighbor])
+                if cost < edge_cost.get(edge, INFINITY):
+                    edge_cost[edge] = cost
+            peers[name] = tuple(sorted({names[neighbor] for neighbor, _cost, _link in row}))
+        return peers, edge_cost
+
 
 class _ShortestPaths(NamedTuple):
     """One kernel run: the public table plus the arrays the delta path reads."""
@@ -392,7 +412,7 @@ class OspfComputation:
     Everything here is derived from the network's configuration and dropped
     together by :meth:`clear_cache`:
 
-    * the compiled graph, built on the first :meth:`compute` (constructing an
+    * the compiled graph, built on first use (constructing an
       :class:`OspfComputation` costs nothing) and rebuilt when the topology
       has gained a node or link since;
     * SPF tables keyed by (origins, failed links), matching the paper: "We
@@ -400,8 +420,9 @@ class OspfComputation:
       of failures, and set of sources" — plus the failure-free kernel run per
       origin set, from which tables under failures are derived and with which
       they share their unchanged fields;
-    * the filter/rank memos the per-prefix OSPF instances of one failure set
-      share (:meth:`shared_filter_caches`);
+    * per failure set, what the per-prefix OSPF instances share
+      (:meth:`shared_filter_caches`): the live adjacency by name, the
+      filter/rank memos and the host of their RPVP candidate engines;
     * the list of devices with static routes the FIB builder walks.
     """
 
@@ -422,20 +443,34 @@ class OspfComputation:
         :class:`~repro.protocols.ospf_instance.OspfInstance` objects built
         over this computation can share one set of
         :class:`~repro.protocols.base.PathVectorInstance` memo dicts instead
-        of re-evaluating the identical filters per PEC.
+        of re-evaluating the identical filters per PEC.  Who is adjacent to
+        whom is as prefix-independent as the filters, so the live adjacency
+        of the failure set is compiled here once: ``peers`` (node -> its
+        neighbours, sorted) and ``edge_cost`` ((node, neighbour) -> the
+        cheapest live link in that direction; absent when not adjacent).
         """
         caches = self._filter_caches.get(failure_key)
         if caches is None:
+            # Compiled before the entry is stored: a topology that has grown
+            # since makes ``_compiled_graph`` drop every entry there is.
+            peers, edge_cost = self._compiled_graph().adjacency(failure_key)
             caches = {
                 "export": {},
                 "import": {},
                 "advertisement": {},
                 "rank": {},
-                "edge_cost": {},
-                # The RPVP CandidateEngine's (one engine per prefix, all over
-                # the shared intern table): its id-keyed per-edge advertisement
-                # memos and the adjacency rows it compiles over them.
-                "engine": {},
+                "peers": peers,
+                "edge_cost": edge_cost,
+                # The host of the RPVP CandidateEngines (one engine per
+                # prefix, all over the shared intern table).  It outlives them
+                # with what is prefix-independent: the adjacency rows the
+                # first engine compiles and, per edge, what a routeless peer
+                # advertises.  What a search fills in — the id-keyed per-edge
+                # memos, and ``adv_route``, the one advertisement per
+                # (speaker, held route id, edge cost) that OspfInstance hands
+                # all its readers — is emptied when a search over another
+                # origin set attaches (see CandidateEngine).
+                "engine": {"adv_route": {}},
             }
             self._filter_caches[failure_key] = caches
         return caches
@@ -448,22 +483,6 @@ class OspfComputation:
         if self._graph is None:
             self._graph = _CompiledGraph(self.network, topology)
         return self._graph
-
-    def adjacencies(
-        self, node: str, failed_links: Iterable[int] = ()
-    ) -> List[Tuple[str, float]]:
-        """The live OSPF adjacencies of ``node``.
-
-        One ``(neighbour, cost of node -> neighbour)`` per link carrying an
-        adjacency, so parallel links list their neighbour more than once.
-        """
-        graph = self._compiled_graph()
-        names = graph.names
-        return [
-            (names[neighbor], cost)
-            for neighbor, cost, link_id in graph.out[graph.node(node)]
-            if link_id not in failed_links
-        ]
 
     def static_route_devices(self) -> Tuple[str, ...]:
         """Devices configured with at least one static route, in topology order."""

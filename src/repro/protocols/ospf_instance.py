@@ -17,10 +17,10 @@ deviation described at the end of §3.4.2.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 from repro.config.objects import NetworkConfig
-from repro.exceptions import ProtocolError
+from repro.exceptions import ConfigError, ProtocolError
 from repro.netaddr import Prefix
 from repro.protocols.base import EPSILON, Path, PathVectorInstance, Route, RouteSource
 from repro.protocols.ospf import INFINITY, OspfComputation
@@ -69,26 +69,32 @@ class OspfInstance(PathVectorInstance):
             if name in self._speaker_set:
                 origin_set.add(name)
         self._origins = sorted(origin_set)
-        self._peers_cache: Dict[str, Tuple[str, ...]] = {}
-        # OSPF filters and ranking are independent of the prefix (only the
-        # origin set differs between per-prefix instances), so the filter
-        # memos of PathVectorInstance can be shared across every instance
-        # built over the same computation and failure scenario — the verifier
-        # explores one instance per PEC and would otherwise re-evaluate the
-        # identical export/import per edge for each of them.
+        # OSPF adjacency, filters and ranking are independent of the prefix
+        # (only the origin set differs between per-prefix instances), so what
+        # is derived from them is shared by every instance built over the
+        # same computation and failure scenario — the verifier explores one
+        # instance per PEC and would otherwise compile the identical
+        # adjacency and evaluate the identical export/import per edge for
+        # each of them.
         shared = self.computation.shared_filter_caches(frozenset(self.failed_links))
         self._export_cache = shared["export"]
         self._import_cache = shared["import"]
         self._advertisement_cache = shared["advertisement"]
         self._rank_cache = shared["rank"]
-        self._edge_cost_cache = shared["edge_cost"]
+        self._peers = shared["peers"]
+        self._edge_costs = shared["edge_cost"]
         self._engine_host = shared["engine"]
+        self._shared_routes = self._engine_host["adv_route"]
         # The id-keyed memos are only meaningful against one intern table.
         # The node space is memoised weakly, so without a strong anchor it
         # would be collected between per-PEC explorations and rebuilt with
         # fresh (colliding) ids; pinning it on the shared cache dict keeps
         # one table alive for the lifetime of the computation.
-        self._node_space = shared.setdefault("node_space", node_space_for(self))
+        space = shared.get("node_space")
+        if space is None:
+            space = shared["node_space"] = node_space_for(self)
+        self._node_space = space
+        self._route_of_id = space.table.route
 
     # ------------------------------------------------------------------ structure
     def nodes(self) -> Sequence[str]:
@@ -98,12 +104,9 @@ class OspfInstance(PathVectorInstance):
         return list(self._origins)
 
     def peers(self, node: str) -> Sequence[str]:
-        cached = self._peers_cache.get(node)
-        if cached is not None:
-            return cached
-        adjacencies = self.computation.adjacencies(node, self.failed_links)
-        peers = tuple(sorted({neighbor for neighbor, _ in adjacencies}))
-        self._peers_cache[node] = peers
+        peers = self._peers.get(node)
+        if peers is None:
+            raise ConfigError(f"unknown device {node!r}")
         return peers
 
     # ------------------------------------------------------------------ filters
@@ -133,19 +136,7 @@ class OspfInstance(PathVectorInstance):
 
     def _edge_cost(self, node: str, neighbor: str) -> float:
         """Cost of the node -> neighbour edge (cheapest parallel live link)."""
-        cached = self._edge_cost_cache.get((node, neighbor))
-        if cached is not None:
-            return cached
-        best = min(
-            (
-                cost
-                for peer, cost in self.computation.adjacencies(node, self.failed_links)
-                if peer == neighbor
-            ),
-            default=INFINITY,
-        )
-        self._edge_cost_cache[(node, neighbor)] = best
-        return best
+        return self._edge_costs.get((node, neighbor), INFINITY)
 
     def advertisement(self, importer: str, exporter: str, route: Optional[Route]) -> Optional[Route]:
         """Memoised fused advertisement (see :meth:`advertisement_direct`)."""
@@ -166,38 +157,54 @@ class OspfInstance(PathVectorInstance):
         Semantically identical to the base-class composition (export filter,
         loop rejection, import filter), collapsed into a single :class:`Route`
         construction: for OSPF the composition is just "prepend the exporter,
-        add the edge cost".  The RPVP candidate engine calls this uncached
-        variant — its per-edge id memos already guarantee one evaluation per
-        (edge, route), so a second route-keyed memo would only add hashing.
+        add the edge cost".
         """
-        result: Optional[Route] = None
-        # The loop check on the exported path (exporter,)+path splits into
-        # an exporter != importer guard plus a membership test on the
-        # unprepended path.
-        if (
-            route is not None
-            and importer != exporter
-            and importer in self.peers(exporter)
-            and importer not in route.path
-        ):
-            weight = self._edge_cost(importer, exporter)
-            if weight != INFINITY:
-                result = object.__new__(Route)
-                object.__setattr__(
-                    result,
-                    "__dict__",
-                    {
-                        "path": route.path.prepend(exporter),
-                        "source": RouteSource.OSPF,
-                        "local_pref": route.local_pref,
-                        "as_path_length": route.as_path_length,
-                        "med": route.med,
-                        "igp_cost": route.igp_cost + int(weight),
-                        "communities": route.communities,
-                        "origin_node": route.origin_node,
-                    },
-                )
-        return result
+        if route is None:
+            return None
+        cost = self._session_cost(importer, exporter, route)
+        return None if cost is None else _advertised(exporter, route, cost)
+
+    def advertisement_by_id(
+        self, importer: str, exporter: str, route_id: int
+    ) -> Optional[Route]:
+        """:meth:`advertisement_direct` of the route interned as ``route_id``.
+
+        What the RPVP candidate engine calls: its per-edge id memos already
+        guarantee one evaluation per (edge, route id), so a route-keyed memo
+        underneath would only add hashing.  An OSPF advertisement depends on
+        its reader only through the edge cost and the two checks of
+        :meth:`_session_cost`, so every reader at one cost is handed the same
+        :class:`Route`, built once per (speaker, held route id, edge cost) —
+        keyed on the id, never on the route — while each reader is checked on
+        its own.
+        """
+        route = self._route_of_id(route_id)
+        if route is None:
+            return None
+        cost = self._session_cost(importer, exporter, route)
+        if cost is None:
+            return None
+        key = (exporter, route_id, cost)
+        shared = self._shared_routes.get(key)
+        if shared is None:
+            shared = self._shared_routes[key] = _advertised(exporter, route, cost)
+        return shared
+
+    def _session_cost(self, importer: str, exporter: str, route: Route) -> Optional[float]:
+        """The cost ``importer`` adds to ``route`` heard from ``exporter``, or
+        None where it hears nothing: ``importer`` is not a live neighbour of
+        ``exporter``, or the exported path would loop through it.
+
+        The loop check on the exported path (exporter,)+path splits into an
+        exporter != importer guard plus a membership test on the unprepended
+        path.  Both directions of the edge are read off the compiled
+        adjacency: the export filter asks ``importer in peers(exporter)``,
+        the import filter adds the importer's own cost towards the exporter.
+        """
+        costs = self._edge_costs
+        if importer == exporter or (exporter, importer) not in costs or importer in route.path:
+            return None
+        return costs.get((importer, exporter))
 
     # ------------------------------------------------------------------ ranking
     def rank(self, node: str, route: Route) -> Tuple:
@@ -230,6 +237,26 @@ class OspfInstance(PathVectorInstance):
     def deterministic_order(self) -> Tuple[str, ...]:
         """Nodes ordered by increasing SPF distance (the §4.1.2 heuristic)."""
         return self.routing_table().deterministic_order
+
+
+def _advertised(exporter: str, route: Route, cost: float) -> Route:
+    """``route`` as heard from ``exporter`` over an edge of cost ``cost``."""
+    result = object.__new__(Route)
+    object.__setattr__(
+        result,
+        "__dict__",
+        {
+            "path": route.path.prepend(exporter),
+            "source": RouteSource.OSPF,
+            "local_pref": route.local_pref,
+            "as_path_length": route.as_path_length,
+            "med": route.med,
+            "igp_cost": route.igp_cost + int(cost),
+            "communities": route.communities,
+            "origin_node": route.origin_node,
+        },
+    )
+    return result
 
 
 def build_ospf_instance(

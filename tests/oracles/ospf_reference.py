@@ -38,6 +38,30 @@ def _link_cost(network: NetworkConfig, node: str, neighbor: str, link_weight: in
     return config.cost_to(neighbor, link_weight)
 
 
+def reference_adjacency(
+    network: NetworkConfig, failed_links: Optional[Set[int]] = None
+) -> Tuple[Dict[str, Tuple[str, ...]], Dict[Tuple[str, str], float]]:
+    """``(peers, edge cost)`` straight from the device configs and
+    ``Topology.edges``: who hears whom over a live link, and the cheapest
+    such link per direction — what ``OspfInstance.peers`` / ``_edge_cost``
+    read off the compiled graph."""
+    topology = network.topology
+    cost: Dict[Tuple[str, str], float] = {}
+    for node in topology.nodes:
+        for link in topology.edges(node, failed_links):
+            neighbor = link.other(node)
+            if _link_cost(network, neighbor, node, 0) == INFINITY:
+                continue  # the far end does not speak OSPF, or is passive towards us
+            through = _link_cost(network, node, neighbor, link.weight_from(node))
+            if through < cost.get((node, neighbor), INFINITY):
+                cost[node, neighbor] = through
+    peers = {
+        node: tuple(sorted(neighbor for end, neighbor in cost if end == node))
+        for node in topology.nodes
+    }
+    return peers, cost
+
+
 def reference_compute(
     network: NetworkConfig,
     origins: Sequence[str],

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro import OptimizationFlags, Plankton, PlanktonOptions
 from repro.config import ebgp_rfc7938, ospf_everywhere
 from repro.config.builder import edge_prefix
+from repro.config.objects import OspfInterface
 from repro.core.determinism import BgpDeterminism, OspfDeterminism
 from repro.core.network_model import DependencyContext, PecExplorer
 from repro.core.successors import CandidateEngine, CandidateSets
@@ -21,12 +22,13 @@ from repro.modelcheck.hashing import ZobristFingerprinter
 from repro.netaddr import Prefix
 from repro.pec.classes import compute_pecs
 from repro.policies import LoopFreedom, Reachability
-from repro.protocols.base import Path, Route
+from repro.protocols.base import Path, PathVectorInstance, Route
 from repro.protocols.ospf_instance import OspfInstance
 from repro.protocols.rpvp import RpvpState, initial_state, node_space_for, rpvp_successors
 from repro.topology import Topology, bgp_fat_tree, fat_tree
 from repro.topology.failures import FailureScenario
 
+from tests.oracles.ospf_reference import reference_adjacency
 from tests.property.test_determinism_stability import _explorer, _fabric
 from tests.property.test_transient_por import RankedGadgetInstance, gadget_scenarios
 from tests.test_rpvp_spvp import bad_gadget, disagree_gadget
@@ -318,7 +320,9 @@ PREFIX = Prefix("10.0.0.0/24")
 @st.composite
 def ospf_scenarios(draw):
     """OSPF on a random connected graph: drawn weights (small, so equal-cost
-    paths are common), one or two origins, at most two failed links."""
+    paths are common, and asymmetric), now and then a parallel link of another
+    cost, an interface cost override or a passive interface; one or two
+    origins, at most two failed links."""
     size = draw(st.integers(min_value=4, max_value=9))
     names = [f"r{index}" for index in range(size)]
     topology = Topology("drawn")
@@ -332,10 +336,21 @@ def ospf_scenarios(draw):
         for j in range(i + 1, size):
             if not topology.links_between(names[i], names[j]) and draw(st.integers(0, 2)) == 0:
                 topology.add_link(names[i], names[j], draw(weight), draw(weight))
+    for link in list(topology.links):
+        if draw(st.integers(0, 7)) == 0:
+            topology.add_link(link.a, link.b, draw(weight), draw(weight))
     origins = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
     link_ids = [link.link_id for link in topology.links]
     failed = draw(st.lists(st.sampled_from(link_ids), max_size=2, unique=True))
     network = ospf_everywhere(topology, prefix_for={name: PREFIX for name in origins})
+    for name in names:
+        interfaces = network.device(name).ospf.interfaces
+        for neighbor in topology.neighbors(name):
+            roll = draw(st.integers(0, 15))
+            if roll == 0:
+                interfaces[neighbor] = OspfInterface(neighbor=neighbor, passive=True)
+            elif roll <= 2:
+                interfaces[neighbor] = OspfInterface(neighbor=neighbor, cost=draw(st.integers(1, 4)))
     return OspfInstance(network, PREFIX, failed_links=set(failed))
 
 
@@ -418,6 +433,102 @@ class TestEdgeDeltaAgainstFullScan:
         assert self._run(links, 25, _ebgp_instance) >= 500
 
 
+class TestSharedAdvertisementAgainstUnfusedComposition:
+    """One ``Route`` per (speaker, held route id, edge cost), handed to every
+    reader at that cost — and each reader still checked on its own: on every
+    state of the drawn executions, every session's memo entry ``==`` what the
+    base class composes from ``export``, loop rejection and ``import_`` on an
+    instance the fused hooks never touched, ranked there."""
+
+    def _check_states(self, engine, states, oracle, tally):
+        table, names = engine._table, engine._names
+        for state in states:
+            for slot, reader in enumerate(names):
+                for speaker, speaker_slot, memo in engine._sessions[slot]:
+                    held_id = state._ids[speaker_slot]
+                    entry = memo.get(held_id) or engine._miss(reader, speaker, held_id, memo)
+                    held = table.route(held_id)
+                    composed = PathVectorInstance.advertisement(oracle, reader, speaker, held)
+                    if composed is None:
+                        assert entry == (None, None)
+                    else:
+                        assert entry == (composed, oracle.rank(reader, composed))
+                        assert entry[0] is engine.instance.advertisement_by_id(reader, speaker, held_id)
+                    assert engine.instance.advertisement_direct(reader, speaker, held) == composed
+                    tally["entries"] += 1
+            # Per speaker: its readers at one cost hold the same object, a
+            # reader on the held path holds nothing beside them.
+            for slot, speaker in enumerate(names):
+                held_id, by_cost, silenced = state._ids[slot], {}, 0
+                if not held_id:
+                    continue
+                for reader, _slot, memo, _position in engine._readers[slot]:
+                    advertisement = memo[held_id][0]
+                    if reader in table.route(held_id).path:
+                        assert advertisement is None
+                        silenced += 1
+                    elif advertisement is not None:
+                        cost = oracle._edge_cost(reader, speaker)
+                        assert by_cost.setdefault(cost, advertisement) is advertisement
+                if by_cost:
+                    tally["shared"] += 1
+                    tally["silenced"] += silenced
+                    tally["costs"] = max(tally["costs"], len(by_cost))
+
+    def test_every_entry_equals_the_base_class_composition(self):
+        tally = {"entries": 0, "silenced": 0, "shared": 0, "costs": 0}
+
+        @given(instance=ospf_scenarios(), picks=picks)
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        def run(instance, picks):
+            peers, cost = reference_adjacency(instance.network, instance.failed_links)
+            assert {node: instance.peers(node) for node in instance.nodes()} == peers
+            assert instance._edge_costs == cost
+            engine, states = _walk_checking_every_step(instance, picks)
+            oracle = OspfInstance(instance.network, PREFIX, failed_links=instance.failed_links)
+            assert oracle._advertisement_cache is not instance._advertisement_cache
+            self._check_states(engine, states, oracle, tally)
+
+        run()
+        assert tally["entries"] >= 5_000 and tally["shared"] >= 1_000  # the draws give ~2.5x that
+        assert tally["silenced"] >= 500  # a reader on the path, silent beside a served one
+        assert tally["costs"] >= 2  # readers at different costs got different routes
+
+    def test_a_reset_under_a_live_engine_only_costs_misses(self):
+        """Two instances of one scenario, different origins, searched in
+        turns: each attach empties what the other filled, and both engines go
+        on answering what a rescan and the base class answer."""
+        tally = {"entries": 0, "silenced": 0, "shared": 0, "costs": 0}
+        topology = fat_tree(4)
+        here, there = Prefix("172.16.1.0/24"), Prefix("172.16.2.0/24")
+        network = ospf_everywhere(
+            topology, originate_roles=(), prefix_for={"edge0_0": here, "edge2_1": there}
+        )
+        first = OspfInstance(network, here)
+        second = OspfInstance(network, there, computation=first.computation)
+        assert first._engine_host is second._engine_host
+        oracles = {
+            instance: OspfInstance(network, instance.prefix) for instance in (first, second)
+        }
+        walks = {instance: [initial_state(instance)] for instance in (first, second)}
+        engines = {}
+        for turn in range(12):
+            instance = (first, second)[turn % 2]
+            if turn % 4 < 2:
+                engines[instance] = CandidateEngine(instance)  # empties the other's fill
+            engine, states = engines[instance], walks[instance]
+            for _step in range(3):
+                state = states[-1]
+                moves = engine.candidates(state).updates
+                if not moves:
+                    break
+                node = sorted(moves)[0]
+                states.append(state.with_best(node, moves[node][0][1]))
+                _assert_derived_equals_full_scan(engine, states[-1])
+            self._check_states(engine, states[-4:], oracles[instance], tally)
+        assert tally["entries"] >= 3_000 and all(len(states) > 12 for states in walks.values())
+
+
 def _ospf_search():
     network = ospf_everywhere(fat_tree(4))
     pec = next(pec for pec in compute_pecs(network) if pec.ospf_origins)
@@ -463,3 +574,68 @@ class TestInternOnAdoption:
         assert len(seen) >= len(instance.nodes())
         assert set(range(known, len(table))) == {rid for rid in adopted if rid >= known}
         assert len(table) - known < len(seen) < offered
+
+
+# --------------------------------------------------------------------------- memo lifetime
+def _sample_engine_attaches(monkeypatch):
+    """Record, at every ``CandidateEngine`` attach, the instance's origins and
+    how many entries the per-edge memos of its host hold before and after."""
+    samples = []
+    attach = CandidateEngine.__init__
+
+    def held(instance):
+        memos = instance._engine_host.get("adv_edge", {})
+        return sum(len(memo) for memo in memos.values())
+
+    def sampled_attach(engine, instance):
+        before = held(instance)
+        attach(engine, instance)
+        samples.append((tuple(instance.origins()), before, held(instance)))
+
+    monkeypatch.setattr(CandidateEngine, "__init__", sampled_attach)
+    return samples
+
+
+class TestEngineMemoLifetime:
+    """What a search fills into the shared OSPF host lives until a search over
+    another origin set attaches — by count, no RSS and no clock."""
+
+    OPTIONS = PlanktonOptions(fast_ospf=False, stop_at_first_violation=False, backend="serial")
+
+    def test_a_finished_search_leaves_only_the_silent_entries(self, monkeypatch):
+        samples = _sample_engine_attaches(monkeypatch)
+        network = ospf_everywhere(fat_tree(6))
+        verifier = Plankton(network, self.OPTIONS)
+        result = verifier.verify(LoopFreedom())
+        assert result.holds and len(samples) == result.pecs_analyzed == 18
+        memos = verifier.ospf_computation.shared_filter_caches(frozenset())["engine"]["adv_edge"]
+        edges = len(memos)
+        assert edges == 2 * len(network.topology.links)
+        after_verify = sum(len(memo) for memo in memos.values())
+        # A node of a consistent execution holds one route, so one search
+        # fills at most one entry per edge beside the id-0 entry.
+        fills = [before for _origins, before, _after in samples[1:]] + [after_verify]
+        assert all(edges < held <= 2 * edges for held in fills)
+        assert len({origins for origins, _before, _after in samples}) == 18
+        assert all(after == edges for _origins, _before, after in samples)
+        assert all(set(memo) == {0} or len(memo) == 2 for memo in memos.values())
+
+    def test_a_search_over_the_same_origins_fills_nothing(self, monkeypatch):
+        samples = _sample_engine_attaches(monkeypatch)
+        first, second, elsewhere = (Prefix(f"172.16.{n}.0/24") for n in (1, 2, 3))
+        network = ospf_everywhere(
+            fat_tree(4), originate_roles=(), prefix_for={"edge0_0": first, "edge1_0": elsewhere}
+        )
+        network.device("edge0_0").ospf.networks.append(second)
+        verifier = Plankton(network, self.OPTIONS)
+        result = verifier.verify(LoopFreedom())
+        assert result.holds and len(samples) == 3  # the PECs in between have no origin
+        memos = verifier.ospf_computation.shared_filter_caches(frozenset())["engine"]["adv_edge"]
+        edges = len(memos)
+        (a, _, a_after), (b, b_before, b_after), (c, c_before, c_after) = samples
+        assert a == b == ("edge0_0",) and c == ("edge1_0",)
+        assert a_after == edges < b_before == b_after == c_before  # kept, and nothing added
+        assert c_after == edges  # another origin set: back to the id-0 entries
+        # ... and the kept entries were read: every search expanded its 20 states.
+        searched = [run.statistics.states_expanded for run in result.pec_runs if run.statistics]
+        assert [count for count in searched if count] == [20, 20, 20]

@@ -142,8 +142,9 @@ class PlanktonOptions:
             raise ValueError(
                 f"unknown execution backend {self.backend!r}; choose from {BACKEND_CHOICES}"
             )
-        if self.task_retries < 0:
-            raise ValueError(f"task_retries must be >= 0 (got {self.task_retries})")
+        for name in ("task_retries", "retry_backoff", "retry_backoff_cap", "max_pool_rebuilds"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0 (got {getattr(self, name)})")
         for name in ("max_states_per_pec", "max_seconds_per_pec", "task_timeout"):
             budget = getattr(self, name)
             if budget is not None and budget <= 0:

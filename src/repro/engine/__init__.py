@@ -7,8 +7,8 @@ derived from the SCC schedule, and :func:`run_graph` runs the graph and
 returns its ledger — a :class:`ResultAggregator` holding one outcome per
 task.  Results that already exist (decoded incremental-cache entries) enter
 the ledger as *finished tasks* before the run; the
-:class:`ExecutionBackend` (serial, or a persistent process pool with
-per-process state caching and cross-worker early cancellation) runs only
+:class:`ExecutionBackend` (serial, or a supervised process pool whose
+workers each hold one runtime, with cross-worker early cancellation) runs only
 what the ledger still has pending, and the verdict is folded from the
 ledger's ordered prefix, which is the same on every backend — also when
 the request stops at the first violation.
@@ -18,8 +18,10 @@ See the package modules:
 * :mod:`repro.engine.graph` — task specs and the graph builders;
 * :mod:`repro.engine.backends` — :func:`run_graph`, the backend interface
   and implementations;
-* :mod:`repro.engine.worker` — per-process state cache and task execution;
-* :mod:`repro.engine.aggregator` — the ledger.
+* :mod:`repro.engine.worker` — the per-worker runtime and task execution;
+* :mod:`repro.engine.supervision` — retry policy, guarded attempts, the log;
+* :mod:`repro.engine.aggregator` — the ledger, which also charges failed
+  attempts and records failures with their upstream cascade.
 """
 
 from repro import _exports
@@ -38,7 +40,6 @@ _ORIGINS = {
     "build_task_graph": "repro.engine.graph",
     "build_transient_task_graph": "repro.engine.graph",
     "execute_task": "repro.engine.worker",
-    "network_fingerprint": "repro.engine.worker",
     "run_graph": "repro.engine.backends",
     "select_backend": "repro.engine.backends",
 }

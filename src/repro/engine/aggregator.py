@@ -20,6 +20,15 @@ whatever the task kind:
   violating task.  It does not depend on completion order, so the serial
   walk and the process pool fold to the same result under early stop too.
 
+It also keeps the books of a task that fails: :attr:`attempts` is the one
+count of failed attempts per task, read by whichever backend runs the next
+attempt — so a task the pool charged a crash resumes on the serial walk at
+its next attempt, not at its first — and :meth:`charge` is the one
+retry-or-fail rule.  A task past its retry budget is recorded by
+:meth:`record_failure`, which records every transitive dependent as an
+``"upstream"`` failure in the same step: a backend never meets a task whose
+dependency failed, because that task is no longer pending.
+
 ``stop_requested`` is the cross-worker cancellation flag: it rises when a
 violation is recorded under stop-at-first, and the pool backend polls it to
 cancel queued and in-flight work.  A racing stop can leave gaps *before*
@@ -29,11 +38,17 @@ walk, which is :meth:`pending` consumed one task at a time.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.options import PlanktonOptions
 from repro.core.results import TaskFailure
 from repro.engine.graph import TaskError, TaskGraph, TaskResult, TaskSpec
+from repro.engine.supervision import (
+    LOG,
+    SupervisionPolicy,
+    task_failure_from,
+    upstream_failure,
+)
 
 Outcome = Union[TaskResult, TaskFailure]
 
@@ -51,7 +66,8 @@ class ResultAggregator:
         self._graph = graph
         self._options = options
         self._outcomes: Dict[int, Outcome] = dict(known or {})
-        self._failed: Set[int] = set()
+        #: Failed attempts charged per task (absent = none yet).
+        self.attempts: Dict[int, int] = {}
         #: Converged data planes are only needed until every dependent task
         #: has consumed them; without ``keep_planes`` (the incremental
         #: service still has to encode them into its cache) they are dropped
@@ -81,16 +97,60 @@ class ResultAggregator:
         if self._ends_request(spec, result):
             self.stop_requested = True
 
+    def charge(
+        self, spec: TaskSpec, error: TaskError, policy: SupervisionPolicy
+    ) -> Optional[float]:
+        """Charge one failed attempt of ``spec``: the backoff before its
+        retry, or None when the task has an outcome now (that was its last
+        attempt, and the failure is recorded) or already had one."""
+        if spec.task_id in self._outcomes:
+            return None
+        attempt = self.attempts[spec.task_id] = self.attempts.get(spec.task_id, 0) + 1
+        if attempt > policy.task_retries:
+            LOG.error(
+                "engine: task %d failed permanently after %d attempt(s): %s: %s",
+                spec.task_id,
+                attempt,
+                error.kind,
+                error.message,
+            )
+            self.record_failure(spec, error, attempt)
+            return None
+        delay = policy.backoff_delay(spec.task_id, attempt)
+        LOG.warning(
+            "engine: task %d retried (attempt %d/%d) after %s: %s; backoff %.3fs",
+            spec.task_id,
+            attempt + 1,
+            policy.task_retries + 1,
+            error.kind,
+            error.message,
+            delay,
+        )
+        return delay
+
     def record_failure(self, spec: TaskSpec, error: TaskError, attempts: int) -> None:
-        """Enter one task that exhausted its retries (supervision layer).
+        """Enter one task that exhausted its retries, and every task that
+        (transitively) depends on it as an ``"upstream"`` failure.
 
-        The failure becomes an entry of the final result's ``errors``
+        The failures become entries of the final result's ``errors``
         section; the run degrades to a partial result instead of raising.
+        Dependents come later in graph order, so one forward sweep finds
+        them all.
         """
-        from repro.engine.supervision import task_failure_from
+        self._fail(spec, error, attempts)
+        failed = {spec.task_id}
+        for dependent in self._graph.tasks[spec.task_id + 1 :]:
+            cause = next((d for d in dependent.depends_on if d in failed), None)
+            if cause is None or dependent.task_id in self._outcomes:
+                continue
+            LOG.error(
+                "engine: task %d skipped: upstream task %d failed", dependent.task_id, cause
+            )
+            self._fail(dependent, upstream_failure(cause), 0)
+            failed.add(dependent.task_id)
 
+    def _fail(self, spec: TaskSpec, error: TaskError, attempts: int) -> None:
         self._outcomes[spec.task_id] = task_failure_from(spec, error, attempts)
-        self._failed.add(spec.task_id)
         self._release_consumed_planes(spec)
 
     def _release_consumed_planes(self, spec: TaskSpec) -> None:
@@ -112,11 +172,6 @@ class ResultAggregator:
             outcome.data_planes = []
 
     # ------------------------------------------------------------------ queries
-    @property
-    def failed_tasks(self) -> Set[int]:
-        """Ids of tasks recorded as failed (drives upstream cascades)."""
-        return self._failed
-
     def has_result(self, task_id: int) -> bool:
         """Whether the task has an outcome (a result or a structured failure)."""
         return task_id in self._outcomes

@@ -7,7 +7,7 @@ cache) are never run, and nothing runs past a known violation.
 :func:`run_graph` is the one entry point: graph, context, known results in,
 ledger out.  The serial backend walks the pending tasks in the graph's
 topological order in the calling process; the process-pool backend keeps a
-pool of **persistent** workers (state built once per process, see
+pool of **persistent** workers (one runtime per worker process, see
 :mod:`repro.engine.worker`), dispatches every task whose dependencies are
 satisfied, broadcasts a cancellation event the moment the ledger requests a
 stop — which is how ``stop_at_first_violation`` composes with
@@ -15,47 +15,47 @@ multiprocessing — and then finishes on the serial walk, which closes
 whatever gaps the racing stop left before the first violation: both
 backends leave the same ordered prefix behind.
 
-Both backends run under **supervision** (:mod:`repro.engine.supervision`):
+Both backends run under one set of **supervision** rules
+(:mod:`repro.engine.supervision`), and the ledger keeps the books:
 
 * a task attempt that raises is captured into a structured
-  :class:`~repro.engine.graph.TaskError` and retried with jittered
-  exponential backoff, up to :attr:`PlanktonOptions.task_retries` times;
+  :class:`~repro.engine.graph.TaskError` and charged to the task's one
+  attempt count on the ledger (:meth:`ResultAggregator.charge`), which
+  retries it after jittered exponential backoff, up to
+  :attr:`PlanktonOptions.task_retries` times;
 * with :attr:`PlanktonOptions.task_timeout` set, an attempt that overruns
   its deadline is killed (preemptively on the pool backend — the worker
-  processes are terminated and the pool rebuilt; cooperatively on the
-  serial backend) and charged as a timeout;
+  processes are terminated and the pool rebuilt, innocent in-flight tasks
+  requeued uncharged; cooperatively on the serial backend) and charged as a
+  timeout;
 * an abrupt worker death (OOM killer, SIGKILL) breaks the pool: the
-  supervisor rebuilds it, charges a crash attempt to every in-flight task
-  and re-runs them; after :attr:`PlanktonOptions.max_pool_rebuilds`
-  crash-triggered rebuilds the remaining tasks finish on the serial
-  backend;
+  supervisor charges a crash attempt to every in-flight task and rebuilds
+  the pool; after :attr:`PlanktonOptions.max_pool_rebuilds` crash-triggered
+  rebuilds the remaining tasks finish on the serial backend, each at the
+  attempt the pool's count left it on;
 * a task that exhausts its retries is recorded as a structured failure
-  (the result's ``errors`` section) — with its dependent tasks cascaded as
-  ``"upstream"`` failures — instead of aborting the verify.
+  (the result's ``errors`` section) — its transitive dependents as
+  ``"upstream"`` failures in the same step — instead of aborting the verify.
 
-Every supervision event (retry, timeout, crash, rebuild, fallback, failure)
-is emitted on the ``repro.engine`` logger; the CLI surfaces it with ``-v``.
-Only genuine *pickling* failures (an unpicklable user policy or task payload
-under a spawn start method) still degrade the whole run to the serial
-backend.
+The pool keeps no books of its own: a task is ready to dispatch when the
+ledger has it pending, every dependency has an outcome, and it is neither
+in flight nor waiting out a backoff.  Every supervision event (retry,
+timeout, crash, rebuild, fallback, failure) is emitted on the
+``repro.engine`` logger; the CLI surfaces it with ``-v``.  Only genuine
+*pickling* failures (an unpicklable user policy or task payload under a
+spawn start method) still degrade the whole run to the serial backend.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Sized
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Sized
 
 from repro.core.options import BACKEND_CHOICES, PlanktonOptions
 from repro.engine.aggregator import ResultAggregator
 from repro.engine.graph import TaskError, TaskGraph, TaskResult, TaskSpec
-from repro.engine.supervision import (
-    LOG,
-    SupervisionPolicy,
-    run_task_guarded,
-    upstream_failure,
-)
+from repro.engine.supervision import LOG, SupervisionPolicy, run_task_guarded
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -72,18 +72,15 @@ if TYPE_CHECKING:
 @dataclass
 class EngineContext:
     """Everything a backend needs besides the graph: the coordinator's own
-    verifier (for in-process execution and fork inheritance), the policies
-    being checked, and an optional options override (transient campaigns
-    carry their own supervision knobs without rebuilding the verifier)."""
+    verifier (for in-process execution and fork inheritance; its options,
+    supervision knobs included, govern the run) and the policies being
+    checked."""
 
     plankton: object
     policies: List = field(default_factory=list)
-    options_override: Optional[PlanktonOptions] = None
 
     @property
     def options(self) -> PlanktonOptions:
-        if self.options_override is not None:
-            return self.options_override
         return self.plankton.options
 
 
@@ -105,9 +102,11 @@ class SerialBackend(ExecutionBackend):
     Runs :meth:`ResultAggregator.pending` one task at a time: tasks run
     front to back, tasks the ledger already has are passed over, and the
     first violation (under ``stop_at_first_violation``) — fresh or already
-    in the ledger — ends the walk.  A failing task is retried with backoff
-    and, on exhaustion, recorded as a structured failure (its dependents
-    cascade) instead of raising.  Deadlines are cooperative here — they are
+    in the ledger — ends the walk.  A failing task is retried, with backoff,
+    before the walk moves on, until the ledger records it as a structured
+    failure (its dependents with it) instead of raising.  Each attempt is
+    numbered from the ledger's count, so a task the pool already charged
+    continues where it was.  Deadlines are cooperative here — they are
     polled between exploration steps, so a task hung inside non-cooperative
     code needs the process backend's preemptive enforcement.
 
@@ -124,65 +123,23 @@ class SerialBackend(ExecutionBackend):
     ) -> None:
         policy = SupervisionPolicy.from_options(context.options)
         for spec in aggregator.pending():
-            failed_dependency = next(
-                (d for d in spec.depends_on if d in aggregator.failed_tasks), None
-            )
-            if failed_dependency is not None:
-                LOG.error(
-                    "engine: task %d skipped: upstream task %d failed",
-                    spec.task_id,
-                    failed_dependency,
+            while True:
+                attempt = aggregator.attempts.get(spec.task_id, 0)
+                LOG.debug("engine: task %d started (attempt %d)", spec.task_id, attempt + 1)
+                result = run_task_guarded(
+                    context.plankton,
+                    context.policies,
+                    spec,
+                    aggregator.upstream_planes(spec),
+                    deadline=policy.deadline_from(time.monotonic()),
+                    attempt=attempt,
                 )
-                aggregator.record_failure(spec, upstream_failure(failed_dependency), 0)
-                continue
-            result = self._run_supervised(spec, context, aggregator, policy)
-            if result is not None:
-                aggregator.record(result)
-
-    def _run_supervised(
-        self,
-        spec: TaskSpec,
-        context: EngineContext,
-        aggregator,
-        policy: SupervisionPolicy,
-    ):
-        """One task through the retry loop; None when it exhausted retries."""
-        attempt = 0
-        while True:
-            deadline = policy.deadline_from(time.monotonic())
-            LOG.debug("engine: task %d started (attempt %d)", spec.task_id, attempt + 1)
-            result = run_task_guarded(
-                context.plankton,
-                context.policies,
-                spec,
-                aggregator.upstream_planes(spec),
-                deadline=deadline,
-                attempt=attempt,
-            )
-            if result.error is None:
-                return result
-            attempt += 1
-            if attempt > policy.task_retries:
-                LOG.error(
-                    "engine: task %d failed permanently after %d attempt(s): %s: %s",
-                    spec.task_id,
-                    attempt,
-                    result.error.kind,
-                    result.error.message,
-                )
-                aggregator.record_failure(spec, result.error, attempt)
-                return None
-            delay = policy.backoff_delay(spec.task_id, attempt)
-            LOG.warning(
-                "engine: task %d retried (attempt %d/%d) after %s: %s; backoff %.3fs",
-                spec.task_id,
-                attempt + 1,
-                policy.task_retries + 1,
-                result.error.kind,
-                result.error.message,
-                delay,
-            )
-            if delay > 0.0:
+                if result.error is None:
+                    aggregator.record(result)
+                    break
+                delay = aggregator.charge(spec, result.error, policy)
+                if delay is None:
+                    break
                 time.sleep(delay)
 
 
@@ -199,9 +156,9 @@ class _Batch:
 class ProcessPoolBackend(ExecutionBackend):
     """Persistent-pool execution with streaming aggregation and supervision.
 
-    Workers initialise the network model, PECs and OSPF computation once per
-    process (inherited for free under ``fork``); tasks carry only a PEC
-    index, a failure scenario and upstream data planes.  Ready tasks are
+    Each worker holds one runtime — the network model, PECs and OSPF
+    computation, inherited for free under ``fork`` — and tasks carry only a
+    PEC index, a failure scenario and upstream data planes.  Ready tasks are
     dispatched as soon as their dependencies complete, so independent SCC
     members of a dependency schedule overlap across workers.
 
@@ -245,7 +202,8 @@ class ProcessPoolBackend(ExecutionBackend):
                 )
         # Whatever the pool left pending — everything after a fallback, tasks
         # cancelled ahead of the first violation by an early stop — finishes
-        # on the serial walk; after a clean run there is nothing.
+        # on the serial walk, at each task's next attempt; after a clean run
+        # there is nothing.
         if next(aggregator.pending(), None) is not None:
             SerialBackend().execute(graph, context, aggregator)
 
@@ -352,298 +310,216 @@ class ProcessPoolBackend(ExecutionBackend):
         mp_context,
         use_fork: bool,
     ) -> None:
-        from concurrent import futures
-
-        from repro.engine.worker import (
-            adopt_parent_runtime,
-            clear_parent_runtime,
-            fresh_pool_nonce,
-            network_fingerprint,
-            run_task_batch_in_worker,
-        )
-
-        policy = SupervisionPolicy.from_options(context.options)
         cancel_event = mp_context.Event()
         if use_fork:
-            # Workers adopt the parent's live verifier through the fork image;
-            # nothing is pickled, so an identity-based key avoids a full
-            # pickle pass over the network just to name the cache entry.  The
-            # nonce makes the key unique per pool creation — a recycled
-            # object address can never alias a previous call's runtime.
-            fingerprint = f"fork:{fresh_pool_nonce()}:{id(context.plankton):x}"
-            adopt_parent_runtime(fingerprint, context.plankton, context.policies)
-            initargs = (fingerprint, cancel_event, None, None, None)
+            # Fork hands the initializer's arguments to every worker in its
+            # copy of this process: the live verifier, never pickled.
+            initargs = (cancel_event, context.policies, context.plankton)
         else:  # pragma: no cover - exercised only on non-fork platforms
-            fingerprint = network_fingerprint(
-                context.plankton.network, context.options, context.policies
-            )
-            initargs = (
-                fingerprint,
-                cancel_event,
-                context.plankton.network,
-                context.options,
-                context.policies,
-            )
-
-        pending = [spec.task_id for spec in aggregator.pending()]
-        workers = max(1, min(self.cores, len(pending)))
-        # Recorded or failed — seeded from the ledger with everything that is
-        # not this run's to do: tasks it already holds an outcome for and
-        # tasks past a known violation.
-        resolved: Set[int] = {task.task_id for task in graph.tasks} - set(pending)
-        remaining_deps: Dict[int, Set[int]] = {
-            task_id: set(graph.tasks[task_id].depends_on) - resolved for task_id in pending
-        }
-        dependents = graph.dependents()
-        ready: List[int] = [task_id for task_id in pending if not remaining_deps[task_id]]
-        attempts: Dict[int, int] = {}
-        retry_heap: List = []  # (release time, task id)
-        inflight: Dict = {}  # future -> _Batch
-        crash_rebuilds = 0
-        pool_is_clean = True
-
-        pool = self._new_pool(workers, mp_context, initargs)
-
-        # -------------------------------------------------------- bookkeeping
-        def release_dependents(task_id: int) -> None:
-            for dependent_id in dependents.get(task_id, ()):
-                if dependent_id in resolved:
-                    continue
-                deps = remaining_deps[dependent_id]
-                deps.discard(task_id)
-                if not deps and not aggregator.stop_requested:
-                    ready.append(dependent_id)
-
-        def fail_task(task_id: int, error: TaskError) -> None:
-            spec = graph.tasks[task_id]
-            charged = max(1, attempts.get(task_id, 0))
-            LOG.error(
-                "engine: task %d failed permanently after %d attempt(s): %s: %s",
-                task_id,
-                charged,
-                error.kind,
-                error.message,
-            )
-            aggregator.record_failure(spec, error, charged)
-            resolved.add(task_id)
-            # Cascade: dependents (transitively) can never run.
-            stack = list(dependents.get(task_id, ()))
-            while stack:
-                dependent_id = stack.pop()
-                if dependent_id in resolved:
-                    continue
-                LOG.error(
-                    "engine: task %d skipped: upstream task %d failed",
-                    dependent_id,
-                    task_id,
-                )
-                aggregator.record_failure(
-                    graph.tasks[dependent_id], upstream_failure(task_id), 0
-                )
-                resolved.add(dependent_id)
-                stack.extend(dependents.get(dependent_id, ()))
-
-        def charge_attempt(task_id: int, error: TaskError) -> None:
-            """A failed attempt: schedule a backoff retry or fail the task."""
-            if task_id in resolved:
-                return
-            attempts[task_id] = attempts.get(task_id, 0) + 1
-            charged = attempts[task_id]
-            if charged > policy.task_retries:
-                fail_task(task_id, error)
-                return
-            delay = policy.backoff_delay(task_id, charged)
-            LOG.warning(
-                "engine: task %d retried (attempt %d/%d) after %s: %s; backoff %.3fs",
-                task_id,
-                charged + 1,
-                policy.task_retries + 1,
-                error.kind,
-                error.message,
-                delay,
-            )
-            heapq.heappush(retry_heap, (time.monotonic() + delay, task_id))
-
-        def requeue_free(task_id: int) -> None:
-            """Requeue in-flight work lost to *someone else's* fault without
-            charging an attempt (its own faults are charged directly)."""
-            if task_id not in resolved:
-                ready.append(task_id)
-
-        def submit_ready() -> None:
-            """Dispatch every ready task, chunked so each worker gets a few
-            futures' worth of work per round trip (one future per task would
-            drown scaled-down instances in IPC).  Under a task deadline the
-            chunk size is 1: timeout attribution and prompt detection beat
-            IPC amortisation."""
-            if not ready:
-                return
-            batch = sorted(set(ready))
-            ready.clear()
-            if policy.task_timeout is not None:
-                chunk_size = 1
+            network, options = context.plankton.network, context.options
+            initargs = (cancel_event, context.policies, None, network, options)
+        workers = max(1, min(self.cores, len(aggregator.planned)))
+        run = _PoolRun(
+            graph,
+            aggregator,
+            SupervisionPolicy.from_options(context.options),
+            workers,
+            lambda: self._new_pool(workers, mp_context, initargs),
+        )
+        clean = True
+        try:
+            clean = run.supervise(cancel_event)
+        finally:
+            if clean:
+                run.pool.shutdown(wait=True, cancel_futures=True)
             else:
-                chunk_size = max(1, -(-len(batch) // (workers * 4)))
-            for start in range(0, len(batch), chunk_size):
-                chunk_ids = batch[start : start + chunk_size]
-                chunk = [graph.tasks[tid] for tid in chunk_ids]
-                upstream = {
-                    spec.task_id: aggregator.upstream_planes(spec)
-                    for spec in chunk
-                    if spec.depends_on
-                }
-                attempt_map = {
-                    tid: attempts[tid] for tid in chunk_ids if attempts.get(tid)
-                }
-                now = time.monotonic()
-                future = pool.submit(
-                    run_task_batch_in_worker, fingerprint, chunk, upstream, attempt_map
-                )
-                inflight[future] = _Batch(
-                    task_ids=chunk_ids,
-                    submitted_at=now,
-                    deadline=policy.deadline_from(now, len(chunk_ids)),
-                )
+                self._kill_pool(run.pool)
 
-        def consume(future, batch: _Batch, lost: List[int]) -> bool:
-            """Fold one completed future in; True when the pool crashed."""
+
+class _PoolRun:
+    """One supervised pool run: the pool, its in-flight batches and the
+    tasks waiting out a backoff — everything else is read off the ledger."""
+
+    def __init__(
+        self,
+        graph: TaskGraph,
+        ledger: ResultAggregator,
+        policy: SupervisionPolicy,
+        workers: int,
+        new_pool: Callable[[], ProcessPoolExecutor],
+    ) -> None:
+        # Imported before the first fork, so every worker inherits the
+        # explorer stack this module brings.
+        from repro.engine.worker import run_task_batch_in_worker
+
+        self.run_batch = run_task_batch_in_worker
+        self.graph = graph
+        self.ledger = ledger
+        self.policy = policy
+        self.workers = workers
+        self.new_pool = new_pool
+        self.pool = new_pool()
+        self.inflight: Dict = {}  # future -> _Batch
+        self.backoff: Dict[int, float] = {}  # task id -> when its retry may start
+
+    def supervise(self, cancel_event) -> bool:
+        """Run until the ledger has nothing left this pool can run.  False
+        when the pool must be killed rather than joined: a straggler
+        outlived an early stop, or the pool crashed past its rebuild budget
+        (the serial walk then finishes what is pending)."""
+        from concurrent.futures import BrokenExecutor
+
+        crashes = 0
+        while True:
+            now = time.monotonic()
+            for task_id in [t for t, release in self.backoff.items() if release <= now]:
+                del self.backoff[task_id]
+            if self.ledger.stop_requested:
+                return ProcessPoolBackend._drain_after_stop(
+                    self.inflight, self.ledger, cancel_event, self.policy
+                )
+            ready = self.ready()
+            if not (ready or self.inflight or self.backoff):
+                return True
+            try:
+                self.submit(ready)
+                crashed = self.collect()
+            except BrokenExecutor:
+                crashed = True
+            if not crashed:
+                self.expire_overdue()
+                continue
+            crashes += 1
+            budget = self.policy.max_pool_rebuilds
+            error = TaskError(kind="crash", message=f"worker pool crashed (crash {crashes})")
+            self.charge(sorted(self.running()), error)
+            if crashes > budget:
+                LOG.error(
+                    "engine: worker pool crashed %d times (max %d); "
+                    "completing remaining tasks on the serial backend",
+                    crashes,
+                    budget,
+                )
+                return False
+            self.restart(f"crashed (rebuild {crashes}/{budget})")
+
+    def running(self) -> Set[int]:
+        return {task_id for batch in self.inflight.values() for task_id in batch.task_ids}
+
+    def ready(self) -> List[TaskSpec]:
+        """The ledger's pending tasks whose dependencies all have outcomes,
+        neither in flight nor waiting out a backoff."""
+        busy = self.running() | self.backoff.keys()
+        return [
+            spec
+            for spec in self.ledger.pending()
+            if spec.task_id not in busy
+            and all(self.ledger.has_result(d) for d in spec.depends_on)
+        ]
+
+    def submit(self, ready: List[TaskSpec]) -> None:
+        """Dispatch ``ready``, chunked so each worker gets a few futures'
+        worth of work per round trip (one future per task would drown
+        scaled-down instances in IPC).  Under a task deadline the chunk size
+        is 1: timeout attribution and prompt detection beat IPC
+        amortisation."""
+        if self.policy.task_timeout is not None:
+            size = 1
+        else:
+            size = max(1, -(-len(ready) // (self.workers * 4)))
+        for start in range(0, len(ready), size):
+            chunk = ready[start : start + size]
+            upstream = {
+                spec.task_id: self.ledger.upstream_planes(spec)
+                for spec in chunk
+                if spec.depends_on
+            }
+            attempts = {spec.task_id: self.ledger.attempts.get(spec.task_id, 0) for spec in chunk}
+            now = time.monotonic()
+            future = self.pool.submit(self.run_batch, chunk, upstream, attempts)
+            self.inflight[future] = _Batch(
+                task_ids=[spec.task_id for spec in chunk],
+                submitted_at=now,
+                deadline=self.policy.deadline_from(now, len(chunk)),
+            )
+
+    def collect(self) -> bool:
+        """Wait for a batch to complete (or the next deadline or backoff
+        release) and fold in every completed batch; True when the pool
+        crashed — the crashed batches stay in flight to be charged."""
+        from concurrent import futures
+
+        wakeups = [b.deadline for b in self.inflight.values() if b.deadline is not None]
+        wakeups.extend(self.backoff.values())
+        timeout = max(0.005, min(wakeups) - time.monotonic()) if wakeups else None
+        if not self.inflight:
+            time.sleep(timeout)  # only backoffs are left to wait out
+            return False
+        futures.wait(set(self.inflight), timeout=timeout, return_when=futures.FIRST_COMPLETED)
+        crashed = False
+        for future in [f for f in self.inflight if f.done()]:
             try:
                 results = future.result()
             except futures.BrokenExecutor:
-                lost.extend(batch.task_ids)
-                return True
-            # Anything else propagates: a pickling failure to :meth:`execute`
-            # (which falls back to the serial walk), an infrastructure error
-            # outside task execution (task-level errors are captured
-            # worker-side) as the genuine bug it is.
+                crashed = True
+                continue
+            # Anything else propagates: a pickling failure to
+            # :meth:`ProcessPoolBackend.execute` (which falls back to the
+            # serial walk), an infrastructure error outside task execution
+            # (task-level errors are captured worker-side) as the genuine bug
+            # it is.
+            del self.inflight[future]
             for result in results:
-                if result.cancelled:
-                    continue
                 if result.error is not None:
-                    charge_attempt(result.task_id, result.error)
-                    continue
-                aggregator.record(result)
-                resolved.add(result.task_id)
-                release_dependents(result.task_id)
-            return False
+                    self.charge([result.task_id], result.error)
+                elif not result.cancelled:
+                    self.ledger.record(result)
+        return crashed
 
-        def rebuild_pool(lost: List[int], reason: str, charge: bool) -> None:
-            nonlocal pool
-            self._kill_pool(pool)
-            for _, batch in inflight.items():
-                lost.extend(batch.task_ids)
-            inflight.clear()
-            LOG.warning(
-                "engine: worker pool rebuilt (%s); %d in-flight task(s) requeued",
-                reason,
-                len([tid for tid in lost if tid not in resolved]),
-            )
-            error = TaskError(kind="crash", message=f"worker pool {reason}")
-            for task_id in dict.fromkeys(lost):  # de-duplicated, order kept
-                if charge:
-                    charge_attempt(task_id, error)
-                else:
-                    requeue_free(task_id)
-            pool = self._new_pool(workers, mp_context, initargs)
+    def charge(self, task_ids: List[int], error: TaskError) -> None:
+        """One failed attempt each, by the ledger's rule; a retry waits out
+        its backoff before it is ready again."""
+        for task_id in task_ids:
+            delay = self.ledger.charge(self.graph.tasks[task_id], error, self.policy)
+            if delay is not None:
+                self.backoff[task_id] = time.monotonic() + delay
 
-        # -------------------------------------------------------- supervision loop
-        try:
-            while True:
-                now = time.monotonic()
-                while retry_heap and retry_heap[0][0] <= now:
-                    _, task_id = heapq.heappop(retry_heap)
-                    if task_id not in resolved:
-                        ready.append(task_id)
+    def expire_overdue(self) -> None:
+        """Charge a timeout to every batch past its deadline and rebuild the
+        pool: a hung worker cannot be preempted on its own.  The other
+        in-flight tasks are pending again, uncharged."""
+        now = time.monotonic()
+        overdue = [
+            future
+            for future, batch in self.inflight.items()
+            if batch.deadline is not None and now >= batch.deadline and not future.done()
+        ]
+        if not overdue:
+            return
+        error = TaskError(
+            kind="timeout", message=f"task exceeded the {self.policy.task_timeout}s deadline"
+        )
+        for future in overdue:
+            batch = self.inflight.pop(future)
+            for task_id in batch.task_ids:
+                LOG.warning(
+                    "engine: task %d timed out after %.1fs", task_id, now - batch.submitted_at
+                )
+            self.charge(batch.task_ids, error)
+        self.restart("task deadline exceeded")
 
-                if aggregator.stop_requested:
-                    pool_is_clean = self._drain_after_stop(
-                        inflight, aggregator, cancel_event, policy
-                    )
-                    break
-
-                crashed = False
-                lost: List[int] = []
-                if ready:
-                    try:
-                        submit_ready()
-                    except futures.BrokenExecutor:
-                        crashed = True
-
-                if not inflight and not ready and not retry_heap and not crashed:
-                    break  # every task resolved (or unreachable after a stop)
-
-                if not crashed:
-                    if inflight:
-                        deadlines = [
-                            b.deadline for b in inflight.values() if b.deadline is not None
-                        ]
-                        wakeups = deadlines + [release for release, _ in retry_heap[:1]]
-                        timeout = (
-                            max(0.005, min(wakeups) - time.monotonic()) if wakeups else None
-                        )
-                        futures.wait(
-                            set(inflight), timeout=timeout, return_when=futures.FIRST_COMPLETED
-                        )
-                        for future in [f for f in list(inflight) if f.done()]:
-                            batch = inflight.pop(future)
-                            if consume(future, batch, lost):
-                                crashed = True
-                    elif retry_heap:
-                        time.sleep(max(0.0, retry_heap[0][0] - time.monotonic()))
-                        continue
-                    else:
-                        continue  # new submissions next iteration
-
-                if crashed:
-                    crash_rebuilds += 1
-                    if crash_rebuilds > policy.max_pool_rebuilds:
-                        self._kill_pool(pool)
-                        inflight.clear()
-                        LOG.error(
-                            "engine: worker pool crashed %d times (max %d); "
-                            "completing remaining tasks on the serial backend",
-                            crash_rebuilds,
-                            policy.max_pool_rebuilds,
-                        )
-                        return
-                    rebuild_pool(
-                        lost,
-                        reason=f"crashed (rebuild {crash_rebuilds}/{policy.max_pool_rebuilds})",
-                        charge=True,
-                    )
-                    continue
-
-                # ------------------------------------------------ deadlines
-                now = time.monotonic()
-                overdue = [
-                    (future, batch)
-                    for future, batch in list(inflight.items())
-                    if batch.deadline is not None and now >= batch.deadline and not future.done()
-                ]
-                if overdue:
-                    timeout_error = TaskError(
-                        kind="timeout",
-                        message=f"task exceeded the {policy.task_timeout}s deadline",
-                    )
-                    for future, batch in overdue:
-                        inflight.pop(future, None)
-                        for task_id in batch.task_ids:
-                            LOG.warning(
-                                "engine: task %d timed out after %.1fs",
-                                task_id,
-                                now - batch.submitted_at,
-                            )
-                            charge_attempt(task_id, timeout_error)
-                    # The hung worker cannot be preempted individually; the
-                    # pool is rebuilt and unaffected in-flight work requeued
-                    # without charging their retry budgets.
-                    rebuild_pool([], reason="task deadline exceeded", charge=False)
-        finally:
-            clear_parent_runtime()
-            if pool_is_clean:
-                pool.shutdown(wait=True, cancel_futures=True)
-            else:
-                self._kill_pool(pool)
+    def restart(self, reason: str) -> None:
+        """Kill the pool and start a fresh one; what was in flight and has
+        no outcome is pending again."""
+        ProcessPoolBackend._kill_pool(self.pool)
+        requeued = [t for t in self.running() if not self.ledger.has_result(t)]
+        LOG.warning(
+            "engine: worker pool rebuilt (%s); %d in-flight task(s) requeued",
+            reason,
+            len(requeued),
+        )
+        self.inflight.clear()
+        self.pool = self.new_pool()
 
 
 # --------------------------------------------------------------------------- selection

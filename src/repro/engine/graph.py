@@ -124,7 +124,7 @@ class TaskResult:
     asked for them (``collect_outcomes``); only the data planes travel
     across process boundaries — the RPVP event steps stay worker-local.
     ``error`` is set instead of ``runs`` when the attempt failed (the
-    supervisor decides between retry and a structured failure record).
+    ledger decides between retry and a structured failure record).
     """
 
     task_id: int
@@ -132,7 +132,6 @@ class TaskResult:
     data_planes: List = field(default_factory=list)
     cancelled: bool = False
     error: Optional[TaskError] = None
-    attempts: int = 1
 
     @property
     def has_violation(self) -> bool:

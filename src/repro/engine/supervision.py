@@ -1,23 +1,25 @@
 """Shared supervision machinery: retry policy, guarded execution, logging.
 
-The execution backends (:mod:`repro.engine.backends`) delegate the pieces of
-fault tolerance that are identical on both sides of a process boundary to
-this module:
+The execution backends (:mod:`repro.engine.backends`) and the ledger
+(:mod:`repro.engine.aggregator`) share the pieces of fault tolerance that
+are identical on both sides of a process boundary through this module:
 
-* :class:`SupervisionPolicy` — the retry/deadline/backoff knobs lifted off
-  :class:`~repro.core.options.PlanktonOptions`, plus the jittered
-  exponential backoff schedule itself (deterministic per (task, attempt),
-  so two runs of the same plan pace their retries identically);
+* :class:`SupervisionPolicy` — the retry/deadline/backoff knobs read off
+  :class:`~repro.core.options.PlanktonOptions` (which owns their defaults
+  and refuses negative values), plus the jittered exponential backoff
+  schedule itself (deterministic per (task, attempt), so two runs of the
+  same plan pace their retries identically); the ledger's
+  :meth:`~repro.engine.aggregator.ResultAggregator.charge` applies it;
 * :func:`run_task_guarded` — one task attempt with fault-injection hooks,
   exception capture into :class:`~repro.engine.graph.TaskError`, and
   cooperative deadline accounting (used by the serial backend in-process
   and by the pool workers via :func:`repro.engine.worker.run_task_batch_in_worker`);
-* :func:`task_failure_from` — the bridge from an exhausted task to the
-  structured :class:`~repro.core.results.TaskFailure` record that ends up
-  in the result's ``errors`` section;
+* :func:`task_failure_from` / :func:`upstream_failure` — the structured
+  :class:`~repro.core.results.TaskFailure` record of an exhausted task and
+  the error its dependents are recorded with;
 * :data:`LOG` — the ``repro.engine`` logger every engine event goes
   through (task retried / timed out / failed, pool rebuilt, backend
-  fallbacks).  The CLI's ``-v`` surfaces it; ``warnings.warn`` is gone.
+  fallbacks).  The CLI's ``-v`` surfaces it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import logging
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.options import PlanktonOptions
@@ -41,20 +43,16 @@ LOG = logging.getLogger("repro.engine")
 class SupervisionPolicy:
     """The supervisor's knobs, decoupled from the full options object."""
 
-    task_timeout: Optional[float] = None
-    task_retries: int = 2
-    retry_backoff: float = 0.05
-    retry_backoff_cap: float = 2.0
-    max_pool_rebuilds: int = 3
+    task_timeout: Optional[float]
+    task_retries: int
+    retry_backoff: float
+    retry_backoff_cap: float
+    max_pool_rebuilds: int
 
     @staticmethod
     def from_options(options: PlanktonOptions) -> "SupervisionPolicy":
         return SupervisionPolicy(
-            task_timeout=getattr(options, "task_timeout", None),
-            task_retries=max(0, getattr(options, "task_retries", 2)),
-            retry_backoff=max(0.0, getattr(options, "retry_backoff", 0.05)),
-            retry_backoff_cap=max(0.0, getattr(options, "retry_backoff_cap", 2.0)),
-            max_pool_rebuilds=max(0, getattr(options, "max_pool_rebuilds", 3)),
+            *(getattr(options, knob.name) for knob in fields(SupervisionPolicy))
         )
 
     def backoff_delay(self, task_id: int, attempt: int) -> float:
@@ -110,19 +108,13 @@ def run_task_guarded(
         faults.fire(spec.task_id, attempt, cancel)
         result = execute_task(plankton, policies, spec, upstream_planes, should_cancel=cancel)
     except Exception as exc:
-        return TaskResult(
-            task_id=spec.task_id,
-            error=TaskError.from_exception(exc),
-            attempts=attempt + 1,
-        )
-    result.attempts = attempt + 1
+        return TaskResult(task_id=spec.task_id, error=TaskError.from_exception(exc))
     if timed_out and not (should_cancel is not None and should_cancel()):
         # The deadline (not an external stop) cut the attempt short: the
         # partial runs are unusable, report a timeout instead.
         return TaskResult(
             task_id=spec.task_id,
             error=TaskError(kind="timeout", message=f"task exceeded its {spec.kind} deadline"),
-            attempts=attempt + 1,
         )
     return result
 

@@ -258,15 +258,7 @@ def transient_fingerprint(
     options = replace(
         options, stop_at_first_violation=transient_config.options.stop_at_first_violation
     )
-    # Supervision knobs (task_timeout/task_retries) shape *how* a campaign
-    # runs, never *what* it produces — excluded, like cores/backend.
-    transient_options = tuple(
-        sorted(
-            (name, value)
-            for name, value in vars(transient_config.options).items()
-            if name not in ("task_timeout", "task_retries")
-        )
-    )
+    transient_options = tuple(sorted(vars(transient_config.options).items()))
     return _sha(
         (
             "transient",

@@ -155,20 +155,12 @@ class TransientOptions:
     frontier: str = "fifo"
     minimize_witnesses: bool = False
     rank_immunity: bool = True
-    #: Per-task supervision knobs for campaign runs (see
-    #: :attr:`~repro.core.options.PlanktonOptions.task_timeout` /
-    #: ``task_retries``).  ``None`` inherits the campaign's
-    #: :class:`~repro.core.options.PlanktonOptions` values; like those, they
-    #: shape *how* results are computed, never *what* they contain, so the
-    #: incremental cache excludes them from transient fingerprints.
-    task_timeout: Optional[float] = None
-    task_retries: Optional[int] = None
     #: Lifecycle-scenario campaign knobs (``src/repro/scenarios/``): when
     #: ``scenario_events > 0`` the campaign task graph crosses every failure
     #: scenario with every symmetry-reduced event scenario of up to that many
     #: events; ``scenario_kinds`` restricts the event vocabulary (empty = all
-    #: kinds).  Both shape *what* is verified, so — unlike the supervision
-    #: knobs above — they participate in the incremental cache fingerprint.
+    #: kinds).  Both shape *what* is verified, so they participate in the
+    #: incremental cache fingerprint.
     scenario_events: int = 0
     scenario_kinds: Tuple[str, ...] = ()
 
@@ -179,8 +171,6 @@ class TransientOptions:
             raise ValueError(
                 f"unknown frontier mode {self.frontier!r}; choose from {FRONTIER_MODES}"
             )
-        if self.task_retries is not None and self.task_retries < 0:
-            raise ValueError("task_retries must be >= 0")
         if self.scenario_events < 0:
             raise ValueError("scenario_events must be >= 0")
         object.__setattr__(self, "scenario_kinds", tuple(self.scenario_kinds))
@@ -831,10 +821,8 @@ def campaign_request(
     each per-prefix analysis, and the campaign-level cancellation of
     still-queued tasks: every task carries the flag in its payload, so
     ``PlanktonOptions.stop_at_first_violation`` (a converged-state
-    verification knob) cannot cut an exhaustive campaign short.
-    Campaign-specific supervision knobs (a transient exploration's natural
-    deadline differs from a converged-state check's) override the
-    verifier's without rebuilding it.
+    verification knob) cannot cut an exhaustive campaign short.  Every
+    other engine knob, supervision included, is the verifier's own.
     """
     from repro.engine import EngineContext, build_transient_task_graph
 
@@ -851,19 +839,7 @@ def campaign_request(
         failures=failures,
         scenarios=scenarios,
     )
-    supervision = {}
-    if transient.task_timeout is not None:
-        supervision["task_timeout"] = transient.task_timeout
-    if transient.task_retries is not None:
-        supervision["task_retries"] = transient.task_retries
-    context = EngineContext(
-        plankton=plankton,
-        policies=[],
-        options_override=(
-            replace(plankton.options, **supervision) if supervision else None
-        ),
-    )
-    return config, graph, context
+    return config, graph, EngineContext(plankton=plankton, policies=[])
 
 
 def analyze_pec_transients_over_failures(

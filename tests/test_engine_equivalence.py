@@ -22,7 +22,6 @@ from repro.engine import (
     ProcessPoolBackend,
     SerialBackend,
     build_task_graph,
-    network_fingerprint,
     run_graph,
     select_backend,
 )
@@ -302,15 +301,6 @@ class TestEnginePlumbing:
             LoopFreedom()
         )
         _assert_identical(serial, result)
-
-    def test_network_fingerprint_is_stable_and_discriminating(self):
-        network = _clean_network()
-        options = PlanktonOptions(cores=2)
-        policies = [LoopFreedom()]
-        first = network_fingerprint(network, options, policies)
-        second = network_fingerprint(network, options, policies)
-        assert first == second
-        assert first != network_fingerprint(network, PlanktonOptions(max_failures=1), policies)
 
     def test_verification_result_merge(self):
         base = VerificationResult(policy_names=["p"])

@@ -19,6 +19,7 @@ worker pool forks so every process sees the same plan.
 """
 
 import multiprocessing
+import os
 
 import pytest
 
@@ -325,6 +326,37 @@ class TestProcessPoolFaults:
         assert result.complete
         assert result_signature(result) == _oracle(network, policy, **options)
 
+    def test_serial_finish_continues_the_pools_attempt_count(self, monkeypatch, tmp_path):
+        """A crash-budget fallback hands each task to the serial walk at its
+        next attempt: the crash that ended the pool is charged, so the victim
+        resumes at attempt 1 and no (task, attempt) pair runs twice."""
+        network = _clean_network()
+        policy = LoopFreedom()
+        options = dict(
+            cores=2, stop_at_first_violation=False, max_pool_rebuilds=0, **FAST
+        )
+        _plankton, graph = _expand(network, policy, **options)
+        victim = graph.tasks[0].task_id
+        oracle = _oracle(network, policy, **options)
+        log = tmp_path / "fired"  # one line per attempt, from every process
+        fire = faults.fire
+
+        def spy(task_id, attempt, should_cancel=None):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {task_id} {attempt}\n")
+            fire(task_id, attempt, should_cancel)
+
+        monkeypatch.setattr(faults, "fire", spy)
+        plan = FaultPlan((FaultSpec(kind="kill", task_id=victim, attempt=0),))
+        result = _run_with_plan(network, policy, plan, **options)
+        assert result.complete
+        assert result_signature(result) == oracle
+        fired = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        pairs = [(task_id, attempt) for _pid, task_id, attempt in fired]
+        assert len(pairs) == len(set(pairs))
+        in_coordinator = [(t, a) for pid, t, a in fired if pid == os.getpid() and t == victim]
+        assert in_coordinator == [(victim, 1)]
+
     def test_early_stop_with_concurrent_fault_terminates(self):
         """The early-stop drain races an in-flight faulted task: the run
         must terminate with the violation verdict, never hang."""
@@ -359,3 +391,30 @@ class TestDependentGraphFaults:
         result = _run_with_plan(network, policy, plan, **options)
         assert result.complete
         assert result_signature(result) == _oracle(network, policy, **options)
+
+    def test_pool_cascade_matches_the_serial_one(self):
+        """A dependency that fails on every attempt: the pool records the
+        same ``errors`` — the task and its transitive dependents as
+        ``upstream`` failures, with the same attempt counts — and the same
+        result as the serial walk."""
+        network = _dependent_network()
+        policy = Reachability(
+            destination_prefix=Prefix("200.0.0.0/16"), require_all_branches=False
+        )
+        options = dict(stop_at_first_violation=False, **FAST)
+        _plankton, graph = _expand(network, policy, **options)
+        dead = graph.tasks[0].task_id
+        assert graph.dependents()[dead]
+        plan = FaultPlan(
+            tuple(FaultSpec(kind="raise", task_id=dead, attempt=a) for a in range(3))
+        )
+        serial = _run_with_plan(network, policy, plan, backend="serial", **options)
+        pooled = _run_with_plan(network, policy, plan, cores=2, backend="process", **options)
+
+        def errors(result):
+            return [(f.task_id, f.kind, f.attempts) for f in result.errors]
+
+        assert errors(serial)[0] == (dead, "exception", 3)
+        assert {kind for _, kind, _ in errors(serial)[1:]} == {"upstream"}
+        assert errors(pooled) == errors(serial)
+        assert result_signature(pooled) == result_signature(serial)

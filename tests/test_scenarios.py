@@ -17,6 +17,7 @@ Three layers:
 import pytest
 
 from repro.config.parser import parse_config
+from repro.core.options import PlanktonOptions
 from repro.engine import faults
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.engine.graph import event_scenarios_for_pec
@@ -266,17 +267,17 @@ class TestScenarioCampaignUnderFaults:
             stop_at_first_violation=False,
             scenario_events=1,
             scenario_kinds=("crash", "drain"),
-            task_retries=0,
         )
+        options = PlanktonOptions(task_retries=0)
         properties = [TransientLoopFreedom(ignore_converged=True)]
         baseline = analyze_pec_transients_over_failures(
-            network, pec, properties, transient=transient
+            network, pec, properties, options=options, transient=transient
         )
         assert baseline.complete and baseline.event_scenarios > 1
         plan = FaultPlan((FaultSpec(kind="raise", task_id=1, attempt=0),))
         with faults.active(plan):
             campaign = analyze_pec_transients_over_failures(
-                network, pec, properties, transient=transient
+                network, pec, properties, options=options, transient=transient
             )
         assert not campaign.complete
         assert [failure.task_id for failure in campaign.errors] == [1]

@@ -4,7 +4,8 @@ The fault-injection suite (:mod:`tests.test_fault_injection`) exercises the
 end-to-end properties; this module pins the individual mechanisms: policy
 derivation and backoff pacing, the fault-plan schedule algebra, the
 PicklingError → serial-fallback path, the early-stop drain of in-flight
-futures, and the pool-nonce collision fix for identity-keyed fingerprints.
+futures, and one runtime per pool: back-to-back pool runs in one process
+never serve each other's network.
 """
 
 import concurrent.futures
@@ -16,11 +17,11 @@ import pytest
 
 from repro import Plankton, PlanktonOptions
 from repro.config import ospf_everywhere
+from repro.config.builder import edge_prefix, install_loop_inducing_statics
 from repro.engine.backends import ProcessPoolBackend, _Batch
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.engine.graph import TaskResult
 from repro.engine.supervision import SupervisionPolicy
-from repro.engine.worker import fresh_pool_nonce, network_fingerprint
 from repro.incremental.service import result_signature
 from repro.policies import LoopFreedom
 from repro.topology import fat_tree
@@ -29,24 +30,33 @@ HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 # --------------------------------------------------------------------------- policy
+def _policy(**knobs) -> SupervisionPolicy:
+    return SupervisionPolicy.from_options(PlanktonOptions(**knobs))
+
+
 class TestSupervisionPolicy:
-    def test_from_options_clamps_negatives(self):
+    @pytest.mark.parametrize(
+        "knob", ["task_retries", "retry_backoff", "retry_backoff_cap", "max_pool_rebuilds"]
+    )
+    def test_options_refuse_negative_knobs(self, knob):
+        """A negative knob is refused where the options are built, never
+        clamped behind the policy's back."""
+        with pytest.raises(ValueError, match=knob):
+            PlanktonOptions(**{knob: -1})
+        assert getattr(_policy(**{knob: 0}), knob) == 0
+
+    def test_policy_reads_every_knob_off_the_options(self):
         options = PlanktonOptions(
-            retry_backoff=-1.0, retry_backoff_cap=-1.0, max_pool_rebuilds=-1
+            task_timeout=3.0, task_retries=4, retry_backoff=0.2,
+            retry_backoff_cap=1.5, max_pool_rebuilds=1,
         )
-        # Construction refuses a negative retry count; the clamp still stands
-        # behind it for an options object mutated afterwards.
-        with pytest.raises(ValueError, match="task_retries"):
-            PlanktonOptions(task_retries=-3)
-        options.task_retries = -3
-        policy = SupervisionPolicy.from_options(options)
-        assert policy.task_retries == 0
-        assert policy.retry_backoff == 0.0
-        assert policy.retry_backoff_cap == 0.0
-        assert policy.max_pool_rebuilds == 0
+        assert SupervisionPolicy.from_options(options) == SupervisionPolicy(
+            task_timeout=3.0, task_retries=4, retry_backoff=0.2,
+            retry_backoff_cap=1.5, max_pool_rebuilds=1,
+        )
 
     def test_backoff_is_deterministic_capped_and_grows(self):
-        policy = SupervisionPolicy(retry_backoff=0.1, retry_backoff_cap=0.3)
+        policy = _policy(retry_backoff=0.1, retry_backoff_cap=0.3)
         assert policy.backoff_delay(7, 0) == 0.0
         first = policy.backoff_delay(7, 1)
         second = policy.backoff_delay(7, 2)
@@ -57,14 +67,14 @@ class TestSupervisionPolicy:
         assert policy.backoff_delay(7, 1) != policy.backoff_delay(8, 1)
 
     def test_zero_backoff_disables_pacing(self):
-        policy = SupervisionPolicy(retry_backoff=0.0)
+        policy = _policy(retry_backoff=0.0)
         assert policy.backoff_delay(1, 5) == 0.0
 
     def test_deadline_scales_with_batch_size(self):
-        policy = SupervisionPolicy(task_timeout=2.0)
+        policy = _policy(task_timeout=2.0)
         assert policy.deadline_from(100.0) == 102.0
         assert policy.deadline_from(100.0, tasks=3) == 106.0
-        assert SupervisionPolicy().deadline_from(100.0) is None
+        assert _policy().deadline_from(100.0) is None
 
 
 # --------------------------------------------------------------------------- fault plan algebra
@@ -136,9 +146,10 @@ class TestSerialFallback:
             Plankton(network, options).verify(LoopFreedom())
 
     def test_unpicklable_policy_verifies_anyway(self):
-        """The pre-flight picklability probe plus the fingerprint nonce keep
-        unpicklable user policies working on the parallel path (fork) or the
-        serial fallback (spawn) — either way, the verify succeeds."""
+        """Unpicklable user policies work on the parallel path (fork hands
+        them to the workers unpickled) or, after the pre-flight picklability
+        probe, on the serial fallback (spawn) — either way, the verify
+        succeeds."""
         network = ospf_everywhere(fat_tree(4))
         result = Plankton(
             network, PlanktonOptions(cores=2, stop_at_first_violation=False)
@@ -171,7 +182,7 @@ class TestDrainAfterStop:
             _done_future([ok, cancelled]): _Batch([3, 4], submitted_at=0.0, deadline=None)
         }
         clean = ProcessPoolBackend._drain_after_stop(
-            inflight, aggregator, cancel, SupervisionPolicy(task_timeout=1.0)
+            inflight, aggregator, cancel, _policy(task_timeout=1.0)
         )
         assert clean is True
         assert cancel.is_set()
@@ -185,7 +196,7 @@ class TestDrainAfterStop:
         inflight = {failed: _Batch([5], submitted_at=0.0, deadline=None)}
         with caplog.at_level("WARNING", logger="repro.engine"):
             clean = ProcessPoolBackend._drain_after_stop(
-                inflight, aggregator, threading.Event(), SupervisionPolicy(task_timeout=1.0)
+                inflight, aggregator, threading.Event(), _policy(task_timeout=1.0)
             )
         assert clean is True  # collected (albeit unhappily): pool can join
         assert aggregator.recorded == []
@@ -198,7 +209,7 @@ class TestDrainAfterStop:
         inflight = {hung: _Batch([6], submitted_at=0.0, deadline=None)}
         with caplog.at_level("WARNING", logger="repro.engine"):
             clean = ProcessPoolBackend._drain_after_stop(
-                inflight, aggregator, threading.Event(), SupervisionPolicy(task_timeout=0.05)
+                inflight, aggregator, threading.Event(), _policy(task_timeout=0.05)
             )
         assert clean is False  # caller must kill the pool, not join it
         assert any("abandoning" in record.message for record in caplog.records)
@@ -208,31 +219,33 @@ class TestDrainAfterStop:
         ok = TaskResult(task_id=9)
         inflight = {_done_future([ok]): _Batch([9], submitted_at=0.0, deadline=None)}
         clean = ProcessPoolBackend._drain_after_stop(
-            inflight, aggregator, threading.Event(), SupervisionPolicy()
+            inflight, aggregator, threading.Event(), _policy()
         )
         assert clean is True
         assert aggregator.recorded == [9]
 
 
-# --------------------------------------------------------------------------- fingerprints
-class TestFingerprintNonce:
-    def test_nonces_never_repeat(self):
-        assert len({fresh_pool_nonce() for _ in range(100)}) == 100
-
-    def test_unpicklable_fingerprints_do_not_collide_across_calls(self):
-        """The id()-reuse hazard: two sequential verifies whose unpicklable
-        policies land on the same heap address must still produce distinct
-        worker-cache keys (each call folds in a fresh nonce)."""
-        network = ospf_everywhere(fat_tree(4))
-        options = PlanktonOptions()
-        policy = _UnpicklablePolicy()
-        first = network_fingerprint(network, options, [policy])
-        second = network_fingerprint(network, options, [policy])
-        assert first != second
-
-    def test_picklable_fingerprints_are_stable(self):
-        network = ospf_everywhere(fat_tree(4))
-        options = PlanktonOptions()
-        assert network_fingerprint(network, options, []) == network_fingerprint(
-            network, options, []
+# --------------------------------------------------------------------------- one runtime per pool
+@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+class TestOneRuntimePerPool:
+    def test_back_to_back_pool_runs_return_their_own_verdicts(self):
+        """Two ``cores=2`` verifies in one process, with unpicklable policies
+        (the case object identities once had to tell apart), on a clean and
+        then a violating network: each pool's workers run the network of
+        their own call, so each verify returns its own verdict."""
+        clean = ospf_everywhere(fat_tree(4))
+        violating = ospf_everywhere(fat_tree(4))
+        install_loop_inducing_statics(
+            violating, edge_prefix(0, 0), ["agg1_0", "edge1_0", "agg1_1", "edge1_1"]
         )
+        options = dict(cores=2, backend="process", stop_at_first_violation=False)
+        verdicts = []
+        for network in (clean, violating, clean):
+            result = Plankton(network, PlanktonOptions(**options)).verify(_UnpicklablePolicy())
+            serial = Plankton(network, PlanktonOptions(stop_at_first_violation=False)).verify(
+                _UnpicklablePolicy()
+            )
+            assert result.complete
+            assert result_signature(result) == result_signature(serial)
+            verdicts.append(result.holds)
+        assert verdicts == [True, False, True]

@@ -237,7 +237,8 @@ def test_edge_delta_count_floor(reporter, monkeypatch, k):
     def counted_derive(engine, state, parent_cache, delta):
         instance = engine.instance
         peers = instance.peers
-        node = state.node_names[delta[0]]
+        ((slot, _old, _new),) = delta
+        node = state.node_names[slot]
         readers = [other for other in instance.nodes() if node in peers(other)]
         before = dict(tally)
         cache = derive(engine, state, parent_cache, delta)

@@ -316,10 +316,9 @@ class BgpDeterminism:
         while (
             ancestor._stability_token is not self
             and ancestor.parent is not None
-            and ancestor.delta is not None
             and len(affected) < total
         ):
-            slot, _old_route, _new_route = ancestor.delta
+            ((slot, _old_route, _new_route),) = ancestor.delta
             members = self._stability_affected.get(ancestor.node_names[slot])
             if members is None:
                 return None  # unknown node

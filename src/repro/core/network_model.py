@@ -57,7 +57,7 @@ from repro.modelcheck.hashing import ZobristFingerprinter
 from repro.pec.classes import PacketEquivalenceClass
 from repro.protocols.base import EPSILON, PathVectorInstance, Route, RouteSource
 from repro.protocols.bgp import BgpInstance
-from repro.protocols.interning import RouteInternTable
+from repro.protocols.interning import RouteInternTable, node_space_for
 from repro.protocols.ospf import OspfComputation
 from repro.protocols.ospf_instance import OspfInstance
 from repro.protocols.rpvp import (
@@ -65,7 +65,6 @@ from repro.protocols.rpvp import (
     RpvpTransition,
     enabled_nodes,
     initial_state,
-    node_space_for,
     rpvp_successors,
 )
 from repro.protocols.static import resolve_static_routes

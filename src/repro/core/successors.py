@@ -44,7 +44,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.protocols.base import PathVectorInstance, Route
-from repro.protocols.rpvp import RpvpState, node_space_for
+from repro.protocols.interning import node_space_for
+from repro.protocols.rpvp import RpvpState
 
 #: One advertisement memo entry: (advertisement, its rank at the importer),
 #: both None when the peer has nothing to say on that edge.
@@ -296,7 +297,7 @@ class CandidateEngine:
             return state._engine_cache
         parent = state.parent
         delta = state.delta
-        if parent is not None and delta is not None and parent._engine_token is self:
+        if parent is not None and parent._engine_token is self:
             cache = self._derive(state, parent._engine_cache, delta)
         else:
             cache = self._full_scan(state)
@@ -317,11 +318,11 @@ class CandidateEngine:
         self,
         state: RpvpState,
         parent_cache: CandidateSets,
-        delta: Tuple[int, int, int],
+        delta: Tuple[Tuple[int, int, int], ...],
     ) -> CandidateSets:
         """The candidate sets of a state one ``with_best`` away from a state
         whose sets are ``parent_cache`` (see the module docstring)."""
-        slot, old_id, new_id = delta
+        ((slot, old_id, new_id),) = delta
         ids = state._ids
         node = self._names[slot]
         pending = parent_cache.decided_pending

@@ -144,6 +144,9 @@ class AmpleSelector:
         #: (rib slot, queue id, best id, rib-in id == best id) -> whether any
         #: message queued on the channel is dangerous.
         self._danger_memo: Dict[Tuple[int, int, int, bool], bool] = {}
+        #: Each node's position in ``instance.nodes()``: the deterministic
+        #: tie-break between equally small receiver groups.
+        self._order: Dict[str, int] = {node: index for index, node in enumerate(space.nodes)}
         #: (best-slot bytes, seed set) -> (active set, immune tally).
         self._closure_memo: Dict[
             Tuple[bytes, FrozenSet[str]], Tuple[FrozenSet[str], int]
@@ -306,7 +309,7 @@ class AmpleSelector:
 
         Preference order: the valid receiver with the fewest enabled
         in-deliveries (singletons first — maximal reduction), ties broken by
-        slot order so the exploration stays deterministic.  When no receiver
+        node order so the exploration stays deterministic.  When no receiver
         passes the provisos the full enabled set is returned.
         """
         if len(enabled) <= 1:
@@ -317,12 +320,12 @@ class AmpleSelector:
         if len(by_receiver) == 1:
             return AmpleChoice(tuple(enabled), reduced=False)
         active = self.active_nodes(state, enabled)
-        best_slot = self.space.best_slot
+        order = self._order
         choice: Optional[Tuple[Tuple[int, int], str]] = None
         for receiver, group in by_receiver.items():
             if receiver in active:
                 continue
-            key = (len(group), best_slot[receiver])
+            key = (len(group), order[receiver])
             if choice is None or key < choice[0]:
                 choice = (key, receiver)
         if choice is None:

@@ -1,18 +1,24 @@
-"""Dense-id interning of routes and channel queues (the array-native core).
+"""Dense-id interning and the id-array state kernel (the array-native core).
 
-Plankton's scaling argument (NSDI '20, §5) is that explicit-state search over
-control planes is only tractable when a state is cheap to copy, compare and
-hash.  The persistent chunked vectors from earlier PRs made copies cheap;
-equality and hashing, however, still walked boxed :class:`Route` objects slot
-by slot.  This module removes the boxes: a :class:`RouteInternTable` assigns
-every distinct route (and every distinct channel queue) a small dense integer
-id, so protocol states can store flat ``array('i')`` blocks whose equality is
-a memcmp and whose hash is ``hash(bytes)``.
+Plankton's scaling argument (NSDI '20, §4.4 and §5) is that explicit-state
+search over control planes is only tractable when a state is cheap to copy,
+compare and hash: every routing entry is stored once in a table and a state
+refers to its entries by small ids.  This module is that design, once for
+both path-vector models:
 
-One table is shared per state space (per PEC instance family): every
-:class:`~repro.protocols.rpvp.RpvpState` over the same node set, and every
-:class:`~repro.protocols.spvp.SpvpState` over the same instance, resolve ids
-through the same table, which is what makes cross-state id comparison sound.
+* :class:`RouteInternTable` assigns every distinct route (and every distinct
+  channel queue) a small dense integer id.
+* :class:`_NodeSpace` is the backbone of one sorted node set: the names, the
+  name -> slot index and *the* intern table of that node set.  There is one
+  live space per node set (:func:`node_space_for`), so every RPVP state and
+  every SPVP state over the same nodes resolve ids through one table.
+* :class:`IdArrayState` is the state kernel: a flat ``array('i')`` of intern
+  ids over a slot layout, a parent, and the ``((slot, old_id, new_id), ...)``
+  delta that derived it.  Equality is "same layout, equal arrays", the hash
+  is over the raw bytes, and the Zobrist fingerprint is folded incrementally
+  off the parent's.  :class:`~repro.protocols.rpvp.RpvpState` (layout: the
+  node space) and :class:`~repro.protocols.spvp.SpvpState` (layout: the node
+  block of the node space, then rib and channel blocks) are thin subclasses.
 
 Id spaces:
 
@@ -34,11 +40,13 @@ becomes an integer comparison.
 
 from __future__ import annotations
 
+import weakref
+from array import array
 from typing import Dict, List, Optional, Tuple
 
-from repro.protocols.base import Path, Route
+from repro.protocols.base import Path, PathVectorInstance, Route
 
-__all__ = ["RouteInternTable"]
+__all__ = ["IdArrayState", "RouteInternTable", "node_space", "node_space_for"]
 
 
 class RouteInternTable:
@@ -119,3 +127,140 @@ class RouteInternTable:
     def approximate_bytes(self) -> int:
         # Dict slot + list slot + id box per interned entry.
         return (len(self._routes) + len(self._queues) + len(self._path_ids)) * 24
+
+
+class _NodeSpace:
+    """The shared backbone of all states over one sorted node set.
+
+    Every state over the same nodes assigns routes to the same nodes, so the
+    node names, the name -> slot index and the route intern table live here
+    exactly once and each state stores only a flat vector of ids.
+    """
+
+    __slots__ = ("names", "slot_of", "table", "__weakref__")
+
+    def __init__(self, names: Tuple[str, ...]) -> None:
+        self.names = names
+        self.slot_of = {name: slot for slot, name in enumerate(names)}
+        self.table = RouteInternTable()
+
+
+#: Node spaces interned per sorted node set: explorations over the same nodes,
+#: both protocol models and states rebuilt from pickles share one backbone.
+#: Every state holds its space, so while any state over a node set is alive
+#: its space is the only one.  Weak values so a long-lived process (the
+#: engine's persistent pool workers) does not accumulate backbones of
+#: networks it no longer holds states for.
+_NODE_SPACES: "weakref.WeakValueDictionary[Tuple[str, ...], _NodeSpace]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def node_space(names: Tuple[str, ...]) -> _NodeSpace:
+    """The one live space over the node set ``names`` (already sorted)."""
+    space = _NODE_SPACES.get(names)
+    if space is None:
+        space = _NODE_SPACES[names] = _NodeSpace(names)
+    return space
+
+
+def node_space_for(instance: PathVectorInstance) -> _NodeSpace:
+    """The shared node space (and intern table) of ``instance``'s states."""
+    return node_space(tuple(sorted(instance.nodes())))
+
+
+class IdArrayState:
+    """A persistent protocol state: one flat ``array('i')`` of intern ids.
+
+    ``_space`` is the slot layout the ids are laid out in; it exposes the
+    intern table as ``table``.  A state derived from another remembers its
+    ``parent`` and the ``((slot, old_id, new_id), ...)`` triples of the slots
+    it changed, which is what makes the visited-set fingerprint an
+    O(changed slots) XOR off the parent's (paper §4.4).  Ids are only
+    comparable within one layout, so two states are equal exactly when they
+    share the layout object and their arrays are equal.
+    """
+
+    __slots__ = ("_space", "_ids", "parent", "delta", "_fp_token", "_fp", "_hash")
+
+    #: The per-search slots :meth:`detach` clears (subclasses add theirs).
+    _SEARCH_SLOTS: Tuple[str, ...] = ("_fp_token",)
+
+    def _init_ids(self, space, ids: "array[int]", parent, delta) -> None:
+        self._space = space
+        self._ids = ids
+        #: The state this one was derived from (None for roots).
+        self.parent = parent
+        #: ``(slot, old_id, new_id)`` triples of the changed slots.
+        self.delta = delta
+        self._fp_token = None
+        self._fp = 0
+        self._hash = None
+
+    @property
+    def intern_table(self) -> RouteInternTable:
+        """The shared intern table this state resolves ids through."""
+        return self._space.table
+
+    def detach(self):
+        """Drop the search-time caches once the search is done with this state.
+
+        States handed out of a search — converged states kept in results —
+        would otherwise pin their whole ancestor chain in memory, plus the
+        search's fingerprinter and whatever else it cached on the state.  The
+        id vector stays resolvable through the shared layout, so lookups and
+        equality are unaffected; a later fingerprint is a full fold.
+        Returns self for chaining.
+        """
+        self.parent = None
+        self.delta = ()
+        for name in self._SEARCH_SLOTS:
+            setattr(self, name, None)
+        return self
+
+    def fingerprint(self, hasher) -> int:
+        """This state's Zobrist fingerprint under ``hasher``.
+
+        ``hasher`` is a :class:`~repro.modelcheck.hashing.ZobristFingerprinter`
+        bound to this state's :attr:`intern_table`: slots already hold table
+        ids, so every component is keyed directly on ``(slot, id)`` — no
+        decode, no path hashing.  Computed incrementally from the nearest
+        ancestor ``hasher`` already fingerprinted via the recorded deltas —
+        O(changed slots) during a search, where parents are fingerprinted
+        before their children — and by a full fold over all slots for roots
+        and detached states.
+        """
+        if self._fp_token is hasher:
+            return self._fp
+        component_id = hasher.component_id
+        chain: List[IdArrayState] = []
+        state = self
+        while state._fp_token is not hasher and state.parent is not None:
+            chain.append(state)
+            state = state.parent
+        if state._fp_token is hasher:
+            value = state._fp
+        else:
+            value = 0
+            for slot, eid in enumerate(state._ids):
+                value ^= component_id(slot, eid)
+            state._fp_token = hasher
+            state._fp = value
+        for derived in reversed(chain):
+            for slot, old, new in derived.delta:
+                value ^= component_id(slot, old) ^ component_id(slot, new)
+            derived._fp_token = hasher
+            derived._fp = value
+        return value
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, IdArrayState):
+            return NotImplemented
+        return self._space is other._space and self._ids == other._ids
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._ids.tobytes())
+        return self._hash

@@ -23,8 +23,8 @@ from repro.config.objects import NetworkConfig
 from repro.exceptions import ConfigError, ProtocolError
 from repro.netaddr import Prefix
 from repro.protocols.base import EPSILON, Path, PathVectorInstance, Route, RouteSource
+from repro.protocols.interning import node_space_for
 from repro.protocols.ospf import INFINITY, OspfComputation
-from repro.protocols.rpvp import node_space_for
 
 #: Distinct-from-None sentinel for memo lookups whose value may be None.
 _MISSING = object()

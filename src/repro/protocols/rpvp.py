@@ -14,81 +14,47 @@ reach, so the model checker only needs this much simpler protocol.
 This module implements the raw, *unoptimized* semantics.  The verifier core
 layers partial-order reduction and the other §4 optimizations on top of the
 successor relation defined here.
+
+:class:`RpvpState` is the id-array kernel of
+:mod:`repro.protocols.interning` over the node space of its sorted node set:
+one route id per node.  An SPVP state's best block is laid out the same way,
+so a converged SPVP state *is* an RPVP state (Theorem 1) by a slice of its
+id array, in the same intern table.
 """
 
 from __future__ import annotations
 
-import weakref
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ProtocolError
-from repro.protocols.base import EPSILON, Path, PathVectorInstance, Route
-from repro.protocols.interning import RouteInternTable
+from repro.protocols.base import EPSILON, PathVectorInstance, Route
+from repro.protocols.interning import IdArrayState, _NodeSpace, node_space
 
 
 # --------------------------------------------------------------------------- state
-class _NodeSpace:
-    """The shared backbone of all states over one (sorted) node set.
-
-    Every state of one protocol instance assigns routes to the same nodes, so
-    the node names, the name -> slot index and the route intern table live
-    here exactly once and each state stores only a flat vector of route ids.
-    """
-
-    __slots__ = ("names", "slot_of", "table", "__weakref__")
-
-    def __init__(self, names: Tuple[str, ...]) -> None:
-        self.names = names
-        self.slot_of = {name: slot for slot, name in enumerate(names)}
-        self.table = RouteInternTable()
-
-
-#: Node spaces interned per node set: explorations over the same instance (and
-#: states rebuilt from pickles) share one backbone.  Weak values so a
-#: long-lived process (the engine's persistent pool workers) does not
-#: accumulate backbones of networks it no longer holds states for.
-_NODE_SPACES: "weakref.WeakValueDictionary[Tuple[str, ...], _NodeSpace]" = (
-    weakref.WeakValueDictionary()
-)
-
-
-def _space_for(names: Tuple[str, ...]) -> _NodeSpace:
-    space = _NODE_SPACES.get(names)
-    if space is None:
-        space = _NodeSpace(names)
-        _NODE_SPACES[names] = space
-    return space
-
-
-def node_space_for(instance: PathVectorInstance) -> _NodeSpace:
-    """The shared node space (and intern table) of ``instance``'s RPVP states."""
-    return _space_for(tuple(sorted(instance.nodes())))
-
-
-class RpvpState:
+class RpvpState(IdArrayState):
     """An RPVP network state: the best route of every node.
 
-    States are persistent (immutable with structural sharing of the
-    backbone): the sorted node vector and the route intern table live once in
-    a shared :class:`_NodeSpace`, and each state stores only a flat
-    ``array('i')`` of route ids.  Copy-on-write in :meth:`with_best` is one
-    memcpy of machine integers, equality is an array compare and hashing
-    folds the raw bytes — no boxed :class:`Route` objects are touched on the
-    hot paths.  Each derived state also remembers its parent and single-slot
-    delta, which the model checker uses for O(1) incremental Zobrist
-    fingerprints (paper §4.4) and incremental successor candidate sets.
+    An :class:`~repro.protocols.interning.IdArrayState` over the node space
+    of its (sorted) node set: the names and the route intern table live once
+    in the shared space, and each state stores one route id per node, in
+    sorted-name order.  Copy-on-write in :meth:`with_best` is one memcpy of
+    machine integers plus a one-triple delta, which the model checker uses
+    for O(1) incremental Zobrist fingerprints (paper §4.4) and incremental
+    successor candidate sets.
     """
 
     __slots__ = (
-        "_space",
-        "_ids",
-        "parent",
-        "delta",
+        "_engine_token",
+        "_engine_cache",
+        "_stability_token",
+        "_stability_cache",
+    )
+
+    _SEARCH_SLOTS = (
         "_fp_token",
-        "_fp",
-        "_hash",
         "_engine_token",
         "_engine_cache",
         "_stability_token",
@@ -96,8 +62,8 @@ class RpvpState:
     )
 
     def __init__(self, assignments: Iterable[Tuple[str, Optional[Route]]]) -> None:
-        pairs = tuple(assignments)
-        space = _space_for(tuple(name for name, _route in pairs))
+        pairs = sorted(assignments, key=lambda item: item[0])
+        space = node_space(tuple(name for name, _route in pairs))
         route_id = space.table.route_id
         self._init(space, array("i", [route_id(route) for _name, route in pairs]))
 
@@ -106,22 +72,14 @@ class RpvpState:
         space: _NodeSpace,
         ids: "array[int]",
         parent: Optional["RpvpState"] = None,
-        delta: Optional[Tuple[int, int, int]] = None,
+        delta: Tuple[Tuple[int, int, int], ...] = (),
     ) -> "RpvpState":
-        self._space = space
-        self._ids = ids
-        #: The state this one was derived from via :meth:`with_best` (None for
-        #: states built from scratch).
-        self.parent = parent
-        #: ``(slot, old_id, new_id)`` of the single changed entry (intern-table
-        #: route ids).  The fingerprint folds the two ids out and in; the
-        #: candidate engine looks up what the node advertised under the old
-        #: id and advertises under the new one; the stability analysis reads
-        #: the slot only.
-        self.delta = delta
-        self._fp_token = None
-        self._fp = 0
-        self._hash = None
+        # ``delta`` is one ``(slot, old_id, new_id)`` triple for a state out
+        # of :meth:`with_best`: the fingerprint folds the two ids out and in;
+        # the candidate engine looks up what the node advertised under the
+        # old id and advertises under the new one; the stability analysis
+        # reads the slot only.
+        self._init_ids(space, ids, parent, delta)
         self._engine_token = None
         self._engine_cache = None
         self._stability_token = None
@@ -130,18 +88,13 @@ class RpvpState:
 
     @staticmethod
     def from_dict(best: Dict[str, Optional[Route]]) -> "RpvpState":
-        """Build a canonical state from a node -> route mapping."""
-        return RpvpState(sorted(best.items(), key=lambda item: item[0]))
+        """Build a state from a node -> route mapping."""
+        return RpvpState(best.items())
 
     @property
     def assignments(self) -> Tuple[Tuple[str, Optional[Route]], ...]:
         """The (node, route) pairs in node order (materialized on demand)."""
         return tuple(zip(self._space.names, self.routes()))
-
-    @property
-    def intern_table(self) -> RouteInternTable:
-        """The shared route intern table this state resolves ids through."""
-        return self._space.table
 
     def routes(self) -> List[Optional[Route]]:
         """The route vector in node order."""
@@ -154,31 +107,9 @@ class RpvpState:
         for name, rid in zip(self._space.names, self._ids):
             yield name, route(rid)
 
-    def detach(self) -> "RpvpState":
-        """Drop the search-time caches once the search is done with this state.
-
-        States handed out of a search — converged states kept in results —
-        would otherwise pin their whole DFS ancestor chain in memory, plus
-        the exploration's fingerprinter (and through it its Zobrist
-        components) and candidate engine (and through it the protocol
-        instance).  The id vector stays resolvable through the shared node
-        space, so lookups and equality are unaffected; future
-        fingerprint/candidate computations fall back to a from-scratch
-        evaluation.  Returns self for chaining.
-        """
-        self.parent = None
-        self.delta = None
-        self._fp_token = None
-        self._fp = 0
-        self._engine_token = None
-        self._engine_cache = None
-        self._stability_token = None
-        self._stability_cache = None
-        return self
-
     @property
     def node_names(self) -> Tuple[str, ...]:
-        """The sorted node names (shared across states of one instance)."""
+        """The sorted node names (shared across states of one node set)."""
         return self._space.names
 
     def best(self, node: str) -> Optional[Route]:
@@ -208,7 +139,7 @@ class RpvpState:
         new = self._space.table.route_id(route)
         ids[slot] = new
         return RpvpState.__new__(RpvpState)._init(
-            self._space, ids, parent=self, delta=(slot, old, new)
+            self._space, ids, parent=self, delta=((slot, old, new),)
         )
 
     def describe(self) -> str:
@@ -217,73 +148,6 @@ class RpvpState:
         for name, route in zip(self._space.names, self.routes()):
             lines.append(f"  {name}: {route.describe() if route else '<no route>'}")
         return "\n".join(lines)
-
-    # ------------------------------------------------------------------ hashing
-    def fingerprint(self, hasher) -> int:
-        """This state's Zobrist fingerprint under ``hasher``.
-
-        ``hasher`` is a :class:`repro.modelcheck.hashing.ZobristFingerprinter`
-        bound to this state's own :attr:`intern_table`, so components are
-        keyed directly on the ``(slot, route id)`` pairs the state stores.
-        The value is the XOR of all per-slot components, computed
-        incrementally from the parent's cached fingerprint when this state
-        came out of :meth:`with_best` — O(1) amortized during a depth-first
-        search, where parents are always fingerprinted before their children.
-        """
-        if self._fp_token is hasher:
-            return self._fp
-        component_id = hasher.component_id
-        # Walk up to the nearest ancestor already fingerprinted by ``hasher``.
-        chain: List[RpvpState] = []
-        state: Optional[RpvpState] = self
-        while (
-            state is not None
-            and state._fp_token is not hasher
-            and state.parent is not None
-            and state.delta is not None
-        ):
-            chain.append(state)
-            state = state.parent
-        if state is None or state._fp_token is not hasher:
-            base = state if state is not None else self
-            value = 0
-            for slot, rid in enumerate(base._ids):
-                value ^= component_id(slot, rid)
-            base._fp_token = hasher
-            base._fp = value
-        else:
-            value = state._fp
-        for derived in reversed(chain):
-            slot, old, new = derived.delta  # type: ignore[misc]
-            value ^= component_id(slot, old) ^ component_id(slot, new)
-            derived._fp_token = hasher
-            derived._fp = value
-        return value
-
-    # ------------------------------------------------------------------ dunder
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, RpvpState):
-            return NotImplemented
-        if self._space is other._space:
-            # One shared (interned) space per node set, so ids are comparable.
-            return self._ids == other._ids
-        if self._space.names != other._space.names:
-            return False
-        # Distinct spaces over equal names can only meet across an interning
-        # epoch (e.g. a state that outlived a garbage-collected space);
-        # compare the materialized routes.
-        return self.routes() == other.routes()
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._space.names, self._ids.tobytes()))
-        return self._hash
 
     def __repr__(self) -> str:
         decided = sum(1 for route in self.routes() if route is not None)

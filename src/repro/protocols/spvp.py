@@ -14,21 +14,22 @@ the same converged states — but SPVP is implemented here for three reasons:
   that only some orderings expose (BGP wedgies);
 * divergent configurations (BAD GADGET) can be demonstrated on it.
 
-The state lives in :class:`SpvpState`, an immutable array-native vector
-mirroring :class:`repro.protocols.rpvp.RpvpState`'s backbone design: one
-shared slot layout per instance (:class:`_SpvpSpace`) owning a
-:class:`~repro.protocols.interning.RouteInternTable`, values stored as one
-flat ``array('i')`` of intern ids (route ids in best/rib slots, queue ids in
-channel slots), each derived state remembering its parent and the slot/id
-deltas it applied.  Equality between states of one instance is an integer
-array compare; the visited-set fingerprint is an O(changed-slots) Zobrist
-XOR over ``(slot, id)`` components.  :class:`SpvpStepper` is the stateless
-transition function over those states, generating successors through
-id-keyed import/export/rank memos; :class:`SpvpSimulator` is a thin mutable
-wrapper (current state + RNG + history) that keeps the historic simulation
-API.  The dict/deque simulator this core replaced is not shipped: it lives
-in ``tests/oracles/spvp_reference.py`` as the oracle the property tests step
-in lockstep with it.
+The state lives in :class:`SpvpState`, the id-array kernel of
+:mod:`repro.protocols.interning` (the one :class:`RpvpState` is built on)
+over one slot layout per instance (:class:`_SpvpSpace`): the node block of
+the instance's node space — one best-route id per node, in the same sorted
+order and intern table as an RPVP state, so the best block *is* an
+:class:`RpvpState` — followed by the rib-in and channel blocks (route ids in
+best/rib slots, queue ids in channel slots).  Equality between states of one
+instance is an integer array compare; the visited-set fingerprint is an
+O(changed-slots) Zobrist XOR over ``(slot, id)`` components.
+:class:`SpvpStepper` is the stateless transition function over those
+states, generating successors through id-keyed import/export/rank memos;
+:class:`SpvpSimulator` is a thin mutable wrapper (current state + RNG +
+history) that keeps the historic simulation API.  The dict/deque simulator
+this core replaced is not shipped: it lives in
+``tests/oracles/spvp_reference.py`` as the oracle the property tests step in
+lockstep with it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import ProtocolError
 from repro.protocols.base import EPSILON, Path, PathVectorInstance, Route
-from repro.protocols.interning import RouteInternTable
+from repro.protocols.interning import IdArrayState, node_space_for
 from repro.protocols.rpvp import RpvpState
 
 
@@ -70,19 +71,20 @@ class _SpvpSpace:
     numbering (and the per-node peer/slot adjacency the stepper needs) lives
     here exactly once:
 
-    * slots ``[0, len(nodes))`` — per-node best route;
+    * slots ``[0, len(nodes))`` — per-node best route: the node block of the
+      instance's node space, in its sorted-name order;
     * the next block — per-(node, peer) rib-in entry;
     * the final block, from :attr:`buffer_base` — per-(sender, receiver)
       channel FIFO, stored as the intern id of the queued-advertisement tuple.
 
-    The space also owns the :class:`RouteInternTable` that maps every route
-    (and channel queue) appearing in any state of the instance to a dense
-    integer id; states store only those ids, in a flat C int array.
+    Ids resolve through the node space's intern table (:attr:`table`), the
+    one every RPVP state over the same nodes uses.
 
-    Rib and channel slots are laid out in ``for node in nodes(): for peer in
-    peers(node)`` order — the insertion order of the original dict-based
-    simulator — so channel enumeration (and with it seeded simulations and
-    exploration order) is unchanged by the representation.
+    :attr:`nodes` (and with it :attr:`best_slot`'s iteration order) and the
+    rib and channel blocks follow ``for node in nodes(): for peer in
+    peers(node)`` — the insertion order of the original dict-based simulator
+    — so channel enumeration (and with it seeded simulations and exploration
+    order) is unchanged by the representation.
     """
 
     __slots__ = (
@@ -98,16 +100,17 @@ class _SpvpSpace:
         "out_peers",
         "buffer_base",
         "total_slots",
+        "node_space",
         "table",
     )
 
     def __init__(self, instance: PathVectorInstance) -> None:
-        self.table = RouteInternTable()
+        self.node_space = node_space_for(instance)
+        self.table = self.node_space.table
         self.nodes: Tuple[str, ...] = tuple(instance.nodes())
         self.origin_set: FrozenSet[str] = frozenset(instance.origins())
-        self.best_slot: Dict[str, int] = {
-            node: slot for slot, node in enumerate(self.nodes)
-        }
+        slot_of = self.node_space.slot_of
+        self.best_slot: Dict[str, int] = {node: slot_of[node] for node in self.nodes}
         self.rib_slot: Dict[Tuple[str, str], int] = {}
         self.channels: List[Channel] = []
         self.channel_slot: Dict[Channel, int] = {}
@@ -170,7 +173,7 @@ def _space_for(instance: PathVectorInstance) -> _SpvpSpace:
 space_for = _space_for
 
 
-class SpvpState:
+class SpvpState(IdArrayState):
     """An immutable SPVP network state: best routes, rib-ins, FIFO buffers.
 
     The state proper is one flat ``array('i')`` of intern ids over the
@@ -190,21 +193,10 @@ class SpvpState:
     Fingerprints key on ``(slot, id)``; route attributes are a deterministic
     function of the path for a fixed instance, so this identifies exactly
     the states the reference explorer's path-keyed visited-set signature
-    does.  Equality compares full routes (which for one shared intern table
-    is exactly the id compare).
+    does.
     """
 
-    __slots__ = (
-        "_space",
-        "_ids",
-        "parent",
-        "delta",
-        "event",
-        "pending",
-        "_fp_token",
-        "_fp",
-        "_hash",
-    )
+    __slots__ = ("event", "pending")
 
     def _init(
         self,
@@ -215,21 +207,13 @@ class SpvpState:
         delta: Tuple[Tuple[int, int, int], ...] = (),
         event: Optional[SpvpEvent] = None,
     ) -> "SpvpState":
-        self._space = space
-        self._ids = ids
+        self._init_ids(space, ids, parent, delta)
         #: Channels with at least one queued advertisement (delta-maintained:
         #: one delivery removes at most the drained channel and adds the
         #: receiver's out-channels; no buffer rescan ever happens).
         self.pending = pending
-        #: The state this one was derived from (None for roots).
-        self.parent = parent
-        #: ``(slot, old_id, new_id)`` triples of the changed slots.
-        self.delta = delta
         #: The delivery that produced this state from its parent.
         self.event = event
-        self._fp_token = None
-        self._fp = 0
-        self._hash = None
         return self
 
     # ------------------------------------------------------------------ access
@@ -261,7 +245,8 @@ class SpvpState:
         return tuple(table.route(rid) for rid in table.queue(self._ids[slot]))
 
     def best_map(self) -> Dict[str, Optional[Route]]:
-        """The node -> best route assignment as a mutable dict."""
+        """The node -> best route assignment as a mutable dict, in
+        ``instance.nodes()`` order."""
         table = self._space.table
         ids = self._ids
         return {
@@ -275,6 +260,7 @@ class SpvpState:
         Equal between two states of one instance iff every node holds the
         same best route — the memo key of whatever is a function of the
         best paths alone (the forwarding relation, the activity closure).
+        The bytes of :meth:`converged_rpvp`'s id array.
         """
         return self._ids[: len(self._space.nodes)].tobytes()
 
@@ -302,8 +288,15 @@ class SpvpState:
         return not self.pending
 
     def converged_rpvp(self) -> RpvpState:
-        """The current best-path assignment as an :class:`RpvpState`."""
-        return RpvpState.from_dict(self.best_map())
+        """The current best-path assignment as an :class:`RpvpState`.
+
+        The best block is laid out as the node space's RPVP id vector, so
+        this is a slice of the id array: nothing is decoded or interned.
+        """
+        space = self._space
+        return RpvpState.__new__(RpvpState)._init(
+            space.node_space, self._ids[: len(space.nodes)]
+        )
 
     def witness_events(self) -> List[SpvpEvent]:
         """The delivery sequence from the root to this state (parent chain)."""
@@ -340,80 +333,6 @@ class SpvpState:
             delta=tuple(delta),
             event=event,
         )
-
-    # ------------------------------------------------------------------ hashing
-    def fingerprint(self, hasher) -> int:
-        """This state's Zobrist fingerprint under ``hasher``.
-
-        ``hasher`` is a :class:`~repro.modelcheck.hashing.ZobristFingerprinter`
-        bound to this space's intern table: slots already hold table ids, so
-        every component is keyed directly on ``(slot, id)`` — no decode, no
-        path hashing.  Computed incrementally from the parent's cached
-        fingerprint via the recorded slot deltas — O(changed slots) during a
-        search, where parents are always fingerprinted before their children
-        — falling back to a full fold over all slots for roots (and detached
-        states).
-        """
-        if self._fp_token is hasher:
-            return self._fp
-        component_id = hasher.component_id
-        chain: List[SpvpState] = []
-        state: Optional[SpvpState] = self
-        while (
-            state is not None
-            and state._fp_token is not hasher
-            and state.parent is not None
-        ):
-            chain.append(state)
-            state = state.parent
-        if state is None or state._fp_token is not hasher:
-            base = state if state is not None else self
-            value = 0
-            for slot, eid in enumerate(base._ids):
-                value ^= component_id(slot, eid)
-            base._fp_token = hasher
-            base._fp = value
-        else:
-            value = state._fp
-        for derived in reversed(chain):
-            for slot, old, new in derived.delta:
-                value ^= component_id(slot, old) ^ component_id(slot, new)
-            derived._fp_token = hasher
-            derived._fp = value
-        return value
-
-    # ------------------------------------------------------------------ dunder
-    def _slot_values(self) -> Tuple[object, ...]:
-        """All slots decoded to routes / route tuples (cross-table compares)."""
-        space = self._space
-        table = space.table
-        buffer_base = space.buffer_base
-        return tuple(
-            tuple(table.route(rid) for rid in table.queue(eid))
-            if slot >= buffer_base
-            else table.route(eid)
-            for slot, eid in enumerate(self._ids)
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, SpvpState):
-            return NotImplemented
-        if self._space is other._space:
-            return self._ids == other._ids
-        if self._space.nodes != other._space.nodes:
-            return False
-        return self._slot_values() == other._slot_values()
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._space.nodes, self._slot_values()))
-        return self._hash
 
     def __repr__(self) -> str:
         return (

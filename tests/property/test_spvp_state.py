@@ -10,13 +10,20 @@ fingerprint equal to a from-scratch fold over the full state.  These tests
 pin that promise against the naive oracle across random gadget topologies
 and random delivery schedules, mirroring ``test_state_representation.py``
 for the RPVP side.
+
+Both models are one id-array kernel over one intern table per node set, so
+the best block of an SPVP state *is* an RPVP state: the lockstep also walks
+an RPVP ``with_best`` chain beside the deliveries and checks it against
+:meth:`SpvpState.converged_rpvp` under the same fingerprinter.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.modelcheck.hashing import ZobristFingerprinter
-from repro.protocols.spvp import SpvpSimulator, SpvpStepper
+from repro.protocols.interning import IdArrayState
+from repro.protocols.rpvp import RpvpState
+from repro.protocols.spvp import SpvpSimulator, SpvpState, SpvpStepper
 
 from tests.oracles.spvp_reference import ReferenceSpvpSimulator
 from tests.test_rpvp_spvp import GadgetInstance, bad_gadget, disagree_gadget, good_gadget
@@ -91,6 +98,34 @@ def _assert_state_matches_reference(stepper, state, reference, hasher):
     assert state == rebuilt and rebuilt == state
     assert hash(state) == hash(rebuilt)
     assert state.fingerprint(hasher) == rebuilt.fingerprint(hasher)
+    assert rebuilt.fingerprint(hasher) == _full_fold(hasher, state)
+
+
+def _full_fold(hasher, state):
+    """The from-scratch Zobrist fold over every slot of ``state``."""
+    value = 0
+    for slot, entry_id in enumerate(state._ids):
+        value ^= hasher.component_id(slot, entry_id)
+    return value
+
+
+def _assert_best_block_is_rpvp(stepper, state, rpvp, hasher):
+    """The best block is the RPVP state the ``with_best`` chain reached."""
+    table = stepper.table
+    known = len(table)
+    converged = state.converged_rpvp()
+    assert converged.intern_table is table
+    assert len(table) == known
+    assert converged == RpvpState.from_dict(state.best_map())
+    assert len(table) == known
+    assert converged.node_names == tuple(sorted(state.best_map()))
+    assert converged.as_dict() == state.best_map()
+    assert state.best_key() == converged._ids.tobytes()
+    assert converged == rpvp and hash(converged) == hash(rpvp)
+    # The chain folds incrementally, the slice from scratch: one kernel
+    # method, one table, one fingerprinter for both models.
+    assert rpvp.fingerprint(hasher) == converged.fingerprint(hasher)
+    assert converged.fingerprint(hasher) == _full_fold(hasher, converged)
 
 
 class TestSpvpStateAgainstReference:
@@ -104,7 +139,9 @@ class TestSpvpStateAgainstReference:
         hasher = ZobristFingerprinter(stepper.table)
 
         state = stepper.initial_state()
+        rpvp = state.converged_rpvp()
         _assert_state_matches_reference(stepper, state, reference, hasher)
+        _assert_best_block_is_rpvp(stepper, state, rpvp, hasher)
         for pick in schedule:
             pending = state.pending_channels()
             if not pending:
@@ -112,7 +149,15 @@ class TestSpvpStateAgainstReference:
             channel = pending[pick % len(pending)]
             event, state = stepper.deliver(state, channel)
             assert event == reference.step(channel)
+            rpvp = rpvp.with_best(event.node, event.new_best)
             _assert_state_matches_reference(stepper, state, reference, hasher)
+            _assert_best_block_is_rpvp(stepper, state, rpvp, hasher)
+
+    def test_both_models_share_one_state_kernel(self):
+        for model in (RpvpState, SpvpState):
+            assert issubclass(model, IdArrayState)
+            for operation in ("fingerprint", "detach", "__eq__", "__ne__", "__hash__"):
+                assert getattr(model, operation) is getattr(IdArrayState, operation)
 
     @given(scenario=spvp_scenarios())
     @settings(max_examples=40, deadline=None)

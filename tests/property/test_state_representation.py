@@ -24,7 +24,8 @@ from repro.pec.classes import compute_pecs
 from repro.policies import LoopFreedom, Reachability
 from repro.protocols.base import Path, PathVectorInstance, Route
 from repro.protocols.ospf_instance import OspfInstance
-from repro.protocols.rpvp import RpvpState, initial_state, node_space_for, rpvp_successors
+from repro.protocols.interning import node_space_for
+from repro.protocols.rpvp import RpvpState, initial_state, rpvp_successors
 from repro.topology import Topology, bgp_fat_tree, fat_tree
 from repro.topology.failures import FailureScenario
 
@@ -566,7 +567,8 @@ class TestInternOnAdoption:
         while frontier:
             state = frontier.pop()
             for _label, child in successors(state):
-                adopted.add(child.delta[2])
+                ((_slot, _old, new),) = child.delta
+                adopted.add(new)
                 if child not in seen:
                     seen.add(child)
                     frontier.append(child)

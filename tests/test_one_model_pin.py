@@ -6,6 +6,11 @@ serve them live in ``tests/oracles/`` (or nowhere).  A change that re-grows
 a second model inside ``src/repro`` — or makes the package reach into the
 test tree for one — fails here.  The source scan uses :mod:`ast`, so the
 docstrings that say where the references went do not count.
+
+One state representation: RPVP and SPVP states are one id-array kernel
+(``repro.protocols.interning.IdArrayState``) over one intern table per node
+set, so the package holds one ``fingerprint`` and constructs
+``RouteInternTable`` in one place.
 """
 
 import ast
@@ -24,6 +29,7 @@ GONE = {
     "StateInterner",
     "queue_component",
     "fingerprint_of",
+    "_slot_values",
 }
 
 
@@ -42,11 +48,15 @@ def _identifiers(node):
                 yield alias.asname
 
 
+def _package_trees():
+    for path in sorted(SOURCE.rglob("*.py")):
+        yield path.relative_to(SOURCE).as_posix(), ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_the_package_holds_no_reference_model_and_imports_no_tests():
     regrown, test_imports = [], []
-    for path in sorted(SOURCE.rglob("*.py")):
-        module = path.relative_to(SOURCE).as_posix()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for module, tree in _package_trees():
+        for node in ast.walk(tree):
             regrown.extend(
                 f"{module}:{name}" for name in _identifiers(node) if name in GONE
             )
@@ -79,3 +89,15 @@ def test_public_namespaces_do_not_expose_the_moved_names(module):
     namespace = importlib.import_module(module)
     exposed = GONE & (set(vars(namespace)) | set(getattr(namespace, "__all__", ())))
     assert exposed == set()
+
+
+def test_one_state_representation():
+    fingerprints, table_sites = [], []
+    for module, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "fingerprint":
+                fingerprints.append(module)
+            elif isinstance(node, ast.Call) and "RouteInternTable" in _identifiers(node.func):
+                table_sites.append(module)
+    assert fingerprints == ["protocols/interning.py"]
+    assert table_sites == ["protocols/interning.py"]

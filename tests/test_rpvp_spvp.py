@@ -27,6 +27,7 @@ from repro.protocols import (
     run_to_convergence,
 )
 from repro.protocols.rpvp import forwarding_next_hops, initial_state, is_invalid, step_node
+from repro.protocols.spvp import SpvpStepper
 from repro.topology import fat_tree, linear_chain, ring
 
 
@@ -199,6 +200,14 @@ class TestRpvpSemantics:
         c = a.with_best("a", Route(path=Path(("o",))))
         assert c != a
 
+    def test_constructor_canonicalises_the_pair_order(self):
+        """One node set is one slot layout, whatever order the pairs came in."""
+        shuffled = RpvpState([("b", None), ("a", None)])
+        canonical = RpvpState.from_dict({"a": None, "b": None})
+        assert shuffled == canonical and hash(shuffled) == hash(canonical)
+        assert shuffled.node_names == ("a", "b")
+        assert shuffled.intern_table is canonical.intern_table
+
     def test_forwarding_next_hops(self):
         instance = good_gadget()
         state, _ = run_to_convergence(instance)
@@ -238,6 +247,16 @@ class TestSpvp:
             signature = (tuple(spvp_state.best("a").path), tuple(spvp_state.best("b").path))
             assert signature in rpvp_signatures
         assert converged_runs >= 1
+
+    def test_states_over_different_session_graphs_differ(self):
+        """Equal id arrays over two slot layouts are two states: sessions
+        o-a, b-c against o-a, b-d lay out the same number of slots."""
+        edges = {"o": ("a",), "a": ("o",), "b": ("c",), "c": ("b",), "d": ()}
+        other_edges = {"o": ("a",), "a": ("o",), "b": ("d",), "c": (), "d": ("b",)}
+        first = SpvpStepper(GadgetInstance("o", edges, {})).initial_state()
+        second = SpvpStepper(GadgetInstance("o", other_edges, {})).initial_state()
+        assert first != second and not first == second
+        assert len({first, second}) == 2
 
     def test_spvp_session_failure_delivers_withdraw(self):
         instance = good_gadget()

@@ -12,8 +12,8 @@ message.
 
 import pytest
 
-from repro.baselines import shortest_paths_by_constraints, shortest_paths_by_execution
 from repro.topology import fat_tree, fat_tree_device_count
+from tests.oracles.spt import shortest_paths_by_constraints, shortest_paths_by_execution
 
 ARITY = {20: 4, 45: 6, 80: 8, 180: 12}
 MC_SIZES = [20, 45, 80, 180]

@@ -14,7 +14,6 @@ import time
 import pytest
 
 from repro import Plankton, PlanktonOptions
-from repro.baselines import MinesweeperVerifier
 from repro.config import ospf_everywhere
 from repro.config.builder import edge_prefix, install_loop_inducing_statics
 from repro.core.successors import CandidateEngine
@@ -24,6 +23,7 @@ from repro.protocols import ospf_instance
 from repro.protocols.interning import RouteInternTable
 from repro.protocols.rpvp import RpvpState
 from repro.topology import fat_tree
+from tests.oracles.minesweeper import MinesweeperVerifier
 
 ARITIES = [4, 6, 8]
 

@@ -15,11 +15,11 @@ import functools
 import pytest
 
 from repro import Plankton, PlanktonOptions
-from repro.baselines import MinesweeperVerifier
 from repro.config import ospf_everywhere
 from repro.netaddr import Prefix
 from repro.policies import Reachability
 from repro.topology import rocketfuel_like
+from tests.oracles.minesweeper import MinesweeperVerifier
 
 #: (AS name, device count used here) — scaled-down stand-ins for the paper's maps.
 CASES = [("AS1755", 30), ("AS3967", 30), ("AS1221", 40), ("AS3257", 40)]

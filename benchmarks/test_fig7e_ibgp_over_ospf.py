@@ -12,11 +12,11 @@ formula size grows with the n+1 network copies.
 import pytest
 
 from repro import Plankton, PlanktonOptions
-from repro.baselines import MinesweeperVerifier
 from repro.config import ibgp_over_ospf
 from repro.netaddr import Prefix
 from repro.policies import Reachability
 from repro.topology import rocketfuel_like
+from tests.oracles.minesweeper import MinesweeperVerifier
 
 SIZES = [15, 25, 35]
 EXTERNAL = Prefix("200.0.0.0/16")
@@ -66,24 +66,22 @@ def test_minesweeper_ibgp_reachability(benchmark, reporter, size):
     assert result.network_copies == size + 1
 
 
-@pytest.mark.skip(
-    reason="requires solving the n+1-copy encoding (see test_minesweeper_ibgp_reachability); "
-    "the formula-size blow-up is still visible from the encoder statistics in "
-    "the skipped test above when run without a time budget"
-)
-def test_problem_size_blowup(reporter):
-    """Minesweeper's n+1 copies vs Plankton's per-PEC scheduling."""
-    size = SIZES[0]
+@pytest.mark.parametrize("size", SIZES[:2])
+def test_problem_size_blowup(reporter, size):
+    """Minesweeper's n+1 copies vs one copy, read off the encodings unsolved."""
     network = _network(size)
     source = sorted(network.topology.nodes)[-1]
-    minesweeper = MinesweeperVerifier(network).check_ibgp_reachability(EXTERNAL, [source])
-    single = MinesweeperVerifier(network).check_reachability(
+    formula, _, copies = MinesweeperVerifier(network).encode_ibgp_reachability(
+        EXTERNAL, [source]
+    )
+    single, _ = MinesweeperVerifier(network).encode_reachability(
         network.topology.node(sorted(network.topology.nodes)[0]).loopback, [source]
     )
-    blowup = minesweeper.clauses / max(single.clauses, 1)
+    blowup = formula.clause_count() / max(single.clause_count(), 1)
     reporter(
         "fig7e",
         f"n={size} formula blowup from network copies={blowup:.1f}x "
-        f"({single.clauses} -> {minesweeper.clauses} clauses)",
+        f"({single.clause_count()} -> {formula.clause_count()} clauses, {copies} copies)",
     )
-    assert blowup > 3.0
+    assert copies == size + 1
+    assert blowup > size / 2

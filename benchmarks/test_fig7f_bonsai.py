@@ -13,11 +13,12 @@ verify the compressed network.
 import pytest
 
 from repro import Plankton, PlanktonOptions
-from repro.baselines import BonsaiCompressor, MinesweeperVerifier
 from repro.config import ospf_everywhere
 from repro.config.builder import edge_prefix
 from repro.policies import BoundedPathLength, Reachability
 from repro.topology import fat_tree, fat_tree_device_count
+from tests.oracles.bonsai import BonsaiCompressor
+from tests.oracles.minesweeper import MinesweeperVerifier
 
 ARITIES = [4, 6, 8]
 

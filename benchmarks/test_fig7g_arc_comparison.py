@@ -12,11 +12,11 @@ enumeration stays within seconds.
 import pytest
 
 from repro import Plankton, PlanktonOptions
-from repro.baselines import ArcVerifier
 from repro.config import ospf_everywhere
 from repro.config.builder import edge_prefix
 from repro.policies import Reachability
 from repro.topology import fat_tree, rocketfuel_like
+from tests.oracles.arc import ArcVerifier
 
 CASES = [
     ("fat-tree-20", lambda: ospf_everywhere(fat_tree(4))),

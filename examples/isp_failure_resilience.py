@@ -8,9 +8,6 @@ the failure scenarios (reduced via link-equivalence classes), explores the
 converged data plane of each, and reports the first failure that breaks
 reachability — or proves there is none.
 
-The example also runs the ARC-style graph baseline (min-cut based) and shows
-the verdicts agree.
-
 Run:  python examples/isp_failure_resilience.py
 """
 
@@ -20,7 +17,6 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import Plankton, PlanktonOptions
-from repro.baselines import ArcVerifier
 from repro.config import ospf_everywhere
 from repro.netaddr import Prefix
 from repro.policies import Reachability
@@ -51,14 +47,6 @@ def main() -> int:
     print("  " + result.summary())
     if not result.holds:
         print("  first violating scenario: " + result.first_violation().failure_description)
-
-    print("\ncross-checking with the ARC-style min-cut baseline ...")
-    for prefix in list(prefix_for.values())[:3]:
-        arc = ArcVerifier(network).check_reachability_under_failures(prefix, [ingress], 1)
-        print(
-            f"  {prefix}: arc={'resilient' if arc.holds else 'not resilient'} "
-            f"(min cut {arc.min_cut_found})"
-        )
     return 0
 
 

@@ -13,8 +13,9 @@ The package is organised exactly as the paper's system (see README.md):
 * :mod:`repro.core` — the Plankton verifier: optimized exploration, FIB
   construction, dependency-aware scheduling.
 * :mod:`repro.policies` — the policy API and the paper's policy set.
-* :mod:`repro.baselines` — Minesweeper-like (SAT), ARC-like, Batfish-like and
-  Bonsai comparators used by the benchmark harness.
+* :mod:`repro.baselines` — the Batfish-like single-execution simulator behind
+  ``repro simulate`` and ``repro trace``; the paper's other comparators
+  (Minesweeper, ARC, Bonsai) live with the tests in ``tests/oracles/``.
 
 Quickstart::
 

@@ -181,6 +181,20 @@ class TaskGraph:
 
 
 # --------------------------------------------------------------------------- scenarios
+def _origin_colors(network, pec: PacketEquivalenceClass) -> Dict[str, object]:
+    """Each device's initial colour for the symmetry reductions of ``pec``:
+    the prefixes it originates into OSPF and BGP and those it routes
+    statically, so configuration asymmetry this PEC can see splits classes."""
+    return {
+        name: (
+            tuple(sorted(str(p) for p, devs in pec.ospf_origins if name in devs)),
+            tuple(sorted(str(p) for p, devs in pec.bgp_origins if name in devs)),
+            tuple(sorted(str(p) for p, devs in pec.static_devices if name in devs)),
+        )
+        for name in network.topology.nodes
+    }
+
+
 def failure_scenarios_for_pec(
     network,
     pec: PacketEquivalenceClass,
@@ -192,13 +206,6 @@ def failure_scenarios_for_pec(
         return [FailureScenario()]
     if not options.optimizations.failure_equivalence:
         return enumerate_failure_scenarios(network.topology, options.max_failures)
-    colors: Dict[str, object] = {}
-    for name in network.topology.nodes:
-        colors[name] = (
-            tuple(sorted(str(p) for p, devs in pec.ospf_origins if name in devs)),
-            tuple(sorted(str(p) for p, devs in pec.bgp_origins if name in devs)),
-            tuple(sorted(str(p) for p, devs in pec.static_devices if name in devs)),
-        )
     interesting: Set[str] = set()
     for policy in policies:
         nodes = policy.interesting_nodes(pec)
@@ -210,7 +217,7 @@ def failure_scenarios_for_pec(
     return reduced_failure_scenarios(
         network.topology,
         options.max_failures,
-        colors=colors,
+        colors=_origin_colors(network, pec),
         interesting_nodes=sorted(interesting),
     )
 
@@ -337,18 +344,11 @@ def event_scenarios_for_pec(
 
     if transient_options.scenario_events <= 0:
         return []
-    colors: Dict[str, object] = {}
-    for name in network.topology.nodes:
-        colors[name] = (
-            tuple(sorted(str(p) for p, devs in pec.ospf_origins if name in devs)),
-            tuple(sorted(str(p) for p, devs in pec.bgp_origins if name in devs)),
-            tuple(sorted(str(p) for p, devs in pec.static_devices if name in devs)),
-        )
     return enumerate_event_scenarios(
         network.topology,
         transient_options.scenario_events,
         kinds=transient_options.scenario_kinds or DEFAULT_EVENT_KINDS,
-        colors=colors,
+        colors=_origin_colors(network, pec),
         ledger=ledger,
     )
 

@@ -3,8 +3,7 @@
 A production verification service re-runs on every configuration push, and
 :meth:`repro.core.verifier.Plankton.verify` recomputes every Packet
 Equivalence Class from scratch even when a single route-map line changed.
-This subsystem adds the control-plane counterpart of the dataplane-side
-incremental verifier (:mod:`repro.dpverify`):
+This subsystem re-verifies only the PECs a configuration delta can reach:
 
 * :mod:`repro.incremental.delta` — structural diff of two
   :class:`~repro.config.objects.NetworkConfig`\\ s down to per-device

@@ -99,38 +99,6 @@ class PecDependencyGraph:
                 del remaining[index]
         return [sorted(sccs[i]) for i in in_order]
 
-    def parallel_batches(self) -> List[List[List[int]]]:
-        """Schedule grouped into batches of SCCs that may run concurrently.
-
-        All SCCs in one batch have their dependencies satisfied by previous
-        batches — this is what the dependency-aware scheduler parallelises
-        across worker processes.
-        """
-        sccs = self.strongly_connected_components()
-        component_of: Dict[int, int] = {}
-        for component_index, members in enumerate(sccs):
-            for member in members:
-                component_of[member] = component_index
-        condensed: Dict[int, Set[int]] = {i: set() for i in range(len(sccs))}
-        for dependent, dependencies in self.edges.items():
-            for dependency in dependencies:
-                a, b = component_of[dependent], component_of[dependency]
-                if a != b:
-                    condensed[a].add(b)
-        batches: List[List[List[int]]] = []
-        done: Set[int] = set()
-        remaining = set(condensed)
-        while remaining:
-            ready = sorted(
-                (i for i in remaining if condensed[i] <= done), key=lambda i: min(sccs[i])
-            )
-            if not ready:
-                raise SchedulingError("cyclic dependencies between SCCs (internal error)")
-            batches.append([sorted(sccs[i]) for i in ready])
-            done.update(ready)
-            remaining.difference_update(ready)
-        return batches
-
 
 def strongly_connected_components(
     nodes: Sequence[int], edges: Dict[int, Set[int]]

@@ -102,11 +102,6 @@ def _with_accounting(document: Dict[str, object], result) -> Dict[str, object]:
     return document
 
 
-def render_json(result: VerificationResult, indent: int = 2) -> str:
-    """The result as a JSON document."""
-    return json.dumps(result_to_dict(result), indent=indent) + "\n"
-
-
 # --------------------------------------------------------------------------- markdown
 def render_markdown(result: VerificationResult, title: Optional[str] = None) -> str:
     """The result as a Markdown report (verdict, summary table, violations)."""

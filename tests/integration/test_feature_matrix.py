@@ -11,13 +11,15 @@ Each cell the paper claims is demonstrated by a concrete scenario.
 import pytest
 
 from repro import Plankton, PlanktonOptions
-from repro.baselines import ArcVerifier, MinesweeperVerifier, SimulationVerifier
+from repro.baselines import SimulationVerifier
 from repro.config import ebgp_rfc7938, ibgp_over_ospf, ospf_everywhere
 from repro.config.builder import edge_prefix
 from repro.exceptions import VerificationError
 from repro.netaddr import Prefix
 from repro.policies import Reachability, Waypoint
 from repro.topology import bgp_fat_tree, fat_tree, linear_chain, ring
+from tests.oracles.arc import ArcVerifier
+from tests.oracles.minesweeper import MinesweeperVerifier
 
 
 class TestAllDataPlaneCoverage:

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.config.objects import NetworkConfig
 from repro.exceptions import VerificationError
 from repro.netaddr import Prefix
-from repro.topology import Topology
 
 
 @dataclass

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.config.objects import DeviceConfig, NetworkConfig, OspfConfig
 from repro.exceptions import VerificationError

@@ -4,7 +4,7 @@ Minesweeper [Beckett et al., SIGCOMM'17] encodes the network's converged
 states — over all failure scenarios up to a bound — as one big SMT formula
 and asks the solver for a satisfying assignment that violates the policy.
 This reproduction builds the analogous encoding over the from-scratch SAT
-solver in :mod:`repro.baselines.sat`:
+solver in :mod:`tests.oracles.sat`:
 
 * one Boolean per potentially failed link, with an at-most-k constraint;
 * the IGP's converged state as an order-encoded (unary) distance per node,
@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines.sat import CnfFormula, SatResult, SatSolver
 from repro.config.objects import NetworkConfig
-from repro.exceptions import SolverError
 from repro.netaddr import Prefix
 from repro.topology import Topology
+from tests.oracles.sat import CnfFormula, SatResult, SatSolver
 
 
 @dataclass
@@ -344,6 +343,13 @@ class MinesweeperVerifier:
     def check_reachability(self, prefix: Prefix, sources: Sequence[str]) -> MinesweeperResult:
         """SAT iff some failure scenario leaves a source unable to reach an origin."""
         started = time.perf_counter()
+        formula, fail_vars = self.encode_reachability(prefix, sources)
+        return self._solve(formula, fail_vars, started, network_copies=1)
+
+    def encode_reachability(
+        self, prefix: Prefix, sources: Sequence[str]
+    ) -> Tuple[CnfFormula, Dict[int, int]]:
+        """The formula :meth:`check_reachability` solves, and its failure variables."""
         formula, fail_vars = self._base_formula()
         bound, scale = self._distance_bound()
         origins = self._ospf_origins(prefix)
@@ -352,19 +358,27 @@ class MinesweeperVerifier:
         )
         successors = self._forwarding_successors(formula, encoding, prefix, fail_vars)
         self._add_reachability_violation(formula, successors, origins, sources)
-        return self._solve(formula, fail_vars, started, network_copies=1)
+        return formula, fail_vars
 
     def check_ibgp_reachability(
         self, prefix: Prefix, sources: Sequence[str]
     ) -> MinesweeperResult:
-        """Reachability for an iBGP-announced prefix, Minesweeper style.
+        """Reachability for an iBGP-announced prefix, Minesweeper style."""
+        started = time.perf_counter()
+        formula, fail_vars, copies = self.encode_ibgp_reachability(prefix, sources)
+        return self._solve(formula, fail_vars, started, network_copies=copies)
+
+    def encode_ibgp_reachability(
+        self, prefix: Prefix, sources: Sequence[str]
+    ) -> Tuple[CnfFormula, Dict[int, int], int]:
+        """The formula :meth:`check_ibgp_reachability` solves, its failure
+        variables and its number of network copies.
 
         Mirrors Minesweeper's handling of recursive routing: one extra copy of
         the IGP encoding per BGP speaker loopback (the n+1 network copies of
         paper §3.2), plus the reachability query for the destination routed
         via the egress speaker.
         """
-        started = time.perf_counter()
         formula, fail_vars = self._base_formula()
         bound, scale = self._distance_bound()
 
@@ -400,7 +414,7 @@ class MinesweeperVerifier:
         )
         successors = self._forwarding_successors(formula, encoding, prefix, fail_vars)
         self._add_reachability_violation(formula, successors, egresses, sources)
-        return self._solve(formula, fail_vars, started, network_copies=copies + 1)
+        return formula, fail_vars, copies + 1
 
     # ------------------------------------------------------------------ internals
     def _add_reachability_violation(

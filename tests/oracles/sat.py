@@ -14,8 +14,8 @@ from __future__ import annotations
 import enum
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SolverError
 
@@ -40,7 +40,6 @@ class CnfFormula:
         self.clauses: List[Tuple[int, ...]] = []
         self._variable_count = 0
         self._names: Dict[str, int] = {}
-        self._reverse: Dict[int, str] = {}
 
     # ------------------------------------------------------------------ variables
     def new_variable(self, name: Optional[str] = None) -> int:
@@ -51,7 +50,6 @@ class CnfFormula:
             if name in self._names:
                 raise SolverError(f"duplicate variable name {name!r}")
             self._names[name] = variable
-            self._reverse[variable] = name
         return variable
 
     def variable(self, name: str) -> int:
@@ -59,10 +57,6 @@ class CnfFormula:
         if name not in self._names:
             return self.new_variable(name)
         return self._names[name]
-
-    def name_of(self, variable: int) -> Optional[str]:
-        """The registered name of ``variable``, if any."""
-        return self._reverse.get(variable)
 
     @property
     def variable_count(self) -> int:
@@ -85,11 +79,6 @@ class CnfFormula:
     def add_implication(self, antecedent: int, consequent: int) -> None:
         """antecedent -> consequent."""
         self.add_clause((-antecedent, consequent))
-
-    def add_equivalence(self, a: int, b: int) -> None:
-        """a <-> b."""
-        self.add_clause((-a, b))
-        self.add_clause((a, -b))
 
     def add_at_most_one(self, variables: Sequence[int]) -> None:
         """Pairwise at-most-one constraint."""
@@ -232,8 +221,3 @@ class SatSolver:
             for literal in clause:
                 counts[abs(literal)] = counts.get(abs(literal), 0) + 1
         return max(counts, key=lambda v: counts[v])
-
-
-def solve_formula(formula: CnfFormula) -> Tuple[SatResult, Optional[Dict[int, bool]]]:
-    """Convenience helper: build a solver and solve ``formula``."""
-    return SatSolver(formula).solve()

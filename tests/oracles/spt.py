@@ -22,10 +22,10 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.baselines.sat import CnfFormula, SatResult, SatSolver
 from repro.exceptions import SolverError
 from repro.modelcheck.explorer import Explorer, ExplorerOptions
 from repro.topology import Topology
+from tests.oracles.sat import CnfFormula, SatResult, SatSolver
 
 
 @dataclass

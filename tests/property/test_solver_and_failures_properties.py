@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.sat import CnfFormula, SatResult, SatSolver
 from repro.topology import (
     DeviceEquivalence,
     enumerate_failure_scenarios,
@@ -26,6 +25,7 @@ from tests.oracles.ospf_reference import (
     reference_device_classes,
     reference_reduced_failure_scenarios,
 )
+from tests.oracles.sat import CnfFormula, SatResult, SatSolver
 
 
 # --------------------------------------------------------------------------- SAT

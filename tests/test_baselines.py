@@ -3,17 +3,7 @@
 import pytest
 
 from repro import Plankton, PlanktonOptions
-from repro.baselines import (
-    ArcVerifier,
-    BonsaiCompressor,
-    CnfFormula,
-    MinesweeperVerifier,
-    SatResult,
-    SatSolver,
-    SimulationVerifier,
-    shortest_paths_by_constraints,
-    shortest_paths_by_execution,
-)
+from repro.baselines import SimulationVerifier
 from repro.config import ConfigBuilder, ebgp_rfc7938, ospf_everywhere
 from repro.config.builder import edge_prefix, install_loop_inducing_statics
 from repro.config.objects import RouteMap, RouteMapClause, SetActions
@@ -21,6 +11,11 @@ from repro.exceptions import VerificationError
 from repro.netaddr import Prefix
 from repro.policies import LoopFreedom, Reachability, Waypoint
 from repro.topology import bgp_fat_tree, fat_tree, linear_chain, ring
+from tests.oracles.arc import ArcVerifier
+from tests.oracles.bonsai import BonsaiCompressor
+from tests.oracles.minesweeper import MinesweeperVerifier
+from tests.oracles.sat import CnfFormula, SatResult, SatSolver
+from tests.oracles.spt import shortest_paths_by_constraints, shortest_paths_by_execution
 
 
 class TestSatSolver:

@@ -896,8 +896,7 @@ print(json.dumps({"code": code, "out": out.getvalue(), "modules": sorted(sys.mod
 
 #: What a request that explores nothing must not have paid for.
 NEVER_ON_A_CACHED_VERIFY = {
-    "repro.baselines", "repro.transient", "repro.scenarios", "repro.dpverify",
-    "repro.modelcheck.por.ample", "repro.modelcheck.por.sleep", "repro.core.network_model",
+    "repro.baselines", "repro.transient", "repro.scenarios", "repro.modelcheck.por.ample", "repro.modelcheck.por.sleep", "repro.core.network_model",
     "repro.protocols.rpvp", "repro.protocols.spvp", "repro.serve.http", "http.server",
     "multiprocessing", "concurrent.futures",
 }

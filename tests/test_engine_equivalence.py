@@ -129,6 +129,39 @@ class TestTaskGraphBuilder:
         graph.validate()
         assert graph.failure_scenarios == 1 + len(plankton.network.topology.links)
 
+    def test_each_task_waits_for_every_dependency_in_an_earlier_scc(self):
+        """Figure 5 with two BGP origins: under every failure, a PEC's task has
+        an edge to the same failure's task of each PEC it depends on that the
+        SCC schedule puts first."""
+        network = ibgp_over_ospf(
+            ring(5), {"r0": Prefix("200.0.0.0/16"), "r2": Prefix("201.0.0.0/16")}
+        )
+        plankton = Plankton(network, PlanktonOptions(max_failures=1))
+        policy = Reachability(require_all_branches=False)
+        relevant = [p for p in plankton.pecs if policy.applies_to(p)]
+        dependencies = plankton.dependency_graph
+        graph = build_task_graph(
+            plankton.network, plankton.pecs, dependencies, [policy], plankton.options, relevant
+        )
+        graph.validate()
+        scc_of = {index: i for i, scc in enumerate(dependencies.schedule()) for index in scc}
+        by_id = {task.task_id: task for task in graph.tasks}
+        waited = 0
+        for task in graph.tasks:
+            upstream = {
+                by_id[dependency].pec_index
+                for dependency in task.depends_on
+                if by_id[dependency].failure == task.failure
+            }
+            earlier = {
+                index
+                for index in dependencies.dependencies_of(task.pec_index)
+                if scc_of[index] < scc_of[task.pec_index]
+            }
+            assert earlier <= upstream
+            waited += len(earlier)
+        assert waited
+
 
 # --------------------------------------------------------------------------- equivalence
 class TestBackendEquivalence:

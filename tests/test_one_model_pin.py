@@ -11,6 +11,12 @@ One state representation: RPVP and SPVP states are one id-array kernel
 (``repro.protocols.interning.IdArrayState``) over one intern table per node
 set, so the package holds one ``fingerprint`` and constructs
 ``RouteInternTable`` in one place.
+
+The package is what ``repro`` runs: every module under ``src/repro`` is
+reached by the static import graph from the CLI, the client or the public
+API.  The paper's comparison baselines (Minesweeper, ARC, Bonsai, the
+Figure 2 SAT encoding) live in ``tests/oracles/`` beside the other models the
+package is compared against.
 """
 
 import ast
@@ -101,3 +107,77 @@ def test_one_state_representation():
                 table_sites.append(module)
     assert fingerprints == ["protocols/interning.py"]
     assert table_sites == ["protocols/interning.py"]
+
+
+#: Where a user enters the package: the ``repro`` command (its handlers
+#: import what they run inside the function) and the thin client.  The
+#: public API, ``repro``'s ``_ORIGINS``, is added to these below.
+ENTRY_POINTS = ("repro.__main__", "repro.cli", "repro.client")
+
+
+def _package_modules():
+    """Dotted module name -> parsed source, for every module of the package."""
+    modules = {}
+    for path in sorted(SOURCE.rglob("*.py")):
+        parts = ("repro",) + path.relative_to(SOURCE).with_suffix("").parts
+        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        modules[name] = ast.parse(path.read_text(encoding="utf-8"))
+    return modules
+
+
+def _lazy_origins(tree):
+    """A lazy package's ``_ORIGINS``: public name -> the module defining it."""
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "_ORIGINS" for t in node.targets)
+            and isinstance(node.value, ast.Dict)
+        ):
+            return {k.value: v.value for k, v in zip(node.value.keys, node.value.values)}
+    return {}
+
+
+def _imported_modules(tree, modules, origins):
+    """Every module of the package a module's source imports, at any depth
+    (function bodies included).  A name taken from a lazy package counts as
+    an import of the module its ``_ORIGINS`` entry names.  The package uses
+    absolute imports only; a relative one resolves to nothing here, so the
+    module it names shows up as unreached."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            base = node.module
+            targets = [base] + [
+                f"{base}.{alias.name}"
+                if f"{base}.{alias.name}" in modules
+                else origins.get(base, {}).get(alias.name, base)
+                for alias in node.names
+            ]
+        else:
+            continue
+        for target in targets:
+            parts = target.split(".")
+            # Importing a.b.c runs the packages a and a.b first.
+            for i in range(1, len(parts) + 1):
+                prefix = ".".join(parts[:i])
+                if prefix in modules:
+                    yield prefix
+
+
+def test_the_package_is_what_repro_runs():
+    modules = _package_modules()
+    origins = {name: _lazy_origins(tree) for name, tree in modules.items()}
+    reached = set()
+    pending = [*ENTRY_POINTS, "repro", *origins["repro"].values()]
+    while pending:
+        module = pending.pop()
+        if module not in reached:
+            reached.add(module)
+            pending.extend(_imported_modules(modules[module], modules, origins))
+    assert sorted(set(modules) - reached) == []
+
+
+def test_the_baselines_package_is_the_simulator():
+    baselines = importlib.import_module("repro.baselines")
+    assert baselines.__all__ == ["SimulationVerifier", "SimulationResult"]

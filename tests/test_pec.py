@@ -194,19 +194,3 @@ class TestSccAndDependencies:
         bgp_pec = pec_covering_prefix(pecs, Prefix("200.0.0.0/16"))[0]
         for dependency in graph.dependencies_of(bgp_pec.index):
             assert position[dependency] < position[bgp_pec.index]
-
-    def test_parallel_batches_respect_dependencies(self):
-        topo = ring(5)
-        network = ibgp_over_ospf(topo, {"r0": Prefix("200.0.0.0/16")})
-        pecs = compute_pecs(network)
-        graph = build_dependency_graph(network, pecs)
-        batches = graph.parallel_batches()
-        seen = set()
-        for batch in batches:
-            for scc in batch:
-                for index in scc:
-                    assert graph.dependencies_of(index) - {index} <= seen or not (
-                        graph.dependencies_of(index) - {index}
-                    ) - seen
-            for scc in batch:
-                seen.update(scc)

@@ -35,6 +35,7 @@ throughput of the transient model is measured by the repo benchmark
 from repro.config import ebgp_rfc7938
 from repro.core.network_model import DependencyContext, PecExplorer
 from repro.core.options import PlanktonOptions
+from repro.modelcheck.por.ample import AmpleSelector
 from repro.pec.classes import compute_pecs
 from repro.topology import bgp_fat_tree
 from repro.topology.failures import FailureScenario
@@ -106,19 +107,17 @@ def test_transient_por_reduction_floor(reporter):
     assert ratio >= 5.0
 
 
-def test_rank_immunity_reduction_floor(reporter):
+def test_rank_immunity_reduction_floor(reporter, monkeypatch):
     """Gating: the rank-bound session-immunity refinement shrinks the ample
     reduction further on the eBGP workload, at identical verdicts — both
-    against the unrefined ample mode and against the unreduced oracle
-    (depth 6 keeps this cheap)."""
+    against the unrefined ample mode (every session answered non-immune) and
+    against the unreduced oracle (depth 6 keeps this cheap)."""
     instance = _fig7a_style_instance()
     budget = 500_000  # large enough that no search truncates
     refined = _explore(TransientAnalyzer, instance, budget, max_depth=6, por="ample")
-    plain = _explore(
-        TransientAnalyzer, instance, budget, max_depth=6, por="ample",
-        rank_immunity=False,
-    )
     full = _explore(TransientAnalyzer, instance, budget, max_depth=6, por="full")
+    monkeypatch.setattr(AmpleSelector, "_session_immune", lambda *_arguments: False)
+    plain = _explore(TransientAnalyzer, instance, budget, max_depth=6, por="ample")
     assert not refined.truncated and not plain.truncated and not full.truncated
     assert refined.holds == plain.holds == full.holds
     assert refined.reduction.rank_immune_sessions > 0
@@ -177,7 +176,6 @@ def test_memo_count_floor(reporter, monkeypatch):
     look-ups answer: what the change relies on is "few distinct id tuples
     per many states", and this is where that share is reported.
     """
-    from repro.modelcheck.por.ample import AmpleSelector
     from repro.transient import Converge, FailSession
 
     instance = _fig7a_style_instance()

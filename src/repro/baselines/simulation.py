@@ -16,6 +16,7 @@ violating convergence.
 from __future__ import annotations
 
 import functools
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -27,8 +28,7 @@ from repro.dataplane import DataPlane
 from repro.pec.classes import PacketEquivalenceClass, compute_pecs
 from repro.policies.base import Policy, PolicyCheckContext
 from repro.protocols.base import Route
-from repro.protocols.rpvp import RpvpState
-from repro.protocols.spvp import SpvpSimulator
+from repro.protocols.spvp import SpvpStepper
 from repro.topology.failures import FailureScenario
 
 
@@ -59,10 +59,10 @@ class SimulationVerifier:
     ) -> Tuple[DataPlane, Dict[str, Route]]:
         """One simulated convergence of ``pec``: ``(data plane, control plane)``.
 
-        One seeded SPVP execution per BGP prefix over the persistent
-        state/stepper core; the RNG consumes the canonical pending-channel
-        order, so seeded runs pick the same interleaving the original
-        dict-based simulator did.
+        One seeded SPVP execution per BGP prefix: a drain whose next channel
+        a fresh ``random.Random(seed)`` picks from the canonical
+        pending-channel order, so seeded runs pick the same interleaving the
+        original dict-based simulator did.
         """
         explorer = PecExplorer(
             self.network,
@@ -75,8 +75,11 @@ class SimulationVerifier:
         for prefix, devices in pec.bgp_origins:
             if not devices:
                 continue
-            instance = explorer.bgp_instance(prefix)
-            bgp_states[prefix] = SpvpSimulator(instance, seed=self.seed).run()
+            stepper = SpvpStepper(explorer.bgp_instance(prefix))
+            converged = stepper.drain(
+                stepper.initial_state(), choose=random.Random(self.seed).choice
+            )
+            bgp_states[prefix] = converged.converged_rpvp()
         return explorer.build_data_plane(bgp_states)
 
     def check(

@@ -232,7 +232,6 @@ def _transient_spec(args: argparse.Namespace) -> Dict[str, object]:
         "por": args.por,
         "frontier": args.frontier,
         "minimize_witnesses": args.minimize_witness,
-        "rank_immunity": not args.no_rank_immunity,
         "scenario_events": args.scenario_events,
     }
     if args.scenario_kinds:
@@ -668,14 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--minimize-witness",
         action="store_true",
         help="shrink violation witnesses by dropping independent deliveries",
-    )
-    transient.add_argument(
-        "--no-rank-immunity",
-        action="store_true",
-        help=(
-            "disable the rank-bound session-immunity refinement of the ample "
-            "reduction (por=ample only; escape hatch for A/B comparisons)"
-        ),
     )
     transient.add_argument(
         "--fail-session",

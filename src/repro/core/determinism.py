@@ -265,7 +265,7 @@ class BgpDeterminism:
         return future is not None and future < self.instance.cached_rank(node, route)
 
     def _scan_unstable(self, state: RpvpState) -> frozenset:
-        """Unstable nodes of a state without a cached ancestor.
+        """Unstable nodes of a state with somebody undecided.
 
         A decided node can only be unstable through an *undecided* peer (see
         :meth:`_best_future_rank`), so the scan visits the undecided slots
@@ -280,57 +280,21 @@ class BgpDeterminism:
     def unstable_nodes(self, state: RpvpState) -> frozenset:
         """The decided nodes whose selection a future update could still beat.
 
-        Cached on the state and maintained incrementally: an RPVP transition
-        changes one node's entry, and a node's stability verdict reads only
-        its own route plus the decidedness of its peers, so a child state's
-        unstable set differs from its parent's only at the transitioned node
-        and its reverse peers.  During a search the parent's cache is always
-        present (the parent was evaluated first), so the per-state cost is
-        O(deg) instead of an all-nodes scan.
+        Cached on the state.  A search asks only at the states where an
+        execution ends (policy-pruned ones), so no parent or close ancestor
+        carries an answer to derive from: each state is scanned once.
         """
         if state._stability_token is self:
             return state._stability_cache
         if all(state._ids):
             # Nobody is undecided, so no update can arrive any more (every
             # state a search converges in on an un-partitioned fabric).
-            cache: Optional[frozenset] = frozenset()
+            cache = frozenset()
         else:
-            cache = self._unstable_from_ancestor(state)
-            if cache is None:
-                cache = self._scan_unstable(state)
+            cache = self._scan_unstable(state)
         state._stability_token = self
         state._stability_cache = cache
         return cache
-
-    def _unstable_from_ancestor(self, state: RpvpState) -> Optional[frozenset]:
-        """The unstable set re-evaluated off the nearest evaluated ancestor's,
-        or None when there is none close enough to beat a scan."""
-        # Walk up to the nearest ancestor this analyzer already evaluated,
-        # accumulating the union of affected node sets along the way (the
-        # check runs only on policy-pruned states, so the direct parent may
-        # not carry a cache while a close ancestor does).  Give up once the
-        # union stops being smaller than a full scan.
-        affected: set = set()
-        total = len(state.node_names)
-        ancestor: Optional[RpvpState] = state
-        while (
-            ancestor._stability_token is not self
-            and ancestor.parent is not None
-            and len(affected) < total
-        ):
-            ((slot, _old_route, _new_route),) = ancestor.delta
-            members = self._stability_affected.get(ancestor.node_names[slot])
-            if members is None:
-                return None  # unknown node
-            affected |= members
-            ancestor = ancestor.parent
-        if len(affected) >= total or ancestor._stability_token is not self:
-            return None
-        unstable = {node for node in ancestor._stability_cache if node not in affected}
-        for node in affected:
-            if self._node_is_unstable(node, state):
-                unstable.add(node)
-        return frozenset(unstable)
 
     def decisions_are_stable(self, state: RpvpState) -> bool:
         """Whether every decided node's selection could survive to convergence.

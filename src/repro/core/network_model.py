@@ -340,26 +340,9 @@ class PecExplorer:
                 use_bitstate=self.flags.bitstate_hashing,
                 bitstate_bits=self.options.bitstate_bits,
             ),
-            reduction=self.reduction,
         )
         explorer.canonicalize = self._make_canonicalizer(explorer, instance)
-        self._accumulate(explorer.run(initial_state(instance)).statistics)
-
-    def _accumulate(self, stats: ExplorationStatistics) -> None:
-        self.statistics.states_expanded += stats.states_expanded
-        self.statistics.unique_states += stats.unique_states
-        self.statistics.transitions += stats.transitions
-        self.statistics.terminal_states += stats.terminal_states
-        self.statistics.unique_terminal_states += stats.unique_terminal_states
-        self.statistics.max_depth_reached = max(
-            self.statistics.max_depth_reached, stats.max_depth_reached
-        )
-        self.statistics.elapsed_seconds += stats.elapsed_seconds
-        self.statistics.visited_bytes += stats.visited_bytes
-        self.statistics.interner_entries += stats.interner_entries
-        self.statistics.interner_bytes += stats.interner_bytes
-        self.statistics.state_bytes += stats.state_bytes
-        self.statistics.truncated = self.statistics.truncated or stats.truncated
+        explorer.run(initial_state(instance), self.statistics)
 
     def _make_canonicalizer(
         self, explorer: Explorer, instance: PathVectorInstance
@@ -453,8 +436,9 @@ class PecExplorer:
                 return True
             if cache.updates:
                 return None
-            # Full convergence: no undecided node can update.
-            return stable(state)
+            # Full convergence: no node is enabled, so no undecided peer will
+            # ever advertise and every decided selection is final.
+            return True
 
         def successors(state: RpvpState) -> List[Tuple[object, RpvpState]]:
             cache = engine.candidates(state)

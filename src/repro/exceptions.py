@@ -49,10 +49,6 @@ class PolicyError(ReproError):
     """A policy was configured incorrectly (unknown nodes, bad parameters)."""
 
 
-class SolverError(ReproError):
-    """The SAT solver or an encoding built on it was used incorrectly."""
-
-
 class SpecError(ReproError):
     """A wire-format request spec (policy/options/scenario dict) is invalid.
 
@@ -76,10 +72,3 @@ class ServerProtocolError(ServiceError):
     """The server answered, but unusably: an HTTP 5xx, or a response body
     that is not the JSON document the API promises."""
 
-
-class SearchBudgetExceeded(VerificationError):
-    """An exploration exceeded its configured state or time budget."""
-
-    def __init__(self, message: str, states_explored: int = 0) -> None:
-        super().__init__(message)
-        self.states_explored = states_explored

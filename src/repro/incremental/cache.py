@@ -81,8 +81,10 @@ from repro.pec.dependencies import PecDependencyGraph
 #: checksum from the entries' canonical re-serialisation to their bytes on
 #: disk (a v5 file sealed by other means than :meth:`ResultCache.save` need
 #: not verify), and drops the never-read ``failure_ordering`` flag from the
-#: options token, so every v5 fingerprint is unreachable anyway.
-CACHE_SCHEMA_VERSION = 6
+#: options token, so every v5 fingerprint is unreachable anyway.  v7 drops
+#: ``unique_terminal_states`` and ``violations`` from the exploration
+#: statistics document, and ``rank_immunity`` from the transient options.
+CACHE_SCHEMA_VERSION = 7
 
 PathLike = Union[str, Path]
 

@@ -10,7 +10,6 @@ from repro.modelcheck.explorer import (
     ExplorationStatistics,
     Explorer,
     ExplorerOptions,
-    SearchOutcome,
 )
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "ExplorationStatistics",
     "Explorer",
     "ExplorerOptions",
-    "SearchOutcome",
 ]

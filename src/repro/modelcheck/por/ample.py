@@ -72,8 +72,8 @@ class AmpleChoice:
 class AmpleSelector:
     """Per-state ample-set selection over one SPVP instance.
 
-    ``rank_immunity`` enables the per-session refinement of the activity
-    closure: an active node's out-session into ``d`` is skipped when the
+    The activity closure is refined per session (rank immunity): an
+    active node's out-session into ``d`` is skipped when the
     instance's static :meth:`~repro.protocols.base.PathVectorInstance.
     session_rank_bound` proves no route importable over that session can
     *strictly* outrank ``d``'s current best — and the session is not the one
@@ -105,13 +105,11 @@ class AmpleSelector:
         self,
         instance,
         independence: Optional[ChannelIndependence] = None,
-        rank_immunity: bool = True,
         reduction=None,
     ) -> None:
         self.instance = instance
         self.space = space_for(instance)
         self.independence = independence or ChannelIndependence(instance)
-        self.rank_immunity = rank_immunity
         self.reduction = reduction
         #: With a single origin, every advertisement reaching it is
         #: loop-rejected (the stepper's ``path.contains(receiver)`` check), so
@@ -280,14 +278,13 @@ class AmpleSelector:
         active = set(seeds)
         stack = list(seeds)
         out_peers = self.independence.out_peers
-        rank_immunity = self.rank_immunity
         skipped: List[str] = []
         while stack:
             node = stack.pop()
             for peer in out_peers.get(node, ()):
                 if peer in active or peer in frozen:
                     continue
-                if rank_immunity and self._session_immune(state, node, peer):
+                if self._session_immune(state, node, peer):
                     # The active node may re-advertise anything over this
                     # session, but nothing importable can dislodge the
                     # receiver's best — the edge does not propagate activity.

@@ -24,8 +24,6 @@ _ORIGINS = {
     "enabled_nodes": "repro.protocols.rpvp",
     "is_converged": "repro.protocols.rpvp",
     "rpvp_successors": "repro.protocols.rpvp",
-    "run_to_convergence": "repro.protocols.rpvp",
-    "SpvpSimulator": "repro.protocols.spvp",
     "SpvpState": "repro.protocols.spvp",
     "SpvpStepper": "repro.protocols.spvp",
     "SpvpEvent": "repro.protocols.spvp",

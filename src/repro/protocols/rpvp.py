@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ProtocolError
 from repro.protocols.base import EPSILON, PathVectorInstance, Route
@@ -299,33 +299,6 @@ def rpvp_successors(
     for node in enabled_nodes(instance, state):
         successors.extend(step_node(instance, state, node))
     return successors
-
-
-def run_to_convergence(
-    instance: PathVectorInstance,
-    state: Optional[RpvpState] = None,
-    choose: Optional[Callable[[List[Tuple[RpvpTransition, RpvpState]]], int]] = None,
-    max_steps: int = 1_000_000,
-) -> Tuple[RpvpState, List[RpvpTransition]]:
-    """Execute one RPVP path to convergence (a simulation, not a search).
-
-    ``choose`` picks among the available successors (default: the first one,
-    i.e. a deterministic simulation in the style of Batfish).  Raises
-    :class:`ProtocolError` when ``max_steps`` is exceeded, which can happen
-    for genuinely divergent configurations.
-    """
-    current = state if state is not None else initial_state(instance)
-    history: List[RpvpTransition] = []
-    for _ in range(max_steps):
-        successors = rpvp_successors(instance, current)
-        if not successors:
-            return current, history
-        index = choose(successors) if choose is not None else 0
-        transition, current = successors[index]
-        history.append(transition)
-    raise ProtocolError(
-        f"RPVP did not converge within {max_steps} steps for {instance.name}"
-    )
 
 
 def forwarding_next_hops(state: RpvpState) -> Dict[str, Optional[str]]:

@@ -10,8 +10,9 @@ the same converged states — but SPVP is implemented here for three reasons:
   experimentally by the test suite (every SPVP converged state is also found
   by the RPVP search, and vice versa, on the paper's example gadgets);
 * the Batfish-style simulation baseline (`repro.baselines.simulation`) is one
-  arbitrary SPVP execution, which is exactly how simulation misses violations
-  that only some orderings expose (BGP wedgies);
+  arbitrary SPVP execution (:meth:`SpvpStepper.drain` with a seeded channel
+  choice), which is exactly how simulation misses violations that only some
+  orderings expose (BGP wedgies);
 * divergent configurations (BAD GADGET) can be demonstrated on it.
 
 The state lives in :class:`SpvpState`, the id-array kernel of
@@ -24,20 +25,18 @@ best/rib slots, queue ids in channel slots).  Equality between states of one
 instance is an integer array compare; the visited-set fingerprint is an
 O(changed-slots) Zobrist XOR over ``(slot, id)`` components.
 :class:`SpvpStepper` is the stateless transition function over those
-states, generating successors through id-keyed import/export/rank memos;
-:class:`SpvpSimulator` is a thin mutable wrapper (current state + RNG +
-history) that keeps the historic simulation API.  The dict/deque simulator
-this core replaced is not shipped: it lives in
+states, generating successors through id-keyed import/export/rank memos, and
+its :meth:`~SpvpStepper.drain` is the one single-execution runner.  The
+dict/deque simulator this core replaced is not shipped: it lives in
 ``tests/oracles/spvp_reference.py`` as the oracle the property tests step in
 lockstep with it.
 """
 
 from __future__ import annotations
 
-import random
 from array import array
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import ProtocolError
 from repro.protocols.base import EPSILON, Path, PathVectorInstance, Route
@@ -555,14 +554,23 @@ class SpvpStepper:
                 return current_rid
         return best_rid
 
-    def drain(self, state: SpvpState, max_steps: int = 100_000) -> SpvpState:
-        """Deliver pending messages in canonical (slot) order until converged.
+    def drain(
+        self,
+        state: SpvpState,
+        max_steps: int = 100_000,
+        choose: Optional[Callable[[List[Channel]], Channel]] = None,
+    ) -> SpvpState:
+        """Deliver pending messages until converged: one SPVP execution.
 
-        One deterministic execution — the first pending channel is always
-        delivered next — so every caller (steady-state construction before a
-        perturbation, oracle comparisons) reaches the same fixed point.
-        Raises :class:`ProtocolError` after ``max_steps`` deliveries
-        (divergent configurations).
+        ``choose(pending)`` picks the next channel among the pending ones in
+        canonical (slot) order.  By default the first is always delivered, so
+        every caller (steady-state construction before a perturbation, oracle
+        comparisons) reaches the same fixed point; a seeded
+        ``random.Random(seed).choice`` is the simulation baseline's one
+        arbitrary message order.  The returned state's parent chain holds the
+        execution (:meth:`SpvpState.witness_events`).  Raises
+        :class:`ProtocolError` after ``max_steps`` deliveries (divergent
+        configurations).
         """
         steps = 0
         while not state.is_converged():
@@ -571,7 +579,10 @@ class SpvpStepper:
                     f"SPVP did not converge within {max_steps} steps for "
                     f"{self.instance.name} (possibly a divergent configuration)"
                 )
-            _event, state = self.deliver(state, state.pending_channels()[0])
+            pending = state.pending_channels()
+            _event, state = self.deliver(
+                state, pending[0] if choose is None else choose(pending)
+            )
             steps += 1
         return state
 
@@ -725,100 +736,3 @@ class SpvpStepper:
             return state
         return state._derive([(slot, 0)], state.pending - {channel}, None)
 
-
-class SpvpSimulator:
-    """An executable extended-SPVP instance over a :class:`PathVectorInstance`.
-
-    A thin mutable wrapper over the persistent core: the current
-    :class:`SpvpState`, an RNG for non-deterministic channel picks, and the
-    event history.  ``step`` picks a pending message (non-deterministically
-    via the supplied RNG) and processes it atomically, as in Appendix A.
-    Channel enumeration order matches the original dict-based simulator, so
-    seeded runs reproduce the same executions.
-    """
-
-    def __init__(self, instance: PathVectorInstance, seed: int = 0) -> None:
-        self.instance = instance
-        self.rng = random.Random(seed)
-        self.stepper = SpvpStepper(instance)
-        self.state = self.stepper.initial_state()
-        self.history: List[SpvpEvent] = []
-        self.steps = 0
-
-    # ------------------------------------------------------------------ views
-    @property
-    def best(self) -> Dict[str, Optional[Route]]:
-        """The per-node best routes of the current state."""
-        return self.state.best_map()
-
-    @property
-    def rib_in(self) -> Dict[Tuple[str, str], Optional[Route]]:
-        """The per-(node, peer) rib-in entries of the current state."""
-        return self.state.rib_in_map()
-
-    @property
-    def buffers(self) -> Dict[Channel, Tuple[Optional[Route], ...]]:
-        """The per-channel message queues of the current state."""
-        return self.state.buffer_map()
-
-    # ------------------------------------------------------------------ stepping
-    def pending_messages(self) -> List[Channel]:
-        """(sender, receiver) pairs with at least one queued advertisement."""
-        return self.state.pending_channels()
-
-    def is_converged(self) -> bool:
-        """True when every buffer is empty (the SPVP convergence condition)."""
-        return self.state.is_converged()
-
-    def step(self, channel: Optional[Channel] = None) -> Optional[SpvpEvent]:
-        """Process one queued advertisement; returns the event or None if idle."""
-        pending = self.state.pending_channels()
-        if not pending:
-            return None
-        if channel is None:
-            channel = self.rng.choice(pending)
-        event, self.state = self.stepper.deliver(self.state, channel)
-        self.steps += 1
-        self.history.append(event)
-        return event
-
-    # ------------------------------------------------------------------ running
-    def run(self, max_steps: int = 100_000) -> RpvpState:
-        """Run until convergence (or raise after ``max_steps``); return the state."""
-        while not self.is_converged():
-            if self.steps >= max_steps:
-                raise ProtocolError(
-                    f"SPVP did not converge within {max_steps} steps for "
-                    f"{self.instance.name} (possibly a divergent configuration)"
-                )
-            self.step()
-        return self.converged_state()
-
-    def converged_state(self) -> RpvpState:
-        """The current best-path assignment as an :class:`RpvpState`."""
-        return self.state.converged_rpvp()
-
-    def fail_session(self, a: str, b: str) -> None:
-        """Drop the buffers between ``a`` and ``b`` and deliver ⊥ to both peers."""
-        self.state = self.stepper.fail_session(self.state, a, b)
-
-    # ------------------------------------------------------------------ lifecycle
-    def crash_node(self, node: str) -> None:
-        """Crash ``node`` (see :meth:`SpvpStepper.crash_node`)."""
-        self.state = self.stepper.crash_node(self.state, node)
-
-    def restart_node(self, node: str) -> None:
-        """Boot ``node`` (see :meth:`SpvpStepper.restart_node`)."""
-        self.state = self.stepper.restart_node(self.state, node)
-
-    def quiesce_node(self, node: str) -> None:
-        """Drain ``node`` for maintenance (see :meth:`SpvpStepper.quiesce_node`)."""
-        self.state = self.stepper.quiesce_node(self.state, node)
-
-    def return_to_service(self, node: str) -> None:
-        """End ``node``'s drain (see :meth:`SpvpStepper.return_to_service`)."""
-        self.state = self.stepper.return_to_service(self.state, node)
-
-    def suppress_session(self, exporter: str, importer: str) -> None:
-        """Gray-fail ``exporter → importer`` (see :meth:`SpvpStepper.suppress_session`)."""
-        self.state = self.stepper.suppress_session(self.state, exporter, importer)

@@ -4,10 +4,10 @@ Failure campaigns historically spoke two words — link failure and session
 flap.  This package models the fuller operational vocabulary real networks
 see (node crash and restart, maintenance drain and return-to-service, flap
 storms, gray failures, staged multi-event sequences) as first-class
-*initial-event scenarios*: picklable values with the same duck-typed
-``apply(stepper, state)`` hook as
-:class:`~repro.transient.explorer.Converge` and
-:class:`~repro.transient.explorer.FailSession`, consumed by the persistent
+*initial-event scenarios*: picklable values with one
+``apply(stepper, state)`` hook, beside the steady-state drain
+(:class:`~repro.scenarios.events.Converge`) and the session flap
+(:class:`~repro.scenarios.events.FailSession`), consumed by the persistent
 :class:`~repro.protocols.spvp.SpvpStepper` exploration.  Each event's
 second model lives with the tests (``tests/oracles/spvp_reference.py``), so
 every new event is born with a bit-identical cross-model check.

@@ -29,7 +29,7 @@ another.  Two reductions are applied, both *before* any exploration runs:
 
 Scenarios are emitted as descriptor tuples turned into
 :class:`~repro.scenarios.events.Scenario` values; non-empty scenarios lead
-with a :class:`~repro.transient.explorer.Converge` so each one perturbs the
+with a :class:`~repro.scenarios.events.Converge` so each one perturbs the
 canonical steady state, mirroring the established session-flap workflow.
 :class:`ScenarioLedger` records how much the reduction pruned against the
 unreduced enumeration, which itself lives with the tests

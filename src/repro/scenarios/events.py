@@ -1,7 +1,7 @@
-"""The event vocabulary: lifecycle events as initial-event scenarios.
+"""The event vocabulary: every initial event a transient exploration applies.
 
 Every event is a frozen, picklable dataclass with the initial-event protocol
-the transient explorer already speaks:
+the transient explorer speaks:
 
 * ``apply(stepper, state) -> SpvpState`` — the semantics, on the persistent
   core (:class:`~repro.protocols.spvp.SpvpStepper` carries the lifecycle
@@ -16,6 +16,14 @@ randomized instances: the same oracle discipline the state core itself was
 built under.
 
 Event semantics, in SPVP terms:
+
+``Converge``
+    Drain every buffer along one canonical execution: the steady state a
+    perturbation starts from.
+
+``FailSession``
+    A session flap (Appendix A): queued messages on the session are lost
+    and each peer sees a withdrawal.
 
 ``NodeCrash``
     Crash-recovery: the node's RIB is lost, adjacent sessions drop (peers
@@ -36,8 +44,7 @@ Event semantics, in SPVP terms:
     Ends a drain: the node re-advertises its current best to all peers.
 
 ``FlapStorm``
-    A batch of simultaneous session flaps (each as
-    :class:`~repro.transient.explorer.FailSession`).
+    A batch of simultaneous session flaps (each as :class:`FailSession`).
 
 ``GrayFailure``
     A filter silently dropping updates in one direction: queued updates on
@@ -58,9 +65,6 @@ from typing import Optional, Tuple
 from repro.protocols.rpvp import RpvpState
 from repro.protocols.spvp import SpvpState, SpvpStepper
 
-# Re-exported so the scenario vocabulary is complete in one namespace.
-from repro.transient.explorer import Converge, FailSession
-
 __all__ = [
     "Converge",
     "FailSession",
@@ -74,6 +78,45 @@ __all__ = [
     "maintenance_window",
     "steady_state_after",
 ]
+
+
+@dataclass(frozen=True)
+class Converge:
+    """Initial event: drain all buffers along one canonical execution.
+
+    Always delivers the first pending channel (slot order; see
+    :meth:`SpvpStepper.drain`), so every exploration — the test suite's
+    reference explorer included — starts its perturbed search from the same
+    steady state.  Raises
+    :class:`ProtocolError` when the instance does not converge within
+    ``max_steps`` (divergent configurations).
+    """
+
+    max_steps: int = 100_000
+
+    def apply(self, stepper: SpvpStepper, state: SpvpState) -> SpvpState:
+        return stepper.drain(state, max_steps=self.max_steps)
+
+    def describe(self) -> str:
+        return "converge (canonical delivery order)"
+
+
+@dataclass(frozen=True)
+class FailSession:
+    """Initial event: flap the session between ``a`` and ``b`` (Appendix A).
+
+    Queued messages on the session are lost and each peer sees a withdrawal
+    — the root of every withdrawal/flap transient exploration.
+    """
+
+    a: str
+    b: str
+
+    def apply(self, stepper: SpvpStepper, state: SpvpState) -> SpvpState:
+        return stepper.fail_session(state, self.a, self.b)
+
+    def describe(self) -> str:
+        return f"fail-session {self.a}<->{self.b}"
 
 
 @dataclass(frozen=True)

@@ -56,12 +56,13 @@ a genuinely new state had to be dropped.
 
 Explorations can start from a *perturbed* root instead of the cold-start
 initial state: ``analyze(properties, initial_events=...)`` applies a
-sequence of initial events — :class:`Converge` (drain to a steady state
-along one canonical execution) and :class:`FailSession` (a session flap
-losing the queued messages and delivering a withdrawal to both peers, the
-Appendix A failure event) — which is how withdrawal/flap transients are
-explored: converge first, flap a session, then explore every re-convergence
-interleaving.
+sequence of initial events from :mod:`repro.scenarios.events` — e.g.
+:class:`~repro.scenarios.events.Converge` (drain to a steady state along one
+canonical execution) and :class:`~repro.scenarios.events.FailSession` (a
+session flap losing the queued messages and delivering a withdrawal to both
+peers, the Appendix A failure event) — which is how withdrawal/flap
+transients are explored: converge first, flap a session, then explore every
+re-convergence interleaving.
 """
 
 from __future__ import annotations
@@ -135,16 +136,6 @@ class TransientOptions:
     independent of the violation's receiver chain are dropped while the
     shortened sequence still replays to the same violating property and
     message.
-
-    ``rank_immunity`` (``"ample"`` mode only) enables the per-session
-    refinement of the ample activity closure: sessions whose static rank
-    bound (:meth:`~repro.protocols.base.PathVectorInstance.
-    session_rank_bound`) proves they can never dislodge the receiver's
-    current best do not propagate activity, so receivers mid-convergence
-    can still be proven frozen.  Sound (verdicts and converged states are
-    preserved; the equivalence suite pins this against ``por="full"``);
-    disable to reproduce the pre-refinement reduction exactly, e.g. when
-    comparing reduction ledgers across versions.
     """
 
     max_states: int = 20_000
@@ -154,7 +145,6 @@ class TransientOptions:
     por: str = "ample"
     frontier: str = "fifo"
     minimize_witnesses: bool = False
-    rank_immunity: bool = True
     #: Lifecycle-scenario campaign knobs (``src/repro/scenarios/``): when
     #: ``scenario_events > 0`` the campaign task graph crosses every failure
     #: scenario with every symmetry-reduced event scenario of up to that many
@@ -184,53 +174,11 @@ class TransientOptions:
                     )
 
 
-# --------------------------------------------------------------------------- initial events
-@dataclass(frozen=True)
-class FailSession:
-    """Initial event: flap the session between ``a`` and ``b`` (Appendix A).
-
-    Queued messages on the session are lost and each peer sees a withdrawal
-    — the root of every withdrawal/flap transient exploration.
-    """
-
-    a: str
-    b: str
-
-    def apply(self, stepper: SpvpStepper, state: SpvpState) -> SpvpState:
-        return stepper.fail_session(state, self.a, self.b)
-
-    def describe(self) -> str:
-        return f"fail-session {self.a}<->{self.b}"
-
-
-@dataclass(frozen=True)
-class Converge:
-    """Initial event: drain all buffers along one canonical execution.
-
-    Always delivers the first pending channel (slot order; see
-    :meth:`SpvpStepper.drain`), so every exploration — the test suite's
-    reference explorer included — starts its perturbed search from the same
-    steady state.  Raises
-    :class:`ProtocolError` when the instance does not converge within
-    ``max_steps`` (divergent configurations).
-    """
-
-    max_steps: int = 100_000
-
-    def apply(self, stepper: SpvpStepper, state: SpvpState) -> SpvpState:
-        return stepper.drain(state, max_steps=self.max_steps)
-
-    def describe(self) -> str:
-        return "converge (canonical delivery order)"
-
-
 def _apply_initial_event(stepper: SpvpStepper, state: SpvpState, event) -> SpvpState:
-    """Apply one initial event to a persistent state (duck-typed hook)."""
-    if hasattr(event, "apply"):
-        return event.apply(stepper, state)
-    if callable(event):
-        return event(stepper, state)
-    raise TypeError(f"initial event {event!r} has no apply(stepper, state) hook")
+    """Apply one initial event (:mod:`repro.scenarios.events`) to a state."""
+    if not hasattr(event, "apply"):
+        raise TypeError(f"initial event {event!r} has no apply(stepper, state) hook")
+    return event.apply(stepper, state)
 
 
 @document(witness=(list, tuple))
@@ -417,12 +365,7 @@ class TransientAnalyzer:
         use_sleep = options.por in ("ample", "sleep")
         independence = ChannelIndependence(self.instance) if use_sleep else None
         selector = (
-            AmpleSelector(
-                self.instance,
-                independence,
-                rank_immunity=options.rank_immunity,
-                reduction=reduction,
-            )
+            AmpleSelector(self.instance, independence, reduction=reduction)
             if options.por == "ample"
             else None
         )

@@ -17,7 +17,11 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.exceptions import SolverError
+from repro.exceptions import ReproError
+
+
+class SolverError(ReproError):
+    """The SAT solver or an encoding built on it was used incorrectly."""
 
 
 class SatResult(enum.Enum):

@@ -22,10 +22,9 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.exceptions import SolverError
-from repro.modelcheck.explorer import Explorer, ExplorerOptions
+from repro.modelcheck.explorer import ExplorationStatistics, Explorer, ExplorerOptions
 from repro.topology import Topology
-from tests.oracles.sat import CnfFormula, SatResult, SatSolver
+from tests.oracles.sat import CnfFormula, SatResult, SatSolver, SolverError
 
 
 @dataclass
@@ -60,14 +59,20 @@ def shortest_paths_by_execution(topology: Topology, source: str) -> SptResult:
             return []
         return [("relax-round", tuple(sorted(updated.items())))]
 
-    explorer = Explorer(successors=successors, options=ExplorerOptions(max_states=len(nodes) + 2))
-    outcome = explorer.run(initial(), collect_converged=True)
-    final = dict(outcome.converged_states[0]) if outcome.converged_states else dict(initial())
+    converged: List[Tuple[Tuple[str, int], ...]] = []
+    explorer = Explorer(
+        successors=successors,
+        check_terminal=lambda state, _labels: converged.append(state),
+        options=ExplorerOptions(max_states=len(nodes) + 2),
+    )
+    statistics = ExplorationStatistics()
+    explorer.run(initial(), statistics)
+    final = dict(converged[0]) if converged else dict(initial())
     distances = {n: d for n, d in final.items() if d < unreachable}
     return SptResult(
         distances=distances,
         elapsed_seconds=time.perf_counter() - started,
-        states_or_decisions=outcome.statistics.states_expanded,
+        states_or_decisions=statistics.states_expanded,
     )
 
 

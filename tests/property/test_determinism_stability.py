@@ -1,16 +1,14 @@
-"""Property tests for the incremental ``decisions_are_stable`` fast path.
+"""Property tests for ``decisions_are_stable`` and its undecided-slot scan.
 
-``BgpDeterminism.unstable_nodes`` caches per-node stability verdicts on the
-state and re-evaluates only the transitioned node and its reverse peers when
-deriving a child from a cached parent (or nearest cached ancestor).  These
-tests pin that fast path against the naive all-nodes scan — the pre-refactor
-``decisions_are_stable`` loop — node-for-node, across random RPVP walks over
-a real BGP instance, for every cache situation the explorer produces:
-child-of-cached-parent, sparse calls (cached ancestor several transitions
-up), and fresh states with no parent chain at all.  The scan behind the last
-case visits only the undecided slots' readers; it is pinned to the all-nodes
-loop on fabrics where somebody *stays* undecided (an edge switch cut off by
-failures) and on the converged states of a whole ≤ 1-failure run.
+``BgpDeterminism.unstable_nodes`` caches its answer on the state and, for a
+state with somebody undecided, scans only the undecided slots' readers (a
+decided node can only be beaten through an undecided peer).  These tests pin
+that against the naive all-nodes scan — the original ``decisions_are_stable``
+loop — node-for-node, across random RPVP walks over a real BGP instance:
+every state of a walk, sparse calls, repeated calls (the cache), and fresh
+states with no parent chain.  The scan is also pinned on fabrics where
+somebody *stays* undecided (an edge switch cut off by failures) and on the
+converged states of a whole ≤ 1-failure run.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -84,24 +82,25 @@ def _walk(instance, picks):
 picks = st.lists(st.integers(min_value=0, max_value=1_000_000), min_size=0, max_size=25)
 
 
-class TestIncrementalStabilityAgainstScan:
+class TestStabilityAgainstScan:
     @given(picks=picks)
     @settings(max_examples=30, deadline=None)
-    def test_cached_parent_derivation_matches_scan(self, picks):
-        """Evaluating every state along a walk exercises the one-delta path."""
+    def test_every_state_of_a_walk_matches_scan(self, picks):
+        """Every state along a walk, asked twice: the second answer is the
+        cached one."""
         instance = _bgp_instance()
         analyzer = BgpDeterminism(instance)
         for state in _walk(instance, picks):
-            fast = analyzer.unstable_nodes(state)
             oracle = _oracle_unstable(analyzer, state)
-            assert fast == oracle
+            assert analyzer.unstable_nodes(state) == oracle
             assert analyzer.decisions_are_stable(state) == (not oracle)
+            assert analyzer.unstable_nodes(state) is analyzer.unstable_nodes(state)
 
     @given(picks=picks, stride=st.integers(min_value=2, max_value=5))
     @settings(max_examples=20, deadline=None)
-    def test_sparse_calls_accumulate_ancestor_deltas(self, picks, stride):
-        """Calling only every ``stride``-th state forces the chain walk to
-        collect several deltas back to the nearest cached ancestor."""
+    def test_sparse_calls_match_scan(self, picks, stride):
+        """Asking only every ``stride``-th state, as a search asks only where
+        an execution ends."""
         instance = _bgp_instance()
         analyzer = BgpDeterminism(instance)
         for index, state in enumerate(_walk(instance, picks)):
@@ -112,8 +111,8 @@ class TestIncrementalStabilityAgainstScan:
     @given(picks=picks)
     @settings(max_examples=20, deadline=None)
     def test_fresh_states_without_parents_match_scan(self, picks):
-        """States rebuilt from dicts (no parent chain) take the full-scan path
-        and agree with a cached evaluation of the equal walked state."""
+        """States rebuilt from dicts (no parent chain) agree with a cached
+        evaluation of the equal walked state."""
         instance = _bgp_instance()
         analyzer = BgpDeterminism(instance)
         states = _walk(instance, picks)
@@ -141,9 +140,8 @@ class TestUndecidedSlotScan:
             assert state.best(cut_off) is None
             oracle = _oracle_unstable(analyzer, state)
             assert analyzer._scan_unstable(state) == oracle
-            # A state without a parent chain: the scan is all there is.
+            # A state without a parent chain.
             assert analyzer.unstable_nodes(RpvpState.from_dict(state.as_dict())) == oracle
-        # The fast path along the walk, checked last so it did not seed the above.
         for state in states:
             assert analyzer.unstable_nodes(state) == _oracle_unstable(analyzer, state)
 

@@ -17,13 +17,15 @@ an RPVP ``with_best`` chain beside the deliveries and checks it against
 :meth:`SpvpState.converged_rpvp` under the same fingerprinter.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.modelcheck.hashing import ZobristFingerprinter
 from repro.protocols.interning import IdArrayState
 from repro.protocols.rpvp import RpvpState
-from repro.protocols.spvp import SpvpSimulator, SpvpState, SpvpStepper
+from repro.protocols.spvp import SpvpState, SpvpStepper
 
 from tests.oracles.spvp_reference import ReferenceSpvpSimulator
 from tests.test_rpvp_spvp import GadgetInstance, bad_gadget, disagree_gadget, good_gadget
@@ -186,42 +188,50 @@ class TestSpvpStateAgainstReference:
 
     @given(seed=st.integers(min_value=0, max_value=50))
     @settings(max_examples=25, deadline=None)
-    def test_seeded_simulator_replays_reference_runs(self, seed):
-        """The wrapper simulator picks the same interleavings as the naive one."""
-        wrapper = SpvpSimulator(good_gadget(), seed=seed)
+    def test_seeded_drain_replays_reference_runs(self, seed):
+        """A drain choosing with ``random.Random(seed).choice`` picks the same
+        interleaving as the naive simulator seeded alike."""
+        final = _seeded_drain(good_gadget(), seed)
         reference = ReferenceSpvpSimulator(good_gadget(), seed=seed)
-        assert wrapper.run() == reference.run()
-        assert [e.describe() for e in wrapper.history] == [
-            e.describe() for e in reference.history
-        ]
-        assert wrapper.steps == reference.steps
+        assert final.converged_rpvp() == reference.run()
+        events = final.witness_events()
+        assert [e.describe() for e in events] == [e.describe() for e in reference.history]
+        assert len(events) == reference.steps
 
-    def test_seeded_simulator_agrees_on_disagree_outcomes(self):
+    def test_seeded_drain_agrees_on_disagree_outcomes(self):
         """On DISAGREE (two stable states) every seed lands on the same state
         in both implementations — the channel enumeration order is preserved."""
         for seed in range(8):
-            wrapper = SpvpSimulator(disagree_gadget(), seed=seed)
             reference = ReferenceSpvpSimulator(disagree_gadget(), seed=seed)
             try:
                 expected = reference.run(max_steps=5_000)
             except Exception:
                 continue  # that ordering oscillates; legal SPVP
-            assert wrapper.run(max_steps=5_000) == expected
+            final = _seeded_drain(disagree_gadget(), seed, max_steps=5_000)
+            assert final.converged_rpvp() == expected
 
     def test_fail_session_matches_reference(self):
-        wrapper = SpvpSimulator(good_gadget(), seed=3)
+        instance = good_gadget()
+        stepper = SpvpStepper(instance)
+        flapped = stepper.fail_session(_seeded_drain(instance, 3), "o", "a")
         reference = ReferenceSpvpSimulator(good_gadget(), seed=3)
-        wrapper.run()
         reference.run()
-        wrapper.fail_session("o", "a")
         reference.fail_session("o", "a")
-        assert wrapper.buffers == {
+        assert flapped.buffer_map() == {
             channel: tuple(queue) for channel, queue in reference.buffers.items()
         }
-        assert wrapper.pending_messages() == reference.pending_messages()
+        assert flapped.pending_channels() == reference.pending_messages()
 
     def test_divergent_configuration_still_raises(self):
         from repro.exceptions import ProtocolError
 
         with pytest.raises(ProtocolError):
-            SpvpSimulator(bad_gadget(), seed=1).run(max_steps=500)
+            _seeded_drain(bad_gadget(), 1, max_steps=500)
+
+
+def _seeded_drain(instance, seed, max_steps=100_000):
+    """One SPVP execution in the message order ``random.Random(seed)`` picks."""
+    stepper = SpvpStepper(instance)
+    return stepper.drain(
+        stepper.initial_state(), max_steps=max_steps, choose=random.Random(seed).choice
+    )

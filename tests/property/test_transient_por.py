@@ -17,6 +17,8 @@ different — possibly longer — interleaving prefix, so a cut-off search
 cannot be compared state-for-state.
 """
 
+import contextlib
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -135,6 +137,14 @@ def _explore(instance, por, initial_events=()):
     return analyzer.analyze(_properties(), initial_events=initial_events)
 
 
+@contextlib.contextmanager
+def _without_rank_immunity():
+    """The unrefined ample arm: no session is ever rank-immune."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AmpleSelector, "_session_immune", lambda *_arguments: False)
+        yield
+
+
 def _complete(*results):
     """True when no exploration hit the state budget or the depth bound."""
     return all(
@@ -211,19 +221,14 @@ class TestRankImmunityAgainstFullOracle:
         edge_map, preferences, _flap = scenario
         full = _explore(RankedGadgetInstance("o", edge_map, preferences), "full")
         refined = _explore(RankedGadgetInstance("o", edge_map, preferences), "ample")
-        plain = TransientAnalyzer(
-            RankedGadgetInstance("o", edge_map, preferences),
-            collect_converged=True,
-            por="ample",
-            rank_immunity=False,
-            **BUDGET,
-        ).analyze(_properties())
+        with _without_rank_immunity():
+            plain = _explore(RankedGadgetInstance("o", edge_map, preferences), "ample")
         assume(_complete(full, refined, plain))
         assert full.verdict_signature() == refined.verdict_signature()
         assert full.verdict_signature() == plain.verdict_signature()
         assert refined.states_explored <= full.states_explored
-        # The escape hatch really is one: with immunity off the ledger is
-        # silent, with it on the ledger records exactly the skipped edges.
+        # With immunity off the ledger is silent, with it on the ledger
+        # records exactly the skipped edges.
         assert plain.reduction.rank_immune_sessions == 0
         assert refined.reduction.rank_immune_sessions >= 0
 
@@ -292,13 +297,10 @@ class TestPorUnderLifecycleScenarios:
         refined = _explore(
             RankedGadgetInstance("o", edge_map, preferences), "ample", events
         )
-        plain = TransientAnalyzer(
-            RankedGadgetInstance("o", edge_map, preferences),
-            collect_converged=True,
-            por="ample",
-            rank_immunity=False,
-            **BUDGET,
-        ).analyze(_properties(), initial_events=events)
+        with _without_rank_immunity():
+            plain = _explore(
+                RankedGadgetInstance("o", edge_map, preferences), "ample", events
+            )
         assume(_complete(full, refined, plain))
         assert full.verdict_signature() == refined.verdict_signature()
         assert full.verdict_signature() == plain.verdict_signature()
@@ -399,12 +401,7 @@ def _check_warm_selector_against_a_fresh_one(monkeypatch):
         before = selector.reduction.rank_immune_sessions
         active = warm_active_nodes(selector, state, pending)
         ledger = ReductionStatistics()
-        fresh = AmpleSelector(
-            selector.instance,
-            selector.independence,
-            rank_immunity=selector.rank_immunity,
-            reduction=ledger,
-        )
+        fresh = AmpleSelector(selector.instance, selector.independence, reduction=ledger)
         assert active == warm_active_nodes(fresh, state, pending)
         assert selector.reduction.rank_immune_sessions - before == ledger.rank_immune_sessions
         compared.append(state)

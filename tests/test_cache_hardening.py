@@ -121,7 +121,7 @@ class TestCorruptionDetection:
 
 
 class TestVerifiedAsWritten:
-    """Schema v6: the checksum covers the entries' bytes on disk and is
+    """Schema v6 on: the checksum covers the entries' bytes on disk and is
     checked with one hash before anything is parsed.  Wherever the damage
     is, the file loads as empty with exactly one warning and never raises."""
 
@@ -200,6 +200,17 @@ class TestVerifiedAsWritten:
         cache.store("abc", {"kind": "verify", "pec_index": 0, "tasks": []})
         cache.save()
         assert len(_reload(cache_file)) == 1
+
+    def test_a_v6_file_loads_cold_once(self, tmp_path, caplog):
+        """v6 sealed the same layout the same way, but its exploration
+        statistics carry the two counters v7 dropped; it is turned away by
+        its version before anything is parsed, not misread."""
+        cache_file, _, _ = _warm_cache(tmp_path)
+        sealed = cache_file.read_text()
+        assert sealed.startswith('{"schema_version": %d,' % CACHE_SCHEMA_VERSION)
+        cache_file.write_text(sealed.replace(str(CACHE_SCHEMA_VERSION), "6", 1))
+        message = self._loads_cold_with_one_warning(cache_file, caplog)
+        assert "schema version 6" in message
 
     def test_an_empty_file_loads_cold(self, tmp_path, caplog):
         cache_file = tmp_path / "plankton_cache.json"

@@ -451,6 +451,30 @@ class TestNoConvergedState:
         assert not caplog.records
 
 
+class TestHaltsAtAFixedPoint:
+    """A fully converged state is accepted as it is.  At an RPVP fixed point
+    no node is enabled, so no undecided peer will ever advertise: a stability
+    check there could only reject a real converged state."""
+
+    @staticmethod
+    def _violations(flags):
+        result = Plankton(
+            bad_gadget(),
+            PlanktonOptions(max_failures=1, stop_at_first_violation=False, optimizations=flags),
+        ).verify(Reachability(sources=["n1"]))
+        return result, {(v.failure_description, v.message) for v in result.violations}
+
+    def test_bad_gadget_with_o_n1_failed_is_the_unoptimised_violation(self):
+        # With o--n1 down the gadget has a stable state, and in it n1 holds
+        # no route.
+        default, found = self._violations(OptimizationFlags())
+        _unoptimised, expected = self._violations(OptimizationFlags.none_enabled())
+        assert not default.holds and default.total_converged_states == 4
+        assert found == expected
+        ((failure, message),) = found
+        assert failure == "failed: o--n1" and "n1 [blackhole]" in message
+
+
 class TestFastOspfIsNotASecondRoad:
     """Without an OSPF-originated prefix ``fast_ospf`` has nothing to change:
     the whole result — counts and exploration statistics included — is the

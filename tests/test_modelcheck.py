@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.modelcheck import (
     BitstateFilter,
+    ExplorationStatistics,
     Explorer,
     ExplorerOptions,
     Trail,
@@ -35,19 +36,31 @@ def binary_tree_successors(depth):
     return successors
 
 
+def search(successors, initial, check_terminal=None, canonicalize=None, **options):
+    """One search from ``initial``: its statistics and the converged states
+    reached, in order, each with the labels of the path to it."""
+    converged = []
+
+    def record(state, labels):
+        converged.append((state, labels))
+        return check_terminal(state, labels) if check_terminal is not None else None
+
+    statistics = ExplorationStatistics()
+    explorer = Explorer(successors, record, canonicalize, ExplorerOptions(**options))
+    explorer.run(initial, statistics)
+    return statistics, converged
+
+
 class TestExplorer:
     def test_explores_chain(self):
-        explorer = Explorer(successors=chain_successors(10))
-        outcome = explorer.run(0, collect_converged=True)
-        assert outcome.statistics.unique_states == 11
-        assert outcome.converged_states == [10]
-        assert outcome.converged_paths == [["step"] * 10]
+        statistics, converged = search(chain_successors(10), 0)
+        assert statistics.unique_states == 11
+        assert converged == [(10, ["step"] * 10)]
 
     def test_explores_tree_and_counts_terminals(self):
-        explorer = Explorer(successors=binary_tree_successors(4))
-        outcome = explorer.run((0, 0), collect_converged=True)
-        assert outcome.statistics.unique_terminal_states == 16
-        assert len(outcome.converged_states) == 16
+        statistics, converged = search(binary_tree_successors(4), (0, 0))
+        assert statistics.terminal_states == 16
+        assert len(converged) == 16
 
     def test_deduplicates_converging_paths(self):
         # A diamond: two paths to the same terminal state.
@@ -58,44 +71,31 @@ class TestExplorer:
                 return [("join", "end")]
             return []
 
-        explorer = Explorer(successors=successors)
-        outcome = explorer.run("start", collect_converged=True)
-        assert outcome.statistics.unique_terminal_states == 1
-        assert outcome.statistics.unique_states == 4
+        statistics, converged = search(successors, "start")
+        assert statistics.terminal_states == 1
+        assert statistics.unique_states == 4
+        assert converged == [("end", ["a", "join"])]
 
     def test_violation_stops_search(self):
         def check_terminal(state, labels):
             return "bad leaf" if state[1] == 0 else None
 
-        explorer = Explorer(
-            successors=binary_tree_successors(3),
-            check_terminal=check_terminal,
-            options=ExplorerOptions(stop_at_first_violation=True),
-        )
-        outcome = explorer.run((0, 0))
-        assert not outcome.holds
-        assert outcome.statistics.violations == 1
-        assert outcome.statistics.terminal_states < 8
+        statistics, converged = search(binary_tree_successors(3), (0, 0), check_terminal)
+        assert converged == [((3, 0), ["L", "L", "L"])]
+        assert statistics.terminal_states == 1
 
-    def test_collect_all_violations(self):
+    def test_search_goes_on_while_the_check_answers_none(self):
         def check_terminal(state, labels):
-            return "bad" if state[1] % 2 == 0 else None
+            return "bad" if state[1] == 7 else None
 
-        explorer = Explorer(
-            successors=binary_tree_successors(3),
-            check_terminal=check_terminal,
-            options=ExplorerOptions(stop_at_first_violation=False),
-        )
-        outcome = explorer.run((0, 0))
-        assert outcome.statistics.violations == 4
+        statistics, converged = search(binary_tree_successors(3), (0, 0), check_terminal)
+        assert [state[1] for state, _labels in converged] == list(range(8))
+        assert statistics.terminal_states == 8
 
     def test_state_budget_truncates(self):
-        explorer = Explorer(
-            successors=chain_successors(1000),
-            options=ExplorerOptions(max_states=10),
-        )
-        outcome = explorer.run(0)
-        assert outcome.statistics.truncated
+        statistics, _converged = search(chain_successors(1000), 0, max_states=10)
+        assert statistics.truncated
+        assert statistics.states_expanded == 10
 
     def test_canonicalizer_merges_equivalent_states(self):
         # States are (value, irrelevant); canonicalize on value only.
@@ -105,14 +105,10 @@ class TestExplorer:
                 return []
             return [("x", (value + 1, noise + 1)), ("y", (value + 1, noise + 2))]
 
-        explorer = Explorer(
-            successors=successors,
-            canonicalize=lambda state: state[0],
-        )
-        outcome = explorer.run((0, 0))
-        assert outcome.statistics.unique_states == 4
+        statistics, _converged = search(successors, (0, 0), canonicalize=lambda state: state[0])
+        assert statistics.unique_states == 4
 
-    def test_trail_labels_use_describe(self):
+    def test_path_labels_render_through_describe(self):
         class Step:
             def describe(self):
                 return "custom description"
@@ -120,17 +116,31 @@ class TestExplorer:
         def successors(state):
             return [] if state else [(Step(), True)]
 
-        explorer = Explorer(
-            successors=successors,
-            check_terminal=lambda state, labels: "violated",
-        )
-        outcome = explorer.run(False)
-        assert "custom description" in outcome.violations[0].render()
+        _statistics, ((state, labels),) = search(successors, False)
+        trail = Trail(policy="p", pec_description="d")
+        trail.add_labels("rpvp-step", labels)
+        assert state is True
+        assert "custom description" in trail.render()
 
     def test_initial_state_terminal(self):
-        explorer = Explorer(successors=lambda s: [], check_terminal=lambda s, l: None)
-        outcome = explorer.run("only", collect_converged=True)
-        assert outcome.converged_states == ["only"]
+        statistics, converged = search(lambda state: [], "only")
+        assert converged == [("only", [])]
+        assert statistics.terminal_states == statistics.unique_states == 1
+
+    def test_runs_add_into_the_callers_statistics(self):
+        """The searches of one run share one record: counts add up, the
+        greatest depth is kept and one truncated search marks the record."""
+        statistics = ExplorationStatistics()
+        Explorer(chain_successors(3)).run(0, statistics)
+        Explorer(binary_tree_successors(2)).run((0, 0), statistics)
+        assert statistics.unique_states == 4 + 7
+        assert statistics.states_expanded == 4 + 7
+        assert statistics.transitions == 3 + 6
+        assert statistics.terminal_states == 1 + 4
+        assert statistics.max_depth_reached == 3
+        assert not statistics.truncated
+        Explorer(chain_successors(10), options=ExplorerOptions(max_states=2)).run(0, statistics)
+        assert statistics.truncated and statistics.max_depth_reached == 3
 
 
 class TestBitstate:

@@ -5,6 +5,7 @@ The gadgets come from the stable-paths literature referenced by the paper
 stable states, BAD GADGET diverges under SPVP but has no converged state.
 """
 
+import random
 from typing import Dict, Optional, Sequence, Tuple
 
 import pytest
@@ -19,13 +20,12 @@ from repro.protocols import (
     PathVectorInstance,
     Route,
     RpvpState,
-    SpvpSimulator,
     build_ospf_instance,
     enabled_nodes,
     is_converged,
     rpvp_successors,
-    run_to_convergence,
 )
+from repro.modelcheck import ExplorationStatistics, Explorer, ExplorerOptions
 from repro.protocols.rpvp import forwarding_next_hops, initial_state, is_invalid, step_node
 from repro.protocols.spvp import SpvpStepper
 from repro.topology import fat_tree, linear_chain, ring
@@ -119,14 +119,24 @@ def bad_gadget() -> GadgetInstance:
 
 def explore_all_converged(instance: PathVectorInstance, max_states: int = 50_000):
     """Exhaustively enumerate RPVP converged states (raw semantics)."""
-    from repro.modelcheck import Explorer, ExplorerOptions
-
+    converged = []
     explorer = Explorer(
         successors=lambda state: rpvp_successors(instance, state),
-        options=ExplorerOptions(max_states=max_states, stop_at_first_violation=False),
+        check_terminal=lambda state, _labels: converged.append(state),
+        options=ExplorerOptions(max_states=max_states),
     )
-    outcome = explorer.run(initial_state(instance), collect_converged=True)
-    return outcome.converged_states, outcome.statistics
+    statistics = ExplorationStatistics()
+    explorer.run(initial_state(instance), statistics)
+    return converged, statistics
+
+
+def seeded_spvp_run(instance: PathVectorInstance, seed: int, max_steps: int = 100_000):
+    """One SPVP execution whose message order ``random.Random(seed)`` picks —
+    the simulation baseline's run — as its final state."""
+    stepper = SpvpStepper(instance)
+    return stepper.drain(
+        stepper.initial_state(), max_steps=max_steps, choose=random.Random(seed).choice
+    )
 
 
 class TestRpvpSemantics:
@@ -169,16 +179,16 @@ class TestRpvpSemantics:
         assert converged == []
         assert not stats.truncated
 
-    def test_run_to_convergence_simulation(self):
-        instance = good_gadget()
-        state, history = run_to_convergence(instance)
-        assert is_converged(instance, state)
-        assert len(history) >= 2
+    def test_every_converged_state_is_a_fixed_point(self):
+        instance = disagree_gadget()
+        converged, stats = explore_all_converged(instance)
+        assert converged and stats.terminal_states == len(converged)
+        assert all(is_converged(instance, state) for state in converged)
 
-    def test_run_to_convergence_raises_on_divergence(self):
+    def test_raw_search_of_bad_gadget_ends_without_a_fixed_point(self):
         instance = bad_gadget()
-        with pytest.raises(ProtocolError):
-            run_to_convergence(instance, max_steps=200)
+        converged, stats = explore_all_converged(instance)
+        assert stats.terminal_states == 0 and stats.unique_states > 1
 
     def test_invalid_detection(self):
         instance = good_gadget()
@@ -210,22 +220,34 @@ class TestRpvpSemantics:
 
     def test_forwarding_next_hops(self):
         instance = good_gadget()
-        state, _ = run_to_convergence(instance)
+        (state,), _stats = explore_all_converged(instance)
         hops = forwarding_next_hops(state)
         assert hops["a"] == "o" and hops["o"] == "o"
 
 
 class TestSpvp:
     def test_spvp_converges_on_good_gadget(self):
-        simulator = SpvpSimulator(good_gadget(), seed=1)
-        state = simulator.run()
+        state = seeded_spvp_run(good_gadget(), seed=1).converged_rpvp()
         assert state.best("a").path == Path(("o",))
         assert state.best("b").path == Path(("o",))
 
     def test_spvp_diverges_on_bad_gadget(self):
-        simulator = SpvpSimulator(bad_gadget(), seed=1)
         with pytest.raises(ProtocolError):
-            simulator.run(max_steps=500)
+            seeded_spvp_run(bad_gadget(), seed=1, max_steps=500)
+
+    def test_drain_delivers_the_first_pending_channel_by_default(self):
+        stepper = SpvpStepper(good_gadget())
+        state = stepper.initial_state()
+        offered = []
+
+        def first(pending):
+            offered.append(list(pending))
+            return pending[0]
+
+        chosen = stepper.drain(state, choose=first)
+        assert stepper.drain(state) == chosen
+        assert offered[0] == state.pending_channels()
+        assert len(offered) == len(chosen.witness_events())
 
     def test_spvp_converged_states_are_rpvp_converged_states(self):
         """Theorem 1 direction checked experimentally on DISAGREE: every SPVP
@@ -238,11 +260,11 @@ class TestSpvp:
         }
         converged_runs = 0
         for seed in range(10):
-            simulator = SpvpSimulator(disagree_gadget(), seed=seed)
             try:
-                spvp_state = simulator.run(max_steps=20_000)
+                spvp_state = seeded_spvp_run(disagree_gadget(), seed, max_steps=20_000)
             except ProtocolError:
                 continue  # this message ordering oscillates; that is legal SPVP
+            spvp_state = spvp_state.converged_rpvp()
             converged_runs += 1
             signature = (tuple(spvp_state.best("a").path), tuple(spvp_state.best("b").path))
             assert signature in rpvp_signatures
@@ -260,10 +282,11 @@ class TestSpvp:
 
     def test_spvp_session_failure_delivers_withdraw(self):
         instance = good_gadget()
-        simulator = SpvpSimulator(instance, seed=0)
-        simulator.run()
-        simulator.fail_session("o", "a")
-        assert simulator.pending_messages()
+        converged = seeded_spvp_run(instance, seed=0)
+        assert converged.is_converged()
+        flapped = SpvpStepper(instance).fail_session(converged, "o", "a")
+        assert set(flapped.pending_channels()) == {("o", "a"), ("a", "o")}
+        assert flapped.buffer_of(("o", "a")) == flapped.buffer_of(("a", "o")) == (None,)
 
 
 class TestRpvpOnRealProtocols:
@@ -274,7 +297,7 @@ class TestRpvpOnRealProtocols:
             prefix_for={"r0": Prefix("10.0.0.0/24")},
         )
         instance = build_ospf_instance(network, Prefix("10.0.0.0/24"))
-        state, _history = run_to_convergence(instance)
+        (state,), _stats = explore_all_converged(instance)
         table = instance.routing_table()
         for node in ("r1", "r2", "r3"):
             assert state.best(node).igp_cost == table.distances[node]
@@ -288,9 +311,13 @@ class TestRpvpOnRealProtocols:
             prefix_for={"r0": Prefix("10.9.0.0/24")},
         )
         instance = build_ospf_instance(network, Prefix("10.9.0.0/24"))
-        state, _ = run_to_convergence(instance)
+        converged, _stats = explore_all_converged(instance)
         table = instance.routing_table()
-        for node in network.topology.nodes:
-            if node == "r0":
-                continue
-            assert state.best(node).igp_cost == table.distances[node]
+        # An even ring has two equal-cost ways to the far node: one
+        # converged state each, both at the SPF cost.
+        assert len(converged) == 1 + (n % 2 == 0)
+        for state in converged:
+            for node in network.topology.nodes:
+                if node == "r0":
+                    continue
+                assert state.best(node).igp_cost == table.distances[node]

@@ -58,7 +58,8 @@ class TaskSpec:
             needs (always smaller than ``task_id``).
         kind: What the task computes: ``"verify"`` (converged-state policy
             checking, the default) or ``"transient"`` (SPVP interleaving
-            exploration of the PEC's BGP prefixes under the failure).
+            exploration of the PEC's BGP prefixes under the failure, once
+            per lifecycle scenario of the payload).
         transient: The picklable per-task payload of a transient task
             (a :class:`repro.transient.explorer.TransientTaskConfig`).
     """
@@ -147,10 +148,6 @@ class TaskGraph:
     #: scenario count in the independent case, total enumeration otherwise —
     #: matching the pre-engine verifier's reporting).
     failure_scenarios: int = 0
-    #: Campaign graphs only (:func:`build_transient_task_graph`): per PEC
-    #: index, how many failure scenarios and how many lifecycle event
-    #: scenarios (0 = no event cross-product) its tasks cross.
-    campaign_scenarios: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -363,23 +360,24 @@ def build_transient_task_graph(
 ) -> TaskGraph:
     """Expand a transient campaign over ``pecs`` into one task graph.
 
-    One task per (PEC, failure scenario), PEC-major in the order given.
-    ``transient`` is the picklable per-task payload
-    (:class:`repro.transient.explorer.TransientTaskConfig`).  Scenarios come
-    from ``failures`` when given, otherwise from the same §4.1.4/§4.3
-    enumeration-plus-LEC reduction converged-state verification uses.
-    Transient tasks are edge-free (an SPVP exploration consumes no upstream
-    data planes), so every backend runs them fully concurrently with
-    cross-worker early cancellation.
+    One task per (PEC, failure scenario), PEC-major in the order given —
+    the unit :func:`build_task_graph` uses.  ``transient`` is the picklable
+    campaign payload (:class:`repro.transient.explorer.TransientTaskConfig`).
+    Scenarios come from ``failures`` when given, otherwise from the same
+    §4.1.4/§4.3 enumeration-plus-LEC reduction converged-state verification
+    uses.  Transient tasks are edge-free (an SPVP exploration consumes no
+    upstream data planes), so every backend runs them fully concurrently
+    with cross-worker early cancellation.
 
     ``scenarios`` (lifecycle event scenarios — :class:`repro.scenarios.
-    Scenario` values) crosses the failure scenarios: one task per
-    (failure, scenario) pair, each task's payload carrying the scenario's
-    events appended to the base ``initial_events`` plus its description for
-    run labelling.  When ``scenarios`` is None and
-    ``transient.options.scenario_events > 0`` the scenario list is derived
-    per PEC with :func:`event_scenarios_for_pec` (deterministic, so
-    warm-cache re-verification re-derives the identical task list).
+    Scenario` values) are crossed with the failure scenarios *inside* each
+    task: its payload carries the PEC's scenario list, and the task explores
+    every scenario from one shared steady state
+    (:func:`repro.transient.explorer.execute_transient_task`).  When
+    ``scenarios`` is None and ``transient.options.scenario_events > 0`` the
+    scenario list is derived per PEC with :func:`event_scenarios_for_pec`
+    (deterministic, so warm-cache re-verification re-derives the identical
+    payloads).
     """
     import dataclasses
 
@@ -393,24 +391,15 @@ def build_transient_task_graph(
         pec_scenarios = scenarios
         if pec_scenarios is None and transient.options.scenario_events > 0:
             pec_scenarios = event_scenarios_for_pec(network, pec, transient.options)
-        payloads = [
-            dataclasses.replace(
-                transient,
-                initial_events=transient.initial_events + tuple(scenario.events),
-                scenario=scenario.describe(),
-            )
-            for scenario in pec_scenarios or ()
-        ] or [transient]
-        graph.campaign_scenarios[pec.index] = (len(failure_list), len(pec_scenarios or ()))
+        payload = dataclasses.replace(transient, scenarios=tuple(pec_scenarios or ()))
         for failure in failure_list:
-            for payload in payloads:
-                graph.tasks.append(
-                    TaskSpec(
-                        task_id=len(graph.tasks),
-                        pec_index=pec.index,
-                        failure=failure,
-                        kind="transient",
-                        transient=payload,
-                    )
+            graph.tasks.append(
+                TaskSpec(
+                    task_id=len(graph.tasks),
+                    pec_index=pec.index,
+                    failure=failure,
+                    kind="transient",
+                    transient=payload,
                 )
+            )
     return graph

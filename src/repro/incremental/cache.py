@@ -83,8 +83,12 @@ from repro.pec.dependencies import PecDependencyGraph
 #: not verify), and drops the never-read ``failure_ordering`` flag from the
 #: options token, so every v5 fingerprint is unreachable anyway.  v7 drops
 #: ``unique_terminal_states`` and ``violations`` from the exploration
-#: statistics document, and ``rank_immunity`` from the transient options.
-CACHE_SCHEMA_VERSION = 7
+#: statistics document, and ``rank_immunity`` from the transient options.  v8
+#: makes a transient entry's task one (PEC, failure) carrying all of its
+#: scenario runs, writes each run's witness prefix once
+#: (``witness_prefix``) with each violation's witness after it, and keys a
+#: campaign on each scenario's events as well as its name.
+CACHE_SCHEMA_VERSION = 8
 
 PathLike = Union[str, Path]
 
@@ -251,9 +255,12 @@ def transient_fingerprint(
 ) -> str:
     """The cache key of one PEC's transient campaign.
 
-    ``transient_config`` is a
+    ``transient_config`` is the PEC's
     :class:`~repro.transient.explorer.TransientTaskConfig`; its properties,
-    exploration options and initial events all shape the result.
+    exploration options, initial events and lifecycle scenarios all shape
+    the result.  A scenario is keyed by its description (the runs' label)
+    and by its events: two scenarios under one name are two keys.
+    ``task_shape`` is the failure links of the PEC's tasks, in graph order.
     """
     # A campaign stops by its own flag (part of ``transient_options`` below);
     # the engine's converged-state flag has no say in what it produces.
@@ -267,6 +274,10 @@ def transient_fingerprint(
             base_fingerprint,
             _object_tokens(transient_config.properties),
             _object_tokens(transient_config.initial_events),
+            tuple(
+                (scenario.describe(), _object_tokens(scenario.events))
+                for scenario in transient_config.scenarios
+            ),
             transient_options,
             _options_token(options),
             task_shape,

@@ -363,12 +363,13 @@ class IncrementalVerifier:
         non-JSON state and are never cached.
 
         ``scenarios`` (lifecycle event scenarios, :class:`repro.scenarios.
-        Scenario` values) crosses the failure scenarios per task; when
-        omitted and ``transient.scenario_events > 0`` the scenario list is
-        derived per PEC with the symmetry-reduced k-event enumerator.  The
-        campaign fingerprint covers each task's (failure, scenario
-        description) pair, so campaigns differing only in their scenarios
-        never collide on a warm cache — "what breaks during next week's
+        Scenario` values) are crossed with the failure scenarios inside each
+        (PEC, failure) task; when omitted and ``transient.scenario_events >
+        0`` the scenario list is derived per PEC with the symmetry-reduced
+        k-event enumerator.  The campaign fingerprint covers each task's
+        failure links and each scenario's description *and* events, so
+        campaigns differing only in their scenarios — even under one name —
+        never collide on a warm cache: "what breaks during next week's
         maintenance?" is one warm query.
         """
         from repro.transient.explorer import (
@@ -381,20 +382,20 @@ class IncrementalVerifier:
         transient = transient or TransientOptions()
         started = time.perf_counter()
         target = [pec for pec in (pecs if pecs is not None else plankton.pecs) if pec.has_bgp()]
-        config, graph, context = campaign_request(
+        graph, context = campaign_request(
             plankton, target, properties, transient, failures, initial_events, scenarios
         )
         base = pec_base_fingerprints(plankton.network, plankton.pecs, plankton.dependency_graph)
-        # The key must distinguish *both* axes of the task cross-product:
-        # failure links AND the lifecycle scenario baked into each payload.
-        shapes: Dict[int, List[Tuple]] = {}
+        # The key must distinguish *both* axes of the cross-product: the
+        # failure links of the PEC's tasks, and the lifecycle scenarios its
+        # payload carries (every task of one PEC carries the same payload).
+        shapes: Dict[int, Tuple[List[Tuple], object]] = {}
         for task in graph.tasks:
-            shapes.setdefault(task.pec_index, []).append(
-                (tuple(task.failure.failed_links), task.transient.scenario or "")
-            )
+            links, _payload = shapes.setdefault(task.pec_index, ([], task.transient))
+            links.append(tuple(task.failure.failed_links))
         fingerprints = {
-            index: transient_fingerprint(base[index], config, self.options, tuple(shape))
-            for index, shape in shapes.items()
+            index: transient_fingerprint(base[index], payload, self.options, tuple(links))
+            for index, (links, payload) in shapes.items()
         }
         campaign = TransientCampaignResult()
         prefix, campaign.incremental = self._reverify(

@@ -15,7 +15,7 @@ one schema helper every result class shares, :func:`document`, lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 _NOTHING: FrozenSet[str] = frozenset()
 
@@ -60,7 +60,9 @@ def _compile(template: str, fields_: Sequence, leaf: int, nested: Callable, scop
     return scope["convert"]
 
 
-def document(omit: Iterable[str] = (), **codecs):
+def document(
+    omit: Iterable[str] = (), adapt: Optional[Tuple[Callable, Callable]] = None, **codecs
+):
     """Class decorator: the dataclass's one canonical document.
 
     Adds ``to_dict(exclude=frozenset())`` and ``from_dict(document)``, a
@@ -80,7 +82,11 @@ def document(omit: Iterable[str] = (), **codecs):
       class the defining module cannot import.
 
     ``omit`` lists fields that are not part of the document at all (live
-    objects; ``from_dict`` leaves them at their default).  ``exclude`` is a
+    objects; ``from_dict`` leaves them at their default).  ``adapt`` is an
+    optional ``(written, reading)`` pair for a document whose shape is not
+    field by field: ``written(instance, document)`` returns the document
+    ``to_dict`` hands out, ``reading(document)`` the one ``from_dict``
+    reads (it must not mutate its argument).  ``exclude`` is a
     frozenset of field names — bare (``"elapsed_seconds"``, dropped in every
     class) or qualified (``"TaskFailure.message"``) — left out of this
     document and of every nested one.
@@ -112,6 +118,9 @@ def document(omit: Iterable[str] = (), **codecs):
                     lambda nested: _writer_of(nested, exclude),
                     {},
                 )
+                if adapt is not None:
+                    written, write = adapt[0], compiled[exclude]
+                    compiled[exclude] = lambda value: written(value, write(value))
             return compiled[exclude]
 
         def document_reader() -> Callable:
@@ -128,6 +137,9 @@ def document(omit: Iterable[str] = (), **codecs):
                     _reader_of,
                     {"cls": cls, "names": names, "reject": _reject},
                 )
+                if adapt is not None:
+                    reading, read = adapt[1], compiled["read"]
+                    compiled["read"] = lambda document: read(reading(document))
             return compiled["read"]
 
         def to_dict(self, exclude: FrozenSet[str] = _NOTHING) -> Dict[str, object]:

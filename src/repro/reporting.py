@@ -183,7 +183,12 @@ def _append_task_failures(lines: List[str], errors) -> None:
 # --------------------------------------------------------------------------- transient reports
 def transient_result_to_dict(result) -> Dict[str, object]:
     """The JSON-serialisable form of one transient exploration result
-    (:class:`repro.transient.TransientAnalysisResult`)."""
+    (:class:`repro.transient.TransientAnalysisResult`).
+
+    The root's witness is written once, as ``witness_prefix``; each
+    violation's ``witness`` holds the deliveries after it, so a violation's
+    whole witness is ``witness_prefix + witness``."""
+    cut = len(result.witness_prefix)
     document: Dict[str, object] = {
         "holds": result.holds,
         "states_explored": result.states_explored,
@@ -191,13 +196,14 @@ def transient_result_to_dict(result) -> Dict[str, object]:
         "max_depth_reached": result.max_depth_reached,
         "truncated": result.truncated,
         "elapsed_seconds": round(result.elapsed_seconds, 6),
+        "witness_prefix": list(result.witness_prefix),
         "violations": [
             {
                 "property": violation.property_name,
                 "message": violation.message,
                 "depth": violation.depth,
                 "converged": violation.converged,
-                "witness": list(violation.witness),
+                "witness": list(violation.witness[cut:]),
             }
             for violation in result.violations
         ],

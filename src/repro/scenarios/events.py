@@ -6,7 +6,12 @@ the transient explorer speaks:
 * ``apply(stepper, state) -> SpvpState`` — the semantics, on the persistent
   core (:class:`~repro.protocols.spvp.SpvpStepper` carries the lifecycle
   primitives),
-* ``describe() -> str`` — the human/cache-facing description.
+* ``describe() -> str`` — the human/cache-facing description,
+* ``sets_overlay`` — whether ``apply`` changes the stepper's lifecycle
+  overlays (``quiesced`` / ``suppressed``) as well as the state.  A state
+  built by overlay-free events alone is the same on every stepper of its
+  instance, so a campaign builds it once and starts many explorations from
+  it (:func:`split_at_overlay`).
 
 The package ships this one model of each event.  The second, independent
 one — the same vocabulary on the dict/deque reference simulator — lives
@@ -60,7 +65,7 @@ Event semantics, in SPVP terms:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 from repro.protocols.rpvp import RpvpState
 from repro.protocols.spvp import SpvpState, SpvpStepper
@@ -76,6 +81,7 @@ __all__ = [
     "ReturnToService",
     "Scenario",
     "maintenance_window",
+    "split_at_overlay",
     "steady_state_after",
 ]
 
@@ -91,6 +97,8 @@ class Converge:
     :class:`ProtocolError` when the instance does not converge within
     ``max_steps`` (divergent configurations).
     """
+
+    sets_overlay: ClassVar[bool] = False
 
     max_steps: int = 100_000
 
@@ -109,6 +117,8 @@ class FailSession:
     — the root of every withdrawal/flap transient exploration.
     """
 
+    sets_overlay: ClassVar[bool] = False
+
     a: str
     b: str
 
@@ -123,6 +133,8 @@ class FailSession:
 class NodeCrash:
     """Initial event: ``node`` crashes and rejoins cold."""
 
+    sets_overlay: ClassVar[bool] = False
+
     node: str
 
     def apply(self, stepper: SpvpStepper, state: SpvpState) -> SpvpState:
@@ -135,6 +147,8 @@ class NodeCrash:
 @dataclass(frozen=True)
 class NodeRestart:
     """Initial event: ``node`` reboots cleanly and sessions re-establish."""
+
+    sets_overlay: ClassVar[bool] = False
 
     node: str
 
@@ -149,6 +163,8 @@ class NodeRestart:
 class MaintenanceDrain:
     """Initial event: ``node`` is drained (quiesced) for maintenance."""
 
+    sets_overlay: ClassVar[bool] = True
+
     node: str
 
     def apply(self, stepper: SpvpStepper, state: SpvpState) -> SpvpState:
@@ -162,6 +178,8 @@ class MaintenanceDrain:
 class ReturnToService:
     """Initial event: a drained ``node`` returns to service."""
 
+    sets_overlay: ClassVar[bool] = True
+
     node: str
 
     def apply(self, stepper: SpvpStepper, state: SpvpState) -> SpvpState:
@@ -174,6 +192,8 @@ class ReturnToService:
 @dataclass(frozen=True)
 class FlapStorm:
     """Initial event: several sessions flap at once, in the given order."""
+
+    sets_overlay: ClassVar[bool] = False
 
     sessions: Tuple[Tuple[str, str], ...]
 
@@ -190,6 +210,8 @@ class FlapStorm:
 class GrayFailure:
     """Initial event: the ``exporter → importer`` direction silently drops
     route updates from now on (the importer keeps forwarding on stale state)."""
+
+    sets_overlay: ClassVar[bool] = True
 
     exporter: str
     importer: str
@@ -232,6 +254,31 @@ def maintenance_window(node: str, converge_steps: int = 100_000) -> Scenario:
         ),
         name=f"maintenance {node}",
     )
+
+
+def split_at_overlay(events) -> Tuple[Tuple[object, ...], Tuple[object, ...]]:
+    """``events``, every :class:`Scenario` replaced by its own events, split
+    before the first event that sets a stepper overlay.
+
+    The head leaves the stepper's overlays empty, so the state it builds is
+    the same on any fresh stepper of the instance and can be shared; the
+    tail must run on the stepper that explores from it.  An event class
+    that does not declare ``sets_overlay`` is taken to set one.
+    """
+    flat: list = []
+
+    def walk(sequence) -> None:
+        for event in sequence:
+            if isinstance(event, Scenario):
+                walk(event.events)
+            else:
+                flat.append(event)
+
+    walk(events)
+    for index, event in enumerate(flat):
+        if getattr(event, "sets_overlay", True):
+            return tuple(flat[:index]), tuple(flat[index:])
+    return tuple(flat), ()
 
 
 def steady_state_after(

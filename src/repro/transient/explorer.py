@@ -39,12 +39,13 @@ delta-maintained on the state, and witness event sequences are reconstructed
 from the BFS parent chain only when a violation is actually reported.
 The analyses run *on* a state are look-ups too, each keyed on the interned
 ids it is a function of: the properties' messages on ``(best-slot bytes,
-converged)`` in a memo that lives for one ``analyze()`` call (the checks run
-once per distinct best-path assignment, not once per interleaving reaching
-it); the ample selector's danger test and activity closure on id tuples
-(:class:`~repro.modelcheck.por.ample.AmpleSelector`); and a witness is the
-root's lines — described once per call and shared by every violation — plus
-the few deliveries between the root and the violating state.
+converged)`` in a memo that lives as long as the analyzer (the checks run
+once per distinct best-path assignment, not once per interleaving — or per
+scenario — reaching it); the ample selector's danger test and activity
+closure on id tuples (:class:`~repro.modelcheck.por.ample.AmpleSelector`);
+and a witness is the root's lines — described once per call, each line once
+per analyzer, and shared by every violation — plus the few deliveries
+between the root and the violating state.
 The fork-a-simulator, full-signature exploration this replaced is not
 shipped: it lives in ``tests/oracles/transient_reference.py`` as the
 equivalence oracle ``por="full"`` runs are pinned to bit for bit.
@@ -62,7 +63,14 @@ canonical execution) and :class:`~repro.scenarios.events.FailSession` (a
 session flap losing the queued messages and delivering a withdrawal to both
 peers, the Appendix A failure event) — which is how withdrawal/flap
 transients are explored: converge first, flap a session, then explore every
-re-convergence interleaving.
+re-convergence interleaving.  ``analyze(..., start=state)`` applies them to
+a state built earlier instead of the cold start: a campaign task drains to
+the steady state once and explores each of its lifecycle scenarios from
+there (:func:`execute_transient_task`).
+
+A result document carries the root's witness once, as ``witness_prefix``,
+and each violation's ``witness`` after it; in memory every violation keeps
+its whole witness.
 """
 
 from __future__ import annotations
@@ -70,7 +78,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -90,6 +98,7 @@ from repro.pec.classes import PacketEquivalenceClass
 from repro.protocols.base import PathVectorInstance
 from repro.protocols.rpvp import RpvpState
 from repro.protocols.spvp import Channel, SpvpEvent, SpvpState, SpvpStepper
+from repro.scenarios.events import split_at_overlay
 from repro.topology.failures import FailureScenario
 from repro.transient.properties import TransientForwarding, TransientProperty
 
@@ -216,22 +225,54 @@ class TransientViolation:
 _STATS_SIGNATURE_EXCLUDED = frozenset({"elapsed_seconds", "reduction"})
 
 
+def _witness_suffixes(result: "TransientAnalysisResult", document: Dict) -> Dict:
+    """The written document: each violation's witness after the prefix."""
+    cut = len(result.witness_prefix)
+    for violation in document["violations"] if cut else ():
+        del violation["witness"][:cut]
+    return document
+
+
+def _whole_witnesses(document: Dict) -> Dict:
+    """The document to read: each violation's witness behind the prefix."""
+    prefix = document.get("witness_prefix")
+    if not prefix:
+        return document
+    return dict(
+        document,
+        violations=[
+            dict(violation, witness=prefix + violation["witness"])
+            for violation in document["violations"]
+        ],
+    )
+
+
 # ``converged_rpvp_states`` are live protocol states (routes, paths): not
 # JSON-representable, and results carrying them are never cached.
 @document(
     omit=("converged_rpvp_states",),
+    adapt=(_witness_suffixes, _whole_witnesses),
+    witness_prefix=(list, tuple),
     violations=[TransientViolation],
     reduction=ReductionStatistics,
 )
 @dataclass
 class TransientAnalysisResult:
-    """Aggregate result of one transient exploration."""
+    """Aggregate result of one transient exploration.
+
+    ``witness_prefix`` is the described delivery sequence from the cold
+    start to the search root — the deliveries of a ``Converge()`` drain —
+    which every violation's witness begins with.  It is set when the search
+    recorded a violation.  The document writes it once and each violation's
+    ``witness`` without it; in memory a witness is whole.
+    """
 
     states_explored: int = 0
     converged_states: int = 0
     max_depth_reached: int = 0
     truncated: bool = False
     elapsed_seconds: float = 0.0
+    witness_prefix: Tuple[str, ...] = ()
     violations: List[TransientViolation] = field(default_factory=list)
     #: Converged best-path assignments, populated when the analyzer was built
     #: with ``collect_converged=True`` (the Theorem 1 cross-model check).
@@ -321,23 +362,36 @@ class TransientAnalyzer:
         #: minimised (the replayer needs the stepper and the search root).
         self._stepper: Optional[SpvpStepper] = None
         self._root: Optional[SpvpState] = None
-        #: Per-analyze() memos (the property tuple and the root are fixed for
-        #: the call): (best-slot bytes, converged) -> per-property messages,
-        #: and the root's described witness.
+        #: (best-slot bytes, converged) -> the messages of the properties in
+        #: ``_messages_for``.  The ids are the instance's own, so the memo
+        #: outlives one analyze(): the searches of one task from different
+        #: roots pass through many of the same best-path assignments.
         self._messages: Dict[Tuple[bytes, bool], Tuple[Optional[str], ...]] = {}
+        self._messages_for: Tuple[TransientProperty, ...] = ()
+        #: The root's described witness, for one analyze() call.
         self._root_witness: Optional[Tuple[str, ...]] = None
+        #: id(event) -> (event, its description), for the analyzer's
+        #: lifetime: the searches of one task start from one shared drain,
+        #: whose deliveries are then described, and held, once.
+        self._lines: Dict[int, Tuple[SpvpEvent, str]] = {}
 
     # ------------------------------------------------------------------ exploration
     def analyze(
         self,
         properties: Sequence[TransientProperty],
         initial_events: Sequence[object] = (),
+        start: Optional[SpvpState] = None,
     ) -> TransientAnalysisResult:
         """Explore reachable SPVP states and check ``properties`` on each.
 
         ``initial_events`` perturb the root before the search starts (e.g.
         ``[Converge(), FailSession("a", "b")]`` explores the transients of a
-        session flap out of a steady state).
+        session flap out of a steady state).  They are applied to ``start``
+        when given — a state of this instance that earlier events built on a
+        stepper without overlays (:func:`repro.scenarios.events.
+        split_at_overlay`) — and to the cold-start state otherwise.  The
+        search derives from ``start`` and never detaches it: its parent
+        chain is every witness's prefix.
         """
         if not properties:
             raise ValueError("at least one transient property is required")
@@ -353,13 +407,18 @@ class TransientAnalyzer:
         # keyed on (slot, id) — no route decoding or path hashing.
         hasher = ZobristFingerprinter(stepper.table)
         hasher.state_bytes_per_state = 64 + 4 * stepper.space.total_slots
-        root = stepper.initial_state()
+        if start is not None and start._space is not stepper.space:
+            raise ValueError("start state belongs to another protocol instance")
+        root = start if start is not None else stepper.initial_state()
         for event in initial_events:
             root = _apply_initial_event(stepper, root, event)
         self._stepper = stepper
         self._root = root
-        self._messages = {}
         self._root_witness = None
+        properties = tuple(properties)
+        if properties != self._messages_for:
+            self._messages = {}
+            self._messages_for = properties
         use_priority = options.frontier == "priority"
 
         use_sleep = options.por in ("ample", "sleep")
@@ -501,9 +560,9 @@ class TransientAnalyzer:
                 reduction.transitions_enabled += len(enabled)
                 reduction.transitions_expanded += expanded_count
 
+        result.witness_prefix = self._root_witness or ()
         self._stepper = None
         self._root = None
-        self._messages = {}
         self._root_witness = None
         result.elapsed_seconds = time.perf_counter() - started
         return result
@@ -535,28 +594,32 @@ class TransientAnalyzer:
 
         Every state of one search descends from its root, so the root's own
         sequence (the deliveries of a ``Converge()`` drain, typically the
-        bulk of a witness) is described once per ``analyze()`` and its
-        strings are shared by every violation; only the few deliveries
-        between the root and ``state`` are described here.
+        bulk of a witness) is described once per ``analyze()`` — and, line
+        by line, once per analyzer — and shared by every violation; only the
+        few deliveries between the root and ``state`` are looked up here.
         """
         root = self._root
         suffix: List[SpvpEvent] = []
-        node: Optional[SpvpState] = state
-        while node is not None and node is not root:
+        node = state
+        while node is not root:
             if node.event is not None:
                 suffix.append(node.event)
             node = node.parent
         suffix.reverse()
-        prefix: Tuple[str, ...] = ()
-        # A chain that never met the root has been walked to its cold start:
-        # ``suffix`` is then the whole sequence and there is nothing to share.
-        if node is not None:
-            if self._root_witness is None:
-                self._root_witness = tuple(
-                    event.describe() for event in root.witness_events()
-                )
-            prefix = self._root_witness
-        return prefix + tuple(event.describe() for event in suffix)
+        if self._root_witness is None:
+            self._root_witness = self._describe(root.witness_events())
+        return self._root_witness + self._describe(suffix)
+
+    def _describe(self, events: Sequence[SpvpEvent]) -> Tuple[str, ...]:
+        # An entry holds its event, so no other event can take over its id.
+        lines = self._lines
+        described: List[str] = []
+        for event in events:
+            entry = lines.get(id(event))
+            if entry is None:
+                entry = lines[id(event)] = (event, event.describe())
+            described.append(entry[1])
+        return tuple(described)
 
     def _check_state(
         self,
@@ -597,18 +660,50 @@ class TransientAnalyzer:
 class TransientTaskConfig:
     """The transient payload of one engine :class:`~repro.engine.graph.TaskSpec`.
 
-    Everything a worker needs to run one transient analysis — the properties,
-    the exploration budgets, the POR mode and the initial perturbation — in a
-    picklable bundle, so failure-scenario transient campaigns ride the same
-    pool backends and early cancellation as converged-state verification.
+    Everything a worker needs to run one (PEC, failure) task of a campaign —
+    the properties, the exploration budgets, the POR mode, the base initial
+    events and the lifecycle scenarios — in a picklable bundle, so transient
+    campaigns ride the same pool backends and early cancellation as
+    converged-state verification.
     """
 
     properties: Tuple[TransientProperty, ...]
     options: TransientOptions = field(default_factory=TransientOptions)
     initial_events: Tuple[object, ...] = ()
-    #: Description of the lifecycle scenario baked into ``initial_events``
-    #: (``None`` for plain failure tasks); labels the task's campaign runs.
-    scenario: Optional[str] = None
+    #: The lifecycle scenarios (:class:`repro.scenarios.Scenario` values) the
+    #: task explores, each after ``initial_events``; empty = one plain run
+    #: per BGP prefix from ``initial_events`` alone.
+    scenarios: Tuple[object, ...] = ()
+
+
+class _SharedStarts:
+    """The start states of one instance's explorations, each built once.
+
+    A state is keyed by the overlay-free events that built it
+    (:func:`~repro.scenarios.events.split_at_overlay`), every prefix of
+    them included, on one stepper that never gets an overlay: the base
+    events and a scenario's leading ``Converge()`` drain run once per task,
+    not once per scenario.
+    """
+
+    def __init__(self, instance: PathVectorInstance) -> None:
+        self._stepper = SpvpStepper(instance)
+        self._states: Dict[Tuple[object, ...], SpvpState] = {
+            (): self._stepper.initial_state()
+        }
+
+    def split(self, events: Sequence[object]) -> Tuple[SpvpState, Tuple[object, ...]]:
+        """The shared state ``events`` start from, and the events left to
+        apply on the exploring stepper."""
+        head, tail = split_at_overlay(events)
+        built = len(head)
+        while head[:built] not in self._states:
+            built -= 1
+        state = self._states[head[:built]]
+        for index in range(built, len(head)):
+            state = _apply_initial_event(self._stepper, state, head[index])
+            self._states[head[: index + 1]] = state
+        return state, tail
 
 
 @document(failure=FailureScenario, result=TransientAnalysisResult)
@@ -674,11 +769,14 @@ class TransientCampaignResult:
                 self.errors.append(outcome)
             else:
                 self.runs.extend(outcome.runs)
-        reached = [
-            graph.campaign_scenarios[index] for index in {spec.pec_index for spec, _ in prefix}
-        ]
-        self.failure_scenarios = max((failures for failures, _ in reached), default=0)
-        self.event_scenarios = max((events for _, events in reached), default=0)
+        reached = {spec.pec_index for spec, _ in prefix}
+        # A PEC has one task per failure scenario, each carrying its
+        # lifecycle scenarios.
+        tasks = Counter(spec.pec_index for spec in graph.tasks if spec.pec_index in reached)
+        self.failure_scenarios = max(tasks.values(), default=0)
+        self.event_scenarios = max(
+            (len(spec.transient.scenarios) for spec, _ in prefix), default=0
+        )
 
     def summary(self) -> str:
         verdict = (
@@ -703,9 +801,15 @@ class TransientCampaignResult:
 def execute_transient_task(plankton, spec, should_cancel=None):
     """Run one transient task (the engine worker's ``kind == "transient"`` path).
 
-    Analyses every BGP prefix of the task's PEC under the task's failure
-    scenario; ``should_cancel`` is polled between prefixes so a cross-worker
-    stop request takes effect mid-task.
+    One task is one (PEC, failure scenario): every lifecycle scenario of
+    its payload, in order, times every BGP prefix of the PEC — the runs come
+    back scenario-major.  Each prefix's instance is built once, and the
+    overlay-free events each scenario starts with (the base events and a
+    leading ``Converge()``) are applied once per prefix; every scenario is
+    then explored from that shared state on a fresh stepper.
+    ``should_cancel`` is polled before every run, so a cross-worker stop
+    request takes effect mid-task, and under stop-at-first the task ends
+    after the first scenario that found a violation.
     """
     from repro.core.network_model import DependencyContext, PecExplorer
     from repro.engine.graph import TaskResult
@@ -721,30 +825,44 @@ def execute_transient_task(plankton, spec, should_cancel=None):
         dependency_context=DependencyContext(),
         ospf_computation=plankton.ospf_computation,
     )
-    for prefix, devices in pec.bgp_origins:
-        if not devices:
-            continue
-        if should_cancel is not None and should_cancel():
-            result.cancelled = True
-            break
-        instance = explorer.bgp_instance(prefix)
-        analyzer = TransientAnalyzer(instance, options=config.options)
-        analysis = analyzer.analyze(
-            config.properties, initial_events=config.initial_events
-        )
+    prefixes = [prefix for prefix, devices in pec.bgp_origins if devices]
+    # prefix -> its analyzer and shared start states, built on first use.
+    searches: Dict[object, Tuple[TransientAnalyzer, _SharedStarts]] = {}
+    for scenario in config.scenarios or (None,):
+        events = config.initial_events
+        label = None
+        if scenario is not None:
+            events += tuple(scenario.events)
+            label = scenario.describe()
+        found = False
         # Every BGP prefix of the PEC is analysed even after a violation
         # (each analysis already stops at its own first violation when asked
-        # to): callers get one result per prefix, and stop-at-first only
-        # cancels *other tasks* through the aggregator's stop flag.
-        result.runs.append(
-            TransientCampaignRun(
-                pec_index=pec.index,
-                failure=spec.failure,
-                prefix=str(prefix),
-                result=analysis,
-                scenario=config.scenario,
+        # to): a scenario yields one run per prefix.
+        for prefix in prefixes:
+            if should_cancel is not None and should_cancel():
+                result.cancelled = True
+                return result
+            if prefix not in searches:
+                instance = explorer.bgp_instance(prefix)
+                searches[prefix] = (
+                    TransientAnalyzer(instance, options=config.options),
+                    _SharedStarts(instance),
+                )
+            analyzer, starts = searches[prefix]
+            start, rest = starts.split(events)
+            analysis = analyzer.analyze(config.properties, initial_events=rest, start=start)
+            found = found or bool(analysis.violations)
+            result.runs.append(
+                TransientCampaignRun(
+                    pec_index=pec.index,
+                    failure=spec.failure,
+                    prefix=str(prefix),
+                    result=analysis,
+                    scenario=label,
+                )
             )
-        )
+        if found and config.options.stop_at_first_violation:
+            break
     return result
 
 
@@ -757,12 +875,14 @@ def campaign_request(
     initial_events: Sequence[object] = (),
     scenarios: Optional[Sequence[object]] = None,
 ):
-    """One campaign over ``pecs`` as the engine sees it: the task payload,
-    the task graph (one graph, PEC-major) and the engine context.
+    """One campaign over ``pecs`` as the engine sees it: the task graph (one
+    graph, PEC-major; every task of a PEC carries that PEC's payload) and
+    the engine context.
 
     ``transient.stop_at_first_violation`` governs *all* transient stopping —
-    each per-prefix analysis, and the campaign-level cancellation of
-    still-queued tasks: every task carries the flag in its payload, so
+    each per-prefix analysis, the scenarios left in a task, and the
+    campaign-level cancellation of still-queued tasks: every task carries
+    the flag in its payload, so
     ``PlanktonOptions.stop_at_first_violation`` (a converged-state
     verification knob) cannot cut an exhaustive campaign short.  Every
     other engine knob, supervision included, is the verifier's own.
@@ -782,7 +902,7 @@ def campaign_request(
         failures=failures,
         scenarios=scenarios,
     )
-    return config, graph, EngineContext(plankton=plankton, policies=[])
+    return graph, EngineContext(plankton=plankton, policies=[])
 
 
 def analyze_pec_transients_over_failures(
@@ -806,8 +926,10 @@ def analyze_pec_transients_over_failures(
 
     ``scenarios`` (a sequence of :class:`repro.scenarios.Scenario` values)
     crosses every failure scenario with every lifecycle event scenario — one
-    task per (failure, scenario) pair, the scenario's events appended to
-    ``initial_events``.  When omitted and ``transient.scenario_events > 0``,
+    run per (failure, scenario, BGP prefix), the scenario's events appended
+    to ``initial_events``; a (PEC, failure) task runs all of its scenarios
+    from one shared drain (:func:`execute_transient_task`).  When omitted
+    and ``transient.scenario_events > 0``,
     the graph builder derives the scenario list with the symmetry-reduced
     k-event enumerator (:func:`repro.scenarios.enumerate_event_scenarios`).
 
@@ -826,7 +948,7 @@ def analyze_pec_transients_over_failures(
         plankton = Plankton(network, options)
     elif options is not None and options is not plankton.options:
         raise ValueError("pass either plankton= or options=, not both")
-    _config, graph, context = campaign_request(
+    graph, context = campaign_request(
         plankton,
         [pec],
         properties,

@@ -54,6 +54,7 @@ class NaiveTransientAnalyzer:
         root = ReferenceSpvpSimulator(self.instance, seed=0)
         for event in initial_events:
             apply_reference(root, event)
+        root_witness = tuple(event.describe() for event in root.history)
         visited: Set[Tuple] = {self._signature(root)}
         frontier: Deque[Tuple[ReferenceSpvpSimulator, int]] = deque([(root, 0)])
 
@@ -86,6 +87,8 @@ class NaiveTransientAnalyzer:
                 visited.add(signature)
                 frontier.append((successor, depth + 1))
 
+        if result.violations:
+            result.witness_prefix = root_witness
         result.elapsed_seconds = time.perf_counter() - started
         return result
 

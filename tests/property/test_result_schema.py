@@ -158,15 +158,33 @@ transient_violations = st.builds(
     converged=st.booleans(),
     witness=st.lists(texts, max_size=4).map(tuple),
 )
+
+
+def _behind_prefix(prefix, result):
+    """``result`` with ``prefix`` as its root witness: every violation's
+    witness begins with it, as the analyzer's do."""
+    if result.violations:
+        result.witness_prefix = prefix
+        result.violations = [
+            dataclasses.replace(violation, witness=prefix + violation.witness)
+            for violation in result.violations
+        ]
+    return result
+
+
 transient_results = st.builds(
-    TransientAnalysisResult,
-    states_explored=counts,
-    converged_states=counts,
-    max_depth_reached=counts,
-    truncated=st.booleans(),
-    elapsed_seconds=seconds,
-    violations=st.lists(transient_violations, max_size=2),
-    reduction=st.none() | reductions,
+    _behind_prefix,
+    st.lists(texts, max_size=3).map(tuple),
+    st.builds(
+        TransientAnalysisResult,
+        states_explored=counts,
+        converged_states=counts,
+        max_depth_reached=counts,
+        truncated=st.booleans(),
+        elapsed_seconds=seconds,
+        violations=st.lists(transient_violations, max_size=2),
+        reduction=st.none() | reductions,
+    ),
 )
 transient_runs = st.builds(
     TransientCampaignRun,

@@ -659,3 +659,52 @@ class TestReviewRegressions:
         document = json.loads(capsys.readouterr().out)
         assert document["holds"] is True and document["runs"] == []
         assert report.exists()
+
+    @staticmethod
+    def _crash_campaign(service, pec, scenario):
+        return service.verify_transients(
+            [TransientLoopFreedom(ignore_converged=True)],
+            transient=TransientOptions(max_depth=4, stop_at_first_violation=False),
+            scenarios=[scenario],
+            pecs=[pec],
+        )
+
+    def test_transient_cache_keys_a_scenario_by_its_events_not_its_name(self):
+        """Two scenarios under one name used to share a cache entry: the
+        campaign key held each scenario's description alone, so a warm
+        cache answered the crash of ``agg0_0`` (violated) with the crash of
+        ``agg2_1`` (holds)."""
+        from repro.scenarios import Converge, NodeCrash, Scenario
+
+        network = ebgp_rfc7938(bgp_fat_tree(4))
+        pec = next(pec for pec in Plankton(network).pecs if pec.has_bgp())
+
+        def crash(node):
+            return Scenario((Converge(), NodeCrash(node)), name="maint")
+
+        cold = {
+            node: self._crash_campaign(IncrementalVerifier(network), pec, crash(node))
+            for node in ("agg0_0", "agg2_1")
+        }
+        assert [len(cold["agg0_0"].violations), cold["agg0_0"].runs[0].result.states_explored] == [1, 55]
+        assert cold["agg2_1"].holds and cold["agg2_1"].runs[0].result.states_explored == 5
+
+        service = IncrementalVerifier(network)
+        self._crash_campaign(service, pec, crash("agg2_1"))
+        warm = self._crash_campaign(service, pec, crash("agg0_0"))
+        assert warm.incremental.pecs_from_cache == 0
+        assert transient_campaign_signature(warm) == transient_campaign_signature(cold["agg0_0"])
+
+    def test_transient_cache_keys_a_maintenance_window_by_its_settle_budget(self):
+        """``maintenance_window(node, converge_steps)`` names the scenario
+        after the node alone; a different settle budget is a different key."""
+        from repro.scenarios import maintenance_window
+
+        network = ebgp_rfc7938(bgp_fat_tree(4))
+        pec = next(pec for pec in Plankton(network).pecs if pec.has_bgp())
+        service = IncrementalVerifier(network)
+        self._crash_campaign(service, pec, maintenance_window("agg0_0"))
+        again = self._crash_campaign(service, pec, maintenance_window("agg0_0"))
+        assert again.incremental.pecs_from_cache == 1
+        other = self._crash_campaign(service, pec, maintenance_window("agg0_0", converge_steps=5))
+        assert other.incremental.pecs_from_cache == 0

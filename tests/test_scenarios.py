@@ -11,7 +11,8 @@ Three layers:
   verdict set as the unreduced brute enumeration, with the reduction counts
   ledgered and strictly positive;
 * a fault-injection run over a scenario campaign: the supervision layer's
-  partial-result labelling holds when a (failure x scenario) task dies.
+  partial-result labelling holds when a (PEC, failure) task — and with it
+  every scenario run of that failure — dies.
 """
 
 import pytest
@@ -253,10 +254,12 @@ class TestBruteForceOracle:
 # --------------------------------------------------------------------------- fault injection
 class TestScenarioCampaignUnderFaults:
     def test_partial_result_labelling_survives_scenario_tasks(self):
-        """Exhausting one (failure x scenario) task's retries degrades the
-        campaign to an explicitly-partial result: the dead task lands in
-        ``errors``, every other scenario run still completes, and the
-        summary says PARTIAL."""
+        """A transient task is one (PEC, failure) carrying all of its
+        scenario runs.  Exhausting one task's retries degrades the campaign
+        to an explicitly-partial result: the dead task lands in ``errors``
+        and takes every scenario run of its failure with it, the other
+        failure's runs all complete, and the summary says PARTIAL."""
+        from repro.topology.failures import FailureScenario
         from repro.transient.explorer import analyze_pec_transients_over_failures
 
         network = _square_network()
@@ -270,23 +273,33 @@ class TestScenarioCampaignUnderFaults:
         )
         options = PlanktonOptions(task_retries=0)
         properties = [TransientLoopFreedom(ignore_converged=True)]
-        baseline = analyze_pec_transients_over_failures(
-            network, pec, properties, options=options, transient=transient
-        )
-        assert baseline.complete and baseline.event_scenarios > 1
-        plan = FaultPlan((FaultSpec(kind="raise", task_id=1, attempt=0),))
-        with faults.active(plan):
-            campaign = analyze_pec_transients_over_failures(
-                network, pec, properties, options=options, transient=transient
+        failures = [FailureScenario(), FailureScenario.of([0])]
+
+        def campaign():
+            return analyze_pec_transients_over_failures(
+                network, pec, properties, options=options, transient=transient,
+                failures=failures,
             )
-        assert not campaign.complete
-        assert [failure.task_id for failure in campaign.errors] == [1]
-        assert "PARTIAL" in campaign.summary()
-        # Every task except the dead one still produced its scenario runs.
-        assert len(campaign.runs) == len(baseline.runs) - 1
-        surviving = {run.scenario for run in campaign.runs}
-        all_scenarios = {run.scenario for run in baseline.runs}
-        assert surviving < all_scenarios
+
+        baseline = campaign()
+        assert baseline.complete and baseline.event_scenarios > 1
+        assert baseline.failure_scenarios == 2
+        per_failure = {
+            failure: [run for run in baseline.runs if run.failure == failure]
+            for failure in failures
+        }
+        assert all(len(runs) == baseline.event_scenarios for runs in per_failure.values())
+        with faults.active(FaultPlan((FaultSpec(kind="raise", task_id=1, attempt=0),))):
+            partial = campaign()
+        assert not partial.complete
+        assert [failure.task_id for failure in partial.errors] == [1]
+        assert partial.errors[0].failure_description == "0"
+        assert "PARTIAL" in partial.summary()
+        # The dead task's scenario runs are gone; the other failure's survive.
+        assert {run.failure for run in partial.runs} == {failures[0]}
+        assert [(run.scenario, run.result.stats_signature()) for run in partial.runs] == [
+            (run.scenario, run.result.stats_signature()) for run in per_failure[failures[0]]
+        ]
 
     def test_clean_scenario_campaign_labels_runs(self):
         """Without faults every run carries its scenario description and the

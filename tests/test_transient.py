@@ -874,3 +874,77 @@ class TestWitnessMinimisation:
         # path ingredients) and b's are on the chain.
         assert 0 not in kept
         assert {1, 3} <= kept
+
+
+# --------------------------------------------------------------------------- witness documents
+class TestWitnessPrefixDocument:
+    """A run's document writes its root witness once, as the result's
+    ``witness_prefix``, and each violation's witness after it; in memory
+    every witness stays whole."""
+
+    DESTINATION = "10.0.0.0/24"
+
+    @pytest.fixture(scope="class")
+    def campaign(self):
+        from repro.incremental import IncrementalVerifier
+        from repro.serve.jobs import run_request
+
+        network = ebgp_rfc7938(bgp_fat_tree(4))
+        payload = {
+            "kind": "transient",
+            "transient": {"max_depth": 4, "scenario_events": 1, "stop_at_first_violation": False},
+            "property": {"property": "loop"},
+            "destination_prefix": self.DESTINATION,
+        }
+        view = run_request(IncrementalVerifier(network), network, "transient", payload)
+        return network, view.result, view.render(["document"])["document"]
+
+    def test_runs_round_trip_every_whole_witness(self, campaign):
+        from repro.transient import TransientCampaignRun
+
+        _network, result, _document = campaign
+        assert result.violations
+        for run in result.runs:
+            document = json.loads(json.dumps(run.to_dict()))
+            rebuilt = TransientCampaignRun.from_dict(document)
+            assert rebuilt == run
+            prefix = document["result"]["witness_prefix"]
+            assert tuple(prefix) == run.result.witness_prefix
+            for written, violation in zip(document["result"]["violations"], run.result.violations):
+                assert tuple(prefix + written["witness"]) == violation.witness
+                assert len(written["witness"]) <= violation.depth
+
+    def test_json_prefix_and_suffix_join_to_a_fresh_analysis_witness(self, campaign):
+        """The ``--json`` document of eBGP k=4 with one-event scenarios:
+        each violation's ``witness_prefix + witness`` is the witness a fresh
+        analyzer finds from the cold start, one per (scenario, prefix)."""
+        from repro.core.network_model import DependencyContext, PecExplorer
+        from repro.engine.graph import event_scenarios_for_pec
+        from repro.topology.failures import FailureScenario
+
+        network, _result, document = campaign
+        pecs = {pec.index: pec for pec in compute_pecs(network)}
+        options = TransientOptions(max_depth=4, scenario_events=1, stop_at_first_violation=False)
+        checked = 0
+        for run in document["runs"]:
+            pec = pecs[run["pec_index"]]
+            scenario = {
+                scenario.describe(): scenario
+                for scenario in event_scenarios_for_pec(network, pec, options)
+            }[run["scenario"]]
+            instance = PecExplorer(
+                network,
+                pec,
+                FailureScenario(tuple(run["failed_links"])),
+                PlanktonOptions(),
+                dependency_context=DependencyContext(),
+            ).bgp_instance(next(p for p, devices in pec.bgp_origins if str(p) == run["prefix"]))
+            fresh = TransientAnalyzer(instance, options=options).analyze(
+                [TransientLoopFreedom(ignore_converged=True)], initial_events=scenario.events
+            )
+            written = run["result"]
+            assert [written["witness_prefix"] + v["witness"] for v in written["violations"]] == [
+                list(v.witness) for v in fresh.violations
+            ]
+            checked += len(fresh.violations)
+        assert checked == sum(len(run["result"]["violations"]) for run in document["runs"]) > 0

@@ -180,6 +180,18 @@ def pec_base_fingerprints(
     return composed
 
 
+def _canonical(value: object) -> object:
+    """``value`` with every set and frozenset in it sorted, also inside
+    tuples, lists and dicts: a set's ``repr`` follows ``PYTHONHASHSEED``."""
+    if isinstance(value, (set, frozenset)):
+        return (type(value).__name__, sorted((_canonical(item) for item in value), key=repr))
+    if type(value) in (tuple, list):
+        return type(value)(_canonical(item) for item in value)
+    if type(value) is dict:
+        return {key: _canonical(item) for key, item in value.items()}
+    return value
+
+
 def _object_tokens(values: Sequence) -> Tuple:
     """A canonical, process-stable serialisation of a list of policy,
     transient-property or initial-event objects: class and attributes."""
@@ -187,7 +199,10 @@ def _object_tokens(values: Sequence) -> Tuple:
         (
             type(value).__module__,
             type(value).__qualname__,
-            tuple((name, repr(attribute)) for name, attribute in sorted(vars(value).items())),
+            tuple(
+                (name, repr(_canonical(attribute)))
+                for name, attribute in sorted(vars(value).items())
+            ),
         )
         for value in values
     )

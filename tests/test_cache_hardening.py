@@ -13,6 +13,8 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -387,6 +389,36 @@ class TestUnchangedStoreIsNotRewritten:
         cache.clear()
         cache.save()
         assert len(_reload(cache_file)) == 0
+
+
+_KEY_SCRIPT = """
+from repro.incremental.cache import _object_tokens, _sha
+from repro.transient.properties import TransientBlackHoleFreedom
+
+class Nested:
+    def __init__(self):
+        self.table = {"x": (frozenset("pqrst"), [set("uvwxy")])}
+
+print(_sha(_object_tokens([TransientBlackHoleFreedom(sources=list("abcde")), Nested()])))
+"""
+
+
+class TestProcessStableKeys:
+    def test_a_set_valued_attribute_keys_the_same_under_every_hash_seed(self):
+        """``TransientBlackHoleFreedom`` keeps its sources as a set, whose
+        ``repr`` follows ``PYTHONHASHSEED``: the key must not, or a
+        ``--cache-dir`` never hits across processes."""
+        source = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        keys = set()
+        for seed in ("1", "2", "3"):
+            environment = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=source)
+            keys.add(
+                subprocess.run(
+                    [sys.executable, "-c", _KEY_SCRIPT],
+                    env=environment, capture_output=True, text=True, check=True,
+                ).stdout
+            )
+        assert len(keys) == 1
 
 
 class TestConcurrentWriters:

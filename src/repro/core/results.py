@@ -1,5 +1,8 @@
-"""Verification results: per-PEC run records and the aggregated verdict.
+"""Verification results: per-PEC run records and the one request result.
 
+:class:`RequestResult` is the base of both request kinds' results,
+:class:`VerificationResult` here and
+:class:`repro.transient.TransientCampaignResult`; it decides the verdict.
 Every class here carries its canonical document
 (:func:`repro.modelcheck.trail.document`): what the incremental cache stores
 and the result signatures hash.  ``as_dict`` / :mod:`repro.reporting` are the
@@ -49,7 +52,7 @@ class TaskFailure:
 
     A failed task never aborts a verify: the supervisor records this
     structured entry and the run degrades to a *partial* result
-    (:attr:`VerificationResult.complete` is False) whose ``errors`` name
+    (:attr:`RequestResult.complete` is False) whose ``errors`` name
     exactly the tasks that produced no runs.
 
     ``kind`` mirrors :class:`repro.engine.graph.TaskError`: ``"exception"``,
@@ -105,104 +108,150 @@ class PecRunResult:
         return not self.violations
 
 
-# ``incremental`` is the serving layer's accounting of how the result was
-# obtained (cold and warm runs of one request differ in it by design).
-@document(
-    omit=("incremental",),
-    policy_names=(list, list),
-    violations=[Violation],
-    pec_runs=[PecRunResult],
-    errors=[TaskFailure],
-)
-@dataclass
-class VerificationResult:
-    """The aggregated result of a verification task."""
+@dataclass(kw_only=True)
+class RequestResult:
+    """The result of one finished request, ``verify`` or ``transient``.
 
-    policy_names: List[str]
-    holds: bool = True
-    violations: List[Violation] = field(default_factory=list)
-    pec_runs: List[PecRunResult] = field(default_factory=list)
-    pecs_analyzed: int = 0
-    failure_scenarios: int = 0
+    A subclass adds its run type and its header fields; everything derived
+    from the runs and the errors is computed here, once: :attr:`holds`,
+    :attr:`violations`, :attr:`complete`, the :attr:`verdict` and the
+    :meth:`verdict_phrase` the summaries and the Markdown reports print.
+    ``absorb`` is the one fold of the engine's ordered prefix.
+    """
+
+    #: The request kind the result answers (the subclass's).
+    kind = ""
+    #: How the text and Markdown forms spell each verdict.
+    VERDICT_WORDS = {"holds": "HOLDS", "violated": "VIOLATED", "partial": "PARTIAL"}
+
     elapsed_seconds: float = 0.0
-
-    # Aggregate statistics across all explorations.
-    total_states_expanded: int = 0
-    total_unique_states: int = 0
-    total_converged_states: int = 0
-    approximate_memory_bytes: int = 0
-
-    #: Populated by the incremental re-verification service
-    #: (:class:`repro.incremental.service.IncrementalRunStats`): cache-hit /
-    #: recompute accounting for this run.  None for cold ``Plankton.verify``.
+    #: Cache accounting when the request ran through the incremental service
+    #: (:class:`repro.incremental.service.IncrementalRunStats`); None for a
+    #: cold run.  Cold and warm runs of one request differ in it by design,
+    #: so it is not part of the canonical document.
     incremental: Optional[object] = None
-
-    #: Tasks that exhausted their retries: the verify degraded to a partial
+    #: Tasks that exhausted their retries: the request degraded to a partial
     #: result instead of raising.  Empty on a complete run.
     errors: List[TaskFailure] = field(default_factory=list)
 
-    @property
-    def complete(self) -> bool:
-        """Whether every expanded task produced a result (no ``errors``)."""
-        return not self.errors
-
-    def record(self, run: PecRunResult) -> None:
-        """Fold one PEC run into the aggregate."""
-        self.pec_runs.append(run)
-        self.violations.extend(run.violations)
-        if run.violations:
-            self.holds = False
-        self.total_converged_states += run.converged_states
-        if run.statistics is not None:
-            self.total_states_expanded += run.statistics.states_expanded
-            self.total_unique_states += run.statistics.unique_states
-            self.approximate_memory_bytes += run.statistics.approximate_memory_bytes
+    def _runs(self) -> list:
+        """The runs, in task-graph order; each has ``violations``."""
+        raise NotImplementedError
 
     def absorb(self, prefix) -> None:
         """Fold a ledger's ordered prefix in
-        (:meth:`repro.engine.aggregator.ResultAggregator.finalize`): runs
-        are recorded in task-graph order, exhausted tasks become ``errors``."""
+        (:meth:`repro.engine.aggregator.ResultAggregator.finalize`): runs in
+        task-graph order, exhausted tasks as ``errors``."""
+        runs = self._runs()
         for _spec, outcome in prefix:
             if isinstance(outcome, TaskFailure):
                 self.errors.append(outcome)
             else:
-                for run in outcome.runs:
-                    self.record(run)
+                runs.extend(outcome.runs)
 
-    def merge(self, other: "VerificationResult") -> None:
-        """Fold another (partial) result into this one.
+    @property
+    def violations(self) -> list:
+        return [violation for run in self._runs() for violation in run.violations]
 
-        Run lists and violations are concatenated in the order given, state
-        counters are summed, and the verdict holds only if both hold.
-        Wall-clock fields are *not* summed — partials produced by concurrent
-        workers overlap in time, so the longer of the two is kept and the
-        coordinator's own clock remains authoritative.  ``pecs_analyzed``
-        and ``failure_scenarios`` are sized by the coordinator up front, so
-        the larger value wins as well.
-        """
-        self.pec_runs.extend(other.pec_runs)
-        self.violations.extend(other.violations)
-        self.errors.extend(other.errors)
-        self.holds = self.holds and other.holds
-        self.pecs_analyzed = max(self.pecs_analyzed, other.pecs_analyzed)
-        self.failure_scenarios = max(self.failure_scenarios, other.failure_scenarios)
-        self.elapsed_seconds = max(self.elapsed_seconds, other.elapsed_seconds)
-        self.total_states_expanded += other.total_states_expanded
-        self.total_unique_states += other.total_unique_states
-        self.total_converged_states += other.total_converged_states
-        self.approximate_memory_bytes += other.approximate_memory_bytes
+    @property
+    def holds(self) -> bool:
+        """No completed run found a violation (partiality is :attr:`verdict`'s)."""
+        return not any(run.violations for run in self._runs())
+
+    @property
+    def complete(self) -> bool:
+        """Whether every task produced a result (no ``errors``)."""
+        return not self.errors
+
+    @property
+    def verdict(self) -> str:
+        """``violated``, ``partial`` or ``holds``.  A violation beats
+        partiality (a found counterexample is definitive whatever the failed
+        tasks would have said), and partiality beats holds."""
+        if not self.holds:
+            return "violated"
+        return "partial" if self.errors else "holds"
+
+    def verdict_phrase(self, markdown: bool = False) -> str:
+        """The verdict as the summary (``markdown=False``) and the Markdown
+        report print it: the violation count, then the failed tasks."""
+        words, bold = self.VERDICT_WORDS, "**" if markdown else ""
+        phrase = f"{bold}{words['holds' if self.holds else 'violated']}{bold}"
+        if not self.holds:
+            phrase += f" ({len(self.violations)} violation(s))"
+        if self.errors:
+            failed = f"{len(self.errors)} task(s) failed"
+            partial = words["partial"]
+            phrase += f" — **{partial}** ({failed})" if markdown else f" [{partial}: {failed}]"
+        return phrase
 
     def first_violation(self) -> Optional[Violation]:
         """The first recorded violation, if any."""
-        return self.violations[0] if self.violations else None
+        return next(iter(self.violations), None)
+
+
+@document(
+    omit=("incremental",),
+    policy_names=(list, list),
+    pec_runs=[PecRunResult],
+    errors=[TaskFailure],
+)
+@dataclass
+class VerificationResult(RequestResult):
+    """The result of a ``verify`` request: one run per (PEC, failure scenario)."""
+
+    kind = "verify"
+
+    policy_names: List[str]
+    pec_runs: List[PecRunResult] = field(default_factory=list)
+    pecs_analyzed: int = 0
+    failure_scenarios: int = 0
+
+    def _runs(self) -> List[PecRunResult]:
+        return self.pec_runs
+
+    def _statistics_total(self, name: str) -> int:
+        return sum(getattr(run.statistics, name) for run in self.pec_runs if run.statistics is not None)
+
+    @property
+    def total_converged_states(self) -> int:
+        return sum(run.converged_states for run in self.pec_runs)
+
+    @property
+    def total_states_expanded(self) -> int:
+        return self._statistics_total("states_expanded")
+
+    @property
+    def total_unique_states(self) -> int:
+        return self._statistics_total("unique_states")
+
+    @property
+    def approximate_memory_bytes(self) -> int:
+        return self._statistics_total("approximate_memory_bytes")
+
+    #: The ``/metrics`` count of states a request searched.
+    states_explored = total_states_expanded
+
+    # ``record`` and ``merge`` have no caller in the package: they are kept
+    # because perf/tracing.py's TARGETS table wraps them.
+    def record(self, run: PecRunResult) -> None:
+        """Append one PEC run."""
+        self.pec_runs.append(run)
+
+    def merge(self, other: "VerificationResult") -> None:
+        """Fold another (partial) result in: its runs and errors are
+        appended; the PEC and failure-scenario counts and the wall clock are
+        the larger of the two (concurrent partials overlap in time)."""
+        self.pec_runs.extend(other.pec_runs)
+        self.errors.extend(other.errors)
+        self.pecs_analyzed = max(self.pecs_analyzed, other.pecs_analyzed)
+        self.failure_scenarios = max(self.failure_scenarios, other.failure_scenarios)
+        self.elapsed_seconds = max(self.elapsed_seconds, other.elapsed_seconds)
 
     def summary(self) -> str:
         """One-paragraph human-readable summary."""
-        verdict = "HOLDS" if self.holds else f"VIOLATED ({len(self.violations)} violation(s))"
-        if self.errors:
-            verdict += f" [PARTIAL: {len(self.errors)} task(s) failed]"
         return (
-            f"policies {', '.join(self.policy_names)}: {verdict}; "
+            f"policies {', '.join(self.policy_names)}: {self.verdict_phrase()}; "
             f"{self.pecs_analyzed} PEC(s), {self.failure_scenarios} failure scenario(s), "
             f"{self.total_converged_states} converged state(s) checked, "
             f"{self.total_states_expanded} state expansions, "

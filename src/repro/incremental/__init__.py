@@ -35,8 +35,6 @@ _ORIGINS = {
     "IncrementalVerifier": "repro.incremental.service",
     "result_signature": "repro.incremental.service",
     "result_signature_digest": "repro.incremental.service",
-    "transient_campaign_signature": "repro.incremental.service",
-    "transient_campaign_signature_digest": "repro.incremental.service",
 }
 
 __all__ = list(_ORIGINS)

@@ -128,14 +128,9 @@ def result_signature_digest(result) -> str:
     return _digest(result_signature(result))
 
 
-def transient_campaign_signature(campaign) -> Dict[str, object]:
-    """:func:`result_signature` of a transient campaign (oracle tests)."""
-    return result_signature(campaign)
-
-
+# Kept only for perf/tracing.py's TARGETS table: result_signature_digest takes either kind.
 def transient_campaign_signature_digest(campaign) -> str:
-    """:func:`result_signature_digest` of a transient campaign (service API)."""
-    return _digest(transient_campaign_signature(campaign))
+    return result_signature_digest(campaign)
 
 
 # --------------------------------------------------------------------------- the service

@@ -1,17 +1,22 @@
 """Verification reports: structured (JSON) and human-readable (Markdown) output.
 
-The verifier's :class:`~repro.core.results.VerificationResult` carries
-everything an operator or a CI pipeline needs — verdict, per-PEC runs,
-exploration statistics, violations with event trails — but as Python objects.
-This module renders those results into artefacts that can be archived next to
-the configuration change that was checked:
+Both request kinds finish with a :class:`~repro.core.results.RequestResult`:
+a :class:`~repro.core.results.VerificationResult` for ``verify``, a
+:class:`repro.transient.TransientCampaignResult` for ``transient``.  The
+result decides its own verdict (``RequestResult.verdict``) and the phrase
+that spells it (``RequestResult.verdict_phrase``); this module renders the
+rest into artefacts that can be archived next to the configuration change
+that was checked:
 
-* ``result_to_dict`` / JSON — for machines (dashboards, CI gates),
-* ``render_markdown`` — for humans (change-review comments, runbooks),
-* ``write_report`` — dispatches on the file suffix,
+* ``verify_document`` / ``result_to_dict`` and ``transient_campaign_to_dict``
+  — the JSON forms, for machines (dashboards, CI gates),
+* ``render_markdown`` / ``render_transient_markdown`` — for humans
+  (change-review comments, runbooks),
+* ``write_report`` — either kind, dispatched on the file suffix,
 * :class:`ResultView` — one finished request and every form it is shown in;
   the CLI (local and ``--server``) and the ``repro serve`` daemon all render
-  through it, so the three cannot disagree.
+  through it, so the three cannot disagree.  It picks the renderers of the
+  result's ``kind`` from one table (``_RENDERERS``).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from pathlib import Path as FilePath
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # renders results, constructs none: the thin client imports this module
-    from repro.core.results import PecRunResult, VerificationResult, Violation
+    from repro.core.results import PecRunResult, RequestResult, VerificationResult, Violation
 
 PathLike = Union[str, FilePath]
 
@@ -63,11 +68,7 @@ def pec_run_to_dict(run: PecRunResult) -> Dict[str, object]:
     return document
 
 
-def result_to_dict(
-    result: VerificationResult,
-    include_trails: bool = True,
-    include_pec_runs: bool = True,
-) -> Dict[str, object]:
+def result_to_dict(result: VerificationResult, include_trails: bool = True) -> Dict[str, object]:
     """The complete JSON-serialisable form of a verification result."""
     document: Dict[str, object] = {
         "policies": list(result.policy_names),
@@ -83,9 +84,8 @@ def result_to_dict(
             violation_to_dict(violation, include_trail=include_trails)
             for violation in result.violations
         ],
+        "pec_runs": [pec_run_to_dict(run) for run in result.pec_runs],
     }
-    if include_pec_runs:
-        document["pec_runs"] = [pec_run_to_dict(run) for run in result.pec_runs]
     return _with_accounting(document, result)
 
 
@@ -108,10 +108,7 @@ def render_markdown(result: VerificationResult, title: Optional[str] = None) -> 
     lines: List[str] = []
     lines.append(f"# {title or 'Verification report'}")
     lines.append("")
-    verdict = "**HOLDS**" if result.holds else f"**VIOLATED** ({len(result.violations)} violation(s))"
-    if result.errors:
-        verdict += f" — **PARTIAL** ({len(result.errors)} task(s) failed)"
-    lines.append(f"Policies `{', '.join(result.policy_names)}`: {verdict}")
+    lines.append(f"Policies `{', '.join(result.policy_names)}`: {result.verdict_phrase(True)}")
     lines.append("")
 
     lines.append("| metric | value |")
@@ -248,14 +245,7 @@ def render_transient_markdown(campaign, title: Optional[str] = None) -> str:
     lines: List[str] = []
     lines.append(f"# {title or 'Transient analysis report'}")
     lines.append("")
-    verdict = (
-        "**HOLDS**"
-        if campaign.holds
-        else f"**VIOLATED** ({len(campaign.violations)} violation(s))"
-    )
-    if campaign.errors:
-        verdict += f" — **PARTIAL** ({len(campaign.errors)} task(s) failed)"
-    lines.append(f"Transient properties: {verdict}")
+    lines.append(f"Transient properties: {campaign.verdict_phrase(True)}")
     lines.append(f"Failure scenarios: {campaign.failure_scenarios}")
     if campaign.event_scenarios:
         lines.append(f"Event scenarios: {campaign.event_scenarios}")
@@ -277,6 +267,7 @@ def render_transient_markdown(campaign, title: Optional[str] = None) -> str:
         "| truncated | reduction |"
     )
     lines.append("|---|---|" + ("-" * 3 + "|" if with_scenarios else "") + "---|---|---|---|---|")
+    words = campaign.VERDICT_WORDS
     for run in campaign.runs:
         failures = ", ".join(str(link) for link in run.failure.failed_links) or "none"
         result = run.result
@@ -289,7 +280,7 @@ def render_transient_markdown(campaign, title: Optional[str] = None) -> str:
         scenario_cell = f" {run.scenario or 'none'} |" if with_scenarios else ""
         lines.append(
             f"| {failures} | `{run.prefix}` |{scenario_cell} "
-            f"{'HOLDS' if result.holds else 'VIOLATED'} | "
+            f"{words['holds' if result.holds else 'violated']} | "
             f"{result.states_explored} | {result.converged_states} | "
             f"{'yes' if result.truncated else 'no'} | {reduction} |"
         )
@@ -408,8 +399,7 @@ def verdict_exit_code(verdict: object) -> int:
 class ResultView:
     """One finished ``verify`` or ``transient`` request, ready to be shown.
 
-    Wraps the :class:`VerificationResult` (or
-    :class:`repro.transient.TransientCampaignResult`) with what rendering
+    Wraps the :class:`~repro.core.results.RequestResult` with what rendering
     needs beyond it: the policy names of the ``--json`` document, the
     Markdown report title, the :class:`~repro.incremental.ConfigDelta` the
     request was verified against (``None`` for a first configuration) and
@@ -417,8 +407,7 @@ class ResultView:
     until :meth:`render` names it.
     """
 
-    kind: str
-    result: Any
+    result: RequestResult
     policy_names: str = ""
     title: Optional[str] = None
     delta: Any = None
@@ -426,31 +415,19 @@ class ResultView:
 
     @property
     def verdict(self) -> str:
-        """Violation beats partial beats holds."""
-        if not self.result.holds:
-            return "violated"
-        return "partial" if self.result.errors else "holds"
+        return self.result.verdict
 
     def signature(self) -> str:
         """The wall-clock-free digest two equal results share."""
-        from repro.incremental import (
-            result_signature_digest,
-            transient_campaign_signature_digest,
-        )
+        from repro.incremental import result_signature_digest
 
-        if self.kind == "transient":
-            return transient_campaign_signature_digest(self.result)
         return result_signature_digest(self.result)
 
     def counts(self) -> Dict[str, int]:
         """What the request adds to the ``/metrics`` counters of its namespace
         (keys are :class:`repro.serve.metrics.NamespaceCounters` fields)."""
         result = self.result
-        if self.kind == "transient":
-            states = sum(run.result.states_explored for run in result.runs)
-        else:
-            states = result.total_states_expanded
-        counts = {"violations": len(result.violations), "states_explored": states}
+        counts = {"violations": len(result.violations), "states_explored": result.states_explored}
         incremental = result.incremental
         if incremental is not None:
             counts["pecs_from_cache"] = incremental.pecs_from_cache
@@ -458,7 +435,9 @@ class ResultView:
             counts["dirty_pecs"] = len(incremental.dirty_pecs)
         return counts
 
-    def _text(self) -> str:
+    def text(self) -> str:
+        """The text form: the note, the summary, the cache line, then every
+        violation and failed task."""
         result = self.result
         lines = [self.note] if self.note else []
         lines.append(result.summary())
@@ -472,28 +451,40 @@ class ResultView:
         """The ``result`` of a job document: ``kind``, ``verdict``, the
         multi-line ``delta`` (its first line is the one-line summary) when
         there is one, and each of ``forms`` (names from :data:`FORMS`)."""
-        transient = self.kind == "transient"
-        rendered: Dict[str, object] = {"kind": self.kind, "verdict": self.verdict}
+        rendered: Dict[str, object] = {"kind": self.result.kind, "verdict": self.verdict}
         if self.delta is not None:
             rendered["delta"] = self.delta.describe()
-        campaign_document: Optional[Dict[str, object]] = None
+        renderers = _RENDERERS[self.result.kind]
+        built: Dict[Any, object] = {}
         for form in forms:
-            if form == "text":
-                rendered[form] = self._text()
-            elif form == "markdown":
-                markdown = render_transient_markdown if transient else render_markdown
-                rendered[form] = markdown(self.result, title=self.title)
-            elif transient:
-                # A campaign's --json document and its JSON report are one
-                # (large) document: build it once.
-                if campaign_document is None:
-                    campaign_document = transient_campaign_to_dict(self.result)
-                rendered[form] = campaign_document
-            elif form == "document":
-                rendered[form] = verify_document(self.result, self.policy_names)
-            else:
-                rendered[form] = result_to_dict(self.result)
+            renderer = renderers[form]
+            if renderer not in built:
+                built[renderer] = renderer(self)
+            rendered[form] = built[renderer]
         return rendered
+
+
+def _campaign_document(view: ResultView) -> Dict[str, object]:
+    return transient_campaign_to_dict(view.result)
+
+
+#: Request kind -> form -> the renderer of a view.  Forms that share a
+#: renderer share its output: a campaign's ``--json`` document and its JSON
+#: report are one (large) document, built once.
+_RENDERERS = {
+    "verify": {
+        "text": ResultView.text,
+        "document": lambda view: verify_document(view.result, view.policy_names),
+        "report": lambda view: result_to_dict(view.result),
+        "markdown": lambda view: render_markdown(view.result, title=view.title),
+    },
+    "transient": {
+        "text": ResultView.text,
+        "document": _campaign_document,
+        "report": _campaign_document,
+        "markdown": lambda view: render_transient_markdown(view.result, title=view.title),
+    },
+}
 
 
 # --------------------------------------------------------------------------- files
@@ -512,18 +503,12 @@ def write_rendered_report(rendered: Dict[str, object], path: PathLike) -> FilePa
     return file_path
 
 
+def write_report(result: RequestResult, path: PathLike, title: Optional[str] = None) -> FilePath:
+    """Write a ``verify`` or ``transient`` result to ``path``; JSON for
+    ``.json``, Markdown otherwise."""
+    return write_rendered_report(ResultView(result, title=title).render([report_form(path)]), path)
+
+
+# Kept only for perf/tracing.py's TARGETS table: write_report takes either kind.
 def write_transient_report(campaign, path: PathLike, title: Optional[str] = None) -> FilePath:
-    """Write a transient campaign to ``path``; JSON for ``.json``, Markdown
-    otherwise (the same suffix dispatch as :func:`write_report`)."""
-    view = ResultView("transient", campaign, title=title)
-    return write_rendered_report(view.render([report_form(path)]), path)
-
-
-def write_report(
-    result: VerificationResult,
-    path: PathLike,
-    title: Optional[str] = None,
-) -> FilePath:
-    """Write the result to ``path``; JSON for ``.json``, Markdown otherwise."""
-    view = ResultView("verify", result, title=title)
-    return write_rendered_report(view.render([report_form(path)]), path)
+    return write_report(campaign, path, title)

@@ -177,7 +177,7 @@ def run_request(verifier, network, kind: str, payload: Mapping, delta=None) -> R
         policies = [policy_from_spec(spec, network) for spec in specs]
         names = ", ".join(policy.name for policy in policies)
         title = f"{names} on {topology_name}" + (" (incremental)" if delta is not None else "")
-        return ResultView(kind, verifier.verify(policies), names, title, delta)
+        return ResultView(verifier.verify(policies), names, title, delta)
     if kind != "transient":
         raise SpecError(f"unknown job kind {kind!r}; choose from {JOB_KINDS}")
 
@@ -215,7 +215,7 @@ def run_request(verifier, network, kind: str, payload: Mapping, delta=None) -> R
             else "no BGP-originated prefixes to analyse"
         )
     title = f"Transient analysis of {topology_name}"
-    return ResultView(kind, campaign, title=title, delta=delta, note=note)
+    return ResultView(campaign, title=title, delta=delta, note=note)
 
 
 def execute_job(session: NamespaceSession, job: Job) -> Dict[str, object]:

@@ -83,7 +83,7 @@ from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.config.objects import NetworkConfig
-from repro.core.results import TaskFailure
+from repro.core.results import RequestResult, TaskFailure
 from repro.modelcheck.hashing import ZobristFingerprinter
 from repro.modelcheck.por import (
     AmpleSelector,
@@ -726,49 +726,30 @@ class TransientCampaignRun:
 
 @document(omit=("incremental",), runs=[TransientCampaignRun], errors=[TaskFailure])
 @dataclass
-class TransientCampaignResult:
-    """All runs of one transient campaign, in task-graph order."""
+class TransientCampaignResult(RequestResult):
+    """The result of a ``transient`` request: one run per (failure, event
+    scenario, BGP prefix), in task-graph order."""
+
+    kind = "transient"
 
     runs: List[TransientCampaignRun] = field(default_factory=list)
     failure_scenarios: int = 0
     #: Lifecycle event scenarios crossed with the failure scenarios
     #: (0 = the campaign did not enumerate event scenarios).
     event_scenarios: int = 0
-    elapsed_seconds: float = 0.0
-    #: Cache accounting when the campaign ran through the incremental
-    #: service (:class:`repro.incremental.service.IncrementalRunStats`).
-    incremental: Optional[object] = None
-    #: Tasks that exhausted their retries (supervision layer): the campaign
-    #: degraded to an explicitly-partial result instead of raising.
-    errors: List = field(default_factory=list)
+
+    def _runs(self) -> List[TransientCampaignRun]:
+        return self.runs
 
     @property
-    def complete(self) -> bool:
-        """Whether every campaign task produced a result (no ``errors``)."""
-        return not self.errors
-
-    @property
-    def holds(self) -> bool:
-        return all(run.result.holds for run in self.runs)
-
-    @property
-    def violations(self) -> List[TransientViolation]:
-        collected: List[TransientViolation] = []
-        for run in self.runs:
-            collected.extend(run.result.violations)
-        return collected
+    def states_explored(self) -> int:
+        return sum(run.result.states_explored for run in self.runs)
 
     def absorb(self, prefix, graph) -> None:
-        """Fold a ledger's ordered prefix in
-        (:meth:`repro.engine.aggregator.ResultAggregator.finalize`): runs in
-        task-graph order, exhausted tasks as ``errors``.  The scenario
-        counts cover the PECs the prefix reached — a campaign ended by its
-        first violation reports what it walked, not what it was asked."""
-        for _spec, outcome in prefix:
-            if isinstance(outcome, TaskFailure):
-                self.errors.append(outcome)
-            else:
-                self.runs.extend(outcome.runs)
+        """:meth:`RequestResult.absorb`, then the scenario counts.  They
+        cover the PECs the prefix reached: a campaign ended by its first
+        violation reports what it walked, not what it was asked."""
+        super().absorb(prefix)
         reached = {spec.pec_index for spec, _ in prefix}
         # A PEC has one task per failure scenario, each carrying its
         # lifecycle scenarios.
@@ -779,12 +760,6 @@ class TransientCampaignResult:
         )
 
     def summary(self) -> str:
-        verdict = (
-            "HOLDS" if self.holds else f"VIOLATED ({len(self.violations)} violation(s))"
-        )
-        if self.errors:
-            verdict += f" [PARTIAL: {len(self.errors)} task(s) failed]"
-        states = sum(run.result.states_explored for run in self.runs)
         truncated = sum(1 for run in self.runs if run.result.truncated)
         scenarios = (
             f" x {self.event_scenarios} event scenario(s)"
@@ -792,9 +767,10 @@ class TransientCampaignResult:
             else ""
         )
         return (
-            f"transient campaign: {verdict}; {len(self.runs)} run(s) over "
-            f"{self.failure_scenarios} failure scenario(s){scenarios}, {states} state(s), "
-            f"{truncated} truncated, {self.elapsed_seconds:.3f}s"
+            f"transient campaign: {self.verdict_phrase()}; {len(self.runs)} run(s) over "
+            f"{self.failure_scenarios} failure scenario(s){scenarios}, "
+            f"{self.states_explored} state(s), {truncated} truncated, "
+            f"{self.elapsed_seconds:.3f}s"
         )
 
 

@@ -35,11 +35,7 @@ from repro.incremental.cache import (
     encode_run,
     encode_transient_run,
 )
-from repro.incremental.service import (
-    SIGNATURE_EXCLUDED,
-    result_signature_digest,
-    transient_campaign_signature_digest,
-)
+from repro.incremental.service import SIGNATURE_EXCLUDED, result_signature_digest
 from repro.modelcheck.explorer import ExplorationStatistics
 from repro.modelcheck.por import ReductionStatistics
 from repro.modelcheck.trail import Trail, TrailStep
@@ -197,16 +193,10 @@ transient_runs = st.builds(
 verification_results = st.builds(
     VerificationResult,
     policy_names=st.lists(names, max_size=2),
-    holds=st.booleans(),
-    violations=st.lists(violations, max_size=2),
     pec_runs=st.lists(pec_runs, max_size=2),
     pecs_analyzed=counts,
     failure_scenarios=counts,
     elapsed_seconds=seconds,
-    total_states_expanded=counts,
-    total_unique_states=counts,
-    total_converged_states=counts,
-    approximate_memory_bytes=counts,
     errors=st.lists(task_failures, max_size=2),
 )
 campaigns = st.builds(
@@ -403,7 +393,7 @@ SAMPLES = [
     _TRANSIENT_VIOLATION,
     _TRANSIENT_RESULT,
     _TRANSIENT_RUN,
-    VerificationResult(["loop"], False, [_VIOLATION], [_RUN], errors=[_FAILURE]),
+    VerificationResult(["loop"], [_RUN], errors=[_FAILURE]),
     TransientCampaignResult([_TRANSIENT_RUN], 1, 2, errors=[_FAILURE]),
 ]
 
@@ -449,10 +439,10 @@ def test_omissions_and_exclusions_name_real_fields():
 
 
 # --------------------------------------------------------------------------- signature drift
-def _digest_after(result, mutate, digest=result_signature_digest):
+def _digest_after(result, mutate):
     changed = type(result).from_dict(result.to_dict())
     mutate(changed)
-    return digest(changed)
+    return result_signature_digest(changed)
 
 
 @pytest.mark.parametrize(
@@ -461,8 +451,10 @@ def _digest_after(result, mutate, digest=result_signature_digest):
         lambda result: setattr(result.pec_runs[0].statistics.reduction, "rank_immune_sessions", 6),
         lambda result: setattr(result.pec_runs[0].statistics, "state_bytes", 65),
         lambda result: result.pec_runs[0].data_planes[0].annotations.update(failure="other"),
+        lambda result: result.pec_runs[0].violations.clear(),
+        lambda result: setattr(result, "pecs_analyzed", 2),
     ],
-    ids=["rank_immune_sessions", "state_bytes", "plane-annotations"],
+    ids=["rank_immune_sessions", "state_bytes", "plane-annotations", "run.violations", "pecs_analyzed"],
 )
 def test_verification_digest_covers_fields_the_old_signature_dropped(mutate):
     result = SAMPLES[-2]
@@ -475,15 +467,16 @@ def test_verification_digest_covers_fields_the_old_signature_dropped(mutate):
     [
         lambda campaign: setattr(campaign.runs[0], "scenario", "drain:a"),
         lambda campaign: setattr(campaign, "event_scenarios", 3),
+        lambda campaign: campaign.runs[0].result.violations.clear(),
         lambda campaign: campaign.errors.clear(),
         lambda campaign: setattr(campaign.errors[0], "kind", "timeout"),
     ],
-    ids=["run.scenario", "event_scenarios", "errors", "errors.kind"],
+    ids=["run.scenario", "event_scenarios", "run.violations", "errors", "errors.kind"],
 )
 def test_campaign_digest_covers_scenarios_and_errors(mutate):
-    campaign, digest = SAMPLES[-1], transient_campaign_signature_digest
-    assert _digest_after(campaign, lambda unchanged: None, digest) == digest(campaign)
-    assert _digest_after(campaign, mutate, digest) != digest(campaign)
+    campaign = SAMPLES[-1]
+    assert _digest_after(campaign, lambda unchanged: None) == result_signature_digest(campaign)
+    assert _digest_after(campaign, mutate) != result_signature_digest(campaign)
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,6 @@ from repro.incremental import (
     impacted_pecs,
     pec_base_fingerprints,
     result_signature,
-    transient_campaign_signature,
 )
 from repro.incremental.cache import verification_fingerprints
 from repro.netaddr import Prefix
@@ -414,7 +413,7 @@ class TestIncrementalVerifier:
         prop = [TransientLoopFreedom(ignore_converged=True)]
         cold = service.verify_transients(prop, transient=options)
         warm = service.verify_transients(prop, transient=options)
-        assert transient_campaign_signature(cold) == transient_campaign_signature(warm)
+        assert result_signature(cold) == result_signature(warm)
         assert warm.incremental.pecs_from_cache == warm.incremental.pecs_total
         # A route-map edit re-runs only the covering PEC.
         edited = edit_route_map(network)
@@ -693,7 +692,7 @@ class TestReviewRegressions:
         self._crash_campaign(service, pec, crash("agg2_1"))
         warm = self._crash_campaign(service, pec, crash("agg0_0"))
         assert warm.incremental.pecs_from_cache == 0
-        assert transient_campaign_signature(warm) == transient_campaign_signature(cold["agg0_0"])
+        assert result_signature(warm) == result_signature(cold["agg0_0"])
 
     def test_transient_cache_keys_a_maintenance_window_by_its_settle_budget(self):
         """``maintenance_window(node, converge_steps)`` names the scenario

@@ -21,11 +21,7 @@ import pytest
 from repro.client import ServiceClient, ServiceError
 from repro.config.parser import parse_config
 from repro.core.verifier import Plankton
-from repro.incremental import (
-    IncrementalVerifier,
-    result_signature_digest,
-    transient_campaign_signature_digest,
-)
+from repro.incremental import IncrementalVerifier, result_signature_digest
 from repro.serve import ReproServer
 from repro.serve.specs import (
     fail_session_events,
@@ -211,7 +207,7 @@ class TestEndToEnd:
             initial_events=fail_session_events("o,m", network),
             pecs=[pec for pec in service.plankton.pecs if pec.has_bgp()],
         )
-        assert result["signature"] == transient_campaign_signature_digest(campaign)
+        assert result["signature"] == result_signature_digest(campaign)
         assert result["document"]["holds"] is False
 
     def test_run_only_push_reuses_current_config(self, client):

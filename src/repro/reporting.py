@@ -413,10 +413,6 @@ class ResultView:
     delta: Any = None
     note: Optional[str] = None
 
-    @property
-    def verdict(self) -> str:
-        return self.result.verdict
-
     def signature(self) -> str:
         """The wall-clock-free digest two equal results share."""
         from repro.incremental import result_signature_digest
@@ -451,7 +447,7 @@ class ResultView:
         """The ``result`` of a job document: ``kind``, ``verdict``, the
         multi-line ``delta`` (its first line is the one-line summary) when
         there is one, and each of ``forms`` (names from :data:`FORMS`)."""
-        rendered: Dict[str, object] = {"kind": self.result.kind, "verdict": self.verdict}
+        rendered: Dict[str, object] = {"kind": self.result.kind, "verdict": self.result.verdict}
         if self.delta is not None:
             rendered["delta"] = self.delta.describe()
         renderers = _RENDERERS[self.result.kind]

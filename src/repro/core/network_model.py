@@ -18,7 +18,9 @@ device — and derives each later plane from it: the first plane's per-device
 :class:`~repro.dataplane.Fib` objects, with only those of the devices that
 hold other routes replaced, by tables interned per (device, route ids) and
 built by the same passes restricted to those devices.  ``Fib`` objects are
-therefore shared between the planes of one task (never across tasks).
+therefore shared between the planes of one task (never across tasks), and a
+derived plane records its base and the devices it changed, so that a policy
+may check it from those devices alone.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -130,8 +133,43 @@ class ConvergedOutcome:
     """One converged data plane of a PEC, with how it was reached."""
 
     data_plane: DataPlane
-    control_plane: Dict[str, Route] = field(default_factory=dict)
+    control_plane: Mapping[str, Route] = field(default_factory=dict)
     steps: List[object] = field(default_factory=list)
+
+
+class _ControlPlane(Mapping):
+    """device -> the route it selected, over the live BGP states of one plane
+    (a longer prefix's over a shorter's), built on first read: most planes
+    are checked by policies that never read it.  Pickles as a plain dict."""
+
+    def __init__(self, states: Sequence[RpvpState]) -> None:
+        self._states = states
+
+    @functools.cached_property
+    def _routes(self) -> Dict[str, Route]:
+        routes: Dict[str, Route] = {}
+        for state in self._states:
+            route = state.intern_table.route
+            for node, route_id in zip(state.node_names, state._ids):
+                if route_id:
+                    routes[node] = route(route_id)
+        del self._states
+        return routes
+
+    def __getitem__(self, node: str) -> Route:
+        return self._routes[node]
+
+    def __iter__(self):
+        return iter(self._routes)
+
+    def __len__(self) -> int:
+        return len(self._routes)
+
+    def __repr__(self) -> str:
+        return repr(self._routes)
+
+    def __reduce__(self):
+        return dict, (self._routes,)
 
 
 class _PlaneInputs(NamedTuple):
@@ -149,13 +187,16 @@ class _ReferencePlane:
     """The first data plane of a task, as later planes are derived from it."""
 
     prefixes: Tuple[Prefix, ...]  # the live BGP prefixes, in install order
-    table: Optional[RouteInternTable]  # the one their states' route ids live in
+    table: RouteInternTable  # the one their states' route ids live in
     names: Tuple[str, ...]  # slot -> device
     ids: List[Sequence[int]]  # the reference states' route-id arrays, per live prefix
-    fibs: Dict[str, Fib]
+    #: The first plane's FIBs, all shared, in a plane of their own: the base of
+    #: every derived plane, never handed to a callback (an install into the
+    #: first plane copies the table it writes to, so the reference holds).
+    plane: DataPlane
     #: (slot, route id per live prefix) -> the FIB of that device holding those
-    #: routes; None until a second plane is asked for.
-    interned: Optional[Dict[Tuple[int, ...], Fib]] = None
+    #: routes.
+    interned: Dict[Tuple[int, ...], Fib] = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------- explorer
@@ -262,8 +303,7 @@ class PecExplorer:
         outcomes: List[ConvergedOutcome] = []
 
         def emit(bgp_states: Dict[Prefix, RpvpState], steps: List[object]) -> Optional[str]:
-            data_plane, control_plane = self.build_data_plane(bgp_states)
-            outcome = ConvergedOutcome(data_plane, control_plane, steps)
+            outcome = ConvergedOutcome(*self.build_data_plane(bgp_states), steps)
             if keep_outcomes:
                 outcomes.append(outcome)
             return on_outcome(outcome) if on_outcome is not None else None
@@ -291,6 +331,10 @@ class PecExplorer:
             self._search(instance, BgpDeterminism(instance), on_converged)
 
         streamed, *listed = bgp_prefixes
+        if not listed:
+            # The common case: one BGP prefix, nothing to cross.
+            search(streamed, lambda state, labels: emit({streamed: state}, labels))
+            return outcomes
         converged_of: List[List[Tuple[RpvpState, List[object]]]] = []
         for prefix in listed:
             found: List[Tuple[RpvpState, List[object]]] = []
@@ -483,17 +527,20 @@ class PecExplorer:
     def build_data_plane(
         self,
         bgp_states: Optional[Dict[Prefix, RpvpState]] = None,
-    ) -> Tuple[DataPlane, Dict[str, Route]]:
-        """Combine per-prefix protocol results into a network-wide data plane.
+    ) -> Tuple[DataPlane, Mapping[str, Route]]:
+        """Combine per-prefix protocol results into a network-wide data plane,
+        and the control plane behind it (built when first read).
 
         The first plane of a task is built from scratch (``_install_entries``
-        over all devices) and kept, with the route-id arrays of the states
-        behind it, as the task's reference.  Every later plane over the same
-        live BGP prefixes is derived: the reference's ``fibs`` with only the
-        devices whose route ids differ replaced (``_derived_fibs``).  The
-        planes of one task therefore *share* :class:`Fib` objects; see
+        over all devices); a snapshot of it, with the route-id arrays of the
+        states behind it, becomes the task's reference.  Every later plane
+        over the same live BGP prefixes is derived: the reference's FIBs with
+        only the devices whose route ids differ replaced (``_derived_fibs``),
+        the snapshot as its ``base`` and those devices as its ``changed``.
+        The planes of one task therefore *share* :class:`Fib` objects; see
         :meth:`DataPlane.install` for what that means to a caller who edits
-        a plane.
+        a plane.  A PEC without BGP has no reference: its one plane is built
+        from scratch, and nothing is shared.
         """
         bgp_states = bgp_states or {}
         live = {
@@ -509,7 +556,8 @@ class PecExplorer:
             and all(state.intern_table is reference.table for state in states)
         ):
             data_plane = DataPlane((), pec_range=self.pec.address_range)
-            data_plane.fibs = self._derived_fibs(reference, live)
+            data_plane.fibs, data_plane.changed = self._derived_fibs(reference, live)
+            data_plane.base = reference.plane
         else:
             data_plane = DataPlane(self.network.topology.nodes, pec_range=self.pec.address_range)
             self._install_entries(data_plane, live)
@@ -517,28 +565,26 @@ class PecExplorer:
             # what makes a slot one device and its ids comparable across
             # planes; BGP speakers do not depend on the prefix, so it holds.
             table = states[0].intern_table if states else None
-            if all(state.intern_table is table for state in states):
+            if states and all(state.intern_table is table for state in states):
+                snapshot = DataPlane((), pec_range=self.pec.address_range)
+                snapshot.fibs = dict(data_plane.fibs)
+                for fib in snapshot.fibs.values():
+                    fib.share()
                 self._reference = _ReferencePlane(
                     prefixes=tuple(live),
                     table=table,
-                    names=states[0].node_names if states else (),
+                    names=states[0].node_names,
                     ids=[state._ids for state in states],
-                    fibs=data_plane.fibs,
+                    plane=snapshot,
                 )
         data_plane.annotations["failure"] = self._plane_inputs.failure_text
-        control_plane: Dict[str, Route] = {}
-        for state in states:
-            route = state.intern_table.route
-            for node, route_id in zip(state.node_names, state._ids):
-                if route_id:
-                    control_plane[node] = route(route_id)
-        return data_plane, control_plane
+        return data_plane, _ControlPlane(states)
 
     def _derived_fibs(
         self, reference: _ReferencePlane, live: Dict[Prefix, RpvpState]
-    ) -> Dict[str, Fib]:
+    ) -> Tuple[Dict[str, Fib], Tuple[str, ...]]:
         """The reference's FIBs, with those of the devices that hold other
-        routes than in the reference replaced.
+        routes than in the reference replaced; and those devices.
 
         A device's FIB is a function of the task and that device's own BGP
         routes, so the replacements are interned per (slot, route id per live
@@ -546,10 +592,6 @@ class PecExplorer:
         restricted to the missing devices.
         """
         interned = reference.interned
-        if interned is None:
-            interned = reference.interned = {}
-            for fib in reference.fibs.values():
-                fib.share()
         arrays = [state._ids for state in live.values()]
         differing: Set[int] = set()
         for ids, reference_ids in zip(arrays, reference.ids):
@@ -558,7 +600,7 @@ class PecExplorer:
                     itertools.compress(itertools.count(), map(operator.ne, ids, reference_ids))
                 )
         changed = list(differing)
-        fibs = dict(reference.fibs)
+        fibs = dict(reference.plane.fibs)
         missing: Dict[str, Tuple[int, ...]] = {}
         # One key per changed slot: (slot, its route id under each live prefix).
         for key in zip(changed, *([ids[slot] for slot in changed] for ids in arrays)):
@@ -573,7 +615,12 @@ class PecExplorer:
             for device, key in missing.items():
                 fib = fibs[device] = interned[key] = built.fibs[device]
                 fib.share()
-        return fibs
+        names = reference.names
+        # From a list, not a generator: a tuple built from a generator is
+        # allocated at a guessed size and resized, and once freed it parks in
+        # the free list of its final size — 0.75 MB of peak RSS on a k=4
+        # fabric under two failures.
+        return fibs, tuple([names[slot] for slot in changed])
 
     @functools.cached_property
     def _plane_inputs(self) -> _PlaneInputs:

@@ -5,6 +5,7 @@ from repro.dataplane.forwarding import (
     ForwardingGraph,
     PathResult,
     PathStatus,
+    find_cycle,
     trace_paths,
 )
 
@@ -15,5 +16,6 @@ __all__ = [
     "ForwardingGraph",
     "PathResult",
     "PathStatus",
+    "find_cycle",
     "trace_paths",
 ]

@@ -71,10 +71,10 @@ class Fib:
 
         From here on :meth:`install` refuses — :meth:`DataPlane.install`
         copies first — and, the entries being final, :meth:`lookup` answers
-        every plane after the first from a memo.
+        from a memo, allocated by the first lookup (a table shared by a
+        plane that is never read costs one flag).
         """
         self.shared = True
-        self._lookup_memo = {}
 
     def install(self, entry: FibEntry) -> None:
         """Install ``entry``; a lower administrative distance wins on conflict."""
@@ -102,8 +102,11 @@ class Fib:
     def lookup(self, address: int) -> Optional[FibEntry]:
         """Longest-prefix-match lookup of ``address`` (a 32-bit integer)."""
         memo = self._lookup_memo
-        if memo is not None and address in memo:
-            return memo[address]
+        if memo is not None:
+            if address in memo:
+                return memo[address]
+        elif self.shared:
+            memo = self._lookup_memo = {}
         best: Optional[FibEntry] = None
         for entry in self._entries.values():
             if entry.prefix.contains_address(address):
@@ -148,6 +151,14 @@ class DataPlane:
 
     This is the object handed to policy callbacks for each converged state of
     a PEC (paper §3.5), together with the address range the PEC covers.
+
+    A plane *derived* from another one (see ``PecExplorer.build_data_plane``)
+    also knows what it differs in: ``base`` is the plane it was derived from
+    and ``changed`` the devices whose :class:`Fib` is not the base's; every
+    other device holds the base's very table.  Analyses may start from
+    those devices (:func:`~repro.dataplane.forwarding.find_cycle`), so a
+    plane that serves as a base is never edited.  Neither field is part of
+    the document, and :meth:`install` forgets both.
     """
 
     def __init__(self, devices: Iterable[str], pec_range: Optional[AddressRange] = None) -> None:
@@ -157,6 +168,12 @@ class DataPlane:
         #: non-deterministic choices taken); consumed by trails and tests.
         #: Values are JSON-ready (strings today) — they are part of the document.
         self.annotations: Dict[str, object] = {}
+        self.base: Optional[DataPlane] = None
+        self.changed: Tuple[str, ...] = ()
+        #: Per address, this plane's forwarding order as the planes derived
+        #: from it are checked against it (kept by
+        #: :func:`~repro.dataplane.forwarding.find_cycle`).
+        self.forwarding_orders: Dict[int, object] = {}
 
     def fib(self, device: str) -> Fib:
         """The FIB of ``device``."""
@@ -171,8 +188,11 @@ class DataPlane:
         Copy-on-write: the planes of one task share the :class:`Fib` objects
         of the devices they agree on, so a shared table is first replaced, in
         this plane only, by a copy — an install never edits a sibling plane.
+        An edited plane no longer differs from its base in ``changed`` alone,
+        so it forgets both.
         """
         fib = self.fib(device)
+        self.base, self.changed = None, ()
         if fib.shared:
             fib = self.fibs[device] = fib.copy()
         fib.install(entry)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.dataplane.fib import DataPlane
+from repro.dataplane.fib import DataPlane, Fib
 
 
 class PathStatus(enum.Enum):
@@ -174,3 +174,85 @@ class ForwardingGraph:
             for node, succs in self.successors.items()
             if not succs and node not in self.delivering and node not in self.dropping
         )
+
+
+class _ForwardingOrder(NamedTuple):
+    """A loop-free plane's forwarding order for one address."""
+
+    #: device -> the longest forwarding distance from it to a sink (a device
+    #: with no next hop that is a device); every edge of the plane descends.
+    rank: Dict[str, int]
+    #: per FIB of a plane derived from this one: whether every next hop of
+    #: its device ranks lower than the device (derived FIBs are interned, so
+    #: the same object recurs across the planes of a task).
+    descends: Dict[Fib, bool]
+
+
+def _forwarding_order(graph: ForwardingGraph) -> Optional[_ForwardingOrder]:
+    """The rank of every device of ``graph``, or None if it has a cycle.
+
+    A post-order depth-first search on an explicit stack; a next hop that is
+    not a device of the plane ranks -1.
+    """
+    successors = graph.successors
+    rank: Dict[str, int] = {}
+    for root in successors:
+        if root in rank:
+            continue
+        path: List[str] = [root]
+        on_path = {root}
+        pending = [iter(successors[root])]
+        while pending:
+            for successor in pending[-1]:
+                if successor in on_path:
+                    return None
+                if successor in successors and successor not in rank:
+                    on_path.add(successor)
+                    path.append(successor)
+                    pending.append(iter(successors[successor]))
+                    break
+            else:
+                pending.pop()
+                node = path.pop()
+                on_path.discard(node)
+                rank[node] = 1 + max((rank.get(hop, -1) for hop in successors[node]), default=-1)
+    return _ForwardingOrder(rank, {})
+
+
+def find_cycle(data_plane: DataPlane, address: int) -> Optional[List[str]]:
+    """A forwarding cycle for ``address`` (as a node list) if one exists, else None.
+
+    A plane derived from a loop-free base (``data_plane.base``) is first
+    tried against the base's forwarding order: every device it did not
+    change keeps the base's edges, which all descend in that order, so if
+    every next hop of every changed device descends too, no cycle can close.
+    Otherwise — the certificate fails, the base loops, or the plane has no
+    base — the answer is :meth:`ForwardingGraph.has_cycle` on the plane.
+    """
+    base = data_plane.base
+    if base is not None:
+        orders = base.forwarding_orders
+        if address not in orders:
+            orders[address] = _forwarding_order(ForwardingGraph(base, address))
+        order = orders[address]
+        if order is not None:
+            descends, fibs = order.descends, data_plane.fibs
+            for device in data_plane.changed:
+                fib = fibs[device]
+                known = descends.get(fib)
+                if known is None:
+                    known = descends[fib] = _descends(order.rank, fib, address)
+                if not known:
+                    break
+            else:
+                return None
+    return ForwardingGraph(data_plane, address).has_cycle()
+
+
+def _descends(rank: Dict[str, int], fib: Fib, address: int) -> bool:
+    """Whether every next hop ``fib``'s device uses for ``address`` ranks
+    lower than the device."""
+    entry = fib.lookup(address)
+    hops = () if entry is None or entry.delivers_locally or entry.drop else entry.next_hops
+    ceiling = rank[fib.device]
+    return all(rank.get(hop, -1) < ceiling for hop in hops)

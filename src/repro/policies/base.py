@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config.objects import NetworkConfig
 from repro.dataplane import DataPlane
@@ -38,7 +38,7 @@ class PolicyCheckContext:
     dependencies: Dict[int, DataPlane] = field(default_factory=dict)
     #: Optional converged control-plane state (per device best routes), for
     #: policies such as Path Consistency that look beyond the data plane.
-    control_plane: Dict[str, object] = field(default_factory=dict)
+    control_plane: Mapping[str, object] = field(default_factory=dict)
 
     @property
     def destination(self) -> int:

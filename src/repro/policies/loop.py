@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.dataplane.forwarding import ForwardingGraph
+from repro.dataplane.forwarding import find_cycle
 from repro.netaddr import Prefix
 from repro.pec.classes import PacketEquivalenceClass
 from repro.policies.base import Policy, PolicyCheckContext
@@ -15,7 +15,8 @@ class LoopFreedom(Policy):
 
     As the paper notes, a loop policy "can't optimize as aggressively: it has
     to consider all sources", so this policy declares no source nodes and the
-    whole forwarding graph is analysed.
+    whole forwarding graph is analysed — for a plane derived from a loop-free
+    one, from the devices it changed (:func:`find_cycle`).
     """
 
     name = "loop-freedom"
@@ -31,8 +32,7 @@ class LoopFreedom(Policy):
         return pec.address_range.overlaps(self.destination_prefix.to_range())
 
     def check(self, context: PolicyCheckContext) -> Optional[str]:
-        graph = ForwardingGraph(context.data_plane, context.destination)
-        cycle = graph.has_cycle()
+        cycle = find_cycle(context.data_plane, context.destination)
         if cycle is not None:
             return (
                 f"forwarding loop for {context.pec.address_range}: "

@@ -9,6 +9,9 @@ no reference yet, so its first plane is the from-scratch build — the oracle
 here, for every shape the builder has: one BGP prefix under failures, two BGP
 prefixes crossed, iBGP next hops resolved through upstream planes, and static
 routes that read the device's own BGP entry or share its FIB with one.
+Loop freedom, which checks a derived plane from the devices it changed (see
+``repro.dataplane.forwarding.find_cycle``), must answer on every derived
+plane what it answers on the from-scratch build.
 """
 
 import functools
@@ -26,6 +29,8 @@ from repro.core.network_model import DependencyContext, PecExplorer
 from repro.dataplane import FibEntry
 from repro.exceptions import ReproError
 from repro.netaddr import Prefix
+from repro.policies import LoopFreedom
+from repro.policies.base import PolicyCheckContext
 from repro.topology import bgp_fat_tree, ring
 from repro.topology.failures import FailureScenario
 
@@ -44,7 +49,7 @@ def _explorer(plankton, pec, failure, context=None):
     )
 
 
-def _streamed(explorer):
+def _streamed(explorer, on_outcome=None):
     """``(bgp_states, outcome)`` for every plane of one ``explore()``."""
     handed_in = []
     build = explorer.build_data_plane
@@ -54,9 +59,14 @@ def _streamed(explorer):
         return build(bgp_states)
 
     explorer.build_data_plane = recording  # shadows the method for ``emit``
-    outcomes = explorer.explore()
+    outcomes = explorer.explore(on_outcome=on_outcome)
     assert len(handed_in) == len(outcomes)
     return list(zip(handed_in, outcomes))
+
+
+def _loop_check(plankton, pec, plane):
+    context = PolicyCheckContext(network=plankton.network, pec=pec, data_plane=plane)
+    return LoopFreedom().check(context)
 
 
 def _assert_derived_equals_scratch(plankton, pec, failure, context=None):
@@ -65,8 +75,10 @@ def _assert_derived_equals_scratch(plankton, pec, failure, context=None):
         plane, control_plane = _explorer(plankton, pec, failure, context).build_data_plane(
             bgp_states
         )
+        assert plane.base is None
         assert outcome.data_plane.to_dict() == plane.to_dict()
         assert outcome.control_plane == control_plane
+        assert _loop_check(plankton, pec, outcome.data_plane) == _loop_check(plankton, pec, plane)
         # ... which is every device's route, a longer prefix's over a shorter's.
         routes = {}
         for prefix in sorted(bgp_states, key=lambda prefix: prefix.length):
@@ -207,8 +219,13 @@ class TestDerivedEqualsFromScratch:
             (*_ibgp(), FailureScenario()),
         ):
             explorer = _explorer(plankton, pec, failure)
-            assert len(explorer.explore()) > 1
+            first, *later = explorer.explore()
+            assert later
             assert explorer._reference.interned  # later planes were derived, with misses
+            assert first.data_plane.base is None
+            for outcome in later:  # ... and know what they were derived from
+                assert outcome.data_plane.base is explorer._reference.plane
+                assert outcome.data_plane.changed
 
 
 # --------------------------------------------------------------------------- sharing
@@ -218,6 +235,31 @@ class TestSharedFibs:
         plankton = _ebgp()
         pec = next(pec for pec in plankton.pecs if pec.has_bgp())
         return _explorer(plankton, pec, FailureScenario()).explore()
+
+    def test_an_edit_to_the_first_plane_stays_in_it(self):
+        """A callback that installs into the task's first plane — before any
+        later plane was derived from it — edits that plane alone: every later
+        plane still equals its from-scratch build."""
+        plankton = _ebgp()
+        pec = next(pec for pec in plankton.pecs if pec.has_bgp())
+        entry = FibEntry(prefix=Prefix("192.0.2.0/24"), drop=True)
+        edited = []
+
+        def edit_the_first(outcome):
+            if not edited:
+                for device in outcome.data_plane.devices():
+                    outcome.data_plane.install(device, entry)
+                edited.append(outcome.data_plane)
+
+        streamed = _streamed(_explorer(plankton, pec, FailureScenario()), edit_the_first)
+        assert len(streamed) > 1
+        (_states, first), *later = streamed
+        assert all(fib.entry_for(entry.prefix) == entry for fib in first.data_plane.fibs.values())
+        for bgp_states, outcome in later:
+            plane, _control_plane = _explorer(
+                plankton, pec, FailureScenario()
+            ).build_data_plane(bgp_states)
+            assert outcome.data_plane.to_dict() == plane.to_dict()
 
     def test_install_into_one_plane_leaves_every_sibling_alone(self):
         outcomes = self._outcomes()
@@ -251,6 +293,7 @@ class TestSharedFibs:
         assert [outcome.control_plane for outcome in revived] == [
             outcome.control_plane for outcome in outcomes
         ]
+        assert all(type(outcome.control_plane) is dict for outcome in revived)
         assert [outcome.steps for outcome in revived] == [outcome.steps for outcome in outcomes]
         distinct = {id(fib) for outcome in outcomes for fib in outcome.data_plane.fibs.values()}
         assert len({id(fib) for o in revived for fib in o.data_plane.fibs.values()}) == len(distinct)

@@ -359,6 +359,12 @@ DERIVED = {
     (Fib, "shared"),
     # address -> longest-prefix match of a shared table, recomputable from the entries
     (Fib, "lookup_memo"),
+    # a derived plane's base plane and the devices whose tables differ from it:
+    # how the plane was built, not what it forwards (an install forgets both)
+    (DataPlane, "base"),
+    (DataPlane, "changed"),
+    # address -> the plane's forwarding order, recomputable from the tables
+    (DataPlane, "forwarding_orders"),
 }
 
 _FAILURE = TaskFailure(3, 1, "no failures", "crash", "worker 4242 died", 2)

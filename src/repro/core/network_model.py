@@ -17,10 +17,14 @@ from scratch — the protocol-major OSPF, BGP and static passes over every
 device — and derives each later plane from it: the first plane's per-device
 :class:`~repro.dataplane.Fib` objects, with only those of the devices that
 hold other routes replaced, by tables interned per (device, route ids) and
-built by the same passes restricted to those devices.  ``Fib`` objects are
-therefore shared between the planes of one task (never across tasks), and a
-derived plane records its base and the devices it changed, so that a policy
-may check it from those devices alone.
+built by the same passes restricted to those devices.  A single link failure
+likewise moves only the devices whose shortest paths crossed the link, so a
+PEC without BGP derives each failure task's plane from its failure-free
+task's plane, kept on the shared :class:`OspfComputation`: only the devices
+whose SPF entry moved, and the static-route devices, are rebuilt.  ``Fib``
+objects are therefore shared between the planes of one task, and between the
+tasks of a PEC without BGP; a derived plane records its base and the devices
+it changed, so that a policy may check it from those devices alone.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import (
     Callable,
-    Container,
+    Collection,
     Dict,
     Hashable,
     List,
@@ -61,7 +65,7 @@ from repro.pec.classes import PacketEquivalenceClass
 from repro.protocols.base import EPSILON, PathVectorInstance, Route, RouteSource
 from repro.protocols.bgp import BgpInstance
 from repro.protocols.interning import RouteInternTable, node_space_for
-from repro.protocols.ospf import OspfComputation
+from repro.protocols.ospf import OspfComputation, OspfRoutingTable
 from repro.protocols.ospf_instance import OspfInstance
 from repro.protocols.rpvp import (
     RpvpState,
@@ -179,6 +183,7 @@ class _PlaneInputs(NamedTuple):
     failure_text: str
     failed: Set[int]
     ospf_origins: Dict[Prefix, List[str]]
+    ospf_tables: Dict[Prefix, OspfRoutingTable]  # of the prefixes with OSPF origins
     bgp_origins: Dict[Prefix, Set[str]]
 
 
@@ -531,16 +536,29 @@ class PecExplorer:
         """Combine per-prefix protocol results into a network-wide data plane,
         and the control plane behind it (built when first read).
 
-        The first plane of a task is built from scratch (``_install_entries``
-        over all devices); a snapshot of it, with the route-id arrays of the
-        states behind it, becomes the task's reference.  Every later plane
-        over the same live BGP prefixes is derived: the reference's FIBs with
-        only the devices whose route ids differ replaced (``_derived_fibs``),
-        the snapshot as its ``base`` and those devices as its ``changed``.
-        The planes of one task therefore *share* :class:`Fib` objects; see
-        :meth:`DataPlane.install` for what that means to a caller who edits
-        a plane.  A PEC without BGP has no reference: its one plane is built
-        from scratch, and nothing is shared.
+        A plane is either built from scratch (``_install_entries`` over all
+        devices) or derived from a reference plane (``_derived_plane``): the
+        reference's FIBs with only the devices that may differ rebuilt, the
+        reference as its ``base`` and those devices as its ``changed``.
+
+        * With live BGP states, the first plane of a task is built from
+          scratch, and a snapshot of it, with the route-id arrays of the
+          states behind it, becomes the task's reference.  Every later plane
+          over the same live BGP prefixes is derived from it, rebuilding the
+          devices whose route ids differ (``_route_derived_plane``).
+        * Without (a PEC without BGP has one plane per task), the failure-free
+          task's plane is built from scratch and its snapshot kept on the
+          shared :class:`OspfComputation` as the PEC's reference
+          (``reference_plane``).  A failure task of the same PEC derives its
+          plane from it, rebuilding the devices whose SPF entry the failure
+          moved (:meth:`OspfComputation.moved`) and every static-route device
+          (static routes read the failed links and the task's dependencies).
+          On a miss — another PEC's reference, or none — it builds from
+          scratch and keeps nothing.
+
+        Planes therefore *share* :class:`Fib` objects, across the tasks of a
+        PEC without BGP too; see :meth:`DataPlane.install` for what that
+        means to a caller who edits a plane.
         """
         bgp_states = bgp_states or {}
         live = {
@@ -549,15 +567,20 @@ class PecExplorer:
             if bgp_states.get(prefix) is not None
         }
         states = list(live.values())
+        failed = self._plane_inputs.failed
         reference = self._reference
+        kept = self.ospf.reference_plane
         if (
             reference is not None
             and reference.prefixes == tuple(live)
             and all(state.intern_table is reference.table for state in states)
         ):
-            data_plane = DataPlane((), pec_range=self.pec.address_range)
-            data_plane.fibs, data_plane.changed = self._derived_fibs(reference, live)
-            data_plane.base = reference.plane
+            data_plane = self._route_derived_plane(reference, live)
+        elif not live and failed and kept is not None and kept[0] is self.pec:
+            base, moved = kept[1], self._moved_devices()
+            data_plane = self._derived_plane(
+                base, dict(base.fibs), tuple(sorted(moved)), moved, live
+            )
         else:
             data_plane = DataPlane(self.network.topology.nodes, pec_range=self.pec.address_range)
             self._install_entries(data_plane, live)
@@ -566,30 +589,73 @@ class PecExplorer:
             # planes; BGP speakers do not depend on the prefix, so it holds.
             table = states[0].intern_table if states else None
             if states and all(state.intern_table is table for state in states):
-                snapshot = DataPlane((), pec_range=self.pec.address_range)
-                snapshot.fibs = dict(data_plane.fibs)
-                for fib in snapshot.fibs.values():
-                    fib.share()
                 self._reference = _ReferencePlane(
                     prefixes=tuple(live),
                     table=table,
                     names=states[0].node_names,
                     ids=[state._ids for state in states],
-                    plane=snapshot,
+                    plane=self._snapshot(data_plane),
                 )
+            elif not live and not failed:
+                self.ospf.reference_plane = (self.pec, self._snapshot(data_plane))
         data_plane.annotations["failure"] = self._plane_inputs.failure_text
         return data_plane, _ControlPlane(states)
 
-    def _derived_fibs(
+    def _snapshot(self, data_plane: DataPlane) -> DataPlane:
+        """A plane of its own holding ``data_plane``'s FIBs, all shared: the
+        base of every plane derived from it, never handed to a callback (an
+        install into ``data_plane`` copies the table it writes to, so the
+        snapshot holds)."""
+        snapshot = DataPlane((), pec_range=self.pec.address_range)
+        snapshot.fibs = dict(data_plane.fibs)
+        for fib in snapshot.fibs.values():
+            fib.share()
+        return snapshot
+
+    def _moved_devices(self) -> Set[str]:
+        """The devices whose FIB may differ between this failure's plane and
+        the failure-free plane of a PEC without BGP: those whose SPF entry
+        toward an OSPF origin set of the PEC moved, and every static-route
+        device."""
+        inputs = self._plane_inputs
+        devices = set(self.ospf.static_route_devices())
+        for origins in inputs.ospf_origins.values():
+            if origins:
+                devices.update(self.ospf.moved(origins, inputs.failed))
+        return devices
+
+    def _derived_plane(
+        self,
+        base: DataPlane,
+        fibs: Dict[str, Fib],
+        changed: Tuple[str, ...],
+        missing: Collection[str],
+        live: Dict[Prefix, RpvpState],
+    ) -> DataPlane:
+        """A plane derived from ``base``, recording it and the ``changed``
+        devices: ``fibs`` — ``base``'s FIBs, in its device order, with those
+        of the changed devices already swapped in — completed by the FIBs of
+        the ``missing`` ones, built by the install passes restricted to them
+        (and shared from here on).  The document is the from-scratch build's."""
+        if missing:
+            built = DataPlane(missing)
+            self._install_entries(built, live, only=missing)
+            for device, fib in built.fibs.items():
+                fibs[device] = fib
+                fib.share()
+        data_plane = DataPlane((), pec_range=self.pec.address_range)
+        data_plane.fibs, data_plane.base, data_plane.changed = fibs, base, changed
+        return data_plane
+
+    def _route_derived_plane(
         self, reference: _ReferencePlane, live: Dict[Prefix, RpvpState]
-    ) -> Tuple[Dict[str, Fib], Tuple[str, ...]]:
-        """The reference's FIBs, with those of the devices that hold other
-        routes than in the reference replaced; and those devices.
+    ) -> DataPlane:
+        """The plane derived from the task's reference that differs from it in
+        the devices holding other BGP routes.
 
         A device's FIB is a function of the task and that device's own BGP
         routes, so the replacements are interned per (slot, route id per live
-        prefix); a miss is built by the same install passes as a whole plane,
-        restricted to the missing devices.
+        prefix); a miss is built by ``_derived_plane`` and interned.
         """
         interned = reference.interned
         arrays = [state._ids for state in live.values()]
@@ -600,27 +666,26 @@ class PecExplorer:
                     itertools.compress(itertools.count(), map(operator.ne, ids, reference_ids))
                 )
         changed = list(differing)
+        names = reference.names
         fibs = dict(reference.plane.fibs)
         missing: Dict[str, Tuple[int, ...]] = {}
         # One key per changed slot: (slot, its route id under each live prefix).
         for key in zip(changed, *([ids[slot] for slot in changed] for ids in arrays)):
             fib = interned.get(key)
             if fib is None:
-                missing[reference.names[key[0]]] = key
+                missing[names[key[0]]] = key
             else:
                 fibs[fib.device] = fib
-        if missing:
-            built = DataPlane(missing)
-            self._install_entries(built, live, only=missing)
-            for device, key in missing.items():
-                fib = fibs[device] = interned[key] = built.fibs[device]
-                fib.share()
-        names = reference.names
         # From a list, not a generator: a tuple built from a generator is
         # allocated at a guessed size and resized, and once freed it parks in
         # the free list of its final size — 0.75 MB of peak RSS on a k=4
         # fabric under two failures.
-        return fibs, tuple([names[slot] for slot in changed])
+        data_plane = self._derived_plane(
+            reference.plane, fibs, tuple([names[slot] for slot in changed]), missing, live
+        )
+        for device, key in missing.items():
+            interned[key] = fibs[device]
+        return data_plane
 
     @functools.cached_property
     def _plane_inputs(self) -> _PlaneInputs:
@@ -628,11 +693,18 @@ class PecExplorer:
         # Most specific prefixes last so that equal-prefix conflicts are
         # decided purely by administrative distance.
         prefixes = sorted(self.pec.prefixes, key=lambda p: p.length)
+        failed = self._failed_links()
+        ospf_origins = {prefix: self._ospf_origins_for(prefix) for prefix in prefixes}
         return _PlaneInputs(
             prefixes=prefixes,
             failure_text=self.failure.describe(self.network.topology),
-            failed=self._failed_links(),
-            ospf_origins={prefix: self._ospf_origins_for(prefix) for prefix in prefixes},
+            failed=failed,
+            ospf_origins=ospf_origins,
+            ospf_tables={
+                prefix: self.ospf.compute(origins, failed)
+                for prefix, origins in ospf_origins.items()
+                if origins
+            },
             bgp_origins={prefix: set(self.pec.origins_for(prefix, "bgp")) for prefix in prefixes},
         )
 
@@ -640,7 +712,7 @@ class PecExplorer:
         self,
         data_plane: DataPlane,
         bgp_states: Dict[Prefix, RpvpState],
-        only: Optional[Container[str]] = None,
+        only: Optional[Collection[str]] = None,
     ) -> None:
         """The OSPF, BGP and static passes over the devices of ``data_plane``:
         all of the network's, or the ones ``only`` names."""
@@ -664,16 +736,19 @@ class PecExplorer:
         return sorted(origins)
 
     def _install_ospf_entries(
-        self, data_plane: DataPlane, prefix: Prefix, only: Optional[Container[str]]
+        self, data_plane: DataPlane, prefix: Prefix, only: Optional[Collection[str]]
     ) -> None:
-        origins = self._plane_inputs.ospf_origins[prefix]
-        if not origins:
+        table = self._plane_inputs.ospf_tables.get(prefix)
+        if table is None:
             return
-        table = self.ospf.compute(origins, self._plane_inputs.failed)
-        origin_set = set(origins)
-        for node, distance in table.distances.items():
-            if only is not None and node not in only:
-                continue
+        origin_set = set(self._plane_inputs.ospf_origins[prefix])
+        distances = table.distances
+        if only is not None:
+            distances = {node: distances[node] for node in only if node in distances}
+        # Devices at one distance behind the same next hops hold equal
+        # entries (a fat tree has a few dozen per prefix): build each once.
+        entries: Dict[Tuple[Tuple[str, ...], float], FibEntry] = {}
+        for node, distance in distances.items():
             if node in origin_set:
                 data_plane.install(
                     node,
@@ -682,22 +757,22 @@ class PecExplorer:
             else:
                 next_hops = table.next_hops.get(node, ())
                 if next_hops:
-                    data_plane.install(
-                        node,
-                        FibEntry(
+                    entry = entries.get((next_hops, distance))
+                    if entry is None:
+                        entry = entries[next_hops, distance] = FibEntry(
                             prefix=prefix,
                             next_hops=next_hops,
                             source=RouteSource.OSPF,
                             metric=int(distance),
-                        ),
-                    )
+                        )
+                    data_plane.install(node, entry)
 
     def _install_bgp_entries(
         self,
         data_plane: DataPlane,
         prefix: Prefix,
         state: Optional[RpvpState],
-        only: Optional[Container[str]],
+        only: Optional[Collection[str]],
     ) -> None:
         for origin in self._plane_inputs.bgp_origins[prefix]:
             if only is not None and origin not in only:
@@ -748,7 +823,7 @@ class PecExplorer:
         return table.next_hops.get(node, ())
 
     def _install_static_entries(
-        self, data_plane: DataPlane, prefix: Prefix, only: Optional[Container[str]]
+        self, data_plane: DataPlane, prefix: Prefix, only: Optional[Collection[str]]
     ) -> None:
         failed = self._plane_inputs.failed
         for device in self.ospf.static_route_devices():

@@ -66,8 +66,8 @@ class Fib:
         self._lookup_memo: Optional[Dict[int, Optional[FibEntry]]] = None
 
     def share(self) -> None:
-        """Declare this table held by several data planes (the planes of one
-        task share the tables of the devices they agree on).
+        """Declare this table held by several data planes (a derived plane
+        shares the tables of the devices it agrees on with its base).
 
         From here on :meth:`install` refuses — :meth:`DataPlane.install`
         copies first — and, the entries being final, :meth:`lookup` answers
@@ -185,9 +185,10 @@ class DataPlane:
     def install(self, device: str, entry: FibEntry) -> None:
         """Install ``entry`` into the FIB of ``device``.
 
-        Copy-on-write: the planes of one task share the :class:`Fib` objects
-        of the devices they agree on, so a shared table is first replaced, in
-        this plane only, by a copy — an install never edits a sibling plane.
+        Copy-on-write: derived planes share the :class:`Fib` objects of the
+        devices they agree on — the planes of one task, and the failure planes
+        of a PEC without BGP — so a shared table is first replaced, in this
+        plane only, by a copy: an install never edits a sibling plane.
         An edited plane no longer differs from its base in ``changed`` alone,
         so it forgets both.
         """

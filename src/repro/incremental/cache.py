@@ -63,6 +63,7 @@ from repro.core.results import PecRunResult
 from repro.core.scheduler import dependency_closure
 from repro.dataplane.fib import DataPlane
 from repro.engine.graph import TaskResult
+from repro.exceptions import VerificationError
 from repro.incremental.impact import config_slice
 from repro.pec.classes import PacketEquivalenceClass
 from repro.pec.dependencies import PecDependencyGraph
@@ -192,20 +193,32 @@ def _canonical(value: object) -> object:
     return value
 
 
+#: What a default ``repr`` — ``<Foo object at 0x7f…>``, ``<function f at
+#: 0x…>`` — spells a memory address with: no key may hold one.
+_ADDRESS = " at 0x"
+
+
 def _object_tokens(values: Sequence) -> Tuple:
     """A canonical, process-stable serialisation of a list of policy,
-    transient-property or initial-event objects: class and attributes."""
-    return tuple(
-        (
-            type(value).__module__,
-            type(value).__qualname__,
-            tuple(
-                (name, repr(_canonical(attribute)))
-                for name, attribute in sorted(vars(value).items())
-            ),
-        )
-        for value in values
-    )
+    transient-property or initial-event objects: class and attributes.
+
+    Raises :class:`VerificationError` for an attribute whose ``repr`` holds
+    a memory address: a freed address can be reused by another object (a
+    false hit in a long-lived daemon), and no other process sees it (a miss
+    every time)."""
+    tokens = []
+    for value in values:
+        attributes = []
+        for name, attribute in sorted(vars(value).items()):
+            token = repr(_canonical(attribute))
+            if _ADDRESS in token:
+                raise VerificationError(
+                    f"{type(value).__qualname__}.{name} has no cache key: its repr "
+                    f"{token} holds a memory address; give it a repr of its value"
+                )
+            attributes.append((name, token))
+        tokens.append((type(value).__module__, type(value).__qualname__, tuple(attributes)))
+    return tuple(tokens)
 
 
 def _options_token(options: PlanktonOptions) -> Tuple:

@@ -29,7 +29,9 @@ Three pieces live here, all behind :class:`OspfComputation`:
 Two consumers use the results: the OSPF path-vector model, whose
 deterministic-node detection heuristic (paper §4.1.2: "picks each node only
 after all nodes with shorter paths have executed") needs the network-wide
-distances, and the FIB builder, which needs per-node next hops.
+distances, and the FIB builder, which needs per-node next hops — and, to
+derive a failure's data plane from the failure-free one, the nodes whose entry
+the failure moved (:meth:`OspfComputation.moved`).
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ INFINITY = float("inf")
 #: link id).
 _Edge = Tuple[int, float, int]
 _NO_FAILURES: FrozenSet[int] = frozenset()
+_NOTHING: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -273,6 +276,10 @@ def _shortest_paths(
     )
 
 
+def _failure_key(failed_links: Optional[Set[int]]) -> FrozenSet[int]:
+    return frozenset(failed_links) if failed_links else _NO_FAILURES
+
+
 def _tight_next_hops(edges: List[_Edge], dist: List[float], distance: float) -> Set[int]:
     """The neighbours among ``edges`` lying on a shortest path of a node at ``distance``."""
     return {neighbor for neighbor, cost, _ in edges if dist[neighbor] + cost == distance}
@@ -285,8 +292,9 @@ def _hop_names(names: List[str], hops: Set[int]) -> Tuple[str, ...]:
 
 def _derive(
     graph: _CompiledGraph, base: _ShortestPaths, failed: FrozenSet[int]
-) -> Optional[OspfRoutingTable]:
-    """The table under ``failed``, worked out of the failure-free ``base``.
+) -> Optional[Tuple[OspfRoutingTable, Tuple[str, ...]]]:
+    """The table under ``failed``, worked out of the failure-free ``base``,
+    and the nodes whose distance or next hops it changed.
 
     Relies on positive integer costs: distances survive a failure wherever a
     node keeps one of its shortest-path next hops (and are the same float
@@ -308,7 +316,7 @@ def _derive(
             if dist[tail] != INFINITY and dist[head] + cost == dist[tail]:
                 recheck.add(tail)
     if not recheck:
-        return table
+        return table, _NOTHING
 
     cut_off = _cut_off(out, into, dist, recheck)
     if cut_off:
@@ -336,7 +344,8 @@ def _derive(
         if hop_names != table.next_hops[names[node]]:
             patched[names[node]] = hop_names
     if not cut_off and not patched:
-        return table
+        return table, _NOTHING
+    moved = tuple({*patched, *(names[node] for node in cut_off)})
 
     distances, chosen_origin = table.distances, table.chosen_origin
     order = table.deterministic_order
@@ -352,7 +361,17 @@ def _derive(
                 for field in (distances, next_hops, chosen_origin):
                     del field[names[node]]
         order = tuple([name for _, name in sorted(zip(distances.values(), distances))])
-    return OspfRoutingTable(distances, next_hops, chosen_origin, order)
+    return OspfRoutingTable(distances, next_hops, chosen_origin, order), moved
+
+
+def _moved_between(before: OspfRoutingTable, after: OspfRoutingTable) -> Tuple[str, ...]:
+    """The nodes whose distance or next hops differ between two tables."""
+    return tuple(
+        node
+        for node in {*before.distances, *after.distances}
+        if before.distances.get(node) != after.distances.get(node)
+        or before.next_hops.get(node) != after.next_hops.get(node)
+    )
 
 
 def _cut_off(
@@ -420,10 +439,14 @@ class OspfComputation:
       of failures, and set of sources" — plus the failure-free kernel run per
       origin set, from which tables under failures are derived and with which
       they share their unchanged fields;
+    * per (origins, failed links), the nodes whose entry the failure moved
+      (:meth:`moved`);
     * per failure set, what the per-prefix OSPF instances share
       (:meth:`shared_filter_caches`): the live adjacency by name, the
       filter/rank memos and the host of their RPVP candidate engines;
-    * the list of devices with static routes the FIB builder walks.
+    * the list of devices with static routes the FIB builder walks;
+    * the reference plane (``reference_plane``): one PEC's failure-free data
+      plane, from which the FIB builder derives its failure planes.
     """
 
     def __init__(self, network: NetworkConfig) -> None:
@@ -431,9 +454,18 @@ class OspfComputation:
         self.topology: Topology = network.topology
         self._graph: Optional[_CompiledGraph] = None
         self._cache: Dict[Tuple[FrozenSet[str], FrozenSet[int]], OspfRoutingTable] = {}
+        #: Tuples, not frozensets: one per failure table, and a frozenset of
+        #: a few dozen names costs eight times the bytes.
+        self._moved: Dict[Tuple[FrozenSet[str], FrozenSet[int]], Tuple[str, ...]] = {}
         self._failure_free: Dict[FrozenSet[str], _ShortestPaths] = {}
         self._filter_caches: Dict[FrozenSet[int], Dict[str, Dict]] = {}
         self._static_route_devices: Optional[Tuple[str, ...]] = None
+        #: ``(PEC, an all-shared snapshot of its failure-free data plane)``
+        #: for the last PEC without BGP whose failure-free plane was built
+        #: over this computation: what the planes of its failure scenarios are
+        #: derived from (see ``PecExplorer.build_data_plane``).  The PEC
+        #: object itself is held, so the memo cannot answer for another PEC.
+        self.reference_plane: Optional[Tuple[object, object]] = None
 
     def shared_filter_caches(self, failure_key: FrozenSet[int]) -> Dict[str, Dict]:
         """Filter/rank memo dicts shared by all instances of one failure set.
@@ -506,10 +538,32 @@ class OspfComputation:
         failure-free run of the same origins wherever the failure leaves
         every node a shortest-path next hop (see the module docstring).
         """
+        return self._table(origins, _failure_key(failed_links))
+
+    def moved(self, origins: Sequence[str], failed_links: Optional[Set[int]]) -> Tuple[str, ...]:
+        """The nodes whose distance or next hops toward ``origins`` differ
+        between the failure-free table and the one under ``failed_links``.
+
+        The delta path records them as it derives the table (what it patched
+        and what it cut off; nothing where it returned the failure-free table
+        itself); where the kernel re-ran, they are the two tables' difference,
+        worked out on first ask.
+        """
+        failed = _failure_key(failed_links)
+        if not failed:
+            return _NOTHING
+        table = self._table(origins, failed)
+        key = (frozenset(origins), failed)
+        moved = self._moved.get(key)
+        if moved is None:
+            moved = self._moved[key] = _moved_between(self._table(origins, _NO_FAILURES), table)
+        return moved
+
+    def _table(self, origins: Sequence[str], failed: FrozenSet[int]) -> OspfRoutingTable:
         graph = self._compiled_graph()
         origin_key = frozenset(origins)
-        failed = frozenset(failed_links) if failed_links else _NO_FAILURES
-        table = self._cache.get((origin_key, failed))
+        key = (origin_key, failed)
+        table = self._cache.get(key)
         if table is None:
             if not failed or graph.positive_costs:
                 base = self._failure_free.get(origin_key)
@@ -517,10 +571,15 @@ class OspfComputation:
                     base = self._failure_free[origin_key] = _shortest_paths(
                         graph, origins, _NO_FAILURES
                     )
-                table = _derive(graph, base, failed) if failed else base.table
+                if not failed:
+                    table = base.table
+                else:
+                    derived = _derive(graph, base, failed)
+                    if derived is not None:
+                        table, self._moved[key] = derived
             if table is None:
                 table = _shortest_paths(graph, origins, failed).table
-            self._cache[(origin_key, failed)] = table
+            self._cache[key] = table
         return table
 
     def igp_cost_between(
@@ -537,11 +596,14 @@ class OspfComputation:
         """Drop everything derived from the configuration.
 
         Call it after mutating device configs: the compiled graph, every SPF
-        table, the filter memos handed to OSPF instances and the static-route
-        device list are rebuilt on next use.
+        table and what moved in it, the filter memos handed to OSPF
+        instances, the static-route device list and the reference plane are
+        rebuilt on next use.
         """
         self._graph = None
         self._cache.clear()
+        self._moved.clear()
         self._failure_free.clear()
         self._filter_caches.clear()
         self._static_route_devices = None
+        self.reference_plane = None

@@ -197,6 +197,16 @@ def _assert_same_table(table, reference):
     assert table.deterministic_order == reference.deterministic_order
 
 
+def _moved_by(before, after):
+    """The nodes whose (distance, next hops) differ between two tables."""
+    return {
+        node
+        for node in before.distances.keys() | after.distances.keys()
+        if (before.distances.get(node), before.next_hops.get(node))
+        != (after.distances.get(node), after.next_hops.get(node))
+    }
+
+
 class TestCompiledOspfAgainstReference:
     @given(st.integers(0, 2 ** 32))
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -213,7 +223,13 @@ class TestCompiledOspfAgainstReference:
             origins = rng.sample(topology.nodes, rng.randint(1, min(3, len(topology.nodes))))
             failed = set(rng.sample(link_ids, rng.randint(0, min(3, len(link_ids)))))
             table = computation.compute(origins, failed)
-            _assert_same_table(table, reference_compute(network, origins, failed))
+            reference = reference_compute(network, origins, failed)
+            _assert_same_table(table, reference)
+            # What a derived failure plane rebuilds: every node whose entry
+            # differs from the failure-free table's, and no other.
+            assert set(computation.moved(origins, failed)) == _moved_by(
+                reference_compute(network, origins), reference
+            )
         # A kernel run also keeps the reference's dict order (discovery order).
         fresh = OspfComputation(network).compute(origins)
         assert list(fresh.distances) == list(reference_compute(network, origins).distances)

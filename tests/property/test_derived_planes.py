@@ -4,12 +4,17 @@
 protocol-major install passes over every device and derives every later one
 from it: the reference's FIBs, with those of the devices that hold other BGP
 routes replaced by FIBs interned per (device, route ids) and built, on a miss,
-by the same passes restricted to the missing devices.  A *fresh* explorer has
-no reference yet, so its first plane is the from-scratch build — the oracle
-here, for every shape the builder has: one BGP prefix under failures, two BGP
-prefixes crossed, iBGP next hops resolved through upstream planes, and static
-routes that read the device's own BGP entry or share its FIB with one.
-Loop freedom, which checks a derived plane from the devices it changed (see
+by the same passes restricted to the missing devices.  A PEC without BGP
+derives across tasks instead: a failure task's plane is its failure-free
+task's plane with the devices whose SPF entry the failure moved, and every
+static-route device, rebuilt.  An explorer over a *fresh* OSPF computation
+has no reference yet, so its first plane is the from-scratch build — the
+oracle here, for every shape the builder has: one BGP prefix under failures,
+two BGP prefixes crossed, iBGP next hops resolved through upstream planes,
+static routes that read the device's own BGP entry or share its FIB with one,
+and OSPF planes under failures with static loops, drops, recursive and
+redistributed statics, cost overrides and anycast origins.  Loop freedom,
+which checks a derived plane from the devices it changed (see
 ``repro.dataplane.forwarding.find_cycle``), must answer on every derived
 plane what it answers on the from-scratch build.
 """
@@ -21,32 +26,41 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Plankton
-from repro.config import ebgp_rfc7938, ibgp_over_ospf
-from repro.config.builder import edge_prefix
-from repro.config.objects import StaticRoute
+from repro import Plankton, PlanktonOptions
+from repro.config import ebgp_rfc7938, ibgp_over_ospf, ospf_everywhere
+from repro.config.builder import edge_prefix, install_loop_inducing_statics
+from repro.config.objects import OspfInterface, StaticRoute
 from repro.core.network_model import DependencyContext, PecExplorer
-from repro.dataplane import FibEntry
+from repro.dataplane import DataPlane, FibEntry, ForwardingGraph, find_cycle
 from repro.exceptions import ReproError
 from repro.netaddr import Prefix
 from repro.policies import LoopFreedom
 from repro.policies.base import PolicyCheckContext
-from repro.topology import bgp_fat_tree, ring
+from repro.protocols.ospf import OspfComputation, _derive
+from repro.topology import bgp_fat_tree, fat_tree, ring
 from repro.topology.failures import FailureScenario
 
 WIDE = Prefix("10.0.0.0/16")
 EXTERNAL = Prefix("200.0.0.0/16")
 
 
-def _explorer(plankton, pec, failure, context=None):
+def _explorer(plankton, pec, failure, context=None, ospf_computation=None):
     return PecExplorer(
         plankton.network,
         pec,
         failure,
         plankton.options,
         dependency_context=context or DependencyContext(),
-        ospf_computation=plankton.ospf_computation,
+        ospf_computation=ospf_computation or plankton.ospf_computation,
     )
+
+
+def _scratch(plankton, pec, failure, context=None, bgp_states=None):
+    """The from-scratch build: an explorer over a fresh OSPF computation (the
+    one a fresh ``Plankton`` would have) holds no reference plane to derive
+    from."""
+    fresh = OspfComputation(plankton.network)
+    return _explorer(plankton, pec, failure, context, fresh).build_data_plane(bgp_states)
 
 
 def _streamed(explorer, on_outcome=None):
@@ -72,9 +86,7 @@ def _loop_check(plankton, pec, plane):
 def _assert_derived_equals_scratch(plankton, pec, failure, context=None):
     streamed = _streamed(_explorer(plankton, pec, failure, context))
     for bgp_states, outcome in streamed:
-        plane, control_plane = _explorer(plankton, pec, failure, context).build_data_plane(
-            bgp_states
-        )
+        plane, control_plane = _scratch(plankton, pec, failure, context, bgp_states)
         assert plane.base is None
         assert outcome.data_plane.to_dict() == plane.to_dict()
         assert outcome.control_plane == control_plane
@@ -142,6 +154,89 @@ def _statics():
     pec = next(pec for pec in plankton.pecs if pec.address_range.contains_address(rack.first))
     assert set(pec.prefixes) == {rack, covering}
     return plankton, pec, rack, covering
+
+
+ANYCAST = Prefix("10.9.0.0/24")
+REDISTRIBUTED = Prefix("10.200.0.0/24")
+
+
+@functools.lru_cache(maxsize=None)
+def _ospf_loop():
+    """The Fig. 7(a) "fail" fabric: OSPF everywhere, and a static 4-cycle for
+    one rack prefix."""
+    network = ospf_everywhere(fat_tree(4))
+    install_loop_inducing_statics(
+        network, edge_prefix(0, 0), ["agg1_0", "edge1_0", "agg1_1", "edge1_1"]
+    )
+    return network
+
+
+@functools.lru_cache(maxsize=None)
+def _ospf_statics():
+    """OSPF everywhere with a drop static for a rack prefix, a recursive
+    static for a covering /16 — resolved inside the PEC of ``10.1.1.0/24``
+    through ``edge0_0``'s own OSPF entry, and through that PEC's plane from
+    the /16's other PECs — and a static that ``core1`` redistributes into
+    OSPF, which makes it the origin of a prefix everyone else routes to."""
+    network = ospf_everywhere(fat_tree(4))
+    network.device("agg2_0").static_routes.append(StaticRoute(edge_prefix(3, 0), drop=True))
+    network.device("edge0_0").static_routes.append(
+        StaticRoute(Prefix("10.1.0.0/16"), next_hop_ip=edge_prefix(1, 1))
+    )
+    core = network.device("core1")
+    core.static_routes.append(StaticRoute(REDISTRIBUTED, next_hop_node="agg0_0"))
+    core.ospf.redistribute_static = True
+    return network
+
+
+@functools.lru_cache(maxsize=None)
+def _ospf_anycast_ring():
+    """An OSPF ring with one cost override, a unicast prefix and an anycast
+    one: a failure that cuts a node off from its anycast origin makes the
+    SPF delta path give up and the kernel re-run."""
+    network = ospf_everywhere(
+        ring(6), prefix_for={"r0": ANYCAST, "r3": ANYCAST, "r5": Prefix("10.5.0.0/24")}
+    )
+    network.device("r1").ospf.interfaces["r2"] = OspfInterface("r2", cost=3)
+    return network
+
+
+OSPF_FABRICS = {"loop": _ospf_loop, "statics": _ospf_statics, "anycast": _ospf_anycast_ring}
+
+
+def _context(plankton, pec, failure):
+    """The upstream planes of ``pec`` under ``failure``, built from scratch
+    (so that the verifier under test keeps the reference it holds).  A PEC
+    that depends on itself resolves inside its own plane."""
+    context = DependencyContext()
+    for index in sorted(plankton.dependency_graph.dependencies_of(pec.index) - {pec.index}):
+        upstream = plankton.pec_by_index(index)
+        plane, _control_plane = _scratch(
+            plankton, upstream, failure, _context(plankton, upstream, failure)
+        )
+        context.add(upstream, plane)
+    return context
+
+
+def _failure_plane(plankton, pec, failure, first=True):
+    """The plane of ``pec``'s task under ``failure``, after its failure-free
+    task (when ``first``) on the same verifier."""
+    if first:
+        free = FailureScenario()
+        _explorer(plankton, pec, free, _context(plankton, pec, free)).explore()
+    (outcome,) = _explorer(plankton, pec, failure, _context(plankton, pec, failure)).explore()
+    return outcome.data_plane
+
+
+def _assert_failure_plane_is_scratch(plankton, pec, failure, plane):
+    scratch, _control_plane = _scratch(plankton, pec, failure, _context(plankton, pec, failure))
+    assert scratch.base is None
+    assert plane.to_dict() == scratch.to_dict()
+    assert _loop_check(plankton, pec, plane) == _loop_check(plankton, pec, scratch)
+    copy = DataPlane((), pec_range=plane.pec_range)
+    copy.fibs = dict(plane.fibs)
+    for address in {pec.address_range.low, pec.address_range.high}:
+        assert find_cycle(plane, address) == ForwardingGraph(copy, address).has_cycle()
 
 
 # --------------------------------------------------------------------------- the property
@@ -228,6 +323,106 @@ class TestDerivedEqualsFromScratch:
                 assert outcome.data_plane.changed
 
 
+class TestFailurePlanesAcrossTasks:
+    """A PEC without BGP: its failure planes derive from its failure-free
+    plane, kept on the verifier's shared OSPF computation."""
+
+    @pytest.mark.parametrize("fabric", sorted(OSPF_FABRICS))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_every_pec_under_drawn_failures(self, fabric, data):
+        plankton = Plankton(OSPF_FABRICS[fabric]())
+        failure = data.draw(_failures(plankton))
+        for pec in plankton.pecs:
+            plane = _failure_plane(plankton, pec, failure)
+            assert (plane.base is not None) == bool(failure.failed_links)
+            _assert_failure_plane_is_scratch(plankton, pec, failure, plane)
+
+    def test_the_shapes_are_the_ones_claimed(self):
+        plankton = Plankton(_ospf_statics())
+        pecs = {prefix: pec for pec in plankton.pecs for prefix in pec.prefixes}
+        covering = Prefix("10.1.0.0/16")
+        recursive = pecs[edge_prefix(1, 1)]
+        assert set(recursive.prefixes) == {edge_prefix(1, 1), covering}
+        dependent = pecs[edge_prefix(1, 0)]
+        assert plankton.dependency_graph.dependencies_of(dependent.index) == {recursive.index}
+        assert set(plankton.ospf_computation.static_route_devices()) == {"core1", "agg2_0", "edge0_0"}
+        plane = _failure_plane(plankton, pecs[REDISTRIBUTED], FailureScenario())
+        assert plane.lookup("agg1_0", REDISTRIBUTED.first).next_hops == ("core1",)
+        plane = _failure_plane(plankton, pecs[edge_prefix(3, 0)], FailureScenario())
+        assert plane.lookup("agg2_0", edge_prefix(3, 0).first).drop
+
+        plankton = Plankton(_ospf_loop())
+        looping = next(pec for pec in plankton.pecs if edge_prefix(0, 0) in pec.prefixes)
+        assert _loop_check(plankton, looping, _failure_plane(plankton, looping, FailureScenario()))
+
+        # Losing r0-r1 cuts r1 off from its anycast origin r0: the delta
+        # path hands the table back to the kernel.
+        plankton = Plankton(_ospf_anycast_ring())
+        computation = plankton.ospf_computation
+        computation.compute(["r0", "r3"])
+        graph = computation._compiled_graph()
+        (link,) = plankton.network.topology.links_between("r0", "r1")
+        base = computation._failure_free[frozenset(["r0", "r3"])]
+        assert _derive(graph, base, frozenset([link.link_id])) is None
+        assert computation.moved(["r0", "r3"], {link.link_id}) == ("r1",)
+        table = computation.compute(["r0", "r3"], {link.link_id})
+        assert (table.distances["r1"], table.next_hops["r1"]) == (4, ("r2",))  # over the override
+
+    def test_a_verify_derives_every_failure_plane(self):
+        """The independent expansion is PEC-major with the failure-free
+        scenario first, so a serial run derives every failure plane."""
+        options = PlanktonOptions(
+            max_failures=1, keep_data_planes=True, stop_at_first_violation=False
+        )
+        plankton = Plankton(_ospf_loop(), options)
+        result = plankton.verify(LoopFreedom())
+        planes = [
+            (run.failure.failed_links, plane) for run in result.pec_runs for plane in run.data_planes
+        ]
+        assert len(planes) == len(result.pec_runs) > len(plankton.pecs)
+        assert all((plane.base is not None) == bool(failed) for failed, plane in planes)
+
+    def test_an_edit_to_the_failure_free_plane_stays_in_it(self):
+        plankton = Plankton(_ospf_loop())
+        pec = next(pec for pec in plankton.pecs if edge_prefix(2, 0) in pec.prefixes)
+        entry = FibEntry(prefix=Prefix("192.0.2.0/24"), drop=True)
+
+        def edit(outcome):
+            for device in outcome.data_plane.devices():
+                outcome.data_plane.install(device, entry)
+
+        _explorer(plankton, pec, FailureScenario()).explore(on_outcome=edit)
+        failure = FailureScenario.of([plankton.network.topology.links[0].link_id])
+        plane = _failure_plane(plankton, pec, failure, first=False)
+        assert plane.base is not None
+        assert all(fib.entry_for(entry.prefix) is None for fib in plane.fibs.values())
+        _assert_failure_plane_is_scratch(plankton, pec, failure, plane)
+
+    def test_clear_cache_drops_the_reference(self):
+        plankton = Plankton(_ospf_loop())
+        pec = plankton.pecs[0]
+        failure = FailureScenario.of([plankton.network.topology.links[0].link_id])
+        _explorer(plankton, pec, FailureScenario()).explore()
+        plankton.ospf_computation.clear_cache()
+        plane = _failure_plane(plankton, pec, failure, first=False)
+        assert plane.base is None
+        _assert_failure_plane_is_scratch(plankton, pec, failure, plane)
+
+    def test_without_its_own_failure_free_plane_a_task_builds_from_scratch(self):
+        plankton = Plankton(_ospf_loop())
+        pec, other = plankton.pecs[:2]
+        failure = FailureScenario.of([plankton.network.topology.links[0].link_id])
+        before = _failure_plane(plankton, pec, failure, first=False)  # nothing kept yet
+        assert before.base is None
+        _explorer(plankton, other, FailureScenario()).explore()
+        after = _failure_plane(plankton, pec, failure, first=False)  # another PEC's kept
+        assert after.base is None
+        assert plankton.ospf_computation.reference_plane[0] is other
+        for plane in (before, after):
+            _assert_failure_plane_is_scratch(plankton, pec, failure, plane)
+
+
 # --------------------------------------------------------------------------- sharing
 class TestSharedFibs:
     @staticmethod
@@ -256,9 +451,7 @@ class TestSharedFibs:
         (_states, first), *later = streamed
         assert all(fib.entry_for(entry.prefix) == entry for fib in first.data_plane.fibs.values())
         for bgp_states, outcome in later:
-            plane, _control_plane = _explorer(
-                plankton, pec, FailureScenario()
-            ).build_data_plane(bgp_states)
+            plane, _control_plane = _scratch(plankton, pec, FailureScenario(), None, bgp_states)
             assert outcome.data_plane.to_dict() == plane.to_dict()
 
     def test_install_into_one_plane_leaves_every_sibling_alone(self):

@@ -23,7 +23,9 @@ from repro.config import ebgp_rfc7938
 from repro.core.options import PlanktonOptions
 from repro.engine.faults import corrupt_cache_file
 from repro.incremental import IncrementalVerifier, ResultCache, result_signature
-from repro.incremental.cache import CACHE_SCHEMA_VERSION, _seal
+from repro.exceptions import VerificationError
+from repro.incremental.cache import CACHE_SCHEMA_VERSION, _object_tokens, _seal
+from repro.netaddr import Prefix
 from repro.policies import LoopFreedom
 from repro.topology import bgp_fat_tree
 
@@ -419,6 +421,79 @@ class TestProcessStableKeys:
                 ).stdout
             )
         assert len(keys) == 1
+
+
+class TestAddressFreeKeys:
+    def test_an_attribute_keyed_by_its_address_is_refused(self):
+        """A default ``repr`` spells a memory address: a freed address can be
+        reused by another object (a false hit in a long-lived daemon), and
+        no other process sees it, so such a token raises instead of keying."""
+
+        class Holding(LoopFreedom):
+            def __init__(self):
+                super().__init__()
+                self.marker = object()
+
+        with pytest.raises(VerificationError, match=r"Holding\.marker"):
+            _object_tokens([Holding()])
+        verifier = IncrementalVerifier(ebgp_rfc7938(bgp_fat_tree(4)), PlanktonOptions())
+        with pytest.raises(VerificationError, match=r"Holding\.marker"):
+            verifier.verify(Holding())
+
+    def test_every_built_in_request_object_keys(self):
+        """What the CLI and ``repro serve`` build — every policy, transient
+        property and lifecycle event — holds lists, strings, prefixes, sets
+        and bools, and keys without complaint."""
+        from repro.policies import (
+            BlackHoleFreedom,
+            BoundedPathLength,
+            MultipathConsistency,
+            PathConsistency,
+            Reachability,
+            Segmentation,
+            Waypoint,
+        )
+        from repro.scenarios.events import (
+            Converge,
+            FailSession,
+            FlapStorm,
+            GrayFailure,
+            MaintenanceDrain,
+            NodeCrash,
+            NodeRestart,
+            ReturnToService,
+        )
+        from repro.transient.properties import (
+            AlwaysReaches,
+            TransientBlackHoleFreedom,
+            TransientLoopFreedom,
+        )
+
+        prefix = Prefix("10.0.0.0/24")
+        objects = [
+            LoopFreedom(prefix),
+            Reachability(["a", "b"], prefix, require_all_branches=False),
+            Waypoint(["a"], ["w"], prefix),
+            BlackHoleFreedom(prefix, ["a"]),
+            BoundedPathLength(3, ["a"], prefix),
+            MultipathConsistency(["a"], prefix),
+            PathConsistency(["a", "b"], prefix),
+            Segmentation(["a"], ["p"], prefix),
+            TransientLoopFreedom(),
+            TransientBlackHoleFreedom(["a", "b"]),
+            AlwaysReaches(["a"]),
+            Converge(),
+            FailSession("a", "b"),
+            NodeCrash("a"),
+            NodeRestart("a"),
+            MaintenanceDrain("a"),
+            ReturnToService("a"),
+            FlapStorm((("a", "b"), ("b", "c"))),
+            GrayFailure("a", "b"),
+        ]
+        classes = {type(value) for value in objects}
+        assert len(classes) == len(objects)
+        assert len(_object_tokens(objects)) == len(objects)
 
 
 class TestConcurrentWriters:

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.modelcheck.por.independence import node_independence_groups
 from repro.protocols.base import EPSILON, PathVectorInstance, Route, RouteSource
 from repro.protocols.bgp import BgpInstance
 from repro.protocols.filters import maximum_local_pref
+from repro.protocols.interning import node_space_for
 from repro.protocols.ospf_instance import OspfInstance
 from repro.protocols.rpvp import RpvpState
 
@@ -96,6 +98,9 @@ class BgpDeterminism:
         self._session_max_local_pref = self._compute_session_local_pref_bounds()
         self._min_as_hops = self._compute_min_as_hops()
         self._session_bounds: Dict[Tuple[str, str], Optional[Tuple]] = {}
+        # node -> ((bound, peer slot), ...) over the peers with a bound,
+        # lowest bound first: what _best_future_rank reads, built on first ask.
+        self._future_bounds: Dict[str, Tuple[Tuple[Tuple, int], ...]] = {}
         # affected(v) = {v} ∪ {n : v ∈ peers(n)} — the nodes whose stability
         # verdict can change when v's entry changes: v itself (its decidedness
         # and current rank) and every node that reads v's decidedness through
@@ -200,17 +205,25 @@ class BgpDeterminism:
         Only peers that have not yet decided (best path still ⊥) can produce
         *new* advertisements in a consistent execution; decided peers already
         contributed their final advertisement to the current candidate set.
-        Returns None when no future update is possible.
+        Returns None when no future update is possible.  The node's sessions
+        are sorted by their bound once, so the first undecided peer in that
+        order gives the minimum.
         """
-        best: Optional[Tuple] = None
-        ids = state._ids
-        slot_of = state._space.slot_of
-        for peer in self.instance.peers(node):
-            if not ids[slot_of[peer]]:
+        bounds = self._future_bounds.get(node)
+        if bounds is None:
+            slot_of = node_space_for(self.instance).slot_of
+            entries = []
+            for peer in self.instance.peers(node):
                 bound = self.session_rank_bound(node, peer)
-                if bound is not None and (best is None or bound < best):
-                    best = bound
-        return best
+                if bound is not None:
+                    entries.append((bound, slot_of[peer]))
+            entries.sort(key=itemgetter(0))
+            bounds = self._future_bounds[node] = tuple(entries)
+        ids = state._ids
+        for bound, slot in bounds:
+            if not ids[slot]:
+                return bound
+        return None
 
     def session_rank_bound(self, node: str, peer: str) -> Optional[Tuple]:
         """Static lower bound on the rank of any route ``node`` can import from ``peer``.
@@ -312,12 +325,15 @@ class BgpDeterminism:
         self,
         state: RpvpState,
         candidates_of: Dict[str, List[Tuple[str, Route]]],
+        best_rank: Dict[str, Tuple],
         defer: Optional[Set[str]] = None,
     ) -> NodeDecision:
         """Classify the current step (see :class:`NodeDecision`).
 
         ``candidates_of`` maps each enabled (undecided) node to its currently
-        best-ranked updates (the RPVP set ``U``).  A future update that merely
+        best-ranked updates (the RPVP set ``U``), and ``best_rank`` each such
+        node to the rank they share (both as the candidate sets of
+        :mod:`repro.core.successors` carry them).  A future update that merely
         *ties* with the currently best candidate does not block the decision:
         BGP's age-based tie-breaking keeps the already-received route (the
         paper's extension models exactly this partial-order ranking), so the
@@ -328,16 +344,18 @@ class BgpDeterminism:
         advertisers have decided and every tie the policy cares about is
         branched over.
         """
-        defer_set = defer or set()
         tied_choice: Optional[Tuple[str, Tuple[Tuple[str, Route], ...]]] = None
-        ordering = sorted(candidates_of, key=lambda n: (n in defer_set, n))
+        ordering = sorted(candidates_of)
+        if defer:
+            # The deferred nodes last, each part still in name order (the
+            # sort is stable).
+            ordering.sort(key=defer.__contains__)
         for node in ordering:
             candidates = candidates_of[node]
             if not candidates:
                 continue
-            current_rank = self.instance.cached_rank(node, candidates[0][1])
             future = self._best_future_rank(node, state)
-            if future is not None and future < current_rank:
+            if future is not None and future < best_rank[node]:
                 # A strictly better update may still arrive; undecidable now.
                 continue
             if len(candidates) == 1:

@@ -265,13 +265,24 @@ class PecExplorer:
         return cost
 
     def bgp_instance(self, prefix: Prefix) -> BgpInstance:
-        """The BGP instance for ``prefix`` under this failure scenario."""
+        """The BGP instance for ``prefix`` under this failure scenario.
+
+        Its memo host is the PEC's, kept on the shared
+        :class:`OspfComputation` (``bgp_memos``, one PEC at a time, keyed by
+        the PEC object): the failure tasks of one PEC run back to back in the
+        independent expansion, and each eBGP advertisement is filtered and
+        ranked once for all of them.  A task of another PEC replaces it.
+        """
+        kept = self.ospf.bgp_memos
+        if kept is None or kept[0] is not self.pec:
+            kept = self.ospf.bgp_memos = (self.pec, {})
         return BgpInstance(
             self.network,
             prefix,
             failed_links=self._failed_links(),
             session_up=self._ibgp_session_up,
             igp_cost=self._igp_cost,
+            memo_host=kept[1].setdefault(prefix, {}),
         )
 
     def ospf_instance(self, prefix: Prefix) -> OspfInstance:
@@ -503,7 +514,9 @@ class PecExplorer:
             if spf_ordered:
                 decision = determinism.pick(candidates_of)
             elif determinism is not None:
-                decision = determinism.analyze(state, candidates_of, defer=defer)
+                decision = determinism.analyze(
+                    state, candidates_of, cache.best_rank, defer=defer
+                )
             if decision is not None and decision.node is not None:
                 moves = [(decision.node, peer, route) for peer, route in decision.candidates]
             else:

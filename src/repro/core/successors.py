@@ -31,6 +31,21 @@ Advertisements are ranked when an edge memo is filled and interned only when
 a move adopts one (``RpvpState.with_best``): most candidates never enter a
 state, and hashing a route is the expensive part of interning it.
 
+The memos live in a *host*, of one of three kinds, all compiled by the one
+``_Rows`` path:
+
+* an **OSPF host**, per failure set (``OspfComputation.
+  shared_filter_caches``): the rows and the memos, shared by every PEC's
+  engine under that failure set;
+* a **BGP host**, per PEC and prefix (``OspfComputation.bgp_memos``): only
+  the memos of the eBGP sessions, shared by the engines of the PEC's failure
+  scenarios.  An eBGP advertisement reads two route maps, the prefix and the
+  route, none of which a failure changes; an iBGP import reads the IGP cost,
+  which it does, so iBGP memos stay the engine's own, as do the rows — which
+  sessions are up is the failure's business (:class:`~repro.protocols.bgp.
+  BgpInstance`);
+* a **private host** (any other instance): rows and memos for one engine.
+
 Which advertisements improve a node is stated once, in ``_evaluate`` (the raw
 ``updating_peers``/``best_updates`` primitives over intern-table ids); the
 merge is its single-edge case.  A root state, a state whose parent carries
@@ -103,7 +118,7 @@ class _Rows:
     is nothing on every session that reads the node.
 
     Nothing here depends on the origins: the rows, the id-0 entries and
-    ``quiet`` are what a shared host keeps from one search to the next.
+    ``quiet`` are what an OSPF host keeps from one search to the next.
     """
 
     __slots__ = ("sessions", "readers", "positions", "quiet")
@@ -163,15 +178,18 @@ class CandidateEngine:
     scenario); caches are stamped with the engine identity so a state object
     can never be served a cache computed against a different instance.
 
-    The per-edge memos live as long as a search can read them.  An instance
-    without a shared host gets private ones, gone with the engine.  A shared
-    host (OSPF: every prefix of one failure scenario) keeps the compiled rows
-    for good, and what searches fill in until an engine over *another origin
-    set* attaches: routes carry their path, so a search over other origins
-    meets none of the ids a finished one left behind — keeping them only
-    grows the heap — whereas a search over the same origins (one device
-    originating several prefixes) meets exactly the same ids and finds every
-    entry filled.
+    The per-edge memos live as long as a search can read them, in the
+    instance's host (``_engine_host``; see the module docstring for the three
+    kinds).  A private host is gone with the engine.  A BGP host lends each
+    engine its eBGP memos and lives as long as the PEC's failure tasks run
+    back to back.  An OSPF host (every prefix of one failure scenario) keeps
+    the compiled rows for good, and what searches fill in until an engine over
+    *another origin set* attaches: routes carry their path, so a search over
+    other origins meets none of the ids a finished one left behind — keeping
+    them only grows the heap — whereas a search over the same origins (one
+    device originating several prefixes) meets exactly the same ids and finds
+    every entry filled.  A BGP prefix's origins come from configuration, the
+    same under every failure, so that check never fires there.
     """
 
     def __init__(self, instance: PathVectorInstance) -> None:
@@ -188,9 +206,10 @@ class CandidateEngine:
         self._advertise_id = getattr(instance, "advertisement_by_id", None)
         self._advertise = instance.advertisement
         self._rank_fn = instance.rank
-        # Prefix-independent instances (OSPF) publish a shared host, so the
-        # per-PEC engines of one failure scenario compile the adjacency once;
-        # anyone else gets a private one.
+        # OSPF instances publish the host of their failure scenario, so its
+        # per-PEC engines compile the adjacency once; a BGP instance with a
+        # memo host publishes a host of its own whose eBGP memos are the
+        # PEC's; anyone else gets a private one.
         host = getattr(instance, "_engine_host", None)
         if host is None:
             host = {}

@@ -58,7 +58,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 from repro.config.objects import NetworkConfig
-from repro.core.options import PlanktonOptions
+from repro.core.options import OptimizationFlags, PlanktonOptions
 from repro.core.results import PecRunResult
 from repro.core.scheduler import dependency_closure
 from repro.dataplane.fib import DataPlane
@@ -221,23 +221,42 @@ def _object_tokens(values: Sequence) -> Tuple:
     return tuple(tokens)
 
 
-def _options_token(options: PlanktonOptions) -> Tuple:
-    """The option fields that can change results (execution knobs excluded).
+#: The :class:`PlanktonOptions` fields a cache key reads, in the order it
+#: reads them: every field that can change what a result holds.
+KEYED_OPTIONS = (
+    "max_failures",
+    "optimizations",
+    "stop_at_first_violation",
+    "max_states_per_pec",
+    "max_seconds_per_pec",
+    "fast_ospf",
+    "bitstate_bits",
+    "keep_data_planes",
+)
 
-    ``cores`` and ``backend`` are deliberately left out: the engine
-    guarantees backend-identical results for the same task set, so a cached
-    result is valid regardless of which backend produced it.
-    """
-    flags = options.optimizations
-    return (
-        options.max_failures,
-        tuple(sorted(vars(flags).items())),
-        options.stop_at_first_violation,
-        options.max_states_per_pec,
-        options.max_seconds_per_pec,
-        options.fast_ospf,
-        options.bitstate_bits,
-        options.keep_data_planes,
+#: The :class:`PlanktonOptions` fields a cache key leaves out: they shape how
+#: a result is computed, never what it holds (the engine gives every backend
+#: and core count the same result for the same task set, and supervision only
+#: retries).  Every field is in exactly one of the two (a test pins it); a
+#: :class:`~repro.transient.explorer.TransientOptions` field is always keyed.
+EXECUTION_ONLY_OPTIONS = frozenset(
+    {
+        "cores",
+        "backend",
+        "task_timeout",
+        "task_retries",
+        "retry_backoff",
+        "retry_backoff_cap",
+        "max_pool_rebuilds",
+    }
+)
+
+
+def _options_token(options: PlanktonOptions) -> Tuple:
+    """The :data:`KEYED_OPTIONS` of ``options``, the flags as sorted items."""
+    return tuple(
+        tuple(sorted(vars(value).items())) if isinstance(value, OptimizationFlags) else value
+        for value in (getattr(options, name) for name in KEYED_OPTIONS)
     )
 
 

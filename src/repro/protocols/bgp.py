@@ -20,12 +20,19 @@ iBGP specifics modelled here:
 * The IGP cost used by the decision process can change when topology changes
   alter OSPF distances — this is the "ranking function may change" extension;
   here the ranking is always evaluated against the latest IGP costs supplied.
+
+What a failure cannot change can be shared between the instances of one
+prefix under different failure scenarios (``memo_host``): the ranking memo,
+and what an eBGP session advertises — two route maps, the prefix and the
+route, none of which a failure touches.  An iBGP import reads the IGP cost,
+which a failure does move, so iBGP advertisements are never shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config.objects import (
     BgpNeighbor,
@@ -35,6 +42,7 @@ from repro.exceptions import ProtocolError
 from repro.netaddr import Prefix
 from repro.protocols.base import EPSILON, Path, PathVectorInstance, Route, RouteSource
 from repro.protocols.filters import apply_route_map
+from repro.protocols.interning import node_space_for
 
 #: Type of the callable deciding whether an iBGP session is currently usable.
 SessionPredicate = Callable[[str, str], bool]
@@ -52,7 +60,14 @@ def _zero_igp_cost(_a: str, _b: str) -> float:
 
 
 class BgpInstance(PathVectorInstance):
-    """The BGP control plane for one prefix, as a :class:`PathVectorInstance`."""
+    """The BGP control plane for one prefix, as a :class:`PathVectorInstance`.
+
+    ``memo_host`` (optional, a dict the caller keeps between the instances of
+    this prefix under different failure scenarios) holds what they share: the
+    :meth:`cached_rank` memo, the per-edge advertisement memos of the eBGP
+    sessions (see :attr:`_engine_host`) and the node space whose route ids
+    those memos are keyed by.  It starts empty and is filled on first use.
+    """
 
     def __init__(
         self,
@@ -62,6 +77,7 @@ class BgpInstance(PathVectorInstance):
         session_up: SessionPredicate = _always_up,
         igp_cost: IgpCostFunction = _zero_igp_cost,
         deterministic_tiebreak: bool = False,
+        memo_host: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.network = network
         self.prefix = prefix
@@ -81,6 +97,16 @@ class BgpInstance(PathVectorInstance):
             if any(p.contains_prefix(prefix) for p in network.device(name).bgp.networks)
         ]
         self._peers_cache: Dict[str, Tuple[str, ...]] = {}
+        self._memo_host = memo_host
+        if memo_host is not None:
+            # The memos are keyed by ids of one intern table: hold its node
+            # space (memoised weakly) so the next instance resolves the same
+            # ids, and start over should the speakers be another set.
+            space = node_space_for(self)
+            if memo_host.get("node_space") is not space:
+                memo_host.update(node_space=space, adv_edge={}, rank={})
+            # Ranking is pure in (node, route), whatever has failed.
+            self._rank_cache = memo_host["rank"]
 
     # ------------------------------------------------------------------ structure
     def nodes(self) -> Sequence[str]:
@@ -127,6 +153,25 @@ class BgpInstance(PathVectorInstance):
             )
         self._peers_cache[node] = result
         return result
+
+    @cached_property
+    def _engine_host(self) -> Optional[Dict[str, Any]]:
+        """The host of this instance's RPVP candidate engine
+        (:class:`~repro.core.successors.CandidateEngine`), or None for a
+        private one.  Its rows are this instance's own — which sessions are up
+        is the failure's business — but behind every live session whose
+        importer sees it as eBGP lies the memo host's per-edge memo, filled
+        once for every failure scenario; iBGP memos stay this instance's."""
+        if self._memo_host is None:
+            return None
+        shared = self._memo_host["adv_edge"]
+        memos: Dict[Tuple[str, str], Dict] = {}
+        for node in self._speakers:
+            bgp = self.network.device(node).bgp
+            for peer in self.peers(node):
+                if not bgp.neighbor(peer).is_ibgp(bgp.asn):
+                    memos[(node, peer)] = shared.setdefault((node, peer), {})
+        return {"adv_edge": memos}
 
     # ------------------------------------------------------------------ filters
     def export(self, exporter: str, importer: str, route: Optional[Route]) -> Optional[Route]:

@@ -446,7 +446,10 @@ class OspfComputation:
       filter/rank memos and the host of their RPVP candidate engines;
     * the list of devices with static routes the FIB builder walks;
     * the reference plane (``reference_plane``): one PEC's failure-free data
-      plane, from which the FIB builder derives its failure planes.
+      plane, from which the FIB builder derives its failure planes;
+    * the BGP memo hosts (``bgp_memos``): one PEC's per-prefix memos of what
+      its eBGP sessions advertise and how routes rank, read by the BGP
+      instances of all its failure scenarios.
     """
 
     def __init__(self, network: NetworkConfig) -> None:
@@ -466,6 +469,12 @@ class OspfComputation:
         #: derived from (see ``PecExplorer.build_data_plane``).  The PEC
         #: object itself is held, so the memo cannot answer for another PEC.
         self.reference_plane: Optional[Tuple[object, object]] = None
+        #: ``(PEC, {BGP prefix: memo host})`` for the last PEC whose BGP
+        #: instances were built over this computation (see
+        #: ``PecExplorer.bgp_instance`` and ``BgpInstance``): what is filtered
+        #: and ranked alike under every failure scenario, filled once for all
+        #: of them.  Like ``reference_plane``, it holds the PEC object itself.
+        self.bgp_memos: Optional[Tuple[object, Dict[object, Dict]]] = None
 
     def shared_filter_caches(self, failure_key: FrozenSet[int]) -> Dict[str, Dict]:
         """Filter/rank memo dicts shared by all instances of one failure set.
@@ -597,8 +606,8 @@ class OspfComputation:
 
         Call it after mutating device configs: the compiled graph, every SPF
         table and what moved in it, the filter memos handed to OSPF
-        instances, the static-route device list and the reference plane are
-        rebuilt on next use.
+        instances, the static-route device list, the reference plane and the
+        BGP memo hosts are rebuilt on next use.
         """
         self._graph = None
         self._cache.clear()
@@ -607,3 +616,4 @@ class OspfComputation:
         self._filter_caches.clear()
         self._static_route_devices = None
         self.reference_plane = None
+        self.bgp_memos = None

@@ -14,9 +14,10 @@ converged states of a whole ≤ 1-failure run.
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ConfigBuilder, ebgp_rfc7938
-from repro.core.determinism import BgpDeterminism
+from repro.core.determinism import BgpDeterminism, NodeDecision
 from repro.core.network_model import DependencyContext, PecExplorer
 from repro.core.options import PlanktonOptions
+from repro.core.successors import CandidateEngine
 from repro.pec.classes import compute_pecs
 from repro.protocols.rpvp import RpvpState, initial_state, rpvp_successors
 from repro.netaddr import Prefix
@@ -54,16 +55,43 @@ def _bgp_instance(cut_off=None):
     return _CACHED[cut_off]
 
 
+def _oracle_future_rank(instance, node, state):
+    """The lowest session bound over ``node``'s undecided peers, from
+    ``peers`` and ``session_rank_bound`` directly (None when there is none)."""
+    bounds = [
+        instance.session_rank_bound(node, peer)
+        for peer in instance.peers(node)
+        if state.best(peer) is None
+    ]
+    return min((bound for bound in bounds if bound is not None), default=None)
+
+
 def _oracle_unstable(analyzer, state):
     """The naive scan: the original decisions_are_stable loop, node-for-node."""
     unstable = set()
     for node, route in state.items():
         if route is None:
             continue
-        future = analyzer._best_future_rank(node, state)
+        future = _oracle_future_rank(analyzer.instance, node, state)
         if future is not None and future < analyzer.instance.cached_rank(node, route):
             unstable.add(node)
     return frozenset(unstable)
+
+
+def _oracle_analyze(instance, state, candidates_of, defer):
+    """``BgpDeterminism.analyze`` with each node's rank read off its first
+    candidate by ``cached_rank`` and its future bound by a plain peer scan."""
+    tied = None
+    for node in sorted(candidates_of, key=lambda n: (n in defer, n)):
+        candidates = candidates_of[node]
+        future = _oracle_future_rank(instance, node, state)
+        if future is not None and future < instance.cached_rank(node, candidates[0][1]):
+            continue
+        if len(candidates) == 1:
+            return NodeDecision(kind="deterministic", node=node, candidates=(candidates[0],))
+        if tied is None:
+            tied = NodeDecision(kind="tied", node=node, candidates=tuple(candidates))
+    return tied or NodeDecision(kind="none")
 
 
 def _walk(instance, picks):
@@ -125,6 +153,77 @@ class TestStabilityAgainstScan:
         assert analyzer.unstable_nodes(fresh) == _oracle_unstable(analyzer, fresh)
 
 
+def _grid_states():
+    """(instance, every state the raw RPVP semantics reach) of a 3x3 grid of
+    one-router ASes, failure-free and under each single failure."""
+    if "grid" not in _CACHED:
+        topology = grid(3, 3)
+        builder = ConfigBuilder(topology)
+        for index, name in enumerate(topology.nodes):
+            builder.enable_bgp(name, 65000 + index, [Prefix("10.0.0.0/24")] if index == 0 else [])
+        for link in topology.links:
+            builder.bgp_session(link.a, link.b)
+        network = builder.build()
+        (pec,) = [pec for pec in compute_pecs(network) if pec.has_bgp()]
+        reached = []
+        for failure in enumerate_failure_scenarios(topology, 1):
+            instance = PecExplorer(
+                network, pec, failure, PlanktonOptions(), dependency_context=DependencyContext()
+            ).bgp_instance(Prefix("10.0.0.0/24"))
+            frontier, seen = [initial_state(instance)], {}
+            while frontier:
+                state = frontier.pop()
+                if state in seen:
+                    continue
+                seen[state] = None
+                frontier.extend(child for _step, child in rpvp_successors(instance, state))
+            reached.append((instance, list(seen)))
+        _CACHED["grid"] = reached
+    return _CACHED["grid"]
+
+
+class TestAnalyzeReadsTheCandidateRanks:
+    """``analyze`` takes each node's rank from the candidate sets
+    (``best_rank``) and its future bound from the per-task sorted table; the
+    decision is the one the ``cached_rank`` form over a plain peer scan
+    takes."""
+
+    @given(
+        picks=picks,
+        cut_off=st.sampled_from([None, "edge1_0", "edge2_1"]),
+        deferred=st.lists(st.integers(min_value=0, max_value=19), max_size=4),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_every_state_of_a_walk(self, picks, cut_off, deferred):
+        instance = _bgp_instance(cut_off)
+        analyzer = BgpDeterminism(instance)
+        engine = CandidateEngine(instance)
+        nodes = sorted(instance.nodes())
+        defer = {nodes[index % len(nodes)] for index in deferred}
+        decided = 0
+        for state in _walk(instance, picks):
+            cache = engine.candidates(state)
+            decision = analyzer.analyze(state, cache.updates, cache.best_rank, defer=defer)
+            assert decision == _oracle_analyze(instance, state, cache.updates, defer)
+            decided += decision.kind != "none"
+        assert decided or not picks
+
+    def test_every_state_of_a_grid(self):
+        """Where sessions differ in their bounds and decisions can be
+        overturned (see ``TestUndecidedSlotScan``), deferring the grid's far
+        corner as a policy source would."""
+        kinds, corner = set(), {"g2_2"}
+        for instance, states in _grid_states():
+            analyzer = BgpDeterminism(instance)
+            engine = CandidateEngine(instance)
+            for state in states:
+                cache = engine.candidates(state)
+                decision = analyzer.analyze(state, cache.updates, cache.best_rank, defer=corner)
+                assert decision == _oracle_analyze(instance, state, cache.updates, corner)
+                kinds.add(decision.kind)
+        assert kinds == {"deterministic", "tied", "none"}
+
+
 class TestUndecidedSlotScan:
     """``_scan_unstable`` (undecided slots -> their readers) against the
     all-nodes loop, where the reader sets are not empty."""
@@ -181,29 +280,12 @@ class TestUndecidedSlotScan:
         take a long way round while the short way's neighbour is still
         undecided: every state the raw RPVP semantics reach, failure-free and
         under each single failure, with the unstable sets really non-empty."""
-        topology = grid(3, 3)
-        builder = ConfigBuilder(topology)
-        for index, name in enumerate(topology.nodes):
-            builder.enable_bgp(name, 65000 + index, [Prefix("10.0.0.0/24")] if index == 0 else [])
-        for link in topology.links:
-            builder.bgp_session(link.a, link.b)
-        network = builder.build()
-        (pec,) = [pec for pec in compute_pecs(network) if pec.has_bgp()]
         states_seen = unstable_seen = 0
-        for failure in enumerate_failure_scenarios(topology, 1):
-            instance = PecExplorer(
-                network, pec, failure, PlanktonOptions(), dependency_context=DependencyContext()
-            ).bgp_instance(Prefix("10.0.0.0/24"))
+        for instance, states in _grid_states():
             analyzer = BgpDeterminism(instance)
-            frontier, seen = [initial_state(instance)], set()
-            while frontier:
-                state = frontier.pop()
-                if state in seen:
-                    continue
-                seen.add(state)
+            for state in states:
                 oracle = _oracle_unstable(analyzer, state)
                 assert analyzer._scan_unstable(state) == oracle
                 unstable_seen += bool(oracle)
-                frontier.extend(child for _step, child in rpvp_successors(instance, state))
-            states_seen += len(seen)
+            states_seen += len(states)
         assert states_seen > 2000 and unstable_seen > 200

@@ -12,12 +12,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import OptimizationFlags, Plankton, PlanktonOptions
-from repro.config import ebgp_rfc7938, ospf_everywhere
+from repro.config import ebgp_rfc7938, ibgp_over_ospf, ospf_everywhere
 from repro.config.builder import edge_prefix
-from repro.config.objects import OspfInterface
+from repro.config.objects import (
+    MatchConditions,
+    OspfInterface,
+    RouteMap,
+    RouteMapClause,
+    SetActions,
+)
 from repro.core.determinism import BgpDeterminism, OspfDeterminism
 from repro.core.network_model import DependencyContext, PecExplorer
 from repro.core.successors import CandidateEngine, CandidateSets
+from repro.incremental.service import result_signature_digest
 from repro.modelcheck.hashing import ZobristFingerprinter
 from repro.netaddr import Prefix
 from repro.pec.classes import compute_pecs
@@ -26,7 +33,7 @@ from repro.protocols.base import Path, PathVectorInstance, Route
 from repro.protocols.ospf_instance import OspfInstance
 from repro.protocols.interning import node_space_for
 from repro.protocols.rpvp import RpvpState, initial_state, rpvp_successors
-from repro.topology import Topology, bgp_fat_tree, fat_tree
+from repro.topology import Topology, bgp_fat_tree, fat_tree, rocketfuel_like
 from repro.topology.failures import FailureScenario
 
 from tests.oracles.ospf_reference import reference_adjacency
@@ -644,3 +651,200 @@ class TestEngineMemoLifetime:
         # ... and the kept entries were read: every search expanded its 20 states.
         searched = [run.statistics.states_expanded for run in result.pec_runs if run.statistics]
         assert [count for count in searched if count] == [20, 20, 20]
+
+
+# --------------------------------------------------------------------------- BGP memos
+#: The two racks the drawn fabrics are checked for (two PECs, so the shared
+#: runs also hand the memo host from one PEC to the next).
+_RACKS = ((0, 0), (2, 1))
+_TAG = "65535:7"
+
+
+@st.composite
+def fabrics_with_import_clauses(draw):
+    """The eBGP k=4 fabric with import maps on one to three drawn sessions,
+    each a local-pref, a deny of one rack's prefix, or a local-pref on the
+    routes a rack's export map tags with a community."""
+    network = ebgp_rfc7938(bgp_fat_tree(4))
+    sessions = sorted(
+        (name, session.peer)
+        for name, config in network.devices.items()
+        for session in config.bgp.neighbors
+    )
+    drawn = draw(st.lists(st.sampled_from(sessions), min_size=1, max_size=3, unique=True))
+    for position, (importer, exporter) in enumerate(drawn):
+        kind = draw(st.sampled_from(["local-pref", "deny", "community"]))
+        pod, index = draw(st.sampled_from(_RACKS))
+        set_local_pref = SetActions(local_preference=draw(st.sampled_from([50, 150, 300])))
+        if kind == "deny":
+            first = RouteMapClause(
+                10, permit=False, match=MatchConditions(prefixes=[edge_prefix(pod, index)])
+            )
+        elif kind == "community":
+            export = network.device(f"edge{pod}_{index}").route_maps["EXPORT_OWN"]
+            export.clauses[0].actions.add_communities.append(_TAG)
+            first = RouteMapClause(
+                10, match=MatchConditions(communities=[_TAG]), actions=set_local_pref
+            )
+        else:
+            first = RouteMapClause(10, actions=set_local_pref)
+        name = f"IMPORT_{position}"
+        network.device(importer).route_maps[name] = RouteMap(name, [first, RouteMapClause(20)])
+        network.device(importer).bgp.neighbor(exporter).import_map = name
+    return network
+
+
+def _ibgp_network():
+    """iBGP with two route reflectors over OSPF on a 12-router AS topology:
+    the network on which sharing the iBGP memos as well explores 338 states
+    under one failure instead of 335."""
+    topology = rocketfuel_like("AS1221", size=12, seed=3)
+    egress = sorted(topology.nodes)[0]
+    reflectors = topology.nodes_by_role("backbone")[:2]
+    return ibgp_over_ospf(
+        topology, {egress: Prefix("200.0.0.0/16")}, route_reflectors=reflectors
+    )
+
+
+def _fresh_host_per_task(monkeypatch):
+    """The oracle: every BGP instance gets a memo host of its own, as if no
+    failure scenario of its PEC had run before."""
+    build = PecExplorer.bgp_instance
+
+    def fresh(explorer, prefix):
+        explorer.ospf.bgp_memos = None
+        return build(explorer, prefix)
+
+    monkeypatch.setattr(PecExplorer, "bgp_instance", fresh)
+
+
+def _shared_and_oracle(monkeypatch, network, policy, options):
+    shared = Plankton(network, options).verify(policy)
+    with monkeypatch.context() as patched:
+        _fresh_host_per_task(patched)
+        oracle = Plankton(network, options).verify(policy)
+    return shared, oracle
+
+
+def _bgp_instance_of(plankton, pec, failed=()):
+    explorer = PecExplorer(
+        plankton.network,
+        pec,
+        FailureScenario.of(list(failed)),
+        plankton.options,
+        dependency_context=DependencyContext(),
+        ospf_computation=plankton.ospf_computation,
+    )
+    return explorer.bgp_instance(next(prefix for prefix, devices in pec.bgp_origins if devices))
+
+
+class TestBgpMemosAcrossFailures:
+    """The failure tasks of one BGP PEC share one memo host: what an eBGP
+    session advertises is filtered and ranked once for all of them, while
+    iBGP advertisements, which read the IGP cost a failure moves, stay private
+    to the task.  Pinned against a fresh host per task, by count, and by
+    lifetime."""
+
+    OPTIONS = PlanktonOptions(
+        max_failures=2, stop_at_first_violation=False, max_states_per_pec=20_000
+    )
+
+    @given(network=fabrics_with_import_clauses())
+    @settings(max_examples=4, deadline=None)
+    def test_drawn_import_maps_explore_like_fresh_hosts(self, network):
+        policy = [LoopFreedom(edge_prefix(pod, index)) for pod, index in _RACKS]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            shared, oracle = _shared_and_oracle(monkeypatch, network, policy, self.OPTIONS)
+        assert len(shared.pec_runs) == 2 * 56
+        assert _stats_signature(shared) == _stats_signature(oracle)
+        assert result_signature_digest(shared) == result_signature_digest(oracle)
+
+    @pytest.mark.parametrize("failures", [1, 2])
+    def test_ibgp_memos_stay_private_to_the_task(self, failures, monkeypatch):
+        policy = Reachability(
+            destination_prefix=Prefix("200.0.0.0/16"), require_all_branches=False
+        )
+        options = PlanktonOptions(max_failures=failures, stop_at_first_violation=False)
+        shared, oracle = _shared_and_oracle(monkeypatch, _ibgp_network(), policy, options)
+        assert _stats_signature(shared) == _stats_signature(oracle)
+        assert result_signature_digest(shared) == result_signature_digest(oracle)
+
+    def test_each_advertisement_is_filtered_and_ranked_once(self, monkeypatch):
+        """A count, not a clock: no (prefix, session, route) is missed twice."""
+        keys, calls = set(), []
+        miss = CandidateEngine._miss
+
+        def counted(engine, node, peer, route_id, memo):
+            calls.append(route_id)
+            keys.add((engine.instance.prefix, node, peer, engine._table.route(route_id)))
+            return miss(engine, node, peer, route_id, memo)
+
+        monkeypatch.setattr(CandidateEngine, "_miss", counted)
+        network = ebgp_rfc7938(bgp_fat_tree(4))
+        options = PlanktonOptions(max_failures=2, stop_at_first_violation=False)
+        result = Plankton(network, options).verify(LoopFreedom())
+        assert result.holds and len(result.pec_runs) == 8 * 56
+        assert len(calls) <= len(keys)
+
+    def test_a_task_of_another_pec_replaces_the_host(self):
+        plankton = Plankton(ebgp_rfc7938(bgp_fat_tree(4)))
+        first, second = [pec for pec in plankton.pecs if pec.has_bgp()][:2]
+        link = plankton.network.topology.links[0].link_id
+        computation = plankton.ospf_computation
+        a = _bgp_instance_of(plankton, first)
+        kept = computation.bgp_memos
+        assert kept[0] is first
+        b = _bgp_instance_of(plankton, first, [link])
+        assert computation.bgp_memos is kept
+        edges = set(a._engine_host["adv_edge"]) & set(b._engine_host["adv_edge"])
+        assert edges and all(
+            a._engine_host["adv_edge"][edge] is b._engine_host["adv_edge"][edge] for edge in edges
+        )
+        assert a._rank_cache is b._rank_cache
+        c = _bgp_instance_of(plankton, second)
+        assert computation.bgp_memos[0] is second
+        assert all(
+            a._engine_host["adv_edge"][edge] is not c._engine_host["adv_edge"][edge]
+            for edge in edges
+        )
+        assert a._rank_cache is not c._rank_cache
+
+    def test_ibgp_sessions_have_no_shared_memo(self):
+        plankton = Plankton(_ibgp_network())
+        (pec,) = [pec for pec in plankton.pecs if pec.has_bgp()]
+        instance = _bgp_instance_of(plankton, pec)
+        assert any(instance.peers(node) for node in instance.nodes())
+        assert instance._engine_host["adv_edge"] == {}
+
+    def test_clear_cache_drops_the_host(self):
+        plankton = Plankton(ebgp_rfc7938(bgp_fat_tree(4)))
+        pec = next(pec for pec in plankton.pecs if pec.has_bgp())
+        before = _bgp_instance_of(plankton, pec)
+        plankton.ospf_computation.clear_cache()
+        assert plankton.ospf_computation.bgp_memos is None
+        after = _bgp_instance_of(plankton, pec)
+        assert after._rank_cache is not before._rank_cache
+        assert all(
+            memo is not before._engine_host["adv_edge"][edge]
+            for edge, memo in after._engine_host["adv_edge"].items()
+        )
+
+    def test_an_edited_local_pref_answers_like_a_fresh_verifier(self):
+        """An import map's local-pref edited in place, then ``clear_cache``:
+        the next verify is a fresh verifier's, not the memos' of the old
+        configuration."""
+        network = ebgp_rfc7938(bgp_fat_tree(4))
+        clause = RouteMapClause(10, actions=SetActions(local_preference=100))
+        network.device("agg0_0").route_maps["PREFER"] = RouteMap("PREFER", [clause])
+        network.device("agg0_0").bgp.neighbor("core0").import_map = "PREFER"
+        policy = LoopFreedom(edge_prefix(2, 1))
+        options = PlanktonOptions(max_failures=1, stop_at_first_violation=False)
+        plankton = Plankton(network, options)
+        before = plankton.verify(policy)
+        clause.actions.local_preference = 150
+        plankton.ospf_computation.clear_cache()
+        after = plankton.verify(policy)
+        fresh = Plankton(network, options).verify(policy)
+        assert result_signature_digest(before) != result_signature_digest(fresh)
+        assert result_signature_digest(after) == result_signature_digest(fresh)
+        assert _stats_signature(after) == _stats_signature(fresh)

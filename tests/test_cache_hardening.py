@@ -8,6 +8,7 @@ corruption here comes from :func:`repro.engine.faults.corrupt_cache_file` —
 the same seeded harness the engine fault tests use.
 """
 
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -20,11 +21,19 @@ import time
 import pytest
 
 from repro.config import ebgp_rfc7938
-from repro.core.options import PlanktonOptions
+from repro.core.options import OptimizationFlags, PlanktonOptions
 from repro.engine.faults import corrupt_cache_file
 from repro.incremental import IncrementalVerifier, ResultCache, result_signature
 from repro.exceptions import VerificationError
-from repro.incremental.cache import CACHE_SCHEMA_VERSION, _object_tokens, _seal
+from repro.incremental.cache import (
+    CACHE_SCHEMA_VERSION,
+    EXECUTION_ONLY_OPTIONS,
+    KEYED_OPTIONS,
+    _object_tokens,
+    _options_token,
+    _seal,
+    transient_fingerprint,
+)
 from repro.netaddr import Prefix
 from repro.policies import LoopFreedom
 from repro.topology import bgp_fat_tree
@@ -494,6 +503,75 @@ class TestAddressFreeKeys:
         classes = {type(value) for value in objects}
         assert len(classes) == len(objects)
         assert len(_object_tokens(objects)) == len(objects)
+
+
+class TestKeyByExclusion:
+    """Every option field is either keyed or declared execution-only, so a
+    new field cannot silently stay out of the key: here it fails until it is
+    put in one of the two sets (:mod:`repro.incremental.cache`)."""
+
+    #: A value other than the default for every execution-only field.
+    EXECUTION_ONLY = {
+        "cores": 2,
+        "backend": "serial",
+        "task_timeout": 5.0,
+        "task_retries": 0,
+        "retry_backoff": 0.5,
+        "retry_backoff_cap": 9.0,
+        "max_pool_rebuilds": 0,
+    }
+    #: ... and for every keyed one.
+    KEYED = {
+        "max_failures": 1,
+        "optimizations": OptimizationFlags().without(deterministic_nodes=True),
+        "stop_at_first_violation": False,
+        "max_states_per_pec": 5,
+        "max_seconds_per_pec": 1.0,
+        "fast_ospf": False,
+        "bitstate_bits": 1 << 10,
+        "keep_data_planes": True,
+    }
+    #: A TransientOptions has no execution-only field: every one is keyed.
+    TRANSIENT = {
+        "max_states": 7,
+        "max_depth": 3,
+        "stop_at_first_violation": False,
+        "collect_converged": True,
+        "por": "full",
+        "frontier": "priority",
+        "minimize_witnesses": True,
+        "scenario_events": 1,
+        "scenario_kinds": ("crash",),
+    }
+
+    def test_every_engine_option_is_in_exactly_one_set(self):
+        names = {field.name for field in dataclasses.fields(PlanktonOptions)}
+        keyed = set(KEYED_OPTIONS)
+        assert len(keyed) == len(KEYED_OPTIONS)
+        assert not keyed & EXECUTION_ONLY_OPTIONS
+        assert keyed | EXECUTION_ONLY_OPTIONS == names
+        assert set(self.KEYED) == keyed and set(self.EXECUTION_ONLY) == EXECUTION_ONLY_OPTIONS
+
+    def test_only_the_keyed_options_move_the_key(self):
+        default = _options_token(PlanktonOptions())
+        for name, value in self.EXECUTION_ONLY.items():
+            assert _options_token(PlanktonOptions(**{name: value})) == default, name
+        for name, value in self.KEYED.items():
+            assert _options_token(PlanktonOptions(**{name: value})) != default, name
+
+    def test_every_transient_option_moves_the_key(self):
+        from repro.transient.explorer import TransientOptions, TransientTaskConfig
+
+        names = {field.name for field in dataclasses.fields(TransientOptions)}
+        assert set(self.TRANSIENT) == names
+
+        def key(**changed):
+            config = TransientTaskConfig(properties=(), options=TransientOptions(**changed))
+            return transient_fingerprint("base", config, PlanktonOptions(), ())
+
+        default = key()
+        for name, value in self.TRANSIENT.items():
+            assert key(**{name: value}) != default, name
 
 
 class TestConcurrentWriters:

@@ -195,20 +195,22 @@ def test_memo_count_floor(reporter, monkeypatch):
         assignments.add((state.best_key(), converged))
         return check_state(analyzer, state, converged, *rest)
 
+    analysed = [None]
+
     def counted_active_nodes(selector, state, pending):
         channels[0] += len(pending)
+        analysed[0] = state
         return active_nodes(selector, state, pending)
 
-    def counted_message_is_dangerous(selector, state, receiver, sender, message, best):
+    def counted_message_is_dangerous(selector, receiver, rib_slot, message, best_id, backing):
         danger_calls[0] += 1
         space = selector.space
-        rib_in = state._ids[space.rib_slot[(receiver, sender)]]
-        best_id = state._ids[space.best_slot[receiver]]
-        queue = state._ids[space.channel_slot[(sender, receiver)]]
+        _receiver, sender = space.sessions[rib_slot - len(space.nodes)]
+        queue = analysed[0]._ids[space.channel_slot[(sender, receiver)]]
         # A queue of several messages is walked until one is dangerous, so a
         # key owns up to len(queue) evaluations - each made once.
-        danger_evaluations.add((receiver, sender, queue, best_id, rib_in == best_id, message))
-        return message_is_dangerous(selector, state, receiver, sender, message, best)
+        danger_evaluations.add((receiver, sender, queue, best_id, backing, message))
+        return message_is_dangerous(selector, receiver, rib_slot, message, best_id, backing)
 
     monkeypatch.setattr(TransientAnalyzer, "_check_state", counted_check_state)
     monkeypatch.setattr(AmpleSelector, "active_nodes", counted_active_nodes)

@@ -76,7 +76,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 # what its sub-command runs, so ``pecs`` loads no engine, the ``--server``
 # client no verifier, and ``--version`` nothing at all.
 from repro import __version__
-from repro.core.options import BACKEND_CHOICES
+from repro.core.options import (
+    BACKEND_CHOICES,
+    FRONTIER_MODES,
+    POLICY_KINDS,
+    POR_MODES,
+    TRANSIENT_PROPERTIES,
+)
 from repro.exceptions import ReproError, ServerProtocolError, ServiceUnavailable
 # EXIT_HOLDS / EXIT_VIOLATION / EXIT_ERROR are re-exported: callers import them from here.
 from repro.reporting import (
@@ -495,20 +501,7 @@ def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_policy_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--policy",
-        required=True,
-        choices=[
-            "reachability",
-            "loop",
-            "blackhole",
-            "waypoint",
-            "segmentation",
-            "bounded-path-length",
-            "multipath-consistency",
-            "path-consistency",
-        ],
-    )
+    parser.add_argument("--policy", required=True, choices=list(POLICY_KINDS))
     parser.add_argument("--sources", help="comma-separated source devices")
     parser.add_argument("--waypoints", help="comma-separated waypoint devices")
     parser.add_argument("--protected", help="comma-separated protected devices (segmentation)")
@@ -598,11 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_arguments(verify)
     _add_policy_arguments(verify)
     _add_engine_arguments(verify)
-    verify.add_argument(
-        "--no-optimizations",
-        action="store_true",
-        help="disable the §4 optimizations (naive model checking; for ablation only)",
-    )
     verify.set_defaults(handler=_cmd_single_request)
 
     diff_verify = subparsers.add_parser(
@@ -616,12 +604,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_policy_arguments(diff_verify)
     _add_engine_arguments(diff_verify)
-    diff_verify.add_argument(
-        "--no-optimizations",
-        action="store_true",
-        help="disable the §4 optimizations (naive model checking; for ablation only)",
-    )
     diff_verify.set_defaults(handler=_cmd_diff_verify)
+    for command in (verify, diff_verify):
+        command.add_argument(
+            "--no-optimizations",
+            action="store_true",
+            help="disable the §4 optimizations (naive model checking; for ablation only)",
+        )
 
     transient = subparsers.add_parser(
         "transient",
@@ -630,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_arguments(transient)
     transient.add_argument(
         "--property",
-        choices=["loop", "blackhole"],
+        choices=list(TRANSIENT_PROPERTIES),
         default="loop",
         help="transient property to check (default: loop)",
     )
@@ -653,13 +642,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     transient.add_argument(
         "--por",
-        choices=["ample", "sleep", "full"],
+        choices=list(POR_MODES),
         default="ample",
         help="partial-order reduction mode (full = unreduced oracle)",
     )
     transient.add_argument(
         "--frontier",
-        choices=["fifo", "priority"],
+        choices=list(FRONTIER_MODES),
         default="fifo",
         help="exploration order (priority drains convergence chains first)",
     )

@@ -268,21 +268,19 @@ class PecExplorer:
         """The BGP instance for ``prefix`` under this failure scenario.
 
         Its memo host is the PEC's, kept on the shared
-        :class:`OspfComputation` (``bgp_memos``, one PEC at a time, keyed by
-        the PEC object): the failure tasks of one PEC run back to back in the
+        :class:`OspfComputation` (:meth:`~OspfComputation.pec_memos`, one PEC
+        at a time): the failure tasks of one PEC run back to back in the
         independent expansion, and each eBGP advertisement is filtered and
         ranked once for all of them.  A task of another PEC replaces it.
         """
-        kept = self.ospf.bgp_memos
-        if kept is None or kept[0] is not self.pec:
-            kept = self.ospf.bgp_memos = (self.pec, {})
+        hosts = self.ospf.pec_memos(self.pec).setdefault("bgp", {})
         return BgpInstance(
             self.network,
             prefix,
             failed_links=self._failed_links(),
             session_up=self._ibgp_session_up,
             igp_cost=self._igp_cost,
-            memo_host=kept[1].setdefault(prefix, {}),
+            memo_host=hosts.setdefault(prefix, {}),
         )
 
     def ospf_instance(self, prefix: Prefix) -> OspfInstance:
@@ -562,10 +560,11 @@ class PecExplorer:
         * Without (a PEC without BGP has one plane per task), the failure-free
           task's plane is built from scratch and its snapshot kept on the
           shared :class:`OspfComputation` as the PEC's reference
-          (``reference_plane``).  A failure task of the same PEC derives its
-          plane from it, rebuilding the devices whose SPF entry the failure
-          moved (:meth:`OspfComputation.moved`) and every static-route device
-          (static routes read the failed links and the task's dependencies).
+          (``pec_memos(pec)["reference_plane"]``).  A failure task of the
+          same PEC derives its plane from it, rebuilding the devices whose
+          SPF entry the failure moved (:meth:`OspfComputation.moved`) and
+          every static-route device (static routes read the failed links and
+          the task's dependencies).
           On a miss — another PEC's reference, or none — it builds from
           scratch and keeps nothing.
 
@@ -582,17 +581,17 @@ class PecExplorer:
         states = list(live.values())
         failed = self._plane_inputs.failed
         reference = self._reference
-        kept = self.ospf.reference_plane
+        kept = self.ospf.pec_memos(self.pec).get("reference_plane") if failed and not live else None
         if (
             reference is not None
             and reference.prefixes == tuple(live)
             and all(state.intern_table is reference.table for state in states)
         ):
             data_plane = self._route_derived_plane(reference, live)
-        elif not live and failed and kept is not None and kept[0] is self.pec:
-            base, moved = kept[1], self._moved_devices()
+        elif kept is not None:
+            moved = self._moved_devices()
             data_plane = self._derived_plane(
-                base, dict(base.fibs), tuple(sorted(moved)), moved, live
+                kept, dict(kept.fibs), tuple(sorted(moved)), moved, live
             )
         else:
             data_plane = DataPlane(self.network.topology.nodes, pec_range=self.pec.address_range)
@@ -610,7 +609,7 @@ class PecExplorer:
                     plane=self._snapshot(data_plane),
                 )
             elif not live and not failed:
-                self.ospf.reference_plane = (self.pec, self._snapshot(data_plane))
+                self.ospf.pec_memos(self.pec)["reference_plane"] = self._snapshot(data_plane)
         data_plane.annotations["failure"] = self._plane_inputs.failure_text
         return data_plane, _ControlPlane(states)
 

@@ -13,6 +13,30 @@ from typing import Optional
 #: (the implementations live in :mod:`repro.engine.backends`).
 BACKEND_CHOICES = ("auto", "serial", "process")
 
+#: Policy kinds of ``--policy`` and of a request's policy spec
+#: (:func:`repro.serve.specs.policy_from_spec` builds them).
+POLICY_KINDS = (
+    "reachability",
+    "loop",
+    "blackhole",
+    "waypoint",
+    "segmentation",
+    "bounded-path-length",
+    "multipath-consistency",
+    "path-consistency",
+)
+
+#: Transient properties of ``--property`` and of a transient spec
+#: (:func:`repro.serve.specs.transient_property_from_spec`).
+TRANSIENT_PROPERTIES = ("loop", "blackhole")
+
+#: Accepted values of :attr:`repro.transient.TransientOptions.por` and ``--por``.
+POR_MODES = ("ample", "sleep", "full")
+
+#: Accepted values of :attr:`repro.transient.TransientOptions.frontier` and
+#: ``--frontier``.
+FRONTIER_MODES = ("fifo", "priority")
+
 
 @dataclass(frozen=True)
 class OptimizationFlags:
@@ -112,8 +136,9 @@ class PlanktonOptions:
 
     #: Wall-clock deadline per task attempt, in seconds (None = no deadline).
     #: The process backend enforces it preemptively (a hung worker is killed
-    #: and the pool rebuilt); the serial backend enforces it cooperatively
-    #: between exploration steps.
+    #: and the pool rebuilt); the serial backend enforces it cooperatively,
+    #: polling it before each upstream-outcome combination of a task and
+    #: before each run of a transient task — never inside one search.
     task_timeout: Optional[float] = None
     #: How many times a failed or timed-out task is retried before the
     #: supervisor records a structured per-task failure

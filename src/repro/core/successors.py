@@ -37,7 +37,7 @@ The memos live in a *host*, of one of three kinds, all compiled by the one
 * an **OSPF host**, per failure set (``OspfComputation.
   shared_filter_caches``): the rows and the memos, shared by every PEC's
   engine under that failure set;
-* a **BGP host**, per PEC and prefix (``OspfComputation.bgp_memos``): only
+* a **BGP host**, per PEC and prefix (``OspfComputation.pec_memos``): only
   the memos of the eBGP sessions, shared by the engines of the PEC's failure
   scenarios.  An eBGP advertisement reads two route maps, the prefix and the
   route, none of which a failure changes; an iBGP import reads the IGP cost,

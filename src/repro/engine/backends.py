@@ -107,8 +107,10 @@ class SerialBackend(ExecutionBackend):
     failure (its dependents with it) instead of raising.  Each attempt is
     numbered from the ledger's count, so a task the pool already charged
     continues where it was.  Deadlines are cooperative here — they are
-    polled between exploration steps, so a task hung inside non-cooperative
-    code needs the process backend's preemptive enforcement.
+    polled before each upstream-outcome combination of a task and before
+    each run of a transient task, never inside one search — so a task that
+    overruns inside one search, or hangs in non-cooperative code, needs the
+    process backend's preemptive enforcement.
 
     Because the walk only ever looks at the ledger, it is also how the
     process backend finishes: after a crash-budget or pickling fallback,

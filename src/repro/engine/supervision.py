@@ -12,8 +12,12 @@ are identical on both sides of a process boundary through this module:
   :meth:`~repro.engine.aggregator.ResultAggregator.charge` applies it;
 * :func:`run_task_guarded` — one task attempt with fault-injection hooks,
   exception capture into :class:`~repro.engine.graph.TaskError`, and
-  cooperative deadline accounting (used by the serial backend in-process
-  and by the pool workers via :func:`repro.engine.worker.run_task_batch_in_worker`);
+  cooperative deadline accounting: the deadline is folded into the task's
+  cancellation callback, which :func:`repro.engine.worker.execute_task`
+  polls before each upstream-outcome combination and
+  :func:`repro.transient.explorer.execute_transient_task` before each run,
+  never inside one search (used by the serial backend in-process and by the
+  pool workers via :func:`repro.engine.worker.run_task_batch_in_worker`);
 * :func:`task_failure_from` / :func:`upstream_failure` — the structured
   :class:`~repro.core.results.TaskFailure` record of an exhausted task and
   the error its dependents are recorded with;

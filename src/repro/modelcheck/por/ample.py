@@ -78,15 +78,22 @@ class AmpleSelector:
     session_rank_bound` proves no route importable over that session can
     *strictly* outrank ``d``'s current best — and the session is not the one
     backing that best (``best.path.head``), so neither a better route nor a
-    dislodging withdrawal can arrive over it.  ``reduction`` receives the
-    ``rank_immune_sessions`` tally when provided: per state, the sessions
+    dislodging withdrawal can arrive over it.  ``reduction`` — the ledger of
+    the run in progress, which an analyzer keeping the selector across runs
+    sets per run — receives the ``rank_immune_sessions`` tally when
+    provided: per state, the sessions
     leading from an active node to a receiver the closure left inactive —
     a function of the active set, so no traversal order enters it.
 
     A search visits many interleavings of few distinct routes, so each
-    analysis is a look-up on the exact interned ids it is a function of,
-    in memos that live and die with the selector (keys are id tuples and id
-    bytes, never fingerprints — a hit cannot be a collision):
+    analysis is a look-up on the exact interned ids it is a function of
+    (keys are id tuples and id bytes, never fingerprints — a hit cannot be
+    a collision).  The import and rank of a route are the instance's
+    transfer memos on its slot layout (:func:`~repro.protocols.spvp.
+    space_for`), the ones every stepper over the instance fills; the
+    analyses themselves are memoised on the selector, which a
+    :class:`~repro.transient.explorer.TransientAnalyzer` builds once and
+    keeps for all of its runs:
 
     * rank immunity on ``(receiver, sender, receiver's best id)``;
     * the danger verdict of a pending channel on ``(rib slot, queue id,
@@ -122,7 +129,6 @@ class AmpleSelector:
         #: decided per state in :meth:`frozen_nodes_of`, not at construction.
         origins = tuple(instance.origins())
         self._solo_origin = origins[0] if len(origins) == 1 else None
-        self._solo_origin_rid: Optional[int] = None
         #: (receiver, sender, best route id) -> immunity verdict.  Keyed on
         #: the intern id of the receiver's best route, so across the search
         #: the rank comparison runs once per distinct (session, best) pair.
@@ -161,11 +167,8 @@ class AmpleSelector:
         origin = self._solo_origin
         if origin is None:
             return frozenset()
-        rid = self._solo_origin_rid
-        if rid is None:
-            rid = self.space.table.route_id(self.instance.origin_route(origin))
-            self._solo_origin_rid = rid
-        if state._ids[self.space.best_slot[origin]] == rid:
+        space = self.space
+        if state._ids[space.best_slot[origin]] == space.origin_id(origin):
             return frozenset((origin,))
         return frozenset()
 
@@ -180,7 +183,8 @@ class AmpleSelector:
         incumbent — on ties Appendix A keeps the incumbent, so "no better"
         suffices.
         """
-        best_rid = state._ids[self.space.best_slot[receiver]]
+        space = self.space
+        best_rid = state._ids[space.best_slot[receiver]]
         if not best_rid:
             return False
         key = (receiver, sender, best_rid)
@@ -189,49 +193,39 @@ class AmpleSelector:
             return cached
         result = False
         bound = self.instance.session_rank_bound(receiver, sender)
-        if bound is not None:
-            best = self.space.table.route(best_rid)
-            if best.path.head != sender:
-                result = not (bound < self.instance.cached_rank(receiver, best))
+        if bound is not None and space.table.route(best_rid).path.head != sender:
+            result = not (bound < space.rank_of(receiver, best_rid))
         self._immune_memo[key] = result
         return result
 
     # ------------------------------------------------------------------ danger analysis
     def _message_is_dangerous(
-        self,
-        state: SpvpState,
-        receiver: str,
-        sender: str,
-        message,
-        best,
+        self, receiver: str, rib_slot: int, message_rid: int, best_rid: int, backing: bool
     ) -> bool:
-        """Whether delivering ``message`` could change ``receiver``'s best path."""
-        instance = self.instance
-        imported = (
-            None
-            if message is None
-            else instance.cached_import(receiver, sender, message)
-        )
-        if imported is not None and imported.path.contains(receiver):
-            imported = None
-        if best is None:
-            if receiver in self.space.origin_set:
+        """Whether delivering the advertisement ``message_rid`` over the
+        session of ``rib_slot`` could change ``receiver``'s best route
+        ``best_rid``; ``backing`` says whether that session's rib-in entry
+        currently holds the best route."""
+        space = self.space
+        imported_rid = space.import_id(rib_slot, message_rid)
+        if not best_rid:
+            if receiver in space.origin_set:
                 # A routeless origin (post-crash) re-selects its origin route
                 # on *any* delivery — even a loop-rejected one — because the
                 # selection rule always includes the local origin candidate.
                 return True
             # A routeless receiver acquires a best path from any accepted route.
-            return imported is not None
-        if imported == best:
+            return imported_rid != 0
+        if imported_rid == best_rid:
             # Rewrites (or re-establishes) a holder slot with the incumbent.
             return False
-        if state.rib_in_of(receiver, sender) == best:
+        if backing:
             # Withdraws or overwrites a rib-in slot backing the incumbent.
             return True
-        if imported is None:
+        if not imported_rid:
             # Withdrawal of a non-backing rib-in entry: the incumbent stays.
             return False
-        return instance.cached_rank(receiver, imported) < instance.cached_rank(receiver, best)
+        return space.rank_of(receiver, imported_rid) < space.rank_of(receiver, best_rid)
 
     def active_nodes(
         self, state: SpvpState, pending: Sequence[Channel]
@@ -251,15 +245,15 @@ class AmpleSelector:
             if receiver in dangerous or receiver in frozen:
                 continue
             best_rid = ids[best_slot]
-            key = (rib_slot, ids[channel_slot], best_rid, ids[rib_slot] == best_rid)
+            queue_id = ids[channel_slot]
+            backing = ids[rib_slot] == best_rid
+            key = (rib_slot, queue_id, best_rid, backing)
             verdict = danger_memo.get(key)
             if verdict is None:
-                best = self.space.table.route(best_rid)
-                verdict = any(
-                    self._message_is_dangerous(state, receiver, channel[0], message, best)
-                    for message in state.buffer_of(channel)
+                verdict = danger_memo[key] = any(
+                    self._message_is_dangerous(receiver, rib_slot, rid, best_rid, backing)
+                    for rid in self.space.table.queue(queue_id)
                 )
-                danger_memo[key] = verdict
             if verdict:
                 dangerous.add(receiver)
         closure_key = (state.best_key(), frozenset(dangerous))

@@ -257,33 +257,6 @@ class PathVectorInstance(abc.ABC):
         """True when the ranking function does not order ``a`` and ``b``."""
         return self.cached_rank(node, a) == self.cached_rank(node, b)
 
-    def cached_export(self, exporter: str, importer: str, route: Optional[Route]) -> Optional[Route]:
-        """Memoised :meth:`export` (filters are pure in their arguments).
-
-        The SPVP stepper re-advertises the same best path across a very large
-        number of interleavings; route-map evaluation only needs to happen
-        once per (exporter, importer, route).
-        """
-        cache = getattr(self, "_export_cache", None)
-        if cache is None:
-            cache = {}
-            self._export_cache = cache  # type: ignore[attr-defined]
-        key = (exporter, importer, route)
-        if key not in cache:
-            cache[key] = self.export(exporter, importer, route)
-        return cache[key]
-
-    def cached_import(self, importer: str, exporter: str, route: Optional[Route]) -> Optional[Route]:
-        """Memoised :meth:`import_` (filters are pure in their arguments)."""
-        cache = getattr(self, "_import_cache", None)
-        if cache is None:
-            cache = {}
-            self._import_cache = cache  # type: ignore[attr-defined]
-        key = (importer, exporter, route)
-        if key not in cache:
-            cache[key] = self.import_(importer, exporter, route)
-        return cache[key]
-
     def advertisement(self, importer: str, exporter: str, route: Optional[Route]) -> Optional[Route]:
         """The advertisement ``importer`` would accept from ``exporter`` now.
 

@@ -445,11 +445,10 @@ class OspfComputation:
       (:meth:`shared_filter_caches`): the live adjacency by name, the
       filter/rank memos and the host of their RPVP candidate engines;
     * the list of devices with static routes the FIB builder walks;
-    * the reference plane (``reference_plane``): one PEC's failure-free data
-      plane, from which the FIB builder derives its failure planes;
-    * the BGP memo hosts (``bgp_memos``): one PEC's per-prefix memos of what
-      its eBGP sessions advertise and how routes rank, read by the BGP
-      instances of all its failure scenarios.
+    * what the tasks of one PEC share (:meth:`pec_memos`): its failure-free
+      data plane, from which the FIB builder derives its failure planes, and
+      its per-prefix memos of what its eBGP sessions advertise and how
+      routes rank, read by the BGP instances of all its failure scenarios.
     """
 
     def __init__(self, network: NetworkConfig) -> None:
@@ -463,18 +462,29 @@ class OspfComputation:
         self._failure_free: Dict[FrozenSet[str], _ShortestPaths] = {}
         self._filter_caches: Dict[FrozenSet[int], Dict[str, Dict]] = {}
         self._static_route_devices: Optional[Tuple[str, ...]] = None
-        #: ``(PEC, an all-shared snapshot of its failure-free data plane)``
-        #: for the last PEC without BGP whose failure-free plane was built
-        #: over this computation: what the planes of its failure scenarios are
-        #: derived from (see ``PecExplorer.build_data_plane``).  The PEC
-        #: object itself is held, so the memo cannot answer for another PEC.
-        self.reference_plane: Optional[Tuple[object, object]] = None
-        #: ``(PEC, {BGP prefix: memo host})`` for the last PEC whose BGP
-        #: instances were built over this computation (see
-        #: ``PecExplorer.bgp_instance`` and ``BgpInstance``): what is filtered
-        #: and ranked alike under every failure scenario, filled once for all
-        #: of them.  Like ``reference_plane``, it holds the PEC object itself.
-        self.bgp_memos: Optional[Tuple[object, Dict[object, Dict]]] = None
+        #: ``(PEC, its memos)`` for the last PEC that asked (:meth:`pec_memos`).
+        self._pec_memos: Optional[Tuple[object, Dict[str, object]]] = None
+
+    def pec_memos(self, pec) -> Dict[str, object]:
+        """What the tasks of ``pec`` share, for one PEC at a time.
+
+        The failure tasks of one PEC run back to back in the independent
+        expansion, so the dict is kept for the last PEC that asked and a new
+        one is started when another PEC asks (the dependency-aware unrolling
+        is failure-major: there the PECs of each failure interleave, and
+        every other PEC's ask starts over).  The PEC object itself is held,
+        so the memos cannot answer for another PEC.  Keys (see
+        ``PecExplorer``): ``"reference_plane"``, an all-shared snapshot of
+        the failure-free data plane of a PEC without BGP, from which the
+        planes of its failure scenarios are derived (``build_data_plane``);
+        ``"bgp"``, BGP prefix -> the memo host of its instances
+        (``bgp_instance`` and ``BgpInstance``): what is filtered and ranked
+        alike under every failure scenario, filled once for all of them.
+        """
+        kept = self._pec_memos
+        if kept is None or kept[0] is not pec:
+            kept = self._pec_memos = (pec, {})
+        return kept[1]
 
     def shared_filter_caches(self, failure_key: FrozenSet[int]) -> Dict[str, Dict]:
         """Filter/rank memo dicts shared by all instances of one failure set.
@@ -496,8 +506,6 @@ class OspfComputation:
             # since makes ``_compiled_graph`` drop every entry there is.
             peers, edge_cost = self._compiled_graph().adjacency(failure_key)
             caches = {
-                "export": {},
-                "import": {},
                 "advertisement": {},
                 "rank": {},
                 "peers": peers,
@@ -606,8 +614,8 @@ class OspfComputation:
 
         Call it after mutating device configs: the compiled graph, every SPF
         table and what moved in it, the filter memos handed to OSPF
-        instances, the static-route device list, the reference plane and the
-        BGP memo hosts are rebuilt on next use.
+        instances, the static-route device list and the PEC memos are
+        rebuilt on next use.
         """
         self._graph = None
         self._cache.clear()
@@ -615,5 +623,4 @@ class OspfComputation:
         self._failure_free.clear()
         self._filter_caches.clear()
         self._static_route_devices = None
-        self.reference_plane = None
-        self.bgp_memos = None
+        self._pec_memos = None

@@ -77,8 +77,6 @@ class OspfInstance(PathVectorInstance):
         # adjacency and evaluate the identical export/import per edge for
         # each of them.
         shared = self.computation.shared_filter_caches(frozenset(self.failed_links))
-        self._export_cache = shared["export"]
-        self._import_cache = shared["import"]
         self._advertisement_cache = shared["advertisement"]
         self._rank_cache = shared["rank"]
         self._peers = shared["peers"]

@@ -24,12 +24,14 @@ order and intern table as an RPVP state, so the best block *is* an
 best/rib slots, queue ids in channel slots).  Equality between states of one
 instance is an integer array compare; the visited-set fingerprint is an
 O(changed-slots) Zobrist XOR over ``(slot, id)`` components.
-:class:`SpvpStepper` is the stateless transition function over those
-states, generating successors through id-keyed import/export/rank memos, and
-its :meth:`~SpvpStepper.drain` is the one single-execution runner.  The
-dict/deque simulator this core replaced is not shipped: it lives in
-``tests/oracles/spvp_reference.py`` as the oracle the property tests step in
-lockstep with it.
+The same layout holds the instance's transfer memos — import (loop check
+included), export, rank and origin id, keyed on slots and intern ids — so
+every stepper and ample selector over one instance evaluates each transfer
+once.  :class:`SpvpStepper` is the stateless transition function over those
+states, and its :meth:`~SpvpStepper.drain` is the one single-execution
+runner.  The dict/deque simulator this core replaced is not shipped: it
+lives in ``tests/oracles/spvp_reference.py`` as the oracle the property
+tests step in lockstep with it.
 """
 
 from __future__ import annotations
@@ -79,6 +81,17 @@ class _SpvpSpace:
     Ids resolve through the node space's intern table (:attr:`table`), the
     one every RPVP state over the same nodes uses.
 
+    The layout is also where the instance's transfers are memoised, by id:
+    :meth:`import_id`, :meth:`export_id`, :meth:`rank_of` and
+    :meth:`origin_id`.  SPVP explores a very large number of interleavings
+    of a small set of distinct routes, so after warm-up a delivery is dict
+    look-ups on small-int keys end to end, and since :func:`space_for`
+    memoises the layout per instance, every stepper, ample selector and
+    drain over the instance — the runs of one transient task, its shared
+    start states, a steady state, a simulation — fills one set of memos.
+    Memo values may legally be id 0 (None route / empty queue): misses test
+    ``is None``.
+
     :attr:`nodes` (and with it :attr:`best_slot`'s iteration order) and the
     rib and channel blocks follow ``for node in nodes(): for peer in
     peers(node)`` — the insertion order of the original dict-based simulator
@@ -101,9 +114,16 @@ class _SpvpSpace:
         "total_slots",
         "node_space",
         "table",
+        "instance",
+        "sessions",
+        "import_ids",
+        "export_ids",
+        "rank_ids",
+        "origin_ids",
     )
 
     def __init__(self, instance: PathVectorInstance) -> None:
+        self.instance = instance
         self.node_space = node_space_for(instance)
         self.table = self.node_space.table
         self.nodes: Tuple[str, ...] = tuple(instance.nodes())
@@ -156,6 +176,60 @@ class _SpvpSpace:
         self.in_peers: Dict[str, Tuple[str, ...]] = {
             node: tuple(senders) for node, senders in in_peers.items()
         }
+        #: The (node, peer) session of each rib slot, in slot order.
+        self.sessions: Tuple[Tuple[str, str], ...] = tuple(self.rib_slot)
+        #: (rib slot, advertised rid) -> imported rid (post loop-check).
+        self.import_ids: Dict[Tuple[int, int], int] = {}
+        #: (out channel slot, best rid) -> advertised rid.
+        self.export_ids: Dict[Tuple[int, int], int] = {}
+        #: (node, rid) -> rank tuple.
+        self.rank_ids: Dict[Tuple[str, int], Tuple] = {}
+        #: node -> rid of its origin route.
+        self.origin_ids: Dict[str, int] = {}
+
+    def origin_id(self, node: str) -> int:
+        """The id of ``node``'s locally originated route."""
+        rid = self.origin_ids.get(node)
+        if rid is None:
+            rid = self.origin_ids[node] = self.table.route_id(
+                self.instance.origin_route(node)  # type: ignore[attr-defined]
+            )
+        return rid
+
+    def rank_of(self, node: str, rid: int) -> Tuple:
+        """``node``'s rank of the route with id ``rid`` (lower is preferred)."""
+        rank = self.rank_ids.get((node, rid))
+        if rank is None:
+            rank = self.rank_ids[(node, rid)] = self.instance.cached_rank(
+                node, self.table.route(rid)
+            )
+        return rank
+
+    def import_id(self, rib_slot: int, rid: int) -> int:
+        """What the session of ``rib_slot`` stores for an advertisement of
+        ``rid``: the import filter's answer, or None (id 0) when it rejects
+        the route or the path already contains the receiver."""
+        imported = self.import_ids.get((rib_slot, rid))
+        if imported is None:
+            receiver, sender = self.sessions[rib_slot - len(self.nodes)]
+            route = (
+                self.instance.import_(receiver, sender, self.table.route(rid)) if rid else None
+            )
+            if route is not None and route.path.contains(receiver):
+                route = None
+            imported = self.import_ids[(rib_slot, rid)] = self.table.route_id(route)
+        return imported
+
+    def export_id(self, channel_slot: int, rid: int) -> int:
+        """What the sender of the channel at ``channel_slot`` advertises on
+        it while its best route has id ``rid`` (0 = nothing, a withdrawal)."""
+        advertised = self.export_ids.get((channel_slot, rid))
+        if advertised is None:
+            exporter, importer = self.channels[channel_slot - self.buffer_base]
+            advertised = self.export_ids[(channel_slot, rid)] = self.table.route_id(
+                self.instance.export(exporter, importer, self.table.route(rid))
+            )
+        return advertised
 
 
 def _space_for(instance: PathVectorInstance) -> _SpvpSpace:
@@ -346,7 +420,9 @@ class SpvpStepper:
     One stepper serves one protocol instance; it owns no mutable protocol
     state, so any number of explorations/simulations can share it and a
     single state can be expanded along every pending channel without copying
-    the rest of the world.
+    the rest of the world.  Its only state is the lifecycle overlays; the
+    transfer memos are the instance's (:class:`_SpvpSpace`), so a stepper
+    built after another one over the same instance starts warm.
     """
 
     def __init__(self, instance: PathVectorInstance) -> None:
@@ -366,51 +442,21 @@ class SpvpStepper:
         #: silently dropped at send time.  Transport-level session teardown
         #: (``fail_session``, ``crash_node``) still passes.
         self.suppressed: Set[Channel] = set()
-        # Id-keyed memos over the space's intern table.  SPVP explores a very
-        # large number of interleavings of a small set of distinct routes, so
-        # after warm-up a delivery is dict lookups on small-int keys end to
-        # end — no route hashing on the hot path.  Memo values may legally be
-        # id 0 (None route / empty queue): misses test ``is None``.
-        #: (rib slot, advertised rid) -> imported rid (post loop-check).
-        self._import_ids: Dict[Tuple[int, int], int] = {}
-        #: (out channel slot, best rid) -> advertised rid.
-        self._export_ids: Dict[Tuple[int, int], int] = {}
-        #: (node, rid) -> rank tuple.
-        self._rank_ids: Dict[Tuple[str, int], Tuple] = {}
-        #: node -> rid of its origin route.
-        self._origin_ids: Dict[str, int] = {}
-
-    def _origin_id(self, node: str) -> int:
-        rid = self._origin_ids.get(node)
-        if rid is None:
-            rid = self.table.route_id(self.instance.origin_route(node))  # type: ignore[attr-defined]
-            self._origin_ids[node] = rid
-        return rid
-
-    def _rank_of(self, node: str, rid: int) -> Tuple:
-        rank = self._rank_ids.get((node, rid))
-        if rank is None:
-            rank = self.instance.cached_rank(node, self.table.route(rid))
-            self._rank_ids[(node, rid)] = rank
-        return rank
 
     # ------------------------------------------------------------------ roots
     def initial_state(self) -> SpvpState:
         """The SPVP initial state: origins hold and advertise their route."""
         space = self.space
-        instance = self.instance
         table = self.table
         ids = array("i", bytes(4 * space.total_slots))
         pending: List[Channel] = []
         for node in space.nodes:
             if node not in space.origin_set:
                 continue
-            route = instance.origin_route(node)  # type: ignore[attr-defined]
-            ids[space.best_slot[node]] = table.route_id(route)
+            rid = ids[space.best_slot[node]] = space.origin_id(node)
             # Origins advertise their path to every peer up front (Appendix A).
-            for peer, channel, slot in space.out_slots_of[node]:
-                advertisement = instance.cached_export(node, peer, route)
-                ids[slot] = table.queue_id((table.route_id(advertisement),))
+            for _peer, channel, slot in space.out_slots_of[node]:
+                ids[slot] = table.queue_id((space.export_id(slot, rid),))
                 pending.append(channel)
         return SpvpState.__new__(SpvpState)._init(space, ids, frozenset(pending))
 
@@ -460,18 +506,7 @@ class SpvpStepper:
         updates: List[Tuple[int, int]] = [(channel_slot, remaining_qid)]
 
         rib_slot = space.rib_slot[(receiver, sender)]
-        imported_rid = self._import_ids.get((rib_slot, advertised_rid))
-        if imported_rid is None:
-            advertised = table.route(advertised_rid)
-            imported = (
-                None
-                if advertised is None
-                else self.instance.cached_import(receiver, sender, advertised)
-            )
-            if imported is not None and imported.path.contains(receiver):
-                imported = None
-            imported_rid = table.route_id(imported)
-            self._import_ids[(rib_slot, advertised_rid)] = imported_rid
+        imported_rid = space.import_id(rib_slot, advertised_rid)
         updates.append((rib_slot, imported_rid))
 
         best_slot = space.best_slot[receiver]
@@ -496,21 +531,13 @@ class SpvpStepper:
         ):
             # The receiver re-advertises its (possibly withdrawn) best path.
             added: List[Channel] = []
-            export_ids = self._export_ids
-            for peer, out_channel, out_slot in space.out_slots_of[receiver]:
+            for _peer, out_channel, out_slot in space.out_slots_of[receiver]:
                 if out_channel in self.suppressed:
                     continue
-                advertisement_rid = export_ids.get((out_slot, new_best_rid))
-                if advertisement_rid is None:
-                    advertisement_rid = table.route_id(
-                        self.instance.cached_export(
-                            receiver, peer, table.route(new_best_rid)
-                        )
-                    )
-                    export_ids[(out_slot, new_best_rid)] = advertisement_rid
                 out_qid = (
                     remaining_qid if out_slot == channel_slot else state._ids[out_slot]
                 )
+                advertisement_rid = space.export_id(out_slot, new_best_rid)
                 updates.append(
                     (out_slot, table.queue_id(table.queue(out_qid) + (advertisement_rid,)))
                 )
@@ -528,20 +555,22 @@ class SpvpStepper:
     ) -> int:
         """Recompute ``node``'s best route (as an intern id) from its rib-in."""
         ids = state._ids
+        space = self.space
+        rank_of = space.rank_of
         best_rid = 0
         best_rank = None
         current_in = False
-        if node in self.space.origin_set:
-            best_rid = self._origin_id(node)
-            best_rank = self._rank_of(node, best_rid)
+        if node in space.origin_set:
+            best_rid = space.origin_id(node)
+            best_rank = rank_of(node, best_rid)
             current_in = best_rid == current_rid
-        for peer, slot in self.space.rib_slots_of[node]:
+        for peer, slot in space.rib_slots_of[node]:
             rid = updated_rid if peer == updated_peer else ids[slot]
             if not rid:
                 continue
             if rid == current_rid:
                 current_in = True
-            rank = self._rank_of(node, rid)
+            rank = rank_of(node, rid)
             if best_rank is None or rank < best_rank:
                 best_rid = rid
                 best_rank = rank
@@ -550,7 +579,7 @@ class SpvpStepper:
         if current_rid and current_in:
             # Appendix A: if the best rib-in entry ties with the still-valid
             # current best path, the best path does not change.
-            if self._rank_of(node, current_rid) == best_rank:
+            if rank_of(node, current_rid) == best_rank:
                 return current_rid
         return best_rid
 
@@ -641,8 +670,7 @@ class SpvpStepper:
         """
         space = self.space
         table = self.table
-        instance = self.instance
-        boot_rid = self._origin_id(node) if node in space.origin_set else 0
+        boot_rid = space.origin_id(node) if node in space.origin_set else 0
         updates: List[Tuple[int, int]] = [(space.best_slot[node], boot_rid)]
         added: List[Channel] = []
         removed: List[Channel] = []
@@ -651,11 +679,7 @@ class SpvpStepper:
         for peer, out_channel, out_slot in space.out_slots_of[node]:
             out_queue: Tuple[int, ...] = (0,)
             if boot_rid and out_channel not in self.suppressed:
-                out_queue += (
-                    table.route_id(
-                        instance.cached_export(node, peer, table.route(boot_rid))
-                    ),
-                )
+                out_queue += (space.export_id(out_slot, boot_rid),)
             updates.append((out_slot, table.queue_id(out_queue)))
             added.append(out_channel)
             in_channel = (peer, node)
@@ -666,18 +690,7 @@ class SpvpStepper:
             else:
                 peer_best_rid = state._ids[space.best_slot[peer]]
                 updates.append(
-                    (
-                        in_slot,
-                        table.queue_id(
-                            (
-                                table.route_id(
-                                    instance.cached_export(
-                                        peer, node, table.route(peer_best_rid)
-                                    )
-                                ),
-                            )
-                        ),
-                    )
+                    (in_slot, table.queue_id((space.export_id(in_slot, peer_best_rid),)))
                 )
                 added.append(in_channel)
         pending = (state.pending - frozenset(removed)) | frozenset(added)
@@ -707,18 +720,12 @@ class SpvpStepper:
         space = self.space
         table = self.table
         best_rid = state._ids[space.best_slot[node]]
-        export_ids = self._export_ids
         updates: List[Tuple[int, int]] = []
         added: List[Channel] = []
-        for peer, channel, slot in space.out_slots_of[node]:
+        for _peer, channel, slot in space.out_slots_of[node]:
             if channel in self.suppressed:
                 continue
-            advertisement_rid = export_ids.get((slot, best_rid))
-            if advertisement_rid is None:
-                advertisement_rid = table.route_id(
-                    self.instance.cached_export(node, peer, table.route(best_rid))
-                )
-                export_ids[(slot, best_rid)] = advertisement_rid
+            advertisement_rid = space.export_id(slot, best_rid)
             updates.append(
                 (slot, table.queue_id(table.queue(state._ids[slot]) + (advertisement_rid,)))
             )

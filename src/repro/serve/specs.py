@@ -21,7 +21,12 @@ from __future__ import annotations
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.config.objects import NetworkConfig
-from repro.core.options import OptimizationFlags, PlanktonOptions
+from repro.core.options import (
+    POLICY_KINDS,
+    TRANSIENT_PROPERTIES,
+    OptimizationFlags,
+    PlanktonOptions,
+)
 from repro.exceptions import SpecError
 from repro.netaddr import Prefix
 from repro.policies import (
@@ -36,17 +41,6 @@ from repro.policies import (
     Waypoint,
 )
 from repro.reporting import DEFAULT_FORMS, FORMS
-
-POLICY_KINDS = (
-    "reachability",
-    "loop",
-    "blackhole",
-    "waypoint",
-    "segmentation",
-    "bounded-path-length",
-    "multipath-consistency",
-    "path-consistency",
-)
 
 
 def _names(spec: Mapping, key: str) -> List[str]:
@@ -209,7 +203,9 @@ def transient_property_from_spec(spec: Optional[Mapping], network: NetworkConfig
         return TransientLoopFreedom(
             ignore_converged=not spec.get("include_converged", False)
         )
-    raise SpecError(f"unknown transient property {kind!r}; choose loop or blackhole")
+    raise SpecError(
+        f"unknown transient property {kind!r}; choose {' or '.join(TRANSIENT_PROPERTIES)}"
+    )
 
 
 def fail_session_events(value: Optional[str], network: NetworkConfig) -> List[object]:

@@ -42,10 +42,11 @@ ids it is a function of: the properties' messages on ``(best-slot bytes,
 converged)`` in a memo that lives as long as the analyzer (the checks run
 once per distinct best-path assignment, not once per interleaving — or per
 scenario — reaching it); the ample selector's danger test and activity
-closure on id tuples (:class:`~repro.modelcheck.por.ample.AmpleSelector`);
-and a witness is the root's lines — described once per call, each line once
-per analyzer, and shared by every violation — plus the few deliveries
-between the root and the violating state.
+closure on id tuples (:class:`~repro.modelcheck.por.ample.AmpleSelector`,
+which the analyzer also keeps for all of its runs); and a witness is the
+root's lines — described once per call, each line once per analyzer, and
+shared by every violation — plus the few deliveries between the root and
+the violating state.
 The fork-a-simulator, full-signature exploration this replaced is not
 shipped: it lives in ``tests/oracles/transient_reference.py`` as the
 equivalence oracle ``por="full"`` runs are pinned to bit for bit.
@@ -83,6 +84,7 @@ from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.config.objects import NetworkConfig
+from repro.core.options import FRONTIER_MODES, POR_MODES
 from repro.core.results import RequestResult, TaskFailure
 from repro.modelcheck.hashing import ZobristFingerprinter
 from repro.modelcheck.por import (
@@ -97,16 +99,10 @@ from repro.modelcheck.trail import document
 from repro.pec.classes import PacketEquivalenceClass
 from repro.protocols.base import PathVectorInstance
 from repro.protocols.rpvp import RpvpState
-from repro.protocols.spvp import Channel, SpvpEvent, SpvpState, SpvpStepper
+from repro.protocols.spvp import Channel, SpvpEvent, SpvpState, SpvpStepper, space_for
 from repro.scenarios.events import split_at_overlay
 from repro.topology.failures import FailureScenario
 from repro.transient.properties import TransientForwarding, TransientProperty
-
-#: Accepted values of :attr:`TransientOptions.por`.
-POR_MODES = ("ample", "sleep", "full")
-
-#: Accepted values of :attr:`TransientOptions.frontier`.
-FRONTIER_MODES = ("fifo", "priority")
 
 
 @dataclass(frozen=True)
@@ -346,7 +342,19 @@ class TransientAnalysisResult:
 
 
 class TransientAnalyzer:
-    """Breadth-first exploration of SPVP states checking transient properties."""
+    """Breadth-first exploration of SPVP states checking transient properties.
+
+    One analyzer serves one instance for any number of :meth:`analyze`
+    runs — a campaign task runs all of its lifecycle scenarios on one — so
+    what is a function of the instance alone is built once, at
+    construction: the fingerprinter (bound to the instance's intern table),
+    the channel independence and the ample selector with its analysis
+    memos.  The transfer memos are the instance's slot layout's
+    (:func:`~repro.protocols.spvp.space_for`), shared with every other
+    stepper over the instance.  What a run owns — its stepper with the
+    lifecycle overlays, its root, its result and reduction ledger — is local
+    to the run.
+    """
 
     def __init__(
         self,
@@ -358,18 +366,24 @@ class TransientAnalyzer:
         applied on top of ``options`` (default: a fresh ``TransientOptions``)."""
         self.instance = instance
         self.options = replace(options or TransientOptions(), **overrides)
-        #: Set for the duration of one analyze() call when witnesses are
-        #: minimised (the replayer needs the stepper and the search root).
-        self._stepper: Optional[SpvpStepper] = None
-        self._root: Optional[SpvpState] = None
+        self._space = space_for(instance)
+        # State slots already hold the intern table's ids, so every Zobrist
+        # component is a dict lookup keyed on (slot, id) — no route decoding
+        # or path hashing.
+        self._hasher = ZobristFingerprinter(self._space.table)
+        por = self.options.por
+        self._independence = (
+            ChannelIndependence(instance) if por in ("ample", "sleep") else None
+        )
+        self._selector = (
+            AmpleSelector(instance, self._independence) if por == "ample" else None
+        )
         #: (best-slot bytes, converged) -> the messages of the properties in
         #: ``_messages_for``.  The ids are the instance's own, so the memo
         #: outlives one analyze(): the searches of one task from different
         #: roots pass through many of the same best-path assignments.
         self._messages: Dict[Tuple[bytes, bool], Tuple[Optional[str], ...]] = {}
         self._messages_for: Tuple[TransientProperty, ...] = ()
-        #: The root's described witness, for one analyze() call.
-        self._root_witness: Optional[Tuple[str, ...]] = None
         #: id(event) -> (event, its description), for the analyzer's
         #: lifetime: the searches of one task start from one shared drain,
         #: whose deliveries are then described, and held, once.
@@ -402,32 +416,23 @@ class TransientAnalyzer:
         result.reduction = reduction
 
         stepper = SpvpStepper(self.instance)
-        # Bind the fingerprinter to the stepper's intern table: state slots
-        # already hold table ids, so every Zobrist component is a dict lookup
-        # keyed on (slot, id) — no route decoding or path hashing.
-        hasher = ZobristFingerprinter(stepper.table)
-        hasher.state_bytes_per_state = 64 + 4 * stepper.space.total_slots
-        if start is not None and start._space is not stepper.space:
+        hasher = self._hasher
+        if start is not None and start._space is not self._space:
             raise ValueError("start state belongs to another protocol instance")
         root = start if start is not None else stepper.initial_state()
         for event in initial_events:
             root = _apply_initial_event(stepper, root, event)
-        self._stepper = stepper
-        self._root = root
-        self._root_witness = None
         properties = tuple(properties)
         if properties != self._messages_for:
             self._messages = {}
             self._messages_for = properties
         use_priority = options.frontier == "priority"
 
-        use_sleep = options.por in ("ample", "sleep")
-        independence = ChannelIndependence(self.instance) if use_sleep else None
-        selector = (
-            AmpleSelector(self.instance, independence, reduction=reduction)
-            if options.por == "ample"
-            else None
-        )
+        independence = self._independence
+        use_sleep = independence is not None
+        selector = self._selector
+        if selector is not None:
+            selector.reduction = reduction
 
         #: fingerprint -> the sleep set the state was admitted/last queued with.
         visited: Dict[int, FrozenSet[Channel]] = {root.fingerprint(hasher): EMPTY_SLEEP}
@@ -462,7 +467,9 @@ class TransientAnalyzer:
                     result.converged_states += 1
                     if options.collect_converged:
                         result.converged_rpvp_states.append(state.converged_rpvp())
-                stop = self._check_state(state, converged, depth, properties, result)
+                stop = self._check_state(
+                    state, converged, depth, properties, result, stepper, root
+                )
                 if stop:
                     break
 
@@ -560,10 +567,6 @@ class TransientAnalyzer:
                 reduction.transitions_enabled += len(enabled)
                 reduction.transitions_expanded += expanded_count
 
-        result.witness_prefix = self._root_witness or ()
-        self._stepper = None
-        self._root = None
-        self._root_witness = None
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -589,16 +592,18 @@ class TransientAnalyzer:
             self._messages[key] = messages
         return messages
 
-    def _witness_of(self, state: SpvpState) -> Tuple[str, ...]:
+    def _witness_of(
+        self, state: SpvpState, root: SpvpState, result: TransientAnalysisResult
+    ) -> Tuple[str, ...]:
         """The described delivery sequence from the cold start to ``state``.
 
-        Every state of one search descends from its root, so the root's own
-        sequence (the deliveries of a ``Converge()`` drain, typically the
+        Every state of one search descends from its ``root``, so the root's
+        own sequence (the deliveries of a ``Converge()`` drain, typically the
         bulk of a witness) is described once per ``analyze()`` — and, line
-        by line, once per analyzer — and shared by every violation; only the
-        few deliveries between the root and ``state`` are looked up here.
+        by line, once per analyzer — and kept as ``result.witness_prefix``,
+        shared by every violation; only the few deliveries between the root
+        and ``state`` are looked up here.
         """
-        root = self._root
         suffix: List[SpvpEvent] = []
         node = state
         while node is not root:
@@ -606,9 +611,9 @@ class TransientAnalyzer:
                 suffix.append(node.event)
             node = node.parent
         suffix.reverse()
-        if self._root_witness is None:
-            self._root_witness = self._describe(root.witness_events())
-        return self._root_witness + self._describe(suffix)
+        if not result.witness_prefix:
+            result.witness_prefix = self._describe(root.witness_events())
+        return result.witness_prefix + self._describe(suffix)
 
     def _describe(self, events: Sequence[SpvpEvent]) -> Tuple[str, ...]:
         # An entry holds its event, so no other event can take over its id.
@@ -628,26 +633,27 @@ class TransientAnalyzer:
         depth: int,
         properties: Sequence[TransientProperty],
         result: TransientAnalysisResult,
+        stepper: SpvpStepper,
+        root: SpvpState,
     ) -> bool:
-        """Check every property on one state; returns True when the search should stop."""
+        """Check every property on one state of the search from ``root``
+        on ``stepper``; returns True when the search should stop."""
         messages = self._messages_of(state, converged, properties)
         for prop, message in zip(properties, messages):
             if message is None:
                 continue
             witness_state = state
-            if self.options.minimize_witnesses and self._stepper is not None:
+            if self.options.minimize_witnesses:
                 from repro.transient.witness import minimize_witness
 
-                witness_state = minimize_witness(
-                    self._stepper, self._root, state, prop, message
-                )
+                witness_state = minimize_witness(stepper, root, state, prop, message)
             result.violations.append(
                 TransientViolation(
                     property_name=prop.name,
                     message=message,
                     depth=depth,
                     converged=converged,
-                    witness=self._witness_of(witness_state),
+                    witness=self._witness_of(witness_state, root, result),
                 )
             )
             if self.options.stop_at_first_violation:

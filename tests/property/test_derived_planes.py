@@ -416,9 +416,10 @@ class TestFailurePlanesAcrossTasks:
         before = _failure_plane(plankton, pec, failure, first=False)  # nothing kept yet
         assert before.base is None
         _explorer(plankton, other, FailureScenario()).explore()
+        assert "reference_plane" in plankton.ospf_computation.pec_memos(other)
         after = _failure_plane(plankton, pec, failure, first=False)  # another PEC's kept
         assert after.base is None
-        assert plankton.ospf_computation.reference_plane[0] is other
+        assert "reference_plane" not in plankton.ospf_computation.pec_memos(pec)
         for plane in (before, after):
             _assert_failure_plane_is_scratch(plankton, pec, failure, plane)
 

@@ -14,6 +14,11 @@ The draws mix every event kind, the overlay-setting ones (maintenance drain,
 return to service, gray failure) together in one task so an overlay left
 behind by one scenario would show in the next; a ``--fail-session`` base;
 and both ``--all-violations`` and stop-at-first on the serial backend.
+
+The steppers of a task share more than the drain: the SPVP transfer memos
+live once per protocol instance, and the analyzer builds its fingerprinter,
+independence and ample selector once.  ``TestTransferMemoLifetime`` pins
+both lifetimes.
 """
 
 import pytest
@@ -201,3 +206,101 @@ def test_a_task_drains_once_per_prefix(monkeypatch):
     )
     assert len(campaign.runs) == len(scenarios)
     assert len(drains) == 1
+
+
+# --------------------------------------------------------------------------- memo lifetime
+def _instance(network, pec, failure=FailureScenario()):
+    prefix = next(prefix for prefix, devices in pec.bgp_origins if devices)
+    explorer = PecExplorer(
+        network, pec, failure, PlanktonOptions(), dependency_context=DependencyContext()
+    )
+    return explorer.bgp_instance(prefix)
+
+
+def _memos(stepper):
+    """The transfer memos a stepper reads: its instance's slot layout's."""
+    space = stepper.space
+    return (space.import_ids, space.export_ids, space.rank_ids, space.origin_ids)
+
+
+def _route_id_calls(monkeypatch):
+    """Count ``RouteInternTable.route_id`` calls from now on."""
+    from repro.protocols.interning import RouteInternTable
+
+    calls = []
+    route_id = RouteInternTable.route_id
+
+    def counting(table, route):
+        calls.append(route)
+        return route_id(table, route)
+
+    monkeypatch.setattr(RouteInternTable, "route_id", counting)
+    return calls
+
+
+class TestTransferMemoLifetime:
+    """The SPVP transfer memos (import with the loop check, export, rank,
+    origin id) live once per protocol instance: every stepper over it reads
+    and fills one set, and no stepper over another instance sees it."""
+
+    def test_two_steppers_over_one_instance_share_one_memo_set(self, monkeypatch):
+        network = ebgp_rfc7938(bgp_fat_tree(4))
+        instance = _instance(network, _bgp_pec(network))
+        first, second = SpvpStepper(instance), SpvpStepper(instance)
+        assert all(a is b for a, b in zip(_memos(first), _memos(second)))
+        settled = first.drain(first.initial_state())
+        assert all(_memos(second))
+        calls = _route_id_calls(monkeypatch)
+        assert second.drain(second.initial_state()) == settled
+        assert calls == []
+
+    def test_a_stepper_over_another_prefix_or_failure_shares_none(self):
+        network = ebgp_rfc7938(bgp_fat_tree(4))
+        pecs = [pec for pec in compute_pecs(network) if pec.has_bgp()]
+        failure = FailureScenario.of([network.topology.links[0].link_id])
+        # Each instance drained alone, cold, before any other was: the oracle.
+        cold = {}
+        for name, pec, scenario in (
+            ("other failure", pecs[0], failure),
+            ("other prefix", pecs[1], FailureScenario()),
+        ):
+            stepper = SpvpStepper(_instance(network, pec, scenario))
+            cold[name] = stepper.drain(stepper.initial_state()).best_map()
+        warm = SpvpStepper(_instance(network, pecs[0]))
+        warm.drain(warm.initial_state())
+        for name, instance in (
+            ("other failure", _instance(network, pecs[0], failure)),
+            ("other prefix", _instance(network, pecs[1])),
+        ):
+            stepper = SpvpStepper(instance)
+            assert not any(_memos(stepper)), name
+            assert all(a is not b for a, b in zip(_memos(stepper), _memos(warm))), name
+            assert stepper.drain(stepper.initial_state()).best_map() == cold[name], name
+
+    def test_a_stepper_after_a_finished_analysis_replays_its_drain_warm(self, monkeypatch):
+        network = ebgp_rfc7938(bgp_fat_tree(4))
+        instance = _instance(network, _bgp_pec(network))
+        TransientAnalyzer(instance, max_states=50).analyze(PROPERTIES, initial_events=[Converge()])
+        calls = _route_id_calls(monkeypatch)
+        stepper = SpvpStepper(instance)
+        stepper.drain(stepper.initial_state())
+        assert calls == []
+
+    def test_analyze_builds_its_machinery_once(self, monkeypatch):
+        """The fingerprinter, the independence and the selector are the
+        analyzer's: a second (third, ...) run builds none of them."""
+        from repro.transient import explorer
+
+        network = ebgp_rfc7938(bgp_fat_tree(4))
+        instance = _instance(network, _bgp_pec(network))
+        analyzer = TransientAnalyzer(instance, max_states=50, stop_at_first_violation=False)
+        first = analyzer.analyze(PROPERTIES, initial_events=[Converge()])
+
+        def refused(*_arguments, **_keywords):
+            raise AssertionError("built again")
+
+        for name in ("ZobristFingerprinter", "ChannelIndependence", "AmpleSelector"):
+            monkeypatch.setattr(explorer, name, refused)
+        again = analyzer.analyze(PROPERTIES, initial_events=[Converge()])
+        assert again.stats_signature() == first.stats_signature()
+        assert again.reduction == first.reduction and again.reduction is not first.reduction

@@ -712,7 +712,7 @@ def _fresh_host_per_task(monkeypatch):
     build = PecExplorer.bgp_instance
 
     def fresh(explorer, prefix):
-        explorer.ospf.bgp_memos = None
+        explorer.ospf.pec_memos(explorer.pec).pop("bgp", None)
         return build(explorer, prefix)
 
     monkeypatch.setattr(PecExplorer, "bgp_instance", fresh)
@@ -792,17 +792,17 @@ class TestBgpMemosAcrossFailures:
         link = plankton.network.topology.links[0].link_id
         computation = plankton.ospf_computation
         a = _bgp_instance_of(plankton, first)
-        kept = computation.bgp_memos
-        assert kept[0] is first
+        kept = computation.pec_memos(first)
+        assert kept["bgp"][a.prefix] is a._memo_host
         b = _bgp_instance_of(plankton, first, [link])
-        assert computation.bgp_memos is kept
+        assert computation.pec_memos(first) is kept
         edges = set(a._engine_host["adv_edge"]) & set(b._engine_host["adv_edge"])
         assert edges and all(
             a._engine_host["adv_edge"][edge] is b._engine_host["adv_edge"][edge] for edge in edges
         )
         assert a._rank_cache is b._rank_cache
         c = _bgp_instance_of(plankton, second)
-        assert computation.bgp_memos[0] is second
+        assert computation.pec_memos(second)["bgp"][c.prefix] is c._memo_host
         assert all(
             a._engine_host["adv_edge"][edge] is not c._engine_host["adv_edge"][edge]
             for edge in edges
@@ -821,7 +821,7 @@ class TestBgpMemosAcrossFailures:
         pec = next(pec for pec in plankton.pecs if pec.has_bgp())
         before = _bgp_instance_of(plankton, pec)
         plankton.ospf_computation.clear_cache()
-        assert plankton.ospf_computation.bgp_memos is None
+        assert plankton.ospf_computation.pec_memos(pec) == {}
         after = _bgp_instance_of(plankton, pec)
         assert after._rank_cache is not before._rank_cache
         assert all(

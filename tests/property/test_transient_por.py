@@ -385,8 +385,8 @@ class _RecomputingAnalyzer(TransientAnalyzer):
         self.states_checked += 1
         return messages
 
-    def _witness_of(self, state):
-        witness = super()._witness_of(state)
+    def _witness_of(self, state, root, result):
+        witness = super()._witness_of(state, root, result)
         assert witness == tuple(event.describe() for event in state.witness_events())
         return witness
 

@@ -10,7 +10,8 @@ docstrings that say where the references went do not count.
 One state representation: RPVP and SPVP states are one id-array kernel
 (``repro.protocols.interning.IdArrayState``) over one intern table per node
 set, so the package holds one ``fingerprint`` and constructs
-``RouteInternTable`` in one place.
+``RouteInternTable`` in one place.  SPVP transfers are memoised once, by
+id, on the instance's slot layout (``repro.protocols.spvp._SpvpSpace``).
 
 The package is what ``repro`` runs: every module under ``src/repro`` is
 reached by the static import graph from the CLI, the client or the public
@@ -36,6 +37,10 @@ GONE = {
     "queue_component",
     "fingerprint_of",
     "_slot_values",
+    # One memo layer for SPVP transfers: the id-keyed memos on the
+    # instance's slot layout, not a route-keyed layer beneath them.
+    "cached_export",
+    "cached_import",
 }
 
 

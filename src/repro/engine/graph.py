@@ -179,16 +179,19 @@ class TaskGraph:
 
 # --------------------------------------------------------------------------- scenarios
 def _origin_colors(network, pec: PacketEquivalenceClass) -> Dict[str, object]:
-    """Each device's initial colour for the symmetry reductions of ``pec``:
-    the prefixes it originates into OSPF and BGP and those it routes
-    statically, so configuration asymmetry this PEC can see splits classes."""
+    """The initial colours for the symmetry reductions of ``pec``: per device
+    with a role in it, the prefixes it originates into OSPF and BGP and those
+    it routes statically, so configuration asymmetry this PEC can see splits
+    classes.  Devices with no role are left out: they share the colour
+    ``None``, and readers look only at the partition the colours induce."""
+    roles: Dict[str, Tuple[List[str], List[str], List[str]]] = {}
+    for slot, origins in enumerate((pec.ospf_origins, pec.bgp_origins, pec.static_devices)):
+        for prefix, devices in origins:
+            for name in set(devices):  # a device lists a prefix once per static route
+                roles.setdefault(name, ([], [], []))[slot].append(str(prefix))
     return {
-        name: (
-            tuple(sorted(str(p) for p, devs in pec.ospf_origins if name in devs)),
-            tuple(sorted(str(p) for p, devs in pec.bgp_origins if name in devs)),
-            tuple(sorted(str(p) for p, devs in pec.static_devices if name in devs)),
-        )
-        for name in network.topology.nodes
+        name: tuple(tuple(sorted(prefixes)) for prefixes in lists)
+        for name, lists in roles.items()
     }
 
 

@@ -12,7 +12,12 @@ reachable under any allowed combination of failures.  Two pieces live here:
 * :class:`DeviceEquivalence` and :func:`reduced_failure_scenarios` — the
   Bonsai-inspired Device / Link Equivalence Class reduction of §4.3: only one
   representative link per Link Equivalence Class is failed, and the classes
-  are refined after each selection.
+  are refined after each selection.  The classes are the coarsest equitable
+  partition refining a PEC's colours (the fixed point of colour refinement,
+  1-WL).  They are computed by individualised splitter refinement: the
+  colours split the topology's own equitable partition, cached beside
+  :meth:`Topology.compiled`, and only the cells next to a split are refined
+  again.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
 from repro.exceptions import TopologyError
 from repro.modelcheck.trail import document
-from repro.topology.graph import Topology
+from repro.topology.graph import CompiledTopology, Topology
 
 
 @document(failed_links=(list, tuple))
@@ -85,15 +90,103 @@ def enumerate_failure_scenarios(
     return scenarios
 
 
+#: Per node, one ``(neighbour, weight-pair code)`` per incident link.
+Rows = Sequence[Tuple[Tuple[int, int], ...]]
+
+
+def _rows(compiled: CompiledTopology) -> Rows:
+    """The unfailed rows of ``compiled``, in the order of its ``edges``.
+
+    A weight-pair code is ``radix ** pair id``, where the pair is (weight
+    leaving the node, weight back) and ``radix`` exceeds every degree, so the
+    sum of codes over any set of a node's links spells out how many of them
+    carry each pair.
+    """
+    pairs = dict.fromkeys((out, back) for row in compiled.edges for _, out, back, _ in row)
+    radix = 1 + max((len(row) for row in compiled.edges), default=0)
+    codes = {pair: radix**pair_id for pair_id, pair in enumerate(pairs)}
+    return tuple(
+        tuple((neighbor, codes[out, back]) for neighbor, out, back, _ in row)
+        for row in compiled.edges
+    )
+
+
+def _split(cells: List[List[int]], cell_of: List[int], cell: int, parts, queue: List[int]) -> None:
+    """Replace ``cell`` by ``parts``: the largest part keeps the id (and its
+    place in ``queue``, if any), every other part gets a new id and is queued."""
+    largest = max(parts, key=len)
+    for part in parts:
+        if part is largest:
+            cells[cell] = part
+            continue
+        new = len(cells)
+        cells.append(part)
+        for node in part:
+            cell_of[node] = new
+        queue.append(new)
+
+
+def _equitable(rows: Rows, cells: List[List[int]], cell_of: List[int], queue: List[int]) -> None:
+    """Split ``cells`` until the partition is equitable (splitter-queue refinement).
+
+    The partition must already be equitable towards every cell not in
+    ``queue``.  Each queued cell in turn splits every cell next to it by the
+    sum of the codes of the links joining each node to the splitter (nauty's
+    ``refine``; Cardon and Crochemore's counting refinement).  The codes are
+    read from the splitter's side, where every pair is mirrored, which tells
+    the same multisets apart; a node with no such link sums to 0.  A split
+    cell queues all its parts but the largest, whose counts follow from the
+    whole cell's and the other parts'.
+    """
+    while queue:
+        splitter = queue.pop()
+        weight: Dict[int, int] = {}
+        for member in cells[splitter]:
+            for node, code in rows[member]:
+                weight[node] = weight.get(node, 0) + code
+        hit: Dict[int, List[int]] = {}
+        for node in weight:
+            hit.setdefault(cell_of[node], []).append(node)
+        for cell, touched in hit.items():
+            groups: Dict[int, List[int]] = {}
+            for node in touched:
+                groups.setdefault(weight[node], []).append(node)
+            members = cells[cell]
+            if len(touched) < len(members):
+                groups[0] = [node for node in members if node not in weight]
+            if len(groups) > 1:
+                _split(cells, cell_of, cell, list(groups.values()), queue)
+
+
+def _base_partition(rows: Rows) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
+    """The topology's own coarsest equitable partition (no colours, no
+    failed links), as (cell per node, members per cell)."""
+    cells = [list(range(len(rows)))]
+    cell_of = [0] * len(rows)
+    _equitable(rows, cells, cell_of, [0])
+    return tuple(cell_of), tuple(tuple(members) for members in cells)
+
+
 class DeviceEquivalence:
     """Device Equivalence Classes (DECs) and Link Equivalence Classes (LECs).
 
     Following Bonsai's abstraction (and the use Plankton makes of it in §4.3),
     two devices are equivalent when they originate the same set of prefixes
-    for the PEC under analysis (captured by the ``colors`` argument) and their
-    multisets of (neighbour class, link weight) pairs are identical.  The
-    classes are computed by colour refinement (1-dimensional Weisfeiler-Leman)
-    to a fixed point.
+    for the PEC under analysis (captured by the ``colors`` argument; a device
+    missing from it, or coloured ``None``, shares the colour ``None``) and
+    their multisets of (neighbour class, link weight) pairs are identical.
+    The classes are the coarsest equitable partition that refines the
+    colours: the classes colour refinement (1-dimensional Weisfeiler-Leman)
+    reaches at its fixed point, numbered as it numbers them, by first
+    appearance in node order.
+
+    They are computed by individualised splitter refinement over the
+    topology's cached rows.  Without failed links the refinement starts from
+    the topology's own (uncoloured) equitable partition, cached beside
+    :meth:`Topology.compiled`: the colours split its cells, and only the
+    cells next to a split are ever touched again.  With failed links it
+    starts from the colours alone, over rows re-filtered at the failed
+    links' endpoints.
 
     A Link Equivalence Class is the set of links joining a given ordered pair
     of DECs with a given weight pair.
@@ -109,45 +202,60 @@ class DeviceEquivalence:
         self.failed_links = set(failed_links or ())
         self._compiled = topology.compiled()
         names = self._compiled.names
+        rows = topology.derived("failure_rows", _rows)
+        queue: List[int] = []
+        if self.failed_links:
+            rows = self._live_rows(rows)
+            cells = [list(range(len(names)))]
+            cell_of = [0] * len(names)
+        else:
+            base_cell_of, base_cells = topology.derived(
+                "failure_partition", lambda _compiled: _base_partition(rows)
+            )
+            cells = [list(members) for members in base_cells]
+            cell_of = list(base_cell_of)
+        self._paint(cells, cell_of, colors or {}, queue)
+        if self.failed_links:
+            queue = list(range(len(cells)))  # nothing is equitable yet
+        _equitable(rows, cells, cell_of, queue)
+        numbers: Dict[int, int] = {}
         #: DEC index per dense node index (``device_classes`` by position).
-        self._coloring = self._refine([colors.get(name) if colors else None for name in names])
+        self._coloring = [numbers.setdefault(cell, len(numbers)) for cell in cell_of]
         self.device_classes: Dict[str, int] = dict(zip(names, self._coloring))
 
-    def _refine(self, initial: List[object]) -> List[int]:
-        """Colour refinement over the compiled adjacency, to a fixed point.
-
-        Colours are numbered by first appearance in node order, every round.
-        A neighbour contributes one integer, ``colour * pairs + weight-pair
-        id``; the sorted tuple of those is a canonical form of the multiset
-        of (neighbour class, weight out, weight back) triples.
-        """
+    def _live_rows(self, rows: Rows) -> Rows:
+        """``rows`` without the failed links, re-filtered at their endpoints only."""
         failed = self.failed_links
-        pair_ids: Dict[Tuple[int, int], int] = {}
-        live = [
-            [
-                (neighbor, pair_ids.setdefault((out, back), len(pair_ids)))
-                for neighbor, out, back, link_id in row
-                if link_id not in failed
-            ]
-            for row in self._compiled.edges
-        ]
-        pairs = max(len(pair_ids), 1)
-        palette: Dict[object, int] = {}
-        coloring = [palette.setdefault(color, len(palette)) for color in initial]
-        while True:
-            classes = len(palette)
-            palette = {}
-            scaled = [color * pairs for color in coloring]
-            refined = [
-                palette.setdefault(
-                    (coloring[node], tuple(sorted([scaled[n] + pair for n, pair in row]))),
-                    len(palette),
+        edges = self._compiled.edges
+        index = self._compiled.index
+        live = list(rows)
+        for link_id in failed:
+            link = self.topology.link(link_id)
+            for node in (index[link.a], index[link.b]):
+                live[node] = tuple(
+                    entry for entry, edge in zip(rows[node], edges[node]) if edge[3] not in failed
                 )
-                for node, row in enumerate(live)
-            ]
-            if len(palette) == classes:
-                return refined
-            coloring = refined
+        return live
+
+    def _paint(
+        self, cells: List[List[int]], cell_of: List[int], colors: Dict[str, object], queue: List[int]
+    ) -> None:
+        """Split the cells by ``colors`` (a missing or ``None`` colour is one
+        colour), queueing the new parts."""
+        index = self._compiled.index
+        painted: Dict[int, Dict[object, List[int]]] = {}
+        for name, color in colors.items():
+            node = index.get(name)
+            if color is not None and node is not None:
+                painted.setdefault(cell_of[node], {}).setdefault(color, []).append(node)
+        for cell, groups in painted.items():
+            parts = list(groups.values())
+            members = cells[cell]
+            if sum(len(part) for part in parts) < len(members):
+                coloured = {node for part in parts for node in part}
+                parts.append([node for node in members if node not in coloured])
+            if len(parts) > 1:
+                _split(cells, cell_of, cell, parts, queue)
 
     def class_members(self) -> Dict[int, List[str]]:
         """Mapping DEC index -> sorted member device names."""
@@ -176,8 +284,18 @@ class DeviceEquivalence:
         return classes
 
     def representative_links(self) -> List[int]:
-        """One representative (smallest id) link per LEC."""
-        return sorted(min(ids) for ids in self.link_classes().values())
+        """One representative (smallest id) link per LEC, in one pass over
+        the links (id order) keyed as :meth:`link_classes` keys them."""
+        first: Dict[Tuple, int] = {}
+        coloring = self._coloring
+        failed = self.failed_links
+        for link_id, a, b, weight_ab, weight_ba in self._compiled.links:
+            ca = coloring[a]
+            cb = coloring[b]
+            key = (ca, cb, weight_ab, weight_ba) if ca <= cb else (cb, ca, weight_ba, weight_ab)
+            if key not in first and link_id not in failed:
+                first[key] = link_id
+        return sorted(first.values())
 
 
 def reduced_failure_scenarios(

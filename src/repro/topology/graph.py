@@ -9,10 +9,12 @@ failure scenarios and Link Equivalence Classes (paper §4.3) can refer to it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple, TypeVar
 
 from repro.exceptions import TopologyError
 from repro.netaddr import Prefix
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -120,6 +122,7 @@ class Topology:
         self._adjacency: Dict[str, Dict[str, List[int]]] = {}
         self._next_link_id = 0
         self._compiled: Optional[CompiledTopology] = None
+        self._derived: Dict[str, object] = {}
 
     # ------------------------------------------------------------------ nodes
     def add_node(
@@ -138,7 +141,7 @@ class Topology:
         node = Node(name=name, role=role, loopback=loopback, attributes=dict(attributes))
         self._nodes[name] = node
         self._adjacency[name] = {}
-        self._compiled = None
+        self._drop_compiled()
         return node
 
     def node(self, name: str) -> Node:
@@ -196,7 +199,7 @@ class Topology:
         self._links[link.link_id] = link
         self._adjacency[a].setdefault(b, []).append(link.link_id)
         self._adjacency[b].setdefault(a, []).append(link.link_id)
-        self._compiled = None
+        self._drop_compiled()
         return link
 
     def link(self, link_id: int) -> Link:
@@ -276,6 +279,23 @@ class Topology:
                 ),
             )
         return compiled
+
+    def derived(self, key: str, build: Callable[[CompiledTopology], T]) -> T:
+        """``build(self.compiled())``, memoised under ``key``.
+
+        For structures computed from the compiled form (the failure
+        reduction's rows and equitable partition): they live and are
+        dropped with it.
+        """
+        try:
+            return self._derived[key]  # type: ignore[return-value]
+        except KeyError:
+            value = self._derived[key] = build(self.compiled())
+            return value
+
+    def _drop_compiled(self) -> None:
+        self._compiled = None
+        self._derived = {}
 
     @property
     def link_count(self) -> int:

@@ -3,9 +3,12 @@
 The DPLL solver stands in for Z3 in the Minesweeper-like baseline; its
 verdicts must agree with brute-force enumeration on small formulas.  The
 failure-equivalence reduction (§4.3) must only ever *drop* redundant
-scenarios, never invent ones that full enumeration would not contain.
+scenarios, never invent ones that full enumeration would not contain, and its
+splitter refinement must reach the reference refiner's classes
+(``tests/oracles``) on drawn asymmetric graphs.
 """
 
+import hashlib
 import itertools
 import os
 
@@ -13,14 +16,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import ebgp_rfc7938, ospf_everywhere
+from repro.config.builder import add_static_route, edge_prefix, install_loop_inducing_statics
+from repro.config.parser import parse_config
+from repro.core.options import PlanktonOptions
+from repro.engine.graph import event_scenarios_for_pec, failure_scenarios_for_pec
+from repro.pec.classes import compute_pecs
+from repro.policies import LoopFreedom, Reachability
+from repro.scenarios.enumerator import DEFAULT_EVENT_KINDS, enumerate_event_scenarios
 from repro.topology import (
     DeviceEquivalence,
+    Topology,
+    bgp_fat_tree,
     enumerate_failure_scenarios,
     fat_tree,
     load_topology,
     reduced_failure_scenarios,
     ring,
 )
+from repro.topology import failures
+from repro.transient import TransientOptions
 from tests.oracles.ospf_reference import (
     reference_device_classes,
     reference_reduced_failure_scenarios,
@@ -224,3 +239,147 @@ class TestLecPin:
         after = DeviceEquivalence(topology).device_classes
         assert after == reference_device_classes(topology)
         assert len(set(after.values())) > 1
+        # A coloured refinement starts from the cached equitable partition: a
+        # chord added after it must drop that partition and the rows with it.
+        colors = {"r1": "origin"}
+        assert DeviceEquivalence(topology, colors).device_classes == reference_device_classes(
+            topology, colors
+        )
+        topology.add_link("r1", "r3")
+        assert DeviceEquivalence(topology, colors).device_classes == reference_device_classes(
+            topology, colors
+        )
+
+    def test_a_second_refinement_builds_no_rows_and_no_base_partition(self, monkeypatch):
+        topology = fat_tree(4)
+        DeviceEquivalence(topology, {"edge0_0": "origin"})
+
+        def refused(*_args):
+            raise AssertionError("built again")
+
+        monkeypatch.setattr(failures, "_rows", refused)
+        monkeypatch.setattr(failures, "_base_partition", refused)
+        for colors, failed in (({"edge1_0": "origin"}, None), ({"agg2_1": 3}, {5, 9})):
+            again = DeviceEquivalence(topology, colors, failed_links=failed)
+            assert again.device_classes == reference_device_classes(topology, colors, failed)
+
+
+@st.composite
+def coloured_graphs(draw):
+    """A weighted multigraph of at most 10 nodes, weights drawn per direction,
+    with drawn colours, up to two failed links and up to two interesting nodes."""
+    size = draw(st.integers(1, 10))
+    topology = Topology("drawn")
+    for node in range(size):
+        topology.add_node(f"n{node}")
+    if size > 1:
+        ends = st.integers(0, size - 1)
+        weights = st.integers(1, 3)
+        for a, b, out, back in draw(
+            st.lists(st.tuples(ends, ends, weights, weights), max_size=2 * size)
+        ):
+            if a != b:
+                topology.add_link(f"n{a}", f"n{b}", weight=out, weight_ba=back)
+    names = st.sampled_from(topology.nodes)
+    colors = draw(st.dictionaries(names, st.sampled_from([None, "origin", ("rack", 1), 7])))
+    link_ids = [link.link_id for link in topology.links]
+    failed = draw(st.sets(st.sampled_from(link_ids), max_size=2)) if link_ids else set()
+    interesting = draw(st.lists(names, max_size=2, unique=True))
+    return topology, colors, failed, interesting
+
+
+class TestRefinementDifferential:
+    """The splitter refinement against the full-round reference refiner on
+    drawn asymmetric graphs: same classes, same numbering, same scenarios."""
+
+    @given(coloured_graphs())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_classes_and_scenarios_equal_reference(self, drawn):
+        topology, colors, failed, interesting = drawn
+        # The failed call first, so the unfailed one below builds the cache.
+        assert DeviceEquivalence(topology, colors, failed).device_classes == (
+            reference_device_classes(topology, colors, failed)
+        )
+        assert DeviceEquivalence(topology, colors).device_classes == (
+            reference_device_classes(topology, colors)
+        )
+        for max_failures in (1, 2):
+            reduced = reduced_failure_scenarios(
+                topology, max_failures, colors=colors, interesting_nodes=interesting
+            )
+            assert [s.failed_links for s in reduced] == reference_reduced_failure_scenarios(
+                topology, max_failures, colors, interesting
+            )
+
+
+# --------------------------------------------------------------------------- colour map
+def _all_device_colors(network, pec):
+    """The origin colours as they were before devices with no role were left
+    out of the map: every device gets its (possibly empty) prefix triple."""
+    return {
+        name: (
+            tuple(sorted(str(p) for p, devs in pec.ospf_origins if name in devs)),
+            tuple(sorted(str(p) for p, devs in pec.bgp_origins if name in devs)),
+            tuple(sorted(str(p) for p, devs in pec.static_devices if name in devs)),
+        )
+        for name in network.topology.nodes
+    }
+
+
+def _campus():
+    topology = load_topology(_CAMPUS)
+    with open(_CAMPUS[: -len(".topo")] + ".cfg") as handle:
+        return parse_config(topology, handle.read()), [Reachability(sources=["acc0"])]
+
+
+def _ospf_loop_fabric():
+    network = ospf_everywhere(fat_tree(8))
+    install_loop_inducing_statics(
+        network, edge_prefix(2, 0), ["agg1_0", "edge1_0", "agg1_1", "edge1_1"]
+    )
+    return network, [LoopFreedom()]
+
+
+def _ecmp_statics():
+    # agg0_0 holds two static routes for the prefix, agg0_1 one: the same role.
+    network = ospf_everywhere(fat_tree(4))
+    for device, next_hop in (("agg0_0", "edge0_0"), ("agg0_0", "edge0_1"), ("agg0_1", "edge0_0")):
+        add_static_route(network, device, edge_prefix(1, 0), next_hop)
+    return network, [LoopFreedom()]
+
+
+class TestOriginColourMap:
+    """Leaving devices with no role out of the colour map changes no class:
+    the scenarios are those the old all-device colours give."""
+
+    @pytest.mark.parametrize("max_failures", [1, 2])
+    @pytest.mark.parametrize(
+        "build",
+        [_campus, _ospf_loop_fabric, _ecmp_statics],
+        ids=["campus", "ospf_k8_loop", "ecmp_statics"],
+    )
+    def test_failure_scenarios_equal_the_all_device_colouring(self, build, max_failures):
+        network, policies = build()
+        options = PlanktonOptions(max_failures=max_failures)
+        for pec in compute_pecs(network):
+            interesting = sorted(
+                {node for policy in policies for node in policy.source_nodes(pec) or ()}
+            )
+            scenarios = failure_scenarios_for_pec(network, pec, policies, options)
+            assert [s.failed_links for s in scenarios] == reference_reduced_failure_scenarios(
+                network.topology, max_failures, _all_device_colors(network, pec), interesting
+            )
+
+    def test_event_scenarios_on_ebgp_k4_are_the_parents(self):
+        network = ebgp_rfc7938(bgp_fat_tree(4))
+        digest = hashlib.sha256()
+        for pec in compute_pecs(network):
+            scenarios = event_scenarios_for_pec(network, pec, TransientOptions(scenario_events=2))
+            old = enumerate_event_scenarios(
+                network.topology, 2, DEFAULT_EVENT_KINDS, _all_device_colors(network, pec)
+            )
+            described = [scenario.describe() for scenario in scenarios]
+            assert described == [scenario.describe() for scenario in old]
+            digest.update(repr(described).encode())
+        # Captured before the colour map left devices out: 8 PECs x 2 416.
+        assert digest.hexdigest()[:16] == "1ab9ed9b41764299"

@@ -41,6 +41,9 @@ GONE = {
     # instance's slot layout, not a route-keyed layer beneath them.
     "cached_export",
     "cached_import",
+    # One refinement for the LEC reduction: the splitter refinement from the
+    # topology's cached equitable partition, not full colour-refinement rounds.
+    "_refine",
 }
 
 

@@ -25,9 +25,11 @@ bit-identical to the reference explorer in ``por="full"`` mode) and the
 *reduction floors*, as in-process ratios of state counts (the ample/sleep
 reduction explores >=5x fewer states, rank immunity a further >=2x fewer, the
 lifecycle-scenario enumerator emits at most half the brute-force universe, at
-identical verdicts on a depth-6 slice of the same workload) and the *memo
+identical verdicts on a depth-6 slice of the same workload), the *memo
 floor* (property checks and danger evaluations are counted: one per distinct
-interned key, fewer than the states and channels walked).  Wall-clock
+interned key, fewer than the states and channels walked) and the *memory
+floor* (what the search allocates per admitted state, against the bytes of
+the state's own id array).  Wall-clock
 throughput of the transient model is measured by the repo benchmark
 (``perf/``, workload ``transient_k6_d6``), not here.
 """
@@ -37,6 +39,7 @@ from repro.core.network_model import DependencyContext, PecExplorer
 from repro.core.options import PlanktonOptions
 from repro.modelcheck.por.ample import AmpleSelector
 from repro.pec.classes import compute_pecs
+from repro.protocols.spvp import space_for
 from repro.topology import bgp_fat_tree
 from repro.topology.failures import FailureScenario
 from repro.transient import TransientAnalyzer, TransientLoopFreedom
@@ -231,3 +234,40 @@ def test_memo_count_floor(reporter, monkeypatch):
         f"evaluations for {channels[0]} pending channels "
         f"({channels[0] / danger_calls[0]:.1f}x fewer) re-converging from a flap, depth 8",
     )
+
+
+def test_state_memory_floor(reporter):
+    """Gating floor for the memory an admitted state costs: a ratio, no clock.
+
+    A ``por="sleep"`` search of at most 5 000 states on the fig7a instance,
+    run a second time on the same analyzer so that every memo (transfers,
+    intern tables, Zobrist components, property answers) is already warm:
+    the ``tracemalloc`` peak of that run, per admitted state, is at most 3x
+    the state's id array (4 bytes a slot).  What remains per state is the
+    array, its delta, its event, its pending mask, its sleep mask and its
+    visited-set entry; a channel set held as a frozenset of channel tuples
+    costs more than the id array on its own.
+    """
+    import tracemalloc
+
+    instance = _fig7a_style_instance()
+    analyzer = TransientAnalyzer(
+        instance, max_states=5_000, max_depth=8, stop_at_first_violation=False, por="sleep"
+    )
+    properties = [TransientLoopFreedom(ignore_converged=True)]
+    analyzer.analyze(properties)
+    tracemalloc.start()
+    try:
+        result = analyzer.analyze(properties)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    id_bytes = 4 * space_for(instance).total_slots
+    per_state = peak / result.states_explored
+    ratio = per_state / id_bytes
+    reporter(
+        "transient",
+        f"memory floor: {per_state:.0f} B per admitted state over {result.states_explored} "
+        f"states, {ratio:.2f}x the {id_bytes} B id array (por=sleep, warm memos)",
+    )
+    assert ratio <= 3.0

@@ -16,10 +16,14 @@ then enough.  This module provides the two relations the reproduction uses:
   and a head pop commutes with a tail append on a non-empty FIFO, with the
   appended advertisement depending only on the appender's own (untouched)
   state.  Deliveries to the *same* receiver race on its rib-in/best
-  selection and are dependent.  The adjacency tables (who can send to whom)
-  are derived from the instance's channel layout at construction time; the
-  ample selector uses them to reason about which currently-*disabled*
-  dependent deliveries could become enabled (:mod:`repro.modelcheck.por.ample`).
+  selection and are dependent.  The relation is therefore held as one mask
+  per receiver over the instance's channel index (``in_mask``): the
+  deliveries dependent on one into ``d`` are exactly the bits of
+  ``in_mask[d]``, which is how the sleep sets
+  (:mod:`repro.modelcheck.por.sleep`) apply it.  The out-adjacency (who
+  each node can message) is what the ample selector reasons over to decide
+  which currently-*disabled* dependent deliveries could become enabled
+  (:mod:`repro.modelcheck.por.ample`).
 
 * :func:`node_independence_groups` — the RPVP decision-independence
   partition (§4.1.3), shared with :mod:`repro.core.determinism`: two
@@ -29,9 +33,9 @@ then enough.  This module provides the two relations the reproduction uses:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.protocols.spvp import Channel, space_for
+from repro.protocols.spvp import space_for
 
 
 class ChannelIndependence:
@@ -41,30 +45,11 @@ class ChannelIndependence:
         self.instance = instance
         space = space_for(instance)
         self.space = space
-        #: receiver -> senders with a channel into it (who can message it).
-        self.in_peers: Dict[str, Tuple[str, ...]] = dict(space.in_peers)
         #: sender -> receivers of its channels (who it messages on a change).
         self.out_peers: Dict[str, Tuple[str, ...]] = dict(space.out_peers)
-        #: receiver -> its incoming channels, in canonical slot order.
-        self.in_channels: Dict[str, Tuple[Channel, ...]] = {
-            node: tuple((peer, node) for peer in self.in_peers.get(node, ()))
-            for node in space.nodes
-        }
-
-    @staticmethod
-    def independent(first: Channel, second: Channel) -> bool:
-        """Whether two deliveries commute in every state enabling both.
-
-        Distinct receivers are sufficient (see the module docstring for the
-        commutation argument); same-receiver deliveries race on the
-        receiver's route selection and are dependent.
-        """
-        return first[1] != second[1]
-
-    @staticmethod
-    def dependent(first: Channel, second: Channel) -> bool:
-        """Negation of :meth:`independent` (same-receiver deliveries)."""
-        return first[1] == second[1]
+        #: receiver -> the mask of its incoming channels: the deliveries
+        #: dependent on any delivery to it.
+        self.in_mask: Dict[str, int] = space.in_mask
 
 
 def node_independence_groups(

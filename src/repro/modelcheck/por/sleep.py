@@ -13,6 +13,12 @@ successor via ``ti`` inherits
 ``ti`` reaches the same states.  Transitions found in the sleep set are
 skipped at expansion time.
 
+A sleep set is an ``int`` mask over the instance's channel index (bit ``i``
+is channel ``i`` of :func:`~repro.protocols.spvp.space_for`'s layout, as in
+a state's pending mask).  Same-receiver deliveries are the only dependent
+pairs (:mod:`repro.modelcheck.por.independence`), so the filter above is
+one mask operation: clear the bits of the channels into ``ti``'s receiver.
+
 Combining sleep sets with a visited set needs one extra rule to stay sound
 (state matching can otherwise lose states): a state re-reached with a sleep
 set that is *not a superset* of the one it was first explored with may have
@@ -24,33 +30,28 @@ with the rule in place sleep sets prune transitions, not reachable states.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Sequence
+from typing import Optional
 
 from repro.modelcheck.por.independence import ChannelIndependence
 from repro.protocols.spvp import Channel
 
-#: The empty sleep set (shared; sleep sets are small frozensets).
-EMPTY_SLEEP: FrozenSet[Channel] = frozenset()
+#: The empty sleep set.
+EMPTY_SLEEP = 0
 
 
 def successor_sleep(
     independence: ChannelIndependence,
-    sleep: FrozenSet[Channel],
-    executed_before: Sequence[Channel],
+    sleep: int,
+    executed_before: int,
     transition: Channel,
-) -> FrozenSet[Channel]:
-    """The sleep set of the successor reached via ``transition``."""
-    independent = independence.independent
-    keep = [channel for channel in sleep if independent(channel, transition)]
-    keep.extend(
-        channel for channel in executed_before if independent(channel, transition)
-    )
-    return frozenset(keep) if keep else EMPTY_SLEEP
+) -> int:
+    """The sleep set of the successor reached via ``transition``: the
+    inherited sleepers and earlier siblings (``executed_before``, a mask)
+    whose receiver is not ``transition``'s."""
+    return (sleep | executed_before) & ~independence.in_mask[transition[1]]
 
 
-def merged_sleep_for_requeue(
-    stored: FrozenSet[Channel], reached_with: FrozenSet[Channel]
-) -> Optional[FrozenSet[Channel]]:
+def merged_sleep_for_requeue(stored: int, reached_with: int) -> Optional[int]:
     """The sleep set to re-expand a revisited state with, or None to skip.
 
     ``None`` means ``reached_with`` is subsumed: everything this visit would
@@ -58,6 +59,6 @@ def merged_sleep_for_requeue(
     intersection is the weakest sleep set covering both visits, and the
     state must be re-queued with it (the state-matching soundness rule).
     """
-    if reached_with >= stored:
+    if not stored & ~reached_with:
         return None
     return stored & reached_with

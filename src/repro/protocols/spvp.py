@@ -78,6 +78,12 @@ class _SpvpSpace:
     * the final block, from :attr:`buffer_base` — per-(sender, receiver)
       channel FIFO, stored as the intern id of the queued-advertisement tuple.
 
+    The channel block also numbers the channels densely: channel ``i`` is
+    :attr:`channels` ``[i]`` at slot ``buffer_base + i``, and bit ``i`` of
+    a channel-set mask (:attr:`channel_bit`) stands for it.  A state's
+    pending set and every sleep set of the reduction are such ``int``
+    masks, so ascending bits follow the canonical slot order.
+
     Ids resolve through the node space's intern table (:attr:`table`), the
     one every RPVP state over the same nodes uses.
 
@@ -106,9 +112,10 @@ class _SpvpSpace:
         "rib_slot",
         "channels",
         "channel_slot",
+        "channel_bit",
         "rib_slots_of",
         "out_slots_of",
-        "in_peers",
+        "in_mask",
         "out_peers",
         "buffer_base",
         "total_slots",
@@ -146,6 +153,11 @@ class _SpvpSpace:
                 self.channel_slot[channel] = next_slot
                 next_slot += 1
         self.total_slots = next_slot
+        #: channel -> its bit in a channel-set mask: ``1 << i`` for
+        #: ``channels[i]``.
+        self.channel_bit: Dict[Channel, int] = {
+            channel: 1 << index for index, channel in enumerate(self.channels)
+        }
         #: (peer, rib slot) pairs of each node, in peers() order — the
         #: candidate enumeration order of best-path selection.
         self.rib_slots_of: Dict[str, Tuple[Tuple[str, int], ...]] = {
@@ -163,19 +175,17 @@ class _SpvpSpace:
             )
             for node in self.nodes
         }
-        #: Channel adjacency, in canonical slot order: who each node can
-        #: message (``out_peers``) and be messaged by (``in_peers``).  The
-        #: partial-order-reduction machinery reasons over these.
+        #: Channel adjacency: who each node can message (``out_peers``, in
+        #: canonical slot order) and the mask of the channels into it
+        #: (``in_mask``).  The partial-order-reduction machinery reasons
+        #: over these.
         self.out_peers: Dict[str, Tuple[str, ...]] = {
             node: tuple(peer for peer, _channel, _slot in self.out_slots_of[node])
             for node in self.nodes
         }
-        in_peers: Dict[str, List[str]] = {node: [] for node in self.nodes}
-        for sender, receiver in self.channels:
-            in_peers[receiver].append(sender)
-        self.in_peers: Dict[str, Tuple[str, ...]] = {
-            node: tuple(senders) for node, senders in in_peers.items()
-        }
+        self.in_mask: Dict[str, int] = dict.fromkeys(self.nodes, 0)
+        for channel, bit in self.channel_bit.items():
+            self.in_mask[channel[1]] |= bit
         #: The (node, peer) session of each rib slot, in slot order.
         self.sessions: Tuple[Tuple[str, str], ...] = tuple(self.rib_slot)
         #: (rib slot, advertised rid) -> imported rid (post loop-check).
@@ -267,6 +277,10 @@ class SpvpState(IdArrayState):
     function of the path for a fixed instance, so this identifies exactly
     the states the reference explorer's path-keyed visited-set signature
     does.
+
+    :attr:`pending` — the channels with a queued advertisement — is an
+    ``int`` mask over the layout's channel index: bit ``i`` set means
+    ``channels[i]`` is non-empty.
     """
 
     __slots__ = ("event", "pending")
@@ -275,15 +289,16 @@ class SpvpState(IdArrayState):
         self,
         space: _SpvpSpace,
         ids: array,
-        pending: FrozenSet[Channel],
+        pending: int,
         parent: Optional["SpvpState"] = None,
         delta: Tuple[Tuple[int, int, int], ...] = (),
         event: Optional[SpvpEvent] = None,
     ) -> "SpvpState":
         self._init_ids(space, ids, parent, delta)
-        #: Channels with at least one queued advertisement (delta-maintained:
-        #: one delivery removes at most the drained channel and adds the
-        #: receiver's out-channels; no buffer rescan ever happens).
+        #: The mask of the channels with at least one queued advertisement
+        #: (delta-maintained: one delivery clears at most the drained
+        #: channel's bit and sets the receiver's out-channels'; no buffer
+        #: rescan ever happens).
         self.pending = pending
         #: The delivery that produced this state from its parent.
         self.event = event
@@ -351,10 +366,14 @@ class SpvpState(IdArrayState):
 
     def pending_channels(self) -> List[Channel]:
         """Pending channels in the canonical (slot) enumeration order."""
-        if not self.pending:
-            return []
-        slot_of = self._space.channel_slot
-        return sorted(self.pending, key=slot_of.__getitem__)
+        mask = self.pending
+        channels = self._space.channels
+        pending: List[Channel] = []
+        while mask:
+            low = mask & -mask
+            pending.append(channels[low.bit_length() - 1])
+            mask ^= low
+        return pending
 
     def is_converged(self) -> bool:
         """True when every buffer is empty (the SPVP convergence condition)."""
@@ -386,7 +405,7 @@ class SpvpState(IdArrayState):
     def _derive(
         self,
         updates: List[Tuple[int, int]],
-        pending: FrozenSet[Channel],
+        pending: int,
         event: Optional[SpvpEvent],
     ) -> "SpvpState":
         """A new state with ``updates`` (slot, new id) applied."""
@@ -410,7 +429,7 @@ class SpvpState(IdArrayState):
     def __repr__(self) -> str:
         return (
             f"SpvpState({len(self._space.nodes)} nodes, "
-            f"{len(self.pending)} pending channel(s))"
+            f"{self.pending.bit_count()} pending channel(s))"
         )
 
 
@@ -449,7 +468,7 @@ class SpvpStepper:
         space = self.space
         table = self.table
         ids = array("i", bytes(4 * space.total_slots))
-        pending: List[Channel] = []
+        pending = 0
         for node in space.nodes:
             if node not in space.origin_set:
                 continue
@@ -457,8 +476,8 @@ class SpvpStepper:
             # Origins advertise their path to every peer up front (Appendix A).
             for _peer, channel, slot in space.out_slots_of[node]:
                 ids[slot] = table.queue_id((space.export_id(slot, rid),))
-                pending.append(channel)
-        return SpvpState.__new__(SpvpState)._init(space, ids, frozenset(pending))
+                pending |= space.channel_bit[channel]
+        return SpvpState.__new__(SpvpState)._init(space, ids, pending)
 
     def state_from_maps(
         self,
@@ -474,15 +493,15 @@ class SpvpStepper:
             ids[slot] = table.route_id(best[node])
         for key, slot in space.rib_slot.items():
             ids[slot] = table.route_id(rib_in[key])
-        pending: List[Channel] = []
+        pending = 0
         for channel in space.channels:
             queue = tuple(buffers[channel])
             ids[space.channel_slot[channel]] = table.queue_id(
                 tuple(table.route_id(route) for route in queue)
             )
             if queue:
-                pending.append(channel)
-        return SpvpState.__new__(SpvpState)._init(space, ids, frozenset(pending))
+                pending |= space.channel_bit[channel]
+        return SpvpState.__new__(SpvpState)._init(space, ids, pending)
 
     # ------------------------------------------------------------------ stepping
     def deliver(self, state: SpvpState, channel: Channel) -> Tuple[SpvpEvent, SpvpState]:
@@ -524,13 +543,13 @@ class SpvpStepper:
 
         pending = state.pending
         if not remaining_qid:
-            pending = pending - {channel}
+            pending &= ~space.channel_bit[channel]
         if (
             table.path_id(current_rid) != table.path_id(new_best_rid)
             and receiver not in self.quiesced
         ):
             # The receiver re-advertises its (possibly withdrawn) best path.
-            added: List[Channel] = []
+            channel_bit = space.channel_bit
             for _peer, out_channel, out_slot in space.out_slots_of[receiver]:
                 if out_channel in self.suppressed:
                     continue
@@ -541,8 +560,7 @@ class SpvpStepper:
                 updates.append(
                     (out_slot, table.queue_id(table.queue(out_qid) + (advertisement_rid,)))
                 )
-                added.append(out_channel)
-            pending = pending | frozenset(added)
+                pending |= channel_bit[out_channel]
         return event, state._derive(updates, pending, event)
 
     def _select_best_id(
@@ -624,14 +642,14 @@ class SpvpStepper:
         space = self.space
         withdraw_qid = self.table.queue_id((0,))
         updates: List[Tuple[int, int]] = []
-        added: List[Channel] = []
+        pending = state.pending
         for channel in ((a, b), (b, a)):
             slot = space.channel_slot.get(channel)
             if slot is None:
                 continue
             updates.append((slot, withdraw_qid))
-            added.append(channel)
-        return state._derive(updates, state.pending | frozenset(added), None)
+            pending |= space.channel_bit[channel]
+        return state._derive(updates, pending, None)
 
     # ------------------------------------------------------------------ lifecycle
     def crash_node(self, state: SpvpState, node: str) -> SpvpState:
@@ -647,17 +665,14 @@ class SpvpStepper:
         table = self.table
         withdraw_qid = table.queue_id((0,))
         updates: List[Tuple[int, int]] = [(space.best_slot[node], 0)]
-        added: List[Channel] = []
-        removed: List[Channel] = []
+        added = 0
         for _peer, slot in space.rib_slots_of[node]:
             updates.append((slot, 0))
         for peer, out_channel, out_slot in space.out_slots_of[node]:
             updates.append((out_slot, withdraw_qid))
-            added.append(out_channel)
-            in_channel = (peer, node)
-            updates.append((space.channel_slot[in_channel], 0))
-            removed.append(in_channel)
-        pending = (state.pending - frozenset(removed)) | frozenset(added)
+            added |= space.channel_bit[out_channel]
+            updates.append((space.channel_slot[(peer, node)], 0))
+        pending = (state.pending & ~space.in_mask[node]) | added
         return state._derive(updates, pending, None)
 
     def restart_node(self, state: SpvpState, node: str) -> SpvpState:
@@ -672,8 +687,8 @@ class SpvpStepper:
         table = self.table
         boot_rid = space.origin_id(node) if node in space.origin_set else 0
         updates: List[Tuple[int, int]] = [(space.best_slot[node], boot_rid)]
-        added: List[Channel] = []
-        removed: List[Channel] = []
+        channel_bit = space.channel_bit
+        added = 0
         for _peer, slot in space.rib_slots_of[node]:
             updates.append((slot, 0))
         for peer, out_channel, out_slot in space.out_slots_of[node]:
@@ -681,19 +696,18 @@ class SpvpStepper:
             if boot_rid and out_channel not in self.suppressed:
                 out_queue += (space.export_id(out_slot, boot_rid),)
             updates.append((out_slot, table.queue_id(out_queue)))
-            added.append(out_channel)
+            added |= channel_bit[out_channel]
             in_channel = (peer, node)
             in_slot = space.channel_slot[in_channel]
             if in_channel in self.suppressed or peer in self.quiesced:
                 updates.append((in_slot, 0))
-                removed.append(in_channel)
             else:
                 peer_best_rid = state._ids[space.best_slot[peer]]
                 updates.append(
                     (in_slot, table.queue_id((space.export_id(in_slot, peer_best_rid),)))
                 )
-                added.append(in_channel)
-        pending = (state.pending - frozenset(removed)) | frozenset(added)
+                added |= channel_bit[in_channel]
+        pending = (state.pending & ~space.in_mask[node]) | added
         return state._derive(updates, pending, None)
 
     def quiesce_node(self, state: SpvpState, node: str) -> SpvpState:
@@ -704,15 +718,16 @@ class SpvpStepper:
         re-advertising best-path changes until :meth:`return_to_service`.
         """
         self.quiesced.add(node)
+        space = self.space
         table = self.table
         updates: List[Tuple[int, int]] = []
-        added: List[Channel] = []
-        for _peer, channel, slot in self.space.out_slots_of[node]:
+        pending = state.pending
+        for _peer, channel, slot in space.out_slots_of[node]:
             if channel in self.suppressed:
                 continue
             updates.append((slot, table.queue_id(table.queue(state._ids[slot]) + (0,))))
-            added.append(channel)
-        return state._derive(updates, state.pending | frozenset(added), None)
+            pending |= space.channel_bit[channel]
+        return state._derive(updates, pending, None)
 
     def return_to_service(self, state: SpvpState, node: str) -> SpvpState:
         """End a maintenance drain: ``node`` re-advertises its current best."""
@@ -721,7 +736,7 @@ class SpvpStepper:
         table = self.table
         best_rid = state._ids[space.best_slot[node]]
         updates: List[Tuple[int, int]] = []
-        added: List[Channel] = []
+        pending = state.pending
         for _peer, channel, slot in space.out_slots_of[node]:
             if channel in self.suppressed:
                 continue
@@ -729,8 +744,8 @@ class SpvpStepper:
             updates.append(
                 (slot, table.queue_id(table.queue(state._ids[slot]) + (advertisement_rid,)))
             )
-            added.append(channel)
-        return state._derive(updates, state.pending | frozenset(added), None)
+            pending |= space.channel_bit[channel]
+        return state._derive(updates, pending, None)
 
     def suppress_session(self, state: SpvpState, exporter: str, importer: str) -> SpvpState:
         """Gray failure: the ``exporter → importer`` direction silently drops
@@ -741,5 +756,7 @@ class SpvpStepper:
         slot = self.space.channel_slot.get(channel)
         if slot is None:
             return state
-        return state._derive([(slot, 0)], state.pending - {channel}, None)
+        return state._derive(
+            [(slot, 0)], state.pending & ~self.space.channel_bit[channel], None
+        )
 

@@ -81,7 +81,7 @@ import itertools
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.config.objects import NetworkConfig
 from repro.core.options import FRONTIER_MODES, POR_MODES
@@ -434,21 +434,24 @@ class TransientAnalyzer:
         if selector is not None:
             selector.reduction = reduction
 
-        #: fingerprint -> the sleep set the state was admitted/last queued with.
-        visited: Dict[int, FrozenSet[Channel]] = {root.fingerprint(hasher): EMPTY_SLEEP}
+        #: fingerprint -> the sleep set (a channel mask) the state was
+        #: admitted/last queued with.
+        visited: Dict[int, int] = {root.fingerprint(hasher): EMPTY_SLEEP}
         #: Frontier entries are (state, depth, sleep set, fresh); ``fresh``
         #: is False only for the sleep-set requeues of already-counted
         #: states.  The fifo frontier is plain BFS; the priority frontier
         #: is a deepest-first heap with fewest-pending-channels tie-breaks
         #: (insertion order last, keeping the search deterministic).
-        fifo: Deque[Tuple[SpvpState, int, FrozenSet[Channel], bool]] = deque()
-        heap: List[Tuple[int, int, int, SpvpState, int, FrozenSet[Channel], bool]] = []
+        fifo: Deque[Tuple[SpvpState, int, int, bool]] = deque()
+        heap: List[Tuple[int, int, int, SpvpState, int, int, bool]] = []
         counter = itertools.count()
+        channel_bit = self._space.channel_bit
 
-        def push(state: SpvpState, depth: int, sleep: FrozenSet[Channel], fresh: bool) -> None:
+        def push(state: SpvpState, depth: int, sleep: int, fresh: bool) -> None:
             if use_priority:
                 heapq.heappush(
-                    heap, (-depth, len(state.pending), next(counter), state, depth, sleep, fresh)
+                    heap,
+                    (-depth, state.pending.bit_count(), next(counter), state, depth, sleep, fresh),
                 )
             else:
                 fifo.append((state, depth, sleep, fresh))
@@ -488,7 +491,7 @@ class TransientAnalyzer:
             else:
                 expansion = list(enabled)
 
-            executed: List[Channel] = []
+            executed = 0
             expanded_count = 0
             index = 0
             active_sleep = sleep
@@ -496,7 +499,8 @@ class TransientAnalyzer:
             while index < len(expansion):
                 channel = expansion[index]
                 index += 1
-                if use_sleep and channel in active_sleep:
+                bit = channel_bit[channel]
+                if use_sleep and active_sleep & bit:
                     reduction.transitions_slept += 1
                     slept_here += 1
                     if (
@@ -540,11 +544,11 @@ class TransientAnalyzer:
                     if use_sleep
                     else EMPTY_SLEEP
                 )
-                executed.append(channel)
+                executed |= bit
                 expanded_count += 1
                 fingerprint = successor.fingerprint(hasher)
                 stored = visited.get(fingerprint)
-                if stored is None:  # values are frozensets, never None
+                if stored is None:  # values are masks, never None
                     if len(visited) >= options.max_states:
                         result.truncated = True
                         break

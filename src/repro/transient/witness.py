@@ -39,8 +39,9 @@ def _replay(
 ) -> Optional[SpvpState]:
     """Deliver ``channels`` in order from ``root``; None when one is not enabled."""
     state = root
+    channel_bit = root._space.channel_bit
     for channel in channels:
-        if channel not in state.pending:
+        if not state.pending & channel_bit.get(channel, 0):
             return None
         try:
             _event, state = stepper.deliver(state, channel)

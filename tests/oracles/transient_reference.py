@@ -9,15 +9,23 @@ rib-ins, buffers *and* event history), and keys the visited set on a full
 accounting matches the product's, so ``TransientAnalyzer(por="full")`` runs
 must produce bit-identical ``stats_signature()``s.  It is exhaustive and
 slow on purpose — test-sized budgets only.
+
+:func:`successor_sleep` and :func:`merged_sleep_for_requeue` are the
+sleep-set rules of :mod:`repro.modelcheck.por.sleep` in their set form:
+frozensets of ``(sender, receiver)`` channels filtered by the pairwise
+:func:`independent` predicate.  The package computes them as masks over the
+instance's channel index; ``tests/property/test_sleep_masks.py`` pins the
+decoded masks to these.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Sequence, Set, Tuple
+from typing import Deque, FrozenSet, Optional, Sequence, Set, Tuple
 
 from repro.protocols.base import PathVectorInstance
+from repro.protocols.spvp import Channel
 from repro.transient.explorer import TransientAnalysisResult, TransientViolation
 from repro.transient.properties import TransientForwarding, TransientProperty
 
@@ -137,3 +145,31 @@ class NaiveTransientAnalyzer:
             for key, queue in simulator.buffers.items()
         ))
         return (best, rib_in, buffers)
+
+
+def independent(first: Channel, second: Channel) -> bool:
+    """Whether two deliveries commute: distinct receivers."""
+    return first[1] != second[1]
+
+
+def successor_sleep(
+    sleep: FrozenSet[Channel],
+    executed_before: Sequence[Channel],
+    transition: Channel,
+) -> FrozenSet[Channel]:
+    """The sleep set of the successor reached via ``transition``: the
+    inherited sleepers and earlier siblings independent of it."""
+    keep = [channel for channel in sleep if independent(channel, transition)]
+    keep.extend(
+        channel for channel in executed_before if independent(channel, transition)
+    )
+    return frozenset(keep)
+
+
+def merged_sleep_for_requeue(
+    stored: FrozenSet[Channel], reached_with: FrozenSet[Channel]
+) -> Optional[FrozenSet[Channel]]:
+    """The sleep set to re-expand a revisited state with, or None to skip."""
+    if reached_with >= stored:
+        return None
+    return stored & reached_with

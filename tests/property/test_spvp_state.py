@@ -222,6 +222,51 @@ class TestSpvpStateAgainstReference:
         }
         assert flapped.pending_channels() == reference.pending_messages()
 
+    @given(scenario=spvp_scenarios(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_pending_mask_tracks_the_buffers_through_every_primitive(self, scenario, data):
+        """After each delivery and each lifecycle primitive the pending mask
+        has exactly the bits of the non-empty buffers, and its channels come
+        out in ascending slot order, as the reference simulator lists them."""
+        edge_map, preferences, schedule = scenario
+        instance = GadgetInstance("o", edge_map, preferences)
+        stepper = SpvpStepper(instance)
+        space = stepper.space
+        reference = ReferenceSpvpSimulator(instance, seed=0)
+        hasher = ZobristFingerprinter(stepper.table)
+        nodes = sorted(edge_map)
+        sessions = sorted((node, peer) for node in edge_map for peer in edge_map[node])
+        primitives = (
+            "deliver", "fail_session", "crash_node", "restart_node",
+            "quiesce_node", "return_to_service", "suppress_session",
+        )
+        state = stepper.initial_state()
+        for pick in schedule[:24]:
+            kind = data.draw(st.sampled_from(primitives), label="primitive")
+            if kind == "deliver":
+                pending = state.pending_channels()
+                if not pending:
+                    continue
+                channel = pending[pick % len(pending)]
+                event, state = stepper.deliver(state, channel)
+                assert event == reference.step(channel)
+            elif kind in ("fail_session", "suppress_session"):
+                session = sessions[pick % len(sessions)]
+                state = getattr(stepper, kind)(state, *session)
+                getattr(reference, kind)(*session)
+            else:
+                node = nodes[pick % len(nodes)]
+                state = getattr(stepper, kind)(state, node)
+                getattr(reference, kind)(node)
+            mask = 0
+            for channel, queue in state.buffer_map().items():
+                if queue:
+                    mask |= space.channel_bit[channel]
+            assert state.pending == mask
+            slots = [space.channel_slot[channel] for channel in state.pending_channels()]
+            assert slots == sorted(set(slots))
+            _assert_state_matches_reference(stepper, state, reference, hasher)
+
     def test_divergent_configuration_still_raises(self):
         from repro.exceptions import ProtocolError
 

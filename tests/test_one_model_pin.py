@@ -44,6 +44,14 @@ GONE = {
     # One refinement for the LEC reduction: the splitter refinement from the
     # topology's cached equitable partition, not full colour-refinement rounds.
     "_refine",
+    # One channel-set representation for SPVP: masks over the instance's
+    # channel index (the receiver's in-mask is the dependence relation), not
+    # a per-pair predicate and per-receiver channel tuples.  ``dependent``,
+    # the predicate's negation, names PEC dependencies elsewhere in the
+    # package, so it is pinned on the class below instead.
+    "independent",
+    "in_channels",
+    "in_peers",
 }
 
 
@@ -103,6 +111,18 @@ def test_public_namespaces_do_not_expose_the_moved_names(module):
     namespace = importlib.import_module(module)
     exposed = GONE & (set(vars(namespace)) | set(getattr(namespace, "__all__", ())))
     assert exposed == set()
+
+
+def test_channel_independence_is_the_receiver_in_mask():
+    from repro.modelcheck.por.independence import ChannelIndependence
+    from repro.protocols.spvp import space_for
+    from tests.test_rpvp_spvp import good_gadget
+
+    instance = good_gadget()
+    relation = ChannelIndependence(instance)
+    gone = {"independent", "dependent", "in_channels", "in_peers"}
+    assert gone & (set(dir(relation)) | set(dir(space_for(instance)))) == set()
+    assert relation.in_mask is space_for(instance).in_mask
 
 
 def test_one_state_representation():

@@ -29,8 +29,7 @@ Subcommands:
 ``transient``
     Explore SPVP message interleavings and check transient properties
     (micro-loops, momentary black holes) in every reachable state, with the
-    partial-order reduction, frontier and witness-minimisation knobs of
-    :mod:`repro.transient` exposed as flags.
+    partial-order reduction of :mod:`repro.transient` exposed as ``--por``.
 
 ``serve``
     Run the long-lived verification service: warm per-namespace incremental
@@ -57,7 +56,7 @@ Examples::
     python -m repro diff-verify old.cfg new.cfg --topology campus.topo \\
         --policy loop --cache-dir .plankton-cache
     python -m repro transient --topology dc.topo --config dc.cfg \\
-        --fail-session agg0_0,edge0_0 --frontier priority
+        --fail-session agg0_0,edge0_0 --por sleep
     python -m repro pecs --topology campus.topo --config campus.cfg
     python -m repro trace --topology campus.topo --config campus.cfg \\
         --source acc0 --destination 10.1.0.9
@@ -78,7 +77,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro import __version__
 from repro.core.options import (
     BACKEND_CHOICES,
-    FRONTIER_MODES,
     POLICY_KINDS,
     POR_MODES,
     TRANSIENT_PROPERTIES,
@@ -236,8 +234,6 @@ def _transient_spec(args: argparse.Namespace) -> Dict[str, object]:
         "max_depth": args.max_depth,
         "stop_at_first_violation": not args.all_violations,
         "por": args.por,
-        "frontier": args.frontier,
-        "minimize_witnesses": args.minimize_witness,
         "scenario_events": args.scenario_events,
     }
     if args.scenario_kinds:
@@ -250,8 +246,6 @@ def _transient_property_spec(args: argparse.Namespace) -> Dict[str, object]:
     spec: Dict[str, object] = {"property": args.property}
     if args.sources:
         spec["sources"] = _split_list(args.sources)
-    if args.include_converged:
-        spec["include_converged"] = True
     return spec
 
 
@@ -630,11 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--destination-prefix", help="restrict the analysis to PECs covering this prefix"
     )
     transient.add_argument(
-        "--include-converged",
-        action="store_true",
-        help="loop: also flag loops that persist in converged states",
-    )
-    transient.add_argument(
         "--max-states", type=int, default=20_000, help="state budget per exploration"
     )
     transient.add_argument(
@@ -645,17 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(POR_MODES),
         default="ample",
         help="partial-order reduction mode (full = unreduced oracle)",
-    )
-    transient.add_argument(
-        "--frontier",
-        choices=list(FRONTIER_MODES),
-        default="fifo",
-        help="exploration order (priority drains convergence chains first)",
-    )
-    transient.add_argument(
-        "--minimize-witness",
-        action="store_true",
-        help="shrink violation witnesses by dropping independent deliveries",
     )
     transient.add_argument(
         "--fail-session",

@@ -33,10 +33,6 @@ TRANSIENT_PROPERTIES = ("loop", "blackhole")
 #: Accepted values of :attr:`repro.transient.TransientOptions.por` and ``--por``.
 POR_MODES = ("ample", "sleep", "full")
 
-#: Accepted values of :attr:`repro.transient.TransientOptions.frontier` and
-#: ``--frontier``.
-FRONTIER_MODES = ("fifo", "priority")
-
 
 @dataclass(frozen=True)
 class OptimizationFlags:

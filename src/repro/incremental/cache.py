@@ -88,8 +88,10 @@ from repro.pec.dependencies import PecDependencyGraph
 #: makes a transient entry's task one (PEC, failure) carrying all of its
 #: scenario runs, writes each run's witness prefix once
 #: (``witness_prefix``) with each violation's witness after it, and keys a
-#: campaign on each scenario's events as well as its name.
-CACHE_SCHEMA_VERSION = 8
+#: campaign on each scenario's events as well as its name.  v9 drops
+#: ``sleep_fallbacks`` from the reduction ledger and ``frontier`` /
+#: ``minimize_witnesses`` from the transient options.
+CACHE_SCHEMA_VERSION = 9
 
 PathLike = Union[str, Path]
 

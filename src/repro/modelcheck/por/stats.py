@@ -41,9 +41,6 @@ class ReductionStatistics:
         sleep_requeues: Re-expansions of an already-visited state with a
             strictly smaller sleep set (the state-matching soundness rule;
             such re-expansions never re-count the state).
-        sleep_fallbacks: Expansions re-run with the sleep set ignored
-            because every enabled delivery was asleep (priority-frontier
-            descents would otherwise dead-end on a budgeted search).
         proviso_fallbacks: Ample sets abandoned at expansion time because a
             member turned out to be visible (changed a best path), widening
             the expansion back to the full enabled set.
@@ -62,7 +59,6 @@ class ReductionStatistics:
     transitions_expanded: int = 0
     transitions_slept: int = 0
     sleep_requeues: int = 0
-    sleep_fallbacks: int = 0
     proviso_fallbacks: int = 0
     depth_pruned: int = 0
     rank_immune_sessions: int = 0

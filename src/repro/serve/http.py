@@ -43,6 +43,7 @@ from repro.exceptions import ReproError, SpecError
 from repro.serve.jobs import JOB_KINDS, Job, JobQueue, QueueFull, execute_job
 from repro.serve.metrics import ServerMetrics
 from repro.serve.registry import SessionRegistry
+from repro.serve.specs import check_transient_fields
 
 LOG = logging.getLogger("repro.serve")
 
@@ -152,6 +153,8 @@ class ReproServer:
         kind = payload.get("kind", "verify")
         if kind not in JOB_KINDS:
             raise SpecError(f"unknown job kind {kind!r}; choose from {JOB_KINDS}")
+        if kind == "transient":
+            check_transient_fields(payload)
         # Validates the name; the (still cold) session is listed from here on.
         self.registry.get_or_create(namespace)
         with self._jobs_lock:

@@ -133,18 +133,32 @@ _OPTION_FIELDS = (
     "task_retries",
 )
 
+#: The TransientOptions fields a transient spec may set: what ``repro
+#: transient`` sends.  ``collect_converged`` stays a library knob.
+_TRANSIENT_FIELDS = (
+    "max_states", "max_depth", "stop_at_first_violation", "por", "scenario_events", "scenario_kinds"
+)
+#: The keys of a transient-property spec.
+_PROPERTY_FIELDS = ("property", "sources")
+
+
+def _fields(spec: Optional[Mapping], allowed: Sequence[str], what: str) -> dict:
+    """``spec`` as a dict.  A key outside ``allowed`` is refused rather than
+    ignored, so a typo in a client payload is a clear error instead of a
+    silently-default run."""
+    spec = spec or {}
+    if not isinstance(spec, Mapping):
+        raise SpecError(f"a {what} spec must be a JSON object")
+    unknown = set(spec) - set(allowed)
+    if unknown:
+        raise SpecError(f"unknown {what} field(s): {', '.join(sorted(unknown))}")
+    return dict(spec)
+
 
 def options_from_spec(spec: Optional[Mapping]) -> PlanktonOptions:
-    """Build :class:`PlanktonOptions` from an options spec dict (or ``None``).
-
-    Unknown keys are rejected rather than ignored so a typo in a client
-    payload surfaces as a clear error instead of a silently-default run.
-    """
-    spec = dict(spec or {})
+    """Build :class:`PlanktonOptions` from an options spec dict (or ``None``)."""
+    spec = _fields(spec, _OPTION_FIELDS + ("no_optimizations",), "option")
     no_optimizations = bool(spec.pop("no_optimizations", False))
-    unknown = set(spec) - set(_OPTION_FIELDS)
-    if unknown:
-        raise SpecError(f"unknown option field(s): {', '.join(sorted(unknown))}")
     flags = OptimizationFlags.none_enabled() if no_optimizations else OptimizationFlags()
     try:
         return PlanktonOptions(optimizations=flags, **spec)
@@ -171,8 +185,7 @@ def transient_options_from_spec(spec: Optional[Mapping]):
     """Build :class:`~repro.transient.TransientOptions` from a spec dict."""
     from repro.transient import TransientOptions
 
-    spec = dict(spec or {})
-    spec.pop("destination_prefix", None)  # routing, not an exploration knob
+    spec = _fields(spec, _TRANSIENT_FIELDS, "transient option")
     if "scenario_kinds" in spec and isinstance(spec["scenario_kinds"], str):
         spec["scenario_kinds"] = tuple(
             item.strip() for item in spec["scenario_kinds"].split(",") if item.strip()
@@ -183,15 +196,22 @@ def transient_options_from_spec(spec: Optional[Mapping]):
         raise SpecError(f"bad transient options: {exc}") from exc
 
 
+def check_transient_fields(payload: Mapping) -> None:
+    """Refuse a transient push whose transient or property spec sets a key
+    outside what the CLI sends, before it becomes a job."""
+    _fields(payload.get("transient"), _TRANSIENT_FIELDS, "transient option")
+    _fields(payload.get("property"), _PROPERTY_FIELDS, "transient property")
+
+
 def transient_property_from_spec(spec: Optional[Mapping], network: NetworkConfig):
     """One transient property spec → a property object.
 
-    Keys: ``property`` (``"loop"``, the default, or ``"blackhole"``),
-    ``sources`` (blackhole scope), ``include_converged`` (loop).
+    Keys: ``property`` (``"loop"``, the default, or ``"blackhole"``) and
+    ``sources`` (blackhole scope); any other key is refused.
     """
     from repro.transient import TransientBlackHoleFreedom, TransientLoopFreedom
 
-    spec = dict(spec or {})
+    spec = _fields(spec, _PROPERTY_FIELDS, "transient property")
     sources = _names(spec, "sources")
     for name in sources:
         if name not in network.topology:
@@ -200,9 +220,8 @@ def transient_property_from_spec(spec: Optional[Mapping], network: NetworkConfig
     if kind == "blackhole":
         return TransientBlackHoleFreedom(sources=sources or None)
     if kind == "loop":
-        return TransientLoopFreedom(
-            ignore_converged=not spec.get("include_converged", False)
-        )
+        # A loop in a converged state is ``verify --policy loop``'s finding.
+        return TransientLoopFreedom(ignore_converged=True)
     raise SpecError(
         f"unknown transient property {kind!r}; choose {' or '.join(TRANSIENT_PROPERTIES)}"
     )

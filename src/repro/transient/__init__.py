@@ -13,8 +13,6 @@ from repro import _exports
 #: Public name -> the module that defines it (imported on first access).
 _ORIGINS = {
     "Converge": "repro.scenarios.events",
-    "FRONTIER_MODES": "repro.transient.explorer",
-    "minimize_witness": "repro.transient.witness",
     "FailSession": "repro.scenarios.events",
     "POR_MODES": "repro.transient.explorer",
     "TransientAnalyzer": "repro.transient.explorer",

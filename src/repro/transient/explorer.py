@@ -76,15 +76,13 @@ its whole witness.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.config.objects import NetworkConfig
-from repro.core.options import FRONTIER_MODES, POR_MODES
+from repro.core.options import POR_MODES
 from repro.core.results import RequestResult, TaskFailure
 from repro.modelcheck.hashing import ZobristFingerprinter
 from repro.modelcheck.por import (
@@ -113,34 +111,6 @@ class TransientOptions:
     sleep sets, the default), ``"sleep"`` (sleep sets only — prunes
     redundant transitions but visits every state), or ``"full"`` (no
     reduction — the oracle mode the equivalence tests pin against).
-
-    ``frontier`` selects the exploration order: ``"fifo"`` (plain BFS, the
-    default and the order the reference explorer pins) or ``"priority"``, a
-    deepest-first heap with fewest-pending-channels tie-breaking — the
-    search commits to the branch closest to convergence and backtracks
-    locally.  Forced singleton amples — states where the reduction proved
-    only one (harmless) delivery needs exploring — strictly shrink the
-    pending set, so forced chains drain straight through; BFS instead
-    parks every chain link behind the combinatorial frontier of the same
-    depth.
-    Convergence on the fig7a fat-tree instance sits ~64 deliveries deep
-    while a 20k-state BFS reaches depth ~9, so this is the difference
-    between small ``max_states`` budgets reaching converged states or
-    none at all.  When a descent meets a state whose entire expansion is
-    asleep it re-expands with the sleep set ignored
-    (``ReductionStatistics.sleep_fallbacks``) — on a budgeted search the
-    sibling branch covering those interleavings may never be reached.  On
-    a complete (un-truncated, un-depth-pruned) search, verdicts and
-    converged states are order-independent in every mode, and ``"full"``
-    explorations visit the identical state set; ample/sleep priority runs
-    may visit a few extra states through those fallbacks.  Truncated
-    searches cover different slices, which is the point.
-
-    ``minimize_witnesses`` post-processes every violation witness through
-    :func:`repro.transient.witness.minimize_witness`: deliveries
-    independent of the violation's receiver chain are dropped while the
-    shortened sequence still replays to the same violating property and
-    message.
     """
 
     max_states: int = 20_000
@@ -148,8 +118,6 @@ class TransientOptions:
     stop_at_first_violation: bool = True
     collect_converged: bool = False
     por: str = "ample"
-    frontier: str = "fifo"
-    minimize_witnesses: bool = False
     #: Lifecycle-scenario campaign knobs (``src/repro/scenarios/``): when
     #: ``scenario_events > 0`` the campaign task graph crosses every failure
     #: scenario with every symmetry-reduced event scenario of up to that many
@@ -162,10 +130,6 @@ class TransientOptions:
     def __post_init__(self) -> None:
         if self.por not in POR_MODES:
             raise ValueError(f"unknown POR mode {self.por!r}; choose from {POR_MODES}")
-        if self.frontier not in FRONTIER_MODES:
-            raise ValueError(
-                f"unknown frontier mode {self.frontier!r}; choose from {FRONTIER_MODES}"
-            )
         if self.scenario_events < 0:
             raise ValueError("scenario_events must be >= 0")
         object.__setattr__(self, "scenario_kinds", tuple(self.scenario_kinds))
@@ -191,10 +155,8 @@ def _apply_initial_event(stepper: SpvpStepper, state: SpvpState, event) -> SpvpS
 class TransientViolation:
     """One transient property violation with the event sequence reaching it.
 
-    ``depth`` is the search depth at which the violation was *discovered*;
-    with :attr:`TransientOptions.minimize_witnesses` the recorded witness
-    may be a shorter replay of that discovery, so its length can be below
-    ``depth`` (plus any initial-event prefix).
+    ``depth`` is the search depth of the violating state: its witness is
+    the root's prefix followed by exactly ``depth`` deliveries.
     """
 
     property_name: str
@@ -426,7 +388,6 @@ class TransientAnalyzer:
         if properties != self._messages_for:
             self._messages = {}
             self._messages_for = properties
-        use_priority = options.frontier == "priority"
 
         independence = self._independence
         use_sleep = independence is not None
@@ -439,29 +400,11 @@ class TransientAnalyzer:
         visited: Dict[int, int] = {root.fingerprint(hasher): EMPTY_SLEEP}
         #: Frontier entries are (state, depth, sleep set, fresh); ``fresh``
         #: is False only for the sleep-set requeues of already-counted
-        #: states.  The fifo frontier is plain BFS; the priority frontier
-        #: is a deepest-first heap with fewest-pending-channels tie-breaks
-        #: (insertion order last, keeping the search deterministic).
-        fifo: Deque[Tuple[SpvpState, int, int, bool]] = deque()
-        heap: List[Tuple[int, int, int, SpvpState, int, int, bool]] = []
-        counter = itertools.count()
+        #: states.
+        frontier: Deque[Tuple[SpvpState, int, int, bool]] = deque([(root, 0, EMPTY_SLEEP, True)])
         channel_bit = self._space.channel_bit
-
-        def push(state: SpvpState, depth: int, sleep: int, fresh: bool) -> None:
-            if use_priority:
-                heapq.heappush(
-                    heap,
-                    (-depth, state.pending.bit_count(), next(counter), state, depth, sleep, fresh),
-                )
-            else:
-                fifo.append((state, depth, sleep, fresh))
-
-        push(root, 0, EMPTY_SLEEP, True)
-        while fifo or heap:
-            if use_priority:
-                _neg_depth, _key, _seq, state, depth, sleep, fresh = heapq.heappop(heap)
-            else:
-                state, depth, sleep, fresh = fifo.popleft()
+        while frontier:
+            state, depth, sleep, fresh = frontier.popleft()
             converged = state.is_converged()
             if fresh:
                 result.states_explored += 1
@@ -470,10 +413,7 @@ class TransientAnalyzer:
                     result.converged_states += 1
                     if options.collect_converged:
                         result.converged_rpvp_states.append(state.converged_rpvp())
-                stop = self._check_state(
-                    state, converged, depth, properties, result, stepper, root
-                )
-                if stop:
+                if self._check_state(state, converged, depth, properties, result, root):
                     break
 
             if converged:
@@ -493,35 +433,11 @@ class TransientAnalyzer:
 
             executed = 0
             expanded_count = 0
-            index = 0
-            active_sleep = sleep
-            slept_here = 0
-            while index < len(expansion):
-                channel = expansion[index]
-                index += 1
+            # A list iterator also walks what the proviso below appends.
+            for channel in expansion:
                 bit = channel_bit[channel]
-                if use_sleep and active_sleep & bit:
+                if use_sleep and sleep & bit:
                     reduction.transitions_slept += 1
-                    slept_here += 1
-                    if (
-                        use_priority
-                        and index == len(expansion)
-                        and expanded_count == 0
-                    ):
-                        # Every enabled delivery is asleep.  On a complete
-                        # search the covering sibling branch gets explored
-                        # eventually, but a budgeted priority descent may
-                        # never reach it — and this state would become a
-                        # false dead end on the only drained path.  Re-run
-                        # the expansion ignoring the sleep set (sound:
-                        # exploring more interleavings never loses states),
-                        # and un-book the skips — those transitions are
-                        # about to be expanded, not pruned.
-                        reduction.sleep_fallbacks += 1
-                        reduction.transitions_slept -= slept_here
-                        slept_here = 0
-                        active_sleep = EMPTY_SLEEP
-                        index = 0
                     continue
                 _event, successor = stepper.deliver(state, channel)
                 if reduced:
@@ -540,7 +456,7 @@ class TransientAnalyzer:
                         present = set(expansion)
                         expansion.extend(c for c in enabled if c not in present)
                 succ_sleep = (
-                    successor_sleep(independence, active_sleep, executed, channel)
+                    successor_sleep(independence, sleep, executed, channel)
                     if use_sleep
                     else EMPTY_SLEEP
                 )
@@ -553,13 +469,13 @@ class TransientAnalyzer:
                         result.truncated = True
                         break
                     visited[fingerprint] = succ_sleep
-                    push(successor, depth + 1, succ_sleep, True)
+                    frontier.append((successor, depth + 1, succ_sleep, True))
                 elif use_sleep:
                     merged = merged_sleep_for_requeue(stored, succ_sleep)
                     if merged is not None:
                         visited[fingerprint] = merged
                         reduction.sleep_requeues += 1
-                        push(successor, depth + 1, merged, False)
+                        frontier.append((successor, depth + 1, merged, False))
             if fresh:
                 reduction.observe_expansion(
                     enabled=len(enabled), expanded=expanded_count, reduced=reduced
@@ -637,27 +553,21 @@ class TransientAnalyzer:
         depth: int,
         properties: Sequence[TransientProperty],
         result: TransientAnalysisResult,
-        stepper: SpvpStepper,
         root: SpvpState,
     ) -> bool:
-        """Check every property on one state of the search from ``root``
-        on ``stepper``; returns True when the search should stop."""
+        """Check every property on one state of the search from ``root``;
+        returns True when the search should stop."""
         messages = self._messages_of(state, converged, properties)
         for prop, message in zip(properties, messages):
             if message is None:
                 continue
-            witness_state = state
-            if self.options.minimize_witnesses:
-                from repro.transient.witness import minimize_witness
-
-                witness_state = minimize_witness(stepper, root, state, prop, message)
             result.violations.append(
                 TransientViolation(
                     property_name=prop.name,
                     message=message,
                     depth=depth,
                     converged=converged,
-                    witness=self._witness_of(witness_state, root, result),
+                    witness=self._witness_of(state, root, result),
                 )
             )
             if self.options.stop_at_first_violation:

@@ -411,20 +411,17 @@ def _check_warm_selector_against_a_fresh_one(monkeypatch):
     return compared
 
 
-def _recomputing_run(instance, por, events, minimize, **budget):
+def _recomputing_run(instance, por, events, **budget):
     """One search under :class:`_RecomputingAnalyzer`; returns its result."""
     sources = [node for node in instance.nodes() if node not in instance.origins()]
-    properties = [TransientLoopFreedom(), TransientBlackHoleFreedom(), AlwaysReaches(sources)]
-    if not minimize:
-        # The probe's message names the whole state, so no shortened replay
-        # reproduces it: minimising its witnesses is all cost and no cover.
-        properties.append(_RelationProbe())
+    properties = [
+        TransientLoopFreedom(),
+        TransientBlackHoleFreedom(),
+        AlwaysReaches(sources),
+        _RelationProbe(),
+    ]
     analyzer = _RecomputingAnalyzer(
-        instance,
-        por=por,
-        stop_at_first_violation=False,
-        minimize_witnesses=minimize,
-        **budget,
+        instance, por=por, stop_at_first_violation=False, **budget
     )
     result = analyzer.analyze(properties, initial_events=events)
     assert analyzer.states_checked == result.states_explored
@@ -447,11 +444,10 @@ class TestMemoisedEqualsRecomputed:
             scenario=gadget_scenarios(),
             root=st.sampled_from(["cold", "flap", "crash", "restart"]),
             por=st.sampled_from(["ample", "full"]),
-            minimize=st.booleans(),
             data=st.data(),
         )
         @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-        def run(scenario, root, por, minimize, data):
+        def run(scenario, root, por, data):
             edge_map, preferences, flap = scenario
             node = data.draw(st.sampled_from(sorted(edge_map)), label="event node")
             events = {
@@ -463,10 +459,7 @@ class TestMemoisedEqualsRecomputed:
             instance = RankedGadgetInstance("o", edge_map, preferences)
             try:
                 checked.append(
-                    _recomputing_run(
-                        instance, por, events, minimize,
-                        max_states=60 if minimize else 250, max_depth=10,
-                    )
+                    _recomputing_run(instance, por, events, max_states=250, max_depth=10)
                 )
             except ProtocolError:
                 assume(False)  # divergent configuration: no root to start from
@@ -478,12 +471,9 @@ class TestMemoisedEqualsRecomputed:
 
     @pytest.mark.parametrize("gadget", [bad_gadget, disagree_gadget])
     @pytest.mark.parametrize("por", ["ample", "full"])
-    @pytest.mark.parametrize("minimize", [False, True])
-    def test_on_the_named_gadgets(self, monkeypatch, gadget, por, minimize):
+    def test_on_the_named_gadgets(self, monkeypatch, gadget, por):
         _check_warm_selector_against_a_fresh_one(monkeypatch)
-        result = _recomputing_run(
-            gadget(), por, [], minimize, max_states=60 if minimize else 200, max_depth=12
-        )
+        result = _recomputing_run(gadget(), por, [], max_states=200, max_depth=12)
         assert result.states_explored >= 25 and result.violations
 
     @pytest.mark.parametrize("por", ["ample", "full"])
@@ -499,7 +489,7 @@ class TestMemoisedEqualsRecomputed:
             "restart": NodeRestart("core0"),
         }[root]
         result = _recomputing_run(
-            instance, por, [Converge(), perturbation], False, max_states=400, max_depth=8
+            instance, por, [Converge(), perturbation], max_states=400, max_depth=8
         )
         assert result.states_explored >= 300 and result.violations
         assert (len(compared) > 0) == (por == "ample")

@@ -538,8 +538,6 @@ class TestKeyByExclusion:
         "stop_at_first_violation": False,
         "collect_converged": True,
         "por": "full",
-        "frontier": "priority",
-        "minimize_witnesses": True,
         "scenario_events": 1,
         "scenario_kinds": ("crash",),
     }

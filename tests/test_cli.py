@@ -39,6 +39,31 @@ device r3
   static 10.0.1.0/24 next-hop r2
 """
 
+# ``s`` load-balances over ``a`` and ``b``; only ``a`` has a route onward.
+ECMP_TOPOLOGY_TEXT = """
+topology square
+node s role edge
+node a role core
+node b role core
+node d role edge
+link s a weight 10
+link s b weight 10
+link a d weight 10
+link b d weight 10
+"""
+
+ECMP_CONFIG = """
+device d
+  ospf
+    network 10.0.1.0/24
+device s
+  static 10.0.1.0/24 next-hop a
+  static 10.0.1.0/24 next-hop b
+device a
+  static 10.0.1.0/24 next-hop d
+device b
+"""
+
 
 @pytest.fixture
 def workspace(tmp_path):
@@ -242,6 +267,42 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--frontier", "priority"], ["--minimize-witness"], ["--include-converged"]],
+        ids=["frontier", "minimize-witness", "include-converged"],
+    )
+    def test_transient_refuses_the_removed_search_flags(self, bgp_workspace, flags):
+        """One BFS frontier, one witness form, and converged loops are
+        ``verify --policy loop``'s: none of these is a flag any more."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["transient", "--topology", str(bgp_workspace / "bgp.topo"),
+                 "--config", str(bgp_workspace / "bgp.cfg")] + flags
+            )
+
+    def test_every_transient_flag_fits_the_serve_spec(self, bgp_workspace):
+        """What ``repro transient`` sends is exactly what a serve transient
+        push accepts, and it rebuilds the options the flags ask for."""
+        from repro.cli import _request_payload
+        from repro.serve.specs import check_transient_fields, transient_options_from_spec
+
+        args = build_parser().parse_args([
+            "transient", "--topology", str(bgp_workspace / "bgp.topo"),
+            "--config", str(bgp_workspace / "bgp.cfg"), "--property", "blackhole",
+            "--sources", "a,b", "--max-states", "77", "--max-depth", "9",
+            "--por", "sleep", "--all-violations", "--scenario-events", "1",
+            "--scenario-kinds", "crash,flap",
+        ])
+        payload = _request_payload(args, "transient")
+        check_transient_fields(payload)
+        options = transient_options_from_spec(payload["transient"])
+        assert (options.max_states, options.max_depth, options.por) == (77, 9, "sleep")
+        assert options.stop_at_first_violation is False
+        assert options.scenario_events == 1
+        assert tuple(options.scenario_kinds) == ("crash", "flap")
+        assert options.collect_converged is False
+
     def test_verify_requires_policy(self, workspace):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
@@ -365,15 +426,25 @@ class TestTransientCommand:
         assert "VIOLATED" in out
         assert "transient forwarding loop" in out
 
-    def test_priority_frontier_and_witness_minimisation_flags(self, bgp_workspace, capsys):
-        code = _run([
-            "transient", "--topology", bgp_workspace / "bgp.topo",
-            "--config", bgp_workspace / "bgp.cfg",
-            "--fail-session", "o,m", "--frontier", "priority",
-            "--minimize-witness", "--por", "full",
-        ])
-        assert code == EXIT_VIOLATION
-        assert "event sequence" in capsys.readouterr().out
+    def test_por_modes_agree_on_the_flap(self, bgp_workspace, capsys):
+        """``--por`` is the one exploration knob: the reduced modes and the
+        unreduced oracle give the same exit code and violated properties."""
+        outcomes = {}
+        for por in ("ample", "sleep", "full"):
+            code = _run([
+                "transient", "--topology", bgp_workspace / "bgp.topo",
+                "--config", bgp_workspace / "bgp.cfg", "--fail-session", "o,m",
+                "--por", por, "--all-violations", "--json",
+            ])
+            document = json.loads(capsys.readouterr().out)
+            violated = {
+                violation["property"]
+                for run in document["runs"]
+                for violation in run["result"]["violations"]
+            }
+            outcomes[por] = (code, violated)
+        assert outcomes["full"] == (EXIT_VIOLATION, {"transient-loop-freedom"})
+        assert outcomes["ample"] == outcomes["sleep"] == outcomes["full"]
 
     def test_json_output_and_report(self, bgp_workspace, tmp_path, capsys):
         report = tmp_path / "transient.md"
@@ -728,6 +799,23 @@ class TestServerMode:
         local, remote = observed
         assert local[0] == expected_code
         assert remote == local
+
+    def test_any_branch_locally_and_through_the_server(self, tmp_path, server, capsys):
+        """One of ``s``'s two ECMP branches ends at ``b``, which has no route:
+        reachability is VIOLATED on all branches and HOLDS on any branch,
+        in-process and with the policy spec's ``any_branch`` on the wire."""
+        (tmp_path / "sq.topo").write_text(ECMP_TOPOLOGY_TEXT)
+        (tmp_path / "sq.cfg").write_text(ECMP_CONFIG)
+        argv = [
+            "verify", "--topology", tmp_path / "sq.topo", "--config", tmp_path / "sq.cfg",
+            "--policy", "reachability", "--sources", "s",
+        ]
+        remote = ["--server", server.url, "--namespace", "any-branch"]
+        for where in ([], remote):
+            assert _run(argv + where) == EXIT_VIOLATION
+            assert "s -> b [blackhole]" in capsys.readouterr().out
+            assert _run(argv + ["--any-branch"] + where) == EXIT_HOLDS
+            assert "HOLDS" in capsys.readouterr().out
 
     def test_unreachable_server_exits_3(self, workspace, capsys):
         # A closed port on localhost: connection refused, never a real server.

@@ -22,6 +22,7 @@ package is compared against.
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,11 @@ GONE = {
     "independent",
     "in_channels",
     "in_peers",
+    # One BFS frontier and one witness form.
+    "minimize_witness",
+    "FRONTIER_MODES",
+    "sleep_fallbacks",
+    "use_priority",
 }
 
 
@@ -111,6 +117,10 @@ def test_public_namespaces_do_not_expose_the_moved_names(module):
     namespace = importlib.import_module(module)
     exposed = GONE & (set(vars(namespace)) | set(getattr(namespace, "__all__", ())))
     assert exposed == set()
+
+
+def test_the_witness_minimiser_is_gone():
+    assert importlib.util.find_spec("repro.transient.witness") is None
 
 
 def test_channel_independence_is_the_receiver_in_mask():

@@ -438,6 +438,41 @@ class TestHttpErrors:
         assert "bad options spec" in document["error"] and named in document["error"]
         assert document.get("result") is None
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("transient", "collect_converged"),
+            ("transient", "frontier"),
+            ("transient", "minimize_witnesses"),
+            ("property", "include_converged"),
+        ],
+    )
+    def test_a_transient_field_the_cli_never_sends_is_400_and_queues_nothing(
+        self, server, client, section, key
+    ):
+        namespace = f"unsent-{key}"
+        payload = {
+            "kind": "transient",
+            "topology": TOPOLOGY_TEXT,
+            "config": CONFIG_TEXT,
+            "transient": {"max_states": 100},
+            "property": {"property": "loop"},
+        }
+        payload[section] = dict(payload[section], **{key: True})
+        submitted = client.metrics()["jobs_submitted"]
+        request = urllib.request.Request(
+            server.url + f"/v1/namespaces/{namespace}/push",
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        assert key in json.loads(excinfo.value.read())["error"]
+        assert client.metrics()["jobs_submitted"] == submitted
+        with pytest.raises(ServiceError, match="unknown namespace"):
+            client.namespace(namespace)
+
     def test_first_push_without_config_fails_clearly(self, client):
         document = client.run(
             "coldstart", {"kind": "verify", "policies": [POLICY_SPEC]}, timeout=120

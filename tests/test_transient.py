@@ -683,7 +683,7 @@ class TestTransientFailureCampaigns:
         assert "| failures | prefix |" in markdown
 
 
-# --------------------------------------------------------------------------- priority frontier
+# --------------------------------------------------------------------------- fat-tree instance
 def _fat_tree_bgp_instance(k=4):
     """The eBGP fat-tree instance the fig7a benchmark family explores."""
     from repro.core.network_model import DependencyContext, PecExplorer
@@ -702,90 +702,10 @@ def _fat_tree_bgp_instance(k=4):
     return explorer.bgp_instance(prefix)
 
 
-class TestPriorityFrontier:
-    def test_rejects_unknown_frontier_mode(self):
-        with pytest.raises(ValueError):
-            TransientOptions(frontier="dfs")
-
-    def test_priority_reaches_converged_states_under_small_budgets(self):
-        """The named ROADMAP lever: convergence on the fig7a instance sits
-        ~64 deliveries deep; BFS budgets of thousands of states never get
-        there, the priority frontier does with hundreds."""
-        instance = _fat_tree_bgp_instance()
-        prop = [TransientLoopFreedom(ignore_converged=True)]
-        fifo = TransientAnalyzer(
-            instance, max_states=2_000, stop_at_first_violation=False
-        ).analyze(prop)
-        priority = TransientAnalyzer(
-            instance,
-            max_states=2_000,
-            stop_at_first_violation=False,
-            frontier="priority",
-        ).analyze(prop)
-        assert fifo.converged_states == 0
-        assert priority.converged_states > 0
-        assert priority.max_depth_reached > fifo.max_depth_reached
-
-    def test_priority_is_bit_identical_on_complete_full_searches(self):
-        """por="full" has no sleep sets, so exploration order cannot change
-        what a complete search observes."""
-        instance = _fat_tree_bgp_instance()
-        prop = [TransientLoopFreedom(ignore_converged=True)]
-
-        def run(frontier):
-            return TransientAnalyzer(
-                instance,
-                max_states=500_000,
-                max_depth=5,
-                stop_at_first_violation=False,
-                por="full",
-                frontier=frontier,
-            ).analyze(prop)
-
-        fifo, priority = run("fifo"), run("priority")
-        assert fifo.states_explored == priority.states_explored
-        assert fifo.converged_states == priority.converged_states
-        assert fifo.holds == priority.holds
-
-    def test_priority_preserves_verdicts_on_complete_reduced_searches(self):
-        """Under ample+sleep the priority frontier may explore a few extra
-        states (sleep fallbacks), but verdicts and convergence agree."""
-        instance = _fat_tree_bgp_instance()
-        prop = [TransientLoopFreedom(ignore_converged=True)]
-
-        def run(frontier):
-            return TransientAnalyzer(
-                instance,
-                max_states=500_000,
-                max_depth=6,
-                stop_at_first_violation=False,
-                frontier=frontier,
-            ).analyze(prop)
-
-        fifo, priority = run("fifo"), run("priority")
-        assert not fifo.truncated and not priority.truncated
-        assert fifo.holds == priority.holds
-        assert priority.reduction.sleep_fallbacks >= 0
-        assert priority.states_explored <= fifo.states_explored * 2
-
-    def test_priority_finds_flap_violation(self):
-        result = TransientAnalyzer(
-            flap_loop_gadget(), frontier="priority"
-        ).analyze(
-            [TransientLoopFreedom(ignore_converged=True)],
-            initial_events=[Converge(), FailSession("o", "m")],
-        )
-        assert not result.holds
-
-
-# --------------------------------------------------------------------------- witness minimisation
-def spectator_flap_gadget():
-    """The flap gadget plus an independent spectator branch ``c - d``.
-
-    Deliveries to ``c``/``d`` are independent of the ``a -> b -> a``
-    micro-loop's receiver chain, so a non-BFS witness picks them up and
-    minimisation must drop them.
-    """
+# --------------------------------------------------------------------------- breadth-first witnesses
+def spectator_flap_gadget() -> GadgetInstance:
+    """The flap gadget plus a spectator branch ``c - d`` whose deliveries
+    are independent of the ``a -> b -> a`` micro-loop."""
     edges = {
         "o": ("m",),
         "m": ("o", "a", "b", "c"),
@@ -804,76 +724,60 @@ def spectator_flap_gadget():
     return GadgetInstance("o", edges, preferences)
 
 
-class TestWitnessMinimisation:
-    EVENTS = [Converge(), FailSession("o", "m")]
+class TestBreadthFirstWitnesses:
+    """The search is one FIFO frontier, and a violation's witness is the
+    delivery sequence of the state's BFS parent chain."""
+
+    FLAP = [Converge(), FailSession("o", "m")]
+    CASES = {
+        "disagree": (disagree_gadget, []),
+        "flap": (flap_loop_gadget, FLAP),
+        "spectator-flap": (spectator_flap_gadget, FLAP),
+    }
     PROPERTY = TransientLoopFreedom(ignore_converged=True)
 
-    def test_minimized_witness_is_shorter_and_same_violation(self):
-        instance = spectator_flap_gadget()
-        plain = TransientAnalyzer(instance, frontier="priority").analyze(
-            [self.PROPERTY], initial_events=self.EVENTS
+    def _first_violation(self, name, por, **budget):
+        factory, events = self.CASES[name]
+        return TransientAnalyzer(factory(), por=por, **budget).analyze(
+            [self.PROPERTY], initial_events=events
         )
-        minimized = TransientAnalyzer(
-            instance, frontier="priority", minimize_witnesses=True
-        ).analyze([self.PROPERTY], initial_events=self.EVENTS)
-        assert not plain.holds and not minimized.holds
-        assert minimized.violations[0].message == plain.violations[0].message
-        assert len(minimized.violations[0].witness) < len(plain.violations[0].witness)
 
-    def test_minimized_witness_replays_to_the_violation(self):
-        """The minimised delivery sequence must itself replay from the root
-        to a state violating the same property with the same message."""
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_witness_replays_to_the_violation(self, name):
+        """Each line after the root's prefix is one delivery: replaying them
+        from the root describes the same lines, takes ``depth`` steps and ends
+        in a state with the same violation."""
         from repro.protocols.spvp import SpvpStepper
         from repro.transient.explorer import _apply_initial_event
-        from repro.transient.witness import _replay, _violates
 
-        instance = spectator_flap_gadget()
-        minimized = TransientAnalyzer(
-            instance, frontier="priority", minimize_witnesses=True
-        ).analyze([self.PROPERTY], initial_events=self.EVENTS)
-        violation = minimized.violations[0]
-
-        stepper = SpvpStepper(instance)
-        root = stepper.initial_state()
-        for event in self.EVENTS:
-            root = _apply_initial_event(stepper, root, event)
-        setup = len(root.witness_events())
-        # Parse the witness back into channels: each line is rendered by
-        # SpvpEvent.describe() as "<node> processed ... from <peer>; ...".
-        channels = []
-        for line in violation.witness[setup:]:
+        result = self._first_violation(name, "ample")
+        assert not result.holds
+        violation = result.violations[0]
+        factory, events = self.CASES[name]
+        stepper = SpvpStepper(factory())
+        state = stepper.initial_state()
+        for event in events:
+            state = _apply_initial_event(stepper, state, event)
+        assert violation.witness[: len(result.witness_prefix)] == result.witness_prefix
+        deliveries = violation.witness[len(result.witness_prefix):]
+        assert len(deliveries) == violation.depth
+        for line in deliveries:
             node = line.split(" processed ", 1)[0]
             peer = line.split(" from ", 1)[1].split(";", 1)[0]
-            channels.append((peer, node))
-        final = _replay(stepper, root, channels)
-        assert final is not None
-        assert _violates(self.PROPERTY, final, violation.message)
+            event, state = stepper.deliver(state, (peer, node))
+            assert event.describe() == line
+        forwarding = TransientForwarding.of_state(state)
+        assert self.PROPERTY.check(forwarding, state.is_converged()) == violation.message
 
-    def test_minimisation_keeps_already_minimal_bfs_witnesses(self):
-        instance = flap_loop_gadget()
-        plain = TransientAnalyzer(instance, por="full").analyze(
-            [self.PROPERTY], initial_events=self.EVENTS
-        )
-        minimized = TransientAnalyzer(
-            instance, por="full", minimize_witnesses=True
-        ).analyze([self.PROPERTY], initial_events=self.EVENTS)
-        assert minimized.violations[0].witness == plain.violations[0].witness
-
-    def test_receiver_chain_indices(self):
-        from repro.protocols.spvp import SpvpEvent
-        from repro.transient.witness import receiver_chain_indices
-
-        events = [
-            SpvpEvent(node="c", peer="m", advertised=None, new_best=None),
-            SpvpEvent(node="a", peer="m", advertised=None, new_best=None),
-            SpvpEvent(node="m", peer="a", advertised=None, new_best=None),
-            SpvpEvent(node="b", peer="m", advertised=None, new_best=None),
-        ]
-        kept = receiver_chain_indices(events, {"a", "b"})
-        # c's delivery is independent; a's, m's (sender of b's final best
-        # path ingredients) and b's are on the chain.
-        assert 0 not in kept
-        assert {1, 3} <= kept
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_unreduced_witness_is_a_shortest_one(self, name):
+        """Without reduction BFS reaches every state first at its least
+        depth, so no violation lies above the first one found."""
+        violation = self._first_violation(name, "full").violations[0]
+        assert violation.depth > 0
+        shallower = self._first_violation(name, "full", max_depth=violation.depth - 1)
+        assert shallower.holds and not shallower.truncated
+        assert shallower.max_depth_reached == violation.depth - 1
 
 
 # --------------------------------------------------------------------------- witness documents

@@ -9,7 +9,8 @@ of the protocol models (paper §3.4, Appendix A) are inferred.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ConfigError
@@ -82,17 +83,12 @@ class OspfConfig:
         interfaces: Optional per-neighbour cost overrides; when a neighbour is
             not listed, the topology link weight is used.
         redistribute_static: Whether static routes are redistributed into OSPF
-            (as external routes with ``external_metric``).
-        reference_bandwidth: Kept for completeness of the model; unused when
-            explicit costs are given.
+            (as external routes).
     """
 
     networks: List[Prefix] = field(default_factory=list)
     interfaces: Dict[str, OspfInterface] = field(default_factory=dict)
     redistribute_static: bool = False
-    external_metric: int = 20
-    reference_bandwidth: int = 100_000
-    process_id: int = 1
 
     def cost_to(self, neighbor: str, default: int) -> int:
         """The OSPF cost towards ``neighbor`` (interface override or default)."""
@@ -155,7 +151,8 @@ class PrefixList:
 
 @dataclass
 class MatchConditions:
-    """Match part of a route-map clause.  All present conditions must hold."""
+    """Match part of a route-map clause.  All present conditions must hold
+    (a clause with none matches every route)."""
 
     prefix_list: Optional[str] = None
     prefixes: List[Prefix] = field(default_factory=list)
@@ -163,17 +160,6 @@ class MatchConditions:
     as_path_contains: Optional[int] = None
     min_prefix_length: Optional[int] = None
     max_prefix_length: Optional[int] = None
-
-    def is_empty(self) -> bool:
-        """True when no condition is present (clause matches everything)."""
-        return (
-            self.prefix_list is None
-            and not self.prefixes
-            and not self.communities
-            and self.as_path_contains is None
-            and self.min_prefix_length is None
-            and self.max_prefix_length is None
-        )
 
 
 @dataclass
@@ -244,7 +230,6 @@ class BgpConfig:
     """BGP process configuration on one device."""
 
     asn: int
-    router_id: Optional[Prefix] = None
     networks: List[Prefix] = field(default_factory=list)
     neighbors: List[BgpNeighbor] = field(default_factory=list)
     default_local_pref: int = DEFAULT_LOCAL_PREF
@@ -272,6 +257,28 @@ class BgpConfig:
     def originates(self, prefix: Prefix) -> bool:
         """True if this device originates ``prefix`` into BGP."""
         return prefix in self.networks
+
+
+def process_settings(process) -> Tuple[Tuple[str, object], ...]:
+    """``(field, value)`` for each setting of an OSPF or BGP process.
+
+    The settings are the process's dataclass fields in declaration order,
+    except what it announces (``networks``) and its sessions
+    (``neighbors``), which the config delta and the PEC slices read per
+    prefix and per peer.  A dict-valued setting (the OSPF interfaces) comes
+    as its items sorted by key, so the tuple does not depend on the order
+    the configuration declared them in.
+    """
+    return tuple(
+        (name, tuple(sorted(value.items())) if isinstance(value, dict) else value)
+        for name in _setting_names(type(process))
+        for value in (getattr(process, name),)
+    )
+
+
+@lru_cache(maxsize=None)
+def _setting_names(cls: type) -> Tuple[str, ...]:
+    return tuple(spec.name for spec in fields(cls) if spec.name not in ("networks", "neighbors"))
 
 
 # --------------------------------------------------------------------------- device

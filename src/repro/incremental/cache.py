@@ -6,8 +6,9 @@ options?*  It does so by content addressing: every entry is keyed by a
 fingerprint that hashes
 
 * the PEC's identity (index, address range, contributing prefixes),
-* the :func:`~repro.incremental.impact.config_slice` of everything the
-  PEC's verification can read,
+* the :func:`~repro.incremental.impact.config_slice`: the values of the
+  config constructs (the :mod:`repro.config.objects` dataclasses) the PEC's
+  verification can read, scoped to the PEC,
 * the slices of every PEC in its dependency closure (a dirty upstream
   changes the fingerprint of all its dependents, which is exactly the
   "transitive closure over PEC dependency edges" rule),
@@ -90,8 +91,18 @@ from repro.pec.dependencies import PecDependencyGraph
 #: (``witness_prefix``) with each violation's witness after it, and keys a
 #: campaign on each scenario's events as well as its name.  v9 drops
 #: ``sleep_fallbacks`` from the reduction ledger and ``frontier`` /
-#: ``minimize_witnesses`` from the transient options.
-CACHE_SCHEMA_VERSION = 9
+#: ``minimize_witnesses`` from the transient options.  v10 fingerprints hash
+#: the config dataclass values (:func:`~repro.incremental.impact.config_slice`),
+#: not hand-built tuples.
+CACHE_SCHEMA_VERSION = 10
+
+#: The SHA-256 of the field layout — class name, then field names in order
+#: — of every document class a cache entry stores and every config
+#: dataclass a fingerprint hashes, as of :data:`CACHE_SCHEMA_VERSION`.  A
+#: change to either moves what old files decode to or what old keys meant:
+#: bump the version and record the new digest
+#: (``tests/test_incremental.py`` recomputes it).
+CACHE_LAYOUT_SHA256 = "b3b0813d85026615044b01950974a47e038e04a82da1b0d16cccedaedd28ec5a"
 
 PathLike = Union[str, Path]
 

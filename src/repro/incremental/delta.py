@@ -10,14 +10,21 @@ constructs and returns a :class:`ConfigDelta`:
 * **topology** — links added/removed/reweighted, nodes added/removed,
   loopback changes (all of these can reroute any PEC, because shortest
   paths and failure-scenario enumeration read the whole graph);
-* **sessions** — BGP sessions added/removed or with changed attributes
-  (maps, next-hop-self, RR-client, weight), plus BGP process-level changes
-  (ASN, default local-pref, multipath, redistribution);
+* **sessions** — BGP sessions added/removed or with changed attributes,
+  plus BGP process-level changes (each setting of the process by name);
 * **filters** — route maps and prefix lists whose definition changed,
   with the prefixes their changed clauses can match (so the impact
   analysis can scope the damage to the PECs those prefixes cover);
 * **static routes** and **announced prefixes** — added/removed/changed,
   keyed by the prefixes they cover.
+
+Constructs compare as values: the :mod:`repro.config.objects` dataclasses
+are the one list of a construct's fields, so a field added there is diffed
+here without an edit (sessions as :class:`~repro.config.objects.BgpNeighbor`
+values keyed by peer, static routes as a multiset of
+:class:`~repro.config.objects.StaticRoute` values, prefix lists by their
+entries, route maps by their clauses in sequence order, and the OSPF/BGP
+process settings through :func:`~repro.config.objects.process_settings`).
 
 The delta is *descriptive*: it names what changed and carries enough
 prefix information for :mod:`repro.incremental.impact` to map the change
@@ -30,6 +37,7 @@ edge0_0 changed").
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -38,8 +46,7 @@ from repro.config.objects import (
     DeviceConfig,
     NetworkConfig,
     OspfConfig,
-    PrefixList,
-    RouteMap,
+    process_settings,
 )
 from repro.netaddr import Prefix
 
@@ -206,39 +213,6 @@ def _diff_topology(delta: ConfigDelta, old: NetworkConfig, new: NetworkConfig) -
 
 
 # --------------------------------------------------------------------------- filter diff
-def _route_map_signature(route_map: RouteMap) -> Tuple:
-    return tuple(
-        (
-            clause.sequence,
-            clause.permit,
-            (
-                clause.match.prefix_list,
-                tuple(str(p) for p in clause.match.prefixes),
-                tuple(clause.match.communities),
-                clause.match.as_path_contains,
-                clause.match.min_prefix_length,
-                clause.match.max_prefix_length,
-            ),
-            (
-                clause.actions.local_preference,
-                clause.actions.med,
-                clause.actions.prepend_count,
-                tuple(clause.actions.add_communities),
-                tuple(clause.actions.remove_communities),
-                clause.actions.next_hop_self,
-                clause.actions.ospf_metric,
-            ),
-        )
-        for clause in route_map.sorted_clauses()
-    )
-
-
-def _prefix_list_signature(plist: PrefixList) -> Tuple:
-    return tuple(
-        (str(entry.prefix), entry.permit, entry.ge, entry.le) for entry in plist.entries
-    )
-
-
 def _clause_scope(clause, device: DeviceConfig) -> Tuple[Tuple[Prefix, ...], bool]:
     """The prefixes one route-map clause can match (or "everything")."""
     match = clause.match
@@ -258,25 +232,29 @@ def _diff_filters(delta: ConfigDelta, name: str, old: DeviceConfig, new: DeviceC
     for map_name in sorted(set(old.route_maps) | set(new.route_maps)):
         old_map = old.route_maps.get(map_name)
         new_map = new.route_maps.get(map_name)
-        old_sig = _route_map_signature(old_map) if old_map is not None else None
-        new_sig = _route_map_signature(new_map) if new_map is not None else None
-        if old_sig == new_sig:
+        # Clauses in sequence order: declaration order does not count.
+        old_clauses = old_map.sorted_clauses() if old_map is not None else None
+        new_clauses = new_map.sorted_clauses() if new_map is not None else None
+        if old_clauses == new_clauses:
             continue
         prefixes: List[Prefix] = []
         everything = False
         # Scope the change to the clauses present on either side; a clause
         # present and identical on both sides cannot have changed behaviour.
-        old_clauses = dict(zip(old_sig or (), (old_map.sorted_clauses() if old_map else ())))
-        new_clauses = dict(zip(new_sig or (), (new_map.sorted_clauses() if new_map else ())))
-        for signature, clause in list(old_clauses.items()) + list(new_clauses.items()):
-            if signature in old_clauses and signature in new_clauses:
-                continue
-            owner = old if signature in old_clauses else new
-            scope, matches_everything = _clause_scope(clause, owner)
-            if matches_everything:
-                everything = True
+        for owner, clauses, other in (
+            (old, old_clauses or [], new_clauses or []),
+            (new, new_clauses or [], old_clauses or []),
+        ):
+            for clause in clauses:
+                if clause in other:
+                    continue
+                scope, matches_everything = _clause_scope(clause, owner)
+                if matches_everything:
+                    everything = True
+                    break
+                prefixes.extend(scope)
+            if everything:
                 break
-            prefixes.extend(scope)
         delta.filter_changes.append(
             FilterChange(
                 device=name,
@@ -289,12 +267,12 @@ def _diff_filters(delta: ConfigDelta, name: str, old: DeviceConfig, new: DeviceC
     for list_name in sorted(set(old.prefix_lists) | set(new.prefix_lists)):
         old_list = old.prefix_lists.get(list_name)
         new_list = new.prefix_lists.get(list_name)
-        old_sig = _prefix_list_signature(old_list) if old_list is not None else None
-        new_sig = _prefix_list_signature(new_list) if new_list is not None else None
-        if old_sig == new_sig:
+        old_entries = old_list.entries if old_list is not None else None
+        new_entries = new_list.entries if new_list is not None else None
+        if old_entries == new_entries:
             continue
-        prefixes = [entry.prefix for entry in (old_list.entries if old_list else [])]
-        prefixes += [entry.prefix for entry in (new_list.entries if new_list else [])]
+        prefixes = [entry.prefix for entry in old_entries or ()]
+        prefixes += [entry.prefix for entry in new_entries or ()]
         delta.filter_changes.append(
             FilterChange(
                 device=name,
@@ -306,17 +284,6 @@ def _diff_filters(delta: ConfigDelta, name: str, old: DeviceConfig, new: DeviceC
 
 
 # --------------------------------------------------------------------------- bgp diff
-def _session_signature(session) -> Tuple:
-    return (
-        session.remote_asn,
-        session.import_map,
-        session.export_map,
-        session.next_hop_self,
-        session.route_reflector_client,
-        session.weight,
-    )
-
-
 def _diff_bgp(delta: ConfigDelta, name: str, old: Optional[BgpConfig], new: Optional[BgpConfig]) -> None:
     if old is None and new is None:
         return
@@ -328,18 +295,13 @@ def _diff_bgp(delta: ConfigDelta, name: str, old: Optional[BgpConfig], new: Opti
         for prefix in present.networks:
             delta.announce_changes.append((name, "bgp", prefix))
         return
-    process_fields = (
-        ("asn", old.asn, new.asn),
-        ("default_local_pref", old.default_local_pref, new.default_local_pref),
-        ("redistribute_ospf", old.redistribute_ospf, new.redistribute_ospf),
-        ("redistribute_static", old.redistribute_static, new.redistribute_static),
-        ("multipath", old.multipath, new.multipath),
-    )
-    for field_name, old_value, new_value in process_fields:
+    for (field_name, old_value), (_, new_value) in zip(
+        process_settings(old), process_settings(new)
+    ):
         if old_value != new_value:
             delta.bgp_process_changes.append(f"{name}: {field_name} {old_value} -> {new_value}")
-    old_sessions = {session.peer: _session_signature(session) for session in old.neighbors}
-    new_sessions = {session.peer: _session_signature(session) for session in new.neighbors}
+    old_sessions = {session.peer: session for session in old.neighbors}
+    new_sessions = {session.peer: session for session in new.neighbors}
     for peer in sorted(set(old_sessions) | set(new_sessions)):
         if old_sessions.get(peer) != new_sessions.get(peer):
             delta.session_changes.append((name, peer))
@@ -348,17 +310,6 @@ def _diff_bgp(delta: ConfigDelta, name: str, old: Optional[BgpConfig], new: Opti
 
 
 # --------------------------------------------------------------------------- ospf diff
-def _ospf_signature(config: OspfConfig) -> Tuple:
-    return (
-        tuple(
-            (neighbor, interface.cost, interface.passive)
-            for neighbor, interface in sorted(config.interfaces.items())
-        ),
-        config.redistribute_static,
-        config.external_metric,
-    )
-
-
 def _diff_ospf(delta: ConfigDelta, name: str, old: Optional[OspfConfig], new: Optional[OspfConfig]) -> None:
     if old is None and new is None:
         return
@@ -368,37 +319,17 @@ def _diff_ospf(delta: ConfigDelta, name: str, old: Optional[OspfConfig], new: Op
         for prefix in present.networks:
             delta.announce_changes.append((name, "ospf", prefix))
         return
-    if _ospf_signature(old) != _ospf_signature(new):
+    if process_settings(old) != process_settings(new):
         delta.ospf_process_changes.append(f"{name}: process settings changed")
     for prefix in sorted(set(old.networks) ^ set(new.networks)):
         delta.announce_changes.append((name, "ospf", prefix))
 
 
 # --------------------------------------------------------------------------- static diff
-def _static_signature(route) -> Tuple:
-    return (
-        str(route.prefix),
-        route.next_hop_node,
-        str(route.next_hop_ip) if route.next_hop_ip is not None else None,
-        route.distance,
-        route.drop,
-    )
-
-
 def _diff_static(delta: ConfigDelta, name: str, old: DeviceConfig, new: DeviceConfig) -> None:
-    def multiset(device: DeviceConfig) -> Dict[Tuple, int]:
-        counts: Dict[Tuple, int] = {}
-        for route in device.static_routes:
-            key = _static_signature(route)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    old_routes = multiset(old)
-    new_routes = multiset(new)
-    changed: Set[Prefix] = set()
-    for key in set(old_routes) | set(new_routes):
-        if old_routes.get(key, 0) != new_routes.get(key, 0):
-            changed.add(Prefix(key[0]))
+    old_routes = Counter(old.static_routes)
+    new_routes = Counter(new.static_routes)
+    changed = {route.prefix for route in (old_routes - new_routes) + (new_routes - old_routes)}
     for prefix in sorted(changed):
         delta.static_changes.append((name, prefix))
 

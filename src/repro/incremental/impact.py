@@ -22,111 +22,72 @@ changed": the service uses it to invalidate proactively and to explain a
 push, while cache *hits* are always gated on fingerprint equality, so an
 impact-analysis bug can cost recomputation but never staleness.
 
-What goes into a slice (and why):
+A slice holds construct *values* — the :mod:`repro.config.objects`
+dataclasses themselves, whose fields are the one list of what a construct
+is — scoped to the PEC where a construct names prefixes.  What goes in
+(and why):
 
 * the **whole topology** — OSPF shortest paths, failure-scenario
   enumeration and Link-Equivalence-Class reduction read every link;
-* **OSPF settings of every device** (interface costs, passive flags,
-  redistribution) plus the device's OSPF networks restricted to the PEC —
-  costs shape the IGP for every destination, but an OSPF ``network``
-  statement for a prefix outside the PEC cannot influence it;
-* **BGP process + sessions of every device** — any session can carry the
-  PEC's advertisements — plus BGP networks restricted to the PEC;
+* **OSPF settings of every device** (the process's fields but its
+  networks: interfaces, redistribution) plus the device's OSPF networks
+  restricted to the PEC — costs shape the IGP for every destination, but an
+  OSPF ``network`` statement for a prefix outside the PEC cannot
+  influence it;
+* **BGP settings and sessions of every device** — any session can carry
+  the PEC's advertisements — plus BGP networks restricted to the PEC;
 * **route maps referenced by sessions**, restricted per PEC prefix to the
-  clauses that *can match* it (prefix/length conditions are evaluated
-  exactly; community/AS-path conditions are conservatively treated as
-  matchable), in sequence order — a clause that cannot match any of the
-  PEC's prefixes can never fire for them under first-match evaluation;
+  clauses whose prefix conditions it passes
+  (:func:`repro.protocols.filters.clause_matches_prefix`, the test route-map
+  evaluation itself runs; community/AS-path conditions are left to run
+  time), in sequence order — a clause that cannot match any of the PEC's
+  prefixes can never fire for them under first-match evaluation;
 * the per-device **maximum assignable local preference** over *all* route
   maps (referenced or not) — the §4.1.2 deterministic-node bounds read it
   (:func:`repro.protocols.filters.maximum_local_pref`), so an edit to an
   otherwise-unreferenced map can still change exploration statistics;
-* **static routes** covering the PEC (with distance/drop/next hops).
+* **static routes** covering the PEC.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.config.objects import DeviceConfig, NetworkConfig, RouteMapClause
+from repro.config.objects import DeviceConfig, NetworkConfig, process_settings
 from repro.incremental.delta import ConfigDelta
 from repro.netaddr import Prefix
 from repro.pec.classes import PacketEquivalenceClass, pec_covering_prefix
 from repro.pec.dependencies import PecDependencyGraph
-from repro.protocols.filters import maximum_local_pref
+from repro.protocols.filters import clause_matches_prefix, maximum_local_pref
 
 
-# --------------------------------------------------------------------------- clause scoping
-def _clause_can_match(clause: RouteMapClause, device: DeviceConfig, prefix: Prefix) -> bool:
-    """Whether ``clause`` can ever match a route advertised for ``prefix``.
-
-    Mirrors :func:`repro.protocols.filters._clause_matches` for the
-    route-independent conditions (prefix list, prefix set, length bounds)
-    and treats route-dependent conditions (communities, AS path) as
-    potentially true.
-    """
-    match = clause.match
-    if match.is_empty():
-        return True
-    if match.prefix_list is not None:
-        plist = device.prefix_lists.get(match.prefix_list)
-        if plist is not None and not plist.permits(prefix):
-            return False
-    if match.prefixes and not any(p.contains_prefix(prefix) for p in match.prefixes):
-        return False
-    if match.min_prefix_length is not None and prefix.length < match.min_prefix_length:
-        return False
-    if match.max_prefix_length is not None and prefix.length > match.max_prefix_length:
-        return False
-    return True
-
-
-def _clause_token(clause: RouteMapClause) -> Tuple:
-    return (
-        clause.sequence,
-        clause.permit,
-        clause.match.prefix_list,
-        tuple(sorted(str(p) for p in clause.match.prefixes)),
-        tuple(sorted(clause.match.communities)),
-        clause.match.as_path_contains,
-        clause.match.min_prefix_length,
-        clause.match.max_prefix_length,
-        clause.actions.local_preference,
-        clause.actions.med,
-        clause.actions.prepend_count,
-        tuple(sorted(clause.actions.add_communities)),
-        tuple(sorted(clause.actions.remove_communities)),
-        clause.actions.next_hop_self,
-        clause.actions.ospf_metric,
-    )
-
-
+# --------------------------------------------------------------------------- route-map slices
 def _route_map_slice(
     device: DeviceConfig, map_name: Optional[str], prefixes: Sequence[Prefix]
 ) -> Tuple:
     """The per-PEC view of one referenced route map: can-match clauses only.
 
-    Each kept clause carries its *per-prefix* route-independent match
-    vector, not just its definition: runtime evaluation gates on
-    ``prefix_list.permits(advertised)`` and the prefix/length conditions
-    per advertised prefix, so an edit that flips matchability for one of
-    the PEC's prefixes (e.g. a ``le`` bound change in a referenced prefix
-    list) must change the slice even when the clause body and its
-    any-prefix matchability are unchanged.
+    Each kept clause carries its *per-prefix* match vector beside its value:
+    runtime evaluation gates on the clause's prefix conditions per
+    advertised prefix (:func:`~repro.protocols.filters.clause_matches_prefix`,
+    the test :func:`~repro.protocols.filters.apply_route_map` runs first), so
+    an edit that flips matchability for one of the PEC's prefixes (e.g. a
+    ``le`` bound change in a referenced prefix list) must change the slice
+    even when the clause itself is unchanged.  The route conditions
+    (communities, AS path) are left to run time: a clause passing the prefix
+    test may fire.
     """
     if map_name is None:
         return ("none",)
     route_map = device.route_maps.get(map_name)
     if route_map is None:
         return ("missing", map_name)
-    tokens: List[Tuple] = []
+    kept: List[Tuple] = []
     for clause in route_map.sorted_clauses():
-        match_vector = tuple(
-            _clause_can_match(clause, device, prefix) for prefix in prefixes
-        )
+        match_vector = tuple(clause_matches_prefix(clause, device, prefix) for prefix in prefixes)
         if any(match_vector):
-            tokens.append((match_vector, _clause_token(clause)))
-    return (map_name, tuple(tokens))
+            kept.append((match_vector, clause))
+    return (map_name, tuple(kept))
 
 
 # --------------------------------------------------------------------------- topology token
@@ -154,87 +115,40 @@ def _topology_token(network: NetworkConfig) -> Tuple:
 
 # --------------------------------------------------------------------------- device slices
 def _device_slice(device: DeviceConfig, pec: PacketEquivalenceClass) -> Optional[Tuple]:
-    """One device's contribution to the PEC's slice (None when empty)."""
-    pec_prefixes = pec.prefixes
-    parts: List[Tuple] = []
+    """One device's contribution to the PEC's slice (None when empty): the
+    values of its constructs, each list of prefixes restricted to the PEC."""
 
-    statics = tuple(
-        (
-            str(route.prefix),
-            route.next_hop_node,
-            str(route.next_hop_ip) if route.next_hop_ip is not None else None,
-            route.distance,
-            route.drop,
-        )
-        for route in device.static_routes
-        if pec.address_range.overlaps(route.prefix.to_range())
-    )
+    def in_pec(prefix: Prefix) -> bool:
+        return pec.address_range.overlaps(prefix.to_range())
+
+    parts: List[Tuple] = []
+    statics = tuple(route for route in device.static_routes if in_pec(route.prefix))
     if statics:
         parts.append(("static", statics))
-
     if device.ospf is not None:
         ospf = device.ospf
-        networks = tuple(
-            sorted(
-                str(prefix)
-                for prefix in ospf.networks
-                if pec.address_range.overlaps(prefix.to_range())
-            )
-        )
-        interfaces = tuple(
-            (neighbor, interface.cost, interface.passive)
-            for neighbor, interface in sorted(ospf.interfaces.items())
-        )
-        parts.append(
-            (
-                "ospf",
-                networks,
-                interfaces,
-                ospf.redistribute_static,
-                ospf.external_metric,
-            )
-        )
-
+        parts.append(("ospf", tuple(sorted(filter(in_pec, ospf.networks))), process_settings(ospf)))
     if device.bgp is not None:
         bgp = device.bgp
-        networks = tuple(
-            sorted(
-                str(prefix)
-                for prefix in bgp.networks
-                if pec.address_range.overlaps(prefix.to_range())
+        sessions = tuple(
+            (
+                session,
+                _route_map_slice(device, session.import_map, pec.prefixes),
+                _route_map_slice(device, session.export_map, pec.prefixes),
             )
+            for session in sorted(bgp.neighbors, key=lambda session: session.peer)
         )
-        sessions: List[Tuple] = []
-        for session in sorted(bgp.neighbors, key=lambda s: s.peer):
-            sessions.append(
-                (
-                    session.peer,
-                    session.remote_asn,
-                    session.next_hop_self,
-                    session.route_reflector_client,
-                    session.weight,
-                    _route_map_slice(device, session.import_map, pec_prefixes),
-                    _route_map_slice(device, session.export_map, pec_prefixes),
-                )
-            )
         parts.append(
             (
                 "bgp",
-                bgp.asn,
-                bgp.default_local_pref,
-                bgp.redistribute_ospf,
-                bgp.redistribute_static,
-                bgp.multipath,
-                networks,
-                tuple(sessions),
+                tuple(sorted(filter(in_pec, bgp.networks))),
+                process_settings(bgp),
+                sessions,
                 # The §4.1.2 bounds read the max local-pref over *all* maps.
                 maximum_local_pref(device, bgp.default_local_pref),
             )
         )
-
-    if not parts:
-        return None
-    return tuple(parts)
+    return tuple(parts) or None
 
 
 def config_slice(network: NetworkConfig, pec: PacketEquivalenceClass) -> Tuple:

@@ -4,8 +4,9 @@ Plankton's headline scalability comes from exploring one representative per
 equivalence class of commuting transitions instead of every interleaving.
 This subpackage is the reusable home of that machinery:
 
-* :mod:`~repro.modelcheck.por.independence` — which transitions commute
-  (SPVP channel deliveries; the RPVP decision-independence partition);
+* :mod:`~repro.modelcheck.por.independence` — the RPVP decision-independence
+  partition (SPVP deliveries commute by the receiver masks of
+  :func:`~repro.protocols.spvp.space_for`);
 * :mod:`~repro.modelcheck.por.ample` — per-state ample-set selection with
   the C0–C3 provisos for the SPVP transient exploration;
 * :mod:`~repro.modelcheck.por.sleep` — sleep sets killing the commuting
@@ -24,7 +25,6 @@ from repro import _exports
 _ORIGINS = {
     "AmpleChoice": "repro.modelcheck.por.ample",
     "AmpleSelector": "repro.modelcheck.por.ample",
-    "ChannelIndependence": "repro.modelcheck.por.independence",
     "node_independence_groups": "repro.modelcheck.por.independence",
     "EMPTY_SLEEP": "repro.modelcheck.por.sleep",
     "merged_sleep_for_requeue": "repro.modelcheck.por.sleep",

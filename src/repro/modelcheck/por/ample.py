@@ -15,8 +15,8 @@ an *ample set* — instead of all of them, provided the classic provisos hold
 
 The selector picks per-receiver ample sets: the candidate set for receiver
 ``d`` is *all* of ``d``'s enabled in-deliveries.  Same-receiver deliveries
-are the only dependent pairs (:class:`~repro.modelcheck.por.independence.
-ChannelIndependence`), so C1 reduces to: no currently-*empty* in-channel of
+are the only dependent pairs (:attr:`~repro.protocols.spvp._SpvpSpace.
+in_mask`), so C1 reduces to: no currently-*empty* in-channel of
 ``d`` may receive a message before the ample fires.  A node only sends when
 its best path changes, so this is established with one per-state fixpoint:
 
@@ -53,7 +53,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.modelcheck.por.independence import ChannelIndependence
 from repro.protocols.spvp import Channel, SpvpState, space_for
 
 
@@ -108,15 +107,9 @@ class AmpleSelector:
     to (``tests/property/test_transient_por.py``).
     """
 
-    def __init__(
-        self,
-        instance,
-        independence: Optional[ChannelIndependence] = None,
-        reduction=None,
-    ) -> None:
+    def __init__(self, instance, reduction=None) -> None:
         self.instance = instance
         self.space = space_for(instance)
-        self.independence = independence or ChannelIndependence(instance)
         self.reduction = reduction
         #: With a single origin, every advertisement reaching it is
         #: loop-rejected (the stepper's ``path.contains(receiver)`` check), so
@@ -271,7 +264,7 @@ class AmpleSelector:
         """The activity closure of ``seeds`` and its immune-session tally."""
         active = set(seeds)
         stack = list(seeds)
-        out_peers = self.independence.out_peers
+        out_peers = self.space.out_peers
         skipped: List[str] = []
         while stack:
             node = stack.pop()

@@ -16,7 +16,7 @@ skipped at expansion time.
 A sleep set is an ``int`` mask over the instance's channel index (bit ``i``
 is channel ``i`` of :func:`~repro.protocols.spvp.space_for`'s layout, as in
 a state's pending mask).  Same-receiver deliveries are the only dependent
-pairs (:mod:`repro.modelcheck.por.independence`), so the filter above is
+pairs (:attr:`~repro.protocols.spvp._SpvpSpace.in_mask`), so the filter above is
 one mask operation: clear the bits of the channels into ``ti``'s receiver.
 
 Combining sleep sets with a visited set needs one extra rule to stay sound
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.modelcheck.por.independence import ChannelIndependence
 from repro.protocols.spvp import Channel
 
 #: The empty sleep set.
@@ -40,15 +39,16 @@ EMPTY_SLEEP = 0
 
 
 def successor_sleep(
-    independence: ChannelIndependence,
+    space,
     sleep: int,
     executed_before: int,
     transition: Channel,
 ) -> int:
     """The sleep set of the successor reached via ``transition``: the
     inherited sleepers and earlier siblings (``executed_before``, a mask)
-    whose receiver is not ``transition``'s."""
-    return (sleep | executed_before) & ~independence.in_mask[transition[1]]
+    whose receiver is not ``transition``'s.  ``space`` is the instance's
+    slot layout (:func:`~repro.protocols.spvp.space_for`)."""
+    return (sleep | executed_before) & ~space.in_mask[transition[1]]
 
 
 def merged_sleep_for_requeue(stored: int, reached_with: int) -> Optional[int]:

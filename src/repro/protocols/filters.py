@@ -25,6 +25,29 @@ class RouteMapResult:
     matched_sequence: Optional[int] = None
 
 
+def clause_matches_prefix(clause: RouteMapClause, device: DeviceConfig, prefix: Prefix) -> bool:
+    """Whether ``clause``'s prefix conditions — prefix list, prefix set and
+    length bounds — hold for a route advertised for ``prefix``.
+
+    These are the conditions a route's attributes do not enter, so a
+    clause failing them can never fire for ``prefix``: the per-PEC config
+    slice (:func:`repro.incremental.impact.config_slice`) reads a route map
+    through this test.
+    """
+    match = clause.match
+    if match.prefix_list is not None:
+        if not device.prefix_list(match.prefix_list).permits(prefix):
+            return False
+    if match.prefixes:
+        if not any(candidate.contains_prefix(prefix) for candidate in match.prefixes):
+            return False
+    if match.min_prefix_length is not None and prefix.length < match.min_prefix_length:
+        return False
+    if match.max_prefix_length is not None and prefix.length > match.max_prefix_length:
+        return False
+    return True
+
+
 def _clause_matches(
     clause: RouteMapClause,
     device: DeviceConfig,
@@ -32,22 +55,12 @@ def _clause_matches(
     route: Route,
 ) -> bool:
     """Whether ``clause`` matches ``route`` advertised for ``prefix``."""
+    if not clause_matches_prefix(clause, device, prefix):
+        return False
     match = clause.match
-    if match.is_empty():
-        return True
-    if match.prefix_list is not None:
-        if not device.prefix_list(match.prefix_list).permits(prefix):
-            return False
-    if match.prefixes:
-        if not any(candidate.contains_prefix(prefix) for candidate in match.prefixes):
-            return False
     if match.communities:
         if not all(community in route.communities for community in match.communities):
             return False
-    if match.min_prefix_length is not None and prefix.length < match.min_prefix_length:
-        return False
-    if match.max_prefix_length is not None and prefix.length > match.max_prefix_length:
-        return False
     if match.as_path_contains is not None:
         # The abstract model tracks AS-path length, not the member ASes; a
         # "contains" match is approximated by requiring a non-empty path.

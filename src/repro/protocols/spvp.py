@@ -179,6 +179,25 @@ class _SpvpSpace:
         #: canonical slot order) and the mask of the channels into it
         #: (``in_mask``).  The partial-order-reduction machinery reasons
         #: over these.
+        #:
+        #: ``in_mask`` is the independence relation over deliveries (paper
+        #: §4.1.3, Appendix A).  A delivery on channel ``(sender, receiver)``
+        #: drains that channel's head, rewrites the receiver's rib-in entry
+        #: and best path, and (only on a best-path change) appends one
+        #: advertisement to each of the receiver's outgoing channels.  Two
+        #: deliveries with *distinct receivers* therefore touch disjoint best
+        #: and rib-in slots, and the only slot they can share is a channel
+        #: one of them pops and the other appends to (when one receiver is
+        #: the other's sender) — and a head pop commutes with a tail append
+        #: on a non-empty FIFO, with the appended advertisement depending
+        #: only on the appender's own (untouched) state.  Deliveries to the
+        #: *same* receiver race on its rib-in/best selection and are
+        #: dependent: the deliveries dependent on one into ``d`` are exactly
+        #: the bits of ``in_mask[d]``, which is how the sleep sets
+        #: (:mod:`repro.modelcheck.por.sleep`) apply it.  ``out_peers`` is
+        #: what the ample selector reasons over to decide which
+        #: currently-*disabled* dependent deliveries could become enabled
+        #: (:mod:`repro.modelcheck.por.ample`).
         self.out_peers: Dict[str, Tuple[str, ...]] = {
             node: tuple(peer for peer, _channel, _slot in self.out_slots_of[node])
             for node in self.nodes

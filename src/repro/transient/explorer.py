@@ -87,7 +87,6 @@ from repro.core.results import RequestResult, TaskFailure
 from repro.modelcheck.hashing import ZobristFingerprinter
 from repro.modelcheck.por import (
     AmpleSelector,
-    ChannelIndependence,
     EMPTY_SLEEP,
     ReductionStatistics,
     merged_sleep_for_requeue,
@@ -309,9 +308,9 @@ class TransientAnalyzer:
     One analyzer serves one instance for any number of :meth:`analyze`
     runs — a campaign task runs all of its lifecycle scenarios on one — so
     what is a function of the instance alone is built once, at
-    construction: the fingerprinter (bound to the instance's intern table),
-    the channel independence and the ample selector with its analysis
-    memos.  The transfer memos are the instance's slot layout's
+    construction: the fingerprinter (bound to the instance's intern table)
+    and the ample selector with its analysis memos.  The transfer memos and
+    the channel masks the sleep sets read are the instance's slot layout's
     (:func:`~repro.protocols.spvp.space_for`), shared with every other
     stepper over the instance.  What a run owns — its stepper with the
     lifecycle overlays, its root, its result and reduction ledger — is local
@@ -334,12 +333,8 @@ class TransientAnalyzer:
         # or path hashing.
         self._hasher = ZobristFingerprinter(self._space.table)
         por = self.options.por
-        self._independence = (
-            ChannelIndependence(instance) if por in ("ample", "sleep") else None
-        )
-        self._selector = (
-            AmpleSelector(instance, self._independence) if por == "ample" else None
-        )
+        self._use_sleep = por in ("ample", "sleep")
+        self._selector = AmpleSelector(instance) if por == "ample" else None
         #: (best-slot bytes, converged) -> the messages of the properties in
         #: ``_messages_for``.  The ids are the instance's own, so the memo
         #: outlives one analyze(): the searches of one task from different
@@ -389,8 +384,8 @@ class TransientAnalyzer:
             self._messages = {}
             self._messages_for = properties
 
-        independence = self._independence
-        use_sleep = independence is not None
+        space = self._space
+        use_sleep = self._use_sleep
         selector = self._selector
         if selector is not None:
             selector.reduction = reduction
@@ -402,7 +397,7 @@ class TransientAnalyzer:
         #: is False only for the sleep-set requeues of already-counted
         #: states.
         frontier: Deque[Tuple[SpvpState, int, int, bool]] = deque([(root, 0, EMPTY_SLEEP, True)])
-        channel_bit = self._space.channel_bit
+        channel_bit = space.channel_bit
         while frontier:
             state, depth, sleep, fresh = frontier.popleft()
             converged = state.is_converged()
@@ -456,7 +451,7 @@ class TransientAnalyzer:
                         present = set(expansion)
                         expansion.extend(c for c in enabled if c not in present)
                 succ_sleep = (
-                    successor_sleep(independence, sleep, executed, channel)
+                    successor_sleep(space, sleep, executed, channel)
                     if use_sleep
                     else EMPTY_SLEEP
                 )

@@ -16,8 +16,8 @@ behind by one scenario would show in the next; a ``--fail-session`` base;
 and both ``--all-violations`` and stop-at-first on the serial backend.
 
 The steppers of a task share more than the drain: the SPVP transfer memos
-live once per protocol instance, and the analyzer builds its fingerprinter,
-independence and ample selector once.  ``TestTransferMemoLifetime`` pins
+live once per protocol instance, and the analyzer builds its fingerprinter
+and ample selector once.  ``TestTransferMemoLifetime`` pins
 both lifetimes.
 """
 
@@ -287,8 +287,8 @@ class TestTransferMemoLifetime:
         assert calls == []
 
     def test_analyze_builds_its_machinery_once(self, monkeypatch):
-        """The fingerprinter, the independence and the selector are the
-        analyzer's: a second (third, ...) run builds none of them."""
+        """The fingerprinter and the selector are the analyzer's: a second
+        (third, ...) run builds neither of them."""
         from repro.transient import explorer
 
         network = ebgp_rfc7938(bgp_fat_tree(4))
@@ -299,7 +299,7 @@ class TestTransferMemoLifetime:
         def refused(*_arguments, **_keywords):
             raise AssertionError("built again")
 
-        for name in ("ZobristFingerprinter", "ChannelIndependence", "AmpleSelector"):
+        for name in ("ZobristFingerprinter", "AmpleSelector"):
             monkeypatch.setattr(explorer, name, refused)
         again = analyzer.analyze(PROPERTIES, initial_events=[Converge()])
         assert again.stats_signature() == first.stats_signature()

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.modelcheck.por import (
     EMPTY_SLEEP,
-    ChannelIndependence,
     merged_sleep_for_requeue,
     successor_sleep,
 )
@@ -80,17 +79,16 @@ class TestSleepMasksAgainstSetOracle:
     def test_mask_rules_decode_to_the_set_rules(self, draw):
         instance, sleep, executed, transition, stored, reached = draw
         space = space_for(instance)
-        independence = ChannelIndependence(instance)
 
         # The receiver's in-mask is exactly the channels dependent on it.
-        in_mask = independence.in_mask[transition[1]]
+        in_mask = space.in_mask[transition[1]]
         for channel in space.channels:
             assert bool(in_mask & space.channel_bit[channel]) == (
                 not reference.independent(channel, transition)
             )
 
         successor = successor_sleep(
-            independence, _encode(space, sleep), _encode(space, executed), transition
+            space, _encode(space, sleep), _encode(space, executed), transition
         )
         expected = reference.successor_sleep(sleep, executed, transition)
         assert _decode(space, successor) == expected

@@ -401,7 +401,7 @@ def _check_warm_selector_against_a_fresh_one(monkeypatch):
         before = selector.reduction.rank_immune_sessions
         active = warm_active_nodes(selector, state, pending)
         ledger = ReductionStatistics()
-        fresh = AmpleSelector(selector.instance, selector.independence, reduction=ledger)
+        fresh = AmpleSelector(selector.instance, reduction=ledger)
         assert active == warm_active_nodes(fresh, state, pending)
         assert selector.reduction.rank_immune_sessions - before == ledger.rank_immune_sessions
         compared.append(state)

@@ -1,19 +1,27 @@
 """Tests for the incremental re-verification subsystem (`repro.incremental`)."""
 
 import copy
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import typing
 
 import pytest
 
 from repro.config import ebgp_rfc7938, ibgp_over_ospf
 from repro.config.objects import (
+    BgpConfig,
     BgpNeighbor,
+    DeviceConfig,
     MatchConditions,
+    NetworkConfig,
+    OspfConfig,
     OspfInterface,
     PrefixList,
+    PrefixListEntry,
     RouteMap,
     RouteMapClause,
     SetActions,
@@ -29,7 +37,11 @@ from repro.incremental import (
     pec_base_fingerprints,
     result_signature,
 )
-from repro.incremental.cache import verification_fingerprints
+from repro.incremental.cache import (
+    CACHE_LAYOUT_SHA256,
+    CACHE_SCHEMA_VERSION,
+    verification_fingerprints,
+)
 from repro.netaddr import Prefix
 from repro.policies import LoopFreedom, Reachability
 from repro.topology import bgp_fat_tree
@@ -254,6 +266,248 @@ class TestFingerprints:
         assert base == same
 
 
+# --------------------------------------------------------------------------- construct coverage
+def _dataclasses_below(root):
+    """``root`` and every dataclass named by its fields' type hints,
+    recursively (through ``Optional``, ``List``, ``Dict`` ...), in walk order."""
+    found = []
+
+    def hinted(hint):
+        yield hint
+        for argument in typing.get_args(hint):
+            yield from hinted(argument)
+
+    def walk(cls):
+        if cls in found:
+            return
+        found.append(cls)
+        hints = typing.get_type_hints(cls, vars(sys.modules[cls.__module__]))
+        for spec in dataclasses.fields(cls):
+            for hint in hinted(hints[spec.name]):
+                if isinstance(hint, type) and dataclasses.is_dataclass(hint):
+                    walk(hint)
+
+    walk(root)
+    return found
+
+
+#: Name fields that are the keys of the dicts holding their constructs.
+DICT_KEYS = {"DeviceConfig.name", "RouteMap.name", "PrefixList.name", "OspfInterface.neighbor"}
+
+
+def _construct_network():
+    """OSPF everywhere on a 3-ring, eBGP r0-r1 and r1-r2, r0 exporting to r1
+    through POLICY (one clause, whose prefix conditions — prefix list PL
+    among them — all pass for r0's announced 10.0.0.0/24), and a static
+    route by next-hop node and one by next-hop IP on r2."""
+    network = NetworkConfig(ring(3))
+    for name in network.topology.nodes:
+        network.device(name).ospf = OspfConfig(
+            networks=[Prefix(f"10.10.{name[1]}.0/24")],
+            interfaces={"r1": OspfInterface(neighbor="r1", cost=10)} if name != "r1" else {},
+        )
+    r0, r1, r2 = (network.device(name) for name in ("r0", "r1", "r2"))
+    r0.bgp = BgpConfig(
+        asn=65000,
+        networks=[Prefix("10.0.0.0/24")],
+        neighbors=[BgpNeighbor(peer="r1", remote_asn=65001, export_map="POLICY")],
+    )
+    r1.bgp = BgpConfig(
+        asn=65001,
+        neighbors=[
+            BgpNeighbor(peer="r0", remote_asn=65000),
+            BgpNeighbor(peer="r2", remote_asn=65002),
+        ],
+    )
+    r2.bgp = BgpConfig(
+        asn=65002,
+        networks=[Prefix("10.2.0.0/24")],
+        neighbors=[BgpNeighbor(peer="r1", remote_asn=65001)],
+    )
+    r0.prefix_lists["PL"] = PrefixList(name="PL").add(Prefix("10.0.0.0/16"), ge=16, le=24)
+    r0.route_maps["POLICY"] = RouteMap(
+        name="POLICY",
+        clauses=[
+            RouteMapClause(
+                sequence=10,
+                match=MatchConditions(
+                    prefix_list="PL",
+                    prefixes=[Prefix("10.0.0.0/16")],
+                    communities=["65000:1"],
+                    min_prefix_length=16,
+                    max_prefix_length=24,
+                ),
+                actions=SetActions(add_communities=["65000:2"]),
+            )
+        ],
+    )
+    r2.static_routes = [
+        StaticRoute(prefix=Prefix("10.9.0.0/24"), next_hop_node="r0"),
+        StaticRoute(prefix=Prefix("10.9.1.0/24"), next_hop_ip=Prefix("10.10.0.0/24")),
+    ]
+    network.validate()
+    return network
+
+
+def _static(index, **changes):
+    def edit(network):
+        routes = network.device("r2").static_routes
+        routes[index] = dataclasses.replace(routes[index], **changes)
+
+    return edit
+
+
+def _on(path, **changes):
+    """An edit setting ``changes`` on the object ``path(network)`` returns."""
+
+    def edit(network):
+        target = path(network)
+        for name, value in changes.items():
+            setattr(target, name, value)
+
+    return edit
+
+
+def _ospf(network):
+    return network.device("r0").ospf
+
+
+def _bgp(network):
+    return network.device("r0").bgp
+
+
+def _session(network):
+    return network.device("r0").bgp.neighbors[0]
+
+
+def _clause(network):
+    return network.device("r0").route_maps["POLICY"].clauses[0]
+
+
+def _match(network):
+    return _clause(network).match
+
+
+def _actions(network):
+    return _clause(network).actions
+
+
+def _entry(**changes):
+    def edit(network):
+        entries = network.device("r0").prefix_lists["PL"].entries
+        entries[0] = dataclasses.replace(entries[0], **changes)
+
+    return edit
+
+
+#: One edit per config field (``Class.field``), each one that matters to a
+#: PEC: a prefix-list bound flips the announced /24's match, because the
+#: slice reads a list only through that match.
+CONSTRUCT_EDITS = {
+    "DeviceConfig.static_routes": lambda network: network.device("r2").static_routes.append(
+        StaticRoute(prefix=Prefix("10.9.2.0/24"), drop=True)
+    ),
+    "DeviceConfig.ospf": _on(lambda network: network.device("r2"), ospf=None),
+    "DeviceConfig.bgp": _on(lambda network: network.device("r2"), bgp=None),
+    "DeviceConfig.route_maps": lambda network: network.device("r2").route_maps.update(
+        UNUSED=RouteMap(
+            name="UNUSED",
+            clauses=[RouteMapClause(sequence=10, actions=SetActions(local_preference=900))],
+        )
+    ),
+    "DeviceConfig.prefix_lists": lambda network: network.device("r2").prefix_lists.update(
+        UNUSED=PrefixList(name="UNUSED").add(Prefix("10.7.0.0/24"))
+    ),
+    "StaticRoute.prefix": _static(0, prefix=Prefix("10.9.3.0/24")),
+    "StaticRoute.next_hop_node": _static(0, next_hop_node="r1"),
+    "StaticRoute.next_hop_ip": _static(1, next_hop_ip=Prefix("10.10.1.0/24")),
+    "StaticRoute.distance": _static(0, distance=5),
+    "StaticRoute.drop": _static(0, drop=True),
+    "OspfConfig.networks": _on(_ospf, networks=[Prefix("10.10.0.0/24"), Prefix("10.8.0.0/24")]),
+    "OspfConfig.interfaces": _on(_ospf, interfaces={}),
+    "OspfConfig.redistribute_static": _on(_ospf, redistribute_static=True),
+    "OspfInterface.cost": _on(lambda network: _ospf(network).interfaces["r1"], cost=20),
+    "OspfInterface.passive": _on(lambda network: _ospf(network).interfaces["r1"], passive=True),
+    "BgpConfig.asn": _on(_bgp, asn=65100),
+    "BgpConfig.networks": _on(_bgp, networks=[Prefix("10.0.0.0/24"), Prefix("10.1.0.0/24")]),
+    "BgpConfig.neighbors": lambda network: _bgp(network).neighbors.append(
+        BgpNeighbor(peer="r2", remote_asn=65002)
+    ),
+    "BgpConfig.default_local_pref": _on(_bgp, default_local_pref=120),
+    "BgpConfig.redistribute_ospf": _on(_bgp, redistribute_ospf=True),
+    "BgpConfig.redistribute_static": _on(_bgp, redistribute_static=True),
+    "BgpConfig.multipath": _on(_bgp, multipath=True),
+    "BgpNeighbor.peer": _on(_session, peer="r2"),
+    "BgpNeighbor.remote_asn": _on(_session, remote_asn=65009),
+    "BgpNeighbor.import_map": _on(_session, import_map="POLICY"),
+    "BgpNeighbor.export_map": _on(_session, export_map=None),
+    "BgpNeighbor.next_hop_self": _on(_session, next_hop_self=True),
+    "BgpNeighbor.route_reflector_client": _on(_session, route_reflector_client=True),
+    "BgpNeighbor.weight": _on(_session, weight=5),
+    "RouteMap.clauses": lambda network: network.device("r0").route_maps["POLICY"].add_clause(
+        RouteMapClause(sequence=20, actions=SetActions(med=3))
+    ),
+    "RouteMapClause.sequence": _on(_clause, sequence=15),
+    "RouteMapClause.permit": _on(_clause, permit=False),
+    "RouteMapClause.match": _on(_clause, match=MatchConditions()),
+    "RouteMapClause.actions": _on(_clause, actions=SetActions()),
+    "MatchConditions.prefix_list": _on(_match, prefix_list=None),
+    "MatchConditions.prefixes": _on(_match, prefixes=[Prefix("10.0.0.0/8")]),
+    "MatchConditions.communities": _on(_match, communities=["65000:3"]),
+    "MatchConditions.as_path_contains": _on(_match, as_path_contains=65001),
+    "MatchConditions.min_prefix_length": _on(_match, min_prefix_length=8),
+    "MatchConditions.max_prefix_length": _on(_match, max_prefix_length=32),
+    "SetActions.local_preference": _on(_actions, local_preference=200),
+    "SetActions.med": _on(_actions, med=4),
+    "SetActions.prepend_count": _on(_actions, prepend_count=2),
+    "SetActions.add_communities": _on(_actions, add_communities=["65000:4"]),
+    "SetActions.remove_communities": _on(_actions, remove_communities=["65000:1"]),
+    "SetActions.next_hop_self": _on(_actions, next_hop_self=True),
+    "SetActions.ospf_metric": _on(_actions, ospf_metric=30),
+    "PrefixList.entries": lambda network: network.device("r0").prefix_lists["PL"].entries.insert(
+        0, PrefixListEntry(Prefix("10.0.0.0/24"), permit=False)
+    ),
+    "PrefixListEntry.prefix": _entry(prefix=Prefix("10.1.0.0/16")),
+    "PrefixListEntry.permit": _entry(permit=False),
+    "PrefixListEntry.ge": _entry(ge=25),
+    "PrefixListEntry.le": _entry(le=23),
+}
+
+CONFIG_CLASSES = _dataclasses_below(DeviceConfig)
+CONFIG_FIELDS = [
+    f"{cls.__name__}.{spec.name}" for cls in CONFIG_CLASSES for spec in dataclasses.fields(cls)
+]
+
+
+def _fingerprint_values(network):
+    plankton = Plankton(network, PlanktonOptions())
+    return set(pec_base_fingerprints(network, plankton.pecs, plankton.dependency_graph).values())
+
+
+class TestConstructCoverage:
+    """Every config field is read by both views of a configuration: the
+    delta and the PEC fingerprints.  A newly declared field fails here until
+    it has an edit below (or is a dict key)."""
+
+    def test_the_walk_reaches_every_config_construct(self):
+        assert {cls.__name__ for cls in CONFIG_CLASSES} == {
+            "DeviceConfig", "StaticRoute", "OspfConfig", "OspfInterface", "BgpConfig",
+            "BgpNeighbor", "RouteMap", "RouteMapClause", "MatchConditions", "SetActions",
+            "PrefixList", "PrefixListEntry",
+        }
+
+    def test_every_field_has_an_edit_or_is_a_dict_key(self):
+        assert set(CONFIG_FIELDS) - DICT_KEYS == set(CONSTRUCT_EDITS)
+
+    @pytest.mark.parametrize("field_name", sorted(set(CONFIG_FIELDS) - DICT_KEYS))
+    def test_a_one_field_edit_shows_in_the_delta_and_the_fingerprints(self, field_name):
+        base = _construct_network()
+        edited = copy.deepcopy(base)
+        CONSTRUCT_EDITS[field_name](edited)
+        assert not diff_networks(base, edited).is_empty
+        assert _fingerprint_values(edited) != _fingerprint_values(base)
+
+
 # --------------------------------------------------------------------------- cache
 # (document round trips: tests/property/test_result_schema.py)
 class TestResultCache:
@@ -268,6 +522,30 @@ class TestResultCache:
         # A corrupted file loads as empty rather than raising.
         (tmp_path / ResultCache.FILENAME).write_text("{not json")
         assert ResultCache(tmp_path)._entries == {}
+
+    def test_the_layout_pin_names_the_schema_version(self):
+        """The field layout of what an entry stores and of what a fingerprint
+        hashes is recorded beside ``CACHE_SCHEMA_VERSION``: a layout change
+        must bump the version (old entries would misdecode, old keys would
+        be unreachable) and record the new digest."""
+        from repro.core.results import PecRunResult
+        from repro.dataplane.fib import FibEntry
+        from repro.topology.failures import FailureScenario
+        from repro.transient.explorer import TransientCampaignRun
+
+        stored = []
+        for root in (PecRunResult, FibEntry, FailureScenario, TransientCampaignRun):
+            stored += [cls for cls in _dataclasses_below(root) if cls not in stored]
+        assert all(hasattr(cls, "to_dict") for cls in stored)
+        layout = sorted(
+            (cls.__name__, tuple(spec.name for spec in dataclasses.fields(cls)))
+            for cls in stored + CONFIG_CLASSES
+        )
+        digest = hashlib.sha256(repr(layout).encode("utf-8")).hexdigest()
+        assert digest == CACHE_LAYOUT_SHA256, (
+            f"the cached or fingerprinted field layout changed: bump "
+            f"CACHE_SCHEMA_VERSION (now {CACHE_SCHEMA_VERSION}) and record {digest}"
+        )
 
     def test_schema_version_mismatch_discards_entries(self, tmp_path):
         cache = ResultCache(tmp_path)

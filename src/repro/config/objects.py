@@ -10,7 +10,6 @@ of the protocol models (paper §3.4, Appendix A) are inferred.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ConfigError
@@ -270,15 +269,11 @@ def process_settings(process) -> Tuple[Tuple[str, object], ...]:
     the configuration declared them in.
     """
     return tuple(
-        (name, tuple(sorted(value.items())) if isinstance(value, dict) else value)
-        for name in _setting_names(type(process))
-        for value in (getattr(process, name),)
+        (spec.name, tuple(sorted(value.items())) if isinstance(value, dict) else value)
+        for spec in fields(process)
+        if spec.name not in ("networks", "neighbors")
+        for value in (getattr(process, spec.name),)
     )
-
-
-@lru_cache(maxsize=None)
-def _setting_names(cls: type) -> Tuple[str, ...]:
-    return tuple(spec.name for spec in fields(cls) if spec.name not in ("networks", "neighbors"))
 
 
 # --------------------------------------------------------------------------- device

@@ -26,6 +26,7 @@ _ORIGINS = {
     "ConfigDelta": "repro.incremental.delta",
     "diff_networks": "repro.incremental.delta",
     "config_slice": "repro.incremental.impact",
+    "network_slice": "repro.incremental.impact",
     "impacted_pecs": "repro.incremental.impact",
     "ResultCache": "repro.incremental.cache",
     "pec_base_fingerprints": "repro.incremental.cache",

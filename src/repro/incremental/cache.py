@@ -6,9 +6,10 @@ options?*  It does so by content addressing: every entry is keyed by a
 fingerprint that hashes
 
 * the PEC's identity (index, address range, contributing prefixes),
-* the :func:`~repro.incremental.impact.config_slice`: the values of the
-  config constructs (the :mod:`repro.config.objects` dataclasses) the PEC's
-  verification can read, scoped to the PEC,
+* the :func:`~repro.incremental.impact.config_slice` and the
+  :func:`~repro.incremental.impact.network_slice`: the values of the config
+  constructs (the :mod:`repro.config.objects` dataclasses) the PEC's
+  verification can read, scoped to the PEC, and the topology,
 * the slices of every PEC in its dependency closure (a dirty upstream
   changes the fingerprint of all its dependents, which is exactly the
   "transitive closure over PEC dependency edges" rule),
@@ -65,7 +66,7 @@ from repro.core.scheduler import dependency_closure
 from repro.dataplane.fib import DataPlane
 from repro.engine.graph import TaskResult
 from repro.exceptions import VerificationError
-from repro.incremental.impact import config_slice
+from repro.incremental.impact import config_slice, network_slice
 from repro.pec.classes import PacketEquivalenceClass
 from repro.pec.dependencies import PecDependencyGraph
 
@@ -167,11 +168,14 @@ def pec_base_fingerprints(
 ) -> Dict[int, str]:
     """Per-PEC fingerprints of the config slices, composed over dependencies.
 
-    A PEC's fingerprint folds in the slice fingerprints of every PEC in its
-    dependency closure plus the closure's edge structure, so an edit that
-    only touches an upstream PEC still invalidates all its dependents.
+    The network slice, which every PEC reads alike, is hashed once and
+    folded into the hash of each PEC's own slice.  A PEC's fingerprint
+    folds in the slice fingerprints of every PEC in its dependency closure
+    plus the closure's edge structure, so an edit that only touches an
+    upstream PEC still invalidates all its dependents.
     """
-    slices = {pec.index: _sha(config_slice(network, pec)) for pec in pecs}
+    shared = _sha(network_slice(network))
+    slices = {pec.index: _sha((shared, config_slice(network, pec))) for pec in pecs}
     composed: Dict[int, str] = {}
     for pec in pecs:
         closure = dependency_closure(dependency_graph, [pec.index])

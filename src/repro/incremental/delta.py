@@ -343,6 +343,8 @@ def diff_networks(old: NetworkConfig, new: NetworkConfig) -> ConfigDelta:
     for name in sorted(set(old.devices) | set(new.devices)):
         old_device = old.devices.get(name, empty)
         new_device = new.devices.get(name, empty)
+        if old_device == new_device:
+            continue
         _diff_filters(delta, name, old_device, new_device)
         _diff_bgp(delta, name, old_device.bgp, new_device.bgp)
         _diff_ospf(delta, name, old_device.ospf, new_device.ospf)

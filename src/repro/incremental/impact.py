@@ -2,13 +2,16 @@
 
 Two complementary views of the same question live here:
 
-* :func:`config_slice` — the *forward* view: for one PEC, the canonical
-  serialisation of every construct its verification result can read.  This
-  is what the per-PEC fingerprints of :mod:`repro.incremental.cache` hash:
-  if the slice (plus the policy, the options, the task shape and the
-  slices of dependency PECs) is unchanged, the PEC's result is unchanged.
-  PRAXIS-style attribution works the same way in reverse: the slice names
-  the constructs a PEC's outcome is attributable to.
+* :func:`network_slice` and :func:`config_slice` — the *forward* view:
+  together, the canonical serialisation of every construct one PEC's
+  verification result can read.  The network slice is the part every PEC
+  reads alike; the config slice is the PEC and what is scoped to it.  This
+  is what the per-PEC fingerprints of :mod:`repro.incremental.cache` hash
+  (the network slice once per network): if both slices (plus the policy,
+  the options, the task shape and the slices of dependency PECs) are
+  unchanged, the PEC's result is unchanged.  PRAXIS-style attribution works
+  the same way in reverse: the slices name the constructs a PEC's outcome
+  is attributable to.
 * :func:`impacted_pecs` — the *backward* view: map a
   :class:`~repro.incremental.delta.ConfigDelta` onto the set of dirty PEC
   indices using the PEC partition and the dependency graph.  A changed
@@ -27,31 +30,34 @@ dataclasses themselves, whose fields are the one list of what a construct
 is — scoped to the PEC where a construct names prefixes.  What goes in
 (and why):
 
-* the **whole topology** — OSPF shortest paths, failure-scenario
-  enumeration and Link-Equivalence-Class reduction read every link;
-* **OSPF settings of every device** (the process's fields but its
-  networks: interfaces, redistribution) plus the device's OSPF networks
-  restricted to the PEC — costs shape the IGP for every destination, but an
-  OSPF ``network`` statement for a prefix outside the PEC cannot
-  influence it;
-* **BGP settings and sessions of every device** — any session can carry
-  the PEC's advertisements — plus BGP networks restricted to the PEC;
-* **route maps referenced by sessions**, restricted per PEC prefix to the
-  clauses whose prefix conditions it passes
-  (:func:`repro.protocols.filters.clause_matches_prefix`, the test route-map
-  evaluation itself runs; community/AS-path conditions are left to run
-  time), in sequence order — a clause that cannot match any of the PEC's
-  prefixes can never fire for them under first-match evaluation;
-* the per-device **maximum assignable local preference** over *all* route
-  maps (referenced or not) — the §4.1.2 deterministic-node bounds read it
+* in the network slice, the **whole topology** — OSPF shortest paths,
+  failure-scenario enumeration and Link-Equivalence-Class reduction read
+  every link;
+* in the network slice, the **OSPF settings of every device** (the
+  process's fields but its networks: interfaces, redistribution) — costs
+  shape the IGP for every destination — and in the config slice, the
+  device's OSPF networks restricted to the PEC: an OSPF ``network``
+  statement for a prefix outside the PEC cannot influence it;
+* in the network slice, the **BGP settings and sessions of every device**
+  — any session can carry the PEC's advertisements — and in the config
+  slice, the BGP networks restricted to the PEC;
+* in the config slice, the **route maps referenced by sessions**,
+  restricted per PEC prefix to the clauses whose prefix conditions it
+  passes (:func:`repro.protocols.filters.clause_matches_prefix`, the test
+  route-map evaluation itself runs; community/AS-path conditions are left
+  to run time), in sequence order — a clause that cannot match any of the
+  PEC's prefixes can never fire for them under first-match evaluation;
+* in the network slice, the per-device **maximum assignable local
+  preference** over *all* route maps (referenced or not) — the §4.1.2
+  deterministic-node bounds read it
   (:func:`repro.protocols.filters.maximum_local_pref`), so an edit to an
   otherwise-unreferenced map can still change exploration statistics;
-* **static routes** covering the PEC.
+* in the config slice, the **static routes** covering the PEC.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.config.objects import DeviceConfig, NetworkConfig, process_settings
 from repro.incremental.delta import ConfigDelta
@@ -62,9 +68,7 @@ from repro.protocols.filters import clause_matches_prefix, maximum_local_pref
 
 
 # --------------------------------------------------------------------------- route-map slices
-def _route_map_slice(
-    device: DeviceConfig, map_name: Optional[str], prefixes: Sequence[Prefix]
-) -> Tuple:
+def _route_map_slice(device: DeviceConfig, map_name: str, prefixes: Sequence[Prefix]) -> Tuple:
     """The per-PEC view of one referenced route map: can-match clauses only.
 
     Each kept clause carries its *per-prefix* match vector beside its value:
@@ -77,17 +81,15 @@ def _route_map_slice(
     (communities, AS path) are left to run time: a clause passing the prefix
     test may fire.
     """
-    if map_name is None:
-        return ("none",)
     route_map = device.route_maps.get(map_name)
     if route_map is None:
-        return ("missing", map_name)
+        return ("missing",)
     kept: List[Tuple] = []
     for clause in route_map.sorted_clauses():
         match_vector = tuple(clause_matches_prefix(clause, device, prefix) for prefix in prefixes)
         if any(match_vector):
             kept.append((match_vector, clause))
-    return (map_name, tuple(kept))
+    return tuple(kept)
 
 
 # --------------------------------------------------------------------------- topology token
@@ -114,9 +116,31 @@ def _topology_token(network: NetworkConfig) -> Tuple:
 
 
 # --------------------------------------------------------------------------- device slices
+def _device_settings(device: DeviceConfig) -> Optional[Tuple]:
+    """What one device contributes to every PEC alike (None when nothing):
+    its OSPF and BGP settings, its sessions, and the maximum local
+    preference over all its maps."""
+    parts: List[Tuple] = []
+    if device.ospf is not None:
+        parts.append(("ospf", process_settings(device.ospf)))
+    if device.bgp is not None:
+        bgp = device.bgp
+        parts.append(
+            (
+                "bgp",
+                process_settings(bgp),
+                tuple(sorted(bgp.neighbors, key=lambda session: session.peer)),
+                # The §4.1.2 bounds read the max local-pref over *all* maps.
+                maximum_local_pref(device, bgp.default_local_pref),
+            )
+        )
+    return tuple(parts) or None
+
+
 def _device_slice(device: DeviceConfig, pec: PacketEquivalenceClass) -> Optional[Tuple]:
-    """One device's contribution to the PEC's slice (None when empty): the
-    values of its constructs, each list of prefixes restricted to the PEC."""
+    """One device's PEC-scoped contribution (None when empty): its static
+    routes and OSPF/BGP networks restricted to the PEC, and the slice of
+    each route map its sessions name, by name."""
 
     def in_pec(prefix: Prefix) -> bool:
         return pec.address_range.overlaps(prefix.to_range())
@@ -126,44 +150,47 @@ def _device_slice(device: DeviceConfig, pec: PacketEquivalenceClass) -> Optional
     if statics:
         parts.append(("static", statics))
     if device.ospf is not None:
-        ospf = device.ospf
-        parts.append(("ospf", tuple(sorted(filter(in_pec, ospf.networks))), process_settings(ospf)))
+        parts.append(("ospf", tuple(sorted(filter(in_pec, device.ospf.networks)))))
     if device.bgp is not None:
         bgp = device.bgp
-        sessions = tuple(
-            (
-                session,
-                _route_map_slice(device, session.import_map, pec.prefixes),
-                _route_map_slice(device, session.export_map, pec.prefixes),
-            )
-            for session in sorted(bgp.neighbors, key=lambda session: session.peer)
+        named = {
+            name
+            for session in bgp.neighbors
+            for name in (session.import_map, session.export_map)
+            if name is not None
+        }
+        maps = tuple(
+            (name, _route_map_slice(device, name, pec.prefixes)) for name in sorted(named)
         )
-        parts.append(
-            (
-                "bgp",
-                tuple(sorted(filter(in_pec, bgp.networks))),
-                process_settings(bgp),
-                sessions,
-                # The §4.1.2 bounds read the max local-pref over *all* maps.
-                maximum_local_pref(device, bgp.default_local_pref),
-            )
-        )
+        parts.append(("bgp", tuple(sorted(filter(in_pec, bgp.networks))), maps))
     return tuple(parts) or None
 
 
+def _devices(network: NetworkConfig, part: Callable[[DeviceConfig], Optional[Tuple]]) -> Tuple:
+    """``(name, part(device))`` for each device in topology order that has one."""
+    return tuple(
+        (name, value)
+        for name in network.topology.nodes
+        for value in (part(network.devices.get(name, DeviceConfig(name=name))),)
+        if value is not None
+    )
+
+
+def network_slice(network: NetworkConfig) -> Tuple:
+    """The part of every PEC's slice that does not depend on the PEC: the
+    topology and each device's settings and sessions."""
+    return (_topology_token(network), _devices(network, _device_settings))
+
+
 def config_slice(network: NetworkConfig, pec: PacketEquivalenceClass) -> Tuple:
-    """The canonical serialisation of everything ``pec``'s result can read.
+    """The canonical serialisation of what ``pec``'s result reads beyond
+    :func:`network_slice`: the PEC itself and each device's PEC-scoped
+    constructs.
 
     Dependency PECs are *not* folded in here — the fingerprint layer
     composes slices along the dependency closure — so the slice of a PEC
     changes only when a construct it directly reads changes.
     """
-    devices = tuple(
-        (name, slice_)
-        for name in network.topology.nodes
-        for slice_ in (_device_slice(network.devices.get(name, DeviceConfig(name=name)), pec),)
-        if slice_ is not None
-    )
     return (
         pec.index,
         (pec.address_range.low, pec.address_range.high),
@@ -171,8 +198,7 @@ def config_slice(network: NetworkConfig, pec: PacketEquivalenceClass) -> Tuple:
         tuple((str(prefix), devices_) for prefix, devices_ in pec.ospf_origins),
         tuple((str(prefix), devices_) for prefix, devices_ in pec.bgp_origins),
         tuple((str(prefix), devices_) for prefix, devices_ in pec.static_devices),
-        _topology_token(network),
-        devices,
+        _devices(network, lambda device: _device_slice(device, pec)),
     )
 
 

@@ -139,6 +139,15 @@ def transient_campaign_signature_digest(campaign) -> str:
 REQUEST_MEMO_LIMIT = 16
 
 
+def _check_references(network: NetworkConfig) -> None:
+    """Refuse a configuration that names an undefined route map or prefix
+    list (:meth:`~repro.config.objects.DeviceConfig.validate`), as every
+    front end does: the fingerprints test every clause of every map a
+    session names, where a run would fail only on the clauses it reaches."""
+    for device in network.devices.values():
+        device.validate()
+
+
 class IncrementalVerifier:
     """A verification session that re-verifies configuration deltas fast.
 
@@ -164,6 +173,7 @@ class IncrementalVerifier:
     ) -> None:
         self.options = options or PlanktonOptions()
         self.cache = cache if cache is not None else ResultCache(cache_dir)
+        _check_references(network)
         self.plankton = Plankton(network, self.options)
         self.last_delta: Optional[ConfigDelta] = None
         #: Impact-dirty PEC indices, consumed once per result kind: the
@@ -192,6 +202,7 @@ class IncrementalVerifier:
         if new_network is self.plankton.network:
             self.last_delta = ConfigDelta()
             return self.last_delta
+        _check_references(new_network)
         delta = diff_networks(self.plankton.network, new_network)
         self.plankton = Plankton(new_network, self.options)
         self.last_delta = delta

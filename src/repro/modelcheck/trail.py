@@ -19,6 +19,10 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 _NOTHING: FrozenSet[str] = frozenset()
 
+#: Every class :func:`document` has decorated, in import order (the
+#: incremental cache pins the field layout of those it stores).
+DOCUMENT_CLASSES: List[type] = []
+
 
 def _reject(cls: type, document: Dict, names: Sequence[str]) -> None:
     """Canonical documents are strict: a missing key must not be papered over
@@ -154,6 +158,7 @@ def document(
         cls.document_reader = staticmethod(document_reader)
         cls.to_dict = to_dict
         cls.from_dict = staticmethod(from_dict)
+        DOCUMENT_CLASSES.append(cls)
         return cls
 
     return decorate

@@ -3,14 +3,17 @@
 import copy
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import typing
 
 import pytest
 
+import repro
 from repro.config import ebgp_rfc7938, ibgp_over_ospf
 from repro.config.objects import (
     BgpConfig,
@@ -42,6 +45,7 @@ from repro.incremental.cache import (
     CACHE_SCHEMA_VERSION,
     verification_fingerprints,
 )
+from repro.exceptions import ConfigError
 from repro.netaddr import Prefix
 from repro.policies import LoopFreedom, Reachability
 from repro.topology import bgp_fat_tree
@@ -298,8 +302,9 @@ DICT_KEYS = {"DeviceConfig.name", "RouteMap.name", "PrefixList.name", "OspfInter
 def _construct_network():
     """OSPF everywhere on a 3-ring, eBGP r0-r1 and r1-r2, r0 exporting to r1
     through POLICY (one clause, whose prefix conditions — prefix list PL
-    among them — all pass for r0's announced 10.0.0.0/24), and a static
-    route by next-hop node and one by next-hop IP on r2."""
+    among them — all pass for r0's announced 10.0.0.0/24), a static route
+    by next-hop node and one by next-hop IP on r2, and on r1 a second static
+    route for r2's first prefix."""
     network = NetworkConfig(ring(3))
     for name in network.topology.nodes:
         network.device(name).ospf = OspfConfig(
@@ -345,6 +350,7 @@ def _construct_network():
         StaticRoute(prefix=Prefix("10.9.0.0/24"), next_hop_node="r0"),
         StaticRoute(prefix=Prefix("10.9.1.0/24"), next_hop_ip=Prefix("10.10.0.0/24")),
     ]
+    r1.static_routes = [StaticRoute(prefix=Prefix("10.9.0.0/24"), next_hop_node="r2")]
     network.validate()
     return network
 
@@ -402,34 +408,37 @@ def _entry(**changes):
 
 #: One edit per config field (``Class.field``), each one that matters to a
 #: PEC: a prefix-list bound flips the announced /24's match, because the
-#: slice reads a list only through that match.
+#: slice reads a list only through that match.  No edit moves the PEC
+#: partition (a prefix-valued edit names a prefix the network already
+#: mentions), so a fingerprint changes because a slice reads the field, not
+#: because the PECs were cut anew.
 CONSTRUCT_EDITS = {
     "DeviceConfig.static_routes": lambda network: network.device("r2").static_routes.append(
-        StaticRoute(prefix=Prefix("10.9.2.0/24"), drop=True)
+        StaticRoute(prefix=Prefix("10.9.1.0/24"), drop=True)
     ),
-    "DeviceConfig.ospf": _on(lambda network: network.device("r2"), ospf=None),
-    "DeviceConfig.bgp": _on(lambda network: network.device("r2"), bgp=None),
+    "DeviceConfig.ospf": _on(lambda network: network.device("r0"), ospf=None),
+    "DeviceConfig.bgp": _on(lambda network: network.device("r1"), bgp=None),
     "DeviceConfig.route_maps": lambda network: network.device("r2").route_maps.update(
         UNUSED=RouteMap(
             name="UNUSED",
             clauses=[RouteMapClause(sequence=10, actions=SetActions(local_preference=900))],
         )
     ),
-    "DeviceConfig.prefix_lists": lambda network: network.device("r2").prefix_lists.update(
-        UNUSED=PrefixList(name="UNUSED").add(Prefix("10.7.0.0/24"))
+    "DeviceConfig.prefix_lists": lambda network: network.device("r0").prefix_lists.update(
+        PL=PrefixList(name="PL")
     ),
-    "StaticRoute.prefix": _static(0, prefix=Prefix("10.9.3.0/24")),
+    "StaticRoute.prefix": _static(0, prefix=Prefix("10.9.1.0/24")),
     "StaticRoute.next_hop_node": _static(0, next_hop_node="r1"),
     "StaticRoute.next_hop_ip": _static(1, next_hop_ip=Prefix("10.10.1.0/24")),
     "StaticRoute.distance": _static(0, distance=5),
     "StaticRoute.drop": _static(0, drop=True),
-    "OspfConfig.networks": _on(_ospf, networks=[Prefix("10.10.0.0/24"), Prefix("10.8.0.0/24")]),
+    "OspfConfig.networks": _on(_ospf, networks=[Prefix("10.10.0.0/24"), Prefix("10.9.0.0/24")]),
     "OspfConfig.interfaces": _on(_ospf, interfaces={}),
     "OspfConfig.redistribute_static": _on(_ospf, redistribute_static=True),
     "OspfInterface.cost": _on(lambda network: _ospf(network).interfaces["r1"], cost=20),
     "OspfInterface.passive": _on(lambda network: _ospf(network).interfaces["r1"], passive=True),
     "BgpConfig.asn": _on(_bgp, asn=65100),
-    "BgpConfig.networks": _on(_bgp, networks=[Prefix("10.0.0.0/24"), Prefix("10.1.0.0/24")]),
+    "BgpConfig.networks": _on(_bgp, networks=[Prefix("10.0.0.0/24"), Prefix("10.9.1.0/24")]),
     "BgpConfig.neighbors": lambda network: _bgp(network).neighbors.append(
         BgpNeighbor(peer="r2", remote_asn=65002)
     ),
@@ -452,7 +461,7 @@ CONSTRUCT_EDITS = {
     "RouteMapClause.match": _on(_clause, match=MatchConditions()),
     "RouteMapClause.actions": _on(_clause, actions=SetActions()),
     "MatchConditions.prefix_list": _on(_match, prefix_list=None),
-    "MatchConditions.prefixes": _on(_match, prefixes=[Prefix("10.0.0.0/8")]),
+    "MatchConditions.prefixes": _on(_match, prefixes=[Prefix("10.2.0.0/24")]),
     "MatchConditions.communities": _on(_match, communities=["65000:3"]),
     "MatchConditions.as_path_contains": _on(_match, as_path_contains=65001),
     "MatchConditions.min_prefix_length": _on(_match, min_prefix_length=8),
@@ -467,7 +476,7 @@ CONSTRUCT_EDITS = {
     "PrefixList.entries": lambda network: network.device("r0").prefix_lists["PL"].entries.insert(
         0, PrefixListEntry(Prefix("10.0.0.0/24"), permit=False)
     ),
-    "PrefixListEntry.prefix": _entry(prefix=Prefix("10.1.0.0/16")),
+    "PrefixListEntry.prefix": _entry(prefix=Prefix("10.2.0.0/24")),
     "PrefixListEntry.permit": _entry(permit=False),
     "PrefixListEntry.ge": _entry(ge=25),
     "PrefixListEntry.le": _entry(le=23),
@@ -479,9 +488,12 @@ CONFIG_FIELDS = [
 ]
 
 
-def _fingerprint_values(network):
+def _fingerprints(network):
+    """The PEC address ranges and the set of base fingerprints."""
     plankton = Plankton(network, PlanktonOptions())
-    return set(pec_base_fingerprints(network, plankton.pecs, plankton.dependency_graph).values())
+    ranges = [(pec.address_range.low, pec.address_range.high) for pec in plankton.pecs]
+    values = pec_base_fingerprints(network, plankton.pecs, plankton.dependency_graph).values()
+    return ranges, set(values)
 
 
 class TestConstructCoverage:
@@ -505,7 +517,9 @@ class TestConstructCoverage:
         edited = copy.deepcopy(base)
         CONSTRUCT_EDITS[field_name](edited)
         assert not diff_networks(base, edited).is_empty
-        assert _fingerprint_values(edited) != _fingerprint_values(base)
+        (base_ranges, base_values), (ranges, values) = _fingerprints(base), _fingerprints(edited)
+        assert ranges == base_ranges, "the edit moved the PEC partition"
+        assert values != base_values
 
 
 # --------------------------------------------------------------------------- cache
@@ -528,15 +542,19 @@ class TestResultCache:
         hashes is recorded beside ``CACHE_SCHEMA_VERSION``: a layout change
         must bump the version (old entries would misdecode, old keys would
         be unreachable) and record the new digest."""
-        from repro.core.results import PecRunResult
-        from repro.dataplane.fib import FibEntry
-        from repro.topology.failures import FailureScenario
-        from repro.transient.explorer import TransientCampaignRun
+        from repro.modelcheck.trail import DOCUMENT_CLASSES
 
-        stored = []
-        for root in (PecRunResult, FibEntry, FailureScenario, TransientCampaignRun):
-            stored += [cls for cls in _dataclasses_below(root) if cls not in stored]
-        assert all(hasattr(cls, "to_dict") for cls in stored)
+        # Every module imported, so every @document class is registered.
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            if not module.name.endswith("__main__"):
+                importlib.import_module(module.name)
+        # The request-level results and their error records: the cache
+        # stores a PEC's finished tasks, never these.
+        never_stored = {
+            "VerificationResult", "TransientCampaignResult", "IncrementalRunStats", "TaskFailure",
+        }
+        stored = [cls for cls in DOCUMENT_CLASSES if cls.__name__ not in never_stored]
+        assert len(stored) == len(DOCUMENT_CLASSES) - len(never_stored)
         layout = sorted(
             (cls.__name__, tuple(spec.name for spec in dataclasses.fields(cls)))
             for cls in stored + CONFIG_CLASSES
@@ -559,6 +577,18 @@ class TestResultCache:
 
 # --------------------------------------------------------------------------- service
 class TestIncrementalVerifier:
+    def test_an_undefined_prefix_list_is_refused_up_front(self):
+        """The fingerprints test every clause of a session's map, so a
+        dangling prefix-list name is refused when the configuration is
+        installed, with the validation message, not mid-fingerprint."""
+        dangling = _construct_network()
+        _match(dangling).prefix_list = "NOWHERE"
+        with pytest.raises(ConfigError, match="undefined prefix-list 'NOWHERE'"):
+            IncrementalVerifier(dangling)
+        service = IncrementalVerifier(_construct_network())
+        with pytest.raises(ConfigError, match="undefined prefix-list 'NOWHERE'"):
+            service.update(dangling)
+
     def test_warm_reverify_hits_every_pec(self, monkeypatch):
         network = fat_tree_network()
         service = IncrementalVerifier(network, PlanktonOptions())

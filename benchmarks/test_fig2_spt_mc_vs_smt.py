@@ -23,12 +23,10 @@ SOLVER_DISTANCE_BOUND = 10
 
 
 @pytest.mark.parametrize("devices", MC_SIZES)
-def test_model_checker_shortest_paths(benchmark, reporter, devices):
+def test_model_checker_shortest_paths(reporter, devices):
     topology = fat_tree(ARITY[devices])
     assert fat_tree_device_count(ARITY[devices]) == devices
-    result = benchmark.pedantic(
-        shortest_paths_by_execution, args=(topology, "edge0_0"), rounds=1, iterations=1
-    )
+    result = shortest_paths_by_execution(topology, "edge0_0")
     reporter(
         "fig2",
         f"N={devices} model-checker time={result.elapsed_seconds:.4f}s "
@@ -38,15 +36,9 @@ def test_model_checker_shortest_paths(benchmark, reporter, devices):
 
 
 @pytest.mark.parametrize("devices", SOLVER_SIZES)
-def test_smt_style_shortest_paths(benchmark, reporter, devices):
+def test_smt_style_shortest_paths(reporter, devices):
     topology = fat_tree(ARITY[devices])
-    result = benchmark.pedantic(
-        shortest_paths_by_constraints,
-        args=(topology, "edge0_0"),
-        kwargs={"max_distance": SOLVER_DISTANCE_BOUND},
-        rounds=1,
-        iterations=1,
-    )
+    result = shortest_paths_by_constraints(topology, "edge0_0", max_distance=SOLVER_DISTANCE_BOUND)
     reporter(
         "fig2",
         f"N={devices} constraint-solver time={result.elapsed_seconds:.4f}s "

@@ -39,11 +39,11 @@ def _network(k, induce_loop):
 
 @pytest.mark.parametrize("k", ARITIES)
 @pytest.mark.parametrize("variant", ["pass", "fail"])
-def test_plankton_loop_check(benchmark, reporter, k, variant):
+def test_plankton_loop_check(reporter, k, variant):
     network = _network(k, induce_loop=variant == "fail")
     verifier = Plankton(network, PlanktonOptions())
 
-    result = benchmark.pedantic(verifier.verify, args=(LoopFreedom(),), rounds=1, iterations=1)
+    result = verifier.verify(LoopFreedom())
     reporter(
         "fig7a",
         f"k={k} ({len(network.topology)} devices) variant={variant} plankton "
@@ -54,13 +54,13 @@ def test_plankton_loop_check(benchmark, reporter, k, variant):
 
 
 @pytest.mark.parametrize("variant", ["pass", "fail"])
-def test_minesweeper_loop_check_smallest(benchmark, reporter, variant):
+def test_minesweeper_loop_check_smallest(reporter, variant):
     k = 4
     network = _network(k, induce_loop=variant == "fail")
     verifier = MinesweeperVerifier(network)
     prefix = edge_prefix(0, 0)
 
-    result = benchmark.pedantic(verifier.check_loop_freedom, args=(prefix,), rounds=1, iterations=1)
+    result = verifier.check_loop_freedom(prefix)
     reporter(
         "fig7a",
         f"k={k} variant={variant} minesweeper time={result.elapsed_seconds:.3f}s "

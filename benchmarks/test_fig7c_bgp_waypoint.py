@@ -39,8 +39,8 @@ def _run_once(k, seed):
 
 
 @pytest.mark.parametrize("k", ARITIES)
-def test_waypoint_under_nondeterminism(benchmark, reporter, k):
-    result = benchmark.pedantic(_run_once, args=(k, 1), rounds=1, iterations=1)
+def test_waypoint_under_nondeterminism(reporter, k):
+    result = _run_once(k, 1)
     reporter(
         "fig7c",
         f"N={fat_tree_device_count(k)} waypoint time={result.elapsed_seconds:.3f}s "

@@ -42,11 +42,11 @@ def _network(as_name, size):
 
 
 @pytest.mark.parametrize("as_name,size", CASES)
-def test_plankton_reachability_under_failure(benchmark, reporter, as_name, size):
+def test_plankton_reachability_under_failure(reporter, as_name, size):
     network, ingress = _network(as_name, size)
     verifier = Plankton(network, PlanktonOptions(max_failures=1))
     policy = Reachability(sources=[ingress], require_all_branches=False)
-    result = benchmark.pedantic(verifier.verify, args=(policy,), rounds=1, iterations=1)
+    result = verifier.verify(policy)
     reporter(
         "fig7d",
         f"{as_name}(n={size}) plankton time={result.elapsed_seconds:.3f}s "
@@ -69,10 +69,10 @@ def smallest():
     return network, ingress, destination, check
 
 
-def test_minesweeper_reachability_smallest(benchmark, reporter, smallest):
+def test_minesweeper_reachability_smallest(reporter, smallest):
     as_name, size = CASES[0][0], MINESWEEPER_SIZE
     *_instance, check = smallest
-    result = benchmark.pedantic(check, rounds=1, iterations=1)
+    result = check()
     reporter(
         "fig7d",
         f"{as_name}(n={size}) minesweeper time={result.elapsed_seconds:.3f}s "

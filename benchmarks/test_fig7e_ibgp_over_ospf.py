@@ -30,11 +30,11 @@ def _network(size):
 
 
 @pytest.mark.parametrize("size", SIZES)
-def test_plankton_ibgp_reachability(benchmark, reporter, size):
+def test_plankton_ibgp_reachability(reporter, size):
     network = _network(size)
     policy = Reachability(destination_prefix=EXTERNAL, require_all_branches=False)
     verifier = Plankton(network, PlanktonOptions())
-    result = benchmark.pedantic(verifier.verify, args=(policy,), rounds=1, iterations=1)
+    result = verifier.verify(policy)
     reporter(
         "fig7e",
         f"n={size} plankton time={result.elapsed_seconds:.3f}s "
@@ -50,13 +50,11 @@ def test_plankton_ibgp_reachability(benchmark, reporter, size):
     "instance are covered by tests/integration/test_feature_matrix.py"
 )
 @pytest.mark.parametrize("size", SIZES[:2])
-def test_minesweeper_ibgp_reachability(benchmark, reporter, size):
+def test_minesweeper_ibgp_reachability(reporter, size):
     network = _network(size)
     source = sorted(network.topology.nodes)[-1]
     verifier = MinesweeperVerifier(network)
-    result = benchmark.pedantic(
-        verifier.check_ibgp_reachability, args=(EXTERNAL, [source]), rounds=1, iterations=1
-    )
+    result = verifier.check_ibgp_reachability(EXTERNAL, [source])
     reporter(
         "fig7e",
         f"n={size} minesweeper time={result.elapsed_seconds:.3f}s "

@@ -30,7 +30,7 @@ def _compressed(k):
 
 @pytest.mark.parametrize("k", ARITIES)
 @pytest.mark.parametrize("policy_name", ["reachability", "bounded-path-length"])
-def test_bonsai_plankton(benchmark, reporter, k, policy_name):
+def test_bonsai_plankton(reporter, k, policy_name):
     _network, compressed = _compressed(k)
     prefix = edge_prefix(0, 0)
     if policy_name == "reachability":
@@ -38,7 +38,7 @@ def test_bonsai_plankton(benchmark, reporter, k, policy_name):
     else:
         policy = BoundedPathLength(max_hops=4, destination_prefix=prefix)
     verifier = Plankton(compressed.network, PlanktonOptions())
-    result = benchmark.pedantic(verifier.verify, args=(policy,), rounds=1, iterations=1)
+    result = verifier.verify(policy)
     reporter(
         "fig7f",
         f"N={fat_tree_device_count(k)} (compressed to {len(compressed.network.topology)}) "
@@ -49,14 +49,12 @@ def test_bonsai_plankton(benchmark, reporter, k, policy_name):
 
 
 @pytest.mark.parametrize("k", ARITIES[:2])
-def test_bonsai_minesweeper(benchmark, reporter, k):
+def test_bonsai_minesweeper(reporter, k):
     _network, compressed = _compressed(k)
     prefix = edge_prefix(0, 0)
     verifier = MinesweeperVerifier(compressed.network)
     sources = [n for n in compressed.network.topology.nodes]
-    result = benchmark.pedantic(
-        verifier.check_reachability, args=(prefix, sources[:1]), rounds=1, iterations=1
-    )
+    result = verifier.check_reachability(prefix, sources[:1])
     reporter(
         "fig7f",
         f"N={fat_tree_device_count(k)} bonsai+minesweeper reachability "

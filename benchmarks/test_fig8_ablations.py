@@ -36,7 +36,7 @@ def _ring_policy():
 
 @pytest.mark.parametrize("n", RING_SIZES)
 @pytest.mark.parametrize("optimizations", ["all", "none"])
-def test_ring_ablation(benchmark, reporter, n, optimizations):
+def test_ring_ablation(reporter, n, optimizations):
     network = _ring_network(n)
     if optimizations == "all":
         options = PlanktonOptions(max_failures=1)
@@ -49,7 +49,7 @@ def test_ring_ablation(benchmark, reporter, n, optimizations):
             max_seconds_per_pec=5,
         )
     verifier = Plankton(network, options)
-    result = benchmark.pedantic(verifier.verify, args=(_ring_policy(),), rounds=1, iterations=1)
+    result = verifier.verify(_ring_policy())
     reporter(
         "fig8",
         f"ring-{n} 1-failure optimizations={optimizations} time={result.elapsed_seconds:.3f}s "
@@ -59,7 +59,7 @@ def test_ring_ablation(benchmark, reporter, n, optimizations):
 
 
 @pytest.mark.parametrize("optimizations", ["all", "none"])
-def test_fattree_ablation(benchmark, reporter, optimizations):
+def test_fattree_ablation(reporter, optimizations):
     network = ospf_everywhere(fat_tree(4))
     policy = Reachability(destination_prefix=edge_prefix(0, 0), require_all_branches=False)
     if optimizations == "all":
@@ -72,7 +72,7 @@ def test_fattree_ablation(benchmark, reporter, optimizations):
             max_seconds_per_pec=10,
         )
     verifier = Plankton(network, options)
-    result = benchmark.pedantic(verifier.verify, args=(policy,), rounds=1, iterations=1)
+    result = verifier.verify(policy)
     reporter(
         "fig8",
         f"fat-tree-20 optimizations={optimizations} time={result.elapsed_seconds:.3f}s "
@@ -99,11 +99,11 @@ def _bgp_waypoint_setup():
         ("no-policy-pruning", OptimizationFlags().without(policy_based_pruning=True)),
     ],
 )
-def test_bgp_waypoint_ablation(benchmark, reporter, label, flags):
+def test_bgp_waypoint_ablation(reporter, label, flags):
     network, policy = _bgp_waypoint_setup()
     options = PlanktonOptions(optimizations=flags, max_states_per_pec=60_000, max_seconds_per_pec=30)
     verifier = Plankton(network, options)
-    result = benchmark.pedantic(verifier.verify, args=(policy,), rounds=1, iterations=1)
+    result = verifier.verify(policy)
     reporter(
         "fig8",
         f"fat-tree-20-bgp waypoint optimizations={label} time={result.elapsed_seconds:.3f}s "

@@ -51,9 +51,9 @@ def _run(network, policy, bitstate, max_failures=0):
 
 
 @pytest.mark.parametrize("bitstate", [False, True])
-def test_bgp_dc_waypoint_memory(benchmark, reporter, bitstate):
+def test_bgp_dc_waypoint_memory(reporter, bitstate):
     network, policy = _bgp_dc_case()
-    result = benchmark.pedantic(_run, args=(network, policy, bitstate), rounds=1, iterations=1)
+    result = _run(network, policy, bitstate)
     label = "bitstate" if bitstate else "exact"
     reporter(
         "fig9",
@@ -63,11 +63,9 @@ def test_bgp_dc_waypoint_memory(benchmark, reporter, bitstate):
 
 
 @pytest.mark.parametrize("bitstate", [False, True])
-def test_as_fault_tolerance_memory(benchmark, reporter, bitstate):
+def test_as_fault_tolerance_memory(reporter, bitstate):
     network, policy = _as_fault_tolerance_case()
-    result = benchmark.pedantic(
-        _run, args=(network, policy, bitstate, 1), rounds=1, iterations=1
-    )
+    result = _run(network, policy, bitstate, 1)
     label = "bitstate" if bitstate else "exact"
     reporter(
         "fig9",

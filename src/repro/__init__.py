@@ -63,7 +63,6 @@ _ORIGINS = {
     "VerificationResult": "repro.core.results",
     "Violation": "repro.core.results",
     "Plankton": "repro.core.verifier",
-    "verify": "repro.core.verifier",
 }
 
 __all__ = [*_ORIGINS, "__version__"]

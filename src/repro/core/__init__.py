@@ -10,7 +10,6 @@ _ORIGINS = {
     "VerificationResult": "repro.core.results",
     "Violation": "repro.core.results",
     "Plankton": "repro.core.verifier",
-    "verify": "repro.core.verifier",
 }
 
 __all__ = list(_ORIGINS)

@@ -120,9 +120,6 @@ class PlanktonOptions:
     fast_ospf: bool = True
     #: Bits in the bitstate Bloom filter when bitstate hashing is enabled.
     bitstate_bits: int = 1 << 22
-    #: Keep every converged data plane in the result (memory-hungry; mainly
-    #: for tests and for PECs that downstream PECs depend on).
-    keep_data_planes: bool = False
 
     # ------------------------------------------------------------- supervision
     # Fault-tolerance knobs enforced by the execution engine's supervisor

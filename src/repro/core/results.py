@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.dataplane import DataPlane
 from repro.modelcheck.explorer import ExplorationStatistics
 from repro.modelcheck.trail import Trail, document
 from repro.pec.classes import PacketEquivalenceClass
@@ -88,7 +87,6 @@ class TaskFailure:
     failure=FailureScenario,
     violations=[Violation],
     statistics=ExplorationStatistics,
-    data_planes=[DataPlane],
 )
 @dataclass
 class PecRunResult:
@@ -101,7 +99,6 @@ class PecRunResult:
     suppressed_states: int = 0
     violations: List[Violation] = field(default_factory=list)
     statistics: Optional[ExplorationStatistics] = None
-    data_planes: List[DataPlane] = field(default_factory=list)
 
     @property
     def holds(self) -> bool:

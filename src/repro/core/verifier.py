@@ -10,6 +10,9 @@
    (serial, or a persistent process pool),
 4. invoke the policy callback on each converged state as the search reaches
    it; report the first (or all) violations with an event trail.
+
+A transient campaign (:meth:`Plankton.verify_transients`) takes the same
+path with SPVP interleaving searches as its tasks.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ from repro.topology.failures import FailureScenario
 
 if TYPE_CHECKING:
     from repro.core.network_model import ConvergedOutcome, DependencyContext, PecExplorer
+    from repro.engine.graph import TaskGraph
+    from repro.transient.explorer import TransientCampaignResult, TransientOptions
+    from repro.transient.properties import TransientProperty
 
 LOG = logging.getLogger("repro.core")
 
@@ -47,6 +53,12 @@ class Plankton:
     """
 
     def __init__(self, network: NetworkConfig, options: Optional[PlanktonOptions] = None) -> None:
+        # Refuse a configuration that names an undefined route map or prefix
+        # list, as every front end does: the incremental fingerprints test
+        # every clause of every map a session names, where a run would fail
+        # only on the clauses it reaches.
+        for device in network.devices.values():
+            device.validate()
         self.network = network
         self.options = options or PlanktonOptions()
         self.pecs: List[PacketEquivalenceClass] = compute_pecs(network)
@@ -121,6 +133,78 @@ class Plankton:
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
+    def expand_transients(
+        self,
+        properties: Sequence["TransientProperty"],
+        transient: Optional["TransientOptions"] = None,
+        failures: Optional[Sequence[FailureScenario]] = None,
+        initial_events: Sequence[object] = (),
+        scenarios: Optional[Sequence[object]] = None,
+        pecs: Optional[Sequence[PacketEquivalenceClass]] = None,
+    ) -> "TaskGraph":
+        """Expand a transient campaign into the execution engine's task graph.
+
+        The shared prologue of :meth:`verify_transients` and the incremental
+        service's re-run.  The campaign covers the BGP-originated PECs of
+        ``pecs`` (default: every PEC), each resolved by index in this
+        configuration's partition; one task per (PEC, failure scenario),
+        PEC-major.  The failure scenarios come from ``failures`` when given,
+        otherwise from the §4.3 Link Equivalence Class reduction under
+        ``options.max_failures``.  Every task of a PEC carries its payload
+        (:class:`~repro.transient.explorer.TransientTaskConfig`): the
+        properties, the ``transient`` options, the base ``initial_events``
+        and the lifecycle ``scenarios`` — derived per PEC with the
+        symmetry-reduced k-event enumerator when omitted and
+        ``transient.scenario_events > 0``.
+
+        ``transient.stop_at_first_violation`` governs *all* transient
+        stopping — each per-prefix analysis, the scenarios left in a task,
+        and the campaign-level cancellation of still-queued tasks — so
+        :attr:`PlanktonOptions.stop_at_first_violation` (a converged-state
+        knob) cannot cut an exhaustive campaign short.  Every other engine
+        knob, supervision included, is this verifier's own.
+        """
+        from repro.engine import build_transient_task_graph
+        from repro.transient.explorer import TransientOptions, TransientTaskConfig
+
+        target = [
+            self.pec_by_index(pec.index)
+            for pec in (self.pecs if pecs is None else pecs)
+            if pec.has_bgp()
+        ]
+        config = TransientTaskConfig(
+            properties=tuple(properties),
+            options=transient or TransientOptions(),
+            initial_events=tuple(initial_events),
+        )
+        return build_transient_task_graph(
+            self.network, target, self.options, config, failures=failures, scenarios=scenarios
+        )
+
+    def verify_transients(
+        self,
+        properties: Sequence["TransientProperty"],
+        transient: Optional["TransientOptions"] = None,
+        failures: Optional[Sequence[FailureScenario]] = None,
+        initial_events: Sequence[object] = (),
+        scenarios: Optional[Sequence[object]] = None,
+        pecs: Optional[Sequence[PacketEquivalenceClass]] = None,
+    ) -> "TransientCampaignResult":
+        """Run a transient campaign (:meth:`expand_transients`) on the backend
+        the options select: one run per (failure, lifecycle scenario, BGP
+        prefix), in task-graph order."""
+        from repro.engine import EngineContext, run_graph
+        from repro.transient.explorer import TransientCampaignResult
+
+        started = time.perf_counter()
+        graph = self.expand_transients(
+            properties, transient, failures, initial_events, scenarios, pecs
+        )
+        campaign = TransientCampaignResult()
+        campaign.absorb(run_graph(graph, EngineContext(plankton=self)).finalize(), graph)
+        campaign.elapsed_seconds = time.perf_counter() - started
+        return campaign
+
     # ------------------------------------------------------------------ single PEC run
     def _policy_sources(
         self, pec: PacketEquivalenceClass, policies: List[Policy], has_dependents: bool
@@ -180,8 +264,6 @@ class Plankton:
             if run.violations and self.options.stop_at_first_violation:
                 return None
             run.converged_states += 1
-            if self.options.keep_data_planes:
-                run.data_planes.append(outcome.data_plane)
             context = PolicyCheckContext(
                 network=self.network,
                 pec=pec,
@@ -235,11 +317,3 @@ class Plankton:
             )
         return run, outcomes
 
-
-def verify(
-    network: NetworkConfig,
-    policies: Union[Policy, Sequence[Policy]],
-    options: Optional[PlanktonOptions] = None,
-) -> VerificationResult:
-    """One-shot convenience wrapper around :class:`Plankton`."""
-    return Plankton(network, options).verify(policies)

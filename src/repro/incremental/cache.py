@@ -94,8 +94,9 @@ from repro.pec.dependencies import PecDependencyGraph
 #: ``sleep_fallbacks`` from the reduction ledger and ``frontier`` /
 #: ``minimize_witnesses`` from the transient options.  v10 fingerprints hash
 #: the config dataclass values (:func:`~repro.incremental.impact.config_slice`),
-#: not hand-built tuples.
-CACHE_SCHEMA_VERSION = 10
+#: not hand-built tuples.  v11 drops ``data_planes`` from the PEC run document
+#: and ``keep_data_planes`` from the options token.
+CACHE_SCHEMA_VERSION = 11
 
 #: The SHA-256 of the field layout — class name, then field names in order
 #: — of every document class a cache entry stores and every config
@@ -103,7 +104,7 @@ CACHE_SCHEMA_VERSION = 10
 #: change to either moves what old files decode to or what old keys meant:
 #: bump the version and record the new digest
 #: (``tests/test_incremental.py`` recomputes it).
-CACHE_LAYOUT_SHA256 = "b3b0813d85026615044b01950974a47e038e04a82da1b0d16cccedaedd28ec5a"
+CACHE_LAYOUT_SHA256 = "aa7a281329b6e1d2de7a99f3fab88e6a9af217cea7cd5b7c0738f983fa5c5b54"
 
 PathLike = Union[str, Path]
 
@@ -248,7 +249,6 @@ KEYED_OPTIONS = (
     "max_seconds_per_pec",
     "fast_ospf",
     "bitstate_bits",
-    "keep_data_planes",
 )
 
 #: The :class:`PlanktonOptions` fields a cache key leaves out: they shape how

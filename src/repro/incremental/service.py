@@ -139,15 +139,6 @@ def transient_campaign_signature_digest(campaign) -> str:
 REQUEST_MEMO_LIMIT = 16
 
 
-def _check_references(network: NetworkConfig) -> None:
-    """Refuse a configuration that names an undefined route map or prefix
-    list (:meth:`~repro.config.objects.DeviceConfig.validate`), as every
-    front end does: the fingerprints test every clause of every map a
-    session names, where a run would fail only on the clauses it reaches."""
-    for device in network.devices.values():
-        device.validate()
-
-
 class IncrementalVerifier:
     """A verification session that re-verifies configuration deltas fast.
 
@@ -173,7 +164,6 @@ class IncrementalVerifier:
     ) -> None:
         self.options = options or PlanktonOptions()
         self.cache = cache if cache is not None else ResultCache(cache_dir)
-        _check_references(network)
         self.plankton = Plankton(network, self.options)
         self.last_delta: Optional[ConfigDelta] = None
         #: Impact-dirty PEC indices, consumed once per result kind: the
@@ -202,9 +192,10 @@ class IncrementalVerifier:
         if new_network is self.plankton.network:
             self.last_delta = ConfigDelta()
             return self.last_delta
-        _check_references(new_network)
+        # Built first: a configuration it refuses leaves the session as it was.
+        plankton = Plankton(new_network, self.options)
         delta = diff_networks(self.plankton.network, new_network)
-        self.plankton = Plankton(new_network, self.options)
+        self.plankton = plankton
         self.last_delta = delta
         impacted = impacted_pecs(
             delta, new_network, self.plankton.pecs, self.plankton.dependency_graph
@@ -359,37 +350,29 @@ class IncrementalVerifier:
         scenarios: Optional[Sequence[object]] = None,
         pecs: Optional[Sequence[PacketEquivalenceClass]] = None,
     ):
-        """Run (or re-run) transient campaigns for every BGP-bearing PEC.
+        """Run (or re-run) :meth:`Plankton.verify_transients` for every
+        BGP-bearing PEC.
 
-        One task graph and one engine run for the whole campaign: clean PECs
-        are served from the cache (one entry per PEC and transient payload),
-        the tasks of the dirty ones run together on one backend, exactly as
-        :func:`repro.transient.explorer.analyze_pec_transients_over_failures`
-        would run each.  Results with ``collect_converged=True`` carry
-        non-JSON state and are never cached.
+        One task graph (:meth:`Plankton.expand_transients`) and one engine
+        run for the whole campaign: clean PECs are served from the cache
+        (one entry per PEC and transient payload), the tasks of the dirty
+        ones run together on one backend, exactly as the cold campaign would
+        run them.  Results with ``collect_converged=True`` carry non-JSON
+        state and are never cached.
 
-        ``scenarios`` (lifecycle event scenarios, :class:`repro.scenarios.
-        Scenario` values) are crossed with the failure scenarios inside each
-        (PEC, failure) task; when omitted and ``transient.scenario_events >
-        0`` the scenario list is derived per PEC with the symmetry-reduced
-        k-event enumerator.  The campaign fingerprint covers each task's
-        failure links and each scenario's description *and* events, so
-        campaigns differing only in their scenarios — even under one name —
-        never collide on a warm cache: "what breaks during next week's
+        The campaign fingerprint covers each task's failure links and each
+        lifecycle scenario's description *and* events, so campaigns
+        differing only in their scenarios — even under one name — never
+        collide on a warm cache: "what breaks during next week's
         maintenance?" is one warm query.
         """
-        from repro.transient.explorer import (
-            TransientCampaignResult,
-            TransientOptions,
-            campaign_request,
-        )
+        from repro.engine import EngineContext
+        from repro.transient.explorer import TransientCampaignResult
 
         plankton = self.plankton
-        transient = transient or TransientOptions()
         started = time.perf_counter()
-        target = [pec for pec in (pecs if pecs is not None else plankton.pecs) if pec.has_bgp()]
-        graph, context = campaign_request(
-            plankton, target, properties, transient, failures, initial_events, scenarios
+        graph = plankton.expand_transients(
+            properties, transient, failures, initial_events, scenarios, pecs
         )
         base = pec_base_fingerprints(plankton.network, plankton.pecs, plankton.dependency_graph)
         # The key must distinguish *both* axes of the cross-product: the
@@ -405,7 +388,11 @@ class IncrementalVerifier:
         }
         campaign = TransientCampaignResult()
         prefix, campaign.incremental = self._reverify(
-            "transient", graph, fingerprints, context, not transient.collect_converged
+            "transient",
+            graph,
+            fingerprints,
+            EngineContext(plankton=plankton),
+            transient is None or not transient.collect_converged,
         )
         campaign.absorb(prefix, graph)
         campaign.elapsed_seconds = time.perf_counter() - started

@@ -58,6 +58,11 @@ from repro.topology.graph import Topology
 
 #: Every enumerable event kind.  ``maintenance`` is the staged
 #: drain-then-return pair; ``gray`` enumerates both directions of a session.
+#: The enumerated ``maintenance n`` (converge, drain, return: no settle in
+#: between) is not :func:`~repro.scenarios.events.maintenance_window` (drain,
+#: converge, return), although both are named ``maintenance n``, nor the
+#: ``maintenance:n`` of a ``--scenario`` spec (converge, drain, converge,
+#: return).
 EVENT_KINDS = ("crash", "restart", "drain", "maintenance", "flap", "gray")
 
 #: The default campaign vocabulary (all of them).

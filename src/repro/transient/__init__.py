@@ -23,7 +23,6 @@ _ORIGINS = {
     "TransientTaskConfig": "repro.transient.explorer",
     "TransientViolation": "repro.transient.explorer",
     "analyze_pec_transients": "repro.transient.explorer",
-    "analyze_pec_transients_over_failures": "repro.transient.explorer",
     "TransientProperty": "repro.transient.properties",
     "TransientForwarding": "repro.transient.properties",
     "TransientLoopFreedom": "repro.transient.properties",

@@ -757,103 +757,6 @@ def execute_transient_task(plankton, spec, should_cancel=None):
     return result
 
 
-def campaign_request(
-    plankton,
-    pecs: Sequence[PacketEquivalenceClass],
-    properties: Sequence[TransientProperty],
-    transient: TransientOptions,
-    failures: Optional[Sequence[FailureScenario]] = None,
-    initial_events: Sequence[object] = (),
-    scenarios: Optional[Sequence[object]] = None,
-):
-    """One campaign over ``pecs`` as the engine sees it: the task graph (one
-    graph, PEC-major; every task of a PEC carries that PEC's payload) and
-    the engine context.
-
-    ``transient.stop_at_first_violation`` governs *all* transient stopping —
-    each per-prefix analysis, the scenarios left in a task, and the
-    campaign-level cancellation of still-queued tasks: every task carries
-    the flag in its payload, so
-    ``PlanktonOptions.stop_at_first_violation`` (a converged-state
-    verification knob) cannot cut an exhaustive campaign short.  Every
-    other engine knob, supervision included, is the verifier's own.
-    """
-    from repro.engine import EngineContext, build_transient_task_graph
-
-    config = TransientTaskConfig(
-        properties=tuple(properties),
-        options=transient,
-        initial_events=tuple(initial_events),
-    )
-    graph = build_transient_task_graph(
-        plankton.network,
-        [plankton.pec_by_index(pec.index) for pec in pecs],
-        plankton.options,
-        config,
-        failures=failures,
-        scenarios=scenarios,
-    )
-    return graph, EngineContext(plankton=plankton, policies=[])
-
-
-def analyze_pec_transients_over_failures(
-    network: NetworkConfig,
-    pec: PacketEquivalenceClass,
-    properties: Sequence[TransientProperty],
-    options=None,
-    transient: Optional[TransientOptions] = None,
-    failures: Optional[Sequence[FailureScenario]] = None,
-    initial_events: Sequence[object] = (),
-    scenarios: Optional[Sequence[object]] = None,
-    plankton=None,
-) -> TransientCampaignResult:
-    """Run a transient campaign over failure scenarios through the engine.
-
-    One engine task per (PEC, failure scenario) — the scenarios come from
-    ``failures`` when given, otherwise from the §4.3 Link Equivalence Class
-    reduction under ``options.max_failures`` — executed on the backend the
-    :class:`~repro.core.options.PlanktonOptions` select (serial, or the
-    persistent process pool with cross-worker early cancellation).
-
-    ``scenarios`` (a sequence of :class:`repro.scenarios.Scenario` values)
-    crosses every failure scenario with every lifecycle event scenario — one
-    run per (failure, scenario, BGP prefix), the scenario's events appended
-    to ``initial_events``; a (PEC, failure) task runs all of its scenarios
-    from one shared drain (:func:`execute_transient_task`).  When omitted
-    and ``transient.scenario_events > 0``,
-    the graph builder derives the scenario list with the symmetry-reduced
-    k-event enumerator (:func:`repro.scenarios.enumerate_event_scenarios`).
-
-    Early stopping follows ``transient.stop_at_first_violation`` alone (see
-    :func:`campaign_request`).  Callers looping over many PECs of one
-    network should pass their own ``plankton`` (a
-    :class:`~repro.core.verifier.Plankton` built for ``network``) so the PEC
-    partition, dependency graph and OSPF computation are built once instead
-    of per call; its options then serve as the campaign options.
-    """
-    from repro.core.verifier import Plankton
-    from repro.engine import run_graph
-
-    started = time.perf_counter()
-    if plankton is None:
-        plankton = Plankton(network, options)
-    elif options is not None and options is not plankton.options:
-        raise ValueError("pass either plankton= or options=, not both")
-    graph, context = campaign_request(
-        plankton,
-        [pec],
-        properties,
-        transient or TransientOptions(),
-        failures=failures,
-        initial_events=initial_events,
-        scenarios=scenarios,
-    )
-    campaign = TransientCampaignResult()
-    campaign.absorb(run_graph(graph, context).finalize(), graph)
-    campaign.elapsed_seconds = time.perf_counter() - started
-    return campaign
-
-
 def analyze_pec_transients(
     network: NetworkConfig,
     pec: PacketEquivalenceClass,
@@ -873,15 +776,16 @@ def analyze_pec_transients(
     checking applies here).
 
     This is the single-scenario convenience wrapper around
-    :func:`analyze_pec_transients_over_failures` (and therefore routes
-    through the execution engine like everything else).
+    :meth:`repro.core.verifier.Plankton.verify_transients` (and therefore
+    routes through the execution engine like everything else).
     """
-    campaign = analyze_pec_transients_over_failures(
-        network,
-        pec,
+    from repro.core.verifier import Plankton
+
+    campaign = Plankton(network).verify_transients(
         properties,
         transient=TransientOptions(max_states=max_states, max_depth=max_depth, por=por),
         failures=[failure or FailureScenario()],
         initial_events=initial_events,
+        pecs=[pec],
     )
     return {run.prefix: run.result for run in campaign.runs}

@@ -372,15 +372,20 @@ class TestFailurePlanesAcrossTasks:
     def test_a_verify_derives_every_failure_plane(self):
         """The independent expansion is PEC-major with the failure-free
         scenario first, so a serial run derives every failure plane."""
-        options = PlanktonOptions(
-            max_failures=1, keep_data_planes=True, stop_at_first_violation=False
-        )
-        plankton = Plankton(_ospf_loop(), options)
-        result = plankton.verify(LoopFreedom())
+        plankton = Plankton(_ospf_loop(), PlanktonOptions(max_failures=1))
+        _, _, graph = plankton.expand_request(LoopFreedom())
         planes = [
-            (run.failure.failed_links, plane) for run in result.pec_runs for plane in run.data_planes
+            (task.failure.failed_links, outcome.data_plane)
+            for task in graph.tasks
+            for outcome in plankton.run_pec(
+                plankton.pec_by_index(task.pec_index),
+                task.failure,
+                [],
+                DependencyContext(),
+                collect_outcomes=True,
+            )[1]
         ]
-        assert len(planes) == len(result.pec_runs) > len(plankton.pecs)
+        assert len(planes) == len(graph.tasks) > len(plankton.pecs)
         assert all((plane.base is not None) == bool(failed) for failed, plane in planes)
 
     def test_an_edit_to_the_failure_free_plane_stays_in_it(self):

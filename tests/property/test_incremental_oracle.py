@@ -16,9 +16,12 @@ Three scenario families cover the interesting regimes:
 
 * **ospf-static** — OSPF everywhere on a fat tree with random static
   routes (including loop-inducing pairs, so the stop-at-first-violation
-  merge path is exercised), link flaps and prefix announce/withdraw;
+  merge path is exercised), link flaps, prefix announce/withdraw, and
+  interface cost overrides and passive interfaces;
 * **ebgp** — the RFC 7938 eBGP fat tree with route-map edits, session
-  flaps and announce/withdraw (filters + BGP exploration);
+  flaps, announce/withdraw (filters + BGP exploration), prefix-list
+  entries a deny clause reads, the BGP process's default local
+  preference, and import maps set on a live session;
 * **ibgp** — iBGP over OSPF on a ring under a one-failure environment
   (cross-PEC dependencies: cached upstream data planes feed dirty
   dependents).
@@ -32,6 +35,9 @@ from repro.config import ebgp_rfc7938, ibgp_over_ospf
 from repro.config.builder import ConfigBuilder, edge_prefix
 from repro.config.objects import (
     MatchConditions,
+    OspfInterface,
+    PrefixList,
+    RouteMap,
     RouteMapClause,
     SetActions,
     StaticRoute,
@@ -66,7 +72,8 @@ def _build_topology(base: Topology, removed_links) -> Topology:
 
 
 class OspfStaticFamily:
-    """OSPF fat tree (k=2) + random statics, link flaps, announcements."""
+    """OSPF fat tree (k=2) + random statics, link flaps, announcements,
+    interface costs and passive interfaces."""
 
     policy = LoopFreedom()
     options_kwargs = {}
@@ -79,6 +86,8 @@ class OspfStaticFamily:
             "removed_links": set(),
             "statics": set(),       # (device, prefix str, next_hop)
             "extra_networks": set(),  # (device, prefix str)
+            "costs": {},            # (device, neighbour) -> OSPF cost override
+            "passive": set(),       # (device, neighbour)
         }
 
     def build(self):
@@ -99,10 +108,20 @@ class OspfStaticFamily:
             )
         for device, prefix in sorted(self.spec["extra_networks"]):
             builder.device(device).ospf.networks.append(Prefix(prefix))
+        for device, neighbor in sorted(set(self.spec["costs"]) | self.spec["passive"]):
+            builder.device(device).ospf.interfaces[neighbor] = OspfInterface(
+                neighbor=neighbor,
+                cost=self.spec["costs"].get((device, neighbor)),
+                passive=(device, neighbor) in self.spec["passive"],
+            )
         return builder.build(validate=False)
 
+    def _interface(self, rng: random.Random):
+        a, b = rng.choice(self.adjacent)
+        return (a, b) if rng.random() < 0.5 else (b, a)
+
     def edit(self, rng: random.Random) -> None:
-        kind = rng.choice(["link", "static", "announce"])
+        kind = rng.choice(["link", "static", "announce", "cost", "passive"])
         if kind == "link":
             candidate = rng.choice(self.adjacent)
             removed = self.spec["removed_links"]
@@ -120,17 +139,32 @@ class OspfStaticFamily:
                 statics.discard(entry)
             else:
                 statics.add(entry)
-        else:
+        elif kind == "announce":
             entry = (rng.choice(self.nodes), f"10.20.{rng.randrange(4)}.0/24")
             networks = self.spec["extra_networks"]
             if entry in networks:
                 networks.discard(entry)
             else:
                 networks.add(entry)
+        elif kind == "cost":
+            interface = self._interface(rng)
+            costs = self.spec["costs"]
+            if interface in costs and rng.random() < 0.5:
+                del costs[interface]
+            else:
+                costs[interface] = rng.choice([1, 5, 30])
+        else:
+            interface = self._interface(rng)
+            passive = self.spec["passive"]
+            if interface in passive:
+                passive.discard(interface)
+            else:
+                passive.add(interface)
 
 
 class EbgpFamily:
-    """eBGP fat tree (k=2): route-map edits, session flaps, announcements."""
+    """eBGP fat tree (k=2): route-map edits, session flaps, announcements,
+    prefix lists, process settings and session import maps."""
 
     policy = Reachability()
     options_kwargs = {"stop_at_first_violation": False}
@@ -147,7 +181,13 @@ class EbgpFamily:
             "map_meds": {},           # edge device -> med value appended to EXPORT_OWN
             "removed_sessions": set(),
             "extra_networks": set(),  # (edge device, prefix str)
+            # edge device -> whether its prefix list OWN permits its own
+            # prefix; EXPORT_OWN's deny clause 5 matches the list.
+            "own_lists": {},
+            "local_prefs": {},        # device -> BGP default local preference
+            "import_maps": {},        # (device, peer) -> local preference set on import
         }
+        self.nodes = list(base.nodes)
 
     def build(self):
         network = ebgp_rfc7938(bgp_fat_tree(2))
@@ -171,10 +211,32 @@ class EbgpFamily:
             ]
         for device, prefix in sorted(self.spec["extra_networks"]):
             network.device(device).bgp.networks.append(Prefix(prefix))
+        for device, permit in sorted(self.spec["own_lists"].items()):
+            config = network.device(device)
+            own = config.route_maps["EXPORT_OWN"].clauses[0].match.prefixes[0]
+            config.prefix_lists["OWN"] = PrefixList("OWN").add(own, permit=permit)
+            config.route_maps["EXPORT_OWN"].add_clause(
+                RouteMapClause(sequence=5, permit=False, match=MatchConditions(prefix_list="OWN"))
+            )
+        for device, local_pref in sorted(self.spec["local_prefs"].items()):
+            network.device(device).bgp.default_local_pref = local_pref
+        for (device, peer), local_pref in sorted(self.spec["import_maps"].items()):
+            config = network.device(device)
+            session = config.bgp.neighbor(peer)
+            if session is None:
+                continue  # the session was flapped away
+            name = f"FROM_{peer}"
+            config.route_maps[name] = RouteMap(
+                name,
+                [RouteMapClause(sequence=10, actions=SetActions(local_preference=local_pref))],
+            )
+            session.import_map = name
         return network
 
     def edit(self, rng: random.Random) -> None:
-        kind = rng.choice(["filter", "session", "announce"])
+        kind = rng.choice(
+            ["filter", "session", "announce", "prefix-list", "setting", "attribute"]
+        )
         if kind == "filter":
             device = rng.choice(self.edges)
             meds = self.spec["map_meds"]
@@ -189,13 +251,37 @@ class EbgpFamily:
                 removed.discard(session)
             elif len(removed) < 2:
                 removed.add(session)
-        else:
+        elif kind == "announce":
             entry = (rng.choice(self.edges), f"10.30.{rng.randrange(3)}.0/24")
             networks = self.spec["extra_networks"]
             if entry in networks:
                 networks.discard(entry)
             else:
                 networks.add(entry)
+        elif kind == "prefix-list":
+            # Flipping the entry edits the prefix list alone: the clause
+            # that reads it stays.
+            device = rng.choice(self.edges)
+            lists = self.spec["own_lists"]
+            if device in lists and rng.random() < 0.3:
+                del lists[device]
+            else:
+                lists[device] = not lists.get(device, True)
+        elif kind == "setting":
+            device = rng.choice(self.nodes)
+            prefs = self.spec["local_prefs"]
+            if device in prefs:
+                del prefs[device]
+            else:
+                prefs[device] = rng.choice([50, 150])
+        else:
+            a, b = rng.choice(self.sessions)
+            session = (a, b) if rng.random() < 0.5 else (b, a)
+            maps = self.spec["import_maps"]
+            if session in maps:
+                del maps[session]
+            else:
+                maps[session] = rng.choice([50, 200])
 
 
 class IbgpFamily:

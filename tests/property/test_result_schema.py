@@ -144,7 +144,6 @@ pec_runs = st.builds(
     suppressed_states=counts,
     violations=st.lists(violations, max_size=2),
     statistics=st.none() | statistics,
-    data_planes=st.lists(data_planes(), max_size=2),
 )
 transient_violations = st.builds(
     TransientViolation,
@@ -303,21 +302,30 @@ def test_fib_documents_keep_install_order_and_lookup_behaviour(plane):
 
 def test_verifier_output_round_trips_with_trails_and_planes():
     """Real runs: a violating OSPF fabric (trails, data-plane dumps) and an
-    eBGP fabric with kept data planes and RPVP reduction ledgers."""
+    eBGP fabric with RPVP reduction ledgers and converged data planes."""
+    from repro.core.network_model import DependencyContext
+
     looping = ospf_everywhere(fat_tree(4))
     install_loop_inducing_statics(
         looping, edge_prefix(0, 0), ["agg1_0", "edge1_0", "agg1_1", "edge1_1"]
     )
-    options = PlanktonOptions(keep_data_planes=True, stop_at_first_violation=False)
+    options = PlanktonOptions(stop_at_first_violation=False)
     violating = Plankton(looping, options).verify(LoopFreedom())
-    holding = Plankton(ebgp_rfc7938(bgp_fat_tree(2)), options).verify(LoopFreedom())
+    fabric = Plankton(ebgp_rfc7938(bgp_fat_tree(2)), options)
+    holding = fabric.verify(LoopFreedom())
     assert violating.violations and violating.violations[0].trail.steps is not None
-    assert any(run.data_planes for run in holding.pec_runs)
     assert any(run.statistics.reduction is not None for run in holding.pec_runs)
     for result in (violating, holding):
         _round_trip(result)
         for run in result.pec_runs:
             _round_trip(run, encode_run, decode_run)
+    pec = next(pec for pec in fabric.pecs if pec.has_bgp())
+    _, outcomes = fabric.run_pec(
+        pec, FailureScenario(), [], DependencyContext(), collect_outcomes=True
+    )
+    assert outcomes
+    for outcome in outcomes:
+        _round_trip(outcome.data_plane, encode_data_plane, decode_data_plane)
 
 
 @pytest.mark.parametrize(
@@ -376,7 +384,7 @@ _PLANE = DataPlane(["r1"], AddressRange(0, 255))
 _PLANE.install("r1", FibEntry(Prefix("10.0.0.0/8"), ("r2",)))
 _PLANE.fib("r1").share()
 assert _PLANE.lookup("r1", Prefix("10.0.0.0/8").first) is not None  # fills the memo
-_RUN = PecRunResult(1, FailureScenario((2,)), 1, 1, 0, [_VIOLATION], _STATISTICS, [_PLANE])
+_RUN = PecRunResult(1, FailureScenario((2,)), 1, 1, 0, [_VIOLATION], _STATISTICS)
 _TRANSIENT_VIOLATION = TransientViolation("loop", "micro-loop", 3, False, ("deliver a->b",))
 _TRANSIENT_RESULT = TransientAnalysisResult(
     states_explored=7, violations=[_TRANSIENT_VIOLATION], reduction=_REDUCTION
@@ -456,11 +464,11 @@ def _digest_after(result, mutate):
     [
         lambda result: setattr(result.pec_runs[0].statistics.reduction, "rank_immune_sessions", 6),
         lambda result: setattr(result.pec_runs[0].statistics, "state_bytes", 65),
-        lambda result: result.pec_runs[0].data_planes[0].annotations.update(failure="other"),
+        lambda result: setattr(result.pec_runs[0].violations[0].trail, "data_plane_dump", "other"),
         lambda result: result.pec_runs[0].violations.clear(),
         lambda result: setattr(result, "pecs_analyzed", 2),
     ],
-    ids=["rank_immune_sessions", "state_bytes", "plane-annotations", "run.violations", "pecs_analyzed"],
+    ids=["rank_immune_sessions", "state_bytes", "trail-plane-dump", "run.violations", "pecs_analyzed"],
 )
 def test_verification_digest_covers_fields_the_old_signature_dropped(mutate):
     result = SAMPLES[-2]

@@ -28,6 +28,7 @@ from repro.config import ebgp_rfc7938
 from repro.config.parser import parse_config
 from repro.core.network_model import DependencyContext, PecExplorer
 from repro.core.options import PlanktonOptions
+from repro.core.verifier import Plankton
 from repro.pec.classes import compute_pecs
 from repro.protocols.spvp import SpvpStepper
 from repro.scenarios import (
@@ -45,7 +46,6 @@ from repro.topology import bgp_fat_tree
 from repro.topology.failures import FailureScenario
 from repro.topology.io import parse_topology
 from repro.transient import TransientAnalyzer, TransientLoopFreedom, TransientOptions
-from repro.transient.explorer import analyze_pec_transients_over_failures
 
 from tests.test_cli import BGP_CONFIG, BGP_TOPOLOGY_TEXT
 
@@ -87,15 +87,13 @@ def _fresh_runs(network, pec, failure, transient, base, scenarios):
 
 
 def _campaign_runs(network, pec, failure, transient, base, scenarios):
-    campaign = analyze_pec_transients_over_failures(
-        network,
-        pec,
+    campaign = Plankton(network, PlanktonOptions(backend="serial")).verify_transients(
         PROPERTIES,
-        options=PlanktonOptions(backend="serial"),
         transient=transient,
         failures=[failure],
         initial_events=base,
         scenarios=scenarios,
+        pecs=[pec],
     )
     assert campaign.complete
     return [(run.scenario, run.prefix, run.result.stats_signature()) for run in campaign.runs]
@@ -196,13 +194,12 @@ def test_a_task_drains_once_per_prefix(monkeypatch):
     network = ebgp_rfc7938(bgp_fat_tree(4))
     scenarios = enumerate_event_scenarios(network.topology, 1, kinds=("crash",))
     assert len(scenarios) > 3
-    campaign = analyze_pec_transients_over_failures(
-        network,
-        _bgp_pec(network),
+    campaign = Plankton(network).verify_transients(
         PROPERTIES,
         transient=TransientOptions(max_states=100, max_depth=2, stop_at_first_violation=False),
         failures=[FailureScenario()],
         scenarios=scenarios,
+        pecs=[_bgp_pec(network)],
     )
     assert len(campaign.runs) == len(scenarios)
     assert len(drains) == 1

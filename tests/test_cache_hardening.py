@@ -529,7 +529,6 @@ class TestKeyByExclusion:
         "max_seconds_per_pec": 1.0,
         "fast_ospf": False,
         "bitstate_bits": 1 << 10,
-        "keep_data_planes": True,
     }
     #: A TransientOptions has no execution-only field: every one is keyed.
     TRANSIENT = {

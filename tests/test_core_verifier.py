@@ -5,7 +5,7 @@ import logging
 
 import pytest
 
-from repro import OptimizationFlags, Plankton, PlanktonOptions, verify
+from repro import OptimizationFlags, Plankton, PlanktonOptions
 from repro.config import ConfigBuilder, ebgp_rfc7938, ibgp_over_ospf, ospf_everywhere
 from repro.config.builder import edge_prefix, install_loop_inducing_statics
 from repro.config.objects import MatchConditions, RouteMap, RouteMapClause, SetActions
@@ -314,11 +314,6 @@ class TestOptimizationFlags:
 
 
 class TestResultsAndApi:
-    def test_verify_function_wrapper(self):
-        network = ospf_everywhere(fat_tree(4))
-        result = verify(network, LoopFreedom())
-        assert result.holds
-
     def test_requires_at_least_one_policy(self):
         network = ospf_everywhere(fat_tree(4))
         with pytest.raises(VerificationError):
@@ -352,11 +347,19 @@ class TestResultsAndApi:
         assert len(first_only.violations) == 1
         assert len(all_of_them.violations) >= 2
 
-    def test_keep_data_planes(self):
+    def test_run_pec_returns_the_converged_data_planes(self):
+        from repro.core.network_model import DependencyContext
+        from repro.topology.failures import FailureScenario
+
         network = ospf_everywhere(fat_tree(4))
-        options = PlanktonOptions(keep_data_planes=True)
-        result = Plankton(network, options).verify(LoopFreedom())
-        assert any(run.data_planes for run in result.pec_runs)
+        plankton = Plankton(network)
+        pec = next(pec for pec in plankton.pecs if pec.ospf_origins)
+        run, outcomes = plankton.run_pec(
+            pec, FailureScenario(), [LoopFreedom()], DependencyContext(), collect_outcomes=True
+        )
+        assert run.holds
+        assert len(outcomes) == run.converged_states >= 1
+        assert all(outcome.data_plane.pec_range == pec.address_range for outcome in outcomes)
 
     def test_parallel_cores_match_serial(self):
         network = ospf_everywhere(fat_tree(4))

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import NetworkConfig, ospf_everywhere
-from repro.core.options import PlanktonOptions
 from repro.core.verifier import Plankton
 from repro.dataplane import DataPlane, FibEntry, ForwardingGraph, PathStatus, trace_paths
 from repro.netaddr import MAX_IPV4, AddressRange, Prefix
@@ -274,13 +273,20 @@ class TestChangeLocality:
 # --------------------------------------------------------------------------- converged planes
 @pytest.fixture(scope="module")
 def converged():
-    """The kept converged planes of an OSPF fat tree, with their PECs."""
+    """The converged planes of an OSPF fat tree, with their PECs."""
+    from repro.core.network_model import DependencyContext
+    from repro.topology.failures import FailureScenario
+
     network = ospf_everywhere(fat_tree(4))
-    plankton = Plankton(network, PlanktonOptions(keep_data_planes=True))
-    result = plankton.verify(LoopFreedom())
-    assert result.holds
-    pecs = {pec.index: pec for pec in plankton.pecs}
-    planes = [(pecs[run.pec_index], dp) for run in result.pec_runs for dp in run.data_planes]
+    plankton = Plankton(network)
+    assert plankton.verify(LoopFreedom()).holds
+    planes = [
+        (pec, outcome.data_plane)
+        for pec in plankton.pecs
+        for outcome in plankton.run_pec(
+            pec, FailureScenario(), [], DependencyContext(), collect_outcomes=True
+        )[1]
+    ]
     assert planes
     return network, planes
 

@@ -580,9 +580,12 @@ class TestIncrementalVerifier:
     def test_an_undefined_prefix_list_is_refused_up_front(self):
         """The fingerprints test every clause of a session's map, so a
         dangling prefix-list name is refused when the configuration is
-        installed, with the validation message, not mid-fingerprint."""
+        installed, with the validation message, not mid-fingerprint — by
+        the cold entry and the warm one alike."""
         dangling = _construct_network()
         _match(dangling).prefix_list = "NOWHERE"
+        with pytest.raises(ConfigError, match="undefined prefix-list 'NOWHERE'"):
+            Plankton(dangling)
         with pytest.raises(ConfigError, match="undefined prefix-list 'NOWHERE'"):
             IncrementalVerifier(dangling)
         service = IncrementalVerifier(_construct_network())
@@ -673,17 +676,17 @@ class TestIncrementalVerifier:
 
     def test_campaign_over_many_pecs_is_one_engine_run(self, monkeypatch):
         """One graph, one backend execution for all dirty PECs of a campaign
-        — and the result is the per-PEC serial campaigns, concatenated."""
+        — and the result is the cold campaign's."""
         from repro.engine import SerialBackend
-        from repro.transient import analyze_pec_transients_over_failures
 
         network = ebgp_rfc7938(bgp_fat_tree(4))
-        service = IncrementalVerifier(network, PlanktonOptions(max_failures=1))
-        options = TransientOptions(max_states=40, max_depth=3, stop_at_first_violation=False)
+        options = PlanktonOptions(max_failures=1)
+        service = IncrementalVerifier(network, options)
+        transient = TransientOptions(max_states=40, max_depth=3, stop_at_first_violation=False)
         prop = [TransientLoopFreedom(ignore_converged=True)]
         bgp_pecs = [pec for pec in service.plankton.pecs if pec.has_bgp()]
         assert len(bgp_pecs) >= 3
-        service.verify_transients(prop, transient=options, pecs=bgp_pecs[:1])
+        service.verify_transients(prop, transient=transient, pecs=bgp_pecs[:1])
 
         executions = []
         execute = SerialBackend.execute
@@ -692,27 +695,46 @@ class TestIncrementalVerifier:
             "execute",
             lambda self, *args: (executions.append(self), execute(self, *args))[1],
         )
-        campaign = service.verify_transients(prop, transient=options)
+        campaign = service.verify_transients(prop, transient=transient)
         assert len(executions) == 1
         assert campaign.incremental.pecs_from_cache == 1
         assert campaign.incremental.pecs_recomputed == len(bgp_pecs) - 1
         monkeypatch.undo()
 
-        per_pec = [
-            analyze_pec_transients_over_failures(
-                network, pec, prop, options=PlanktonOptions(max_failures=1), transient=options
-            )
-            for pec in bgp_pecs
-        ]
-        assert [
-            (run.pec_index, run.failure, run.prefix, run.result.stats_signature())
-            for run in campaign.runs
-        ] == [
-            (run.pec_index, run.failure, run.prefix, run.result.stats_signature())
-            for sub in per_pec
-            for run in sub.runs
-        ]
-        assert campaign.failure_scenarios == max(sub.failure_scenarios for sub in per_pec)
+        cold = Plankton(network, options).verify_transients(prop, transient=transient)
+        assert result_signature(campaign) == result_signature(cold)
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("request_kind", ["explicit", "enumerated", "flap"])
+    def test_a_cold_campaign_equals_the_incremental_one(self, backend, request_kind):
+        """``Plankton.verify_transients`` and the incremental service's
+        first run of the same campaign give one result on either backend:
+        the eBGP k=4 fabric under <= 1 failure, with explicit crash and
+        maintenance scenarios, with enumerated one-event scenarios, and
+        with a session flap as the initial events."""
+        from repro.serve.specs import scenario_from_spec
+        from repro.transient import Converge, FailSession
+
+        network = ebgp_rfc7938(bgp_fat_tree(4))
+        options = PlanktonOptions(
+            max_failures=1, backend=backend, cores=2 if backend == "process" else 1
+        )
+        transient = TransientOptions(max_states=30, max_depth=3, stop_at_first_violation=False)
+        request = {"transient": transient}
+        if request_kind == "explicit":
+            request["scenarios"] = [
+                scenario_from_spec(spec, network) for spec in ("crash:agg0_0", "maintenance:edge0_0")
+            ]
+        elif request_kind == "enumerated":
+            request["transient"] = dataclasses.replace(transient, scenario_events=1)
+        else:
+            request["initial_events"] = [Converge(), FailSession("edge0_0", "agg0_0")]
+        prop = [TransientLoopFreedom(ignore_converged=True)]
+        cold = Plankton(network, options).verify_transients(prop, **request)
+        warm = IncrementalVerifier(network, options).verify_transients(prop, **request)
+        assert cold.runs and cold.failure_scenarios > 1
+        assert (cold.event_scenarios > 1) == (request_kind != "flap")
+        assert result_signature(cold) == result_signature(warm)
 
     def test_transient_campaigns_cache_and_match(self):
         network = fat_tree_network()

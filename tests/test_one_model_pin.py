@@ -76,6 +76,12 @@ GONE = {
     "router_id",
     # The SPVP independence relation is the slot layout's receiver masks.
     "ChannelIndependence",
+    # One cold entry for both request kinds: ``Plankton.verify`` and
+    # ``Plankton.verify_transients``; converged planes reach callers from
+    # ``run_pec``'s outcomes and the engine's task results only.
+    "campaign_request",
+    "analyze_pec_transients_over_failures",
+    "keep_data_planes",
 }
 
 
@@ -137,6 +143,16 @@ def test_public_namespaces_do_not_expose_the_moved_names(module):
     namespace = importlib.import_module(module)
     exposed = GONE & (set(vars(namespace)) | set(getattr(namespace, "__all__", ())))
     assert exposed == set()
+
+
+def test_plankton_is_the_one_cold_entry():
+    for module in ("repro", "repro.core"):
+        namespace = importlib.import_module(module)
+        assert "verify" not in namespace.__all__
+        assert not hasattr(namespace, "verify")
+    transient = importlib.import_module("repro.transient")
+    assert "analyze_pec_transients_over_failures" not in transient.__all__
+    assert not hasattr(transient, "analyze_pec_transients_over_failures")
 
 
 def test_the_witness_minimiser_is_gone():

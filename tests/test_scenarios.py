@@ -19,6 +19,7 @@ import pytest
 
 from repro.config.parser import parse_config
 from repro.core.options import PlanktonOptions
+from repro.core.verifier import Plankton
 from repro.engine import faults
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.engine.graph import event_scenarios_for_pec
@@ -260,7 +261,6 @@ class TestScenarioCampaignUnderFaults:
         and takes every scenario run of its failure with it, the other
         failure's runs all complete, and the summary says PARTIAL."""
         from repro.topology.failures import FailureScenario
-        from repro.transient.explorer import analyze_pec_transients_over_failures
 
         network = _square_network()
         pec = _bgp_pec(network)
@@ -276,9 +276,8 @@ class TestScenarioCampaignUnderFaults:
         failures = [FailureScenario(), FailureScenario.of([0])]
 
         def campaign():
-            return analyze_pec_transients_over_failures(
-                network, pec, properties, options=options, transient=transient,
-                failures=failures,
+            return Plankton(network, options).verify_transients(
+                properties, transient=transient, failures=failures, pecs=[pec]
             )
 
         baseline = campaign()
@@ -304,8 +303,6 @@ class TestScenarioCampaignUnderFaults:
     def test_clean_scenario_campaign_labels_runs(self):
         """Without faults every run carries its scenario description and the
         campaign counts both axes of the cross-product."""
-        from repro.transient.explorer import analyze_pec_transients_over_failures
-
         network = _square_network()
         pec = _bgp_pec(network)
         transient = TransientOptions(
@@ -315,9 +312,8 @@ class TestScenarioCampaignUnderFaults:
             scenario_events=1,
             scenario_kinds=("crash",),
         )
-        campaign = analyze_pec_transients_over_failures(
-            network, pec, [TransientLoopFreedom(ignore_converged=True)],
-            transient=transient,
+        campaign = Plankton(network).verify_transients(
+            [TransientLoopFreedom(ignore_converged=True)], transient=transient, pecs=[pec]
         )
         assert campaign.complete
         assert campaign.event_scenarios > 1

@@ -9,6 +9,7 @@ import pytest
 
 from repro.config import ebgp_rfc7938
 from repro.core.options import PlanktonOptions
+from repro.core.verifier import Plankton
 from repro.pec.classes import compute_pecs
 from repro.protocols.base import EPSILON, Path, Route
 from repro.topology import bgp_fat_tree
@@ -22,7 +23,6 @@ from repro.transient import (
     TransientLoopFreedom,
     TransientOptions,
     analyze_pec_transients,
-    analyze_pec_transients_over_failures,
 )
 
 from tests.oracles.transient_reference import NaiveTransientAnalyzer
@@ -546,14 +546,15 @@ class TestTransientFailureCampaigns:
 
     def test_campaign_enumerates_reduced_failure_scenarios(self):
         network, pec = self._network_and_pec()
-        campaign = analyze_pec_transients_over_failures(
-            network,
-            pec,
+        plankton = Plankton(
+            network, PlanktonOptions(max_failures=1, stop_at_first_violation=False)
+        )
+        campaign = plankton.verify_transients(
             [TransientLoopFreedom(ignore_converged=True)],
-            options=PlanktonOptions(max_failures=1, stop_at_first_violation=False),
             transient=TransientOptions(
                 max_states=60, max_depth=4, stop_at_first_violation=False
             ),
+            pecs=[pec],
         )
         # LEC reduction: strictly fewer scenarios than links, plus the
         # no-failure baseline, each analysed per BGP prefix.
@@ -568,20 +569,12 @@ class TestTransientFailureCampaigns:
             max_states=50, max_depth=4, stop_at_first_violation=False
         )
         properties = [TransientLoopFreedom(ignore_converged=True)]
-        serial = analyze_pec_transients_over_failures(
-            network,
-            pec,
-            properties,
-            options=PlanktonOptions(max_failures=1, backend="serial"),
-            transient=transient,
-        )
-        pooled = analyze_pec_transients_over_failures(
-            network,
-            pec,
-            properties,
-            options=PlanktonOptions(max_failures=1, cores=2, backend="process"),
-            transient=transient,
-        )
+        serial = Plankton(
+            network, PlanktonOptions(max_failures=1, backend="serial")
+        ).verify_transients(properties, transient=transient, pecs=[pec])
+        pooled = Plankton(
+            network, PlanktonOptions(max_failures=1, cores=2, backend="process")
+        ).verify_transients(properties, transient=transient, pecs=[pec])
         assert len(serial.runs) == len(pooled.runs)
         serial_rows = [
             (run.prefix, tuple(run.failure.failed_links), run.result.stats_signature())
@@ -597,82 +590,48 @@ class TestTransientFailureCampaigns:
         # Initial events are part of the picklable task payload, so flap
         # campaigns work identically through the engine path.
         network, pec = self._network_and_pec()
-        campaign = analyze_pec_transients_over_failures(
-            network,
-            pec,
+        campaign = Plankton(network).verify_transients(
             [TransientLoopFreedom(ignore_converged=True)],
             transient=TransientOptions(
                 max_states=80, max_depth=4, stop_at_first_violation=False
             ),
             initial_events=[Converge(), FailSession("edge0_0", "agg0_0")],
+            pecs=[pec],
         )
         assert campaign.runs
         for run in campaign.runs:
             assert run.result.states_explored > 0
 
-    def test_campaign_reuses_a_supplied_plankton(self):
-        from repro.core.verifier import Plankton
-
+    def test_the_engine_stop_flag_does_not_cut_a_campaign(self):
+        """The campaign's stop flag belongs to the request: a verifier whose
+        engine flag disagrees with the transient options runs the very same
+        campaign."""
         network, pec = self._network_and_pec()
         transient = TransientOptions(
             max_states=40, max_depth=3, stop_at_first_violation=False
         )
-        plankton = Plankton(
+        properties = [TransientLoopFreedom(ignore_converged=True)]
+        exhaustive = Plankton(
             network, PlanktonOptions(stop_at_first_violation=False)
+        ).verify_transients(properties, transient=transient, pecs=[pec])
+        stopping = Plankton(network, PlanktonOptions()).verify_transients(
+            properties, transient=transient, pecs=[pec]
         )
-        reused = analyze_pec_transients_over_failures(
-            network,
-            pec,
-            [TransientLoopFreedom(ignore_converged=True)],
-            transient=transient,
-            plankton=plankton,
-        )
-        fresh = analyze_pec_transients_over_failures(
-            network,
-            pec,
-            [TransientLoopFreedom(ignore_converged=True)],
-            options=PlanktonOptions(stop_at_first_violation=False),
-            transient=transient,
-        )
-        assert [run.result.stats_signature() for run in reused.runs] == [
-            run.result.stats_signature() for run in fresh.runs
+        assert exhaustive.runs
+        assert [run.result.stats_signature() for run in stopping.runs] == [
+            run.result.stats_signature() for run in exhaustive.runs
         ]
-        # The campaign's stop flag belongs to the request: a supplied
-        # verifier whose engine flag disagrees with the transient options
-        # (it used to be rejected, lest it silently drop runs) runs the very
-        # same campaign.
-        mismatched = analyze_pec_transients_over_failures(
-            network,
-            pec,
-            [TransientLoopFreedom(ignore_converged=True)],
-            transient=transient,
-            plankton=Plankton(network, PlanktonOptions()),
-        )
-        assert [run.result.stats_signature() for run in mismatched.runs] == [
-            run.result.stats_signature() for run in fresh.runs
-        ]
-        # Two sources of engine options are still one too many.
-        with pytest.raises(ValueError):
-            analyze_pec_transients_over_failures(
-                network,
-                pec,
-                [TransientLoopFreedom(ignore_converged=True)],
-                options=PlanktonOptions(),
-                transient=transient,
-                plankton=plankton,
-            )
 
     def test_campaign_report_rendering(self):
         from repro.reporting import render_transient_markdown, transient_campaign_to_dict
 
         network, pec = self._network_and_pec()
-        campaign = analyze_pec_transients_over_failures(
-            network,
-            pec,
+        campaign = Plankton(network).verify_transients(
             [TransientLoopFreedom(ignore_converged=True)],
             transient=TransientOptions(
                 max_states=40, max_depth=3, stop_at_first_violation=False
             ),
+            pecs=[pec],
         )
         document = transient_campaign_to_dict(campaign)
         assert document["holds"] == campaign.holds

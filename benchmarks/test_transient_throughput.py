@@ -147,14 +147,14 @@ def test_scenario_enumeration_reduction_floor(reporter):
     at most half the brute-force scenario universe on the fig7a workload
     (verdict preservation is pinned separately by the brute-force oracle in
     ``tests/test_scenarios.py``)."""
-    from repro.engine.graph import event_scenarios_for_pec
+    from repro.engine.graph import event_scenarios_for_pec, network_symmetry
     from repro.scenarios import ScenarioLedger
     from repro.transient import TransientOptions
 
     network, pec = _fig7a_network_and_pec()
     ledger = ScenarioLedger()
     scenarios = event_scenarios_for_pec(
-        network, pec, TransientOptions(scenario_events=1), ledger=ledger
+        network_symmetry(network), pec, TransientOptions(scenario_events=1), ledger=ledger
     )
     assert scenarios and ledger.pruned > 0
     ratio = ledger.brute / max(ledger.emitted, 1)

@@ -637,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     transient.add_argument(
         "--fail-session",
-        help="converge, then flap the session between these two devices (A,B)",
+        help="converge, then flap the session between these two linked devices (A,B)",
     )
     transient.add_argument(
         "--scenario",
@@ -645,8 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "lifecycle scenario to cross with every failure scenario; "
             "KIND:ARGS parts joined with + (crash:NODE, restart:NODE, "
-            "drain:NODE, return:NODE, maintenance:NODE, flap:A,B, gray:A,B); "
-            "repeatable, one campaign scenario per flag"
+            "drain:NODE, return:NODE, drain-return:NODE (no settle), "
+            "maintenance:NODE (drain, settle, return), flap:A,B, gray:A,B; "
+            "A and B must share a link); repeatable, one campaign scenario per flag"
         ),
     )
     transient.add_argument(
@@ -662,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario-kinds",
         help=(
             "restrict --scenario-events to these event kinds "
-            "(comma-separated: crash, restart, drain, maintenance, flap, gray)"
+            "(comma-separated: crash, restart, drain, drain-return, flap, gray)"
         ),
     )
     _add_engine_arguments(transient)

@@ -24,8 +24,9 @@ before them).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.options import PlanktonOptions
 from repro.core.scheduler import dependency_closure, restrict_schedule
@@ -37,6 +38,7 @@ from repro.topology.failures import (
     enumerate_failure_scenarios,
     reduced_failure_scenarios,
 )
+from repro.topology.graph import Topology
 
 
 @dataclass(frozen=True)
@@ -178,25 +180,88 @@ class TaskGraph:
 
 
 # --------------------------------------------------------------------------- scenarios
-def _origin_colors(network, pec: PacketEquivalenceClass) -> Dict[str, object]:
-    """The initial colours for the symmetry reductions of ``pec``: per device
-    with a role in it, the prefixes it originates into OSPF and BGP and those
-    it routes statically, so configuration asymmetry this PEC can see splits
-    classes.  Devices with no role are left out: they share the colour
-    ``None``, and readers look only at the partition the colours induce."""
+class NetworkSymmetry(NamedTuple):
+    """What the symmetry reductions read of a network beyond one PEC.
+
+    Attributes:
+        topology: The topology with each link's weight pair as OSPF reads
+            it: a cost override replaces the link weight, and a passive
+            interface's weight is ``(cost, "passive")``.  It is the network's
+            own topology when no interface is configured, so its rows and
+            equitable partition are cached beside :meth:`Topology.compiled`.
+        device_colors: Per device, the processes it runs and its OSPF
+            settings that name no device (``redistribute_static``).  The most
+            common colour is left out, so a network whose devices all run
+            alike colours none.
+    """
+
+    topology: Topology
+    device_colors: Dict[str, object]
+
+
+def _ospf_weight(device, neighbor: str, weight):
+    """The weight of ``device``'s link towards ``neighbor`` as OSPF reads it."""
+    if device.ospf is None or neighbor not in device.ospf.interfaces:
+        return weight
+    cost = device.ospf.cost_to(neighbor, weight)
+    return (cost, "passive") if device.ospf.is_passive(neighbor) else cost
+
+
+def network_symmetry(network) -> NetworkSymmetry:
+    """Build :class:`NetworkSymmetry` for ``network``: once per task-graph
+    expansion, never once per PEC."""
+    topology = network.topology
+    devices = network.devices.values()
+    if any(device.ospf is not None and device.ospf.interfaces for device in devices):
+        weighted = Topology(topology.name)
+        for name in topology.nodes:
+            weighted.add_node(name)
+        for link in topology.links:
+            weighted.add_link(
+                link.a,
+                link.b,
+                weight=_ospf_weight(network.device(link.a), link.b, link.weight_ab),
+                weight_ba=_ospf_weight(network.device(link.b), link.a, link.weight_ba),
+            )
+        topology = weighted
+    colors = {
+        name: (
+            device.ospf is not None,
+            device.bgp is not None,
+            device.ospf is not None and device.ospf.redistribute_static,
+        )
+        for name, device in network.devices.items()
+    }
+    counts = Counter(colors.values())
+    common = max(counts, key=counts.__getitem__, default=None)
+    return NetworkSymmetry(
+        topology, {name: color for name, color in colors.items() if color != common}
+    )
+
+
+def _origin_colors(symmetry: NetworkSymmetry, pec: PacketEquivalenceClass) -> Dict[str, object]:
+    """The initial colours for the symmetry reductions of ``pec``: the device
+    colours, and per device with a role in the PEC the prefixes it
+    originates into OSPF and BGP and those it routes statically, so
+    configuration asymmetry this PEC can see splits classes.  Devices left
+    out share the colour ``None``, and readers look only at the partition
+    the colours induce."""
     roles: Dict[str, Tuple[List[str], List[str], List[str]]] = {}
     for slot, origins in enumerate((pec.ospf_origins, pec.bgp_origins, pec.static_devices)):
         for prefix, devices in origins:
             for name in set(devices):  # a device lists a prefix once per static route
                 roles.setdefault(name, ([], [], []))[slot].append(str(prefix))
-    return {
-        name: tuple(tuple(sorted(prefixes)) for prefixes in lists)
-        for name, lists in roles.items()
-    }
+    colors = dict(symmetry.device_colors)
+    for name, lists in roles.items():
+        colors[name] = (
+            symmetry.device_colors.get(name),
+            tuple(tuple(sorted(prefixes)) for prefixes in lists),
+        )
+    return colors
 
 
 def failure_scenarios_for_pec(
-    network,
+    symmetry: NetworkSymmetry,
     pec: PacketEquivalenceClass,
     policies: Sequence[Policy],
     options: PlanktonOptions,
@@ -205,7 +270,7 @@ def failure_scenarios_for_pec(
     if options.max_failures <= 0:
         return [FailureScenario()]
     if not options.optimizations.failure_equivalence:
-        return enumerate_failure_scenarios(network.topology, options.max_failures)
+        return enumerate_failure_scenarios(symmetry.topology, options.max_failures)
     interesting: Set[str] = set()
     for policy in policies:
         nodes = policy.interesting_nodes(pec)
@@ -215,9 +280,9 @@ def failure_scenarios_for_pec(
         if sources:
             interesting.update(sources)
     return reduced_failure_scenarios(
-        network.topology,
+        symmetry.topology,
         options.max_failures,
-        colors=_origin_colors(network, pec),
+        colors=_origin_colors(symmetry, pec),
         interesting_nodes=sorted(interesting),
     )
 
@@ -264,8 +329,9 @@ def _expand_independent(
 ) -> None:
     """Edge-free expansion: every (PEC, failure) pair is a free task."""
     scenario_count = 0
+    symmetry = network_symmetry(network)
     for pec in relevant:
-        scenarios = failure_scenarios_for_pec(network, pec, policies, options)
+        scenarios = failure_scenarios_for_pec(symmetry, pec, policies, options)
         scenario_count = max(scenario_count, len(scenarios))
         for failure in scenarios:
             graph.tasks.append(
@@ -323,7 +389,7 @@ def _expand_dependent(
 
 # --------------------------------------------------------------------------- transient campaigns
 def event_scenarios_for_pec(
-    network,
+    symmetry: NetworkSymmetry,
     pec: PacketEquivalenceClass,
     transient_options,
     ledger=None,
@@ -345,10 +411,10 @@ def event_scenarios_for_pec(
     if transient_options.scenario_events <= 0:
         return []
     return enumerate_event_scenarios(
-        network.topology,
+        symmetry.topology,
         transient_options.scenario_events,
         kinds=transient_options.scenario_kinds or DEFAULT_EVENT_KINDS,
-        colors=_origin_colors(network, pec),
+        colors=_origin_colors(symmetry, pec),
         ledger=ledger,
     )
 
@@ -385,15 +451,16 @@ def build_transient_task_graph(
     import dataclasses
 
     graph = TaskGraph()
+    symmetry = network_symmetry(network)
     for pec in pecs:
         failure_list = (
             list(failures)
             if failures is not None
-            else failure_scenarios_for_pec(network, pec, (), options)
+            else failure_scenarios_for_pec(symmetry, pec, (), options)
         )
         pec_scenarios = scenarios
         if pec_scenarios is None and transient.options.scenario_events > 0:
-            pec_scenarios = event_scenarios_for_pec(network, pec, transient.options)
+            pec_scenarios = event_scenarios_for_pec(symmetry, pec, transient.options)
         payload = dataclasses.replace(transient, scenarios=tuple(pec_scenarios or ()))
         for failure in failure_list:
             graph.tasks.append(

@@ -27,8 +27,11 @@ another.  Two reductions are applied, both *before* any exploration runs:
   emitted — (crash a, crash z) and (crash z, crash a) collapse when a and z
   are far apart.
 
-Scenarios are emitted as descriptor tuples turned into
-:class:`~repro.scenarios.events.Scenario` values; non-empty scenarios lead
+The descriptor is the one representation of a lifecycle scenario: the
+enumerator emits descriptor tuples, the ``--scenario`` and ``--fail-session``
+specs parse to them, :func:`check_descriptor` checks them against the
+topology, and :func:`scenario_from_descriptor` turns them into
+:class:`~repro.scenarios.events.Scenario` values.  Non-empty scenarios lead
 with a :class:`~repro.scenarios.events.Converge` so each one perturbs the
 canonical steady state, mirroring the established session-flap workflow.
 :class:`ScenarioLedger` records how much the reduction pruned against the
@@ -42,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.exceptions import TopologyError
+from repro.exceptions import SpecError, TopologyError
 from repro.scenarios.events import (
     Converge,
     FailSession,
@@ -56,20 +59,36 @@ from repro.scenarios.events import (
 from repro.topology.failures import DeviceEquivalence
 from repro.topology.graph import Topology
 
-#: Every enumerable event kind.  ``maintenance`` is the staged
-#: drain-then-return pair; ``gray`` enumerates both directions of a session.
-#: The enumerated ``maintenance n`` (converge, drain, return: no settle in
-#: between) is not :func:`~repro.scenarios.events.maintenance_window` (drain,
-#: converge, return), although both are named ``maintenance n``, nor the
-#: ``maintenance:n`` of a ``--scenario`` spec (converge, drain, converge,
-#: return).
-EVENT_KINDS = ("crash", "restart", "drain", "maintenance", "flap", "gray")
+#: The one scenario grammar: every descriptor kind and the events it builds
+#: (after the ``Converge`` a non-empty scenario leads with).  A node kind
+#: names one device, a session kind the two ends of a link (``gray`` from
+#: exporter to importer).  The spec strings of ``--scenario`` and
+#: ``--fail-session`` parse to these descriptors too.
+_NODE_EVENTS = {
+    "crash": lambda node: (NodeCrash(node),),
+    "restart": lambda node: (NodeRestart(node),),
+    "drain": lambda node: (MaintenanceDrain(node),),
+    "return": lambda node: (ReturnToService(node),),
+    # Drained and back with no settle in between.
+    "drain-return": lambda node: (MaintenanceDrain(node), ReturnToService(node)),
+    # Drained, settled, back in service.
+    "maintenance": lambda node: (MaintenanceDrain(node), Converge(), ReturnToService(node)),
+}
+_SESSION_EVENTS = {
+    "flap": lambda a, b: (FailSession(a, b),),
+    "gray": lambda exporter, importer: (GrayFailure(exporter, importer),),
+}
+_EVENTS = {**_NODE_EVENTS, **_SESSION_EVENTS}
+
+#: The kinds the enumerator draws from.  ``gray`` enumerates both directions
+#: of a session.  ``return`` and ``maintenance`` are spelled only in a spec:
+#: a return answers a drain (the enumerator offers the pair as
+#: ``drain-return``), and the settle inside a maintenance reads the whole
+#: network, so it commutes with nothing.
+EVENT_KINDS = ("crash", "restart", "drain", "drain-return", "flap", "gray")
 
 #: The default campaign vocabulary (all of them).
 DEFAULT_EVENT_KINDS = EVENT_KINDS
-
-_NODE_KINDS = ("crash", "restart", "drain", "maintenance")
-_LINK_KINDS = ("flap", "gray")
 
 #: A descriptor is the picklable, comparable identity of one atomic event:
 #: ``(kind, node)`` for node kinds, ``(kind, a, b)`` for session kinds.
@@ -117,65 +136,67 @@ def _touched(descriptor: Descriptor) -> Tuple[str, ...]:
 
 def describe_descriptor(descriptor: Descriptor) -> str:
     kind = descriptor[0]
-    if kind in _NODE_KINDS:
+    if kind in _NODE_EVENTS:
         return f"{kind} {descriptor[1]}"
     if kind == "flap":
         return f"flap {descriptor[1]}<->{descriptor[2]}"
     return f"gray {descriptor[1]}->{descriptor[2]}"
 
 
+def check_descriptor(topology: Topology, descriptor: Descriptor) -> None:
+    """Refuse, with a :class:`SpecError`, a descriptor the grammar cannot
+    build on ``topology``: an unknown kind, the wrong number of devices, an
+    unknown device, or a session event whose ends no link joins (the links
+    :func:`event_universe` draws sessions from)."""
+    kind, names = descriptor[0], descriptor[1:]
+    if kind not in _EVENTS:
+        raise SpecError(f"unknown scenario kind {kind!r}; choose from {', '.join(_EVENTS)}")
+    if kind in _NODE_EVENTS and len(names) != 1:
+        raise SpecError(f"scenario {kind} expects one device, e.g. {kind}:a")
+    if kind in _SESSION_EVENTS and len(names) != 2:
+        raise SpecError(f"scenario {kind} expects two devices, e.g. {kind}:a,b")
+    for name in names:
+        if name not in topology:
+            raise SpecError(f"unknown device {name!r} in scenario")
+    if kind in _SESSION_EVENTS and not topology.links_between(*names):
+        a, b = names
+        raise SpecError(f"scenario {kind} names no session: no link joins {a} and {b}")
+
+
 def _descriptor_events(descriptor: Descriptor) -> Tuple[object, ...]:
-    kind = descriptor[0]
-    if kind == "crash":
-        return (NodeCrash(descriptor[1]),)
-    if kind == "restart":
-        return (NodeRestart(descriptor[1]),)
-    if kind == "drain":
-        return (MaintenanceDrain(descriptor[1]),)
-    if kind == "maintenance":
-        return (MaintenanceDrain(descriptor[1]), ReturnToService(descriptor[1]))
-    if kind == "flap":
-        return (FailSession(descriptor[1], descriptor[2]),)
-    if kind == "gray":
-        return (GrayFailure(descriptor[1], descriptor[2]),)
-    raise TopologyError(f"unknown event kind {kind!r}")
+    return _EVENTS[descriptor[0]](*descriptor[1:])
 
 
-def scenario_from_descriptor(
-    descriptors: Sequence[Descriptor], converge_first: bool = True
-) -> Scenario:
-    """Build the :class:`Scenario` of an (ordered) descriptor sequence."""
+def scenario_from_descriptor(descriptors: Sequence[Descriptor]) -> Scenario:
+    """Build the :class:`Scenario` of an (ordered) descriptor sequence: a
+    ``Converge`` to the steady state, then each descriptor's events."""
     descriptors = tuple(descriptors)
-    events: Tuple[object, ...] = ()
-    if converge_first and descriptors:
-        events += (Converge(),)
+    events: Tuple[object, ...] = (Converge(),) if descriptors else ()
     for descriptor in descriptors:
         events += _descriptor_events(descriptor)
     name = "; ".join(describe_descriptor(d) for d in descriptors) or "steady state"
     return Scenario(events=events, name=name)
 
 
+def _descriptors(kinds: Sequence[str], nodes, links) -> List[Descriptor]:
+    """The descriptors of ``kinds`` over ``nodes`` (kind-major) and then over
+    ``links`` (link-major; ``gray`` in both directions)."""
+    descriptors = [(kind, node) for kind in kinds if kind in _NODE_EVENTS for node in nodes]
+    for link in links:
+        a, b = sorted((link.a, link.b))
+        for kind in kinds:
+            if kind == "flap":
+                descriptors.append(("flap", a, b))
+            elif kind == "gray":
+                descriptors += [("gray", a, b), ("gray", b, a)]
+    return descriptors
+
+
 def event_universe(
     topology: Topology, kinds: Sequence[str] = DEFAULT_EVENT_KINDS
 ) -> List[Descriptor]:
     """Every atomic event descriptor of ``topology`` for the given kinds."""
-    kinds = _check_kinds(kinds)
-    universe: List[Descriptor] = []
-    nodes = sorted(topology.nodes)
-    for kind in kinds:
-        if kind in _NODE_KINDS:
-            universe.extend((kind, node) for node in nodes)
-    session_kinds = [kind for kind in kinds if kind in _LINK_KINDS]
-    if session_kinds:
-        for link in topology.links:
-            a, b = sorted((link.a, link.b))
-            for kind in session_kinds:
-                if kind == "flap":
-                    universe.append(("flap", a, b))
-                else:
-                    universe.append(("gray", a, b))
-                    universe.append(("gray", b, a))
-    return universe
+    return _descriptors(_check_kinds(kinds), sorted(topology.nodes), topology.links)
 
 
 # --------------------------------------------------------------------------- commutation
@@ -239,8 +260,6 @@ def enumerate_event_scenarios(
     max_events: int,
     kinds: Sequence[str] = DEFAULT_EVENT_KINDS,
     colors: Optional[Dict[str, object]] = None,
-    interesting_nodes: Optional[Sequence[str]] = None,
-    converge_first: bool = True,
     ledger: Optional[ScenarioLedger] = None,
 ) -> List[Scenario]:
     """Event scenarios up to ``max_events`` long, symmetry-reduced.
@@ -257,11 +276,6 @@ def enumerate_event_scenarios(
         raise TopologyError(f"max_events must be non-negative, got {max_events}")
     kinds = _check_kinds(kinds)
     base_colors: Dict[str, object] = dict(colors or {})
-    for index, name in enumerate(interesting_nodes or ()):
-        base_colors[name] = ("interesting", index, name)
-
-    node_kinds = [kind for kind in kinds if kind in _NODE_KINDS]
-    session_kinds = [kind for kind in kinds if kind in _LINK_KINDS]
     influence: Dict[Descriptor, FrozenSet[str]] = {}
     results: List[Tuple[Descriptor, ...]] = [()]
     seen: Set[Tuple[Descriptor, ...]] = {()}
@@ -275,24 +289,11 @@ def enumerate_event_scenarios(
         for name, role in roles.items():
             marks[name] = ("touched", base_colors.get(name), tuple(role))
         equivalence = DeviceEquivalence(topology, marks)
-        offered: List[Descriptor] = []
-        if node_kinds:
-            representatives = sorted(
-                members[0] for members in equivalence.class_members().values()
-            )
-            for kind in node_kinds:
-                offered.extend((kind, name) for name in representatives)
-        if session_kinds:
-            for link_id in equivalence.representative_links():
-                link = topology.link(link_id)
-                a, b = sorted((link.a, link.b))
-                for kind in session_kinds:
-                    if kind == "flap":
-                        offered.append(("flap", a, b))
-                    else:
-                        offered.append(("gray", a, b))
-                        offered.append(("gray", b, a))
-        return offered
+        return _descriptors(
+            kinds,
+            sorted(members[0] for members in equivalence.class_members().values()),
+            [topology.link(link_id) for link_id in equivalence.representative_links()],
+        )
 
     def extend(prefix: Tuple[Descriptor, ...], remaining: int) -> None:
         if remaining == 0:
@@ -312,4 +313,4 @@ def enumerate_event_scenarios(
         ledger.universe = len(event_universe(topology, kinds))
         ledger.brute = _sequence_count(ledger.universe, max_events)
         ledger.emitted = len(results)
-    return [scenario_from_descriptor(seq, converge_first) for seq in results]
+    return [scenario_from_descriptor(seq) for seq in results]

@@ -48,9 +48,6 @@ Event semantics, in SPVP terms:
 ``ReturnToService``
     Ends a drain: the node re-advertises its current best to all peers.
 
-``FlapStorm``
-    A batch of simultaneous session flaps (each as :class:`FailSession`).
-
 ``GrayFailure``
     A filter silently dropping updates in one direction: queued updates on
     the ``exporter → importer`` direction are lost and nothing further is
@@ -60,6 +57,11 @@ Event semantics, in SPVP terms:
     A named, staged sequence of the above (events applied in order) that is
     itself an initial event — campaigns, the CLI and the cache all traffic
     in ``Scenario`` values.
+
+The package builds its scenarios in one place: a descriptor such as
+``("crash", node)`` or ``("flap", a, b)`` names one event sequence, and
+:func:`repro.scenarios.enumerator.scenario_from_descriptor` builds it —
+for the enumerator, the ``--scenario`` specs and ``--fail-session`` alike.
 """
 
 from __future__ import annotations
@@ -73,14 +75,12 @@ from repro.protocols.spvp import SpvpState, SpvpStepper
 __all__ = [
     "Converge",
     "FailSession",
-    "FlapStorm",
     "GrayFailure",
     "MaintenanceDrain",
     "NodeCrash",
     "NodeRestart",
     "ReturnToService",
     "Scenario",
-    "maintenance_window",
     "split_at_overlay",
     "steady_state_after",
 ]
@@ -190,23 +190,6 @@ class ReturnToService:
 
 
 @dataclass(frozen=True)
-class FlapStorm:
-    """Initial event: several sessions flap at once, in the given order."""
-
-    sets_overlay: ClassVar[bool] = False
-
-    sessions: Tuple[Tuple[str, str], ...]
-
-    def apply(self, stepper: SpvpStepper, state: SpvpState) -> SpvpState:
-        for a, b in self.sessions:
-            state = stepper.fail_session(state, a, b)
-        return state
-
-    def describe(self) -> str:
-        return "flap-storm " + ", ".join(f"{a}<->{b}" for a, b in self.sessions)
-
-
-@dataclass(frozen=True)
 class GrayFailure:
     """Initial event: the ``exporter → importer`` direction silently drops
     route updates from now on (the importer keeps forwarding on stale state)."""
@@ -241,19 +224,6 @@ class Scenario:
         if not self.events:
             return "steady state"
         return "; ".join(event.describe() for event in self.events)
-
-
-def maintenance_window(node: str, converge_steps: int = 100_000) -> Scenario:
-    """The staged maintenance sequence: drain, let the network settle,
-    return to service — "what breaks during next week's maintenance?"."""
-    return Scenario(
-        events=(
-            MaintenanceDrain(node),
-            Converge(max_steps=converge_steps),
-            ReturnToService(node),
-        ),
-        name=f"maintenance {node}",
-    )
 
 
 def split_at_overlay(events) -> Tuple[Tuple[object, ...], Tuple[object, ...]]:

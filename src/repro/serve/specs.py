@@ -197,10 +197,18 @@ def transient_options_from_spec(spec: Optional[Mapping]):
 
 
 def check_transient_fields(payload: Mapping) -> None:
-    """Refuse a transient push whose transient or property spec sets a key
-    outside what the CLI sends, before it becomes a job."""
+    """Refuse a transient push before it becomes a job when its transient or
+    property spec sets a key outside what the CLI sends, or when it carries
+    its topology and a scenario or fail-session spec names no event on it."""
     _fields(payload.get("transient"), _TRANSIENT_FIELDS, "transient option")
     _fields(payload.get("property"), _PROPERTY_FIELDS, "transient property")
+    scenarios = payload.get("scenarios") or ()
+    if scenarios or payload.get("fail_session"):
+        topology = _payload_topology(payload)
+        if topology is not None:
+            for spec in scenarios:
+                _spec_descriptors(str(spec).split("+"), topology)
+            fail_session_events(payload.get("fail_session"), topology)
 
 
 def transient_property_from_spec(spec: Optional[Mapping], network: NetworkConfig):
@@ -227,80 +235,53 @@ def transient_property_from_spec(spec: Optional[Mapping], network: NetworkConfig
     )
 
 
-def fail_session_events(value: Optional[str], network: NetworkConfig) -> List[object]:
-    """``"a,b"`` → ``[Converge(), FailSession(a, b)]`` (empty for ``None``)."""
-    from repro.transient import Converge, FailSession
+def _spec_descriptors(parts: Sequence[str], topology):
+    """``KIND:ARGS`` parts → scenario descriptors, each checked against
+    ``topology`` (:func:`~repro.scenarios.enumerator.check_descriptor`)."""
+    from repro.scenarios.enumerator import check_descriptor
 
-    if not value:
-        return []
-    endpoints = [item.strip() for item in value.replace(":", ",").split(",") if item.strip()]
-    if len(endpoints) != 2:
-        raise SpecError("fail-session expects two devices, e.g. a,b")
-    for name in endpoints:
-        if name not in network.topology:
-            raise SpecError(f"unknown device {name!r} in fail-session")
-    return [Converge(), FailSession(endpoints[0], endpoints[1])]
-
-
-def scenario_from_spec(spec: str, network: NetworkConfig):
-    """Parse one lifecycle scenario spec string into a :class:`Scenario`.
-
-    A spec is ``+``-separated event parts, each ``KIND:ARGS``: ``crash:NODE``,
-    ``restart:NODE``, ``drain:NODE``, ``return:NODE``, ``maintenance:NODE``
-    (drain, settle, return), ``flap:A,B``, ``gray:EXPORTER,IMPORTER``.  The
-    scenario converges first, then stages the events in order.
-    """
-    from repro.scenarios import (
-        Converge,
-        FlapStorm,
-        GrayFailure,
-        MaintenanceDrain,
-        NodeCrash,
-        NodeRestart,
-        ReturnToService,
-        Scenario,
-    )
-
-    node_events = {
-        "crash": NodeCrash,
-        "restart": NodeRestart,
-        "drain": MaintenanceDrain,
-        "return": ReturnToService,
-    }
-    events: List[object] = []
-    for part in (piece.strip() for piece in spec.split("+")):
-        kind, sep, rest = part.partition(":")
-        kind = kind.strip()
-        rest = rest.strip()
+    descriptors = []
+    for part in parts:
+        kind, sep, rest = (piece.strip() for piece in part.partition(":"))
         if not sep or not rest:
             raise SpecError(
                 f"malformed scenario part {part!r}; expected KIND:ARGS "
                 "(e.g. crash:node or gray:a,b)"
             )
-        if kind in node_events or kind == "maintenance":
-            if rest not in network.topology:
-                raise SpecError(f"unknown device {rest!r} in scenario")
-            if kind == "maintenance":
-                events.extend((MaintenanceDrain(rest), Converge(), ReturnToService(rest)))
-            else:
-                events.append(node_events[kind](rest))
-        elif kind in ("flap", "gray"):
-            endpoints = [item.strip() for item in rest.split(",") if item.strip()]
-            if len(endpoints) != 2:
-                raise SpecError(f"scenario {kind} expects two devices, e.g. {kind}:a,b")
-            for name in endpoints:
-                if name not in network.topology:
-                    raise SpecError(f"unknown device {name!r} in scenario")
-            if kind == "flap":
-                events.append(FlapStorm(sessions=((endpoints[0], endpoints[1]),)))
-            else:
-                events.append(GrayFailure(endpoints[0], endpoints[1]))
-        else:
-            raise SpecError(
-                f"unknown scenario kind {kind!r}; choose from crash, restart, "
-                "drain, return, maintenance, flap, gray"
-            )
-    return Scenario(events=(Converge(),) + tuple(events), name=spec)
+        descriptor = (kind,) + tuple(item.strip() for item in rest.split(",") if item.strip())
+        check_descriptor(topology, descriptor)
+        descriptors.append(descriptor)
+    return descriptors
+
+
+def fail_session_events(value: Optional[str], topology) -> List[object]:
+    """``"a,b"`` → the events of the scenario ``flap:a,b`` on ``topology``:
+    converge, then flap the session (empty for ``None``)."""
+    from repro.scenarios.enumerator import scenario_from_descriptor
+
+    if not value:
+        return []
+    descriptors = _spec_descriptors(["flap:" + str(value).replace(":", ",")], topology)
+    return list(scenario_from_descriptor(descriptors).events)
+
+
+def scenario_from_spec(spec: str, network: NetworkConfig):
+    """Parse one lifecycle scenario spec string into a :class:`Scenario`
+    named by the spec.
+
+    A spec is ``+``-separated event parts, each ``KIND:ARGS`` — a scenario
+    descriptor of :mod:`repro.scenarios.enumerator`: ``crash:NODE``,
+    ``restart:NODE``, ``drain:NODE``, ``return:NODE``, ``drain-return:NODE``,
+    ``maintenance:NODE`` (drain, settle, return), ``flap:A,B``,
+    ``gray:EXPORTER,IMPORTER``.  The scenario converges first, then stages
+    the events in order.
+    """
+    import dataclasses
+
+    from repro.scenarios.enumerator import scenario_from_descriptor
+
+    descriptors = _spec_descriptors(spec.split("+"), network.topology)
+    return dataclasses.replace(scenario_from_descriptor(descriptors), name=spec)
 
 
 def scenarios_from_specs(
@@ -330,6 +311,24 @@ def _device_body(name: str, text: str) -> str:
     return text
 
 
+def _payload_topology(payload: Mapping):
+    """The topology a push carries (text or a JSON object), or ``None``."""
+    from repro.exceptions import ReproError
+    from repro.topology.io import parse_topology, topology_from_dict
+
+    raw_topology = payload.get("topology")
+    if raw_topology is None:
+        return None
+    if not isinstance(raw_topology, (str, Mapping)):
+        raise SpecError("topology must be topology text or a JSON object")
+    try:
+        if isinstance(raw_topology, str):
+            return parse_topology(raw_topology)
+        return topology_from_dict(dict(raw_topology))
+    except ReproError as exc:
+        raise SpecError(f"bad topology: {exc}") from exc
+
+
 def network_from_payload(
     payload: Mapping,
     current: Optional[NetworkConfig] = None,
@@ -352,22 +351,8 @@ def network_from_payload(
 
     from repro.config.parser import parse_config, parse_device_config
     from repro.exceptions import ReproError
-    from repro.topology.io import parse_topology, topology_from_dict
 
-    topology = None
-    raw_topology = payload.get("topology")
-    if raw_topology is not None:
-        try:
-            if isinstance(raw_topology, str):
-                topology = parse_topology(raw_topology)
-            elif isinstance(raw_topology, Mapping):
-                topology = topology_from_dict(dict(raw_topology))
-            else:
-                raise SpecError("topology must be topology text or a JSON object")
-        except SpecError:
-            raise
-        except ReproError as exc:
-            raise SpecError(f"bad topology: {exc}") from exc
+    topology = _payload_topology(payload)
 
     config_text = payload.get("config")
     devices = payload.get("devices")

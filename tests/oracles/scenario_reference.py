@@ -26,7 +26,6 @@ def brute_event_scenarios(
     topology: Topology,
     max_events: int,
     kinds: Sequence[str] = DEFAULT_EVENT_KINDS,
-    converge_first: bool = True,
 ) -> List[Scenario]:
     """Every ordered sequence of distinct events up to ``max_events`` long."""
     if max_events < 0:
@@ -45,4 +44,4 @@ def brute_event_scenarios(
             extend(sequence, remaining - 1)
 
     extend((), max_events)
-    return [scenario_from_descriptor(seq, converge_first) for seq in results]
+    return [scenario_from_descriptor(seq) for seq in results]

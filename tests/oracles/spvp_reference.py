@@ -33,7 +33,6 @@ from repro.protocols.spvp import Channel, SpvpEvent
 from repro.scenarios.events import (
     Converge,
     FailSession,
-    FlapStorm,
     GrayFailure,
     MaintenanceDrain,
     NodeCrash,
@@ -256,9 +255,6 @@ def apply_reference(simulator: ReferenceSpvpSimulator, event: object) -> None:
             steps += 1
     elif isinstance(event, FailSession):
         simulator.fail_session(event.a, event.b)
-    elif isinstance(event, FlapStorm):
-        for a, b in event.sessions:
-            simulator.fail_session(a, b)
     elif isinstance(event, NodeCrash):
         simulator.crash_node(event.node)
     elif isinstance(event, NodeRestart):

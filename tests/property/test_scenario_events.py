@@ -1,7 +1,7 @@
 """Cross-model oracle for the lifecycle event vocabulary (`repro.scenarios`).
 
 Every event type (node crash, restart, maintenance drain, return-to-service,
-flap storm, gray failure, staged scenarios) is implemented twice — in the
+session flaps, gray failure, staged scenarios) is implemented twice — in the
 package on the persistent :class:`SpvpStepper`, and in
 ``tests/oracles/spvp_reference.py`` on the dict/deque
 :class:`ReferenceSpvpSimulator` — and these tests pin the two bit-identical
@@ -18,14 +18,14 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.exceptions import ProtocolError
 from repro.scenarios import (
     Converge,
-    FlapStorm,
+    FailSession,
     GrayFailure,
     MaintenanceDrain,
     NodeCrash,
     NodeRestart,
     ReturnToService,
     Scenario,
-    maintenance_window,
+    scenario_from_descriptor,
     steady_state_after,
 )
 from repro.transient import TransientAnalyzer
@@ -59,7 +59,9 @@ def _events_for(kind, node, flap):
         return [settle, MaintenanceDrain(node), Converge(max_steps=3_000),
                 ReturnToService(node)]
     if kind == "flap-storm":
-        return [settle, FlapStorm(sessions=(flap, (flap[1], flap[0])))]
+        # Both directions of one session, flapped back to back.
+        storm = Scenario((FailSession(*flap), FailSession(flap[1], flap[0])), name="storm")
+        return [settle, storm]
     if kind == "gray":
         # From a cold start: the gray filter shapes the whole convergence.
         return [GrayFailure(*flap)]
@@ -112,12 +114,17 @@ class TestEventsAgainstDeepcopyOracle:
 
     @given(scenario=gadget_scenarios(), data=st.data())
     @settings(max_examples=20, deadline=None)
-    def test_maintenance_window_helper_is_bit_identical(self, scenario, data):
-        """The canned ``maintenance_window`` scenario behaves identically on
-        both models (its inner Converge included)."""
+    def test_settled_maintenance_is_bit_identical(self, scenario, data):
+        """A drain, a settle and a return to service, nested in a
+        ``Scenario`` behind the steady state, behave identically on both
+        models (the inner Converge included)."""
         edge_map, preferences, _flap = scenario
         node = data.draw(st.sampled_from(_nodes_of(edge_map)), label="drained node")
-        events = [Converge(max_steps=3_000), maintenance_window(node, 3_000)]
+        window = Scenario(
+            (MaintenanceDrain(node), Converge(max_steps=3_000), ReturnToService(node)),
+            name=f"maintenance {node}",
+        )
+        events = [Converge(max_steps=3_000), window]
         try:
             fast = _explore(
                 GadgetInstance("o", edge_map, preferences), "full", events
@@ -165,10 +172,11 @@ class TestFatTreeEvents:
         cases = {
             "crash": [Converge(), NodeCrash(spine)],
             "drain": [Converge(), MaintenanceDrain(spine)],
-            "maintenance": [Converge(), maintenance_window(spine)],
+            "maintenance": [scenario_from_descriptor([("maintenance", spine)])],
+            "drain-return": [scenario_from_descriptor([("drain-return", spine)])],
             "restart": [Converge(), NodeRestart(spine)],
             "gray": [GrayFailure(origin, neighbor)],
-            "flap-storm": [Converge(), FlapStorm(((origin, neighbor),))],
+            "flap": [scenario_from_descriptor([("flap", origin, neighbor)])],
         }
         for label, events in cases.items():
             fast = TransientAnalyzer(

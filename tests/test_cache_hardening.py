@@ -465,12 +465,12 @@ class TestAddressFreeKeys:
         from repro.scenarios.events import (
             Converge,
             FailSession,
-            FlapStorm,
             GrayFailure,
             MaintenanceDrain,
             NodeCrash,
             NodeRestart,
             ReturnToService,
+            Scenario,
         )
         from repro.transient.properties import (
             AlwaysReaches,
@@ -497,7 +497,7 @@ class TestAddressFreeKeys:
             NodeRestart("a"),
             MaintenanceDrain("a"),
             ReturnToService("a"),
-            FlapStorm((("a", "b"), ("b", "c"))),
+            Scenario((FailSession("a", "b"), FailSession("b", "c")), name="storm"),
             GrayFailure("a", "b"),
         ]
         classes = {type(value) for value in objects}

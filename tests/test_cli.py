@@ -553,6 +553,23 @@ class TestTransientScenarioFlags:
         assert code == EXIT_ERROR
         assert "unknown device" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--scenario", "flap:o,a"),
+            ("--scenario", "gray:o,a"),
+            ("--scenario", "gray:a,a"),
+            ("--fail-session", "o,a"),
+        ],
+        ids=["flap-no-link", "gray-no-link", "gray-one-device", "fail-session-no-link"],
+    )
+    def test_a_session_event_must_name_a_session(self, bgp_workspace, capsys, flags):
+        """No link joins ``o`` and ``a`` on the square, and a device has no
+        session with itself: such an event used to verify as HOLDS over one
+        state."""
+        assert _run(self._args(bgp_workspace, *flags)) == EXIT_ERROR
+        assert "no link joins" in capsys.readouterr().err
+
     def test_malformed_scenario_spec_is_an_input_error(self, bgp_workspace, capsys):
         assert _run(self._args(bgp_workspace, "--scenario", "crash")) == EXIT_ERROR
         capsys.readouterr()

@@ -8,7 +8,13 @@ import pytest
 from repro import OptimizationFlags, Plankton, PlanktonOptions
 from repro.config import ConfigBuilder, ebgp_rfc7938, ibgp_over_ospf, ospf_everywhere
 from repro.config.builder import edge_prefix, install_loop_inducing_statics
-from repro.config.objects import MatchConditions, RouteMap, RouteMapClause, SetActions
+from repro.config.objects import (
+    MatchConditions,
+    OspfInterface,
+    RouteMap,
+    RouteMapClause,
+    SetActions,
+)
 from repro.core.network_model import DependencyContext
 from repro.exceptions import VerificationError
 from repro.incremental.service import SIGNATURE_EXCLUDED, result_signature_digest
@@ -137,47 +143,95 @@ class TestFailures:
         assert reduced.holds == full.holds
         assert reduced.failure_scenarios < full.failure_scenarios
 
-    @pytest.mark.parametrize(
-        "links",
-        [
-            pytest.param(
-                [("s", "b"), ("s", "a"), ("b", "d"), ("a", "d")],
-                id="b-links-first",
-                marks=pytest.mark.xfail(
-                    strict=True, reason="ROADMAP 9(a): LEC colour ignores configuration"
-                ),
-            ),
-            pytest.param([("s", "a"), ("s", "b"), ("a", "d"), ("b", "d")], id="a-links-first"),
-        ],
-    )
-    def test_failure_equivalence_tells_a_router_from_a_bystander(self, links):
-        """``a`` and ``b`` sit alike between ``s`` and ``d``, but only ``a``
-        runs OSPF: losing either ``a`` link cuts ``s`` off, losing a ``b``
-        link changes nothing.  The reduction colours devices by topology and
-        originated prefixes only, merges the two, and keeps whichever link it
-        meets first — so the verdict follows the order links were declared in."""
+    #: ``a`` and ``b`` sit alike between ``s`` and ``d``; the two orders in
+    #: which their links can be declared.
+    SQUARE_ORDERS = [
+        pytest.param([("s", "b"), ("s", "a"), ("b", "d"), ("a", "d")], id="b-links-first"),
+        pytest.param([("s", "a"), ("s", "b"), ("a", "d"), ("b", "d")], id="a-links-first"),
+    ]
+
+    @staticmethod
+    def _network(links, ospf=("s", "a", "b", "d")):
         topology = Topology("router-and-bystander")
-        for name in ("s", "a", "b", "d"):
-            topology.add_node(name)
+        for name in ("s", "a", "b", "d", "x", "y"):
+            if any(name in link for link in links):
+                topology.add_node(name)
         for one, other in links:
             topology.add_link(one, other)
         builder = ConfigBuilder(topology)
-        builder.enable_ospf("s").enable_ospf("a").enable_ospf("d", [Prefix("10.0.0.0/24")])
-        network = builder.build()
+        for name in ospf:
+            builder.enable_ospf(name, [Prefix("10.0.0.0/24")] if name == "d" else ())
+        return builder.build()
+
+    @staticmethod
+    def _reduction_keeps_the_violations(network, policy, expected):
+        """The reduced run finds the violations the unreduced run finds."""
 
         def violating(flags):
             options = PlanktonOptions(
                 max_failures=1, stop_at_first_violation=False, optimizations=flags
             )
-            result = Plankton(network, options).verify(Reachability(sources=["s"]))
+            result = Plankton(network, options).verify(policy)
             return result.holds, {
                 (violation.pec_index, violation.failure_description)
                 for violation in result.violations
             }
 
         unreduced = violating(OptimizationFlags().without(failure_equivalence=True))
-        assert unreduced == (False, {(0, "failed: a--d"), (0, "failed: s--a")})
+        assert unreduced == (False, expected)
         assert violating(OptimizationFlags()) == unreduced
+
+    @pytest.mark.parametrize("links", SQUARE_ORDERS)
+    def test_failure_equivalence_tells_a_router_from_a_bystander(self, links):
+        """Only ``a`` runs OSPF: losing either ``a`` link cuts ``s`` off,
+        losing a ``b`` link changes nothing.  The device colour reads the
+        processes a device runs, so the reduction keeps ``a`` and ``b``
+        apart whichever link it meets first."""
+        network = self._network(links, ospf=("s", "a", "d"))
+        self._reduction_keeps_the_violations(
+            network, Reachability(sources=["s"]), {(0, "failed: a--d"), (0, "failed: s--a")}
+        )
+
+    @pytest.mark.parametrize("links", SQUARE_ORDERS)
+    def test_failure_equivalence_tells_a_passive_interface_apart(self, links):
+        """Both run OSPF, but ``b``'s interface towards ``d`` is passive, so
+        ``b`` forms no adjacency with ``d``: as with the bystander, only the
+        ``a`` links matter.  The passive flag is part of the link's weight
+        pair in the refinement."""
+        network = self._network(links)
+        network.device("b").ospf.interfaces["d"] = OspfInterface("d", passive=True)
+        self._reduction_keeps_the_violations(
+            network, Reachability(sources=["s"]), {(0, "failed: a--d"), (0, "failed: s--a")}
+        )
+
+    @pytest.mark.parametrize(
+        "links",
+        [
+            pytest.param(
+                [("s", "b"), ("s", "a"), ("b", "d"), ("a", "d"), ("b", "y"), ("y", "d"),
+                 ("a", "x"), ("x", "d")],
+                id="b-links-first",
+            ),
+            pytest.param(
+                [("s", "a"), ("s", "b"), ("a", "d"), ("b", "d"), ("a", "x"), ("x", "d"),
+                 ("b", "y"), ("y", "d")],
+                id="a-links-first",
+            ),
+        ],
+    )
+    def test_failure_equivalence_tells_a_cost_override_apart(self, links):
+        """``a`` and ``b`` each reach ``d`` directly and through a detour, but
+        ``b`` prices its direct link at 10, so ``s`` forwards through ``a``
+        in two hops.  Losing an ``a`` link leaves only three-hop paths;
+        losing a ``b`` link changes nothing.  The cost override is part of
+        the link's weight pair in the refinement."""
+        network = self._network(links, ospf=("s", "a", "b", "d", "x", "y"))
+        network.device("b").ospf.interfaces["d"] = OspfInterface("d", cost=10)
+        self._reduction_keeps_the_violations(
+            network,
+            BoundedPathLength(max_hops=2, sources=["s"]),
+            {(0, "failed: a--d"), (0, "failed: s--a")},
+        )
 
 
 class TestBgpDataCenter:

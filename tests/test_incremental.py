@@ -1024,16 +1024,22 @@ class TestReviewRegressions:
         assert warm.incremental.pecs_from_cache == 0
         assert result_signature(warm) == result_signature(cold["agg0_0"])
 
-    def test_transient_cache_keys_a_maintenance_window_by_its_settle_budget(self):
-        """``maintenance_window(node, converge_steps)`` names the scenario
-        after the node alone; a different settle budget is a different key."""
-        from repro.scenarios import maintenance_window
+    def test_transient_cache_keys_a_maintenance_by_its_settle_budget(self):
+        """Two scenarios under one name that differ only in the settle
+        budget of their inner ``Converge`` are two keys."""
+        from repro.scenarios import Converge, MaintenanceDrain, ReturnToService, Scenario
+
+        def maintenance(max_steps):
+            drain, back = MaintenanceDrain("agg0_0"), ReturnToService("agg0_0")
+            return Scenario(
+                (Converge(), drain, Converge(max_steps), back), name="maintenance agg0_0"
+            )
 
         network = ebgp_rfc7938(bgp_fat_tree(4))
         pec = next(pec for pec in Plankton(network).pecs if pec.has_bgp())
         service = IncrementalVerifier(network)
-        self._crash_campaign(service, pec, maintenance_window("agg0_0"))
-        again = self._crash_campaign(service, pec, maintenance_window("agg0_0"))
+        self._crash_campaign(service, pec, maintenance(100_000))
+        again = self._crash_campaign(service, pec, maintenance(100_000))
         assert again.incremental.pecs_from_cache == 1
-        other = self._crash_campaign(service, pec, maintenance_window("agg0_0", converge_steps=5))
+        other = self._crash_campaign(service, pec, maintenance(5))
         assert other.incremental.pecs_from_cache == 0

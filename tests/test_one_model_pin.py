@@ -82,6 +82,12 @@ GONE = {
     "campaign_request",
     "analyze_pec_transients_over_failures",
     "keep_data_planes",
+    # One scenario grammar: every scenario is built from descriptors, and a
+    # session flap is one ``FailSession`` wherever it is spelled.
+    "FlapStorm",
+    "maintenance_window",
+    "converge_first",
+    "converge_steps",
 }
 
 

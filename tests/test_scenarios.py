@@ -2,7 +2,8 @@
 
 Three layers:
 
-* unit tests of the event vocabulary and the enumerator mechanics (universe
+* unit tests of the event vocabulary, the one scenario grammar and the
+  enumerator mechanics (universe
   construction, canonical ordering of commuting events, ledger accounting,
   error cases);
 * the brute-force oracle (the satellite pin): on two topology families —
@@ -22,8 +23,8 @@ from repro.core.options import PlanktonOptions
 from repro.core.verifier import Plankton
 from repro.engine import faults
 from repro.engine.faults import FaultPlan, FaultSpec
-from repro.engine.graph import event_scenarios_for_pec
-from repro.exceptions import ProtocolError, TopologyError
+from repro.engine.graph import event_scenarios_for_pec, network_symmetry
+from repro.exceptions import ProtocolError, SpecError, TopologyError
 from repro.scenarios import (
     Converge,
     FailSession,
@@ -37,6 +38,8 @@ from repro.scenarios import (
     event_universe,
     scenario_from_descriptor,
 )
+from repro.scenarios.enumerator import EVENT_KINDS, _EVENTS
+from repro.serve.specs import fail_session_events, scenario_from_spec
 from repro.topology.generators import linear_chain
 from repro.topology.io import parse_topology
 from repro.transient import (
@@ -123,14 +126,21 @@ class TestScenarioConstruction:
         assert scenario.events[1] == NodeCrash("m")
         assert scenario.events[2] == GrayFailure("a", "b")
 
-    def test_maintenance_descriptor_is_a_staged_pair(self):
+    def test_maintenance_descriptor_settles_between_drain_and_return(self):
         scenario = scenario_from_descriptor((("maintenance", "m"),))
-        assert scenario.events[1] == MaintenanceDrain("m")
-        assert scenario.events[2] == ReturnToService("m")
+        assert scenario.name == "maintenance m"
+        assert scenario.events == (
+            Converge(), MaintenanceDrain("m"), Converge(), ReturnToService("m")
+        )
+
+    def test_drain_return_descriptor_is_the_unsettled_pair(self):
+        scenario = scenario_from_descriptor((("drain-return", "m"),))
+        assert scenario.name == "drain-return m"
+        assert scenario.events == (Converge(), MaintenanceDrain("m"), ReturnToService("m"))
 
     def test_flap_descriptor_uses_fail_session(self):
-        scenario = scenario_from_descriptor((("flap", "a", "b"),), converge_first=False)
-        assert scenario.events == (FailSession("a", "b"),)
+        scenario = scenario_from_descriptor((("flap", "a", "b"),))
+        assert scenario.events == (Converge(), FailSession("a", "b"))
 
     def test_empty_descriptor_is_the_steady_state(self):
         scenario = scenario_from_descriptor(())
@@ -140,6 +150,99 @@ class TestScenarioConstruction:
     def test_staged_scenario_describes_its_events(self):
         scenario = Scenario(events=(NodeCrash("x"), MaintenanceDrain("y")))
         assert scenario.describe() == "crash x; drain y"
+
+
+#: One spec of every kind on the square (links o-m, m-a, m-b, a-b), with the
+#: descriptors it must parse to.
+SPECS = {
+    "crash:m": [("crash", "m")],
+    "restart:m": [("restart", "m")],
+    "drain:a": [("drain", "a")],
+    "return:a": [("return", "a")],
+    "drain-return:a": [("drain-return", "a")],
+    "maintenance:a": [("maintenance", "a")],
+    "flap:o,m": [("flap", "o", "m")],
+    "flap:m,o": [("flap", "m", "o")],
+    "gray:a,b": [("gray", "a", "b")],
+    "gray:b,a": [("gray", "b", "a")],
+    "drain:a+return:a": [("drain", "a"), ("return", "a")],
+    "crash:m + gray:a,b": [("crash", "m"), ("gray", "a", "b")],
+}
+
+
+class TestOneGrammar:
+    """Every front end builds a scenario from descriptors, so one word
+    names one event sequence wherever it is spelled."""
+
+    def test_every_spec_builds_the_events_of_its_descriptors(self):
+        network = _square_network()
+        kinds = {descriptor[0] for descriptors in SPECS.values() for descriptor in descriptors}
+        assert kinds == set(_EVENTS)
+        for spec, descriptors in SPECS.items():
+            scenario = scenario_from_spec(spec, network)
+            assert scenario.name == spec
+            assert scenario.events == scenario_from_descriptor(descriptors).events, spec
+
+    def test_the_fail_session_form_is_a_flap(self):
+        network = _square_network()
+        for value in ("o,m", "o:m", " o , m "):
+            assert tuple(fail_session_events(value, network.topology)) == (
+                scenario_from_spec("flap:o,m", network).events
+            )
+
+    def test_no_two_scenarios_with_one_label_build_different_events(self):
+        """A walk over every constructor: each descriptor kind, each spec
+        kind, the ``--fail-session`` form (under the label of the spec it
+        stands for) and the enumerator's output at k <= 2 on the square and
+        on the fat tree k=4."""
+        events_by_label = {}
+
+        def record(label, events):
+            events_by_label.setdefault(label, set()).add(tuple(events))
+
+        for network in (_square_network(), _fat_tree_network()):
+            topology = network.topology
+            for kind in _EVENTS:
+                universe = event_universe(topology, [kind]) if kind in EVENT_KINDS else [
+                    (kind, node) for node in sorted(topology.nodes)
+                ]
+                assert universe
+                for descriptor in universe:
+                    scenario = scenario_from_descriptor([descriptor])
+                    record(scenario.name, scenario.events)
+                    spec = f"{kind}:{','.join(descriptor[1:])}"
+                    record(spec, scenario_from_spec(spec, network).events)
+            for link in topology.links:
+                record(f"flap:{link.a},{link.b}",
+                       fail_session_events(f"{link.a},{link.b}", topology))
+            for max_events in (1, 2):
+                for scenario in enumerate_event_scenarios(topology, max_events):
+                    record(scenario.name, scenario.events)
+        assert len(events_by_label) > 1000
+        clashes = {label: events for label, events in events_by_label.items() if len(events) > 1}
+        assert clashes == {}
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("flap:o,a", "no link joins o and a"),
+            ("gray:o,a", "no link joins o and a"),
+            ("gray:a,a", "no link joins a and a"),
+            ("flap:o", "expects two devices"),
+            ("crash:o,m", "expects one device"),
+            ("crash:zz", "unknown device"),
+            ("meteor:m", "unknown scenario kind"),
+            ("crash", "malformed scenario part"),
+        ],
+    )
+    def test_a_spec_that_names_no_event_is_refused(self, spec, message):
+        with pytest.raises(SpecError, match=message):
+            scenario_from_spec(spec, _square_network())
+
+    @pytest.mark.parametrize("value", ["o,a", "a,a", "o"])
+    def test_a_fail_session_that_names_no_session_is_refused(self, value):
+        with pytest.raises(SpecError):
+            fail_session_events(value, _square_network().topology)
 
 
 class TestCanonicalOrdering:
@@ -155,7 +258,7 @@ class TestCanonicalOrdering:
             kinds=("crash",),
             # Pin every node into its own class so only the ordering
             # canonicalisation (not DEC symmetry) reduces anything.
-            interesting_nodes=sorted(topology.nodes),
+            colors={name: name for name in topology.nodes},
             ledger=ledger,
         )
         names = {scenario.name for scenario in scenarios}
@@ -213,7 +316,7 @@ def _oracle_case(network, max_events, kinds, max_depth):
     instance = _bgp_instance(network, pec)
     ledger = ScenarioLedger()
     reduced = event_scenarios_for_pec(
-        network,
+        network_symmetry(network),
         pec,
         TransientOptions(scenario_events=max_events, scenario_kinds=kinds),
         ledger=ledger,
@@ -234,7 +337,7 @@ class TestBruteForceOracle:
 
     def test_square_k1_all_kinds(self):
         ledger = _oracle_case(
-            _square_network(), 1, ("crash", "restart", "drain", "maintenance",
+            _square_network(), 1, ("crash", "restart", "drain", "drain-return",
                                    "flap", "gray"), max_depth=10
         )
         # The square's only symmetry is the a/b pair, so the reduction is
@@ -246,7 +349,7 @@ class TestBruteForceOracle:
 
     def test_fat_tree_k1_node_kinds(self):
         ledger = _oracle_case(
-            _fat_tree_network(), 1, ("crash", "drain", "maintenance"), max_depth=6
+            _fat_tree_network(), 1, ("crash", "drain", "drain-return"), max_depth=6
         )
         # The fat tree's symmetry makes the reduction dramatic.
         assert ledger.emitted * 2 <= ledger.brute

@@ -204,7 +204,7 @@ class TestEndToEnd:
         campaign = service.verify_transients(
             [transient_property_from_spec(None, network)],
             transient=transient_options_from_spec({"max_states": 2000}),
-            initial_events=fail_session_events("o,m", network),
+            initial_events=fail_session_events("o,m", network.topology),
             pecs=[pec for pec in service.plankton.pecs if pec.has_bgp()],
         )
         assert result["signature"] == result_signature_digest(campaign)
@@ -472,6 +472,52 @@ class TestHttpErrors:
         assert client.metrics()["jobs_submitted"] == submitted
         with pytest.raises(ServiceError, match="unknown namespace"):
             client.namespace(namespace)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("scenarios", ["flap:o,a"]),
+            ("scenarios", ["crash:m+gray:a,a"]),
+            ("fail_session", "o,a"),
+        ],
+        ids=["flap-no-link", "gray-one-device", "fail-session-no-link"],
+    )
+    def test_a_session_event_that_names_no_session_is_400_and_queues_nothing(
+        self, server, client, field, value
+    ):
+        namespace = f"nosession-{field}"
+        payload = {
+            "kind": "transient",
+            "topology": TOPOLOGY_TEXT,
+            "config": CONFIG_TEXT,
+            "transient": {"max_states": 100},
+            field: value,
+        }
+        submitted = client.metrics()["jobs_submitted"]
+        request = urllib.request.Request(
+            server.url + f"/v1/namespaces/{namespace}/push",
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        assert "no link joins" in json.loads(excinfo.value.read())["error"]
+        assert client.metrics()["jobs_submitted"] == submitted
+
+    def test_a_session_event_on_a_run_only_push_fails_the_job(self, client):
+        """A push without its topology is checked against the session's
+        network when its job runs."""
+        client.run("nosession-rerun", {"kind": "transient", "topology": TOPOLOGY_TEXT,
+                                       "config": CONFIG_TEXT, "transient": {"max_states": 100}},
+                   timeout=120)
+        document = client.run(
+            "nosession-rerun",
+            {"kind": "transient", "transient": {"max_states": 100}, "scenarios": ["flap:o,a"]},
+            timeout=120,
+        )
+        assert document["state"] == "failed"
+        assert "no link joins o and a" in document["error"]
 
     def test_first_push_without_config_fails_clearly(self, client):
         document = client.run(

@@ -782,7 +782,7 @@ class TestWitnessPrefixDocument:
         each violation's ``witness_prefix + witness`` is the witness a fresh
         analyzer finds from the cold start, one per (scenario, prefix)."""
         from repro.core.network_model import DependencyContext, PecExplorer
-        from repro.engine.graph import event_scenarios_for_pec
+        from repro.engine.graph import event_scenarios_for_pec, network_symmetry
         from repro.topology.failures import FailureScenario
 
         network, _result, document = campaign
@@ -793,7 +793,7 @@ class TestWitnessPrefixDocument:
             pec = pecs[run["pec_index"]]
             scenario = {
                 scenario.describe(): scenario
-                for scenario in event_scenarios_for_pec(network, pec, options)
+                for scenario in event_scenarios_for_pec(network_symmetry(network), pec, options)
             }[run["scenario"]]
             instance = PecExplorer(
                 network,

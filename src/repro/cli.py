@@ -637,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     transient.add_argument(
         "--fail-session",
-        help="converge, then flap the session between these two linked devices (A,B)",
+        help="converge, then flap the BGP session between these two peers (A,B)",
     )
     transient.add_argument(
         "--scenario",
@@ -647,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
             "KIND:ARGS parts joined with + (crash:NODE, restart:NODE, "
             "drain:NODE, return:NODE, drain-return:NODE (no settle), "
             "maintenance:NODE (drain, settle, return), flap:A,B, gray:A,B; "
-            "A and B must share a link); repeatable, one campaign scenario per flag"
+            "A and B must peer over BGP); repeatable, one campaign scenario per flag"
         ),
     )
     transient.add_argument(

@@ -35,7 +35,7 @@ from repro.topology.failures import FailureScenario
 
 if TYPE_CHECKING:
     from repro.core.network_model import ConvergedOutcome, DependencyContext, PecExplorer
-    from repro.engine.graph import TaskGraph
+    from repro.engine.graph import NetworkSymmetry, TaskGraph
     from repro.transient.explorer import TransientCampaignResult, TransientOptions
     from repro.transient.properties import TransientProperty
 
@@ -81,6 +81,15 @@ class Plankton:
 
         return PecExplorer
 
+    @cached_property
+    def symmetry(self) -> "NetworkSymmetry":
+        """What the failure and event reductions read of this configuration
+        beyond one PEC (:func:`~repro.engine.graph.network_symmetry`), built
+        on the first expansion and kept for every later request."""
+        from repro.engine.graph import network_symmetry
+
+        return network_symmetry(self.network)
+
     def pec_by_index(self, index: int) -> PacketEquivalenceClass:
         """The PEC with partition index ``index``."""
         return self._pec_by_index[index]
@@ -103,7 +112,7 @@ class Plankton:
             raise VerificationError("at least one policy is required")
         relevant = [pec for pec in self.pecs if any(p.applies_to(pec) for p in policy_list)]
         graph = build_task_graph(
-            self.network,
+            self.symmetry,
             self.pecs,
             self.dependency_graph,
             policy_list,
@@ -178,7 +187,7 @@ class Plankton:
             initial_events=tuple(initial_events),
         )
         return build_transient_task_graph(
-            self.network, target, self.options, config, failures=failures, scenarios=scenarios
+            self.symmetry, target, self.options, config, failures=failures, scenarios=scenarios
         )
 
     def verify_transients(

@@ -184,11 +184,11 @@ class NetworkSymmetry(NamedTuple):
     """What the symmetry reductions read of a network beyond one PEC.
 
     Attributes:
-        topology: The topology with each link's weight pair as OSPF reads
-            it: a cost override replaces the link weight, and a passive
-            interface's weight is ``(cost, "passive")``.  It is the network's
-            own topology when no interface is configured, so its rows and
-            equitable partition are cached beside :meth:`Topology.compiled`.
+        topology: A copy of the topology with each link's weight pair as
+            OSPF reads it: a cost override replaces the link weight, and a
+            passive interface's weight is ``(cost, "passive")``.  Its link
+            ids are the network's, and its rows and equitable partition are
+            cached beside :meth:`Topology.compiled`.
         device_colors: Per device, the processes it runs and its OSPF
             settings that name no device (``redistribute_static``).  The most
             common colour is left out, so a network whose devices all run
@@ -208,22 +208,19 @@ def _ospf_weight(device, neighbor: str, weight):
 
 
 def network_symmetry(network) -> NetworkSymmetry:
-    """Build :class:`NetworkSymmetry` for ``network``: once per task-graph
-    expansion, never once per PEC."""
-    topology = network.topology
-    devices = network.devices.values()
-    if any(device.ospf is not None and device.ospf.interfaces for device in devices):
-        weighted = Topology(topology.name)
-        for name in topology.nodes:
-            weighted.add_node(name)
-        for link in topology.links:
-            weighted.add_link(
-                link.a,
-                link.b,
-                weight=_ospf_weight(network.device(link.a), link.b, link.weight_ab),
-                weight_ba=_ospf_weight(network.device(link.b), link.a, link.weight_ba),
-            )
-        topology = weighted
+    """Build :class:`NetworkSymmetry` for ``network``: once per network
+    (:attr:`Plankton.symmetry <repro.core.verifier.Plankton.symmetry>`),
+    never once per PEC or per request."""
+    topology = Topology(network.topology.name)
+    for name in network.topology.nodes:
+        topology.add_node(name)
+    for link in network.topology.links:
+        topology.add_link(
+            link.a,
+            link.b,
+            weight=_ospf_weight(network.device(link.a), link.b, link.weight_ab),
+            weight_ba=_ospf_weight(network.device(link.b), link.a, link.weight_ba),
+        )
     colors = {
         name: (
             device.ospf is not None,
@@ -289,14 +286,15 @@ def failure_scenarios_for_pec(
 
 # --------------------------------------------------------------------------- builder
 def build_task_graph(
-    network,
+    symmetry: NetworkSymmetry,
     pecs: Sequence[PacketEquivalenceClass],
     dependency_graph: PecDependencyGraph,
     policies: Sequence[Policy],
     options: PlanktonOptions,
     relevant: Sequence[PacketEquivalenceClass],
 ) -> TaskGraph:
-    """Expand a verification request into the task graph.
+    """Expand a verification request on the network ``symmetry`` was built
+    from (:func:`network_symmetry`) into the task graph.
 
     ``relevant`` are the PECs at least one policy applies to; the closure
     of their dependencies decides between the edge-free independent
@@ -312,24 +310,23 @@ def build_task_graph(
     )
 
     if not has_dependencies:
-        _expand_independent(graph, network, policies, options, relevant)
+        _expand_independent(graph, symmetry, policies, options, relevant)
     else:
         _expand_dependent(
-            graph, network, pecs, dependency_graph, policies, options, relevant, needed
+            graph, symmetry, pecs, dependency_graph, policies, options, relevant, needed
         )
     return graph
 
 
 def _expand_independent(
     graph: TaskGraph,
-    network,
+    symmetry: NetworkSymmetry,
     policies: Sequence[Policy],
     options: PlanktonOptions,
     relevant: Sequence[PacketEquivalenceClass],
 ) -> None:
     """Edge-free expansion: every (PEC, failure) pair is a free task."""
     scenario_count = 0
-    symmetry = network_symmetry(network)
     for pec in relevant:
         scenarios = failure_scenarios_for_pec(symmetry, pec, policies, options)
         scenario_count = max(scenario_count, len(scenarios))
@@ -342,7 +339,7 @@ def _expand_independent(
 
 def _expand_dependent(
     graph: TaskGraph,
-    network,
+    symmetry: NetworkSymmetry,
     pecs: Sequence[PacketEquivalenceClass],
     dependency_graph: PecDependencyGraph,
     policies: Sequence[Policy],
@@ -360,7 +357,7 @@ def _expand_dependent(
     """
     relevant_indices = {pec.index for pec in relevant}
     schedule = restrict_schedule(dependency_graph, needed)
-    scenarios = enumerate_failure_scenarios(network.topology, options.max_failures)
+    scenarios = enumerate_failure_scenarios(symmetry.topology, options.max_failures)
     graph.failure_scenarios = len(scenarios)
 
     for failure in scenarios:
@@ -420,14 +417,15 @@ def event_scenarios_for_pec(
 
 
 def build_transient_task_graph(
-    network,
+    symmetry: NetworkSymmetry,
     pecs: Sequence[PacketEquivalenceClass],
     options: PlanktonOptions,
     transient,
     failures: Optional[Sequence[FailureScenario]] = None,
     scenarios: Optional[Sequence[object]] = None,
 ) -> TaskGraph:
-    """Expand a transient campaign over ``pecs`` into one task graph.
+    """Expand a transient campaign over ``pecs`` of the network ``symmetry``
+    was built from into one task graph.
 
     One task per (PEC, failure scenario), PEC-major in the order given —
     the unit :func:`build_task_graph` uses.  ``transient`` is the picklable
@@ -451,7 +449,6 @@ def build_transient_task_graph(
     import dataclasses
 
     graph = TaskGraph()
-    symmetry = network_symmetry(network)
     for pec in pecs:
         failure_list = (
             list(failures)

@@ -30,7 +30,7 @@ another.  Two reductions are applied, both *before* any exploration runs:
 The descriptor is the one representation of a lifecycle scenario: the
 enumerator emits descriptor tuples, the ``--scenario`` and ``--fail-session``
 specs parse to them, :func:`check_descriptor` checks them against the
-topology, and :func:`scenario_from_descriptor` turns them into
+network, and :func:`scenario_from_descriptor` turns them into
 :class:`~repro.scenarios.events.Scenario` values.  Non-empty scenarios lead
 with a :class:`~repro.scenarios.events.Converge` so each one perturbs the
 canonical steady state, mirroring the established session-flap workflow.
@@ -61,8 +61,8 @@ from repro.topology.graph import Topology
 
 #: The one scenario grammar: every descriptor kind and the events it builds
 #: (after the ``Converge`` a non-empty scenario leads with).  A node kind
-#: names one device, a session kind the two ends of a link (``gray`` from
-#: exporter to importer).  The spec strings of ``--scenario`` and
+#: names one device, a session kind the two ends of a BGP session (``gray``
+#: from exporter to importer).  The spec strings of ``--scenario`` and
 #: ``--fail-session`` parse to these descriptors too.
 _NODE_EVENTS = {
     "crash": lambda node: (NodeCrash(node),),
@@ -143,11 +143,18 @@ def describe_descriptor(descriptor: Descriptor) -> str:
     return f"gray {descriptor[1]}->{descriptor[2]}"
 
 
-def check_descriptor(topology: Topology, descriptor: Descriptor) -> None:
+def _peers(network, a: str, b: str) -> bool:
+    """Whether ``a`` configures a BGP session towards ``b``."""
+    bgp = network.device(a).bgp
+    return bgp is not None and bgp.neighbor(b) is not None
+
+
+def check_descriptor(network, descriptor: Descriptor) -> None:
     """Refuse, with a :class:`SpecError`, a descriptor the grammar cannot
-    build on ``topology``: an unknown kind, the wrong number of devices, an
-    unknown device, or a session event whose ends no link joins (the links
-    :func:`event_universe` draws sessions from)."""
+    build on ``network``: an unknown kind, the wrong number of devices, an
+    unknown device, or a session event whose two devices do not both
+    configure the BGP session between them (the sessions the SPVP explorer
+    fails; an iBGP session needs no link)."""
     kind, names = descriptor[0], descriptor[1:]
     if kind not in _EVENTS:
         raise SpecError(f"unknown scenario kind {kind!r}; choose from {', '.join(_EVENTS)}")
@@ -156,11 +163,12 @@ def check_descriptor(topology: Topology, descriptor: Descriptor) -> None:
     if kind in _SESSION_EVENTS and len(names) != 2:
         raise SpecError(f"scenario {kind} expects two devices, e.g. {kind}:a,b")
     for name in names:
-        if name not in topology:
+        if name not in network.topology:
             raise SpecError(f"unknown device {name!r} in scenario")
-    if kind in _SESSION_EVENTS and not topology.links_between(*names):
+    if kind in _SESSION_EVENTS:
         a, b = names
-        raise SpecError(f"scenario {kind} names no session: no link joins {a} and {b}")
+        if a == b or not (_peers(network, a, b) and _peers(network, b, a)):
+            raise SpecError(f"scenario {kind} names no session: {a} and {b} do not peer over BGP")
 
 
 def _descriptor_events(descriptor: Descriptor) -> Tuple[object, ...]:

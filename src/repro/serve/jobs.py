@@ -183,7 +183,7 @@ def run_request(verifier, network, kind: str, payload: Mapping, delta=None) -> R
 
     transient_options = transient_options_from_spec(payload.get("transient"))
     prop = transient_property_from_spec(payload.get("property"), network)
-    initial_events = fail_session_events(payload.get("fail_session"), network.topology)
+    initial_events = fail_session_events(payload.get("fail_session"), network)
     scenarios = scenarios_from_specs(payload.get("scenarios"), network)
     destination = parse_destination_prefix(payload.get("destination_prefix"))
 

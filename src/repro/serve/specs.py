@@ -199,16 +199,17 @@ def transient_options_from_spec(spec: Optional[Mapping]):
 def check_transient_fields(payload: Mapping) -> None:
     """Refuse a transient push before it becomes a job when its transient or
     property spec sets a key outside what the CLI sends, or when it carries
-    its topology and a scenario or fail-session spec names no event on it."""
+    its full network and a scenario or fail-session spec names no event on
+    it."""
     _fields(payload.get("transient"), _TRANSIENT_FIELDS, "transient option")
     _fields(payload.get("property"), _PROPERTY_FIELDS, "transient property")
     scenarios = payload.get("scenarios") or ()
     if scenarios or payload.get("fail_session"):
-        topology = _payload_topology(payload)
-        if topology is not None:
+        if payload.get("topology") is not None and payload.get("config") is not None:
+            network = network_from_payload(payload)
             for spec in scenarios:
-                _spec_descriptors(str(spec).split("+"), topology)
-            fail_session_events(payload.get("fail_session"), topology)
+                scenario_from_spec(str(spec), network)
+            fail_session_events(payload.get("fail_session"), network)
 
 
 def transient_property_from_spec(spec: Optional[Mapping], network: NetworkConfig):
@@ -235,9 +236,9 @@ def transient_property_from_spec(spec: Optional[Mapping], network: NetworkConfig
     )
 
 
-def _spec_descriptors(parts: Sequence[str], topology):
+def _spec_descriptors(parts: Sequence[str], network: NetworkConfig):
     """``KIND:ARGS`` parts → scenario descriptors, each checked against
-    ``topology`` (:func:`~repro.scenarios.enumerator.check_descriptor`)."""
+    ``network`` (:func:`~repro.scenarios.enumerator.check_descriptor`)."""
     from repro.scenarios.enumerator import check_descriptor
 
     descriptors = []
@@ -249,19 +250,19 @@ def _spec_descriptors(parts: Sequence[str], topology):
                 "(e.g. crash:node or gray:a,b)"
             )
         descriptor = (kind,) + tuple(item.strip() for item in rest.split(",") if item.strip())
-        check_descriptor(topology, descriptor)
+        check_descriptor(network, descriptor)
         descriptors.append(descriptor)
     return descriptors
 
 
-def fail_session_events(value: Optional[str], topology) -> List[object]:
-    """``"a,b"`` → the events of the scenario ``flap:a,b`` on ``topology``:
+def fail_session_events(value: Optional[str], network: NetworkConfig) -> List[object]:
+    """``"a,b"`` → the events of the scenario ``flap:a,b`` on ``network``:
     converge, then flap the session (empty for ``None``)."""
     from repro.scenarios.enumerator import scenario_from_descriptor
 
     if not value:
         return []
-    descriptors = _spec_descriptors(["flap:" + str(value).replace(":", ",")], topology)
+    descriptors = _spec_descriptors(["flap:" + str(value).replace(":", ",")], network)
     return list(scenario_from_descriptor(descriptors).events)
 
 
@@ -280,7 +281,7 @@ def scenario_from_spec(spec: str, network: NetworkConfig):
 
     from repro.scenarios.enumerator import scenario_from_descriptor
 
-    descriptors = _spec_descriptors(spec.split("+"), network.topology)
+    descriptors = _spec_descriptors(spec.split("+"), network)
     return dataclasses.replace(scenario_from_descriptor(descriptors), name=spec)
 
 

@@ -378,11 +378,11 @@ class TestOriginColourMap:
 
     def test_event_scenarios_on_ebgp_k4_are_the_parents(self):
         network = ebgp_rfc7938(bgp_fat_tree(4))
+        symmetry = network_symmetry(network)
         digest = hashlib.sha256()
+        ordered = hashlib.sha256()
         for pec in compute_pecs(network):
-            scenarios = event_scenarios_for_pec(
-                network_symmetry(network), pec, TransientOptions(scenario_events=2)
-            )
+            scenarios = event_scenarios_for_pec(symmetry, pec, TransientOptions(scenario_events=2))
             old = enumerate_event_scenarios(
                 network.topology, 2, DEFAULT_EVENT_KINDS, _all_device_colors(network, pec)
             )
@@ -390,9 +390,14 @@ class TestOriginColourMap:
             assert described == [scenario.describe() for scenario in old]
             assert len(described) == 2_416
             # A commuting pair's canonical order follows the kinds' sort
-            # order, so each scenario is pinned as the multiset of its events.
+            # order, so against the parent each scenario is pinned as the
+            # multiset of its events ...
             events = Counter(tuple(sorted(label.split("; "))) for label in described)
             digest.update(repr(sorted(events.items())).encode())
+            # ... and the emitted labels, in order, pin the representative of
+            # each commuting pair and the emission order from here on.
+            ordered.update(repr(described).encode())
         # Captured before the colour map left devices out (8 PECs x 2 416),
         # with ``maintenance X`` renamed ``drain-return X``.
         assert digest.hexdigest()[:16] == "e0af59af2e27f478"
+        assert ordered.hexdigest()[:16] == "6764341d6add2573"

@@ -561,14 +561,64 @@ class TestTransientScenarioFlags:
             ("--scenario", "gray:a,a"),
             ("--fail-session", "o,a"),
         ],
-        ids=["flap-no-link", "gray-no-link", "gray-one-device", "fail-session-no-link"],
+        ids=["flap-no-session", "gray-no-session", "gray-one-device", "fail-session-no-session"],
     )
     def test_a_session_event_must_name_a_session(self, bgp_workspace, capsys, flags):
-        """No link joins ``o`` and ``a`` on the square, and a device has no
-        session with itself: such an event used to verify as HOLDS over one
-        state."""
+        """``o`` and ``a`` configure no BGP session on the square, and a
+        device has no session with itself: such an event used to verify as
+        HOLDS over one state."""
         assert _run(self._args(bgp_workspace, *flags)) == EXIT_ERROR
-        assert "no link joins" in capsys.readouterr().err
+        assert "do not peer over BGP" in capsys.readouterr().err
+
+    @pytest.fixture
+    def ibgp_ring_workspace(self, tmp_path):
+        """iBGP over OSPF on a ring of six: every pair of devices peers over
+        the IGP except the linked pair ``r0``-``r1``."""
+        from repro.netaddr import Prefix
+        from repro.topology import ring
+        from repro.topology.io import format_topology
+
+        topology = ring(6)
+        names = sorted(topology.nodes)
+        lines = []
+        for index, name in enumerate(names):
+            loopback = f"10.255.0.{index + 1}/32"
+            topology.node(name).loopback = Prefix(loopback)
+            lines += [f"device {name}", "  ospf", f"    network {loopback}", "  bgp 65000"]
+            if name == "r0":
+                lines.append("    network 200.0.0.0/16")
+            lines += [
+                f"    neighbor {peer} remote-as 65000 next-hop-self"
+                for peer in names
+                if peer != name and {name, peer} != {"r0", "r1"}
+            ]
+        (tmp_path / "bgp.topo").write_text(format_topology(topology))
+        (tmp_path / "bgp.cfg").write_text("\n".join(lines) + "\n")
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--fail-session", "r0,r3"), ("--scenario", "flap:r0,r3"), ("--scenario", "gray:r3,r0")],
+        ids=["fail-session", "flap", "gray"],
+    )
+    def test_a_session_event_may_name_an_ibgp_session_with_no_link(
+        self, ibgp_ring_workspace, capsys, flags
+    ):
+        """No link joins ``r0`` and ``r3``, but they peer over the IGP: the
+        event names a real session and runs."""
+        assert _run(self._args(ibgp_ring_workspace, *flags)) == EXIT_HOLDS
+        assert "1 run(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--fail-session", "r0,r1"), ("--scenario", "flap:r1,r0"), ("--scenario", "gray:r0,r1")],
+        ids=["fail-session", "flap", "gray"],
+    )
+    def test_a_link_with_no_session_on_it_names_no_session(
+        self, ibgp_ring_workspace, capsys, flags
+    ):
+        assert _run(self._args(ibgp_ring_workspace, *flags)) == EXIT_ERROR
+        assert "do not peer over BGP" in capsys.readouterr().err
 
     def test_malformed_scenario_spec_is_an_input_error(self, bgp_workspace, capsys):
         assert _run(self._args(bgp_workspace, "--scenario", "crash")) == EXIT_ERROR

@@ -89,7 +89,7 @@ class TestTaskGraphBuilder:
         policies = [LoopFreedom()]
         relevant = [p for p in plankton.pecs if policies[0].applies_to(p)]
         graph = build_task_graph(
-            plankton.network, plankton.pecs, plankton.dependency_graph,
+            plankton.symmetry, plankton.pecs, plankton.dependency_graph,
             policies, plankton.options, relevant,
         )
         graph.validate()
@@ -102,7 +102,7 @@ class TestTaskGraphBuilder:
         policy = Reachability(destination_prefix=Prefix("200.0.0.0/16"), require_all_branches=False)
         relevant = [p for p in plankton.pecs if policy.applies_to(p)]
         graph = build_task_graph(
-            plankton.network, plankton.pecs, plankton.dependency_graph,
+            plankton.symmetry, plankton.pecs, plankton.dependency_graph,
             [policy], plankton.options, relevant,
         )
         graph.validate()
@@ -123,7 +123,7 @@ class TestTaskGraphBuilder:
         policy = Reachability(destination_prefix=Prefix("200.0.0.0/16"), require_all_branches=False)
         relevant = [p for p in plankton.pecs if policy.applies_to(p)]
         graph = build_task_graph(
-            plankton.network, plankton.pecs, plankton.dependency_graph,
+            plankton.symmetry, plankton.pecs, plankton.dependency_graph,
             [policy], plankton.options, relevant,
         )
         graph.validate()
@@ -141,7 +141,7 @@ class TestTaskGraphBuilder:
         relevant = [p for p in plankton.pecs if policy.applies_to(p)]
         dependencies = plankton.dependency_graph
         graph = build_task_graph(
-            plankton.network, plankton.pecs, dependencies, [policy], plankton.options, relevant
+            plankton.symmetry, plankton.pecs, dependencies, [policy], plankton.options, relevant
         )
         graph.validate()
         scc_of = {index: i for i, scc in enumerate(dependencies.schedule()) for index in scc}
@@ -212,7 +212,7 @@ class TestBackendEquivalence:
         graph_probe = Plankton(network, PlanktonOptions(cores=2))
         relevant = [p for p in graph_probe.pecs if LoopFreedom().applies_to(p)]
         graph = build_task_graph(
-            graph_probe.network, graph_probe.pecs, graph_probe.dependency_graph,
+            graph_probe.symmetry, graph_probe.pecs, graph_probe.dependency_graph,
             [LoopFreedom()], graph_probe.options, relevant,
         )
         assert isinstance(select_backend(graph_probe.options, graph), ProcessPoolBackend)
@@ -288,7 +288,7 @@ class TestEnginePlumbing:
         plankton = Plankton(_clean_network(), PlanktonOptions(cores=4))
         relevant = [p for p in plankton.pecs if LoopFreedom().applies_to(p)]
         graph = build_task_graph(
-            plankton.network, plankton.pecs, plankton.dependency_graph,
+            plankton.symmetry, plankton.pecs, plankton.dependency_graph,
             [LoopFreedom()], plankton.options, relevant,
         )
         assert isinstance(select_backend(PlanktonOptions(cores=1), graph), SerialBackend)

@@ -248,7 +248,7 @@ class TestFingerprints:
 
         def keys(policies, options):
             graph = build_task_graph(
-                network,
+                plankton.symmetry,
                 plankton.pecs,
                 plankton.dependency_graph,
                 policies,

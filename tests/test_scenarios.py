@@ -186,7 +186,7 @@ class TestOneGrammar:
     def test_the_fail_session_form_is_a_flap(self):
         network = _square_network()
         for value in ("o,m", "o:m", " o , m "):
-            assert tuple(fail_session_events(value, network.topology)) == (
+            assert tuple(fail_session_events(value, network)) == (
                 scenario_from_spec("flap:o,m", network).events
             )
 
@@ -214,7 +214,7 @@ class TestOneGrammar:
                     record(spec, scenario_from_spec(spec, network).events)
             for link in topology.links:
                 record(f"flap:{link.a},{link.b}",
-                       fail_session_events(f"{link.a},{link.b}", topology))
+                       fail_session_events(f"{link.a},{link.b}", network))
             for max_events in (1, 2):
                 for scenario in enumerate_event_scenarios(topology, max_events):
                     record(scenario.name, scenario.events)
@@ -225,9 +225,9 @@ class TestOneGrammar:
     @pytest.mark.parametrize(
         "spec, message",
         [
-            ("flap:o,a", "no link joins o and a"),
-            ("gray:o,a", "no link joins o and a"),
-            ("gray:a,a", "no link joins a and a"),
+            ("flap:o,a", "o and a do not peer over BGP"),
+            ("gray:o,a", "o and a do not peer over BGP"),
+            ("gray:a,a", "a and a do not peer over BGP"),
             ("flap:o", "expects two devices"),
             ("crash:o,m", "expects one device"),
             ("crash:zz", "unknown device"),
@@ -242,7 +242,27 @@ class TestOneGrammar:
     @pytest.mark.parametrize("value", ["o,a", "a,a", "o"])
     def test_a_fail_session_that_names_no_session_is_refused(self, value):
         with pytest.raises(SpecError):
-            fail_session_events(value, _square_network().topology)
+            fail_session_events(value, _square_network())
+
+    def test_a_session_is_configured_by_bgp_not_drawn_from_the_links(self):
+        """iBGP over OSPF peers devices no link joins, and a link whose ends
+        do not both configure the session carries none."""
+        from repro.config import ibgp_over_ospf
+        from repro.netaddr import Prefix
+        from repro.topology.generators import ring
+
+        network = ibgp_over_ospf(ring(6), {"r0": Prefix("200.0.0.0/16")})
+        assert not network.topology.links_between("r0", "r3")
+        assert tuple(fail_session_events("r3:r0", network)) == (Converge(), FailSession("r3", "r0"))
+        assert scenario_from_spec("gray:r0,r3", network).events == (
+            Converge(), GrayFailure("r0", "r3")
+        )
+        bgp = network.device("r1").bgp
+        bgp.neighbors = [session for session in bgp.neighbors if session.peer != "r0"]
+        assert network.device("r0").bgp.neighbor("r1") is not None
+        for spec in ("flap:r0,r1", "gray:r1,r0"):
+            with pytest.raises(SpecError, match="do not peer over BGP"):
+                scenario_from_spec(spec, network)
 
 
 class TestCanonicalOrdering:

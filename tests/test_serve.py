@@ -204,7 +204,7 @@ class TestEndToEnd:
         campaign = service.verify_transients(
             [transient_property_from_spec(None, network)],
             transient=transient_options_from_spec({"max_states": 2000}),
-            initial_events=fail_session_events("o,m", network.topology),
+            initial_events=fail_session_events("o,m", network),
             pecs=[pec for pec in service.plankton.pecs if pec.has_bgp()],
         )
         assert result["signature"] == result_signature_digest(campaign)
@@ -480,7 +480,7 @@ class TestHttpErrors:
             ("scenarios", ["crash:m+gray:a,a"]),
             ("fail_session", "o,a"),
         ],
-        ids=["flap-no-link", "gray-one-device", "fail-session-no-link"],
+        ids=["flap-no-session", "gray-one-device", "fail-session-no-session"],
     )
     def test_a_session_event_that_names_no_session_is_400_and_queues_nothing(
         self, server, client, field, value
@@ -502,7 +502,7 @@ class TestHttpErrors:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
-        assert "no link joins" in json.loads(excinfo.value.read())["error"]
+        assert "do not peer over BGP" in json.loads(excinfo.value.read())["error"]
         assert client.metrics()["jobs_submitted"] == submitted
 
     def test_a_session_event_on_a_run_only_push_fails_the_job(self, client):
@@ -517,7 +517,7 @@ class TestHttpErrors:
             timeout=120,
         )
         assert document["state"] == "failed"
-        assert "no link joins o and a" in document["error"]
+        assert "o and a do not peer over BGP" in document["error"]
 
     def test_first_push_without_config_fails_clearly(self, client):
         document = client.run(

@@ -51,9 +51,11 @@ from typing import (
 from repro.config.objects import NetworkConfig
 from repro.dataplane import DataPlane, Fib, FibEntry
 from repro.modelcheck.explorer import (
+    COMPLETE,
     ExplorationStatistics,
     Explorer,
     ExplorerOptions,
+    weakest,
 )
 from repro.modelcheck.por import ReductionStatistics
 from repro.netaddr import Prefix
@@ -230,6 +232,8 @@ class PecExplorer:
         #: PEC run (the successor pipeline records enabled-vs-expanded there).
         self.reduction = ReductionStatistics(mode="rpvp")
         self.statistics = ExplorationStatistics(reduction=self.reduction)
+        #: The weakest completeness of the searches so far (Explorer.run's).
+        self.completeness = COMPLETE
         self._reference: Optional[_ReferencePlane] = None
 
     # ------------------------------------------------------------------ protocol instances
@@ -400,7 +404,9 @@ class PecExplorer:
             ),
         )
         explorer.canonicalize = self._make_canonicalizer(explorer, instance)
-        explorer.run(initial_state(instance), self.statistics)
+        self.completeness = weakest(
+            self.completeness, explorer.run(initial_state(instance), self.statistics)
+        )
 
     def _make_canonicalizer(
         self, explorer: Explorer, instance: PathVectorInstance

@@ -11,10 +11,11 @@ public projections.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.modelcheck.explorer import ExplorationStatistics
+from repro.modelcheck.explorer import COMPLETE, ExplorationStatistics
 from repro.modelcheck.trail import Trail, document
 from repro.pec.classes import PacketEquivalenceClass
 from repro.topology.failures import FailureScenario
@@ -99,6 +100,10 @@ class PecRunResult:
     suppressed_states: int = 0
     violations: List[Violation] = field(default_factory=list)
     statistics: Optional[ExplorationStatistics] = None
+    #: How much the run's searches covered
+    #: (:data:`~repro.modelcheck.explorer.COMPLETENESS`): the weakest of
+    #: their values, or ``vacuous`` when a BGP PEC reached no converged state.
+    completeness: str = COMPLETE
 
     @property
     def holds(self) -> bool:
@@ -111,15 +116,21 @@ class RequestResult:
 
     A subclass adds its run type and its header fields; everything derived
     from the runs and the errors is computed here, once: :attr:`holds`,
-    :attr:`violations`, :attr:`complete`, the :attr:`verdict` and the
-    :meth:`verdict_phrase` the summaries and the Markdown reports print.
-    ``absorb`` is the one fold of the engine's ordered prefix.
+    :attr:`violations`, :attr:`complete`, :attr:`conclusive`, the
+    :attr:`verdict` and the :meth:`verdict_phrase` the summaries and the
+    Markdown reports print.  ``absorb`` is the one fold of the engine's
+    ordered prefix.
     """
 
     #: The request kind the result answers (the subclass's).
     kind = ""
     #: How the text and Markdown forms spell each verdict.
-    VERDICT_WORDS = {"holds": "HOLDS", "violated": "VIOLATED", "partial": "PARTIAL"}
+    VERDICT_WORDS = {
+        "holds": "HOLDS",
+        "violated": "VIOLATED",
+        "inconclusive": "INCONCLUSIVE",
+        "partial": "PARTIAL",
+    }
 
     elapsed_seconds: float = 0.0
     #: Cache accounting when the request ran through the incremental service
@@ -132,7 +143,8 @@ class RequestResult:
     errors: List[TaskFailure] = field(default_factory=list)
 
     def _runs(self) -> list:
-        """The runs, in task-graph order; each has ``violations``."""
+        """The runs, in task-graph order; each has ``violations`` and
+        ``completeness``."""
         raise NotImplementedError
 
     def absorb(self, prefix) -> None:
@@ -160,22 +172,48 @@ class RequestResult:
         """Whether every task produced a result (no ``errors``)."""
         return not self.errors
 
+    def _incomplete_runs(self) -> Counter:
+        """How many runs ended at each completeness weaker than complete."""
+        return Counter(run.completeness for run in self._runs() if run.completeness != COMPLETE)
+
+    @property
+    def conclusive(self) -> bool:
+        """Whether the runs can answer for the request: at least one run or
+        failed task, and every run's search ``complete``.  A truncated,
+        bitstate-hashed or vacuous run, or a request with nothing to search,
+        can find a violation but cannot show there is none."""
+        if not self._runs() and not self.errors:
+            return False
+        return not self._incomplete_runs()
+
     @property
     def verdict(self) -> str:
-        """``violated``, ``partial`` or ``holds``.  A violation beats
-        partiality (a found counterexample is definitive whatever the failed
-        tasks would have said), and partiality beats holds."""
+        """``violated``, ``inconclusive``, ``partial`` or ``holds``, the first
+        that applies.  A violation beats everything (a found counterexample is
+        definitive whatever the rest would have said); a search that did not
+        cover its space beats failed tasks, which beat holds."""
         if not self.holds:
             return "violated"
+        if not self.conclusive:
+            return "inconclusive"
         return "partial" if self.errors else "holds"
 
     def verdict_phrase(self, markdown: bool = False) -> str:
         """The verdict as the summary (``markdown=False``) and the Markdown
-        report print it: the violation count, then the failed tasks."""
+        report print it: the violation count or what kept the runs from
+        being conclusive, then the failed tasks."""
         words, bold = self.VERDICT_WORDS, "**" if markdown else ""
-        phrase = f"{bold}{words['holds' if self.holds else 'violated']}{bold}"
-        if not self.holds:
+        verdict = self.verdict
+        head = verdict if verdict in ("violated", "inconclusive") else "holds"
+        phrase = f"{bold}{words[head]}{bold}"
+        if head == "violated":
             phrase += f" ({len(self.violations)} violation(s))"
+        elif head == "inconclusive":
+            incomplete = self._incomplete_runs()
+            phrase += " ({})".format(
+                ", ".join(f"{count} run(s) {kind}" for kind, count in sorted(incomplete.items()))
+                or "nothing to search"
+            )
         if self.errors:
             failed = f"{len(self.errors)} task(s) failed"
             partial = words["partial"]

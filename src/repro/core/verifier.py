@@ -17,7 +17,6 @@ path with SPVP interleaving searches as its tasks.
 
 from __future__ import annotations
 
-import logging
 import time
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Type, Union
@@ -26,6 +25,7 @@ from repro.config.objects import NetworkConfig
 from repro.core.options import PlanktonOptions
 from repro.core.results import PecRunResult, VerificationResult, Violation
 from repro.exceptions import VerificationError
+from repro.modelcheck.explorer import TRUNCATED, VACUOUS
 from repro.modelcheck.trail import Trail
 from repro.pec.classes import PacketEquivalenceClass, compute_pecs
 from repro.pec.dependencies import PecDependencyGraph, build_dependency_graph
@@ -38,8 +38,6 @@ if TYPE_CHECKING:
     from repro.engine.graph import NetworkSymmetry, TaskGraph
     from repro.transient.explorer import TransientCampaignResult, TransientOptions
     from repro.transient.properties import TransientProperty
-
-LOG = logging.getLogger("repro.core")
 
 
 class Plankton:
@@ -315,14 +313,10 @@ class Plankton:
 
         outcomes = explorer.explore(on_outcome=check_outcome, keep_outcomes=collect_outcomes)
         run.statistics = explorer.statistics
-        if not run.converged_states and pec.has_bgp() and not run.statistics.truncated:
-            # Every execution was abandoned as inconsistent: nothing was
-            # checked, so the run holds vacuously — say so.
-            LOG.warning(
-                "PEC %s: no converged state under %s: the configuration may "
-                "not converge; policies were not evaluated",
-                pec.address_range,
-                failure_text,
-            )
+        run.completeness = explorer.completeness
+        if not run.converged_states and pec.has_bgp() and run.completeness != TRUNCATED:
+            # Every execution was abandoned as inconsistent (the configuration
+            # may not converge): nothing was checked.
+            run.completeness = VACUOUS
         return run, outcomes
 

@@ -95,8 +95,9 @@ from repro.pec.dependencies import PecDependencyGraph
 #: ``minimize_witnesses`` from the transient options.  v10 fingerprints hash
 #: the config dataclass values (:func:`~repro.incremental.impact.config_slice`),
 #: not hand-built tuples.  v11 drops ``data_planes`` from the PEC run document
-#: and ``keep_data_planes`` from the options token.
-CACHE_SCHEMA_VERSION = 11
+#: and ``keep_data_planes`` from the options token.  v12 adds each run's
+#: ``completeness`` to the PEC run and transient analysis documents.
+CACHE_SCHEMA_VERSION = 12
 
 #: The SHA-256 of the field layout — class name, then field names in order
 #: — of every document class a cache entry stores and every config
@@ -104,7 +105,7 @@ CACHE_SCHEMA_VERSION = 11
 #: change to either moves what old files decode to or what old keys meant:
 #: bump the version and record the new digest
 #: (``tests/test_incremental.py`` recomputes it).
-CACHE_LAYOUT_SHA256 = "aa7a281329b6e1d2de7a99f3fab88e6a9af217cea7cd5b7c0738f983fa5c5b54"
+CACHE_LAYOUT_SHA256 = "7a648fda6a3cb36bce627989b148a5c225e6770bcccdefdffc4c91c587224f78"
 
 PathLike = Union[str, Path]
 

@@ -31,6 +31,21 @@ SuccessorFunction = Callable[[State], List[Tuple[object, State]]]
 #: check_terminal(state, path_labels) -> None to go on, anything else to stop
 TerminalCheck = Callable[[State, List[object]], Optional[str]]
 
+#: How much of its state space a search covered, strongest claim first: all
+#: of it; all of it through a Bloom-filter visited set, which may take a new
+#: state for a seen one (§4.4 bitstate hashing); or not all of it, stopped by
+#: a state, time or depth budget.  A run can be weaker still: ``vacuous``, an
+#: un-truncated search that reached nothing to check.  Only a run whose
+#: searches are all ``complete`` lets a request answer "holds".
+COMPLETE, BITSTATE, TRUNCATED, VACUOUS = "complete", "bitstate", "truncated", "vacuous"
+COMPLETENESS = (COMPLETE, BITSTATE, TRUNCATED, VACUOUS)
+
+
+def weakest(first: str, second: str) -> str:
+    """The weaker of two completeness values (what a run of both searches
+    can claim)."""
+    return max(first, second, key=COMPLETENESS.index)
+
 
 @dataclass
 class ExplorerOptions:
@@ -97,13 +112,15 @@ class Explorer(Generic[State]):
         #: search (zeros when the search hashes states some other way).
         self.interner: Optional[ZobristFingerprinter] = None
 
-    def run(self, initial_state: State, statistics: ExplorationStatistics) -> None:
+    def run(self, initial_state: State, statistics: ExplorationStatistics) -> str:
         """Explore the state space depth-first from ``initial_state``.
 
         The search's counters are added into ``statistics`` (the greatest
         depth is maxed, ``truncated`` or-ed), so the searches of one run
         share one record.  A state reached along several paths is expanded,
-        and a converged one checked, once.
+        and a converged one checked, once.  Returns the search's completeness
+        (:data:`COMPLETENESS`): ``truncated`` when a budget stopped it,
+        ``bitstate`` when its visited set was a Bloom filter.
         """
         options = self.options
         successors_of = self.successors
@@ -176,3 +193,6 @@ class Explorer(Generic[State]):
             statistics.interner_entries += fingerprinter.unique_entries()
             statistics.interner_bytes += fingerprinter.approximate_bytes()
             statistics.state_bytes += (max_depth + 1) * fingerprinter.state_bytes_per_state
+        if truncated:
+            return TRUNCATED
+        return BITSTATE if bitstate is not None else COMPLETE

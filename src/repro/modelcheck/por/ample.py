@@ -161,7 +161,7 @@ class AmpleSelector:
         if origin is None:
             return frozenset()
         space = self.space
-        if state._ids[space.best_slot[origin]] == space.origin_id(origin):
+        if state.ids()[space.best_slot[origin]] == space.origin_id(origin):
             return frozenset((origin,))
         return frozenset()
 
@@ -177,7 +177,7 @@ class AmpleSelector:
         suffices.
         """
         space = self.space
-        best_rid = state._ids[space.best_slot[receiver]]
+        best_rid = state.ids()[space.best_slot[receiver]]
         if not best_rid:
             return False
         key = (receiver, sender, best_rid)
@@ -229,7 +229,7 @@ class AmpleSelector:
         node may re-advertise, so everything it can message is active too.
         """
         frozen = self.frozen_nodes_of(state)
-        ids = state._ids
+        ids = state.ids()
         rows = self._rows
         danger_memo = self._danger_memo
         dangerous: Set[str] = set()

@@ -14,11 +14,14 @@ both path-vector models:
   every SPVP state over the same nodes resolve ids through one table.
 * :class:`IdArrayState` is the state kernel: a flat ``array('i')`` of intern
   ids over a slot layout, a parent, and the ``((slot, old_id, new_id), ...)``
-  delta that derived it.  Equality is "same layout, equal arrays", the hash
-  is over the raw bytes, and the Zobrist fingerprint is folded incrementally
-  off the parent's.  :class:`~repro.protocols.rpvp.RpvpState` (layout: the
-  node space) and :class:`~repro.protocols.spvp.SpvpState` (layout: the node
-  block of the node space, then rib and channel blocks) are thin subclasses.
+  delta that derived it.  A derived state may leave its array unbuilt until
+  something reads the whole state (:meth:`IdArrayState.ids`); the delta and
+  the nearest ancestor that holds one rebuild it.  Equality is "same layout,
+  equal arrays", the hash is over the raw bytes, and the Zobrist fingerprint
+  is folded incrementally off the parent's.
+  :class:`~repro.protocols.rpvp.RpvpState` (layout: the node space) and
+  :class:`~repro.protocols.spvp.SpvpState` (layout: the node block of the
+  node space, then rib and channel blocks) are thin subclasses.
 
 Id spaces:
 
@@ -179,6 +182,13 @@ class IdArrayState:
     O(changed slots) XOR off the parent's (paper §4.4).  Ids are only
     comparable within one layout, so two states are equal exactly when they
     share the layout object and their arrays are equal.
+
+    The array itself may be built late: a derived state can be created with
+    ``_ids`` None, and :meth:`ids` builds it on the first read from the
+    nearest ancestor that holds one plus the deltas below it.  A search
+    that admits many states and expands few of them (a depth bound, a
+    duplicate successor) then pays an array only for the states it reads.
+    RPVP states always hold theirs; SPVP states build theirs when stepped.
     """
 
     __slots__ = ("_space", "_ids", "parent", "delta", "_fp_token", "_fp", "_hash")
@@ -186,8 +196,10 @@ class IdArrayState:
     #: The per-search slots :meth:`detach` clears (subclasses add theirs).
     _SEARCH_SLOTS: Tuple[str, ...] = ("_fp_token",)
 
-    def _init_ids(self, space, ids: "array[int]", parent, delta) -> None:
+    def _init_ids(self, space, ids: "Optional[array[int]]", parent, delta) -> None:
         self._space = space
+        #: The id array, or None until :meth:`ids` builds it (derived
+        #: states only: a root always holds its array).
         self._ids = ids
         #: The state this one was derived from (None for roots).
         self.parent = parent
@@ -196,6 +208,41 @@ class IdArrayState:
         self._fp_token = None
         self._fp = 0
         self._hash = None
+
+    def _unbuilt_chain(self) -> "Tuple[IdArrayState, List[IdArrayState]]":
+        """The nearest ancestor-or-self holding an array, and the states
+        between it and this one, nearest first (iterative: a drain chain is
+        hundreds of states long)."""
+        chain: List[IdArrayState] = []
+        state = self
+        while state._ids is None:
+            chain.append(state)
+            state = state.parent
+        return state, chain
+
+    def ids(self) -> "array[int]":
+        """The id array, built on first use and kept from then on."""
+        ids = self._ids
+        if ids is None:
+            base, chain = self._unbuilt_chain()
+            ids = array("i", base._ids)
+            for derived in reversed(chain):
+                for slot, _old, new in derived.delta:
+                    ids[slot] = new
+            self._ids = ids
+        return ids
+
+    def head_ids(self, count: int) -> "array[int]":
+        """A copy of the first ``count`` ids, read without building the array."""
+        if self._ids is not None:
+            return self._ids[:count]
+        base, chain = self._unbuilt_chain()
+        head = base._ids[:count]
+        for derived in reversed(chain):
+            for slot, _old, new in derived.delta:
+                if slot < count:
+                    head[slot] = new
+        return head
 
     @property
     def intern_table(self) -> RouteInternTable:
@@ -212,6 +259,7 @@ class IdArrayState:
         equality are unaffected; a later fingerprint is a full fold.
         Returns self for chaining.
         """
+        self.ids()
         self.parent = None
         self.delta = ()
         for name in self._SEARCH_SLOTS:
@@ -242,7 +290,7 @@ class IdArrayState:
             value = state._fp
         else:
             value = 0
-            for slot, eid in enumerate(state._ids):
+            for slot, eid in enumerate(state.ids()):
                 value ^= component_id(slot, eid)
             state._fp_token = hasher
             state._fp = value
@@ -258,9 +306,9 @@ class IdArrayState:
             return True
         if not isinstance(other, IdArrayState):
             return NotImplemented
-        return self._space is other._space and self._ids == other._ids
+        return self._space is other._space and self.ids() == other.ids()
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._ids.tobytes())
+            self._hash = hash(self.ids().tobytes())
         return self._hash

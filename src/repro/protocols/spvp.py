@@ -21,9 +21,12 @@ over one slot layout per instance (:class:`_SpvpSpace`): the node block of
 the instance's node space — one best-route id per node, in the same sorted
 order and intern table as an RPVP state, so the best block *is* an
 :class:`RpvpState` — followed by the rib-in and channel blocks (route ids in
-best/rib slots, queue ids in channel slots).  Equality between states of one
-instance is an integer array compare; the visited-set fingerprint is an
-O(changed-slots) Zobrist XOR over ``(slot, id)`` components.
+best/rib slots, queue ids in channel slots).  A derived state records its
+delta and builds its array only when something reads the whole state — a
+delivery or lifecycle event out of it, or an accessor — so a search pays no
+array for the states it admits and never expands.  Equality between states
+of one instance is an integer array compare; the visited-set fingerprint is
+an O(changed-slots) Zobrist XOR over ``(slot, id)`` components.
 The same layout holds the instance's transfer memos — import (loop check
 included), export, rank and origin id, keyed on slots and intern ids — so
 every stepper and ample selector over one instance evaluates each transfer
@@ -285,12 +288,15 @@ class SpvpState(IdArrayState):
     compare and hashing never touches a route.  A delivery touches a handful
     of slots (the drained channel, the receiver's rib-in and best, and — on a
     best-path change — the receiver's outgoing channels); a derived state
-    copies the id array and records the ``(slot, old_id, new_id)`` deltas,
-    which makes its Zobrist visited-set fingerprint an O(changed-slots) XOR
-    off its parent's instead of a full-state hash.  Each derived state also
-    keeps its parent and the :class:`SpvpEvent` that produced it, so
-    explorers reconstruct witness event sequences from the parent chain
-    instead of copying histories.
+    records the ``(slot, old_id, new_id)`` deltas, read off its parent's
+    array, and builds its own array (:meth:`ids`) only when it is stepped or
+    read whole.  Its Zobrist visited-set fingerprint is an O(changed-slots)
+    XOR off its parent's, and :meth:`best_key` is the parent's best block
+    with the delta patched in, so neither the visited set nor the property
+    and closure memos ever build an array.  Each derived state also keeps
+    its parent and the :class:`SpvpEvent` that produced it, so explorers
+    reconstruct witness event sequences from the parent chain instead of
+    copying histories.
 
     Fingerprints key on ``(slot, id)``; route attributes are a deterministic
     function of the path for a fixed instance, so this identifies exactly
@@ -307,7 +313,7 @@ class SpvpState(IdArrayState):
     def _init(
         self,
         space: _SpvpSpace,
-        ids: array,
+        ids: Optional[array],
         pending: int,
         parent: Optional["SpvpState"] = None,
         delta: Tuple[Tuple[int, int, int], ...] = (),
@@ -330,7 +336,7 @@ class SpvpState(IdArrayState):
             slot = self._space.best_slot[node]
         except KeyError:
             raise ProtocolError(f"node {node!r} not part of this SPVP state") from None
-        return self._space.table.route(self._ids[slot])
+        return self._space.table.route(self.ids()[slot])
 
     def rib_in_of(self, node: str, peer: str) -> Optional[Route]:
         """The rib-in entry ``node`` holds for ``peer``."""
@@ -340,7 +346,7 @@ class SpvpState(IdArrayState):
             raise ProtocolError(
                 f"({node!r}, {peer!r}) is not a session of this SPVP state"
             ) from None
-        return self._space.table.route(self._ids[slot])
+        return self._space.table.route(self.ids()[slot])
 
     def buffer_of(self, channel: Channel) -> Tuple[Optional[Route], ...]:
         """The queued advertisements of ``channel``, oldest first."""
@@ -349,13 +355,14 @@ class SpvpState(IdArrayState):
         except KeyError:
             raise ProtocolError(f"channel {channel!r} not part of this SPVP state") from None
         table = self._space.table
-        return tuple(table.route(rid) for rid in table.queue(self._ids[slot]))
+        return tuple(table.route(rid) for rid in table.queue(self.ids()[slot]))
 
     def best_map(self) -> Dict[str, Optional[Route]]:
         """The node -> best route assignment as a mutable dict, in
-        ``instance.nodes()`` order."""
+        ``instance.nodes()`` order (read off the best block: no array is
+        built)."""
         table = self._space.table
-        ids = self._ids
+        ids = self.head_ids(len(self._space.nodes))
         return {
             node: table.route(ids[slot])
             for node, slot in self._space.best_slot.items()
@@ -367,14 +374,15 @@ class SpvpState(IdArrayState):
         Equal between two states of one instance iff every node holds the
         same best route — the memo key of whatever is a function of the
         best paths alone (the forwarding relation, the activity closure).
-        The bytes of :meth:`converged_rpvp`'s id array.
+        The bytes of :meth:`converged_rpvp`'s id array; an unbuilt state
+        patches its delta into the nearest built ancestor's best block.
         """
-        return self._ids[: len(self._space.nodes)].tobytes()
+        return self.head_ids(len(self._space.nodes)).tobytes()
 
     def rib_in_map(self) -> Dict[Tuple[str, str], Optional[Route]]:
         """The (node, peer) -> rib-in assignment as a mutable dict."""
         table = self._space.table
-        ids = self._ids
+        ids = self.ids()
         return {
             key: table.route(ids[slot]) for key, slot in self._space.rib_slot.items()
         }
@@ -402,11 +410,12 @@ class SpvpState(IdArrayState):
         """The current best-path assignment as an :class:`RpvpState`.
 
         The best block is laid out as the node space's RPVP id vector, so
-        this is a slice of the id array: nothing is decoded or interned.
+        this is a slice of the id array (:meth:`head_ids`): nothing is
+        decoded or interned.
         """
         space = self._space
         return RpvpState.__new__(RpvpState)._init(
-            space.node_space, self._ids[: len(space.nodes)]
+            space.node_space, self.head_ids(len(space.nodes))
         )
 
     def witness_events(self) -> List[SpvpEvent]:
@@ -427,21 +436,22 @@ class SpvpState(IdArrayState):
         pending: int,
         event: Optional[SpvpEvent],
     ) -> "SpvpState":
-        """A new state with ``updates`` (slot, new id) applied."""
-        ids = array("i", self._ids)
-        delta: List[Tuple[int, int, int]] = []
-        for slot, new in updates:
-            old = ids[slot]
-            if old == new:
-                continue
-            ids[slot] = new
-            delta.append((slot, old, new))
+        """A new state with ``updates`` (slot, new id) applied.
+
+        The child records the slots that change, old ids read off this
+        state's array, and leaves its own array unbuilt.  A slot updated
+        twice keeps its last id (one triple).
+        """
+        ids = self.ids()
+        delta = tuple(
+            (slot, ids[slot], new) for slot, new in dict(updates).items() if ids[slot] != new
+        )
         return SpvpState.__new__(SpvpState)._init(
             self._space,
-            ids,
+            None,
             pending,
             parent=self,
-            delta=tuple(delta),
+            delta=delta,
             event=event,
         )
 
@@ -534,7 +544,8 @@ class SpvpStepper:
         channel_slot = space.channel_slot.get(channel)
         if channel_slot is None:
             raise ProtocolError(f"channel {channel} has no pending message")
-        qid = state._ids[channel_slot]
+        ids = state.ids()
+        qid = ids[channel_slot]
         if not qid:
             raise ProtocolError(f"channel {channel} has no pending message")
         queue_rids = table.queue(qid)
@@ -548,10 +559,8 @@ class SpvpStepper:
         updates.append((rib_slot, imported_rid))
 
         best_slot = space.best_slot[receiver]
-        current_rid = state._ids[best_slot]
-        new_best_rid = self._select_best_id(
-            state, receiver, sender, imported_rid, current_rid
-        )
+        current_rid = ids[best_slot]
+        new_best_rid = self._select_best_id(ids, receiver, sender, imported_rid, current_rid)
         updates.append((best_slot, new_best_rid))
         event = SpvpEvent(
             node=receiver,
@@ -572,9 +581,7 @@ class SpvpStepper:
             for _peer, out_channel, out_slot in space.out_slots_of[receiver]:
                 if out_channel in self.suppressed:
                     continue
-                out_qid = (
-                    remaining_qid if out_slot == channel_slot else state._ids[out_slot]
-                )
+                out_qid = remaining_qid if out_slot == channel_slot else ids[out_slot]
                 advertisement_rid = space.export_id(out_slot, new_best_rid)
                 updates.append(
                     (out_slot, table.queue_id(table.queue(out_qid) + (advertisement_rid,)))
@@ -584,14 +591,14 @@ class SpvpStepper:
 
     def _select_best_id(
         self,
-        state: SpvpState,
+        ids: array,
         node: str,
         updated_peer: str,
         updated_rid: int,
         current_rid: int,
     ) -> int:
-        """Recompute ``node``'s best route (as an intern id) from its rib-in."""
-        ids = state._ids
+        """Recompute ``node``'s best route (as an intern id) from its rib-in
+        (``ids``: the id array of the state being stepped)."""
         space = self.space
         rank_of = space.rank_of
         best_rid = 0
@@ -721,7 +728,7 @@ class SpvpStepper:
             if in_channel in self.suppressed or peer in self.quiesced:
                 updates.append((in_slot, 0))
             else:
-                peer_best_rid = state._ids[space.best_slot[peer]]
+                peer_best_rid = state.ids()[space.best_slot[peer]]
                 updates.append(
                     (in_slot, table.queue_id((space.export_id(in_slot, peer_best_rid),)))
                 )
@@ -744,7 +751,7 @@ class SpvpStepper:
         for _peer, channel, slot in space.out_slots_of[node]:
             if channel in self.suppressed:
                 continue
-            updates.append((slot, table.queue_id(table.queue(state._ids[slot]) + (0,))))
+            updates.append((slot, table.queue_id(table.queue(state.ids()[slot]) + (0,))))
             pending |= space.channel_bit[channel]
         return state._derive(updates, pending, None)
 
@@ -753,7 +760,8 @@ class SpvpStepper:
         self.quiesced.discard(node)
         space = self.space
         table = self.table
-        best_rid = state._ids[space.best_slot[node]]
+        ids = state.ids()
+        best_rid = ids[space.best_slot[node]]
         updates: List[Tuple[int, int]] = []
         pending = state.pending
         for _peer, channel, slot in space.out_slots_of[node]:
@@ -761,7 +769,7 @@ class SpvpStepper:
                 continue
             advertisement_rid = space.export_id(slot, best_rid)
             updates.append(
-                (slot, table.queue_id(table.queue(state._ids[slot]) + (advertisement_rid,)))
+                (slot, table.queue_id(table.queue(ids[slot]) + (advertisement_rid,)))
             )
             pending |= space.channel_bit[channel]
         return state._derive(updates, pending, None)

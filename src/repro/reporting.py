@@ -59,6 +59,7 @@ def pec_run_to_dict(run: PecRunResult) -> Dict[str, object]:
         "checked_states": run.checked_states,
         "suppressed_states": run.suppressed_states,
         "violations": len(run.violations),
+        "completeness": run.completeness,
     }
     if run.statistics is not None:
         document["states_expanded"] = run.statistics.states_expanded
@@ -73,6 +74,7 @@ def result_to_dict(result: VerificationResult, include_trails: bool = True) -> D
     document: Dict[str, object] = {
         "policies": list(result.policy_names),
         "holds": result.holds,
+        "verdict": result.verdict,
         "pecs_analyzed": result.pecs_analyzed,
         "failure_scenarios": result.failure_scenarios,
         "converged_states": result.total_converged_states,
@@ -192,6 +194,7 @@ def transient_result_to_dict(result) -> Dict[str, object]:
         "converged_states": result.converged_states,
         "max_depth_reached": result.max_depth_reached,
         "truncated": result.truncated,
+        "completeness": result.completeness,
         "elapsed_seconds": round(result.elapsed_seconds, 6),
         "witness_prefix": list(result.witness_prefix),
         "violations": [
@@ -226,6 +229,7 @@ def transient_campaign_to_dict(campaign) -> Dict[str, object]:
         runs.append(entry)
     document: Dict[str, object] = {
         "holds": campaign.holds,
+        "verdict": campaign.verdict,
         "failure_scenarios": campaign.failure_scenarios,
         "elapsed_seconds": round(campaign.elapsed_seconds, 6),
         "runs": runs,
@@ -238,9 +242,11 @@ def transient_campaign_to_dict(campaign) -> Dict[str, object]:
 def render_transient_markdown(campaign, title: Optional[str] = None) -> str:
     """A transient campaign as a Markdown report.
 
-    One row per (failure scenario, prefix) run — verdict, states explored,
-    converged states, whether the budget truncated the search, and the POR
-    transition-reduction ratio — followed by the rendered violations.
+    One row per (failure scenario, prefix) run — verdict (``INCONCLUSIVE``
+    for a run that holds over a search cut by its state or depth budget),
+    states explored, converged states, whether the state budget truncated the
+    search, and the POR transition-reduction ratio — followed by the
+    rendered violations.
     """
     lines: List[str] = []
     lines.append(f"# {title or 'Transient analysis report'}")
@@ -280,7 +286,7 @@ def render_transient_markdown(campaign, title: Optional[str] = None) -> str:
         scenario_cell = f" {run.scenario or 'none'} |" if with_scenarios else ""
         lines.append(
             f"| {failures} | `{run.prefix}` |{scenario_cell} "
-            f"{words['holds' if result.holds else 'violated']} | "
+            f"{words[_run_verdict(run)]} | "
             f"{result.states_explored} | {result.converged_states} | "
             f"{'yes' if result.truncated else 'no'} | {reduction} |"
         )
@@ -302,6 +308,13 @@ def render_transient_markdown(campaign, title: Optional[str] = None) -> str:
     return "\n".join(lines)
 
 
+def _run_verdict(run) -> str:
+    """One run's own verdict: ``violated``, ``inconclusive`` or ``holds``."""
+    if run.violations:
+        return "violated"
+    return "holds" if run.completeness == "complete" else "inconclusive"
+
+
 # --------------------------------------------------------------------------- service documents
 def verify_document(result: VerificationResult, policy_name: str) -> Dict[str, object]:
     """The compact ``verify --json`` document of one verification result.
@@ -311,6 +324,7 @@ def verify_document(result: VerificationResult, policy_name: str) -> Dict[str, o
     """
     document: Dict[str, object] = {
         "holds": result.holds,
+        "verdict": result.verdict,
         "policy": policy_name,
         "pecs_analyzed": result.pecs_analyzed,
         "failure_scenarios": result.failure_scenarios,
@@ -374,15 +388,21 @@ def metrics_to_dict(metrics) -> Dict[str, object]:
 
 
 # --------------------------------------------------------------------------- request views
-#: Process exit codes of the three verdicts.  A *partial* result — every
-#: completed task holds but some tasks exhausted their retries — exits with
+#: Process exit codes of the four verdicts.  An *inconclusive* result — a
+#: search cut by a budget, bitstate-hashed or with nothing to check — and a
+#: *partial* one — some tasks exhausted their retries — exit with
 #: ``EXIT_ERROR``: "we could not prove it holds" must never look like
-#: "it holds" to a CI gate.  A violation wins over partiality (a found
-#: counterexample is definitive regardless of other tasks' fate).
+#: "it holds" to a CI gate.  A violation wins over both (a found
+#: counterexample is definitive regardless of the rest).
 EXIT_HOLDS = 0
 EXIT_VIOLATION = 1
 EXIT_ERROR = 2
-_EXIT_CODES = {"holds": EXIT_HOLDS, "violated": EXIT_VIOLATION, "partial": EXIT_ERROR}
+_EXIT_CODES = {
+    "holds": EXIT_HOLDS,
+    "violated": EXIT_VIOLATION,
+    "inconclusive": EXIT_ERROR,
+    "partial": EXIT_ERROR,
+}
 
 #: The forms a finished request can be rendered into, and the ones a push
 #: that names none gets.

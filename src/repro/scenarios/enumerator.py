@@ -119,7 +119,9 @@ class ScenarioLedger:
         }
 
 
-def _check_kinds(kinds: Sequence[str]) -> Tuple[str, ...]:
+def check_kinds(kinds: Sequence[str]) -> Tuple[str, ...]:
+    """``kinds`` as a tuple, or :class:`TopologyError` naming the first
+    word that is not an event kind (the one check of a kind list)."""
     kinds = tuple(kinds)
     for kind in kinds:
         if kind not in EVENT_KINDS:
@@ -204,7 +206,7 @@ def event_universe(
     topology: Topology, kinds: Sequence[str] = DEFAULT_EVENT_KINDS
 ) -> List[Descriptor]:
     """Every atomic event descriptor of ``topology`` for the given kinds."""
-    return _descriptors(_check_kinds(kinds), sorted(topology.nodes), topology.links)
+    return _descriptors(check_kinds(kinds), sorted(topology.nodes), topology.links)
 
 
 # --------------------------------------------------------------------------- commutation
@@ -282,7 +284,7 @@ def enumerate_event_scenarios(
     """
     if max_events < 0:
         raise TopologyError(f"max_events must be non-negative, got {max_events}")
-    kinds = _check_kinds(kinds)
+    kinds = check_kinds(kinds)
     base_colors: Dict[str, object] = dict(colors or {})
     influence: Dict[Descriptor, FrozenSet[str]] = {}
     results: List[Tuple[Descriptor, ...]] = [()]

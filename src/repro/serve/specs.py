@@ -27,7 +27,7 @@ from repro.core.options import (
     OptimizationFlags,
     PlanktonOptions,
 )
-from repro.exceptions import SpecError
+from repro.exceptions import SpecError, TopologyError
 from repro.netaddr import Prefix
 from repro.policies import (
     BlackHoleFreedom,
@@ -192,7 +192,7 @@ def transient_options_from_spec(spec: Optional[Mapping]):
         )
     try:
         return TransientOptions(**spec)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, TopologyError) as exc:
         raise SpecError(f"bad transient options: {exc}") from exc
 
 

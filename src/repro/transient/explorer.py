@@ -84,6 +84,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from repro.config.objects import NetworkConfig
 from repro.core.options import POR_MODES
 from repro.core.results import RequestResult, TaskFailure
+from repro.modelcheck.explorer import COMPLETE, TRUNCATED
 from repro.modelcheck.hashing import ZobristFingerprinter
 from repro.modelcheck.por import (
     AmpleSelector,
@@ -131,15 +132,9 @@ class TransientOptions:
             raise ValueError(f"unknown POR mode {self.por!r}; choose from {POR_MODES}")
         if self.scenario_events < 0:
             raise ValueError("scenario_events must be >= 0")
-        object.__setattr__(self, "scenario_kinds", tuple(self.scenario_kinds))
-        if self.scenario_kinds:
-            from repro.scenarios.enumerator import EVENT_KINDS
+        from repro.scenarios.enumerator import check_kinds
 
-            for kind in self.scenario_kinds:
-                if kind not in EVENT_KINDS:
-                    raise ValueError(
-                        f"unknown event kind {kind!r}; choose from {EVENT_KINDS}"
-                    )
+        object.__setattr__(self, "scenario_kinds", check_kinds(self.scenario_kinds))
 
 
 def _apply_initial_event(stepper: SpvpStepper, state: SpvpState, event) -> SpvpState:
@@ -228,6 +223,10 @@ class TransientAnalysisResult:
     converged_states: int = 0
     max_depth_reached: int = 0
     truncated: bool = False
+    #: ``truncated`` when the state budget dropped a new state or the depth
+    #: bound left a state unexpanded, else ``complete``
+    #: (:data:`~repro.modelcheck.explorer.COMPLETENESS`).
+    completeness: str = COMPLETE
     elapsed_seconds: float = 0.0
     witness_prefix: Tuple[str, ...] = ()
     violations: List[TransientViolation] = field(default_factory=list)
@@ -417,6 +416,9 @@ class TransientAnalyzer:
                 reduction.depth_pruned += 1
                 continue
 
+            # Only an expanded state builds its id array: a state admitted at
+            # the depth bound, or dropped as a duplicate, never does.
+            state.ids()
             enabled = state.pending_channels()
             reduced = False
             if selector is not None:
@@ -482,6 +484,8 @@ class TransientAnalyzer:
                 reduction.transitions_enabled += len(enabled)
                 reduction.transitions_expanded += expanded_count
 
+        if result.truncated or reduction.depth_pruned:
+            result.completeness = TRUNCATED
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -637,6 +641,11 @@ class TransientCampaignRun:
     def violations(self) -> List[TransientViolation]:
         """The run's violations (the engine's early-stop hook reads this)."""
         return self.result.violations
+
+    @property
+    def completeness(self) -> str:
+        """How much the run's search covered (its analysis records it)."""
+        return self.result.completeness
 
 
 @document(omit=("incremental",), runs=[TransientCampaignRun], errors=[TaskFailure])

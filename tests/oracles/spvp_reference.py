@@ -18,18 +18,24 @@ container the simulator mutates is copied.
 :func:`apply_reference` gives the lifecycle vocabulary
 (:mod:`repro.scenarios.events`) its second, independent semantics on this
 simulator — the product's events only know the persistent stepper.
+
+:func:`eager_ids` is the id array of a product state the way the state
+kernel used to hold it: a copy of the root's array with every ancestor's
+delta applied in order, never reading an array a derived state built.
+``tests/property/test_lazy_spvp_arrays.py`` pins the late-built arrays to it.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import ProtocolError
 from repro.protocols.base import PathVectorInstance, Route
 from repro.protocols.rpvp import RpvpState
-from repro.protocols.spvp import Channel, SpvpEvent
+from repro.protocols.spvp import Channel, SpvpEvent, SpvpState
 from repro.scenarios.events import (
     Converge,
     FailSession,
@@ -267,3 +273,21 @@ def apply_reference(simulator: ReferenceSpvpSimulator, event: object) -> None:
         simulator.suppress_session(event.exporter, event.importer)
     else:
         raise TypeError(f"initial event {event!r} has no reference semantics")
+
+
+def eager_ids(state: SpvpState) -> "array[int]":
+    """``state``'s id array by eager copy-and-apply: the root's array (the
+    state with no parent, which always holds one), then each derived
+    ancestor's ``(slot, old, new)`` delta from the root down.  Every ``old``
+    must be the slot's current id, so a delta that misreads its parent
+    fails here too."""
+    chain: List[SpvpState] = []
+    while state.parent is not None:
+        chain.append(state)
+        state = state.parent
+    ids = array("i", state._ids)
+    for derived in reversed(chain):
+        for slot, old, new in derived.delta:
+            assert ids[slot] == old, (slot, ids[slot], old)
+            ids[slot] = new
+    return ids

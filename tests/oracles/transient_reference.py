@@ -24,6 +24,7 @@ import time
 from collections import deque
 from typing import Deque, FrozenSet, Optional, Sequence, Set, Tuple
 
+from repro.modelcheck.explorer import TRUNCATED
 from repro.protocols.base import PathVectorInstance
 from repro.protocols.spvp import Channel
 from repro.transient.explorer import TransientAnalysisResult, TransientViolation
@@ -80,7 +81,10 @@ class NaiveTransientAnalyzer:
             if stop:
                 break
 
-            if converged or depth >= self.max_depth:
+            if converged:
+                continue
+            if depth >= self.max_depth:
+                result.completeness = TRUNCATED
                 continue
 
             for channel in simulator.pending_messages():
@@ -91,6 +95,7 @@ class NaiveTransientAnalyzer:
                     continue
                 if len(visited) >= self.max_states:
                     result.truncated = True
+                    result.completeness = TRUNCATED
                     break
                 visited.add(signature)
                 frontier.append((successor, depth + 1))

@@ -510,13 +510,16 @@ class TestTransientCommand:
         with pytest.raises(SystemExit):
             _run(args + ["--no-rank-immunity"])
 
-    def test_no_bgp_prefixes_is_a_clean_no_op(self, workspace, capsys):
+    def test_no_bgp_prefixes_is_inconclusive(self, workspace, capsys):
+        # Nothing was searched: no violation, and nothing shown to hold.
         code = _run([
             "transient", "--topology", workspace / "net.topo",
             "--config", workspace / "good.cfg",
         ])
-        assert code == EXIT_HOLDS
-        assert "no BGP-originated prefixes" in capsys.readouterr().out
+        assert code == EXIT_ERROR
+        out = capsys.readouterr().out
+        assert "no BGP-originated prefixes" in out
+        assert "transient campaign: INCONCLUSIVE (nothing to search);" in out
 
 
 class TestTransientScenarioFlags:
@@ -824,11 +827,12 @@ class TestServerMode:
              "--fail-session", "o,m"],
             EXIT_VIOLATION,
         ),
-        # Nothing to analyse: the explanatory note must read the same.
+        # Nothing to analyse (inconclusive): the explanatory note must read
+        # the same.
         "transient-no-match": (
             ["transient", "--topology", "bgp.topo", "--config", "bgp.cfg",
              "--destination-prefix", "99.0.0.0/8"],
-            EXIT_HOLDS,
+            EXIT_ERROR,
         ),
     }
     PARITY_MODES = {

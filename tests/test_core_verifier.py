@@ -18,6 +18,7 @@ from repro.config.objects import (
 from repro.core.network_model import DependencyContext
 from repro.exceptions import VerificationError
 from repro.incremental.service import SIGNATURE_EXCLUDED, result_signature_digest
+from repro.modelcheck.explorer import COMPLETE, VACUOUS
 from repro.netaddr import Prefix
 from repro.policies import (
     BlackHoleFreedom,
@@ -463,7 +464,8 @@ def bad_gadget():
 
 class TestNoConvergedState:
     """A configuration without a stable state checks nothing — on every road
-    — and says so, instead of passing silently or inventing a data plane."""
+    — and says so in the verdict: each run is ``vacuous`` and the request
+    ``inconclusive``, instead of passing silently or inventing a data plane."""
 
     @staticmethod
     def _assert_vacuous(runs, caplog):
@@ -471,19 +473,21 @@ class TestNoConvergedState:
             assert run.converged_states == run.checked_states == 0
             assert not run.violations
             assert run.statistics.truncated is False
-        warnings = [r for r in caplog.records if r.name == "repro.core"]
-        assert len(warnings) == len(runs) == 1
-        assert warnings[0].levelno == logging.WARNING
-        message = warnings[0].getMessage()
-        assert "no converged state under no failures" in message
-        assert "policies were not evaluated" in message
+            assert run.completeness == VACUOUS
+        assert len(runs) == 1
+        # The record carries it: no log line on the side.
+        assert not [r for r in caplog.records if r.name == "repro.core"]
 
     @pytest.mark.parametrize("fast_ospf", [True, False])
-    def test_verify_holds_vacuously_and_warns(self, fast_ospf, caplog):
+    def test_verify_is_inconclusive(self, fast_ospf, caplog):
         plankton = Plankton(bad_gadget(), PlanktonOptions(fast_ospf=fast_ospf))
         with caplog.at_level(logging.WARNING, logger="repro.core"):
             result = plankton.verify(Reachability(sources=["n1"]))
         assert result.holds and result.total_converged_states == 0
+        assert result.verdict == "inconclusive"
+        assert result.summary().startswith(
+            "policies reachability: INCONCLUSIVE (1 run(s) vacuous);"
+        )
         self._assert_vacuous(result.pec_runs, caplog)
 
     def test_run_pec_with_dependents_agrees(self, caplog):
@@ -500,11 +504,13 @@ class TestNoConvergedState:
         assert outcomes == []
         self._assert_vacuous([run], caplog)
 
-    def test_converging_configurations_do_not_warn(self, caplog):
+    def test_converging_configurations_are_conclusive(self, caplog):
         with caplog.at_level(logging.WARNING, logger="repro.core"):
-            assert Plankton(ebgp_rfc7938(bgp_fat_tree(4))).verify(
+            result = Plankton(ebgp_rfc7938(bgp_fat_tree(4))).verify(
                 Reachability(sources=["edge0_0"], destination_prefix=edge_prefix(3, 1))
-            ).holds
+            )
+        assert result.verdict == "holds"
+        assert all(run.completeness == COMPLETE for run in result.pec_runs)
         assert not caplog.records
 
 

@@ -970,7 +970,7 @@ class TestReviewRegressions:
         assert result.incremental.tasks_recomputed == 0
 
     def test_transient_json_with_no_bgp_pecs_is_valid_json(self, tmp_path, capsys):
-        from repro.cli import EXIT_HOLDS, main
+        from repro.cli import EXIT_ERROR, main
 
         topo = tmp_path / "net.topo"
         config = tmp_path / "net.cfg"
@@ -984,9 +984,11 @@ class TestReviewRegressions:
             "transient", "--topology", str(topo), "--config", str(config),
             "--json", "--report", str(report),
         ])
-        assert code == EXIT_HOLDS
+        # Nothing was searched: no violation, and nothing shown to hold.
+        assert code == EXIT_ERROR
         document = json.loads(capsys.readouterr().out)
         assert document["holds"] is True and document["runs"] == []
+        assert document["verdict"] == "inconclusive"
         assert report.exists()
 
     @staticmethod

@@ -112,7 +112,7 @@ class TestEventUniverse:
             brute_event_scenarios(topology, -1)
 
     def test_transient_options_validate_scenario_fields(self):
-        with pytest.raises(ValueError, match="unknown event kind"):
+        with pytest.raises(TopologyError, match="unknown event kind"):
             TransientOptions(scenario_kinds=("meteor",))
         with pytest.raises(ValueError, match="scenario_events"):
             TransientOptions(scenario_events=-1)

@@ -1,8 +1,9 @@
 """One verdict for both request kinds, spelled the same in every form.
 
-``RequestResult.verdict`` decides it (a violation beats partiality, which
-beats holds); the summary, the Markdown report, the rendered job result and
-the exit code all follow it.  Each case checks all five together, for a
+``RequestResult.verdict`` decides it (a violation beats an incomplete
+search, which beats partiality, which beats holds); the summary, the
+Markdown report, the ``--json`` document, the rendered job result and the
+exit code all follow it.  Each case checks all six together, for a
 ``verify`` result and a ``transient`` campaign alike.
 """
 
@@ -21,17 +22,24 @@ from repro.transient.explorer import (
 _FAILURE = TaskFailure(3, 1, "no failures", "crash", "worker died", 2)
 
 
-def _verify(violated, partial):
+def _verify(violated, partial, completeness):
     violations = [Violation("loop", 0, "pec", "no failures", "a -> b -> a")] if violated else []
-    run = PecRunResult(0, FailureScenario(), converged_states=1, violations=violations)
-    return VerificationResult(["loop"], [run], errors=[_FAILURE] if partial else [])
+    runs = [
+        PecRunResult(
+            0, FailureScenario(), converged_states=1, violations=violations,
+            completeness=completeness,
+        )
+    ] if completeness else []
+    return VerificationResult(["loop"], runs, errors=[_FAILURE] if partial else [])
 
 
-def _transient(violated, partial):
+def _transient(violated, partial, completeness):
     violations = [TransientViolation("loop", "micro-loop", 2, False, ())] if violated else []
-    analysis = TransientAnalysisResult(states_explored=3, violations=violations)
-    run = TransientCampaignRun(0, FailureScenario(), "10.0.0.0/8", analysis)
-    return TransientCampaignResult([run], 1, errors=[_FAILURE] if partial else [])
+    analysis = TransientAnalysisResult(
+        states_explored=3, violations=violations, completeness=completeness or "complete"
+    )
+    runs = [TransientCampaignRun(0, FailureScenario(), "10.0.0.0/8", analysis)] if completeness else []
+    return TransientCampaignResult(runs, 1, errors=[_FAILURE] if partial else [])
 
 
 #: kind -> (result builder, summary subject, Markdown header subject).
@@ -40,23 +48,57 @@ KINDS = {
     "transient": (_transient, "transient campaign", "Transient properties"),
 }
 
-#: case -> (violated, partial, verdict, summary phrase, Markdown phrase, exit code).
+#: case -> (violated, partial, the run's completeness (None: no run), verdict,
+#: summary phrase, Markdown phrase, exit code).
 CASES = {
-    "holds": (False, False, "holds", "HOLDS", "**HOLDS**", 0),
+    "holds": (False, False, "complete", "holds", "HOLDS", "**HOLDS**", 0),
     "violated": (
-        True, False, "violated", "VIOLATED (1 violation(s))", "**VIOLATED** (1 violation(s))", 1,
+        True, False, "complete", "violated",
+        "VIOLATED (1 violation(s))", "**VIOLATED** (1 violation(s))", 1,
     ),
     "partial": (
-        False, True, "partial",
+        False, True, "complete", "partial",
         "HOLDS [PARTIAL: 1 task(s) failed]",
         "**HOLDS** — **PARTIAL** (1 task(s) failed)",
         2,
     ),
     "violated+partial": (
-        True, True, "violated",
+        True, True, "complete", "violated",
         "VIOLATED (1 violation(s)) [PARTIAL: 1 task(s) failed]",
         "**VIOLATED** (1 violation(s)) — **PARTIAL** (1 task(s) failed)",
         1,
+    ),
+    "truncated": (
+        False, False, "truncated", "inconclusive",
+        "INCONCLUSIVE (1 run(s) truncated)", "**INCONCLUSIVE** (1 run(s) truncated)", 2,
+    ),
+    "bitstate": (
+        False, False, "bitstate", "inconclusive",
+        "INCONCLUSIVE (1 run(s) bitstate)", "**INCONCLUSIVE** (1 run(s) bitstate)", 2,
+    ),
+    "vacuous": (
+        False, False, "vacuous", "inconclusive",
+        "INCONCLUSIVE (1 run(s) vacuous)", "**INCONCLUSIVE** (1 run(s) vacuous)", 2,
+    ),
+    "no run": (
+        False, False, None, "inconclusive",
+        "INCONCLUSIVE (nothing to search)", "**INCONCLUSIVE** (nothing to search)", 2,
+    ),
+    "truncated+partial": (
+        False, True, "truncated", "inconclusive",
+        "INCONCLUSIVE (1 run(s) truncated) [PARTIAL: 1 task(s) failed]",
+        "**INCONCLUSIVE** (1 run(s) truncated) — **PARTIAL** (1 task(s) failed)",
+        2,
+    ),
+    "violated+truncated": (
+        True, False, "truncated", "violated",
+        "VIOLATED (1 violation(s))", "**VIOLATED** (1 violation(s))", 1,
+    ),
+    "no run+partial": (
+        False, True, None, "partial",
+        "HOLDS [PARTIAL: 1 task(s) failed]",
+        "**HOLDS** — **PARTIAL** (1 task(s) failed)",
+        2,
     ),
 }
 
@@ -65,14 +107,14 @@ CASES = {
 @pytest.mark.parametrize("kind", KINDS)
 def test_every_form_shows_the_one_verdict(kind, case):
     build, subject, header = KINDS[kind]
-    violated, partial, verdict, phrase, markdown_phrase, exit_code = CASES[case]
-    result = build(violated, partial)
-    rendered = ResultView(result, policy_names="loop", title="t").render(["markdown"])
+    violated, partial, completeness, verdict, phrase, markdown_phrase, exit_code = CASES[case]
+    result = build(violated, partial, completeness)
+    rendered = ResultView(result, policy_names="loop", title="t").render(["markdown", "document"])
 
     assert result.verdict == verdict
     assert result.summary().split("; ")[0] == f"{subject}: {phrase}"
     assert rendered["markdown"].splitlines()[2] == f"{header}: {markdown_phrase}"
     assert rendered["kind"] == kind
-    assert rendered["verdict"] == verdict
+    assert rendered["verdict"] == rendered["document"]["verdict"] == verdict
     assert verdict_exit_code(rendered["verdict"]) == exit_code
     assert result.holds == (not violated) and result.complete == (not partial)

@@ -10,7 +10,7 @@ of the protocol models (paper §3.4, Appendix A) are inferred.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ConfigError
 from repro.netaddr import Prefix
@@ -369,6 +369,32 @@ class NetworkConfig:
     def devices_running_bgp(self) -> List[str]:
         """Names of devices with a BGP process."""
         return [name for name, cfg in self.devices.items() if cfg.bgp is not None]
+
+    def bgp_session(self, a: str, b: str) -> bool:
+        """Whether ``a`` and ``b`` hold a BGP session: both configure it (a
+        session is no link, and an iBGP one needs none)."""
+        if a == b or a not in self.devices or b not in self.devices:
+            return False
+        bgp_a, bgp_b = self.devices[a].bgp, self.devices[b].bgp
+        return (
+            bgp_a is not None
+            and bgp_b is not None
+            and bgp_a.neighbor(b) is not None
+            and bgp_b.neighbor(a) is not None
+        )
+
+    def bgp_peers(self) -> Dict[str, FrozenSet[str]]:
+        """The BGP session graph: per device running BGP, the devices it
+        holds a session with (:meth:`bgp_session`)."""
+        return {
+            name: frozenset(
+                session.peer
+                for session in config.bgp.neighbors
+                if self.bgp_session(name, session.peer)
+            )
+            for name, config in self.devices.items()
+            if config.bgp is not None
+        }
 
     def all_referenced_prefixes(self) -> List[Prefix]:
         """Every prefix mentioned anywhere in the network (PEC trie input)."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.options import PlanktonOptions
 from repro.core.scheduler import dependency_closure, restrict_schedule
@@ -193,10 +193,15 @@ class NetworkSymmetry(NamedTuple):
             settings that name no device (``redistribute_static``).  The most
             common colour is left out, so a network whose devices all run
             alike colours none.
+        peers: The BGP session graph (:meth:`NetworkConfig.bgp_peers
+            <repro.config.objects.NetworkConfig.bgp_peers>`): what lifecycle
+            scenarios draw session events from, and the cone within which
+            two events do not commute.
     """
 
     topology: Topology
     device_colors: Dict[str, object]
+    peers: Dict[str, FrozenSet[str]]
 
 
 def _ospf_weight(device, neighbor: str, weight):
@@ -232,7 +237,9 @@ def network_symmetry(network) -> NetworkSymmetry:
     counts = Counter(colors.values())
     common = max(counts, key=counts.__getitem__, default=None)
     return NetworkSymmetry(
-        topology, {name: color for name, color in colors.items() if color != common}
+        topology,
+        {name: color for name, color in colors.items() if color != common},
+        network.bgp_peers(),
     )
 
 
@@ -409,6 +416,7 @@ def event_scenarios_for_pec(
         return []
     return enumerate_event_scenarios(
         symmetry.topology,
+        symmetry.peers,
         transient_options.scenario_events,
         kinds=transient_options.scenario_kinds or DEFAULT_EVENT_KINDS,
         colors=_origin_colors(symmetry, pec),

@@ -14,16 +14,20 @@ Three pieces live here, all behind :class:`OspfComputation`:
   OspfInstance` (``peers`` and edge costs) all read it;
 * the **SPF kernel** — a multi-source Dijkstra over the compiled integer
   lists, converted to the name-keyed :class:`OspfRoutingTable` only on the
-  way out;
+  way out.  Its next-hop tuples are interned per compiled graph, so an ECMP
+  set is one tuple in every table of the computation;
 * the **failure-delta path** — the table for a non-empty failure set is
   derived from the same origins' failure-free run: a failed link that is not
   on a shortest path changes nothing (the failure-free table itself is
   returned); one whose tail keeps another equal-cost next hop changes only
-  that node's ``next_hops`` (every other field is shared with the
-  failure-free table); where a node loses its last shortest-path next hop,
-  only the region cut off with it is settled again from its neighbours.  The
-  whole kernel runs under failures only for what that reasoning does not
-  cover: anycast origin sets whose lowest-name tie-break would have to be
+  that node's ``next_hops``; where a node loses its last shortest-path next
+  hop, only the region cut off with it is settled again from its
+  neighbours.  The derived table stores only what the failure moved: each
+  field is the failure-free table's dict where the failure left it alone,
+  else a read-only view of that dict plus the moved entries minus the nodes
+  left unreachable (:class:`_Patched`).  Nothing is copied.  The whole
+  kernel runs under failures only for what that reasoning does not cover:
+  anycast origin sets whose lowest-name tie-break would have to be
   propagated again, and graphs with a non-positive cost.
 
 Two consumers use the results: the OSPF path-vector model, whose
@@ -37,8 +41,19 @@ the failure moved (:meth:`OspfComputation.moved`).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from collections.abc import ItemsView, Mapping
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.config.objects import NetworkConfig, OspfConfig
 from repro.exceptions import ConfigError
@@ -52,9 +67,78 @@ INFINITY = float("inf")
 _Edge = Tuple[int, float, int]
 _NO_FAILURES: FrozenSet[int] = frozenset()
 _NOTHING: Tuple[str, ...] = ()
+_NO_NAMES: FrozenSet[str] = frozenset()
 
 
-@dataclass(frozen=True)
+class _Patched(Mapping):
+    """A read-only view of the dict ``base`` with ``patch``'s entries over it
+    and the keys in ``removed`` taken out, in ``base``'s order.
+
+    How a table under failures holds a field that the failure moved: its
+    failure-free table's dict, plus what moved.  A failure only removes
+    links, so ``patch`` and ``removed`` name keys of ``base`` (and never the
+    same key); nothing of ``base`` is copied or written.
+    """
+
+    __slots__ = ("base", "patch", "removed")
+
+    def __init__(self, base: Dict, patch: Dict, removed: FrozenSet[str]) -> None:
+        self.base, self.patch, self.removed = base, patch, removed
+
+    def __getitem__(self, key):
+        patch = self.patch
+        if key in patch:
+            return patch[key]
+        if key in self.removed:
+            raise KeyError(key)
+        return self.base[key]
+
+    def get(self, key, default=None):
+        patch = self.patch
+        if key in patch:
+            return patch[key]
+        if key in self.removed:
+            return default
+        return self.base.get(key, default)
+
+    def __contains__(self, key) -> bool:
+        return key in self.base and key not in self.removed
+
+    def __iter__(self) -> Iterator:
+        removed = self.removed
+        if not removed:
+            return iter(self.base)
+        return (key for key in self.base if key not in removed)
+
+    def __len__(self) -> int:
+        return len(self.base) - len(self.removed)
+
+    def items(self) -> ItemsView:
+        return _PatchedItems(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _PatchedItems(ItemsView):
+    """``items()`` of a :class:`_Patched` view, walking its base's items
+    rather than looking every key up again."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator:
+        view = self._mapping
+        patch, removed = view.patch, view.removed
+        for key, value in view.base.items():
+            if key not in removed:
+                yield key, patch.get(key, value)
+
+
+def _patched(base: Dict, patch: Dict, removed: FrozenSet[str]) -> Mapping:
+    """``base`` itself where nothing moved, else the :class:`_Patched` view."""
+    return _Patched(base, patch, removed) if patch or removed else base
+
+
 class OspfRoutingTable:
     """Result of an OSPF computation for one prefix.
 
@@ -64,21 +148,68 @@ class OspfRoutingTable:
         next_hops: For each node, the sorted tuple of ECMP next hops on
             shortest paths (empty for origins and unreachable nodes).
         chosen_origin: The origin each node routes towards.
-        deterministic_order: Nodes sorted by increasing distance — the order
-            in which the deterministic-node POR heuristic lets them execute.
+        deterministic_order: Nodes sorted by increasing distance, ties by
+            name — the order in which the deterministic-node POR heuristic
+            lets them execute.  Worked out of ``distances`` on first read.
 
-    Tables of one :class:`OspfComputation` may share field objects (see the
-    module docstring); treat them as read-only.
+    The three mappings are read-only.  Tables of one :class:`OspfComputation`
+    share them: a table under failures holds its failure-free table's dict
+    where the failure moved nothing in a field, and a read-only view over it
+    (:class:`_Patched`) where it did (see the module docstring); equal
+    next-hop tuples are one object.  Read them with ``[]``, ``get``, ``in``
+    and iteration; ``dict(...)`` makes a copy of one's own.
     """
 
-    distances: Dict[str, float]
-    next_hops: Dict[str, Tuple[str, ...]]
-    chosen_origin: Dict[str, str]
-    deterministic_order: Tuple[str, ...]
+    __slots__ = ("distances", "next_hops", "chosen_origin", "_order", "_order_of")
+
+    def __init__(
+        self,
+        distances: Mapping[str, float],
+        next_hops: Mapping[str, Tuple[str, ...]],
+        chosen_origin: Mapping[str, str],
+        deterministic_order: Optional[Tuple[str, ...]] = None,
+        order_of: Optional["OspfRoutingTable"] = None,
+    ) -> None:
+        """``order_of``: a table with these very ``distances``, whose order
+        this one hands over instead of sorting again."""
+        self.distances = distances
+        self.next_hops = next_hops
+        self.chosen_origin = chosen_origin
+        self._order = deterministic_order
+        self._order_of = order_of
+
+    @property
+    def deterministic_order(self) -> Tuple[str, ...]:
+        order = self._order
+        if order is None:
+            if self._order_of is not None:
+                order = self._order_of.deterministic_order
+            else:
+                by_distance = sorted([(cost, name) for name, cost in self.distances.items()])
+                order = tuple([name for _, name in by_distance])
+            self._order = order
+        return order
 
     def is_reachable(self, node: str) -> bool:
         """True if ``node`` has a finite-cost route to some origin."""
         return self.distances.get(node, INFINITY) < INFINITY
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OspfRoutingTable):
+            return NotImplemented
+        return (
+            self.distances == other.distances
+            and self.next_hops == other.next_hops
+            and self.chosen_origin == other.chosen_origin
+            and self.deterministic_order == other.deterministic_order
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"OspfRoutingTable(distances={dict(self.distances)!r}, "
+            f"next_hops={dict(self.next_hops)!r}, "
+            f"chosen_origin={dict(self.chosen_origin)!r})"
+        )
 
 
 def _adjacency_cost(
@@ -119,6 +250,8 @@ class _CompiledGraph:
         links: Link id -> ``(a, b, cost a -> b, cost b -> a)`` for every link
             carrying an adjacency in at least one direction.
         positive_costs: Every cost is > 0 (what the delta path relies on).
+        hop_tuples: Every next-hop name tuple a table of this graph holds,
+            keyed by itself (:meth:`hop_names`).
     """
 
     def __init__(self, network: NetworkConfig, topology: CompiledTopology) -> None:
@@ -153,6 +286,16 @@ class _CompiledGraph:
         self.positive_costs = all(
             cost > 0 for link in self.links.values() for cost in link[2:]
         )
+        self.hop_tuples: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+
+    def hop_names(self, hops: Set[int]) -> Tuple[str, ...]:
+        """``hops`` as the sorted name tuple a table carries (index order is
+        name order), interned: equal ECMP sets are one tuple across every
+        table of the computation.  The memo lives with ``names``, which the
+        indexes refer to."""
+        names = self.names
+        hop_names = tuple([names[hop] for hop in sorted(hops)])
+        return self.hop_tuples.setdefault(hop_names, hop_names)
 
     def node(self, name: str) -> int:
         """The dense index of device ``name``."""
@@ -269,10 +412,9 @@ def _shortest_paths(
         if node in sources:
             next_hops[name] = ()
         else:
-            next_hops[name] = _hop_names(names, _tight_next_hops(out[node], dist, distance))
-    order = tuple([names[node] for _, node in sorted([(dist[node], node) for node in reached])])
+            next_hops[name] = graph.hop_names(_tight_next_hops(out[node], dist, distance))
     return _ShortestPaths(
-        OspfRoutingTable(distances, next_hops, chosen_origin, order), dist, origin_of, sources
+        OspfRoutingTable(distances, next_hops, chosen_origin), dist, origin_of, sources
     )
 
 
@@ -283,11 +425,6 @@ def _failure_key(failed_links: Optional[Set[int]]) -> FrozenSet[int]:
 def _tight_next_hops(edges: List[_Edge], dist: List[float], distance: float) -> Set[int]:
     """The neighbours among ``edges`` lying on a shortest path of a node at ``distance``."""
     return {neighbor for neighbor, cost, _ in edges if dist[neighbor] + cost == distance}
-
-
-def _hop_names(names: List[str], hops: Set[int]) -> Tuple[str, ...]:
-    """``hops`` as the sorted name tuple a table carries (index order is name order)."""
-    return tuple([names[hop] for hop in sorted(hops)])
 
 
 def _derive(
@@ -340,28 +477,29 @@ def _derive(
         hops = _tight_next_hops(out[node], dist, distance)
         if not cut_off and min(base.origin_of[hop] for hop in hops) != base.origin_of[node]:
             return None
-        hop_names = _hop_names(names, hops)
+        hop_names = graph.hop_names(hops)
         if hop_names != table.next_hops[names[node]]:
             patched[names[node]] = hop_names
     if not cut_off and not patched:
         return table, _NOTHING
     moved = tuple({*patched, *(names[node] for node in cut_off)})
-
-    distances, chosen_origin = table.distances, table.chosen_origin
-    order = table.deterministic_order
-    next_hops = {**table.next_hops, **patched}
-    if cut_off:
-        distances = dict(distances)
-        for node in cut_off:
-            if dist[node] != INFINITY:
-                distances[names[node]] = dist[node]
-            else:
-                if chosen_origin is table.chosen_origin:
-                    chosen_origin = dict(chosen_origin)
-                for field in (distances, next_hops, chosen_origin):
-                    del field[names[node]]
-        order = tuple([name for _, name in sorted(zip(distances.values(), distances))])
-    return OspfRoutingTable(distances, next_hops, chosen_origin, order), moved
+    # Every cut-off node has a longer path now, or none; the chosen origin of
+    # one that has is the one origin there is.
+    unreachable = (
+        frozenset([names[node] for node in cut_off if dist[node] == INFINITY]) or _NO_NAMES
+    )
+    distances = _patched(
+        table.distances,
+        {names[node]: dist[node] for node in cut_off if dist[node] != INFINITY},
+        unreachable,
+    )
+    derived = OspfRoutingTable(
+        distances,
+        _patched(table.next_hops, patched, unreachable),
+        _patched(table.chosen_origin, {}, unreachable),
+        order_of=table if distances is table.distances else None,
+    )
+    return derived, moved
 
 
 def _moved_between(before: OspfRoutingTable, after: OspfRoutingTable) -> Tuple[str, ...]:

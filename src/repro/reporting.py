@@ -244,8 +244,8 @@ def render_transient_markdown(campaign, title: Optional[str] = None) -> str:
 
     One row per (failure scenario, prefix) run — verdict (``INCONCLUSIVE``
     for a run that holds over a search cut by its state or depth budget),
-    states explored, converged states, whether the state budget truncated the
-    search, and the POR transition-reduction ratio — followed by the
+    states explored, converged states, whether the search stopped at the
+    state budget, and the POR transition-reduction ratio — followed by the
     rendered violations.
     """
     lines: List[str] = []
@@ -270,7 +270,7 @@ def render_transient_markdown(campaign, title: Optional[str] = None) -> str:
     scenario_header = " scenario |" if with_scenarios else ""
     lines.append(
         f"| failures | prefix |{scenario_header} verdict | states | converged "
-        "| truncated | reduction |"
+        "| at state budget | reduction |"
     )
     lines.append("|---|---|" + ("-" * 3 + "|" if with_scenarios else "") + "---|---|---|---|---|")
     words = campaign.VERDICT_WORDS

@@ -10,17 +10,20 @@ another.  Two reductions are applied, both *before* any exploration runs:
   extension step the Device Equivalence Classes are recomputed with every
   node already touched by the chosen prefix pinned into a singleton class,
   and only one representative device per DEC (respectively one
-  representative link per LEC) is offered for the next event.  Crashing any
+  representative session per LEC) is offered for the next event.  Crashing any
   member of a device class reaches a root state isomorphic to crashing the
   representative, so the verdict set is preserved whenever the colours
   capture everything that breaks symmetry (per-node origination, policy
   sources — the same contract :func:`~repro.topology.failures.
-  reduced_failure_scenarios` operates under).
+  reduced_failure_scenarios` operates under).  Session events are drawn
+  from the BGP session graph, not from the links: a LEC offers one of its
+  links that carries a session, and a session no link carries (iBGP over
+  the IGP) has no LEC, so every one of them is offered.
 
 * **Commuting-order canonicalisation**: two adjacent events whose
-  neighbourhood-closed touch sets are disjoint write and read disjoint slots
-  of the SPVP state (every lifecycle primitive only writes slots incident to
-  its touched nodes and reads at most their direct neighbours' bests and the
+  session-closed touch sets are disjoint write and read disjoint slots of
+  the SPVP state (every lifecycle primitive only writes slots incident to
+  its touched nodes and reads at most their BGP peers' bests and the
   stepper overlays of its own nodes), so swapping them reaches the *same*
   root state.  Sequences are therefore sorted to a canonical interleaving by
   bubbling commuting adjacent pairs, and only canonical sequences are
@@ -43,7 +46,7 @@ reduction to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import SpecError, TopologyError
 from repro.scenarios.events import (
@@ -57,7 +60,7 @@ from repro.scenarios.events import (
     Scenario,
 )
 from repro.topology.failures import DeviceEquivalence
-from repro.topology.graph import Topology
+from repro.topology.graph import Link, Topology
 
 #: The one scenario grammar: every descriptor kind and the events it builds
 #: (after the ``Converge`` a non-empty scenario leads with).  A node kind
@@ -93,6 +96,11 @@ DEFAULT_EVENT_KINDS = EVENT_KINDS
 #: A descriptor is the picklable, comparable identity of one atomic event:
 #: ``(kind, node)`` for node kinds, ``(kind, a, b)`` for session kinds.
 Descriptor = Tuple[str, ...]
+
+#: The BGP session graph the session kinds are drawn from and the
+#: commutation cone reads: per device, the devices it holds a session with
+#: (:meth:`~repro.config.objects.NetworkConfig.bgp_peers`).
+Peers = Mapping[str, FrozenSet[str]]
 
 
 @dataclass
@@ -145,12 +153,6 @@ def describe_descriptor(descriptor: Descriptor) -> str:
     return f"gray {descriptor[1]}->{descriptor[2]}"
 
 
-def _peers(network, a: str, b: str) -> bool:
-    """Whether ``a`` configures a BGP session towards ``b``."""
-    bgp = network.device(a).bgp
-    return bgp is not None and bgp.neighbor(b) is not None
-
-
 def check_descriptor(network, descriptor: Descriptor) -> None:
     """Refuse, with a :class:`SpecError`, a descriptor the grammar cannot
     build on ``network``: an unknown kind, the wrong number of devices, an
@@ -169,7 +171,7 @@ def check_descriptor(network, descriptor: Descriptor) -> None:
             raise SpecError(f"unknown device {name!r} in scenario")
     if kind in _SESSION_EVENTS:
         a, b = names
-        if a == b or not (_peers(network, a, b) and _peers(network, b, a)):
+        if not network.bgp_session(a, b):
             raise SpecError(f"scenario {kind} names no session: {a} and {b} do not peer over BGP")
 
 
@@ -188,12 +190,37 @@ def scenario_from_descriptor(descriptors: Sequence[Descriptor]) -> Scenario:
     return Scenario(events=events, name=name)
 
 
-def _descriptors(kinds: Sequence[str], nodes, links) -> List[Descriptor]:
-    """The descriptors of ``kinds`` over ``nodes`` (kind-major) and then over
-    ``links`` (link-major; ``gray`` in both directions)."""
-    descriptors = [(kind, node) for kind in kinds if kind in _NODE_EVENTS for node in nodes]
+def _carries_session(peers: Peers, link: Link) -> bool:
+    return link.b in peers.get(link.a, ())
+
+
+def _linked_sessions(peers: Peers, links: Iterable[Link]) -> List[Tuple[str, str]]:
+    """The BGP sessions ``links`` carry, in link order, once per device pair
+    (its two names sorted)."""
+    sessions: Dict[Tuple[str, str], None] = {}
     for link in links:
-        a, b = sorted((link.a, link.b))
+        if _carries_session(peers, link):
+            sessions.setdefault((min(link.a, link.b), max(link.a, link.b)), None)
+    return list(sessions)
+
+
+def _unlinked_sessions(topology: Topology, peers: Peers) -> List[Tuple[str, str]]:
+    """The BGP sessions no link carries (iBGP over the IGP), sorted."""
+    return sorted(
+        (a, b)
+        for a, members in peers.items()
+        for b in members
+        if a < b and not topology.links_between(a, b)
+    )
+
+
+def _descriptors(
+    kinds: Sequence[str], nodes: Sequence[str], sessions: Sequence[Tuple[str, str]]
+) -> List[Descriptor]:
+    """The descriptors of ``kinds`` over ``nodes`` (kind-major) and then over
+    ``sessions`` (session-major; ``gray`` in both directions)."""
+    descriptors = [(kind, node) for kind in kinds if kind in _NODE_EVENTS for node in nodes]
+    for a, b in sessions:
         for kind in kinds:
             if kind == "flap":
                 descriptors.append(("flap", a, b))
@@ -203,25 +230,24 @@ def _descriptors(kinds: Sequence[str], nodes, links) -> List[Descriptor]:
 
 
 def event_universe(
-    topology: Topology, kinds: Sequence[str] = DEFAULT_EVENT_KINDS
+    topology: Topology, peers: Peers, kinds: Sequence[str] = DEFAULT_EVENT_KINDS
 ) -> List[Descriptor]:
-    """Every atomic event descriptor of ``topology`` for the given kinds."""
-    return _descriptors(check_kinds(kinds), sorted(topology.nodes), topology.links)
+    """Every atomic event descriptor for the given kinds: node kinds over the
+    devices of ``topology``, session kinds over the sessions of ``peers`` —
+    those a link carries first, in link order, then the others, sorted."""
+    sessions = _linked_sessions(peers, topology.links) + _unlinked_sessions(topology, peers)
+    return _descriptors(check_kinds(kinds), sorted(topology.nodes), sessions)
 
 
 # --------------------------------------------------------------------------- commutation
-def _influence(topology: Topology, descriptor: Descriptor) -> FrozenSet[str]:
-    """Touched nodes plus their direct neighbours (the event's read cone)."""
-    touched = set(_touched(descriptor))
-    influence = set(touched)
-    for name in touched:
-        for link in topology.edges(name):
-            influence.add(link.other(name))
-    return frozenset(influence)
+def _influence(peers: Peers, descriptor: Descriptor) -> FrozenSet[str]:
+    """Touched nodes plus their BGP peers (the event's read cone)."""
+    touched = _touched(descriptor)
+    return frozenset(touched).union(*(peers.get(name, ()) for name in touched))
 
 
 def _commute(
-    topology: Topology,
+    peers: Peers,
     a: Descriptor,
     b: Descriptor,
     influence: Dict[Descriptor, FrozenSet[str]],
@@ -229,15 +255,15 @@ def _commute(
     """Whether adjacent events ``a`` and ``b`` provably reach the same state
     in either order: each one's touched set is outside the other's read cone
     (every primitive writes only slots incident to its touched nodes)."""
-    cone_a = influence.setdefault(a, _influence(topology, a))
-    cone_b = influence.setdefault(b, _influence(topology, b))
+    cone_a = influence.setdefault(a, _influence(peers, a))
+    cone_b = influence.setdefault(b, _influence(peers, b))
     touched_a = set(_touched(a))
     touched_b = set(_touched(b))
     return touched_a.isdisjoint(cone_b) and touched_b.isdisjoint(cone_a)
 
 
 def _canonical(
-    topology: Topology,
+    peers: Peers,
     sequence: Tuple[Descriptor, ...],
     influence: Dict[Descriptor, FrozenSet[str]],
 ) -> Tuple[Descriptor, ...]:
@@ -248,7 +274,7 @@ def _canonical(
         changed = False
         for index in range(len(items) - 1):
             left, right = items[index], items[index + 1]
-            if right < left and _commute(topology, left, right, influence):
+            if right < left and _commute(peers, left, right, influence):
                 items[index], items[index + 1] = right, left
                 changed = True
     return tuple(items)
@@ -267,6 +293,7 @@ def _sequence_count(universe: int, max_events: int) -> int:
 
 def enumerate_event_scenarios(
     topology: Topology,
+    peers: Peers,
     max_events: int,
     kinds: Sequence[str] = DEFAULT_EVENT_KINDS,
     colors: Optional[Dict[str, object]] = None,
@@ -277,8 +304,10 @@ def enumerate_event_scenarios(
     Mirrors :func:`~repro.topology.failures.reduced_failure_scenarios`: at
     each extension the equivalence classes are recomputed with the prefix's
     touched nodes pinned (each gets a colour recording its exact role in the
-    prefix), one representative device per DEC / link per LEC is offered per
-    kind, and non-canonical interleavings of commuting events are dropped.
+    prefix), one representative device per DEC / session link per LEC (and
+    every session no link carries) is offered per kind, and non-canonical
+    interleavings of commuting events are dropped.  ``peers`` is the BGP
+    session graph, ``topology`` the one the classes are worked out on.
     The empty (steady-state) scenario always comes first.  ``ledger``, when
     given, receives the universe/brute/emitted accounting.
     """
@@ -287,6 +316,8 @@ def enumerate_event_scenarios(
     kinds = check_kinds(kinds)
     base_colors: Dict[str, object] = dict(colors or {})
     influence: Dict[Descriptor, FrozenSet[str]] = {}
+    session_kinds = any(kind in _SESSION_EVENTS for kind in kinds)
+    unlinked = _unlinked_sessions(topology, peers) if session_kinds else []
     results: List[Tuple[Descriptor, ...]] = [()]
     seen: Set[Tuple[Descriptor, ...]] = {()}
 
@@ -299,10 +330,21 @@ def enumerate_event_scenarios(
         for name, role in roles.items():
             marks[name] = ("touched", base_colors.get(name), tuple(role))
         equivalence = DeviceEquivalence(topology, marks)
+        sessions: List[Tuple[str, str]] = []
+        if session_kinds:
+            # Per LEC, its first link (in id order) that carries a session.
+            links = []
+            for members in equivalence.link_classes().values():
+                for link in map(topology.link, members):
+                    if _carries_session(peers, link):
+                        links.append(link)
+                        break
+            links.sort(key=lambda link: link.link_id)
+            sessions = _linked_sessions(peers, links) + unlinked
         return _descriptors(
             kinds,
             sorted(members[0] for members in equivalence.class_members().values()),
-            [topology.link(link_id) for link_id in equivalence.representative_links()],
+            sessions,
         )
 
     def extend(prefix: Tuple[Descriptor, ...], remaining: int) -> None:
@@ -311,7 +353,7 @@ def enumerate_event_scenarios(
         for descriptor in candidates(prefix):
             if descriptor in prefix:
                 continue
-            sequence = _canonical(topology, prefix + (descriptor,), influence)
+            sequence = _canonical(peers, prefix + (descriptor,), influence)
             if sequence in seen:
                 continue
             seen.add(sequence)
@@ -320,7 +362,7 @@ def enumerate_event_scenarios(
 
     extend((), max_events)
     if ledger is not None:
-        ledger.universe = len(event_universe(topology, kinds))
+        ledger.universe = len(event_universe(topology, peers, kinds))
         ledger.brute = _sequence_count(ledger.universe, max_events)
         ledger.emitted = len(results)
     return [scenario_from_descriptor(seq) for seq in results]

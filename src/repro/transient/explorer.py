@@ -684,7 +684,9 @@ class TransientCampaignResult(RequestResult):
         )
 
     def summary(self) -> str:
-        truncated = sum(1 for run in self.runs if run.result.truncated)
+        # Runs the state budget cut; depth-bounded ones are counted by the
+        # verdict phrase, with every other run that is not complete.
+        at_budget = sum(1 for run in self.runs if run.result.truncated)
         scenarios = (
             f" x {self.event_scenarios} event scenario(s)"
             if self.event_scenarios
@@ -693,7 +695,7 @@ class TransientCampaignResult(RequestResult):
         return (
             f"transient campaign: {self.verdict_phrase()}; {len(self.runs)} run(s) over "
             f"{self.failure_scenarios} failure scenario(s){scenarios}, "
-            f"{self.states_explored} state(s), {truncated} truncated, "
+            f"{self.states_explored} state(s), {at_budget} at the state budget, "
             f"{self.elapsed_seconds:.3f}s"
         )
 

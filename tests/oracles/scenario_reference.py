@@ -15,6 +15,7 @@ from repro.exceptions import TopologyError
 from repro.scenarios.enumerator import (
     DEFAULT_EVENT_KINDS,
     Descriptor,
+    Peers,
     event_universe,
     scenario_from_descriptor,
 )
@@ -24,13 +25,14 @@ from repro.topology.graph import Topology
 
 def brute_event_scenarios(
     topology: Topology,
+    peers: Peers,
     max_events: int,
     kinds: Sequence[str] = DEFAULT_EVENT_KINDS,
 ) -> List[Scenario]:
     """Every ordered sequence of distinct events up to ``max_events`` long."""
     if max_events < 0:
         raise TopologyError(f"max_events must be non-negative, got {max_events}")
-    universe = event_universe(topology, kinds)
+    universe = event_universe(topology, peers, kinds)
     results: List[Tuple[Descriptor, ...]] = [()]
 
     def extend(prefix: Tuple[Descriptor, ...], remaining: int) -> None:

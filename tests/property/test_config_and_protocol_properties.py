@@ -4,10 +4,13 @@ Prefix lists and route maps implement the "first matching clause decides,
 implicit deny at the end" semantics of real routers; the OSPF computation must
 agree with plain Dijkstra on symmetric-weight topologies, and — compiled graph,
 integer kernel and failure-delta path together — with the name-keyed reference
-in ``tests/oracles`` on every table field.
+in ``tests/oracles`` on every table field, read the ways the verifier reads a
+table under failures: a read-only view over its failure-free table's dicts.
 """
 
 import random
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 from repro.config.objects import NetworkConfig, OspfInterface, PrefixList, PrefixListEntry
 from repro.config.builder import ConfigBuilder, ospf_everywhere
 from repro.netaddr import MAX_IPV4, Prefix
-from repro.protocols.ospf import OspfComputation
+from repro.protocols.ospf import OspfComputation, _Patched
 from repro.topology import Topology, fat_tree, grid, ring
 from tests.oracles.ospf_reference import reference_compute
 
@@ -350,3 +353,110 @@ class TestFailureDeltaBranches:
         network.set_device(ConfigBuilder(network.topology).enable_ospf("r2").device("r2"))
         network.topology.add_link("r1", "r2", weight=3)
         assert computation.compute(["r0"]).distances["r2"] == 4.0
+
+
+# --------------------------------------------------------------------------- shared tables
+_FIELDS = ("distances", "next_hops", "chosen_origin")
+
+
+def _assert_reads_like(view, reference, base_reference):
+    """``view`` reads as the dict ``reference`` does; where it is a view, its
+    keys come in the order of the failure-free reference ``base_reference``."""
+    assert dict(view) == reference and dict(view.items()) == reference
+    assert len(view) == len(reference)
+    assert set(view) == set(reference)
+    if isinstance(view, _Patched):
+        assert list(view) == [key for key in base_reference if key in reference]
+    for key in [*base_reference, "nowhere"]:
+        assert (key in view) == (key in reference)
+        assert view.get(key) == reference.get(key)
+        assert view.get(key, "absent") == reference.get(key, "absent")
+        if key in reference:
+            assert view[key] == reference[key]
+        else:
+            with pytest.raises(KeyError):
+                view[key]
+
+
+class TestSharedTables:
+    """A table under failures holds its failure-free table's dicts, or a
+    read-only view over them with what the failure moved."""
+
+    @given(st.integers(0, 2 ** 32))
+    @settings(max_examples=100, deadline=None)
+    def test_derived_views_read_like_the_reference(self, seed):
+        rng = random.Random(seed)
+        network = _random_ospf_network(rng)
+        topology = network.topology
+        link_ids = [link.link_id for link in topology.links]
+        computation = OspfComputation(network)
+        origins = rng.sample(topology.nodes, rng.randint(1, min(2, len(topology.nodes))))
+        base = computation.compute(origins)
+        written = [(dict(getattr(base, name)), list(getattr(base, name))) for name in _FIELDS]
+        base_reference = reference_compute(network, origins)
+        for _ in range(6):
+            failed = set(rng.sample(link_ids, rng.randint(1, min(3, len(link_ids)))))
+            table = computation.compute(origins, failed)
+            reference = reference_compute(network, origins, failed)
+            for name in _FIELDS:
+                _assert_reads_like(
+                    getattr(table, name), getattr(reference, name), getattr(base_reference, name)
+                )
+            assert table.deterministic_order == reference.deterministic_order
+        # The base is never written.
+        assert [(dict(getattr(base, name)), list(getattr(base, name))) for name in _FIELDS] == written
+
+    def test_a_cut_off_node_reads_as_absent(self):
+        network, (_, _, _, tail) = _weighted(
+            "kite", ("r0", "r1", 1), ("r1", "r2", 1), ("r0", "r2", 5), ("r2", "r3", 1)
+        )
+        computation = OspfComputation(network)
+        base = computation.compute(["r0"])
+        alone = computation.compute(["r0"], {tail})
+        for name in _FIELDS:
+            view = getattr(alone, name)
+            assert isinstance(view, _Patched) and view.base is getattr(base, name)
+            assert "r3" not in view and "r3" in view.base
+            assert view.get("r3") is None and view.get("r3", ()) == ()
+            with pytest.raises(KeyError):
+                view["r3"]
+            assert list(view) == ["r0", "r1", "r2"] and len(view) == 3
+        assert alone.deterministic_order == ("r0", "r1", "r2")
+        assert alone.deterministic_order == reference_compute(
+            network, ["r0"], {tail}
+        ).deterministic_order
+
+    def test_a_fat_tree_failure_table_holds_only_what_moved(self):
+        network = ospf_everywhere(fat_tree(4))
+        computation = OspfComputation(network)
+        for origins in (["edge0_0"], ["core0"]):
+            base = computation.compute(origins)
+            patched = 0
+            for link in network.topology.links:
+                table = computation.compute(origins, {link.link_id})
+                moved = set(computation.moved(origins, {link.link_id}))
+                for name in _FIELDS:
+                    field, base_field = getattr(table, name), getattr(base, name)
+                    if field is base_field:
+                        continue
+                    assert isinstance(field, _Patched) and field.base is base_field
+                    assert set(field.patch) | field.removed <= moved
+                    assert field.patch and not field.removed  # a fat tree stays connected
+                    patched += 1
+                if table.distances is base.distances:
+                    assert table.deterministic_order is base.deterministic_order
+            assert patched > 0
+
+    def test_equal_ecmp_sets_are_one_tuple_across_tables(self):
+        network = ospf_everywhere(fat_tree(4))
+        computation = OspfComputation(network)
+        seen = {}
+        for origins in (["edge0_0"], ["edge3_1"], ["edge0_0", "edge2_1"]):
+            for failed in [None] + [{link.link_id} for link in network.topology.links]:
+                for hops in computation.compute(origins, failed).next_hops.values():
+                    assert seen.setdefault(hops, hops) is hops
+        assert any(len(hops) > 1 for hops in seen)
+        # Another computation (another name list) interns its own.
+        other = OspfComputation(ospf_everywhere(fat_tree(4))).compute(["edge0_0"])
+        hops = other.next_hops["agg1_0"]
+        assert hops == seen[hops] and hops is not seen[hops]

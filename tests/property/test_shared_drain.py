@@ -125,7 +125,7 @@ def campaigns(draw):
     nodes = sorted(topology.nodes)
     links = list(topology.links)
     link = draw(st.sampled_from(links), label="session")
-    pool = enumerate_event_scenarios(topology, 1, kinds=EVENT_KINDS)
+    pool = enumerate_event_scenarios(topology, network.bgp_peers(), 1, kinds=EVENT_KINDS)
     scenarios = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4), label="scenarios")
     overlay = _overlay_scenario(
         draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2), label="nodes"),
@@ -167,7 +167,9 @@ def test_every_event_kind_in_one_task(stop, base):
     network = ebgp_rfc7938(bgp_fat_tree(4))
     pec = _bgp_pec(network)
     scenarios = [_overlay_scenario(("agg0_0", "edge0_1"), ("core0", "agg0_0"))]
-    scenarios += enumerate_event_scenarios(network.topology, 1, kinds=EVENT_KINDS)
+    scenarios += enumerate_event_scenarios(
+        network.topology, network.bgp_peers(), 1, kinds=EVENT_KINDS
+    )
     events = (Converge(), FailSession("agg0_0", "core0")) if base == "fail-session" else ()
     transient = TransientOptions(max_states=300, max_depth=4, stop_at_first_violation=stop)
     runs = _campaign_runs(network, pec, FailureScenario(), transient, events, scenarios)
@@ -192,7 +194,9 @@ def test_a_task_drains_once_per_prefix(monkeypatch):
 
     monkeypatch.setattr(SpvpStepper, "drain", counting)
     network = ebgp_rfc7938(bgp_fat_tree(4))
-    scenarios = enumerate_event_scenarios(network.topology, 1, kinds=("crash",))
+    scenarios = enumerate_event_scenarios(
+        network.topology, network.bgp_peers(), 1, kinds=("crash",)
+    )
     assert len(scenarios) > 3
     campaign = Plankton(network).verify_transients(
         PROPERTIES,

@@ -384,7 +384,11 @@ class TestOriginColourMap:
         for pec in compute_pecs(network):
             scenarios = event_scenarios_for_pec(symmetry, pec, TransientOptions(scenario_events=2))
             old = enumerate_event_scenarios(
-                network.topology, 2, DEFAULT_EVENT_KINDS, _all_device_colors(network, pec)
+                network.topology,
+                network.bgp_peers(),
+                2,
+                DEFAULT_EVENT_KINDS,
+                _all_device_colors(network, pec),
             )
             described = [scenario.describe() for scenario in scenarios]
             assert described == [scenario.describe() for scenario in old]

@@ -64,6 +64,15 @@ def _fat_tree_network():
     return ebgp_rfc7938(bgp_fat_tree(4))
 
 
+def _ibgp_ring_network():
+    """iBGP full mesh over OSPF on a 6-ring: 15 sessions, 9 of them over no link."""
+    from repro.config import ibgp_over_ospf
+    from repro.netaddr import Prefix
+    from repro.topology.generators import ring
+
+    return ibgp_over_ospf(ring(6), {"r0": Prefix("200.0.0.0/16")})
+
+
 def _bgp_pec(network):
     from repro.pec.classes import compute_pecs
 
@@ -89,27 +98,27 @@ def _bgp_instance(network, pec):
 # --------------------------------------------------------------------------- units
 class TestEventUniverse:
     def test_square_universe_contents(self):
-        topology = parse_topology(BGP_TOPOLOGY_TEXT)
-        universe = event_universe(topology, kinds=("crash", "gray"))
+        network = _square_network()
+        universe = event_universe(network.topology, network.bgp_peers(), kinds=("crash", "gray"))
         assert ("crash", "o") in universe
         assert ("crash", "m") in universe
         # Gray failures are directional: both orientations of every session.
         assert ("gray", "a", "b") in universe and ("gray", "b", "a") in universe
-        assert len(universe) == 4 + 2 * 4  # 4 nodes, 4 links
+        assert len(universe) == 4 + 2 * 4  # 4 nodes, 4 sessions (one per link)
 
     def test_unknown_kind_raises(self):
         topology = parse_topology(BGP_TOPOLOGY_TEXT)
         with pytest.raises(TopologyError, match="unknown event kind"):
-            event_universe(topology, kinds=("crash", "meteor"))
+            event_universe(topology, {}, kinds=("crash", "meteor"))
         with pytest.raises(TopologyError, match="unknown event kind"):
-            enumerate_event_scenarios(topology, 1, kinds=("meteor",))
+            enumerate_event_scenarios(topology, {}, 1, kinds=("meteor",))
 
     def test_negative_budget_raises(self):
         topology = parse_topology(BGP_TOPOLOGY_TEXT)
         with pytest.raises(TopologyError, match="non-negative"):
-            enumerate_event_scenarios(topology, -1)
+            enumerate_event_scenarios(topology, {}, -1)
         with pytest.raises(TopologyError, match="non-negative"):
-            brute_event_scenarios(topology, -1)
+            brute_event_scenarios(topology, {}, -1)
 
     def test_transient_options_validate_scenario_fields(self):
         with pytest.raises(TopologyError, match="unknown event kind"):
@@ -201,9 +210,9 @@ class TestOneGrammar:
             events_by_label.setdefault(label, set()).add(tuple(events))
 
         for network in (_square_network(), _fat_tree_network()):
-            topology = network.topology
+            topology, peers = network.topology, network.bgp_peers()
             for kind in _EVENTS:
-                universe = event_universe(topology, [kind]) if kind in EVENT_KINDS else [
+                universe = event_universe(topology, peers, [kind]) if kind in EVENT_KINDS else [
                     (kind, node) for node in sorted(topology.nodes)
                 ]
                 assert universe
@@ -216,7 +225,7 @@ class TestOneGrammar:
                 record(f"flap:{link.a},{link.b}",
                        fail_session_events(f"{link.a},{link.b}", network))
             for max_events in (1, 2):
-                for scenario in enumerate_event_scenarios(topology, max_events):
+                for scenario in enumerate_event_scenarios(topology, peers, max_events):
                     record(scenario.name, scenario.events)
         assert len(events_by_label) > 1000
         clashes = {label: events for label, events in events_by_label.items() if len(events) > 1}
@@ -265,15 +274,76 @@ class TestOneGrammar:
                 scenario_from_spec(spec, network)
 
 
+class TestSessionsAreTheBgpSessionGraph:
+    """Session events and the commutation cone follow the BGP sessions,
+    which iBGP over an IGP lays between devices no link joins."""
+
+    def test_the_universe_holds_the_sessions_no_link_carries(self):
+        network = _ibgp_ring_network()
+        topology = network.topology
+        universe = event_universe(topology, network.bgp_peers(), kinds=("flap",))
+        assert not topology.links_between("r0", "r3")
+        assert ("flap", "r0", "r3") in universe
+        # Every pair of the six devices peers: the 6 links' sessions come
+        # first, in link order, then the 9 link-less ones, sorted.
+        assert len(universe) == 15 == len(set(universe))
+        linked = [tuple(sorted((link.a, link.b))) for link in topology.links]
+        assert [descriptor[1:] for descriptor in universe[:6]] == linked
+        assert universe[6:] == sorted(universe[6:])
+        scenario_from_spec("flap:r0,r3", network)  # the grammar accepts each of them
+        reduced = enumerate_event_scenarios(topology, network.bgp_peers(), 1, kinds=("gray",))
+        assert "gray r0->r3" in {scenario.name for scenario in reduced}
+
+    def test_a_link_that_carries_no_session_gives_no_session_event(self):
+        network = _ibgp_ring_network()
+        for name in ("r0", "r1"):
+            bgp = network.device(name).bgp
+            other = "r1" if name == "r0" else "r0"
+            bgp.neighbors = [session for session in bgp.neighbors if session.peer != other]
+        peers = network.bgp_peers()
+        assert "r1" not in peers["r0"] and network.topology.links_between("r0", "r1")
+        universe = event_universe(network.topology, peers, kinds=("flap", "gray"))
+        assert not {d for d in universe if set(d[1:]) == {"r0", "r1"}}
+        assert len(universe) == 3 * 14
+
+    def test_crashing_two_ibgp_peers_no_link_joins_does_not_commute(self):
+        """r0 and r3 are three hops apart on the ring but hold a session:
+        each crash queues a withdrawal on the r0/r3 channels, so the two
+        orders reach different SPVP roots and neither may stand for the
+        other."""
+        from repro.protocols.spvp import SpvpStepper
+        from repro.scenarios.enumerator import _commute
+
+        network = _ibgp_ring_network()
+        crash_r0, crash_r3 = ("crash", "r0"), ("crash", "r3")
+        assert not _commute(network.bgp_peers(), crash_r0, crash_r3, {})
+        instance = _bgp_instance(network, _bgp_pec(network))
+
+        def root(order):
+            stepper = SpvpStepper(instance)
+            return scenario_from_descriptor(order).apply(stepper, stepper.initial_state())
+
+        one, other = root([crash_r0, crash_r3]), root([crash_r3, crash_r0])
+        assert one.buffer_map() != other.buffer_map()
+        names = {scenario.name for scenario in enumerate_event_scenarios(
+            network.topology, network.bgp_peers(), 2, kinds=("crash",),
+            colors={name: name for name in network.topology.nodes},
+        )}
+        assert {"crash r0; crash r3", "crash r3; crash r0"} <= names
+
+
 class TestCanonicalOrdering:
     def test_commuting_far_apart_events_collapse(self):
         """On a long chain the endpoints are outside each other's read cone,
         so (crash left, crash right) and (crash right, crash left) are one
         scenario; adjacent nodes do not commute and keep both orders."""
         topology = linear_chain(6)
+        # A session over every link of the chain.
+        peers = {name: frozenset(topology.neighbors(name)) for name in topology.nodes}
         ledger = ScenarioLedger()
         scenarios = enumerate_event_scenarios(
             topology,
+            peers,
             2,
             kinds=("crash",),
             # Pin every node into its own class so only the ordering
@@ -294,8 +364,8 @@ class TestCanonicalOrdering:
     def test_ledger_brute_count_matches_enumeration(self):
         topology = parse_topology(BGP_TOPOLOGY_TEXT)
         ledger = ScenarioLedger()
-        enumerate_event_scenarios(topology, 2, kinds=("crash", "drain"), ledger=ledger)
-        brute = brute_event_scenarios(topology, 2, kinds=("crash", "drain"))
+        enumerate_event_scenarios(topology, {}, 2, kinds=("crash", "drain"), ledger=ledger)
+        brute = brute_event_scenarios(topology, {}, 2, kinds=("crash", "drain"))
         assert ledger.universe == 8
         assert ledger.brute == len(brute)
         assert 0 < ledger.emitted < ledger.brute
@@ -341,7 +411,7 @@ def _oracle_case(network, max_events, kinds, max_depth):
         TransientOptions(scenario_events=max_events, scenario_kinds=kinds),
         ledger=ledger,
     )
-    brute = brute_event_scenarios(network.topology, max_events, kinds)
+    brute = brute_event_scenarios(network.topology, network.bgp_peers(), max_events, kinds)
     assert ledger.emitted == len(reduced)
     assert ledger.brute == len(brute)
     assert ledger.pruned > 0
@@ -366,6 +436,11 @@ class TestBruteForceOracle:
 
     def test_square_k2_crash_drain(self):
         _oracle_case(_square_network(), 2, ("crash", "drain"), max_depth=10)
+
+    def test_ibgp_ring_k2_crash_flap(self):
+        """Sessions over no link, and crashes of devices three hops apart
+        that peer: the reduced k=2 set reaches the brute verdict set."""
+        _oracle_case(_ibgp_ring_network(), 2, ("crash", "flap"), max_depth=4)
 
     def test_fat_tree_k1_node_kinds(self):
         ledger = _oracle_case(

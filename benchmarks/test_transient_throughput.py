@@ -190,13 +190,15 @@ def test_memo_count_floor(reporter, monkeypatch):
             check_calls[0] += 1
             return super().check(forwarding, converged)
 
-    check_state = TransientAnalyzer._check_state
+    messages_of = TransientAnalyzer._messages_of
     active_nodes = AmpleSelector.active_nodes
     message_is_dangerous = AmpleSelector._message_is_dangerous
 
-    def counted_check_state(analyzer, state, converged, *rest):
+    # Every checked state passes through _messages_of: an expanded state when
+    # it is popped, a successor the search never expands when it is admitted.
+    def counted_messages_of(analyzer, state, converged, properties):
         assignments.add((state.best_key(), converged))
-        return check_state(analyzer, state, converged, *rest)
+        return messages_of(analyzer, state, converged, properties)
 
     analysed = [None]
 
@@ -215,7 +217,7 @@ def test_memo_count_floor(reporter, monkeypatch):
         danger_evaluations.add((receiver, sender, queue, best_id, backing, message))
         return message_is_dangerous(selector, receiver, rib_slot, message, best_id, backing)
 
-    monkeypatch.setattr(TransientAnalyzer, "_check_state", counted_check_state)
+    monkeypatch.setattr(TransientAnalyzer, "_messages_of", counted_messages_of)
     monkeypatch.setattr(AmpleSelector, "active_nodes", counted_active_nodes)
     monkeypatch.setattr(AmpleSelector, "_message_is_dangerous", counted_message_is_dangerous)
     result = TransientAnalyzer(
@@ -249,11 +251,53 @@ def test_state_memory_floor(reporter):
     channel set held as a frozenset of channel tuples costs more than the
     id array on its own.
     """
+    result, per_state, id_bytes = _warm_peak_per_state(max_states=5_000, max_depth=8)
+    ratio = per_state / id_bytes
+    reporter(
+        "transient",
+        f"memory floor: {per_state:.0f} B per admitted state over {result.states_explored} "
+        f"states, {ratio:.2f}x the {id_bytes} B id array (por=sleep, warm memos)",
+    )
+    assert ratio <= 1.75
+
+
+def test_depth_bound_memory_floor(reporter):
+    """Gating floor for the memory of a search the depth bound ends: a ratio,
+    no clock.
+
+    The run of :func:`test_state_memory_floor` ends at its state budget
+    before it reaches its depth bound; this one (``max_depth=6``, no budget
+    that binds) ends at the bound, so most of what it admits is a successor
+    it never expands.  Such a successor is checked when it is admitted and
+    queued as the outcome — one shared constant unless it violates — so the
+    peak per admitted state is at most 0.6x the state's id array: it holds
+    the layer being expanded, not the layer below it.
+    """
+    result, per_state, id_bytes = _warm_peak_per_state(max_states=500_000, max_depth=6)
+    assert not result.truncated and result.reduction.depth_pruned
+    ratio = per_state / id_bytes
+    reporter(
+        "transient",
+        f"depth-bound memory floor: {per_state:.0f} B per admitted state over "
+        f"{result.states_explored} states, {ratio:.2f}x the {id_bytes} B id array "
+        f"(por=sleep, max depth 6, warm memos)",
+    )
+    assert ratio <= 0.6
+
+
+def _warm_peak_per_state(max_states, max_depth):
+    """A ``por="sleep"`` search on the fig7a instance, run twice on one
+    analyzer: the second run's result, its ``tracemalloc`` peak per admitted
+    state and the bytes of a state's id array (4 bytes a slot)."""
     import tracemalloc
 
     instance = _fig7a_style_instance()
     analyzer = TransientAnalyzer(
-        instance, max_states=5_000, max_depth=8, stop_at_first_violation=False, por="sleep"
+        instance,
+        max_states=max_states,
+        max_depth=max_depth,
+        stop_at_first_violation=False,
+        por="sleep",
     )
     properties = [TransientLoopFreedom(ignore_converged=True)]
     analyzer.analyze(properties)
@@ -263,12 +307,4 @@ def test_state_memory_floor(reporter):
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    id_bytes = 4 * space_for(instance).total_slots
-    per_state = peak / result.states_explored
-    ratio = per_state / id_bytes
-    reporter(
-        "transient",
-        f"memory floor: {per_state:.0f} B per admitted state over {result.states_explored} "
-        f"states, {ratio:.2f}x the {id_bytes} B id array (por=sleep, warm memos)",
-    )
-    assert ratio <= 1.75
+    return result, peak / result.states_explored, 4 * space_for(instance).total_slots

@@ -37,6 +37,11 @@ key is an O(changed-slots) Zobrist XOR off the parent's fingerprint instead
 of a full (best, rib-in, buffers) tuple hash, pending channels are
 delta-maintained on the state, and witness event sequences are reconstructed
 from the BFS parent chain only when a violation is actually reported.
+A successor the search will never expand — converged, or at the depth
+bound — is checked when it is admitted, while its parent's array is live,
+and the frontier holds only the outcome: a shared constant when it holds
+every property, so the widest layer of a depth-bounded search keeps no
+state, and a depth-(bound - 1) state is freed once it has been expanded.
 The analyses run *on* a state are look-ups too, each keyed on the interned
 ids it is a function of: the properties' messages on ``(best-slot bytes,
 converged)`` in a memo that lives as long as the analyzer (the checks run
@@ -79,7 +84,7 @@ from __future__ import annotations
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config.objects import NetworkConfig
 from repro.core.options import POR_MODES
@@ -253,7 +258,7 @@ class TransientAnalysisResult:
         return (
             f"transient analysis: {verdict}; {self.states_explored} state(s), "
             f"{self.converged_states} converged, max depth {self.max_depth_reached}, "
-            f"truncated: {'yes (state budget reached)' if self.truncated else 'no'}, "
+            f"at state budget: {'yes' if self.truncated else 'no'}, "
             f"{self.elapsed_seconds:.3f}s{reduction}"
         )
 
@@ -299,6 +304,47 @@ class TransientAnalysisResult:
                 for state in self.converged_rpvp_states
             ),
         )
+
+
+class _Leaf:
+    """A successor the search will never expand, queued as its check's outcome.
+
+    A fresh successor that is converged or at the depth bound is checked when
+    it is admitted, and the frontier holds this instead of the state: the
+    pop still counts it, records its violations and prunes it at the bound.
+    One that holds every property, and carries no converged assignment to
+    collect, is one of the shared :data:`_CONVERGED` / :data:`_AT_BOUND`;
+    one that violates keeps the parent and event its witness is read from.
+    """
+
+    __slots__ = ("converged", "messages", "rpvp", "parent", "event")
+
+    def __init__(
+        self,
+        converged: bool,
+        messages: Tuple[Optional[str], ...] = (),
+        rpvp: Optional[RpvpState] = None,
+        parent: Optional[SpvpState] = None,
+        event: Optional[SpvpEvent] = None,
+    ) -> None:
+        self.converged = converged
+        #: What each property says (None = holds); () when all hold.
+        self.messages = messages
+        #: The converged best-path assignment, when the run collects them.
+        self.rpvp = rpvp
+        self.parent = parent
+        self.event = event
+
+    def witness_events(self) -> List[SpvpEvent]:
+        """The delivery sequence from the root to this leaf."""
+        events = self.parent.witness_events()
+        events.append(self.event)
+        return events
+
+
+#: The leaves that hold every property and carry nothing.
+_CONVERGED = _Leaf(converged=True)
+_AT_BOUND = _Leaf(converged=False)
 
 
 class TransientAnalyzer:
@@ -392,22 +438,37 @@ class TransientAnalyzer:
         #: fingerprint -> the sleep set (a channel mask) the state was
         #: admitted/last queued with.
         visited: Dict[int, int] = {root.fingerprint(hasher): EMPTY_SLEEP}
-        #: Frontier entries are (state, depth, sleep set, fresh); ``fresh``
-        #: is False only for the sleep-set requeues of already-counted
-        #: states.
-        frontier: Deque[Tuple[SpvpState, int, int, bool]] = deque([(root, 0, EMPTY_SLEEP, True)])
+        #: Frontier entries are (state or leaf, depth, sleep set, fresh);
+        #: ``fresh`` is False only for the sleep-set requeues of
+        #: already-counted states.  A successor the search will never expand
+        #: (converged, or at the depth bound) is queued as a :class:`_Leaf`,
+        #: the outcome of checking it when it was admitted, so neither it nor
+        #: its parent outlives that check unless it violates.
+        frontier: Deque[Tuple[Union[SpvpState, _Leaf], int, int, bool]] = deque(
+            [(root, 0, EMPTY_SLEEP, True)]
+        )
         channel_bit = space.channel_bit
+        last_depth = options.max_depth - 1
+        # The entry of every fresh leaf at the bound that holds: nothing to
+        # allocate for the widest layer of a depth-bounded search.
+        at_bound = (_AT_BOUND, options.max_depth, EMPTY_SLEEP, True)
         while frontier:
             state, depth, sleep, fresh = frontier.popleft()
-            converged = state.is_converged()
+            leaf = state.__class__ is _Leaf
+            converged = state.converged if leaf else state.is_converged()
             if fresh:
                 result.states_explored += 1
                 result.max_depth_reached = max(result.max_depth_reached, depth)
                 if converged:
                     result.converged_states += 1
                     if options.collect_converged:
-                        result.converged_rpvp_states.append(state.converged_rpvp())
-                if self._check_state(state, converged, depth, properties, result, root):
+                        result.converged_rpvp_states.append(
+                            state.rpvp if leaf else state.converged_rpvp()
+                        )
+                messages = (
+                    state.messages if leaf else self._messages_of(state, converged, properties)
+                )
+                if self._check_state(state, converged, depth, messages, properties, result, root):
                     break
 
             if converged:
@@ -416,9 +477,10 @@ class TransientAnalyzer:
                 reduction.depth_pruned += 1
                 continue
 
-            # Only an expanded state builds its id array: a state admitted at
-            # the depth bound, or dropped as a duplicate, never does.
+            # Only an expanded state builds its id array: a successor at the
+            # depth bound, or dropped as a duplicate, never does.
             state.ids()
+            leaves = depth >= last_depth
             enabled = state.pending_channels()
             reduced = False
             if selector is not None:
@@ -466,12 +528,22 @@ class TransientAnalyzer:
                         result.truncated = True
                         break
                     visited[fingerprint] = succ_sleep
-                    frontier.append((successor, depth + 1, succ_sleep, True))
+                    if leaves or not successor.pending:
+                        successor = self._leaf(successor, properties)
+                    frontier.append(
+                        at_bound
+                        if successor is _AT_BOUND
+                        else (successor, depth + 1, succ_sleep, True)
+                    )
                 elif use_sleep:
                     merged = merged_sleep_for_requeue(stored, succ_sleep)
                     if merged is not None:
                         visited[fingerprint] = merged
                         reduction.sleep_requeues += 1
+                        if leaves or not successor.pending:
+                            # A requeue is never checked: only the pop's
+                            # depth pruning reads it.
+                            successor = _CONVERGED if not successor.pending else _AT_BOUND
                         frontier.append((successor, depth + 1, merged, False))
             if fresh:
                 reduction.observe_expansion(
@@ -490,6 +562,18 @@ class TransientAnalyzer:
         return result
 
     # ------------------------------------------------------------------ helpers
+    def _leaf(self, state: SpvpState, properties: Sequence[TransientProperty]) -> _Leaf:
+        """Check a fresh successor the search will never expand, while its
+        parent's array is live: the frontier keeps the outcome instead."""
+        converged = not state.pending
+        messages = self._messages_of(state, converged, properties)
+        rpvp = state.converged_rpvp() if converged and self.options.collect_converged else None
+        if messages.count(None) < len(messages):
+            return _Leaf(converged, messages, rpvp, state.parent, state.event)
+        if rpvp is not None:
+            return _Leaf(converged, (), rpvp)
+        return _CONVERGED if converged else _AT_BOUND
+
     def _messages_of(
         self,
         state: SpvpState,
@@ -512,7 +596,10 @@ class TransientAnalyzer:
         return messages
 
     def _witness_of(
-        self, state: SpvpState, root: SpvpState, result: TransientAnalysisResult
+        self,
+        state: Union[SpvpState, _Leaf],
+        root: SpvpState,
+        result: TransientAnalysisResult,
     ) -> Tuple[str, ...]:
         """The described delivery sequence from the cold start to ``state``.
 
@@ -547,16 +634,17 @@ class TransientAnalyzer:
 
     def _check_state(
         self,
-        state: SpvpState,
+        state: Union[SpvpState, _Leaf],
         converged: bool,
         depth: int,
+        messages: Tuple[Optional[str], ...],
         properties: Sequence[TransientProperty],
         result: TransientAnalysisResult,
         root: SpvpState,
     ) -> bool:
-        """Check every property on one state of the search from ``root``;
-        returns True when the search should stop."""
-        messages = self._messages_of(state, converged, properties)
+        """Record the violations among ``messages`` (what ``properties`` say
+        about one state or leaf of the search from ``root``); returns True
+        when the search should stop."""
         for prop, message in zip(properties, messages):
             if message is None:
                 continue

@@ -392,14 +392,20 @@ class TestPartialOrderReduction:
             good_gadget(), stop_at_first_violation=False, por="ample"
         ).analyze(self.PROPERTIES())
         text = result.summary()
-        assert "truncated: no" in text
+        assert "at state budget: no" in text
         assert "por ample" in text
         rendered = result.render()
         assert "reduction[ample]" in rendered
         truncated = TransientAnalyzer(
             good_gadget(), max_states=10, stop_at_first_violation=False, por="full"
         ).analyze(self.PROPERTIES())
-        assert "truncated: yes (state budget reached)" in truncated.summary()
+        assert "at state budget: yes" in truncated.summary()
+        # The depth bound leaves the run incomplete, but not at the budget.
+        bounded = TransientAnalyzer(
+            good_gadget(), max_depth=2, stop_at_first_violation=False, por="full"
+        ).analyze(self.PROPERTIES())
+        assert bounded.completeness == "truncated"
+        assert "at state budget: no" in bounded.summary()
 
     def test_truncated_ample_result_does_not_depend_on_the_hash_seed(self):
         """The immune-session tally used to count the skips of a walk over a

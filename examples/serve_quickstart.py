@@ -51,12 +51,14 @@ device c
     neighbor b remote-as 65002
 """
 
-# The same device with its session preferences reshuffled — a typical
+# The same device preferring the routes it learns from a — a typical
 # operator edit, pushed as a one-device overlay against the warm session.
 EDIT_B = """
   bgp 65002
-    neighbor a remote-as 65001 weight 5
+    neighbor a remote-as 65001 import-map PREFER_A
     neighbor c remote-as 65003
+  route-map PREFER_A permit 10
+    set local-preference 200
 """
 
 

@@ -56,7 +56,7 @@ Examples::
     python -m repro diff-verify old.cfg new.cfg --topology campus.topo \\
         --policy loop --cache-dir .plankton-cache
     python -m repro transient --topology dc.topo --config dc.cfg \\
-        --fail-session agg0_0,edge0_0 --por sleep
+        --scenario flap:agg0_0,edge0_0 --por sleep
     python -m repro pecs --topology campus.topo --config campus.cfg
     python -m repro trace --topology campus.topo --config campus.cfg \\
         --source acc0 --destination 10.1.0.9
@@ -127,45 +127,15 @@ def _configure_logging(verbosity: int) -> None:
 
 
 # --------------------------------------------------------------------------- input loading
-def _config_dir_files(config_dir: str) -> List[FilePath]:
-    """The per-device ``*.cfg`` files of a ``--config-dir``."""
-    directory = FilePath(config_dir)
-    if not directory.is_dir():
-        raise CliError(f"--config-dir {directory} is not a directory")
-    config_files = sorted(directory.glob("*.cfg"))
-    if not config_files:
-        raise CliError(f"no *.cfg files in {directory}")
-    return config_files
-
-
-def _load_network(
-    topology_path: str, config: Optional[str] = None, config_dir: Optional[str] = None
-) -> NetworkConfig:
-    """Build the :class:`NetworkConfig` named by ``--topology`` and ``--config``/``--config-dir``."""
-    from repro.config.objects import NetworkConfig
-    from repro.config.parser import parse_config, parse_device_config
+def _load_network(topology_path: str, config: str) -> NetworkConfig:
+    """Build the :class:`NetworkConfig` named by ``--topology`` and ``--config``."""
+    from repro.config.parser import parse_config
     from repro.topology.io import load_topology
 
-    topology = load_topology(topology_path)
-    if config:
-        return parse_config(topology, FilePath(config).read_text())
-    if config_dir:
-        network = NetworkConfig(topology)
-        for config_file in _config_dir_files(config_dir):
-            device_name = config_file.stem
-            if device_name not in topology:
-                raise CliError(
-                    f"config file {config_file.name} does not match any topology device"
-                )
-            network.set_device(parse_device_config(device_name, config_file.read_text()))
-        network.validate()
-        return network
-    raise CliError("one of --config or --config-dir is required")
+    return parse_config(load_topology(topology_path), FilePath(config).read_text())
 
 
-def _network_payload(
-    topology_path: str, config: Optional[str] = None, config_dir: Optional[str] = None
-) -> Dict[str, object]:
+def _network_payload(topology_path: str, config: str) -> Dict[str, object]:
     """The same inputs as a full-config push payload (``--server`` mode).
 
     The topology file may be DSL text or JSON; it is normalised through the
@@ -175,15 +145,7 @@ def _network_payload(
     from repro.topology.io import format_topology, load_topology
 
     topology_text = format_topology(load_topology(topology_path))
-    if config:
-        return {"topology": topology_text, "config": FilePath(config).read_text()}
-    if config_dir:
-        sections = [
-            f"device {config_file.stem}\n{config_file.read_text()}"
-            for config_file in _config_dir_files(config_dir)
-        ]
-        return {"topology": topology_text, "config": "\n".join(sections)}
-    raise CliError("one of --config or --config-dir is required")
+    return {"topology": topology_text, "config": FilePath(config).read_text()}
 
 
 def _split_list(value: Optional[str]) -> List[str]:
@@ -214,7 +176,7 @@ def _policy_spec(args: argparse.Namespace) -> Dict[str, object]:
 
 def _options_spec(args: argparse.Namespace) -> Dict[str, object]:
     """The wire-format options spec of the engine flags (shared local/remote)."""
-    spec: Dict[str, object] = {
+    return {
         "max_failures": args.max_failures,
         "cores": args.cores,
         "backend": args.backend,
@@ -222,23 +184,17 @@ def _options_spec(args: argparse.Namespace) -> Dict[str, object]:
         "task_timeout": args.task_timeout,
         "task_retries": args.task_retries,
     }
-    if getattr(args, "no_optimizations", False):
-        spec["no_optimizations"] = True
-    return spec
 
 
 def _transient_spec(args: argparse.Namespace) -> Dict[str, object]:
     """The wire-format transient-options spec of the exploration flags."""
-    spec: Dict[str, object] = {
+    return {
         "max_states": args.max_states,
         "max_depth": args.max_depth,
         "stop_at_first_violation": not args.all_violations,
         "por": args.por,
         "scenario_events": args.scenario_events,
     }
-    if args.scenario_kinds:
-        spec["scenario_kinds"] = args.scenario_kinds
-    return spec
 
 
 def _transient_property_spec(args: argparse.Namespace) -> Dict[str, object]:
@@ -260,8 +216,6 @@ def _request_payload(args: argparse.Namespace, kind: str) -> Dict[str, object]:
         return payload
     payload["transient"] = _transient_spec(args)
     payload["property"] = _transient_property_spec(args)
-    if args.fail_session:
-        payload["fail_session"] = args.fail_session
     if args.scenario:
         payload["scenarios"] = list(args.scenario)
     if args.destination_prefix:
@@ -280,12 +234,12 @@ def _result_forms(args: argparse.Namespace) -> List[str]:
 def _run_requests(
     args: argparse.Namespace,
     kind: str,
-    requests: Sequence[Tuple[Dict[str, Optional[str]], Sequence[str]]],
+    requests: Sequence[Tuple[str, Sequence[str]]],
 ) -> List[Dict[str, object]]:
-    """Run the flags' request once per ``(source, forms)`` in ``requests`` —
+    """Run the flags' request once per ``(config, forms)`` in ``requests`` —
     in order, on one session — and return each run's rendered forms.
 
-    A source is the ``config`` / ``config_dir`` beside ``--topology``.  The
+    A config is a configuration file read beside ``--topology``.  The
     session is a namespace of the ``--server`` daemon, or in-process a
     :class:`Plankton` (a cache-less single ``verify``: no fingerprinting, no
     result store) or an :class:`IncrementalVerifier` that is ``update()``-d
@@ -297,8 +251,8 @@ def _run_requests(
 
         client = ServiceClient(args.server)
         rendered = []
-        for source, forms in requests:
-            push = dict(payload, forms=list(forms), **_network_payload(args.topology, **source))
+        for config, forms in requests:
+            push = dict(payload, forms=list(forms), **_network_payload(args.topology, config))
             document = client.run(args.namespace or "default", push)
             if document.get("state") == "failed":
                 raise CliError(f"server job {document.get('job')} failed: {document.get('error')}")
@@ -313,7 +267,7 @@ def _run_requests(
     from repro.serve.specs import options_from_spec
 
     options = options_from_spec(payload["options"])
-    networks = [_load_network(args.topology, **source) for source, _ in requests]
+    networks = [_load_network(args.topology, config) for config, _ in requests]
     if kind == "verify" and len(networks) == 1 and not args.cache_dir:
         from repro.core.verifier import Plankton
 
@@ -345,8 +299,7 @@ def _emit(args: argparse.Namespace, rendered: Dict[str, object]) -> int:
 
 def _cmd_single_request(args: argparse.Namespace) -> int:
     """``verify`` and ``transient``: the subcommand name is the request kind."""
-    source = {"config": args.config, "config_dir": args.config_dir}
-    (rendered,) = _run_requests(args, args.command, [(source, _result_forms(args))])
+    (rendered,) = _run_requests(args, args.command, [(args.config, _result_forms(args))])
     return _emit(args, rendered)
 
 
@@ -356,8 +309,8 @@ def _cmd_diff_verify(args: argparse.Namespace) -> int:
         args,
         "verify",
         [
-            ({"config": args.old_config}, [shown]),
-            ({"config": args.new_config}, _result_forms(args)),
+            (args.old_config, [shown]),
+            (args.new_config, _result_forms(args)),
         ],
     )
     # The delta's first line is its one-line summary, as is the text form's.
@@ -403,7 +356,7 @@ def _cmd_pecs(args: argparse.Namespace) -> int:
     from repro.pec.classes import compute_pecs
     from repro.pec.dependencies import build_dependency_graph
 
-    network = _load_network(args.topology, args.config, args.config_dir)
+    network = _load_network(args.topology, args.config)
     pecs = compute_pecs(network)
     graph = build_dependency_graph(network, pecs)
     print(f"{len(pecs)} packet equivalence class(es)")
@@ -430,7 +383,7 @@ def _cmd_pecs(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.baselines.simulation import SimulationVerifier
 
-    network = _load_network(args.topology, args.config, args.config_dir)
+    network = _load_network(args.topology, args.config)
     simulator = SimulationVerifier(network, seed=args.seed)
     printed = 0
     for pec in simulator.pecs:
@@ -452,7 +405,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.netaddr import ip_to_int
     from repro.pec.classes import compute_pecs
 
-    network = _load_network(args.topology, args.config, args.config_dir)
+    network = _load_network(args.topology, args.config)
     if args.source not in network.topology:
         raise CliError(f"unknown source device {args.source!r}")
     try:
@@ -487,11 +440,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- argument parsing
 def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--topology", required=True, help="topology file (.topo text or .json)")
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--config", help="multi-device configuration file (DSL)")
-    group.add_argument(
-        "--config-dir", help="directory of per-device <device>.cfg configuration files"
-    )
+    parser.add_argument("--config", required=True, help="multi-device configuration file (DSL)")
 
 
 def _add_policy_arguments(parser: argparse.ArgumentParser) -> None:
@@ -599,12 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_policy_arguments(diff_verify)
     _add_engine_arguments(diff_verify)
     diff_verify.set_defaults(handler=_cmd_diff_verify)
-    for command in (verify, diff_verify):
-        command.add_argument(
-            "--no-optimizations",
-            action="store_true",
-            help="disable the §4 optimizations (naive model checking; for ablation only)",
-        )
 
     transient = subparsers.add_parser(
         "transient",
@@ -636,10 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="partial-order reduction mode (full = unreduced oracle)",
     )
     transient.add_argument(
-        "--fail-session",
-        help="converge, then flap the BGP session between these two peers (A,B)",
-    )
-    transient.add_argument(
         "--scenario",
         action="append",
         help=(
@@ -657,13 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "enumerate all symmetry-reduced lifecycle scenarios of up to K "
             "events and cross them with every failure scenario (default: 0)"
-        ),
-    )
-    transient.add_argument(
-        "--scenario-kinds",
-        help=(
-            "restrict --scenario-events to these event kinds "
-            "(comma-separated: crash, restart, drain, drain-return, flap, gray)"
         ),
     )
     _add_engine_arguments(transient)

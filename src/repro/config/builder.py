@@ -72,7 +72,6 @@ class ConfigBuilder:
         export_map_a: Optional[str] = None,
         import_map_b: Optional[str] = None,
         export_map_b: Optional[str] = None,
-        next_hop_self: bool = False,
     ) -> "ConfigBuilder":
         """Configure a (symmetric) BGP session between ``a`` and ``b``."""
         config_a = self.device(a)
@@ -85,7 +84,6 @@ class ConfigBuilder:
                 remote_asn=config_b.bgp.asn,
                 import_map=import_map_a,
                 export_map=export_map_a,
-                next_hop_self=next_hop_self,
             )
         )
         config_b.bgp.add_neighbor(
@@ -94,7 +92,6 @@ class ConfigBuilder:
                 remote_asn=config_a.bgp.asn,
                 import_map=import_map_b,
                 export_map=export_map_b,
-                next_hop_self=next_hop_self,
             )
         )
         return self
@@ -358,12 +355,12 @@ def ibgp_over_ospf(
             raise ConfigError(f"route reflectors that are not speakers: {sorted(unknown)}")
         for position, a in enumerate(reflectors):
             for b in reflectors[position + 1 :]:
-                builder.bgp_session(a, b, next_hop_self=True)
+                builder.bgp_session(a, b)
         for client in speaker_list:
             if client in reflectors:
                 continue
             for reflector in reflectors:
-                builder.bgp_session(client, reflector, next_hop_self=True)
+                builder.bgp_session(client, reflector)
                 # Mark the client as a route-reflector client on the RR side so
                 # iBGP-learned routes are reflected to it.
                 reflector_cfg = builder.device(reflector).bgp
@@ -372,7 +369,7 @@ def ibgp_over_ospf(
     else:
         for position, a in enumerate(speaker_list):
             for b in speaker_list[position + 1 :]:
-                builder.bgp_session(a, b, next_hop_self=True)
+                builder.bgp_session(a, b)
     return builder.build()
 
 

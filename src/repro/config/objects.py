@@ -170,8 +170,6 @@ class SetActions:
     prepend_count: int = 0
     add_communities: List[str] = field(default_factory=list)
     remove_communities: List[str] = field(default_factory=list)
-    next_hop_self: bool = False
-    ospf_metric: Optional[int] = None
 
 
 @dataclass
@@ -215,9 +213,7 @@ class BgpNeighbor:
     remote_asn: int
     import_map: Optional[str] = None
     export_map: Optional[str] = None
-    next_hop_self: bool = False
     route_reflector_client: bool = False
-    weight: int = 0
 
     def is_ibgp(self, local_asn: int) -> bool:
         """True when this session is iBGP relative to ``local_asn``."""
@@ -232,9 +228,6 @@ class BgpConfig:
     networks: List[Prefix] = field(default_factory=list)
     neighbors: List[BgpNeighbor] = field(default_factory=list)
     default_local_pref: int = DEFAULT_LOCAL_PREF
-    redistribute_ospf: bool = False
-    redistribute_static: bool = False
-    multipath: bool = False
 
     def neighbor(self, peer: str) -> Optional[BgpNeighbor]:
         """The session towards ``peer``, or None."""

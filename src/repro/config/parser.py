@@ -25,10 +25,18 @@ Example::
       ...
 
 Keywords are case-insensitive; ``#`` starts a comment.
+
+Vendor syntax no protocol model reads — ``neighbor … weight``, ``neighbor …
+next-hop-self``, ``redistribute`` under ``bgp``, ``set metric`` and ``set
+next-hop-self`` — is refused with the construct and its line, so a
+configuration that uses it is never verified as if it had none; one comes
+back only with its model and a test that reads it.  BGP ``multipath`` is
+accepted with a warning: the model keeps one best path per node (paper §6).
 """
 
 from __future__ import annotations
 
+import logging
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigParseError
@@ -49,6 +57,15 @@ from repro.config.objects import (
     StaticRoute,
 )
 from repro.topology import Topology
+
+LOG = logging.getLogger("repro.config")
+
+
+def _unmodelled(construct: str, line: int) -> ConfigParseError:
+    return ConfigParseError(
+        f"'{construct}' is not modelled by the verifier; remove it from the configuration",
+        line,
+    )
 
 
 def _tokenize(text: str) -> List[Tuple[int, List[str]]]:
@@ -237,14 +254,12 @@ class _DeviceParser:
                 raise ConfigParseError("bgp network requires a prefix", line)
             self.config.bgp.networks.append(self._prefix(tokens[1], line))
         elif keyword == "redistribute":
-            if len(tokens) >= 2 and tokens[1].lower() == "ospf":
-                self.config.bgp.redistribute_ospf = True
-            elif len(tokens) >= 2 and tokens[1].lower() == "static":
-                self.config.bgp.redistribute_static = True
-            else:
-                raise ConfigParseError("bgp redistribute supports ospf|static", line)
+            raise _unmodelled("bgp redistribute", line)
         elif keyword == "multipath":
-            self.config.bgp.multipath = True
+            LOG.warning(
+                "line %d: bgp multipath is ignored: the model keeps one best path per device",
+                line,
+            )
         elif keyword == "neighbor":
             if len(tokens) < 4 or tokens[2].lower() != "remote-as":
                 raise ConfigParseError(
@@ -260,15 +275,11 @@ class _DeviceParser:
                 elif option == "export-map" and len(rest) >= 2:
                     neighbor.export_map = rest[1]
                     rest = rest[2:]
-                elif option == "next-hop-self":
-                    neighbor.next_hop_self = True
-                    rest = rest[1:]
+                elif option in ("next-hop-self", "weight"):
+                    raise _unmodelled(f"neighbor ... {option}", line)
                 elif option == "route-reflector-client":
                     neighbor.route_reflector_client = True
                     rest = rest[1:]
-                elif option == "weight" and len(rest) >= 2:
-                    neighbor.weight = self._int(rest[1], line, "weight")
-                    rest = rest[2:]
                 else:
                     raise ConfigParseError(f"unexpected neighbor option {rest[0]!r}", line)
             self.config.bgp.add_neighbor(neighbor)
@@ -297,14 +308,12 @@ class _DeviceParser:
                 clause.actions.local_preference = self._int(tokens[2], line, "local-preference")
             elif what == "med" and len(tokens) >= 3:
                 clause.actions.med = self._int(tokens[2], line, "MED")
-            elif what == "metric" and len(tokens) >= 3:
-                clause.actions.ospf_metric = self._int(tokens[2], line, "metric")
             elif what == "prepend" and len(tokens) >= 3:
                 clause.actions.prepend_count = self._int(tokens[2], line, "prepend count")
             elif what == "community" and len(tokens) >= 3:
                 clause.actions.add_communities.append(tokens[2])
-            elif what == "next-hop-self":
-                clause.actions.next_hop_self = True
+            elif what in ("metric", "next-hop-self"):
+                raise _unmodelled(f"set {what}", line)
             else:
                 raise ConfigParseError(f"unsupported set {tokens[1]!r}", line)
 

@@ -136,17 +136,10 @@ class PlanktonOptions:
     #: How many times a failed or timed-out task is retried before the
     #: supervisor records a structured per-task failure
     #: (:class:`~repro.core.results.TaskFailure`) and degrades the verify to
-    #: a partial result instead of raising.
+    #: a partial result instead of raising.  The retry backoff and the
+    #: pool's crash-rebuild budget are engine constants
+    #: (:mod:`repro.engine.supervision`, :mod:`repro.engine.backends`).
     task_retries: int = 2
-    #: Base delay of the jittered exponential retry backoff, seconds
-    #: (attempt ``n`` waits ``retry_backoff * 2**(n-1)``, capped and jittered
-    #: into ``[0.5, 1.0]`` of the nominal delay).
-    retry_backoff: float = 0.05
-    #: Upper bound on one backoff delay, seconds.
-    retry_backoff_cap: float = 2.0
-    #: How many *crash*-triggered pool rebuilds the process backend tolerates
-    #: before finishing the remaining tasks on the serial backend.
-    max_pool_rebuilds: int = 3
 
     def __post_init__(self) -> None:
         """Refuse values no run can honour (``ValueError``): the CLI and the
@@ -160,9 +153,8 @@ class PlanktonOptions:
             raise ValueError(
                 f"unknown execution backend {self.backend!r}; choose from {BACKEND_CHOICES}"
             )
-        for name in ("task_retries", "retry_backoff", "retry_backoff_cap", "max_pool_rebuilds"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0 (got {getattr(self, name)})")
+        if self.task_retries < 0:
+            raise ValueError(f"task_retries must be >= 0 (got {self.task_retries})")
         for name in ("max_states_per_pec", "max_seconds_per_pec", "task_timeout"):
             budget = getattr(self, name)
             if budget is not None and budget <= 0:

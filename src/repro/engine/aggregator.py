@@ -43,12 +43,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 from repro.core.options import PlanktonOptions
 from repro.core.results import TaskFailure
 from repro.engine.graph import TaskError, TaskGraph, TaskResult, TaskSpec
-from repro.engine.supervision import (
-    LOG,
-    SupervisionPolicy,
-    task_failure_from,
-    upstream_failure,
-)
+from repro.engine.supervision import LOG, backoff_delay, task_failure_from, upstream_failure
 
 Outcome = Union[TaskResult, TaskFailure]
 
@@ -97,16 +92,15 @@ class ResultAggregator:
         if self._ends_request(spec, result):
             self.stop_requested = True
 
-    def charge(
-        self, spec: TaskSpec, error: TaskError, policy: SupervisionPolicy
-    ) -> Optional[float]:
+    def charge(self, spec: TaskSpec, error: TaskError) -> Optional[float]:
         """Charge one failed attempt of ``spec``: the backoff before its
         retry, or None when the task has an outcome now (that was its last
         attempt, and the failure is recorded) or already had one."""
         if spec.task_id in self._outcomes:
             return None
         attempt = self.attempts[spec.task_id] = self.attempts.get(spec.task_id, 0) + 1
-        if attempt > policy.task_retries:
+        retries = self._options.task_retries
+        if attempt > retries:
             LOG.error(
                 "engine: task %d failed permanently after %d attempt(s): %s: %s",
                 spec.task_id,
@@ -116,12 +110,12 @@ class ResultAggregator:
             )
             self.record_failure(spec, error, attempt)
             return None
-        delay = policy.backoff_delay(spec.task_id, attempt)
+        delay = backoff_delay(spec.task_id, attempt)
         LOG.warning(
             "engine: task %d retried (attempt %d/%d) after %s: %s; backoff %.3fs",
             spec.task_id,
             attempt + 1,
-            policy.task_retries + 1,
+            retries + 1,
             error.kind,
             error.message,
             delay,

@@ -30,9 +30,9 @@ Both backends run under one set of **supervision** rules
   timeout;
 * an abrupt worker death (OOM killer, SIGKILL) breaks the pool: the
   supervisor charges a crash attempt to every in-flight task and rebuilds
-  the pool; after :attr:`PlanktonOptions.max_pool_rebuilds` crash-triggered
-  rebuilds the remaining tasks finish on the serial backend, each at the
-  attempt the pool's count left it on;
+  the pool; after :data:`MAX_POOL_REBUILDS` crash-triggered rebuilds the
+  remaining tasks finish on the serial backend, each at the attempt the
+  pool's count left it on;
 * a task that exhausts its retries is recorded as a structured failure
   (the result's ``errors`` section) — its transitive dependents as
   ``"upstream"`` failures in the same step — instead of aborting the verify.
@@ -55,10 +55,14 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Sized
 from repro.core.options import BACKEND_CHOICES, PlanktonOptions
 from repro.engine.aggregator import ResultAggregator
 from repro.engine.graph import TaskError, TaskGraph, TaskResult, TaskSpec
-from repro.engine.supervision import LOG, SupervisionPolicy, run_task_guarded
+from repro.engine.supervision import LOG, deadline_from, run_task_guarded
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
+
+#: How many *crash*-triggered pool rebuilds the process backend tolerates in
+#: one run before it finishes the remaining tasks on the serial backend.
+MAX_POOL_REBUILDS = 3
 
 # What only a process pool needs — ``multiprocessing``, ``concurrent.futures``,
 # ``pickle`` and :mod:`repro.engine.worker`, which brings the explorer stack
@@ -123,7 +127,7 @@ class SerialBackend(ExecutionBackend):
     def execute(
         self, graph: TaskGraph, context: EngineContext, aggregator: ResultAggregator
     ) -> None:
-        policy = SupervisionPolicy.from_options(context.options)
+        task_timeout = context.options.task_timeout
         for spec in aggregator.pending():
             while True:
                 attempt = aggregator.attempts.get(spec.task_id, 0)
@@ -133,13 +137,13 @@ class SerialBackend(ExecutionBackend):
                     context.policies,
                     spec,
                     aggregator.upstream_planes(spec),
-                    deadline=policy.deadline_from(time.monotonic()),
+                    deadline=deadline_from(task_timeout, time.monotonic()),
                     attempt=attempt,
                 )
                 if result.error is None:
                     aggregator.record(result)
                     break
-                delay = aggregator.charge(spec, result.error, policy)
+                delay = aggregator.charge(spec, result.error)
                 if delay is None:
                     break
                 time.sleep(delay)
@@ -264,7 +268,9 @@ class ProcessPoolBackend(ExecutionBackend):
             pass
 
     @staticmethod
-    def _drain_after_stop(inflight: Dict, aggregator, cancel_event, policy) -> bool:
+    def _drain_after_stop(
+        inflight: Dict, aggregator, cancel_event, task_timeout: Optional[float]
+    ) -> bool:
         """Collect what in-flight work returns after an early stop.
 
         A verdict already exists, so errors from this abandoned work are
@@ -284,13 +290,13 @@ class ProcessPoolBackend(ExecutionBackend):
             if future.cancelled():
                 continue
             try:
-                results = future.result(timeout=policy.task_timeout)
+                results = future.result(timeout=task_timeout)
             except FutureTimeoutError:
                 LOG.warning(
                     "engine: in-flight tasks %s still running %.1fs after an "
                     "early stop; abandoning them",
                     batch.task_ids,
-                    policy.task_timeout,
+                    task_timeout,
                 )
                 clean = False
                 continue
@@ -324,7 +330,7 @@ class ProcessPoolBackend(ExecutionBackend):
         run = _PoolRun(
             graph,
             aggregator,
-            SupervisionPolicy.from_options(context.options),
+            context.options.task_timeout,
             workers,
             lambda: self._new_pool(workers, mp_context, initargs),
         )
@@ -346,7 +352,7 @@ class _PoolRun:
         self,
         graph: TaskGraph,
         ledger: ResultAggregator,
-        policy: SupervisionPolicy,
+        task_timeout: Optional[float],
         workers: int,
         new_pool: Callable[[], ProcessPoolExecutor],
     ) -> None:
@@ -357,7 +363,7 @@ class _PoolRun:
         self.run_batch = run_task_batch_in_worker
         self.graph = graph
         self.ledger = ledger
-        self.policy = policy
+        self.task_timeout = task_timeout
         self.workers = workers
         self.new_pool = new_pool
         self.pool = new_pool()
@@ -378,7 +384,7 @@ class _PoolRun:
                 del self.backoff[task_id]
             if self.ledger.stop_requested:
                 return ProcessPoolBackend._drain_after_stop(
-                    self.inflight, self.ledger, cancel_event, self.policy
+                    self.inflight, self.ledger, cancel_event, self.task_timeout
                 )
             ready = self.ready()
             if not (ready or self.inflight or self.backoff):
@@ -392,7 +398,7 @@ class _PoolRun:
                 self.expire_overdue()
                 continue
             crashes += 1
-            budget = self.policy.max_pool_rebuilds
+            budget = MAX_POOL_REBUILDS
             error = TaskError(kind="crash", message=f"worker pool crashed (crash {crashes})")
             self.charge(sorted(self.running()), error)
             if crashes > budget:
@@ -425,7 +431,7 @@ class _PoolRun:
         scaled-down instances in IPC).  Under a task deadline the chunk size
         is 1: timeout attribution and prompt detection beat IPC
         amortisation."""
-        if self.policy.task_timeout is not None:
+        if self.task_timeout is not None:
             size = 1
         else:
             size = max(1, -(-len(ready) // (self.workers * 4)))
@@ -442,7 +448,7 @@ class _PoolRun:
             self.inflight[future] = _Batch(
                 task_ids=[spec.task_id for spec in chunk],
                 submitted_at=now,
-                deadline=self.policy.deadline_from(now, len(chunk)),
+                deadline=deadline_from(self.task_timeout, now, len(chunk)),
             )
 
     def collect(self) -> bool:
@@ -482,7 +488,7 @@ class _PoolRun:
         """One failed attempt each, by the ledger's rule; a retry waits out
         its backoff before it is ready again."""
         for task_id in task_ids:
-            delay = self.ledger.charge(self.graph.tasks[task_id], error, self.policy)
+            delay = self.ledger.charge(self.graph.tasks[task_id], error)
             if delay is not None:
                 self.backoff[task_id] = time.monotonic() + delay
 
@@ -499,7 +505,7 @@ class _PoolRun:
         if not overdue:
             return
         error = TaskError(
-            kind="timeout", message=f"task exceeded the {self.policy.task_timeout}s deadline"
+            kind="timeout", message=f"task exceeded the {self.task_timeout}s deadline"
         )
         for future in overdue:
             batch = self.inflight.pop(future)

@@ -407,10 +407,7 @@ def event_scenarios_for_pec(
     PEC splits equivalence classes.  ``ledger`` (a
     :class:`repro.scenarios.ScenarioLedger`) receives the reduction counts.
     """
-    from repro.scenarios.enumerator import (
-        DEFAULT_EVENT_KINDS,
-        enumerate_event_scenarios,
-    )
+    from repro.scenarios.enumerator import enumerate_event_scenarios
 
     if transient_options.scenario_events <= 0:
         return []
@@ -418,7 +415,6 @@ def event_scenarios_for_pec(
         symmetry.topology,
         symmetry.peers,
         transient_options.scenario_events,
-        kinds=transient_options.scenario_kinds or DEFAULT_EVENT_KINDS,
         colors=_origin_colors(symmetry, pec),
         ledger=ledger,
     )

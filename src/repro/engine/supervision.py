@@ -4,15 +4,16 @@ The execution backends (:mod:`repro.engine.backends`) and the ledger
 (:mod:`repro.engine.aggregator`) share the pieces of fault tolerance that
 are identical on both sides of a process boundary through this module:
 
-* :class:`SupervisionPolicy` — the retry/deadline/backoff knobs read off
-  :class:`~repro.core.options.PlanktonOptions` (which owns their defaults
-  and refuses negative values), plus the jittered exponential backoff
-  schedule itself (deterministic per (task, attempt), so two runs of the
-  same plan pace their retries identically); the ledger's
-  :meth:`~repro.engine.aggregator.ResultAggregator.charge` applies it;
-* :func:`run_task_guarded` — one task attempt with fault-injection hooks,
-  exception capture into :class:`~repro.engine.graph.TaskError`, and
-  cooperative deadline accounting: the deadline is folded into the task's
+* :func:`backoff_delay` — the jittered exponential backoff schedule
+  (:data:`RETRY_BACKOFF`, capped at :data:`RETRY_BACKOFF_CAP`;
+  deterministic per (task, attempt), so two runs of the same plan pace
+  their retries identically), which the ledger's
+  :meth:`~repro.engine.aggregator.ResultAggregator.charge` applies, and
+  :func:`deadline_from`, a batch's deadline under
+  :attr:`~repro.core.options.PlanktonOptions.task_timeout`;
+* :func:`run_task_guarded` — one task attempt with exception capture into
+  :class:`~repro.engine.graph.TaskError` and cooperative deadline
+  accounting: the deadline is folded into the task's
   cancellation callback, which :func:`repro.engine.worker.execute_task`
   polls before each upstream-outcome combination and
   :func:`repro.transient.explorer.execute_transient_task` before each run,
@@ -31,10 +32,8 @@ from __future__ import annotations
 import logging
 import random
 import time
-from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.options import PlanktonOptions
 from repro.core.results import TaskFailure
 from repro.engine.graph import TaskError, TaskResult, TaskSpec
 
@@ -42,41 +41,35 @@ from repro.engine.graph import TaskError, TaskResult, TaskSpec
 #: business (the CLI attaches one under ``-v``); the library only emits.
 LOG = logging.getLogger("repro.engine")
 
+#: Base delay of the jittered exponential retry backoff, seconds: attempt
+#: ``n`` waits ``RETRY_BACKOFF * 2**(n-1)``, capped at
+#: :data:`RETRY_BACKOFF_CAP` and jittered into ``[0.5, 1.0]`` of the nominal
+#: delay.
+RETRY_BACKOFF = 0.05
+#: Upper bound on one backoff delay, seconds.
+RETRY_BACKOFF_CAP = 2.0
 
-@dataclass(frozen=True)
-class SupervisionPolicy:
-    """The supervisor's knobs, decoupled from the full options object."""
 
-    task_timeout: Optional[float]
-    task_retries: int
-    retry_backoff: float
-    retry_backoff_cap: float
-    max_pool_rebuilds: int
+def backoff_delay(task_id: int, attempt: int) -> float:
+    """The jittered exponential delay before retry ``attempt`` (>= 1).
 
-    @staticmethod
-    def from_options(options: PlanktonOptions) -> "SupervisionPolicy":
-        return SupervisionPolicy(
-            *(getattr(options, knob.name) for knob in fields(SupervisionPolicy))
-        )
+    Deterministic per (task, attempt): the jitter comes from a hash of the
+    pair, not global RNG state, so identical runs pace identically while
+    concurrent retries of different tasks still decorrelate.
+    """
+    if attempt <= 0 or RETRY_BACKOFF <= 0.0:
+        return 0.0
+    nominal = min(RETRY_BACKOFF_CAP, RETRY_BACKOFF * (2 ** (attempt - 1)))
+    jitter = random.Random((task_id << 16) ^ attempt).uniform(0.5, 1.0)
+    return nominal * jitter
 
-    def backoff_delay(self, task_id: int, attempt: int) -> float:
-        """The jittered exponential delay before retry ``attempt`` (>= 1).
 
-        Deterministic per (task, attempt): the jitter comes from a hash of
-        the pair, not global RNG state, so identical runs pace identically
-        while concurrent retries of different tasks still decorrelate.
-        """
-        if attempt <= 0 or self.retry_backoff <= 0.0:
-            return 0.0
-        nominal = min(self.retry_backoff_cap, self.retry_backoff * (2 ** (attempt - 1)))
-        jitter = random.Random((task_id << 16) ^ attempt).uniform(0.5, 1.0)
-        return nominal * jitter
-
-    def deadline_from(self, started: float, tasks: int = 1) -> Optional[float]:
-        """The absolute monotonic deadline of a batch started at ``started``."""
-        if self.task_timeout is None:
-            return None
-        return started + self.task_timeout * max(1, tasks)
+def deadline_from(task_timeout: Optional[float], started: float, tasks: int = 1) -> Optional[float]:
+    """The absolute monotonic deadline of a batch of ``tasks`` started at
+    ``started`` under a per-task ``task_timeout`` (None = no deadline)."""
+    if task_timeout is None:
+        return None
+    return started + task_timeout * max(1, tasks)
 
 
 def run_task_guarded(
@@ -90,13 +83,12 @@ def run_task_guarded(
 ) -> TaskResult:
     """Run one task attempt; never raises for task-level failures.
 
-    Wraps :func:`repro.engine.worker.execute_task` with the fault-injection
-    hook, exception capture and (when ``deadline`` is given) a cooperative
-    deadline folded into the cancellation callback.  The returned result
+    Wraps :func:`repro.engine.worker.execute_task` with exception capture
+    and (when ``deadline`` is given) a cooperative deadline folded into the
+    cancellation callback.  The returned result
     carries ``error`` instead of runs when the attempt failed; deciding
     between retry and a structured failure is the caller's job.
     """
-    from repro.engine import faults
     from repro.engine.worker import execute_task
 
     timed_out = False
@@ -109,7 +101,6 @@ def run_task_guarded(
         return should_cancel() if should_cancel is not None else False
 
     try:
-        faults.fire(spec.task_id, attempt, cancel)
         result = execute_task(plankton, policies, spec, upstream_planes, should_cancel=cancel)
     except Exception as exc:
         return TaskResult(task_id=spec.task_id, error=TaskError.from_exception(exc))

@@ -54,11 +54,8 @@ def initialize_worker(
     ``plankton`` is the parent's live verifier under fork; under spawn it is
     None and the worker builds its own from ``network`` and ``options``.
     """
-    from repro.engine import faults
-
     global _CANCEL_EVENT, _RUNTIME
     _CANCEL_EVENT = cancel_event
-    faults.mark_worker()  # kill faults may really SIGKILL from here on
     if plankton is None:
         from repro.core.verifier import Plankton
 
@@ -149,7 +146,7 @@ def run_task_batch_in_worker(
     its result's ``error`` (the coordinating supervisor decides between a
     retry and a structured failure) instead of poisoning the whole chunk's
     future.  ``attempts_by_task`` carries the ledger's attempt counts, which
-    number each attempt and key the deterministic fault-injection schedule.
+    number each attempt.
     """
     from repro.engine.supervision import run_task_guarded
 

@@ -96,8 +96,12 @@ from repro.pec.dependencies import PecDependencyGraph
 #: the config dataclass values (:func:`~repro.incremental.impact.config_slice`),
 #: not hand-built tuples.  v11 drops ``data_planes`` from the PEC run document
 #: and ``keep_data_planes`` from the options token.  v12 adds each run's
-#: ``completeness`` to the PEC run and transient analysis documents.
-CACHE_SCHEMA_VERSION = 12
+#: ``completeness`` to the PEC run and transient analysis documents.  v13
+#: drops the config fields no model read (``BgpNeighbor.weight`` and
+#: ``next_hop_self``, ``BgpConfig.redistribute_ospf``/``redistribute_static``/
+#: ``multipath``, ``SetActions.next_hop_self``/``ospf_metric``) and
+#: ``scenario_kinds`` from the transient options.
+CACHE_SCHEMA_VERSION = 13
 
 #: The SHA-256 of the field layout — class name, then field names in order
 #: — of every document class a cache entry stores and every config
@@ -105,7 +109,7 @@ CACHE_SCHEMA_VERSION = 12
 #: change to either moves what old files decode to or what old keys meant:
 #: bump the version and record the new digest
 #: (``tests/test_incremental.py`` recomputes it).
-CACHE_LAYOUT_SHA256 = "7a648fda6a3cb36bce627989b148a5c225e6770bcccdefdffc4c91c587224f78"
+CACHE_LAYOUT_SHA256 = "55ff5ef4f1f1274745e19a39b63eb24188653204941ebdbbb99884a45f4e09e9"
 
 PathLike = Union[str, Path]
 
@@ -257,17 +261,7 @@ KEYED_OPTIONS = (
 #: and core count the same result for the same task set, and supervision only
 #: retries).  Every field is in exactly one of the two (a test pins it); a
 #: :class:`~repro.transient.explorer.TransientOptions` field is always keyed.
-EXECUTION_ONLY_OPTIONS = frozenset(
-    {
-        "cores",
-        "backend",
-        "task_timeout",
-        "task_retries",
-        "retry_backoff",
-        "retry_backoff_cap",
-        "max_pool_rebuilds",
-    }
-)
+EXECUTION_ONLY_OPTIONS = frozenset({"cores", "backend", "task_timeout", "task_retries"})
 
 
 def _options_token(options: PlanktonOptions) -> Tuple:

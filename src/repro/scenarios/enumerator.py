@@ -31,8 +31,7 @@ another.  Two reductions are applied, both *before* any exploration runs:
   are far apart.
 
 The descriptor is the one representation of a lifecycle scenario: the
-enumerator emits descriptor tuples, the ``--scenario`` and ``--fail-session``
-specs parse to them, :func:`check_descriptor` checks them against the
+enumerator emits descriptor tuples, the ``--scenario`` specs parse to them, :func:`check_descriptor` checks them against the
 network, and :func:`scenario_from_descriptor` turns them into
 :class:`~repro.scenarios.events.Scenario` values.  Non-empty scenarios lead
 with a :class:`~repro.scenarios.events.Converge` so each one perturbs the
@@ -65,8 +64,8 @@ from repro.topology.graph import Link, Topology
 #: The one scenario grammar: every descriptor kind and the events it builds
 #: (after the ``Converge`` a non-empty scenario leads with).  A node kind
 #: names one device, a session kind the two ends of a BGP session (``gray``
-#: from exporter to importer).  The spec strings of ``--scenario`` and
-#: ``--fail-session`` parse to these descriptors too.
+#: from exporter to importer).  The spec strings of ``--scenario`` parse to
+#: these descriptors too.
 _NODE_EVENTS = {
     "crash": lambda node: (NodeCrash(node),),
     "restart": lambda node: (NodeRestart(node),),

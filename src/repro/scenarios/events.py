@@ -61,7 +61,7 @@ Event semantics, in SPVP terms:
 The package builds its scenarios in one place: a descriptor such as
 ``("crash", node)`` or ``("flap", a, b)`` names one event sequence, and
 :func:`repro.scenarios.enumerator.scenario_from_descriptor` builds it —
-for the enumerator, the ``--scenario`` specs and ``--fail-session`` alike.
+for the enumerator and the ``--scenario`` specs alike.
 """
 
 from __future__ import annotations

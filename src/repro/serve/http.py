@@ -15,7 +15,9 @@ POST     ``/v1/namespaces/{ns}/push``        enqueue a verify/transient job (202
                                              429 when admission control rejects
 GET      ``/v1/jobs/{id}``                   poll job state/result (the forms the
                                              push named; ``document`` + ``text``
-                                             by default)
+                                             by default); 404 once the job is
+                                             among the finished jobs evicted
+                                             past :data:`MAX_FINISHED_JOBS`
 =======  ==================================  =========================================
 
 Error responses are ``{"error": message}`` with a meaningful status code
@@ -36,14 +38,15 @@ import json
 import logging
 import threading
 import time
+from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.exceptions import ReproError, SpecError
 from repro.serve.jobs import JOB_KINDS, Job, JobQueue, QueueFull, execute_job
 from repro.serve.metrics import ServerMetrics
 from repro.serve.registry import SessionRegistry
-from repro.serve.specs import check_transient_fields
+from repro.serve.specs import check_push_fields
 
 LOG = logging.getLogger("repro.serve")
 
@@ -54,6 +57,12 @@ _WORKER_POLL_SECONDS = 0.2
 #: refused before a byte is read.  A constant, not an option: it bounds what
 #: a hostile peer can make a handler thread allocate.
 MAX_REQUEST_BYTES = 64 * 1024 * 1024
+
+#: How many finished jobs (with their rendered results) the daemon keeps for
+#: ``GET /v1/jobs/{id}``; past it the oldest finished job is forgotten and
+#: its id answers 404.  Queued and running jobs are never evicted.  A
+#: constant, not an option: it bounds the job table of a long-lived daemon.
+MAX_FINISHED_JOBS = 1024
 
 
 class ReproServer:
@@ -88,6 +97,8 @@ class ReproServer:
         self.queue = JobQueue(queue_depth)
         self.worker_count = workers
         self._jobs: Dict[str, Job] = {}
+        #: Finished job ids, oldest first (the eviction order).
+        self._finished: Deque[str] = deque()
         self._jobs_lock = threading.Lock()
         self._job_ids = itertools.count(1)
         self._sequences: Dict[str, itertools.count] = {}
@@ -153,8 +164,7 @@ class ReproServer:
         kind = payload.get("kind", "verify")
         if kind not in JOB_KINDS:
             raise SpecError(f"unknown job kind {kind!r}; choose from {JOB_KINDS}")
-        if kind == "transient":
-            check_transient_fields(payload)
+        check_push_fields(payload)
         # Validates the name; the (still cold) session is listed from here on.
         self.registry.get_or_create(namespace)
         with self._jobs_lock:
@@ -182,6 +192,14 @@ class ReproServer:
         with self._jobs_lock:
             return self._jobs.get(job_id)
 
+    def _retire(self, job: Job) -> None:
+        """Enter a finished job in the eviction order, forgetting the oldest
+        finished jobs past :data:`MAX_FINISHED_JOBS`."""
+        with self._jobs_lock:
+            self._finished.append(job.id)
+            while len(self._finished) > MAX_FINISHED_JOBS:
+                del self._jobs[self._finished.popleft()]
+
     def _worker_loop(self) -> None:
         while True:
             job = self.queue.next_job(timeout=_WORKER_POLL_SECONDS)
@@ -206,6 +224,7 @@ class ReproServer:
             finally:
                 job.finished_at = time.time()
                 self.metrics.record_job(job)
+                self._retire(job)
                 self.queue.task_done(job.namespace)
                 LOG.info(
                     "finished %s (%s, %r): %s in %.3fs",

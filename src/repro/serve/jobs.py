@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Deque, Dict, Mapping, Optional, Set
 from repro.exceptions import ReproError, SpecError
 from repro.reporting import ResultView
 from repro.serve.specs import (
-    fail_session_events,
     forms_from_spec,
     options_from_spec,
     parse_destination_prefix,
@@ -183,7 +182,6 @@ def run_request(verifier, network, kind: str, payload: Mapping, delta=None) -> R
 
     transient_options = transient_options_from_spec(payload.get("transient"))
     prop = transient_property_from_spec(payload.get("property"), network)
-    initial_events = fail_session_events(payload.get("fail_session"), network)
     scenarios = scenarios_from_specs(payload.get("scenarios"), network)
     destination = parse_destination_prefix(payload.get("destination_prefix"))
 
@@ -198,7 +196,6 @@ def run_request(verifier, network, kind: str, payload: Mapping, delta=None) -> R
         campaign = verifier.verify_transients(
             [prop],
             transient=transient_options,
-            initial_events=initial_events,
             scenarios=scenarios,
             pecs=pecs,
         )

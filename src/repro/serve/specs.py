@@ -24,7 +24,6 @@ from repro.config.objects import NetworkConfig
 from repro.core.options import (
     POLICY_KINDS,
     TRANSIENT_PROPERTIES,
-    OptimizationFlags,
     PlanktonOptions,
 )
 from repro.exceptions import SpecError, TopologyError
@@ -121,9 +120,9 @@ def policy_from_spec(spec: Mapping, network: NetworkConfig) -> Policy:
     raise SpecError(f"unknown policy {kind!r}; choose from {', '.join(POLICY_KINDS)}")
 
 
-#: The PlanktonOptions fields a request spec may set.  Everything else
-#: (e.g. the §4 optimization ablation switches beyond ``no_optimizations``)
-#: stays a deployment-side decision.
+#: The PlanktonOptions fields a request spec may set: what the CLI sends.
+#: Everything else (e.g. the §4 optimization ablation switches) stays a
+#: library-side decision.
 _OPTION_FIELDS = (
     "max_failures",
     "cores",
@@ -135,11 +134,15 @@ _OPTION_FIELDS = (
 
 #: The TransientOptions fields a transient spec may set: what ``repro
 #: transient`` sends.  ``collect_converged`` stays a library knob.
-_TRANSIENT_FIELDS = (
-    "max_states", "max_depth", "stop_at_first_violation", "por", "scenario_events", "scenario_kinds"
-)
+_TRANSIENT_FIELDS = ("max_states", "max_depth", "stop_at_first_violation", "por", "scenario_events")
 #: The keys of a transient-property spec.
 _PROPERTY_FIELDS = ("property", "sources")
+#: The top-level keys of a push: the network (full or overlay), the forms,
+#: and each request kind's specs.
+_PAYLOAD_FIELDS = (
+    "kind", "topology", "config", "devices", "forms", "options",
+    "policies", "transient", "property", "scenarios", "destination_prefix",
+)
 
 
 def _fields(spec: Optional[Mapping], allowed: Sequence[str], what: str) -> dict:
@@ -157,11 +160,9 @@ def _fields(spec: Optional[Mapping], allowed: Sequence[str], what: str) -> dict:
 
 def options_from_spec(spec: Optional[Mapping]) -> PlanktonOptions:
     """Build :class:`PlanktonOptions` from an options spec dict (or ``None``)."""
-    spec = _fields(spec, _OPTION_FIELDS + ("no_optimizations",), "option")
-    no_optimizations = bool(spec.pop("no_optimizations", False))
-    flags = OptimizationFlags.none_enabled() if no_optimizations else OptimizationFlags()
+    spec = _fields(spec, _OPTION_FIELDS, "option")
     try:
-        return PlanktonOptions(optimizations=flags, **spec)
+        return PlanktonOptions(**spec)
     except (TypeError, ValueError) as exc:
         raise SpecError(f"bad options spec: {exc}") from exc
 
@@ -186,30 +187,27 @@ def transient_options_from_spec(spec: Optional[Mapping]):
     from repro.transient import TransientOptions
 
     spec = _fields(spec, _TRANSIENT_FIELDS, "transient option")
-    if "scenario_kinds" in spec and isinstance(spec["scenario_kinds"], str):
-        spec["scenario_kinds"] = tuple(
-            item.strip() for item in spec["scenario_kinds"].split(",") if item.strip()
-        )
     try:
         return TransientOptions(**spec)
     except (TypeError, ValueError, TopologyError) as exc:
         raise SpecError(f"bad transient options: {exc}") from exc
 
 
-def check_transient_fields(payload: Mapping) -> None:
-    """Refuse a transient push before it becomes a job when its transient or
-    property spec sets a key outside what the CLI sends, or when it carries
-    its full network and a scenario or fail-session spec names no event on
-    it."""
+def check_push_fields(payload: Mapping) -> None:
+    """Refuse a push before it becomes a job when it carries a key outside
+    what the CLI sends — at the top level, or in a transient push's
+    transient or property spec — or when a transient push carries its full
+    network and a scenario spec names no event on it."""
+    _fields(payload, _PAYLOAD_FIELDS, "push")
+    if payload.get("kind") != "transient":
+        return
     _fields(payload.get("transient"), _TRANSIENT_FIELDS, "transient option")
     _fields(payload.get("property"), _PROPERTY_FIELDS, "transient property")
     scenarios = payload.get("scenarios") or ()
-    if scenarios or payload.get("fail_session"):
-        if payload.get("topology") is not None and payload.get("config") is not None:
-            network = network_from_payload(payload)
-            for spec in scenarios:
-                scenario_from_spec(str(spec), network)
-            fail_session_events(payload.get("fail_session"), network)
+    if scenarios and payload.get("topology") is not None and payload.get("config") is not None:
+        network = network_from_payload(payload)
+        for spec in scenarios:
+            scenario_from_spec(str(spec), network)
 
 
 def transient_property_from_spec(spec: Optional[Mapping], network: NetworkConfig):
@@ -253,17 +251,6 @@ def _spec_descriptors(parts: Sequence[str], network: NetworkConfig):
         check_descriptor(network, descriptor)
         descriptors.append(descriptor)
     return descriptors
-
-
-def fail_session_events(value: Optional[str], network: NetworkConfig) -> List[object]:
-    """``"a,b"`` → the events of the scenario ``flap:a,b`` on ``network``:
-    converge, then flap the session (empty for ``None``)."""
-    from repro.scenarios.enumerator import scenario_from_descriptor
-
-    if not value:
-        return []
-    descriptors = _spec_descriptors(["flap:" + str(value).replace(":", ",")], network)
-    return list(scenario_from_descriptor(descriptors).events)
 
 
 def scenario_from_spec(spec: str, network: NetworkConfig):

@@ -123,23 +123,18 @@ class TransientOptions:
     stop_at_first_violation: bool = True
     collect_converged: bool = False
     por: str = "ample"
-    #: Lifecycle-scenario campaign knobs (``src/repro/scenarios/``): when
+    #: Lifecycle-scenario campaign knob (``src/repro/scenarios/``): when
     #: ``scenario_events > 0`` the campaign task graph crosses every failure
     #: scenario with every symmetry-reduced event scenario of up to that many
-    #: events; ``scenario_kinds`` restricts the event vocabulary (empty = all
-    #: kinds).  Both shape *what* is verified, so they participate in the
-    #: incremental cache fingerprint.
+    #: events, of every kind.  It shapes *what* is verified, so it
+    #: participates in the incremental cache fingerprint.
     scenario_events: int = 0
-    scenario_kinds: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.por not in POR_MODES:
             raise ValueError(f"unknown POR mode {self.por!r}; choose from {POR_MODES}")
         if self.scenario_events < 0:
             raise ValueError("scenario_events must be >= 0")
-        from repro.scenarios.enumerator import check_kinds
-
-        object.__setattr__(self, "scenario_kinds", check_kinds(self.scenario_kinds))
 
 
 def _apply_initial_event(stepper: SpvpStepper, state: SpvpState, event) -> SpvpState:

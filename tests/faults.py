@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the execution engine.
+"""Deterministic fault injection for the execution engine (test harness).
 
 The supervision layer (:mod:`repro.engine.backends`) promises that a
 misbehaving task can never take down a whole verify: worker crashes rebuild
@@ -10,27 +10,40 @@ schedule of faults that the property tests replay against the no-fault
 oracle.
 
 A :class:`FaultPlan` is a set of :class:`FaultSpec` triggers keyed on
-``(task_id, attempt)``; :func:`fire` is called by the task runners (the
-worker batch loop and the serial backend's guarded runner) right before a
-task attempt executes.  Keying on the attempt number makes firing
-deterministic without any shared mutable state: the first attempt of task 3
-always sees the same faults, its retry never re-fires them unless the plan
-says so, and the schedule survives process boundaries for free (the plan is
-a module-level global installed in the coordinator before the pool forks).
+``(task_id, attempt)``; :func:`fire` runs right before a task attempt
+executes.  The engine has no hook for it: :func:`install` replaces the two
+engine functions every attempt passes through, where they are read —
+
+* ``run_task_guarded`` on :mod:`repro.engine.supervision` (read by the pool
+  workers' batch loop at call time) and on :mod:`repro.engine.backends`
+  (which imports it by name for the serial walk), to learn the attempt
+  number;
+* ``execute_task`` on :mod:`repro.engine.worker` (read by
+  ``run_task_guarded`` at call time), to fire the fault inside the guard,
+  with the guard's deadline-aware cancellation callback.
+
+Keying on the attempt number makes firing deterministic without any shared
+mutable state: the first attempt of task 3 always sees the same faults, its
+retry never re-fires them unless the plan says so, and the schedule
+survives process boundaries for free — the plan and the patched functions
+are installed in the coordinator before the pool forks, so every worker
+inherits them.  (Under a ``spawn`` start method the workers would import
+the engine afresh, unpatched; the pool suites skip without ``fork``.)
 
 Fault kinds:
 
 ``"raise"``
     The attempt raises :class:`FaultInjected` mid-task (captured by the
-    runner into a :class:`~repro.engine.graph.TaskError` and retried).
+    guard into a :class:`~repro.engine.graph.TaskError` and retried).
 ``"kill"``
-    The worker process SIGKILLs itself — the OOM-killer scenario.  Outside a
-    pool worker (serial backend, or the coordinator) a kill would take down
-    the test process itself, so it downgrades to ``raise`` there; the
-    supervision contract under test is the same ("the run survives").
+    The worker process SIGKILLs itself — the OOM-killer scenario.  In the
+    process that installed the plan (serial backend, or the coordinator) a
+    kill would take down the test process itself, so it downgrades to
+    ``raise`` there; the supervision contract under test is the same ("the
+    run survives").
 ``"delay"``
     The attempt stalls for ``duration`` seconds before doing its work,
-    polling the runner's cancellation callback so a deadline or stop request
+    polling the guard's cancellation callback so a deadline or stop request
     cuts the stall short — which is exactly how a deadline overrun is
     produced on demand.
 
@@ -134,18 +147,58 @@ class FaultPlan:
         return FaultPlan(specs=tuple(specs))
 
 
-#: The installed plan (None = fault injection off, the production state).
+#: The installed plan (None = fault injection off).
 _ACTIVE: Optional[FaultPlan] = None
 
-#: Set by the pool initializer: only true inside pool worker processes,
-#: where a ``kill`` fault is allowed to actually SIGKILL.
-_IN_WORKER = False
+#: The process that installed the plan: a ``kill`` fault may only really
+#: SIGKILL in another one (a forked pool worker).
+_INSTALLER_PID: Optional[int] = None
+
+#: The attempt number of the task attempt now running in this process, set
+#: by the patched ``run_task_guarded`` for the patched ``execute_task``.
+_ATTEMPT = 0
+
+#: The engine functions :func:`install` replaced (empty = none patched).
+_ORIGINALS: Dict[str, Callable] = {}
+
+
+def _guarded(plankton, policies, spec, upstream_planes, should_cancel=None, deadline=None,
+             attempt=0):
+    global _ATTEMPT
+    _ATTEMPT = attempt
+    return _ORIGINALS["run_task_guarded"](
+        plankton, policies, spec, upstream_planes,
+        should_cancel=should_cancel, deadline=deadline, attempt=attempt,
+    )
+
+
+def _execute(plankton, policies, spec, upstream_planes, should_cancel=None):
+    fire(spec.task_id, _ATTEMPT, should_cancel)
+    return _ORIGINALS["execute_task"](
+        plankton, policies, spec, upstream_planes, should_cancel=should_cancel
+    )
 
 
 def install(plan: Optional[FaultPlan]) -> None:
-    """Install ``plan`` process-wide (workers forked later inherit it)."""
-    global _ACTIVE
+    """Install ``plan`` process-wide (workers forked later inherit it);
+    ``None`` uninstalls it and restores the engine's functions."""
+    global _ACTIVE, _INSTALLER_PID
+    from repro.engine import backends, supervision, worker
+
     _ACTIVE = plan
+    if plan is None:
+        if _ORIGINALS:
+            supervision.run_task_guarded = _ORIGINALS["run_task_guarded"]
+            backends.run_task_guarded = _ORIGINALS["run_task_guarded"]
+            worker.execute_task = _ORIGINALS["execute_task"]
+            _ORIGINALS.clear()
+        return
+    _INSTALLER_PID = os.getpid()
+    if not _ORIGINALS:
+        _ORIGINALS["run_task_guarded"] = supervision.run_task_guarded
+        _ORIGINALS["execute_task"] = worker.execute_task
+        supervision.run_task_guarded = backends.run_task_guarded = _guarded
+        worker.execute_task = _execute
 
 
 def uninstall() -> None:
@@ -162,18 +215,8 @@ def active(plan: FaultPlan):
         uninstall()
 
 
-def mark_worker() -> None:
-    """Record that this process is a pool worker (kill faults go live)."""
-    global _IN_WORKER
-    _IN_WORKER = True
-
-
 def fire(task_id: int, attempt: int, should_cancel: Optional[Callable[[], bool]] = None) -> None:
-    """Trigger whatever the active plan schedules for this task attempt.
-
-    Called by the task runners immediately before executing a task.  A
-    no-op (one dict probe) when no plan is installed.
-    """
+    """Trigger whatever the active plan schedules for this task attempt."""
     plan = _ACTIVE
     if plan is None:
         return
@@ -187,10 +230,10 @@ def fire(task_id: int, attempt: int, should_cancel: Optional[Callable[[], bool]]
                 return
             time.sleep(0.005)
         return
-    if spec.kind == "kill" and _IN_WORKER:
+    if spec.kind == "kill" and os.getpid() != _INSTALLER_PID:
         os.kill(os.getpid(), signal.SIGKILL)
-    # "raise", or a "kill" outside a pool worker (where a real SIGKILL would
-    # take the coordinating process down with it).
+    # "raise", or a "kill" in the installing process (where a real SIGKILL
+    # would take the test run down with it).
     raise FaultInjected(spec.message)
 
 

@@ -12,7 +12,8 @@ the counts, the violations and their whole witnesses — to that path.
 
 The draws mix every event kind, the overlay-setting ones (maintenance drain,
 return to service, gray failure) together in one task so an overlay left
-behind by one scenario would show in the next; a ``--fail-session`` base;
+behind by one scenario would show in the next; a session-flap base
+(``initial_events``);
 and both ``--all-violations`` and stop-at-first on the serial backend.
 
 The steppers of a task share more than the drain: the SPVP transfer memos

@@ -4,8 +4,8 @@ The persistent result cache is an availability feature, never a correctness
 dependency: any damaged, stale or foreign cache file must load as *empty*
 (a universal cache miss) with a logged warning, and a warm restart over a
 damaged file must reproduce the cold verification result exactly.  The
-corruption here comes from :func:`repro.engine.faults.corrupt_cache_file` —
-the same seeded harness the engine fault tests use.
+corruption here comes from :func:`tests.faults.corrupt_cache_file` — the
+same seeded harness the engine fault tests use.
 """
 
 import dataclasses
@@ -22,7 +22,6 @@ import pytest
 
 from repro.config import ebgp_rfc7938
 from repro.core.options import OptimizationFlags, PlanktonOptions
-from repro.engine.faults import corrupt_cache_file
 from repro.incremental import IncrementalVerifier, ResultCache, result_signature
 from repro.exceptions import VerificationError
 from repro.incremental.cache import (
@@ -37,6 +36,7 @@ from repro.incremental.cache import (
 from repro.netaddr import Prefix
 from repro.policies import LoopFreedom
 from repro.topology import bgp_fat_tree
+from tests.faults import corrupt_cache_file
 
 
 def _network():
@@ -516,9 +516,6 @@ class TestKeyByExclusion:
         "backend": "serial",
         "task_timeout": 5.0,
         "task_retries": 0,
-        "retry_backoff": 0.5,
-        "retry_backoff_cap": 9.0,
-        "max_pool_rebuilds": 0,
     }
     #: ... and for every keyed one.
     KEYED = {
@@ -538,7 +535,6 @@ class TestKeyByExclusion:
         "collect_converged": True,
         "por": "full",
         "scenario_events": 1,
-        "scenario_kinds": ("crash",),
     }
 
     def test_every_engine_option_is_in_exactly_one_set(self):

@@ -172,33 +172,26 @@ class TestVerifyCommand:
         ])
         assert code == EXIT_ERROR
 
-    def test_no_optimizations_flag_still_verifies(self, workspace):
-        assert _run([
-            "verify", "--topology", workspace / "net.topo", "--config", workspace / "looping.cfg",
-            "--policy", "loop", "--no-optimizations",
-        ]) == EXIT_VIOLATION
-
-    def test_config_dir_mode(self, workspace, tmp_path):
-        config_dir = tmp_path / "configs"
-        config_dir.mkdir()
-        (config_dir / "r1.cfg").write_text("ospf\n  network 10.0.1.0/24\n")
-        (config_dir / "r2.cfg").write_text("ospf\n")
-        (config_dir / "r3.cfg").write_text("ospf\n")
-        assert _run([
-            "verify", "--topology", workspace / "net.topo", "--config-dir", config_dir,
-            "--policy", "reachability",
-        ]) == EXIT_HOLDS
-
-    def test_config_dir_with_unknown_device_is_rejected(self, workspace, tmp_path, capsys):
-        config_dir = tmp_path / "configs"
-        config_dir.mkdir()
-        (config_dir / "r9.cfg").write_text("ospf\n")
-        code = _run([
-            "verify", "--topology", workspace / "net.topo", "--config-dir", config_dir,
-            "--policy", "reachability",
-        ])
-        assert code == EXIT_ERROR
-        assert "does not match" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("verify", ["--no-optimizations"]),
+            ("verify", ["--config-dir", "configs"]),
+            ("transient", ["--fail-session", "o,m"]),
+            ("transient", ["--scenario-kinds", "crash"]),
+        ],
+        ids=["no-optimizations", "config-dir", "fail-session", "scenario-kinds"],
+    )
+    def test_flags_no_workload_set_are_gone(self, workspace, command, flags):
+        """The §4 ablations are a library call (``OptimizationFlags``), a
+        session flap is ``--scenario flap:A,B`` and ``--scenario-events``
+        enumerates every kind: these spellings are refused."""
+        argv = [command, "--topology", str(workspace / "net.topo"),
+                "--config", str(workspace / "good.cfg")]
+        if command == "verify":
+            argv += ["--policy", "loop"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + flags)
 
 
 class TestPecsCommand:
@@ -281,26 +274,56 @@ class TestParser:
                  "--config", str(bgp_workspace / "bgp.cfg")] + flags
             )
 
+    def test_every_flag_the_readme_shows_is_accepted(self):
+        """Every ``--flag`` on a ``repro <command>`` line of README.md — in a
+        code block (continuation lines joined) or an inline code span — is
+        an option of that sub-command's parser, so a removed flag cannot stay
+        documented."""
+        import argparse
+        from pathlib import Path
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        parser = build_parser()
+        commands = next(
+            action.choices for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        blocks = re.findall(r"```[a-z]*\n(.*?)```", readme, re.S)
+        lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+        lines += re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+        checked = 0
+        for line in lines:
+            for match in re.finditer(r"\brepro\s+(--?[\w-]+|[\w-]+)(.*)", line.replace("\n", " ")):
+                word, rest = match.groups()
+                if word.startswith("-"):
+                    command, flags = parser, [word]
+                elif word in commands:
+                    command, flags = commands[word], re.findall(r"(?<![\w-])--[\w-]+", rest)
+                else:
+                    continue
+                for flag in flags:
+                    assert flag in command._option_string_actions, (word, flag, line)
+                    checked += 1
+        assert checked > 20
+
     def test_every_transient_flag_fits_the_serve_spec(self, bgp_workspace):
         """What ``repro transient`` sends is exactly what a serve transient
         push accepts, and it rebuilds the options the flags ask for."""
         from repro.cli import _request_payload
-        from repro.serve.specs import check_transient_fields, transient_options_from_spec
+        from repro.serve.specs import check_push_fields, transient_options_from_spec
 
         args = build_parser().parse_args([
             "transient", "--topology", str(bgp_workspace / "bgp.topo"),
             "--config", str(bgp_workspace / "bgp.cfg"), "--property", "blackhole",
             "--sources", "a,b", "--max-states", "77", "--max-depth", "9",
             "--por", "sleep", "--all-violations", "--scenario-events", "1",
-            "--scenario-kinds", "crash,flap",
         ])
         payload = _request_payload(args, "transient")
-        check_transient_fields(payload)
+        check_push_fields(payload)
         options = transient_options_from_spec(payload["transient"])
         assert (options.max_states, options.max_depth, options.por) == (77, 9, "sleep")
         assert options.stop_at_first_violation is False
         assert options.scenario_events == 1
-        assert tuple(options.scenario_kinds) == ("crash", "flap")
         assert options.collect_converged is False
 
     def test_verify_requires_policy(self, workspace):
@@ -419,7 +442,7 @@ class TestTransientCommand:
         code = _run([
             "transient", "--topology", bgp_workspace / "bgp.topo",
             "--config", bgp_workspace / "bgp.cfg",
-            "--fail-session", "o,m", "--max-states", "2000",
+            "--scenario", "flap:o,m", "--max-states", "2000",
         ])
         out = capsys.readouterr().out
         assert code == EXIT_VIOLATION
@@ -433,7 +456,7 @@ class TestTransientCommand:
         for por in ("ample", "sleep", "full"):
             code = _run([
                 "transient", "--topology", bgp_workspace / "bgp.topo",
-                "--config", bgp_workspace / "bgp.cfg", "--fail-session", "o,m",
+                "--config", bgp_workspace / "bgp.cfg", "--scenario", "flap:o,m",
                 "--por", por, "--all-violations", "--json",
             ])
             document = json.loads(capsys.readouterr().out)
@@ -474,10 +497,10 @@ class TestTransientCommand:
                 "--config", bgp_workspace / "bgp.cfg", "--backend", "quantum",
             ])
 
-    def test_unknown_fail_session_device_is_an_input_error(self, bgp_workspace, capsys):
+    def test_unknown_flap_device_is_an_input_error(self, bgp_workspace, capsys):
         code = _run([
             "transient", "--topology", bgp_workspace / "bgp.topo",
-            "--config", bgp_workspace / "bgp.cfg", "--fail-session", "o,zz",
+            "--config", bgp_workspace / "bgp.cfg", "--scenario", "flap:o,zz",
         ])
         assert code == EXIT_ERROR
         assert "unknown device" in capsys.readouterr().err
@@ -562,9 +585,8 @@ class TestTransientScenarioFlags:
             ("--scenario", "flap:o,a"),
             ("--scenario", "gray:o,a"),
             ("--scenario", "gray:a,a"),
-            ("--fail-session", "o,a"),
         ],
-        ids=["flap-no-session", "gray-no-session", "gray-one-device", "fail-session-no-session"],
+        ids=["flap-no-session", "gray-no-session", "gray-one-device"],
     )
     def test_a_session_event_must_name_a_session(self, bgp_workspace, capsys, flags):
         """``o`` and ``a`` configure no BGP session on the square, and a
@@ -591,7 +613,7 @@ class TestTransientScenarioFlags:
             if name == "r0":
                 lines.append("    network 200.0.0.0/16")
             lines += [
-                f"    neighbor {peer} remote-as 65000 next-hop-self"
+                f"    neighbor {peer} remote-as 65000"
                 for peer in names
                 if peer != name and {name, peer} != {"r0", "r1"}
             ]
@@ -601,8 +623,8 @@ class TestTransientScenarioFlags:
 
     @pytest.mark.parametrize(
         "flags",
-        [("--fail-session", "r0,r3"), ("--scenario", "flap:r0,r3"), ("--scenario", "gray:r3,r0")],
-        ids=["fail-session", "flap", "gray"],
+        [("--scenario", "flap:r0,r3"), ("--scenario", "gray:r3,r0")],
+        ids=["flap", "gray"],
     )
     def test_a_session_event_may_name_an_ibgp_session_with_no_link(
         self, ibgp_ring_workspace, capsys, flags
@@ -614,8 +636,8 @@ class TestTransientScenarioFlags:
 
     @pytest.mark.parametrize(
         "flags",
-        [("--fail-session", "r0,r1"), ("--scenario", "flap:r1,r0"), ("--scenario", "gray:r0,r1")],
-        ids=["fail-session", "flap", "gray"],
+        [("--scenario", "flap:r1,r0"), ("--scenario", "gray:r0,r1")],
+        ids=["flap", "gray"],
     )
     def test_a_link_with_no_session_on_it_names_no_session(
         self, ibgp_ring_workspace, capsys, flags
@@ -629,17 +651,9 @@ class TestTransientScenarioFlags:
         assert _run(self._args(bgp_workspace, "--scenario", "meteor:m")) == EXIT_ERROR
         assert "unknown" in capsys.readouterr().err
 
-    def test_unknown_scenario_kind_is_an_input_error(self, bgp_workspace, capsys):
-        code = _run(self._args(
-            bgp_workspace, "--scenario-events", "1", "--scenario-kinds", "meteor",
-        ))
-        assert code == EXIT_ERROR
-        assert "unknown event kind" in capsys.readouterr().err
-
     def test_scenario_enumeration_json_round_trip(self, bgp_workspace, capsys):
         code = _run(self._args(
-            bgp_workspace, "--json", "--scenario-events", "1",
-            "--scenario-kinds", "crash,drain", "--all-violations",
+            bgp_workspace, "--json", "--scenario-events", "1", "--all-violations",
         ))
         document = json.loads(capsys.readouterr().out)
         assert code == EXIT_VIOLATION
@@ -824,7 +838,7 @@ class TestServerMode:
         ),
         "transient": (
             ["transient", "--topology", "bgp.topo", "--config", "bgp.cfg",
-             "--fail-session", "o,m"],
+             "--scenario", "flap:o,m"],
             EXIT_VIOLATION,
         ),
         # Nothing to analyse (inconclusive): the explanatory note must read
@@ -1181,7 +1195,7 @@ class TestPackageExports:
     def test_documented_import_forms_keep_working(self):
         from repro import Plankton, PlanktonOptions, __version__  # noqa: F401
         from repro.config import parse_config  # noqa: F401
-        from repro.engine import faults, run_graph  # noqa: F401
+        from repro.engine import run_graph  # noqa: F401
         from repro.policies import LoopFreedom  # noqa: F401
         from repro.serve import ReproServer  # noqa: F401
 

@@ -114,7 +114,7 @@ class TestParser:
         interface r1 cost 5
       bgp 65001
         network 192.168.0.0/16
-        neighbor r1 remote-as 65002 import-map FROM_R1 next-hop-self
+        neighbor r1 remote-as 65002 import-map FROM_R1
       static 0.0.0.0/0 next-hop r1
       static 172.16.0.0/12 next-hop-ip 10.0.0.9
       prefix-list CUST permit 192.168.0.0/16 le 24
@@ -139,7 +139,7 @@ class TestParser:
         assert r0.ospf.interfaces["r1"].cost == 5
         assert r0.bgp.asn == 65001
         neighbor = r0.bgp.neighbor("r1")
-        assert neighbor.import_map == "FROM_R1" and neighbor.next_hop_self
+        assert neighbor.import_map == "FROM_R1"
         assert len(r0.static_routes) == 2
         assert r0.static_routes[1].is_recursive
         clauses = r0.route_maps["FROM_R1"].sorted_clauses()
@@ -171,6 +171,43 @@ class TestParser:
     def test_comments_and_blank_lines_ignored(self):
         network = parse_config(linear_chain(2), "# header\n\ndevice r0\n ospf # inline\n  network 10.0.0.0/24\n")
         assert network.device("r0").ospf is not None
+
+    @pytest.mark.parametrize(
+        "line, construct",
+        [
+            ("neighbor r1 remote-as 65002 weight 5", "neighbor ... weight"),
+            ("neighbor r1 remote-as 65002 next-hop-self", "neighbor ... next-hop-self"),
+            ("redistribute ospf", "bgp redistribute"),
+            ("redistribute static", "bgp redistribute"),
+            ("route-map RM permit 10\n  set metric 30", "set metric"),
+            ("route-map RM permit 10\n  set next-hop-self", "set next-hop-self"),
+        ],
+    )
+    def test_syntax_the_model_never_reads_is_refused(self, tmp_path, capsys, line, construct):
+        """A construct no protocol model reads is an input error naming the
+        construct and its line — never verified as if it were absent."""
+        from repro.cli import main
+        from repro.topology.io import format_topology
+
+        text = f"device r0\n bgp 65001\n  {line}\n"
+        with pytest.raises(ConfigParseError, match=construct) as excinfo:
+            parse_config(linear_chain(2), text)
+        assert excinfo.value.line_number == text.count("\n")
+        (tmp_path / "net.topo").write_text(format_topology(linear_chain(2)))
+        (tmp_path / "net.cfg").write_text(text)
+        code = main([
+            "verify", "--topology", str(tmp_path / "net.topo"),
+            "--config", str(tmp_path / "net.cfg"), "--policy", "loop",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"line {text.count(chr(10))}" in err and construct in err
+
+    def test_bgp_multipath_is_accepted_with_a_warning(self, caplog):
+        with caplog.at_level("WARNING", logger="repro.config"):
+            network = parse_config(linear_chain(2), "device r0\n bgp 65001\n  multipath\n")
+        assert network.device("r0").bgp is not None
+        assert any("line 3: bgp multipath is ignored" in r.getMessage() for r in caplog.records)
 
 
 class TestBuilders:

@@ -13,9 +13,12 @@ never a hang and never a silent wrong verdict.  Bit-identity is asserted
 through :func:`repro.incremental.service.result_signature`, the same
 wall-clock-free oracle the incremental service pins against.
 
-The fault schedules come from :mod:`repro.engine.faults`: deterministic,
-keyed on (task id, attempt number), installed in the coordinator before the
-worker pool forks so every process sees the same plan.
+The fault schedules come from :mod:`tests.faults`: deterministic, keyed on
+(task id, attempt number), installed in the coordinator before the worker
+pool forks so every process sees the same plan.  The retry backoff is an
+engine constant (:data:`repro.engine.supervision.RETRY_BACKOFF`); the
+suite switches it off, since determinism comes from the fault plan and
+sleeping only slows the suite.
 """
 
 import multiprocessing
@@ -26,24 +29,25 @@ import pytest
 from repro import Plankton, PlanktonOptions
 from repro.config import ibgp_over_ospf, ospf_everywhere
 from repro.config.builder import edge_prefix, install_loop_inducing_statics
-from repro.engine import faults
-from repro.engine.faults import FaultPlan, FaultSpec
+from repro.engine import backends, supervision
 from repro.incremental.service import result_signature
 from repro.netaddr import Prefix
 from repro.policies import LoopFreedom, Reachability
 from repro.topology import fat_tree, ring
+from tests import faults
+from tests.faults import FaultPlan, FaultSpec
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
-#: Fast supervision knobs shared by every test: retries on, backoff off
-#: (determinism comes from the fault plan; sleeping only slows the suite).
-FAST = dict(task_retries=2, retry_backoff=0.0)
+#: Supervision options shared by every test: retries on.
+FAST = dict(task_retries=2)
 
 
 @pytest.fixture(autouse=True)
-def _no_leaked_fault_plan():
-    """A test that fails mid-``with faults.active(...)`` must not poison
-    the rest of the session."""
+def _no_leaked_fault_plan(monkeypatch):
+    """Backoff off for every test; and a test that fails mid-``with
+    faults.active(...)`` must not poison the rest of the session."""
+    monkeypatch.setattr(supervision, "RETRY_BACKOFF", 0.0)
     yield
     faults.uninstall()
 
@@ -188,8 +192,7 @@ class TestSerialFaults:
         network = _clean_network()
         policy = LoopFreedom()
         options = dict(
-            stop_at_first_violation=False, task_timeout=0.2, task_retries=1,
-            retry_backoff=0.0,
+            stop_at_first_violation=False, task_timeout=0.2, task_retries=1
         )
         _plankton, graph = _expand(network, policy, **options)
         hung = graph.tasks[0].task_id
@@ -293,8 +296,7 @@ class TestProcessPoolFaults:
         network = _clean_network()
         policy = LoopFreedom()
         options = dict(
-            cores=2, stop_at_first_violation=False, task_timeout=0.5,
-            task_retries=1, retry_backoff=0.0,
+            cores=2, stop_at_first_violation=False, task_timeout=0.5, task_retries=1
         )
         _plankton, graph = _expand(network, policy, **options)
         hung = graph.tasks[1].task_id
@@ -311,14 +313,13 @@ class TestProcessPoolFaults:
         # them, so nothing else may appear in the errors section.
         assert result.holds
 
-    def test_crash_budget_exhausted_falls_back_to_serial(self):
-        """After max_pool_rebuilds crash rebuilds the remaining tasks finish
+    def test_crash_budget_exhausted_falls_back_to_serial(self, monkeypatch):
+        """After MAX_POOL_REBUILDS crash rebuilds the remaining tasks finish
         on the serial backend — and still produce the oracle's result."""
+        monkeypatch.setattr(backends, "MAX_POOL_REBUILDS", 0)
         network = _clean_network()
         policy = LoopFreedom()
-        options = dict(
-            cores=2, stop_at_first_violation=False, max_pool_rebuilds=0, **FAST
-        )
+        options = dict(cores=2, stop_at_first_violation=False, **FAST)
         _plankton, graph = _expand(network, policy, **options)
         victim = graph.tasks[0].task_id
         plan = FaultPlan((FaultSpec(kind="kill", task_id=victim, attempt=0),))
@@ -330,11 +331,10 @@ class TestProcessPoolFaults:
         """A crash-budget fallback hands each task to the serial walk at its
         next attempt: the crash that ended the pool is charged, so the victim
         resumes at attempt 1 and no (task, attempt) pair runs twice."""
+        monkeypatch.setattr(backends, "MAX_POOL_REBUILDS", 0)
         network = _clean_network()
         policy = LoopFreedom()
-        options = dict(
-            cores=2, stop_at_first_violation=False, max_pool_rebuilds=0, **FAST
-        )
+        options = dict(cores=2, stop_at_first_violation=False, **FAST)
         _plankton, graph = _expand(network, policy, **options)
         victim = graph.tasks[0].task_id
         oracle = _oracle(network, policy, **options)

@@ -108,7 +108,11 @@ class TestConfigDelta:
         edited = copy.deepcopy(network)
         bgp = edited.device("agg0_0").bgp
         session = bgp.neighbor("edge0_0")
-        bgp.add_neighbor(BgpNeighbor(peer=session.peer, remote_asn=session.remote_asn, weight=5))
+        bgp.add_neighbor(
+            BgpNeighbor(
+                peer=session.peer, remote_asn=session.remote_asn, route_reflector_client=True
+            )
+        )
         bgp.default_local_pref = 150
         delta = diff_networks(network, edited)
         assert ("agg0_0", "edge0_0") in delta.session_changes
@@ -169,7 +173,11 @@ class TestImpact:
         edited = copy.deepcopy(network)
         bgp = edited.device("agg0_0").bgp
         session = bgp.neighbor("edge0_0")
-        bgp.add_neighbor(BgpNeighbor(peer=session.peer, remote_asn=session.remote_asn, weight=9))
+        bgp.add_neighbor(
+            BgpNeighbor(
+                peer=session.peer, remote_asn=session.remote_asn, route_reflector_client=True
+            )
+        )
         plankton = Plankton(edited, PlanktonOptions())
         delta = diff_networks(network, edited)
         dirty = impacted_pecs(delta, edited, plankton.pecs, plankton.dependency_graph)
@@ -443,16 +451,11 @@ CONSTRUCT_EDITS = {
         BgpNeighbor(peer="r2", remote_asn=65002)
     ),
     "BgpConfig.default_local_pref": _on(_bgp, default_local_pref=120),
-    "BgpConfig.redistribute_ospf": _on(_bgp, redistribute_ospf=True),
-    "BgpConfig.redistribute_static": _on(_bgp, redistribute_static=True),
-    "BgpConfig.multipath": _on(_bgp, multipath=True),
     "BgpNeighbor.peer": _on(_session, peer="r2"),
     "BgpNeighbor.remote_asn": _on(_session, remote_asn=65009),
     "BgpNeighbor.import_map": _on(_session, import_map="POLICY"),
     "BgpNeighbor.export_map": _on(_session, export_map=None),
-    "BgpNeighbor.next_hop_self": _on(_session, next_hop_self=True),
     "BgpNeighbor.route_reflector_client": _on(_session, route_reflector_client=True),
-    "BgpNeighbor.weight": _on(_session, weight=5),
     "RouteMap.clauses": lambda network: network.device("r0").route_maps["POLICY"].add_clause(
         RouteMapClause(sequence=20, actions=SetActions(med=3))
     ),
@@ -471,8 +474,6 @@ CONSTRUCT_EDITS = {
     "SetActions.prepend_count": _on(_actions, prepend_count=2),
     "SetActions.add_communities": _on(_actions, add_communities=["65000:4"]),
     "SetActions.remove_communities": _on(_actions, remove_communities=["65000:1"]),
-    "SetActions.next_hop_self": _on(_actions, next_hop_self=True),
-    "SetActions.ospf_metric": _on(_actions, ospf_metric=30),
     "PrefixList.entries": lambda network: network.device("r0").prefix_lists["PL"].entries.insert(
         0, PrefixListEntry(Prefix("10.0.0.0/24"), permit=False)
     ),

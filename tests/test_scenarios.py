@@ -22,9 +22,7 @@ import pytest
 from repro.config.parser import parse_config
 from repro.core.options import PlanktonOptions
 from repro.core.verifier import Plankton
-from repro.engine import faults
-from repro.engine.faults import FaultPlan, FaultSpec
-from repro.engine.graph import event_scenarios_for_pec, network_symmetry
+from repro.engine.graph import _origin_colors, event_scenarios_for_pec, network_symmetry
 from repro.exceptions import ProtocolError, SpecError, TopologyError
 from repro.scenarios import (
     Converge,
@@ -40,7 +38,7 @@ from repro.scenarios import (
     scenario_from_descriptor,
 )
 from repro.scenarios.enumerator import EVENT_KINDS, _EVENTS
-from repro.serve.specs import fail_session_events, scenario_from_spec
+from repro.serve.specs import scenario_from_spec
 from repro.topology.generators import linear_chain
 from repro.topology.io import parse_topology
 from repro.transient import (
@@ -50,6 +48,8 @@ from repro.transient import (
     TransientOptions,
 )
 
+from tests import faults
+from tests.faults import FaultPlan, FaultSpec
 from tests.oracles.scenario_reference import brute_event_scenarios
 from tests.test_cli import BGP_CONFIG, BGP_TOPOLOGY_TEXT
 
@@ -122,8 +122,6 @@ class TestEventUniverse:
             brute_event_scenarios(topology, {}, -1)
 
     def test_transient_options_validate_scenario_fields(self):
-        with pytest.raises(TopologyError, match="unknown event kind"):
-            TransientOptions(scenario_kinds=("meteor",))
         with pytest.raises(ValueError, match="scenario_events"):
             TransientOptions(scenario_events=-1)
 
@@ -193,17 +191,9 @@ class TestOneGrammar:
             assert scenario.name == spec
             assert scenario.events == scenario_from_descriptor(descriptors).events, spec
 
-    def test_the_fail_session_form_is_a_flap(self):
-        network = _square_network()
-        for value in ("o,m", "o:m", " o , m "):
-            assert tuple(fail_session_events(value, network)) == (
-                scenario_from_spec("flap:o,m", network).events
-            )
-
     def test_no_two_scenarios_with_one_label_build_different_events(self):
         """A walk over every constructor: each descriptor kind, each spec
-        kind, the ``--fail-session`` form (under the label of the spec it
-        stands for) and the enumerator's output at k <= 2 on the square and
+        kind and the enumerator's output at k <= 2 on the square and
         on the fat tree k=4."""
         events_by_label = {}
 
@@ -222,9 +212,6 @@ class TestOneGrammar:
                     record(scenario.name, scenario.events)
                     spec = f"{kind}:{','.join(descriptor[1:])}"
                     record(spec, scenario_from_spec(spec, network).events)
-            for link in topology.links:
-                record(f"flap:{link.a},{link.b}",
-                       fail_session_events(f"{link.a},{link.b}", network))
             for max_events in (1, 2):
                 for scenario in enumerate_event_scenarios(topology, peers, max_events):
                     record(scenario.name, scenario.events)
@@ -238,6 +225,7 @@ class TestOneGrammar:
             ("flap:o,a", "o and a do not peer over BGP"),
             ("gray:o,a", "o and a do not peer over BGP"),
             ("gray:a,a", "a and a do not peer over BGP"),
+            ("flap:a,a", "a and a do not peer over BGP"),
             ("flap:o", "expects two devices"),
             ("crash:o,m", "expects one device"),
             ("crash:zz", "unknown device"),
@@ -249,11 +237,6 @@ class TestOneGrammar:
         with pytest.raises(SpecError, match=message):
             scenario_from_spec(spec, _square_network())
 
-    @pytest.mark.parametrize("value", ["o,a", "a,a", "o"])
-    def test_a_fail_session_that_names_no_session_is_refused(self, value):
-        with pytest.raises(SpecError):
-            fail_session_events(value, _square_network())
-
     def test_a_session_is_configured_by_bgp_not_drawn_from_the_links(self):
         """iBGP over OSPF peers devices no link joins, and a link whose ends
         do not both configure the session carries none."""
@@ -263,7 +246,9 @@ class TestOneGrammar:
 
         network = ibgp_over_ospf(ring(6), {"r0": Prefix("200.0.0.0/16")})
         assert not network.topology.links_between("r0", "r3")
-        assert tuple(fail_session_events("r3:r0", network)) == (Converge(), FailSession("r3", "r0"))
+        assert scenario_from_spec("flap:r3,r0", network).events == (
+            Converge(), FailSession("r3", "r0")
+        )
         assert scenario_from_spec("gray:r0,r3", network).events == (
             Converge(), GrayFailure("r0", "r3")
         )
@@ -406,12 +391,20 @@ def _oracle_case(network, max_events, kinds, max_depth):
     pec = _bgp_pec(network)
     instance = _bgp_instance(network, pec)
     ledger = ScenarioLedger()
-    reduced = event_scenarios_for_pec(
-        network_symmetry(network),
-        pec,
-        TransientOptions(scenario_events=max_events, scenario_kinds=kinds),
+    symmetry = network_symmetry(network)
+    # What ``event_scenarios_for_pec`` runs, over a restricted vocabulary.
+    reduced = enumerate_event_scenarios(
+        symmetry.topology,
+        symmetry.peers,
+        max_events,
+        kinds=kinds,
+        colors=_origin_colors(symmetry, pec),
         ledger=ledger,
     )
+    if tuple(kinds) == EVENT_KINDS:
+        assert reduced == event_scenarios_for_pec(
+            symmetry, pec, TransientOptions(scenario_events=max_events)
+        )
     brute = brute_event_scenarios(network.topology, network.bgp_peers(), max_events, kinds)
     assert ledger.emitted == len(reduced)
     assert ledger.brute == len(brute)
@@ -427,10 +420,7 @@ class TestBruteForceOracle:
     network families)."""
 
     def test_square_k1_all_kinds(self):
-        ledger = _oracle_case(
-            _square_network(), 1, ("crash", "restart", "drain", "drain-return",
-                                   "flap", "gray"), max_depth=10
-        )
+        ledger = _oracle_case(_square_network(), 1, EVENT_KINDS, max_depth=10)
         # The square's only symmetry is the a/b pair, so the reduction is
         # modest here; the fat-tree case below pins the dramatic one.
         assert ledger.emitted < ledger.brute
@@ -468,7 +458,6 @@ class TestScenarioCampaignUnderFaults:
             max_depth=16,
             stop_at_first_violation=False,
             scenario_events=1,
-            scenario_kinds=("crash", "drain"),
         )
         options = PlanktonOptions(task_retries=0)
         properties = [TransientLoopFreedom(ignore_converged=True)]
@@ -509,7 +498,6 @@ class TestScenarioCampaignUnderFaults:
             max_depth=16,
             stop_at_first_violation=False,
             scenario_events=1,
-            scenario_kinds=("crash",),
         )
         campaign = Plankton(network).verify_transients(
             [TransientLoopFreedom(ignore_converged=True)], transient=transient, pecs=[pec]

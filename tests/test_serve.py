@@ -24,10 +24,10 @@ from repro.core.verifier import Plankton
 from repro.incremental import IncrementalVerifier, result_signature_digest
 from repro.serve import ReproServer
 from repro.serve.specs import (
-    fail_session_events,
     network_from_payload,
     options_from_spec,
     policy_from_spec,
+    scenarios_from_specs,
     transient_options_from_spec,
     transient_property_from_spec,
 )
@@ -91,12 +91,14 @@ EDIT_M_OVERLAY = """
     set local-preference 200
 """
 
-#: Overlay for device a dropping the a-b session (a different single-device
-#: edit, used by the concurrent-push test).
+#: Overlay for device a lowering the local-preference of what b sends it (a
+#: different single-device edit, used by the concurrent-push test).
 EDIT_A_OVERLAY = """
   bgp 65002
     neighbor m remote-as 65001
-    neighbor b remote-as 65003 weight 7
+    neighbor b remote-as 65003 import-map FROM_B
+  route-map FROM_B permit 10
+    set local-preference 90
 """
 
 POLICY_SPEC = {"policy": "loop"}
@@ -192,7 +194,7 @@ class TestEndToEnd:
             "config": CONFIG_TEXT,
             "options": OPTIONS_SPEC,
             "transient": {"max_states": 2000},
-            "fail_session": "o,m",
+            "scenarios": ["flap:o,m"],
         }
         document = client.run("transient-e2e", payload, timeout=240)
         assert document["state"] == "done"
@@ -204,7 +206,7 @@ class TestEndToEnd:
         campaign = service.verify_transients(
             [transient_property_from_spec(None, network)],
             transient=transient_options_from_spec({"max_states": 2000}),
-            initial_events=fail_session_events("o,m", network),
+            scenarios=scenarios_from_specs(["flap:o,m"], network),
             pecs=[pec for pec in service.plankton.pecs if pec.has_bgp()],
         )
         assert result["signature"] == result_signature_digest(campaign)
@@ -338,6 +340,41 @@ class TestAdmissionControl:
             instance.stop()
 
 
+class TestJobTable:
+    """The daemon keeps the newest ``MAX_FINISHED_JOBS`` finished jobs: an
+    older one answers 404, a queued or running one is never evicted."""
+
+    def test_the_oldest_finished_jobs_are_evicted(self, monkeypatch):
+        import repro.serve.http as http
+
+        monkeypatch.setattr(http, "MAX_FINISHED_JOBS", 2)
+        instance = ReproServer(port=0, workers=1).start()
+        try:
+            client = ServiceClient(instance.url)
+            rerun = {"kind": "verify", "policies": [POLICY_SPEC], "options": OPTIONS_SPEC}
+            jobs = [client.run("table", VERIFY_PAYLOAD, timeout=120)["job"]]
+            jobs += [client.run("table", rerun, timeout=120)["job"] for _ in range(3)]
+            for job_id in jobs[:2]:
+                with pytest.raises(ServiceError, match="unknown job"):
+                    client.job(job_id)
+            assert [client.job(job_id)["state"] for job_id in jobs[2:]] == ["done", "done"]
+            assert len(instance._jobs) == 2
+        finally:
+            instance.stop()
+
+    def test_queued_jobs_are_never_evicted(self, monkeypatch):
+        import repro.serve.http as http
+
+        monkeypatch.setattr(http, "MAX_FINISHED_JOBS", 1)
+        instance = ReproServer(port=0, workers=0, queue_depth=8).start()
+        try:
+            client = ServiceClient(instance.url)
+            jobs = [client.push("held", VERIFY_PAYLOAD)["job"] for _ in range(3)]
+            assert [client.job(job_id)["state"] for job_id in jobs] == ["queued"] * 3
+        finally:
+            instance.stop()
+
+
 class TestHttpErrors:
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServiceError, match="unknown job"):
@@ -354,6 +391,23 @@ class TestHttpErrors:
     def test_unknown_job_kind_is_400(self, client):
         with pytest.raises(ServiceError, match="unknown job kind"):
             client.push("kinds", {"kind": "nonsense"})
+
+    def test_a_push_key_the_cli_never_sends_is_400(self, client):
+        """A verify push is held to the same vocabulary as a transient one:
+        an unknown top-level key is refused, never ignored."""
+        with pytest.raises(ServiceError, match="unknown push field"):
+            client.push("keys", dict(VERIFY_PAYLOAD, fail_session="o,m"))
+
+    def test_the_ablation_switch_is_not_an_option_field(self, client):
+        """The §4 ablations are a library call: ``no_optimizations`` fails
+        the job as an unknown option field instead of running unoptimised."""
+        document = client.run(
+            "ablation",
+            dict(VERIFY_PAYLOAD, options={"max_failures": 1, "no_optimizations": True}),
+            timeout=120,
+        )
+        assert document["state"] == "failed"
+        assert "unknown option field(s): no_optimizations" in document["error"]
 
     def test_malformed_json_body_is_400(self, server):
         request = urllib.request.Request(
@@ -445,6 +499,8 @@ class TestHttpErrors:
             ("transient", "frontier"),
             ("transient", "minimize_witnesses"),
             ("property", "include_converged"),
+            ("transient", "scenario_kinds"),
+            (None, "fail_session"),
         ],
     )
     def test_a_transient_field_the_cli_never_sends_is_400_and_queues_nothing(
@@ -458,7 +514,10 @@ class TestHttpErrors:
             "transient": {"max_states": 100},
             "property": {"property": "loop"},
         }
-        payload[section] = dict(payload[section], **{key: True})
+        if section is None:
+            payload[key] = True
+        else:
+            payload[section] = dict(payload[section], **{key: True})
         submitted = client.metrics()["jobs_submitted"]
         request = urllib.request.Request(
             server.url + f"/v1/namespaces/{namespace}/push",
@@ -478,9 +537,8 @@ class TestHttpErrors:
         [
             ("scenarios", ["flap:o,a"]),
             ("scenarios", ["crash:m+gray:a,a"]),
-            ("fail_session", "o,a"),
         ],
-        ids=["flap-no-session", "gray-one-device", "fail-session-no-session"],
+        ids=["flap-no-session", "gray-one-device"],
     )
     def test_a_session_event_that_names_no_session_is_400_and_queues_nothing(
         self, server, client, field, value

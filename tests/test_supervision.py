@@ -1,8 +1,8 @@
 """Unit tests for the supervision layer's degradation paths.
 
 The fault-injection suite (:mod:`tests.test_fault_injection`) exercises the
-end-to-end properties; this module pins the individual mechanisms: policy
-derivation and backoff pacing, the fault-plan schedule algebra, the
+end-to-end properties; this module pins the individual mechanisms: backoff
+pacing and batch deadlines, the fault-plan schedule algebra, the
 PicklingError → serial-fallback path, the early-stop drain of in-flight
 futures, and one runtime per pool: back-to-back pool runs in one process
 never serve each other's network.
@@ -19,66 +19,73 @@ from repro import Plankton, PlanktonOptions
 from repro.config import ospf_everywhere
 from repro.config.builder import edge_prefix, install_loop_inducing_statics
 from repro.engine.backends import ProcessPoolBackend, _Batch
-from repro.engine.faults import FaultPlan, FaultSpec
+from repro.engine import supervision
 from repro.engine.graph import TaskResult
-from repro.engine.supervision import SupervisionPolicy
+from repro.engine.supervision import backoff_delay, deadline_from
 from repro.incremental.service import result_signature
 from repro.policies import LoopFreedom
 from repro.topology import fat_tree
+from tests.faults import FaultPlan, FaultSpec
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
-# --------------------------------------------------------------------------- policy
-def _policy(**knobs) -> SupervisionPolicy:
-    return SupervisionPolicy.from_options(PlanktonOptions(**knobs))
+# --------------------------------------------------------------------------- backoff and deadlines
+class TestSupervisionSchedule:
+    def test_options_refuse_negative_retries(self):
+        """A negative retry budget is refused where the options are built,
+        never clamped behind the supervisor's back."""
+        with pytest.raises(ValueError, match="task_retries"):
+            PlanktonOptions(task_retries=-1)
+        assert PlanktonOptions(task_retries=0).task_retries == 0
 
-
-class TestSupervisionPolicy:
-    @pytest.mark.parametrize(
-        "knob", ["task_retries", "retry_backoff", "retry_backoff_cap", "max_pool_rebuilds"]
-    )
-    def test_options_refuse_negative_knobs(self, knob):
-        """A negative knob is refused where the options are built, never
-        clamped behind the policy's back."""
-        with pytest.raises(ValueError, match=knob):
-            PlanktonOptions(**{knob: -1})
-        assert getattr(_policy(**{knob: 0}), knob) == 0
-
-    def test_policy_reads_every_knob_off_the_options(self):
-        options = PlanktonOptions(
-            task_timeout=3.0, task_retries=4, retry_backoff=0.2,
-            retry_backoff_cap=1.5, max_pool_rebuilds=1,
-        )
-        assert SupervisionPolicy.from_options(options) == SupervisionPolicy(
-            task_timeout=3.0, task_retries=4, retry_backoff=0.2,
-            retry_backoff_cap=1.5, max_pool_rebuilds=1,
-        )
-
-    def test_backoff_is_deterministic_capped_and_grows(self):
-        policy = _policy(retry_backoff=0.1, retry_backoff_cap=0.3)
-        assert policy.backoff_delay(7, 0) == 0.0
-        first = policy.backoff_delay(7, 1)
-        second = policy.backoff_delay(7, 2)
-        assert first == policy.backoff_delay(7, 1)  # same (task, attempt), same delay
+    def test_backoff_is_deterministic_capped_and_grows(self, monkeypatch):
+        monkeypatch.setattr(supervision, "RETRY_BACKOFF", 0.1)
+        monkeypatch.setattr(supervision, "RETRY_BACKOFF_CAP", 0.3)
+        assert backoff_delay(7, 0) == 0.0
+        first = backoff_delay(7, 1)
+        second = backoff_delay(7, 2)
+        assert first == backoff_delay(7, 1)  # same (task, attempt), same delay
         assert 0.05 <= first <= 0.1  # nominal 0.1, jitter in [0.5, 1.0]
         assert second <= 0.3  # doubling, capped
         # Different tasks decorrelate (jitter keyed on the pair, not shared RNG).
-        assert policy.backoff_delay(7, 1) != policy.backoff_delay(8, 1)
+        assert backoff_delay(7, 1) != backoff_delay(8, 1)
 
-    def test_zero_backoff_disables_pacing(self):
-        policy = _policy(retry_backoff=0.0)
-        assert policy.backoff_delay(1, 5) == 0.0
+    def test_default_backoff_is_bounded_by_its_cap(self):
+        delays = [backoff_delay(3, attempt) for attempt in range(1, 12)]
+        assert 0.025 <= delays[0] <= supervision.RETRY_BACKOFF
+        assert max(delays) <= supervision.RETRY_BACKOFF_CAP
+
+    def test_zero_backoff_disables_pacing(self, monkeypatch):
+        monkeypatch.setattr(supervision, "RETRY_BACKOFF", 0.0)
+        assert backoff_delay(1, 5) == 0.0
 
     def test_deadline_scales_with_batch_size(self):
-        policy = _policy(task_timeout=2.0)
-        assert policy.deadline_from(100.0) == 102.0
-        assert policy.deadline_from(100.0, tasks=3) == 106.0
-        assert _policy().deadline_from(100.0) is None
+        assert deadline_from(2.0, 100.0) == 102.0
+        assert deadline_from(2.0, 100.0, tasks=3) == 106.0
+        assert deadline_from(None, 100.0) is None
 
 
 # --------------------------------------------------------------------------- fault plan algebra
 class TestFaultPlan:
+    def test_the_harness_patches_the_engine_only_while_installed(self):
+        """``tests.faults`` replaces ``run_task_guarded`` (where the pool
+        workers and the serial walk read it) and ``execute_task`` while a
+        plan is active, and puts the engine's own functions back after."""
+        from repro.engine import backends, worker
+
+        from tests import faults
+
+        originals = (supervision.run_task_guarded, backends.run_task_guarded,
+                     worker.execute_task)
+        assert originals[0] is originals[1]
+        with faults.active(FaultPlan()):
+            assert supervision.run_task_guarded is backends.run_task_guarded
+            assert supervision.run_task_guarded is not originals[0]
+            assert worker.execute_task is not originals[2]
+        assert (supervision.run_task_guarded, backends.run_task_guarded,
+                worker.execute_task) == originals
+
     def test_exhaustion_requires_every_attempt(self):
         plan = FaultPlan(
             tuple(
@@ -182,7 +189,7 @@ class TestDrainAfterStop:
             _done_future([ok, cancelled]): _Batch([3, 4], submitted_at=0.0, deadline=None)
         }
         clean = ProcessPoolBackend._drain_after_stop(
-            inflight, aggregator, cancel, _policy(task_timeout=1.0)
+            inflight, aggregator, cancel, 1.0
         )
         assert clean is True
         assert cancel.is_set()
@@ -196,7 +203,7 @@ class TestDrainAfterStop:
         inflight = {failed: _Batch([5], submitted_at=0.0, deadline=None)}
         with caplog.at_level("WARNING", logger="repro.engine"):
             clean = ProcessPoolBackend._drain_after_stop(
-                inflight, aggregator, threading.Event(), _policy(task_timeout=1.0)
+                inflight, aggregator, threading.Event(), 1.0
             )
         assert clean is True  # collected (albeit unhappily): pool can join
         assert aggregator.recorded == []
@@ -209,7 +216,7 @@ class TestDrainAfterStop:
         inflight = {hung: _Batch([6], submitted_at=0.0, deadline=None)}
         with caplog.at_level("WARNING", logger="repro.engine"):
             clean = ProcessPoolBackend._drain_after_stop(
-                inflight, aggregator, threading.Event(), _policy(task_timeout=0.05)
+                inflight, aggregator, threading.Event(), 0.05
             )
         assert clean is False  # caller must kill the pool, not join it
         assert any("abandoning" in record.message for record in caplog.records)
@@ -219,7 +226,7 @@ class TestDrainAfterStop:
         ok = TaskResult(task_id=9)
         inflight = {_done_future([ok]): _Batch([9], submitted_at=0.0, deadline=None)}
         clean = ProcessPoolBackend._drain_after_stop(
-            inflight, aggregator, threading.Event(), _policy()
+            inflight, aggregator, threading.Event(), None
         )
         assert clean is True
         assert aggregator.recorded == [9]

@@ -585,8 +585,9 @@ class TestTransientScenarioFlags:
             ("--scenario", "flap:o,a"),
             ("--scenario", "gray:o,a"),
             ("--scenario", "gray:a,a"),
+            ("--scenario", "flap:a,a"),
         ],
-        ids=["flap-no-session", "gray-no-session", "gray-one-device"],
+        ids=["flap-no-session", "gray-no-session", "gray-one-device", "flap-one-device"],
     )
     def test_a_session_event_must_name_a_session(self, bgp_workspace, capsys, flags):
         """``o`` and ``a`` configure no BGP session on the square, and a
@@ -650,6 +651,11 @@ class TestTransientScenarioFlags:
         capsys.readouterr()
         assert _run(self._args(bgp_workspace, "--scenario", "meteor:m")) == EXIT_ERROR
         assert "unknown" in capsys.readouterr().err
+
+    def test_negative_scenario_events_is_an_input_error(self, bgp_workspace, capsys):
+        code = _run(self._args(bgp_workspace, "--scenario-events", "-1"))
+        assert code == EXIT_ERROR
+        assert "scenario_events must be >= 0" in capsys.readouterr().err
 
     def test_scenario_enumeration_json_round_trip(self, bgp_workspace, capsys):
         code = _run(self._args(

@@ -32,12 +32,13 @@ HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 # --------------------------------------------------------------------------- backoff and deadlines
 class TestSupervisionSchedule:
-    def test_options_refuse_negative_retries(self):
-        """A negative retry budget is refused where the options are built,
-        never clamped behind the supervisor's back."""
-        with pytest.raises(ValueError, match="task_retries"):
-            PlanktonOptions(task_retries=-1)
-        assert PlanktonOptions(task_retries=0).task_retries == 0
+    @pytest.mark.parametrize("knob, least", [("task_retries", 0), ("task_timeout", 0.001)])
+    def test_options_refuse_negative_knobs(self, knob, least):
+        """A negative supervision knob is refused where the options are
+        built, never clamped behind the supervisor's back."""
+        with pytest.raises(ValueError, match=knob):
+            PlanktonOptions(**{knob: -1})
+        assert getattr(PlanktonOptions(**{knob: least}), knob) == least
 
     def test_backoff_is_deterministic_capped_and_grows(self, monkeypatch):
         monkeypatch.setattr(supervision, "RETRY_BACKOFF", 0.1)

@@ -29,6 +29,7 @@ from repro.pec.classes import compute_pecs
 from repro.policies import LoopFreedom
 from repro.topology import Topology
 from repro.transient import (
+    TransientBlackHoleFreedom,
     TransientLoopFreedom,
     analyze_pec_transients,
 )
@@ -101,6 +102,22 @@ def main() -> int:
             "state is correct — the property class Plankton (and all current "
             "configuration verifiers) leave to future work."
         )
+    print()
+
+    print("3) transient black holes: does r1 or r2 ever forward to a router without a route?")
+    holes = analyze_pec_transients(
+        network,
+        pec,
+        [TransientBlackHoleFreedom(sources=["r1", "r2"])],
+        max_states=5_000,
+        max_depth=30,
+    )
+    for prefix_text, analysis in holes.items():
+        print(f"   prefix {prefix_text}: {analysis.summary()}")
+        for violation in analysis.violations[:1]:
+            print("   first: " + violation.message)
+    print("   a router only forwards over a route its peer advertised, so no state")
+    print("   of this campaign hands a packet to a router without one.")
     return 0
 
 

@@ -24,7 +24,7 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.exceptions import ReproError, ServerProtocolError, ServiceError, ServiceUnavailable
 
@@ -101,16 +101,6 @@ class ServiceClient:
         return document
 
     # ------------------------------------------------------------------ API
-    def health(self) -> Dict[str, object]:
-        return self._request("GET", "/v1/health")
-
-    def metrics(self) -> Dict[str, object]:
-        return self._request("GET", "/metrics")
-
-    def namespaces(self) -> List[str]:
-        document = self._request("GET", "/v1/namespaces")
-        return list(document.get("namespaces", []))
-
     def namespace(self, name: str) -> Dict[str, object]:
         return self._request("GET", f"/v1/namespaces/{name}")
 

@@ -21,7 +21,6 @@ from repro.config.builder import (
     ospf_everywhere,
     ebgp_rfc7938,
     ibgp_over_ospf,
-    add_static_route,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "ospf_everywhere",
     "ebgp_rfc7938",
     "ibgp_over_ospf",
-    "add_static_route",
 ]

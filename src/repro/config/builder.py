@@ -27,7 +27,6 @@ from repro.config.objects import (
     MatchConditions,
     NetworkConfig,
     OspfConfig,
-    PrefixList,
     RouteMap,
     RouteMapClause,
     SetActions,
@@ -96,33 +95,9 @@ class ConfigBuilder:
         )
         return self
 
-    def static_route(
-        self,
-        name: str,
-        prefix: Prefix,
-        next_hop_node: Optional[str] = None,
-        next_hop_ip: Optional[Prefix] = None,
-        drop: bool = False,
-    ) -> "ConfigBuilder":
-        """Install a static route on ``name``."""
-        self.device(name).static_routes.append(
-            StaticRoute(
-                prefix=prefix,
-                next_hop_node=next_hop_node,
-                next_hop_ip=next_hop_ip,
-                drop=drop,
-            )
-        )
-        return self
-
     def route_map(self, name: str, device: str, route_map: RouteMap) -> "ConfigBuilder":
         """Install ``route_map`` under ``name`` on ``device``."""
         self.device(device).route_maps[name] = route_map
-        return self
-
-    def prefix_list(self, device: str, prefix_list: PrefixList) -> "ConfigBuilder":
-        """Install ``prefix_list`` on ``device``."""
-        self.device(device).prefix_lists[prefix_list.name] = prefix_list
         return self
 
     def build(self, validate: bool = True) -> NetworkConfig:
@@ -164,20 +139,6 @@ def ospf_everywhere(
         if node.loopback is not None:
             builder.device(name).ospf.networks.append(node.loopback)
     return builder.build()
-
-
-def add_static_route(
-    network: NetworkConfig,
-    device: str,
-    prefix: Prefix,
-    next_hop_node: Optional[str] = None,
-    next_hop_ip: Optional[Prefix] = None,
-) -> NetworkConfig:
-    """Add one static route to an existing network config (mutates and returns it)."""
-    network.device(device).static_routes.append(
-        StaticRoute(prefix=prefix, next_hop_node=next_hop_node, next_hop_ip=next_hop_ip)
-    )
-    return network
 
 
 def install_loop_inducing_statics(

@@ -57,11 +57,6 @@ class StaticRoute:
                 f"static route for {self.prefix} has both a node and an IP next hop"
             )
 
-    @property
-    def is_recursive(self) -> bool:
-        """True when the next hop is an IP that must itself be resolved."""
-        return self.next_hop_ip is not None
-
 
 # --------------------------------------------------------------------------- ospf
 @dataclass
@@ -101,10 +96,6 @@ class OspfConfig:
         interface = self.interfaces.get(neighbor)
         return interface.passive if interface is not None else False
 
-    def originates(self, prefix: Prefix) -> bool:
-        """True if this device originates ``prefix`` into OSPF."""
-        return prefix in self.networks
-
 
 # --------------------------------------------------------------------------- policy
 @dataclass(frozen=True)
@@ -140,12 +131,6 @@ class PrefixList:
             if entry.matches(candidate):
                 return entry.permit
         return False
-
-    def add(self, prefix: Prefix, permit: bool = True,
-            ge: Optional[int] = None, le: Optional[int] = None) -> "PrefixList":
-        """Append an entry; returns self for chaining."""
-        self.entries.append(PrefixListEntry(prefix, permit, ge, le))
-        return self
 
 
 @dataclass
@@ -245,10 +230,6 @@ class BgpConfig:
     def ibgp_peers(self) -> List[str]:
         """Peers of iBGP sessions."""
         return [n.peer for n in self.neighbors if n.is_ibgp(self.asn)]
-
-    def originates(self, prefix: Prefix) -> bool:
-        """True if this device originates ``prefix`` into BGP."""
-        return prefix in self.networks
 
 
 def process_settings(process) -> Tuple[Tuple[str, object], ...]:
@@ -358,10 +339,6 @@ class NetworkConfig:
             return self.devices[name]
         except KeyError:
             raise ConfigError(f"unknown device {name!r}") from None
-
-    def devices_running_bgp(self) -> List[str]:
-        """Names of devices with a BGP process."""
-        return [name for name, cfg in self.devices.items() if cfg.bgp is not None]
 
     def bgp_session(self, a: str, b: str) -> bool:
         """Whether ``a`` and ``b`` hold a BGP session: both configure it (a

@@ -50,6 +50,7 @@ from typing import (
 
 from repro.config.objects import NetworkConfig
 from repro.dataplane import DataPlane, Fib, FibEntry
+from repro.exceptions import VerificationError
 from repro.modelcheck.explorer import (
     COMPLETE,
     ExplorationStatistics,
@@ -327,14 +328,14 @@ class PecExplorer:
             return on_outcome(outcome) if on_outcome is not None else None
 
         if not self.options.fast_ospf:
-            # Searched for their statistics only (the Figure 8 ablations):
-            # the planes take OSPF entries from the cached SPF computation,
-            # which is what a search under the optimizations converges to.
+            # The planes take their OSPF entries from the SPF table; the
+            # search answers by agreeing with that table in every state it
+            # accepts (the Figure 8 ablations time this search).
             for prefix, devices in self.pec.ospf_origins:
                 if devices:
                     instance = self.ospf_instance(prefix)
                     analyzer = OspfDeterminism(instance) if self.flags.deterministic_nodes else None
-                    self._search(instance, analyzer, lambda state, labels: None)
+                    self._search(instance, analyzer, self._spf_agreement(prefix))
 
         bgp_prefixes = [prefix for prefix, devices in self.pec.bgp_origins if devices]
         if not bgp_prefixes:
@@ -373,6 +374,41 @@ class PecExplorer:
 
         search(streamed, cross)
         return outcomes
+
+    def _spf_agreement(self, prefix: Prefix) -> Callable[[RpvpState, List[object]], None]:
+        """The check of a model-checked OSPF search: every decided node of an
+        accepted state holds the SPF distance of ``prefix``'s table, through
+        one of its ECMP next hops (an origin: ``EPSILON`` at distance 0), and
+        a state that ended by full convergence - not stopped by policy-based
+        pruning once the sources decided - leaves no node SPF reaches
+        undecided.  A disagreement raises :class:`VerificationError`."""
+        table = self._plane_inputs.ospf_tables[prefix]
+        distances, next_hops = table.distances, table.next_hops
+        sources = [source for source in self.policy_sources or () if source in distances]
+        prunes = self.flags.consistent_execution and self.flags.policy_based_pruning and sources
+
+        def check(state: RpvpState, labels: List[object]) -> None:
+            best = state.as_dict()
+            for node, route in best.items():
+                if route is None:
+                    continue
+                path = route.path
+                on_spf = path.head in next_hops.get(node, ()) if path != EPSILON else route.igp_cost == 0
+                if distances.get(node) != route.igp_cost or not on_spf:
+                    raise VerificationError(
+                        f"model-checked OSPF disagrees with SPF on {prefix} at {node}: "
+                        f"{path} at cost {route.igp_cost}, SPF {distances.get(node)} "
+                        f"via {next_hops.get(node, ())}"
+                    )
+            if not (prunes and all(best.get(source) is not None for source in sources)):
+                undecided = [node for node in distances if node in best and best[node] is None]
+                if undecided:
+                    raise VerificationError(
+                        f"model-checked OSPF converged on {prefix} with "
+                        f"{', '.join(undecided)} undecided, which SPF reaches"
+                    )
+
+        return check
 
     def _search(
         self,

@@ -105,10 +105,6 @@ class PecRunResult:
     #: their values, or ``vacuous`` when a BGP PEC reached no converged state.
     completeness: str = COMPLETE
 
-    @property
-    def holds(self) -> bool:
-        return not self.violations
-
 
 @dataclass(kw_only=True)
 class RequestResult:

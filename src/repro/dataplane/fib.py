@@ -116,10 +116,6 @@ class Fib:
             memo[address] = best
         return best
 
-    def entry_for(self, prefix: Prefix) -> Optional[FibEntry]:
-        """The entry installed for exactly ``prefix`` (no LPM)."""
-        return self._entries.get(prefix)
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -43,10 +43,6 @@ class PathResult:
         """The last node on the branch."""
         return self.nodes[-1]
 
-    def visits(self, node: str) -> bool:
-        """True if the branch passes through ``node``."""
-        return node in self.nodes
-
     def visits_any(self, nodes: Sequence[str]) -> bool:
         """True if the branch passes through at least one of ``nodes``."""
         return any(node in self.nodes for node in nodes)
@@ -152,20 +148,6 @@ class ForwardingGraph:
                     pending.pop()
                     color[path.pop()] = BLACK
         return None
-
-    def reaches_delivery(self, source: str) -> bool:
-        """True if some branch from ``source`` ends at a delivering node."""
-        seen: Set[str] = set()
-        stack = [source]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            if node in self.delivering:
-                return True
-            stack.extend(self.successors.get(node, ()))
-        return False
 
     def black_holes(self) -> List[str]:
         """Nodes that neither deliver, drop, nor have next hops for the address."""

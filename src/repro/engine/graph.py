@@ -158,26 +158,6 @@ class TaskGraph:
     def has_edges(self) -> bool:
         return any(task.depends_on for task in self.tasks)
 
-    def dependents(self) -> Dict[int, List[int]]:
-        """Reverse adjacency: task id -> ids of tasks that depend on it."""
-        reverse: Dict[int, List[int]] = {task.task_id: [] for task in self.tasks}
-        for task in self.tasks:
-            for dependency in task.depends_on:
-                reverse[dependency].append(task.task_id)
-        return reverse
-
-    def validate(self) -> None:
-        """Check that ids are positions and edges point backwards (the
-        invariants the ledger and the backends index by; used by tests)."""
-        for position, task in enumerate(self.tasks):
-            if task.task_id != position:
-                raise ValueError(f"task at position {position} has id {task.task_id}")
-            for dependency in task.depends_on:
-                if dependency >= task.task_id:
-                    raise ValueError(
-                        f"task {task.task_id} depends on non-earlier task {dependency}"
-                    )
-
 
 # --------------------------------------------------------------------------- scenarios
 class NetworkSymmetry(NamedTuple):

@@ -52,7 +52,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 try:
     import fcntl
@@ -477,27 +477,10 @@ class ResultCache:
         self.hits += 1
         return entry
 
-    def contains(self, fingerprint: str) -> bool:
-        """Presence test without touching the hit/miss counters."""
-        return fingerprint in self._entries
-
     def store(self, fingerprint: str, entry: Dict) -> None:
         """Insert or replace the entry under ``fingerprint``."""
         self._entries[fingerprint] = entry
         self.stores += 1
-        self._persisted = False
-
-    def invalidate(self, fingerprints: Iterable[str]) -> int:
-        """Drop the named entries; returns how many existed."""
-        dropped = 0
-        for fingerprint in fingerprints:
-            if self._entries.pop(fingerprint, None) is not None:
-                dropped += 1
-                self._persisted = False
-        return dropped
-
-    def clear(self) -> None:
-        self._entries.clear()
         self._persisted = False
 
     def __len__(self) -> int:

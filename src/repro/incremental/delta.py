@@ -115,23 +115,6 @@ class ConfigDelta:
         """True when links or nodes changed (every PEC may be affected)."""
         return bool(self.link_changes or self.node_changes)
 
-    def changed_devices(self) -> List[str]:
-        """Sorted devices named by any change."""
-        devices: Set[str] = set(self.node_changes)
-        for a, b in self.link_changes:
-            devices.update((a, b))
-        for device, _peer in self.session_changes:
-            devices.add(device)
-        for entry in self.bgp_process_changes + self.ospf_process_changes:
-            devices.add(entry.split(":", 1)[0])
-        for change in self.filter_changes:
-            devices.add(change.device)
-        for device, _prefix in self.static_changes:
-            devices.add(device)
-        for device, _protocol, _prefix in self.announce_changes:
-            devices.add(device)
-        return sorted(devices)
-
     def summary(self) -> str:
         """One line naming the change counts (for reports and the CLI)."""
         if self.is_empty:

@@ -107,7 +107,6 @@ class BitstateFilter:
         self.hash_count = max(1, hash_count)
         self._array = bytearray((bits + 7) // 8)
         self.added = 0
-        self.possible_collisions = 0
 
     def _positions(self, fingerprint: Hashable) -> List[int]:
         value = fingerprint if isinstance(fingerprint, int) else hash(fingerprint)
@@ -121,18 +120,11 @@ class BitstateFilter:
             positions.append(mixed % self.bits)
         return positions
 
-    def contains(self, fingerprint: int) -> bool:
-        """Whether the fingerprint has possibly been added before."""
-        return all(
-            self._array[pos // 8] & (1 << (pos % 8)) for pos in self._positions(fingerprint)
-        )
-
     def add(self, fingerprint: int) -> bool:
         """Add ``fingerprint``; returns True if it was (possibly) already present."""
         positions = self._positions(fingerprint)
         present = all(self._array[pos // 8] & (1 << (pos % 8)) for pos in positions)
         if present:
-            self.possible_collisions += 1
             return True
         for pos in positions:
             self._array[pos // 8] |= 1 << (pos % 8)
@@ -142,13 +134,6 @@ class BitstateFilter:
     def approximate_bytes(self) -> int:
         """Memory used by the bit array."""
         return len(self._array)
-
-    def estimated_coverage(self) -> float:
-        """A crude coverage estimate: fraction of additions without collision."""
-        total = self.added + self.possible_collisions
-        if total == 0:
-            return 1.0
-        return self.added / total
 
 
 class VisitedSet:

@@ -86,15 +86,3 @@ class ReductionStatistics:
             self.to_dict(),
             transition_reduction_ratio=round(self.transition_reduction_ratio(), 2),
         )
-
-    def describe(self) -> str:
-        """One human-readable line for summaries and reports."""
-        return (
-            f"reduction[{self.mode}]: {self.states_reduced} reduced / "
-            f"{self.states_full} full expansion(s), "
-            f"{self.transitions_expanded}/{self.transitions_enabled} transition(s) "
-            f"executed ({self.transition_reduction_ratio():.1f}x), "
-            f"{self.transitions_slept} slept, {self.sleep_requeues} requeue(s), "
-            f"{self.proviso_fallbacks} proviso fallback(s), "
-            f"{self.rank_immune_sessions} rank-immune session(s)"
-        )

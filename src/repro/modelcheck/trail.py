@@ -226,10 +226,5 @@ class Trail:
             lines.extend("  " + line for line in self.data_plane_dump.splitlines())
         return "\n".join(lines)
 
-    def write(self, path: str) -> None:
-        """Write the rendered trail to ``path``."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.render() + "\n")
-
     def __len__(self) -> int:
         return len(self.steps)

@@ -6,28 +6,13 @@ plain ``int`` rather than the standard library ``ipaddress`` objects, which are
 noticeably slower to hash and compare in the hot paths of the verifier.
 """
 
-from repro.netaddr.address import (
-    IPv4Address,
-    MAX_IPV4,
-    ip_to_int,
-    int_to_ip,
-)
-from repro.netaddr.prefix import (
-    Prefix,
-    AddressRange,
-    prefix_contains,
-    prefixes_overlap,
-    summarize_range,
-)
+from repro.netaddr.address import MAX_IPV4, ip_to_int, int_to_ip
+from repro.netaddr.prefix import Prefix, AddressRange
 
 __all__ = [
-    "IPv4Address",
     "MAX_IPV4",
     "ip_to_int",
     "int_to_ip",
     "Prefix",
     "AddressRange",
-    "prefix_contains",
-    "prefixes_overlap",
-    "summarize_range",
 ]

@@ -1,9 +1,6 @@
-"""IPv4 address value type and conversion helpers."""
+"""IPv4 address conversion helpers."""
 
 from __future__ import annotations
-
-import functools
-from typing import Union
 
 from repro.exceptions import AddressError
 
@@ -36,68 +33,3 @@ def int_to_ip(value: int) -> str:
     return ".".join(
         str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0)
     )
-
-
-@functools.total_ordering
-class IPv4Address:
-    """An immutable IPv4 address.
-
-    Instances compare and hash by their integer value, so they can be used as
-    dictionary keys and sorted naturally.
-    """
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: Union[int, str, "IPv4Address"]) -> None:
-        if isinstance(value, IPv4Address):
-            self._value = value._value
-        elif isinstance(value, int):
-            if not 0 <= value <= MAX_IPV4:
-                raise AddressError(f"IPv4 integer out of range: {value}")
-            self._value = value
-        elif isinstance(value, str):
-            self._value = ip_to_int(value)
-        else:
-            raise AddressError(f"cannot build IPv4Address from {value!r}")
-
-    @property
-    def value(self) -> int:
-        """The address as a 32-bit integer."""
-        return self._value
-
-    def __int__(self) -> int:
-        return self._value
-
-    def __str__(self) -> str:
-        return int_to_ip(self._value)
-
-    def __repr__(self) -> str:
-        return f"IPv4Address({str(self)!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IPv4Address):
-            return self._value == other._value
-        if isinstance(other, int):
-            return self._value == other
-        if isinstance(other, str):
-            try:
-                return self._value == ip_to_int(other)
-            except AddressError:
-                return NotImplemented
-        return NotImplemented
-
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, IPv4Address):
-            return self._value < other._value
-        if isinstance(other, int):
-            return self._value < other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._value)
-
-    def __add__(self, offset: int) -> "IPv4Address":
-        return IPv4Address(self._value + offset)
-
-    def __sub__(self, offset: int) -> "IPv4Address":
-        return IPv4Address(self._value - offset)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Tuple, Union
+from typing import Iterator, Union
 
 from repro.exceptions import AddressError
-from repro.netaddr.address import MAX_IPV4, IPv4Address, int_to_ip, ip_to_int
+from repro.netaddr.address import MAX_IPV4, int_to_ip, ip_to_int
 
 
 @functools.total_ordering
@@ -28,7 +28,7 @@ class Prefix:
 
     def __init__(
         self,
-        network: Union[str, int, IPv4Address],
+        network: Union[str, int],
         length: int | None = None,
     ) -> None:
         if isinstance(network, str) and length is None:
@@ -41,8 +41,6 @@ class Prefix:
             network = ip_to_int(addr_text)
         elif isinstance(network, str):
             network = ip_to_int(network)
-        elif isinstance(network, IPv4Address):
-            network = network.value
         if length is None:
             raise AddressError("prefix length is required")
         if not 0 <= length <= 32:
@@ -84,17 +82,10 @@ class Prefix:
         """The highest address covered by this prefix."""
         return self._network | (MAX_IPV4 >> self._length if self._length else MAX_IPV4)
 
-    @property
-    def size(self) -> int:
-        """The number of addresses covered by this prefix."""
-        return 1 << (32 - self._length)
-
-    def contains_address(self, address: Union[int, str, IPv4Address]) -> bool:
+    def contains_address(self, address: Union[int, str]) -> bool:
         """Return True if ``address`` falls inside this prefix."""
         if isinstance(address, str):
             address = ip_to_int(address)
-        elif isinstance(address, IPv4Address):
-            address = address.value
         return self.first <= address <= self.last
 
     def contains_prefix(self, other: "Prefix") -> bool:
@@ -103,23 +94,10 @@ class Prefix:
             other._network & self.mask
         ) == self._network
 
-    def overlaps(self, other: "Prefix") -> bool:
-        """Return True if the two prefixes share at least one address."""
-        return self.contains_prefix(other) or other.contains_prefix(self)
-
     def bits(self) -> Iterator[int]:
         """Yield the prefix bits most-significant first (``length`` bits)."""
         for position in range(self._length):
             yield (self._network >> (31 - position)) & 1
-
-    def subnets(self) -> Tuple["Prefix", "Prefix"]:
-        """Split into the two child prefixes of length+1."""
-        if self._length >= 32:
-            raise AddressError("cannot split a /32 prefix")
-        child_length = self._length + 1
-        left = Prefix(self._network, child_length)
-        right = Prefix(self._network | (1 << (32 - child_length)), child_length)
-        return left, right
 
     def to_range(self) -> "AddressRange":
         """The contiguous address range covered by this prefix."""
@@ -150,16 +128,6 @@ class Prefix:
         return hash((self._network, self._length))
 
 
-def prefix_contains(outer: Prefix, inner: Prefix) -> bool:
-    """Module-level alias for :meth:`Prefix.contains_prefix`."""
-    return outer.contains_prefix(inner)
-
-
-def prefixes_overlap(left: Prefix, right: Prefix) -> bool:
-    """Module-level alias for :meth:`Prefix.overlaps`."""
-    return left.overlaps(right)
-
-
 @dataclass(frozen=True, order=True)
 class AddressRange:
     """A contiguous, inclusive range ``[low, high]`` of IPv4 addresses.
@@ -180,83 +148,19 @@ class AddressRange:
         if self.low > self.high:
             raise AddressError(f"empty range: low {self.low} > high {self.high}")
 
-    @property
-    def size(self) -> int:
-        """Number of addresses in the range."""
-        return self.high - self.low + 1
-
-    def contains_address(self, address: Union[int, str, IPv4Address]) -> bool:
+    def contains_address(self, address: Union[int, str]) -> bool:
         """Return True if ``address`` falls inside this range."""
         if isinstance(address, str):
             address = ip_to_int(address)
-        elif isinstance(address, IPv4Address):
-            address = address.value
         return self.low <= address <= self.high
-
-    def contains_prefix(self, prefix: Prefix) -> bool:
-        """Return True if ``prefix`` is fully covered by this range."""
-        return self.low <= prefix.first and prefix.last <= self.high
 
     def overlaps(self, other: "AddressRange") -> bool:
         """Return True if the two ranges share at least one address."""
         return self.low <= other.high and other.low <= self.high
 
-    def intersection(self, other: "AddressRange") -> "AddressRange | None":
-        """The overlapping sub-range, or None if disjoint."""
-        low = max(self.low, other.low)
-        high = min(self.high, other.high)
-        if low > high:
-            return None
-        return AddressRange(low, high)
-
     def representative(self) -> int:
         """A single address usable as a witness packet for this range."""
         return self.low
 
-    def to_prefixes(self) -> List[Prefix]:
-        """Decompose the range into a minimal list of aligned prefixes."""
-        return summarize_range(self.low, self.high)
-
     def __str__(self) -> str:
         return f"[{int_to_ip(self.low)}, {int_to_ip(self.high)}]"
-
-
-def summarize_range(low: int, high: int) -> List[Prefix]:
-    """Return the minimal list of prefixes exactly covering ``[low, high]``.
-
-    This is the classic CIDR summarisation algorithm: repeatedly emit the
-    largest aligned prefix that starts at ``low`` and does not extend past
-    ``high``.
-    """
-    if low > high:
-        raise AddressError(f"empty range: {low} > {high}")
-    prefixes: List[Prefix] = []
-    cursor = low
-    while cursor <= high:
-        # Largest block size allowed by alignment of ``cursor``.
-        if cursor == 0:
-            align_bits = 32
-        else:
-            align_bits = (cursor & -cursor).bit_length() - 1
-        # Largest block size that still fits under ``high``.
-        remaining = high - cursor + 1
-        fit_bits = remaining.bit_length() - 1
-        bits = min(align_bits, fit_bits)
-        prefixes.append(Prefix(cursor, 32 - bits))
-        cursor += 1 << bits
-        if cursor > MAX_IPV4:
-            break
-    return prefixes
-
-
-def coalesce_ranges(ranges: Iterable[AddressRange]) -> List[AddressRange]:
-    """Merge overlapping or adjacent ranges into a sorted disjoint list."""
-    ordered = sorted(ranges, key=lambda r: (r.low, r.high))
-    merged: List[AddressRange] = []
-    for current in ordered:
-        if merged and current.low <= merged[-1].high + 1:
-            previous = merged[-1]
-            merged[-1] = AddressRange(previous.low, max(previous.high, current.high))
-        else:
-            merged.append(current)
-    return merged

@@ -12,7 +12,7 @@ longest-prefix-match forwarding).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.config.objects import NetworkConfig
 from repro.netaddr import AddressRange, Prefix
@@ -45,11 +45,6 @@ class PacketEquivalenceClass:
         """True when no configured prefix covers this range (default PEC)."""
         return not self.prefixes
 
-    @property
-    def most_specific_prefix(self) -> Optional[Prefix]:
-        """The most specific contributing prefix, or None for the default PEC."""
-        return self.prefixes[0] if self.prefixes else None
-
     def representative_address(self) -> int:
         """A witness destination address inside the PEC."""
         return self.address_range.representative()
@@ -69,14 +64,6 @@ class PacketEquivalenceClass:
     def has_bgp(self) -> bool:
         """True if any contributing prefix is originated into BGP."""
         return any(devices for _prefix, devices in self.bgp_origins)
-
-    def has_ospf(self) -> bool:
-        """True if any contributing prefix is originated into OSPF."""
-        return any(devices for _prefix, devices in self.ospf_origins)
-
-    def has_static(self) -> bool:
-        """True if any device has a static route covering a contributing prefix."""
-        return any(devices for _prefix, devices in self.static_devices)
 
     def describe(self) -> str:
         parts = [f"PEC#{self.index} {self.address_range}"]
@@ -162,13 +149,3 @@ def pec_covering_prefix(
     """The PECs whose ranges intersect ``prefix``."""
     target = prefix.to_range()
     return [pec for pec in classes if pec.address_range.overlaps(target)]
-
-
-def pec_covering_address(
-    classes: Sequence[PacketEquivalenceClass], address: int
-) -> Optional[PacketEquivalenceClass]:
-    """The PEC containing ``address``, or None."""
-    for pec in classes:
-        if pec.address_range.contains_address(address):
-            return pec
-    return None

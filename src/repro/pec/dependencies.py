@@ -54,10 +54,6 @@ class PecDependencyGraph:
         """PECs that directly depend on PEC ``index``."""
         return {a for a, deps in self.edges.items() if index in deps}
 
-    def has_dependencies(self) -> bool:
-        """True if any dependency edge exists."""
-        return any(self.edges.values())
-
     # ------------------------------------------------------------------ SCCs
     def strongly_connected_components(self) -> List[List[int]]:
         """Tarjan SCCs over all PEC indices (singletons included)."""

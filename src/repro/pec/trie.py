@@ -31,12 +31,6 @@ class TrieNode:
     prefixes: List[Prefix] = field(default_factory=list)
     payloads: List[object] = field(default_factory=list)
 
-    def range(self) -> AddressRange:
-        """The address range this trie node spans."""
-        span = 1 << (32 - self.depth) if self.depth < 32 else 1
-        return AddressRange(self.network, self.network + span - 1)
-
-
 class PrefixTrie:
     """A binary trie of IPv4 prefixes with attached payload objects."""
 
@@ -63,35 +57,6 @@ class PrefixTrie:
 
     def __len__(self) -> int:
         return self._count
-
-    # ------------------------------------------------------------------ queries
-    def exact(self, prefix: Prefix) -> Optional[TrieNode]:
-        """The node for exactly ``prefix`` if it was inserted, else None."""
-        node = self.root
-        for bit in prefix.bits():
-            node = node.children[bit]
-            if node is None:
-                return None
-        return node if node.prefixes else None
-
-    def covering_prefixes(self, address: int) -> List[Prefix]:
-        """All inserted prefixes covering ``address``, most specific last."""
-        found: List[Prefix] = []
-        node = self.root
-        depth = 0
-        while node is not None:
-            found.extend(node.prefixes)
-            if depth == 32:
-                break
-            bit = (address >> (31 - depth)) & 1
-            node = node.children[bit]
-            depth += 1
-        return found
-
-    def longest_match(self, address: int) -> Optional[Prefix]:
-        """The most specific inserted prefix covering ``address``."""
-        covering = self.covering_prefixes(address)
-        return covering[-1] if covering else None
 
     def all_prefixes(self) -> List[Prefix]:
         """Every inserted prefix (duplicates removed), sorted."""

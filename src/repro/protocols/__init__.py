@@ -17,12 +17,9 @@ _ORIGINS = {
     "resolve_static_routes": "repro.protocols.static",
     "StaticResolution": "repro.protocols.static",
     "BgpInstance": "repro.protocols.bgp",
-    "build_bgp_instance": "repro.protocols.bgp",
     "OspfInstance": "repro.protocols.ospf_instance",
-    "build_ospf_instance": "repro.protocols.ospf_instance",
     "RpvpState": "repro.protocols.rpvp",
     "enabled_nodes": "repro.protocols.rpvp",
-    "is_converged": "repro.protocols.rpvp",
     "rpvp_successors": "repro.protocols.rpvp",
     "SpvpState": "repro.protocols.spvp",
     "SpvpStepper": "repro.protocols.spvp",

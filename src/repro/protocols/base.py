@@ -49,11 +49,6 @@ class Path(tuple):
         """The path with the next hop removed."""
         return Path(self[1:])
 
-    @property
-    def origin(self) -> Optional[str]:
-        """The final node on the path (the origin), or None if empty."""
-        return self[-1] if self else None
-
     def prepend(self, node: str) -> "Path":
         """The path seen by a neighbour importing this path via ``node``."""
         return tuple.__new__(Path, (node,) + self)
@@ -165,9 +160,11 @@ class Route:
         """A copy of this route with a different path.
 
         Constructed by copying the field dict rather than via
-        :func:`dataclasses.replace` — replace() rebuilds a field mapping per
-        call and sits on the export hot path of every protocol.  The cached
-        hash/compare-key entries must not travel to the copy.
+        :func:`dataclasses.replace`, which rebuilds a field mapping per call.
+        ``OspfInstance.export`` calls it; the search itself never does, as
+        ``OspfInstance.advertisement`` builds each advertisement once per
+        (held route, edge cost).  The cached hash/compare-key entries must
+        not travel to the copy.
         """
         fields = dict(self.__dict__)
         fields.pop("_hash", None)
@@ -184,11 +181,6 @@ class Route:
             f"{path_text} (lp={self.local_pref}, aspath={self.as_path_length}, "
             f"med={self.med}, igp={self.igp_cost}, src={self.source.name})"
         )
-
-
-def origin_route(node: str, source: RouteSource = RouteSource.EBGP) -> Route:
-    """The route an origin node has for its own prefix (path ``EPSILON``)."""
-    return Route(path=EPSILON, source=source, origin_node=node, as_path_length=0)
 
 
 class PathVectorInstance(abc.ABC):
@@ -282,13 +274,6 @@ class PathVectorInstance(abc.ABC):
             result = self.import_(importer, exporter, exported)
         cache[key] = result
         return result
-
-    def multipath_allowed(self, node: str) -> bool:
-        """Whether ``node`` may keep several equally-ranked best paths.
-
-        The paper allows this only for shortest-path protocols (OSPF ECMP).
-        """
-        return False
 
     def session_rank_bound(self, importer: str, exporter: str) -> Optional[Tuple]:
         """A static lower bound on the rank of any route importable over a session.

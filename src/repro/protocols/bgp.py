@@ -251,11 +251,6 @@ class BgpInstance(PathVectorInstance):
             key = key + (route.next_hop or "",)
         return key
 
-    def multipath_allowed(self, node: str) -> bool:
-        # The paper's prototype (and this reproduction) does not support BGP
-        # multipath (§6); the configuration flag exists but is ignored here.
-        return False
-
     def session_rank_bound(self, importer: str, exporter: str) -> Optional[Tuple]:
         """Static per-session rank bound from the §4.1.2 determinism analysis.
 
@@ -286,22 +281,3 @@ class BgpInstance(PathVectorInstance):
             as_path_length=0,
             origin_node=node,
         )
-
-
-def build_bgp_instance(
-    network: NetworkConfig,
-    prefix: Prefix,
-    failed_links: Optional[Set[int]] = None,
-    session_up: SessionPredicate = _always_up,
-    igp_cost: IgpCostFunction = _zero_igp_cost,
-    deterministic_tiebreak: bool = False,
-) -> BgpInstance:
-    """Convenience constructor mirroring :func:`build_ospf_instance`."""
-    return BgpInstance(
-        network,
-        prefix,
-        failed_links=failed_links,
-        session_up=session_up,
-        igp_cost=igp_cost,
-        deterministic_tiebreak=deterministic_tiebreak,
-    )

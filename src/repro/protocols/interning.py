@@ -124,13 +124,6 @@ class RouteInternTable:
     def __len__(self) -> int:
         return len(self._routes)
 
-    def unique_entries(self) -> int:
-        return len(self._routes) + len(self._queues)
-
-    def approximate_bytes(self) -> int:
-        # Dict slot + list slot + id box per interned entry.
-        return (len(self._routes) + len(self._queues) + len(self._path_ids)) * 24
-
 
 class _NodeSpace:
     """The shared backbone of all states over one sorted node set.

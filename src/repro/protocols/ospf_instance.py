@@ -10,9 +10,10 @@ via the cached network-wide shortest-path computation in
 from that computation's compiled adjacency graph, so the instance and the SPF
 kernel agree on who is adjacent to whom by construction.
 
-OSPF is the one protocol where the implementation permits multipath: a node
-may keep several equal-cost best paths (ECMP), matching the special-case
-deviation described at the end of §3.4.2.
+A search state holds one best path per node; the ECMP sets of the paper's
+special case (end of §3.4.2) come from the SPF table the data planes are
+built from, and a model-checked search must agree with that table
+(:meth:`repro.core.network_model.PecExplorer._spf_agreement`).
 """
 
 from __future__ import annotations
@@ -39,34 +40,28 @@ class OspfInstance(PathVectorInstance):
         prefix: Prefix,
         failed_links: Optional[Set[int]] = None,
         computation: Optional[OspfComputation] = None,
-        extra_origins: Optional[Sequence[str]] = None,
-        allow_multipath: bool = True,
     ) -> None:
         self.network = network
         self.prefix = prefix
         self.failed_links = set(failed_links or ())
         self.computation = computation or OspfComputation(network)
-        self.allow_multipath = allow_multipath
         self.name = f"ospf:{prefix}"
 
         self._speakers = [
             name for name, cfg in network.devices.items() if cfg.ospf is not None
         ]
-        self._speaker_set = set(self._speakers)
+        # The devices that advertise ``prefix`` itself: one originating a
+        # covering prefix advertises that one, and longest-prefix match
+        # prefers ``prefix`` wherever both are known (SPF's origins alike).
         origin_set = {
-            name
-            for name in self._speakers
-            if any(p.contains_prefix(prefix) for p in network.device(name).ospf.networks)
+            name for name in self._speakers if prefix in network.device(name).ospf.networks
         }
         # Redistributed static routes appear as OSPF external origins.
         for name in self._speakers:
             config = self.network.device(name)
             if config.ospf.redistribute_static and any(
-                route.prefix.contains_prefix(prefix) for route in config.static_routes
+                route.prefix == prefix for route in config.static_routes
             ):
-                origin_set.add(name)
-        for name in extra_origins or ():
-            if name in self._speaker_set:
                 origin_set.add(name)
         self._origins = sorted(origin_set)
         # OSPF adjacency, filters and ranking are independent of the prefix
@@ -211,9 +206,6 @@ class OspfInstance(PathVectorInstance):
             return (-1,)
         return (route.igp_cost,)
 
-    def multipath_allowed(self, node: str) -> bool:
-        return self.allow_multipath
-
     # ------------------------------------------------------------------ helpers
     def origin_route(self, node: str) -> Route:
         """The route an origin injects for the prefix (cost 0).
@@ -255,13 +247,3 @@ def _advertised(exporter: str, route: Route, cost: float) -> Route:
         },
     )
     return result
-
-
-def build_ospf_instance(
-    network: NetworkConfig,
-    prefix: Prefix,
-    failed_links: Optional[Set[int]] = None,
-    computation: Optional[OspfComputation] = None,
-) -> OspfInstance:
-    """Convenience constructor mirroring :func:`build_bgp_instance`."""
-    return OspfInstance(network, prefix, failed_links=failed_links, computation=computation)

@@ -142,13 +142,6 @@ class RpvpState(IdArrayState):
             self._space, ids, parent=self, delta=((slot, old, new),)
         )
 
-    def describe(self) -> str:
-        """Multi-line human-readable dump used in trails."""
-        lines = []
-        for name, route in zip(self._space.names, self.routes()):
-            lines.append(f"  {name}: {route.describe() if route else '<no route>'}")
-        return "\n".join(lines)
-
     def __repr__(self) -> str:
         decided = sum(1 for route in self.routes() if route is not None)
         return f"RpvpState({decided}/{len(self)} decided)"
@@ -255,11 +248,6 @@ def enabled_nodes(instance: PathVectorInstance, state: RpvpState) -> List[str]:
     return enabled
 
 
-def is_converged(instance: PathVectorInstance, state: RpvpState) -> bool:
-    """True when no node is enabled (Algorithm 1, lines 6-8)."""
-    return not enabled_nodes(instance, state)
-
-
 def step_node(
     instance: PathVectorInstance,
     state: RpvpState,
@@ -299,16 +287,3 @@ def rpvp_successors(
     for node in enabled_nodes(instance, state):
         successors.extend(step_node(instance, state, node))
     return successors
-
-
-def forwarding_next_hops(state: RpvpState) -> Dict[str, Optional[str]]:
-    """The next hop each node forwards to in ``state`` (None = no route)."""
-    result: Dict[str, Optional[str]] = {}
-    for node, route in state.items():
-        if route is None:
-            result[node] = None
-        elif route.path == EPSILON:
-            result[node] = node  # the origin delivers locally
-        else:
-            result[node] = route.path.head
-    return result

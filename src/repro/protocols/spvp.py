@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.exceptions import ProtocolError
 from repro.protocols.base import EPSILON, Path, PathVectorInstance, Route
@@ -338,25 +338,6 @@ class SpvpState(IdArrayState):
             raise ProtocolError(f"node {node!r} not part of this SPVP state") from None
         return self._space.table.route(self.ids()[slot])
 
-    def rib_in_of(self, node: str, peer: str) -> Optional[Route]:
-        """The rib-in entry ``node`` holds for ``peer``."""
-        try:
-            slot = self._space.rib_slot[(node, peer)]
-        except KeyError:
-            raise ProtocolError(
-                f"({node!r}, {peer!r}) is not a session of this SPVP state"
-            ) from None
-        return self._space.table.route(self.ids()[slot])
-
-    def buffer_of(self, channel: Channel) -> Tuple[Optional[Route], ...]:
-        """The queued advertisements of ``channel``, oldest first."""
-        try:
-            slot = self._space.channel_slot[channel]
-        except KeyError:
-            raise ProtocolError(f"channel {channel!r} not part of this SPVP state") from None
-        table = self._space.table
-        return tuple(table.route(rid) for rid in table.queue(self.ids()[slot]))
-
     def best_map(self) -> Dict[str, Optional[Route]]:
         """The node -> best route assignment as a mutable dict, in
         ``instance.nodes()`` order (read off the best block: no array is
@@ -378,18 +359,6 @@ class SpvpState(IdArrayState):
         patches its delta into the nearest built ancestor's best block.
         """
         return self.head_ids(len(self._space.nodes)).tobytes()
-
-    def rib_in_map(self) -> Dict[Tuple[str, str], Optional[Route]]:
-        """The (node, peer) -> rib-in assignment as a mutable dict."""
-        table = self._space.table
-        ids = self.ids()
-        return {
-            key: table.route(ids[slot]) for key, slot in self._space.rib_slot.items()
-        }
-
-    def buffer_map(self) -> Dict[Channel, Tuple[Optional[Route], ...]]:
-        """The channel -> queued advertisements map (tuples, oldest first)."""
-        return {channel: self.buffer_of(channel) for channel in self._space.channels}
 
     def pending_channels(self) -> List[Channel]:
         """Pending channels in the canonical (slot) enumeration order."""
@@ -505,30 +474,6 @@ class SpvpStepper:
             # Origins advertise their path to every peer up front (Appendix A).
             for _peer, channel, slot in space.out_slots_of[node]:
                 ids[slot] = table.queue_id((space.export_id(slot, rid),))
-                pending |= space.channel_bit[channel]
-        return SpvpState.__new__(SpvpState)._init(space, ids, pending)
-
-    def state_from_maps(
-        self,
-        best: Dict[str, Optional[Route]],
-        rib_in: Dict[Tuple[str, str], Optional[Route]],
-        buffers: Dict[Channel, Iterable[Optional[Route]]],
-    ) -> SpvpState:
-        """Build a state from explicit maps (oracle tests, reconstruction)."""
-        space = self.space
-        table = self.table
-        ids = array("i", bytes(4 * space.total_slots))
-        for node, slot in space.best_slot.items():
-            ids[slot] = table.route_id(best[node])
-        for key, slot in space.rib_slot.items():
-            ids[slot] = table.route_id(rib_in[key])
-        pending = 0
-        for channel in space.channels:
-            queue = tuple(buffers[channel])
-            ids[space.channel_slot[channel]] = table.queue_id(
-                tuple(table.route_id(route) for route in queue)
-            )
-            if queue:
                 pending |= space.channel_bit[channel]
         return SpvpState.__new__(SpvpState)._init(space, ids, pending)
 

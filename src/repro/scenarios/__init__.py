@@ -32,8 +32,6 @@ _ORIGINS = {
     "NodeRestart": "repro.scenarios.events",
     "ReturnToService": "repro.scenarios.events",
     "Scenario": "repro.scenarios.events",
-    "steady_state_after": "repro.scenarios.events",
-    "DEFAULT_EVENT_KINDS": "repro.scenarios.enumerator",
     "EVENT_KINDS": "repro.scenarios.enumerator",
     "ScenarioLedger": "repro.scenarios.enumerator",
     "enumerate_event_scenarios": "repro.scenarios.enumerator",

@@ -89,9 +89,6 @@ _EVENTS = {**_NODE_EVENTS, **_SESSION_EVENTS}
 #: network, so it commutes with nothing.
 EVENT_KINDS = ("crash", "restart", "drain", "drain-return", "flap", "gray")
 
-#: The default campaign vocabulary (all of them).
-DEFAULT_EVENT_KINDS = EVENT_KINDS
-
 #: A descriptor is the picklable, comparable identity of one atomic event:
 #: ``(kind, node)`` for node kinds, ``(kind, a, b)`` for session kinds.
 Descriptor = Tuple[str, ...]
@@ -116,14 +113,6 @@ class ScenarioLedger:
     @property
     def pruned(self) -> int:
         return self.brute - self.emitted
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "universe": self.universe,
-            "brute": self.brute,
-            "emitted": self.emitted,
-            "pruned": self.pruned,
-        }
 
 
 def check_kinds(kinds: Sequence[str]) -> Tuple[str, ...]:
@@ -229,7 +218,7 @@ def _descriptors(
 
 
 def event_universe(
-    topology: Topology, peers: Peers, kinds: Sequence[str] = DEFAULT_EVENT_KINDS
+    topology: Topology, peers: Peers, kinds: Sequence[str] = EVENT_KINDS
 ) -> List[Descriptor]:
     """Every atomic event descriptor for the given kinds: node kinds over the
     devices of ``topology``, session kinds over the sessions of ``peers`` —
@@ -294,7 +283,7 @@ def enumerate_event_scenarios(
     topology: Topology,
     peers: Peers,
     max_events: int,
-    kinds: Sequence[str] = DEFAULT_EVENT_KINDS,
+    kinds: Sequence[str] = EVENT_KINDS,
     colors: Optional[Dict[str, object]] = None,
     ledger: Optional[ScenarioLedger] = None,
 ) -> List[Scenario]:

@@ -67,9 +67,8 @@ for the enumerator and the ``--scenario`` specs alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Tuple
+from typing import ClassVar, Tuple
 
-from repro.protocols.rpvp import RpvpState
 from repro.protocols.spvp import SpvpState, SpvpStepper
 
 __all__ = [
@@ -82,7 +81,6 @@ __all__ = [
     "ReturnToService",
     "Scenario",
     "split_at_overlay",
-    "steady_state_after",
 ]
 
 
@@ -249,25 +247,3 @@ def split_at_overlay(events) -> Tuple[Tuple[object, ...], Tuple[object, ...]]:
         if getattr(event, "sets_overlay", True):
             return tuple(flat[:index]), tuple(flat[index:])
     return tuple(flat), ()
-
-
-def steady_state_after(
-    instance,
-    events: Tuple[object, ...] = (),
-    max_steps: int = 100_000,
-    stepper: Optional[SpvpStepper] = None,
-) -> RpvpState:
-    """The converged state reached after applying ``events`` and draining.
-
-    The steady-state consumption path of the vocabulary: build (or reuse) a
-    stepper, start from the SPVP initial state, apply the scenario events in
-    order, then drain along the canonical delivery order.  Raises
-    :class:`~repro.exceptions.ProtocolError` when the instance does not
-    converge within ``max_steps``.
-    """
-    stepper = stepper or SpvpStepper(instance)
-    state = stepper.initial_state()
-    for event in events:
-        state = event.apply(stepper, state)
-    state = stepper.drain(state, max_steps=max_steps)
-    return state.converged_rpvp()

@@ -194,20 +194,24 @@ def transient_options_from_spec(spec: Optional[Mapping]):
 
 
 def check_push_fields(payload: Mapping) -> None:
-    """Refuse a push before it becomes a job when it carries a key outside
-    what the CLI sends — at the top level, or in a transient push's
-    transient or property spec — or when a transient push carries its full
-    network and a scenario spec names no event on it."""
+    """Refuse a push before it becomes a job when its job would fail on a
+    spec: a key outside what the CLI sends, an options or transient options
+    spec its type refuses, or - when the push carries its full network - a
+    policy or scenario spec that names nothing on it."""
     _fields(payload, _PAYLOAD_FIELDS, "push")
-    if payload.get("kind") != "transient":
-        return
-    _fields(payload.get("transient"), _TRANSIENT_FIELDS, "transient option")
-    _fields(payload.get("property"), _PROPERTY_FIELDS, "transient property")
-    scenarios = payload.get("scenarios") or ()
-    if scenarios and payload.get("topology") is not None and payload.get("config") is not None:
+    options_from_spec(payload.get("options"))
+    transient = payload.get("kind") == "transient"
+    if transient:
+        transient_options_from_spec(payload.get("transient"))
+        _fields(payload.get("property"), _PROPERTY_FIELDS, "transient property")
+    specs = payload.get("scenarios" if transient else "policies") or ()
+    if specs and payload.get("topology") is not None and payload.get("config") is not None:
         network = network_from_payload(payload)
-        for spec in scenarios:
-            scenario_from_spec(str(spec), network)
+        for spec in specs:
+            if transient:
+                scenario_from_spec(str(spec), network)
+            else:
+                policy_from_spec(spec, network)
 
 
 def transient_property_from_spec(spec: Optional[Mapping], network: NetworkConfig):

@@ -9,10 +9,8 @@ from repro.topology.failures import (
 )
 from repro.topology.io import (
     load_topology,
-    save_topology,
     parse_topology,
     format_topology,
-    topology_to_dict,
     topology_from_dict,
 )
 from repro.topology.generators import (
@@ -20,9 +18,6 @@ from repro.topology.generators import (
     fat_tree_device_count,
     bgp_fat_tree,
     ring,
-    grid,
-    linear_chain,
-    full_mesh,
     rocketfuel_like,
     enterprise_like,
     ROCKETFUEL_SIZES,
@@ -37,18 +32,13 @@ __all__ = [
     "DeviceEquivalence",
     "reduced_failure_scenarios",
     "load_topology",
-    "save_topology",
     "parse_topology",
     "format_topology",
-    "topology_to_dict",
     "topology_from_dict",
     "fat_tree",
     "fat_tree_device_count",
     "bgp_fat_tree",
     "ring",
-    "grid",
-    "linear_chain",
-    "full_mesh",
     "rocketfuel_like",
     "enterprise_like",
     "ROCKETFUEL_SIZES",

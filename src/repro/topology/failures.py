@@ -43,11 +43,6 @@ class FailureScenario:
         """Build a canonical scenario from any iterable of link ids."""
         return FailureScenario(tuple(sorted(set(link_ids))))
 
-    @property
-    def count(self) -> int:
-        """Number of failed links."""
-        return len(self.failed_links)
-
     def as_set(self) -> Set[int]:
         """The failed links as a set (for adjacency queries)."""
         return set(self.failed_links)

@@ -96,48 +96,6 @@ def ring(n: int, link_weight: int = 1, name: Optional[str] = None) -> Topology:
     return topo
 
 
-def linear_chain(n: int, link_weight: int = 1, name: Optional[str] = None) -> Topology:
-    """A simple chain ``r0 - r1 - ... - r{n-1}`` used in unit tests."""
-    if n < 2:
-        raise TopologyError(f"chain needs at least 2 nodes, got {n}")
-    topo = Topology(name or f"chain-{n}")
-    for i in range(n):
-        topo.add_node(f"r{i}", role="router", index=i)
-    for i in range(n - 1):
-        topo.add_link(f"r{i}", f"r{i + 1}", weight=link_weight)
-    return topo
-
-
-def full_mesh(n: int, link_weight: int = 1, name: Optional[str] = None) -> Topology:
-    """A full mesh of ``n`` routers."""
-    if n < 2:
-        raise TopologyError(f"mesh needs at least 2 nodes, got {n}")
-    topo = Topology(name or f"mesh-{n}")
-    for i in range(n):
-        topo.add_node(f"r{i}", role="router", index=i)
-    for i in range(n):
-        for j in range(i + 1, n):
-            topo.add_link(f"r{i}", f"r{j}", weight=link_weight)
-    return topo
-
-
-def grid(rows: int, cols: int, link_weight: int = 1, name: Optional[str] = None) -> Topology:
-    """A ``rows`` x ``cols`` grid; handy for medium-sized deterministic tests."""
-    if rows < 1 or cols < 1:
-        raise TopologyError("grid dimensions must be positive")
-    topo = Topology(name or f"grid-{rows}x{cols}")
-    for r in range(rows):
-        for c in range(cols):
-            topo.add_node(f"g{r}_{c}", role="router", row=r, col=c)
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                topo.add_link(f"g{r}_{c}", f"g{r}_{c + 1}", weight=link_weight)
-            if r + 1 < rows:
-                topo.add_link(f"g{r}_{c}", f"g{r + 1}_{c}", weight=link_weight)
-    return topo
-
-
 def rocketfuel_like(
     as_name: str = "AS1221",
     size: Optional[int] = None,

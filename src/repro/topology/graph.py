@@ -9,7 +9,7 @@ failure scenarios and Link Equivalence Classes (paper §4.3) can refer to it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple, TypeVar
 
 from repro.exceptions import TopologyError
 from repro.netaddr import Prefix
@@ -62,11 +62,6 @@ class Link:
     b: str
     weight_ab: int = 1
     weight_ba: int = 1
-
-    @property
-    def endpoints(self) -> FrozenSet[str]:
-        """The unordered endpoint pair."""
-        return frozenset((self.a, self.b))
 
     def other(self, name: str) -> str:
         """The endpoint opposite ``name``."""
@@ -297,81 +292,9 @@ class Topology:
         self._compiled = None
         self._derived = {}
 
-    @property
-    def link_count(self) -> int:
-        """Total number of links."""
-        return len(self._links)
-
-    # ------------------------------------------------------------- algorithms
-    def is_connected(self, failed_links: Optional[Set[int]] = None) -> bool:
-        """Return True if all nodes are reachable from the first node."""
-        if not self._nodes:
-            return True
-        start = next(iter(self._nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            current = stack.pop()
-            for neighbor in self.neighbors(current, failed_links):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        return len(seen) == len(self._nodes)
-
     def degree(self, name: str) -> int:
         """Number of live links incident to ``name``."""
         return len(self.edges(name))
-
-    def copy(self) -> "Topology":
-        """A deep-enough copy: nodes and links are recreated, attributes shared."""
-        clone = Topology(self.name)
-        for node in self._nodes.values():
-            clone.add_node(
-                node.name,
-                role=node.role,
-                loopback=node.loopback,
-                **node.attributes,
-            )
-        for link in self.links:
-            clone.add_link(link.a, link.b, weight=link.weight_ab, weight_ba=link.weight_ba)
-        return clone
-
-    def induced_subgraph(self, names: Iterable[str]) -> "Topology":
-        """The subgraph induced by ``names`` (links with both endpoints kept)."""
-        keep = set(names)
-        sub = Topology(f"{self.name}-sub")
-        for name in self._nodes:
-            if name in keep:
-                node = self._nodes[name]
-                sub.add_node(name, role=node.role, loopback=node.loopback, **node.attributes)
-        for link in self.links:
-            if link.a in keep and link.b in keep:
-                sub.add_link(link.a, link.b, weight=link.weight_ab, weight_ba=link.weight_ba)
-        return sub
-
-    def shortest_path_lengths(
-        self,
-        source: str,
-        failed_links: Optional[Set[int]] = None,
-    ) -> Dict[str, int]:
-        """Dijkstra distances (by IGP weight) from ``source`` to every node."""
-        import heapq
-
-        distances: Dict[str, int] = {source: 0}
-        heap: List[Tuple[int, str]] = [(0, source)]
-        settled: Set[str] = set()
-        while heap:
-            dist, current = heapq.heappop(heap)
-            if current in settled:
-                continue
-            settled.add(current)
-            for link in self.edges(current, failed_links):
-                neighbor = link.other(current)
-                candidate = dist + link.weight_from(current)
-                if neighbor not in distances or candidate < distances[neighbor]:
-                    distances[neighbor] = candidate
-                    heapq.heappush(heap, (candidate, neighbor))
-        return distances
 
     def __repr__(self) -> str:
         return (

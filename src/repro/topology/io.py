@@ -19,8 +19,8 @@ example datasets need topologies on disk.  Two formats are supported:
      "nodes": [{"name": "core0", "role": "core", "loopback": "10.255.0.1/32"}],
      "links": [{"a": "core0", "b": "core1", "weight": 1}]}
 
-Round-tripping through either format preserves node order, roles, loopbacks,
-per-direction link weights and scalar node attributes.
+Both preserve node order, roles, loopbacks, per-direction link weights and
+scalar node attributes; :func:`format_topology` writes the text form back.
 """
 
 from __future__ import annotations
@@ -152,28 +152,8 @@ def format_topology(topology: Topology) -> str:
 
 
 # --------------------------------------------------------------------------- json
-def topology_to_dict(topology: Topology) -> Dict[str, object]:
-    """The JSON-serialisable document form of ``topology``."""
-    nodes: List[Dict[str, object]] = []
-    for name in topology.nodes:
-        node = topology.node(name)
-        entry: Dict[str, object] = {"name": name, "role": node.role}
-        if node.loopback is not None:
-            entry["loopback"] = str(node.loopback)
-        if node.attributes:
-            entry["attributes"] = dict(node.attributes)
-        nodes.append(entry)
-    links: List[Dict[str, object]] = []
-    for link in topology.links:
-        entry = {"a": link.a, "b": link.b, "weight": link.weight_ab}
-        if link.weight_ba != link.weight_ab:
-            entry["weight_back"] = link.weight_ba
-        links.append(entry)
-    return {"name": topology.name, "nodes": nodes, "links": links}
-
-
 def topology_from_dict(document: Dict[str, object]) -> Topology:
-    """Rebuild a :class:`Topology` from :func:`topology_to_dict` output."""
+    """Build a :class:`Topology` from its JSON document form."""
     topology = Topology(str(document.get("name", "network")))
     for entry in document.get("nodes", []):  # type: ignore[union-attr]
         if "name" not in entry:
@@ -209,12 +189,3 @@ def load_topology(path: PathLike) -> Topology:
     if file_path.suffix.lower() == ".json":
         return topology_from_dict(json.loads(text))
     return parse_topology(text)
-
-
-def save_topology(topology: Topology, path: PathLike) -> None:
-    """Write ``topology`` to ``path`` (JSON when the suffix is ``.json``)."""
-    file_path = FilePath(path)
-    if file_path.suffix.lower() == ".json":
-        file_path.write_text(json.dumps(topology_to_dict(topology), indent=2) + "\n")
-    else:
-        file_path.write_text(format_topology(topology))

@@ -27,7 +27,6 @@ _ORIGINS = {
     "TransientForwarding": "repro.transient.properties",
     "TransientLoopFreedom": "repro.transient.properties",
     "TransientBlackHoleFreedom": "repro.transient.properties",
-    "AlwaysReaches": "repro.transient.properties",
 }
 
 __all__ = list(_ORIGINS)

@@ -257,16 +257,6 @@ class TransientAnalysisResult:
             f"{self.elapsed_seconds:.3f}s{reduction}"
         )
 
-    def render(self) -> str:
-        """Multi-line report: summary, reduction ledger, violations."""
-        lines = [self.summary()]
-        if self.reduction is not None:
-            lines.append(self.reduction.describe())
-        for violation in self.violations:
-            lines.append("")
-            lines.append(violation.render())
-        return "\n".join(lines)
-
     def stats_signature(self) -> Dict[str, object]:
         """Everything observable about the exploration except wall-clock time.
 
@@ -277,28 +267,6 @@ class TransientAnalysisResult:
         """
         return self.to_dict(_STATS_SIGNATURE_EXCLUDED)
 
-    def verdict_signature(self) -> Tuple:
-        """What every sound reduction must preserve: the per-property verdict
-        and the set of converged best-path assignments.
-
-        Unlike :meth:`stats_signature` this is comparable across POR modes:
-        reduced runs explore fewer states and may reach a violating state
-        through a different (shorter or permuted) witness, but they must
-        agree on *which properties* are violated and on the converged
-        states (the SPVP deadlocks, which ample sets provably preserve).
-        """
-        return (
-            tuple(sorted({v.property_name for v in self.violations})),
-            frozenset(
-                tuple(
-                    sorted(
-                        (node, route.path if route is not None else None)
-                        for node, route in state.as_dict().items()
-                    )
-                )
-                for state in self.converged_rpvp_states
-            ),
-        )
 
 
 class _Leaf:
@@ -329,12 +297,6 @@ class _Leaf:
         self.rpvp = rpvp
         self.parent = parent
         self.event = event
-
-    def witness_events(self) -> List[SpvpEvent]:
-        """The delivery sequence from the root to this leaf."""
-        events = self.parent.witness_events()
-        events.append(self.event)
-        return events
 
 
 #: The leaves that hold every property and carry nothing.

@@ -133,31 +133,3 @@ class TransientBlackHoleFreedom(TransientProperty):
         if not dead:
             return None
         return "next hop of " + ", ".join(dead) + " has no route"
-
-
-class AlwaysReaches(TransientProperty):
-    """The given sources always have a path leading to a delivering node.
-
-    This is a strong continuity property (no interruption of service during
-    convergence); most networks violate it transiently, which is exactly the
-    kind of insight the extension exposes.
-    """
-
-    name = "always-reaches"
-
-    def __init__(self, sources: Sequence[str]) -> None:
-        if not sources:
-            raise ValueError("always-reaches needs at least one source")
-        self.sources = list(sources)
-
-    def check(self, forwarding: TransientForwarding, converged: bool) -> Optional[str]:
-        for source in self.sources:
-            node: Optional[str] = source
-            hops = 0
-            limit = len(forwarding.next_hop) + 1
-            while node is not None and node not in forwarding.delivering and hops <= limit:
-                node = forwarding.next_hop.get(node)
-                hops += 1
-            if node is None or node not in forwarding.delivering:
-                return f"{source} cannot reach an origin in this state"
-        return None

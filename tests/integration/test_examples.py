@@ -23,7 +23,7 @@ EXAMPLES = [
     ("isp_failure_resilience.py", ["single link failure", "HOLDS"]),
     ("quickstart.py", ["loop", "violation"]),
     ("serve_quickstart.py", ["verdict holds", "shutting the server down"]),
-    ("transient_analysis.py", ["micro-loop", "transient"]),
+    ("transient_analysis.py", ["micro-loop", "transient", "black holes"]),
 ]
 
 

@@ -17,9 +17,10 @@ from repro.config.builder import edge_prefix
 from repro.exceptions import VerificationError
 from repro.netaddr import Prefix
 from repro.policies import Reachability, Waypoint
-from repro.topology import bgp_fat_tree, fat_tree, linear_chain, ring
+from repro.topology import bgp_fat_tree, fat_tree, ring
 from tests.oracles.arc import ArcVerifier
 from tests.oracles.minesweeper import MinesweeperVerifier
+from tests.helpers import linear_chain
 
 
 class TestAllDataPlaneCoverage:

@@ -13,7 +13,7 @@ from typing import List, Sequence, Tuple
 
 from repro.exceptions import TopologyError
 from repro.scenarios.enumerator import (
-    DEFAULT_EVENT_KINDS,
+    EVENT_KINDS,
     Descriptor,
     Peers,
     event_universe,
@@ -27,7 +27,7 @@ def brute_event_scenarios(
     topology: Topology,
     peers: Peers,
     max_events: int,
-    kinds: Sequence[str] = DEFAULT_EVENT_KINDS,
+    kinds: Sequence[str] = EVENT_KINDS,
 ) -> List[Scenario]:
     """Every ordered sequence of distinct events up to ``max_events`` long."""
     if max_events < 0:

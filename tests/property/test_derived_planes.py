@@ -39,6 +39,7 @@ from repro.policies.base import PolicyCheckContext
 from repro.protocols.ospf import OspfComputation, _derive
 from repro.topology import bgp_fat_tree, fat_tree, ring
 from repro.topology.failures import FailureScenario
+from tests.helpers import entry_for
 
 WIDE = Prefix("10.0.0.0/16")
 EXTERNAL = Prefix("200.0.0.0/16")
@@ -258,7 +259,7 @@ class TestDerivedEqualsFromScratch:
         first, second = (prefix for prefix, _devices in pec.bgp_origins)
 
         def forwarding_for(plane, prefix):
-            entries = ((device, plane.fib(device).entry_for(prefix)) for device in plane.devices())
+            entries = ((device, entry_for(plane.fib(device), prefix)) for device in plane.devices())
             return tuple((device, entry and entry.next_hops) for device, entry in entries)
 
         pairs = [
@@ -401,7 +402,7 @@ class TestFailurePlanesAcrossTasks:
         failure = FailureScenario.of([plankton.network.topology.links[0].link_id])
         plane = _failure_plane(plankton, pec, failure, first=False)
         assert plane.base is not None
-        assert all(fib.entry_for(entry.prefix) is None for fib in plane.fibs.values())
+        assert all(entry_for(fib, entry.prefix) is None for fib in plane.fibs.values())
         _assert_failure_plane_is_scratch(plankton, pec, failure, plane)
 
     def test_clear_cache_drops_the_reference(self):
@@ -455,7 +456,7 @@ class TestSharedFibs:
         streamed = _streamed(_explorer(plankton, pec, FailureScenario()), edit_the_first)
         assert len(streamed) > 1
         (_states, first), *later = streamed
-        assert all(fib.entry_for(entry.prefix) == entry for fib in first.data_plane.fibs.values())
+        assert all(entry_for(fib, entry.prefix) == entry for fib in first.data_plane.fibs.values())
         for bgp_states, outcome in later:
             plane, _control_plane = _scratch(plankton, pec, FailureScenario(), None, bgp_states)
             assert outcome.data_plane.to_dict() == plane.to_dict()
@@ -473,7 +474,7 @@ class TestSharedFibs:
                 shared.install(entry)
             plane.install(device, entry)
             assert plane.fib(device) is not shared and not plane.fib(device).shared
-            assert plane.fib(device).entry_for(entry.prefix) == entry
+            assert entry_for(plane.fib(device), entry.prefix) == entry
             assert plane.lookup(device, entry.prefix.first) == entry
             after = [outcome.data_plane.to_dict() for outcome in outcomes]
             assert after[position] != before[position]

@@ -21,8 +21,9 @@ from repro.core.successors import CandidateEngine
 from repro.pec.classes import compute_pecs
 from repro.protocols.rpvp import RpvpState, initial_state, rpvp_successors
 from repro.netaddr import Prefix
-from repro.topology import bgp_fat_tree, grid
+from repro.topology import bgp_fat_tree
 from repro.topology.failures import FailureScenario, enumerate_failure_scenarios
+from tests.helpers import grid
 
 _CACHED = {}
 

@@ -49,6 +49,7 @@ from repro.incremental.service import SIGNATURE_EXCLUDED
 from repro.netaddr import Prefix
 from repro.policies import LoopFreedom, Reachability
 from repro.topology import Topology, bgp_fat_tree, fat_tree
+from tests.helpers import add_entry
 
 #: seeds per family; 3 families x 18 seeds = 54 sequences (floor: 50).
 SEEDS = range(18)
@@ -214,7 +215,7 @@ class EbgpFamily:
         for device, permit in sorted(self.spec["own_lists"].items()):
             config = network.device(device)
             own = config.route_maps["EXPORT_OWN"].clauses[0].match.prefixes[0]
-            config.prefix_lists["OWN"] = PrefixList("OWN").add(own, permit=permit)
+            config.prefix_lists["OWN"] = add_entry(PrefixList("OWN"), own, permit=permit)
             config.route_maps["EXPORT_OWN"].add_clause(
                 RouteMapClause(sequence=5, permit=False, match=MatchConditions(prefix_list="OWN"))
             )

@@ -2,24 +2,14 @@
 
 These invariants underpin everything above them: the PEC trie, the FIB's
 longest-prefix match, the failure-equivalence reduction and the data plane
-verifier all assume that prefix containment, overlap, range conversion and
-CIDR summarisation behave like set operations on address intervals.
+verifier all assume that prefix containment and range conversion behave like
+set operations on address intervals.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netaddr import (
-    MAX_IPV4,
-    AddressRange,
-    Prefix,
-    int_to_ip,
-    ip_to_int,
-    prefix_contains,
-    prefixes_overlap,
-    summarize_range,
-)
-from repro.netaddr.prefix import coalesce_ranges
+from repro.netaddr import MAX_IPV4, Prefix, int_to_ip, ip_to_int
 
 
 def aligned_prefix(network: int, length: int) -> Prefix:
@@ -59,31 +49,11 @@ class TestPrefixAlgebra:
     @settings(max_examples=200)
     def test_containment_matches_interval_containment(self, outer, inner):
         expected = outer.first <= inner.first and inner.last <= outer.last
-        assert prefix_contains(outer, inner) == expected
-
-    @given(prefixes, prefixes)
-    @settings(max_examples=200)
-    def test_overlap_is_symmetric_and_matches_intervals(self, left, right):
-        expected = not (left.last < right.first or right.last < left.first)
-        assert prefixes_overlap(left, right) == expected
-        assert prefixes_overlap(right, left) == prefixes_overlap(left, right)
+        assert outer.contains_prefix(inner) == expected
 
     @given(prefixes)
     def test_containment_is_reflexive(self, prefix):
         assert prefix.contains_prefix(prefix)
-
-    @given(st.integers(0, MAX_IPV4), st.integers(0, 31))
-    def test_subnets_partition_the_parent(self, network, length):
-        parent = aligned_prefix(network, length)
-        left, right = parent.subnets()
-        assert left.first == parent.first
-        assert right.last == parent.last
-        assert left.last + 1 == right.first
-        assert parent.contains_prefix(left) and parent.contains_prefix(right)
-
-    @given(prefixes)
-    def test_to_range_round_trips_through_summarisation(self, prefix):
-        assert summarize_range(prefix.first, prefix.last) == [prefix]
 
     @given(prefixes, prefixes)
     def test_string_form_parses_back_to_the_same_prefix(self, prefix, _other):
@@ -95,49 +65,3 @@ class TestPrefixAlgebra:
         for bit in prefix.bits():
             value = (value << 1) | bit
         assert value << (32 - prefix.length) == prefix.first if prefix.length else value == 0
-
-
-class TestRangeSummarisation:
-    @given(st.integers(0, MAX_IPV4), st.integers(0, 1 << 16))
-    @settings(max_examples=200)
-    def test_summaries_tile_the_range_exactly(self, low, span):
-        high = min(low + span, MAX_IPV4)
-        blocks = summarize_range(low, high)
-        assert blocks[0].first == low
-        assert blocks[-1].last == high
-        for before, after in zip(blocks, blocks[1:]):
-            assert before.last + 1 == after.first
-
-    @given(st.integers(0, MAX_IPV4), st.integers(0, 1 << 12))
-    def test_summary_is_minimal_under_doubling(self, low, span):
-        # No two consecutive blocks of equal size that could have been merged
-        # into one aligned block.
-        high = min(low + span, MAX_IPV4)
-        blocks = summarize_range(low, high)
-        for before, after in zip(blocks, blocks[1:]):
-            if before.length == after.length and before.length > 0:
-                merged_length = before.length - 1
-                merged = aligned_prefix(before.first, merged_length)
-                assert not (merged.first == before.first and merged.last == after.last)
-
-
-class TestRangeCoalescing:
-    ranges = st.builds(
-        lambda low, span: AddressRange(low, min(low + span, MAX_IPV4)),
-        st.integers(0, MAX_IPV4),
-        st.integers(0, 1 << 20),
-    )
-
-    @given(st.lists(ranges, min_size=0, max_size=12))
-    @settings(max_examples=150)
-    def test_coalesced_ranges_are_sorted_and_disjoint(self, raw):
-        merged = coalesce_ranges(raw)
-        for before, after in zip(merged, merged[1:]):
-            assert before.high + 1 < after.low
-
-    @given(st.lists(ranges, min_size=0, max_size=12), addresses)
-    @settings(max_examples=150)
-    def test_coalescing_preserves_membership(self, raw, address):
-        in_raw = any(r.contains_address(address) for r in raw)
-        in_merged = any(r.contains_address(address) for r in coalesce_ranges(raw))
-        assert in_raw == in_merged

@@ -100,6 +100,7 @@ fib_entries = st.builds(
 ranges = st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)).map(
     lambda pair: AddressRange(min(pair), max(pair))
 )
+from tests.helpers import entry_for
 
 
 @st.composite
@@ -398,7 +399,7 @@ SAMPLES = [
     _REDUCTION,
     _STATISTICS,
     _RUN.failure,
-    _PLANE.fib("r1").entry_for(Prefix("10.0.0.0/8")),
+    entry_for(_PLANE.fib("r1"), Prefix("10.0.0.0/8")),
     _PLANE.fib("r1"),
     _PLANE,
     _VIOLATION,

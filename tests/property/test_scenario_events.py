@@ -13,7 +13,7 @@ divergent configurations.  Same oracle discipline as
 """
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ProtocolError
 from repro.scenarios import (
@@ -26,14 +26,12 @@ from repro.scenarios import (
     ReturnToService,
     Scenario,
     scenario_from_descriptor,
-    steady_state_after,
 )
 from repro.transient import TransientAnalyzer
 
 from tests.oracles.transient_reference import NaiveTransientAnalyzer
 from tests.property.test_transient_por import (
     BUDGET,
-    _complete,
     _explore,
     _properties,
     gadget_scenarios,
@@ -186,33 +184,3 @@ class TestFatTreeEvents:
                 instance, collect_converged=True, **budget
             ).analyze(_properties(), initial_events=events)
             assert fast.stats_signature() == naive.stats_signature(), label
-
-
-class TestSteadyStateConsumption:
-    """The steady-state side of the vocabulary: ``steady_state_after`` agrees
-    with the converged states the exploration itself reaches."""
-
-    @given(scenario=gadget_scenarios(), data=st.data())
-    @settings(max_examples=20, deadline=None)
-    def test_steady_state_after_is_one_of_the_explored_converged_states(
-        self, scenario, data
-    ):
-        edge_map, preferences, _flap = scenario
-        node = data.draw(st.sampled_from(_nodes_of(edge_map)), label="event node")
-        events = (Converge(max_steps=3_000), NodeCrash(node))
-        instance = GadgetInstance("o", edge_map, preferences)
-        try:
-            steady = steady_state_after(instance, events, max_steps=3_000)
-        except ProtocolError:
-            assume(False)  # divergent configuration: nothing to compare
-        full = _explore(GadgetInstance("o", edge_map, preferences), "full", events)
-        assume(_complete(full))
-
-        def signature(state):
-            return tuple(
-                (node, route.path if route is not None else None)
-                for node, route in state.items()
-            )
-
-        bests = {signature(state) for state in full.converged_rpvp_states}
-        assert signature(steady) in bests

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ebgp_rfc7938, ospf_everywhere
-from repro.config.builder import add_static_route, edge_prefix, install_loop_inducing_statics
+from repro.config.builder import edge_prefix, install_loop_inducing_statics
 from repro.config.parser import parse_config
 from repro.core.options import PlanktonOptions
 from repro.engine.graph import (
@@ -28,7 +28,7 @@ from repro.engine.graph import (
 )
 from repro.pec.classes import compute_pecs
 from repro.policies import LoopFreedom, Reachability
-from repro.scenarios.enumerator import DEFAULT_EVENT_KINDS, enumerate_event_scenarios
+from repro.scenarios.enumerator import EVENT_KINDS, enumerate_event_scenarios
 from repro.topology import (
     DeviceEquivalence,
     Topology,
@@ -46,6 +46,7 @@ from tests.oracles.ospf_reference import (
     reference_reduced_failure_scenarios,
 )
 from tests.oracles.sat import CnfFormula, SatResult, SatSolver
+from tests.helpers import add_static_route
 
 
 # --------------------------------------------------------------------------- SAT
@@ -133,7 +134,7 @@ class TestFailureScenarioProperties:
     def test_enumeration_counts_match_binomials(self, ring_size, max_failures):
         topology = ring(ring_size)
         scenarios = enumerate_failure_scenarios(topology, max_failures)
-        links = topology.link_count
+        links = len(topology.links)
         expected = sum(
             len(list(itertools.combinations(range(links), count)))
             for count in range(0, max_failures + 1)
@@ -387,7 +388,7 @@ class TestOriginColourMap:
                 network.topology,
                 network.bgp_peers(),
                 2,
-                DEFAULT_EVENT_KINDS,
+                EVENT_KINDS,
                 _all_device_colors(network, pec),
             )
             described = [scenario.describe() for scenario in scenarios]

@@ -29,6 +29,7 @@ from repro.protocols.spvp import SpvpState, SpvpStepper
 
 from tests.oracles.spvp_reference import ReferenceSpvpSimulator
 from tests.test_rpvp_spvp import GadgetInstance, bad_gadget, disagree_gadget, good_gadget
+from tests.helpers import buffer_map, buffer_of, rib_in_map, state_from_maps
 
 
 def _simple_paths(edge_map, start, limit=12):
@@ -87,8 +88,8 @@ def spvp_scenarios(draw):
 def _assert_state_matches_reference(stepper, state, reference, hasher):
     """One lockstep comparison: maps, pending set, fingerprint, equality."""
     assert state.best_map() == reference.best
-    assert state.rib_in_map() == reference.rib_in
-    assert state.buffer_map() == {
+    assert rib_in_map(state) == reference.rib_in
+    assert buffer_map(state) == {
         channel: tuple(queue) for channel, queue in reference.buffers.items()
     }
     assert state.pending_channels() == reference.pending_messages()
@@ -96,7 +97,7 @@ def _assert_state_matches_reference(stepper, state, reference, hasher):
     # A state rebuilt from the reference's plain dicts (no parent chain) is
     # equal, hashes equal, and folds to the same fingerprint the incremental
     # XOR chain produced.
-    rebuilt = stepper.state_from_maps(reference.best, reference.rib_in, reference.buffers)
+    rebuilt = state_from_maps(stepper, reference.best, reference.rib_in, reference.buffers)
     assert state == rebuilt and rebuilt == state
     assert hash(state) == hash(rebuilt)
     assert state.fingerprint(hasher) == rebuilt.fingerprint(hasher)
@@ -177,12 +178,12 @@ class TestSpvpStateAgainstReference:
         pending = state.pending_channels()
         if len(pending) < 2:
             return
-        before = (state.best_map(), state.rib_in_map(), state.buffer_map())
+        before = (state.best_map(), rib_in_map(state), buffer_map(state))
         children = [stepper.deliver(state, channel)[1] for channel in pending]
-        assert (state.best_map(), state.rib_in_map(), state.buffer_map()) == before
+        assert (state.best_map(), rib_in_map(state), buffer_map(state)) == before
         # Each child drained exactly its own channel relative to the parent.
         for channel, child in zip(pending, children):
-            assert child.buffer_of(channel) == state.buffer_of(channel)[1:]
+            assert buffer_of(child, channel) == buffer_of(state, channel)[1:]
             assert child.parent is state
             assert child.event is not None and child.event.peer == channel[0]
 
@@ -217,7 +218,7 @@ class TestSpvpStateAgainstReference:
         reference = ReferenceSpvpSimulator(good_gadget(), seed=3)
         reference.run()
         reference.fail_session("o", "a")
-        assert flapped.buffer_map() == {
+        assert buffer_map(flapped) == {
             channel: tuple(queue) for channel, queue in reference.buffers.items()
         }
         assert flapped.pending_channels() == reference.pending_messages()
@@ -259,7 +260,7 @@ class TestSpvpStateAgainstReference:
                 state = getattr(stepper, kind)(state, node)
                 getattr(reference, kind)(node)
             mask = 0
-            for channel, queue in state.buffer_map().items():
+            for channel, queue in buffer_map(state).items():
                 if queue:
                     mask |= space.channel_bit[channel]
             assert state.pending == mask

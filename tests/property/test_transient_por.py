@@ -24,7 +24,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.exceptions import ProtocolError
 from repro.transient import (
-    AlwaysReaches,
     Converge,
     FailSession,
     TransientAnalyzer,
@@ -36,11 +35,12 @@ from repro.transient import (
 
 from repro.modelcheck.por import ReductionStatistics
 from repro.modelcheck.por.ample import AmpleSelector
-from repro.protocols.spvp import SpvpStepper
+from repro.protocols.spvp import SpvpState, SpvpStepper
 
 from tests.oracles.transient_reference import NaiveTransientAnalyzer
 from tests.test_rpvp_spvp import GadgetInstance, bad_gadget, disagree_gadget, good_gadget
 from tests.test_transient import _fat_tree_bgp_instance
+from tests.helpers import AlwaysReaches, buffer_map, rib_in_map, state_from_maps, verdict_signature
 
 
 def _simple_paths(edge_map, start, limit=12):
@@ -162,8 +162,8 @@ class TestPorAgainstFullOracle:
         sleep = _explore(GadgetInstance("o", edge_map, preferences), "sleep")
         ample = _explore(GadgetInstance("o", edge_map, preferences), "ample")
         assume(_complete(full, sleep, ample))
-        assert full.verdict_signature() == sleep.verdict_signature()
-        assert full.verdict_signature() == ample.verdict_signature()
+        assert verdict_signature(full) == verdict_signature(sleep)
+        assert verdict_signature(full) == verdict_signature(ample)
         # Reduction only ever removes redundant interleavings.
         assert ample.states_explored <= full.states_explored
         assert sleep.reduction.transitions_expanded <= full.reduction.transitions_expanded
@@ -179,7 +179,7 @@ class TestPorAgainstFullOracle:
             assume(False)  # divergent configuration: nothing to compare
         ample = _explore(GadgetInstance("o", edge_map, preferences), "ample", events)
         assume(_complete(full, ample))
-        assert full.verdict_signature() == ample.verdict_signature()
+        assert verdict_signature(full) == verdict_signature(ample)
 
     @given(scenario=gadget_scenarios())
     @settings(max_examples=25, deadline=None)
@@ -224,8 +224,8 @@ class TestRankImmunityAgainstFullOracle:
         with _without_rank_immunity():
             plain = _explore(RankedGadgetInstance("o", edge_map, preferences), "ample")
         assume(_complete(full, refined, plain))
-        assert full.verdict_signature() == refined.verdict_signature()
-        assert full.verdict_signature() == plain.verdict_signature()
+        assert verdict_signature(full) == verdict_signature(refined)
+        assert verdict_signature(full) == verdict_signature(plain)
         assert refined.states_explored <= full.states_explored
         # With immunity off the ledger is silent, with it on the ledger
         # records exactly the skipped edges.
@@ -247,7 +247,7 @@ class TestRankImmunityAgainstFullOracle:
             RankedGadgetInstance("o", edge_map, preferences), "ample", events
         )
         assume(_complete(full, refined))
-        assert full.verdict_signature() == refined.verdict_signature()
+        assert verdict_signature(full) == verdict_signature(refined)
 
 class TestPorUnderLifecycleScenarios:
     """POR soundness must survive node-level lifecycle events.
@@ -302,8 +302,8 @@ class TestPorUnderLifecycleScenarios:
                 RankedGadgetInstance("o", edge_map, preferences), "ample", events
             )
         assume(_complete(full, refined, plain))
-        assert full.verdict_signature() == refined.verdict_signature()
-        assert full.verdict_signature() == plain.verdict_signature()
+        assert verdict_signature(full) == verdict_signature(refined)
+        assert verdict_signature(full) == verdict_signature(plain)
 
     @given(scenario=gadget_scenarios(), data=st.data())
     @settings(max_examples=25, deadline=None)
@@ -324,7 +324,7 @@ class TestPorUnderLifecycleScenarios:
             RankedGadgetInstance("o", edge_map, preferences), "sleep", events
         )
         assume(_complete(full, sleep))
-        assert full.verdict_signature() == sleep.verdict_signature()
+        assert verdict_signature(full) == verdict_signature(sleep)
 
 
 class TestRankImmunityBruteForce:
@@ -387,8 +387,16 @@ class _RecomputingAnalyzer(TransientAnalyzer):
 
     def _witness_of(self, state, root, result):
         witness = super()._witness_of(state, root, result)
-        assert witness == tuple(event.describe() for event in state.witness_events())
+        assert witness == tuple(event.describe() for event in _witness_events(state))
         return witness
+
+
+def _witness_events(state):
+    """The deliveries from the cold start to ``state``: a queued leaf's are
+    its parent's, then its own event."""
+    if isinstance(state, SpvpState):
+        return state.witness_events()
+    return state.parent.witness_events() + [state.event]
 
 
 def _check_warm_selector_against_a_fresh_one(monkeypatch):
@@ -505,11 +513,11 @@ class TestMemoisedEqualsRecomputed:
         stepper = SpvpStepper(instance)
         settled = stepper.drain(stepper.initial_state(), max_steps=100)
         backing = settled.best_of("a").path.head
-        best, rib_in = settled.best_map(), settled.rib_in_map()
-        buffers = {channel: () for channel in settled.buffer_map()}
+        best, rib_in = settled.best_map(), rib_in_map(settled)
+        buffers = {channel: () for channel in buffer_map(settled)}
         buffers[(backing, "a")] = (None,)
-        backed = stepper.state_from_maps(best, rib_in, buffers)
-        stale = stepper.state_from_maps(best, {**rib_in, ("a", backing): None}, buffers)
+        backed = state_from_maps(stepper, best, rib_in, buffers)
+        stale = state_from_maps(stepper, best, {**rib_in, ("a", backing): None}, buffers)
         selector = AmpleSelector(instance)
         for state, dangerous in ((backed, True), (stale, False), (backed, True)):
             assert ("a" in selector.active_nodes(state, [(backing, "a")])) == dangerous

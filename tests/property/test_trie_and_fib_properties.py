@@ -15,6 +15,7 @@ from repro.dataplane.forwarding import PathStatus, trace_paths
 from repro.netaddr import MAX_IPV4, Prefix
 from repro.pec.trie import PrefixTrie
 from repro.protocols.base import RouteSource
+from tests.helpers import entry_for
 
 
 def aligned_prefix(network: int, length: int) -> Prefix:
@@ -38,29 +39,6 @@ class TestTrieProperties:
         assert parts[-1][0].high == MAX_IPV4
         for (before, _), (after, _) in zip(parts, parts[1:]):
             assert after.low == before.high + 1
-
-    @given(st.lists(prefixes, min_size=0, max_size=15), addresses)
-    @settings(max_examples=150, deadline=None)
-    def test_covering_prefixes_matches_bruteforce(self, inserted, address):
-        trie = PrefixTrie()
-        for prefix in inserted:
-            trie.insert(prefix)
-        expected = {p for p in inserted if p.contains_address(address)}
-        assert set(trie.covering_prefixes(address)) == expected
-
-    @given(st.lists(prefixes, min_size=1, max_size=15), addresses)
-    @settings(max_examples=150, deadline=None)
-    def test_longest_match_agrees_with_bruteforce(self, inserted, address):
-        trie = PrefixTrie()
-        for prefix in inserted:
-            trie.insert(prefix)
-        covering = [p for p in inserted if p.contains_address(address)]
-        match = trie.longest_match(address)
-        if not covering:
-            assert match is None
-        else:
-            assert match is not None
-            assert match.length == max(p.length for p in covering)
 
     @given(st.lists(prefixes, min_size=0, max_size=15), addresses)
     @settings(max_examples=150, deadline=None)
@@ -112,12 +90,12 @@ class TestFibProperties:
         fib = Fib("r1")
         fib.install(FibEntry(prefix=prefix, next_hops=("ospf-peer",), source=RouteSource.OSPF))
         fib.install(FibEntry(prefix=prefix, next_hops=("static-peer",), source=RouteSource.STATIC))
-        entry = fib.entry_for(prefix)
+        entry = entry_for(fib, prefix)
         assert entry is not None
         assert entry.source is RouteSource.STATIC
         # Installing the OSPF entry again does not displace the static one.
         fib.install(FibEntry(prefix=prefix, next_hops=("ospf-peer",), source=RouteSource.OSPF))
-        assert fib.entry_for(prefix).source is RouteSource.STATIC
+        assert entry_for(fib, prefix).source is RouteSource.STATIC
 
 
 class TestForwardingProperties:

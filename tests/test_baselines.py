@@ -10,12 +10,13 @@ from repro.config.objects import RouteMap, RouteMapClause, SetActions
 from repro.exceptions import VerificationError
 from repro.netaddr import Prefix
 from repro.policies import LoopFreedom, Reachability, Waypoint
-from repro.topology import bgp_fat_tree, fat_tree, linear_chain, ring
+from repro.topology import bgp_fat_tree, fat_tree, ring
 from tests.oracles.arc import ArcVerifier
 from tests.oracles.bonsai import BonsaiCompressor
 from tests.oracles.minesweeper import MinesweeperVerifier
 from tests.oracles.sat import CnfFormula, SatResult, SatSolver
 from tests.oracles.spt import shortest_paths_by_constraints, shortest_paths_by_execution
+from tests.helpers import add_static_route, linear_chain
 
 
 class TestSatSolver:
@@ -194,7 +195,7 @@ class TestArcBaseline:
         builder = ConfigBuilder(linear_chain(2))
         builder.enable_ospf("r0", [Prefix("10.0.0.0/24")])
         builder.enable_ospf("r1")
-        builder.static_route("r1", Prefix("172.16.0.0/12"), next_hop_ip=Prefix("10.0.0.1/32"))
+        add_static_route(builder.network, "r1", Prefix("172.16.0.0/12"), next_hop_ip=Prefix("10.0.0.1/32"))
         with pytest.raises(VerificationError):
             ArcVerifier(builder.build())
 

@@ -390,17 +390,6 @@ class TestUnchangedStoreIsNotRewritten:
         cache.save(cache.path)  # naming the path asks for a write
         assert self._identity(cache.path)[0] != before[0]
 
-    def test_invalidate_and_clear_make_the_next_save_write(self, tmp_path):
-        cache_file, _, _ = _warm_cache(tmp_path)
-        cache = ResultCache(tmp_path)
-        assert cache.invalidate(["no-such-fingerprint"]) == 0
-        before = self._identity(cache_file)
-        cache.save()
-        assert self._identity(cache_file) == before  # nothing was dropped
-        cache.clear()
-        cache.save()
-        assert len(_reload(cache_file)) == 0
-
 
 _KEY_SCRIPT = """
 from repro.incremental.cache import _object_tokens, _sha
@@ -473,7 +462,6 @@ class TestAddressFreeKeys:
             Scenario,
         )
         from repro.transient.properties import (
-            AlwaysReaches,
             TransientBlackHoleFreedom,
             TransientLoopFreedom,
         )
@@ -490,7 +478,6 @@ class TestAddressFreeKeys:
             Segmentation(["a"], ["p"], prefix),
             TransientLoopFreedom(),
             TransientBlackHoleFreedom(["a", "b"]),
-            AlwaysReaches(["a"]),
             Converge(),
             FailSession("a", "b"),
             NodeCrash("a"),

@@ -22,7 +22,8 @@ from repro.config.builder import edge_prefix, install_loop_inducing_statics
 from repro.config.objects import MatchConditions, PrefixListEntry, RouteMapClause, SetActions
 from repro.exceptions import ConfigError, ConfigParseError
 from repro.netaddr import Prefix
-from repro.topology import bgp_fat_tree, fat_tree, linear_chain, ring
+from repro.topology import bgp_fat_tree, fat_tree, ring
+from tests.helpers import add_entry, linear_chain
 
 
 class TestStaticRoute:
@@ -38,11 +39,6 @@ class TestStaticRoute:
                 next_hop_ip=Prefix("10.0.0.1/32"),
             )
 
-    def test_recursive_flag(self):
-        route = StaticRoute(prefix=Prefix("10.0.0.0/8"), next_hop_ip=Prefix("1.1.1.1/32"))
-        assert route.is_recursive
-        assert not StaticRoute(prefix=Prefix("10.0.0.0/8"), next_hop_node="r1").is_recursive
-
     def test_drop_route(self):
         route = StaticRoute(prefix=Prefix("10.0.0.0/8"), drop=True)
         assert route.drop
@@ -50,7 +46,7 @@ class TestStaticRoute:
 
 class TestPrefixList:
     def test_exact_match_by_default(self):
-        plist = PrefixList("P").add(Prefix("10.0.0.0/8"))
+        plist = add_entry(PrefixList("P"), Prefix("10.0.0.0/8"))
         assert plist.permits(Prefix("10.0.0.0/8"))
         assert not plist.permits(Prefix("10.1.0.0/16"))
 
@@ -64,8 +60,8 @@ class TestPrefixList:
 
     def test_first_match_wins_and_implicit_deny(self):
         plist = PrefixList("P")
-        plist.add(Prefix("10.1.0.0/16"), permit=False)
-        plist.add(Prefix("10.0.0.0/8"), ge=8, le=32)
+        add_entry(plist, Prefix("10.1.0.0/16"), permit=False)
+        add_entry(plist, Prefix("10.0.0.0/8"), ge=8, le=32)
         assert not plist.permits(Prefix("10.1.0.0/16"))
         assert plist.permits(Prefix("10.2.0.0/16"))
         assert not plist.permits(Prefix("192.168.0.0/16"))
@@ -141,7 +137,7 @@ class TestParser:
         neighbor = r0.bgp.neighbor("r1")
         assert neighbor.import_map == "FROM_R1"
         assert len(r0.static_routes) == 2
-        assert r0.static_routes[1].is_recursive
+        assert r0.static_routes[1].next_hop_ip == Prefix("10.0.0.9/32")
         clauses = r0.route_maps["FROM_R1"].sorted_clauses()
         assert clauses[0].actions.local_preference == 200
         assert clauses[0].actions.prepend_count == 2
@@ -251,7 +247,7 @@ class TestBuilders:
         topo = ring(5)
         network = ibgp_over_ospf(topo, {"r0": Prefix("200.0.0.0/16")})
         network.validate()
-        speakers = network.devices_running_bgp()
+        speakers = [name for name, device in network.devices.items() if device.bgp is not None]
         assert set(speakers) == set(topo.nodes)
         assert len(network.device("r0").bgp.neighbors) == 4
         assert topo.node("r1").loopback is not None

@@ -15,11 +15,12 @@ from repro.config.objects import (
     RouteMapClause,
     SetActions,
 )
-from repro.core.network_model import DependencyContext
+from repro.core.network_model import DependencyContext, PecExplorer
 from repro.exceptions import VerificationError
 from repro.incremental.service import SIGNATURE_EXCLUDED, result_signature_digest
 from repro.modelcheck.explorer import COMPLETE, VACUOUS
 from repro.netaddr import Prefix
+from repro.pec.classes import compute_pecs
 from repro.policies import (
     BlackHoleFreedom,
     BoundedPathLength,
@@ -30,15 +31,17 @@ from repro.policies import (
     Reachability,
     Waypoint,
 )
+from repro.protocols.ospf import OspfRoutingTable
+from repro.protocols.ospf_instance import OspfInstance
 from repro.topology import (
     Topology,
     bgp_fat_tree,
     fat_tree,
-    linear_chain,
     ring,
     rocketfuel_like,
 )
 from repro.topology.failures import FailureScenario
+from tests.helpers import add_static_route, entry_for, linear_chain
 
 
 class TestOspfFatTree:
@@ -300,9 +303,9 @@ class TestIbgpOverOspf:
         builder.enable_ospf("r0", [Prefix("10.0.1.0/24")])
         builder.enable_ospf("r1")
         builder.enable_ospf("r2")
-        builder.static_route("r2", Prefix("172.16.0.0/12"), next_hop_ip=Prefix("10.0.1.1/32"))
-        builder.static_route("r1", Prefix("172.16.0.0/12"), next_hop_node="r0")
-        builder.static_route("r0", Prefix("172.16.0.0/12"), drop=True)
+        add_static_route(builder.network, "r2", Prefix("172.16.0.0/12"), next_hop_ip=Prefix("10.0.1.1/32"))
+        add_static_route(builder.network, "r1", Prefix("172.16.0.0/12"), next_hop_node="r0")
+        add_static_route(builder.network, "r0", Prefix("172.16.0.0/12"), drop=True)
         network = builder.build()
         policy = LoopFreedom(destination_prefix=Prefix("172.16.0.0/12"))
         result = Plankton(network).verify(policy)
@@ -331,11 +334,50 @@ class TestOptimizationFlags:
         assert naive.total_states_expanded > optimized.total_states_expanded
 
     def test_model_checked_ospf_agrees_with_fast_path(self):
+        """The search answers: it runs to completion, reaches the one
+        converged state SPF predicts (each accepted state is checked against
+        the table), and a budget that cuts it short leaves no HOLDS."""
         network = ospf_everywhere(fat_tree(4))
         policy = LoopFreedom(destination_prefix=edge_prefix(0, 0))
         fast = Plankton(network, PlanktonOptions(fast_ospf=True)).verify(policy)
         slow = Plankton(network, PlanktonOptions(fast_ospf=False)).verify(policy)
-        assert fast.holds == slow.holds is True
+        assert fast.verdict == slow.verdict == "holds"
+        (run,) = slow.pec_runs
+        assert run.completeness == COMPLETE
+        assert (run.statistics.terminal_states, run.statistics.states_expanded) == (1, 20)
+        cut = Plankton(network, PlanktonOptions(fast_ospf=False, max_states_per_pec=1)).verify(policy)
+        assert cut.verdict == "inconclusive"
+        assert [run.completeness for run in cut.pec_runs] == ["truncated"]
+
+    def test_model_checked_ospf_origins_are_the_prefix_originators(self):
+        """A device that originates a covering prefix does not originate the
+        more specific one: the model-checked OSPF instance and SPF agree on
+        who originates 10.1.0.0/16 (they did not, and the agreement check
+        failed the task)."""
+        builder = ConfigBuilder(ring(4))
+        builder.enable_ospf("r0", [Prefix("10.0.0.0/8")])
+        builder.enable_ospf("r1")
+        builder.enable_ospf("r2", [Prefix("10.1.0.0/16")])
+        builder.enable_ospf("r3")
+        network = builder.build()
+        assert OspfInstance(network, Prefix("10.1.0.0/16")).origins() == ["r2"]
+        slow = Plankton(network, PlanktonOptions(fast_ospf=False, backend="serial")).verify(
+            LoopFreedom()
+        )
+        assert slow.verdict == "holds" and not slow.errors
+        assert all(run.completeness == COMPLETE for run in slow.pec_runs)
+
+    def test_a_search_that_disagrees_with_spf_is_an_internal_error(self):
+        network = ospf_everywhere(fat_tree(4))
+        prefix = edge_prefix(0, 0)
+        pec = next(pec for pec in compute_pecs(network) if pec.prefixes == (prefix,))
+        explorer = PecExplorer(network, pec, FailureScenario(), PlanktonOptions(fast_ospf=False))
+        tables = explorer._plane_inputs.ospf_tables
+        table = tables[prefix]
+        distances = dict(table.distances, agg0_1=table.distances["agg0_1"] + 1)
+        tables[prefix] = OspfRoutingTable(distances, table.next_hops, table.chosen_origin)
+        with pytest.raises(VerificationError, match="disagrees with SPF on 10.0.0.0/24 at agg0_1"):
+            explorer.explore()
 
     def test_bgp_without_deterministic_nodes_agrees(self):
         topology = bgp_fat_tree(4)
@@ -351,6 +393,8 @@ class TestOptimizationFlags:
         assert default.holds == no_det.holds is False
 
     def test_bitstate_hashing_still_finds_violation(self):
+        """The violation is read off the SPF planes; the search behind it is
+        hash-compacted, says so, and answers for its one converged state."""
         network = ospf_everywhere(fat_tree(4))
         install_loop_inducing_statics(
             network, edge_prefix(0, 0), ["agg1_0", "edge1_0", "agg1_1", "edge1_1"]
@@ -359,7 +403,10 @@ class TestOptimizationFlags:
             optimizations=OptimizationFlags(bitstate_hashing=True), fast_ospf=False
         )
         result = Plankton(network, options).verify(LoopFreedom())
-        assert not result.holds
+        assert result.verdict == "violated"
+        (run,) = result.pec_runs
+        assert run.completeness == "bitstate"
+        assert (run.statistics.terminal_states, run.statistics.states_expanded) == (1, 20)
 
     def test_without_helper(self):
         flags = OptimizationFlags().without(deterministic_nodes=True, policy_based_pruning=True)
@@ -403,7 +450,7 @@ class TestResultsAndApi:
         assert len(all_of_them.violations) >= 2
 
     def test_run_pec_returns_the_converged_data_planes(self):
-        from repro.core.network_model import DependencyContext
+        from repro.core.network_model import DependencyContext, PecExplorer
         from repro.topology.failures import FailureScenario
 
         network = ospf_everywhere(fat_tree(4))
@@ -412,7 +459,7 @@ class TestResultsAndApi:
         run, outcomes = plankton.run_pec(
             pec, FailureScenario(), [LoopFreedom()], DependencyContext(), collect_outcomes=True
         )
-        assert run.holds
+        assert not run.violations
         assert len(outcomes) == run.converged_states >= 1
         assert all(outcome.data_plane.pec_range == pec.address_range for outcome in outcomes)
 
@@ -617,7 +664,7 @@ class TestMultiPrefixPec:
         assert run.converged_states == run.checked_states == len(planes)
 
         def forwarding_for(plane, prefix):
-            entries = ((device, plane.fib(device).entry_for(prefix)) for device in plane.devices())
+            entries = ((device, entry_for(plane.fib(device), prefix)) for device in plane.devices())
             return tuple((device, entry and entry.next_hops) for device, entry in entries)
 
         pairs = [

@@ -107,7 +107,6 @@ class TestForwardingGraph:
     def test_no_cycle_in_chain(self):
         graph = ForwardingGraph(build_chain_data_plane(), ip_to_int("10.0.0.1"))
         assert graph.has_cycle() is None
-        assert graph.reaches_delivery("a")
 
     @pytest.mark.parametrize("back_to", [None, 600])
     def test_long_forwarding_chain(self, back_to):

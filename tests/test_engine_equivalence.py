@@ -29,8 +29,9 @@ from repro.incremental.service import result_signature
 from repro.netaddr import Prefix
 from repro.policies import LoopFreedom, Reachability
 from repro.policies.base import Policy
-from repro.topology import fat_tree, linear_chain, ring
+from repro.topology import fat_tree, ring
 from repro.topology.failures import FailureScenario
+from tests.helpers import add_static_route, dependents, linear_chain, validate_task_graph
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -60,9 +61,9 @@ def _static_chain_network():
     builder.enable_ospf("r0", [Prefix("10.0.1.0/24")])
     builder.enable_ospf("r1")
     builder.enable_ospf("r2")
-    builder.static_route("r2", Prefix("172.16.0.0/12"), next_hop_ip=Prefix("10.0.1.1/32"))
-    builder.static_route("r1", Prefix("172.16.0.0/12"), next_hop_node="r0")
-    builder.static_route("r0", Prefix("172.16.0.0/12"), drop=True)
+    add_static_route(builder.network, "r2", Prefix("172.16.0.0/12"), next_hop_ip=Prefix("10.0.1.1/32"))
+    add_static_route(builder.network, "r1", Prefix("172.16.0.0/12"), next_hop_node="r0")
+    add_static_route(builder.network, "r0", Prefix("172.16.0.0/12"), drop=True)
     return builder.build()
 
 
@@ -92,7 +93,7 @@ class TestTaskGraphBuilder:
             plankton.symmetry, plankton.pecs, plankton.dependency_graph,
             policies, plankton.options, relevant,
         )
-        graph.validate()
+        validate_task_graph(graph)
         assert len(graph) == len(relevant)  # one scenario each (no failures)
         assert not graph.has_edges
         assert all(task.check_policies and not task.collect_outcomes for task in graph.tasks)
@@ -105,7 +106,7 @@ class TestTaskGraphBuilder:
             plankton.symmetry, plankton.pecs, plankton.dependency_graph,
             [policy], plankton.options, relevant,
         )
-        graph.validate()
+        validate_task_graph(graph)
         assert graph.has_edges
         by_id = {task.task_id: task for task in graph.tasks}
         for task in graph.tasks:
@@ -126,7 +127,7 @@ class TestTaskGraphBuilder:
             plankton.symmetry, plankton.pecs, plankton.dependency_graph,
             [policy], plankton.options, relevant,
         )
-        graph.validate()
+        validate_task_graph(graph)
         assert graph.failure_scenarios == 1 + len(plankton.network.topology.links)
 
     def test_each_task_waits_for_every_dependency_in_an_earlier_scc(self):
@@ -143,7 +144,7 @@ class TestTaskGraphBuilder:
         graph = build_task_graph(
             plankton.symmetry, plankton.pecs, dependencies, [policy], plankton.options, relevant
         )
-        graph.validate()
+        validate_task_graph(graph)
         scc_of = {index: i for i, scc in enumerate(dependencies.schedule()) for index in scc}
         by_id = {task.task_id: task for task in graph.tasks}
         waited = 0
@@ -310,7 +311,7 @@ class TestEnginePlumbing:
         plankton = Plankton(_dependent_network(), PlanktonOptions(max_failures=1))
         policy = Reachability(destination_prefix=Prefix("200.0.0.0/16"), require_all_branches=False)
         policies, _relevant, graph = plankton.expand_request(policy)
-        upstream_ids = [task_id for task_id, deps in graph.dependents().items() if deps]
+        upstream_ids = [task_id for task_id, deps in dependents(graph).items() if deps]
         assert upstream_ids
         context = EngineContext(plankton=plankton, policies=policies)
         ledger = run_graph(graph, context)

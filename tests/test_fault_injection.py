@@ -36,6 +36,7 @@ from repro.policies import LoopFreedom, Reachability
 from repro.topology import fat_tree, ring
 from tests import faults
 from tests.faults import FaultPlan, FaultSpec
+from tests.helpers import dependents
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -158,10 +159,8 @@ class TestSerialFaults:
         options = dict(stop_at_first_violation=False, **FAST)
         _plankton, graph = _expand(network, policy, **options)
         assert graph.has_edges
-        dependents = graph.dependents()
-        upstream_id = next(
-            task.task_id for task in graph.tasks if dependents.get(task.task_id)
-        )
+        reverse = dependents(graph)
+        upstream_id = next(task.task_id for task in graph.tasks if reverse.get(task.task_id))
         downstream = {
             task.task_id for task in graph.tasks if upstream_id in task.depends_on
         }
@@ -404,7 +403,7 @@ class TestDependentGraphFaults:
         options = dict(stop_at_first_violation=False, **FAST)
         _plankton, graph = _expand(network, policy, **options)
         dead = graph.tasks[0].task_id
-        assert graph.dependents()[dead]
+        assert dependents(graph)[dead]
         plan = FaultPlan(
             tuple(FaultSpec(kind="raise", task_id=dead, attempt=a) for a in range(3))
         )

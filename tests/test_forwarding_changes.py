@@ -27,7 +27,8 @@ from repro.policies import (
 )
 from repro.policies.base import PolicyCheckContext
 from repro.protocols.base import RouteSource
-from repro.topology import fat_tree, linear_chain
+from repro.topology import fat_tree
+from tests.helpers import linear_chain
 
 DEVICES = ("a", "b", "c")
 WXYZ = ("w", "x", "y", "z")
@@ -310,7 +311,7 @@ class TestConvergedPlanes:
         device = next(d for d in data_plane.devices() if data_plane.next_hops(d, address))
         next_hop = data_plane.next_hops(device, address)[0]
         # A static entry at the next hop outranks its OSPF route and points back.
-        data_plane.install(next_hop, entry(pec.most_specific_prefix, device))
+        data_plane.install(next_hop, entry(pec.prefixes[0], device))
         message = converged_check(network, LoopFreedom(), pec, data_plane)
         assert message is not None and device in message and next_hop in message
         assert converged_check(network, LoopFreedom(), pec, original) is None

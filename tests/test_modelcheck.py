@@ -144,11 +144,10 @@ class TestExplorer:
 
 
 class TestBitstate:
-    def test_add_and_contains(self):
+    def test_second_add_reports_possibly_seen(self):
         bloom = BitstateFilter(bits=1 << 12)
         assert not bloom.add(12345)
-        assert bloom.contains(12345)
-        assert bloom.add(12345)  # second add reports "possibly seen"
+        assert bloom.add(12345)
 
     def test_memory_smaller_than_exact(self):
         exact = VisitedSet()
@@ -162,18 +161,12 @@ class TestBitstate:
         with pytest.raises(ValueError):
             BitstateFilter(bits=0)
 
-    def test_coverage_estimate_bounds(self):
-        bloom = BitstateFilter(bits=1 << 16)
-        for value in range(1000):
-            bloom.add(value)
-        assert 0.0 <= bloom.estimated_coverage() <= 1.0
-
     @given(st.sets(st.integers(min_value=0, max_value=1 << 40), min_size=1, max_size=200))
     def test_no_false_negatives(self, values):
         bloom = BitstateFilter(bits=1 << 16)
         for value in values:
             bloom.add(value)
-        assert all(bloom.contains(value) for value in values)
+        assert all(bloom.add(value) for value in values)  # each reads as seen
 
 
 class TestTrail:
@@ -186,13 +179,6 @@ class TestTrail:
         assert "reachability" in text
         assert "link a--b failed" in text
         assert "traffic dropped" in text
-
-    def test_write_to_file(self, tmp_path):
-        trail = Trail(policy="loop-freedom", pec_description="PEC#2")
-        trail.add("note", "hello")
-        target = tmp_path / "trail.txt"
-        trail.write(str(target))
-        assert "loop-freedom" in target.read_text()
 
     def test_empty_trail_renders_deterministic_note(self):
         trail = Trail(policy="p", pec_description="d")

@@ -4,38 +4,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import AddressError
-from repro.netaddr import AddressRange, IPv4Address, MAX_IPV4, Prefix, int_to_ip, ip_to_int
-from repro.netaddr.prefix import coalesce_ranges, summarize_range
+from repro.netaddr import AddressRange, MAX_IPV4, Prefix, int_to_ip, ip_to_int
 
 
-class TestIPv4Address:
-    def test_round_trip_text(self):
-        assert str(IPv4Address("10.1.2.3")) == "10.1.2.3"
-
+class TestAddressConversion:
     def test_int_value(self):
-        assert int(IPv4Address("0.0.0.1")) == 1
-        assert int(IPv4Address("255.255.255.255")) == MAX_IPV4
-
-    def test_equality_with_int_and_str(self):
-        address = IPv4Address("192.168.0.1")
-        assert address == "192.168.0.1"
-        assert address == ip_to_int("192.168.0.1")
-
-    def test_ordering(self):
-        assert IPv4Address("10.0.0.1") < IPv4Address("10.0.0.2")
-
-    def test_arithmetic(self):
-        assert str(IPv4Address("10.0.0.1") + 1) == "10.0.0.2"
-        assert str(IPv4Address("10.0.0.2") - 1) == "10.0.0.1"
+        assert ip_to_int("0.0.0.1") == 1
+        assert ip_to_int("255.255.255.255") == MAX_IPV4
 
     @pytest.mark.parametrize("bad", ["10.0.0", "1.2.3.4.5", "256.0.0.1", "a.b.c.d", ""])
     def test_rejects_malformed(self, bad):
         with pytest.raises(AddressError):
-            IPv4Address(bad)
+            ip_to_int(bad)
 
     def test_rejects_out_of_range_int(self):
         with pytest.raises(AddressError):
-            IPv4Address(MAX_IPV4 + 1)
+            int_to_ip(MAX_IPV4 + 1)
 
     @given(st.integers(min_value=0, max_value=MAX_IPV4))
     def test_int_text_round_trip(self, value):
@@ -49,11 +33,10 @@ class TestPrefix:
     def test_host_bits_cleared(self):
         assert Prefix("10.1.2.3/16") == Prefix("10.1.0.0/16")
 
-    def test_first_last_size(self):
+    def test_first_last(self):
         prefix = Prefix("192.168.1.0/24")
         assert prefix.first == ip_to_int("192.168.1.0")
         assert prefix.last == ip_to_int("192.168.1.255")
-        assert prefix.size == 256
 
     def test_slash_zero_covers_everything(self):
         assert Prefix("0.0.0.0/0").contains_address("255.255.255.255")
@@ -61,20 +44,6 @@ class TestPrefix:
     def test_contains_prefix(self):
         assert Prefix("10.0.0.0/8").contains_prefix(Prefix("10.1.0.0/16"))
         assert not Prefix("10.1.0.0/16").contains_prefix(Prefix("10.0.0.0/8"))
-
-    def test_overlap_symmetric(self):
-        a, b = Prefix("10.0.0.0/8"), Prefix("10.5.0.0/16")
-        assert a.overlaps(b) and b.overlaps(a)
-        assert not Prefix("10.0.0.0/8").overlaps(Prefix("11.0.0.0/8"))
-
-    def test_subnets(self):
-        left, right = Prefix("10.0.0.0/8").subnets()
-        assert left == Prefix("10.0.0.0/9")
-        assert right == Prefix("10.128.0.0/9")
-
-    def test_cannot_split_host_prefix(self):
-        with pytest.raises(AddressError):
-            Prefix("10.0.0.1/32").subnets()
 
     def test_bits(self):
         assert list(Prefix("192.0.0.0/2").bits()) == [1, 1]
@@ -94,74 +63,18 @@ class TestPrefix:
         prefix = Prefix(network, length)
         assert prefix.contains_address(prefix.first)
         assert prefix.contains_address(prefix.last)
-        assert prefix.last - prefix.first + 1 == prefix.size
 
 
 class TestAddressRange:
     def test_basic(self):
         r = AddressRange(ip_to_int("10.0.0.0"), ip_to_int("10.0.0.255"))
-        assert r.size == 256
         assert r.contains_address("10.0.0.42")
+        assert not r.contains_address("10.0.1.0")
 
     def test_rejects_inverted(self):
         with pytest.raises(AddressError):
             AddressRange(5, 4)
 
-    def test_intersection(self):
-        a = AddressRange(0, 100)
-        b = AddressRange(50, 200)
-        assert a.intersection(b) == AddressRange(50, 100)
-        assert a.intersection(AddressRange(101, 200)) is None
-
     def test_overlaps(self):
         assert AddressRange(0, 10).overlaps(AddressRange(10, 20))
         assert not AddressRange(0, 10).overlaps(AddressRange(11, 20))
-
-    @given(st.integers(min_value=0, max_value=MAX_IPV4), st.integers(min_value=0, max_value=1 << 16))
-    def test_to_prefixes_covers_exactly(self, low, span):
-        high = min(MAX_IPV4, low + span)
-        prefixes = AddressRange(low, high).to_prefixes()
-        # The prefixes are disjoint, sorted, and cover exactly [low, high].
-        total = sum(p.size for p in prefixes)
-        assert total == high - low + 1
-        assert prefixes[0].first == low
-        assert prefixes[-1].last == high
-        for left, right in zip(prefixes, prefixes[1:]):
-            assert left.last + 1 == right.first
-
-
-class TestSummarizeAndCoalesce:
-    def test_summarize_aligned_block(self):
-        assert summarize_range(ip_to_int("10.0.0.0"), ip_to_int("10.0.0.255")) == [
-            Prefix("10.0.0.0/24")
-        ]
-
-    def test_summarize_unaligned(self):
-        prefixes = summarize_range(1, 6)
-        assert sum(p.size for p in prefixes) == 6
-
-    def test_coalesce_merges_adjacent(self):
-        merged = coalesce_ranges([AddressRange(0, 10), AddressRange(11, 20), AddressRange(30, 40)])
-        assert merged == [AddressRange(0, 20), AddressRange(30, 40)]
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=1 << 20),
-                st.integers(min_value=0, max_value=1 << 10),
-            ),
-            min_size=1,
-            max_size=20,
-        )
-    )
-    def test_coalesce_is_disjoint_and_sorted(self, raw):
-        ranges = [AddressRange(low, low + span) for low, span in raw]
-        merged = coalesce_ranges(ranges)
-        for left, right in zip(merged, merged[1:]):
-            assert left.high + 1 < right.low or left.high < right.low
-        covered = set()
-        for r in ranges:
-            covered.add(r.low)
-            covered.add(r.high)
-        for point in covered:
-            assert any(m.contains_address(point) for m in merged)

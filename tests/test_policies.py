@@ -18,7 +18,7 @@ from repro.policies import (
 )
 from repro.policies.base import PolicyCheckContext
 from repro.protocols.base import Path, Route, RouteSource
-from repro.topology import linear_chain
+from tests.helpers import linear_chain
 
 PREFIX = Prefix("10.0.0.0/24")
 

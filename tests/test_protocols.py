@@ -21,24 +21,22 @@ from repro.protocols import (
     Path,
     Route,
     RouteSource,
-    build_bgp_instance,
-    build_ospf_instance,
+    OspfInstance,
     resolve_static_routes,
 )
 from repro.protocols.filters import apply_route_map, maximum_local_pref
-from repro.topology import fat_tree, linear_chain, ring
+from repro.topology import fat_tree, ring
+from tests.helpers import add_entry, linear_chain
 
 
 class TestPath:
-    def test_head_rest_origin(self):
+    def test_head_and_rest(self):
         path = Path(("b", "c", "d"))
         assert path.head == "b"
         assert path.rest == Path(("c", "d"))
-        assert path.origin == "d"
 
     def test_epsilon(self):
         assert EPSILON.head is None
-        assert EPSILON.origin is None
 
     def test_prepend_and_contains(self):
         path = Path(("b",)).prepend("a")
@@ -85,13 +83,13 @@ class TestOspfComputation:
         # clear_cache drops everything derived from the configs: after an
         # interface-cost change neither the SPF tables nor the edge costs
         # handed to the next OSPF instance may be the old ones.
-        before = build_ospf_instance(network, Prefix("10.0.0.0/24"), computation=computation)
+        before = OspfInstance(network, Prefix("10.0.0.0/24"), computation=computation)
         route = before.advertisement("r1", "r0", before.origin_route("r0"))
         assert route.igp_cost == 1
         assert computation.compute(["r0"]).distances["r1"] == 1
         network.device("r1").ospf.interfaces["r0"] = OspfInterface(neighbor="r0", cost=7)
         computation.clear_cache()
-        after = build_ospf_instance(network, Prefix("10.0.0.0/24"), computation=computation)
+        after = OspfInstance(network, Prefix("10.0.0.0/24"), computation=computation)
         assert after.advertisement("r1", "r0", after.origin_route("r0")).igp_cost == 7
         # r1 now reaches r0 the long way round the ring (3 hops of cost 1).
         assert computation.compute(["r0"]).distances["r1"] == 3
@@ -167,7 +165,7 @@ class TestRouteMaps:
         from repro.config.objects import DeviceConfig
 
         device = DeviceConfig(name="r0")
-        device.prefix_lists["CUST"] = PrefixList("CUST").add(Prefix("10.0.0.0/8"), ge=8, le=24)
+        device.prefix_lists["CUST"] = add_entry(PrefixList("CUST"), Prefix("10.0.0.0/8"), ge=8, le=24)
         device.route_maps["POLICY"] = RouteMap(
             name="POLICY",
             clauses=[
@@ -220,13 +218,13 @@ class TestBgpInstance:
 
     def test_origins_and_peers(self):
         network = self._two_as_network()
-        instance = build_bgp_instance(network, Prefix("200.0.0.0/16"))
+        instance = BgpInstance(network, Prefix("200.0.0.0/16"))
         assert instance.origins() == ["r0"]
         assert instance.peers("r1") == ("r0", "r2")
 
     def test_export_prepends_and_counts_as_hops(self):
         network = self._two_as_network()
-        instance = build_bgp_instance(network, Prefix("200.0.0.0/16"))
+        instance = BgpInstance(network, Prefix("200.0.0.0/16"))
         origin = instance.origin_route("r0")
         exported = instance.export("r0", "r1", origin)
         assert exported.path == Path(("r0",))
@@ -234,19 +232,19 @@ class TestBgpInstance:
 
     def test_import_rejects_loops(self):
         network = self._two_as_network()
-        instance = build_bgp_instance(network, Prefix("200.0.0.0/16"))
+        instance = BgpInstance(network, Prefix("200.0.0.0/16"))
         looping = Route(path=Path(("r0", "r1")), as_path_length=2)
         assert instance.advertisement("r1", "r0", looping.with_path(Path(("r1",)))) is None
 
     def test_ebgp_session_down_when_link_fails(self):
         network = self._two_as_network()
         link = network.topology.find_link("r0", "r1")
-        instance = build_bgp_instance(network, Prefix("200.0.0.0/16"), failed_links={link.link_id})
+        instance = BgpInstance(network, Prefix("200.0.0.0/16"), failed_links={link.link_id})
         assert "r0" not in instance.peers("r1")
 
     def test_ranking_prefers_local_pref_then_as_path(self):
         network = self._two_as_network()
-        instance = build_bgp_instance(network, Prefix("200.0.0.0/16"))
+        instance = BgpInstance(network, Prefix("200.0.0.0/16"))
         strong = Route(path=Path(("a",)), local_pref=200, as_path_length=5)
         weak = Route(path=Path(("b",)), local_pref=100, as_path_length=1)
         assert instance.rank("r1", strong) < instance.rank("r1", weak)
@@ -256,7 +254,7 @@ class TestBgpInstance:
 
     def test_ranking_prefers_ebgp_over_ibgp_and_low_igp(self):
         network = self._two_as_network()
-        instance = build_bgp_instance(network, Prefix("200.0.0.0/16"))
+        instance = BgpInstance(network, Prefix("200.0.0.0/16"))
         ebgp = Route(path=Path(("a",)), source=RouteSource.EBGP, as_path_length=2)
         ibgp = Route(path=Path(("b",)), source=RouteSource.IBGP, as_path_length=2)
         assert instance.rank("r1", ebgp) < instance.rank("r1", ibgp)
@@ -273,7 +271,7 @@ class TestBgpInstance:
         builder.bgp_session("r0", "r1")
         builder.bgp_session("r1", "r2")
         network = builder.build()
-        instance = build_bgp_instance(network, Prefix("200.0.0.0/16"))
+        instance = BgpInstance(network, Prefix("200.0.0.0/16"))
         ibgp_learned = Route(path=Path(("r0",)), source=RouteSource.IBGP, as_path_length=0)
         # r1 must not re-advertise an iBGP-learned route to another iBGP peer.
         assert instance.export("r1", "r2", ibgp_learned) is None
@@ -282,7 +280,7 @@ class TestBgpInstance:
 class TestOspfInstanceModel:
     def test_origin_and_rank(self):
         network = ospf_everywhere(linear_chain(3), originate_roles=("router",), prefix_for={"r0": Prefix("10.0.0.0/24")})
-        instance = build_ospf_instance(network, Prefix("10.0.0.0/24"))
+        instance = OspfInstance(network, Prefix("10.0.0.0/24"))
         assert instance.origins() == ["r0"]
         cheap = Route(path=Path(("a",)), source=RouteSource.OSPF, igp_cost=1)
         costly = Route(path=Path(("b",)), source=RouteSource.OSPF, igp_cost=9)
@@ -290,12 +288,7 @@ class TestOspfInstanceModel:
 
     def test_import_accumulates_cost(self):
         network = ospf_everywhere(linear_chain(3, link_weight=7), originate_roles=("router",), prefix_for={"r0": Prefix("10.0.0.0/24")})
-        instance = build_ospf_instance(network, Prefix("10.0.0.0/24"))
+        instance = OspfInstance(network, Prefix("10.0.0.0/24"))
         origin = instance.origin_route("r0")
         advertisement = instance.advertisement("r1", "r0", origin)
         assert advertisement.igp_cost == 7
-
-    def test_multipath_allowed(self):
-        network = ospf_everywhere(fat_tree(4))
-        instance = build_ospf_instance(network, Prefix("10.0.0.0/24"))
-        assert instance.multipath_allowed("core0")

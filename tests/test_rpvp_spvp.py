@@ -19,16 +19,16 @@ from repro.protocols import (
     Path,
     PathVectorInstance,
     Route,
+    OspfInstance,
     RpvpState,
-    build_ospf_instance,
     enabled_nodes,
-    is_converged,
     rpvp_successors,
 )
 from repro.modelcheck import ExplorationStatistics, Explorer, ExplorerOptions
-from repro.protocols.rpvp import forwarding_next_hops, initial_state, is_invalid, step_node
+from repro.protocols.rpvp import initial_state, is_invalid, step_node
 from repro.protocols.spvp import SpvpStepper
-from repro.topology import fat_tree, linear_chain, ring
+from repro.topology import fat_tree, ring
+from tests.helpers import buffer_of, forwarding_next_hops, linear_chain
 
 
 class GadgetInstance(PathVectorInstance):
@@ -183,7 +183,7 @@ class TestRpvpSemantics:
         instance = disagree_gadget()
         converged, stats = explore_all_converged(instance)
         assert converged and stats.terminal_states == len(converged)
-        assert all(is_converged(instance, state) for state in converged)
+        assert not any(enabled_nodes(instance, state) for state in converged)
 
     def test_raw_search_of_bad_gadget_ends_without_a_fixed_point(self):
         instance = bad_gadget()
@@ -286,7 +286,7 @@ class TestSpvp:
         assert converged.is_converged()
         flapped = SpvpStepper(instance).fail_session(converged, "o", "a")
         assert set(flapped.pending_channels()) == {("o", "a"), ("a", "o")}
-        assert flapped.buffer_of(("o", "a")) == flapped.buffer_of(("a", "o")) == (None,)
+        assert buffer_of(flapped, ("o", "a")) == buffer_of(flapped, ("a", "o")) == (None,)
 
 
 class TestRpvpOnRealProtocols:
@@ -296,7 +296,7 @@ class TestRpvpOnRealProtocols:
             originate_roles=("router",),
             prefix_for={"r0": Prefix("10.0.0.0/24")},
         )
-        instance = build_ospf_instance(network, Prefix("10.0.0.0/24"))
+        instance = OspfInstance(network, Prefix("10.0.0.0/24"))
         (state,), _stats = explore_all_converged(instance)
         table = instance.routing_table()
         for node in ("r1", "r2", "r3"):
@@ -310,7 +310,7 @@ class TestRpvpOnRealProtocols:
             originate_roles=("router",),
             prefix_for={"r0": Prefix("10.9.0.0/24")},
         )
-        instance = build_ospf_instance(network, Prefix("10.9.0.0/24"))
+        instance = OspfInstance(network, Prefix("10.9.0.0/24"))
         converged, _stats = explore_all_converged(instance)
         table = instance.routing_table()
         # An even ring has two equal-cost ways to the far node: one

@@ -5,11 +5,12 @@ import pytest
 from repro import Plankton, PlanktonOptions
 from repro.cli import EXIT_HOLDS, EXIT_VIOLATION, main as cli_main
 from repro.config import ospf_everywhere
-from repro.config.builder import add_static_route, edge_prefix
+from repro.config.builder import edge_prefix
 from repro.exceptions import PolicyError
 from repro.netaddr import Prefix
 from repro.policies import Segmentation
-from repro.topology import fat_tree, linear_chain
+from repro.topology import fat_tree
+from tests.helpers import add_static_route, linear_chain
 
 
 class TestConstruction:

@@ -11,6 +11,7 @@ the queue, and every HTTP error path answers with a meaningful status.
 
 import http.client
 import json
+import re
 import threading
 import urllib.error
 import urllib.parse
@@ -135,6 +136,11 @@ def server():
 @pytest.fixture
 def client(server):
     return ServiceClient(server.url)
+
+
+def get(client, path):
+    """``GET path`` through the client's transport (its error handling included)."""
+    return client._request("GET", path)
 
 
 class TestEndToEnd:
@@ -333,7 +339,7 @@ class TestAdmissionControl:
             with pytest.raises(ServiceError) as excinfo:
                 client.push("stall", VERIFY_PAYLOAD)
             assert "full" in str(excinfo.value)
-            assert client.metrics()["jobs_rejected"] == 1
+            assert get(client, "/metrics")["jobs_rejected"] == 1
             # The queued (never-executed) job still reports as queued.
             assert client.job(first["job"])["state"] == "queued"
         finally:
@@ -398,16 +404,35 @@ class TestHttpErrors:
         with pytest.raises(ServiceError, match="unknown push field"):
             client.push("keys", dict(VERIFY_PAYLOAD, fail_session="o,m"))
 
-    def test_the_ablation_switch_is_not_an_option_field(self, client):
-        """The §4 ablations are a library call: ``no_optimizations`` fails
-        the job as an unknown option field instead of running unoptimised."""
-        document = client.run(
-            "ablation",
-            dict(VERIFY_PAYLOAD, options={"max_failures": 1, "no_optimizations": True}),
-            timeout=120,
-        )
-        assert document["state"] == "failed"
-        assert "unknown option field(s): no_optimizations" in document["error"]
+    @pytest.mark.parametrize(
+        "kind, field, value, message",
+        [
+            # The §4 ablations are a library call, not an option field.
+            ("verify", "options", {"no_optimizations": True},
+             "unknown option field(s): no_optimizations"),
+            ("verify", "policies", [{"policy": "no-such-policy"}], "unknown policy"),
+            ("verify", "policies", [{"policy": "reachability", "sources": ["zz"]}],
+             "unknown device 'zz'"),
+            ("transient", "options", {"cores": 0}, "bad options spec"),
+            ("transient", "transient", {"por": "bogus"}, "bad transient options"),
+        ],
+        ids=["ablation-switch", "unknown-policy", "unknown-source", "transient-cores",
+             "transient-por"],
+    )
+    def test_a_spec_its_job_would_refuse_is_400_and_queues_nothing(
+        self, server, client, kind, field, value, message
+    ):
+        """Options and, on a push that carries its network, policies are
+        checked when the push arrives: a job that could only fail is never
+        queued."""
+        payload = {"kind": kind, "topology": TOPOLOGY_TEXT, "config": CONFIG_TEXT,
+                   "policies": [POLICY_SPEC], field: value}
+        if kind == "transient":
+            del payload["policies"]
+        submitted = get(client, "/metrics")["jobs_submitted"]
+        with pytest.raises(ServiceError, match=re.escape(message)):
+            client.push(f"refused-{kind}-{field}", payload)
+        assert get(client, "/metrics")["jobs_submitted"] == submitted
 
     def test_malformed_json_body_is_400(self, server):
         request = urllib.request.Request(
@@ -460,20 +485,6 @@ class TestHttpErrors:
         status, _, _ = self._post_declaring(server, len(body) + 1)
         assert status == 413
 
-    def test_bad_spec_fails_the_job_not_the_push(self, client):
-        document = client.run(
-            "badspec",
-            {
-                "kind": "verify",
-                "topology": TOPOLOGY_TEXT,
-                "config": CONFIG_TEXT,
-                "policies": [{"policy": "no-such-policy"}],
-            },
-            timeout=120,
-        )
-        assert document["state"] == "failed"
-        assert "unknown policy" in document["error"]
-
     @pytest.mark.parametrize(
         "options, named",
         [
@@ -484,13 +495,12 @@ class TestHttpErrors:
             ({"task_timeout": 0}, "task_timeout"),
         ],
     )
-    def test_nonsense_options_fail_the_job_instead_of_running_another(
-        self, client, options, named
-    ):
-        document = client.run("badoptions", dict(VERIFY_PAYLOAD, options=options), timeout=120)
-        assert document["state"] == "failed"
-        assert "bad options spec" in document["error"] and named in document["error"]
-        assert document.get("result") is None
+    def test_nonsense_options_are_refused_at_the_push(self, client, options, named):
+        submitted = get(client, "/metrics")["jobs_submitted"]
+        with pytest.raises(ServiceError, match="bad options spec") as excinfo:
+            client.push("badoptions", dict(VERIFY_PAYLOAD, options=options))
+        assert named in str(excinfo.value)
+        assert get(client, "/metrics")["jobs_submitted"] == submitted
 
     @pytest.mark.parametrize(
         "section, key",
@@ -518,7 +528,7 @@ class TestHttpErrors:
             payload[key] = True
         else:
             payload[section] = dict(payload[section], **{key: True})
-        submitted = client.metrics()["jobs_submitted"]
+        submitted = get(client, "/metrics")["jobs_submitted"]
         request = urllib.request.Request(
             server.url + f"/v1/namespaces/{namespace}/push",
             data=json.dumps(payload).encode("utf-8"),
@@ -528,7 +538,7 @@ class TestHttpErrors:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
         assert key in json.loads(excinfo.value.read())["error"]
-        assert client.metrics()["jobs_submitted"] == submitted
+        assert get(client, "/metrics")["jobs_submitted"] == submitted
         with pytest.raises(ServiceError, match="unknown namespace"):
             client.namespace(namespace)
 
@@ -551,7 +561,7 @@ class TestHttpErrors:
             "transient": {"max_states": 100},
             field: value,
         }
-        submitted = client.metrics()["jobs_submitted"]
+        submitted = get(client, "/metrics")["jobs_submitted"]
         request = urllib.request.Request(
             server.url + f"/v1/namespaces/{namespace}/push",
             data=json.dumps(payload).encode("utf-8"),
@@ -561,7 +571,7 @@ class TestHttpErrors:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
         assert "do not peer over BGP" in json.loads(excinfo.value.read())["error"]
-        assert client.metrics()["jobs_submitted"] == submitted
+        assert get(client, "/metrics")["jobs_submitted"] == submitted
 
     def test_a_session_event_on_a_run_only_push_fails_the_job(self, client):
         """A push without its topology is checked against the session's
@@ -588,11 +598,11 @@ class TestHttpErrors:
 class TestMetricsAndHealth:
     def test_health_and_metrics_shape(self, client):
         client.run("metrics-ns", VERIFY_PAYLOAD, timeout=120)
-        health = client.health()
+        health = get(client, "/v1/health")
         assert health["status"] == "ok"
         assert health["uptime_seconds"] >= 0
 
-        metrics = client.metrics()
+        metrics = get(client, "/metrics")
         assert metrics["jobs_submitted"] >= 1
         counters = metrics["namespaces"]["metrics-ns"]
         assert counters["pushes"] == 1
@@ -600,7 +610,7 @@ class TestMetricsAndHealth:
         assert counters["pecs_recomputed"] == 2
         assert counters["states_explored"] > 0
         assert counters["wall_clock_seconds"] > 0
-        assert "metrics-ns" in client.namespaces()
+        assert "metrics-ns" in get(client, "/v1/namespaces")["namespaces"]
 
 
 class TestCachePersistence:

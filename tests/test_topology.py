@@ -14,12 +14,18 @@ from repro.topology import (
     enumerate_failure_scenarios,
     fat_tree,
     fat_tree_device_count,
-    full_mesh,
-    grid,
-    linear_chain,
     reduced_failure_scenarios,
     ring,
     rocketfuel_like,
+)
+from tests.helpers import (
+    copy_topology,
+    full_mesh,
+    grid,
+    induced_subgraph,
+    is_connected,
+    linear_chain,
+    shortest_path_lengths,
 )
 
 
@@ -70,21 +76,21 @@ class TestTopologyGraph:
 
     def test_connectivity(self):
         topo = linear_chain(4)
-        assert topo.is_connected()
+        assert is_connected(topo)
         middle = topo.find_link("r1", "r2")
-        assert not topo.is_connected(failed_links={middle.link_id})
+        assert not is_connected(topo, failed_links={middle.link_id})
 
     def test_shortest_path_lengths(self):
         topo = ring(6, link_weight=2)
-        lengths = topo.shortest_path_lengths("r0")
+        lengths = shortest_path_lengths(topo, "r0")
         assert lengths["r3"] == 6  # halfway around a 6-ring with weight 2
 
     def test_copy_and_subgraph(self):
         topo = grid(2, 3)
-        clone = topo.copy()
-        assert len(clone) == len(topo) and clone.link_count == topo.link_count
-        sub = topo.induced_subgraph(["g0_0", "g0_1"])
-        assert len(sub) == 2 and sub.link_count == 1
+        clone = copy_topology(topo)
+        assert len(clone) == len(topo) and len(clone.links) == len(topo.links)
+        sub = induced_subgraph(topo, ["g0_0", "g0_1"])
+        assert len(sub) == 2 and len(sub.links) == 1
 
 
 class TestGenerators:
@@ -112,20 +118,20 @@ class TestGenerators:
         assert len(set(edge_asns)) == len(edge_asns)  # one AS per rack
 
     def test_ring_and_chain_and_mesh(self):
-        assert ring(5).link_count == 5
-        assert linear_chain(5).link_count == 4
-        assert full_mesh(5).link_count == 10
+        assert len(ring(5).links) == 5
+        assert len(linear_chain(5).links) == 4
+        assert len(full_mesh(5).links) == 10
 
     def test_grid(self):
         topo = grid(3, 4)
         assert len(topo) == 12
-        assert topo.link_count == 3 * 3 + 2 * 4
+        assert len(topo.links) == 3 * 3 + 2 * 4
 
     def test_rocketfuel_like_sizes(self):
         for as_name, size in ROCKETFUEL_SIZES.items():
             topo = rocketfuel_like(as_name, size=min(size, 60), seed=1)
             assert len(topo) == min(size, 60)
-            assert topo.is_connected()
+            assert is_connected(topo)
 
     def test_rocketfuel_like_deterministic(self):
         a = rocketfuel_like("AS1221", size=40, seed=9)
@@ -139,7 +145,7 @@ class TestGenerators:
     def test_enterprise_like(self):
         topo = enterprise_like("II", devices=30, recursive_routing=True)
         assert len(topo) == 30
-        assert topo.is_connected()
+        assert is_connected(topo)
         assert any(topo.node(n).loopback is not None for n in topo.nodes_by_role("core"))
 
 

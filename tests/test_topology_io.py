@@ -13,9 +13,7 @@ from repro.topology import (
     load_topology,
     parse_topology,
     ring,
-    save_topology,
     topology_from_dict,
-    topology_to_dict,
 )
 
 
@@ -31,6 +29,23 @@ link core0 dist0 weight 5 weight-back 10
 link core1 dist1 weight 5
 link dist0 dist1 weight 20
 """
+
+#: SAMPLE_TEXT's JSON form, as a push to ``repro serve`` carries it.
+SAMPLE_DOCUMENT = {
+    "name": "campus",
+    "nodes": [
+        {"name": "core0", "role": "core", "loopback": "10.255.0.1/32"},
+        {"name": "core1", "role": "core", "loopback": "10.255.0.2/32"},
+        {"name": "dist0", "role": "distribution", "attributes": {"asn": 65010}},
+        {"name": "dist1", "role": "distribution"},
+    ],
+    "links": [
+        {"a": "core0", "b": "core1", "weight": 1},
+        {"a": "core0", "b": "dist0", "weight": 5, "weight_back": 10},
+        {"a": "core1", "b": "dist1", "weight": 5},
+        {"a": "dist0", "b": "dist1", "weight": 20},
+    ],
+}
 
 
 class TestParseTopology:
@@ -53,7 +68,7 @@ class TestParseTopology:
 
     def test_parses_links_and_asymmetric_weights(self):
         topo = parse_topology(SAMPLE_TEXT)
-        assert topo.link_count == 4
+        assert len(topo.links) == 4
         link = topo.find_link("core0", "dist0")
         assert link.weight_from("core0") == 5
         assert link.weight_from("dist0") == 10
@@ -89,7 +104,7 @@ class TestRoundTrips:
         original = parse_topology(SAMPLE_TEXT)
         rebuilt = parse_topology(format_topology(original))
         assert rebuilt.nodes == original.nodes
-        assert rebuilt.link_count == original.link_count
+        assert len(rebuilt.links) == len(original.links)
         for name in original.nodes:
             assert rebuilt.node(name).role == original.node(name).role
             assert rebuilt.node(name).loopback == original.node(name).loopback
@@ -98,46 +113,38 @@ class TestRoundTrips:
             assert before.weight_ab == after.weight_ab
             assert before.weight_ba == after.weight_ba
 
-    def test_dict_round_trip_preserves_structure(self):
+    def test_dict_form_builds_the_topology(self):
         original = parse_topology(SAMPLE_TEXT)
-        rebuilt = topology_from_dict(topology_to_dict(original))
+        rebuilt = topology_from_dict(SAMPLE_DOCUMENT)
         assert rebuilt.nodes == original.nodes
-        assert rebuilt.link_count == original.link_count
+        assert len(rebuilt.links) == len(original.links)
         assert rebuilt.node("dist0").attributes["asn"] == 65010
+        assert rebuilt.node("core0").loopback == original.node("core0").loopback
+        for before, after in zip(original.links, rebuilt.links):
+            assert (before.a, before.b, before.weight_ab, before.weight_ba) == (
+                after.a, after.b, after.weight_ab, after.weight_ba)
 
     def test_generated_topologies_round_trip(self):
         for topo in (fat_tree(4), ring(6)):
             rebuilt = parse_topology(format_topology(topo))
             assert rebuilt.nodes == topo.nodes
-            assert rebuilt.link_count == topo.link_count
-
-    def test_dict_form_is_json_serialisable(self):
-        document = topology_to_dict(fat_tree(4))
-        text = json.dumps(document)
-        assert "edge0_0" in text
+            assert len(rebuilt.links) == len(topo.links)
 
 
 class TestFiles:
-    def test_save_and_load_text_file(self, tmp_path):
+    def test_load_text_file(self, tmp_path):
         path = tmp_path / "net.topo"
-        save_topology(parse_topology(SAMPLE_TEXT), path)
+        path.write_text(format_topology(parse_topology(SAMPLE_TEXT)))
         loaded = load_topology(path)
         assert loaded.name == "campus"
-        assert loaded.link_count == 4
+        assert len(loaded.links) == 4
 
-    def test_save_and_load_json_file(self, tmp_path):
+    def test_load_json_file(self, tmp_path):
         path = tmp_path / "net.json"
-        save_topology(parse_topology(SAMPLE_TEXT), path)
+        path.write_text(json.dumps(SAMPLE_DOCUMENT))
         loaded = load_topology(path)
         assert loaded.name == "campus"
         assert loaded.node("core0").loopback == Prefix("10.255.0.1/32")
-
-    def test_json_file_contains_valid_json(self, tmp_path):
-        path = tmp_path / "net.json"
-        save_topology(ring(4), path)
-        document = json.loads(path.read_text())
-        assert len(document["nodes"]) == 4
-        assert len(document["links"]) == 4
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

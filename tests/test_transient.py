@@ -14,7 +14,6 @@ from repro.pec.classes import compute_pecs
 from repro.protocols.base import EPSILON, Path, Route
 from repro.topology import bgp_fat_tree
 from repro.transient import (
-    AlwaysReaches,
     Converge,
     FailSession,
     TransientAnalyzer,
@@ -33,6 +32,7 @@ from tests.test_rpvp_spvp import (
     explore_all_converged,
     good_gadget,
 )
+from tests.helpers import verdict_signature
 
 
 def flap_loop_gadget() -> GadgetInstance:
@@ -127,10 +127,6 @@ class TestTransientProperties:
             is None
         )
 
-    def test_always_reaches_requires_sources(self):
-        with pytest.raises(ValueError):
-            AlwaysReaches([])
-
 
 # --------------------------------------------------------------------------- exploration
 class TestTransientAnalyzer:
@@ -170,10 +166,6 @@ class TestTransientAnalyzer:
         result = analyzer.analyze([ConvergedOnlyLoops()])
         assert result.holds
         assert result.converged_states >= 1  # DISAGREE's stable states are loop-free
-
-    def test_always_reaches_is_violated_before_convergence(self):
-        result = TransientAnalyzer(good_gadget()).analyze([AlwaysReaches(["a"])])
-        assert not result.holds  # initially a has no route at all
 
     def test_bad_gadget_truncates_instead_of_diverging(self):
         result = TransientAnalyzer(bad_gadget(), max_states=200, max_depth=30).analyze(
@@ -332,9 +324,9 @@ class TestPartialOrderReduction:
                 **budget,
             ).analyze(self.PROPERTIES())
         assert (
-            results["full"].verdict_signature()
-            == results["sleep"].verdict_signature()
-            == results["ample"].verdict_signature()
+            verdict_signature(results["full"])
+            == verdict_signature(results["sleep"])
+            == verdict_signature(results["ample"])
         )
 
     def test_ample_explores_fewer_states_on_good_gadget(self):
@@ -345,7 +337,7 @@ class TestPartialOrderReduction:
             good_gadget(), stop_at_first_violation=False, collect_converged=True, por="ample"
         ).analyze(self.PROPERTIES())
         assert ample.states_explored < full.states_explored
-        assert ample.verdict_signature() == full.verdict_signature()
+        assert verdict_signature(ample) == verdict_signature(full)
         assert ample.reduction is not None
         assert ample.reduction.mode == "ample"
         assert ample.reduction.transitions_expanded < ample.reduction.transitions_enabled
@@ -387,15 +379,13 @@ class TestPartialOrderReduction:
         with pytest.raises(ValueError):
             TransientOptions(por="bogus")
 
-    def test_summary_and_render_report_truncation_and_reduction(self):
+    def test_summary_reports_truncation_and_reduction(self):
         result = TransientAnalyzer(
             good_gadget(), stop_at_first_violation=False, por="ample"
         ).analyze(self.PROPERTIES())
         text = result.summary()
         assert "at state budget: no" in text
         assert "por ample" in text
-        rendered = result.render()
-        assert "reduction[ample]" in rendered
         truncated = TransientAnalyzer(
             good_gadget(), max_states=10, stop_at_first_violation=False, por="full"
         ).analyze(self.PROPERTIES())
@@ -492,7 +482,7 @@ class TestSessionFlapTransients:
                 collect_converged=True,
                 por=por,
             ).analyze(self.PROPERTIES(), initial_events=events)
-            verdicts[por] = result.verdict_signature()
+            verdicts[por] = verdict_signature(result)
         assert verdicts["full"] == verdicts["sleep"] == verdicts["ample"]
 
     def test_flap_witness_includes_the_withdrawal_deliveries(self):

@@ -51,9 +51,40 @@ class TestPrefixAlgebra:
         expected = outer.first <= inner.first and inner.last <= outer.last
         assert outer.contains_prefix(inner) == expected
 
+    @given(prefixes, prefixes)
+    @settings(max_examples=200)
+    def test_overlap_is_symmetric_and_matches_intervals(self, left, right):
+        expected = not (left.last < right.first or right.last < left.first)
+        overlap = left.to_range().overlaps(right.to_range())
+        assert overlap == expected
+        assert right.to_range().overlaps(left.to_range()) == overlap
+        # Two prefixes overlap exactly when one contains the other.
+        assert overlap == (left.contains_prefix(right) or right.contains_prefix(left))
+
     @given(prefixes)
     def test_containment_is_reflexive(self, prefix):
         assert prefix.contains_prefix(prefix)
+
+    @given(st.integers(0, MAX_IPV4), st.integers(0, 31))
+    def test_subnets_partition_the_parent(self, network, length):
+        parent = aligned_prefix(network, length)
+        left = Prefix(parent.network, length + 1)
+        right = Prefix(parent.network | (1 << (31 - length)), length + 1)
+        assert left.first == parent.first
+        assert right.last == parent.last
+        assert left.last + 1 == right.first
+        assert parent.contains_prefix(left) and parent.contains_prefix(right)
+        assert not left.contains_prefix(parent)
+
+    @given(prefixes)
+    def test_to_range_spans_first_to_last(self, prefix):
+        covered = prefix.to_range()
+        assert (covered.low, covered.high) == (prefix.first, prefix.last)
+
+    @given(prefixes, prefixes)
+    def test_order_is_network_then_length(self, left, right):
+        assert (left < right) == ((left.network, left.length) < (right.network, right.length))
+        assert (left == right) == (hash(left) == hash(right) and str(left) == str(right))
 
     @given(prefixes, prefixes)
     def test_string_form_parses_back_to_the_same_prefix(self, prefix, _other):

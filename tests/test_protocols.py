@@ -13,6 +13,7 @@ from repro.config.objects import (
     SetActions,
     StaticRoute,
 )
+from repro.exceptions import ProtocolError
 from repro.netaddr import Prefix
 from repro.protocols import (
     EPSILON,
@@ -26,7 +27,7 @@ from repro.protocols import (
 )
 from repro.protocols.filters import apply_route_map, maximum_local_pref
 from repro.topology import fat_tree, ring
-from tests.helpers import add_entry, linear_chain
+from tests.helpers import add_entry, add_static_route, linear_chain
 
 
 class TestPath:
@@ -285,6 +286,34 @@ class TestOspfInstanceModel:
         cheap = Route(path=Path(("a",)), source=RouteSource.OSPF, igp_cost=1)
         costly = Route(path=Path(("b",)), source=RouteSource.OSPF, igp_cost=9)
         assert instance.rank("r1", cheap) < instance.rank("r1", costly)
+
+    def test_a_covering_prefix_does_not_make_an_origin(self):
+        # r0 advertises 10.0.0.0/8, r2 the more specific 10.1.0.0/16: each is
+        # the one origin of its own prefix (longest-prefix match picks r2's
+        # route wherever both are known).
+        network = ospf_everywhere(
+            linear_chain(3),
+            originate_roles=(),
+            prefix_for={"r0": Prefix("10.0.0.0/8"), "r2": Prefix("10.1.0.0/16")},
+        )
+        assert OspfInstance(network, Prefix("10.1.0.0/16")).origins() == ["r2"]
+        assert OspfInstance(network, Prefix("10.0.0.0/8")).origins() == ["r0"]
+
+    def test_redistributed_statics_originate_only_their_own_prefix(self):
+        network = ospf_everywhere(linear_chain(3), originate_roles=())
+        network.device("r1").ospf.redistribute_static = True
+        add_static_route(network, "r1", Prefix("10.0.0.0/8"), drop=True)
+        add_static_route(network, "r1", Prefix("10.9.0.0/16"), drop=True)
+        assert OspfInstance(network, Prefix("10.9.0.0/16")).origins() == ["r1"]
+        assert OspfInstance(network, Prefix("10.0.0.0/8")).origins() == ["r1"]
+        assert OspfInstance(network, Prefix("10.5.0.0/16")).origins() == []
+
+    def test_only_an_origin_injects_a_route(self):
+        network = ospf_everywhere(linear_chain(3), originate_roles=("router",), prefix_for={"r0": Prefix("10.0.0.0/24")})
+        instance = OspfInstance(network, Prefix("10.0.0.0/24"))
+        assert instance.origin_route("r0").igp_cost == 0
+        with pytest.raises(ProtocolError):
+            instance.origin_route("r1")
 
     def test_import_accumulates_cost(self):
         network = ospf_everywhere(linear_chain(3, link_weight=7), originate_roles=("router",), prefix_for={"r0": Prefix("10.0.0.0/24")})

@@ -32,7 +32,7 @@ from tests.test_rpvp_spvp import (
     explore_all_converged,
     good_gadget,
 )
-from tests.helpers import verdict_signature
+from tests.helpers import AlwaysReaches, verdict_signature
 
 
 def flap_loop_gadget() -> GadgetInstance:
@@ -166,6 +166,12 @@ class TestTransientAnalyzer:
         result = analyzer.analyze([ConvergedOnlyLoops()])
         assert result.holds
         assert result.converged_states >= 1  # DISAGREE's stable states are loop-free
+
+    def test_always_reaches_is_violated_before_convergence(self):
+        # A property defined outside the package plugs into the same search.
+        result = TransientAnalyzer(good_gadget()).analyze([AlwaysReaches(["a"])])
+        assert not result.holds  # initially a has no route at all
+        assert result.violations[0].property_name == "always-reaches"
 
     def test_bad_gadget_truncates_instead_of_diverging(self):
         result = TransientAnalyzer(bad_gadget(), max_states=200, max_depth=30).analyze(

@@ -221,8 +221,12 @@ def campus_commands(work: Path, server: str = "") -> List[List[str]]:
     topo = str(ROOT / "examples" / "configs" / "campus.topo")
     cfg = str(ROOT / "examples" / "configs" / "campus.cfg")
     edited = work / "edited.cfg"
-    edited.write_text(Path(cfg).read_text().replace(
-        "    network 10.2.0.0/24\n", "    network 10.2.0.0/24\n    network 10.3.0.0/24\n", 1))
+    lines = []
+    for line in Path(cfg).read_text().splitlines(keepends=True):
+        lines.append(line)
+        if "network 10.2.0.0/24" in line:  # CI's sed: advertise one more subnet
+            lines.append("    network 10.3.0.0/24\n")
+    edited.write_text("".join(lines))
     repro = [sys.executable, "-m", "repro"]
     net = ["--topology", topo, "--config", cfg]
     if server:

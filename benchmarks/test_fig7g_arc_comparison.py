@@ -13,7 +13,6 @@ import pytest
 
 from repro import Plankton, PlanktonOptions
 from repro.config import ospf_everywhere
-from repro.config.builder import edge_prefix
 from repro.policies import Reachability
 from repro.topology import fat_tree, rocketfuel_like
 from tests.oracles.arc import ArcVerifier

@@ -16,7 +16,7 @@ benchmarks, tests and examples all share one implementation.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.exceptions import ConfigError
 from repro.netaddr import Prefix

@@ -10,7 +10,7 @@ of the protocol models (paper §3.4, Appendix A) are inferred.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.exceptions import ConfigError
 from repro.netaddr import Prefix

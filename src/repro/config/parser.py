@@ -37,7 +37,7 @@ accepted with a warning: the model keeps one best path per node (paper §6).
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.exceptions import ConfigParseError
 from repro.netaddr import Prefix
@@ -45,7 +45,6 @@ from repro.config.objects import (
     BgpConfig,
     BgpNeighbor,
     DeviceConfig,
-    MatchConditions,
     NetworkConfig,
     OspfConfig,
     OspfInterface,
@@ -53,7 +52,6 @@ from repro.config.objects import (
     PrefixListEntry,
     RouteMap,
     RouteMapClause,
-    SetActions,
     StaticRoute,
 )
 from repro.topology import Topology

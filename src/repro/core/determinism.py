@@ -27,7 +27,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.modelcheck.por.independence import node_independence_groups
-from repro.protocols.base import EPSILON, PathVectorInstance, Route, RouteSource
+from repro.protocols.base import PathVectorInstance, Route
 from repro.protocols.bgp import BgpInstance
 from repro.protocols.filters import maximum_local_pref
 from repro.protocols.interning import node_space_for

@@ -571,6 +571,9 @@ class PecExplorer:
             reduction.observe_expansion(
                 enabled=enabled_count, expanded=len(moves), reduced=len(moves) < enabled_count
             )
+            if len(moves) == 1:
+                # The only child derives its sets by editing these, not a copy.
+                cache.handed_down = True
             return [
                 (
                     RpvpTransition(node=node, new_route=route, from_peer=peer),

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional
 
 from repro.modelcheck.explorer import COMPLETE, ExplorationStatistics
 from repro.modelcheck.trail import Trail, document
-from repro.pec.classes import PacketEquivalenceClass
 from repro.topology.failures import FailureScenario
 
 

@@ -27,6 +27,14 @@ is expanded (the parent was expanded first), so a step costs
 deg(n) + readers(n) memo look-ups instead of the sum of the degrees of the
 affected nodes, let alone O(E).
 
+A search step with a single successor — every step of a deterministic
+OSPF execution — *hands its sets down*: the successor relation marks them
+(``CandidateSets.handed_down``), and the child's ``_derive`` takes the
+parent's two dicts over instead of copying them, dropping them from the
+parent, so that a later read of the parent computes its sets afresh and never
+sees the child's edits.  A state with several successors keeps its own dicts,
+so that siblings never see each other's.
+
 Advertisements are ranked when an edge memo is filled and interned only when
 a move adopts one (``RpvpState.with_best``): most candidates never enter a
 state, and hashing a route is the expensive part of interning it.
@@ -84,11 +92,15 @@ class CandidateSets:
         enabled_count: The number of enabled updates, i.e. the summed length
             of the candidate lists.
 
-    A derived state's sets share candidate lists with its parent's: nothing
-    here is mutated once built.
+    A derived state's sets share candidate lists with its parent's: no list
+    is mutated once built.  Nor are the dicts, with one exception: sets whose
+    ``handed_down`` is set (by the successor relation, when the state has
+    exactly one successor) give their ``updates`` and ``best_rank`` to that
+    successor, which edits them into its own sets, and are dropped from their
+    state as they are taken.
     """
 
-    __slots__ = ("decided_pending", "updates", "best_rank", "enabled_count")
+    __slots__ = ("decided_pending", "updates", "best_rank", "enabled_count", "handed_down")
 
     def __init__(
         self,
@@ -101,6 +113,7 @@ class CandidateSets:
         self.updates = updates
         self.best_rank = best_rank
         self.enabled_count = enabled_count
+        self.handed_down = False
 
 
 class _Rows:
@@ -157,7 +170,7 @@ class _Rows:
 def _forget_fill(host: Dict[str, Any]) -> None:
     """Empty what a search filled into a shared host: every per-edge memo
     down to its id-0 entry, and the instance's own id-keyed by-products
-    (``adv_route``, where it publishes one).
+    (``adv_entry``, where it publishes one).
 
     In place and never while a memo is being read, so an engine that is
     still alive only misses and evaluates again.
@@ -166,7 +179,7 @@ def _forget_fill(host: Dict[str, Any]) -> None:
         silent = memo[0]
         memo.clear()
         memo[0] = silent
-    by_products = host.get("adv_route")
+    by_products = host.get("adv_entry")
     if by_products:
         by_products.clear()
 
@@ -201,9 +214,11 @@ class CandidateEngine:
         self._table = self._space.table
         self._names = self._space.names
         # The memos already guarantee one evaluation per (edge, route id), so
-        # prefer an instance hook that takes the id — the route-keyed memo
-        # underneath ``advertisement`` would only hash routes.
-        self._advertise_id = getattr(instance, "advertisement_by_id", None)
+        # prefer an instance hook that takes the id and returns the memo entry
+        # itself — the route-keyed memo underneath ``advertisement`` would
+        # only hash routes, and a ranked pair built here would be one more
+        # allocation per miss.
+        self._entry_of_id = getattr(instance, "advertised_entry", None)
         self._advertise = instance.advertisement
         self._rank_fn = instance.rank
         # OSPF instances publish the host of their failure scenario, so its
@@ -290,14 +305,14 @@ class CandidateEngine:
         """Fill one per-edge memo entry (the only cold path of the engine):
         what ``peer`` advertises to ``node`` while its best route is the one
         interned as ``peer_best_id``, and its rank there."""
-        if self._advertise_id is not None:
-            advertisement = self._advertise_id(node, peer, peer_best_id)
+        if self._entry_of_id is not None:
+            entry = self._entry_of_id(node, peer, peer_best_id)
         else:
             advertisement = self._advertise(node, peer, self._table.route(peer_best_id))
-        if advertisement is None:
-            entry = _SILENT
-        else:
-            entry = (advertisement, self._rank_fn(node, advertisement))
+            if advertisement is None:
+                entry = _SILENT
+            else:
+                entry = (advertisement, self._rank_fn(node, advertisement))
         memo[peer_best_id] = entry
         return entry
 
@@ -317,7 +332,12 @@ class CandidateEngine:
         parent = state.parent
         delta = state.delta
         if parent is not None and parent._engine_token is self:
-            cache = self._derive(state, parent._engine_cache, delta)
+            parent_cache = parent._engine_cache
+            if parent_cache.handed_down:
+                # Its only successor takes the dicts over: a later read of
+                # the parent computes its sets again.
+                parent._engine_token = parent._engine_cache = None
+            cache = self._derive(state, parent_cache, delta)
         else:
             cache = self._full_scan(state)
         state._engine_token = self
@@ -340,13 +360,18 @@ class CandidateEngine:
         delta: Tuple[Tuple[int, int, int], ...],
     ) -> CandidateSets:
         """The candidate sets of a state one ``with_best`` away from a state
-        whose sets are ``parent_cache`` (see the module docstring)."""
+        whose sets are ``parent_cache`` (see the module docstring); sets
+        handed down are edited in place."""
         ((slot, old_id, new_id),) = delta
         ids = state._ids
         node = self._names[slot]
         pending = parent_cache.decided_pending
-        updates = dict(parent_cache.updates)
-        best_rank = dict(parent_cache.best_rank)
+        if parent_cache.handed_down:
+            updates = parent_cache.updates
+            best_rank = parent_cache.best_rank
+        else:
+            updates = dict(parent_cache.updates)
+            best_rank = dict(parent_cache.best_rank)
         enabled_count = parent_cache.enabled_count
         newly_pending: List[str] = []
         # Slots whose contribution is recomputed over all their sessions: the

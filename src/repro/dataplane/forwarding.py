@@ -10,8 +10,8 @@ exploring every next-hop branch.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.dataplane.fib import DataPlane, Fib
 

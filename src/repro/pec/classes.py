@@ -11,7 +11,7 @@ longest-prefix-match forwarding).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.config.objects import NetworkConfig

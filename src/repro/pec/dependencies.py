@@ -21,7 +21,7 @@ SCCs it depends on have produced their converged states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.config.objects import NetworkConfig
 from repro.exceptions import SchedulingError

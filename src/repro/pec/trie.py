@@ -11,7 +11,7 @@ each prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.netaddr import AddressRange, Prefix
 

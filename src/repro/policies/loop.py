@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.dataplane.forwarding import find_cycle
 from repro.netaddr import Prefix

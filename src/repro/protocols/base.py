@@ -22,7 +22,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
 
 class Path(tuple):

@@ -40,7 +40,7 @@ from repro.config.objects import (
 )
 from repro.exceptions import ProtocolError
 from repro.netaddr import Prefix
-from repro.protocols.base import EPSILON, Path, PathVectorInstance, Route, RouteSource
+from repro.protocols.base import EPSILON, PathVectorInstance, Route, RouteSource
 from repro.protocols.filters import apply_route_map
 from repro.protocols.interning import node_space_for
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.config.objects import DeviceConfig, RouteMap, RouteMapClause
+from repro.config.objects import DeviceConfig, RouteMapClause
 from repro.netaddr import Prefix
 from repro.protocols.base import Route
 

@@ -653,11 +653,12 @@ class OspfComputation:
                 # with what is prefix-independent: the adjacency rows the
                 # first engine compiles and, per edge, what a routeless peer
                 # advertises.  What a search fills in — the id-keyed per-edge
-                # memos, and ``adv_route``, the one advertisement per
-                # (speaker, held route id, edge cost) that OspfInstance hands
-                # all its readers — is emptied when a search over another
-                # origin set attaches (see CandidateEngine).
-                "engine": {"adv_route": {}},
+                # memos, and ``adv_entry``, the one (advertisement, rank)
+                # entry per (speaker, held route id, edge cost) that
+                # OspfInstance hands all its readers — is emptied when a
+                # search over another origin set attaches (see
+                # CandidateEngine).
+                "engine": {"adv_entry": {}},
             }
             self._filter_caches[failure_key] = caches
         return caches

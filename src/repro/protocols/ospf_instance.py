@@ -23,12 +23,15 @@ from typing import Optional, Sequence, Set, Tuple
 from repro.config.objects import NetworkConfig
 from repro.exceptions import ConfigError, ProtocolError
 from repro.netaddr import Prefix
-from repro.protocols.base import EPSILON, Path, PathVectorInstance, Route, RouteSource
+from repro.protocols.base import EPSILON, PathVectorInstance, Route, RouteSource
 from repro.protocols.interning import node_space_for
 from repro.protocols.ospf import INFINITY, OspfComputation
 
 #: Distinct-from-None sentinel for memo lookups whose value may be None.
 _MISSING = object()
+
+#: The entry of a session that carries nothing: no advertisement, no rank.
+_SILENT: Tuple[None, None] = (None, None)
 
 
 class OspfInstance(PathVectorInstance):
@@ -77,7 +80,7 @@ class OspfInstance(PathVectorInstance):
         self._peers = shared["peers"]
         self._edge_costs = shared["edge_cost"]
         self._engine_host = shared["engine"]
-        self._shared_routes = self._engine_host["adv_route"]
+        self._shared_entries = self._engine_host["adv_entry"]
         # The id-keyed memos are only meaningful against one intern table.
         # The node space is memoised weakly, so without a strong anchor it
         # would be collected between per-PEC explorations and rebuilt with
@@ -157,31 +160,34 @@ class OspfInstance(PathVectorInstance):
         cost = self._session_cost(importer, exporter, route)
         return None if cost is None else _advertised(exporter, route, cost)
 
-    def advertisement_by_id(
+    def advertised_entry(
         self, importer: str, exporter: str, route_id: int
-    ) -> Optional[Route]:
-        """:meth:`advertisement_direct` of the route interned as ``route_id``.
+    ) -> Tuple[Optional[Route], Optional[Tuple]]:
+        """The RPVP candidate engine's memo entry for the route interned as
+        ``route_id``: (:meth:`advertisement_direct` of it, its :meth:`rank`),
+        or the silent entry ``(None, None)``.
 
-        What the RPVP candidate engine calls: its per-edge id memos already
-        guarantee one evaluation per (edge, route id), so a route-keyed memo
-        underneath would only add hashing.  An OSPF advertisement depends on
-        its reader only through the edge cost and the two checks of
-        :meth:`_session_cost`, so every reader at one cost is handed the same
-        :class:`Route`, built once per (speaker, held route id, edge cost) —
-        keyed on the id, never on the route — while each reader is checked on
-        its own.
+        The engine's per-edge id memos already guarantee one evaluation per
+        (edge, route id), so a route-keyed memo underneath would only add
+        hashing.  An OSPF advertisement depends on its reader only through the
+        edge cost and the two checks of :meth:`_session_cost`, and its rank not
+        at all, so every reader at one cost is handed the same pair, built
+        once per (speaker, held route id, edge cost) — keyed on the id, never
+        on the route — while each reader is checked on its own.  A miss that
+        finds its pair built leaves nothing new on the heap.
         """
         route = self._route_of_id(route_id)
         if route is None:
-            return None
+            return _SILENT
         cost = self._session_cost(importer, exporter, route)
         if cost is None:
-            return None
+            return _SILENT
         key = (exporter, route_id, cost)
-        shared = self._shared_routes.get(key)
-        if shared is None:
-            shared = self._shared_routes[key] = _advertised(exporter, route, cost)
-        return shared
+        entry = self._shared_entries.get(key)
+        if entry is None:
+            advertisement = _advertised(exporter, route, cost)
+            entry = self._shared_entries[key] = (advertisement, self.rank(importer, advertisement))
+        return entry
 
     def _session_cost(self, importer: str, exporter: str, route: Route) -> Optional[float]:
         """The cost ``importer`` adds to ``route`` heard from ``exporter``, or

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.exceptions import ProtocolError
-from repro.protocols.base import EPSILON, Path, PathVectorInstance, Route
+from repro.protocols.base import PathVectorInstance, Route
 from repro.protocols.interning import IdArrayState, node_space_for
 from repro.protocols.rpvp import RpvpState
 

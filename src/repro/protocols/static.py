@@ -10,11 +10,10 @@ real-world configurations of §5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.config.objects import NetworkConfig, StaticRoute
 from repro.netaddr import Prefix
-from repro.topology import Topology
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ reachable under any allowed combination of failures.  Two pieces live here:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import TopologyError
 from repro.modelcheck.trail import document

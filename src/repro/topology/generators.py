@@ -18,7 +18,7 @@ reproducible.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.exceptions import TopologyError
 from repro.netaddr import Prefix

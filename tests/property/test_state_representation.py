@@ -254,7 +254,12 @@ class TestIncrementalSuccessorEquivalence:
 # --------------------------------------------------------------------------- edge delta
 def _assert_derived_equals_full_scan(engine, state):
     """``engine.candidates(state)`` against the rescan of every node, field by field."""
-    derived = engine.candidates(state)
+    return _assert_equals_full_scan(engine, state, engine.candidates(state))
+
+
+def _assert_equals_full_scan(engine, state, derived):
+    """``derived``, the sets of ``state``, against the rescan of every node,
+    field by field."""
     scanned = CandidateEngine._full_scan(engine, state)
     assert derived.decided_pending == scanned.decided_pending
     assert sorted(derived.updates) == sorted(scanned.updates)
@@ -445,8 +450,9 @@ class TestEdgeDeltaAgainstFullScan:
 
 
 class TestSharedAdvertisementAgainstUnfusedComposition:
-    """One ``Route`` per (speaker, held route id, edge cost), handed to every
-    reader at that cost — and each reader still checked on its own: on every
+    """One ``(Route, rank)`` entry per (speaker, held route id, edge cost),
+    handed to every reader at that cost by ``OspfInstance.advertised_entry``
+    — and each reader still checked on its own: on every
     state of the drawn executions, every session's memo entry ``==`` what the
     base class composes from ``export``, loop rejection and ``import_`` on an
     instance the fused hooks never touched, ranked there."""
@@ -464,23 +470,24 @@ class TestSharedAdvertisementAgainstUnfusedComposition:
                         assert entry == (None, None)
                     else:
                         assert entry == (composed, oracle.rank(reader, composed))
-                        assert entry[0] is engine.instance.advertisement_by_id(reader, speaker, held_id)
+                    assert entry is engine.instance.advertised_entry(reader, speaker, held_id)
                     assert engine.instance.advertisement_direct(reader, speaker, held) == composed
                     tally["entries"] += 1
-            # Per speaker: its readers at one cost hold the same object, a
-            # reader on the held path holds nothing beside them.
+            # Per speaker: its readers at one cost hold the same entry object
+            # (route and rank), a reader on the held path holds nothing beside
+            # them.
             for slot, speaker in enumerate(names):
                 held_id, by_cost, silenced = state._ids[slot], {}, 0
                 if not held_id:
                     continue
                 for reader, _slot, memo, _position in engine._readers[slot]:
-                    advertisement = memo[held_id][0]
+                    entry = memo[held_id]
                     if reader in table.route(held_id).path:
-                        assert advertisement is None
+                        assert entry == (None, None)
                         silenced += 1
-                    elif advertisement is not None:
+                    elif entry[0] is not None:
                         cost = oracle._edge_cost(reader, speaker)
-                        assert by_cost.setdefault(cost, advertisement) is advertisement
+                        assert by_cost.setdefault(cost, entry) is entry
                 if by_cost:
                     tally["shared"] += 1
                     tally["silenced"] += silenced
@@ -848,3 +855,120 @@ class TestBgpMemosAcrossFailures:
         assert result_signature_digest(before) != result_signature_digest(fresh)
         assert result_signature_digest(after) == result_signature_digest(fresh)
         assert _stats_signature(after) == _stats_signature(fresh)
+
+
+# --------------------------------------------------------------------------- handoff
+def _spf_ordered_search(instance):
+    """The model-checked OSPF search of a drawn instance: its network's PEC
+    of ``PREFIX`` under the instance's failed links, SPF-ordered."""
+    network = instance.network
+    pec = next(pec for pec in compute_pecs(network) if PREFIX in dict(pec.ospf_origins))
+    explorer = PecExplorer(
+        network,
+        pec,
+        FailureScenario.of(sorted(instance.failed_links)),
+        PlanktonOptions(fast_ospf=False),
+        dependency_context=DependencyContext(),
+    )
+    searched = explorer.ospf_instance(PREFIX)
+    return explorer, searched, OspfDeterminism(searched)
+
+
+def _bgp_search(network, failed, sources):
+    """The BGP search of the first rack's PEC of a drawn fabric under the
+    ``failed`` links, with BGP determinism, pruning at ``sources``."""
+    pec = next(pec for pec in compute_pecs(network) if pec.has_bgp())
+    explorer = PecExplorer(
+        network,
+        pec,
+        FailureScenario.of(failed),
+        PlanktonOptions(),
+        policy_sources=sources,
+        dependency_context=DependencyContext(),
+    )
+    instance = explorer.bgp_instance(next(prefix for prefix, devices in pec.bgp_origins if devices))
+    return explorer, instance, BgpDeterminism(instance)
+
+
+def _search_checking_the_handoff(explorer, instance, analyzer, tally, limit=400):
+    """Depth-first through the successor relation ``explorer`` searches with,
+    each state's successors taken as the explorer takes them (a child
+    expanded as soon as it is first met, a duplicate never), checking at every
+    state that
+
+    * the sets its expansion built, through a handoff or a copy, equal the
+      rescan of every node;
+    * a parent that handed its sets down holds none any more, and gives the
+      rescan's sets when it is read again;
+    * a parent with two or more successors keeps its own dicts, the same
+      objects while each child derives, and still equal to its rescan once
+      every child has.
+    """
+    successors, _accepts = explorer._successor_relation(instance, analyzer)
+    tally["searches"] += 1
+    branching = []
+    root = initial_state(instance)
+    frontier, seen = [(None, root)], {root}
+    while frontier and len(seen) <= limit:
+        parent, state = frontier.pop()
+        kept = None
+        if parent is not None:
+            kept = parent._engine_cache
+            kept_dicts = kept.updates, kept.best_rank
+        children = [child for _label, child in successors(state)]
+        engine, sets = state._engine_token, state._engine_cache
+        _assert_equals_full_scan(engine, state, sets)
+        tally["states"] += 1
+        if kept is not None and kept.handed_down:
+            assert sets.updates is kept_dicts[0] and sets.best_rank is kept_dicts[1]
+            assert parent._engine_token is None and parent._engine_cache is None
+            _assert_equals_full_scan(engine, parent, engine.candidates(parent))
+            tally["handed"] += 1
+        elif kept is not None:
+            assert parent._engine_cache is kept
+            assert kept.updates is kept_dicts[0] and kept.best_rank is kept_dicts[1]
+            assert sets.updates is not kept.updates and sets.best_rank is not kept.best_rank
+        assert sets.handed_down == (len(children) == 1)
+        if len(children) > 1:
+            branching.append((state, sets, sets.updates, sets.best_rank))
+        for child in reversed(children):
+            if child not in seen:
+                seen.add(child)
+                frontier.append((state, child))
+    for state, sets, updates, best_rank in branching:
+        assert state._engine_cache is sets
+        assert sets.updates is updates and sets.best_rank is best_rank
+        _assert_equals_full_scan(state._engine_token, state, sets)
+        tally["branching"] += 1
+
+
+class TestHandoffAgainstFullScan:
+    """A state with a single successor hands its candidate sets down: the
+    child edits the parent's dicts instead of a copy of them.  Pinned against
+    the rescan of every node on drawn searches of both kinds, through the
+    successor relation the explorer searches with."""
+
+    def test_spf_ordered_ospf_searches(self):
+        tally = {"searches": 0, "states": 0, "handed": 0, "branching": 0}
+
+        @given(instance=ospf_scenarios())
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        def run(instance):
+            _search_checking_the_handoff(*_spf_ordered_search(instance), tally)
+
+        run()
+        # One path per search: every state but the root took its parent's sets.
+        assert tally["states"] - tally["handed"] == tally["searches"] and tally["handed"] >= 300
+
+    def test_bgp_determinism_on_drawn_fabrics(self):
+        tally = {"searches": 0, "states": 0, "handed": 0, "branching": 0}
+        links = st.lists(st.integers(min_value=0, max_value=31), max_size=2, unique=True)
+        sources = st.sampled_from([None, ("edge2_1",), ("edge1_0", "edge3_1")])
+
+        @given(network=fabrics_with_import_clauses(), failed=links, sources=sources)
+        @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+        def run(network, failed, sources):
+            _search_checking_the_handoff(*_bgp_search(network, failed, sources), tally)
+
+        run()
+        assert tally["handed"] >= 100 and tally["branching"] >= 300

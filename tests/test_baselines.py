@@ -6,7 +6,6 @@ from repro import Plankton, PlanktonOptions
 from repro.baselines import SimulationVerifier
 from repro.config import ConfigBuilder, ebgp_rfc7938, ospf_everywhere
 from repro.config.builder import edge_prefix, install_loop_inducing_statics
-from repro.config.objects import RouteMap, RouteMapClause, SetActions
 from repro.exceptions import VerificationError
 from repro.netaddr import Prefix
 from repro.policies import LoopFreedom, Reachability, Waypoint

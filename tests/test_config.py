@@ -8,9 +8,7 @@ from repro.config import (
     ConfigBuilder,
     DeviceConfig,
     NetworkConfig,
-    OspfConfig,
     PrefixList,
-    RouteMap,
     StaticRoute,
     ebgp_rfc7938,
     ibgp_over_ospf,
@@ -19,7 +17,7 @@ from repro.config import (
     parse_device_config,
 )
 from repro.config.builder import edge_prefix, install_loop_inducing_statics
-from repro.config.objects import MatchConditions, PrefixListEntry, RouteMapClause, SetActions
+from repro.config.objects import PrefixListEntry
 from repro.exceptions import ConfigError, ConfigParseError
 from repro.netaddr import Prefix
 from repro.topology import bgp_fat_tree, fat_tree, ring

@@ -25,8 +25,6 @@ from repro.policies import (
     BlackHoleFreedom,
     BoundedPathLength,
     LoopFreedom,
-    MultipathConsistency,
-    PathConsistency,
     Policy,
     Reachability,
     Waypoint,

@@ -1,13 +1,11 @@
 """Tests for the prefix trie, PEC computation and the dependency graph."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.config import ConfigBuilder, NetworkConfig, ibgp_over_ospf, ospf_everywhere
 from repro.config.objects import StaticRoute
 from repro.netaddr import MAX_IPV4, Prefix, ip_to_int
 from repro.pec import (
-    PacketEquivalenceClass,
     PrefixTrie,
     build_dependency_graph,
     compute_pecs,

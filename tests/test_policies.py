@@ -5,7 +5,7 @@ import pytest
 from repro.config import NetworkConfig
 from repro.dataplane import DataPlane, FibEntry
 from repro.exceptions import PolicyError
-from repro.netaddr import AddressRange, Prefix, ip_to_int
+from repro.netaddr import Prefix
 from repro.pec.classes import PacketEquivalenceClass
 from repro.policies import (
     BlackHoleFreedom,

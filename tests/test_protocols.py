@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import ConfigBuilder, NetworkConfig, ospf_everywhere
 from repro.config.objects import (
-    BgpNeighbor,
     MatchConditions,
     OspfInterface,
     PrefixList,

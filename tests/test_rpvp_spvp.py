@@ -6,12 +6,12 @@ stable states, BAD GADGET diverges under SPVP but has no converged state.
 """
 
 import random
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import ConfigBuilder, ospf_everywhere
+from repro.config import ospf_everywhere
 from repro.exceptions import ProtocolError
 from repro.netaddr import Prefix
 from repro.protocols import (
@@ -27,7 +27,7 @@ from repro.protocols import (
 from repro.modelcheck import ExplorationStatistics, Explorer, ExplorerOptions
 from repro.protocols.rpvp import initial_state, is_invalid, step_node
 from repro.protocols.spvp import SpvpStepper
-from repro.topology import fat_tree, ring
+from repro.topology import ring
 from tests.helpers import buffer_of, forwarding_next_hops, linear_chain
 
 

@@ -7,7 +7,6 @@ import pytest
 from repro.exceptions import TopologyError
 from repro.netaddr import Prefix
 from repro.topology import (
-    Topology,
     fat_tree,
     format_topology,
     load_topology,

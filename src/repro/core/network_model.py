@@ -1,9 +1,9 @@
 """The network model explored by the model checker, and the FIB builder.
 
 This module is the Promela-model analogue of the paper's prototype: it wires
-the RPVP semantics of :mod:`repro.protocols.rpvp` into the generic
+the RPVP successor relation of :mod:`repro.core.successors` into the generic
 :class:`~repro.modelcheck.explorer.Explorer`, applying the §4 optimizations by
-shrinking the successor relation, and it assembles converged per-prefix
+shrinking that relation, and it assembles converged per-prefix
 protocol states into network-wide data planes (the FIB model of §3.3).
 
 There is one road from a converged state to its data plane:
@@ -70,13 +70,7 @@ from repro.protocols.bgp import BgpInstance
 from repro.protocols.interning import RouteInternTable, node_space_for
 from repro.protocols.ospf import OspfComputation, OspfRoutingTable
 from repro.protocols.ospf_instance import OspfInstance
-from repro.protocols.rpvp import (
-    RpvpState,
-    RpvpTransition,
-    enabled_nodes,
-    initial_state,
-    rpvp_successors,
-)
+from repro.protocols.rpvp import RpvpState, initial_state
 from repro.protocols.static import resolve_static_routes
 from repro.topology.failures import FailureScenario
 
@@ -477,30 +471,35 @@ class PecExplorer:
     ]:
         """``(successors, accepts)`` of one instance under the §4 flags.
 
-        ``successors`` is the RPVP successor relation shrunk by the enabled
-        optimizations; ``accepts`` says whether a state it ends an execution
-        at is a converged state to report.  Both read one rule, ``halts``.
+        There is one RPVP successor relation, read off one
+        :class:`~repro.core.successors.CandidateEngine` whatever the flags:
+        ``successors`` is that relation shrunk by the enabled optimizations,
+        and ``accepts`` says whether a state it ends an execution at is a
+        converged state to report.  Without consistent executions nothing is
+        shrunk (the Figure 8 "None" rows): every enabled node branches
+        (``CandidateEngine.every_move``), and a state is accepted where no
+        node is enabled.  Otherwise both read one rule, ``halts``.
         """
         flags = self.flags
         reduction = self.reduction
-        if not flags.consistent_execution:
-            # The unoptimised semantics: every enabled node branches, and an
-            # execution ends only where no node is enabled.
-            def every_successor(state: RpvpState) -> List[Tuple[object, RpvpState]]:
-                expansion = rpvp_successors(instance, state)
-                if expansion:
-                    reduction.observe_expansion(
-                        enabled=len(expansion), expanded=len(expansion), reduced=False
-                    )
-                return expansion
-
-            return every_successor, lambda state: not enabled_nodes(instance, state)
-
         # The candidate sets are maintained incrementally: a state derived
         # from its parent by one node's decision re-evaluates only that node
         # and merges its new advertisement into what the parent knew of the
         # nodes that read it (see repro.core.successors).
         engine = CandidateEngine(instance)
+        if not flags.consistent_execution:
+            def every_successor(state: RpvpState) -> List[Tuple[object, RpvpState]]:
+                moves = engine.every_move(state)
+                if moves:
+                    reduction.observe_expansion(
+                        enabled=len(moves), expanded=len(moves), reduced=False
+                    )
+                # Released: a search without state hashing keeps every state
+                # it visits, and would keep their sets with them.
+                return engine.children(state, moves, release=True)
+
+            return every_successor, lambda state: not engine.every_move(state)
+
         # Policy sources that participate in this instance, as state-array
         # slots: "every source has decided" is "every slot holds a non-zero
         # route id".
@@ -571,16 +570,7 @@ class PecExplorer:
             reduction.observe_expansion(
                 enabled=enabled_count, expanded=len(moves), reduced=len(moves) < enabled_count
             )
-            if len(moves) == 1:
-                # The only child derives its sets by editing these, not a copy.
-                cache.handed_down = True
-            return [
-                (
-                    RpvpTransition(node=node, new_route=route, from_peer=peer),
-                    state.with_best(node, route),
-                )
-                for node, peer, route in moves
-            ]
+            return engine.children(state, moves)
 
         return successors, lambda state: halts(state, engine.candidates(state)) is True
 

@@ -1,4 +1,5 @@
-"""Incremental successor-candidate maintenance for the RPVP hot path.
+"""The RPVP successor relation (paper §3.4.2, Algorithm 1), maintained
+incrementally.
 
 Expanding a state means knowing, for every node, whether it could still
 improve its best path and by which peer updates.  Recomputing that from
@@ -6,8 +7,16 @@ scratch — the paper's ``can-update`` predicate over all nodes — costs one
 import/export/rank evaluation per (node, peer) edge *per state*, which makes
 the per-state step quadratic in network size.
 
-An RPVP transition changes a single node's entry, and ``updating_peers(v)``
-depends only on ``best(v)`` and ``best(p)`` for ``p`` in ``peers(v)``.  So a
+There is one relation, and :class:`CandidateEngine` holds it.
+``every_move`` is Algorithm 1 as the paper states it — every enabled node
+(undecided with a candidate, or decided and invalid or pending) moves to each
+of its best-ranked updates — which is what a search with no §4 optimisation
+explores (the Figure 8 "None" rows).  The optimisations only pick among those
+moves, reading the same sets (``core.network_model.PecExplorer.
+_successor_relation``).
+
+An RPVP transition changes a single node's entry, and what improves a node
+``v`` depends only on ``best(v)`` and ``best(p)`` for ``p`` in ``peers(v)``.  So a
 child state's candidate sets differ from its parent's only at the
 transitioned node ``n`` and at the nodes that read ``n`` — and at a reader
 ``v`` only *one* of the advertisements it sees changed, the one on the edge
@@ -33,7 +42,11 @@ OSPF execution — *hands its sets down*: the successor relation marks them
 parent's two dicts over instead of copying them, dropping them from the
 parent, so that a later read of the parent computes its sets afresh and never
 sees the child's edits.  A state with several successors keeps its own dicts,
-so that siblings never see each other's.
+so that siblings never see each other's.  In the every-node relation a state
+*releases* its sets once its moves are read (``CandidateEngine.children``):
+they go with its successors, each of which derives its own from them, and
+the state itself keeps none — a search without state hashing keeps every
+state it visits, and would otherwise keep every state's sets.
 
 Advertisements are ranked when an edge memo is filled and interned only when
 a move adopts one (``RpvpState.with_best``): most candidates never enter a
@@ -54,21 +67,25 @@ The memos live in a *host*, of one of three kinds, all compiled by the one
   BgpInstance`);
 * a **private host** (any other instance): rows and memos for one engine.
 
-Which advertisements improve a node is stated once, in ``_evaluate`` (the raw
-``updating_peers``/``best_updates`` primitives over intern-table ids); the
-merge is its single-edge case.  A root state, a state whose parent carries
-another engine's cache and every not-silent edge take ``_evaluate`` itself,
-so the successor relation — and with it every exploration statistic — is
-that of the full rescan.
+Which advertisements improve a node is stated once, over intern-table ids:
+``_offers`` is the session loop that finds a node's best-ranked
+advertisements (the paper's set ``U``), ``_evaluate`` runs it for an
+undecided node and asks a decided one whether any peer beats what it holds,
+and the merge is their single-edge case.  ``every_move`` reads ``U`` of an
+enabled decided node through ``_offers`` too.  A root state, a state whose
+parent carries another engine's cache and every not-silent edge take
+``_evaluate`` itself, so the successor relation — and with it every
+exploration statistic — is that of the full rescan; the raw Algorithm 1 that
+the tests pin it to is ``tests/oracles/rpvp_reference.py``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.protocols.base import PathVectorInstance, Route
 from repro.protocols.interning import node_space_for
-from repro.protocols.rpvp import RpvpState
+from repro.protocols.rpvp import RpvpState, RpvpTransition
 
 #: One advertisement memo entry: (advertisement, its rank at the importer),
 #: both None when the peer has nothing to say on that edge.
@@ -97,7 +114,7 @@ class CandidateSets:
     ``handed_down`` is set (by the successor relation, when the state has
     exactly one successor) give their ``updates`` and ``best_rank`` to that
     successor, which edits them into its own sets, and are dropped from their
-    state as they are taken.
+    state as they are taken.  Released sets are held by the successors only.
     """
 
     __slots__ = ("decided_pending", "updates", "best_rank", "enabled_count", "handed_down")
@@ -215,9 +232,8 @@ class CandidateEngine:
         self._names = self._space.names
         # The memos already guarantee one evaluation per (edge, route id), so
         # prefer an instance hook that takes the id and returns the memo entry
-        # itself — the route-keyed memo underneath ``advertisement`` would
-        # only hash routes, and a ranked pair built here would be one more
-        # allocation per miss.
+        # itself — a ranked pair built here would be one more allocation per
+        # miss.
         self._entry_of_id = getattr(instance, "advertised_entry", None)
         self._advertise = instance.advertisement
         self._rank_fn = instance.rank
@@ -247,6 +263,11 @@ class CandidateEngine:
         self._quiet = rows.quiet
         # Per node: the rank of each route it has held, by route id.
         self._held_ranks: List[Dict[int, Tuple]] = [{} for _ in self._names]
+        self._slot_of = self._space.slot_of
+        # The slots in ``instance.nodes()`` order, the order of every_move.
+        self._order = [self._slot_of[node] for node in instance.nodes()]
+        # The token of a state that carries its parent's sets (``children``).
+        self._heir = object()
 
     # ------------------------------------------------------------------ node eval
     def _evaluate(
@@ -260,10 +281,10 @@ class CandidateEngine:
         """Compute one node's contribution into the output collections and
         return how many enabled updates it added.
 
-        Semantically this is ``updating_peers`` + ``best_updates`` (the raw
-        Algorithm 1 primitives), evaluated over intern-table ids so the memo
-        lookups on the per-state hot path hash small integers instead of
-        routes.
+        A decided node goes to ``decided_pending`` when some peer's
+        advertisement outranks what it holds; an undecided one adds its
+        :meth:`_offers`.  Evaluated over intern-table ids, so the memo lookups
+        on the per-state hot path hash small integers instead of routes.
         """
         ids = state._ids
         node = self._names[slot]
@@ -281,6 +302,18 @@ class CandidateEngine:
                     decided_pending.append(node)
                     break
             return 0
+        best, lowest = self._offers(ids, slot)
+        if best:
+            updates[node] = best
+            best_rank[node] = lowest
+        return len(best)
+
+    def _offers(self, ids: Sequence[int], slot: int) -> Tuple[List[Tuple[str, Route]], Optional[Tuple]]:
+        """The best-ranked advertisements the node in ``slot`` hears where
+        the nodes hold the routes ``ids`` (the paper's set ``U`` against ⊥),
+        as (peer, advertisement) pairs in ``peers()`` order, and their rank
+        (None when it hears nothing)."""
+        node = self._names[slot]
         best: List[Tuple[str, Route]] = []
         lowest = None
         for peer, peer_slot, memo in self._sessions[slot]:
@@ -296,10 +329,7 @@ class CandidateEngine:
                 lowest = rank
             elif rank == lowest:
                 best.append((peer, entry[0]))
-        if best:
-            updates[node] = best
-            best_rank[node] = lowest
-        return len(best)
+        return best, lowest
 
     def _miss(self, node: str, peer: str, peer_best_id: int, memo: Dict[int, _Entry]) -> _Entry:
         """Fill one per-edge memo entry (the only cold path of the engine):
@@ -324,20 +354,103 @@ class CandidateEngine:
             rank = ranks[route_id] = self._rank_fn(self._names[slot], self._table.route(route_id))
         return rank
 
+    def _invalid(self, ids: Sequence[int], slot: int) -> bool:
+        """The paper's ``invalid(n)`` for the decided node in ``slot``: its
+        next hop is not a peer (a failed link), or the next hop's best path
+        is not the rest of the node's path."""
+        path = self._table.route(ids[slot]).path
+        if not path:
+            return False
+        head = path[0]
+        if head not in self._positions[slot]:
+            return True
+        head_route = self._table.route(ids[self._slot_of[head]])
+        return head_route is None or head_route.path != path[1:]
+
+    # ------------------------------------------------------------------ moves
+    def every_move(self, state: RpvpState) -> List[Tuple[str, Optional[str], Optional[Route]]]:
+        """Algorithm 1's successor relation with no §4 optimisation: the
+        moves of every enabled node, as (node, peer, route) triples.
+
+        A node is enabled when it is undecided and hears a candidate, or
+        decided and either invalid or pending.  It moves to each of its
+        best-ranked advertisements, in ``peers()`` order; an invalid node
+        that hears none makes one move, to ⊥ (peer and route None).  Nodes
+        come in ``instance.nodes()`` order.  No move means no node is
+        enabled: the state is converged.
+        """
+        cache = self.candidates(state)
+        ids = state._ids
+        updates = cache.updates
+        pending = cache.decided_pending
+        names = self._names
+        moves: List[Tuple[str, Optional[str], Optional[Route]]] = []
+        for slot in self._order:
+            node = names[slot]
+            if not ids[slot]:
+                offers = updates.get(node)
+                if offers:
+                    moves.extend((node, peer, route) for peer, route in offers)
+                continue
+            invalid = self._invalid(ids, slot)
+            if invalid or node in pending:
+                # Against ⊥ (invalid) or beaten by the best (pending), the
+                # improving updates are the best-ranked ones.
+                offers = self._offers(ids, slot)[0]
+                if offers:
+                    moves.extend((node, peer, route) for peer, route in offers)
+                else:
+                    moves.append((node, None, None))
+        return moves
+
+    def children(
+        self,
+        state: RpvpState,
+        moves: Sequence[Tuple[str, Optional[str], Optional[Route]]],
+        release: bool = False,
+    ) -> List[Tuple[RpvpTransition, RpvpState]]:
+        """The successors of ``state`` by ``moves``, labelled.
+
+        A lone successor is handed the sets (``CandidateSets.handed_down``).
+        With ``release``, ``state`` drops its sets here and its successors
+        carry them until each derives its own — a search that keeps every
+        state it visits (no state hashing) keeps no sets with them.
+        """
+        cache = self.candidates(state)
+        if len(moves) == 1:
+            # The only child derives its sets by editing these, not a copy.
+            cache.handed_down = True
+        successors = [
+            (
+                RpvpTransition(node=node, new_route=route, from_peer=peer),
+                state.with_best(node, route),
+            )
+            for node, peer, route in moves
+        ]
+        if release and successors:
+            state._engine_token = state._engine_cache = None
+            for _transition, child in successors:
+                child._engine_token = self._heir
+                child._engine_cache = cache
+        return successors
+
     # ------------------------------------------------------------------ cache
     def candidates(self, state: RpvpState) -> CandidateSets:
         """The candidate sets of ``state``, cached on the state itself."""
-        if state._engine_token is self:
+        token = state._engine_token
+        if token is self:
             return state._engine_cache
         parent = state.parent
-        delta = state.delta
-        if parent is not None and parent._engine_token is self:
+        if token is self._heir:
+            # Released by its parent: it carries the parent's sets.
+            cache = self._derive(state, state._engine_cache, state.delta)
+        elif parent is not None and parent._engine_token is self:
             parent_cache = parent._engine_cache
             if parent_cache.handed_down:
                 # Its only successor takes the dicts over: a later read of
                 # the parent computes its sets again.
                 parent._engine_token = parent._engine_cache = None
-            cache = self._derive(state, parent_cache, delta)
+            cache = self._derive(state, parent_cache, state.delta)
         else:
             cache = self._full_scan(state)
         state._engine_token = self

@@ -19,8 +19,6 @@ _ORIGINS = {
     "BgpInstance": "repro.protocols.bgp",
     "OspfInstance": "repro.protocols.ospf_instance",
     "RpvpState": "repro.protocols.rpvp",
-    "enabled_nodes": "repro.protocols.rpvp",
-    "rpvp_successors": "repro.protocols.rpvp",
     "SpvpState": "repro.protocols.spvp",
     "SpvpStepper": "repro.protocols.spvp",
     "SpvpEvent": "repro.protocols.spvp",

@@ -162,7 +162,7 @@ class Route:
         Constructed by copying the field dict rather than via
         :func:`dataclasses.replace`, which rebuilds a field mapping per call.
         ``OspfInstance.export`` calls it; the search itself never does, as
-        ``OspfInstance.advertisement`` builds each advertisement once per
+        ``OspfInstance.advertised_entry`` builds each advertisement once per
         (held route, edge cost).  The cached hash/compare-key entries must
         not travel to the copy.
         """
@@ -239,41 +239,19 @@ class PathVectorInstance(abc.ABC):
             cache[key] = self.rank(node, route)
         return cache[key]
 
-    def better(self, node: str, candidate: Route, incumbent: Optional[Route]) -> bool:
-        """True when ``candidate`` is strictly preferred over ``incumbent``."""
-        if incumbent is None:
-            return True
-        return self.cached_rank(node, candidate) < self.cached_rank(node, incumbent)
-
-    def tied(self, node: str, a: Route, b: Route) -> bool:
-        """True when the ranking function does not order ``a`` and ``b``."""
-        return self.cached_rank(node, a) == self.cached_rank(node, b)
-
     def advertisement(self, importer: str, exporter: str, route: Optional[Route]) -> Optional[Route]:
         """The advertisement ``importer`` would accept from ``exporter`` now.
 
         This is the composition ``import(export(best(exporter)))`` used in the
         paper's ``can-update`` predicate.  Loops are rejected here as well
         (assumption in Appendix B: import filters reject looping paths).
-
-        Results are memoised per (importer, exporter, route): the model
-        checker evaluates the same advertisements across a very large number
-        of states, and filters/ranking depend only on these arguments.
+        Unmemoised: the candidate engine keeps one memo per edge, keyed on
+        the route's intern id.
         """
-        cache = getattr(self, "_advertisement_cache", None)
-        if cache is None:
-            cache = {}
-            self._advertisement_cache = cache  # type: ignore[attr-defined]
-        key = (importer, exporter, route)
-        if key in cache:
-            return cache[key]
         exported = self.export(exporter, importer, route)
         if exported is None or exported.path.contains(importer):
-            result = None
-        else:
-            result = self.import_(importer, exporter, exported)
-        cache[key] = result
-        return result
+            return None
+        return self.import_(importer, exporter, exported)
 
     def session_rank_bound(self, importer: str, exporter: str) -> Optional[Tuple]:
         """A static lower bound on the rank of any route importable over a session.

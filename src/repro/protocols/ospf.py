@@ -644,7 +644,6 @@ class OspfComputation:
             # since makes ``_compiled_graph`` drop every entry there is.
             peers, edge_cost = self._compiled_graph().adjacency(failure_key)
             caches = {
-                "advertisement": {},
                 "rank": {},
                 "peers": peers,
                 "edge_cost": edge_cost,

@@ -27,9 +27,6 @@ from repro.protocols.base import EPSILON, PathVectorInstance, Route, RouteSource
 from repro.protocols.interning import node_space_for
 from repro.protocols.ospf import INFINITY, OspfComputation
 
-#: Distinct-from-None sentinel for memo lookups whose value may be None.
-_MISSING = object()
-
 #: The entry of a session that carries nothing: no advertisement, no rank.
 _SILENT: Tuple[None, None] = (None, None)
 
@@ -75,7 +72,6 @@ class OspfInstance(PathVectorInstance):
         # adjacency and evaluate the identical export/import per edge for
         # each of them.
         shared = self.computation.shared_filter_caches(frozenset(self.failed_links))
-        self._advertisement_cache = shared["advertisement"]
         self._rank_cache = shared["rank"]
         self._peers = shared["peers"]
         self._edge_costs = shared["edge_cost"]
@@ -134,38 +130,14 @@ class OspfInstance(PathVectorInstance):
         """Cost of the node -> neighbour edge (cheapest parallel live link)."""
         return self._edge_costs.get((node, neighbor), INFINITY)
 
-    def advertisement(self, importer: str, exporter: str, route: Optional[Route]) -> Optional[Route]:
-        """Memoised fused advertisement (see :meth:`advertisement_direct`)."""
-        cache = self._advertisement_cache
-        key = (importer, exporter, route)
-        cached = cache.get(key, _MISSING)
-        if cached is not _MISSING:
-            return cached
-        result = self.advertisement_direct(importer, exporter, route)
-        cache[key] = result
-        return result
-
-    def advertisement_direct(
-        self, importer: str, exporter: str, route: Optional[Route]
-    ) -> Optional[Route]:
-        """Fused ``import(export(route))`` for OSPF, uncached.
-
-        Semantically identical to the base-class composition (export filter,
-        loop rejection, import filter), collapsed into a single :class:`Route`
-        construction: for OSPF the composition is just "prepend the exporter,
-        add the edge cost".
-        """
-        if route is None:
-            return None
-        cost = self._session_cost(importer, exporter, route)
-        return None if cost is None else _advertised(exporter, route, cost)
-
     def advertised_entry(
         self, importer: str, exporter: str, route_id: int
     ) -> Tuple[Optional[Route], Optional[Tuple]]:
         """The RPVP candidate engine's memo entry for the route interned as
-        ``route_id``: (:meth:`advertisement_direct` of it, its :meth:`rank`),
-        or the silent entry ``(None, None)``.
+        ``route_id``: (:meth:`advertisement` of it, its :meth:`rank`), or the
+        silent entry ``(None, None)``.  For OSPF the composition is just
+        "prepend the exporter, add the edge cost", so it is built here in one
+        :class:`Route` construction.
 
         The engine's per-edge id memos already guarantee one evaluation per
         (edge, route id), so a route-keyed memo underneath would only add

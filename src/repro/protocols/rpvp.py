@@ -11,9 +11,11 @@ Theorem 1 of the paper shows that exploring RPVP executions (with failures
 applied before the protocol starts) covers every converged state SPVP can
 reach, so the model checker only needs this much simpler protocol.
 
-This module implements the raw, *unoptimized* semantics.  The verifier core
-layers partial-order reduction and the other §4 optimizations on top of the
-successor relation defined here.
+This module holds the state and the step labels.  The successor relation
+itself — which nodes are enabled and where each may move — is
+:class:`repro.core.successors.CandidateEngine`'s: ``every_move`` is the
+relation as Algorithm 1 states it, and the §4 optimizations only shrink it
+(:meth:`repro.core.network_model.PecExplorer._successor_relation`).
 
 :class:`RpvpState` is the id-array kernel of
 :mod:`repro.protocols.interning` over the node space of its sorted node set:
@@ -26,10 +28,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import ProtocolError
-from repro.protocols.base import EPSILON, PathVectorInstance, Route
+from repro.protocols.base import PathVectorInstance, Route
 from repro.protocols.interning import IdArrayState, _NodeSpace, node_space
 
 
@@ -178,112 +180,3 @@ def initial_state(instance: PathVectorInstance) -> RpvpState:
         else:
             best[node] = None
     return RpvpState.from_dict(best)
-
-
-def is_invalid(instance: PathVectorInstance, state: RpvpState, node: str) -> bool:
-    """The paper's ``invalid(n)`` predicate.
-
-    A best path is invalid when its next hop no longer backs it: the next hop
-    is not a peer any more (e.g. the link failed), or the next hop's current
-    best path is not the remainder of the node's path.
-    """
-    route = state.best(node)
-    if route is None or route.path == EPSILON:
-        return False
-    head = route.path.head
-    if head not in instance.peers(node):
-        return True
-    head_route = state.best(head)
-    head_path = head_route.path if head_route is not None else None
-    return head_path != route.path.rest
-
-
-def updating_peers(
-    instance: PathVectorInstance,
-    state: RpvpState,
-    node: str,
-    against: Optional[Route] = None,
-) -> List[Tuple[str, Route]]:
-    """Peers whose current advertisement would improve ``node``'s best path.
-
-    ``against`` overrides the incumbent route (used after an invalidation,
-    where the comparison is against ⊥).
-    Returns (peer, imported advertisement) pairs.
-    """
-    incumbent = state.best(node) if against is None else against
-    candidates: List[Tuple[str, Route]] = []
-    for peer in instance.peers(node):
-        advertisement = instance.advertisement(node, peer, state.best(peer))
-        if advertisement is None:
-            continue
-        if instance.better(node, advertisement, incumbent):
-            candidates.append((peer, advertisement))
-    return candidates
-
-
-def best_updates(
-    instance: PathVectorInstance,
-    node: str,
-    candidates: Sequence[Tuple[str, Route]],
-) -> List[Tuple[str, Route]]:
-    """The highest-ranked candidates (the paper's set ``U``); ties all kept."""
-    if not candidates:
-        return []
-    best_key = min(instance.cached_rank(node, route) for _peer, route in candidates)
-    return [
-        (peer, route)
-        for peer, route in candidates
-        if instance.cached_rank(node, route) == best_key
-    ]
-
-
-def enabled_nodes(instance: PathVectorInstance, state: RpvpState) -> List[str]:
-    """Algorithm 1, line 5: nodes with an invalid path or an improving peer."""
-    enabled = []
-    for node in instance.nodes():
-        if is_invalid(instance, state, node):
-            enabled.append(node)
-        elif updating_peers(instance, state, node):
-            enabled.append(node)
-    return enabled
-
-
-def step_node(
-    instance: PathVectorInstance,
-    state: RpvpState,
-    node: str,
-) -> List[Tuple[RpvpTransition, RpvpState]]:
-    """All outcomes of executing ``node`` once (Algorithm 1, lines 10-16).
-
-    If the node's path is invalid it is first cleared; then, among the peers
-    tied for the best update, each choice produces one successor.  When there
-    is no updating peer after an invalidation, the single successor has the
-    path cleared.
-    """
-    working_state = state
-    cleared = False
-    if is_invalid(instance, state, node):
-        working_state = state.with_best(node, None)
-        cleared = True
-    candidates = updating_peers(instance, working_state, node)
-    best = best_updates(instance, node, candidates)
-    if not best:
-        if cleared:
-            return [(RpvpTransition(node=node, new_route=None), working_state)]
-        return []
-    successors = []
-    for peer, route in best:
-        transition = RpvpTransition(node=node, new_route=route, from_peer=peer)
-        successors.append((transition, working_state.with_best(node, route)))
-    return successors
-
-
-def rpvp_successors(
-    instance: PathVectorInstance,
-    state: RpvpState,
-) -> List[Tuple[RpvpTransition, RpvpState]]:
-    """All successors of ``state`` under the unoptimized RPVP semantics."""
-    successors: List[Tuple[RpvpTransition, RpvpState]] = []
-    for node in enabled_nodes(instance, state):
-        successors.extend(step_node(instance, state, node))
-    return successors

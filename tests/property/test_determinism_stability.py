@@ -19,11 +19,12 @@ from repro.core.network_model import DependencyContext, PecExplorer
 from repro.core.options import PlanktonOptions
 from repro.core.successors import CandidateEngine
 from repro.pec.classes import compute_pecs
-from repro.protocols.rpvp import RpvpState, initial_state, rpvp_successors
+from repro.protocols.rpvp import RpvpState, initial_state
 from repro.netaddr import Prefix
 from repro.topology import bgp_fat_tree
 from repro.topology.failures import FailureScenario, enumerate_failure_scenarios
 from tests.helpers import grid
+from tests.oracles.rpvp_reference import rpvp_successors
 
 _CACHED = {}
 

@@ -32,11 +32,12 @@ from repro.policies import LoopFreedom, Reachability
 from repro.protocols.base import Path, PathVectorInstance, Route
 from repro.protocols.ospf_instance import OspfInstance
 from repro.protocols.interning import node_space_for
-from repro.protocols.rpvp import RpvpState, initial_state, rpvp_successors
+from repro.protocols.rpvp import RpvpState, initial_state
 from repro.topology import Topology, bgp_fat_tree, fat_tree, rocketfuel_like
 from repro.topology.failures import FailureScenario
 
 from tests.oracles.ospf_reference import reference_adjacency
+from tests.oracles.rpvp_reference import enabled_nodes, rpvp_successors
 from tests.property.test_determinism_stability import _explorer, _fabric
 from tests.property.test_transient_por import RankedGadgetInstance, gadget_scenarios
 from tests.test_rpvp_spvp import bad_gadget, disagree_gadget
@@ -271,28 +272,42 @@ def _assert_equals_full_scan(engine, state, derived):
     return derived
 
 
+def _assert_every_move_is_the_oracles(engine, instance, state):
+    """The engine's every-node moves (``every_move``, the relation of the
+    Figure 8 "None" rows) are the raw Algorithm 1 transitions of
+    :mod:`tests.oracles.rpvp_reference`, in the same order, and the state is
+    accepted exactly where the oracle has no enabled node."""
+    moves = engine.every_move(state)
+    oracle = rpvp_successors(instance, state)
+    assert [(node, route, peer) for node, peer, route in moves] == [
+        (transition.node, transition.new_route, transition.from_peer)
+        for transition, _child in oracle
+    ]
+    assert (not moves) == (not enabled_nodes(instance, state))
+    return moves
+
+
 def _walk_checking_every_step(instance, picks):
     """One random execution under the *raw* RPVP semantics, each step one
     ``with_best`` off a state the engine has seen, so each step is an edge
     delta: undecided nodes adopt a best update (the moves a search makes —
     the old advertisement is silent on every edge), decided nodes change
-    their mind and invalid paths are dropped (where it is not).  Returns the
-    engine and the states."""
+    their mind and invalid paths are dropped (where it is not).  Every
+    state's sets equal a rescan, and its every-node moves the oracle's.
+    Returns the engine and the states."""
     engine = CandidateEngine(instance)
     state = initial_state(instance)
     _assert_derived_equals_full_scan(engine, state)
+    moves = _assert_every_move_is_the_oracles(engine, instance, state)
     states = [state]
     for pick in picks:
-        moves = [
-            (transition.node, transition.new_route)
-            for transition, _child in rpvp_successors(instance, state)
-        ]
         if not moves:
             break
-        node, route = moves[pick % len(moves)]
+        node, _peer, route = moves[pick % len(moves)]
         state = state.with_best(node, route)
         assert state.parent is states[-1] and states[-1]._engine_token is engine
         _assert_derived_equals_full_scan(engine, state)
+        moves = _assert_every_move_is_the_oracles(engine, instance, state)
         states.append(state)
     return engine, states
 
@@ -471,7 +486,7 @@ class TestSharedAdvertisementAgainstUnfusedComposition:
                     else:
                         assert entry == (composed, oracle.rank(reader, composed))
                     assert entry is engine.instance.advertised_entry(reader, speaker, held_id)
-                    assert engine.instance.advertisement_direct(reader, speaker, held) == composed
+                    assert engine.instance.advertisement(reader, speaker, held) == composed
                     tally["entries"] += 1
             # Per speaker: its readers at one cost hold the same entry object
             # (route and rank), a reader on the held path holds nothing beside
@@ -504,7 +519,8 @@ class TestSharedAdvertisementAgainstUnfusedComposition:
             assert instance._edge_costs == cost
             engine, states = _walk_checking_every_step(instance, picks)
             oracle = OspfInstance(instance.network, PREFIX, failed_links=instance.failed_links)
-            assert oracle._advertisement_cache is not instance._advertisement_cache
+            # No route-keyed memo: the two compositions share nothing.
+            assert not hasattr(instance, "_advertisement_cache")
             self._check_states(engine, states, oracle, tally)
 
         run()
@@ -593,6 +609,45 @@ class TestInternOnAdoption:
         assert len(seen) >= len(instance.nodes())
         assert set(range(known, len(table))) == {rid for rid in adopted if rid >= known}
         assert len(table) - known < len(seen) < offered
+
+
+class TestEveryNodeRelation:
+    """Without consistent executions (the Figure 8 "None" rows) every enabled
+    node branches, and a state gives its sets to its successors once its
+    moves are read: it keeps none, and each successor derives from them what
+    a rescan of every node finds."""
+
+    @pytest.mark.parametrize("search", [_ospf_search, _ebgp_search])
+    def test_a_state_releases_its_sets_to_its_successors(self, search, monkeypatch):
+        engines = []
+        attach = CandidateEngine.__init__
+
+        def recorded_attach(engine, instance):
+            attach(engine, instance)
+            engines.append(engine)
+
+        monkeypatch.setattr(CandidateEngine, "__init__", recorded_attach)
+        explorer, instance, analyzer = search()
+        explorer.flags = OptimizationFlags.none_enabled()
+        successors, accepts = explorer._successor_relation(instance, analyzer)
+        (engine,) = engines
+        frontier, seen, released, accepted = [initial_state(instance)], set(), 0, 0
+        while frontier and len(seen) < 2_000:
+            state = frontier.pop()
+            if state in seen:
+                continue
+            seen.add(state)
+            children = successors(state)
+            if not children:
+                accepted += accepts(state)
+                continue
+            assert state._engine_token is None and state._engine_cache is None
+            released += 1
+            for _label, child in children:
+                assert child._engine_token is engine._heir
+                _assert_derived_equals_full_scan(engine, child)
+                frontier.append(child)
+        assert released >= 1_000 and released + accepted == len(seen)
 
 
 # --------------------------------------------------------------------------- memo lifetime

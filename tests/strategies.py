@@ -4,14 +4,16 @@
 of the verifier can be pinned on: at most eight devices, link weights drawn
 per direction, OSPF with interface cost overrides and passive interfaces,
 eBGP (one AS per device) with local-preference and deny clauses on drawn
-sessions, static routes, and a failure budget of at most two links.  Each
-draw comes with a policy to check, so a test over it needs nothing else.
+sessions and, in half the draws, a local-preference ring whose decisions
+later updates overturn, static routes, and a failure budget of at most two
+links.  Each draw comes with a policy to check, so a test over it needs
+nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import FrozenSet, List, Sequence, Set
 
 from hypothesis import strategies as st
 
@@ -85,6 +87,45 @@ def _import_map(draw, name: str, bgp_prefixes: Sequence[Prefix]) -> RouteMap:
     return RouteMap(name, [first, RouteMapClause(20)])
 
 
+def _preference_ring(draw, builder, topology, origin, members):
+    """A local-preference ring over the BGP origin ``origin``: each member has
+    a session to the origin and to the next member, whose routes it prefers
+    (local preference 300).  A strict ring of three (three draws in four) has
+    each member take only the next member's *direct* route (it denies what the
+    member after that tagged with its community): the BAD GADGET, which has
+    no converged state.  Otherwise (DISAGREE and its three-member kin) there
+    are several, and a member's first decision is overturned when the next
+    one decides.  Missing links are added.  Returns the device pairs it
+    configured sessions for."""
+    strict = draw(st.integers(0, 3)) > 0
+    weight = st.integers(min_value=1, max_value=4)
+    imports, exports = {}, {}  # (device, peer) -> the route map it applies
+    pairs = set()
+    for index, member in enumerate(members):
+        following = members[(index + 1) % len(members)]
+        after = members[(index + 2) % len(members)]
+        for peer in (origin, following):
+            if not topology.links_between(member, peer):
+                topology.add_link(member, peer, draw(weight), draw(weight))
+            pairs.add(frozenset((member, peer)))
+        prefer = [RouteMapClause(20, actions=SetActions(local_preference=300))]
+        if strict and after != member:
+            deny = MatchConditions(communities=[f"ring:{after}"])
+            prefer.insert(0, RouteMapClause(10, permit=False, match=deny))
+            tag = RouteMapClause(10, actions=SetActions(add_communities=[f"ring:{following}"]))
+            exports[(following, member)] = f"TAG_{member}"
+            builder.route_map(f"TAG_{member}", following, RouteMap(f"TAG_{member}", [tag]))
+        imports[(member, following)] = f"PREFER_{following}"
+        builder.route_map(f"PREFER_{following}", member, RouteMap(f"PREFER_{following}", prefer))
+    for a, b in sorted(sorted(pair) for pair in pairs):
+        builder.bgp_session(
+            a, b,
+            import_map_a=imports.get((a, b)), export_map_a=exports.get((a, b)),
+            import_map_b=imports.get((b, a)), export_map_b=exports.get((b, a)),
+        )
+    return pairs
+
+
 @st.composite
 def small_networks(draw, max_devices: int = 8) -> DrawnNetwork:
     """A small asymmetric network, a failure budget and a policy.
@@ -96,11 +137,14 @@ def small_networks(draw, max_devices: int = 8) -> DrawnNetwork:
       is eBGP.  A session is drawn over a link between two BGP devices, and
       each of its ends imports through a local-preference or deny clause now
       and then.  One or two BGP prefixes are originated.
+    * In half the draws, a local-preference ring (:func:`_preference_ring`)
+      over the origin of the first BGP prefix, its devices running BGP too.
     * Up to two static routes, each towards a neighbour or dropped, for a
       drawn prefix (also one no protocol originates).
-    * The failure budget is 0, 1 or 2 links.
+    * The failure budget is 0, 1 or 2 links (0 or 1 with a ring).
     * The policy is loop freedom, blackhole freedom or reachability from one
-      or two drawn sources to a drawn destination.
+      or two drawn sources to a drawn destination (with a ring: from its
+      members to its prefix).
     """
     size = draw(st.integers(min_value=3, max_value=max_devices))
     topology = draw(_topologies(size))
@@ -124,15 +168,27 @@ def small_networks(draw, max_devices: int = 8) -> DrawnNetwork:
                 interfaces[neighbor] = OspfInterface(neighbor=neighbor, cost=draw(st.integers(1, 5)))
 
     bgp_devices = [name for name in names if draw(st.booleans())]
+    # A preference ring: its origin, then two or three members (all BGP).
+    gadget: List[str] = []
+    if draw(st.booleans()):
+        gadget = draw(st.lists(st.sampled_from(names), min_size=3, max_size=4, unique=True))
+        bgp_devices = [name for name in names if name in bgp_devices or name in gadget]
     bgp_prefixes: List[Prefix] = []
+    ring: Set[FrozenSet[str]] = set()
     if len(bgp_devices) >= 2:
         bgp_prefixes = list(BGP_PREFIXES[: draw(st.integers(1, 2))])
         for asn, name in enumerate(bgp_devices, start=65001):
             builder.enable_bgp(name, asn)
-        for prefix in bgp_prefixes:
-            builder.device(draw(st.sampled_from(bgp_devices))).bgp.networks.append(prefix)
+        origins = [draw(st.sampled_from(bgp_devices)) for _prefix in bgp_prefixes]
+        if gadget:
+            origins[0] = gadget[0]
+            ring = _preference_ring(draw, builder, topology, gadget[0], gadget[1:])
+        for prefix, origin in zip(bgp_prefixes, origins):
+            builder.device(origin).bgp.networks.append(prefix)
         for position, a in enumerate(bgp_devices):
             for b in bgp_devices[position + 1 :]:
+                if frozenset((a, b)) in ring:
+                    continue
                 if not topology.links_between(a, b) or not draw(st.integers(0, 3)):
                     continue
                 maps = {}
@@ -158,9 +214,14 @@ def small_networks(draw, max_devices: int = 8) -> DrawnNetwork:
     elif kind == "blackhole":
         policy = BlackHoleFreedom()
     else:
+        # Where a ring was drawn, its members ask for its prefix: their early
+        # decisions are the ones a later update overturns.
+        sources, destinations = (gadget[1:], bgp_prefixes[:1]) if gadget else (names, prefixes)
         policy = Reachability(
-            sources=draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)),
-            destination_prefix=draw(st.sampled_from(prefixes)),
+            sources=draw(st.lists(st.sampled_from(sources), min_size=1, max_size=2, unique=True)),
+            destination_prefix=draw(st.sampled_from(destinations)),
             require_all_branches=draw(st.booleans()),
         )
-    return DrawnNetwork(builder.build(), draw(st.integers(0, 2)), policy)
+    # A ring adds up to six links, and the naive side searches every pair
+    # of failed links: a ring's budget is one.
+    return DrawnNetwork(builder.build(), draw(st.integers(0, 1 if gadget else 2)), policy)

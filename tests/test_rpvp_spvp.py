@@ -21,14 +21,13 @@ from repro.protocols import (
     Route,
     OspfInstance,
     RpvpState,
-    enabled_nodes,
-    rpvp_successors,
 )
 from repro.modelcheck import ExplorationStatistics, Explorer, ExplorerOptions
-from repro.protocols.rpvp import initial_state, is_invalid, step_node
+from repro.protocols.rpvp import initial_state
 from repro.protocols.spvp import SpvpStepper
 from repro.topology import ring
 from tests.helpers import buffer_of, forwarding_next_hops, linear_chain
+from tests.oracles.rpvp_reference import enabled_nodes, is_invalid, rpvp_successors, step_node
 
 
 class GadgetInstance(PathVectorInstance):

@@ -17,14 +17,19 @@ from scratch — the protocol-major OSPF, BGP and static passes over every
 device — and derives each later plane from it: the first plane's per-device
 :class:`~repro.dataplane.Fib` objects, with only those of the devices that
 hold other routes replaced, by tables interned per (device, route ids) and
-built by the same passes restricted to those devices.  A single link failure
-likewise moves only the devices whose shortest paths crossed the link, so a
-PEC without BGP derives each failure task's plane from its failure-free
-task's plane, kept on the shared :class:`OspfComputation`: only the devices
-whose SPF entry moved, and the static-route devices, are rebuilt.  ``Fib``
-objects are therefore shared between the planes of one task, and between the
-tasks of a PEC without BGP; a derived plane records its base and the devices
-it changed, so that a policy may check it from those devices alone.
+built by the same passes restricted to those devices.  The first plane also
+fixes the layout the later planes' states come in, so that a converged state
+costs one pass over its route ids and then what it changed: a lookup per
+changed device, a copy of the device -> FIB map and one plane object.
+
+A single link failure likewise moves only the devices whose shortest paths
+crossed the link, so a PEC without BGP derives each failure task's plane
+from its failure-free task's plane, kept on the shared
+:class:`OspfComputation`: only the devices whose SPF entry moved, and the
+static-route devices, are rebuilt.  ``Fib`` objects are therefore shared
+between the planes of one task, and between the tasks of a PEC without BGP;
+a derived plane records its base and the devices it changed, so that a
+policy may check it from those devices alone.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from typing import (
     Collection,
     Dict,
     Hashable,
+    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -67,7 +73,7 @@ from repro.modelcheck.hashing import ZobristFingerprinter
 from repro.pec.classes import PacketEquivalenceClass
 from repro.protocols.base import EPSILON, PathVectorInstance, Route, RouteSource
 from repro.protocols.bgp import BgpInstance
-from repro.protocols.interning import RouteInternTable, node_space_for
+from repro.protocols.interning import _NodeSpace, node_space_for
 from repro.protocols.ospf import OspfComputation, OspfRoutingTable
 from repro.protocols.ospf_instance import OspfInstance
 from repro.protocols.rpvp import RpvpState, initial_state
@@ -188,17 +194,28 @@ class _PlaneInputs(NamedTuple):
 class _ReferencePlane:
     """The first data plane of a task, as later planes are derived from it."""
 
-    prefixes: Tuple[Prefix, ...]  # the live BGP prefixes, in install order
-    table: RouteInternTable  # the one their states' route ids live in
-    names: Tuple[str, ...]  # slot -> device
-    ids: List[Sequence[int]]  # the reference states' route-id arrays, per live prefix
+    #: The live BGP prefixes, in install order: the layout of the state map
+    #: every later plane is built from.
+    prefixes: Tuple[Prefix, ...]
+    #: Their states' node space: slot -> device, and the one intern table
+    #: their route ids live in.
+    space: _NodeSpace
+    #: slot -> the reference states' route ids (``_rows``).
+    rows: Sequence[Union[int, Tuple[int, ...]]]
     #: The first plane's FIBs, all shared, in a plane of their own: the base of
     #: every derived plane, never handed to a callback (an install into the
     #: first plane copies the table it writes to, so the reference holds).
     plane: DataPlane
-    #: (slot, route id per live prefix) -> the FIB of that device holding those
-    #: routes.
-    interned: Dict[Tuple[int, ...], Fib] = field(default_factory=dict)
+    #: (slot, its route ids) -> the FIB of that device holding those routes.
+    interned: Dict[Tuple[int, Union[int, Tuple[int, ...]]], Fib] = field(default_factory=dict)
+
+
+def _rows(states: Sequence[RpvpState]) -> Sequence[Union[int, Tuple[int, ...]]]:
+    """slot -> its route ids under the live prefixes of ``states``: the id
+    array itself under one, a tuple per slot under several."""
+    if len(states) == 1:
+        return states[0]._ids
+    return list(zip(*[state._ids for state in states]))
 
 
 # --------------------------------------------------------------------------- explorer
@@ -353,15 +370,18 @@ class PecExplorer:
             found: List[Tuple[RpvpState, List[object]]] = []
             search(prefix, lambda state, labels: found.append((state, labels)))
             converged_of.append(found)
+        # A plane reads the states in install order, the layout its task's
+        # reference plane fixed (``build_data_plane``).
+        layout = [prefix for prefix in self._plane_inputs.prefixes if prefix in bgp_prefixes]
 
         def cross(state: RpvpState, labels: List[object]) -> Optional[str]:
             for combination in itertools.product(*converged_of):
-                bgp_states = {streamed: state}
+                chosen = dict(zip(listed, combination))
+                chosen[streamed] = (state, labels)
                 steps = list(labels)
-                for prefix, (other_state, other_labels) in zip(listed, combination):
-                    bgp_states[prefix] = other_state
+                for _other_state, other_labels in combination:
                     steps.extend(other_labels)
-                violation = emit(bgp_states, steps)
+                violation = emit({prefix: chosen[prefix][0] for prefix in layout}, steps)
                 if violation is not None:
                     return violation
             return None
@@ -459,7 +479,7 @@ class PecExplorer:
         # One 4-byte id slot per node plus the array object overhead.
         fingerprinter.state_bytes_per_state = 64 + 4 * len(space.names)
         explorer.interner = fingerprinter
-        return lambda state: state.fingerprint(fingerprinter)
+        return operator.methodcaller("fingerprint", fingerprinter)
 
     # ------------------------------------------------------------------ successor relation
     def _successor_relation(
@@ -582,16 +602,21 @@ class PecExplorer:
         """Combine per-prefix protocol results into a network-wide data plane,
         and the control plane behind it (built when first read).
 
-        A plane is either built from scratch (``_install_entries`` over all
-        devices) or derived from a reference plane (``_derived_plane``): the
-        reference's FIBs with only the devices that may differ rebuilt, the
-        reference as its ``base`` and those devices as its ``changed``.
+        ``bgp_states`` maps each live BGP prefix — one with a converged state —
+        to that state.  A plane is either built from scratch
+        (``_install_entries`` over all devices) or derived from a reference
+        plane: the reference's FIBs with only the devices that may differ
+        rebuilt, the reference as its ``base`` and those devices as its
+        ``changed``.
 
         * With live BGP states, the first plane of a task is built from
-          scratch, and a snapshot of it, with the route-id arrays of the
-          states behind it, becomes the task's reference.  Every later plane
-          over the same live BGP prefixes is derived from it, rebuilding the
-          devices whose route ids differ (``_route_derived_plane``).
+          scratch, and a snapshot of it becomes the task's reference, with
+          the layout of the states behind it: the live prefixes in install
+          order, over one node space, and each slot's route ids.  A later
+          plane whose states come in that layout (``explore`` hands them so)
+          is derived from it by one pass, for one live prefix and for
+          several crossed alike (``_route_derived_plane``): the slots whose
+          route ids differ, and the FIBs interned under those ids.
         * Without (a PEC without BGP has one plane per task), the failure-free
           task's plane is built from scratch and its snapshot kept on the
           shared :class:`OspfComputation` as the PEC's reference
@@ -608,43 +633,41 @@ class PecExplorer:
         means to a caller who edits a plane.
         """
         bgp_states = bgp_states or {}
-        live = {
-            prefix: bgp_states[prefix]
-            for prefix in self._plane_inputs.prefixes
-            if bgp_states.get(prefix) is not None
-        }
-        states = list(live.values())
-        failed = self._plane_inputs.failed
+        states = list(bgp_states.values())
         reference = self._reference
-        kept = self.ospf.pec_memos(self.pec).get("reference_plane") if failed and not live else None
         if (
             reference is not None
-            and reference.prefixes == tuple(live)
-            and all(state.intern_table is reference.table for state in states)
+            and reference.prefixes == tuple(bgp_states)
+            and all(state._space is reference.space for state in states)
         ):
-            data_plane = self._route_derived_plane(reference, live)
-        elif kept is not None:
-            moved = self._moved_devices()
-            data_plane = self._derived_plane(
-                kept, dict(kept.fibs), tuple(sorted(moved)), moved, live
-            )
+            data_plane = self._route_derived_plane(reference, states)
         else:
-            data_plane = DataPlane(self.network.topology.nodes, pec_range=self.pec.address_range)
-            self._install_entries(data_plane, live)
-            # One intern table (one node space) under every live prefix is
-            # what makes a slot one device and its ids comparable across
-            # planes; BGP speakers do not depend on the prefix, so it holds.
-            table = states[0].intern_table if states else None
-            if states and all(state.intern_table is table for state in states):
-                self._reference = _ReferencePlane(
-                    prefixes=tuple(live),
-                    table=table,
-                    names=states[0].node_names,
-                    ids=[state._ids for state in states],
-                    plane=self._snapshot(data_plane),
-                )
-            elif not live and not failed:
-                self.ospf.pec_memos(self.pec)["reference_plane"] = self._snapshot(data_plane)
+            inputs = self._plane_inputs
+            live = {
+                prefix: bgp_states[prefix] for prefix in inputs.prefixes if prefix in bgp_states
+            }
+            states = list(live.values())
+            kept = None
+            if inputs.failed and not live:
+                kept = self.ospf.pec_memos(self.pec).get("reference_plane")
+            if kept is not None:
+                moved = self._moved_devices()
+                data_plane = self._derived_plane(kept, dict(kept.fibs), sorted(moved), moved, live)
+            else:
+                data_plane = DataPlane(self.network.topology.nodes, self.pec.address_range)
+                self._install_entries(data_plane, live)
+                # One intern table (one node space) under every live prefix is
+                # what makes a slot one device and its ids comparable across
+                # planes; BGP speakers do not depend on the prefix, so it holds.
+                if states and all(state._space is states[0]._space for state in states):
+                    self._reference = _ReferencePlane(
+                        prefixes=tuple(live),
+                        space=states[0]._space,
+                        rows=_rows(states),
+                        plane=self._snapshot(data_plane),
+                    )
+                elif not live and not inputs.failed:
+                    self.ospf.pec_memos(self.pec)["reference_plane"] = self._snapshot(data_plane)
         data_plane.annotations["failure"] = self._plane_inputs.failure_text
         return data_plane, _ControlPlane(states)
 
@@ -653,11 +676,9 @@ class PecExplorer:
         base of every plane derived from it, never handed to a callback (an
         install into ``data_plane`` copies the table it writes to, so the
         snapshot holds)."""
-        snapshot = DataPlane((), pec_range=self.pec.address_range)
-        snapshot.fibs = dict(data_plane.fibs)
-        for fib in snapshot.fibs.values():
+        for fib in data_plane.fibs.values():
             fib.share()
-        return snapshot
+        return DataPlane(pec_range=data_plane.pec_range, fibs=dict(data_plane.fibs))
 
     def _moved_devices(self) -> Set[str]:
         """The devices whose FIB may differ between this failure's plane and
@@ -675,7 +696,7 @@ class PecExplorer:
         self,
         base: DataPlane,
         fibs: Dict[str, Fib],
-        changed: Tuple[str, ...],
+        changed: List[str],
         missing: Collection[str],
         live: Dict[Prefix, RpvpState],
     ) -> DataPlane:
@@ -690,46 +711,40 @@ class PecExplorer:
             for device, fib in built.fibs.items():
                 fibs[device] = fib
                 fib.share()
-        data_plane = DataPlane((), pec_range=self.pec.address_range)
-        data_plane.fibs, data_plane.base, data_plane.changed = fibs, base, changed
-        return data_plane
+        # From a list, not a generator: a tuple built from a generator is
+        # allocated at a guessed size and resized, and once freed it parks in
+        # the free list of its final size — 0.75 MB of peak RSS on a k=4
+        # fabric under two failures.
+        return DataPlane((), base.pec_range, fibs, base, tuple(changed))
 
     def _route_derived_plane(
-        self, reference: _ReferencePlane, live: Dict[Prefix, RpvpState]
+        self, reference: _ReferencePlane, states: List[RpvpState]
     ) -> DataPlane:
         """The plane derived from the task's reference that differs from it in
-        the devices holding other BGP routes.
+        the devices holding other BGP routes, from ``states`` in the
+        reference's layout.
 
         A device's FIB is a function of the task and that device's own BGP
         routes, so the replacements are interned per (slot, route id per live
         prefix); a miss is built by ``_derived_plane`` and interned.
         """
-        interned = reference.interned
-        arrays = [state._ids for state in live.values()]
-        differing: Set[int] = set()
-        for ids, reference_ids in zip(arrays, reference.ids):
-            if ids != reference_ids:
-                differing.update(
-                    itertools.compress(itertools.count(), map(operator.ne, ids, reference_ids))
-                )
-        changed = list(differing)
-        names = reference.names
+        rows = _rows(states)
+        names, interned = reference.space.names, reference.interned
         fibs = dict(reference.plane.fibs)
-        missing: Dict[str, Tuple[int, ...]] = {}
-        # One key per changed slot: (slot, its route id under each live prefix).
-        for key in zip(changed, *([ids[slot] for slot in changed] for ids in arrays)):
+        changed: List[str] = []
+        missing: Dict[str, Tuple[int, Union[int, Tuple[int, ...]]]] = {}
+        differs = map(operator.ne, rows, reference.rows)
+        for slot in itertools.compress(itertools.count(), differs):
+            device = names[slot]
+            changed.append(device)
+            key = slot, rows[slot]
             fib = interned.get(key)
             if fib is None:
-                missing[names[key[0]]] = key
+                missing[device] = key
             else:
-                fibs[fib.device] = fib
-        # From a list, not a generator: a tuple built from a generator is
-        # allocated at a guessed size and resized, and once freed it parks in
-        # the free list of its final size — 0.75 MB of peak RSS on a k=4
-        # fabric under two failures.
-        data_plane = self._derived_plane(
-            reference.plane, fibs, tuple([names[slot] for slot in changed]), missing, live
-        )
+                fibs[device] = fib
+        live = dict(zip(reference.prefixes, states)) if missing else {}
+        data_plane = self._derived_plane(reference.plane, fibs, changed, missing, live)
         for device, key in missing.items():
             interned[key] = fibs[device]
         return data_plane
@@ -830,10 +845,13 @@ class PecExplorer:
             )
         if state is None:
             return
-        for node, route in state.items():
+        if only is None:
+            routes: Iterable[Tuple[str, Optional[Route]]] = state.items()
+        else:
+            slot_of, route_of, ids = state._space.slot_of, state.intern_table.route, state._ids
+            routes = [(node, route_of(ids[slot_of[node]])) for node in only if node in slot_of]
+        for node, route in routes:
             if route is None or route.path == EPSILON:
-                continue
-            if only is not None and node not in only:
                 continue
             peer = route.path.head
             node_cfg = self.network.device(node)

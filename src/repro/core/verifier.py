@@ -257,10 +257,16 @@ class Plankton:
             ospf_computation=self.ospf_computation,
         )
         run = PecRunResult(pec_index=pec.index, failure=failure)
-        seen_signatures: Dict[str, Set[Tuple]] = {}
-        failure_text = failure.describe(self.network.topology)
-        applicable = [policy for policy in policies if policy.applies_to(pec)]
+        network = self.network
+        failure_text = failure.describe(network.topology)
         upstream_planes = dependency_context.data_planes()
+        stop_at_first = self.options.stop_at_first_violation
+        pruning = self.options.optimizations.policy_based_pruning
+        # Each applicable policy, with the signatures of the planes it was
+        # checked on when policy-based pruning suppresses repeats (§3.5).
+        checks = [
+            (policy, set() if pruning else None) for policy in policies if policy.applies_to(pec)
+        ]
 
         def check_outcome(outcome: ConvergedOutcome) -> Optional[str]:
             """Check every policy on one converged data plane, as the search
@@ -268,26 +274,20 @@ class Plankton:
             returned, which ends the search of an independent PEC; a PEC
             with dependents is searched to the end (downstream PECs need
             every outcome) and only stops being checked."""
-            if run.violations and self.options.stop_at_first_violation:
+            if run.violations and stop_at_first:
                 return None
             run.converged_states += 1
             context = PolicyCheckContext(
-                network=self.network,
-                pec=pec,
-                data_plane=outcome.data_plane,
-                failure=failure,
-                dependencies=upstream_planes,
-                control_plane=outcome.control_plane,
+                network, pec, outcome.data_plane, failure, upstream_planes, outcome.control_plane
             )
-            for policy in applicable:
-                if self.options.optimizations.policy_based_pruning:
+            for policy, seen in checks:
+                if seen is not None:
                     signature = policy.state_signature(context)
                     if signature is not None:
-                        bucket = seen_signatures.setdefault(policy.name, set())
-                        if signature in bucket:
+                        if signature in seen:
                             run.suppressed_states += 1
                             continue
-                        bucket.add(signature)
+                        seen.add(signature)
                 run.checked_states += 1
                 message = policy.check(context)
                 if message is None:
@@ -307,7 +307,7 @@ class Plankton:
                         trail=trail,
                     )
                 )
-                if self.options.stop_at_first_violation:
+                if stop_at_first:
                     return None if collect_outcomes else message
             return None
 

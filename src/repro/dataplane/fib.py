@@ -148,24 +148,34 @@ class DataPlane:
     This is the object handed to policy callbacks for each converged state of
     a PEC (paper §3.5), together with the address range the PEC covers.
 
-    A plane *derived* from another one (see ``PecExplorer.build_data_plane``)
-    also knows what it differs in: ``base`` is the plane it was derived from
-    and ``changed`` the devices whose :class:`Fib` is not the base's; every
-    other device holds the base's very table.  Analyses may start from
-    those devices (:func:`~repro.dataplane.forwarding.find_cycle`), so a
-    plane that serves as a base is never edited.  Neither field is part of
-    the document, and :meth:`install` forgets both.
+    A plane holds a new, empty table per device of ``devices``, or the
+    tables ``fibs`` hands it (by reference, in that order).  A plane
+    *derived* from another one (see ``PecExplorer.build_data_plane``) is
+    handed its tables and also knows what it differs in: ``base`` is the
+    plane it was derived from and ``changed`` the devices whose :class:`Fib`
+    is not the base's; every other device holds the base's very table.
+    Analyses may start from those devices
+    (:func:`~repro.dataplane.forwarding.find_cycle`), so a plane that serves
+    as a base is never edited.  Neither field is part of the document, and
+    :meth:`install` forgets both.
     """
 
-    def __init__(self, devices: Iterable[str], pec_range: Optional[AddressRange] = None) -> None:
-        self.fibs: Dict[str, Fib] = {name: Fib(name) for name in devices}
+    def __init__(
+        self,
+        devices: Iterable[str] = (),
+        pec_range: Optional[AddressRange] = None,
+        fibs: Optional[Dict[str, Fib]] = None,
+        base: Optional["DataPlane"] = None,
+        changed: Tuple[str, ...] = (),
+    ) -> None:
+        self.fibs: Dict[str, Fib] = {name: Fib(name) for name in devices} if fibs is None else fibs
         self.pec_range = pec_range
         #: Free-form annotations recorded by the verifier (failure scenario,
         #: non-deterministic choices taken); consumed by trails and tests.
         #: Values are JSON-ready (strings today) — they are part of the document.
         self.annotations: Dict[str, object] = {}
-        self.base: Optional[DataPlane] = None
-        self.changed: Tuple[str, ...] = ()
+        self.base = base
+        self.changed = changed
         #: Per address, this plane's forwarding order as the planes derived
         #: from it are checked against it (kept by
         #: :func:`~repro.dataplane.forwarding.find_cycle`).
@@ -246,10 +256,11 @@ class DataPlane:
     @classmethod
     def from_dict(cls, document: Dict[str, object]) -> "DataPlane":
         def build(pec_range, annotations, fibs):  # ** rejects a missing or unknown key
-            plane = cls((), None if pec_range is None else AddressRange(*pec_range))
+            plane = cls(
+                pec_range=None if pec_range is None else AddressRange(*pec_range),
+                fibs={fib.device: fib for fib in map(Fib.from_dict, fibs)},
+            )
             plane.annotations.update(annotations)
-            for fib in map(Fib.from_dict, fibs):
-                plane.fibs[fib.device] = fib
             return plane
 
         return build(**document)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Generic, Hashable, List, Optional, Tuple, TypeVar
+from typing import Callable, Generic, Hashable, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.modelcheck.hashing import BitstateFilter, VisitedSet, ZobristFingerprinter
 from repro.modelcheck.trail import document
@@ -49,7 +49,12 @@ def weakest(first: str, second: str) -> str:
 
 @dataclass
 class ExplorerOptions:
-    """The budgets and the visited-set kind of one search."""
+    """The budgets and the visited-set kind of one search.
+
+    The budgets bound the states a search expands: the states, and the
+    seconds spent, are read before each newly reached state is expanded, so
+    a search that needs no more than they allow is complete.
+    """
 
     max_states: int = 5_000_000
     max_seconds: Optional[float] = None
@@ -133,13 +138,13 @@ class Explorer(Generic[State]):
         visited.add(fingerprint(initial_state))
         unique = expanded = 1
         terminals = max_depth = 0
-        # Each stack frame: (state, label-that-led-here, successors, position).
-        # The label path to any state on the stack is reconstructed from the
-        # frames on demand (terminals only), instead of copying an O(depth)
-        # label list on every transition.
+        # Each stack frame: (label-that-led-here, iterator over the state's
+        # successors).  The label path to any state on the stack is
+        # reconstructed from the frames on demand (terminals only), instead
+        # of copying an O(depth) label list on every transition.
         root_successors = successors_of(initial_state)
-        stack: List[Tuple[State, object, List[Tuple[object, State]], int]] = [
-            (initial_state, None, root_successors, 0)
+        stack: List[Tuple[object, Iterator[Tuple[object, State]]]] = [
+            (None, iter(root_successors))
         ]
         transitions = len(root_successors)
         truncated = False
@@ -148,21 +153,20 @@ class Explorer(Generic[State]):
             if check_terminal is not None:
                 check_terminal(initial_state, [])
 
+        max_states, max_seconds = options.max_states, options.max_seconds
         while stack:
-            if expanded >= options.max_states or (
-                options.max_seconds is not None
-                and time.perf_counter() - started > options.max_seconds
+            step = next(stack[-1][1], None)
+            if step is None:
+                stack.pop()
+                continue
+            label, next_state = step
+            if visited.add(fingerprint(next_state)):
+                continue
+            if expanded >= max_states or (
+                max_seconds is not None and time.perf_counter() - started > max_seconds
             ):
                 truncated = True
                 break
-            state, came_by, successors, position = stack[-1]
-            if position >= len(successors):
-                stack.pop()
-                continue
-            stack[-1] = (state, came_by, successors, position + 1)
-            label, next_state = successors[position]
-            if visited.add(fingerprint(next_state)):
-                continue
             unique += 1
             depth = len(stack)
             if depth > max_depth:
@@ -171,11 +175,11 @@ class Explorer(Generic[State]):
             expanded += 1
             transitions += len(next_successors)
             if next_successors:
-                stack.append((next_state, label, next_successors, 0))
+                stack.append((label, iter(next_successors)))
                 continue
             terminals += 1
             if check_terminal is not None:
-                labels = [frame[1] for frame in stack[1:]]
+                labels = [frame[0] for frame in stack[1:]]
                 labels.append(label)
                 if check_terminal(next_state, labels) is not None:
                     break

@@ -27,7 +27,6 @@ id array, in the same intern table.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import ProtocolError
@@ -132,17 +131,15 @@ class RpvpState(IdArrayState):
         One flat array copy plus an integer store, recording the single-slot
         delta for incremental fingerprinting / successor generation.
         """
+        space = self._space
         try:
-            slot = self._space.slot_of[node]
+            slot = space.slot_of[node]
         except KeyError:
             raise ProtocolError(f"node {node!r} not part of this RPVP state") from None
         ids = array("i", self._ids)
         old = ids[slot]
-        new = self._space.table.route_id(route)
-        ids[slot] = new
-        return RpvpState.__new__(RpvpState)._init(
-            self._space, ids, parent=self, delta=((slot, old, new),)
-        )
+        ids[slot] = new = space.table.route_id(route)
+        return RpvpState.__new__(RpvpState)._init(space, ids, self, ((slot, old, new),))
 
     def __repr__(self) -> str:
         decided = sum(1 for route in self.routes() if route is not None)
@@ -155,13 +152,37 @@ class RpvpState(IdArrayState):
         return len(self._space.names)
 
 
-@dataclass(frozen=True)
 class RpvpTransition:
-    """One RPVP step: ``node`` adopted ``new_route`` (None = cleared invalid path)."""
+    """One RPVP step: ``node`` adopted ``new_route`` (None = cleared invalid path).
 
-    node: str
-    new_route: Optional[Route]
-    from_peer: Optional[str] = None
+    A search label, built once per move, so a plain ``__slots__`` class:
+    value equality and hash over the three fields, pickled by them, never
+    changed after construction.
+    """
+
+    __slots__ = ("node", "new_route", "from_peer")
+
+    def __init__(
+        self, node: str, new_route: Optional[Route], from_peer: Optional[str] = None
+    ) -> None:
+        self.node, self.new_route, self.from_peer = node, new_route, from_peer
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RpvpTransition:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+    def __reduce__(self):
+        return RpvpTransition, (self.node, self.new_route, self.from_peer)
+
+    def __repr__(self) -> str:
+        return (
+            f"RpvpTransition(node={self.node!r}, new_route={self.new_route!r}, "
+            f"from_peer={self.from_peer!r})"
+        )
 
     def describe(self) -> str:
         if self.new_route is None:

@@ -260,6 +260,23 @@ class TestBgpDataCenter:
         result = Plankton(network).verify(self._policy(topology, ["agg0_0"]))
         assert result.holds
 
+    def test_each_policy_of_one_kind_keeps_its_own_signatures(self):
+        """Policy-based pruning skips a plane whose signature was checked
+        before, per policy: two waypoint policies share a name, and each
+        still reports the violation it reports alone."""
+        topology = bgp_fat_tree(4)
+        network = ebgp_rfc7938(topology)
+        options = PlanktonOptions(stop_at_first_violation=False)
+        policies = [self._policy(topology, ["core0"]), self._policy(topology, ["core1"])]
+        alone = [
+            violation.message
+            for policy in policies
+            for violation in Plankton(network, options).verify(policy).violations
+        ]
+        together = Plankton(network, options).verify(policies).violations
+        assert len(alone) == 2
+        assert sorted(violation.message for violation in together) == sorted(alone)
+
     def test_bgp_reachability_holds(self):
         topology = bgp_fat_tree(4)
         network = ebgp_rfc7938(topology)

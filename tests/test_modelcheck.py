@@ -97,6 +97,51 @@ class TestExplorer:
         assert statistics.truncated
         assert statistics.states_expanded == 10
 
+    @pytest.mark.parametrize(
+        "budget, completeness",
+        [(3, "complete"), (4, "complete"), (2, "truncated")],
+    )
+    def test_a_search_that_fits_its_state_budget_is_complete(self, budget, completeness):
+        """The state budget bounds the states expanded, so a 3-state chain
+        fits a budget of 3; the passes that only pop exhausted frames after
+        its last state do not truncate it."""
+        statistics = ExplorationStatistics()
+        explorer = Explorer(chain_successors(2), options=ExplorerOptions(max_states=budget))
+        assert explorer.run(0, statistics) == completeness
+        assert statistics.truncated == (completeness == "truncated")
+        assert statistics.states_expanded == min(budget, 3)
+        assert statistics.unique_states == min(budget, 3)
+
+    def test_a_budget_met_before_a_revisit_is_not_truncated(self):
+        """A diamond expands its 4 states before its second path reaches the
+        joined state again: that revisit admits nothing, so a budget of 4
+        leaves the search complete."""
+
+        def successors(state):
+            if state == "start":
+                return [("a", "mid_a"), ("b", "mid_b")]
+            if state in ("mid_a", "mid_b"):
+                return [("join", "end")]
+            return []
+
+        statistics = ExplorationStatistics()
+        explorer = Explorer(successors, options=ExplorerOptions(max_states=4))
+        assert explorer.run("start", statistics) == "complete"
+        assert statistics.states_expanded == 4 and statistics.terminal_states == 1
+
+    def test_an_exhausted_clock_truncates_only_what_is_left_to_expand(self):
+        options = ExplorerOptions(max_seconds=0.0)
+        statistics = ExplorationStatistics()
+        # The root is expanded before any budget is read; its only successor
+        # is itself, so nothing is left to expand.
+        assert Explorer(lambda state: [("stay", state)], options=options).run(0, statistics) == (
+            "complete"
+        )
+        assert Explorer(lambda state: [], options=options).run(0, statistics) == "complete"
+        assert not statistics.truncated and statistics.states_expanded == 2
+        assert Explorer(chain_successors(2), options=options).run(0, statistics) == "truncated"
+        assert statistics.truncated and statistics.states_expanded == 3
+
     def test_canonicalizer_merges_equivalent_states(self):
         # States are (value, irrelevant); canonicalize on value only.
         def successors(state):

@@ -88,9 +88,7 @@ def _recorded_k6_updates():
     RpvpState.with_best = recording
     try:
         network = _network(6, induce_loop=False)
-        options = PlanktonOptions(
-            fast_ospf=False, stop_at_first_violation=False, backend="serial"
-        )
+        options = PlanktonOptions(fast_ospf=False, stop_at_first_violation=False)
         result = Plankton(network, options).verify(LoopFreedom())
     finally:
         RpvpState.with_best = original
@@ -257,7 +255,7 @@ def test_edge_delta_count_floor(reporter, monkeypatch, k):
     monkeypatch.setattr(RouteInternTable, "route_id", counted_route_id)
     monkeypatch.setattr(ospf_instance, "_advertised", counted_advertised)
     network = _network(k, induce_loop=False)
-    options = PlanktonOptions(fast_ospf=False, stop_at_first_violation=False, backend="serial")
+    options = PlanktonOptions(fast_ospf=False, stop_at_first_violation=False)
     verifier = Plankton(network, options)
     shared = verifier.ospf_computation.shared_filter_caches(frozenset())
     shared["engine"]["adv_edge"] = _CountedMemos(tally)

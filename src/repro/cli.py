@@ -76,7 +76,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 # client no verifier, and ``--version`` nothing at all.
 from repro import __version__
 from repro.core.options import (
-    BACKEND_CHOICES,
     POLICY_KINDS,
     POR_MODES,
     TRANSIENT_PROPERTIES,
@@ -179,7 +178,6 @@ def _options_spec(args: argparse.Namespace) -> Dict[str, object]:
     return {
         "max_failures": args.max_failures,
         "cores": args.cores,
-        "backend": args.backend,
         "stop_at_first_violation": not args.all_violations,
         "task_timeout": args.task_timeout,
         "task_retries": args.task_retries,
@@ -459,12 +457,8 @@ def _add_policy_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-failures", type=int, default=0, help="link-failure budget")
-    parser.add_argument("--cores", type=int, default=1, help="worker processes for PEC tasks")
     parser.add_argument(
-        "--backend",
-        choices=list(BACKEND_CHOICES),
-        default="auto",
-        help="execution engine backend (auto: process pool when --cores > 1)",
+        "--cores", type=int, default=1, help="worker processes for PEC tasks (> 1 runs a process pool)"
     )
     parser.add_argument(
         "--all-violations",

@@ -258,16 +258,13 @@ class BgpDeterminism:
         )
         as_path_bound = self._min_as_hops[peer] + (0 if is_ibgp else 1)
         igp_bound = 0 if not is_ibgp else int(self.instance.igp_cost(node, peer))
-        rank = (
+        return (
             -local_pref_bound,
             as_path_bound,
             0,  # MED lower bound
             1 if is_ibgp else 0,
             igp_bound,
         )
-        if self.instance.deterministic_tiebreak:
-            rank = rank + ("",)
-        return rank
 
     def _node_is_unstable(self, node: str, state: RpvpState) -> bool:
         """Whether ``node`` is decided but could still receive a better update."""

@@ -9,10 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-#: Backend names accepted by :attr:`PlanktonOptions.backend` and ``--backend``
-#: (the implementations live in :mod:`repro.engine.backends`).
-BACKEND_CHOICES = ("auto", "serial", "process")
-
 #: Policy kinds of ``--policy`` and of a request's policy spec
 #: (:func:`repro.serve.specs.policy_from_spec` builds them).
 POLICY_KINDS = (
@@ -96,14 +92,12 @@ class PlanktonOptions:
     max_failures: int = 0
     #: Optimization switches.
     optimizations: OptimizationFlags = field(default_factory=OptimizationFlags)
-    #: Worker processes for PEC runs (1 = serial).  The analyses of
+    #: Worker processes for PEC runs: more than 1 runs a process pool when
+    #: more than one task is planned, 1 runs serially.  The analyses of
     #: independent PECs are embarrassingly parallel (paper §3.2), and the
     #: execution engine also overlaps independent members of a dependency
     #: schedule.
     cores: int = 1
-    #: Execution backend: ``"auto"`` (process pool when ``cores > 1``, serial
-    #: otherwise), ``"serial"``, or ``"process"``.
-    backend: str = "auto"
     #: Stop at the first policy violation (SPIN's default behaviour).
     stop_at_first_violation: bool = True
     #: Per-PEC state budget for the model checker.
@@ -125,7 +119,7 @@ class PlanktonOptions:
     # Fault-tolerance knobs enforced by the execution engine's supervisor
     # (:mod:`repro.engine.backends`).  They shape *how* a result is computed,
     # never *what* it contains, so the incremental result cache deliberately
-    # excludes them from its fingerprints (like ``cores``/``backend``).
+    # excludes them from its fingerprints (like ``cores``).
 
     #: Wall-clock deadline per task attempt, in seconds (None = no deadline).
     #: The process backend enforces it preemptively (a hung worker is killed
@@ -149,10 +143,6 @@ class PlanktonOptions:
             raise ValueError(f"max_failures must be >= 0 (got {self.max_failures})")
         if self.cores < 1:
             raise ValueError(f"cores must be >= 1 (got {self.cores})")
-        if self.backend not in BACKEND_CHOICES:
-            raise ValueError(
-                f"unknown execution backend {self.backend!r}; choose from {BACKEND_CHOICES}"
-            )
         if self.task_retries < 0:
             raise ValueError(f"task_retries must be >= 0 (got {self.task_retries})")
         for name in ("max_states_per_pec", "max_seconds_per_pec", "task_timeout"):

@@ -6,8 +6,8 @@
 2. build the PEC dependency graph and a dependency-aware schedule,
 3. expand every (PEC, failure scenario) pair into the execution engine's
    task graph (:mod:`repro.engine`) — with explicit dependency edges when
-   PECs depend on each other — and run it on the configured backend
-   (serial, or a persistent process pool),
+   PECs depend on each other — and run it serially, or on a persistent
+   process pool when ``cores`` > 1,
 4. invoke the policy callback on each converged state as the search reaches
    it; report the first (or all) violations with an event trail.
 
@@ -123,8 +123,8 @@ class Plankton:
         """Verify the configuration against one policy or a list of policies.
 
         All work — independent and dependent PECs alike — is expanded into
-        the execution engine's task graph and run on the backend selected by
-        :attr:`PlanktonOptions.backend` / :attr:`PlanktonOptions.cores`.
+        the execution engine's task graph and run on the backend that
+        :attr:`PlanktonOptions.cores` selects.
         """
         from repro.engine import EngineContext, run_graph
 

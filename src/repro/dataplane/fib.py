@@ -219,11 +219,6 @@ class DataPlane:
             return ()
         return entry.next_hops
 
-    def delivers_locally(self, device: str, address: int) -> bool:
-        """True if ``device`` is the destination for ``address`` in this data plane."""
-        entry = self.lookup(device, address)
-        return entry is not None and entry.delivers_locally
-
     def describe(self) -> str:
         """Readable dump of every non-empty FIB (used in violation trails)."""
         lines: List[str] = []

@@ -38,11 +38,6 @@ class PathResult:
         """Number of hops (edges) traversed."""
         return max(0, len(self.nodes) - 1)
 
-    @property
-    def final_node(self) -> str:
-        """The last node on the branch."""
-        return self.nodes[-1]
-
     def visits_any(self, nodes: Sequence[str]) -> bool:
         """True if the branch passes through at least one of ``nodes``."""
         return any(node in self.nodes for node in nodes)

@@ -28,7 +28,6 @@ from repro import _exports
 
 #: Public name -> the module that defines it (imported on first access).
 _ORIGINS = {
-    "BACKEND_CHOICES": "repro.engine.backends",
     "EngineContext": "repro.engine.backends",
     "ExecutionBackend": "repro.engine.backends",
     "ProcessPoolBackend": "repro.engine.backends",

@@ -52,7 +52,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Sized
 
-from repro.core.options import BACKEND_CHOICES, PlanktonOptions
+from repro.core.options import PlanktonOptions
 from repro.engine.aggregator import ResultAggregator
 from repro.engine.graph import TaskError, TaskGraph, TaskResult, TaskSpec
 from repro.engine.supervision import LOG, deadline_from, run_task_guarded
@@ -532,17 +532,8 @@ class _PoolRun:
 
 # --------------------------------------------------------------------------- selection
 def select_backend(options: PlanktonOptions, graph: Sized) -> ExecutionBackend:
-    """Pick the backend named by the options ('auto' resolves by core count
-    and by how many tasks ``graph`` — anything sized — holds)."""
-    name = options.backend or "auto"
-    if name not in BACKEND_CHOICES:
-        raise ValueError(f"unknown execution backend {name!r}; choose from {BACKEND_CHOICES}")
-    if name == "serial":
-        return SerialBackend()
-    if name == "process":
-        # An explicit "process" request is honoured even at cores=1 (a pool
-        # of one worker — useful for exercising the parallel path).
-        return ProcessPoolBackend(cores=options.cores)
+    """A process pool when the options ask for more than one core and
+    ``graph`` — anything sized — holds more than one task; serial otherwise."""
     if options.cores > 1 and len(graph) > 1:
         return ProcessPoolBackend(cores=options.cores)
     return SerialBackend()
@@ -559,7 +550,7 @@ def run_graph(
     ``known`` maps task ids to results that already exist (decoded cache
     entries): those tasks are finished before the run starts.  When nothing
     is left to run — an all-hit request — no backend or pool is constructed
-    at all; ``'auto'`` sizes its choice by what is left, not by the graph.
+    at all; the choice is sized by what is left, not by the graph.
     """
     ledger = ResultAggregator(graph, context.options, known, keep_planes)
     if ledger.planned:

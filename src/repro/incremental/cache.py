@@ -261,7 +261,7 @@ KEYED_OPTIONS = (
 #: and core count the same result for the same task set, and supervision only
 #: retries).  Every field is in exactly one of the two (a test pins it); a
 #: :class:`~repro.transient.explorer.TransientOptions` field is always keyed.
-EXECUTION_ONLY_OPTIONS = frozenset({"cores", "backend", "task_timeout", "task_retries"})
+EXECUTION_ONLY_OPTIONS = frozenset({"cores", "task_timeout", "task_retries"})
 
 
 def _options_token(options: PlanktonOptions) -> Tuple:

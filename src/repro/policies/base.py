@@ -22,6 +22,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.config.objects import NetworkConfig
 from repro.dataplane import DataPlane
+from repro.netaddr import Prefix
 from repro.pec.classes import PacketEquivalenceClass
 from repro.topology.failures import FailureScenario
 
@@ -51,6 +52,11 @@ class Policy(abc.ABC):
 
     #: Human-readable policy name (used in trails and results).
     name: str = "policy"
+    #: The policy checks only the PECs overlapping this prefix (None: every
+    #: PEC with at least one configured prefix).
+    destination_prefix: Optional[Prefix] = None
+    #: The nodes forwarding is checked from (None: every node).
+    sources: Optional[List[str]] = None
 
     @abc.abstractmethod
     def check(self, context: PolicyCheckContext) -> Optional[str]:
@@ -58,16 +64,17 @@ class Policy(abc.ABC):
 
     # ------------------------------------------------------------------ hints
     def applies_to(self, pec: PacketEquivalenceClass) -> bool:
-        """Whether this policy cares about ``pec`` at all.
-
-        The default applies to every PEC with at least one configured prefix;
-        policies that target a specific destination override this.
-        """
-        return not pec.is_empty
+        """Whether this policy cares about ``pec`` at all (its
+        :attr:`destination_prefix` scope)."""
+        if pec.is_empty:
+            return False
+        return self.destination_prefix is None or pec.address_range.overlaps(
+            self.destination_prefix.to_range()
+        )
 
     def source_nodes(self, pec: PacketEquivalenceClass) -> Optional[List[str]]:
         """Nodes forwarding must be checked from (None = every node)."""
-        return None
+        return list(self.sources) if self.sources is not None else None
 
     def interesting_nodes(self, pec: PacketEquivalenceClass) -> Optional[List[str]]:
         """Nodes whose position on paths matters (None = every node)."""

@@ -29,13 +29,6 @@ class BlackHoleFreedom(Policy):
         self.destination_prefix = destination_prefix
         self.only_on_paths_from = list(only_on_paths_from) if only_on_paths_from else None
 
-    def applies_to(self, pec: PacketEquivalenceClass) -> bool:
-        if pec.is_empty:
-            return False
-        if self.destination_prefix is None:
-            return True
-        return pec.address_range.overlaps(self.destination_prefix.to_range())
-
     def source_nodes(self, pec: PacketEquivalenceClass) -> Optional[List[str]]:
         return list(self.only_on_paths_from) if self.only_on_paths_from else None
 

@@ -36,16 +36,6 @@ class MultipathConsistency(Policy):
         self.sources = list(sources) if sources is not None else None
         self.destination_prefix = destination_prefix
 
-    def applies_to(self, pec: PacketEquivalenceClass) -> bool:
-        if pec.is_empty:
-            return False
-        if self.destination_prefix is None:
-            return True
-        return pec.address_range.overlaps(self.destination_prefix.to_range())
-
-    def source_nodes(self, pec: PacketEquivalenceClass) -> Optional[List[str]]:
-        return list(self.sources) if self.sources is not None else None
-
     def check(self, context: PolicyCheckContext) -> Optional[str]:
         devices = self.sources if self.sources is not None else context.data_plane.devices()
         destination = context.destination
@@ -81,48 +71,29 @@ class PathConsistency(Policy):
         self,
         device_group: Sequence[str],
         destination_prefix: Optional[Prefix] = None,
-        compare_suffix_only: bool = True,
     ) -> None:
         if len(device_group) < 2:
             raise PolicyError("path consistency needs at least two devices to compare")
         self.device_group = list(device_group)
         self.destination_prefix = destination_prefix
-        self.compare_suffix_only = compare_suffix_only
-
-    def applies_to(self, pec: PacketEquivalenceClass) -> bool:
-        if pec.is_empty:
-            return False
-        if self.destination_prefix is None:
-            return True
-        return pec.address_range.overlaps(self.destination_prefix.to_range())
 
     def source_nodes(self, pec: PacketEquivalenceClass) -> Optional[List[str]]:
         return list(self.device_group)
 
     def _path_signature(self, context: PolicyCheckContext, device: str) -> Tuple:
         branches = trace_paths(context.data_plane, device, context.destination)
-        signature = []
-        for branch in sorted(branches, key=lambda b: b.nodes):
-            nodes = branch.nodes[1:] if self.compare_suffix_only else branch.nodes
-            signature.append((nodes, branch.status.value))
-        return tuple(signature)
+        return tuple(
+            (branch.nodes[1:], branch.status.value)
+            for branch in sorted(branches, key=lambda b: b.nodes)
+        )
 
     def _control_signature(self, context: PolicyCheckContext, device: str) -> Optional[Tuple]:
-        state = context.control_plane.get(device)
-        if state is None:
+        route = context.control_plane.get(device)
+        if route is None:
             return None
         # The verifier stores the selected Route; compare everything except
         # the concrete next hop (which legitimately differs per device).
-        route = state
-        try:
-            return (
-                route.source.name,        # type: ignore[attr-defined]
-                route.local_pref,         # type: ignore[attr-defined]
-                route.as_path_length,     # type: ignore[attr-defined]
-                route.med,                # type: ignore[attr-defined]
-            )
-        except AttributeError:
-            return None
+        return (route.source.name, route.local_pref, route.as_path_length, route.med)
 
     def check(self, context: PolicyCheckContext) -> Optional[str]:
         reference_device = self.device_group[0]

@@ -6,7 +6,6 @@ from typing import Optional
 
 from repro.dataplane.forwarding import find_cycle
 from repro.netaddr import Prefix
-from repro.pec.classes import PacketEquivalenceClass
 from repro.policies.base import Policy, PolicyCheckContext
 
 
@@ -23,13 +22,6 @@ class LoopFreedom(Policy):
 
     def __init__(self, destination_prefix: Optional[Prefix] = None) -> None:
         self.destination_prefix = destination_prefix
-
-    def applies_to(self, pec: PacketEquivalenceClass) -> bool:
-        if pec.is_empty:
-            return False
-        if self.destination_prefix is None:
-            return True
-        return pec.address_range.overlaps(self.destination_prefix.to_range())
 
     def check(self, context: PolicyCheckContext) -> Optional[str]:
         cycle = find_cycle(context.data_plane, context.destination)

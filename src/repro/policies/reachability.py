@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.exceptions import PolicyError
 from repro.netaddr import Prefix
 from repro.dataplane.forwarding import PathStatus, trace_paths
-from repro.pec.classes import PacketEquivalenceClass
 from repro.policies.base import Policy, PolicyCheckContext
 
 
@@ -36,16 +35,6 @@ class Reachability(Policy):
         self.sources = list(sources) if sources is not None else None
         self.destination_prefix = destination_prefix
         self.require_all_branches = require_all_branches
-
-    def applies_to(self, pec: PacketEquivalenceClass) -> bool:
-        if pec.is_empty:
-            return False
-        if self.destination_prefix is None:
-            return True
-        return pec.address_range.overlaps(self.destination_prefix.to_range())
-
-    def source_nodes(self, pec: PacketEquivalenceClass) -> Optional[List[str]]:
-        return list(self.sources) if self.sources is not None else None
 
     def check(self, context: PolicyCheckContext) -> Optional[str]:
         sources = self.sources if self.sources is not None else context.data_plane.devices()

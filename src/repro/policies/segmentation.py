@@ -23,8 +23,7 @@ class Segmentation(Policy):
 
     The check fails when any forwarding branch from a source visits a
     protected device — whether the packet is delivered there or merely
-    transits it.  With ``forbid_transit=False`` only *delivery* at a protected
-    device is a violation (transit through it is tolerated).
+    transits it.
     """
 
     name = "segmentation"
@@ -34,7 +33,6 @@ class Segmentation(Policy):
         sources: Sequence[str],
         protected: Sequence[str],
         destination_prefix: Optional[Prefix] = None,
-        forbid_transit: bool = True,
     ) -> None:
         if not sources:
             raise PolicyError("segmentation policy needs at least one source")
@@ -48,17 +46,6 @@ class Segmentation(Policy):
         self.sources = list(sources)
         self.protected = list(protected)
         self.destination_prefix = destination_prefix
-        self.forbid_transit = forbid_transit
-
-    def applies_to(self, pec: PacketEquivalenceClass) -> bool:
-        if pec.is_empty:
-            return False
-        if self.destination_prefix is None:
-            return True
-        return pec.address_range.overlaps(self.destination_prefix.to_range())
-
-    def source_nodes(self, pec: PacketEquivalenceClass) -> Optional[List[str]]:
-        return list(self.sources)
 
     def interesting_nodes(self, pec: PacketEquivalenceClass) -> Optional[List[str]]:
         return list(self.protected)
@@ -68,15 +55,7 @@ class Segmentation(Policy):
         protected_set = set(self.protected)
         for source in self.sources:
             for branch in trace_paths(context.data_plane, source, destination):
-                if self.forbid_transit:
-                    touched = [node for node in branch.nodes if node in protected_set]
-                else:
-                    touched = (
-                        [branch.final_node]
-                        if branch.final_node in protected_set
-                        and context.data_plane.delivers_locally(branch.final_node, destination)
-                        else []
-                    )
+                touched = [node for node in branch.nodes if node in protected_set]
                 if touched:
                     return (
                         f"traffic from {source} to {context.pec.address_range} reaches "

@@ -27,7 +27,6 @@ class Waypoint(Policy):
         sources: Sequence[str],
         waypoints: Sequence[str],
         destination_prefix: Optional[Prefix] = None,
-        only_delivered_branches: bool = False,
     ) -> None:
         if not sources:
             raise PolicyError("waypoint policy needs at least one source")
@@ -36,17 +35,6 @@ class Waypoint(Policy):
         self.sources = list(sources)
         self.waypoints = list(waypoints)
         self.destination_prefix = destination_prefix
-        self.only_delivered_branches = only_delivered_branches
-
-    def applies_to(self, pec: PacketEquivalenceClass) -> bool:
-        if pec.is_empty:
-            return False
-        if self.destination_prefix is None:
-            return True
-        return pec.address_range.overlaps(self.destination_prefix.to_range())
-
-    def source_nodes(self, pec: PacketEquivalenceClass) -> Optional[List[str]]:
-        return list(self.sources)
 
     def interesting_nodes(self, pec: PacketEquivalenceClass) -> Optional[List[str]]:
         return list(self.waypoints)
@@ -58,8 +46,6 @@ class Waypoint(Policy):
             if source in waypoint_set:
                 continue
             for branch in trace_paths(context.data_plane, source, destination):
-                if self.only_delivered_branches and branch.status != PathStatus.DELIVERED:
-                    continue
                 if branch.status == PathStatus.BLACKHOLE and branch.length == 0:
                     # The source has no route at all: nothing is forwarded, so
                     # nothing bypasses the waypoints.

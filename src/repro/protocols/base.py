@@ -151,11 +151,6 @@ class Route:
     def __setstate__(self, state):
         self.__dict__.update(state)
 
-    @property
-    def next_hop(self) -> Optional[str]:
-        """The next hop of the route (None for a locally originated route)."""
-        return self.path.head
-
     def with_path(self, path: Path) -> "Route":
         """A copy of this route with a different path.
 

@@ -76,7 +76,6 @@ class BgpInstance(PathVectorInstance):
         failed_links: Optional[Set[int]] = None,
         session_up: SessionPredicate = _always_up,
         igp_cost: IgpCostFunction = _zero_igp_cost,
-        deterministic_tiebreak: bool = False,
         memo_host: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.network = network
@@ -84,7 +83,6 @@ class BgpInstance(PathVectorInstance):
         self.failed_links = set(failed_links or ())
         self.session_up = session_up
         self.igp_cost = igp_cost
-        self.deterministic_tiebreak = deterministic_tiebreak
         self.name = f"bgp:{prefix}"
 
         self._speakers: List[str] = [
@@ -234,22 +232,18 @@ class BgpInstance(PathVectorInstance):
 
         Steps: highest local preference, shortest AS path, lowest MED, eBGP
         over iBGP, lowest IGP cost to the next hop.  Remaining ties are left
-        unordered (partial order) unless ``deterministic_tiebreak`` adds the
-        next-hop name as a final tie-breaker (a stand-in for lowest router id).
+        unordered (partial order).
         """
         if route.path == EPSILON:
             # A locally originated route is always preferred.
-            return (-(10 ** 9), 0, 0, 0, 0) + (("",) if self.deterministic_tiebreak else ())
-        key = (
+            return (-(10 ** 9), 0, 0, 0, 0)
+        return (
             -route.local_pref,
             route.as_path_length,
             route.med,
             0 if route.source == RouteSource.EBGP else 1,
             route.igp_cost,
         )
-        if self.deterministic_tiebreak:
-            key = key + (route.next_hop or "",)
-        return key
 
     def session_rank_bound(self, importer: str, exporter: str) -> Optional[Tuple]:
         """Static per-session rank bound from the §4.1.2 determinism analysis.

@@ -26,7 +26,7 @@ from repro.core.options import (
     TRANSIENT_PROPERTIES,
     PlanktonOptions,
 )
-from repro.exceptions import SpecError, TopologyError
+from repro.exceptions import PolicyError, SpecError, TopologyError
 from repro.netaddr import Prefix
 from repro.policies import (
     BlackHoleFreedom,
@@ -54,15 +54,17 @@ def _names(spec: Mapping, key: str) -> List[str]:
     raise SpecError(f"{key} must be a list of device names (got {type(value).__name__})")
 
 
-def parse_destination_prefix(value: Optional[str]) -> Optional[Prefix]:
+def parse_destination_prefix(value: object) -> Optional[Prefix]:
     """``"10.0.1.0/24"`` (or a bare address, /32-implied) → :class:`Prefix`."""
     if value is None:
         return None
+    if not isinstance(value, str):
+        raise SpecError(f"destination_prefix must be a prefix string (got {value!r})")
     text = value if "/" in value else value + "/32"
     try:
         return Prefix(text)
     except Exception as exc:
-        raise SpecError(f"bad destination prefix {value!r}: {exc}") from exc
+        raise SpecError(f"bad destination_prefix {value!r}: {exc}") from exc
 
 
 def policy_from_spec(spec: Mapping, network: NetworkConfig) -> Policy:
@@ -73,6 +75,8 @@ def policy_from_spec(spec: Mapping, network: NetworkConfig) -> Policy:
     ``destination_prefix``, ``max_hops`` and ``any_branch`` — the same
     vocabulary as the CLI flags.
     """
+    if not isinstance(spec, Mapping):
+        raise SpecError(f"a policy spec must be a JSON object (got {spec!r})")
     sources = _names(spec, "sources")
     waypoints = _names(spec, "waypoints")
     protected = _names(spec, "protected")
@@ -82,41 +86,47 @@ def policy_from_spec(spec: Mapping, network: NetworkConfig) -> Policy:
             raise SpecError(f"unknown device {name!r} in sources/waypoints/protected")
 
     kind = spec.get("policy")
-    if kind == "segmentation":
-        if not sources or not protected:
-            raise SpecError("policy segmentation requires sources and protected")
-        return Segmentation(sources=sources, protected=protected, destination_prefix=destination)
-    if kind == "reachability":
-        return Reachability(
-            sources=sources or None,
-            destination_prefix=destination,
-            require_all_branches=not spec.get("any_branch", False),
-        )
-    if kind == "loop":
-        return LoopFreedom(destination_prefix=destination)
-    if kind == "blackhole":
-        return BlackHoleFreedom(
-            destination_prefix=destination,
-            only_on_paths_from=sources or None,
-        )
-    if kind == "waypoint":
-        if not sources or not waypoints:
-            raise SpecError("policy waypoint requires sources and waypoints")
-        return Waypoint(sources=sources, waypoints=waypoints, destination_prefix=destination)
-    if kind == "bounded-path-length":
-        if spec.get("max_hops") is None:
-            raise SpecError("policy bounded-path-length requires max_hops")
-        return BoundedPathLength(
-            max_hops=int(spec["max_hops"]),
-            sources=sources or None,
-            destination_prefix=destination,
-        )
-    if kind == "multipath-consistency":
-        return MultipathConsistency(sources=sources or None, destination_prefix=destination)
-    if kind == "path-consistency":
-        if len(sources) < 2:
-            raise SpecError("policy path-consistency requires at least two sources devices")
-        return PathConsistency(device_group=sources, destination_prefix=destination)
+    try:
+        if kind == "segmentation":
+            if not sources or not protected:
+                raise SpecError("policy segmentation requires sources and protected")
+            return Segmentation(sources=sources, protected=protected, destination_prefix=destination)
+        if kind == "reachability":
+            return Reachability(
+                sources=sources or None,
+                destination_prefix=destination,
+                require_all_branches=not spec.get("any_branch", False),
+            )
+        if kind == "loop":
+            return LoopFreedom(destination_prefix=destination)
+        if kind == "blackhole":
+            return BlackHoleFreedom(
+                destination_prefix=destination,
+                only_on_paths_from=sources or None,
+            )
+        if kind == "waypoint":
+            if not sources or not waypoints:
+                raise SpecError("policy waypoint requires sources and waypoints")
+            return Waypoint(sources=sources, waypoints=waypoints, destination_prefix=destination)
+        if kind == "bounded-path-length":
+            max_hops = spec.get("max_hops")
+            if max_hops is None:
+                raise SpecError("policy bounded-path-length requires max_hops")
+            if isinstance(max_hops, bool) or not isinstance(max_hops, int):
+                raise SpecError(f"max_hops must be an integer (got {max_hops!r})")
+            return BoundedPathLength(
+                max_hops=max_hops,
+                sources=sources or None,
+                destination_prefix=destination,
+            )
+        if kind == "multipath-consistency":
+            return MultipathConsistency(sources=sources or None, destination_prefix=destination)
+        if kind == "path-consistency":
+            if len(sources) < 2:
+                raise SpecError("policy path-consistency requires at least two sources devices")
+            return PathConsistency(device_group=sources, destination_prefix=destination)
+    except PolicyError as exc:
+        raise SpecError(f"bad {kind} policy: {exc}") from exc
     raise SpecError(f"unknown policy {kind!r}; choose from {', '.join(POLICY_KINDS)}")
 
 
@@ -126,7 +136,6 @@ def policy_from_spec(spec: Mapping, network: NetworkConfig) -> Policy:
 _OPTION_FIELDS = (
     "max_failures",
     "cores",
-    "backend",
     "stop_at_first_violation",
     "task_timeout",
     "task_retries",
@@ -204,7 +213,10 @@ def check_push_fields(payload: Mapping) -> None:
     if transient:
         transient_options_from_spec(payload.get("transient"))
         _fields(payload.get("property"), _PROPERTY_FIELDS, "transient property")
-    specs = payload.get("scenarios" if transient else "policies") or ()
+    key = "scenarios" if transient else "policies"
+    specs = payload.get(key) or ()
+    if not isinstance(specs, (list, tuple)):
+        raise SpecError(f"{key} must be a list (got {type(specs).__name__})")
     if specs and payload.get("topology") is not None and payload.get("config") is not None:
         network = network_from_payload(payload)
         for spec in specs:

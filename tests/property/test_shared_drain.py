@@ -88,7 +88,7 @@ def _fresh_runs(network, pec, failure, transient, base, scenarios):
 
 
 def _campaign_runs(network, pec, failure, transient, base, scenarios):
-    campaign = Plankton(network, PlanktonOptions(backend="serial")).verify_transients(
+    campaign = Plankton(network, PlanktonOptions()).verify_transients(
         PROPERTIES,
         transient=transient,
         failures=[failure],

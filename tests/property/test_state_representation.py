@@ -674,7 +674,7 @@ class TestEngineMemoLifetime:
     """What a search fills into the shared OSPF host lives until a search over
     another origin set attaches — by count, no RSS and no clock."""
 
-    OPTIONS = PlanktonOptions(fast_ospf=False, stop_at_first_violation=False, backend="serial")
+    OPTIONS = PlanktonOptions(fast_ospf=False, stop_at_first_violation=False)
 
     def test_a_finished_search_leaves_only_the_silent_entries(self, monkeypatch):
         samples = _sample_engine_attaches(monkeypatch)

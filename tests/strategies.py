@@ -5,8 +5,8 @@ of the verifier can be pinned on: at most eight devices, link weights drawn
 per direction, OSPF with interface cost overrides and passive interfaces,
 eBGP (one AS per device) with local-preference and deny clauses on drawn
 sessions and, in half the draws, a local-preference ring whose decisions
-later updates overturn, static routes, and a failure budget of at most two
-links.  Each draw comes with a policy to check, so a test over it needs
+later updates overturn, static routes, a parallel twin of a link in a third
+of the draws, and a failure budget of at most two links.  Each draw comes with a policy to check, so a test over it needs
 nothing else.
 """
 
@@ -224,4 +224,11 @@ def small_networks(draw, max_devices: int = 8) -> DrawnNetwork:
         )
     # A ring adds up to six links, and the naive side searches every pair
     # of failed links: a ring's budget is one.
-    return DrawnNetwork(builder.build(), draw(st.integers(0, 1 if gadget else 2)), policy)
+    max_failures = draw(st.integers(0, 1 if gadget else 2))
+    if draw(st.integers(0, 2)) == 0:
+        # A parallel twin of a drawn link, same weights and (the config names
+        # neighbours, not links) same configuration: the two fall in one link
+        # equivalence class, so the §4.3 reduction fails only one of them.
+        twin = draw(st.sampled_from(topology.links))
+        topology.add_link(twin.a, twin.b, twin.weight_ab, twin.weight_ba)
+    return DrawnNetwork(builder.build(), max_failures, policy)

@@ -500,7 +500,6 @@ class TestKeyByExclusion:
     #: A value other than the default for every execution-only field.
     EXECUTION_ONLY = {
         "cores": 2,
-        "backend": "serial",
         "task_timeout": 5.0,
         "task_retries": 0,
     }

@@ -88,31 +88,28 @@ class TestVerifyCommand:
         assert code == EXIT_HOLDS
         assert "HOLDS" in out
 
-    def test_backend_and_cores_flags(self, workspace, capsys):
+    def test_cores_flag(self, workspace, capsys):
         code = _run([
             "verify", "--topology", workspace / "net.topo", "--config", workspace / "good.cfg",
-            "--policy", "reachability", "--sources", "r2,r3",
-            "--cores", "2", "--backend", "process",
+            "--policy", "reachability", "--sources", "r2,r3", "--cores", "2",
         ])
         out = capsys.readouterr().out
         assert code == EXIT_HOLDS
         assert "HOLDS" in out
 
-    def test_serial_backend_flag(self, workspace, capsys):
-        code = _run([
-            "verify", "--topology", workspace / "net.topo", "--config", workspace / "good.cfg",
-            "--policy", "reachability", "--sources", "r2,r3",
-            "--cores", "4", "--backend", "serial",
-        ])
-        assert code == EXIT_HOLDS
-        assert "HOLDS" in capsys.readouterr().out
-
-    def test_unknown_backend_rejected(self, workspace, capsys):
-        with pytest.raises(SystemExit):
-            _run([
-                "verify", "--topology", workspace / "net.topo", "--config", workspace / "good.cfg",
-                "--policy", "reachability", "--backend", "quantum",
-            ])
+    @pytest.mark.parametrize("command", ["verify", "diff-verify", "transient"])
+    def test_the_backend_flag_is_gone(self, workspace, command, capsys):
+        """The backend follows from ``--cores``: the old spelling is an
+        argparse error (exit 2), not a silently ignored flag."""
+        inputs = ["--topology", workspace / "net.topo", "--config", workspace / "good.cfg"]
+        if command == "diff-verify":
+            inputs = [workspace / "good.cfg", workspace / "good.cfg", *inputs[:2]]
+        if command != "transient":
+            inputs += ["--policy", "loop"]
+        with pytest.raises(SystemExit) as excinfo:
+            _run([command, *inputs, "--backend", "serial"])
+        assert excinfo.value.code == EXIT_ERROR
+        assert "--backend" in capsys.readouterr().err
 
     def test_loop_violation_detected(self, workspace, capsys):
         code = _run([
@@ -482,20 +479,12 @@ class TestTransientCommand:
         assert document["runs"]
         assert "Transient analysis" in report.read_text()
 
-    def test_backend_flag_is_plumbed(self, bgp_workspace, capsys):
+    def test_cores_flag_is_plumbed(self, bgp_workspace, capsys):
         code = _run([
             "transient", "--topology", bgp_workspace / "bgp.topo",
-            "--config", bgp_workspace / "bgp.cfg",
-            "--cores", "2", "--backend", "process", "--max-states", "300",
+            "--config", bgp_workspace / "bgp.cfg", "--cores", "2", "--max-states", "300",
         ])
         assert code == EXIT_HOLDS
-
-    def test_unknown_backend_rejected(self, bgp_workspace):
-        with pytest.raises(SystemExit):
-            _run([
-                "transient", "--topology", bgp_workspace / "bgp.topo",
-                "--config", bgp_workspace / "bgp.cfg", "--backend", "quantum",
-            ])
 
     def test_unknown_flap_device_is_an_input_error(self, bgp_workspace, capsys):
         code = _run([
@@ -728,12 +717,11 @@ class TestVerifyCacheDir:
         assert second["incremental"]["pecs_from_cache"] == second["incremental"]["pecs_total"]
         assert second["holds"] is first["holds"]
 
-    def test_cache_dir_composes_with_backend_flag(self, workspace, tmp_path):
+    def test_cache_dir_composes_with_the_pool(self, workspace, tmp_path):
         cache = tmp_path / "cache"
         assert _run([
             "verify", "--topology", workspace / "net.topo", "--config", workspace / "good.cfg",
-            "--policy", "loop", "--cache-dir", cache,
-            "--cores", "2", "--backend", "process",
+            "--policy", "loop", "--cache-dir", cache, "--cores", "2",
         ]) == EXIT_HOLDS
 
     def test_violation_exit_code_with_cache(self, workspace, tmp_path):
@@ -777,12 +765,12 @@ class TestDiffVerifyCommand:
         assert document["new"]["holds"] is False
         assert "static-route" in document["delta"]
 
-    def test_cache_dir_and_backend_are_plumbed(self, workspace, tmp_path, capsys):
+    def test_cache_dir_and_cores_are_plumbed(self, workspace, tmp_path, capsys):
         cache = tmp_path / "cache"
         code = _run([
             "diff-verify", workspace / "good.cfg", workspace / "good.cfg",
             "--topology", workspace / "net.topo", "--policy", "loop",
-            "--cache-dir", cache, "--backend", "serial", "--cores", "3",
+            "--cache-dir", cache, "--cores", "3",
         ])
         assert code == EXIT_HOLDS
         assert (cache / "plankton_cache.json").exists()
@@ -1012,7 +1000,6 @@ class TestRefusedOptions:
         for bad in (
             {"max_failures": -1},
             {"cores": 0},
-            {"backend": "quantum"},
             {"task_retries": -1},
             {"task_timeout": 0.0},
             {"max_states_per_pec": 0},
@@ -1132,7 +1119,7 @@ class TestImportBudget:
         }
 
     def test_pool_workers_inherit_the_explorer(self, workspace):
-        """``--cores 2 --backend process``: the explorer stack is loaded in
+        """``--cores 2``: the explorer stack is loaded in
         the coordinating process before the pool forks (workers inherit it;
         none imports it again), and the verdict is the serial one."""
         script = """
@@ -1156,9 +1143,9 @@ ProcessPoolBackend._new_pool = staticmethod(watched)
 def digest(**options):
     options = PlanktonOptions(max_failures=1, stop_at_first_violation=False, **options)
     return result_signature_digest(Plankton(network, options).verify(LoopFreedom()))
-pooled = digest(cores=2, backend="process")
+pooled = digest(cores=2)
 print(json.dumps({"before_any_run": before_any_run, "at_pool_creation": at_pool_creation,
-                  "equal": pooled == digest(backend="serial")}))
+                  "equal": pooled == digest(cores=1)}))
 """
         seen = _fresh_python(script, workspace / "net.topo", workspace / "good.cfg")
         assert seen == {"before_any_run": False, "at_pool_creation": [True], "equal": True}

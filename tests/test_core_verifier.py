@@ -376,7 +376,7 @@ class TestOptimizationFlags:
         builder.enable_ospf("r3")
         network = builder.build()
         assert OspfInstance(network, Prefix("10.1.0.0/16")).origins() == ["r2"]
-        slow = Plankton(network, PlanktonOptions(fast_ospf=False, backend="serial")).verify(
+        slow = Plankton(network, PlanktonOptions(fast_ospf=False)).verify(
             LoopFreedom()
         )
         assert slow.verdict == "holds" and not slow.errors

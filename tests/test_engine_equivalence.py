@@ -294,15 +294,10 @@ class TestEnginePlumbing:
         )
         assert isinstance(select_backend(PlanktonOptions(cores=1), graph), SerialBackend)
         assert isinstance(select_backend(PlanktonOptions(cores=4), graph), ProcessPoolBackend)
-        assert isinstance(
-            select_backend(PlanktonOptions(cores=4, backend="serial"), graph), SerialBackend
-        )
-        assert isinstance(
-            select_backend(PlanktonOptions(cores=1, backend="process"), graph),
-            ProcessPoolBackend,
-        )
-        with pytest.raises(ValueError):
-            select_backend(PlanktonOptions(backend="quantum"), graph)
+        # One planned task runs serially whatever the core count.
+        assert isinstance(select_backend(PlanktonOptions(cores=4), graph.tasks[:1]), SerialBackend)
+        with pytest.raises(TypeError):
+            PlanktonOptions(backend="serial")
 
     def test_cold_ledger_drops_planes_after_the_last_dependent(self):
         """Plane lifetime on the cold path: once every dependent of a task
@@ -325,16 +320,6 @@ class TestEnginePlumbing:
         folded[1].absorb(kept.finalize())
         assert result_signature(folded[0]) == result_signature(folded[1])
         assert folded[0].pec_runs and folded[0].holds
-
-    def test_explicit_process_backend_with_one_core(self):
-        network = _clean_network()
-        result = Plankton(
-            network, PlanktonOptions(cores=1, backend="process", stop_at_first_violation=False)
-        ).verify(LoopFreedom())
-        serial = Plankton(network, PlanktonOptions(stop_at_first_violation=False)).verify(
-            LoopFreedom()
-        )
-        _assert_identical(serial, result)
 
     def test_verification_result_merge(self):
         base = VerificationResult(policy_names=["p"])

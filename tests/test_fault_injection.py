@@ -82,7 +82,6 @@ def _oracle(network, policy, **options):
     the engine's equivalence suite already pins serial == process)."""
     clean = dict(options)
     clean.pop("cores", None)
-    clean.pop("backend", None)
     return result_signature(
         Plankton(network, PlanktonOptions(**clean)).verify(policy)
     )
@@ -407,8 +406,8 @@ class TestDependentGraphFaults:
         plan = FaultPlan(
             tuple(FaultSpec(kind="raise", task_id=dead, attempt=a) for a in range(3))
         )
-        serial = _run_with_plan(network, policy, plan, backend="serial", **options)
-        pooled = _run_with_plan(network, policy, plan, cores=2, backend="process", **options)
+        serial = _run_with_plan(network, policy, plan, **options)
+        pooled = _run_with_plan(network, policy, plan, cores=2, **options)
 
         def errors(result):
             return [(f.task_id, f.kind, f.attempts) for f in result.errors]

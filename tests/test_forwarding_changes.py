@@ -323,6 +323,4 @@ class TestConvergedPlanes:
             address = pec.representative_address()
             for device in data_plane.devices():
                 assert revived.next_hops(device, address) == data_plane.next_hops(device, address)
-                assert revived.delivers_locally(device, address) == data_plane.delivers_locally(
-                    device, address
-                )
+                assert revived.lookup(device, address) == data_plane.lookup(device, address)

@@ -273,8 +273,8 @@ class TestFingerprints:
         assert set(base) == set(other_policy) == set(other_options)
         assert all(base[i] != other_policy[i] for i in base)
         assert all(base[i] != other_options[i] for i in base)
-        # cores/backend are execution knobs: same key.
-        same = keys([LoopFreedom()], PlanktonOptions(cores=4, backend="process"))
+        # cores is an execution knob: same key.
+        same = keys([LoopFreedom()], PlanktonOptions(cores=4))
         assert base == same
 
 
@@ -667,7 +667,9 @@ class TestIncrementalVerifier:
                 "execute",
                 lambda *args: pytest.fail("a process-backend run executed serially"),
             )
-        service = IncrementalVerifier(network, PlanktonOptions(max_failures=1, backend=backend))
+        service = IncrementalVerifier(
+            network, PlanktonOptions(max_failures=1, cores=2 if backend == "process" else 1)
+        )
         service.verify(policy)
         service.update(edited)
         result = service.verify(policy)
@@ -717,9 +719,7 @@ class TestIncrementalVerifier:
         from repro.transient import Converge, FailSession
 
         network = ebgp_rfc7938(bgp_fat_tree(4))
-        options = PlanktonOptions(
-            max_failures=1, backend=backend, cores=2 if backend == "process" else 1
-        )
+        options = PlanktonOptions(max_failures=1, cores=2 if backend == "process" else 1)
         transient = TransientOptions(max_states=30, max_depth=3, stop_at_first_violation=False)
         request = {"transient": transient}
         if request_kind == "explicit":

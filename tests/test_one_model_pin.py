@@ -88,6 +88,15 @@ GONE = {
     "maintenance_window",
     "converge_first",
     "converge_steps",
+    # The knobs no caller set: the backend follows from ``cores``, and the
+    # policy and BGP switches keep only their default behaviour.
+    "BACKEND_CHOICES",
+    "backend",
+    "deterministic_tiebreak",
+    "only_delivered_branches",
+    "forbid_transit",
+    "compare_suffix_only",
+    "final_node",
 }
 
 
@@ -163,6 +172,47 @@ def test_plankton_is_the_one_cold_entry():
 
 def test_the_witness_minimiser_is_gone():
     assert importlib.util.find_spec("repro.transient.witness") is None
+
+
+@pytest.mark.parametrize(
+    "target, args, keyword",
+    [
+        ("repro.core.options:PlanktonOptions", (), "backend"),
+        ("repro.policies:Waypoint", (["a"], ["b"]), "only_delivered_branches"),
+        ("repro.policies:Segmentation", (["a"], ["b"]), "forbid_transit"),
+        ("repro.policies:PathConsistency", (["a", "b"],), "compare_suffix_only"),
+        ("repro.protocols.bgp:BgpInstance", (None, None), "deterministic_tiebreak"),
+    ],
+    ids=["backend", "only_delivered_branches", "forbid_transit", "compare_suffix_only",
+         "deterministic_tiebreak"],
+)
+def test_a_removed_keyword_is_refused(target, args, keyword):
+    module, _, name = target.partition(":")
+    with pytest.raises(TypeError, match=keyword):
+        getattr(importlib.import_module(module), name)(*args, **{keyword: True})
+
+
+def test_the_definitions_only_removed_knobs_read_are_gone():
+    from repro.dataplane.fib import DataPlane
+    from repro.dataplane.forwarding import PathResult
+    from repro.protocols.base import Route
+
+    assert not hasattr(Route, "next_hop")
+    assert not hasattr(PathResult, "final_node")
+    assert not hasattr(DataPlane, "delivers_locally")
+
+
+def test_policies_state_their_destination_scope_once():
+    """One ``applies_to`` (on ``Policy``) reads every policy's
+    ``destination_prefix``."""
+    defined = [
+        module
+        for module, tree in _package_trees()
+        if module.startswith("policies/")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "applies_to"
+    ]
+    assert defined == ["policies/base.py"]
 
 
 def test_channel_independence_is_the_receiver_in_mask():

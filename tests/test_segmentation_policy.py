@@ -50,14 +50,9 @@ class TestVerdicts:
         assert not result.holds
         assert "r1" in result.first_violation().message
 
-    def test_delivery_only_mode_tolerates_transit(self):
-        network = self._chain_network()
-        policy = Segmentation(sources=["r2"], protected=["r1"], forbid_transit=False)
-        assert Plankton(network).verify(policy).holds
-
     def test_delivery_at_protected_device_is_always_a_violation(self):
         network = self._chain_network()
-        policy = Segmentation(sources=["r2"], protected=["r0"], forbid_transit=False)
+        policy = Segmentation(sources=["r2"], protected=["r0"])
         result = Plankton(network).verify(policy)
         assert not result.holds
 

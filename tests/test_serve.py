@@ -22,9 +22,11 @@ import pytest
 from repro.client import ServiceClient, ServiceError
 from repro.config.parser import parse_config
 from repro.core.verifier import Plankton
+from repro.exceptions import SpecError
 from repro.incremental import IncrementalVerifier, result_signature_digest
 from repro.serve import ReproServer
 from repro.serve.specs import (
+    check_push_fields,
     network_from_payload,
     options_from_spec,
     policy_from_spec,
@@ -381,6 +383,36 @@ class TestJobTable:
             instance.stop()
 
 
+class TestMalformedSpecs:
+    """Each value here once escaped the spec builders as an exception other
+    than :class:`SpecError` (the first three from a push, the others from
+    the spec fuzz in ``tests/property/test_spec_fuzz.py``); each is now a
+    spec error that names what is wrong."""
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ({"policy": "bounded-path-length", "max_hops": "abc"}, "max_hops"),
+            ({"policy": "bounded-path-length", "max_hops": [3]}, "max_hops"),
+            ({"policy": "loop", "destination_prefix": 5}, "destination_prefix"),
+            ({"policy": "loop", "destination_prefix": []}, "destination_prefix"),
+            (None, "policy spec must be a JSON object"),
+            ({"policy": "bounded-path-length", "max_hops": -1}, "max_hops"),
+            ({"policy": "segmentation", "sources": "a", "protected": "a"}, "both source"),
+        ],
+        ids=["max-hops-text", "max-hops-list", "destination-prefix-number",
+             "destination-prefix-list", "spec-not-an-object", "policy-refuses-max-hops",
+             "policy-refuses-overlap"],
+    )
+    def test_a_malformed_policy_spec_is_a_spec_error(self, spec, named):
+        with pytest.raises(SpecError, match=re.escape(named)):
+            policy_from_spec(spec, base_network())
+
+    def test_a_policies_field_that_is_no_list_is_a_spec_error(self):
+        with pytest.raises(SpecError, match="policies must be a list"):
+            check_push_fields(dict(VERIFY_PAYLOAD, policies=5))
+
+
 class TestHttpErrors:
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServiceError, match="unknown job"):
@@ -415,9 +447,11 @@ class TestHttpErrors:
              "unknown device 'zz'"),
             ("transient", "options", {"cores": 0}, "bad options spec"),
             ("transient", "transient", {"por": "bogus"}, "bad transient options"),
+            # The backend follows from cores; the old key is not a field.
+            ("verify", "options", {"backend": "serial"}, "unknown option field(s): backend"),
         ],
         ids=["ablation-switch", "unknown-policy", "unknown-source", "transient-cores",
-             "transient-por"],
+             "transient-por", "removed-backend"],
     )
     def test_a_spec_its_job_would_refuse_is_400_and_queues_nothing(
         self, server, client, kind, field, value, message
@@ -490,7 +524,6 @@ class TestHttpErrors:
         [
             ({"max_failures": -1}, "max_failures"),
             ({"cores": 0}, "cores"),
-            ({"backend": "quantum"}, "backend"),
             ({"task_retries": -1}, "task_retries"),
             ({"task_timeout": 0}, "task_timeout"),
         ],
@@ -572,6 +605,34 @@ class TestHttpErrors:
         assert excinfo.value.code == 400
         assert "do not peer over BGP" in json.loads(excinfo.value.read())["error"]
         assert get(client, "/metrics")["jobs_submitted"] == submitted
+
+    @pytest.mark.parametrize(
+        "policy, field",
+        [
+            ({"policy": "bounded-path-length", "max_hops": "abc"}, "max_hops"),
+            ({"policy": "bounded-path-length", "max_hops": [3]}, "max_hops"),
+            ({"policy": "loop", "destination_prefix": 5}, "destination_prefix"),
+        ],
+        ids=["max-hops-text", "max-hops-list", "destination-prefix-number"],
+    )
+    def test_a_malformed_policy_field_is_400_and_the_server_keeps_answering(
+        self, server, client, policy, field
+    ):
+        """A policy value of the wrong JSON type is a spec error at the push,
+        never an exception that escapes the handler and drops the
+        connection."""
+        submitted = get(client, "/metrics")["jobs_submitted"]
+        request = urllib.request.Request(
+            server.url + "/v1/namespaces/malformed/push",
+            data=json.dumps(dict(VERIFY_PAYLOAD, policies=[policy])).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        assert field in json.loads(excinfo.value.read())["error"]
+        assert get(client, "/metrics")["jobs_submitted"] == submitted
+        assert get(client, "/v1/health")["status"] == "ok"
 
     def test_a_session_event_on_a_run_only_push_fails_the_job(self, client):
         """A push without its topology is checked against the session's

@@ -246,7 +246,7 @@ class TestOneRuntimePerPool:
         install_loop_inducing_statics(
             violating, edge_prefix(0, 0), ["agg1_0", "edge1_0", "agg1_1", "edge1_1"]
         )
-        options = dict(cores=2, backend="process", stop_at_first_violation=False)
+        options = dict(cores=2, stop_at_first_violation=False)
         verdicts = []
         for network in (clean, violating, clean):
             result = Plankton(network, PlanktonOptions(**options)).verify(_UnpicklablePolicy())

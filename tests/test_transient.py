@@ -572,10 +572,10 @@ class TestTransientFailureCampaigns:
         )
         properties = [TransientLoopFreedom(ignore_converged=True)]
         serial = Plankton(
-            network, PlanktonOptions(max_failures=1, backend="serial")
+            network, PlanktonOptions(max_failures=1)
         ).verify_transients(properties, transient=transient, pecs=[pec])
         pooled = Plankton(
-            network, PlanktonOptions(max_failures=1, cores=2, backend="process")
+            network, PlanktonOptions(max_failures=1, cores=2)
         ).verify_transients(properties, transient=transient, pecs=[pec])
         assert len(serial.runs) == len(pooled.runs)
         serial_rows = [

@@ -51,7 +51,6 @@ REASONS = {
     "abstract": "an abstract method, a protocol default or a dunder no run calls",
     "oracle-reference": "a reference in tests/oracles/ calls it",
     "outside-input": "reads input from outside the program that no workload sends",
-    "paper-policy": "a property of the paper that no workload checks",
     "multi-prefix": "a PEC with several BGP prefixes, which no workload builds",
     "unexercised": "the package calls it (the note says where) on a path no recorded run takes",
 }

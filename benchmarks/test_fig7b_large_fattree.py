@@ -49,7 +49,7 @@ def test_loop_policy(reporter, k, variant):
 @pytest.mark.parametrize("k", ARITIES)
 def test_single_ip_reachability(reporter, k):
     network = ospf_everywhere(fat_tree(k))
-    policy = Reachability(destination_prefix=edge_prefix(0, 0), require_all_branches=False)
+    policy = Reachability(destination_prefix=edge_prefix(0, 0), any_branch=True)
     verifier = Plankton(network, PlanktonOptions())
     result = verifier.verify(policy)
     reporter(
@@ -67,7 +67,7 @@ def test_single_ip_is_cheaper_than_loop(reporter):
     network = ospf_everywhere(fat_tree(k))
     loop = Plankton(network, PlanktonOptions()).verify(LoopFreedom())
     single = Plankton(network, PlanktonOptions()).verify(
-        Reachability(destination_prefix=edge_prefix(0, 0), require_all_branches=False)
+        Reachability(destination_prefix=edge_prefix(0, 0), any_branch=True)
     )
     reporter(
         "fig7b",

@@ -45,7 +45,7 @@ def _network(as_name, size):
 def test_plankton_reachability_under_failure(reporter, as_name, size):
     network, ingress = _network(as_name, size)
     verifier = Plankton(network, PlanktonOptions(max_failures=1))
-    policy = Reachability(sources=[ingress], require_all_branches=False)
+    policy = Reachability(sources=[ingress], any_branch=True)
     result = verifier.verify(policy)
     reporter(
         "fig7d",
@@ -85,7 +85,7 @@ def test_verdicts_agree_on_smallest(reporter, smallest):
     as_name = CASES[0][0]
     network, ingress, destination, check = smallest
     plankton = Plankton(network, PlanktonOptions(max_failures=1)).verify(
-        Reachability(sources=[ingress], destination_prefix=destination, require_all_branches=False)
+        Reachability(sources=[ingress], destination_prefix=destination, any_branch=True)
     )
     minesweeper = check()
     reporter(

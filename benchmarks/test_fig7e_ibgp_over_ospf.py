@@ -32,7 +32,7 @@ def _network(size):
 @pytest.mark.parametrize("size", SIZES)
 def test_plankton_ibgp_reachability(reporter, size):
     network = _network(size)
-    policy = Reachability(destination_prefix=EXTERNAL, require_all_branches=False)
+    policy = Reachability(destination_prefix=EXTERNAL, any_branch=True)
     verifier = Plankton(network, PlanktonOptions())
     result = verifier.verify(policy)
     reporter(

@@ -34,7 +34,7 @@ def test_bonsai_plankton(reporter, k, policy_name):
     _network, compressed = _compressed(k)
     prefix = edge_prefix(0, 0)
     if policy_name == "reachability":
-        policy = Reachability(destination_prefix=prefix, require_all_branches=False)
+        policy = Reachability(destination_prefix=prefix, any_branch=True)
     else:
         policy = BoundedPathLength(max_hops=4, destination_prefix=prefix)
     verifier = Plankton(compressed.network, PlanktonOptions())

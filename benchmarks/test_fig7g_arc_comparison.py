@@ -42,7 +42,7 @@ def _destination_prefix(network):
 def test_plankton_all_to_all(reporter, name, make_network, failures):
     network = make_network()
     prefix, _origin = _destination_prefix(network)
-    policy = Reachability(destination_prefix=prefix, require_all_branches=False)
+    policy = Reachability(destination_prefix=prefix, any_branch=True)
     verifier = Plankton(network, PlanktonOptions(max_failures=failures))
     result = verifier.verify(policy)
     reporter(
@@ -74,7 +74,7 @@ def test_failure_scaling_shapes(reporter):
     arc_times = []
     for failures in (0, 1, 2):
         plankton = Plankton(network, PlanktonOptions(max_failures=failures)).verify(
-            Reachability(destination_prefix=prefix, require_all_branches=False)
+            Reachability(destination_prefix=prefix, any_branch=True)
         )
         arc = ArcVerifier(network).check_all_to_all_reachability({prefix: (origin,)}, failures)
         plankton_times.append(plankton.elapsed_seconds)

@@ -35,7 +35,7 @@ def _policies(topology):
     cores = topology.nodes_by_role("core")
     return {
         "reachability": Reachability(
-            sources=access[:2], destination_prefix=EXTERNAL, require_all_branches=False
+            sources=access[:2], destination_prefix=EXTERNAL, any_branch=True
         ),
         "waypointing": Waypoint(sources=access[:2], waypoints=cores, destination_prefix=EXTERNAL),
         "bounded-path-length": BoundedPathLength(

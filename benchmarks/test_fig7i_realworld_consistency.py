@@ -33,7 +33,7 @@ def _policies(topology):
     return {
         "loop": LoopFreedom(),
         "multipath-consistency": MultipathConsistency(),
-        "path-consistency": PathConsistency(device_group=group, destination_prefix=EXTERNAL),
+        "path-consistency": PathConsistency(sources=group, destination_prefix=EXTERNAL),
     }
 
 

@@ -31,7 +31,7 @@ def _ring_network(n):
 
 
 def _ring_policy():
-    return Reachability(sources=["r2"], require_all_branches=False)
+    return Reachability(sources=["r2"], any_branch=True)
 
 
 @pytest.mark.parametrize("n", RING_SIZES)
@@ -61,7 +61,7 @@ def test_ring_ablation(reporter, n, optimizations):
 @pytest.mark.parametrize("optimizations", ["all", "none"])
 def test_fattree_ablation(reporter, optimizations):
     network = ospf_everywhere(fat_tree(4))
-    policy = Reachability(destination_prefix=edge_prefix(0, 0), require_all_branches=False)
+    policy = Reachability(destination_prefix=edge_prefix(0, 0), any_branch=True)
     if optimizations == "all":
         options = PlanktonOptions()
     else:

@@ -34,7 +34,7 @@ def _as_fault_tolerance_case(size=20):
     prefix_for = {topology.nodes_by_role("backbone")[0]: Prefix("10.1.0.0/16")}
     network = ospf_everywhere(topology, originate_roles=(), prefix_for=prefix_for)
     ingress = topology.nodes_by_role("pop")[0]
-    policy = Reachability(sources=[ingress], require_all_branches=False)
+    policy = Reachability(sources=[ingress], any_branch=True)
     return network, policy
 
 

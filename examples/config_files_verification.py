@@ -51,11 +51,11 @@ def main() -> int:
     checks = [
         (
             "user subnets reachable from both access switches under any single failure",
-            Reachability(sources=["acc0", "acc1"], require_all_branches=False),
+            Reachability(sources=["acc0", "acc1"], any_branch=True),
         ),
         (
             "no black holes on paths from the access layer",
-            BlackHoleFreedom(only_on_paths_from=["acc0", "acc1"]),
+            BlackHoleFreedom(sources=["acc0", "acc1"]),
         ),
         (
             "paths are at most 4 hops long",

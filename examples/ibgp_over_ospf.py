@@ -50,7 +50,7 @@ def main() -> int:
         f"{position[external_pec.index]} of {len(schedule)} (loopbacks first)"
     )
 
-    policy = Reachability(destination_prefix=external, require_all_branches=False)
+    policy = Reachability(destination_prefix=external, any_branch=True)
     print("\nverifying reachability of the iBGP-announced prefix ...")
     result = Plankton(network, PlanktonOptions()).verify(policy)
     print("  " + result.summary())

@@ -36,7 +36,7 @@ def main() -> int:
     ingress = next(n for n in topology.nodes_by_role("pop") if topology.degree(n) > 1)
     print(f"ingress PoP: {ingress} (degree {topology.degree(ingress)})")
 
-    policy = Reachability(sources=[ingress], require_all_branches=False)
+    policy = Reachability(sources=[ingress], any_branch=True)
 
     print("\nchecking reachability with no failures ...")
     baseline = Plankton(network, PlanktonOptions(max_failures=0)).verify(policy)

@@ -147,78 +147,30 @@ def _network_payload(topology_path: str, config: str) -> Dict[str, object]:
     return {"topology": topology_text, "config": FilePath(config).read_text()}
 
 
-def _split_list(value: Optional[str]) -> List[str]:
-    """Split a comma-separated CLI value, dropping empty entries."""
-    if not value:
-        return []
-    return [item.strip() for item in value.split(",") if item.strip()]
-
-
-def _policy_spec(args: argparse.Namespace) -> Dict[str, object]:
-    """The wire-format policy spec of the ``--policy`` flags."""
-    spec: Dict[str, object] = {"policy": args.policy}
-    if args.sources:
-        spec["sources"] = _split_list(args.sources)
-    if args.waypoints:
-        spec["waypoints"] = _split_list(args.waypoints)
-    protected = _split_list(getattr(args, "protected", None))
-    if protected:
-        spec["protected"] = protected
-    if args.destination_prefix:
-        spec["destination_prefix"] = args.destination_prefix
-    if getattr(args, "max_hops", None) is not None:
-        spec["max_hops"] = args.max_hops
-    if getattr(args, "any_branch", False):
-        spec["any_branch"] = True
-    return spec
-
-
-def _options_spec(args: argparse.Namespace) -> Dict[str, object]:
-    """The wire-format options spec of the engine flags (shared local/remote)."""
-    return {
-        "max_failures": args.max_failures,
-        "cores": args.cores,
-        "stop_at_first_violation": not args.all_violations,
-        "task_timeout": args.task_timeout,
-        "task_retries": args.task_retries,
-    }
-
-
-def _transient_spec(args: argparse.Namespace) -> Dict[str, object]:
-    """The wire-format transient-options spec of the exploration flags."""
-    return {
-        "max_states": args.max_states,
-        "max_depth": args.max_depth,
-        "stop_at_first_violation": not args.all_violations,
-        "por": args.por,
-        "scenario_events": args.scenario_events,
-    }
-
-
-def _transient_property_spec(args: argparse.Namespace) -> Dict[str, object]:
-    """The wire-format transient-property spec of ``--property`` et al."""
-    spec: Dict[str, object] = {"property": args.property}
-    if args.sources:
-        spec["sources"] = _split_list(args.sources)
-    return spec
-
-
 # --------------------------------------------------------------------------- request subcommands
 def _request_payload(args: argparse.Namespace, kind: str) -> Dict[str, object]:
     """The wire-format request of the parsed flags (:mod:`repro.serve.specs`):
     shipped as the push body in ``--server`` mode, handed to
-    :func:`repro.serve.jobs.run_request` in-process otherwise."""
-    payload: Dict[str, object] = {"kind": kind, "options": _options_spec(args)}
+    :func:`repro.serve.jobs.run_request` in-process otherwise.
+
+    A flag's ``dest`` is its wire field; a flag left unset is left out, so the
+    field takes its constructor's default."""
+    from repro.serve import specs
+
+    given = {name: value for name, value in vars(args).items() if value is not None}
+
+    def spec(fields: Sequence[str]) -> Dict[str, object]:
+        return {name: given[name] for name in fields if name in given}
+
+    payload: Dict[str, object] = {"kind": kind, "options": spec(specs.OPTION_FIELDS)}
     if kind == "verify":
-        payload["policies"] = [_policy_spec(args)]
-        return payload
-    payload["transient"] = _transient_spec(args)
-    payload["property"] = _transient_property_spec(args)
-    if args.scenario:
-        payload["scenarios"] = list(args.scenario)
-    if args.destination_prefix:
-        payload["destination_prefix"] = args.destination_prefix
-    return payload
+        payload["policies"] = [spec(("policy",) + specs.POLICY_FIELDS)]
+    else:
+        properties = specs.transient_properties().values()
+        payload["transient"] = spec(specs.TRANSIENT_FIELDS)
+        payload["property"] = spec(("property",) + specs.fields_of(properties))
+        payload.update(spec(("scenarios", "destination_prefix")))
+    return {key: value for key, value in payload.items() if value != {}}
 
 
 def _result_forms(args: argparse.Namespace) -> List[str]:
@@ -264,7 +216,7 @@ def _run_requests(
     from repro.serve.jobs import run_request
     from repro.serve.specs import options_from_spec
 
-    options = options_from_spec(payload["options"])
+    options = options_from_spec(payload.get("options"))
     networks = [_load_network(args.topology, config) for config, _ in requests]
     if kind == "verify" and len(networks) == 1 and not args.cache_dir:
         from repro.core.verifier import Plankton
@@ -441,34 +393,46 @@ def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="multi-device configuration file (DSL)")
 
 
+def _device_list(value: str) -> List[str]:
+    """A comma-separated device list flag as the wire's list of names."""
+    return [item.strip() for item in value.split(",") if item.strip()]
+
+
 def _add_policy_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--policy", required=True, choices=list(POLICY_KINDS))
-    parser.add_argument("--sources", help="comma-separated source devices")
-    parser.add_argument("--waypoints", help="comma-separated waypoint devices")
-    parser.add_argument("--protected", help="comma-separated protected devices (segmentation)")
+    parser.add_argument("--sources", type=_device_list, help="comma-separated source devices")
+    parser.add_argument("--waypoints", type=_device_list, help="comma-separated waypoint devices")
+    parser.add_argument(
+        "--protected", type=_device_list, help="comma-separated protected devices (segmentation)"
+    )
     parser.add_argument("--destination-prefix", help="restrict the check to one destination prefix")
     parser.add_argument("--max-hops", type=int, help="hop budget for bounded-path-length")
     parser.add_argument(
         "--any-branch",
         action="store_true",
+        default=None,
         help="reachability: accept delivery on any ECMP branch instead of all branches",
     )
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-failures", type=int, default=0, help="link-failure budget")
+    # A flag's dest is its wire field (repro.serve.specs) and its default
+    # None: an unset flag is left out of the request, and the field takes
+    # its dataclass default.
+    parser.add_argument("--max-failures", type=int, help="link-failure budget")
     parser.add_argument(
-        "--cores", type=int, default=1, help="worker processes for PEC tasks (> 1 runs a process pool)"
+        "--cores", type=int, help="worker processes for PEC tasks (> 1 runs a process pool)"
     )
     parser.add_argument(
         "--all-violations",
-        action="store_true",
+        dest="stop_at_first_violation",
+        action="store_false",
+        default=None,
         help="keep searching after the first violation",
     )
     parser.add_argument(
         "--task-timeout",
         type=float,
-        default=None,
         help=(
             "per-task deadline in seconds; a task that overruns is retried "
             "and, on exhaustion, reported in the result's errors section"
@@ -477,7 +441,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--task-retries",
         type=int,
-        default=2,
         help="retries per failed/timed-out task before it is recorded as failed",
     )
     parser.add_argument(
@@ -551,29 +514,31 @@ def build_parser() -> argparse.ArgumentParser:
     transient.add_argument(
         "--property",
         choices=list(TRANSIENT_PROPERTIES),
-        default="loop",
         help="transient property to check (default: loop)",
     )
     transient.add_argument(
-        "--sources", help="blackhole: restrict the check to these source devices"
+        "--sources",
+        type=_device_list,
+        help="blackhole: restrict the check to these source devices",
     )
     transient.add_argument(
         "--destination-prefix", help="restrict the analysis to PECs covering this prefix"
     )
     transient.add_argument(
-        "--max-states", type=int, default=20_000, help="state budget per exploration"
+        "--max-states", type=int, help="state budget per exploration"
     )
     transient.add_argument(
-        "--max-depth", type=int, default=64, help="delivery-depth budget per exploration"
+        "--max-depth", type=int, help="delivery-depth budget per exploration"
     )
     transient.add_argument(
         "--por",
         choices=list(POR_MODES),
-        default="ample",
         help="partial-order reduction mode (full = unreduced oracle)",
     )
     transient.add_argument(
         "--scenario",
+        dest="scenarios",
+        metavar="SCENARIO",
         action="append",
         help=(
             "lifecycle scenario to cross with every failure scenario; "
@@ -586,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     transient.add_argument(
         "--scenario-events",
         type=int,
-        default=0,
         help=(
             "enumerate all symmetry-reduced lifecycle scenarios of up to K "
             "events and cross them with every failure scenario (default: 0)"

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.dataplane.forwarding import ForwardingGraph
 from repro.netaddr import Prefix
-from repro.pec.classes import PacketEquivalenceClass
 from repro.policies.base import Policy, PolicyCheckContext
 
 
@@ -15,8 +14,8 @@ class BlackHoleFreedom(Policy):
 
     A *black hole* is a device with no matching FIB entry (and no explicit
     drop) for the destination.  By default every device is considered; pass
-    ``only_on_paths_from`` to restrict the check to devices reachable from a
-    set of traffic sources, which is the common operational interpretation.
+    ``sources`` to restrict the check to devices reachable from a set of
+    traffic sources, which is the common operational interpretation.
     """
 
     name = "blackhole-freedom"
@@ -24,27 +23,24 @@ class BlackHoleFreedom(Policy):
     def __init__(
         self,
         destination_prefix: Optional[Prefix] = None,
-        only_on_paths_from: Optional[Sequence[str]] = None,
+        sources: Optional[Sequence[str]] = None,
     ) -> None:
         self.destination_prefix = destination_prefix
-        self.only_on_paths_from = list(only_on_paths_from) if only_on_paths_from else None
-
-    def source_nodes(self, pec: PacketEquivalenceClass) -> Optional[List[str]]:
-        return list(self.only_on_paths_from) if self.only_on_paths_from else None
+        self.sources = list(sources) if sources else None
 
     def check(self, context: PolicyCheckContext) -> Optional[str]:
         graph = ForwardingGraph(context.data_plane, context.destination)
         holes = set(graph.black_holes())
         if not holes:
             return None
-        if self.only_on_paths_from is None:
+        if self.sources is None:
             offender = sorted(holes)[0]
             return (
                 f"device {offender} black-holes traffic to {context.pec.address_range}"
             )
         # Restrict to black holes actually reachable from the sources.
         reachable: set = set()
-        for source in self.only_on_paths_from:
+        for source in self.sources:
             stack = [source]
             while stack:
                 node = stack.pop()
@@ -56,6 +52,6 @@ class BlackHoleFreedom(Policy):
         if offending:
             return (
                 f"device {offending[0]} black-holes traffic to "
-                f"{context.pec.address_range} reachable from {self.only_on_paths_from}"
+                f"{context.pec.address_range} reachable from {self.sources}"
             )
         return None

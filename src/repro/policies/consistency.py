@@ -14,12 +14,11 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.exceptions import PolicyError
 from repro.netaddr import Prefix
 from repro.dataplane.forwarding import PathStatus, trace_paths
-from repro.pec.classes import PacketEquivalenceClass
 from repro.policies.base import Policy, PolicyCheckContext
 
 
@@ -58,7 +57,7 @@ class MultipathConsistency(Policy):
 class PathConsistency(Policy):
     """A set of devices must agree on both control-plane choice and data-plane path.
 
-    The devices in ``device_group`` are expected to behave identically for the
+    The devices in ``sources`` are expected to behave identically for the
     PEC: their selected routes (control-plane state, as recorded by the
     verifier in ``context.control_plane``) must rank the same way, and the
     forwarding paths from them must be identical once the first hop is left
@@ -69,16 +68,15 @@ class PathConsistency(Policy):
 
     def __init__(
         self,
-        device_group: Sequence[str],
+        sources: Sequence[str],
         destination_prefix: Optional[Prefix] = None,
     ) -> None:
-        if len(device_group) < 2:
-            raise PolicyError("path consistency needs at least two devices to compare")
-        self.device_group = list(device_group)
+        if len(sources) < 2:
+            raise PolicyError(
+                f"sources must name at least two devices to compare (got {len(sources)})"
+            )
+        self.sources = list(sources)
         self.destination_prefix = destination_prefix
-
-    def source_nodes(self, pec: PacketEquivalenceClass) -> Optional[List[str]]:
-        return list(self.device_group)
 
     def _path_signature(self, context: PolicyCheckContext, device: str) -> Tuple:
         branches = trace_paths(context.data_plane, device, context.destination)
@@ -96,10 +94,10 @@ class PathConsistency(Policy):
         return (route.source.name, route.local_pref, route.as_path_length, route.med)
 
     def check(self, context: PolicyCheckContext) -> Optional[str]:
-        reference_device = self.device_group[0]
+        reference_device = self.sources[0]
         reference_path = self._path_signature(context, reference_device)
         reference_control = self._control_signature(context, reference_device)
-        for device in self.device_group[1:]:
+        for device in self.sources[1:]:
             if self._path_signature(context, device) != reference_path:
                 return (
                     f"devices {reference_device} and {device} forward traffic to "

@@ -18,8 +18,8 @@ class Reachability(Policy):
         destination_prefix: Restrict the check to PECs overlapping this
             prefix (e.g. a single advertised destination).  ``None`` checks
             every PEC the verifier analyses.
-        require_all_branches: When True (default) every ECMP branch must be
-            delivered; when False one delivered branch suffices.
+        any_branch: When False (default) every ECMP branch must be
+            delivered; when True one delivered branch suffices.
     """
 
     name = "reachability"
@@ -28,13 +28,13 @@ class Reachability(Policy):
         self,
         sources: Optional[Sequence[str]] = None,
         destination_prefix: Optional[Prefix] = None,
-        require_all_branches: bool = True,
+        any_branch: bool = False,
     ) -> None:
         if sources is not None and not sources:
             raise PolicyError("reachability needs at least one source (or None for all)")
         self.sources = list(sources) if sources is not None else None
         self.destination_prefix = destination_prefix
-        self.require_all_branches = require_all_branches
+        self.any_branch = any_branch
 
     def check(self, context: PolicyCheckContext) -> Optional[str]:
         sources = self.sources if self.sources is not None else context.data_plane.devices()
@@ -45,17 +45,16 @@ class Reachability(Policy):
             branches = trace_paths(context.data_plane, source, destination)
             delivered = [b for b in branches if b.status == PathStatus.DELIVERED]
             failed = [b for b in branches if b.status != PathStatus.DELIVERED]
-            if self.require_all_branches:
-                if failed:
-                    return (
-                        f"traffic from {source} to {context.pec.address_range} is not "
-                        f"delivered on all branches: {failed[0].describe()}"
-                    )
-            else:
+            if self.any_branch:
                 if not delivered:
                     reason = failed[0].describe() if failed else "no forwarding entry"
                     return (
                         f"traffic from {source} to {context.pec.address_range} is never "
                         f"delivered ({reason})"
                     )
+            elif failed:
+                return (
+                    f"traffic from {source} to {context.pec.address_range} is not "
+                    f"delivered on all branches: {failed[0].describe()}"
+                )
         return None

@@ -41,7 +41,7 @@ class Segmentation(Policy):
         overlap = set(sources) & set(protected)
         if overlap:
             raise PolicyError(
-                f"devices cannot be both source and protected: {sorted(overlap)}"
+                f"devices cannot be both sources and protected: {sorted(overlap)}"
             )
         self.sources = list(sources)
         self.protected = list(protected)

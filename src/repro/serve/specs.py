@@ -7,8 +7,12 @@ per request), a *transient spec* and *scenario specs* for transient
 campaigns, and the *forms* the result is to be rendered into.  The CLI
 builds the same request from its argparse namespace — in local mode it hands
 it to :func:`repro.serve.jobs.run_request` in-process, in ``--server`` mode
-it ships it — so the two execution paths cannot drift: there is exactly one
-construction routine per object kind, and it lives here.
+it ships it — so the two execution paths cannot drift.
+
+The constructors are the schema: a spec's fields are the parameters of the
+class it builds (:data:`POLICIES`, :func:`transient_properties`, and the
+exposed fields of the two option dataclasses), each field's JSON type is
+read from its annotation, and one :func:`_build` checks every spec.
 
 Every validation failure raises :class:`~repro.exceptions.SpecError`, which
 the server maps to a *failed job* (or HTTP 400 for malformed envelopes) with
@@ -18,15 +22,14 @@ error (exit code 2).
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Tuple
+import functools
+import inspect
+import math
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config.objects import NetworkConfig
-from repro.core.options import (
-    POLICY_KINDS,
-    TRANSIENT_PROPERTIES,
-    PlanktonOptions,
-)
-from repro.exceptions import PolicyError, SpecError, TopologyError
+from repro.core.options import PlanktonOptions
+from repro.exceptions import PolicyError, SpecError
 from repro.netaddr import Prefix
 from repro.policies import (
     BlackHoleFreedom,
@@ -41,111 +44,49 @@ from repro.policies import (
 )
 from repro.reporting import DEFAULT_FORMS, FORMS
 
-
-def _names(spec: Mapping, key: str) -> List[str]:
-    """A list-of-device-names field; accepts a list or a comma-joined string."""
-    value = spec.get(key)
-    if value is None:
-        return []
-    if isinstance(value, str):
-        return [item.strip() for item in value.split(",") if item.strip()]
-    if isinstance(value, (list, tuple)):
-        return [str(item) for item in value]
-    raise SpecError(f"{key} must be a list of device names (got {type(value).__name__})")
-
-
-def parse_destination_prefix(value: object) -> Optional[Prefix]:
-    """``"10.0.1.0/24"`` (or a bare address, /32-implied) → :class:`Prefix`."""
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise SpecError(f"destination_prefix must be a prefix string (got {value!r})")
-    text = value if "/" in value else value + "/32"
-    try:
-        return Prefix(text)
-    except Exception as exc:
-        raise SpecError(f"bad destination_prefix {value!r}: {exc}") from exc
+#: Policy kind -> the class its spec builds.  The constructor's parameters
+#: are the kind's spec fields and their annotations the fields' types
+#: (:func:`_build`); ``--policy`` offers these kinds
+#: (:data:`repro.core.options.POLICY_KINDS`).
+POLICIES = {
+    "reachability": Reachability,
+    "loop": LoopFreedom,
+    "blackhole": BlackHoleFreedom,
+    "waypoint": Waypoint,
+    "segmentation": Segmentation,
+    "bounded-path-length": BoundedPathLength,
+    "multipath-consistency": MultipathConsistency,
+    "path-consistency": PathConsistency,
+}
 
 
-def policy_from_spec(spec: Mapping, network: NetworkConfig) -> Policy:
-    """Instantiate the policy named by one policy spec dict.
-
-    Spec keys: ``policy`` (required, one of :data:`POLICY_KINDS`), plus the
-    policy-specific fields ``sources``, ``waypoints``, ``protected``,
-    ``destination_prefix``, ``max_hops`` and ``any_branch`` — the same
-    vocabulary as the CLI flags.
-    """
-    if not isinstance(spec, Mapping):
-        raise SpecError(f"a policy spec must be a JSON object (got {spec!r})")
-    sources = _names(spec, "sources")
-    waypoints = _names(spec, "waypoints")
-    protected = _names(spec, "protected")
-    destination = parse_destination_prefix(spec.get("destination_prefix"))
-    for name in sources + waypoints + protected:
-        if name not in network.topology:
-            raise SpecError(f"unknown device {name!r} in sources/waypoints/protected")
-
-    kind = spec.get("policy")
-    try:
-        if kind == "segmentation":
-            if not sources or not protected:
-                raise SpecError("policy segmentation requires sources and protected")
-            return Segmentation(sources=sources, protected=protected, destination_prefix=destination)
-        if kind == "reachability":
-            return Reachability(
-                sources=sources or None,
-                destination_prefix=destination,
-                require_all_branches=not spec.get("any_branch", False),
-            )
-        if kind == "loop":
-            return LoopFreedom(destination_prefix=destination)
-        if kind == "blackhole":
-            return BlackHoleFreedom(
-                destination_prefix=destination,
-                only_on_paths_from=sources or None,
-            )
-        if kind == "waypoint":
-            if not sources or not waypoints:
-                raise SpecError("policy waypoint requires sources and waypoints")
-            return Waypoint(sources=sources, waypoints=waypoints, destination_prefix=destination)
-        if kind == "bounded-path-length":
-            max_hops = spec.get("max_hops")
-            if max_hops is None:
-                raise SpecError("policy bounded-path-length requires max_hops")
-            if isinstance(max_hops, bool) or not isinstance(max_hops, int):
-                raise SpecError(f"max_hops must be an integer (got {max_hops!r})")
-            return BoundedPathLength(
-                max_hops=max_hops,
-                sources=sources or None,
-                destination_prefix=destination,
-            )
-        if kind == "multipath-consistency":
-            return MultipathConsistency(sources=sources or None, destination_prefix=destination)
-        if kind == "path-consistency":
-            if len(sources) < 2:
-                raise SpecError("policy path-consistency requires at least two sources devices")
-            return PathConsistency(device_group=sources, destination_prefix=destination)
-    except PolicyError as exc:
-        raise SpecError(f"bad {kind} policy: {exc}") from exc
-    raise SpecError(f"unknown policy {kind!r}; choose from {', '.join(POLICY_KINDS)}")
+def _parameters(
+    factory: Callable, exposed: Optional[Sequence[str]] = None
+) -> Dict[str, inspect.Parameter]:
+    """The spec fields of ``factory``: its parameters, only the ``exposed``
+    ones when given, never one a :func:`functools.partial` fixes."""
+    fixed = getattr(factory, "keywords", {})
+    return {
+        name: parameter
+        for name, parameter in inspect.signature(factory).parameters.items()
+        if name not in fixed and (exposed is None or name in exposed)
+    }
 
 
-#: The PlanktonOptions fields a request spec may set: what the CLI sends.
-#: Everything else (e.g. the §4 optimization ablation switches) stays a
-#: library-side decision.
-_OPTION_FIELDS = (
-    "max_failures",
-    "cores",
-    "stop_at_first_violation",
-    "task_timeout",
-    "task_retries",
-)
+def fields_of(factories) -> Tuple[str, ...]:
+    """Every spec field of any of ``factories``, in first-seen order."""
+    return tuple(dict.fromkeys(name for factory in factories for name in _parameters(factory)))
 
-#: The TransientOptions fields a transient spec may set: what ``repro
-#: transient`` sends.  ``collect_converged`` stays a library knob.
-_TRANSIENT_FIELDS = ("max_states", "max_depth", "stop_at_first_violation", "por", "scenario_events")
-#: The keys of a transient-property spec.
-_PROPERTY_FIELDS = ("property", "sources")
+
+#: The fields of any policy kind: the flags ``verify`` puts in its policy spec.
+POLICY_FIELDS = fields_of(POLICIES.values())
+#: The :class:`PlanktonOptions` fields a request spec may set: what the CLI
+#: sends.  Everything else (e.g. the §4 optimization ablation switches) stays
+#: a library-side decision.
+OPTION_FIELDS = ("max_failures", "cores", "stop_at_first_violation", "task_timeout", "task_retries")
+#: The :class:`~repro.transient.TransientOptions` fields a transient spec may
+#: set: what ``repro transient`` sends.  ``collect_converged`` stays a library knob.
+TRANSIENT_FIELDS = ("max_states", "max_depth", "stop_at_first_violation", "por", "scenario_events")
 #: The top-level keys of a push: the network (full or overlay), the forms,
 #: and each request kind's specs.
 _PAYLOAD_FIELDS = (
@@ -154,26 +95,150 @@ _PAYLOAD_FIELDS = (
 )
 
 
-def _fields(spec: Optional[Mapping], allowed: Sequence[str], what: str) -> dict:
-    """``spec`` as a dict.  A key outside ``allowed`` is refused rather than
-    ignored, so a typo in a client payload is a clear error instead of a
-    silently-default run."""
-    spec = spec or {}
+def transient_properties() -> Dict[str, Callable]:
+    """Transient property kind -> what its spec builds (the ``policy`` table's
+    twin; imported on first use, so a verify request never loads
+    :mod:`repro.transient`)."""
+    from repro.transient import TransientBlackHoleFreedom, TransientLoopFreedom
+
+    return {
+        # A loop in a converged state is ``verify --policy loop``'s finding.
+        "loop": functools.partial(TransientLoopFreedom, ignore_converged=True),
+        "blackhole": TransientBlackHoleFreedom,
+    }
+
+
+#: Annotation text -> (the Python types, the JSON type in messages) of a
+#: scalar field.  A JSON ``true`` is no number, and a number must be finite.
+_SCALARS = {
+    "int": (int, "an integer"),
+    "bool": (bool, "true or false"),
+    "float": ((int, float), "a finite number"),
+    "str": (str, "a string"),
+}
+
+
+def _devices(value: object, name: str, network: Optional[NetworkConfig]) -> List[str]:
+    """A list of device names, or one comma-joined string of them; each must
+    be on ``network`` when it is known."""
+    names = [item.strip() for item in value.split(",") if item.strip()] if isinstance(
+        value, str
+    ) else value
+    if not isinstance(names, (list, tuple)) or not all(isinstance(item, str) for item in names):
+        raise SpecError(f"{name} must be a list of device names (got {value!r})")
+    if not names:
+        raise SpecError(f"{name} must name at least one device (leave it out for every device)")
+    for device in names if network is not None else ():
+        if device not in network.topology:
+            raise SpecError(f"unknown device {device!r} in {name}")
+    return list(names)
+
+
+def parse_destination_prefix(value: object, name: str = "destination_prefix") -> Optional[Prefix]:
+    """``"10.0.1.0/24"`` (or a bare address, /32-implied) → :class:`Prefix`."""
+    if value is None:
+        return None
+    if not isinstance(value, str):
+        raise SpecError(f"{name} must be a prefix string (got {value!r})")
+    try:
+        return Prefix(value if "/" in value else value + "/32")
+    except ValueError as exc:
+        raise SpecError(f"bad {name} {value!r}: {exc}") from exc
+
+
+def _checked(value: object, name: str, annotation: str, network: Optional[NetworkConfig]):
+    """``value`` of field ``name`` checked against its annotation text:
+    ``Optional[X]`` also takes ``null``, ``Sequence[str]`` is a device list,
+    ``Prefix`` a prefix string, and the rest are :data:`_SCALARS`."""
+    if annotation.startswith("Optional["):
+        if value is None:
+            return None
+        annotation = annotation[len("Optional[") : -1]
+    if annotation == "Sequence[str]":
+        return _devices(value, name, network)
+    if annotation == "Prefix":
+        return parse_destination_prefix(value, name)
+    types, description = _SCALARS[annotation]
+    if (
+        not isinstance(value, types)
+        or (isinstance(value, bool) and types is not bool)
+        or (isinstance(value, float) and not math.isfinite(value))
+    ):
+        raise SpecError(f"{name} must be {description} (got {value!r})")
+    return value
+
+
+def _build(
+    factory: Callable,
+    spec: object,
+    what: str,
+    exposed: Optional[Sequence[str]] = None,
+    network: Optional[NetworkConfig] = None,
+):
+    """``factory(**spec)`` for the one request schema.
+
+    The spec's fields are :func:`_parameters` of ``factory``, each checked
+    against its annotation text (:func:`_checked`).  A key outside them, a
+    value of another JSON type, a missing required field and anything the
+    constructor refuses are each a :class:`SpecError` naming the field;
+    device names are checked against ``network`` when it is given.
+    """
+    spec = {} if spec is None else spec
     if not isinstance(spec, Mapping):
-        raise SpecError(f"a {what} spec must be a JSON object")
-    unknown = set(spec) - set(allowed)
+        raise SpecError(f"a {what} spec must be a JSON object (got {spec!r})")
+    parameters = _parameters(factory, exposed)
+    unknown = sorted(str(key) for key in spec if key not in parameters)
     if unknown:
-        raise SpecError(f"unknown {what} field(s): {', '.join(sorted(unknown))}")
-    return dict(spec)
+        raise SpecError(f"unknown {what} field(s): {', '.join(unknown)}")
+    missing = [
+        name
+        for name, parameter in parameters.items()
+        if parameter.default is parameter.empty and name not in spec
+    ]
+    if missing:
+        raise SpecError(f"{what} requires {' and '.join(missing)}")
+    try:
+        arguments = {
+            name: _checked(spec[name], name, parameter.annotation, network)
+            for name, parameter in parameters.items()
+            if name in spec
+        }
+        return factory(**arguments)
+    except (PolicyError, SpecError, TypeError, ValueError) as exc:
+        raise SpecError(f"bad {what} spec: {exc}") from exc
+
+
+def _kind_spec(
+    table: Mapping[str, Callable],
+    spec: object,
+    key: str,
+    noun: str,
+    network: Optional[NetworkConfig],
+    default: Optional[str] = None,
+):
+    """Build the ``table`` entry a kind-keyed spec names under ``key``."""
+    if not isinstance(spec, Mapping):
+        raise SpecError(f"a {noun} spec must be a JSON object (got {spec!r})")
+    kind = spec.get(key, default)
+    if not isinstance(kind, str) or kind not in table:
+        raise SpecError(f"unknown {noun} {kind!r}; choose from {', '.join(table)}")
+    fields = {name: value for name, value in spec.items() if name != key}
+    return _build(table[kind], fields, f"{kind} {noun}", network=network)
+
+
+def policy_from_spec(spec: object, network: Optional[NetworkConfig]) -> Policy:
+    """Instantiate the policy named by one policy spec dict.
+
+    Spec keys: ``policy`` (required, one of :data:`POLICIES`), plus the
+    fields of that kind's constructor — the same vocabulary as the CLI
+    flags.  With ``network`` ``None`` device names go unchecked.
+    """
+    return _kind_spec(POLICIES, spec, "policy", "policy", network)
 
 
 def options_from_spec(spec: Optional[Mapping]) -> PlanktonOptions:
     """Build :class:`PlanktonOptions` from an options spec dict (or ``None``)."""
-    spec = _fields(spec, _OPTION_FIELDS, "option")
-    try:
-        return PlanktonOptions(**spec)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"bad options spec: {exc}") from exc
+    return _build(PlanktonOptions, spec, "options", OPTION_FIELDS)
 
 
 def forms_from_spec(value: object) -> Tuple[str, ...]:
@@ -195,59 +260,47 @@ def transient_options_from_spec(spec: Optional[Mapping]):
     """Build :class:`~repro.transient.TransientOptions` from a spec dict."""
     from repro.transient import TransientOptions
 
-    spec = _fields(spec, _TRANSIENT_FIELDS, "transient option")
-    try:
-        return TransientOptions(**spec)
-    except (TypeError, ValueError, TopologyError) as exc:
-        raise SpecError(f"bad transient options: {exc}") from exc
+    return _build(TransientOptions, spec, "transient options", TRANSIENT_FIELDS)
+
+
+def transient_property_from_spec(spec: Optional[Mapping], network: Optional[NetworkConfig]):
+    """One transient property spec → a property object.
+
+    Keys: ``property`` (``"loop"``, the default, or ``"blackhole"``) and the
+    fields of that kind (:func:`transient_properties`): ``blackhole`` takes
+    ``sources``, ``loop`` nothing.
+    """
+    spec = {} if spec is None else spec
+    properties = transient_properties()
+    return _kind_spec(properties, spec, "property", "transient property", network, "loop")
 
 
 def check_push_fields(payload: Mapping) -> None:
     """Refuse a push before it becomes a job when its job would fail on a
-    spec: a key outside what the CLI sends, an options or transient options
-    spec its type refuses, or - when the push carries its full network - a
-    policy or scenario spec that names nothing on it."""
-    _fields(payload, _PAYLOAD_FIELDS, "push")
+    spec: a key outside what the CLI sends, or a spec the one schema refuses.
+    Device names and scenarios are checked when the push carries its full
+    network."""
+    unknown = sorted(str(key) for key in payload if key not in _PAYLOAD_FIELDS)
+    if unknown:
+        raise SpecError(f"unknown push field(s): {', '.join(unknown)}")
     options_from_spec(payload.get("options"))
+    network = None
+    if payload.get("topology") is not None and payload.get("config") is not None:
+        network = network_from_payload(payload)
     transient = payload.get("kind") == "transient"
     if transient:
         transient_options_from_spec(payload.get("transient"))
-        _fields(payload.get("property"), _PROPERTY_FIELDS, "transient property")
+        transient_property_from_spec(payload.get("property"), network)
+        parse_destination_prefix(payload.get("destination_prefix"))
     key = "scenarios" if transient else "policies"
     specs = payload.get(key) or ()
     if not isinstance(specs, (list, tuple)):
         raise SpecError(f"{key} must be a list (got {type(specs).__name__})")
-    if specs and payload.get("topology") is not None and payload.get("config") is not None:
-        network = network_from_payload(payload)
-        for spec in specs:
-            if transient:
-                scenario_from_spec(str(spec), network)
-            else:
-                policy_from_spec(spec, network)
-
-
-def transient_property_from_spec(spec: Optional[Mapping], network: NetworkConfig):
-    """One transient property spec → a property object.
-
-    Keys: ``property`` (``"loop"``, the default, or ``"blackhole"``) and
-    ``sources`` (blackhole scope); any other key is refused.
-    """
-    from repro.transient import TransientBlackHoleFreedom, TransientLoopFreedom
-
-    spec = _fields(spec, _PROPERTY_FIELDS, "transient property")
-    sources = _names(spec, "sources")
-    for name in sources:
-        if name not in network.topology:
-            raise SpecError(f"unknown device {name!r} in sources")
-    kind = spec.get("property", "loop")
-    if kind == "blackhole":
-        return TransientBlackHoleFreedom(sources=sources or None)
-    if kind == "loop":
-        # A loop in a converged state is ``verify --policy loop``'s finding.
-        return TransientLoopFreedom(ignore_converged=True)
-    raise SpecError(
-        f"unknown transient property {kind!r}; choose {' or '.join(TRANSIENT_PROPERTIES)}"
-    )
+    for spec in specs:
+        if not transient:
+            policy_from_spec(spec, network)
+        elif network is not None:
+            scenario_from_spec(str(spec), network)
 
 
 def _spec_descriptors(parts: Sequence[str], network: NetworkConfig):

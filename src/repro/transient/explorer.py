@@ -131,10 +131,17 @@ class TransientOptions:
     scenario_events: int = 0
 
     def __post_init__(self) -> None:
+        """Refuse budgets no search can honour (``ValueError``), as
+        :class:`~repro.core.options.PlanktonOptions` does: an empty search
+        would only report INCONCLUSIVE for a question nobody asked."""
         if self.por not in POR_MODES:
-            raise ValueError(f"unknown POR mode {self.por!r}; choose from {POR_MODES}")
+            raise ValueError(f"por must be one of {', '.join(POR_MODES)} (got {self.por!r})")
+        if self.max_states < 1:
+            raise ValueError(f"max_states must be >= 1 (got {self.max_states})")
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0 (got {self.max_depth})")
         if self.scenario_events < 0:
-            raise ValueError("scenario_events must be >= 0")
+            raise ValueError(f"scenario_events must be >= 0 (got {self.scenario_events})")
 
 
 def _apply_initial_event(stepper: SpvpStepper, state: SpvpState, event) -> SpvpState:

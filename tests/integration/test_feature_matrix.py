@@ -40,7 +40,7 @@ class TestAllDataPlaneCoverage:
         network = ospf_everywhere(
             linear_chain(3), originate_roles=("router",), prefix_for={"r0": Prefix("10.0.0.0/24")}
         )
-        policy = Reachability(sources=["r2"], require_all_branches=False)
+        policy = Reachability(sources=["r2"], any_branch=True)
         no_failures = Plankton(network).verify(policy)
         with_failures = Plankton(network, PlanktonOptions(max_failures=1)).verify(policy)
         assert no_failures.holds and not with_failures.holds
@@ -67,7 +67,7 @@ class TestProtocolSupport:
     def test_plankton_and_minesweeper_handle_recursion(self):
         topology = ring(5)
         network = ibgp_over_ospf(topology, {"r0": Prefix("200.0.0.0/16")})
-        policy = Reachability(destination_prefix=Prefix("200.0.0.0/16"), require_all_branches=False)
+        policy = Reachability(destination_prefix=Prefix("200.0.0.0/16"), any_branch=True)
         assert Plankton(network).verify(policy).holds
         result = MinesweeperVerifier(network).check_ibgp_reachability(
             Prefix("200.0.0.0/16"), sources=["r2"]
@@ -99,7 +99,7 @@ class TestSoundnessAgreement:
         network = ospf_everywhere(
             ring(4), originate_roles=("router",), prefix_for={"r0": Prefix("10.0.0.0/24")}
         )
-        policy = Reachability(sources=["r2"], require_all_branches=False)
+        policy = Reachability(sources=["r2"], any_branch=True)
         plankton = Plankton(network, PlanktonOptions(max_failures=1)).verify(policy)
         minesweeper = MinesweeperVerifier(network, max_failures=1).check_reachability(
             Prefix("10.0.0.0/24"), sources=["r2"]

@@ -229,12 +229,12 @@ class TestIncrementalSuccessorEquivalence:
         ),
         "bgp-fat-tree": lambda: (
             ebgp_rfc7938(bgp_fat_tree(4)),
-            Reachability(destination_prefix=edge_prefix(0, 0), require_all_branches=False),
+            Reachability(destination_prefix=edge_prefix(0, 0), any_branch=True),
             PlanktonOptions(stop_at_first_violation=False),
         ),
         "bgp-fat-tree-no-determinism": lambda: (
             ebgp_rfc7938(bgp_fat_tree(4)),
-            Reachability(destination_prefix=edge_prefix(0, 0), require_all_branches=False),
+            Reachability(destination_prefix=edge_prefix(0, 0), any_branch=True),
             PlanktonOptions(
                 stop_at_first_violation=False,
                 optimizations=OptimizationFlags().without(deterministic_nodes=True),
@@ -824,7 +824,7 @@ class TestBgpMemosAcrossFailures:
     @pytest.mark.parametrize("failures", [1, 2])
     def test_ibgp_memos_stay_private_to_the_task(self, failures, monkeypatch):
         policy = Reachability(
-            destination_prefix=Prefix("200.0.0.0/16"), require_all_branches=False
+            destination_prefix=Prefix("200.0.0.0/16"), any_branch=True
         )
         options = PlanktonOptions(max_failures=failures, stop_at_first_violation=False)
         shared, oracle = _shared_and_oracle(monkeypatch, _ibgp_network(), policy, options)

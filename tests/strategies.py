@@ -220,7 +220,7 @@ def small_networks(draw, max_devices: int = 8) -> DrawnNetwork:
         policy = Reachability(
             sources=draw(st.lists(st.sampled_from(sources), min_size=1, max_size=2, unique=True)),
             destination_prefix=draw(st.sampled_from(destinations)),
-            require_all_branches=draw(st.booleans()),
+            any_branch=draw(st.booleans()),
         )
     # A ring adds up to six links, and the naive side searches every pair
     # of failed links: a ring's budget is one.

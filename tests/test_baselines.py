@@ -172,7 +172,7 @@ class TestArcBaseline:
     def test_agrees_with_plankton_on_fat_tree_failures(self):
         network = ospf_everywhere(fat_tree(4))
         prefix = edge_prefix(0, 0)
-        policy = Reachability(sources=["edge3_1"], destination_prefix=prefix, require_all_branches=False)
+        policy = Reachability(sources=["edge3_1"], destination_prefix=prefix, any_branch=True)
         plankton = Plankton(network, PlanktonOptions(max_failures=1)).verify(policy)
         arc = ArcVerifier(network).check_reachability_under_failures(prefix, ["edge3_1"], 1)
         assert plankton.holds == arc.holds is True
@@ -242,11 +242,11 @@ class TestBonsai:
     def test_verification_on_abstract_network_agrees(self):
         network = ospf_everywhere(fat_tree(4))
         prefix = edge_prefix(0, 0)
-        policy = Reachability(destination_prefix=prefix, require_all_branches=False)
+        policy = Reachability(destination_prefix=prefix, any_branch=True)
         concrete = Plankton(network).verify(policy)
         compressed = BonsaiCompressor(network).compress()
         abstract_result = Plankton(compressed.network).verify(
-            Reachability(destination_prefix=prefix, require_all_branches=False)
+            Reachability(destination_prefix=prefix, any_branch=True)
         )
         assert concrete.holds == abstract_result.holds is True
 

@@ -469,7 +469,7 @@ class TestAddressFreeKeys:
         prefix = Prefix("10.0.0.0/24")
         objects = [
             LoopFreedom(prefix),
-            Reachability(["a", "b"], prefix, require_all_branches=False),
+            Reachability(["a", "b"], prefix, any_branch=True),
             Waypoint(["a"], ["w"], prefix),
             BlackHoleFreedom(prefix, ["a"]),
             BoundedPathLength(3, ["a"], prefix),

@@ -2,6 +2,8 @@
 
 import json
 import re
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -646,6 +648,24 @@ class TestTransientScenarioFlags:
         assert code == EXIT_ERROR
         assert "scenario_events must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--max-states", "0"], "max_states must be >= 1"),
+            (["--max-states", "-5"], "max_states must be >= 1"),
+            (["--max-depth", "-1"], "max_depth must be >= 0"),
+        ],
+        ids=["no-states", "negative-states", "negative-depth"],
+    )
+    def test_a_budget_no_search_can_honour_is_an_input_error(
+        self, bgp_workspace, capsys, flags, named
+    ):
+        """Each of these used to run an empty search and print INCONCLUSIVE."""
+        assert _run(self._args(bgp_workspace, *flags)) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert "INCONCLUSIVE" not in captured.out
+
     def test_scenario_enumeration_json_round_trip(self, bgp_workspace, capsys):
         code = _run(self._args(
             bgp_workspace, "--json", "--scenario-events", "1", "--all-violations",
@@ -895,6 +915,86 @@ class TestServerMode:
             assert "s -> b [blackhole]" in capsys.readouterr().out
             assert _run(argv + ["--any-branch"] + where) == EXIT_HOLDS
             assert "HOLDS" in capsys.readouterr().out
+
+    #: The capture matrix's inputs (``tests/test_cli_capture.py::INPUTS``),
+    #: spelt by hand on the wire: what a push carries besides its network.
+    WIRE = {
+        "verify-holds": {
+            "kind": "verify",
+            "options": {"max_failures": 1},
+            "policies": [{"policy": "reachability", "sources": ["r2", "r3"]}],
+        },
+        "verify-violated": {"kind": "verify", "policies": [{"policy": "loop"}]},
+        "transient-holds": {
+            "kind": "transient", "transient": {"max_states": 2000}, "scenarios": ["maintenance:a"],
+        },
+        "transient-violated": {
+            "kind": "transient", "transient": {"max_states": 2000}, "scenarios": ["crash:m"],
+        },
+    }
+
+    def test_the_cli_spelling_is_the_wire_spelling(self):
+        """Every request of the capture matrix sends the spec a client would
+        write by hand: wire field names, and no field the flags left unset."""
+        from repro.cli import _request_payload
+        from tests.test_cli_capture import INPUTS
+
+        assert set(INPUTS) == set(self.WIRE)
+        for name, (argv, _) in INPUTS.items():
+            args = build_parser().parse_args(argv)
+            assert _request_payload(args, args.command) == self.WIRE[name], name
+
+    #: Inputs each surface refuses: name → (argv with workspace-relative
+    #: file names, the field the message must name).
+    REFUSED = {
+        "loop-with-sources": (
+            ["verify", "--topology", "net.topo", "--config", "good.cfg",
+             "--policy", "loop", "--sources", "r1"],
+            "sources",
+        ),
+        "unknown-source": (
+            ["verify", "--topology", "net.topo", "--config", "good.cfg",
+             "--policy", "reachability", "--sources", "r1,zz"],
+            "sources",
+        ),
+        "empty-state-budget": (
+            ["transient", "--topology", "bgp.topo", "--config", "bgp.cfg",
+             "--max-states", "0"],
+            "max_states",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_every_surface_refuses_with_one_message(
+        self, name, workspace, bgp_workspace, server, capsys
+    ):
+        """``repro CMD``, ``repro CMD --server`` and a raw push of the same
+        request each refuse it, with the same message, naming the field."""
+        from repro.cli import _network_payload, _request_payload
+
+        argv, field = self.REFUSED[name]
+        files = {"net.topo", "good.cfg", "bgp.topo", "bgp.cfg"}
+        argv = [str(workspace / a) if a in files else a for a in argv]
+        errors = []
+        for where in ([], ["--server", server.url, "--namespace", f"refused-{name}"]):
+            assert _run(argv + where) == EXIT_ERROR
+            errors.append(capsys.readouterr().err)
+        local, remote = errors
+        assert local == remote
+        assert field in local
+
+        args = build_parser().parse_args(argv)
+        payload = dict(_request_payload(args, args.command),
+                       **_network_payload(args.topology, args.config))
+        request = urllib.request.Request(
+            server.url + f"/v1/namespaces/refused-raw-{name}/push",
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        assert f"error: {json.loads(excinfo.value.read())['error']}\n" == local
 
     def test_unreachable_server_exits_3(self, workspace, capsys):
         # A closed port on localhost: connection refused, never a real server.

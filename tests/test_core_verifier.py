@@ -77,7 +77,7 @@ class TestOspfFatTree:
 
     def test_single_ip_reachability(self):
         network = ospf_everywhere(fat_tree(4))
-        policy = Reachability(destination_prefix=edge_prefix(0, 0), require_all_branches=False)
+        policy = Reachability(destination_prefix=edge_prefix(0, 0), any_branch=True)
         result = Plankton(network).verify(policy)
         assert result.holds
         assert result.pecs_analyzed == 1
@@ -108,7 +108,7 @@ class TestFailures:
         )
         options = PlanktonOptions(max_failures=1)
         result = Plankton(network, options).verify(
-            Reachability(sources=["r2"], require_all_branches=False)
+            Reachability(sources=["r2"], any_branch=True)
         )
         assert result.holds
         assert result.failure_scenarios > 1
@@ -119,7 +119,7 @@ class TestFailures:
         )
         options = PlanktonOptions(max_failures=1)
         result = Plankton(network, options).verify(
-            Reachability(sources=["r2"], require_all_branches=False)
+            Reachability(sources=["r2"], any_branch=True)
         )
         assert not result.holds
         assert "failed" in result.first_violation().failure_description
@@ -129,13 +129,13 @@ class TestFailures:
             ring(5), originate_roles=("router",), prefix_for={"r0": Prefix("10.0.0.0/24")}
         )
         result = Plankton(network, PlanktonOptions(max_failures=2)).verify(
-            Reachability(sources=["r2"], require_all_branches=False)
+            Reachability(sources=["r2"], any_branch=True)
         )
         assert not result.holds
 
     def test_failure_equivalence_reduces_scenarios(self):
         network = ospf_everywhere(fat_tree(4))
-        policy = Reachability(destination_prefix=edge_prefix(0, 0), require_all_branches=False)
+        policy = Reachability(destination_prefix=edge_prefix(0, 0), any_branch=True)
         reduced = Plankton(network, PlanktonOptions(max_failures=1)).verify(policy)
         full_options = PlanktonOptions(
             max_failures=1,
@@ -281,7 +281,7 @@ class TestBgpDataCenter:
         topology = bgp_fat_tree(4)
         network = ebgp_rfc7938(topology)
         policy = Reachability(
-            sources=["edge0_0"], destination_prefix=edge_prefix(3, 1), require_all_branches=False
+            sources=["edge0_0"], destination_prefix=edge_prefix(3, 1), any_branch=True
         )
         result = Plankton(network).verify(policy)
         assert result.holds
@@ -294,7 +294,7 @@ class TestIbgpOverOspf:
         topology = ring(6)
         network = ibgp_over_ospf(topology, {"r0": Prefix("200.0.0.0/16")})
         policy = Reachability(
-            destination_prefix=Prefix("200.0.0.0/16"), require_all_branches=False
+            destination_prefix=Prefix("200.0.0.0/16"), any_branch=True
         )
         result = Plankton(network).verify(policy)
         assert result.holds
@@ -307,7 +307,7 @@ class TestIbgpOverOspf:
             route_reflectors=topology.nodes_by_role("backbone")[:2],
         )
         policy = Reachability(
-            destination_prefix=Prefix("200.0.0.0/16"), require_all_branches=False
+            destination_prefix=Prefix("200.0.0.0/16"), any_branch=True
         )
         result = Plankton(network).verify(policy)
         assert result.holds
@@ -337,7 +337,7 @@ class TestOptimizationFlags:
 
     def test_naive_model_checking_agrees_with_optimized(self):
         network = self._ring_network()
-        policy = Reachability(sources=["r2"], require_all_branches=False)
+        policy = Reachability(sources=["r2"], any_branch=True)
         optimized = Plankton(network, PlanktonOptions(max_failures=1)).verify(policy)
         naive_options = PlanktonOptions(
             max_failures=1,

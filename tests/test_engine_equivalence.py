@@ -100,7 +100,7 @@ class TestTaskGraphBuilder:
 
     def test_dependent_network_builds_edges_from_scc_schedule(self):
         plankton = Plankton(_dependent_network())
-        policy = Reachability(destination_prefix=Prefix("200.0.0.0/16"), require_all_branches=False)
+        policy = Reachability(destination_prefix=Prefix("200.0.0.0/16"), any_branch=True)
         relevant = [p for p in plankton.pecs if policy.applies_to(p)]
         graph = build_task_graph(
             plankton.symmetry, plankton.pecs, plankton.dependency_graph,
@@ -121,7 +121,7 @@ class TestTaskGraphBuilder:
 
     def test_dependent_graph_shares_failure_scenarios(self):
         plankton = Plankton(_dependent_network(), PlanktonOptions(max_failures=1))
-        policy = Reachability(destination_prefix=Prefix("200.0.0.0/16"), require_all_branches=False)
+        policy = Reachability(destination_prefix=Prefix("200.0.0.0/16"), any_branch=True)
         relevant = [p for p in plankton.pecs if policy.applies_to(p)]
         graph = build_task_graph(
             plankton.symmetry, plankton.pecs, plankton.dependency_graph,
@@ -138,7 +138,7 @@ class TestTaskGraphBuilder:
             ring(5), {"r0": Prefix("200.0.0.0/16"), "r2": Prefix("201.0.0.0/16")}
         )
         plankton = Plankton(network, PlanktonOptions(max_failures=1))
-        policy = Reachability(require_all_branches=False)
+        policy = Reachability(any_branch=True)
         relevant = [p for p in plankton.pecs if policy.applies_to(p)]
         dependencies = plankton.dependency_graph
         graph = build_task_graph(
@@ -191,7 +191,7 @@ class TestBackendEquivalence:
 
     def test_dependent_ibgp_network(self):
         network = _dependent_network()
-        policy = Reachability(destination_prefix=Prefix("200.0.0.0/16"), require_all_branches=False)
+        policy = Reachability(destination_prefix=Prefix("200.0.0.0/16"), any_branch=True)
         serial = Plankton(network, PlanktonOptions(stop_at_first_violation=False)).verify(policy)
         parallel = Plankton(
             network, PlanktonOptions(cores=2, stop_at_first_violation=False)
@@ -304,7 +304,7 @@ class TestEnginePlumbing:
         has recorded, the ledger holds none of that task's data planes (the
         incremental service, which still has to encode them, keeps them)."""
         plankton = Plankton(_dependent_network(), PlanktonOptions(max_failures=1))
-        policy = Reachability(destination_prefix=Prefix("200.0.0.0/16"), require_all_branches=False)
+        policy = Reachability(destination_prefix=Prefix("200.0.0.0/16"), any_branch=True)
         policies, _relevant, graph = plankton.expand_request(policy)
         upstream_ids = [task_id for task_id, deps in dependents(graph).items() if deps]
         assert upstream_ids

@@ -153,7 +153,7 @@ class TestSerialFaults:
         ``upstream`` failures, never run against empty data planes."""
         network = _dependent_network()
         policy = Reachability(
-            destination_prefix=Prefix("200.0.0.0/16"), require_all_branches=False
+            destination_prefix=Prefix("200.0.0.0/16"), any_branch=True
         )
         options = dict(stop_at_first_violation=False, **FAST)
         _plankton, graph = _expand(network, policy, **options)
@@ -380,7 +380,7 @@ class TestDependentGraphFaults:
     def test_kill_on_dependency_schedule_recovers(self):
         network = _dependent_network()
         policy = Reachability(
-            destination_prefix=Prefix("200.0.0.0/16"), require_all_branches=False
+            destination_prefix=Prefix("200.0.0.0/16"), any_branch=True
         )
         options = dict(cores=2, stop_at_first_violation=False, **FAST)
         _plankton, graph = _expand(network, policy, **options)
@@ -397,7 +397,7 @@ class TestDependentGraphFaults:
         result as the serial walk."""
         network = _dependent_network()
         policy = Reachability(
-            destination_prefix=Prefix("200.0.0.0/16"), require_all_branches=False
+            destination_prefix=Prefix("200.0.0.0/16"), any_branch=True
         )
         options = dict(stop_at_first_violation=False, **FAST)
         _plankton, graph = _expand(network, policy, **options)

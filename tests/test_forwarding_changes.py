@@ -206,11 +206,11 @@ class TestPoliciesAcrossAChange:
         message = check(BlackHoleFreedom(), data_plane)
         assert message is not None and "device b" in message
         # Scoping to a's paths forgives c, never b.
-        scoped = check(BlackHoleFreedom(only_on_paths_from=["a"]), data_plane)
+        scoped = check(BlackHoleFreedom(sources=["a"]), data_plane)
         assert scoped is not None and "device b" in scoped
-        assert check(BlackHoleFreedom(only_on_paths_from=["c"]), data_plane) is not None
+        assert check(BlackHoleFreedom(sources=["c"]), data_plane) is not None
         data_plane.install("b", entry(SLASH_24, "deliver"))
-        assert check(BlackHoleFreedom(only_on_paths_from=["a"]), data_plane) is None
+        assert check(BlackHoleFreedom(sources=["a"]), data_plane) is None
 
     @pytest.mark.parametrize(
         "policy",

@@ -141,7 +141,7 @@ class TestBlackHoleFreedom:
         data_plane = chain_data_plane()
         # 'x' is a hole but unreachable from a.
         data_plane.fibs["x"] = type(data_plane.fib("a"))("x")
-        policy = BlackHoleFreedom(only_on_paths_from=["a"])
+        policy = BlackHoleFreedom(sources=["a"])
         assert policy.check(make_context(data_plane)) is None
 
 
@@ -177,7 +177,7 @@ class TestConsistencyPolicies:
 
     def test_path_consistency_requires_two_devices(self):
         with pytest.raises(PolicyError):
-            PathConsistency(device_group=["a"])
+            PathConsistency(sources=["a"])
 
     def test_path_consistency_detects_divergence(self):
         data_plane = DataPlane(["a", "b", "c", "d"], pec_range=PREFIX.to_range())
@@ -185,7 +185,7 @@ class TestConsistencyPolicies:
         data_plane.install("b", FibEntry(prefix=PREFIX, next_hops=("d",)))
         data_plane.install("c", FibEntry(prefix=PREFIX, delivers_locally=True))
         data_plane.install("d", FibEntry(prefix=PREFIX, delivers_locally=True))
-        assert PathConsistency(device_group=["a", "b"]).check(make_context(data_plane)) is not None
+        assert PathConsistency(sources=["a", "b"]).check(make_context(data_plane)) is not None
 
     def test_path_consistency_compares_control_plane(self):
         data_plane = DataPlane(["a", "b", "c"], pec_range=PREFIX.to_range())
@@ -196,7 +196,7 @@ class TestConsistencyPolicies:
             "a": Route(path=Path(("c",)), local_pref=100),
             "b": Route(path=Path(("c",)), local_pref=200),
         }
-        policy = PathConsistency(device_group=["a", "b"])
+        policy = PathConsistency(sources=["a", "b"])
         assert policy.check(make_context(data_plane, control_plane=control)) is not None
 
 

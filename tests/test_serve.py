@@ -412,6 +412,103 @@ class TestMalformedSpecs:
         with pytest.raises(SpecError, match="policies must be a list"):
             check_push_fields(dict(VERIFY_PAYLOAD, policies=5))
 
+    @pytest.mark.parametrize(
+        "build, spec, named",
+        [
+            # A misspelt field used to build a check from every device.
+            ("policy", {"policy": "reachability", "sourcs": ["m"]}, "sourcs"),
+            # Any truthy value used to turn the any-branch check on.
+            ("policy", {"policy": "reachability", "any_branch": "no"}, "any_branch"),
+            # A field the kind does not take used to be dropped.
+            ("policy", {"policy": "loop", "sources": ["m"]}, "sources"),
+            ("property", {"property": "loop", "sources": ["m"]}, "sources"),
+            # A JSON bool is no integer, and NaN is no budget.
+            ("options", {"max_failures": 1.5}, "max_failures"),
+            ("options", {"max_failures": float("nan")}, "max_failures"),
+            ("options", {"cores": True}, "cores"),
+            ("options", {"task_timeout": float("nan")}, "task_timeout"),
+            ("options", {"task_timeout": True}, "task_timeout"),
+            ("options", {"stop_at_first_violation": "no"}, "stop_at_first_violation"),
+            ("transient", {"stop_at_first_violation": "yes"}, "stop_at_first_violation"),
+            ("transient", {"max_states": 1.5}, "max_states"),
+        ],
+        ids=["policy-typo", "any-branch-text", "loop-sources", "loop-property-sources",
+             "max-failures-fraction", "max-failures-nan", "cores-bool", "task-timeout-nan",
+             "task-timeout-bool", "stop-text", "transient-stop-text", "max-states-fraction"],
+    )
+    def test_a_spec_that_once_built_a_question_nobody_asked_is_a_spec_error(
+        self, build, spec, named
+    ):
+        """Each of these specs used to build an object, so a run answered
+        for something other than what the spec says; each is refused, and
+        the message names the field."""
+        builders = {
+            "policy": lambda value: policy_from_spec(value, base_network()),
+            "property": lambda value: transient_property_from_spec(value, base_network()),
+            "options": options_from_spec,
+            "transient": transient_options_from_spec,
+        }
+        with pytest.raises(SpecError, match=re.escape(named)):
+            builders[build](spec)
+
+
+class TestRequestSchema:
+    """The constructors are the request schema: every field they expose has
+    a JSON type the builder knows, and ``--policy`` offers the kinds the
+    table builds."""
+
+    def test_the_kind_tables_are_the_cli_choice_lists(self):
+        from repro.core.options import POLICY_KINDS, TRANSIENT_PROPERTIES
+        from repro.serve.specs import POLICIES, transient_properties
+
+        assert tuple(POLICIES) == POLICY_KINDS
+        assert tuple(transient_properties()) == TRANSIENT_PROPERTIES
+
+    def test_every_exposed_field_has_a_known_json_type(self):
+        from repro.core.options import PlanktonOptions
+        from repro.serve.specs import (
+            _SCALARS, OPTION_FIELDS, POLICIES, TRANSIENT_FIELDS, _parameters,
+            transient_properties,
+        )
+        from repro.transient import TransientOptions
+
+        tables = [(factory, None) for factory in POLICIES.values()]
+        tables += [(factory, None) for factory in transient_properties().values()]
+        tables += [(PlanktonOptions, OPTION_FIELDS), (TransientOptions, TRANSIENT_FIELDS)]
+        for factory, exposed in tables:
+            parameters = _parameters(factory, exposed)
+            assert exposed is None or set(parameters) == set(exposed)
+            for name, parameter in parameters.items():
+                annotation = parameter.annotation
+                if annotation.startswith("Optional["):
+                    annotation = annotation[len("Optional["):-1]
+                known = annotation in _SCALARS or annotation in ("Sequence[str]", "Prefix")
+                assert known, (factory, name, parameter.annotation)
+
+    def test_the_readme_table_lists_each_kinds_fields(self):
+        from pathlib import Path
+
+        from repro.serve.specs import (
+            OPTION_FIELDS, POLICIES, TRANSIENT_FIELDS, _parameters, transient_properties,
+        )
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("### Request schema"):readme.index("The `result` of a")]
+        rows = {}
+        for line in section.splitlines():
+            row = re.match(r"\| (policy |property )?`([\w-]+)` \| (.*?) \|", line)
+            if row:
+                key = ((row.group(1) or "").strip(), row.group(2))
+                rows[key] = set(re.findall(r"`(\w+)`\**:", row.group(3)))
+        expected = {("policy", kind): set(_parameters(cls)) for kind, cls in POLICIES.items()}
+        expected.update(
+            {("property", kind): set(_parameters(factory))
+             for kind, factory in transient_properties().items()}
+        )
+        expected[("", "options")] = set(OPTION_FIELDS)
+        expected[("", "transient")] = set(TRANSIENT_FIELDS)
+        assert rows == expected
+
 
 class TestHttpErrors:
     def test_unknown_job_is_404(self, client):
@@ -441,14 +538,14 @@ class TestHttpErrors:
         [
             # The §4 ablations are a library call, not an option field.
             ("verify", "options", {"no_optimizations": True},
-             "unknown option field(s): no_optimizations"),
+             "unknown options field(s): no_optimizations"),
             ("verify", "policies", [{"policy": "no-such-policy"}], "unknown policy"),
             ("verify", "policies", [{"policy": "reachability", "sources": ["zz"]}],
              "unknown device 'zz'"),
             ("transient", "options", {"cores": 0}, "bad options spec"),
             ("transient", "transient", {"por": "bogus"}, "bad transient options"),
             # The backend follows from cores; the old key is not a field.
-            ("verify", "options", {"backend": "serial"}, "unknown option field(s): backend"),
+            ("verify", "options", {"backend": "serial"}, "unknown options field(s): backend"),
         ],
         ids=["ablation-switch", "unknown-policy", "unknown-source", "transient-cores",
              "transient-por", "removed-backend"],

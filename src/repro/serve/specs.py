@@ -60,15 +60,23 @@ POLICIES = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _signature(cls: type) -> Mapping[str, inspect.Parameter]:
+    """``cls``'s constructor parameters, read once per class: reading a
+    signature costs tens of microseconds, several times per push."""
+    return inspect.signature(cls).parameters
+
+
 def _parameters(
     factory: Callable, exposed: Optional[Sequence[str]] = None
 ) -> Dict[str, inspect.Parameter]:
-    """The spec fields of ``factory``: its parameters, only the ``exposed``
-    ones when given, never one a :func:`functools.partial` fixes."""
+    """The spec fields of ``factory`` (a class, or a :func:`functools.partial`
+    of one): its parameters, only the ``exposed`` ones when given, never one
+    the partial fixes."""
     fixed = getattr(factory, "keywords", {})
     return {
         name: parameter
-        for name, parameter in inspect.signature(factory).parameters.items()
+        for name, parameter in _signature(getattr(factory, "func", factory)).items()
         if name not in fixed and (exposed is None or name in exposed)
     }
 

@@ -7,12 +7,8 @@ per request), a *transient spec* and *scenario specs* for transient
 campaigns, and the *forms* the result is to be rendered into.  The CLI
 builds the same request from its argparse namespace — in local mode it hands
 it to :func:`repro.serve.jobs.run_request` in-process, in ``--server`` mode
-it ships it — so the two execution paths cannot drift.
-
-The constructors are the schema: a spec's fields are the parameters of the
-class it builds (:data:`POLICIES`, :func:`transient_properties`, and the
-exposed fields of the two option dataclasses), each field's JSON type is
-read from its annotation, and one :func:`_build` checks every spec.
+it ships it — so the two execution paths cannot drift.  The constructors are
+the schema: one :func:`_build` checks every spec against the class it builds.
 
 Every validation failure raises :class:`~repro.exceptions.SpecError`, which
 the server maps to a *failed job* (or HTTP 400 for malformed envelopes) with
@@ -44,10 +40,8 @@ from repro.policies import (
 )
 from repro.reporting import DEFAULT_FORMS, FORMS
 
-#: Policy kind -> the class its spec builds.  The constructor's parameters
-#: are the kind's spec fields and their annotations the fields' types
-#: (:func:`_build`); ``--policy`` offers these kinds
-#: (:data:`repro.core.options.POLICY_KINDS`).
+#: Policy kind -> the class its spec builds (``--policy`` offers these kinds:
+#: :data:`repro.core.options.POLICY_KINDS`).
 POLICIES = {
     "reachability": Reachability,
     "loop": LoopFreedom,
@@ -60,23 +54,16 @@ POLICIES = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _signature(cls: type) -> Mapping[str, inspect.Parameter]:
-    """``cls``'s constructor parameters, read once per class: reading a
-    signature costs tens of microseconds, several times per push."""
-    return inspect.signature(cls).parameters
-
-
+@functools.lru_cache(maxsize=None)  # a signature costs tens of µs to read
 def _parameters(
-    factory: Callable, exposed: Optional[Sequence[str]] = None
+    factory: Callable, exposed: Optional[Tuple[str, ...]] = None
 ) -> Dict[str, inspect.Parameter]:
-    """The spec fields of ``factory`` (a class, or a :func:`functools.partial`
-    of one): its parameters, only the ``exposed`` ones when given, never one
-    the partial fixes."""
+    """The spec fields of ``factory``: its parameters, only the ``exposed``
+    ones when given, never one a :func:`functools.partial` fixes."""
     fixed = getattr(factory, "keywords", {})
     return {
         name: parameter
-        for name, parameter in _signature(getattr(factory, "func", factory)).items()
+        for name, parameter in inspect.signature(factory).parameters.items()
         if name not in fixed and (exposed is None or name in exposed)
     }
 
@@ -103,10 +90,10 @@ _PAYLOAD_FIELDS = (
 )
 
 
+@functools.lru_cache(maxsize=None)
 def transient_properties() -> Dict[str, Callable]:
-    """Transient property kind -> what its spec builds (the ``policy`` table's
-    twin; imported on first use, so a verify request never loads
-    :mod:`repro.transient`)."""
+    """Transient property kind -> what its spec builds (imported here, so a
+    verify request never loads :mod:`repro.transient`)."""
     from repro.transient import TransientBlackHoleFreedom, TransientLoopFreedom
 
     return {
@@ -127,19 +114,17 @@ _SCALARS = {
 
 
 def _devices(value: object, name: str, network: Optional[NetworkConfig]) -> List[str]:
-    """A list of device names, or one comma-joined string of them; each must
-    be on ``network`` when it is known."""
-    names = [item.strip() for item in value.split(",") if item.strip()] if isinstance(
-        value, str
-    ) else value
+    """A list of device names, or one comma-joined string of them."""
+    names = value.split(",") if isinstance(value, str) else value
     if not isinstance(names, (list, tuple)) or not all(isinstance(item, str) for item in names):
         raise SpecError(f"{name} must be a list of device names (got {value!r})")
+    names = [item.strip() for item in names if item.strip()]
     if not names:
         raise SpecError(f"{name} must name at least one device (leave it out for every device)")
-    for device in names if network is not None else ():
-        if device not in network.topology:
+    for device in names:
+        if network is not None and device not in network.topology:
             raise SpecError(f"unknown device {device!r} in {name}")
-    return list(names)
+    return names
 
 
 def parse_destination_prefix(value: object, name: str = "destination_prefix") -> Optional[Prefix]:
@@ -155,9 +140,7 @@ def parse_destination_prefix(value: object, name: str = "destination_prefix") ->
 
 
 def _checked(value: object, name: str, annotation: str, network: Optional[NetworkConfig]):
-    """``value`` of field ``name`` checked against its annotation text:
-    ``Optional[X]`` also takes ``null``, ``Sequence[str]`` is a device list,
-    ``Prefix`` a prefix string, and the rest are :data:`_SCALARS`."""
+    """``value`` of field ``name`` checked against its annotation text."""
     if annotation.startswith("Optional["):
         if value is None:
             return None
@@ -180,16 +163,15 @@ def _build(
     factory: Callable,
     spec: object,
     what: str,
-    exposed: Optional[Sequence[str]] = None,
+    exposed: Optional[Tuple[str, ...]] = None,
     network: Optional[NetworkConfig] = None,
 ):
-    """``factory(**spec)`` for the one request schema.
+    """``factory(**spec)``, each field checked against its annotation.
 
-    The spec's fields are :func:`_parameters` of ``factory``, each checked
-    against its annotation text (:func:`_checked`).  A key outside them, a
-    value of another JSON type, a missing required field and anything the
-    constructor refuses are each a :class:`SpecError` naming the field;
-    device names are checked against ``network`` when it is given.
+    A key outside :func:`_parameters`, a value of another JSON type, a
+    missing required field and anything the constructor refuses are each a
+    :class:`SpecError` naming the field.  ``network`` ``None`` leaves device
+    names unchecked.
     """
     spec = {} if spec is None else spec
     if not isinstance(spec, Mapping):
@@ -235,12 +217,8 @@ def _kind_spec(
 
 
 def policy_from_spec(spec: object, network: Optional[NetworkConfig]) -> Policy:
-    """Instantiate the policy named by one policy spec dict.
-
-    Spec keys: ``policy`` (required, one of :data:`POLICIES`), plus the
-    fields of that kind's constructor — the same vocabulary as the CLI
-    flags.  With ``network`` ``None`` device names go unchecked.
-    """
+    """The policy a policy spec names under ``policy`` (:data:`POLICIES`),
+    built from the fields of that kind's constructor."""
     return _kind_spec(POLICIES, spec, "policy", "policy", network)
 
 
@@ -272,12 +250,8 @@ def transient_options_from_spec(spec: Optional[Mapping]):
 
 
 def transient_property_from_spec(spec: Optional[Mapping], network: Optional[NetworkConfig]):
-    """One transient property spec → a property object.
-
-    Keys: ``property`` (``"loop"``, the default, or ``"blackhole"``) and the
-    fields of that kind (:func:`transient_properties`): ``blackhole`` takes
-    ``sources``, ``loop`` nothing.
-    """
+    """The transient property a spec names under ``property`` (default
+    ``loop``; :func:`transient_properties`), built from that kind's fields."""
     spec = {} if spec is None else spec
     properties = transient_properties()
     return _kind_spec(properties, spec, "property", "transient property", network, "loop")

@@ -127,11 +127,23 @@ def _configure_logging(verbosity: int) -> None:
 
 # --------------------------------------------------------------------------- input loading
 def _load_network(topology_path: str, config: str) -> NetworkConfig:
-    """Build the :class:`NetworkConfig` named by ``--topology`` and ``--config``."""
+    """Build the :class:`NetworkConfig` named by ``--topology`` and ``--config``
+    (a refusal reads as a push's: :func:`repro.serve.specs.refused_as`)."""
     from repro.config.parser import parse_config
+    from repro.serve.specs import refused_as
+
+    topology = _load_topology(topology_path)
+    with refused_as("config"):
+        return parse_config(topology, FilePath(config).read_text())
+
+
+def _load_topology(topology_path: str):
+    """The topology ``--topology`` names, refused as a push's would be."""
+    from repro.serve.specs import refused_as
     from repro.topology.io import load_topology
 
-    return parse_config(load_topology(topology_path), FilePath(config).read_text())
+    with refused_as("topology"):
+        return load_topology(topology_path)
 
 
 def _network_payload(topology_path: str, config: str) -> Dict[str, object]:
@@ -141,9 +153,9 @@ def _network_payload(topology_path: str, config: str) -> Dict[str, object]:
     regular loader and re-serialised so the server always receives canonical
     topology text.
     """
-    from repro.topology.io import format_topology, load_topology
+    from repro.topology.io import format_topology
 
-    topology_text = format_topology(load_topology(topology_path))
+    topology_text = format_topology(_load_topology(topology_path))
     return {"topology": topology_text, "config": FilePath(config).read_text()}
 
 

@@ -346,7 +346,9 @@ class PecExplorer:
                 if devices:
                     instance = self.ospf_instance(prefix)
                     analyzer = OspfDeterminism(instance) if self.flags.deterministic_nodes else None
-                    self._search(instance, analyzer, self._spf_agreement(prefix))
+                    check, check_ecmp = self._spf_agreement(prefix, instance.nodes())
+                    if self._search(instance, analyzer, check) == COMPLETE:
+                        check_ecmp()
 
         bgp_prefixes = [prefix for prefix, devices in self.pec.bgp_origins if devices]
         if not bgp_prefixes:
@@ -389,17 +391,39 @@ class PecExplorer:
         search(streamed, cross)
         return outcomes
 
-    def _spf_agreement(self, prefix: Prefix) -> Callable[[RpvpState, List[object]], None]:
-        """The check of a model-checked OSPF search: every decided node of an
-        accepted state holds the SPF distance of ``prefix``'s table, through
-        one of its ECMP next hops (an origin: ``EPSILON`` at distance 0), and
-        a state that ended by full convergence - not stopped by policy-based
-        pruning once the sources decided - leaves no node SPF reaches
-        undecided.  A disagreement raises :class:`VerificationError`."""
+    def _spf_agreement(
+        self, prefix: Prefix, nodes: Iterable[str]
+    ) -> Tuple[Callable[[RpvpState, List[object]], None], Callable[[], None]]:
+        """The checks of a model-checked OSPF search, ``(check, check_ecmp)``.
+
+        ``check`` runs on every accepted state: every decided node holds the
+        SPF distance of ``prefix``'s table, through one of its ECMP next hops
+        (an origin: ``EPSILON`` at distance 0), and a state that ended by full
+        convergence - not stopped by policy-based pruning once the sources
+        decided - leaves no node SPF reaches undecided.
+
+        ``check_ecmp`` runs once a search is complete: each of the instance's
+        ``nodes``' converged next hops, over all accepted states, are its
+        whole ECMP set.  Only a
+        relation that branches over every tie can find them all - deterministic
+        nodes off, or no consistent executions (``every_move``) - and only
+        when policy-based pruning cannot stop an execution early.  With
+        deterministic nodes on, :meth:`OspfDeterminism.pick` keeps one
+        representative per node by its documented rule, so ``check`` collects
+        nothing and ``check_ecmp`` checks nothing (the default flags, as on
+        ``ospf_mc_k14``, pay no per-state work for it).
+
+        A disagreement raises :class:`VerificationError`."""
         table = self._plane_inputs.ospf_tables[prefix]
         distances, next_hops = table.distances, table.next_hops
         sources = [source for source in self.policy_sources or () if source in distances]
-        prunes = self.flags.consistent_execution and self.flags.policy_based_pruning and sources
+        flags = self.flags
+        prunes = flags.consistent_execution and flags.policy_based_pruning and sources
+        every_tie = not (flags.consistent_execution and flags.deterministic_nodes)
+        #: node -> the next hops its accepted states used (every_tie only).
+        used: Dict[str, Set[str]] = {}
+        collect = every_tie and not prunes
+        nodes = tuple(nodes)
 
         def check(state: RpvpState, labels: List[object]) -> None:
             best = state.as_dict()
@@ -414,6 +438,8 @@ class PecExplorer:
                         f"{path} at cost {route.igp_cost}, SPF {distances.get(node)} "
                         f"via {next_hops.get(node, ())}"
                     )
+                if collect and path != EPSILON:
+                    used.setdefault(node, set()).add(path.head)
             if not (prunes and all(best.get(source) is not None for source in sources)):
                 undecided = [node for node in distances if node in best and best[node] is None]
                 if undecided:
@@ -422,17 +448,28 @@ class PecExplorer:
                         f"{', '.join(undecided)} undecided, which SPF reaches"
                     )
 
-        return check
+        def check_ecmp() -> None:
+            if not collect:
+                return
+            for node in nodes:
+                found, hops = used.get(node, set()), next_hops.get(node, ())
+                if found != set(hops):
+                    raise VerificationError(
+                        f"model-checked OSPF found next hops {sorted(found)} at {node} "
+                        f"for {prefix}, SPF's ECMP set is {sorted(hops)}"
+                    )
+
+        return check, check_ecmp
 
     def _search(
         self,
         instance: PathVectorInstance,
         analyzer: Union[BgpDeterminism, OspfDeterminism, None],
         on_converged: Callable[[RpvpState, List[object]], Optional[str]],
-    ) -> None:
+    ) -> str:
         """Model-check one protocol instance: every accepted converged state
         goes to ``on_converged(state, path labels)`` as it is reached, and a
-        non-None return ends the search."""
+        non-None return ends the search.  Returns the search's completeness."""
         successors, accepts = self._successor_relation(instance, analyzer)
 
         def check_terminal(state: RpvpState, labels: List[object]) -> Optional[str]:
@@ -454,9 +491,9 @@ class PecExplorer:
             ),
         )
         explorer.canonicalize = self._make_canonicalizer(explorer, instance)
-        self.completeness = weakest(
-            self.completeness, explorer.run(initial_state(instance), self.statistics)
-        )
+        completeness = explorer.run(initial_state(instance), self.statistics)
+        self.completeness = weakest(self.completeness, completeness)
+        return completeness
 
     def _make_canonicalizer(
         self, explorer: Explorer, instance: PathVectorInstance

@@ -50,22 +50,47 @@ or rewrite non-holder slots with routes that do not outrank it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.protocols.spvp import Channel, SpvpState, space_for
 
 
-@dataclass(frozen=True)
 class AmpleChoice:
-    """One selection: the channels to expand and whether that is a reduction."""
+    """One selection: the channels to expand and whether that is a reduction.
 
-    channels: Tuple[Channel, ...]
-    #: True when the selection is a proper subset of the enabled deliveries
-    #: (the expansion must then uphold the visibility proviso).
-    reduced: bool
-    #: The receiver whose in-deliveries form the ample set (None = full).
-    receiver: Optional[str] = None
+    Built once per expanded state, so a plain ``__slots__`` record (as
+    :class:`~repro.protocols.rpvp.RpvpTransition`): value equality and hash
+    over the three fields, pickled by them, never changed after construction.
+    """
+
+    __slots__ = ("channels", "reduced", "receiver")
+
+    def __init__(
+        self, channels: Tuple[Channel, ...], reduced: bool, receiver: Optional[str] = None
+    ) -> None:
+        self.channels = channels
+        #: True when the selection is a proper subset of the enabled
+        #: deliveries (the expansion must then uphold the visibility proviso).
+        self.reduced = reduced
+        #: The receiver whose in-deliveries form the ample set (None = full).
+        self.receiver = receiver
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not AmpleChoice:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+    def __reduce__(self):
+        return AmpleChoice, (self.channels, self.reduced, self.receiver)
+
+    def __repr__(self) -> str:
+        return (
+            f"AmpleChoice(channels={self.channels!r}, reduced={self.reduced!r}, "
+            f"receiver={self.receiver!r})"
+        )
 
 
 class AmpleSelector:

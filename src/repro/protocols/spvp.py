@@ -40,7 +40,6 @@ tests step in lockstep with it.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.exceptions import ProtocolError
@@ -49,14 +48,41 @@ from repro.protocols.interning import IdArrayState, node_space_for
 from repro.protocols.rpvp import RpvpState
 
 
-@dataclass(frozen=True)
 class SpvpEvent:
-    """One SPVP step: ``node`` processed an advertisement from ``peer``."""
+    """One SPVP step: ``node`` processed an advertisement from ``peer``.
 
-    node: str
-    peer: str
-    advertised: Optional[Route]
-    new_best: Optional[Route]
+    Built once per delivery, so a plain ``__slots__`` record (as
+    :class:`~repro.protocols.rpvp.RpvpTransition`): value equality and hash
+    over the four fields, pickled by them, never changed after construction.
+    """
+
+    __slots__ = ("node", "peer", "advertised", "new_best")
+
+    def __init__(
+        self,
+        node: str,
+        peer: str,
+        advertised: Optional[Route],
+        new_best: Optional[Route],
+    ) -> None:
+        self.node, self.peer, self.advertised, self.new_best = node, peer, advertised, new_best
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SpvpEvent:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+    def __reduce__(self):
+        return SpvpEvent, (self.node, self.peer, self.advertised, self.new_best)
+
+    def __repr__(self) -> str:
+        return (
+            f"SpvpEvent(node={self.node!r}, peer={self.peer!r}, "
+            f"advertised={self.advertised!r}, new_best={self.new_best!r})"
+        )
 
     def describe(self) -> str:
         adv = self.advertised.describe() if self.advertised else "withdraw"
@@ -66,6 +92,12 @@ class SpvpEvent:
 
 #: A directed message channel: (sender, receiver).
 Channel = Tuple[str, str]
+
+#: Head codes (:meth:`_SpvpSpace.head_slot`) of a node with no route and of
+#: an origin delivering locally; every other code is a position in
+#: :attr:`_SpvpSpace.head_names`.
+NO_ROUTE = -1
+DELIVERING = -2
 
 
 class _SpvpSpace:
@@ -92,8 +124,10 @@ class _SpvpSpace:
 
     The layout is also where the instance's transfers are memoised, by id:
     :meth:`import_id`, :meth:`export_id`, :meth:`rank_of` and
-    :meth:`origin_id`.  SPVP explores a very large number of interleavings
-    of a small set of distinct routes, so after warm-up a delivery is dict
+    :meth:`origin_id`; and so is where a best route forwards,
+    :meth:`head_slot`, which :meth:`hops_of` maps over a best block.  SPVP
+    explores a very large number of interleavings of a small set of distinct
+    routes, so after warm-up a delivery is dict
     look-ups on small-int keys end to end, and since :func:`space_for`
     memoises the layout per instance, every stepper, ample selector and
     drain over the instance — the runs of one transient task, its shared
@@ -130,6 +164,10 @@ class _SpvpSpace:
         "export_ids",
         "rank_ids",
         "origin_ids",
+        "node_slots",
+        "head_names",
+        "head_index",
+        "head_slots",
     )
 
     def __init__(self, instance: PathVectorInstance) -> None:
@@ -218,6 +256,15 @@ class _SpvpSpace:
         self.rank_ids: Dict[Tuple[str, int], Tuple] = {}
         #: node -> rid of its origin route.
         self.origin_ids: Dict[str, int] = {}
+        #: Each node's best slot, in :attr:`nodes` order.
+        self.node_slots: Tuple[int, ...] = tuple(self.best_slot[node] for node in self.nodes)
+        #: The names head codes stand for: :attr:`nodes`, then each head seen
+        #: that is no node of the space, in first-seen order.
+        self.head_names: Tuple[str, ...] = self.nodes
+        self.head_index: Dict[str, int] = {node: index for index, node in enumerate(self.nodes)}
+        #: rid -> head code (:data:`NO_ROUTE`, :data:`DELIVERING` or a
+        #: position in :attr:`head_names`).
+        self.head_slots: Dict[int, int] = {}
 
     def origin_id(self, node: str) -> int:
         """The id of ``node``'s locally originated route."""
@@ -262,6 +309,35 @@ class _SpvpSpace:
                 self.instance.export(exporter, importer, self.table.route(rid))
             )
         return advertised
+
+    def head_slot(self, rid: int) -> int:
+        """Where a node whose best route has id ``rid`` forwards: the
+        position of the route's first hop in :attr:`head_names`,
+        :data:`NO_ROUTE` for id 0, :data:`DELIVERING` for an origin route."""
+        code = self.head_slots.get(rid)
+        if code is None:
+            route = self.table.route(rid)
+            if route is None:
+                code = NO_ROUTE
+            elif not len(route.path):
+                code = DELIVERING
+            else:
+                head = route.path.head
+                code = self.head_index.get(head)
+                if code is None:
+                    code = self.head_index[head] = len(self.head_names)
+                    self.head_names += (head,)
+            self.head_slots[rid] = code
+        return code
+
+    def hops_of(self, best: "array[int]") -> List[int]:
+        """The head code of every node, in :attr:`nodes` order, for the best
+        block ``best`` (slot-indexed route ids)."""
+        heads = self.head_slots
+        try:
+            return [heads[best[slot]] for slot in self.node_slots]
+        except KeyError:
+            return [self.head_slot(best[slot]) for slot in self.node_slots]
 
 
 def _space_for(instance: PathVectorInstance) -> _SpvpSpace:
@@ -338,23 +414,13 @@ class SpvpState(IdArrayState):
             raise ProtocolError(f"node {node!r} not part of this SPVP state") from None
         return self._space.table.route(self.ids()[slot])
 
-    def best_map(self) -> Dict[str, Optional[Route]]:
-        """The node -> best route assignment as a mutable dict, in
-        ``instance.nodes()`` order (read off the best block: no array is
-        built)."""
-        table = self._space.table
-        ids = self.head_ids(len(self._space.nodes))
-        return {
-            node: table.route(ids[slot])
-            for node, slot in self._space.best_slot.items()
-        }
-
     def best_key(self) -> bytes:
         """The best-path assignment as the raw bytes of its id slots.
 
         Equal between two states of one instance iff every node holds the
         same best route — the memo key of whatever is a function of the
-        best paths alone (the forwarding relation, the activity closure).
+        best paths alone (the activity closure; the transient properties'
+        memo keys on the same bytes).
         The bytes of :meth:`converged_rpvp`'s id array; an unbuilt state
         patches its delta into the nearest built ancestor's best block.
         """
@@ -497,21 +563,24 @@ class SpvpStepper:
         sender, receiver = channel
         advertised_rid = queue_rids[0]
         remaining_qid = table.queue_id(queue_rids[1:])
-        updates: List[Tuple[int, int]] = [(channel_slot, remaining_qid)]
+        # The drained channel runs into the receiver and the re-advertisements
+        # out of it, so every slot below changes at most once: the child's
+        # ``(slot, old, new)`` delta is built as it goes (a queue that lost
+        # or gained a message always has a new id).
+        delta: List[Tuple[int, int, int]] = [(channel_slot, qid, remaining_qid)]
 
         rib_slot = space.rib_slot[(receiver, sender)]
         imported_rid = space.import_id(rib_slot, advertised_rid)
-        updates.append((rib_slot, imported_rid))
+        if ids[rib_slot] != imported_rid:
+            delta.append((rib_slot, ids[rib_slot], imported_rid))
 
         best_slot = space.best_slot[receiver]
         current_rid = ids[best_slot]
         new_best_rid = self._select_best_id(ids, receiver, sender, imported_rid, current_rid)
-        updates.append((best_slot, new_best_rid))
+        if new_best_rid != current_rid:
+            delta.append((best_slot, current_rid, new_best_rid))
         event = SpvpEvent(
-            node=receiver,
-            peer=sender,
-            advertised=table.route(advertised_rid),
-            new_best=table.route(new_best_rid),
+            receiver, sender, table.route(advertised_rid), table.route(new_best_rid)
         )
 
         pending = state.pending
@@ -526,13 +595,16 @@ class SpvpStepper:
             for _peer, out_channel, out_slot in space.out_slots_of[receiver]:
                 if out_channel in self.suppressed:
                     continue
-                out_qid = remaining_qid if out_slot == channel_slot else ids[out_slot]
+                out_qid = ids[out_slot]
                 advertisement_rid = space.export_id(out_slot, new_best_rid)
-                updates.append(
-                    (out_slot, table.queue_id(table.queue(out_qid) + (advertisement_rid,)))
+                delta.append(
+                    (out_slot, out_qid, table.queue_id(table.queue(out_qid) + (advertisement_rid,)))
                 )
                 pending |= channel_bit[out_channel]
-        return event, state._derive(updates, pending, event)
+        child = SpvpState.__new__(SpvpState)._init(
+            space, None, pending, parent=state, delta=tuple(delta), event=event
+        )
+        return event, child
 
     def _select_best_id(
         self,

@@ -164,7 +164,7 @@ class ReproServer:
         kind = payload.get("kind", "verify")
         if kind not in JOB_KINDS:
             raise SpecError(f"unknown job kind {kind!r}; choose from {JOB_KINDS}")
-        check_push_fields(payload)
+        network = check_push_fields(payload)
         # Validates the name; the (still cold) session is listed from here on.
         self.registry.get_or_create(namespace)
         with self._jobs_lock:
@@ -175,6 +175,7 @@ class ReproServer:
                 kind=str(kind),
                 payload=payload,
                 sequence=sequence,
+                network=network,
             )
             self._jobs[job.id] = job
         try:

@@ -28,6 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, Mapping, Optional, Set
 
+from repro.config.objects import NetworkConfig
 from repro.exceptions import ReproError, SpecError
 from repro.reporting import ResultView
 from repro.serve.specs import (
@@ -76,6 +77,9 @@ class Job:
     #: The finished request's :meth:`~repro.reporting.ResultView.counts`.
     counts: Optional[Dict[str, int]] = None
     error: Optional[str] = None
+    #: The network a full-config push was checked against at submission,
+    #: until the job installs it.
+    network: Optional[NetworkConfig] = None
 
 
 class JobQueue:
@@ -229,8 +233,9 @@ def execute_job(session: NamespaceSession, job: Job) -> Dict[str, object]:
     payload = job.payload
     options = options_from_spec(payload.get("options"))
     forms = forms_from_spec(payload.get("forms"))
+    checked, job.network = job.network, None
     with session.lock:
-        network, delta = session.install(payload, options)
+        network, delta = session.install(payload, options, checked)
         view = run_request(session.verifier, network, job.kind, payload, delta)
         job.counts = view.counts()
         return dict(view.render(forms), signature=view.signature())

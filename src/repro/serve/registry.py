@@ -59,10 +59,16 @@ class NamespaceSession:
 
     # ------------------------------------------------------------------ pushes
     def install(
-        self, payload: Mapping, options: PlanktonOptions
+        self,
+        payload: Mapping,
+        options: PlanktonOptions,
+        network: Optional[NetworkConfig] = None,
     ) -> Tuple[NetworkConfig, Optional[ConfigDelta]]:
         """Apply one push payload; returns ``(network, delta)`` — no delta
-        on the push that creates the session.
+        on the push that creates the session.  ``network`` is the payload's
+        full network when the push was already checked against it
+        (:func:`~repro.serve.specs.check_push_fields`); else it is read off
+        the payload here.
 
         The first push creates the :class:`IncrementalVerifier`; later
         pushes route through :meth:`IncrementalVerifier.update` so the
@@ -73,8 +79,9 @@ class NamespaceSession:
         :attr:`lock` (the job queue's per-namespace serialisation).
         """
         with self.lock:
-            current = self.verifier.network if self.verifier is not None else None
-            network = network_from_payload(payload, current)
+            if network is None:
+                current = self.verifier.network if self.verifier is not None else None
+                network = network_from_payload(payload, current)
             delta: Optional[ConfigDelta] = None
             if self.verifier is None:
                 self.verifier = IncrementalVerifier(

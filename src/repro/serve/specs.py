@@ -18,6 +18,7 @@ error (exit code 2).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import inspect
 import math
@@ -25,7 +26,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config.objects import NetworkConfig
 from repro.core.options import PlanktonOptions
-from repro.exceptions import PolicyError, SpecError
+from repro.exceptions import PolicyError, ReproError, SpecError
 from repro.netaddr import Prefix
 from repro.policies import (
     BlackHoleFreedom,
@@ -257,11 +258,12 @@ def transient_property_from_spec(spec: Optional[Mapping], network: Optional[Netw
     return _kind_spec(properties, spec, "property", "transient property", network, "loop")
 
 
-def check_push_fields(payload: Mapping) -> None:
+def check_push_fields(payload: Mapping) -> Optional[NetworkConfig]:
     """Refuse a push before it becomes a job when its job would fail on a
     spec: a key outside what the CLI sends, or a spec the one schema refuses.
     Device names and scenarios are checked when the push carries its full
-    network."""
+    network, which is returned (the job installs it instead of parsing the
+    same text again); None otherwise."""
     unknown = sorted(str(key) for key in payload if key not in _PAYLOAD_FIELDS)
     if unknown:
         raise SpecError(f"unknown push field(s): {', '.join(unknown)}")
@@ -283,6 +285,7 @@ def check_push_fields(payload: Mapping) -> None:
             policy_from_spec(spec, network)
         elif network is not None:
             scenario_from_spec(str(spec), network)
+    return network
 
 
 def _spec_descriptors(parts: Sequence[str], network: NetworkConfig):
@@ -350,9 +353,22 @@ def _device_body(name: str, text: str) -> str:
     return text
 
 
+@contextlib.contextmanager
+def refused_as(what: str):
+    """Re-raise a parser's :class:`~repro.exceptions.ReproError` as the
+    :class:`SpecError` ``bad WHAT: ...``: the one message a local run, a
+    ``--server`` run and a raw push print for a topology or configuration
+    the parsers refuse."""
+    try:
+        yield
+    except SpecError:
+        raise
+    except ReproError as exc:
+        raise SpecError(f"bad {what}: {exc}") from exc
+
+
 def _payload_topology(payload: Mapping):
     """The topology a push carries (text or a JSON object), or ``None``."""
-    from repro.exceptions import ReproError
     from repro.topology.io import parse_topology, topology_from_dict
 
     raw_topology = payload.get("topology")
@@ -360,12 +376,10 @@ def _payload_topology(payload: Mapping):
         return None
     if not isinstance(raw_topology, (str, Mapping)):
         raise SpecError("topology must be topology text or a JSON object")
-    try:
+    with refused_as("topology"):
         if isinstance(raw_topology, str):
             return parse_topology(raw_topology)
         return topology_from_dict(dict(raw_topology))
-    except ReproError as exc:
-        raise SpecError(f"bad topology: {exc}") from exc
 
 
 def network_from_payload(
@@ -389,7 +403,6 @@ def network_from_payload(
     import copy
 
     from repro.config.parser import parse_config, parse_device_config
-    from repro.exceptions import ReproError
 
     topology = _payload_topology(payload)
 
@@ -403,10 +416,8 @@ def network_from_payload(
             topology = current.topology
         if topology is None:
             raise SpecError("a full-config push needs a topology (none on the session yet)")
-        try:
+        with refused_as("config"):
             return parse_config(topology, config_text)
-        except ReproError as exc:
-            raise SpecError(f"bad config: {exc}") from exc
 
     if devices is not None:
         if current is None:
@@ -419,10 +430,8 @@ def network_from_payload(
         for name, text in devices.items():
             if name not in network.topology:
                 raise SpecError(f"overlay device {name!r} is not in the topology")
-            try:
+            with refused_as(f"config for device {name!r}"):
                 network.set_device(parse_device_config(name, _device_body(name, str(text))))
-            except ReproError as exc:
-                raise SpecError(f"bad config for device {name!r}: {exc}") from exc
         network.validate()
         return network
 

@@ -549,12 +549,14 @@ class TransientAnalyzer:
         A property reads the forwarding relation and ``converged`` and nothing
         else, so the answer is looked up on exactly that: the best-slot ids
         and the flag.  Only the first interleaving to reach an assignment
-        builds the relation and runs the checks.
+        builds the relation, from those ids, and runs the checks.
         """
-        key = (state.best_key(), converged)
+        space = self._space
+        best = state.head_ids(len(space.nodes))
+        key = (best.tobytes(), converged)
         messages = self._messages.get(key)
         if messages is None:
-            forwarding = TransientForwarding.of_state(state)
+            forwarding = TransientForwarding.of_best(space, best)
             messages = tuple(prop.check(forwarding, converged) for prop in properties)
             self._messages[key] = messages
         return messages

@@ -11,75 +11,107 @@ evaluated at every state the exploration reaches, converged or not.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.protocols.base import Route
+from repro.protocols.spvp import DELIVERING, NO_ROUTE
 
 
-@dataclass(frozen=True)
 class TransientForwarding:
     """The forwarding relation implied by one control plane state.
 
-    ``next_hop[n]`` is the device ``n`` currently forwards to, ``None`` when
-    ``n`` has no route.  Origins forward to themselves conceptually; they are
-    listed in ``delivering`` instead.
+    One head code per node (:attr:`hops`, in the instance's node order, as
+    :attr:`names` lists them): the position in :attr:`names` of the node it
+    forwards to, ``NO_ROUTE`` when it has no route, or ``DELIVERING`` when it
+    originates the prefix.  A position at or past ``len(hops)`` names a head
+    that is no node of the space: it has no route of its own.  The codes are
+    the SPVP layout's per-route memo (:meth:`~repro.protocols.spvp.
+    _SpvpSpace.hops_of`), so building the relation of a state is one look-up
+    per node.
+
+    :attr:`next_hop` (node -> the device it forwards to, ``None`` without a
+    route or at an origin) and :attr:`delivering` (the origins) are the
+    same relation by name, built on first read.
     """
 
-    next_hop: Dict[str, Optional[str]]
-    delivering: frozenset
+    __slots__ = ("names", "hops", "_next_hop", "_delivering")
+
+    def __init__(self, names: Tuple[str, ...], hops: Sequence[int]) -> None:
+        self.names = names
+        self.hops = hops
+        self._next_hop: Optional[Dict[str, Optional[str]]] = None
+        self._delivering: Optional[FrozenSet[str]] = None
 
     @staticmethod
-    def from_best_paths(best: Dict[str, Optional[Route]]) -> "TransientForwarding":
-        """Build the relation from a best-path assignment (SPVP/RPVP state)."""
-        next_hop: Dict[str, Optional[str]] = {}
-        delivering = set()
-        for node, route in best.items():
-            if route is None:
-                next_hop[node] = None
-            elif len(route.path) == 0:
-                next_hop[node] = None
-                delivering.add(node)
-            else:
-                next_hop[node] = route.path.head
-        return TransientForwarding(next_hop=next_hop, delivering=frozenset(delivering))
+    def of_best(space, best) -> "TransientForwarding":
+        """The relation of the best block ``best`` (slot-indexed route ids)
+        of an SPVP state over ``space``."""
+        hops = space.hops_of(best)
+        # Read after hops_of, which may add a head to the names.
+        return TransientForwarding(space.head_names, hops)
 
-    @staticmethod
-    def of_state(state) -> "TransientForwarding":
-        """The relation implied by an SPVP state's current best paths."""
-        return TransientForwarding.from_best_paths(state.best_map())
+    @property
+    def next_hop(self) -> Dict[str, Optional[str]]:
+        """Node -> the device it currently forwards to (None = no route, or
+        an origin)."""
+        if self._next_hop is None:
+            names = self.names
+            self._next_hop = {
+                names[node]: names[hop] if hop >= 0 else None
+                for node, hop in enumerate(self.hops)
+            }
+        return self._next_hop
+
+    @property
+    def delivering(self) -> FrozenSet[str]:
+        """The nodes that deliver locally (the origins holding their route)."""
+        if self._delivering is None:
+            names = self.names
+            self._delivering = frozenset(
+                names[node] for node, hop in enumerate(self.hops) if hop == DELIVERING
+            )
+        return self._delivering
 
     def find_cycle(self) -> Optional[List[str]]:
         """A forwarding cycle, if the instantaneous next hops contain one.
 
-        The cycle of the first node (in ``next_hop`` order) whose walk closes,
+        The cycle of the first node (in node order) whose walk closes,
         starting at the node where that walk re-enters itself.  One pass: a
         walk that runs into a node already known to reach a dead end stops
         there, so every node is stepped over once.
         """
-        terminating: Set[str] = set()
-        for start in self.next_hop:
-            walk: List[str] = []
-            position: Dict[str, int] = {}
-            node: Optional[str] = start
-            while node is not None and node not in terminating:
-                if node in position:
-                    return walk[position[node]:] + [node]
-                position[node] = len(walk)
+        hops = self.hops
+        count = len(hops)
+        # 0 = not walked yet, 1 = on the current walk, 2 = reaches a dead end.
+        mark = bytearray(count)
+        for start in range(count):
+            if mark[start]:
+                continue
+            walk: List[int] = []
+            node = start
+            while 0 <= node < count:
+                seen = mark[node]
+                if seen == 2:
+                    break
+                if seen:
+                    names = self.names
+                    return [names[index] for index in walk[walk.index(node):]] + [names[node]]
+                mark[node] = 1
                 walk.append(node)
-                node = self.next_hop.get(node)
-            terminating.update(walk)
+                node = hops[node]
+            for index in walk:
+                mark[index] = 2
         return None
 
     def dead_ends(self) -> List[str]:
         """Nodes whose next hop currently has no route (transient black holes)."""
-        result = []
-        for node, successor in self.next_hop.items():
-            if successor is None:
-                continue
-            if self.next_hop.get(successor) is None and successor not in self.delivering:
-                result.append(node)
-        return sorted(result)
+        hops = self.hops
+        count = len(hops)
+        names = self.names
+        return sorted(
+            names[node]
+            for node, hop in enumerate(hops)
+            if hop >= count or (hop >= 0 and hops[hop] == NO_ROUTE)
+        )
 
 
 class TransientProperty(abc.ABC):

@@ -18,7 +18,7 @@ from repro.exceptions import ProtocolError, TopologyError
 from repro.netaddr import Prefix
 from repro.protocols.base import EPSILON, Route
 from repro.protocols.rpvp import RpvpState
-from repro.protocols.spvp import Channel, SpvpState, SpvpStepper
+from repro.protocols.spvp import DELIVERING, NO_ROUTE, Channel, SpvpState, SpvpStepper
 from repro.topology.graph import Topology
 from repro.transient.properties import TransientForwarding, TransientProperty
 
@@ -201,6 +201,14 @@ def buffer_of(state: SpvpState, channel: Channel) -> Tuple[Optional[Route], ...]
     return tuple(space.table.route(rid) for rid in space.table.queue(state.ids()[slot]))
 
 
+def best_map(state: SpvpState) -> Dict[str, Optional[Route]]:
+    """The node -> best route assignment as a mutable dict, in
+    ``instance.nodes()`` order (read off the best block: no array is built)."""
+    space = state._space
+    ids = state.head_ids(len(space.nodes))
+    return {node: space.table.route(ids[slot]) for node, slot in space.best_slot.items()}
+
+
 def rib_in_map(state: SpvpState) -> Dict[Tuple[str, str], Optional[Route]]:
     """The (node, peer) -> rib-in assignment as a mutable dict."""
     table = state._space.table
@@ -261,6 +269,35 @@ def verdict_signature(result) -> Tuple:
             for state in result.converged_rpvp_states
         ),
     )
+
+
+def forwarding_of(state: SpvpState) -> TransientForwarding:
+    """The slot relation of an SPVP state's current best paths."""
+    space = state._space
+    return TransientForwarding.of_best(space, state.head_ids(len(space.nodes)))
+
+
+def forwarding_from(
+    next_hop: Dict[str, Optional[str]], delivering: Iterable[str] = ()
+) -> TransientForwarding:
+    """The slot relation of a name-keyed one: ``next_hop`` in its key order
+    (None = no route, or an origin), ``delivering`` the origins among its
+    keys.  A next hop that is no key becomes a head outside the nodes."""
+    delivering = frozenset(delivering)
+    if not delivering <= next_hop.keys() or any(next_hop[node] for node in delivering):
+        raise ValueError("an origin is a node that forwards nowhere")
+    names = list(next_hop)
+    position = {name: index for index, name in enumerate(names)}
+    hops = []
+    for node, successor in next_hop.items():
+        if successor is None:
+            hops.append(DELIVERING if node in delivering else NO_ROUTE)
+            continue
+        if successor not in position:
+            position[successor] = len(names)
+            names.append(successor)
+        hops.append(position[successor])
+    return TransientForwarding(tuple(names), hops)
 
 
 class AlwaysReaches(TransientProperty):

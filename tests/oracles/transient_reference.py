@@ -4,9 +4,10 @@
 search over SPVP interleavings: it explores over the mutable
 :class:`~tests.oracles.spvp_reference.ReferenceSpvpSimulator`, forks one
 simulator per successor (:meth:`ReferenceSpvpSimulator.clone` — best,
-rib-ins, buffers *and* event history), and keys the visited set on a full
-(best, rib-in, buffers) signature tuple.  It never reduces; budget
-accounting matches the product's, so ``TransientAnalyzer(por="full")`` runs
+rib-ins, buffers *and* event history), keys the visited set on a full
+(best, rib-in, buffers) signature tuple, and checks each state on the
+name-keyed relation of ``tests/oracles/transient_relation.py``.  It never
+reduces; budget accounting matches the product's, so ``TransientAnalyzer(por="full")`` runs
 must produce bit-identical ``stats_signature()``s.  It is exhaustive and
 slow on purpose — test-sized budgets only.
 
@@ -28,9 +29,10 @@ from repro.modelcheck.explorer import TRUNCATED
 from repro.protocols.base import PathVectorInstance
 from repro.protocols.spvp import Channel
 from repro.transient.explorer import TransientAnalysisResult, TransientViolation
-from repro.transient.properties import TransientForwarding, TransientProperty
+from repro.transient.properties import TransientProperty
 
 from tests.oracles.spvp_reference import ReferenceSpvpSimulator, apply_reference
+from tests.oracles.transient_relation import ReferenceForwarding
 
 
 class NaiveTransientAnalyzer:
@@ -113,7 +115,7 @@ class NaiveTransientAnalyzer:
         properties: Sequence[TransientProperty],
         result: TransientAnalysisResult,
     ) -> bool:
-        forwarding = TransientForwarding.from_best_paths(simulator.best)
+        forwarding = ReferenceForwarding.from_best_paths(simulator.best)
         for prop in properties:
             message = prop.check(forwarding, converged)
             if message is None:

@@ -29,7 +29,7 @@ from repro.protocols.spvp import SpvpState, SpvpStepper
 
 from tests.oracles.spvp_reference import ReferenceSpvpSimulator
 from tests.test_rpvp_spvp import GadgetInstance, bad_gadget, disagree_gadget, good_gadget
-from tests.helpers import buffer_map, buffer_of, rib_in_map, state_from_maps
+from tests.helpers import best_map, buffer_map, buffer_of, rib_in_map, state_from_maps
 
 
 def _simple_paths(edge_map, start, limit=12):
@@ -87,7 +87,7 @@ def spvp_scenarios(draw):
 
 def _assert_state_matches_reference(stepper, state, reference, hasher):
     """One lockstep comparison: maps, pending set, fingerprint, equality."""
-    assert state.best_map() == reference.best
+    assert best_map(state) == reference.best
     assert rib_in_map(state) == reference.rib_in
     assert buffer_map(state) == {
         channel: tuple(queue) for channel, queue in reference.buffers.items()
@@ -119,10 +119,10 @@ def _assert_best_block_is_rpvp(stepper, state, rpvp, hasher):
     converged = state.converged_rpvp()
     assert converged.intern_table is table
     assert len(table) == known
-    assert converged == RpvpState.from_dict(state.best_map())
+    assert converged == RpvpState.from_dict(best_map(state))
     assert len(table) == known
-    assert converged.node_names == tuple(sorted(state.best_map()))
-    assert converged.as_dict() == state.best_map()
+    assert converged.node_names == tuple(sorted(best_map(state)))
+    assert converged.as_dict() == best_map(state)
     assert state.best_key() == converged._ids.tobytes()
     assert converged == rpvp and hash(converged) == hash(rpvp)
     # The chain folds incrementally, the slice from scratch: one kernel
@@ -178,9 +178,9 @@ class TestSpvpStateAgainstReference:
         pending = state.pending_channels()
         if len(pending) < 2:
             return
-        before = (state.best_map(), rib_in_map(state), buffer_map(state))
+        before = (best_map(state), rib_in_map(state), buffer_map(state))
         children = [stepper.deliver(state, channel)[1] for channel in pending]
-        assert (state.best_map(), rib_in_map(state), buffer_map(state)) == before
+        assert (best_map(state), rib_in_map(state), buffer_map(state)) == before
         # Each child drained exactly its own channel relative to the parent.
         for channel, child in zip(pending, children):
             assert buffer_of(child, channel) == buffer_of(state, channel)[1:]

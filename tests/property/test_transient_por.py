@@ -28,7 +28,6 @@ from repro.transient import (
     FailSession,
     TransientAnalyzer,
     TransientBlackHoleFreedom,
-    TransientForwarding,
     TransientLoopFreedom,
     TransientProperty,
 )
@@ -40,7 +39,16 @@ from repro.protocols.spvp import SpvpState, SpvpStepper
 from tests.oracles.transient_reference import NaiveTransientAnalyzer
 from tests.test_rpvp_spvp import GadgetInstance, bad_gadget, disagree_gadget, good_gadget
 from tests.test_transient import _fat_tree_bgp_instance
-from tests.helpers import AlwaysReaches, buffer_map, rib_in_map, state_from_maps, verdict_signature
+from tests.helpers import (
+    AlwaysReaches,
+    best_map,
+    buffer_map,
+    forwarding_from,
+    rib_in_map,
+    state_from_maps,
+    verdict_signature,
+)
+from tests.oracles.transient_relation import ReferenceForwarding
 
 
 def _simple_paths(edge_map, start, limit=12):
@@ -380,7 +388,7 @@ class _RecomputingAnalyzer(TransientAnalyzer):
 
     def _messages_of(self, state, converged, properties):
         messages = super()._messages_of(state, converged, properties)
-        forwarding = TransientForwarding.from_best_paths(state.best_map())
+        forwarding = ReferenceForwarding.from_best_paths(best_map(state))
         assert messages == tuple(prop.check(forwarding, converged) for prop in properties)
         self.states_checked += 1
         return messages
@@ -513,7 +521,7 @@ class TestMemoisedEqualsRecomputed:
         stepper = SpvpStepper(instance)
         settled = stepper.drain(stepper.initial_state(), max_steps=100)
         backing = settled.best_of("a").path.head
-        best, rib_in = settled.best_map(), rib_in_map(settled)
+        best, rib_in = best_map(settled), rib_in_map(settled)
         buffers = {channel: () for channel in buffer_map(settled)}
         buffers[(backing, "a")] = (None,)
         backed = state_from_maps(stepper, best, rib_in, buffers)
@@ -556,6 +564,12 @@ class TestFindCycleIsTheSameCycle:
     @settings(max_examples=500, deadline=None, derandomize=True)
     def test_one_pass_returns_what_the_walk_from_every_node_returned(self, next_hop):
         """Same cycle, same rotation: the first start in dict order whose
-        walk closes, cut at the node where it re-enters itself."""
-        forwarding = TransientForwarding(next_hop=next_hop, delivering=frozenset())
+        walk closes, cut at the node where it re-enters itself.  The slot
+        relation and the name-keyed oracle both return it, and the same
+        dead ends."""
+        forwarding = forwarding_from(next_hop)
+        reference = ReferenceForwarding(next_hop=next_hop, delivering=frozenset())
         assert forwarding.find_cycle() == _find_cycle_walking_from_every_node(next_hop)
+        assert forwarding.find_cycle() == reference.find_cycle()
+        assert forwarding.dead_ends() == reference.dead_ends()
+        assert forwarding.next_hop == next_hop

@@ -4,6 +4,7 @@ import json
 import re
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -962,6 +963,14 @@ class TestServerMode:
              "--max-states", "0"],
             "max_states",
         ),
+        "bad-config": (
+            ["verify", "--topology", "net.topo", "--config", "bad.cfg", "--policy", "loop"],
+            "bad config: line 3",
+        ),
+        "bad-topology": (
+            ["verify", "--topology", "bad.topo", "--config", "good.cfg", "--policy", "loop"],
+            "bad topology: line 3",
+        ),
     }
 
     @pytest.mark.parametrize("name", REFUSED)
@@ -969,11 +978,14 @@ class TestServerMode:
         self, name, workspace, bgp_workspace, server, capsys
     ):
         """``repro CMD``, ``repro CMD --server`` and a raw push of the same
-        request each refuse it, with the same message, naming the field."""
-        from repro.cli import _network_payload, _request_payload
+        request each refuse it, with the same message, naming the field (or
+        the file and line the parser stopped at)."""
+        from repro.cli import _request_payload
 
         argv, field = self.REFUSED[name]
-        files = {"net.topo", "good.cfg", "bgp.topo", "bgp.cfg"}
+        (workspace / "bad.cfg").write_text("device r1\n  ospf\n  bogus\n")
+        (workspace / "bad.topo").write_text("topology t\nnode r1\nbogus r2\n")
+        files = {"net.topo", "good.cfg", "bgp.topo", "bgp.cfg", "bad.cfg", "bad.topo"}
         argv = [str(workspace / a) if a in files else a for a in argv]
         errors = []
         for where in ([], ["--server", server.url, "--namespace", f"refused-{name}"]):
@@ -983,9 +995,11 @@ class TestServerMode:
         assert local == remote
         assert field in local
 
+        # The files as a raw client sends them: the push parses both.
         args = build_parser().parse_args(argv)
         payload = dict(_request_payload(args, args.command),
-                       **_network_payload(args.topology, args.config))
+                       topology=Path(args.topology).read_text(),
+                       config=Path(args.config).read_text())
         request = urllib.request.Request(
             server.url + f"/v1/namespaces/refused-raw-{name}/push",
             data=json.dumps(payload).encode("utf-8"),

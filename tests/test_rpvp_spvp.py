@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ospf_everywhere
-from repro.exceptions import ProtocolError
+from repro.core import OptimizationFlags, Plankton, PlanktonOptions
+from repro.core.network_model import PecExplorer
+from repro.exceptions import ProtocolError, VerificationError
 from repro.netaddr import Prefix
 from repro.protocols import (
     EPSILON,
@@ -23,10 +25,13 @@ from repro.protocols import (
     RpvpState,
 )
 from repro.modelcheck import ExplorationStatistics, Explorer, ExplorerOptions
+from repro.modelcheck.explorer import COMPLETE
+from repro.pec.classes import compute_pecs, pec_covering_prefix
+from repro.policies import LoopFreedom
 from repro.protocols.rpvp import initial_state
 from repro.protocols.spvp import SpvpStepper
-from repro.topology import ring
-from tests.helpers import buffer_of, forwarding_next_hops, linear_chain
+from repro.topology import FailureScenario, Topology, fat_tree, ring, rocketfuel_like
+from tests.helpers import buffer_of, forwarding_next_hops, induced_subgraph, linear_chain
 from tests.oracles.rpvp_reference import enabled_nodes, is_invalid, rpvp_successors, step_node
 
 
@@ -288,6 +293,50 @@ class TestSpvp:
         assert buffer_of(flapped, ("o", "a")) == buffer_of(flapped, ("a", "o")) == (None,)
 
 
+#: The prefix the drawn OSPF networks originate at one drawn device.
+ECMP_PREFIX = Prefix("10.9.0.0/24")
+
+
+@st.composite
+def ecmp_networks(draw, shape: str):
+    """OSPF over a drawn graph with link costs 1 or 2 per direction (ties
+    are common), one drawn device originating :data:`ECMP_PREFIX`: a drawn
+    connected set of three to nine fat-tree switches (k=4), or a
+    ``rocketfuel_like`` graph of four to nine devices."""
+    if shape == "fat-tree":
+        # A connected set of switches, grown one drawn neighbour at a time.
+        full = fat_tree(4)
+        keep = [draw(st.sampled_from(sorted(full.nodes)))]
+        for _ in range(draw(st.integers(min_value=2, max_value=8))):
+            frontier = sorted({peer for node in keep for peer in full.neighbors(node)} - set(keep))
+            keep.append(draw(st.sampled_from(frontier)))
+        base = induced_subgraph(full, keep)
+    else:
+        base = rocketfuel_like(
+            size=draw(st.integers(min_value=4, max_value=9)),
+            seed=draw(st.integers(min_value=0, max_value=10_000)),
+        )
+    topology = Topology(base.name)
+    for name in base.nodes:
+        node = base.node(name)
+        topology.add_node(name, role=node.role, **node.attributes)
+    costs = st.sampled_from((1, 2))
+    for link in base.links:
+        topology.add_link(link.a, link.b, weight=draw(costs), weight_ba=draw(costs))
+    origin = draw(st.sampled_from(sorted(topology.nodes)))
+    return ospf_everywhere(topology, originate_roles=(), prefix_for={origin: ECMP_PREFIX})
+
+
+def converged_next_hops(states, nodes) -> Dict[str, set]:
+    """Each node's next hops over ``states`` (an origin's set is empty)."""
+    used = {node: set() for node in nodes}
+    for state in states:
+        for node, route in state.items():
+            if route is not None and route.path != EPSILON:
+                used[node].add(route.path.head)
+    return used
+
+
 class TestRpvpOnRealProtocols:
     def test_ospf_rpvp_matches_spf(self):
         network = ospf_everywhere(
@@ -320,3 +369,55 @@ class TestRpvpOnRealProtocols:
                 if node == "r0":
                     continue
                 assert state.best(node).igp_cost == table.distances[node]
+
+    @pytest.mark.parametrize("shape", ["fat-tree", "rocketfuel"])
+    @settings(deadline=None, max_examples=25, derandomize=True)
+    @given(data=st.data())
+    def test_converged_next_hops_are_the_ecmp_sets(self, shape, data):
+        """Every SPF next hop of every node is the next hop of some converged
+        state, and no other one is: the raw Algorithm 1 search agrees with the
+        ECMP sets, and the verifier's own check of them (deterministic nodes
+        off, so its relation branches over every tie) passes."""
+        network = data.draw(ecmp_networks(shape))
+        instance = OspfInstance(network, ECMP_PREFIX)
+        converged = []
+        explorer = Explorer(
+            successors=lambda state: rpvp_successors(instance, state),
+            check_terminal=lambda state, _labels: converged.append(state),
+            options=ExplorerOptions(max_states=50_000),
+        )
+        assert explorer.run(initial_state(instance), ExplorationStatistics()) == COMPLETE
+        table = instance.routing_table()
+        assert converged_next_hops(converged, instance.nodes()) == {
+            node: set(table.next_hops.get(node, ())) for node in instance.nodes()
+        }
+        options = PlanktonOptions(
+            fast_ospf=False, optimizations=OptimizationFlags(deterministic_nodes=False)
+        )
+        result = Plankton(network, options).verify(LoopFreedom())
+        assert not result.errors and result.conclusive
+
+    def test_the_ecmp_check_refuses_a_missing_tie(self):
+        """An even ring's far node has two SPF next hops: a search that
+        accepted only the converged state through one of them fails the
+        check, the one that accepted both passes it."""
+        network = ospf_everywhere(
+            ring(4, link_weight=1), originate_roles=(), prefix_for={"r0": ECMP_PREFIX}
+        )
+        instance = OspfInstance(network, ECMP_PREFIX)
+        converged, _stats = explore_all_converged(instance)
+        assert len(converged) == 2
+        (pec,) = pec_covering_prefix(compute_pecs(network), ECMP_PREFIX)
+        options = PlanktonOptions(
+            fast_ospf=False, optimizations=OptimizationFlags(deterministic_nodes=False)
+        )
+        explorer = PecExplorer(network, pec, FailureScenario(), options)
+        for accepted, agrees in ((converged[:1], False), (converged, True)):
+            check, check_ecmp = explorer._spf_agreement(ECMP_PREFIX, instance.nodes())
+            for state in accepted:
+                check(state, [])
+            if agrees:
+                check_ecmp()
+            else:
+                with pytest.raises(VerificationError, match="ECMP set"):
+                    check_ecmp()

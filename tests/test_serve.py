@@ -220,6 +220,29 @@ class TestEndToEnd:
         assert result["signature"] == result_signature_digest(campaign)
         assert result["document"]["holds"] is False
 
+    def test_a_full_config_push_parses_its_configuration_once(self, monkeypatch):
+        """The push-time check parses the configuration to check its device
+        names; the job installs that network instead of parsing it again."""
+        from repro.config import parser
+
+        parsed = []
+        parse_config = parser.parse_config
+
+        def counted(*args, **kwargs):
+            parsed.append(args)
+            return parse_config(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_config", counted)
+        # Its own server: the count must see no other test's pushes.
+        server = ReproServer(port=0, workers=1).start()
+        try:
+            document = ServiceClient(server.url).run("parse-once", VERIFY_PAYLOAD, timeout=120)
+        finally:
+            server.stop()
+        assert len(parsed) == 1
+        assert document["state"] == "done"
+        assert document["result"]["signature"] == cold_signature(base_network())
+
     def test_run_only_push_reuses_current_config(self, client):
         client.run("rerun", VERIFY_PAYLOAD, timeout=120)
         document = client.run(

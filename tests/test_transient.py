@@ -11,6 +11,7 @@ from repro.config import ebgp_rfc7938
 from repro.core.options import PlanktonOptions
 from repro.core.verifier import Plankton
 from repro.pec.classes import compute_pecs
+from repro.protocols.spvp import SpvpStepper
 from repro.protocols.base import EPSILON, Path, Route
 from repro.topology import bgp_fat_tree
 from repro.transient import (
@@ -18,7 +19,6 @@ from repro.transient import (
     FailSession,
     TransientAnalyzer,
     TransientBlackHoleFreedom,
-    TransientForwarding,
     TransientLoopFreedom,
     TransientOptions,
     analyze_pec_transients,
@@ -32,7 +32,13 @@ from tests.test_rpvp_spvp import (
     explore_all_converged,
     good_gadget,
 )
-from tests.helpers import AlwaysReaches, verdict_signature
+from tests.helpers import (
+    AlwaysReaches,
+    forwarding_from,
+    forwarding_of,
+    state_from_maps,
+    verdict_signature,
+)
 
 
 def flap_loop_gadget() -> GadgetInstance:
@@ -64,49 +70,46 @@ def flap_loop_gadget() -> GadgetInstance:
 # --------------------------------------------------------------------------- forwarding relation
 class TestTransientForwarding:
     def test_from_best_paths_identifies_origins_and_next_hops(self):
-        forwarding = TransientForwarding.from_best_paths(
-            {
-                "o": Route(path=EPSILON, origin_node="o"),
-                "a": Route(path=Path(("o",))),
-                "b": None,
-            }
+        stepper = SpvpStepper(good_gadget())
+        space = stepper.space
+        forwarding = forwarding_of(
+            state_from_maps(
+                stepper,
+                {
+                    "o": Route(path=EPSILON, origin_node="o"),
+                    "a": Route(path=Path(("o",))),
+                    "b": None,
+                },
+                dict.fromkeys(space.rib_slot),
+                dict.fromkeys(space.channels, ()),
+            )
         )
         assert forwarding.next_hop["a"] == "o"
         assert forwarding.next_hop["b"] is None
         assert "o" in forwarding.delivering
 
     def test_find_cycle_detects_two_node_loop(self):
-        forwarding = TransientForwarding(
-            next_hop={"a": "b", "b": "a", "o": None}, delivering=frozenset({"o"})
-        )
+        forwarding = forwarding_from({"a": "b", "b": "a", "o": None}, delivering={"o"})
         cycle = forwarding.find_cycle()
         assert cycle is not None
         assert set(cycle) >= {"a", "b"}
 
     def test_find_cycle_none_on_tree(self):
-        forwarding = TransientForwarding(
-            next_hop={"a": "o", "b": "a", "o": None}, delivering=frozenset({"o"})
-        )
+        forwarding = forwarding_from({"a": "o", "b": "a", "o": None}, delivering={"o"})
         assert forwarding.find_cycle() is None
 
     def test_dead_ends_reports_next_hop_without_route(self):
-        forwarding = TransientForwarding(
-            next_hop={"a": "b", "b": None, "o": None}, delivering=frozenset({"o"})
-        )
+        forwarding = forwarding_from({"a": "b", "b": None, "o": None}, delivering={"o"})
         assert forwarding.dead_ends() == ["a"]
         # Forwarding towards a delivering node is not a dead end.
-        healthy = TransientForwarding(
-            next_hop={"a": "o", "o": None}, delivering=frozenset({"o"})
-        )
+        healthy = forwarding_from({"a": "o", "o": None}, delivering={"o"})
         assert healthy.dead_ends() == []
 
 
 # --------------------------------------------------------------------------- properties
 class TestTransientProperties:
     def test_loop_freedom_can_ignore_converged_states(self):
-        forwarding = TransientForwarding(
-            next_hop={"a": "b", "b": "a"}, delivering=frozenset()
-        )
+        forwarding = forwarding_from({"a": "b", "b": "a"})
         assert TransientLoopFreedom().check(forwarding, converged=True) is not None
         assert (
             TransientLoopFreedom(ignore_converged=True).check(forwarding, converged=True)
@@ -114,9 +117,7 @@ class TestTransientProperties:
         )
 
     def test_blackhole_freedom_respects_source_filter(self):
-        forwarding = TransientForwarding(
-            next_hop={"a": "b", "b": None, "c": "b"}, delivering=frozenset()
-        )
+        forwarding = forwarding_from({"a": "b", "b": None, "c": "b"})
         assert TransientBlackHoleFreedom().check(forwarding, converged=False) is not None
         assert (
             TransientBlackHoleFreedom(sources=["c"]).check(forwarding, converged=False)
@@ -708,7 +709,6 @@ class TestBreadthFirstWitnesses:
         """Each line after the root's prefix is one delivery: replaying them
         from the root describes the same lines, takes ``depth`` steps and ends
         in a state with the same violation."""
-        from repro.protocols.spvp import SpvpStepper
         from repro.transient.explorer import _apply_initial_event
 
         result = self._first_violation(name, "ample")
@@ -727,7 +727,7 @@ class TestBreadthFirstWitnesses:
             peer = line.split(" from ", 1)[1].split(";", 1)[0]
             event, state = stepper.deliver(state, (peer, node))
             assert event.describe() == line
-        forwarding = TransientForwarding.of_state(state)
+        forwarding = forwarding_of(state)
         assert self.PROPERTY.check(forwarding, state.is_converged()) == violation.message
 
     @pytest.mark.parametrize("name", sorted(CASES))

@@ -402,16 +402,16 @@ class PecExplorer:
         convergence - not stopped by policy-based pruning once the sources
         decided - leaves no node SPF reaches undecided.
 
-        ``check_ecmp`` runs once a search is complete: each of the instance's
-        ``nodes``' converged next hops, over all accepted states, are its
-        whole ECMP set.  Only a
-        relation that branches over every tie can find them all - deterministic
-        nodes off, or no consistent executions (``every_move``) - and only
-        when policy-based pruning cannot stop an execution early.  With
-        deterministic nodes on, :meth:`OspfDeterminism.pick` keeps one
-        representative per node by its documented rule, so ``check`` collects
-        nothing and ``check_ecmp`` checks nothing (the default flags, as on
-        ``ospf_mc_k14``, pay no per-state work for it).
+        ``check_ecmp`` runs once a search is complete: for each of the
+        instance's ``nodes``, the next hops of all accepted states together
+        are its whole ECMP set.  Only a relation that branches over every tie
+        can find them all - deterministic nodes off, or no consistent
+        executions (``every_move``) - and only when policy-based pruning
+        cannot stop an execution early.  With deterministic nodes on,
+        :meth:`OspfDeterminism.pick` keeps one representative per node by its
+        documented rule, so ``check`` collects nothing and ``check_ecmp``
+        checks nothing (the default flags, as on ``ospf_mc_k14``, pay no
+        per-state work for it).
 
         A disagreement raises :class:`VerificationError`."""
         table = self._plane_inputs.ospf_tables[prefix]

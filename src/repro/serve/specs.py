@@ -361,8 +361,6 @@ def refused_as(what: str):
     the parsers refuse."""
     try:
         yield
-    except SpecError:
-        raise
     except ReproError as exc:
         raise SpecError(f"bad {what}: {exc}") from exc
 

@@ -327,16 +327,6 @@ def ecmp_networks(draw, shape: str):
     return ospf_everywhere(topology, originate_roles=(), prefix_for={origin: ECMP_PREFIX})
 
 
-def converged_next_hops(states, nodes) -> Dict[str, set]:
-    """Each node's next hops over ``states`` (an origin's set is empty)."""
-    used = {node: set() for node in nodes}
-    for state in states:
-        for node, route in state.items():
-            if route is not None and route.path != EPSILON:
-                used[node].add(route.path.head)
-    return used
-
-
 class TestRpvpOnRealProtocols:
     def test_ospf_rpvp_matches_spf(self):
         network = ospf_everywhere(
@@ -387,10 +377,13 @@ class TestRpvpOnRealProtocols:
             options=ExplorerOptions(max_states=50_000),
         )
         assert explorer.run(initial_state(instance), ExplorationStatistics()) == COMPLETE
+        used = {node: set() for node in instance.nodes()}
+        for state in converged:
+            for node, route in state.items():
+                if route is not None and route.path != EPSILON:
+                    used[node].add(route.path.head)
         table = instance.routing_table()
-        assert converged_next_hops(converged, instance.nodes()) == {
-            node: set(table.next_hops.get(node, ())) for node in instance.nodes()
-        }
+        assert used == {node: set(table.next_hops.get(node, ())) for node in instance.nodes()}
         options = PlanktonOptions(
             fast_ospf=False, optimizations=OptimizationFlags(deterministic_nodes=False)
         )

@@ -68,9 +68,9 @@ def test_derived_planes_floor(reporter):
 
     Every converged state of one rack prefix of the eBGP k=4 fabric under <= 1
     link failure (the other seven racks are this one up to renaming), handed
-    to ``build_data_plane`` the way ``explore`` streams them (one explorer per
-    task: first plane from scratch, the rest derived) and to a fresh explorer
-    per plane (every plane from scratch).  An in-process ratio of planes per
+    to ``build_data_plane`` the way ``explore`` builds the outcomes it keeps
+    (one explorer per task: first plane from scratch, the rest derived) and to
+    a fresh explorer per plane (every plane from scratch).  An in-process ratio of planes per
     second, never wall clock, so a loaded box moves both sides.  Measured
     ~11x; 2x leaves all the noise headroom a loaded container needs.
     """
@@ -94,7 +94,7 @@ def test_derived_planes_floor(reporter):
         streaming.build_data_plane = lambda states, build=build, streamed=streamed: (
             streamed.append(dict(states)) or build(states)
         )
-        streaming.explore(keep_outcomes=False)
+        streaming.explore()  # a kept outcome is built as it is reached
         tasks.append((failure, streamed))
     planes = sum(len(streamed) for _failure, streamed in tasks)
 

@@ -9,7 +9,10 @@ protocol states into network-wide data planes (the FIB model of §3.3).
 There is one road from a converged state to its data plane:
 :meth:`PecExplorer.explore` runs one kind of search (``_search``), accepts
 converged states inside it by the same rule that ends executions
-(``_successor_relation``) and builds each plane as the state is reached.
+(``_successor_relation``) and hands each one on as the state is reached, as
+a :class:`ConvergedOutcome` that builds its plane only when something reads
+it.  Until then the outcome is the state's route ids laid against its
+task's reference plane, which is all loop freedom reads.
 
 Sibling converged states differ in a few devices' routes (§4.4), so
 :meth:`PecExplorer.build_data_plane` builds only the first plane of a task
@@ -135,13 +138,110 @@ class DependencyContext:
 
 
 # --------------------------------------------------------------------------- outcome
-@dataclass
 class ConvergedOutcome:
-    """One converged data plane of a PEC, with how it was reached."""
+    """One converged state of a PEC: its data plane, the control plane behind
+    it and the path labels that reached it (``steps``).
 
-    data_plane: DataPlane
-    control_plane: Mapping[str, Route] = field(default_factory=dict)
-    steps: List[object] = field(default_factory=list)
+    :meth:`PecExplorer.explore` hands its callback a lazy outcome: the
+    converged states, one per live BGP prefix in the task's layout, and the
+    search's path labels.  Each part is built when it is first read:
+    ``data_plane`` by :meth:`PecExplorer.build_data_plane` (which gives the
+    control plane too), ``control_plane`` over the states alone, ``steps`` by
+    joining the labels.  Until its plane is built the outcome stands for it
+    as a view: ``base`` is the task's reference plane (None while the task
+    has none, or when the states are not in its layout) and
+    :meth:`changed_keys` the slots whose route ids differ from it, which is
+    what :func:`~repro.dataplane.forwarding.find_cycle` reads.  An outcome
+    read after the search moved on still builds the plane of its states, but
+    against the upstream planes the explorer holds then.
+
+    An outcome ``explore`` keeps is built at once (:meth:`kept`), and pickles
+    as its three parts.
+    """
+
+    __slots__ = (
+        "_explorer",
+        "_states",
+        "_labels",
+        "_reference",
+        "_data_plane",
+        "_control_plane",
+        "_steps",
+    )
+
+    def __init__(
+        self,
+        explorer: Optional["PecExplorer"],
+        states: Tuple[RpvpState, ...],
+        labels: Tuple[List[object], ...],
+        reference: Optional["_ReferencePlane"] = None,
+    ) -> None:
+        self._explorer = explorer
+        self._states = states
+        self._labels = labels
+        self._reference = reference
+        self._data_plane: Optional[DataPlane] = None
+        self._control_plane: Optional[Mapping[str, Route]] = None
+        self._steps: Optional[List[object]] = None
+
+    @property
+    def data_plane(self) -> DataPlane:
+        """The converged data plane, built on first read."""
+        plane = self._data_plane
+        if plane is None:
+            plane, control_plane = self._explorer._plane_of(self._states)
+            self._data_plane = plane
+            if self._control_plane is None:
+                self._control_plane = control_plane
+        return plane
+
+    @property
+    def control_plane(self) -> Mapping[str, Route]:
+        """device -> the route it selected (see :class:`_ControlPlane`)."""
+        if self._control_plane is None:
+            self._control_plane = _ControlPlane(self._states)
+        return self._control_plane
+
+    @property
+    def steps(self) -> List[object]:
+        """The path labels of the states, the streamed prefix's first."""
+        if self._steps is None:
+            self._steps = list(itertools.chain.from_iterable(self._labels))
+        return self._steps
+
+    @property
+    def base(self) -> Optional[DataPlane]:
+        """The plane this outcome's states are laid against, if any."""
+        reference = self._reference
+        return None if reference is None else reference.plane
+
+    def changed_keys(self) -> List[Tuple[int, Union[int, Tuple[int, ...]]]]:
+        """``(slot, route ids)`` of every slot whose route ids differ from
+        :attr:`base`'s: the keys its FIBs are interned under."""
+        rows = _rows(self._states)
+        differs = map(operator.ne, rows, self._reference.rows)
+        return [(slot, rows[slot]) for slot in itertools.compress(itertools.count(), differs)]
+
+    def fib_of(self, key: Tuple[int, Union[int, Tuple[int, ...]]]) -> Optional[Fib]:
+        """The FIB interned under ``key`` (:meth:`changed_keys`), or None
+        while no built plane has needed it."""
+        return self._reference.interned.get(key)
+
+    def kept(self) -> "ConvergedOutcome":
+        """Build every part, and drop the search's hold on the states: a
+        kept outcome outlives the search."""
+        self.data_plane, self.control_plane, self.steps  # each read builds its part
+        for state in self._states:
+            state.detach()
+        self._explorer = self._labels = None
+        return self
+
+    def __getstate__(self) -> Tuple[DataPlane, Mapping[str, Route], List[object]]:
+        return self.data_plane, self.control_plane, self.steps
+
+    def __setstate__(self, parts: Tuple[DataPlane, Mapping[str, Route], List[object]]) -> None:
+        self.__init__(None, (), ())
+        self._data_plane, self._control_plane, self._steps = parts
 
 
 class _ControlPlane(Mapping):
@@ -314,14 +414,17 @@ class PecExplorer:
         on_outcome: Optional[Callable[["ConvergedOutcome"], Optional[str]]] = None,
         keep_outcomes: bool = True,
     ) -> List[ConvergedOutcome]:
-        """All converged data planes of the PEC under this failure scenario.
+        """All converged outcomes of the PEC under this failure scenario.
 
-        Every plane is built and handed to ``on_outcome`` *as the model
-        checker reaches the converged state behind it*; a non-None return (a
+        Every outcome is handed to ``on_outcome`` *as the model checker
+        reaches the converged state behind it*; a non-None return (a
         violation message) ends the search there — this is how the paper's
         prototype reports the first violating event sequence without
-        enumerating the remaining converged states.  The planes are also
-        returned unless ``keep_outcomes`` is False.
+        enumerating the remaining converged states.  The outcome is lazy
+        (:class:`ConvergedOutcome`): its plane, control plane and steps are
+        built when the callback reads them, and a callback that reads none
+        of them builds nothing.  Unless ``keep_outcomes`` is False the
+        outcomes are also returned, each built in full as it is reached.
 
         A PEC without BGP has exactly one plane (OSPF and static routing are
         deterministic).  A PEC with several BGP prefixes converges per
@@ -331,11 +434,24 @@ class PecExplorer:
         any converged state therefore leaves the PEC without a plane.
         """
         outcomes: List[ConvergedOutcome] = []
+        layout = self._layout
+        #: The reference plane this search's outcomes are laid against, once
+        #: the task has one in their layout (``build_data_plane``).
+        view: Optional[_ReferencePlane] = None
 
-        def emit(bgp_states: Dict[Prefix, RpvpState], steps: List[object]) -> Optional[str]:
-            outcome = ConvergedOutcome(*self.build_data_plane(bgp_states), steps)
+        def emit(states: Tuple[RpvpState, ...], labels: Tuple[List[object], ...]) -> Optional[str]:
+            nonlocal view
+            if view is None:
+                reference = self._reference
+                if (
+                    reference is not None
+                    and reference.prefixes == layout
+                    and all(state._space is reference.space for state in states)
+                ):
+                    view = reference
+            outcome = ConvergedOutcome(self, states, labels, view)
             if keep_outcomes:
-                outcomes.append(outcome)
+                outcomes.append(outcome.kept())
             return on_outcome(outcome) if on_outcome is not None else None
 
         if not self.options.fast_ospf:
@@ -352,7 +468,7 @@ class PecExplorer:
 
         bgp_prefixes = [prefix for prefix, devices in self.pec.bgp_origins if devices]
         if not bgp_prefixes:
-            emit({}, [])
+            emit((), ())
             return outcomes
 
         def search(prefix: Prefix, on_converged) -> None:
@@ -365,25 +481,25 @@ class PecExplorer:
         streamed, *listed = bgp_prefixes
         if not listed:
             # The common case: one BGP prefix, nothing to cross.
-            search(streamed, lambda state, labels: emit({streamed: state}, labels))
+            search(streamed, lambda state, labels: emit((state,), (labels,)))
             return outcomes
         converged_of: List[List[Tuple[RpvpState, List[object]]]] = []
         for prefix in listed:
             found: List[Tuple[RpvpState, List[object]]] = []
-            search(prefix, lambda state, labels: found.append((state, labels)))
+            # Kept past the search: detached as they are found.
+            search(prefix, lambda state, labels: found.append((state.detach(), labels)))
             converged_of.append(found)
-        # A plane reads the states in install order, the layout its task's
-        # reference plane fixed (``build_data_plane``).
-        layout = [prefix for prefix in self._plane_inputs.prefixes if prefix in bgp_prefixes]
+        # An outcome holds its states in the layout; its steps are the
+        # streamed prefix's labels, then the listed prefixes' in their order.
+        positions = [bgp_prefixes.index(prefix) for prefix in layout]
 
         def cross(state: RpvpState, labels: List[object]) -> Optional[str]:
             for combination in itertools.product(*converged_of):
-                chosen = dict(zip(listed, combination))
-                chosen[streamed] = (state, labels)
-                steps = list(labels)
-                for _other_state, other_labels in combination:
-                    steps.extend(other_labels)
-                violation = emit({prefix: chosen[prefix][0] for prefix in layout}, steps)
+                chosen = ((state, labels), *combination)
+                violation = emit(
+                    tuple(chosen[position][0] for position in positions),
+                    tuple(chosen_labels for _state, chosen_labels in chosen),
+                )
                 if violation is not None:
                     return violation
             return None
@@ -473,12 +589,9 @@ class PecExplorer:
         successors, accepts = self._successor_relation(instance, analyzer)
 
         def check_terminal(state: RpvpState, labels: List[object]) -> Optional[str]:
-            accepted = accepts(state)
-            # Converged states outlive the search inside outcomes; drop the
-            # DFS ancestor chain and search caches they would otherwise pin
-            # (after the acceptance test, which reuses the candidate sets).
-            state.detach()
-            return on_converged(state, labels) if accepted else None
+            # A state that outlives the search is detached by whoever keeps
+            # it (``ConvergedOutcome.kept``, the crossed prefixes' lists).
+            return on_converged(state, labels) if accepts(state) else None
 
         explorer = Explorer(
             successors=successors,
@@ -639,6 +752,12 @@ class PecExplorer:
         """Combine per-prefix protocol results into a network-wide data plane,
         and the control plane behind it (built when first read).
 
+        ``explore`` calls this only for an outcome whose plane something
+        reads (:class:`ConvergedOutcome`): the task's first one, which
+        becomes its reference, a kept one, one whose loop check meets a FIB
+        no earlier plane built or fails its certificate, and one that a
+        policy reading the plane, or a violation's trail, checks.
+
         ``bgp_states`` maps each live BGP prefix — one with a converged state —
         to that state.  A plane is either built from scratch
         (``_install_entries`` over all devices) or derived from a reference
@@ -707,6 +826,17 @@ class PecExplorer:
                     self.ospf.pec_memos(self.pec)["reference_plane"] = self._snapshot(data_plane)
         data_plane.annotations["failure"] = self._plane_inputs.failure_text
         return data_plane, _ControlPlane(states)
+
+    @functools.cached_property
+    def _layout(self) -> Tuple[Prefix, ...]:
+        """The BGP prefixes ``explore`` searches, in install order: the order
+        the states of every outcome come in."""
+        searched = {prefix for prefix, devices in self.pec.bgp_origins if devices}
+        return tuple(prefix for prefix in self._plane_inputs.prefixes if prefix in searched)
+
+    def _plane_of(self, states: Tuple[RpvpState, ...]) -> Tuple[DataPlane, Mapping[str, Route]]:
+        """:meth:`build_data_plane` over ``states``, in :attr:`_layout`."""
+        return self.build_data_plane(dict(zip(self._layout, states)))
 
     def _snapshot(self, data_plane: DataPlane) -> DataPlane:
         """A plane of its own holding ``data_plane``'s FIBs, all shared: the

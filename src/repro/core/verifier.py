@@ -269,17 +269,18 @@ class Plankton:
         ]
 
         def check_outcome(outcome: ConvergedOutcome) -> Optional[str]:
-            """Check every policy on one converged data plane, as the search
-            reaches it.  Under stop-at-first the first violation message is
-            returned, which ends the search of an independent PEC; a PEC
-            with dependents is searched to the end (downstream PECs need
-            every outcome) and only stops being checked."""
+            """Check every policy on one converged outcome, as the search
+            reaches it: over the lazy outcome, so that a policy builds only
+            what it reads of it (loop freedom: nothing, while the state's
+            certificate holds), and a violation's trail builds the rest.
+            Under stop-at-first the first violation message is returned,
+            which ends the search of an independent PEC; a PEC with
+            dependents is searched to the end (downstream PECs need every
+            outcome) and only stops being checked."""
             if run.violations and stop_at_first:
                 return None
             run.converged_states += 1
-            context = PolicyCheckContext(
-                network, pec, outcome.data_plane, failure, upstream_planes, outcome.control_plane
-            )
+            context = PolicyCheckContext(network, pec, outcome, failure, upstream_planes)
             for policy, seen in checks:
                 if seen is not None:
                     signature = policy.state_signature(context)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.dataplane.fib import DataPlane, Fib
 
@@ -159,10 +159,11 @@ class _ForwardingOrder(NamedTuple):
     #: device -> the longest forwarding distance from it to a sink (a device
     #: with no next hop that is a device); every edge of the plane descends.
     rank: Dict[str, int]
-    #: per FIB of a plane derived from this one: whether every next hop of
-    #: its device ranks lower than the device (derived FIBs are interned, so
-    #: the same object recurs across the planes of a task).
-    descends: Dict[Fib, bool]
+    #: Whether every next hop of a changed device ranks lower than the
+    #: device, per FIB of a plane derived from this one, or per ``(slot,
+    #: route ids)`` key of a view laid against it (FIBs and keys alike recur
+    #: across the planes of a task: derived FIBs are interned under the keys).
+    descends: Dict[Hashable, bool]
 
 
 def _forwarding_order(graph: ForwardingGraph) -> Optional[_ForwardingOrder]:
@@ -196,15 +197,24 @@ def _forwarding_order(graph: ForwardingGraph) -> Optional[_ForwardingOrder]:
     return _ForwardingOrder(rank, {})
 
 
-def find_cycle(data_plane: DataPlane, address: int) -> Optional[List[str]]:
+def find_cycle(data_plane, address: int) -> Optional[List[str]]:
     """A forwarding cycle for ``address`` (as a node list) if one exists, else None.
+
+    ``data_plane`` is a :class:`DataPlane`, or a view of one that builds it
+    on demand: a converged state's outcome
+    (:class:`~repro.core.network_model.ConvergedOutcome`), whose ``base`` is
+    its task's reference plane, whose ``changed_keys()`` name the devices
+    that hold other routes and whose ``fib_of(key)`` is their FIB, when one
+    was built before.
 
     A plane derived from a loop-free base (``data_plane.base``) is first
     tried against the base's forwarding order: every device it did not
     change keeps the base's edges, which all descend in that order, so if
     every next hop of every changed device descends too, no cycle can close.
     Otherwise — the certificate fails, the base loops, or the plane has no
-    base — the answer is :meth:`ForwardingGraph.has_cycle` on the plane.
+    base — the answer is :meth:`ForwardingGraph.has_cycle` on the plane; a
+    view that cannot pass (it fails, or meets a FIB not built yet) builds
+    its plane and checks that.
     """
     base = data_plane.base
     if base is not None:
@@ -212,18 +222,31 @@ def find_cycle(data_plane: DataPlane, address: int) -> Optional[List[str]]:
         if address not in orders:
             orders[address] = _forwarding_order(ForwardingGraph(base, address))
         order = orders[address]
-        if order is not None:
-            descends, fibs = order.descends, data_plane.fibs
-            for device in data_plane.changed:
-                fib = fibs[device]
-                known = descends.get(fib)
-                if known is None:
-                    known = descends[fib] = _descends(order.rank, fib, address)
-                if not known:
-                    break
-            else:
-                return None
+        if order is not None and _certified(order, data_plane, address):
+            return None
+    if not isinstance(data_plane, DataPlane):
+        return find_cycle(data_plane.data_plane, address)
     return ForwardingGraph(data_plane, address).has_cycle()
+
+
+def _certified(order: _ForwardingOrder, data_plane, address: int) -> bool:
+    """Whether every changed device of ``data_plane`` forwards ``address``
+    down ``order`` (False too when a view's FIB is not built yet)."""
+    rank, descends = order
+    if isinstance(data_plane, DataPlane):
+        keys, fib_of = map(data_plane.fibs.__getitem__, data_plane.changed), None
+    else:
+        keys, fib_of = data_plane.changed_keys(), data_plane.fib_of
+    for key in keys:
+        known = descends.get(key)
+        if known is None:
+            fib = key if fib_of is None else fib_of(key)
+            if fib is None:
+                return False
+            known = descends[key] = _descends(rank, fib, address)
+        if not known:
+            return False
+    return True
 
 
 def _descends(rank: Dict[str, int], fib: Fib, address: int) -> bool:

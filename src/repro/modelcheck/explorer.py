@@ -138,14 +138,13 @@ class Explorer(Generic[State]):
         visited.add(fingerprint(initial_state))
         unique = expanded = 1
         terminals = max_depth = 0
-        # Each stack frame: (label-that-led-here, iterator over the state's
-        # successors).  The label path to any state on the stack is
-        # reconstructed from the frames on demand (terminals only), instead
-        # of copying an O(depth) label list on every transition.
+        # Each stack frame: an iterator over a state's successors.  ``path``
+        # holds the labels of the transitions into the stacked states but
+        # the root: a terminal's labels are one copy of it, instead of an
+        # O(depth) label list per transition.
         root_successors = successors_of(initial_state)
-        stack: List[Tuple[object, Iterator[Tuple[object, State]]]] = [
-            (None, iter(root_successors))
-        ]
+        stack: List[Iterator[Tuple[object, State]]] = [iter(root_successors)]
+        path: List[object] = []
         transitions = len(root_successors)
         truncated = False
         if not root_successors:
@@ -155,9 +154,11 @@ class Explorer(Generic[State]):
 
         max_states, max_seconds = options.max_states, options.max_seconds
         while stack:
-            step = next(stack[-1][1], None)
+            step = next(stack[-1], None)
             if step is None:
                 stack.pop()
+                if path:
+                    path.pop()
                 continue
             label, next_state = step
             if visited.add(fingerprint(next_state)):
@@ -175,13 +176,12 @@ class Explorer(Generic[State]):
             expanded += 1
             transitions += len(next_successors)
             if next_successors:
-                stack.append((label, iter(next_successors)))
+                stack.append(iter(next_successors))
+                path.append(label)
                 continue
             terminals += 1
             if check_terminal is not None:
-                labels = [frame[0] for frame in stack[1:]]
-                labels.append(label)
-                if check_terminal(next_state, labels) is not None:
+                if check_terminal(next_state, [*path, label]) is not None:
                     break
 
         statistics.states_expanded += expanded

@@ -286,17 +286,28 @@ class AmpleSelector:
     def _close(
         self, state: SpvpState, seeds: Set[str], frozen: frozenset
     ) -> Tuple[FrozenSet[str], int]:
-        """The activity closure of ``seeds`` and its immune-session tally."""
+        """The activity closure of ``seeds`` and its immune-session tally.
+
+        The state's ids are read once: an edge is one look-up of the
+        immunity memo, and only a miss asks :meth:`_session_immune`."""
         active = set(seeds)
         stack = list(seeds)
-        out_peers = self.space.out_peers
+        space = self.space
+        out_peers, best_slot = space.out_peers, space.best_slot
+        ids = state.ids()
+        immune_memo = self._immune_memo
         skipped: List[str] = []
         while stack:
             node = stack.pop()
             for peer in out_peers.get(node, ()):
                 if peer in active or peer in frozen:
                     continue
-                if self._session_immune(state, node, peer):
+                best_rid = ids[best_slot[peer]]
+                # An undecided receiver is never immune (0, not None).
+                verdict = best_rid and immune_memo.get((peer, node, best_rid))
+                if verdict is None:
+                    verdict = self._session_immune(state, node, peer)
+                if verdict:
                     # The active node may re-advertise anything over this
                     # session, but nothing importable can dislodge the
                     # receiver's best — the edge does not propagate activity.

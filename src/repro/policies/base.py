@@ -17,7 +17,6 @@ execution once all sources have decided, and the failure-choice reduction
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.config.objects import NetworkConfig
@@ -27,19 +26,55 @@ from repro.pec.classes import PacketEquivalenceClass
 from repro.topology.failures import FailureScenario
 
 
-@dataclass
 class PolicyCheckContext:
-    """Everything a policy callback may inspect for one converged state."""
+    """Everything a policy callback may inspect for one converged state.
 
-    network: NetworkConfig
-    pec: PacketEquivalenceClass
-    data_plane: DataPlane
-    failure: FailureScenario = field(default_factory=FailureScenario)
-    #: Converged data planes of the PECs this PEC depends on, keyed by PEC index.
-    dependencies: Dict[int, DataPlane] = field(default_factory=dict)
-    #: Optional converged control-plane state (per device best routes), for
-    #: policies such as Path Consistency that look beyond the data plane.
-    control_plane: Mapping[str, object] = field(default_factory=dict)
+    ``data_plane`` is the converged :class:`DataPlane`.  The verifier hands
+    a lazy converged outcome in its place
+    (:class:`~repro.core.network_model.ConvergedOutcome`): the context's
+    ``data_plane`` and, unless one is given, ``control_plane`` are then the
+    outcome's, built on first read, so a policy that reads neither builds
+    neither.  :attr:`plane_view` is what was handed in, and what
+    :func:`~repro.dataplane.forwarding.find_cycle` checks: loop freedom
+    answers off the outcome's route ids, building nothing while its
+    certificate holds.
+    """
+
+    __slots__ = ("network", "pec", "plane_view", "failure", "dependencies", "_control_plane")
+
+    def __init__(
+        self,
+        network: NetworkConfig,
+        pec: PacketEquivalenceClass,
+        data_plane: DataPlane,
+        failure: Optional[FailureScenario] = None,
+        dependencies: Optional[Dict[int, DataPlane]] = None,
+        control_plane: Optional[Mapping[str, object]] = None,
+    ) -> None:
+        self.network = network
+        self.pec = pec
+        #: The data plane, or the outcome that builds it when first read.
+        self.plane_view = data_plane
+        self.failure = FailureScenario() if failure is None else failure
+        #: Converged data planes of the PECs this PEC depends on, keyed by PEC index.
+        self.dependencies = {} if dependencies is None else dependencies
+        self._control_plane = control_plane
+
+    @property
+    def data_plane(self) -> DataPlane:
+        """The converged data plane (built on first read from an outcome)."""
+        view = self.plane_view
+        return view if isinstance(view, DataPlane) else view.data_plane
+
+    @property
+    def control_plane(self) -> Mapping[str, object]:
+        """Optional converged control-plane state (per device best routes),
+        for policies such as Path Consistency that look beyond the data
+        plane: the one given, else the outcome's, else empty."""
+        if self._control_plane is None:
+            view = self.plane_view
+            self._control_plane = {} if isinstance(view, DataPlane) else view.control_plane
+        return self._control_plane
 
     @property
     def destination(self) -> int:

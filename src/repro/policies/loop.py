@@ -15,7 +15,9 @@ class LoopFreedom(Policy):
     As the paper notes, a loop policy "can't optimize as aggressively: it has
     to consider all sources", so this policy declares no source nodes and the
     whole forwarding graph is analysed — for a plane derived from a loop-free
-    one, from the devices it changed (:func:`find_cycle`).
+    one, or a converged state laid against one, from the devices it changed
+    (:func:`find_cycle`), without building the state's plane while that
+    certificate holds.
     """
 
     name = "loop-freedom"
@@ -24,7 +26,7 @@ class LoopFreedom(Policy):
         self.destination_prefix = destination_prefix
 
     def check(self, context: PolicyCheckContext) -> Optional[str]:
-        cycle = find_cycle(context.data_plane, context.destination)
+        cycle = find_cycle(context.plane_view, context.destination)
         if cycle is not None:
             return (
                 f"forwarding loop for {context.pec.address_range}: "

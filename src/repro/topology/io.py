@@ -29,7 +29,7 @@ import json
 from pathlib import Path as FilePath
 from typing import Dict, List, Optional, Union
 
-from repro.exceptions import TopologyError
+from repro.exceptions import ReproError, TopologyError
 from repro.netaddr import Prefix
 from repro.topology.graph import Topology
 
@@ -87,9 +87,11 @@ def _parse_node_line(topology: Topology, tokens: List[str], number: int) -> None
         else:
             attributes[key] = _coerce_scalar(value)
     try:
-        topology.add_node(name, role=role, loopback=loopback, **attributes)
+        node = topology.add_node(name, role=role, loopback=loopback)
     except TopologyError as exc:
         raise TopologyError(f"line {number}: {exc}") from exc
+    # Not as keywords: an attribute may be called ``name``.
+    node.attributes.update(attributes)
 
 
 def _parse_link_line(topology: Topology, tokens: List[str], number: int) -> None:
@@ -153,31 +155,34 @@ def format_topology(topology: Topology) -> str:
 
 # --------------------------------------------------------------------------- json
 def topology_from_dict(document: Dict[str, object]) -> Topology:
-    """Build a :class:`Topology` from its JSON document form."""
-    topology = Topology(str(document.get("name", "network")))
-    for entry in document.get("nodes", []):  # type: ignore[union-attr]
-        if "name" not in entry:
-            raise TopologyError(f"node entry without a name: {entry!r}")
-        loopback_text = entry.get("loopback")
-        loopback = Prefix(loopback_text) if loopback_text else None
-        attributes = dict(entry.get("attributes", {}))
-        topology.add_node(
-            str(entry["name"]),
-            role=str(entry.get("role", "router")),
-            loopback=loopback,
-            **attributes,
-        )
-    for entry in document.get("links", []):  # type: ignore[union-attr]
-        if "a" not in entry or "b" not in entry:
-            raise TopologyError(f"link entry without endpoints: {entry!r}")
-        topology.add_link(
-            str(entry["a"]),
-            str(entry["b"]),
-            weight=int(entry.get("weight", 1)),
-            weight_ba=(
-                int(entry["weight_back"]) if "weight_back" in entry else None
-            ),
-        )
+    """Build a :class:`Topology` from its JSON document form; a document of
+    another shape is a :class:`TopologyError`."""
+    try:
+        topology = Topology(str(document.get("name", "network")))
+        for entry in document.get("nodes", []):  # type: ignore[union-attr]
+            if "name" not in entry:
+                raise TopologyError(f"node entry without a name: {entry!r}")
+            loopback_text = entry.get("loopback")
+            loopback = Prefix(loopback_text) if loopback_text else None
+            node = topology.add_node(
+                str(entry["name"]), role=str(entry.get("role", "router")), loopback=loopback
+            )
+            node.attributes.update(entry.get("attributes", {}))
+        for entry in document.get("links", []):  # type: ignore[union-attr]
+            if "a" not in entry or "b" not in entry:
+                raise TopologyError(f"link entry without endpoints: {entry!r}")
+            topology.add_link(
+                str(entry["a"]),
+                str(entry["b"]),
+                weight=int(entry.get("weight", 1)),
+                weight_ba=(
+                    int(entry["weight_back"]) if "weight_back" in entry else None
+                ),
+            )
+    except ReproError:
+        raise
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise TopologyError(f"malformed topology document: {exc}") from exc
     return topology
 
 
@@ -187,5 +192,9 @@ def load_topology(path: PathLike) -> Topology:
     file_path = FilePath(path)
     text = file_path.read_text()
     if file_path.suffix.lower() == ".json":
-        return topology_from_dict(json.loads(text))
+        try:
+            document = json.loads(text)
+        except ValueError as exc:
+            raise TopologyError(f"not a JSON document: {exc}") from exc
+        return topology_from_dict(document)
     return parse_topology(text)

@@ -17,6 +17,15 @@ redistributed statics, cost overrides and anycast origins.  Loop freedom,
 which checks a derived plane from the devices it changed (see
 ``repro.dataplane.forwarding.find_cycle``), must answer on every derived
 plane what it answers on the from-scratch build.
+
+The verifier checks a converged BGP state before any plane of it is built:
+over its lazy outcome, off the state's route ids laid against the task's
+reference plane, and it builds the plane only when that certificate cannot
+pass.  On every BGP shape above, that verdict must be the full depth-first
+search (``ForwardingGraph.has_cycle``) on the from-scratch plane; on a
+fabric whose planes loop in some converged states and not in others, the
+violations a lazy run reports - messages, trails and plane dumps - must be
+byte-identical to those of a run that builds every plane first.
 """
 
 import functools
@@ -84,14 +93,41 @@ def _loop_check(plankton, pec, plane):
     return LoopFreedom().check(context)
 
 
+def _lazy_verdicts(plankton, pec, failure, context=None):
+    """The loop verdict of every outcome of one ``explore()`` that keeps
+    nothing, checked as the verifier checks it (over the outcome, before
+    anything reads its plane), and the number of planes it built."""
+    explorer = _explorer(plankton, pec, failure, context)
+    build, built = explorer.build_data_plane, []
+    explorer.build_data_plane = lambda bgp_states=None: built.append(1) or build(bgp_states)
+    verdicts = []
+
+    def check(outcome):
+        context = PolicyCheckContext(plankton.network, pec, outcome)
+        verdicts.append(LoopFreedom().check(context))
+
+    explorer.explore(on_outcome=check, keep_outcomes=False)
+    return verdicts, len(built)
+
+
+def _full_dfs(pec, plane):
+    """Loop freedom's message for ``plane`` by ``ForwardingGraph.has_cycle``."""
+    cycle = ForwardingGraph(plane, pec.representative_address()).has_cycle()
+    return None if cycle is None else f"forwarding loop for {pec.address_range}: " + " -> ".join(cycle)
+
+
 def _assert_derived_equals_scratch(plankton, pec, failure, context=None):
     streamed = _streamed(_explorer(plankton, pec, failure, context))
-    for bgp_states, outcome in streamed:
+    lazy, _built = _lazy_verdicts(plankton, pec, failure, context)
+    assert len(lazy) == len(streamed)
+    for (bgp_states, outcome), verdict in zip(streamed, lazy):
         plane, control_plane = _scratch(plankton, pec, failure, context, bgp_states)
         assert plane.base is None
         assert outcome.data_plane.to_dict() == plane.to_dict()
         assert outcome.control_plane == control_plane
         assert _loop_check(plankton, pec, outcome.data_plane) == _loop_check(plankton, pec, plane)
+        # ... and so is the verdict on the state's route ids.
+        assert verdict == _full_dfs(pec, plane)
         # ... which is every device's route, a longer prefix's over a shorter's.
         routes = {}
         for prefix in sorted(bgp_states, key=lambda prefix: prefix.length):
@@ -155,6 +191,22 @@ def _statics():
     pec = next(pec for pec in plankton.pecs if pec.address_range.contains_address(rack.first))
     assert set(pec.prefixes) == {rack, covering}
     return plankton, pec, rack, covering
+
+
+@functools.lru_cache(maxsize=None)
+def _looping():
+    """The eBGP fabric with a static at ``agg2_0`` sending rack 0's prefix up
+    to ``core0``.  A converged state loops where ``core0`` routes back down
+    through ``agg2_0``, which it may once its link to ``agg0_0`` (the one
+    returned) is down: whether a plane loops depends on the state, and the
+    first state a task's search reaches (its reference) does not."""
+    network = ebgp_rfc7938(bgp_fat_tree(4))
+    rack = edge_prefix(0, 0)
+    network.device("agg2_0").static_routes.append(StaticRoute(prefix=rack, next_hop_node="core0"))
+    plankton = Plankton(network, PlanktonOptions(stop_at_first_violation=False))
+    pec = next(pec for pec in plankton.pecs if rack in pec.prefixes)
+    (down,) = network.topology.links_between("core0", "agg0_0")
+    return plankton, pec, down.link_id
 
 
 ANYCAST = Prefix("10.9.0.0/24")
@@ -322,6 +374,47 @@ class TestDerivedEqualsFromScratch:
             for outcome in later:  # ... and know what they were derived from
                 assert outcome.data_plane.base is explorer._reference.plane
                 assert outcome.data_plane.changed
+
+
+class TestLazyLoopVerdicts:
+    """Violating draws: the lazy check's fallbacks run, and report what a
+    run that builds every plane first reports."""
+
+    @staticmethod
+    def _violations(plankton, pec, failure, collect_outcomes):
+        run, _outcomes = plankton.run_pec(
+            pec, failure, [LoopFreedom()], DependencyContext(), collect_outcomes=collect_outcomes
+        )
+        reported = [
+            (v.message, v.trail.data_plane_dump, v.trail.render(), v.trail.to_dict())
+            for v in run.violations
+        ]
+        return run.converged_states, reported
+
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_a_fabric_that_loops_in_some_states(self, data):
+        plankton, pec, down = _looping()
+        failure = data.draw(st.one_of(_failures(plankton), _failures(plankton, extra=[down])))
+        _assert_derived_equals_scratch(plankton, pec, failure)
+        # collect_outcomes keeps every outcome, so builds every plane first.
+        eager = self._violations(plankton, pec, failure, collect_outcomes=True)
+        assert self._violations(plankton, pec, failure, collect_outcomes=False) == eager
+
+    def test_the_fallbacks_run(self):
+        plankton, pec, down = _looping()
+        failure = FailureScenario.of([down])
+        verdicts, built = _lazy_verdicts(plankton, pec, failure)
+        looping = sum(verdict is not None for verdict in verdicts)
+        assert 0 < looping < len(verdicts)  # some certificates fail ...
+        # ... and each failed one built its plane, beside the reference and
+        # the planes that met a FIB no earlier plane built; the rest built none.
+        assert 1 + looping <= built < len(verdicts)
+        _count, violations = self._violations(plankton, pec, failure, collect_outcomes=False)
+        assert len(violations) == looping
+        assert {message for message, *_rest in violations} == {
+            f"forwarding loop for {pec.address_range}: core0 -> agg2_0 -> core0"
+        }
 
 
 class TestFailurePlanesAcrossTasks:

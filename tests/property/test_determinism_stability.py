@@ -248,7 +248,8 @@ class TestUndecidedSlotScan:
 
     def test_one_converged_state_per_task_of_a_single_failure_run(self):
         """Every (PEC, <= 1 failure) task of the fabric: the first converged
-        state the search accepts, detached as the explorer hands it on."""
+        state the search accepts, detached as whoever keeps one past the
+        search detaches it (``ConvergedOutcome.kept``)."""
         network, pecs = _fabric()
         scenarios = enumerate_failure_scenarios(network.topology, 1)
         somebody_undecided = 0
@@ -261,7 +262,7 @@ class TestUndecidedSlotScan:
                 explorer._search(
                     instance,
                     BgpDeterminism(instance),
-                    lambda state, labels: found.append(state) or "first one",
+                    lambda state, labels: found.append(state.detach()) or "first one",
                 )
                 (state,) = found
                 assert state.parent is None  # detached

@@ -239,6 +239,41 @@ def test_one_state_representation():
     assert table_sites == ["protocols/interning.py"]
 
 
+def test_a_loop_check_builds_the_references_and_the_fib_misses_only(monkeypatch):
+    """One model of a converged BGP state: its route ids.  Loop freedom on
+    the eBGP k=4 fabric under <= 1 failure builds a data plane for each
+    task's first converged state (the reference the others are laid
+    against) and for each state that changed a device to routes no earlier
+    plane of its task built a FIB for; a counted pin, never a clock."""
+    from repro import Plankton, PlanktonOptions
+    from repro.config import ebgp_rfc7938
+    from repro.core.network_model import PecExplorer, _rows
+    from repro.policies import LoopFreedom
+    from repro.topology import bgp_fat_tree
+
+    calls = {"reference": 0, "miss": 0, "other": 0}
+    build = PecExplorer.build_data_plane
+
+    def counted(explorer, bgp_states=None):
+        reference = explorer._reference
+        if reference is None:
+            calls["reference"] += 1
+        else:
+            rows = _rows(list(bgp_states.values()))
+            keys = [(slot, row) for slot, row in enumerate(rows) if row != reference.rows[slot]]
+            calls["miss" if any(key not in reference.interned for key in keys) else "other"] += 1
+        return build(explorer, bgp_states)
+
+    monkeypatch.setattr(PecExplorer, "build_data_plane", counted)
+    plankton = Plankton(ebgp_rfc7938(bgp_fat_tree(4)), PlanktonOptions(max_failures=1))
+    result = plankton.verify(LoopFreedom())
+    assert result.holds and result.complete
+    converged = sum(run.converged_states for run in result.pec_runs)
+    assert calls["reference"] == len(result.pec_runs)  # one per task
+    assert calls["other"] == 0
+    assert 0 < calls["miss"] and calls["reference"] + calls["miss"] < converged / 10
+
+
 #: Where a user enters the package: the ``repro`` command (its handlers
 #: import what they run inside the function) and the thin client.  The
 #: public API, ``repro``'s ``_ORIGINS``, is added to these below.

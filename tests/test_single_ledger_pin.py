@@ -54,14 +54,16 @@ def test_one_road_from_a_converged_state_to_a_verdict():
     classes = {node.name: node for node in model.body if isinstance(node, ast.ClassDef)}
     # One model-checker construction and one data-plane build, both inside
     # PecExplorer; an outcome carries nothing but the plane, the control
-    # plane and the steps; the batch road's names stay gone.
+    # plane and the steps, built when read, and the view of the plane that
+    # loop freedom reads; the batch road's names stay gone.
     assert _call_count(model, "Explorer") == _call_count(classes["PecExplorer"], "Explorer") == 1
+    assert _call_count(model, "build_data_plane") == 1
     assert _call_count(classes["PecExplorer"], "build_data_plane") == 1
-    assert [field.target.id for field in classes["ConvergedOutcome"].body[1:]] == [
-        "data_plane",
-        "control_plane",
-        "steps",
-    ]
+    assert [
+        node.name
+        for node in classes["ConvergedOutcome"].body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ] == ["data_plane", "control_plane", "steps", "base", "changed_keys", "fib_of", "kept"]
     for retired in (
         "_explore_streaming",
         "_explore_instance",

@@ -218,9 +218,8 @@ class ConvergedOutcome:
     def changed_keys(self) -> List[Tuple[int, Union[int, Tuple[int, ...]]]]:
         """``(slot, route ids)`` of every slot whose route ids differ from
         :attr:`base`'s: the keys its FIBs are interned under."""
-        rows = _rows(self._states)
-        differs = map(operator.ne, rows, self._reference.rows)
-        return [(slot, rows[slot]) for slot in itertools.compress(itertools.count(), differs)]
+        pairs = zip(itertools.count(), _rows(self._states), self._reference.rows)
+        return [(slot, row) for slot, row, held in pairs if row != held]
 
     def fib_of(self, key: Tuple[int, Union[int, Tuple[int, ...]]]) -> Optional[Fib]:
         """The FIB interned under ``key`` (:meth:`changed_keys`), or None
